@@ -21,7 +21,25 @@ from scipy import sparse
 
 from repro.utils.validation import check_node_id
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "gather_rows"]
+
+
+def gather_rows(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The adjacency rows of ``rows``, concatenated in order, and their lengths.
+
+    One fancy-index gather instead of a Python slice per row: output position
+    ``p`` of row ``r`` reads ``indices[indptr[r] + p - (row r's first output
+    position)]``.  A single row is returned as a plain slice.
+    """
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    if rows.size == 1:
+        return indices[starts[0] : starts[0] + counts[0]], counts
+    first_outputs = np.cumsum(counts) - counts
+    positions = np.arange(counts.sum()) + np.repeat(starts - first_outputs, counts)
+    return indices[positions], counts
 
 
 class CSRGraph:

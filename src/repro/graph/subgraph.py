@@ -14,7 +14,7 @@ from typing import Dict, Iterable, Optional
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, gather_rows
 
 __all__ = ["Subgraph"]
 
@@ -39,49 +39,41 @@ class Subgraph:
                 "global_ids length must equal the sub-graph node count "
                 f"({global_ids.size} != {graph.num_nodes})"
             )
-        if np.unique(global_ids).size != global_ids.size:
+        ordered = np.sort(global_ids)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("global_ids must be unique")
         self.graph = graph
         self.global_ids = global_ids
         self.global_ids.setflags(write=False)
-        self._local_of: Dict[int, int] = {
-            int(g): i for i, g in enumerate(global_ids)
-        }
+        # {global id: local id}, built by the first lookup that needs it.
+        self._local_of: Optional[Dict[int, int]] = None
 
     # ------------------------------------------------------------------
     @classmethod
     def induced(
         cls, host: CSRGraph, nodes: Iterable[int], name: Optional[str] = None
     ) -> "Subgraph":
-        """Build the sub-graph induced by ``nodes`` (order defines local ids)."""
-        global_ids = np.asarray(list(nodes), dtype=np.int64)
-        if np.unique(global_ids).size != global_ids.size:
-            raise ValueError("nodes must be unique")
-        local_of = np.full(host.num_nodes, -1, dtype=np.int64)
-        local_of[global_ids] = np.arange(global_ids.size)
+        """Build the sub-graph induced by ``nodes`` (order defines local ids).
 
-        if global_ids.size:
-            starts = host.indptr[global_ids]
-            ends = host.indptr[global_ids + 1]
-            counts = ends - starts
-            if global_ids.size == 1:
-                gathered = host.indices[starts[0] : ends[0]]
-            else:
-                gathered = np.concatenate(
-                    [host.indices[s:e] for s, e in zip(starts, ends)]
-                )
-            mapped = local_of[gathered]
-            sources = np.repeat(np.arange(global_ids.size), counts)
-            keep = mapped >= 0
-            sources, mapped = sources[keep], mapped[keep]
-            order = np.lexsort((mapped, sources))
-            indices = mapped[order].astype(np.int32)
-            kept_counts = np.bincount(sources, minlength=global_ids.size)
-            indptr = np.zeros(global_ids.size + 1, dtype=np.int64)
-            np.cumsum(kept_counts, out=indptr[1:])
-        else:
-            indptr = np.zeros(1, dtype=np.int64)
-            indices = np.empty(0, dtype=np.int32)
+        Raises ``ValueError`` when an id repeats (checked once, by the
+        constructor).
+        """
+        if not isinstance(nodes, np.ndarray):
+            nodes = list(nodes)
+        global_ids = np.array(nodes, dtype=np.int64)  # a private copy
+        count = global_ids.size
+        local_ids = np.arange(count)
+        local_of = np.full(host.num_nodes, -1, dtype=np.int64)
+        local_of[global_ids] = local_ids
+
+        gathered, counts = gather_rows(host.indptr, host.indices, global_ids)
+        mapped = local_of[gathered]
+        # One key per kept edge, (local source, local target) in base
+        # ``count``: a single sort orders rows and the ids within each row.
+        keys = (np.repeat(local_ids, counts) * count + mapped)[mapped >= 0]
+        keys.sort()
+        indices = (keys % count).astype(np.int32)
+        indptr = np.searchsorted(keys, np.arange(count + 1) * count)
         sub_name = name if name is not None else f"{host.name}:induced"
         return cls(CSRGraph(indptr, indices, name=sub_name), global_ids)
 
@@ -96,13 +88,23 @@ class Subgraph:
         """Number of undirected edges in the sub-graph."""
         return self.graph.num_edges
 
+    def _local_map(self) -> Dict[int, int]:
+        if self._local_of is None:
+            self._local_of = {g: i for i, g in enumerate(self.global_ids.tolist())}
+        return self._local_of
+
     def to_local(self, global_id: int) -> int:
         """Map a host-graph node id to its local id (raises ``KeyError`` if absent)."""
-        return self._local_of[int(global_id)]
+        global_id = int(global_id)
+        # An ego sub-graph is asked for its centre, local id 0, once per
+        # diffusion; that must not cost a map over every node.
+        if self.global_ids.size and global_id == self.global_ids[0]:
+            return 0
+        return self._local_map()[global_id]
 
     def contains_global(self, global_id: int) -> bool:
         """Whether the host-graph node ``global_id`` is part of this sub-graph."""
-        return int(global_id) in self._local_of
+        return int(global_id) in self._local_map()
 
     def to_global(self, local_id: int) -> int:
         """Map a local node id back to the host-graph id."""

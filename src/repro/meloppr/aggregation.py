@@ -12,11 +12,17 @@ than 0.2 % precision while ``c < 4`` loses more than 3 %; the paper settles on
 :class:`GlobalScoreTable` implements that bounded table; an unbounded mode
 (``capacity=None``) is provided for the pure-software solver and for
 measuring the precision loss attributable to the bound (the E7 study).
+
+The victim of an eviction is the entry with the smallest ``(score, -node)``
+key.  Finding it is ``O(log capacity)``: a min-heap of lower bounds on every
+stored entry's key, built the first time the table overflows, so a table
+that never fills carries no heap at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -33,10 +39,13 @@ class ScoreTableSnapshot:
     Captures everything :meth:`GlobalScoreTable.from_snapshot` needs to
     rebuild a table that behaves **bit-identically** to the original from
     that point on: the stored and evicted entries *in insertion order* (the
-    eviction scan is order-independent, but preserving order keeps the
-    restored table indistinguishable), the capacity/eviction mode, and the
-    bookkeeping counters.  The serving layer caches these snapshots to resume
-    multi-stage plans past their first stage (cross-query score-table reuse).
+    victim of an eviction depends only on the stored ``(score, node)`` pairs,
+    but preserving order keeps the restored table indistinguishable), the
+    capacity/eviction mode, and the bookkeeping counters.  The eviction heap
+    is derived from the stored entries and is not part of a snapshot: the
+    restored table rebuilds it if it ever overflows.  The serving layer caches
+    these snapshots to resume multi-stage plans past their first stage
+    (cross-query score-table reuse).
     """
 
     capacity: Optional[int]
@@ -80,6 +89,8 @@ class GlobalScoreTable:
         self._evicted: Dict[int, float] = {}
         self._total_updates = 0
         self._total_evictions = 0
+        # Min-heap of (score lower bound, -node), built at the first overflow.
+        self._heap: Optional[List[Tuple[float, int]]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -105,32 +116,88 @@ class GlobalScoreTable:
     # ------------------------------------------------------------------
     def add(self, node: int, score: float) -> None:
         """Accumulate ``score`` onto ``node``, evicting the minimum if full."""
-        self._total_updates += 1
-        node = int(node)
-        if node in self._scores:
-            self._scores[node] += score
-            return
-        previous = 0.0
-        if not self._evictions_are_final:
-            previous = self._evicted.pop(node, 0.0)
-        self._scores[node] = previous + score
-        if self._capacity is not None and len(self._scores) > self._capacity:
-            self._evict_minimum()
+        self._fold((int(node),), (score,))
 
     def add_many(self, nodes: Iterable[int], scores: Iterable[float]) -> None:
-        """Accumulate many ``(node, score)`` contributions."""
-        for node, score in zip(nodes, scores):
-            self.add(int(node), float(score))
+        """Accumulate many ``(node, score)`` contributions, in order.
+
+        Raises ``ValueError`` (before folding anything) when the two inputs
+        differ in length.
+        """
+        if isinstance(nodes, np.ndarray):
+            nodes = nodes.astype(np.int64, copy=False).tolist()
+        else:
+            nodes = [int(node) for node in nodes]
+        if isinstance(scores, np.ndarray):
+            scores = scores.astype(np.float64, copy=False).tolist()
+        else:
+            scores = [float(score) for score in scores]
+        if len(nodes) != len(scores):
+            raise ValueError(
+                f"nodes and scores must have equal length "
+                f"({len(nodes)} != {len(scores)})"
+            )
+        self._fold(nodes, scores)
 
     def add_sparse(self, vector: SparseScoreVector, scale: float = 1.0) -> None:
         """Accumulate ``scale *`` every entry of a sparse vector."""
         for node, value in vector.items():
             self.add(node, scale * value)
 
-    def _evict_minimum(self) -> None:
+    def _fold(self, nodes: Iterable[int], scores: Iterable[float]) -> None:
+        """Accumulate paired Python-int nodes and scores; the one update loop.
+
+        Heap invariant (once ``self._heap`` exists): every stored node has an
+        entry ``(bound, -node)`` with ``bound <=`` its current score.  An
+        insert or a decrease pushes the exact key; an increase leaves the old
+        entry behind as a lower bound, corrected when it reaches the top.
+        Entries of evicted nodes are dropped when they reach the top.
+        """
+        table = self._scores
+        capacity = self._capacity
+        heap = self._heap
+        for node, score in zip(nodes, scores):
+            self._total_updates += 1
+            if node in table:
+                value = table[node] + score
+                table[node] = value
+                if heap is not None and score < 0:
+                    heappush(heap, (value, -node))
+                    if len(heap) > 2 * capacity:
+                        # Only decreases grow the heap (an insert's push is
+                        # paid back by its eviction); the next overflow
+                        # rebuilds it from the stored entries.
+                        heap = self._heap = None
+                continue
+            previous = 0.0
+            if not self._evictions_are_final:
+                previous = self._evicted.pop(node, 0.0)
+            value = previous + score
+            table[node] = value
+            if capacity is None or len(table) <= capacity:
+                continue
+            if heap is None:
+                heap = self._heap = [(stored, -key) for key, stored in table.items()]
+                heapify(heap)
+            else:
+                heappush(heap, (value, -node))
+            self._evict_minimum(heap)
+
+    def _evict_minimum(self, heap: List[Tuple[float, int]]) -> None:
         """Drop the entry with the smallest score (ties: largest node id)."""
-        victim = min(self._scores.items(), key=lambda item: (item[1], -item[0]))[0]
-        value = self._scores.pop(victim)
+        table = self._scores
+        while True:
+            bound, negated = heap[0]
+            current = table.get(-negated)
+            if current is None:  # left behind by an earlier eviction
+                heappop(heap)
+            elif current > bound:  # increased since it was pushed
+                heapreplace(heap, (current, negated))
+            else:
+                break
+        heappop(heap)
+        victim = -negated
+        value = table.pop(victim)
         self._total_evictions += 1
         if not self._evictions_are_final:
             self._evicted[victim] = self._evicted.get(victim, 0.0) + value

@@ -162,6 +162,35 @@ class TestGlobalScoreTable:
         table.add_many([1, 2, 3], [0.1, 0.1, 0.1])
         assert table.total_updates == 3
 
+    @pytest.mark.parametrize(
+        "nodes, scores",
+        [
+            ([1, 2, 3], [0.1, 0.2]),
+            ([1], [0.1, 0.2]),
+            (np.arange(4), np.ones(3)),
+            (iter([1, 2]), iter([0.5])),
+        ],
+    )
+    def test_add_many_rejects_a_length_mismatch(self, nodes, scores):
+        table = GlobalScoreTable()
+        with pytest.raises(ValueError, match="equal length"):
+            table.add_many(nodes, scores)
+        assert table.total_updates == 0 and len(table) == 0
+
+    def test_add_many_takes_arrays_as_the_same_python_numbers(self):
+        nodes = np.asarray([5, 7, 5, 9], dtype=np.int32)
+        scores = np.asarray([0.1, 0.2, 0.3, 0.7], dtype=np.float64)
+        from_arrays = GlobalScoreTable(capacity=2)
+        from_arrays.add_many(nodes, scores)
+        one_by_one = GlobalScoreTable(capacity=2)
+        for node, score in zip(nodes, scores):
+            one_by_one.add(int(node), float(score))
+        assert from_arrays.snapshot() == one_by_one.snapshot()
+        assert all(
+            type(node) is int and type(score) is float
+            for node, score in from_arrays.snapshot().scores
+        )
+
     def test_bounded_table_top_k_matches_unbounded_for_large_capacity(self):
         unbounded = GlobalScoreTable()
         bounded = GlobalScoreTable(capacity=100)
