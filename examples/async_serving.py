@@ -66,7 +66,7 @@ async def main() -> None:
         backend=make_backend("async:4"),
         cache=SubgraphCache(),
     )
-    policy = BatchPolicy(max_batch_size=8, max_wait_ms=2.0, dedup=True)
+    policy = BatchPolicy(max_batch_size=8, dedup=True)
     admission = AdmissionController(max_pending=64)
 
     async with MicroBatcher(engine, policy, admission) as batcher:

@@ -9,6 +9,10 @@ figures of merit.  This study replays one Poisson-timed hot-seed workload
 async frontend for every ``arrival rate × batching policy`` combination and
 reports completed/shed/expired counts, achieved throughput, the p50/p95/p99
 end-to-end latency and the micro-batcher's dedup and batch-size counters.
+The batcher is work-conserving (a batch closes when it is full or the queue
+is empty), so the policy rows differ by ``max_batch_size`` only: their
+``max_wait_ms`` is deprecated, ignored by the scheduler, and kept in the
+rows because the committed run labels embed it.
 
 Every completed answer is verified **bit-identical** to a serial
 ``QueryEngine.solve_batch`` reference before the study returns — the

@@ -145,7 +145,6 @@ def run_replica_study(
     k: int = 100,
     concurrency: int = 8,
     backend: str = "serial",
-    max_wait_ms: float = 0.5,
     startup_timeout: float = 120.0,
     rng: RngLike = 29,
 ) -> ReplicaStudy:
@@ -175,7 +174,6 @@ def run_replica_study(
         dataset=dataset,
         backend=backend,
         num_shards=num_shards,
-        max_wait_ms=max_wait_ms,
     )
     _, queries = make_repeated_seed_workload(dataset, num_seeds, repeat_factor, k, rng)
     workload = [(int(query.seed), int(query.k)) for query in queries]

@@ -4,9 +4,11 @@ The engine layer (:class:`~repro.serving.engine.QueryEngine`) is optimised
 for batches — backend fan-out, warm sub-graph caches, shard routing — but an
 online front door receives queries one at a time.  :class:`MicroBatcher`
 bridges the two: callers ``await submit(query)`` individually, and a
-scheduler coroutine coalesces submissions into engine batches under a
-:class:`BatchPolicy` (close a batch at ``max_batch_size`` queries, or
-``max_wait_ms`` after its first query arrived, whichever comes first).
+**work-conserving** scheduler coroutine coalesces them: whenever the engine
+is free it runs everything already queued, up to ``max_batch_size``
+(:class:`BatchPolicy`).  A batch closes when it is full or the queue is
+empty, never on a timer, so a lone query is dispatched at once and batches
+grow exactly when the engine is the bottleneck.
 
 Three serving behaviours live here and not in the engine:
 
@@ -56,12 +58,13 @@ class BatchPolicy:
     Attributes
     ----------
     max_batch_size:
-        Close the batch once this many queries are waiting (1 disables
-        coalescing: every query runs alone).
+        Most queued queries taken into one batch (1 disables coalescing:
+        every query runs alone); a batch closes early when the queue empties.
     max_wait_ms:
-        Close the batch this long after its *first* query arrived even if it
-        is not full (0 batches only what is already queued, adding no
-        latency).
+        **Deprecated and ignored**: it held an idle engine this long hoping
+        to fill a batch, and the scheduler no longer waits.  Still validated
+        and round-tripped (``label``, ``as_dict``, ``--max-wait-ms``,
+        ``/config``, ``/reload``) for existing callers and run labels.
     dedup:
         Whether identical in-flight queries share one computation.
     """
@@ -146,7 +149,9 @@ class BatcherStats:
 class _Waiter:
     """One awaited submission: its query, future, deadline and arrival time."""
 
-    __slots__ = ("query", "future", "deadline", "enqueued_at", "trace", "queue_span")
+    __slots__ = (
+        "query", "future", "deadline", "enqueued_at", "trace", "queue_span", "settled"
+    )
 
     def __init__(
         self,
@@ -162,9 +167,20 @@ class _Waiter:
         self.enqueued_at = enqueued_at
         self.trace = trace
         self.queue_span: Optional[Span] = None
+        self.settled = False
 
+    def end_queue_span(self, **attributes: object) -> None:
+        """Close the ``admission.queue`` span of a traced waiter."""
+        if self.trace is not None and self.queue_span is not None:
+            self.trace.end_span(self.queue_span, **attributes)
 
-_STOP = object()
+    def expired(self, now: float, stage: str) -> Optional[DeadlineExceededError]:
+        """The error to fail with if the deadline passed before ``now``."""
+        if self.deadline is None or now <= self.deadline:
+            return None
+        return DeadlineExceededError(
+            f"deadline passed {now - self.deadline:.3f}s before {stage}"
+        )
 
 
 class MicroBatcher:
@@ -188,7 +204,7 @@ class MicroBatcher:
     running loop, and :meth:`submit` must be awaited on it.  Use it as an
     async context manager::
 
-        async with MicroBatcher(engine, BatchPolicy(8, 2.0)) as batcher:
+        async with MicroBatcher(engine, BatchPolicy(8)) as batcher:
             result = await batcher.submit(PPRQuery(seed=3, k=50))
     """
 
@@ -204,7 +220,7 @@ class MicroBatcher:
             admission if admission is not None else AdmissionController()
         )
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._items: Deque[object] = deque()
+        self._items: Deque[_Waiter] = deque()
         self._arrival: Optional[asyncio.Event] = None
         self._scheduler: Optional["asyncio.Task[None]"] = None
         self._closing = False
@@ -227,8 +243,8 @@ class MicroBatcher:
     def set_policy(self, policy: BatchPolicy) -> None:
         """Swap the batching policy in place (the hot-reload path).
 
-        The batch currently being collected finishes under the policy it
-        started with; every later batch uses the new one.  No queued or
+        The batch currently executing finishes under the policy it was
+        formed with; every later batch uses the new one.  No queued or
         in-flight query is dropped — this only changes how future
         submissions coalesce.
         """
@@ -243,7 +259,7 @@ class MicroBatcher:
 
     @property
     def running(self) -> bool:
-        """Whether the scheduler is accepting submissions."""
+        """Whether submissions are accepted (not stopped, scheduler not dead)."""
         return self._scheduler is not None and not self._closing
 
     @property
@@ -263,11 +279,15 @@ class MicroBatcher:
         return self
 
     async def stop(self) -> None:
-        """Drain queued submissions, then stop the scheduler (idempotent)."""
+        """Drain queued submissions, then stop the scheduler (idempotent).
+
+        Re-raises the exception a dead scheduler ended with.
+        """
         if self._scheduler is None:
             return
+        assert self._arrival is not None
         self._closing = True
-        self._push(_STOP)
+        self._arrival.set()
         try:
             await self._scheduler
         finally:
@@ -305,117 +325,115 @@ class MicroBatcher:
         RuntimeError
             The batcher is not running.
         """
-        if self._scheduler is None or self._closing:
+        if not self.running:
             raise RuntimeError("batcher is not running; use 'async with' or start()")
         loop = asyncio.get_running_loop()
         if loop is not self._loop:
             raise RuntimeError("submit() must run on the batcher's event loop")
+        assert self._arrival is not None
         self._admission.admit()
         now = loop.time()
         deadline = now + timeout_ms / 1000.0 if timeout_ms is not None else None
         waiter = _Waiter(query, loop.create_future(), deadline, now, trace)
         if trace is not None:
-            # Spans the admission-to-execution wait: queued behind the
-            # scheduler plus any coalescing window.
+            # Spans the admission-to-execution wait: queued behind the batch
+            # the engine is executing.
             waiter.queue_span = trace.begin_span(
                 "admission.queue",
                 queue_depth=len(self._items),
                 pending=self._admission.pending,
             )
-        self._push(waiter)
-        return await waiter.future
-
-    def _push(self, item: object) -> None:
-        self._items.append(item)
-        assert self._arrival is not None
+        self._items.append(waiter)
         self._arrival.set()
+        return await waiter.future
 
     # ------------------------------------------------------------------
     async def _run_scheduler(self) -> None:
-        assert self._loop is not None and self._arrival is not None
-        loop, arrival, items = self._loop, self._arrival, self._items
-        while True:
-            # Wait for the batch's first waiter.
-            while not items:
-                arrival.clear()
-                await arrival.wait()
-            first = items.popleft()
-            if first is _STOP:
-                break
-            # Re-read per batch so set_policy() (hot reload) takes effect on
-            # the next batch without restarting the scheduler.
-            policy = self._policy
-            batch: List[_Waiter] = [first]
-            stop_after = False
-            # Collect until the batch is full or max_wait_ms has passed since
-            # the first waiter *arrived* (not since it was popped): a query
-            # that already waited out its window behind a busy engine closes
-            # its batch with whatever else is queued, paying no second wait.
-            close_at = first.enqueued_at + policy.max_wait_ms / 1000.0
-            while len(batch) < policy.max_batch_size:
-                if items:
-                    item = items.popleft()
-                    if item is _STOP:
-                        stop_after = True
-                        break
-                    batch.append(item)
-                    continue
-                remaining = close_at - loop.time()
-                if remaining <= 0:
-                    break
-                arrival.clear()
-                try:
-                    await asyncio.wait_for(arrival.wait(), timeout=remaining)
-                except asyncio.TimeoutError:
-                    break
-            await self._execute_batch(batch)
-            if stop_after:
-                break
+        assert self._arrival is not None
+        arrival, items = self._arrival, self._items
+        batch: List[_Waiter] = []
+        try:
+            while True:
+                while not items:
+                    if self._closing:  # stop() was called and the queue is drained
+                        return
+                    arrival.clear()
+                    await arrival.wait()
+                # Work-conserving: the engine is free, so run what is queued
+                # now.  Holding it to fill the batch would only add latency —
+                # the engine solves members one after another, and arrivals
+                # during this batch coalesce into the next.  The policy is read
+                # once per batch, so set_policy() applies from the next one on.
+                policy = self._policy
+                batch = [
+                    items.popleft()
+                    for _ in range(min(len(items), policy.max_batch_size))
+                ]
+                await self._execute_batch(batch, policy)
+        except Exception as exc:
+            # Never a hang: a dead scheduler answers nobody, so everyone still
+            # waiting — the batch in flight and the queue — fails with its
+            # error, and ``running`` turns False so submit() refuses new work.
+            self._closing = True
+            for waiter in batch + list(items):
+                self._settle(waiter, exc)
+            items.clear()
+            raise
 
-    async def _execute_batch(self, batch: List[_Waiter]) -> None:
+    def _settle(self, waiter: _Waiter, outcome: object, now: float = 0.0) -> None:
+        """Deliver one waiter's outcome and release its admission slot, once.
+
+        ``outcome`` is the result or the exception to fail with; a waiter
+        whose caller already gave up counts as ``cancelled`` whatever it is.
+        """
+        if waiter.settled:
+            return
+        waiter.settled = True
+        if waiter.future.done():
+            self._admission.cancel()
+        elif isinstance(outcome, DeadlineExceededError):
+            waiter.future.set_exception(outcome)
+            self._admission.expire()
+        elif isinstance(outcome, BaseException):
+            waiter.future.set_exception(outcome)
+            self._admission.fail()
+        else:
+            waiter.future.set_result(outcome)
+            self._admission.complete(now - waiter.enqueued_at)
+
+    async def _execute_batch(self, batch: List[_Waiter], policy: BatchPolicy) -> None:
         assert self._loop is not None
         loop = self._loop
         now = loop.time()
         # Weed out cancelled and already-expired waiters, then group the rest
         # (dedup: one group per distinct query, in first-arrival order).
-        groups: List[Tuple[PPRQuery, List[_Waiter]]] = []
-        index: Dict[PPRQuery, int] = {}
+        groups: List[List[_Waiter]] = []
+        index: Dict[PPRQuery, List[_Waiter]] = {}
         for waiter in batch:
-            if waiter.future.done():  # caller gave up while queued
-                if waiter.trace is not None and waiter.queue_span is not None:
-                    waiter.trace.end_span(waiter.queue_span, status="cancelled")
-                self._admission.cancel()
+            gave_up = waiter.future.done()  # caller cancelled while queued
+            error = waiter.expired(now, "the query was scheduled")
+            if gave_up or error is not None:
+                waiter.end_queue_span(status="cancelled" if gave_up else "deadline")
+                self._settle(waiter, error)
                 continue
-            if waiter.deadline is not None and now > waiter.deadline:
-                if waiter.trace is not None and waiter.queue_span is not None:
-                    waiter.trace.end_span(waiter.queue_span, status="deadline")
-                waiter.future.set_exception(
-                    DeadlineExceededError(
-                        f"deadline passed {now - waiter.deadline:.3f}s before "
-                        "the query was scheduled"
-                    )
-                )
-                self._admission.expire()
-                continue
-            if self._policy.dedup and waiter.query in index:
-                groups[index[waiter.query]][1].append(waiter)
-            else:
-                if self._policy.dedup:
-                    index[waiter.query] = len(groups)
-                groups.append((waiter.query, [waiter]))
+            group = index.get(waiter.query) if policy.dedup else None
+            if group is None:
+                group = index[waiter.query] = []
+                groups.append(group)
+            group.append(waiter)
         if not groups:
             return
 
-        unique = [query for query, _ in groups]
+        unique = [waiters[0].query for waiters in groups]
         # Tracing: per dedup group, the first traced waiter's context rides
         # into the engine (one computation → one engine span tree); every
         # traced waiter gets a batcher.batch span, dedup passengers annotated
         # as such.  The common all-untraced case skips all of this.
         contexts: Optional[List[Optional[TraceContext]]] = None
         batch_spans: List[Tuple[_Waiter, Span]] = []
-        if any(w.trace is not None for _, waiters in groups for w in waiters):
+        if any(w.trace is not None for waiters in groups for w in waiters):
             contexts = []
-            for _, waiters in groups:
+            for waiters in groups:
                 representative = next(
                     (w.trace for w in waiters if w.trace is not None), None
                 )
@@ -423,42 +441,34 @@ class MicroBatcher:
                 for waiter in waiters:
                     if waiter.trace is None:
                         continue
-                    if waiter.queue_span is not None:
-                        waiter.trace.end_span(waiter.queue_span)
-                    batch_spans.append(
-                        (
-                            waiter,
-                            waiter.trace.begin_span(
-                                "batcher.batch",
-                                push=waiter.trace is representative,
-                                batch_size=len(batch),
-                                unique=len(groups),
-                                group_size=len(waiters),
-                                dedup_hit=waiter.trace is not representative,
-                            ),
-                        )
+                    waiter.end_queue_span()
+                    span = waiter.trace.begin_span(
+                        "batcher.batch",
+                        push=waiter.trace is representative,
+                        batch_size=len(batch),
+                        unique=len(groups),
+                        group_size=len(waiters),
+                        dedup_hit=waiter.trace is not representative,
                     )
+                    batch_spans.append((waiter, span))
         try:
             # Off the loop: solve_batch is CPU-bound (its own backend decides
             # the intra-batch concurrency).
-            if contexts is None:
-                results = await loop.run_in_executor(
-                    None, self._engine.solve_batch, unique
-                )
-            else:
-                results = await loop.run_in_executor(
-                    None, self._engine.solve_batch, unique, contexts
+            args = (unique,) if contexts is None else (unique, contexts)
+            results = await loop.run_in_executor(
+                None, self._engine.solve_batch, *args
+            )
+            if len(results) != len(unique):  # zip() below would drop the tail
+                raise ValueError(
+                    f"engine returned {len(results)} results for "
+                    f"{len(unique)} queries"
                 )
         except Exception as exc:
             for waiter, span in batch_spans:
                 waiter.trace.end_span(span, status="error")
-            for _, waiters in groups:
+            for waiters in groups:
                 for waiter in waiters:
-                    if waiter.future.done():
-                        self._admission.cancel()
-                        continue
-                    waiter.future.set_exception(exc)
-                    self._admission.fail()
+                    self._settle(waiter, exc)
             return
 
         end = loop.time()
@@ -466,24 +476,12 @@ class MicroBatcher:
             waiter.trace.end_span(span)
         self._batches += 1
         self._unique_executed += len(unique)
-        for (_, waiters), result in zip(groups, results):
+        for waiters, result in zip(groups, results):
             self._batched_queries += len(waiters)
             self._dedup_hits += len(waiters) - 1
             for waiter in waiters:
-                if waiter.future.done():  # cancelled while computing
-                    self._admission.cancel()
-                    continue
-                if waiter.deadline is not None and end > waiter.deadline:
-                    waiter.future.set_exception(
-                        DeadlineExceededError(
-                            f"deadline passed {end - waiter.deadline:.3f}s "
-                            "before the batch completed"
-                        )
-                    )
-                    self._admission.expire()
-                    continue
-                waiter.future.set_result(result)
-                self._admission.complete(end - waiter.enqueued_at)
+                error = waiter.expired(end, "the batch completed")
+                self._settle(waiter, result if error is None else error, end)
 
     # ------------------------------------------------------------------
     def stats(self) -> BatcherStats:

@@ -47,6 +47,9 @@ class ServingConfig:
     Field defaults mirror the CLI defaults exactly — ``ServingConfig()`` is
     what ``parse_args([])`` produces (modulo the per-CLI ``port`` default),
     and :meth:`to_argv` round-trips through :meth:`from_args` losslessly.
+    ``max_wait_ms`` is deprecated: the work-conserving batcher ignores it
+    (see :class:`~repro.serving.frontend.batcher.BatchPolicy`); it is kept,
+    validated and round-tripped so existing configs keep loading.
     """
 
     dataset: str = "G1"
@@ -168,8 +171,21 @@ def add_serving_arguments(
         default="async:4",
         help="engine backend spec: serial, thread[:N], async[:N] or process[:N]",
     )
-    parser.add_argument("--max-batch", type=int, default=8)
-    parser.add_argument("--max-wait-ms", type=float, default=2.0)
+    parser.add_argument(
+        "--max-batch",
+        type=int,
+        default=8,
+        help="most queued queries coalesced into one engine batch",
+    )
+    parser.add_argument(
+        "--max-wait-ms",
+        type=float,
+        default=2.0,
+        help=(
+            "deprecated and ignored: a batch closes when it is full or the "
+            "queue is empty, never on a timer (still validated and reported)"
+        ),
+    )
     parser.add_argument(
         "--no-dedup", action="store_true", help="disable in-flight dedup"
     )

@@ -11,7 +11,8 @@ op), then applies them to the running frontend:
   (:meth:`~repro.serving.frontend.admission.AdmissionController.set_max_pending`);
 * ``max_batch_size`` / ``max_wait_ms`` / ``dedup`` — the batching policy
   (:meth:`~repro.serving.frontend.batcher.MicroBatcher.set_policy`; the
-  batch being collected finishes under the old policy);
+  batch executing finishes under the old policy; ``max_wait_ms`` is
+  deprecated — validated and reported, ignored by the scheduler);
 * ``cache_bytes`` / ``result_cache_bytes`` — the engine-level cache budgets
   (``resize``: shrinking evicts LRU entries, growing keeps everything warm);
 * ``trace_sample`` — the tracer's sampling probability

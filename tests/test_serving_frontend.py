@@ -114,39 +114,67 @@ class TestAsyncBackendEquivalence:
 
 
 class TestMicroBatcherDifferential:
-    """The acceptance-criteria matrix: dedup × sharding, bit-identical."""
+    """The acceptance-criteria matrix, bit-identical in every cell.
+
+    dedup × sharding × backend × arrival pattern: ``burst`` submits everything
+    in one loop pass (full batches only); ``staggered`` spreads the arrivals
+    over time, so the work-conserving scheduler forms batches of whatever
+    happens to be queued each time the engine frees up.
+    """
 
     @pytest.mark.parametrize("dedup", [True, False], ids=["dedup", "nodedup"])
     @pytest.mark.parametrize("sharded", [False, True], ids=["plain", "router"])
+    @pytest.mark.parametrize("concurrent", [False, True], ids=["serial", "async4"])
+    @pytest.mark.parametrize("staggered", [False, True], ids=["burst", "staggered"])
     def test_bit_identical_scores(
-        self, small_ba_graph, config, queries, reference_scores, dedup, sharded
+        self,
+        small_ba_graph,
+        config,
+        queries,
+        reference_scores,
+        dedup,
+        sharded,
+        concurrent,
+        staggered,
     ):
+        backend = AsyncBackend(4) if concurrent else SerialBackend()
         if sharded:
             partition = partition_graph(
                 small_ba_graph, 2, strategy="hash", halo_depth=3
             )
             engine = QueryEngine(
                 MeLoPPRSolver(small_ba_graph, config),
-                backend=AsyncBackend(4),
+                backend=backend,
                 router=ShardRouter(partition),
             )
         else:
             engine = QueryEngine(
                 MeLoPPRSolver(small_ba_graph, config),
-                backend=AsyncBackend(4),
+                backend=backend,
                 cache=SubgraphCache(),
             )
-        policy = BatchPolicy(max_batch_size=4, max_wait_ms=5.0, dedup=dedup)
+        policy = BatchPolicy(max_batch_size=4, dedup=dedup)
 
         async def run():
             async with MicroBatcher(engine, policy) as batcher:
-                return await submit_all(batcher, queries)
+                if not staggered:
+                    return await submit_all(batcher, queries), batcher.stats()
+                tasks = []
+                for query in queries:
+                    tasks.append(asyncio.ensure_future(batcher.submit(query)))
+                    await asyncio.sleep(0.002)
+                outcomes = await asyncio.gather(*tasks, return_exceptions=True)
+                return outcomes, batcher.stats()
 
         with engine:
-            outcomes = asyncio.run(run())
+            outcomes, stats = asyncio.run(run())
         for outcome in outcomes:
             assert isinstance(outcome, PPRResult), outcome
         assert [dict(r.scores.items()) for r in outcomes] == reference_scores
+        assert stats.batched_queries == len(queries)
+        if staggered:
+            # The first arrival found the engine idle and went out alone.
+            assert stats.batches >= 3
 
     def test_single_query_policy_matches_reference(
         self, small_ba_graph, config, queries, reference_scores
@@ -203,38 +231,30 @@ class TestDedup:
         assert stats.unique_executed == 6
         assert stats.dedup_hits == 0
 
-    def test_wait_window_anchored_at_arrival_not_pop(self, small_ba_graph):
-        # A query that queued behind a busy engine for longer than
-        # max_wait_ms must not wait a *second* window once the engine frees
-        # up: its batch closes immediately with whatever is queued.
-        engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.15))
-        policy = BatchPolicy(max_batch_size=2, max_wait_ms=100.0)
+    def test_identical_queries_queued_behind_busy_engine_computed_once(
+        self, small_ba_graph
+    ):
+        engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.05))
+        policy = BatchPolicy(max_batch_size=16, max_wait_ms=1000.0)
 
         async def run():
             async with MicroBatcher(engine, policy) as batcher:
-                loop = asyncio.get_running_loop()
-                # Two identical submissions fill the first batch instantly
-                # (no wait window), and dedup makes it one 150 ms solve.
-                blockers = [
-                    asyncio.ensure_future(batcher.submit(PPRQuery(seed=1, k=10)))
-                    for _ in range(2)
-                ]
-                await asyncio.sleep(0.03)  # first batch is executing
-                queued_at = loop.time()
-                queued = asyncio.ensure_future(
-                    batcher.submit(PPRQuery(seed=2, k=10))
+                blocker = asyncio.ensure_future(
+                    batcher.submit(PPRQuery(seed=1, k=10))
                 )
-                await asyncio.gather(*blockers, queued)
-                return loop.time() - queued_at
+                await asyncio.sleep(0.01)  # the blocker's batch is executing
+                results = await submit_all(batcher, [PPRQuery(seed=2, k=10)] * 6)
+                await blocker
+                return results, batcher.stats()
 
         with engine:
-            waited = asyncio.run(run())
-        # The queued query waits ~120 ms behind the blocker batch — past its
-        # own 100 ms window — then solves in 150 ms: ~270 ms total.  A
-        # pop-anchored timer would restart the 100 ms window when the
-        # scheduler frees up (~370 ms).  The 50 ms headroom absorbs CI noise
-        # while cleanly separating the two behaviours.
-        assert waited < 0.32
+            results, stats = asyncio.run(run())
+        # They coalesced for free while the engine was busy: one batch, one
+        # computation, fanned out.
+        assert stats.batches == 2
+        assert stats.unique_executed == 2
+        assert stats.dedup_hits == 5
+        assert all(result is results[0] for result in results)
 
     def test_distinct_queries_are_not_deduplicated(self, small_ba_graph):
         engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.0))
@@ -250,6 +270,61 @@ class TestDedup:
         with engine:
             stats = asyncio.run(run())
         assert stats.unique_executed == 2
+
+
+class RecordingEngine(QueryEngine):
+    """A real engine that records the size of every batch it is handed."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.batch_sizes = []
+
+    def solve_batch(self, queries, *args, **kwargs):
+        self.batch_sizes.append(len(queries))
+        return super().solve_batch(queries, *args, **kwargs)
+
+
+class TestWorkConservingScheduler:
+    """A batch closes when it is full or the queue is empty, never on a timer."""
+
+    def test_lone_query_on_idle_engine_is_dispatched_at_once(self, small_ba_graph):
+        engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.0))
+        policy = BatchPolicy(max_batch_size=8, max_wait_ms=1000.0)
+
+        async def run():
+            async with MicroBatcher(engine, policy) as batcher:
+                loop = asyncio.get_running_loop()
+                start = loop.time()
+                await batcher.submit(PPRQuery(seed=1, k=10))
+                return loop.time() - start
+
+        with engine:
+            waited = asyncio.run(run())
+        assert waited < 0.2  # the deprecated max_wait_ms holds nothing back
+
+    def test_batches_grow_only_while_the_engine_is_busy(self, small_ba_graph):
+        engine = RecordingEngine(SleepySolver(small_ba_graph, delay_seconds=0.05))
+        policy = BatchPolicy(max_batch_size=4, max_wait_ms=1000.0)
+
+        async def run():
+            async with MicroBatcher(engine, policy) as batcher:
+                first = asyncio.ensure_future(
+                    batcher.submit(PPRQuery(seed=0, k=10))
+                )
+                await asyncio.sleep(0.01)  # the first one is executing, alone
+                outcomes = await submit_all(
+                    batcher, [PPRQuery(seed=seed, k=10) for seed in range(1, 6)]
+                )
+                return [await first, *outcomes], batcher.stats()
+
+        with engine:
+            outcomes, stats = asyncio.run(run())
+        assert all(isinstance(o, PPRResult) for o in outcomes)
+        # The five that arrived during the first batch fill one batch of
+        # max_batch_size and leave one over; nothing waits to be joined.
+        assert engine.batch_sizes == [1, 4, 1]
+        assert stats.batches == 3
+        assert stats.batched_queries == 6
 
 
 class TestDeadlines:
@@ -493,6 +568,81 @@ class TestBatcherLifecycle:
         assert all(isinstance(o, RuntimeError) for o in outcomes)
         assert stats.admission.failed == 3
         assert stats.admission.pending == 0
+
+
+class ShortEngine(QueryEngine):
+    """A broken engine that returns one result fewer than it was asked for."""
+
+    def solve_batch(self, queries, *args, **kwargs):
+        return super().solve_batch(queries, *args, **kwargs)[:-1]
+
+
+class BrokenAdmission(AdmissionController):
+    """Releases the slot, then raises: a fault the scheduler cannot survive."""
+
+    def complete(self, latency_seconds: float) -> None:
+        super().complete(latency_seconds)
+        raise RuntimeError("latency histogram broke")
+
+
+class TestNeverAHang:
+    """Every waiter gets an answer or a named error, whatever breaks."""
+
+    def test_short_engine_result_fails_the_whole_batch(self, small_ba_graph):
+        engine = ShortEngine(SleepySolver(small_ba_graph, 0.0))
+
+        async def run():
+            async with MicroBatcher(engine, BatchPolicy(max_batch_size=4)) as batcher:
+                outcomes = await asyncio.wait_for(
+                    submit_all(batcher, [PPRQuery(seed=s, k=10) for s in range(3)]),
+                    timeout=5.0,
+                )
+                return outcomes, batcher.running, batcher.stats()
+
+        with engine:
+            outcomes, running, stats = asyncio.run(run())
+        assert all(isinstance(o, ValueError) for o in outcomes), outcomes
+        assert "2 results for 3 queries" in str(outcomes[0])
+        assert running  # a bad batch does not take the scheduler down
+        assert stats.admission.failed == 3
+        assert stats.admission.pending == 0
+
+    def test_dead_scheduler_fails_queued_waiters_and_refuses_new_ones(
+        self, small_ba_graph
+    ):
+        engine = QueryEngine(SleepySolver(small_ba_graph, 0.05))
+        admission = BrokenAdmission(max_pending=8)
+
+        async def run():
+            batcher = MicroBatcher(engine, BatchPolicy(max_batch_size=4), admission)
+            await batcher.start()
+            first = asyncio.ensure_future(batcher.submit(PPRQuery(seed=0, k=10)))
+            await asyncio.sleep(0.01)  # first is executing; the next two queue
+            queued = [
+                asyncio.ensure_future(batcher.submit(PPRQuery(seed=s, k=10)))
+                for s in (1, 2)
+            ]
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(first, *queued, return_exceptions=True), timeout=5.0
+            )
+            assert not batcher.running
+            with pytest.raises(RuntimeError, match="not running"):
+                await batcher.submit(PPRQuery(seed=3, k=10))
+            with pytest.raises(RuntimeError, match="histogram broke"):
+                await batcher.stop()  # surfaces what killed the scheduler
+            await batcher.stop()  # idempotent afterwards
+            return outcomes
+
+        with engine:
+            delivered, *failed = asyncio.run(run())
+        assert isinstance(delivered, PPRResult)  # set before the fault hit
+        for outcome in failed:
+            assert isinstance(outcome, RuntimeError)
+            assert "histogram broke" in str(outcome)
+        stats = admission.stats()
+        assert stats.completed == 1
+        assert stats.failed == 2
+        assert stats.pending == 0
 
 
 class TestBatchPolicy:
