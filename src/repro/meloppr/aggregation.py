@@ -13,52 +13,86 @@ than 0.2 % precision while ``c < 4`` loses more than 3 %; the paper settles on
 (``capacity=None``) is provided for the pure-software solver and for
 measuring the precision loss attributable to the bound (the E7 study).
 
-The victim of an eviction is the entry with the smallest ``(score, -node)``
-key.  Finding it is ``O(log capacity)``: a min-heap of lower bounds on every
-stored entry's key, built the first time the table overflows, so a table
-that never fills carries no heap at all.
+Like the BRAM table, the state is two parallel arrays — node ids and scores,
+in insertion order — and nothing else.  A full table that receives an absent
+node evicts the entry with the smallest ``(score, -node)`` key.  The scalar
+:meth:`GlobalScoreTable.add` does that one update at a time (victim by
+``argmin``) and is the specification; :meth:`GlobalScoreTable.add_many` folds
+a whole sub-graph in one vectorised pass that ends in the same arrays and
+counters (see :meth:`GlobalScoreTable._fold_overflow` for the rule).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush, heapreplace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.diffusion.sparse_vector import SparseScoreVector
+from repro.diffusion.sparse_vector import SparseScoreVector, top_k_pairs
 
 __all__ = ["GlobalScoreTable", "ScoreTableSnapshot"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreTableSnapshot:
     """Immutable copy of a :class:`GlobalScoreTable`'s full state.
 
-    Captures everything :meth:`GlobalScoreTable.from_snapshot` needs to
-    rebuild a table that behaves **bit-identically** to the original from
-    that point on: the stored and evicted entries *in insertion order* (the
-    victim of an eviction depends only on the stored ``(score, node)`` pairs,
-    but preserving order keeps the restored table indistinguishable), the
-    capacity/eviction mode, and the bookkeeping counters.  The eviction heap
-    is derived from the stored entries and is not part of a snapshot: the
-    restored table rebuilds it if it ever overflows.  The serving layer caches
-    these snapshots to resume multi-stage plans past their first stage
-    (cross-query score-table reuse).
+    Everything :meth:`GlobalScoreTable.from_snapshot` needs to rebuild a
+    table that behaves **bit-identically** from that point on: the stored
+    ``ids`` / ``scores`` arrays and the evicted ledger *in insertion order*,
+    the capacity/eviction mode and the counters.  The arrays are private
+    read-only copies, so one snapshot can resume plans on any number of
+    threads; two snapshots are equal when ids, score bits, order, ledger and
+    counters all match.  The serving layer caches these to resume multi-stage
+    plans past their first stage (cross-query score-table reuse).
     """
 
     capacity: Optional[int]
     evictions_are_final: bool
-    scores: Tuple[Tuple[int, float], ...]
+    ids: np.ndarray
+    scores: np.ndarray
     evicted: Tuple[Tuple[int, float], ...]
     total_updates: int
     total_evictions: int
 
+    def __post_init__(self) -> None:
+        for name, dtype in (("ids", np.int64), ("scores", np.float64)):
+            frozen = np.array(getattr(self, name), dtype=dtype)
+            frozen.setflags(write=False)
+            object.__setattr__(self, name, frozen)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScoreTableSnapshot):
+            return NotImplemented
+        return self._identity() == other._identity()
+
+    def _identity(self) -> tuple:
+        return (
+            self.capacity, self.evictions_are_final, self.ids.tobytes(),
+            self.scores.tobytes(), self.evicted, self.total_updates, self.total_evictions,
+        )
+
     @property
     def num_entries(self) -> int:
         """Stored entries at snapshot time."""
-        return len(self.scores)
+        return self.ids.size
+
+
+#: Overflowing updates are folded this many at a time: the pairwise work of
+#: settling re-entries grows with the square of it (flat from 384 to 768).
+_CHUNK = 512
+
+
+def _outranks(score, node, than_score, than_node):
+    """Whether key ``(score, -node)`` is above ``(than_score, -than_node)``."""
+    return (score > than_score) | ((score == than_score) & (node < than_node))
+
+
+def _as_array(items: Iterable, dtype: type) -> np.ndarray:
+    if isinstance(items, np.ndarray):
+        return items.astype(dtype, copy=False)
+    return np.fromiter(items, dtype=dtype)
 
 
 class GlobalScoreTable:
@@ -85,12 +119,11 @@ class GlobalScoreTable:
             raise ValueError(f"capacity must be > 0 or None, got {capacity}")
         self._capacity = capacity
         self._evictions_are_final = bool(evictions_are_final)
-        self._scores: Dict[int, float] = {}
+        self._ids = np.empty(0, dtype=np.int64)  # insertion order
+        self._values = np.empty(0, dtype=np.float64)  # aligned with _ids
         self._evicted: Dict[int, float] = {}
         self._total_updates = 0
         self._total_evictions = 0
-        # Min-heap of (score lower bound, -node), built at the first overflow.
-        self._heap: Optional[List[Tuple[float, int]]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -101,7 +134,7 @@ class GlobalScoreTable:
     @property
     def num_entries(self) -> int:
         """Current number of stored entries."""
-        return len(self._scores)
+        return self._ids.size
 
     @property
     def total_updates(self) -> int:
@@ -114,93 +147,193 @@ class GlobalScoreTable:
         return self._total_evictions
 
     # ------------------------------------------------------------------
+    def _slot(self, node: int) -> int:
+        """Position of ``node`` in the arrays, -1 when it is not stored."""
+        match = self._ids == node
+        at = int(match.argmax()) if match.size else 0
+        return at if match.size and match[at] else -1
+
     def add(self, node: int, score: float) -> None:
         """Accumulate ``score`` onto ``node``, evicting the minimum if full."""
-        self._fold((int(node),), (score,))
+        node = int(node)
+        self._total_updates += 1
+        at = self._slot(node)
+        if at >= 0:
+            self._values[at] += score
+            return
+        previous = 0.0
+        if not self._evictions_are_final:
+            previous = self._evicted.pop(node, 0.0)
+        self._ids = np.append(self._ids, node)
+        self._values = np.append(self._values, previous + score)
+        if self._capacity is None or self._ids.size <= self._capacity:
+            return
+        # Drop the entry with the smallest score (ties: largest node id).
+        lowest = np.flatnonzero(self._values == self._values.min())
+        at = lowest[np.argmax(self._ids[lowest])]
+        victim, value = int(self._ids[at]), float(self._values[at])
+        self._ids = np.delete(self._ids, at)
+        self._values = np.delete(self._values, at)
+        self._total_evictions += 1
+        if not self._evictions_are_final:
+            self._evicted[victim] = self._evicted.get(victim, 0.0) + value
 
     def add_many(self, nodes: Iterable[int], scores: Iterable[float]) -> None:
         """Accumulate many ``(node, score)`` contributions, in order.
 
+        Ends in exactly the state one :meth:`add` per pair would reach.
         Raises ``ValueError`` (before folding anything) when the two inputs
         differ in length.
         """
-        if isinstance(nodes, np.ndarray):
-            nodes = nodes.astype(np.int64, copy=False).tolist()
-        else:
-            nodes = [int(node) for node in nodes]
-        if isinstance(scores, np.ndarray):
-            scores = scores.astype(np.float64, copy=False).tolist()
-        else:
-            scores = [float(score) for score in scores]
-        if len(nodes) != len(scores):
+        ids, values = _as_array(nodes, np.int64), _as_array(scores, np.float64)
+        if ids.size != values.size:
             raise ValueError(
                 f"nodes and scores must have equal length "
-                f"({len(nodes)} != {len(scores)})"
+                f"({ids.size} != {values.size})"
             )
-        self._fold(nodes, scores)
+        order = np.argsort(ids, kind="stable")
+        ranked = ids[order]
+        if (
+            not self._evictions_are_final
+            or np.count_nonzero(values < 0)
+            or np.count_nonzero(ranked[1:] == ranked[:-1])
+        ):
+            # The batch rule needs distinct ids whose keys only rise and
+            # evictions that are final; anything else goes one by one.
+            for node, score in zip(ids.tolist(), values.tolist()):
+                self.add(node, score)
+            return
+        self._total_updates += ids.size
+        if not self._ids.size and (self._capacity is None or ids.size <= self._capacity):
+            self._ids, self._values = ids.copy(), 0.0 + values  # nothing to look up
+            return
+        if not ids.size:
+            return
+        # Which stored ids the batch hits, by searching them in the sorted
+        # batch: O(table) scratch, not O(num_nodes).
+        where = np.minimum(np.searchsorted(ranked, self._ids), ids.size - 1)
+        (stored,) = (ranked[where] == self._ids).nonzero()
+        hits = order[where[stored]]
+        fresh = np.ones(ids.size, dtype=bool)
+        fresh[hits] = False
+        # Until the table is full nothing is evicted: increments land in
+        # place and absent ids append.  The rest meets a full table.
+        cut = ids.size
+        if self._capacity is not None:
+            room = self._capacity - self._ids.size
+            if np.count_nonzero(fresh) > room:
+                cut = fresh.nonzero()[0][room]
+        early = hits < cut
+        self._values[stored[early]] += values[hits[early]]
+        self._ids = np.concatenate((self._ids, ids[:cut][fresh[:cut]]))
+        self._values = np.concatenate((self._values, 0.0 + values[:cut][fresh[:cut]]))
+        if cut < ids.size:
+            slot = np.full(ids.size, -1)
+            slot[hits] = stored
+            for start in range(cut, ids.size, _CHUNK):
+                stop = start + _CHUNK
+                keep = self._fold_overflow(ids[start:stop], values[start:stop], slot[start:stop])
+                if stop < ids.size:
+                    # Survivors moved up; a node this chunk evicted is absent to the next.
+                    moved = np.where(keep, np.cumsum(keep) - 1, -1)
+                    slot[stop:] = np.where(slot[stop:] >= 0, moved[slot[stop:]], -1)
 
-    def add_sparse(self, vector: SparseScoreVector, scale: float = 1.0) -> None:
-        """Accumulate ``scale *`` every entry of a sparse vector."""
-        for node, value in vector.items():
-            self.add(node, scale * value)
+    def _fold_overflow(self, ids: np.ndarray, values: np.ndarray, slot: np.ndarray) -> np.ndarray:
+        """Fold distinct non-negative updates into a *full* table at once.
 
-    def _fold(self, nodes: Iterable[int], scores: Iterable[float]) -> None:
-        """Accumulate paired Python-int nodes and scores; the one update loop.
-
-        Heap invariant (once ``self._heap`` exists): every stored node has an
-        entry ``(bound, -node)`` with ``bound <=`` its current score.  An
-        insert or a decrease pushes the exact key; an increase leaves the old
-        entry behind as a lower bound, corrected when it reaches the top.
-        Entries of evicted nodes are dropped when they reach the top.
+        Keys only rise, so after every event the table is the top
+        ``capacity`` of everything that has arrived, each under its current
+        key.  Hence (i) an increment finds its node still stored iff fewer
+        than ``capacity`` arrived keys exceed the node's old key at that
+        moment; otherwise the node was evicted earlier in this batch and
+        re-enters from 0.0 as a fresh insertion; (ii) given those, the final
+        table is the top ``capacity`` of the final keys, every insertion
+        cost one eviction, survivors keep their slots' order and insertions
+        append in batch order.  Returns which of the old slots survived.
         """
-        table = self._scores
-        capacity = self._capacity
-        heap = self._heap
-        for node, score in zip(nodes, scores):
-            self._total_updates += 1
-            if node in table:
-                value = table[node] + score
-                table[node] = value
-                if heap is not None and score < 0:
-                    heappush(heap, (value, -node))
-                    if len(heap) > 2 * capacity:
-                        # Only decreases grow the heap (an insert's push is
-                        # paid back by its eviction); the next overflow
-                        # rebuilds it from the stored entries.
-                        heap = self._heap = None
-                continue
-            previous = 0.0
-            if not self._evictions_are_final:
-                previous = self._evicted.pop(node, 0.0)
-            value = previous + score
-            table[node] = value
-            if capacity is None or len(table) <= capacity:
-                continue
-            if heap is None:
-                heap = self._heap = [(stored, -key) for key, stored in table.items()]
-                heapify(heap)
-            else:
-                heappush(heap, (value, -node))
-            self._evict_minimum(heap)
-
-    def _evict_minimum(self, heap: List[Tuple[float, int]]) -> None:
-        """Drop the entry with the smallest score (ties: largest node id)."""
-        table = self._scores
+        held_ids, held = self._ids, self._values
+        inserts = slot < 0
+        evictions = np.count_nonzero(inserts)  # of final keys; a re-entry also evicts its old one
+        keep = np.ones(held.size, dtype=bool)
+        if not evictions:  # only increments: nothing leaves
+            held[slot] += values
+            return keep
+        # Each event lifts at most one key past a stored one, so the
+        # (events+1)-th smallest stored score bounds the final threshold:
+        # only scores at or below it can be evicted or need exact ranking.
+        bound = np.partition(held, ids.size)[ids.size] if ids.size < held.size else np.inf
+        (doubt,) = (~inserts & (held[slot] <= bound)).nonzero()
+        grown = held.copy()
+        grown[slot[~inserts]] += values[~inserts]
+        old = held[slot[doubt]]
         while True:
-            bound, negated = heap[0]
-            current = table.get(-negated)
-            if current is None:  # left behind by an earlier eviction
-                heappop(heap)
-            elif current > bound:  # increased since it was pushed
-                heapreplace(heap, (current, negated))
-            else:
+            # Evict the smallest final keys: a partition on score, then the
+            # largest ids of the tie group it cuts.
+            new_ids, new = ids[inserts], 0.0 + values[inserts]
+            (low,), (new_low,) = (keep & (grown <= bound)).nonzero(), (new <= bound).nonzero()
+            scores = np.concatenate((grown[low], new[new_low]))
+            cut = np.partition(scores, evictions - 1)[evictions - 1]
+            if not doubt.size or old.min() > cut:
                 break
-        heappop(heap)
-        victim = -negated
-        value = table.pop(victim)
-        self._total_evictions += 1
-        if not self._evictions_are_final:
-            self._evicted[victim] = self._evicted.get(victim, 0.0) + value
+            # An old score at or below the cut may have been evicted before
+            # its increment arrived: settle those exactly, once, and if any
+            # was, select again without its slot.  (A fresh key 0.0 + x is
+            # below the raised key only from old >= 0.)
+            (rows,) = (old <= (cut if old.min() >= 0 else bound)).nonzero()
+            back = doubt[self._reentered(ids, values, slot, doubt, rows, bound)]
+            doubt = doubt[:0]
+            if not back.size:
+                break
+            inserts[back] = True
+            keep[slot[back]] = False
+        out = scores < cut
+        (tied,) = (scores == cut).nonzero()
+        spare = tied.size + np.count_nonzero(out) - evictions
+        if spare:
+            nodes = np.concatenate((held_ids[low], new_ids[new_low]))[tied]
+            tied = tied[np.argsort(nodes)[spare:]]
+        out[tied] = True
+        keep[low[out[: low.size]]] = False
+        new_keep = np.ones(new.size, dtype=bool)
+        new_keep[new_low[out[low.size :]]] = False
+        self._ids = np.concatenate((held_ids[keep], new_ids[new_keep]))
+        self._values = np.concatenate((grown[keep], new[new_keep]))
+        self._total_evictions += int(np.count_nonzero(inserts))
+        return keep
+
+    def _reentered(self, ids, values, slot, doubt, rows, bound) -> np.ndarray:
+        """Which of the ``doubt`` increments find their node already evicted.
+
+        Only ``doubt[rows]`` are in question.  Row ``q`` counts the arrived
+        keys above increment ``q``'s old key: stored ones, absent ids inserted
+        before it, and earlier doubtful increments ``w`` — one that rose past
+        it if ``w`` was still stored, its fresh key if ``w`` re-entered.  Each
+        answer depends only on earlier ones, so iterating settles them in
+        batch order.
+        """
+        held_ids, held = self._ids, self._values
+        at, count = slot[doubt], doubt.size
+        (low,), (absent,) = (held <= bound).nonzero(), (slot < 0).nonzero()
+        # One column per key: stored at or below the bound, absent ids, then
+        # every doubtful increment's raised key and its fresh key.
+        scores = np.concatenate(
+            (held[low], 0.0 + values[absent], held[at] + values[doubt], 0.0 + values[doubt])
+        )
+        nodes = np.concatenate((held_ids[low], ids[absent], ids[doubt], ids[doubt]))
+        arrival = np.concatenate((np.full(low.size, -1), absent, doubt, doubt))
+        above = _outranks(scores, nodes, held[at[rows]][:, None], held_ids[at[rows]][:, None])
+        above &= arrival < doubt[rows][:, None]
+        fixed = held.size - low.size + np.count_nonzero(above[:, : -2 * count], axis=1)
+        rose = above[:, -2 * count : -count] & ~above[:, np.searchsorted(low, at)]
+        back = above[:, -count:]
+        reentered = np.zeros(count, dtype=bool)
+        for _ in rows:  # the i-th row is final after i + 1 rounds
+            moving = np.count_nonzero(np.where(reentered, back, rose), axis=1)
+            settled = fixed + moving >= held.size
+            if np.array_equal(settled, reentered[rows]):
+                break
+            reentered[rows] = settled
+        return reentered
 
     # ------------------------------------------------------------------
     def snapshot(self) -> ScoreTableSnapshot:
@@ -208,7 +341,8 @@ class GlobalScoreTable:
         return ScoreTableSnapshot(
             capacity=self._capacity,
             evictions_are_final=self._evictions_are_final,
-            scores=tuple(self._scores.items()),
+            ids=self._ids,
+            scores=self._values,
             evicted=tuple(self._evicted.items()),
             total_updates=self._total_updates,
             total_evictions=self._total_evictions,
@@ -218,16 +352,18 @@ class GlobalScoreTable:
     def from_snapshot(cls, snapshot: ScoreTableSnapshot) -> "GlobalScoreTable":
         """Rebuild a table whose future behaviour is bit-identical.
 
-        The restored table holds the same entries in the same insertion
-        order, the same evicted-mass ledger and the same counters, so any
-        sequence of :meth:`add` calls produces exactly the folds, evictions
-        and final ranking the original table would have produced.
+        The restored table holds private copies of the same entries in the
+        same insertion order, the same evicted-mass ledger and the same
+        counters, so any sequence of :meth:`add` calls produces exactly the
+        folds, evictions and final ranking the original table would have
+        produced.
         """
         table = cls(
             capacity=snapshot.capacity,
             evictions_are_final=snapshot.evictions_are_final,
         )
-        table._scores = dict(snapshot.scores)
+        table._ids = snapshot.ids.copy()
+        table._values = snapshot.scores.copy()
         table._evicted = dict(snapshot.evicted)
         table._total_updates = snapshot.total_updates
         table._total_evictions = snapshot.total_evictions
@@ -236,14 +372,12 @@ class GlobalScoreTable:
     # ------------------------------------------------------------------
     def get(self, node: int, default: float = 0.0) -> float:
         """Current score of ``node`` (``default`` if not stored)."""
-        return self._scores.get(int(node), default)
+        at = self._slot(int(node))
+        return float(self._values[at]) if at >= 0 else default
 
     def top_k(self, k: int) -> List[Tuple[int, float]]:
         """Top-``k`` (node, score) pairs, descending score, ties by node id."""
-        if k <= 0:
-            return []
-        ordered = sorted(self._scores.items(), key=lambda item: (-item[1], item[0]))
-        return ordered[:k]
+        return top_k_pairs(self._ids, self._values, k)
 
     def top_k_nodes(self, k: int) -> List[int]:
         """Node ids of :meth:`top_k`."""
@@ -251,7 +385,7 @@ class GlobalScoreTable:
 
     def to_sparse_vector(self) -> SparseScoreVector:
         """Export the table as a :class:`SparseScoreVector`."""
-        return SparseScoreVector(dict(self._scores))
+        return SparseScoreVector.from_arrays(self._ids, self._values, assume_unique=True)
 
     def nbytes(self) -> int:
         """Modelled storage: 4-byte node id + 4-byte score per entry.
@@ -259,14 +393,14 @@ class GlobalScoreTable:
         This matches the paper's 32-bit integer score representation on the
         FPGA (Sec. V-A).
         """
-        return 8 * len(self._scores)
+        return 8 * self._ids.size
 
     def __len__(self) -> int:
-        return len(self._scores)
+        return self._ids.size
 
     def __contains__(self, node: int) -> bool:
-        return int(node) in self._scores
+        return self._slot(int(node)) >= 0
 
     def __repr__(self) -> str:
         bound = "unbounded" if self._capacity is None else f"capacity={self._capacity}"
-        return f"GlobalScoreTable({bound}, num_entries={len(self._scores)})"
+        return f"GlobalScoreTable({bound}, num_entries={self._ids.size})"

@@ -139,7 +139,7 @@ def _entry_nbytes(state: StageOneState) -> int:
     charged two machine words each (node id + float), records a flat per
     record cost, without paying a ``sys.getsizeof`` traversal per insert.
     """
-    table_entries = len(state.table.scores) + len(state.table.evicted)
+    table_entries = state.table.num_entries + len(state.table.evicted)
     return int(
         16 * table_entries
         + 16 * len(state.next_work)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.diffusion.sparse_vector import SparseScoreVector
 from repro.meloppr.aggregation import GlobalScoreTable
 from repro.meloppr.selection import (
     AllSelector,
@@ -131,11 +130,6 @@ class TestGlobalScoreTable:
     def test_top_k_zero(self):
         assert GlobalScoreTable().top_k(0) == []
 
-    def test_add_sparse_with_scale(self):
-        table = GlobalScoreTable()
-        table.add_sparse(SparseScoreVector({4: 1.0}), scale=0.5)
-        assert table.get(4) == pytest.approx(0.5)
-
     def test_to_sparse_vector_roundtrip(self):
         table = GlobalScoreTable()
         table.add_many([1, 2], [0.1, 0.2])
@@ -186,9 +180,10 @@ class TestGlobalScoreTable:
         for node, score in zip(nodes, scores):
             one_by_one.add(int(node), float(score))
         assert from_arrays.snapshot() == one_by_one.snapshot()
+        assert from_arrays.snapshot().ids.dtype == np.int64
         assert all(
             type(node) is int and type(score) is float
-            for node, score in from_arrays.snapshot().scores
+            for node, score in from_arrays.top_k(2)
         )
 
     def test_bounded_table_top_k_matches_unbounded_for_large_capacity(self):
