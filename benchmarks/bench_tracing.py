@@ -11,12 +11,20 @@ three ways:
   (the production "tracing available but disabled" configuration);
 * ``traced`` — ``sample_rate=1``, every query records its full span tree.
 
-The guard: ``tracer-off`` throughput must stay within
-``MAX_DISABLED_OVERHEAD`` of ``untraced`` (target 2%; the in-bench
-assertion allows a little CI headroom on top, and the committed-baseline
-gate tracks absolute throughput).  The ``traced`` run doubles as the CI
-artifact source: ``--perfetto out.json`` writes the ring as a validated
-Chrome trace-event document.
+The guard: a ``tracer-off`` query may take at most ``MAX_DISABLED_OVERHEAD``
+longer than an ``untraced`` one (target 2%; the in-bench assertion allows a
+little CI headroom on top).  It is measured on engines that **compute** — no
+``result_cache=`` — so every timed query runs its stages and crosses every
+disabled hook (``engine.query``, ``engine.stage``, ``extract``); with a
+result cache a repeated seed is a ~0.02 ms answer replay that returns before
+any of them, and the one ``start_trace`` offer per request would be most of
+what is left to measure.  The statistic is the median over rounds of the
+paired ratio: each round sends one query through all three engines back to
+back, order flipped every round, so a change of the box's speed (it moves
+whole-run throughput by 10-20 % between two runs of this file) hits both
+halves of a pair alike.
+The ``traced`` run doubles as the CI artifact source: ``--perfetto out.json``
+writes the ring as a validated Chrome trace-event document.
 
 Output follows the serving-bench convention — a top-level config plus a
 ``runs`` list whose entries carry ``label`` and ``throughput_qps`` — so
@@ -32,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import time
 from typing import Dict, List, Optional
 
@@ -41,7 +50,6 @@ from repro.experiments.workloads import make_repeated_seed_workload
 from repro.meloppr.config import MeLoPPRConfig
 from repro.meloppr.solver import MeLoPPRSolver
 from repro.serving import QueryEngine, SubgraphCache, Tracer, validate_trace_events
-from repro.serving.result_cache import ScoreTableCache
 
 #: Throughput loss the disabled-tracing path may cost vs no tracer at all.
 #: The design target is 2% (every hook is one ``is None`` check plus a
@@ -51,58 +59,65 @@ MAX_DISABLED_OVERHEAD = 0.05
 K = 100
 
 
-def _measure_qps(engine, queries, tracer: Optional[Tracer], repeats: int) -> float:
-    """Best-of-``repeats`` throughput, offering each query to ``tracer``
-    exactly the way the servers do (one ``start_trace`` per request)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        if tracer is None:
-            engine.solve_batch(queries)
-        else:
-            contexts = [
-                tracer.start_trace("request", seed=query.seed)
-                for query in queries
-            ]
-            if any(ctx is not None for ctx in contexts):
-                engine.solve_batch(queries, contexts)
-                for ctx in contexts:
-                    if ctx is not None:
-                        ctx.finish(status="ok")
-            else:
-                engine.solve_batch(queries)
-        best = min(best, time.perf_counter() - start)
-    return len(queries) / best
+def _timed_query(engine, query, tracer: Optional[Tracer]) -> float:
+    """Seconds to serve ``query``, offered to ``tracer`` exactly the way the
+    servers do (one ``start_trace`` per request)."""
+    start = time.perf_counter()
+    ctx = None if tracer is None else tracer.start_trace("request", seed=query.seed)
+    if ctx is None:
+        engine.solve_batch([query])
+    else:
+        engine.solve_batch([query], [ctx])
+        ctx.finish(status="ok")
+    return time.perf_counter() - start
 
 
 def run_benchmark(
-    num_seeds: int = 6, repeat_factor: int = 6, repeats: int = 3
+    num_seeds: int = 6, repeat_factor: int = 6, repeats: int = 25
 ) -> Dict[str, object]:
     """The measured sweep: hot seeds on the citeseer stand-in, k = 100."""
     graph, queries = make_repeated_seed_workload(
         "G1", num_seeds, repeat_factor, K, rng=7
     )
     config = MeLoPPRConfig.paper_default()
-    runs: List[Dict[str, object]] = []
     traced_tracer = Tracer(sample_rate=1.0, ring_size=len(queries) + 1)
-
-    for label, tracer in (
-        ("untraced", None),
-        ("tracer-off", Tracer(sample_rate=0.0)),
-        ("traced", traced_tracer),
-    ):
-        engine = QueryEngine(
+    tracers = {
+        "untraced": None,
+        "tracer-off": Tracer(sample_rate=0.0),
+        "traced": traced_tracer,
+    }
+    engines = {
+        label: QueryEngine(
             MeLoPPRSolver(graph, config),
             cache=SubgraphCache(),
-            result_cache=ScoreTableCache(),
             tracer=tracer,
         )
-        with engine:
+        for label, tracer in tracers.items()
+    }
+    seconds: Dict[str, List[float]] = {label: [] for label in tracers}
+    labels = list(tracers)
+    try:
+        for engine in engines.values():
             engine.solve_batch(queries)  # warm caches before timing
-            qps = _measure_qps(engine, queries, tracer, repeats)
+        for index in range(repeats * len(queries)):
+            query = queries[index % len(queries)]
+            for label in labels[:: -1 if index % 2 else 1]:
+                seconds[label].append(
+                    _timed_query(engines[label], query, tracers[label])
+                )
+    finally:
+        for engine in engines.values():
+            engine.close()
+    disabled_overhead = statistics.median(
+        off / untraced
+        for off, untraced in zip(seconds["tracer-off"], seconds["untraced"])
+    ) - 1.0
+
+    runs: List[Dict[str, object]] = []
+    for label, tracer in tracers.items():
         run: Dict[str, object] = {
             "label": label,
-            "throughput_qps": qps,
+            "throughput_qps": len(seconds[label]) / sum(seconds[label]),
             "num_queries": len(queries),
         }
         if tracer is not None:
@@ -120,6 +135,7 @@ def run_benchmark(
         "repeat_factor": repeat_factor,
         "repeats": repeats,
         "max_disabled_overhead": MAX_DISABLED_OVERHEAD,
+        "disabled_overhead": disabled_overhead,
         "runs": runs,
         "_tracer": traced_tracer,  # stripped before serialisation
     }
@@ -134,11 +150,11 @@ def study_json(payload: Dict[str, object]) -> str:
 def assert_overhead_bounded(payload: Dict[str, object]) -> None:
     """The guard both the pytest and CLI entry points enforce."""
     runs = {run["label"]: run for run in payload["runs"]}
-    untraced = runs["untraced"]["throughput_qps"]
-    disabled = runs["tracer-off"]["throughput_qps"]
-    assert disabled >= untraced * (1.0 - MAX_DISABLED_OVERHEAD), (
-        f"disabled tracing cost {1.0 - disabled / untraced:.1%} throughput "
-        f"({disabled:.1f} qps vs {untraced:.1f} qps untraced; budget "
+    overhead = payload["disabled_overhead"]
+    assert overhead <= MAX_DISABLED_OVERHEAD, (
+        f"disabled tracing cost {overhead:.1%} a query (median paired ratio; "
+        f"{runs['tracer-off']['throughput_qps']:.1f} qps vs "
+        f"{runs['untraced']['throughput_qps']:.1f} qps untraced; budget "
         f"{MAX_DISABLED_OVERHEAD:.0%})"
     )
     # The disabled run must have actually exercised the offer path.
@@ -178,7 +194,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--num-seeds", type=int, default=6, help="distinct hot seeds")
     parser.add_argument("--repeat-factor", type=int, default=6, help="queries per seed")
-    parser.add_argument("--repeats", type=int, default=3, help="timed repeats per run")
+    parser.add_argument("--repeats", type=int, default=25, help="timed passes over the workload")
     parser.add_argument("--json", default=None, help="also write the JSON report here")
     parser.add_argument(
         "--perfetto",

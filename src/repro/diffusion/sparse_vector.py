@@ -13,7 +13,11 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["SparseScoreVector", "top_k_pairs"]
+__all__ = ["FrozenScoreVectorError", "SparseScoreVector", "top_k_pairs"]
+
+
+class FrozenScoreVectorError(TypeError):
+    """An in-place update was attempted on a frozen :class:`SparseScoreVector`."""
 
 
 def top_k_pairs(nodes: np.ndarray, values: np.ndarray, k: int) -> List[Tuple[int, float]]:
@@ -41,15 +45,21 @@ class SparseScoreVector:
     :meth:`prune` is called.  Whole-vector operations work on the arrays;
     point access (``add``, ``get``, ``in``) goes through a node -> position
     index built the first time it is needed.
+
+    :meth:`freeze` turns the vector into a shareable constant: the serving
+    layer hands one cached answer to any number of callers and threads, so
+    ``add`` / ``scale`` / ``prune`` on a frozen vector raise
+    :class:`FrozenScoreVectorError` instead of corrupting it for the rest.
     """
 
-    __slots__ = ("_nodes", "_values", "_index")
+    __slots__ = ("_nodes", "_values", "_index", "_frozen", "__weakref__")
 
     def __init__(self, scores: Dict[int, float] | None = None) -> None:
         scores = scores or {}
         self._nodes = np.fromiter(scores.keys(), dtype=np.int64, count=len(scores))
         self._values = np.fromiter(scores.values(), dtype=np.float64, count=len(scores))
         self._index: Optional[Dict[int, int]] = None
+        self._frozen = False
 
     # ------------------------------------------------------------------
     @classmethod
@@ -92,8 +102,28 @@ class SparseScoreVector:
         return self._index
 
     # ------------------------------------------------------------------
+    @property
+    def frozen(self) -> bool:
+        """Whether :meth:`freeze` was called (in-place updates now raise)."""
+        return self._frozen
+
+    def freeze(self) -> "SparseScoreVector":
+        """Make the vector read-only for good (idempotent); returns ``self``."""
+        self._nodes.setflags(write=False)
+        self._values.setflags(write=False)
+        self._frozen = True
+        return self
+
+    def _check_mutable(self) -> None:
+        if self._frozen:
+            raise FrozenScoreVectorError(
+                "this score vector is frozen (a cached answer shared between "
+                "callers); copy() it before updating"
+            )
+
     def add(self, node: int, value: float) -> None:
         """Accumulate ``value`` onto ``node``."""
+        self._check_mutable()
         index = self._positions()
         at = index.get(node)
         if at is None:
@@ -110,10 +140,12 @@ class SparseScoreVector:
 
     def scale(self, factor: float) -> None:
         """Multiply every entry by ``factor`` in place."""
+        self._check_mutable()
         self._values *= factor
 
     def prune(self, tolerance: float = 0.0) -> None:
         """Drop entries with ``|value| <= tolerance``."""
+        self._check_mutable()
         keep = np.abs(self._values) > tolerance
         self._nodes, self._values, self._index = self._nodes[keep], self._values[keep], None
 

@@ -63,6 +63,7 @@ __all__ = [
     "MeLoPPRPlan",
     "ExtractFn",
     "default_extract",
+    "realised_stage_lengths",
     "execute_stage_task",
     "execute_plan",
 ]
@@ -212,6 +213,18 @@ def _resplit(total_length: int, template: Tuple[int, ...]) -> Tuple[int, ...]:
     return split_length(total_length, num_stages)
 
 
+def realised_stage_lengths(config: MeLoPPRConfig, length: int) -> Tuple[int, ...]:
+    """The stage split a query of diffusion ``length`` runs under ``config``.
+
+    The configured split when it already sums to ``length``, else the same
+    number of stages re-split to realise exactly ``length``.  The planner and
+    the serving layer's cache key both call this, so they cannot disagree.
+    """
+    if config.total_length == length:
+        return tuple(int(stage) for stage in config.stage_lengths)
+    return _resplit(length, config.stage_lengths)
+
+
 def _make_stage_plan(stage_lengths: Tuple[int, ...], alpha: float) -> StagePlan:
     """Build a :class:`StagePlan`, tolerating the degenerate ``(0,)`` split."""
     if stage_lengths == (0,):
@@ -268,13 +281,9 @@ class MeLoPPRPlan:
         self._graph = graph
         self._config = config
         self._query = query
-        if config.total_length != query.length:
-            # The stage split must realise exactly the requested diffusion
-            # length; re-split while preserving the number of stages.
-            plan_lengths = _resplit(query.length, config.stage_lengths)
-        else:
-            plan_lengths = config.stage_lengths
-        self._stage_plan = _make_stage_plan(plan_lengths, query.alpha)
+        self._stage_plan = _make_stage_plan(
+            realised_stage_lengths(config, query.length), query.alpha
+        )
 
         self.timing = TimingBreakdown()
         self._track_memory = (

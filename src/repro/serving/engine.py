@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.diffusion.kernels import DiffusionKernel, resolve_kernel_name
@@ -49,10 +49,11 @@ from repro.meloppr.planner import MeLoPPRPlan, default_extract, execute_plan
 from repro.ppr.base import PPRQuery, PPRResult, PPRSolver
 from repro.serving.backends import ExecutionBackend, SerialBackend
 from repro.serving.cache import CacheStats, SubgraphCache
-from repro.serving.result_cache import ScoreTableCache, stage_one_cache_key
+from repro.serving.result_cache import ScoreTableCache, stage_one_key
 from repro.serving.sharding import RouterStats, ShardRouter
 from repro.serving.telemetry import LatencyHistogram, LatencySnapshot
 from repro.serving.tracing import TraceContext, Tracer, TracingStats
+from repro.utils.timing import TimingBreakdown
 
 __all__ = ["EngineStats", "QueryEngine"]
 
@@ -68,6 +69,13 @@ def _merge_cache_stats(
     return first + second
 
 
+def _replay(answer: PPRResult) -> PPRResult:
+    """A caller's own copy of a finished answer: the same (frozen) ``scores``
+    object and metadata values under a fresh ``metadata`` dict and an empty
+    ``timing`` — nothing ran, and ``metadata["serving"]`` is per delivery."""
+    return replace(answer, timing=TimingBreakdown(), metadata=dict(answer.metadata))
+
+
 @dataclass
 class EngineStats:
     """Aggregate serving statistics of a :class:`QueryEngine`.
@@ -79,8 +87,8 @@ class EngineStats:
     queries_served, batches:
         Totals since engine construction.
     wall_seconds:
-        Wall-clock time spent inside ``solve_batch`` (the denominator of
-        :attr:`throughput_qps`).
+        Wall-clock time spent inside ``solve_batch`` and serving
+        ``try_cached`` answers (the denominator of :attr:`throughput_qps`).
     query_seconds:
         Sum of per-query latencies; under a parallel backend this exceeds
         ``wall_seconds``, and their ratio is the effective parallelism.
@@ -411,17 +419,65 @@ class QueryEngine:
                     self._update_lock.notify_all()
 
         with self._stats_lock:
-            stats = self._stats
-            stats.batches += 1
-            stats.queries_served += len(results)
-            stats.wall_seconds += wall
-            for result in results:
-                latency = float(result.metadata["serving"]["latency_seconds"])
-                stats.query_seconds += latency
-                stats.min_latency_seconds = min(stats.min_latency_seconds, latency)
-                stats.max_latency_seconds = max(stats.max_latency_seconds, latency)
-                self._latency.record(latency)
+            self._stats.batches += 1
+            self._stats.wall_seconds += wall
+            self._record_served_locked(results)
         return results
+
+    def _record_served_locked(self, results: Sequence[PPRResult]) -> None:
+        """Count delivered queries and their latencies (stats lock held)."""
+        stats = self._stats
+        stats.queries_served += len(results)
+        for result in results:
+            latency = float(result.metadata["serving"]["latency_seconds"])
+            stats.query_seconds += latency
+            stats.min_latency_seconds = min(stats.min_latency_seconds, latency)
+            stats.max_latency_seconds = max(stats.max_latency_seconds, latency)
+            self._latency.record(latency)
+
+    def _result_cache_for(self, seed: int) -> Optional[ScoreTableCache]:
+        """The result cache for ``seed``: its shard's when sharded, else ours."""
+        if self._router is not None:
+            return self._router.result_cache_for(seed)
+        return self._result_cache
+
+    def try_cached(self, query: PPRQuery) -> Optional[PPRResult]:
+        """Answer ``query`` from the result cache, or return ``None`` at once.
+
+        Non-blocking and compute-free — one key build and one locked lookup —
+        so an event loop may call it inline.  It serves only a finished
+        answer attached to the query's own cache entry, which counts as a
+        result-cache hit and as a served query (``queries_served``, latency
+        histogram) but not as a batch; anything else returns ``None`` and
+        touches no counter, and the caller goes through :meth:`solve_batch`.
+
+        It takes no part in the update barrier and needs none.  Until
+        :meth:`apply_update` strips the answers (under the writer barrier,
+        before the new graph is published) this returns the answer of the
+        still-published graph, which is what a batch finishing at that
+        moment returns too.  From the strip on there is nothing to return
+        under either fingerprint — the old key was dropped or re-keyed, the
+        re-keyed entry has no answer — until a batch computes on the new
+        graph, and batches attach inside the barrier, so never in between.
+        """
+        start = time.perf_counter()
+        if not hasattr(self._solver, "plan"):
+            return None
+        result_cache = self._result_cache_for(query.seed)
+        if result_cache is None:
+            return None
+        key = stage_one_key(query, self._solver.config, self._solver.graph)
+        answer = result_cache.peek_answer(key, query)
+        if answer is None:
+            return None
+        result = self._finish_result(
+            _replay(answer), time.perf_counter() - start, "answer"
+        )
+        with self._stats_lock:
+            # Served serially on the caller's thread: its latency is wall time.
+            self._stats.wall_seconds += result.metadata["serving"]["latency_seconds"]
+            self._record_served_locked([result])
+        return result
 
     def apply_update(self, ops: Sequence[EdgeOp]) -> Dict[str, object]:
         """Apply a batch of edge ops to the live graph, surgically.
@@ -548,6 +604,33 @@ class QueryEngine:
         result_cache_outcome: Optional[str] = None
         plan_factory = getattr(self._solver, "plan", None)
         if plan_factory is not None:
+            # Cross-query reuse, all parent-side (a stage-task backend's
+            # workers only ever see the stage-two tasks left to run): an
+            # attached answer is replayed whole, a stage-one state resumes
+            # the plan past its first stage, a miss installs the folded state
+            # after the first stage — and whatever gets computed is attached
+            # for the next repeat of this query.
+            result_cache = self._result_cache_for(query.seed)
+            key = state = None
+            if result_cache is not None:
+                rc_span = (
+                    None
+                    if ctx is None
+                    else ctx.begin_span("engine.result_cache")
+                )
+                key = stage_one_key(query, self._solver.config, self._solver.graph)
+                state, answer = result_cache.lookup(key, query)
+                result_cache_outcome = (
+                    "answer"
+                    if answer is not None
+                    else "miss" if state is None else "hit"
+                )
+                if rc_span is not None:
+                    ctx.end_span(rc_span, outcome=result_cache_outcome)
+                if answer is not None:
+                    return self._finish_result(
+                        _replay(answer), time.perf_counter() - start, "answer"
+                    )
             if self._router is not None:
                 extract = self._router.extract
             elif self._cache is not None:
@@ -570,42 +653,25 @@ class QueryEngine:
             # deterministic modelled working set instead).
             track_memory = False if self._backend.concurrent else None
             plan = plan_factory(query, track_memory=track_memory)
-
-            # Cross-query stage-one reuse: a hit resumes the plan past its
-            # first stage, a miss installs the folded state after the first
-            # stage completes.  Both paths are parent-side — a stage-task
-            # backend's workers only ever see the remaining stage-two tasks.
-            result_cache = (
-                self._router.result_cache_for(query.seed)
-                if self._router is not None
-                else self._result_cache
-            )
             install: Optional[Callable[[MeLoPPRPlan], None]] = None
-            if result_cache is not None:
-                rc_span = (
-                    None
-                    if ctx is None
-                    else ctx.begin_span("engine.result_cache")
+            if state is not None:
+                plan = MeLoPPRPlan.from_stage_one_table(
+                    plan.graph,
+                    plan.config,
+                    query,
+                    state,
+                    track_memory=track_memory,
                 )
-                key = stage_one_cache_key(plan)
-                state = result_cache.get(key)
-                if state is not None:
-                    plan = MeLoPPRPlan.from_stage_one_table(
-                        plan.graph,
-                        plan.config,
-                        query,
-                        state,
-                        track_memory=track_memory,
-                    )
-                    result_cache_outcome = "hit"
-                else:
-                    install = lambda done_plan: result_cache.put(
-                        key, done_plan.stage_one_state()
-                    )
-                    result_cache_outcome = "miss"
-                if rc_span is not None:
-                    ctx.end_span(rc_span, outcome=result_cache_outcome)
+            elif result_cache is not None:
+                install = lambda done_plan: result_cache.put(
+                    key, done_plan.stage_one_state()
+                )
             result = self._drive_plan(plan, extract, install=install, ctx=ctx)
+            if result_cache is not None:
+                # Shared from here on: freeze the scores, and keep a copy
+                # whose metadata dict the first caller cannot reach.
+                result.scores.freeze()
+                result_cache.attach_answer(key, _replay(result))
         else:
             result = self._solver.solve(query)
         latency = time.perf_counter() - start
@@ -713,8 +779,9 @@ class QueryEngine:
                 or (self._router is not None and self._router.caching_enabled)
                 or getattr(self._backend, "cache_bytes", None) is not None
             ),
-            # "hit" (stage one replayed from cache), "miss" (computed and
-            # installed) or None (result caching off / non-planner solver).
+            # "answer" (finished answer replayed), "hit" (stage one replayed
+            # from cache), "miss" (computed and installed) or None (result
+            # caching off / non-planner solver).
             "result_cache": result_cache_outcome,
             "sharded": self._router is not None,
         }

@@ -184,10 +184,18 @@ class AdmissionController:
         if not self.try_admit():
             raise QueryShedError(self._max_pending, self._max_pending)
 
-    def complete(self, latency_seconds: float) -> None:
-        """Record a delivered result and its end-to-end latency."""
+    def complete(self, latency_seconds: float, queued: bool = True) -> None:
+        """Record a delivered result and its end-to-end latency.
+
+        ``queued=False`` admits and completes in one step a query answered
+        without ever occupying a queue slot (the batcher's fast path): it is
+        never pending, so it can never be shed.
+        """
         with self._lock:
-            self._pending -= 1
+            if queued:
+                self._pending -= 1
+            else:
+                self._admitted += 1
             self._completed += 1
         self._latency.record(latency_seconds)
 

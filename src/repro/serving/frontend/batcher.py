@@ -25,6 +25,18 @@ Three serving behaviours live here and not in the engine:
   overload sheds loudly (:class:`QueryShedError`) instead of queueing
   unboundedly.
 
+One kind of submission never reaches the scheduler: an untraced query whose
+finished answer is already on its result-cache entry.  :meth:`MicroBatcher.submit`
+asks ``engine.try_cached`` first, on the event loop, and a hit returns from
+there — no queue slot (it is admitted and completed in one step, so never
+pending and never shed), no batch, no executor hop; ``fast_path_hits`` counts
+them.  The call is one key build and one locked dict lookup, so the loop stays
+responsive, and it needs no place in the engine's update barrier: an update
+strips every cached answer before it publishes the new graph and batches
+attach answers only inside the barrier, so the fast path can only ever return
+what a batch finishing at that moment would
+(:meth:`~repro.serving.engine.QueryEngine.try_cached` spells it out).
+
 Scores are bit-identical to ``engine.solve_batch`` on a serial backend:
 batching composition never changes per-query computations (they are
 independent), and deduplicated waiters share the one result object their
@@ -112,6 +124,9 @@ class BatcherStats:
         Queries actually handed to the engine (after dedup).
     dedup_hits:
         Waiters served by another waiter's computation.
+    fast_path_hits:
+        Submissions answered on the event loop by ``engine.try_cached``:
+        never queued, never batched, so counted in none of the above.
     admission:
         The admission controller's counters (shed rate, e2e latency
         percentiles).
@@ -124,6 +139,7 @@ class BatcherStats:
     batched_queries: int
     unique_executed: int
     dedup_hits: int
+    fast_path_hits: int
     admission: AdmissionStats
     engine: EngineStats
 
@@ -140,6 +156,7 @@ class BatcherStats:
             "batched_queries": self.batched_queries,
             "unique_executed": self.unique_executed,
             "dedup_hits": self.dedup_hits,
+            "fast_path_hits": self.fast_path_hits,
             "mean_batch_size": self.mean_batch_size,
             "admission": self.admission.as_dict(),
             "engine": self.engine.as_dict(),
@@ -228,6 +245,7 @@ class MicroBatcher:
         self._batched_queries = 0
         self._unique_executed = 0
         self._dedup_hits = 0
+        self._fast_path_hits = 0
 
     # ------------------------------------------------------------------
     @property
@@ -331,6 +349,15 @@ class MicroBatcher:
         if loop is not self._loop:
             raise RuntimeError("submit() must run on the batcher's event loop")
         assert self._arrival is not None
+        if trace is None:
+            # Fast path: a finished answer needs no compute, so it leaves
+            # from here — no queue slot, no batch, no executor hop.
+            start = loop.time()
+            result = self._engine.try_cached(query)
+            if result is not None:
+                self._fast_path_hits += 1
+                self._admission.complete(loop.time() - start, queued=False)
+                return result
         self._admission.admit()
         now = loop.time()
         deadline = now + timeout_ms / 1000.0 if timeout_ms is not None else None
@@ -492,6 +519,7 @@ class MicroBatcher:
             batched_queries=self._batched_queries,
             unique_executed=self._unique_executed,
             dedup_hits=self._dedup_hits,
+            fast_path_hits=self._fast_path_hits,
             admission=self._admission.stats(),
             engine=self._engine.stats(),
         )

@@ -63,14 +63,13 @@ from typing import (
     Optional,
     Set,
     Tuple,
+    Union,
 )
 
-from repro.serving.frontend.admission import QueryRejectedError
 from repro.serving.frontend.batcher import MicroBatcher
 from repro.serving.frontend.metrics import render_prometheus
-from repro.serving.frontend.ops import apply_graph_update, apply_reload
+from repro.serving.frontend.ops import answer_query, apply_graph_update, apply_reload
 from repro.serving.frontend.protocol import PROTOCOL_VERSION
-from repro.serving.frontend.request_log import log_request
 from repro.serving.frontend.server import parse_query_request
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -157,8 +156,8 @@ class BaseHttpServer:
     ) -> Tuple[int, object, str]:
         """Dispatch one request; returns ``(status, payload, content_type)``.
 
-        ``payload`` is a dict/list (JSON-encoded on the way out) or a
-        pre-rendered string.
+        ``payload`` is a dict/list (JSON-encoded on the way out), a
+        pre-rendered string, or already-encoded bytes.
         """
         raise NotImplementedError
 
@@ -436,7 +435,7 @@ class BaseHttpServer:
             body = json.dumps(payload).encode("utf-8")
         elif isinstance(payload, str):
             body = payload.encode("utf-8")
-        else:  # pragma: no cover - handlers only return dict/str
+        else:  # pre-encoded (a query answer): passed through untouched
             body = bytes(payload)
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
@@ -519,6 +518,19 @@ class HttpQueryServer(BaseHttpServer):
         return self._recorder
 
     # ------------------------------------------------------------------
+    #: Every route and the one method it answers (``HEAD`` rides on ``GET``).
+    _ROUTES = {
+        "/query": "POST",
+        "/healthz": "GET",
+        "/stats": "GET",
+        "/metrics": "GET",
+        "/admin/drain": "POST",
+        "/admin/reload": "POST",
+        "/admin/update": "POST",
+        "/debug/traces": "GET",
+        "/debug/traces/perfetto": "GET",
+    }
+
     async def _route(
         self,
         method: str,
@@ -530,22 +542,13 @@ class HttpQueryServer(BaseHttpServer):
         """Dispatch to a handler; returns ``(status, payload, content_type)``.
 
         ``payload`` is a dict (JSON-encoded on the way out) except for
-        ``/metrics``, which returns the exposition text directly.
+        ``/metrics``, which returns the exposition text directly, and an
+        answered ``/query``, which returns the encoded body.
         """
         headers = headers or {}
         path = target.split("?", 1)[0]
         json_type = "application/json"
-        routes = {
-            "/query": "POST",
-            "/healthz": "GET",
-            "/stats": "GET",
-            "/metrics": "GET",
-            "/admin/drain": "POST",
-            "/admin/reload": "POST",
-            "/admin/update": "POST",
-            "/debug/traces": "GET",
-            "/debug/traces/perfetto": "GET",
-        }
+        routes = self._ROUTES
         if path not in routes:
             return (
                 404,
@@ -643,10 +646,9 @@ class HttpQueryServer(BaseHttpServer):
             )
         # path == "/query"
         response = await self._answer_query(body, received, headers)
-        status = 200 if response.get("ok") else _ERROR_STATUS.get(
-            str(response.get("error")), 500
-        )
-        return status, response, json_type
+        if isinstance(response, bytes):
+            return 200, response, json_type
+        return _ERROR_STATUS.get(str(response.get("error")), 500), response, json_type
 
     def _metrics_info(self) -> Dict[str, str]:
         info = (
@@ -664,9 +666,8 @@ class HttpQueryServer(BaseHttpServer):
 
     async def _answer_query(
         self, body: bytes, received: float, headers: Dict[str, str]
-    ) -> dict:
+    ) -> Union[dict, bytes]:
         """The ``POST /query`` handler: same semantics as the TCP query op."""
-        loop = asyncio.get_running_loop()
         request_id = None
         try:
             request = self._parse_json_body(body)
@@ -681,86 +682,16 @@ class HttpQueryServer(BaseHttpServer):
                 "error": "bad_request",
                 "message": str(exc),
             }
-
-        tracer = self._batcher.engine.tracer
-        ctx = None
-        if tracer is not None:
-            ctx = tracer.start_trace(
-                "request",
-                traceparent=headers.get("traceparent"),
-                transport="http",
-                seed=query.seed,
-            )
-        if self._recorder is not None:
-            self._recorder.record_query(query, timeout_ms=timeout_ms)
-        try:
-            result = await self._batcher.submit(
-                query, timeout_ms=timeout_ms, trace=ctx
-            )
-        except QueryRejectedError as exc:
-            latency_ms = (loop.time() - received) * 1e3
-            if ctx is not None:
-                ctx.finish(status=exc.code, latency_ms=latency_ms)
-            log_request(
-                "http",
-                exc.code,
-                latency_ms=latency_ms,
-                request_id=request_id,
-                seed=query.seed,
-                k=query.k,
-                trace_id=None if ctx is None else ctx.trace_id,
-            )
-            return {
-                "id": request_id,
-                "ok": False,
-                "error": exc.code,
-                "message": str(exc),
-            }
-        except Exception as exc:  # engine failure: report, keep serving
-            latency_ms = (loop.time() - received) * 1e3
-            if ctx is not None:
-                ctx.finish(status="internal", latency_ms=latency_ms)
-            log_request(
-                "http",
-                "internal",
-                latency_ms=latency_ms,
-                request_id=request_id,
-                seed=query.seed,
-                k=query.k,
-                trace_id=None if ctx is None else ctx.trace_id,
-            )
-            return {
-                "id": request_id,
-                "ok": False,
-                "error": "internal",
-                "message": f"{type(exc).__name__}: {exc}",
-            }
-        latency_ms = (loop.time() - received) * 1e3
-        if ctx is not None:
-            ctx.finish(status="ok", latency_ms=latency_ms)
-        serving_meta = result.metadata.get("serving", {})
-        log_request(
+        return await answer_query(
+            self._batcher,
+            self._recorder,
             "http",
-            "ok",
-            latency_ms=latency_ms,
-            request_id=request_id,
-            seed=query.seed,
-            k=query.k,
-            trace_id=None if ctx is None else ctx.trace_id,
-            result_cache=serving_meta.get("result_cache"),
-            cache_enabled=serving_meta.get("cache_enabled"),
+            headers.get("traceparent"),
+            request_id,
+            query,
+            timeout_ms,
+            received,
         )
-        response = {
-            "id": request_id,
-            "ok": True,
-            "seed": query.seed,
-            "k": query.k,
-            "top": [[int(node), float(score)] for node, score in result.top_k()],
-            "latency_ms": latency_ms,
-        }
-        if ctx is not None:
-            response["trace_id"] = ctx.trace_id
-        return response
 
 
 # ----------------------------------------------------------------------

@@ -227,6 +227,7 @@ def render_prometheus(
     writer.counter(f"{p}_batched_queries_total", stats.batched_queries, "Logical queries delivered through batches (before dedup).")
     writer.counter(f"{p}_unique_queries_executed_total", stats.unique_executed, "Queries actually handed to the engine (after dedup).")
     writer.counter(f"{p}_dedup_hits_total", stats.dedup_hits, "Waiters served by another in-flight waiter's computation.")
+    writer.counter(f"{p}_batcher_fast_path_hits_total", stats.fast_path_hits, "Submissions answered on the event loop from a cached finished answer (never queued or batched).")
     writer.gauge(f"{p}_mean_batch_size", stats.mean_batch_size, "Mean logical queries per executed batch.")
 
     # ------------------------------------------------------------------

@@ -28,17 +28,32 @@ Graceful drain, the other half, lives on the servers themselves
 (:meth:`~repro.serving.frontend.server.AsyncQueryServer.drain`,
 :meth:`~repro.serving.frontend.http.HttpQueryServer.drain`) because it is
 about connection lifecycles, which only the transport knows.
+
+:func:`answer_query` is the other thing both doors share: everything that
+happens to a query once its request has been parsed, ending in the encoded
+response.
 """
 
 from __future__ import annotations
 
+import asyncio
+import json
+import weakref
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
+from repro.ppr.base import PPRQuery, PPRResult
+from repro.serving.frontend.admission import QueryRejectedError
 from repro.serving.frontend.batcher import MicroBatcher
+from repro.serving.frontend.protocol import PROTOCOL_VERSION
+from repro.serving.frontend.request_log import log_request
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
+    from repro.serving.frontend.recorder import WorkloadRecorder
 
 __all__ = [
     "RELOADABLE_KEYS",
+    "answer_query",
     "apply_graph_update",
     "apply_reload",
     "frontend_config",
@@ -259,3 +274,84 @@ def apply_graph_update(batcher: MicroBatcher, ops: object) -> Dict[str, object]:
             f"got {type(ops).__name__}"
         )
     return batcher.engine.apply_update(ops)
+
+
+#: ``"top"`` texts of answers that can be served again, by their score
+#: vector.  A frozen vector belongs to one cached answer (one query, one
+#: ``k``), is shared by all its deliveries and cannot change, so the text is
+#: ranked and encoded once for all of them; it is dropped with the vector.
+_TOP_TEXTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _top_json(result: PPRResult) -> str:
+    """``json.dumps`` of the result's top-k as ``[[node, score], ...]``."""
+    text = _TOP_TEXTS.get(result.scores)
+    if text is None:
+        text = json.dumps(result.top_k())
+        if result.scores.frozen:
+            _TOP_TEXTS[result.scores] = text
+    return text
+
+
+async def answer_query(
+    batcher: MicroBatcher,
+    recorder: Optional["WorkloadRecorder"],
+    transport: str,
+    traceparent: Optional[str],
+    request_id: object,
+    query: PPRQuery,
+    timeout_ms: Optional[float],
+    received: float,
+) -> Union[Dict[str, object], bytes]:
+    """Answer one parsed query request; the same path for both doors.
+
+    Starts the trace (``traceparent`` may force one), records the workload,
+    submits to the batcher, finishes the trace and writes the request-log
+    line labelled ``transport``.  A refusal (shed, deadline) or an engine
+    failure comes back as the protocol's error dict.  An answer comes back
+    **encoded**: the bytes ``json.dumps`` would produce for ``{"id", "ok",
+    "seed", "k", "top", "latency_ms"[, "trace_id"], "proto"}``, except that
+    the ``"top"`` text is spliced in from :func:`_top_json`, which a cached
+    answer encodes once for all its deliveries.
+    """
+    loop = asyncio.get_running_loop()
+    tracer = batcher.engine.tracer
+    ctx = None
+    if tracer is not None:
+        ctx = tracer.start_trace(
+            "request", traceparent=traceparent, transport=transport, seed=query.seed
+        )
+    if recorder is not None:
+        recorder.record_query(query, timeout_ms=timeout_ms)
+    status, message, serving = "ok", "", {}
+    try:
+        result = await batcher.submit(query, timeout_ms=timeout_ms, trace=ctx)
+        serving = result.metadata.get("serving", {})
+    except QueryRejectedError as exc:
+        status, message = exc.code, str(exc)
+    except Exception as exc:  # engine failure: report, keep serving
+        status, message = "internal", f"{type(exc).__name__}: {exc}"
+    latency_ms = (loop.time() - received) * 1e3
+    tail: Dict[str, object] = {"latency_ms": latency_ms}
+    if ctx is not None:
+        ctx.finish(status=status, latency_ms=latency_ms)
+        tail["trace_id"] = ctx.trace_id
+    log_request(
+        transport,
+        status,
+        latency_ms=latency_ms,
+        request_id=request_id,
+        seed=query.seed,
+        k=query.k,
+        trace_id=tail.get("trace_id"),
+        result_cache=serving.get("result_cache"),
+        cache_enabled=serving.get("cache_enabled"),
+    )
+    if status != "ok":
+        return {"id": request_id, "ok": False, "error": status, "message": message}
+    head = {"id": request_id, "ok": True, "seed": query.seed, "k": query.k}
+    tail["proto"] = PROTOCOL_VERSION
+    return (
+        f'{json.dumps(head)[:-1]}, "top": {_top_json(result)}, '
+        f"{json.dumps(tail)[1:]}"
+    ).encode("utf-8")

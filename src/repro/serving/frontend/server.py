@@ -37,22 +37,17 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-from typing import TYPE_CHECKING, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, List, Optional, Set, Tuple, Union
 
 from repro.ppr.base import PPRQuery
-from repro.serving.frontend.admission import (
-    AdmissionController,
-    QueryRejectedError,
-)
-from repro.serving.frontend.batcher import BatchPolicy, MicroBatcher
+from repro.serving.frontend.batcher import MicroBatcher
 from repro.serving.frontend.config import ServingConfig, build_serving_parser
 from repro.serving.frontend.config import build_frontend as _build_frontend
-from repro.serving.frontend.ops import apply_graph_update, apply_reload
+from repro.serving.frontend.ops import answer_query, apply_graph_update, apply_reload
 from repro.serving.frontend.protocol import (
     CAPABILITIES,
     PROTOCOL_VERSION,
 )
-from repro.serving.frontend.request_log import log_request
 from repro.utils.validation import check_node_id
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -338,12 +333,15 @@ class AsyncQueryServer:
         self,
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
-        response: dict,
+        response: Union[dict, bytes],
     ) -> None:
         # Every wire response advertises the protocol version, so a client
-        # from a different release fails loudly instead of mis-parsing.
-        response.setdefault("proto", PROTOCOL_VERSION)
-        payload = json.dumps(response).encode("utf-8") + b"\n"
+        # from a different release fails loudly instead of mis-parsing (an
+        # encoded query answer already carries it).
+        if isinstance(response, dict):
+            response.setdefault("proto", PROTOCOL_VERSION)
+            response = json.dumps(response).encode("utf-8")
+        payload = response + b"\n"
         async with write_lock:
             try:
                 writer.write(payload)
@@ -353,7 +351,7 @@ class AsyncQueryServer:
 
     async def _answer(
         self, line: bytes, received: Optional[float] = None
-    ) -> dict:
+    ) -> Union[dict, bytes]:
         loop = asyncio.get_running_loop()
         if received is None:
             received = loop.time()
@@ -429,85 +427,17 @@ class AsyncQueryServer:
                 "message": str(exc),
             }
 
-        tracer = self._batcher.engine.tracer
-        ctx = None
-        if tracer is not None:
-            ctx = tracer.start_trace(
-                "request",
-                traceparent=traceparent if isinstance(traceparent, str) else None,
-                transport="tcp",
-                seed=query.seed,
-            )
-        if self._recorder is not None:
-            self._recorder.record_query(query, timeout_ms=timeout_ms)
-        try:
-            result = await self._batcher.submit(
-                query, timeout_ms=timeout_ms, trace=ctx
-            )
-        except QueryRejectedError as exc:
-            latency_ms = (loop.time() - received) * 1e3
-            if ctx is not None:
-                ctx.finish(status=exc.code, latency_ms=latency_ms)
-            log_request(
-                "tcp",
-                exc.code,
-                latency_ms=latency_ms,
-                request_id=request_id,
-                seed=query.seed,
-                k=query.k,
-                trace_id=None if ctx is None else ctx.trace_id,
-            )
-            return {
-                "id": request_id,
-                "ok": False,
-                "error": exc.code,
-                "message": str(exc),
-            }
-        except Exception as exc:  # engine failure: report, keep serving
-            latency_ms = (loop.time() - received) * 1e3
-            if ctx is not None:
-                ctx.finish(status="internal", latency_ms=latency_ms)
-            log_request(
-                "tcp",
-                "internal",
-                latency_ms=latency_ms,
-                request_id=request_id,
-                seed=query.seed,
-                k=query.k,
-                trace_id=None if ctx is None else ctx.trace_id,
-            )
-            return {
-                "id": request_id,
-                "ok": False,
-                "error": "internal",
-                "message": f"{type(exc).__name__}: {exc}",
-            }
-        latency_ms = (loop.time() - received) * 1e3
-        serving_meta = result.metadata.get("serving", {})
-        if ctx is not None:
-            ctx.finish(status="ok", latency_ms=latency_ms)
-        log_request(
+        return await answer_query(
+            self._batcher,
+            self._recorder,
             "tcp",
-            "ok",
-            latency_ms=latency_ms,
-            request_id=request_id,
-            seed=query.seed,
-            k=query.k,
-            trace_id=None if ctx is None else ctx.trace_id,
-            result_cache=serving_meta.get("result_cache"),
-            cache_enabled=serving_meta.get("cache_enabled"),
+            traceparent if isinstance(traceparent, str) else None,
+            request_id,
+            query,
+            timeout_ms,
+            received,
         )
-        response = {
-            "id": request_id,
-            "ok": True,
-            "seed": query.seed,
-            "k": query.k,
-            "top": [[int(node), float(score)] for node, score in result.top_k()],
-            "latency_ms": latency_ms,
-        }
-        if ctx is not None:
-            response["trace_id"] = ctx.trace_id
-        return response
+
 
 def build_parser() -> argparse.ArgumentParser:
     """The server CLI's argument parser (the shared serving flag surface).

@@ -18,6 +18,20 @@ stage-two tasks run; scores are bit-identical to the uncached path because
 the replayed fold state is byte-for-byte the state the plan would have
 reached itself.
 
+An entry can also carry the **finished answer** of the query it is keyed by
+(:meth:`ScoreTableCache.attach_answer`; the engine attaches it after
+``plan.finish()``).  The next repeat of that query is then replayed whole —
+the same frozen ``scores`` object and metadata values, an empty ``timing`` and
+a fresh ``metadata["serving"]`` — instead of resuming stage two, by the engine
+and by its non-blocking :meth:`~repro.serving.engine.QueryEngine.try_cached`.
+The answer is charged to the entry's bytes at a modelled, never-changing size
+and lives and dies with the entry (LRU, TTL, invalidate, clear, resize).  A
+topology update is the one thing that separates them:
+:meth:`ScoreTableCache.apply_update` keeps a far-enough entry's *state* under
+the new fingerprint but **strips its answer**, because stage two reaches past
+the stage-one radius the survival test covers — so an answer is only ever
+served under the fingerprint it was computed on.
+
 The cache is byte-budgeted with LRU eviction (like the sub-graph caches),
 optionally TTL-bounded (long-running servers can bound staleness of *any*
 derived artefact even though the key's graph fingerprint already rules out
@@ -43,14 +57,21 @@ import time
 from collections import OrderedDict
 from typing import Callable, Hashable, Optional, Tuple
 
-from repro.meloppr.planner import MeLoPPRPlan, StageOneState
+from repro.graph.csr import CSRGraph
+from repro.meloppr.config import MeLoPPRConfig
+from repro.meloppr.planner import MeLoPPRPlan, StageOneState, realised_stage_lengths
+from repro.ppr.base import PPRQuery, PPRResult
 from repro.serving.cache import CacheStats
 
 __all__ = [
     "DEFAULT_RESULT_CACHE_BYTES",
     "ScoreTableCache",
     "stage_one_cache_key",
+    "stage_one_key",
 ]
+
+#: One retained entry: ``(state, charged bytes, stored-at, attached answer)``.
+_Entry = Tuple[StageOneState, int, float, Optional[PPRResult]]
 
 #: Default byte budget — score tables are far smaller than sub-graphs, so a
 #: modest budget holds thousands of hot seeds.
@@ -103,8 +124,10 @@ def _selector_identity(selector) -> Tuple[Hashable, ...]:
     )
 
 
-def stage_one_cache_key(plan: MeLoPPRPlan) -> Tuple[Hashable, ...]:
-    """The cache key under which ``plan``'s stage-one state may be reused.
+def stage_one_key(
+    query: PPRQuery, config: MeLoPPRConfig, graph: CSRGraph
+) -> Tuple[Hashable, ...]:
+    """The cache key of ``query``'s stage-one state, without building a plan.
 
     Covers every input the stage-one computation depends on:
 
@@ -119,17 +142,20 @@ def stage_one_cache_key(plan: MeLoPPRPlan) -> Tuple[Hashable, ...]:
     * the host graph's structural fingerprint, so a rebuilt or repartitioned
       graph with different topology can never be served a stale table.
     """
-    query = plan.query
-    config = plan.config
     return (
         int(query.seed),
-        tuple(plan.stage_plan.stage_lengths),
+        realised_stage_lengths(config, query.length),
         float(query.alpha),
         config.score_table_capacity(query.k),
         _selector_identity(config.selector),
         float(config.residual_tolerance),
-        plan.graph.fingerprint(),
+        graph.fingerprint(),
     )
+
+
+def stage_one_cache_key(plan: MeLoPPRPlan) -> Tuple[Hashable, ...]:
+    """:func:`stage_one_key` of the query, config and graph ``plan`` was built on."""
+    return stage_one_key(plan.query, plan.config, plan.graph)
 
 
 def _entry_nbytes(state: StageOneState) -> int:
@@ -146,6 +172,18 @@ def _entry_nbytes(state: StageOneState) -> int:
         + 64 * len(state.records)
         + 128  # fixed per-entry overhead (key tuple, bookkeeping)
     )
+
+
+def _answer_nbytes(answer: Optional[PPRResult]) -> int:
+    """Modelled bytes of an attached answer (0 for none); never changes.
+
+    16 B per retained score plus 32 B per top-k pair for the wire text —
+    charged up front, whether or not a server has encoded it yet.
+    """
+    if answer is None:
+        return 0
+    retained = len(answer.scores)
+    return 16 * retained + 32 * min(int(answer.query.k), retained)
 
 
 class ScoreTableCache:
@@ -191,10 +229,7 @@ class ScoreTableCache:
         self._ttl_seconds = ttl_seconds
         self._clock = clock
         self._lock = threading.Lock()
-        # key -> (state, nbytes, stored_at)
-        self._entries: "OrderedDict[Tuple[Hashable, ...], Tuple[StageOneState, int, float]]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[Tuple[Hashable, ...], _Entry]" = OrderedDict()
         self._current_bytes = 0
         self._hits = 0
         self._misses = 0
@@ -257,6 +292,17 @@ class ScoreTableCache:
             and self._clock() - stored_at >= self._ttl_seconds
         )
 
+    def _live_entry_locked(self, key: Tuple[Hashable, ...]) -> Optional[_Entry]:
+        """The entry under ``key``, dropped instead (``stats.expired``) when
+        its TTL has passed; caller holds the lock."""
+        entry = self._entries.get(key)
+        if entry is not None and self._is_expired(entry[2]):
+            del self._entries[key]
+            self._current_bytes -= entry[1]
+            self._expired += 1
+            return None
+        return entry
+
     def _sweep_expired_locked(self) -> int:
         """Drop every TTL-expired entry (caller holds the lock).
 
@@ -268,33 +314,52 @@ class ScoreTableCache:
             return 0
         dead = [
             entry_key
-            for entry_key, (_, _, stored_at) in self._entries.items()
+            for entry_key, (_, _, stored_at, _) in self._entries.items()
             if self._is_expired(stored_at)
         ]
         for entry_key in dead:
-            _, dropped, _ = self._entries.pop(entry_key)
+            _, dropped, _, _ = self._entries.pop(entry_key)
             self._current_bytes -= dropped
             self._expired += 1
         return len(dead)
 
     # ------------------------------------------------------------------
-    def get(self, key: Tuple[Hashable, ...]) -> Optional[StageOneState]:
-        """Look up a stage-one state, updating recency and counters."""
+    def lookup(
+        self, key: Tuple[Hashable, ...], query: Optional[PPRQuery]
+    ) -> Tuple[Optional[StageOneState], Optional[PPRResult]]:
+        """One locked lookup of ``key``, counted and moved like :meth:`get`:
+        ``(state, attached answer)``.  The answer comes back only if it is
+        ``query``'s own — with an unbounded score table one key covers every
+        ``k`` — so never for ``None``."""
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._live_entry_locked(key)
             if entry is None:
                 self._misses += 1
-                return None
-            state, nbytes, stored_at = entry
-            if self._is_expired(stored_at):
-                del self._entries[key]
-                self._current_bytes -= nbytes
-                self._expired += 1
-                self._misses += 1
+                return None, None
+            self._entries.move_to_end(key)
+            self._hits += 1
+            answer = entry[3]
+            if answer is not None and answer.query != query:
+                answer = None
+            return entry[0], answer
+
+    def peek_answer(
+        self, key: Tuple[Hashable, ...], query: PPRQuery
+    ) -> Optional[PPRResult]:
+        """``query``'s attached answer, counted as a hit and moved to MRU —
+        or ``None`` with no counter and no recency touched, because the
+        caller then goes on to the counted :meth:`lookup`."""
+        with self._lock:
+            entry = self._live_entry_locked(key)
+            if entry is None or entry[3] is None or entry[3].query != query:
                 return None
             self._entries.move_to_end(key)
             self._hits += 1
-            return state
+            return entry[3]
+
+    def get(self, key: Tuple[Hashable, ...]) -> Optional[StageOneState]:
+        """Look up a stage-one state, updating recency and counters."""
+        return self.lookup(key, None)[0]
 
     def put(self, key: Tuple[Hashable, ...], state: StageOneState) -> bool:
         """Insert a stage-one state; returns whether it was retained."""
@@ -311,11 +376,38 @@ class ScoreTableCache:
             # ordinary expiry.
             self._sweep_expired_locked()
             while self._entries and self._current_bytes + nbytes > self._max_bytes:
-                _, (_, dropped, _) = self._entries.popitem(last=False)
+                _, (_, dropped, _, _) = self._entries.popitem(last=False)
                 self._current_bytes -= dropped
                 self._evictions += 1
-            self._entries[key] = (state, nbytes, self._clock())
+            self._entries[key] = (state, nbytes, self._clock(), None)
             self._current_bytes += nbytes
+            return True
+
+    def attach_answer(self, key: Tuple[Hashable, ...], answer: PPRResult) -> bool:
+        """Attach the finished answer of the query ``key`` is keyed by.
+
+        :meth:`lookup` then returns it next to the state.  It is charged to
+        the entry (:func:`_answer_nbytes`) and shares its LRU position, TTL,
+        :meth:`invalidate`, :meth:`clear` and :meth:`resize`; going over
+        budget evicts LRU entries as in :meth:`put`.  Returns ``False`` — the
+        state stays, the answer is not kept — when the entry is gone or would
+        alone exceed the budget.
+        """
+        with self._lock:
+            entry = self._live_entry_locked(key)
+            if entry is None:
+                return False
+            state, charged, stored_at, _ = entry
+            nbytes = _entry_nbytes(state) + _answer_nbytes(answer)
+            if nbytes > self._max_bytes:
+                return False
+            self._entries[key] = (state, nbytes, stored_at, answer)
+            self._entries.move_to_end(key)
+            self._current_bytes += nbytes - charged
+            while self._current_bytes > self._max_bytes:  # as in put()
+                _, (_, dropped, _, _) = self._entries.popitem(last=False)
+                self._current_bytes -= dropped
+                self._evictions += 1
             return True
 
     def resize(self, max_bytes: int) -> int:
@@ -335,7 +427,7 @@ class ScoreTableCache:
             self._sweep_expired_locked()
             evicted = 0
             while self._entries and self._current_bytes > self._max_bytes:
-                _, (_, dropped, _) = self._entries.popitem(last=False)
+                _, (_, dropped, _, _) = self._entries.popitem(last=False)
                 self._current_bytes -= dropped
                 self._evictions += 1
                 evicted += 1
@@ -366,16 +458,17 @@ class ScoreTableCache:
         other entry is **re-keyed** in place to ``new_fingerprint``
         (preserving LRU order and stored-at times): its stage-one ego ball
         contains no updated row on either topology, so the folded state is
-        byte-identical to what the new graph would compute.  Returns
+        byte-identical to what the new graph would compute.  A re-keyed
+        entry loses its attached answer (stage two may reach farther than
+        the stage-one radius this test covers), so an answer is only ever
+        served under the fingerprint it was computed on.  Returns
         ``(dropped, rekeyed)``; drops are explicit invalidations, not
         evictions.
         """
         dropped = 0
         rekeyed = 0
         with self._lock:
-            migrated: "OrderedDict[Tuple[Hashable, ...], Tuple[StageOneState, int, float]]" = (
-                OrderedDict()
-            )
+            migrated: "OrderedDict[Tuple[Hashable, ...], _Entry]" = OrderedDict()
             for key, value in self._entries.items():
                 if key[-1] == old_fingerprint:
                     seed = int(key[0])
@@ -386,6 +479,10 @@ class ScoreTableCache:
                         continue
                     key = key[:-1] + (new_fingerprint,)
                     rekeyed += 1
+                    if value[3] is not None:
+                        stripped = _entry_nbytes(value[0])
+                        self._current_bytes -= value[1] - stripped
+                        value = (value[0], stripped, value[2], None)
                 migrated[key] = value
             self._entries = migrated
         return dropped, rekeyed
@@ -413,8 +510,8 @@ class ScoreTableCache:
         """
         with self._lock:
             recomputed = 0
-            for state, nbytes, _ in self._entries.values():
-                actual = _entry_nbytes(state)
+            for state, nbytes, _, answer in self._entries.values():
+                actual = _entry_nbytes(state) + _answer_nbytes(answer)
                 if actual != nbytes:
                     raise AssertionError(
                         f"entry records {nbytes} bytes but holds {actual}"

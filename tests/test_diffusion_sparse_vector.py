@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.diffusion.sparse_vector import SparseScoreVector
+from repro.diffusion.sparse_vector import FrozenScoreVectorError, SparseScoreVector
 
 
 class TestConstruction:
@@ -124,3 +124,32 @@ class TestConversions:
 
     def test_repr_mentions_entries(self):
         assert "num_entries=1" in repr(SparseScoreVector({1: 0.5}))
+
+
+class TestFreeze:
+    def test_frozen_vector_refuses_every_in_place_update(self):
+        vector = SparseScoreVector({1: 0.5, 2: 0.25, 3: 0.0})
+        assert not vector.frozen
+        assert vector.freeze() is vector and vector.frozen
+        for update in (
+            lambda: vector.add(1, 0.1),
+            lambda: vector.add(9, 0.1),
+            lambda: vector.add_vector(SparseScoreVector({1: 1.0})),
+            lambda: vector.scale(2.0),
+            lambda: vector.prune(),
+        ):
+            with pytest.raises(FrozenScoreVectorError):
+                update()
+        assert dict(vector.items()) == {1: 0.5, 2: 0.25, 3: 0.0}
+        # Not only the methods: the arrays themselves are read-only.
+        with pytest.raises(ValueError):
+            vector._values[0] = 9.0
+        assert vector.freeze().frozen  # idempotent
+
+    def test_reads_and_copies_still_work(self):
+        vector = SparseScoreVector({1: 0.5, 2: 0.25}).freeze()
+        assert vector.get(2) == 0.25 and vector.top_k(1) == [(1, 0.5)]
+        clone = vector.copy()
+        assert not clone.frozen
+        clone.scale(2.0)
+        assert clone.get(1) == 1.0 and vector.get(1) == 0.5

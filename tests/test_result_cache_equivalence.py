@@ -132,8 +132,17 @@ class TestBackendRouterGrid:
             MeLoPPRSolver(graph), result_cache=ScoreTableCache()
         ) as engine:
             cold, warm = engine.solve_batch([hot, hot])
+            engine.result_cache.apply_update(
+                graph.fingerprint(), graph.fingerprint(), [99] * graph.num_nodes
+            )
+            (resumed,) = engine.solve_batch([hot])
         assert cold.metadata["serving"]["result_cache"] == "miss"
-        assert warm.metadata["serving"]["result_cache"] == "hit"
+        # The repeat replays the attached answer; once an update has stripped
+        # it, the surviving stage-one state resumes the plan instead.
+        assert warm.metadata["serving"]["result_cache"] == "answer"
+        assert resumed.metadata["serving"]["result_cache"] == "hit"
+        assert warm.scores is cold.scores
+        assert dict(resumed.scores.items()) == dict(cold.scores.items())
 
 
 class TestFrontendComposition:

@@ -15,6 +15,7 @@ import asyncio
 import io
 import json
 import logging
+import statistics
 import time
 
 import pytest
@@ -96,11 +97,11 @@ class TestEngineTracing:
             assert names[0] == "request"
             assert "engine.query" in names
             assert "engine.result_cache" in names
-            assert "engine.stage" in names
-            assert "extract" in names
+        assert "engine.stage" in span_names(first)
+        assert "extract" in span_names(first)
 
-        # The second identical query is a stage-one result-cache hit, and
-        # the span tree says so (the hit skips stage recomputation).
+        # The second identical query replays the finished answer, and the
+        # span tree says why it was fast: no stage ran, nothing was extracted.
         def cache_outcome(tree):
             span = next(
                 s for s in tree["spans"] if s["name"] == "engine.result_cache"
@@ -108,7 +109,9 @@ class TestEngineTracing:
             return span["attributes"]["outcome"]
 
         assert cache_outcome(first) == "miss"
-        assert cache_outcome(second) == "hit"
+        assert cache_outcome(second) == "answer"
+        assert "engine.stage" not in span_names(second)
+        assert "extract" not in span_names(second)
         # The first trace's first extraction is the seed's own BFS.
         extract = next(s for s in first["spans"] if s["name"] == "extract")
         assert extract["attributes"]["center"] == 3
@@ -482,30 +485,41 @@ class TestRequestLog:
 class TestDisabledOverhead:
     def test_no_tracer_and_rate_zero_paths_match(self, small_ba_graph, config):
         """The overhead guard, test-sized: with sampling off the serving
-        path must not slow down measurably.  Min-of-repeats throughput with
-        a rate-0 tracer attached stays within 10% of the no-tracer build
-        (the full-workload guard with a tighter budget runs in
-        ``benchmarks/bench_tracing.py``)."""
+        path must not slow down measurably.  Both engines compute every
+        query (no result cache), so each timed query crosses every disabled
+        hook, and a query on the engine with a rate-0 tracer attached stays
+        within 10% of the no-tracer build (the full-workload guard with a
+        tighter budget runs in ``benchmarks/bench_tracing.py``).  Like that
+        guard this is the median over rounds of the paired ratio — one query
+        through both engines back to back, order flipped every round:
+        min-of-repeats of whole passes, measured one engine after the other,
+        moved by more than the budget whenever the box changed speed between
+        the two."""
         queries = [PPRQuery(seed=s % 60, k=20) for s in range(24)]
 
-        def best_seconds(tracer):
-            engine = QueryEngine(
+        def seconds(engine, query):
+            start = time.perf_counter()
+            engine.solve_batch([query])
+            return time.perf_counter() - start
+
+        def engine_with(tracer):
+            return QueryEngine(
                 MeLoPPRSolver(small_ba_graph, config),
                 cache=SubgraphCache(),
                 tracer=tracer,
             )
-            with engine:
-                engine.solve_batch(queries)  # warm caches + code paths
-                best = float("inf")
-                for _ in range(5):
-                    start = time.perf_counter()
-                    engine.solve_batch(queries)
-                    best = min(best, time.perf_counter() - start)
-            return best
 
-        baseline = best_seconds(None)
-        disabled = best_seconds(Tracer(sample_rate=0.0))
-        assert disabled <= baseline * 1.10, (
-            f"rate-0 tracer cost {disabled / baseline - 1:.1%} "
-            f"({disabled * 1e3:.2f}ms vs {baseline * 1e3:.2f}ms)"
-        )
+        ratios = []
+        with engine_with(None) as baseline:
+            with engine_with(Tracer(sample_rate=0.0)) as disabled:
+                for engine in (baseline, disabled):
+                    engine.solve_batch(queries)  # warm caches + code paths
+                for index in range(10 * len(queries)):
+                    query = queries[index % len(queries)]
+                    if index % 2:
+                        off, on = seconds(baseline, query), seconds(disabled, query)
+                    else:
+                        on, off = seconds(disabled, query), seconds(baseline, query)
+                    ratios.append(on / off)
+        overhead = statistics.median(ratios) - 1.0
+        assert overhead <= 0.10, f"rate-0 tracer cost {overhead:.1%} a query"
