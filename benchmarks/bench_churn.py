@@ -5,8 +5,9 @@ micro-batches with random edge insert/delete batches between them) through
 two identically configured engines that differ only in invalidation policy:
 
 * ``churn:surgical`` — :meth:`~repro.serving.engine.QueryEngine.apply_update`
-  alone: the conservative hop-distance bound drops only the cache entries
-  the update can reach, rekeys the survivors to the new fingerprint;
+  alone: the update's reach bound drops only the cache entries the update
+  changes, rekeys the survivors to the new fingerprint and keeps the
+  finished answers it provably cannot touch;
 * ``churn:clear`` — the same ``apply_update`` followed by clearing both
   cache tiers, i.e. the classic "topology changed, throw everything away"
   baseline (the fingerprint-keyed caches would behave exactly like this on

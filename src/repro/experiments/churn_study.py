@@ -201,6 +201,8 @@ class ChurnRun:
     subgraph_entries_dropped: int
     result_entries_dropped: int
     result_entries_rekeyed: int
+    result_answers_kept: int
+    result_answers_stripped: int
     identical: bool
 
     def as_dict(self) -> Dict[str, object]:
@@ -219,6 +221,8 @@ class ChurnRun:
             "subgraph_entries_dropped": self.subgraph_entries_dropped,
             "result_entries_dropped": self.result_entries_dropped,
             "result_entries_rekeyed": self.result_entries_rekeyed,
+            "result_answers_kept": self.result_answers_kept,
+            "result_answers_stripped": self.result_answers_stripped,
             "identical": self.identical,
         }
 
@@ -337,6 +341,8 @@ def run_churn_study(
                     "subgraph_entries_dropped": 0,
                     "result_entries_dropped": 0,
                     "result_entries_rekeyed": 0,
+                    "result_answers_kept": 0,
+                    "result_answers_stripped": 0,
                 }
                 with _make_engine(mode, graph, config, budget) as engine:
                     for step in script:
@@ -408,6 +414,8 @@ def format_churn(study: ChurnStudy) -> str:
         "SG dropped",
         "RC dropped",
         "RC rekeyed",
+        "Answers kept",
+        "Answers stripped",
         "Identical",
     ]
     rows = []
@@ -426,6 +434,8 @@ def format_churn(study: ChurnStudy) -> str:
                 run.subgraph_entries_dropped,
                 run.result_entries_dropped,
                 run.result_entries_rekeyed,
+                run.result_answers_kept,
+                run.result_answers_stripped,
                 "yes" if run.identical else "NO",
             ]
         )

@@ -33,6 +33,7 @@ from repro.graph.delta import (
     min_hop_distances,
     normalize_edge_ops,
     update_distance_bound,
+    update_reach_bound,
 )
 from repro.graph.io import read_edge_list, read_snap_graph, write_edge_list
 from repro.graph.partition import (
@@ -76,6 +77,7 @@ __all__ = [
     "min_hop_distances",
     "normalize_edge_ops",
     "update_distance_bound",
+    "update_reach_bound",
     "read_edge_list",
     "read_snap_graph",
     "write_edge_list",

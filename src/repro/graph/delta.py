@@ -19,15 +19,12 @@ layer (see :meth:`repro.serving.engine.QueryEngine.apply_update`):
   of ``v``'s block; the global :meth:`DeltaGraph.fingerprint` is derived from
   the region digests, so change detection after an update pays for the
   touched regions only.
-* **Conservative reach bounds** — :func:`min_hop_distances` runs a
-  multi-source BFS from the update's touched endpoints, and
-  :func:`update_distance_bound` takes the element-wise minimum over the old
-  *and* new topology (a deletion shrinks reach on the new graph but not the
-  old one; an insertion the reverse).  A cached artefact derived from the
-  depth-``d`` ego ball of ``center`` is provably unaffected by the update
-  whenever ``bound[center] > d``: no touched endpoint lies inside the ball
-  on either topology, so the extraction — and everything computed from it —
-  is byte-for-byte identical on the new graph.
+* **Reach bounds** — :func:`update_reach_bound` owns the exact survival rule
+  of anything derived from one ego ball: the depth-``d`` extraction centred
+  on ``c`` is byte-identical on both topologies exactly when ``reach[c] >
+  d``.  :func:`update_distance_bound` is the plain node bound (nearest
+  touched endpoint, minimised over the old *and* new topology) that a
+  many-centred ball — a shard's halo — is tested with.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from repro.graph.bfs import expand_frontier
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, gather_rows
 from repro.utils.validation import check_node_id
 
 __all__ = [
@@ -48,6 +45,7 @@ __all__ = [
     "normalize_edge_ops",
     "min_hop_distances",
     "update_distance_bound",
+    "update_reach_bound",
 ]
 
 #: Default node-id block size of the incremental region fingerprints.
@@ -452,20 +450,95 @@ def update_distance_bound(
     touched: Union[np.ndarray, Sequence[int]],
     radius: int,
 ) -> np.ndarray:
-    """Conservative per-node distance to an update's touched endpoints.
+    """The node bound: per-node distance to an update's touched endpoints.
 
     The element-wise minimum of :func:`min_hop_distances` over the **old and
-    new** topology: a deleted edge keeps nodes close on the old graph, an
-    inserted one on the new, and a cached depth-``d`` artefact centred on
-    ``c`` is invalidated exactly when ``bound[c] <= d``.  Why that bound is
-    safe: a depth-``d`` extraction from ``c`` reads only the adjacency rows
-    of nodes strictly inside the ball plus the edges among ball members, and
-    an update only changes the rows of its touched endpoints — so if no
-    touched endpoint lies within ``d`` hops of ``c`` on either topology, the
-    extraction (hence any diffusion, fold or selection computed from it) is
-    byte-identical before and after the update.
+    new** topology.  ``bound[c] > d`` proves no touched endpoint lies within
+    ``d`` hops of ``c`` on either — the test a many-centred ball needs
+    (:func:`repro.graph.partition.patch_partition`: a shard's halo).  For one
+    ego ball it is a hop too wide; see :func:`update_reach_bound`, the bound
+    the caches use.
     """
     return np.minimum(
         min_hop_distances(old_graph, touched, radius),
         min_hop_distances(new_graph, touched, radius),
     )
+
+
+#: Ops per labelled pass of :func:`update_reach_bound`: two endpoint bits
+#: each in one ``uint64`` label.
+_OPS_PER_PASS = 32
+
+
+def update_reach_bound(
+    graph: CSRGraph, ops: Sequence[EdgeOp], radius: int
+) -> np.ndarray:
+    """The exact survival bound of ego-centred artefacts across an update.
+
+    ``reach[c] = min(D[c] + 1, P[c])``: ``D[c]`` is the hop distance from
+    ``c`` to the nearest endpoint of ``ops`` and ``P[c]`` the smallest
+    ``max(d(c, u), d(c, v))`` over the ops ``(u, v)``.  A depth-``d``
+    extraction centred on ``c`` is byte-identical before and after the update
+    — members, visit order, induced rows, ``edges_scanned`` — exactly when
+    ``reach[c] > d``: no endpoint strictly inside the ball, no op with both
+    ends in it.  Values above ``radius`` only mean "farther".
+
+    Why.  The BFS reads the rows of the nodes strictly inside the ball and an
+    update changes only its endpoints' rows, so with ``D[c] >= d`` every
+    level, hence the ball, is the same on both topologies.  An endpoint *on*
+    the boundary is free: its row is only filtered down to the ball's
+    members, so it matters only if the op's other end is one — ``P[c] <= d``.
+    Conversely an endpoint strictly inside pulls the other end into the ball
+    on the topology that has the edge, so a failed clause does change the
+    induced edges (an insert and a delete of one edge in one batch cancel;
+    the bound still drops, which is safe).
+
+    ``graph`` may be the old or the new topology — both give the same array:
+    a shortest path from ``c`` to a nearest endpoint has no endpoint inside
+    it, so it exists on both, and ``D`` and the *set* of nearest endpoints
+    agree.  ``P[c] >= D[c]``, with equality exactly when both ends of some op
+    are in that set, so the pair term falls out of one multi-source expansion
+    in which every node carries the bit-set of its nearest endpoints — work
+    proportional to the endpoints' ``radius``-balls, not to ``ops x nodes``.
+    """
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+    indptr, indices = graph.indptr, graph.indices
+    reach = np.full(graph.num_nodes, radius + 2, dtype=np.int64)
+    for begin in range(0, len(ops), _OPS_PER_PASS):
+        # reach is a minimum over ops, so passes over slices of them compose.
+        pairs = np.array(
+            [(u, v) for _, u, v in ops[begin : begin + _OPS_PER_PASS]],
+            dtype=np.int64,
+        )
+        sources = np.unique(pairs)
+        bits = np.uint64(1) << np.arange(sources.size, dtype=np.uint64)
+        both = np.bitwise_or.reduce(bits[np.searchsorted(sources, pairs)], axis=1)
+        distances = np.full(graph.num_nodes, radius + 1, dtype=np.int64)
+        nearest = np.zeros(graph.num_nodes, dtype=np.uint64)
+        distances[sources] = 0
+        nearest[sources] = bits
+        rings = [sources]
+        for level in range(1, radius + 1):
+            neighbors, counts = gather_rows(indptr, indices, rings[-1])
+            carried = np.repeat(nearest[rings[-1]], counts)
+            unseen = distances[neighbors] > radius
+            targets = neighbors[unseen]
+            if targets.size == 0:
+                break
+            order = np.argsort(targets)
+            targets = targets[order]
+            is_first = np.ones(targets.size, dtype=bool)
+            np.not_equal(targets[1:], targets[:-1], out=is_first[1:])
+            (starts,) = np.nonzero(is_first)
+            ring = targets[starts]
+            # A node's nearest endpoints: the union over its parents' sets.
+            nearest[ring] = np.bitwise_or.reduceat(carried[unseen][order], starts)
+            distances[ring] = level
+            rings.append(ring)
+        reached = np.concatenate(rings)
+        tied = ((nearest[reached][:, None] & both) == both).any(axis=1)
+        distances += 1
+        distances[reached[tied]] -= 1
+        np.minimum(reach, distances, out=reach)
+    return reach

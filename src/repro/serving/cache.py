@@ -255,16 +255,17 @@ class SubgraphCache:
             return max((key[1] for key in self._entries), default=0)
 
     def invalidate_covering(self, distances) -> int:
-        """Drop every entry whose ego ball can contain an updated node.
+        """Drop every entry whose ego ball an edge update changes.
 
-        ``distances[node]`` is a conservative hop distance to the nearest
-        endpoint an edge update touched (see
-        :func:`repro.graph.delta.update_distance_bound`); an entry keyed
-        ``(center, depth)`` is dropped exactly when
-        ``distances[center] <= depth`` — every survivor's extraction is
-        provably byte-identical on the updated topology.  Returns the number
-        of entries dropped; like explicit invalidation elsewhere, these are
-        not counted as evictions (the budget did not force them).
+        ``distances`` is the update's reach bound
+        (:func:`repro.graph.delta.update_reach_bound`): an entry keyed
+        ``(center, depth)`` is dropped exactly when ``distances[center] <=
+        depth`` — a touched endpoint strictly inside the ball, or an op with
+        both endpoints in it.  Every survivor's extraction is provably
+        byte-identical on the updated topology, and (cancelling ops aside)
+        every dropped one's is not.  Returns the number of entries dropped;
+        like explicit invalidation elsewhere, these are not counted as
+        evictions (the budget did not force them).
         """
         with self._lock:
             dead = [

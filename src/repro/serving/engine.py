@@ -44,12 +44,17 @@ from repro.graph.delta import (
     EdgeOp,
     normalize_edge_ops,
     update_distance_bound,
+    update_reach_bound,
 )
 from repro.meloppr.planner import MeLoPPRPlan, default_extract, execute_plan
 from repro.ppr.base import PPRQuery, PPRResult, PPRSolver
 from repro.serving.backends import ExecutionBackend, SerialBackend
 from repro.serving.cache import CacheStats, SubgraphCache
-from repro.serving.result_cache import ScoreTableCache, stage_one_key
+from repro.serving.result_cache import (
+    UPDATE_COUNT_KEYS,
+    ScoreTableCache,
+    stage_one_key,
+)
 from repro.serving.sharding import RouterStats, ShardRouter
 from repro.serving.telemetry import LatencyHistogram, LatencySnapshot
 from repro.serving.tracing import TraceContext, Tracer, TracingStats
@@ -452,13 +457,15 @@ class QueryEngine:
         touches no counter, and the caller goes through :meth:`solve_batch`.
 
         It takes no part in the update barrier and needs none.  Until
-        :meth:`apply_update` strips the answers (under the writer barrier,
-        before the new graph is published) this returns the answer of the
-        still-published graph, which is what a batch finishing at that
-        moment returns too.  From the strip on there is nothing to return
-        under either fingerprint — the old key was dropped or re-keyed, the
-        re-keyed entry has no answer — until a batch computes on the new
-        graph, and batches attach inside the barrier, so never in between.
+        :meth:`apply_update` migrates the result cache (under the writer
+        barrier, before the new graph is published) this returns the answer
+        of the still-published graph, which is what a batch finishing at that
+        moment returns too.  From the migration until the publication the key
+        built here still carries the old fingerprint and finds nothing — every
+        old entry was dropped or re-keyed.  After it, a re-keyed entry serves
+        an answer only if the update provably could not change it (it is the
+        answer on both graphs); anything else waits for a batch to compute on
+        the new graph, and batches attach inside the barrier.
         """
         start = time.perf_counter()
         if not hasattr(self._solver, "plan"):
@@ -489,12 +496,12 @@ class QueryEngine:
         canonical CSR — bit-identical to rebuilding from scratch, so every
         fingerprint-keyed artefact behaves exactly as if the graph had been
         reloaded.  Instead of clearing the caches, the engine then
-        invalidates *surgically*: a conservative hop-distance bound from the
-        touched endpoints (minimised over the old and new topology) proves
-        which cached ego sub-graphs, stage-one score tables and shards the
-        update can possibly reach, and only those are dropped or rebuilt —
-        everything else survives, with result-cache keys rewritten to the
-        new fingerprint.
+        invalidates *surgically*: the update's reach bound
+        (:func:`repro.graph.delta.update_reach_bound`) says exactly which
+        cached ego sub-graphs, stage-one score tables and finished answers
+        the update changes — and its node bound which shards — and only
+        those are dropped or rebuilt.  Everything else survives, answers
+        included, with result-cache keys rewritten to the new fingerprint.
 
         Runs under the engine's writer barrier: in-flight batches finish on
         the old graph, new batches wait for the swap (writer-preferred, so a
@@ -530,37 +537,40 @@ class QueryEngine:
         new_graph = delta.compact()
         new_fingerprint = new_graph.fingerprint()
         touched = delta.touched_nodes()
-        # Distances only need resolving out to the deepest cached artefact
+        # The bounds only need resolving out to the deepest cached artefact
         # (and the halo test, when sharded); beyond that every entry
         # trivially survives.
         radius = 0
         if self._cache is not None:
             radius = max(radius, self._cache.max_depth())
         if self._result_cache is not None:
-            radius = max(radius, self._result_cache.max_stage_one_length())
+            radius = max(radius, self._result_cache.max_stage_length())
         if self._router is not None:
             radius = max(radius, self._router.update_radius())
-        distances = update_distance_bound(old_graph, new_graph, touched, radius)
+        reach = update_reach_bound(new_graph, canonical, radius)
         invalidated = {
             "shards_rebuilt": 0,
             "subgraph_entries_dropped": 0,
             "result_entries_dropped": 0,
             "result_entries_rekeyed": 0,
+            "result_answers_kept": 0,
+            "result_answers_stripped": 0,
         }
         if self._cache is not None:
             invalidated["subgraph_entries_dropped"] += (
-                self._cache.invalidate_covering(distances)
+                self._cache.invalidate_covering(reach)
             )
             self._cache.rebind(new_graph)
         if self._result_cache is not None:
-            dropped, rekeyed = self._result_cache.apply_update(
-                old_fingerprint, new_fingerprint, distances
+            counts = self._result_cache.apply_update(
+                old_fingerprint, new_fingerprint, reach
             )
-            invalidated["result_entries_dropped"] += dropped
-            invalidated["result_entries_rekeyed"] += rekeyed
+            invalidated.update(zip(UPDATE_COUNT_KEYS, counts))
         if self._router is not None:
+            # A shard is a many-centred ball: it is patched on the node bound.
+            distances = update_distance_bound(old_graph, new_graph, touched, radius)
             router_outcome = self._router.apply_update(
-                new_graph, old_fingerprint, new_fingerprint, distances
+                new_graph, old_fingerprint, new_fingerprint, distances, reach
             )
             for key, value in router_outcome.items():
                 invalidated[key] += value

@@ -31,10 +31,11 @@ asks ``engine.try_cached`` first, on the event loop, and a hit returns from
 there — no queue slot (it is admitted and completed in one step, so never
 pending and never shed), no batch, no executor hop; ``fast_path_hits`` counts
 them.  The call is one key build and one locked dict lookup, so the loop stays
-responsive, and it needs no place in the engine's update barrier: an update
-strips every cached answer before it publishes the new graph and batches
-attach answers only inside the barrier, so the fast path can only ever return
-what a batch finishing at that moment would
+responsive, and it needs no place in the engine's update barrier: before an
+update publishes the new graph it drops, strips or re-keys every cached
+answer, keeping one only when the update provably cannot change it, and
+batches attach answers only inside the barrier — so the fast path can only
+ever return what a batch finishing at that moment would
 (:meth:`~repro.serving.engine.QueryEngine.try_cached` spells it out).
 
 Scores are bit-identical to ``engine.solve_batch`` on a serial backend:

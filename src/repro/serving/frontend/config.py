@@ -339,6 +339,7 @@ def build_frontend(config: ServingConfig) -> Tuple[object, object, object]:
     # importable without pulling the dataset/solver layers in.
     from repro.graph.datasets import load_dataset
     from repro.graph.partition import partition_graph
+    from repro.meloppr.config import MeLoPPRConfig
     from repro.meloppr.solver import MeLoPPRSolver
     from repro.serving.backends import ProcessPoolBackend, make_backend
     from repro.serving.cache import DEFAULT_CACHE_BYTES, SubgraphCache
@@ -428,8 +429,10 @@ def build_frontend(config: ServingConfig) -> Tuple[object, object, object]:
             slow_threshold_ms=config.slow_ms,
             slow_log_path=config.slow_log,
         )
+    # No wire field carries a measured peak, and tracemalloc would dominate
+    # every computing query: servers report the modelled working set.
     engine = QueryEngine(
-        MeLoPPRSolver(graph),
+        MeLoPPRSolver(graph, MeLoPPRConfig(track_memory=False)),
         backend=backend,
         cache=cache,
         router=router,

@@ -26,11 +26,13 @@ a fresh ``metadata["serving"]`` — instead of resuming stage two, by the engine
 and by its non-blocking :meth:`~repro.serving.engine.QueryEngine.try_cached`.
 The answer is charged to the entry's bytes at a modelled, never-changing size
 and lives and dies with the entry (LRU, TTL, invalidate, clear, resize).  A
-topology update is the one thing that separates them:
-:meth:`ScoreTableCache.apply_update` keeps a far-enough entry's *state* under
-the new fingerprint but **strips its answer**, because stage two reaches past
-the stage-one radius the survival test covers — so an answer is only ever
-served under the fingerprint it was computed on.
+topology update can separate them: :meth:`ScoreTableCache.apply_update` keeps
+a far-enough entry's *state* under the new fingerprint, and its answer too
+exactly when every sub-graph the answer was computed from — stage one's and
+each later task's, all in ``metadata["tasks"]`` — is provably byte-identical
+on the new topology; otherwise the answer is stripped and the next repeat
+resumes from the state.  A served answer is thus always the answer of the
+fingerprint it is keyed under, computed there or carried across.
 
 The cache is byte-budgeted with LRU eviction (like the sub-graph caches),
 optionally TTL-bounded (long-running servers can bound staleness of *any*
@@ -65,6 +67,7 @@ from repro.serving.cache import CacheStats
 
 __all__ = [
     "DEFAULT_RESULT_CACHE_BYTES",
+    "UPDATE_COUNT_KEYS",
     "ScoreTableCache",
     "stage_one_cache_key",
     "stage_one_key",
@@ -72,6 +75,15 @@ __all__ = [
 
 #: One retained entry: ``(state, charged bytes, stored-at, attached answer)``.
 _Entry = Tuple[StageOneState, int, float, Optional[PPRResult]]
+
+#: What :meth:`ScoreTableCache.apply_update`'s counts are called, in order, in
+#: the ``invalidated`` block of an update's outcome report.
+UPDATE_COUNT_KEYS = (
+    "result_entries_dropped",
+    "result_entries_rekeyed",
+    "result_answers_kept",
+    "result_answers_stripped",
+)
 
 #: Default byte budget — score tables are far smaller than sub-graphs, so a
 #: modest budget holds thousands of hot seeds.
@@ -433,59 +445,73 @@ class ScoreTableCache:
                 evicted += 1
             return evicted
 
-    def max_stage_one_length(self) -> int:
-        """Largest stage-one length among retained entries (0 when empty).
+    def max_stage_length(self) -> int:
+        """Largest stage length an update must resolve reach to (0 when empty).
 
         Keys are :func:`stage_one_cache_key` tuples, whose second element is
-        the realised stage split — its first stage is the radius of the ego
-        ball the cached state was folded from.  The engine's live-update
-        path uses this to size its BFS reach bound.
+        the realised stage split.  A bare state is folded from the stage-one
+        ego ball alone; an entry that carries an answer also ran the later
+        stages, and :meth:`apply_update` tests every one of them — so the
+        engine's live-update path sizes its reach bound from this.
         """
         with self._lock:
-            return max((int(key[1][0]) for key in self._entries), default=0)
+            # Distinct (split, bare?) pairs first: there are only a few.
+            shapes = {
+                (key[1], entry[3] is None) for key, entry in self._entries.items()
+            }
+        return max(
+            (split[0] if bare else max(split) for split, bare in shapes), default=0
+        )
 
     def apply_update(
         self, old_fingerprint: str, new_fingerprint: str, distances
-    ) -> Tuple[int, int]:
+    ) -> Tuple[int, int, int, int]:
         """Surgically migrate the cache across a topology update.
 
-        ``distances[node]`` is a conservative hop distance to the nearest
-        endpoint the update touched (see
-        :func:`repro.graph.delta.update_distance_bound`).  Every entry keyed
-        to ``old_fingerprint`` whose seed lies within its stage-one radius
-        of a touched endpoint (``distances[seed] <= stage_one_length``) is
-        dropped — its folded state could differ on the new topology.  Every
-        other entry is **re-keyed** in place to ``new_fingerprint``
-        (preserving LRU order and stored-at times): its stage-one ego ball
-        contains no updated row on either topology, so the folded state is
-        byte-identical to what the new graph would compute.  A re-keyed
-        entry loses its attached answer (stage two may reach farther than
-        the stage-one radius this test covers), so an answer is only ever
-        served under the fingerprint it was computed on.  Returns
-        ``(dropped, rekeyed)``; drops are explicit invalidations, not
-        evictions.
+        ``distances`` is the update's reach bound
+        (:func:`repro.graph.delta.update_reach_bound`): the depth-``l`` ego
+        ball of ``node`` is byte-identical on both topologies exactly when
+        ``distances[node] > l``.  Every entry keyed to ``old_fingerprint``
+        whose stage-one ball fails that test is dropped — its folded state
+        could differ on the new topology.  Every other entry is **re-keyed**
+        in place to ``new_fingerprint`` (preserving LRU order and stored-at
+        times), and keeps its attached answer when every task the answer ran
+        (``answer.metadata["tasks"]``: stage one and each selected next-stage
+        centre, at its stage's length) passes the same test: the answer is a
+        pure function of those extractions, so it *is* the new graph's,
+        metadata included.  Otherwise the answer is stripped and the state
+        alone survives.  Returns ``(dropped, rekeyed, answers kept, answers
+        stripped)``; drops are explicit invalidations, not evictions.
         """
-        dropped = 0
-        rekeyed = 0
+        dropped = rekeyed = kept = stripped = 0
         with self._lock:
             migrated: "OrderedDict[Tuple[Hashable, ...], _Entry]" = OrderedDict()
             for key, value in self._entries.items():
                 if key[-1] == old_fingerprint:
-                    seed = int(key[0])
-                    stage_one_length = int(key[1][0])
-                    if int(distances[seed]) <= stage_one_length:
+                    stage_lengths = key[1]
+                    if distances[key[0]] <= stage_lengths[0]:
                         self._current_bytes -= value[1]
                         dropped += 1
                         continue
                     key = key[:-1] + (new_fingerprint,)
                     rekeyed += 1
-                    if value[3] is not None:
-                        stripped = _entry_nbytes(value[0])
-                        self._current_bytes -= value[1] - stripped
-                        value = (value[0], stripped, value[2], None)
+                    answer = value[3]
+                    if answer is not None:
+                        for record in answer.metadata["tasks"]:
+                            if (
+                                distances[record.center_node]
+                                <= stage_lengths[record.stage_index]
+                            ):
+                                stripped += 1
+                                bare = _entry_nbytes(value[0])
+                                self._current_bytes -= value[1] - bare
+                                value = (value[0], bare, value[2], None)
+                                break
+                        else:
+                            kept += 1
                 migrated[key] = value
             self._entries = migrated
-        return dropped, rekeyed
+        return dropped, rekeyed, kept, stripped
 
     def invalidate(self, key: Tuple[Hashable, ...]) -> bool:
         """Explicitly drop one entry; returns whether it was present.

@@ -31,7 +31,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.partition import GraphPartition, patch_partition
 from repro.graph.subgraph import Subgraph
 from repro.serving.cache import DEFAULT_CACHE_BYTES, CacheStats, SubgraphCache
-from repro.serving.result_cache import ScoreTableCache
+from repro.serving.result_cache import UPDATE_COUNT_KEYS, ScoreTableCache
 from repro.utils.validation import check_node_id
 
 __all__ = [
@@ -445,12 +445,12 @@ class ShardRouter:
 
     # ------------------------------------------------------------------
     def update_radius(self) -> int:
-        """Largest hop radius a surgical update must resolve distances to.
+        """Largest hop radius a surgical update must resolve its bounds to.
 
         The maximum over the halo depth (the affected-shard test), every
-        cached extraction depth, and every cached stage-one length — any
-        distance beyond this radius can be capped without changing an
-        invalidation or shard-rebuild decision.
+        cached extraction depth, and every stage length a cached state or
+        answer ran — anything beyond this radius can be capped without
+        changing an invalidation or shard-rebuild decision.
         """
         radius = self._partition.halo_depth
         for cache in self._caches:
@@ -460,7 +460,7 @@ class ShardRouter:
             radius = max(radius, self._fallback_cache.max_depth())
         for result_cache in self._result_caches:
             if result_cache is not None:
-                radius = max(radius, result_cache.max_stage_one_length())
+                radius = max(radius, result_cache.max_stage_length())
         return radius
 
     def apply_update(
@@ -469,19 +469,21 @@ class ShardRouter:
         old_fingerprint: str,
         new_fingerprint: str,
         distances: np.ndarray,
+        reach: np.ndarray,
     ) -> Dict[str, int]:
         """Surgically patch the router after an edge update on the host.
 
-        ``distances`` is the dual-topology bound from
-        :func:`repro.graph.delta.update_distance_bound`, resolved out to at
-        least :meth:`update_radius`.  Only shards with an owned node within
-        ``halo_depth`` of a touched endpoint are re-extracted
-        (:func:`repro.graph.partition.patch_partition`); cache entries
-        survive unless the update can reach them — an ego ball whose centre
-        is farther than its depth from every touched endpoint, or a stage-one
-        table whose seed is farther than its stage-one length, is bit-for-bit
-        what the new graph would produce, so survivors stay (result-cache
-        keys are rewritten to the new fingerprint).
+        ``distances`` is the node bound
+        (:func:`repro.graph.delta.update_distance_bound`) and ``reach`` the
+        ego-ball bound (:func:`repro.graph.delta.update_reach_bound`), both
+        resolved out to at least :meth:`update_radius`.  Shards — many-centred
+        balls — are patched on the first: only those with an owned node
+        within ``halo_depth`` of a touched endpoint are re-extracted
+        (:func:`repro.graph.partition.patch_partition`).  The caches go by
+        the second: an ego ball with ``reach[centre] > depth``, a stage-one
+        table whose seed passes at its stage-one length and an answer whose
+        every task passes are bit-for-bit what the new graph would produce,
+        so they stay (result-cache keys are rewritten to the new fingerprint).
 
         Not internally synchronised against in-flight extractions: the
         caller (:meth:`repro.serving.engine.QueryEngine.apply_update`) holds
@@ -489,29 +491,26 @@ class ShardRouter:
         Returns invalidation counters for the update outcome report.
         """
         patched, rebuilt = patch_partition(self._partition, new_graph, distances)
-        subgraph_dropped = 0
-        for cache in self._caches:
+        outcome = {
+            "shards_rebuilt": len(rebuilt),
+            "subgraph_entries_dropped": 0,
+            **dict.fromkeys(UPDATE_COUNT_KEYS, 0),
+        }
+        for cache in self._caches + (self._fallback_cache,):
             if cache is not None:
-                subgraph_dropped += cache.invalidate_covering(distances)
+                outcome["subgraph_entries_dropped"] += cache.invalidate_covering(reach)
         if self._fallback_cache is not None:
-            subgraph_dropped += self._fallback_cache.invalidate_covering(distances)
             self._fallback_cache.rebind(new_graph)
-        result_dropped = result_rekeyed = 0
         for result_cache in self._result_caches:
             if result_cache is not None:
-                dropped, rekeyed = result_cache.apply_update(
-                    old_fingerprint, new_fingerprint, distances
+                counts = result_cache.apply_update(
+                    old_fingerprint, new_fingerprint, reach
                 )
-                result_dropped += dropped
-                result_rekeyed += rekeyed
+                for key, count in zip(UPDATE_COUNT_KEYS, counts):
+                    outcome[key] += count
         self._partition = patched
         self._halo_overhead_bytes = patched.halo_overhead_bytes()
-        return {
-            "shards_rebuilt": len(rebuilt),
-            "subgraph_entries_dropped": subgraph_dropped,
-            "result_entries_dropped": result_dropped,
-            "result_entries_rekeyed": result_rekeyed,
-        }
+        return outcome
 
     def validate(self) -> None:
         """Check every cache's internal invariants (testing aid)."""

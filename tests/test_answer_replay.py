@@ -7,7 +7,8 @@ recomputed — by the engine (``solve_batch``), by the non-blocking
 on the wire, where the ``"top"`` text is encoded once.  These tests pin what
 must not change (every answer bit-identical to a fresh solver, response
 bytes identical to ``json.dumps`` of the response dict, byte accounting) and
-what an update must do (strip every answer it does not drop).
+what an update must do (keep an answer only when every sub-graph it ran on is
+out of the update's reach, strip it otherwise).
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ def path():
 
 
 #: On ``path`` with chords hung on node 14: seed 10 is four hops away (entry
-#: re-keyed, answer changes), seed 15 one hop (entry dropped), seed 50 far.
+#: re-keyed, answer changes: stripped), seed 15 one hop (entry dropped), seed
+#: 50 far (answer kept).
 PATH_QUERIES = [PPRQuery(seed=10, k=12), PPRQuery(seed=15, k=9), PPRQuery(seed=50, k=12)]
 
 
@@ -154,7 +156,8 @@ class TestDifferential:
     ):
         ops = [("insert", 14, 30), ("delete", 40, 41)]
         before, after = MeLoPPRSolver(path, WIDE), MeLoPPRSolver(rebuilt(path, ops), WIDE)
-        # The case a kept answer would get wrong: re-keyed, yet different.
+        # The case keeping an answer on the stage-one test alone would get
+        # wrong: re-keyed, yet different.
         assert before.solve(PATH_QUERIES[0]).top_k() != after.solve(PATH_QUERIES[0]).top_k()
         with make_engine(path, mode, WIDE) as engine:
             engine.solve_batch(PATH_QUERIES)
@@ -162,12 +165,17 @@ class TestDifferential:
             assert outcome["new_fingerprint"] == after.graph.fingerprint()
             assert outcome["invalidated"]["result_entries_dropped"] == 1
             assert outcome["invalidated"]["result_entries_rekeyed"] == 2
-            # Nothing is served from before the update, near or far from it.
-            assert [engine.try_cached(query) for query in PATH_QUERIES] == [None] * 3
+            assert outcome["invalidated"]["result_answers_kept"] == 1
+            assert outcome["invalidated"]["result_answers_stripped"] == 1
+            # Only the far seed's answer outlives the update: every sub-graph
+            # it was computed from is out of the update's reach.
+            cached = [engine.try_cached(query) for query in PATH_QUERIES]
+            assert cached[:2] == [None, None]
             first = engine.solve_batch(PATH_QUERIES)
             replayed = engine.solve_batch(PATH_QUERIES)
         outcomes = [r.metadata["serving"]["result_cache"] for r in first]
-        assert outcomes == ["hit", "miss", "hit"]
+        assert outcomes == ["hit", "miss", "answer"]
+        assert_same_answer(cached[2], after.solve(PATH_QUERIES[2]))
         for query, computed, replay in zip(PATH_QUERIES, first, replayed):
             assert replay.metadata["serving"]["result_cache"] == "answer"
             reference = after.solve(query)
@@ -317,23 +325,36 @@ class TestCacheAccounting:
         assert cache.stats.current_bytes == 0
         assert cache.lookup(keys[0], results[0].query) == (None, None)
 
-    def test_apply_update_strips_every_answer_it_rekeys(self, graph):
+    def test_apply_update_keeps_answers_out_of_reach(self, graph):
         cache, keys, results = self.solved(graph)
         bare = ScoreTableCache()
         for key in keys:
             bare.put(key, cache.get(key))
+
+        def centres(result):
+            return {record.center_node for record in result.metadata["tasks"]}
+
         distances = np.full(graph.num_nodes, 99)
         distances[1] = 0  # seed 1 is touched: its entry is dropped
+        # One stage-two centre of seed 2's answer is reached at exactly its
+        # stage length (stripped, the state stays); one of seed 3's lies one
+        # hop past it (kept whole).
+        distances[max(centres(results[1]) - centres(results[2]) - {2})] = 3
+        distances[max(centres(results[2]) - centres(results[1]) - {3})] = 4
         old = graph.fingerprint()
-        assert cache.apply_update(old, "new", distances) == (1, 2)
-        assert bare.apply_update(old, "new", distances) == (1, 2)
+        assert cache.apply_update(old, "new", distances) == (1, 2, 1, 1)
+        assert bare.apply_update(old, "new", distances) == (1, 2, 0, 0)
         cache.validate()
-        assert cache.stats.current_bytes == bare.stats.current_bytes
+        assert cache.stats.current_bytes == (
+            bare.stats.current_bytes + _answer_nbytes(results[2])
+        )
+        rekeyed = [key[:-1] + ("new",) for key in keys]
         for key, result in zip(keys, results):
-            rekeyed = key[:-1] + ("new",)
             assert cache.peek_answer(key, result.query) is None
-            assert cache.peek_answer(rekeyed, result.query) is None
-        assert cache.get(keys[2][:-1] + ("new",)) is bare.get(keys[2][:-1] + ("new",))
+        assert cache.peek_answer(rekeyed[0], results[0].query) is None
+        assert cache.peek_answer(rekeyed[1], results[1].query) is None
+        assert cache.peek_answer(rekeyed[2], results[2].query).scores is results[2].scores
+        assert cache.get(rekeyed[1]) is bare.get(rekeyed[1])
 
 
 # ----------------------------------------------------------------------

@@ -519,14 +519,21 @@ class TestEngineApplyUpdate:
         queries = [PPRQuery(seed=25, k=10, length=4)]
         engine.solve_batch(queries)
         outcome = engine.apply_update([("insert", 0, 2)])
-        # Seed 25 is far from nodes {0, 2}: every cached artefact survives.
+        # Seed 25 is far from nodes {0, 2}: every cached artefact survives,
+        # the finished answer included.
         assert outcome["invalidated"]["subgraph_entries_dropped"] == 0
         assert outcome["invalidated"]["result_entries_dropped"] == 0
         assert outcome["invalidated"]["result_entries_rekeyed"] == 1
-        before_hits = engine.cache.stats.hits
-        engine.solve_batch(queries)
-        assert engine.cache.stats.hits > before_hits
+        assert outcome["invalidated"]["result_answers_kept"] == 1
+        assert outcome["invalidated"]["result_answers_stripped"] == 0
+        (replayed,) = engine.solve_batch(queries)
+        assert replayed.metadata["serving"]["result_cache"] == "answer"
         assert engine.stats().result_cache.hits == 1
+        # A different k keys a different entry: it computes, on the surviving
+        # extractions.
+        before_hits = engine.cache.stats.hits
+        engine.solve_batch([PPRQuery(seed=25, k=5, length=4)])
+        assert engine.cache.stats.hits > before_hits
         assert_matches_rebuild(
             engine, queries, edge_set(graph) | {(0, 2)}, graph.num_nodes
         )

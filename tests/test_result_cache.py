@@ -541,8 +541,8 @@ class TestApplyUpdateMigration:
             small_ba_graph.num_nodes, stage_one + 1, dtype=np.int64
         )
         distances[2] = stage_one
-        dropped, rekeyed = cache.apply_update(old_fp, "newfp", distances)
-        assert (dropped, rekeyed) == (1, 2)
+        # (dropped, re-keyed, answers kept, answers stripped): none attached.
+        assert cache.apply_update(old_fp, "newfp", distances) == (1, 2, 0, 0)
         assert len(cache) == 2
         # Dropped entries are invalidations, not evictions.
         assert cache.stats.evictions == 0
@@ -561,8 +561,7 @@ class TestApplyUpdateMigration:
         budget = cache.stats.current_bytes
         old_fp = small_ba_graph.fingerprint()
         distances = np.full(small_ba_graph.num_nodes, 99, dtype=np.int64)
-        dropped, rekeyed = cache.apply_update(old_fp, "newfp", distances)
-        assert (dropped, rekeyed) == (0, 3)
+        assert cache.apply_update(old_fp, "newfp", distances) == (0, 3, 0, 0)
         assert cache.stats.current_bytes == budget
         # Shrinking to two entries must evict the *least recent* survivor
         # (seed 1): rekeying preserved insertion/recency order.
@@ -584,11 +583,9 @@ class TestApplyUpdateMigration:
         cache.put(host_key, host_state)
         cache.put(other_key, other_state)
         distances = np.zeros(small_ba_graph.num_nodes, dtype=np.int64)
-        dropped, rekeyed = cache.apply_update(
-            small_ba_graph.fingerprint(), "newfp", distances
-        )
+        counts = cache.apply_update(small_ba_graph.fingerprint(), "newfp", distances)
         # The host entry is in reach (distance 0) and drops; the other
         # graph's entry carries a different fingerprint and is left alone.
-        assert (dropped, rekeyed) == (1, 0)
+        assert counts == (1, 0, 0, 0)
         assert cache.get(other_key) is other_state
         cache.validate()

@@ -132,15 +132,28 @@ class TestBackendRouterGrid:
             MeLoPPRSolver(graph), result_cache=ScoreTableCache()
         ) as engine:
             cold, warm = engine.solve_batch([hot, hot])
-            engine.result_cache.apply_update(
-                graph.fingerprint(), graph.fingerprint(), [99] * graph.num_nodes
-            )
+            same = graph.fingerprint()
+            # An update out of reach of every task keeps the answer ...
+            far = [99] * graph.num_nodes
+            assert engine.result_cache.apply_update(same, same, far) == (0, 1, 1, 0)
+            (kept,) = engine.solve_batch([hot])
+            # ... one that reaches a stage-two sub-graph strips it, and the
+            # surviving stage-one state resumes the plan instead.
+            near = list(far)
+            near[
+                next(
+                    record.center_node
+                    for record in cold.metadata["tasks"]
+                    if record.stage_index == 1 and record.center_node != hot.seed
+                )
+            ] = 3
+            assert engine.result_cache.apply_update(same, same, near) == (0, 1, 0, 1)
             (resumed,) = engine.solve_batch([hot])
         assert cold.metadata["serving"]["result_cache"] == "miss"
-        # The repeat replays the attached answer; once an update has stripped
-        # it, the surviving stage-one state resumes the plan instead.
         assert warm.metadata["serving"]["result_cache"] == "answer"
+        assert kept.metadata["serving"]["result_cache"] == "answer"
         assert resumed.metadata["serving"]["result_cache"] == "hit"
+        assert kept.scores is cold.scores
         assert warm.scores is cold.scores
         assert dict(resumed.scores.items()) == dict(cold.scores.items())
 

@@ -122,6 +122,25 @@ class TestBuildFrontend:
             from_ns.close()
             from_cfg.close()
 
+    def test_served_queries_do_not_trace_allocations(self, monkeypatch):
+        # Serial backend, so the engine does not force tracking off itself:
+        # a computing query must still never start tracemalloc, and its
+        # peak_memory_bytes is the deterministic modelled working set.
+        import tracemalloc
+
+        from repro.ppr.base import PPRQuery
+
+        started = []
+        monkeypatch.setattr(tracemalloc, "start", lambda *args: started.append(args))
+        engine, _, _ = build_frontend(ServingConfig(dataset="G1", backend="serial"))
+        try:
+            assert engine.solver.config.track_memory is False
+            (result,) = engine.solve_batch([PPRQuery(seed=7, k=10)])
+            assert started == []
+            assert result.peak_memory_bytes == result.metadata["modelled_bytes"]
+        finally:
+            engine.close()
+
     def test_tracer_enabled_by_sample_rate(self):
         config = ServingConfig(
             dataset="G1", backend="serial", trace_sample=0.5, trace_ring=16

@@ -618,6 +618,9 @@ class TestAdminUpdate:
         assert body["ops"] == 1
         assert body["new_fingerprint"] == rebuilt.fingerprint()
         assert body["invalidated"]["subgraph_entries_dropped"] >= 0
+        # No result cache here: nothing to keep or strip, but the report says so.
+        assert body["invalidated"]["result_answers_kept"] == 0
+        assert body["invalidated"]["result_answers_stripped"] == 0
         # Post-update answers come from the new topology.
         assert answer_status == 200
         assert answer["top"] == expected

@@ -740,6 +740,8 @@ class TestLiveUpdate:
         assert response["ops"] == 1
         assert response["new_fingerprint"] == rebuilt.fingerprint()
         assert response["touched_nodes"] >= 2
+        assert response["invalidated"]["result_answers_kept"] == 0
+        assert response["invalidated"]["result_answers_stripped"] == 0
         # Post-update answers come from the new topology, not stale caches.
         assert answer == expected
 

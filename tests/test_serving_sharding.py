@@ -158,7 +158,11 @@ class TestRouterLiveUpdate:
     def test_apply_update_patches_and_invalidates(self, small_ba_graph, partition):
         import numpy as np
         from repro.graph.csr import CSRGraph
-        from repro.graph.delta import DeltaGraph, update_distance_bound
+        from repro.graph.delta import (
+            DeltaGraph,
+            update_distance_bound,
+            update_reach_bound,
+        )
 
         router = ShardRouter(partition, result_cache_bytes=1 << 20)
         for center in (3, 7, 11):
@@ -176,6 +180,7 @@ class TestRouterLiveUpdate:
             small_ba_graph.fingerprint(),
             new_graph.fingerprint(),
             distances,
+            update_reach_bound(new_graph, [("delete", u, v)], radius),
         )
         assert router.partition.host is new_graph
         assert counts["shards_rebuilt"] >= 1
