@@ -9,9 +9,8 @@ local query as the other solvers rather than a global one).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.diffusion.sparse_vector import SparseScoreVector
@@ -20,6 +19,9 @@ from repro.graph.csr import CSRGraph
 from repro.memory.tracker import MemoryTracker
 from repro.ppr.base import PPRQuery, PPRResult, PPRSolver
 from repro.utils.timing import TimingBreakdown
+
+if TYPE_CHECKING:  # pragma: no cover - networkx loads on the first solve()
+    import networkx as nx
 
 __all__ = ["NetworkXPPRSolver"]
 
@@ -64,6 +66,10 @@ class NetworkXPPRSolver(PPRSolver):
 
     def solve(self, query: PPRQuery) -> PPRResult:
         """Answer the query with ``networkx.pagerank``."""
+        # Imported where it is used: ``import repro`` reaches this module, and
+        # no serving process should pay for 285 networkx modules it never calls.
+        import networkx as nx
+
         timing = TimingBreakdown()
         tracker = MemoryTracker(enabled=self._track_memory)
         iterations = (

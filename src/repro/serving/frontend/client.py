@@ -192,15 +192,16 @@ class QueryClient(abc.ABC):
     async def request_query(
         self, payload: dict, traceparent: Optional[str] = None
     ) -> dict:
-        """Send a pre-built query payload with the shared retry semantics.
+        """Send a pre-built query payload with the shared retry semantics."""
+        return await self._with_retries(self._query_once, payload, traceparent)
 
-        The replica router uses this form: it forwards the *client's* payload
-        verbatim (the replica validates it) rather than re-assembling one.
-        """
+    async def _with_retries(self, once, *args):
+        """``await once(*args)``, reconnecting and backing off between
+        transport failures until the retry budget is spent."""
         attempt = 0
         while True:
             try:
-                return await self._query_once(payload, traceparent)
+                return await once(*args)
             except ClientConnectionError:
                 if attempt >= self._retries:
                     raise
@@ -212,9 +213,9 @@ class QueryClient(abc.ABC):
                 await self._reconnect()
             except ClientConnectionError:
                 # The server may still be down mid-outage; a failed
-                # reconnect consumes this attempt (the next _query_once
-                # fails fast on the closed transport) instead of
-                # aborting the whole retry budget.
+                # reconnect consumes this attempt (the next try fails
+                # fast on the closed transport) instead of aborting the
+                # whole retry budget.
                 continue
 
     async def query_batch(
@@ -490,6 +491,21 @@ class HttpQueryClient(QueryClient):
                 ) from exc
             self._connected = True
 
+    async def _request(
+        self,
+        method: str,
+        path: str,
+        body: Optional[object] = None,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> Tuple[int, Dict[str, str], bytes]:
+        await self._ensure_connected()
+        try:
+            return await self._pool.request(method, path, body, headers=headers)
+        except (ConnectionError, asyncio.IncompleteReadError, OSError) as exc:
+            raise ClientConnectionError(
+                f"http://{self._host}:{self._port}{path}: {exc}"
+            ) from exc
+
     async def _request_json(
         self,
         method: str,
@@ -497,15 +513,8 @@ class HttpQueryClient(QueryClient):
         body: Optional[object] = None,
         headers: Optional[Dict[str, str]] = None,
     ) -> Tuple[int, dict]:
-        await self._ensure_connected()
-        try:
-            status, payload = await self._pool.request_json(
-                method, path, body, headers=headers
-            )
-        except (ConnectionError, asyncio.IncompleteReadError, OSError) as exc:
-            raise ClientConnectionError(
-                f"http://{self._host}:{self._port}{path}: {exc}"
-            ) from exc
+        status, _, raw = await self._request(method, path, body, headers)
+        payload = json.loads(raw)
         if isinstance(payload, dict):
             self._check_response_proto(
                 payload, f"http://{self._host}:{self._port}"
@@ -520,6 +529,34 @@ class HttpQueryClient(QueryClient):
             "POST", "/query", payload, headers=headers
         )
         return response
+
+    async def relay_query(
+        self, body: bytes, traceparent: Optional[str] = None
+    ) -> Tuple[int, bytes]:
+        """``POST /query`` with ``body`` sent as it is; returns the server's
+        ``(status, body)`` unparsed, with the shared retry semantics.
+
+        The replica router's form: the replica validates the client's bytes
+        and encodes the answer, the router only moves both.  The protocol
+        version comes from the ``X-Repro-Proto`` response header and is
+        *required* — a replica that does not stamp it is itself a skew.
+        """
+        return await self._with_retries(self._relay_once, body, traceparent)
+
+    async def _relay_once(
+        self, body: bytes, traceparent: Optional[str]
+    ) -> Tuple[int, bytes]:
+        headers = {"traceparent": traceparent} if traceparent else None
+        status, response_headers, raw = await self._request(
+            "POST", "/query", body, headers
+        )
+        proto = response_headers.get("x-repro-proto")
+        check_protocol_version(
+            int(proto) if proto is not None and proto.isdigit() else proto,
+            f"http://{self._host}:{self._port}",
+            required=True,
+        )
+        return status, raw
 
     async def _reconnect(self) -> None:
         # The pool replaces broken connections per request; nothing to do
@@ -564,15 +601,7 @@ class HttpQueryClient(QueryClient):
 
     async def metrics_text(self) -> str:
         """The server's raw Prometheus exposition (HTTP transport only)."""
-        await self._ensure_connected()
-        try:
-            status, _, body = await self._pool.request(
-                "GET", "/metrics"
-            )
-        except (ConnectionError, asyncio.IncompleteReadError, OSError) as exc:
-            raise ClientConnectionError(
-                f"http://{self._host}:{self._port}/metrics: {exc}"
-            ) from exc
+        status, _, body = await self._request("GET", "/metrics")
         if status != 200:
             raise ServerError("metrics", f"GET /metrics answered {status}")
         return body.decode("utf-8")

@@ -45,6 +45,14 @@ HTTP/1.1 with ``Content-Length`` bodies and keep-alive, one request at a
 time per connection.  Concurrency comes from many connections — use
 :class:`HttpClientPool` — which is also how real HTTP load arrives.
 
+Server and client frame messages with one parser (:func:`parse_head` behind
+``_MessageReader``): a head costs one read when it arrives in one segment,
+holds at most 64 KiB and 100 header lines, and may end its lines with bare
+LF.  A connection's loop awaits that read itself — no task per request — and
+:meth:`BaseHttpServer.drain` ends the loop by feeding the reader EOF *behind*
+what it has already received: every request that arrived before the drain is
+answered, and an idle connection closes at once.
+
 Run it from the command line::
 
     PYTHONPATH=src python -m repro.serving.frontend.http \
@@ -55,13 +63,13 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 from typing import (
     TYPE_CHECKING,
     Dict,
     List,
     Mapping,
     Optional,
-    Set,
     Tuple,
     Union,
 )
@@ -112,8 +120,74 @@ _ERROR_STATUS = {
 }
 
 
-class _BadRequestLine(Exception):
-    """The request line or headers were not parseable HTTP."""
+#: Largest message head (start line + headers) either side will buffer:
+#: asyncio's default stream limit, now for the whole head rather than per line.
+MAX_HEAD_BYTES = 1 << 16
+MAX_HEADER_LINES = 100
+
+#: The blank line ending a head.  Bare-LF line endings are accepted.
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
+
+
+class _BadHead(Exception):
+    """The start line or headers were not parseable HTTP."""
+
+
+def parse_head(head: bytes) -> Tuple[str, Dict[str, str]]:
+    """Split a message head into its start line and lower-cased headers."""
+    start, *lines = head.decode("latin-1").split("\n")
+    if len(lines) > MAX_HEADER_LINES:
+        raise _BadHead(f"more than {MAX_HEADER_LINES} header lines")
+    headers: Dict[str, str] = {}
+    for line in lines:
+        name, colon, value = line.partition(":")
+        if not colon:
+            raise _BadHead(f"malformed header line: {line.strip()!r}")
+        headers[name.strip().lower()] = value.strip()
+    return start.strip(), headers
+
+
+class _MessageReader:
+    """Frames HTTP/1.1 messages off one stream, for the server and the client.
+
+    Reads whatever has arrived rather than a line at a time, so a head that
+    arrives in one segment costs one await — and none when it was pipelined
+    behind the previous message.
+    """
+
+    def __init__(self, reader: asyncio.StreamReader) -> None:
+        self._reader = reader
+        self._buffer = b""
+
+    async def head(self) -> Optional[Tuple[str, Dict[str, str]]]:
+        """The next message's ``(start line, headers)``; ``None`` on EOF
+        between messages.  Raises ``ConnectionError`` on EOF inside a head."""
+        # Stray blank lines between messages are tolerated.
+        buffer = self._buffer.lstrip(b"\r\n")
+        scanned = 0
+        while True:
+            end = _HEAD_END.search(buffer, scanned)
+            if (len(buffer) if end is None else end.start()) > MAX_HEAD_BYTES:
+                raise _BadHead(f"head exceeds {MAX_HEAD_BYTES} bytes")
+            if end is not None:
+                break
+            scanned = max(0, len(buffer) - 3)
+            chunk = await self._reader.read(MAX_HEAD_BYTES)
+            if not chunk:
+                if buffer:
+                    raise ConnectionError("peer closed the connection mid-head")
+                return None
+            buffer = (buffer + chunk).lstrip(b"\r\n")
+        self._buffer = buffer[end.end():]
+        return parse_head(buffer[: end.start()])
+
+    async def body(self, length: int) -> bytes:
+        """The ``length`` bytes after the head just returned."""
+        buffer = self._buffer
+        if len(buffer) < length:
+            buffer += await self._reader.readexactly(length - len(buffer))
+        self._buffer = buffer[length:]
+        return buffer[:length]
 
 
 class BaseHttpServer:
@@ -143,8 +217,9 @@ class BaseHttpServer:
         self._port = port
         self._max_body_bytes = max_body_bytes
         self._server: Optional[asyncio.AbstractServer] = None
-        self._drain_event: Optional[asyncio.Event] = None
-        self._conn_tasks: Set["asyncio.Task[None]"] = set()
+        self._draining = False
+        #: Each open connection's handler task -> its (reader, writer).
+        self._conn_tasks: Dict["asyncio.Task[None]", tuple] = {}
 
     async def _route(
         self,
@@ -164,7 +239,7 @@ class BaseHttpServer:
     @property
     def draining(self) -> bool:
         """Whether :meth:`drain` has begun (no new work is accepted)."""
-        return self._drain_event is not None and self._drain_event.is_set()
+        return self._draining
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -180,7 +255,7 @@ class BaseHttpServer:
         """Bind and start accepting connections; returns the bound address."""
         if self._server is not None:
             raise RuntimeError("server is already started")
-        self._drain_event = asyncio.Event()
+        self._draining = False
         self._server = await asyncio.start_server(
             self._handle_connection, self._host, self._port
         )
@@ -198,18 +273,30 @@ class BaseHttpServer:
         """Gracefully wind the server down: stop accepting, finish in-flight.
 
         Same contract as the TCP server's drain — **no admitted request is
-        ever dropped**: the listener closes, every connection finishes the
-        request it is handling (and flushes the response), idle keep-alive
-        connections close, and :meth:`drain` returns.  Whatever answers the
-        requests (a batcher, a replica fleet) is *not* stopped here — the
-        caller owns it and may be draining several transports.
+        ever dropped**: the listener closes, every connection answers (and
+        flushes) each request it has already received, idle keep-alive
+        connections close, and :meth:`drain` returns once every connection
+        task has finished.  Whatever answers the requests (a batcher, a
+        replica fleet) is *not* stopped here — the caller owns it and may be
+        draining several transports.
         """
-        if self._drain_event is None:
-            return  # never started: nothing in flight by construction
-        self._drain_event.set()
+        self._draining = True
+        for reader, writer in self._conn_tasks.values():
+            self._end_input(reader, writer)
         await self.stop()
         if self._conn_tasks:
             await asyncio.gather(*list(self._conn_tasks), return_exceptions=True)
+
+    @staticmethod
+    def _end_input(
+        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """End one connection's input where it stands: the socket delivers
+        nothing more, and the reader reports EOF once the bytes it already
+        holds are consumed — which ends an idle connection at once and a
+        busy one after the answers it owes."""
+        writer.transport.pause_reading()
+        reader.feed_eof()
 
     async def serve_forever(self) -> None:
         """Block serving until cancelled."""
@@ -230,84 +317,62 @@ class BaseHttpServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         conn_task = asyncio.current_task()
-        if conn_task is not None:
-            self._conn_tasks.add(conn_task)
-        assert self._drain_event is not None
-        drain_wait = asyncio.ensure_future(self._drain_event.wait())
+        assert conn_task is not None
+        self._conn_tasks[conn_task] = (reader, writer)
+        if self._draining:  # accepted while the listener was closing
+            self._end_input(reader, writer)
+        messages = _MessageReader(reader)
         try:
             # Requests on one connection are handled sequentially (HTTP/1.1
-            # without pipelining — what every real client sends).  The drain
-            # check sits *between* requests: a request already received
-            # always gets its response before the connection closes.
-            while not drain_wait.done():
-                read = asyncio.ensure_future(reader.readline())
-                await asyncio.wait(
-                    {read, drain_wait}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if not read.done():
-                    # Drain began while idle on a keep-alive connection:
-                    # abandon the read and close.
-                    read.cancel()
-                    try:
-                        await read
-                    except (asyncio.CancelledError, ValueError, OSError):
-                        pass
-                    break
+            # without pipelining — what every real client sends), and the
+            # loop awaits the read itself: no task per request.  drain() ends
+            # it through the reader's EOF, which arrives only after every
+            # request already received has had its response.
+            while True:
                 try:
-                    request_line = read.result()
-                except ValueError:
-                    # Request line overran the stream buffer: not HTTP we
-                    # are willing to parse.
-                    await self._respond_error(
-                        writer, 400, "request line too long", close=True
-                    )
+                    head = await messages.head()
+                except _BadHead as exc:
+                    await self._respond_error(writer, 400, str(exc), close=True)
                     break
                 except (ConnectionError, OSError):
                     break
-                if not request_line.strip():
-                    if not request_line:
-                        break  # EOF: client closed the connection
-                    continue  # stray blank line between requests: tolerate
-                keep_alive = await self._handle_request(
-                    reader, writer, request_line
-                )
-                if not keep_alive:
+                # None: the client closed, or drain() ended an idle connection.
+                if head is None or not await self._handle_request(
+                    messages, writer, *head
+                ):
                     break
         finally:
-            if not drain_wait.done():
-                drain_wait.cancel()
-                try:
-                    await drain_wait
-                except asyncio.CancelledError:
-                    pass
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-            if conn_task is not None:
-                self._conn_tasks.discard(conn_task)
+            del self._conn_tasks[conn_task]
 
     async def _handle_request(
         self,
-        reader: asyncio.StreamReader,
+        messages: _MessageReader,
         writer: asyncio.StreamWriter,
-        request_line: bytes,
+        request_line: str,
+        headers: Dict[str, str],
     ) -> bool:
-        """Parse and answer one request; returns whether to keep the
-        connection open."""
-        # The latency clock starts at request receipt: header/body/JSON
-        # parse time is part of what the client observes, so it is part of
-        # what the server reports.
+        """Answer one request whose head has been parsed; returns whether to
+        keep the connection open."""
+        # The latency clock starts at request receipt: body/JSON parse time
+        # is part of what the client observes, so it is part of what the
+        # server reports.
         received = asyncio.get_running_loop().time()
-        try:
-            method, target, version = self._parse_request_line(request_line)
-            headers = await self._read_headers(reader)
-        except _BadRequestLine as exc:
-            await self._respond_error(writer, 400, str(exc), close=True)
+        parts = request_line.split()
+        if len(parts) != 3:
+            problem = f"malformed request line: {request_line!r}"
+        elif parts[2] not in ("HTTP/1.1", "HTTP/1.0"):
+            problem = f"unsupported HTTP version {parts[2]!r}"
+        else:
+            problem = ""
+        if problem:
+            await self._respond_error(writer, 400, problem, close=True)
             return False
-        except (ConnectionError, OSError):
-            return False
+        method, target, version = parts
 
         keep_alive = version == "HTTP/1.1"
         connection = headers.get("connection", "").lower()
@@ -327,10 +392,7 @@ class BaseHttpServer:
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError:
-            await self._respond_error(
-                writer, 400, "malformed Content-Length", close=True
-            )
-            return False
+            length = -1
         if length < 0:
             await self._respond_error(
                 writer, 400, "malformed Content-Length", close=True
@@ -347,15 +409,13 @@ class BaseHttpServer:
                 close=True,
             )
             return False
-        body = b""
-        if length:
-            try:
-                body = await reader.readexactly(length)
-            except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                return False  # client disconnected mid-body
+        try:
+            body = await messages.body(length)
+        except (asyncio.IncompleteReadError, ConnectionError, OSError):
+            return False  # client disconnected mid-body
 
         status, payload, content_type = await self._route(
-            method, target, body, received, headers
+            method.upper(), target, body, received, headers
         )
         sent = await self._respond(
             writer,
@@ -365,41 +425,6 @@ class BaseHttpServer:
             close=not keep_alive,
         )
         return keep_alive and sent
-
-    def _parse_request_line(
-        self, request_line: bytes
-    ) -> Tuple[str, str, str]:
-        try:
-            decoded = request_line.decode("ascii").strip()
-        except UnicodeDecodeError as exc:
-            raise _BadRequestLine("request line is not ASCII") from exc
-        parts = decoded.split()
-        if len(parts) != 3:
-            raise _BadRequestLine(f"malformed request line: {decoded!r}")
-        method, target, version = parts
-        if version not in ("HTTP/1.1", "HTTP/1.0"):
-            raise _BadRequestLine(f"unsupported HTTP version {version!r}")
-        return method.upper(), target, version
-
-    async def _read_headers(
-        self, reader: asyncio.StreamReader, max_headers: int = 100
-    ) -> Dict[str, str]:
-        headers: Dict[str, str] = {}
-        for _ in range(max_headers):
-            try:
-                line = await reader.readline()
-            except ValueError as exc:
-                raise _BadRequestLine("header line too long") from exc
-            if line in (b"\r\n", b"\n", b""):
-                return headers
-            try:
-                name, _, value = line.decode("latin-1").partition(":")
-            except UnicodeDecodeError as exc:  # pragma: no cover - latin-1 total
-                raise _BadRequestLine("undecodable header line") from exc
-            if not _:
-                raise _BadRequestLine(f"malformed header line: {line!r}")
-            headers[name.strip().lower()] = value.strip()
-        raise _BadRequestLine(f"more than {max_headers} header lines")
 
     # ------------------------------------------------------------------
     def _parse_json_body(self, body: bytes) -> dict:
@@ -709,13 +734,14 @@ class HttpClient:
     def __init__(self, host: str, port: int) -> None:
         self._host = host
         self._port = port
-        self._reader: Optional[asyncio.StreamReader] = None
+        self._messages: Optional[_MessageReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
 
     async def connect(self) -> "HttpClient":
-        self._reader, self._writer = await asyncio.open_connection(
+        reader, self._writer = await asyncio.open_connection(
             self._host, self._port
         )
+        self._messages = _MessageReader(reader)
         return self
 
     async def close(self) -> None:
@@ -725,7 +751,7 @@ class HttpClient:
                 await self._writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-            self._reader = None
+            self._messages = None
             self._writer = None
 
     async def __aenter__(self) -> "HttpClient":
@@ -746,9 +772,9 @@ class HttpClient:
         ``body`` may be a dict (sent as JSON), ``bytes`` (sent raw) or
         ``None``.
         """
-        if self._reader is None or self._writer is None:
+        if self._writer is None:
             await self.connect()
-        assert self._reader is not None and self._writer is not None
+        assert self._messages is not None and self._writer is not None
         if isinstance(body, (dict, list)):
             raw = json.dumps(body).encode("utf-8")
         elif body is None:
@@ -765,7 +791,7 @@ class HttpClient:
         request = ("\r\n".join(head_lines) + "\r\n\r\n").encode("ascii") + raw
         self._writer.write(request)
         await self._writer.drain()
-        return await self._read_response()
+        return await self._read_response(self._messages)
 
     async def request_json(
         self,
@@ -782,31 +808,25 @@ class HttpClient:
         """``POST /query`` with ``request`` as the JSON body."""
         return await self.request_json("POST", "/query", request)
 
-    async def _read_response(self) -> Tuple[int, Dict[str, str], bytes]:
-        assert self._reader is not None
-        status_line = await self._reader.readline()
-        if not status_line:
-            raise ConnectionError("server closed the connection")
-        parts = status_line.decode("ascii").split(None, 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise ValueError(f"malformed status line: {status_line!r}")
-        status = int(parts[1])
-        headers: Dict[str, str] = {}
-        while True:
-            line = await self._reader.readline()
-            if line == b"":
-                # EOF inside the header block is a torn response, not an
-                # answer with no headers — surface it as the connection
-                # failure it is (json.loads on b"" would mask it).
-                raise ConnectionError(
-                    "server closed the connection mid-headers"
-                )
-            if line in (b"\r\n", b"\n"):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0"))
-        body = await self._reader.readexactly(length) if length else b""
+    async def _read_response(
+        self, messages: _MessageReader
+    ) -> Tuple[int, Dict[str, str], bytes]:
+        try:
+            head = await messages.head()
+            if head is None:
+                raise ConnectionError("server closed the connection")
+            status_line, headers = head
+            status = int(status_line.split(None, 2)[1])
+            length = int(headers.get("content-length", "0"))
+            if length < 0:
+                raise ValueError("negative Content-Length")
+        except (_BadHead, ValueError, IndexError) as exc:
+            # Whatever follows an unparseable head cannot be framed, so the
+            # connection must not serve another request: close it and fail
+            # the way a torn response does (pools replace the connection).
+            await self.close()
+            raise ConnectionError(f"malformed response head: {exc}") from exc
+        body = await messages.body(length)
         if headers.get("connection", "").lower() == "close":
             await self.close()
         return status, headers, body
@@ -857,20 +877,9 @@ class HttpClientPool:
         body: Optional[object] = None,
         headers: Optional[Mapping[str, str]] = None,
     ) -> Tuple[int, dict]:
-        """One JSON request on the next free connection (reconnecting a
-        broken one once)."""
-        client = await self._free.get()
-        try:
-            try:
-                return await client.request_json(method, path, body, headers)
-            except (ConnectionError, asyncio.IncompleteReadError, OSError):
-                # The connection died (e.g. an earlier Connection: close);
-                # replace it and retry once.
-                await client.close()
-                await client.connect()
-                return await client.request_json(method, path, body, headers)
-        finally:
-            self._free.put_nowait(client)
+        """:meth:`request`, with the response body parsed as JSON."""
+        status, _, raw = await self.request(method, path, body, headers)
+        return status, json.loads(raw)
 
     async def request(
         self,
@@ -879,14 +888,15 @@ class HttpClientPool:
         body: Optional[object] = None,
         headers: Optional[Mapping[str, str]] = None,
     ) -> Tuple[int, Dict[str, str], bytes]:
-        """One raw request on the next free connection (same reconnect
-        semantics as :meth:`request_json`); for non-JSON endpoints like
-        ``/metrics``."""
+        """One request on the next free connection (reconnecting a broken
+        one once); returns ``(status, headers, body)``."""
         client = await self._free.get()
         try:
             try:
                 return await client.request(method, path, body, headers)
             except (ConnectionError, asyncio.IncompleteReadError, OSError):
+                # The connection died (e.g. an earlier Connection: close);
+                # replace it and retry once.
                 await client.close()
                 await client.connect()
                 return await client.request(method, path, body, headers)

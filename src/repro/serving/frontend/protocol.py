@@ -9,9 +9,10 @@ up as a :class:`ProtocolMismatchError` naming both versions and the peer.
 Every server stamps its responses:
 
 * TCP responses carry ``"proto": PROTOCOL_VERSION`` on each JSON line;
-* HTTP responses carry an ``X-Repro-Proto`` header, ``GET /healthz`` also
-  carries ``proto`` in its body, and the ``repro_server_info`` metric a
-  ``proto`` label.
+* HTTP responses carry an ``X-Repro-Proto`` header — what the replica
+  router checks on every ``/query`` it relays, whose body it never parses —
+  ``GET /healthz`` also carries ``proto`` in its body, and the
+  ``repro_server_info`` metric a ``proto`` label.
 
 Clients (and the replica router's health checks) validate the field with
 :func:`check_protocol_version`: a *different* version fails loudly, while an

@@ -3,11 +3,14 @@
 ``ReplicaRouter`` is a :class:`BaseHttpServer` that owns no batcher of
 its own — every ``/query`` is forwarded over the unified
 :class:`~repro.serving.frontend.client.HttpQueryClient` to one of N
-replica servers.  The seed is hashed to its shard with
-:func:`~repro.graph.partition.hash_shard_of` (the scalar twin of the
-``hash`` partitioner, so routing agrees with shard ownership inside
-each replica) and the shard is mapped to a replica by a deterministic
-:class:`~repro.serving.replica.ConsistentHashRing`.
+replica servers.  The router parses the request, and only for its ``seed``;
+the body goes to the replica as the bytes the client sent, and the replica's
+status and body come back as the bytes it sent (``relay_query``) — an answer
+is encoded once, in the replica, and from there on only moved.  The seed is
+hashed to its shard with :func:`~repro.graph.partition.hash_shard_of` (the
+scalar twin of the ``hash`` partitioner, so routing agrees with shard
+ownership inside each replica) and the shard is mapped to a replica by a
+deterministic :class:`~repro.serving.replica.ConsistentHashRing`.
 
 Correctness under failover is free by construction: every replica
 loads the full graph behind a ``ShardRouter`` (host-graph fallback
@@ -24,9 +27,10 @@ Failure taxonomy, mirrored from the client:
   ``retries``;
 * protocol rejections (``shed``/``deadline``/``bad_request``) are
   *answers* — forwarded to the caller verbatim, never retried;
-* a ``ProtocolMismatchError`` (mixed-version fleet) quarantines the
-  replica as ``incompatible`` — it stops receiving traffic and the
-  aggregated ``/metrics`` makes the skew visible.
+* a ``ProtocolMismatchError`` (mixed-version fleet; read from the
+  ``X-Repro-Proto`` header of every relayed response and from ``proto`` in
+  ``/healthz``) quarantines the replica as ``incompatible`` — it stops
+  receiving traffic and the aggregated ``/metrics`` makes the skew visible.
 
 Replica states: ``healthy`` and ``suspect`` are routable; ``draining``
 (operator removed it via ``POST /admin/drain?replica=i``), ``dead``
@@ -51,11 +55,7 @@ from repro.serving.frontend.client import (
     HttpQueryClient,
     ServerError,
 )
-from repro.serving.frontend.http import (
-    DEFAULT_MAX_BODY_BYTES,
-    _ERROR_STATUS,
-    BaseHttpServer,
-)
+from repro.serving.frontend.http import DEFAULT_MAX_BODY_BYTES, BaseHttpServer
 from repro.serving.frontend.metrics import _Writer, parse_prometheus_text
 from repro.serving.frontend.protocol import (
     PROTOCOL_VERSION,
@@ -316,7 +316,8 @@ class ReplicaRouter(BaseHttpServer):
 
     async def _forward_query(
         self, body: bytes, headers: Dict[str, str]
-    ) -> Tuple[int, dict]:
+    ) -> Tuple[int, object]:
+        """Route one ``/query``: parsed for its ``seed``, relayed as bytes."""
         try:
             payload = json.loads(body.decode("utf-8"))
             if not isinstance(payload, dict):
@@ -338,8 +339,8 @@ class ReplicaRouter(BaseHttpServer):
         if ctx is not None:
             traceparent = format_traceparent(ctx.trace_id, ctx.current_span_id())
         try:
-            response, replica = await self._try_replicas(
-                seed, payload, traceparent, ctx
+            status, response, replica = await self._try_replicas(
+                seed, body, traceparent, ctx
             )
         except _NoReplicaAvailable as exc:
             self._unavailable += 1
@@ -350,24 +351,18 @@ class ReplicaRouter(BaseHttpServer):
                 {"ok": False, "error": "unavailable", "message": str(exc)},
             )
         if ctx is not None:
-            ctx.finish(
-                status="ok" if response.get("ok") else str(response.get("error")),
-                replica=replica,
-            )
-        status = (
-            200
-            if response.get("ok")
-            else _ERROR_STATUS.get(str(response.get("error")), 500)
-        )
+            # Only a refusal is parsed, and only to name it on the trace.
+            error = "ok" if status == 200 else json.loads(response).get("error")
+            ctx.finish(status=str(error), replica=replica)
         return status, response
 
     async def _try_replicas(
         self,
         seed: int,
-        payload: dict,
+        body: bytes,
         traceparent: Optional[str],
         ctx,
-    ) -> Tuple[dict, str]:
+    ) -> Tuple[int, bytes, str]:
         key = self.shard_of(seed)
         owner = self.ring.owner(key)
         preference = [
@@ -399,9 +394,7 @@ class ReplicaRouter(BaseHttpServer):
             )
             try:
                 client = await handle.ensure_client()
-                response = await client.request_query(
-                    payload, traceparent=traceparent
-                )
+                status, response = await client.relay_query(body, traceparent)
             except ClientConnectionError as exc:
                 self._forward_errors[name] += 1
                 handle.consecutive_failures += 1
@@ -432,7 +425,7 @@ class ReplicaRouter(BaseHttpServer):
                 handle.state = HEALTHY
             if name != owner:
                 self._failovers[owner] += 1
-            return response, name
+            return status, response, name
         raise _NoReplicaAvailable(
             f"all forwards failed for seed {seed} after "
             f"{self._retries + 1} attempts: {last_error}"
@@ -610,6 +603,16 @@ class ReplicaRouter(BaseHttpServer):
 
     # -- HTTP ----------------------------------------------------------
 
+    #: Every route and the one method it answers (``HEAD`` rides on ``GET``).
+    _ROUTES = {
+        "/query": "POST",
+        "/healthz": "GET",
+        "/stats": "GET",
+        "/metrics": "GET",
+        "/admin/drain": "POST",
+        "/debug/traces": "GET",
+    }
+
     async def _route(
         self,
         method: str,
@@ -620,14 +623,7 @@ class ReplicaRouter(BaseHttpServer):
     ) -> Tuple[int, object, str]:
         headers = headers or {}
         path, _, query_string = target.partition("?")
-        routes = {
-            "/query": "POST",
-            "/healthz": "GET",
-            "/stats": "GET",
-            "/metrics": "GET",
-            "/admin/drain": "POST",
-            "/debug/traces": "GET",
-        }
+        routes = self._ROUTES
         if path not in routes:
             return (
                 404,

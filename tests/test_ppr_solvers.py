@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -139,6 +143,17 @@ class TestNetworkXSolver:
     def test_metadata_records_mode(self, small_ba_graph):
         result = NetworkXPPRSolver(small_ba_graph, local=True).solve_seed(seed=1, k=5)
         assert result.metadata["local"] is True
+
+    def test_serving_processes_do_not_import_networkx(self):
+        """The baseline loads networkx on its first solve, not on import:
+        a replica, a pool worker or the bench process never calls it."""
+        code = (
+            "import sys; import repro.serving.frontend.http, "
+            "repro.serving.replica, repro.serving.backends; "
+            "sys.exit('networkx' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestSolverInterface:

@@ -86,12 +86,16 @@ async def tcp_exchange(addr, payload: bytes) -> dict:
             pass
 
 
-async def http_raw_exchange(addr, request: bytes) -> bytes:
-    """Send raw bytes, return the raw response (up to connection close)."""
+async def http_pieces_exchange(addr, pieces) -> bytes:
+    """Send ``pieces`` one segment at a time (the loop runs between writes,
+    so the server reads each alone), return the raw response up to close."""
     reader, writer = await asyncio.open_connection(*addr)
     try:
-        writer.write(request)
-        await writer.drain()
+        for piece in pieces:
+            writer.write(piece)
+            await writer.drain()
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
         return await asyncio.wait_for(reader.read(), timeout=5)
     finally:
         writer.close()
@@ -99,6 +103,25 @@ async def http_raw_exchange(addr, request: bytes) -> bytes:
             await writer.wait_closed()
         except (ConnectionError, OSError):
             pass
+
+
+async def http_raw_exchange(addr, request: bytes) -> bytes:
+    """Send raw bytes, return the raw response (up to connection close)."""
+    return await http_pieces_exchange(addr, [request])
+
+
+def answers_of(raw: bytes) -> list:
+    """Every response in ``raw`` as ``(status, body)``, the measured
+    ``latency_ms`` dropped — the one field two deliveries may differ in."""
+    answers = []
+    while raw:
+        head, _, rest = raw.partition(b"\r\n\r\n")
+        length = int(head.lower().split(b"content-length:")[1].split()[0])
+        body = json.loads(rest[:length])
+        body.pop("latency_ms", None)
+        answers.append((status_of(head), body))
+        raw = rest[length:]
+    return answers
 
 
 def http_post_query(body: bytes, extra_headers: bytes = b"") -> bytes:
@@ -345,6 +368,66 @@ class TestHttpFramingAbuse:
 
         self.run_case(stack, check)
 
+    def test_hundred_header_lines_are_served(self, stack):
+        """The cap refuses the 101st header line, not the 100th."""
+
+        async def check(addr):
+            for count, expected in ((100, 200), (101, 400)):
+                lines = b"".join(b"X-H-%d: x\r\n" % i for i in range(count - 1))
+                raw = await http_raw_exchange(
+                    addr,
+                    b"GET /healthz HTTP/1.1\r\nConnection: close\r\n"
+                    + lines + b"\r\n",
+                )
+                assert status_of(raw) == expected, count
+
+        self.run_case(stack, check)
+
+    def test_overlong_head_is_400(self, stack):
+        """One byte past the 64 KiB head limit, no blank line in sight: the
+        refusal comes at once, not after the client gives up."""
+
+        async def check(addr):
+            head = b"GET /healthz HTTP/1.1\r\nX-Pad: "
+            raw = await http_raw_exchange(
+                addr, head + b"x" * ((1 << 16) + 1 - len(head))
+            )
+            assert status_of(raw) == 400
+
+        self.run_case(stack, check)
+
+    def test_bare_lf_line_endings_are_served(self, stack):
+        """Pinned: a head that ends its lines with LF alone is answered like
+        its CRLF twin (and must never wait for a CRLF that is not coming)."""
+        _, expected = stack
+
+        async def check(addr):
+            raw = await http_raw_exchange(
+                addr, b"GET /healthz HTTP/1.1\nHost: t\nConnection: close\n\n"
+            )
+            assert status_of(raw) == 200
+            body = json.dumps({"seed": 3, "k": 10}).encode()
+            raw = await http_raw_exchange(
+                addr, http_post_query(body).replace(b"\r\n", b"\n")
+            )
+            ((status, answer),) = answers_of(raw)
+            assert status == 200 and answer["top"] == expected
+
+        self.run_case(stack, check)
+
+    def test_disconnect_mid_head_is_silent(self, stack):
+        async def check(addr):
+            _, writer = await asyncio.open_connection(*addr)
+            writer.write(b"POST /query HTTP/1.1\r\nHost: t\r\nContent-Le")
+            await writer.drain()
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+
+        self.run_case(stack, check)
+
     def test_disconnect_mid_body_is_silent(self, stack):
         """Client advertises a body then vanishes: no stack trace, no wedge."""
 
@@ -373,6 +456,68 @@ class TestHttpFramingAbuse:
                 pass
 
         self.run_case(stack, check)
+
+
+class TestHttpFraming:
+    """However the bytes of valid requests are cut into segments, the
+    answers are the ones they get delivered whole."""
+
+    @pytest.fixture()
+    def stack(self, small_ba_graph, config):
+        engine = QueryEngine(MeLoPPRSolver(small_ba_graph, config))
+        yield engine
+        engine.close()
+
+    @staticmethod
+    def request(seed: int, close: bool) -> bytes:
+        body = json.dumps({"id": seed, "seed": seed, "k": 10}).encode()
+        return (
+            b"POST /query HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: %d\r\n" % len(body)
+            + (b"Connection: close\r\n" if close else b"")
+            + b"\r\n" + body
+        )
+
+    def test_split_at_every_offset_and_bytewise(self, stack):
+        request = self.request(3, close=True)
+
+        async def run():
+            async with both_servers(stack) as (_, addr):
+                whole = answers_of(await http_raw_exchange(addr, request))
+                assert [status for status, _ in whole] == [200]
+                for cut in range(1, len(request)):
+                    raw = await http_pieces_exchange(
+                        addr, [request[:cut], request[cut:]]
+                    )
+                    assert answers_of(raw) == whole, cut
+                raw = await http_pieces_exchange(
+                    addr, [request[i : i + 1] for i in range(len(request))]
+                )
+                assert answers_of(raw) == whole
+
+        asyncio.run(run())
+
+    def test_requests_sharing_a_segment_are_answered_in_order(self, stack):
+        async def run():
+            async with both_servers(stack) as (_, addr):
+                expected = [
+                    answers_of(
+                        await http_raw_exchange(addr, self.request(seed, True))
+                    )[0]
+                    for seed in (3, 5)
+                ]
+                both = self.request(3, close=False) + self.request(5, close=True)
+                assert answers_of(await http_raw_exchange(addr, both)) == expected
+                # Stray blank lines before and between requests are skipped.
+                stray = (
+                    b"\r\n" + self.request(3, close=False)
+                    + b"\r\n\r\n" + self.request(5, close=True)
+                )
+                assert answers_of(await http_raw_exchange(addr, stray)) == expected
+                pieces = [b"\r\n", self.request(3, False), b"\r\n", self.request(5, True)]
+                assert answers_of(await http_pieces_exchange(addr, pieces)) == expected
+
+        asyncio.run(run())
 
 
 class TestMidBatchDisconnect:

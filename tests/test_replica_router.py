@@ -10,6 +10,7 @@ reference, and the router's counters account for every retry.
 from __future__ import annotations
 
 import asyncio
+import json
 import signal
 from contextlib import AsyncExitStack
 
@@ -32,6 +33,7 @@ from repro.serving.frontend.router import (
     SUSPECT,
 )
 from repro.serving.replica import ReplicaSet
+from repro.serving.tracing import Tracer
 
 CONFIG = ServingConfig(
     dataset="G1", backend="serial", num_shards=4, max_wait_ms=0.5
@@ -467,49 +469,193 @@ class TestAggregation:
         run(main())
 
 
+class StubReplica:
+    """A recording stub replica: keeps every request body it receives and
+    answers each with the ``(status, body)`` the test scripted, under the
+    ``X-Repro-Proto`` header value given (``None``: no such header)."""
+
+    def __init__(self, proto="1") -> None:
+        self.proto = proto
+        self.answer = (200, b"{}")
+        self.bodies = []
+
+    async def __aenter__(self):
+        self._server = await asyncio.start_server(self._handle, "127.0.0.1", 0)
+        return self
+
+    async def __aexit__(self, exc_type, exc, traceback):
+        self._server.close()
+        await self._server.wait_closed()
+
+    @property
+    def address(self):
+        return self._server.sockets[0].getsockname()[:2]
+
+    async def _handle(self, reader, writer):
+        try:
+            while True:
+                head = await reader.readuntil(b"\r\n\r\n")
+                length = int(head.lower().split(b"content-length:")[1].split()[0])
+                self.bodies.append(await reader.readexactly(length))
+                status, body = self.answer
+                stamp = f"X-Repro-Proto: {self.proto}\r\n" if self.proto else ""
+                writer.write(
+                    f"HTTP/1.1 {status} Scripted\r\n{stamp}"
+                    f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+                )
+                await writer.drain()
+        except (asyncio.IncompleteReadError, ConnectionError, OSError):
+            pass
+        finally:
+            writer.close()
+
+
+def seed_owned_by(router, name):
+    return next(seed for seed in range(1000) if router.owner_of(seed) == name)
+
+
 class TestProtocolQuarantine:
     def test_future_version_replica_is_quarantined(self):
         async def main():
-            # A fake replica that speaks proto 999.
-            import json as _json
-
-            async def handle(reader, writer):
-                try:
-                    while True:
-                        line = await reader.readline()
-                        if not line:
-                            break
-                        while True:
-                            header = await reader.readline()
-                            if header in (b"\r\n", b"\n", b""):
-                                break
-                        payload = _json.dumps(
-                            {"ok": True, "status": "serving", "proto": 999}
-                        ).encode()
-                        writer.write(
-                            b"HTTP/1.1 200 OK\r\n"
-                            + f"Content-Length: {len(payload)}\r\n\r\n".encode()
-                            + payload
-                        )
-                        await writer.drain()
-                except (ConnectionError, OSError):
-                    pass
-
-            fake = await asyncio.start_server(handle, "127.0.0.1", 0)
-            host, port = fake.sockets[0].getsockname()[:2]
-            try:
+            # A fake replica whose /healthz body says proto 999.
+            async with StubReplica() as fake:
+                fake.answer = (
+                    200, b'{"ok": true, "status": "serving", "proto": 999}'
+                )
                 router = ReplicaRouter(
-                    [(host, port)], num_shards=4, health_interval_s=0
+                    [fake.address], num_shards=4, health_interval_s=0
                 )
                 async with router:
                     states = await router.check_health()
                     assert states["replica-0"] == INCOMPATIBLE
                     await router.stop()
-            finally:
-                fake.close()
-                await fake.wait_closed()
 
         run(main())
+
+
+class TestRelay:
+    """The router parses the request for its seed and nothing else: the
+    client's bytes reach the replica, the replica's bytes reach the client."""
+
+    # Spaced as no encoder here would space them: a re-encode would show.
+    ANSWERS = [
+        (200, b'{"ok":true,  "seed":3,"top":[[3,0.5e0]],"proto":1}'),
+        (400, b'{"ok":false,"error":"bad_request","message":"k  invalid"}'),
+        (429, b'{"ok":false,"error":"shed",  "message":"full"}'),
+        (504, b'{ "ok":false,"error":"deadline","message":"late" }'),
+    ]
+
+    def test_status_and_body_bytes_are_the_replicas(self):
+        async def main():
+            async with StubReplica() as stub:
+                router = ReplicaRouter(
+                    [stub.address], num_shards=4, health_interval_s=0
+                )
+                async with router:
+                    async with HttpClientPool(*router.address) as pool:
+                        request = b'{ "seed" : 3,"k":  -7 }'
+                        for answer in self.ANSWERS:
+                            stub.answer = answer
+                            status, _, body = await pool.request(
+                                "POST", "/query", request
+                            )
+                            assert (status, body) == answer
+                        assert stub.bodies == [request] * len(self.ANSWERS)
+                        # Refusals are answers: one forward each, no retry.
+                        stats = router._router_stats()
+                        assert stats["answers"]["replica-0"] == 4
+                        assert sum(stats["retries"].values()) == 0
+                    await router.stop()
+
+        run(main())
+
+    def test_real_replica_body_is_what_a_reencode_produced(self):
+        async def main():
+            async with InProcessFleet(1) as fleet:
+                router = ReplicaRouter(
+                    fleet.endpoints, num_shards=4, health_interval_s=0
+                )
+                async with router:
+                    async with HttpClientPool(*router.address) as pool:
+                        for request in ({"seed": 5, "k": 50}, {"seed": -1}):
+                            _, _, body = await pool.request(
+                                "POST", "/query", request
+                            )
+                            assert body == json.dumps(json.loads(body)).encode()
+                    await router.stop()
+
+        run(main())
+
+    @pytest.mark.parametrize("proto", [None, "999"], ids=["absent", "future"])
+    def test_query_proto_header_mismatch_quarantines_and_fails_over(
+        self, proto
+    ):
+        async def main():
+            async with StubReplica(proto) as skewed, StubReplica() as good:
+                good.answer = self.ANSWERS[0]
+                router = ReplicaRouter(
+                    [skewed.address, good.address],
+                    num_shards=4,
+                    health_interval_s=0,
+                    retry_backoff_ms=1.0,
+                )
+                async with router:
+                    seed = seed_owned_by(router, "replica-0")
+                    async with HttpClientPool(*router.address) as pool:
+                        status, _, body = await pool.request(
+                            "POST", "/query", {"seed": seed}
+                        )
+                    assert (status, body) == good.answer
+                    assert len(skewed.bodies) == len(good.bodies) == 1
+                    assert router.replica_states() == {
+                        "replica-0": INCOMPATIBLE,
+                        "replica-1": HEALTHY,
+                    }
+                    stats = router._router_stats()
+                    assert stats["forward_errors"]["replica-0"] == 1
+                    assert stats["failovers"]["replica-0"] == 1
+                    assert stats["answers"]["replica-1"] == 1
+                    await router.stop()
+
+        run(main())
+
+    def test_forced_trace_spans_the_relay(self):
+        trace_id = "ab" * 16
+        tracer = Tracer(sample_rate=0.0)
+
+        async def main():
+            async with InProcessFleet(1, CONFIG.replace(trace_sample=1.0)) as fleet:
+                router = ReplicaRouter(
+                    fleet.endpoints,
+                    num_shards=4,
+                    health_interval_s=0,
+                    tracer=tracer,
+                )
+                async with router:
+                    async with HttpClientPool(*router.address) as pool:
+                        forced = {"traceparent": f"00-{trace_id}-{'cd' * 8}-01"}
+                        answered = await pool.request_json(
+                            "POST", "/query", {"seed": 5, "k": 5}, forced
+                        )
+                        refused = await pool.request_json(
+                            "POST", "/query", {"seed": -1}, forced
+                        )
+                    await router.stop()
+                return answered, refused
+
+        (status, body), (refused_status, _) = asyncio.run(main())
+        # The replica continued the router's trace and said so in its body.
+        assert status == 200 and body["trace_id"] == trace_id
+        assert refused_status == 400
+        answered, refused = tracer.traces()
+        assert answered["trace_id"] == refused["trace_id"] == trace_id
+        assert (answered["status"], refused["status"]) == ("ok", "bad_request")
+        for trace in (answered, refused):
+            (forward,) = [
+                span for span in trace["spans"] if span["name"] == "router.forward"
+            ]
+            assert forward["attributes"]["outcome"] == "answered"
+            assert forward["attributes"]["replica"] == "replica-0"
 
 
 # ----------------------------------------------------------------------

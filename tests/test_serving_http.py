@@ -396,6 +396,97 @@ class TestGracefulDrain:
         with engine:
             asyncio.run(run())
 
+    def test_drain_returns_with_idle_connections_already_closed(
+        self, small_ba_graph, config
+    ):
+        engine = QueryEngine(MeLoPPRSolver(small_ba_graph, config))
+
+        async def run():
+            async with MicroBatcher(engine) as batcher:
+                server = HttpQueryServer(batcher)
+                host, port = await server.start()
+                reader, writer = await asyncio.open_connection(host, port)
+                try:
+                    writer.write(b"GET /healthz HTTP/1.1\r\n\r\n")
+                    response = await reader.readuntil(b'"proto": 1}')
+                    assert response.startswith(b"HTTP/1.1 200 ")
+                    await server.drain()
+                    # Nothing left to wait for: the handler has finished and
+                    # the idle socket already reads EOF.
+                    assert not server._conn_tasks
+                    assert await asyncio.wait_for(reader.read(), timeout=5) == b""
+                finally:
+                    writer.close()
+
+        with engine:
+            asyncio.run(run())
+
+    def test_drain_answers_requests_already_received(self, small_ba_graph):
+        """Two requests arrive in one segment; the drain begins while the
+        first is being answered.  The second was received before the drain,
+        so it is answered too — then the connection closes."""
+        engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.05))
+        request = (
+            b"POST /query HTTP/1.1\r\nContent-Length: 20\r\n\r\n"
+            b'{"seed": %d, "k": 5} '
+        )
+
+        async def run():
+            async with MicroBatcher(engine) as batcher:
+                server = HttpQueryServer(batcher)
+                host, port = await server.start()
+                reader, writer = await asyncio.open_connection(host, port)
+                try:
+                    writer.write(request % 1 + request % 2)
+                    await writer.drain()
+                    await asyncio.sleep(0.02)  # the first query is in flight
+                    await server.drain()
+                    raw = await asyncio.wait_for(reader.read(), timeout=5)
+                finally:
+                    writer.close()
+                return raw
+
+        with engine:
+            raw = asyncio.run(run())
+        assert raw.count(b"HTTP/1.1 200 OK") == 2
+        assert raw.index(b'"seed": 1') < raw.index(b'"seed": 2')
+
+    def test_serving_a_request_creates_no_task(self, small_ba_graph, config):
+        """The connection loop awaits its reads itself: however many requests
+        one connection carries, the loop's task count stays where it was."""
+        engine = QueryEngine(
+            MeLoPPRSolver(small_ba_graph, config),
+            cache=SubgraphCache(),
+            result_cache=ScoreTableCache(),
+        )
+
+        async def run():
+            async with serve_http(engine) as (client, _):
+                await client.query({"seed": 3, "k": 10})  # connected and warm
+                loop = asyncio.get_running_loop()
+                created = []
+
+                def counting_factory(loop, coro, **kwargs):
+                    task = asyncio.Task(coro, loop=loop, **kwargs)
+                    created.append(task)
+                    return task
+
+                before = len(asyncio.all_tasks())
+                loop.set_task_factory(counting_factory)
+                try:
+                    for _ in range(25):
+                        status, _ = await client.request_json("GET", "/healthz")
+                        assert status == 200
+                        status, _ = await client.query({"seed": 3, "k": 10})
+                        assert status == 200
+                finally:
+                    loop.set_task_factory(None)
+                return created, len(asyncio.all_tasks()) - before
+
+        with engine:
+            created, growth = asyncio.run(run())
+        assert created == [] and growth == 0
+
     def test_drain_is_idempotent_and_safe_unstarted(self, small_ba_graph, config):
         engine = QueryEngine(MeLoPPRSolver(small_ba_graph, config))
 
@@ -413,6 +504,126 @@ class TestGracefulDrain:
 
         with engine:
             asyncio.run(run())
+
+
+class ScriptedServer:
+    """A stub HTTP server: reads each request properly, then answers the
+    ``n``-th one (over all connections) with ``script(n)`` — byte pieces
+    written one segment at a time; a trailing ``None`` closes the connection."""
+
+    def __init__(self, script) -> None:
+        self.script = script
+        self.requests = 0
+        self.connections = 0
+
+    async def __aenter__(self):
+        self._server = await asyncio.start_server(self._handle, "127.0.0.1", 0)
+        return self._server.sockets[0].getsockname()[:2]
+
+    async def __aexit__(self, exc_type, exc, traceback):
+        self._server.close()
+        await self._server.wait_closed()
+
+    async def _handle(self, reader, writer):
+        self.connections += 1
+        try:
+            while True:
+                head = await reader.readuntil(b"\r\n\r\n")
+                length = int(head.lower().split(b"content-length:")[1].split()[0])
+                await reader.readexactly(length)
+                self.requests += 1
+                for piece in self.script(self.requests - 1):
+                    if piece is None:
+                        return
+                    writer.write(piece)
+                    await writer.drain()
+                    await asyncio.sleep(0)
+                    await asyncio.sleep(0)
+        except (asyncio.IncompleteReadError, ConnectionError, OSError):
+            pass
+        finally:
+            writer.close()
+
+
+class TestHttpClientFraming:
+    """The client half of the shared head parser."""
+
+    BODY = b'{"ok": true, "top": [[1, 0.5]], "proto": 1}'
+    RESPONSE = (
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+        b"Content-Length: %d\r\nX-Repro-Proto: 1\r\n\r\n" % len(BODY)
+    ) + BODY
+
+    def test_response_split_at_every_offset(self):
+        response = self.RESPONSE
+
+        def script(n):
+            if n == len(response):  # one byte at a time
+                return [response[i : i + 1] for i in range(len(response))]
+            return [response[:n], response[n:]] if n else [response]
+
+        async def run():
+            async with ScriptedServer(script) as (host, port):
+                async with HttpClient(host, port) as client:
+                    return [
+                        await client.request("POST", "/query", {"seed": 1})
+                        for _ in range(len(response) + 1)
+                    ]
+
+        answers = asyncio.run(run())
+        assert answers[0][0] == 200 and answers[0][2] == self.BODY
+        assert answers[0][1]["x-repro-proto"] == "1"
+        assert all(answer == answers[0] for answer in answers)
+
+    @pytest.mark.parametrize(
+        "sent, error",
+        [
+            (0, ConnectionError),
+            (30, ConnectionError),
+            (len(RESPONSE) - 5, asyncio.IncompleteReadError),
+        ],
+        ids=["before-status-line", "mid-head", "mid-body"],
+    )
+    def test_torn_response_is_a_connection_failure(self, sent, error):
+        async def run():
+            script = lambda n: [self.RESPONSE[:sent], None]  # noqa: E731
+            async with ScriptedServer(script) as (host, port):
+                async with HttpClient(host, port) as client:
+                    with pytest.raises(error):
+                        await client.request("GET", "/healthz")
+
+        asyncio.run(run())
+
+    @pytest.mark.parametrize(
+        "garbage",
+        [
+            b"NOT HTTP AT ALL\r\n\r\nleftover",
+            b"HTTP/1.1 200 OK\r\nContent-Length: banana\r\n\r\nleftover",
+        ],
+        ids=["status-line", "content-length"],
+    )
+    def test_malformed_head_does_not_go_back_into_the_pool(self, garbage):
+        """An unparseable head leaves unframed bytes on the connection: the
+        client closes it and fails like a torn response, so the pool
+        replaces it instead of handing the leftovers to the next caller."""
+        stub = ScriptedServer(lambda n: [self.RESPONSE if n else garbage])
+
+        async def run():
+            async with stub as (host, port):
+                async with HttpClient(host, port) as client:
+                    with pytest.raises(ConnectionError, match="malformed"):
+                        await client.request("GET", "/healthz")
+                    assert client._writer is None  # closed, not reusable
+                stub.requests = 0
+                async with HttpClientPool(host, port, size=1) as pool:
+                    first = await pool.request("GET", "/healthz")
+                    second = await pool.request("GET", "/healthz")
+                return first, second
+
+        first, second = asyncio.run(run())
+        assert first == second and first[0] == 200 and first[2] == self.BODY
+        # garbage, its retry on a fresh connection, the second request
+        assert stub.requests == 3
 
 
 class TestHotReload:
