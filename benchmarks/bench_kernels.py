@@ -34,10 +34,7 @@ from repro.meloppr.selection import RatioSelector
 from repro.meloppr.solver import MeLoPPRSolver
 from repro.ppr.local_ppr import LocalPPRSolver
 
-#: Kernel labels benchmarked and emitted by the CLI.  ``numba`` is omitted
-#: on purpose: the baseline gate fails on labels missing from a candidate
-#: run, and the JIT is an optional dependency that CI does not install
-#: (without it the numba kernel is just the frontier kernel measured twice).
+#: Kernel labels benchmarked and emitted by the CLI.
 KERNEL_LABELS = ("reference", "csr", "frontier", "auto")
 
 

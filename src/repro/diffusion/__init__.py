@@ -6,6 +6,7 @@ from repro.diffusion.diffusion import (
     diffusion_work,
     graph_diffusion,
     seed_vector,
+    stage_diffusion,
 )
 from repro.diffusion.sparse_vector import SparseScoreVector
 from repro.diffusion.transition import TransitionOperator
@@ -16,6 +17,7 @@ __all__ = [
     "diffusion_work",
     "graph_diffusion",
     "seed_vector",
+    "stage_diffusion",
     "SparseScoreVector",
     "TransitionOperator",
 ]

@@ -26,14 +26,8 @@ fastest implementation available without ever changing a score:
     the dense ``csr`` product.  Bit-identical when neighbour lists are
     sorted ascending (every graph built by this library; verified once per
     structure, with a dense fallback otherwise).
-``numba``
-    Optional JIT-compiled per-row loop (``fastmath`` off, sequential row
-    accumulation — bit-identical by construction).  Enabled only when the
-    :data:`NUMBA_ENV_VAR` feature flag is set *and* numba imports; a missing
-    numba silently degrades to the ``frontier`` kernel.
 ``auto``
-    The fastest bit-exact kernel available: ``numba`` when the flag is on
-    and the import works, else ``frontier``.
+    The fastest bit-exact kernel: ``frontier``.
 
 Bit-exactness is the load-bearing contract: caches, shards, process pools
 and the differential test suites all assert scores equal to the serial
@@ -65,18 +59,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "DENSE_FRONTIER_FRACTION",
     "KERNEL_ENV_VAR",
-    "NUMBA_ENV_VAR",
     "DiffusionKernel",
     "GraphStructure",
     "ReferenceKernel",
     "CSRKernel",
     "FrontierKernel",
-    "NumbaKernel",
     "available_kernels",
     "default_kernel_name",
     "make_kernel",
-    "numba_available",
-    "numba_enabled",
     "register_kernel",
     "resolve_kernel_name",
     "structure_for",
@@ -85,17 +75,10 @@ __all__ = [
 #: Environment variable selecting the library-wide default kernel.
 KERNEL_ENV_VAR = "REPRO_DIFFUSION_KERNEL"
 
-#: Feature flag: ``auto`` only considers the numba kernel when this is set
-#: (JIT warm-up is a poor default for short-lived processes).
-NUMBA_ENV_VAR = "REPRO_ENABLE_NUMBA"
-
 #: Frontier density (non-zero fraction) above which the frontier kernel
 #: switches to the dense CSR product.  Past this point the slice-gather
 #: bookkeeping costs more than the zeros it skips.
 DENSE_FRONTIER_FRACTION = 0.25
-
-#: Truthy spellings accepted by the feature-flag environment variable.
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
 
 
 def _slice_positions(starts: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
@@ -424,118 +407,6 @@ class FrontierKernel(DiffusionKernel):
 
 
 # ----------------------------------------------------------------------
-# Optional numba JIT kernel.
-# ----------------------------------------------------------------------
-def _import_numba():
-    """Import hook — a single seam the fallback tests monkeypatch."""
-    import numba
-
-    return numba
-
-
-_numba_probe: Optional[bool] = None
-_numba_impl: Optional[Tuple[Callable, Callable]] = None
-
-
-def numba_available() -> bool:
-    """Whether numba imports in this environment (probed once, memoised)."""
-    global _numba_probe
-    if _numba_probe is None:
-        try:
-            _import_numba()
-        except Exception:
-            _numba_probe = False
-        else:
-            _numba_probe = True
-    return _numba_probe
-
-
-def numba_enabled() -> bool:
-    """Whether the :data:`NUMBA_ENV_VAR` feature flag opts into the JIT."""
-    return os.environ.get(NUMBA_ENV_VAR, "").strip().lower() in _TRUTHY
-
-
-def _build_numba_impl() -> Tuple[Callable, Callable]:
-    """Compile (lazily, once) the sequential per-row matvec loops."""
-    global _numba_impl
-    if _numba_impl is None:
-        numba = _import_numba()
-
-        # fastmath stays OFF: it licenses reassociation, which would break
-        # the bit-exactness contract.  The plain sequential loop accumulates
-        # each row in storage order, exactly like the reference scatter.
-        @numba.njit(cache=False, fastmath=False)
-        def matvec_float(indptr, indices, contribution, out):
-            for row in range(out.shape[0]):
-                acc = 0.0
-                for position in range(indptr[row], indptr[row + 1]):
-                    acc += contribution[indices[position]]
-                out[row] = acc
-
-        @numba.njit(cache=False, fastmath=False)
-        def matvec_int(indptr, indices, values, out):
-            for row in range(out.shape[0]):
-                acc = np.int64(0)
-                for position in range(indptr[row], indptr[row + 1]):
-                    acc += values[indices[position]]
-                out[row] = acc
-
-        _numba_impl = (matvec_float, matvec_int)
-    return _numba_impl
-
-
-class NumbaKernel(DiffusionKernel):
-    """JIT-compiled per-row loop; degrades to ``frontier`` without numba.
-
-    Explicitly requesting ``make_kernel("numba")`` on a machine without
-    numba must not crash an otherwise working configuration (a config file
-    shared across heterogeneous hosts), so the kernel silently serves the
-    frontier implementation instead; :attr:`jit_enabled` reports which path
-    is live.
-    """
-
-    name = "numba"
-
-    def __init__(self) -> None:
-        self._fallback = FrontierKernel()
-        self._impl: Optional[Tuple[Callable, Callable]] = None
-        if numba_available():
-            self._impl = _build_numba_impl()
-
-    @property
-    def jit_enabled(self) -> bool:
-        """``True`` when the JIT compiled; ``False`` on the fallback path."""
-        return self._impl is not None
-
-    def apply(self, structure: GraphStructure, scores: np.ndarray) -> np.ndarray:
-        if self._impl is None:
-            return self._fallback.apply(structure, scores)
-        contribution = scores * structure.inverse_degrees
-        out = np.empty(structure.num_nodes, dtype=np.float64)
-        self._impl[0](structure.indptr, structure.indices, contribution, out)
-        return out
-
-    def apply_counted(
-        self, structure: GraphStructure, scores: np.ndarray
-    ) -> Tuple[np.ndarray, int]:
-        if self._impl is None:
-            return self._fallback.apply_counted(structure, scores)
-        return self.apply(structure, scores), structure.touched(scores)
-
-    def propagate_int(
-        self, structure: GraphStructure, values: np.ndarray
-    ) -> np.ndarray:
-        if self._impl is None:
-            return self._fallback.propagate_int(structure, values)
-        out = np.empty(structure.num_nodes, dtype=np.int64)
-        self._impl[1](structure.indptr, structure.indices, values, out)
-        return out
-
-    def __repr__(self) -> str:
-        return f"NumbaKernel(jit_enabled={self.jit_enabled})"
-
-
-# ----------------------------------------------------------------------
 # Registry.
 # ----------------------------------------------------------------------
 _registry: Dict[str, Callable[[], DiffusionKernel]] = {}
@@ -574,20 +445,13 @@ def default_kernel_name() -> str:
     return env or "auto"
 
 
-def _auto_kernel_name() -> str:
-    """What ``auto`` resolves to: the fastest bit-exact kernel available."""
-    if numba_enabled() and numba_available():
-        return "numba"
-    return "frontier"
-
-
 def resolve_kernel_name(
     spec: Union[str, DiffusionKernel, None] = None
 ) -> str:
     """Resolve a kernel spec to a concrete registered name.
 
     ``None`` means the environment default; ``"auto"`` (from either source)
-    resolves to :func:`_auto_kernel_name`.  The returned name is what the
+    resolves to ``"frontier"``.  The returned name is what the
     process-pool backend ships to its workers, so resolution happens once,
     parent-side.
     """
@@ -595,7 +459,7 @@ def resolve_kernel_name(
         return spec.name
     name = (spec if spec is not None else default_kernel_name()).strip().lower()
     if name == "auto":
-        name = _auto_kernel_name()
+        name = "frontier"
     with _registry_lock:
         if name not in _registry:
             known = ", ".join(sorted(_registry))
@@ -629,4 +493,3 @@ def make_kernel(
 register_kernel("reference", ReferenceKernel)
 register_kernel("csr", CSRKernel)
 register_kernel("frontier", FrontierKernel)
-register_kernel("numba", NumbaKernel)

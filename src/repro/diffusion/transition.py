@@ -39,7 +39,7 @@ class TransitionOperator:
         The graph whose random-walk matrix to apply.
     kernel:
         Propagation kernel: a registered name (``"reference"``, ``"csr"``,
-        ``"frontier"``, ``"numba"``), ``"auto"``, a
+        ``"frontier"``), ``"auto"``, a
         :class:`~repro.diffusion.kernels.DiffusionKernel` instance, or
         ``None`` for the environment default.  All kernels produce
         bit-identical scores; the choice is purely a speed knob.

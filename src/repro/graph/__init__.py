@@ -6,6 +6,7 @@ from repro.graph.bfs import (
     bfs_levels,
     expand_frontier,
     extract_ego_subgraph,
+    extract_ego_subgraphs,
 )
 from repro.graph.builder import GraphBuilder
 from repro.graph.csr import CSRGraph
@@ -56,6 +57,7 @@ __all__ = [
     "bfs_levels",
     "expand_frontier",
     "extract_ego_subgraph",
+    "extract_ego_subgraphs",
     "GraphBuilder",
     "CSRGraph",
     "PAPER_DATASETS",

@@ -25,6 +25,8 @@ from repro.meloppr.planner import (
     StageTask,
     StageTaskOutcome,
     execute_plan,
+    execute_stage,
+    execute_stage_per_ball,
     execute_stage_task,
 )
 from repro.meloppr.solver import MeLoPPRSolver, StageTaskRecord
@@ -55,6 +57,8 @@ __all__ = [
     "StageTask",
     "StageTaskOutcome",
     "execute_plan",
+    "execute_stage",
+    "execute_stage_per_ball",
     "execute_stage_task",
     "MeLoPPRSolver",
     "StageTaskRecord",

@@ -15,15 +15,28 @@ modelled FPGA) can all share one algorithmic code path:
   traversal itself.
 * :func:`execute_stage_task` is the smallest **executor** unit: it runs the
   BFS extraction and the diffusion for a single task.  The extraction step is
-  pluggable (``extract=``) which is where the serving engine wires in its
-  :class:`~repro.serving.cache.SubgraphCache`.
-* :func:`execute_plan` is the reference serial executor driving a plan to
-  completion; ``MeLoPPRSolver.solve`` is now exactly
-  ``execute_plan(self.plan(query))``.
+  pluggable (``extract=``); the process workers run their tasks through it.
+* :func:`execute_stage` is the **wave executor**: a stage's ego balls come
+  out of one stage extraction and diffuse as one block-diagonal product, up
+  to :data:`~repro.graph.bfs.BALLS_PER_PASS` at a time — the paper's P
+  processing elements, in software.  The serving engine drives its plans with
+  it, its :class:`~repro.serving.cache.SubgraphCache` wired in as the stage
+  extraction hook.  :func:`execute_stage_per_ball` is the paper's CPU
+  executor, one ball at a time, and what ``MeLoPPRSolver.solve`` runs.
+* :func:`execute_plan` is the one drive loop: it hands each stage's tasks to
+  whichever of those the caller is driving with.
+
+Which executor holds what.  The solver holds **one** ball at a time: its
+measured peak (``track_memory=True``) is the paper's Table II claim.  The
+engine holds a **wave** of balls, as the P-PE accelerator keeps P sub-graphs
+resident at once.  ``modelled_bytes`` is the per-task BRAM model under either
+— the largest single sub-graph plus the score table — and an engine-driven
+plan with ``track_memory=True`` reports what it really held.
 
 The numerical behaviour (floating-point operation order, selection, score
-table updates) is identical to the former inline loop, so planner-based
-execution returns bit-identical scores to the historical solver.
+table updates) is identical to the former inline loop under every executor,
+so planner-based execution returns bit-identical scores to the historical
+solver.
 """
 
 from __future__ import annotations
@@ -35,17 +48,29 @@ from typing import (
     ContextManager,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
 
 import numpy as np
 
-from repro.diffusion.diffusion import DiffusionResult, graph_diffusion, seed_vector
+from repro.diffusion.diffusion import (
+    DiffusionResult,
+    graph_diffusion,
+    seed_vector,
+    stage_diffusion,
+)
 from repro.diffusion.kernels import DiffusionKernel
-from repro.graph.bfs import BFSResult, extract_ego_subgraph
+from repro.graph.bfs import (
+    BALLS_PER_PASS,
+    BFSResult,
+    extract_ego_subgraph,
+    extract_ego_subgraphs,
+)
 from repro.graph.csr import CSRGraph
 from repro.graph.subgraph import Subgraph
 from repro.memory.tracker import MemoryTracker
@@ -62,9 +87,14 @@ __all__ = [
     "StageOneState",
     "MeLoPPRPlan",
     "ExtractFn",
+    "StageExtractFn",
+    "StageRunner",
     "default_extract",
+    "each_ball",
     "realised_stage_lengths",
     "execute_stage_task",
+    "execute_stage",
+    "execute_stage_per_ball",
     "execute_plan",
 ]
 
@@ -189,10 +219,24 @@ class StageOneState:
 ExtractFn = Callable[[CSRGraph, int, int], Tuple[Subgraph, BFSResult, bool]]
 
 
+#: Its stage form: ``(graph, centers, depth) -> [(subgraph, bfs, hit), ...]``, in centre order.
+StageExtractFn = Callable[[CSRGraph, Sequence[int], int], List[Tuple[Subgraph, BFSResult, bool]]]
+
+
 def default_extract(graph: CSRGraph, center: int, depth: int) -> Tuple[Subgraph, BFSResult, bool]:
     """The cache-less extraction hook: always extract fresh."""
     subgraph, bfs = extract_ego_subgraph(graph, center, depth)
     return subgraph, bfs, False
+
+
+def each_ball(extract: ExtractFn) -> StageExtractFn:
+    """The stage form of a per-ball hook: one call per centre, in centre order."""
+    return lambda graph, centers, depth: [extract(graph, c, depth) for c in centers]
+
+
+def _extract_stage_fresh(graph: CSRGraph, centers: Sequence[int], depth: int):
+    """The cache-less stage hook: one fresh stage extraction."""
+    return [(sub, bfs, False) for sub, bfs in extract_ego_subgraphs(graph, centers, depth)]
 
 
 def _resplit(total_length: int, template: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -420,8 +464,10 @@ class MeLoPPRPlan:
         ``outcomes`` must correspond one-to-one, in order, to the
         :attr:`pending_tasks` published for the current stage.  It may be a
         lazy iterable: each outcome is folded as soon as it is produced and
-        then dropped, which is what keeps the serial executor's working set
-        bounded by a single sub-graph (the paper's memory claim).
+        then dropped, so the working set is whatever the executor behind the
+        iterable holds — a single sub-graph under
+        :func:`execute_stage_per_ball` (the paper's memory claim, measured by
+        the solver), one wave of them under :func:`execute_stage`.
         """
         if self._done:
             raise RuntimeError("plan is already complete")
@@ -666,48 +712,90 @@ def execute_stage_task(
     )
 
 
+def execute_stage(
+    plan: MeLoPPRPlan,
+    tasks: Sequence[StageTask],
+    extract_stage: StageExtractFn = _extract_stage_fresh,
+    kernel: Union[str, DiffusionKernel, None] = None,
+) -> Iterator[StageTaskOutcome]:
+    """Run one stage of ``plan`` in waves; its outcomes, lazily, in task order.
+
+    A wave is up to :data:`~repro.graph.bfs.BALLS_PER_PASS` consecutive
+    tasks: one stage extraction (``extract_stage`` — a cache's stage form, or
+    :func:`each_ball` around a per-ball hook) and one block-diagonal
+    diffusion (:func:`~repro.diffusion.diffusion.stage_diffusion`).  Every
+    outcome equals :func:`execute_stage_task`'s for its task, bit for bit.  A
+    wave's balls are resident together; the next wave starts only once the
+    consumer has folded this one.
+    """
+    for begin in range(0, len(tasks), BALLS_PER_PASS):
+        wave = tasks[begin : begin + BALLS_PER_PASS]
+        centers = [task.center for task in wave]
+        length, alpha = wave[0].length, wave[0].alpha  # one per stage
+        with plan.timing.measure("bfs"):
+            extracted = extract_stage(plan.graph, centers, length)
+        with plan.timing.measure("diffusion"):
+            diffusions = stage_diffusion(
+                [subgraph.graph for subgraph, _, _ in extracted],
+                [triple[0].to_local(center) for triple, center in zip(extracted, centers)],
+                length,
+                alpha,
+                kernel,
+            )
+        for task, (subgraph, bfs, cache_hit), diffusion in zip(wave, extracted, diffusions):
+            yield StageTaskOutcome(task, subgraph, bfs, diffusion, cache_hit)
+
+
+def execute_stage_per_ball(
+    plan: MeLoPPRPlan, tasks: Sequence[StageTask]
+) -> Iterator[StageTaskOutcome]:
+    """Run one stage of ``plan`` one ball at a time: the paper's CPU executor.
+
+    Each sub-graph is extracted, diffused, folded and dropped before the next
+    is touched.  Built on :func:`execute_stage_task` alone — no code shared
+    with :func:`execute_stage`, so ``MeLoPPRSolver.solve`` can be the oracle
+    the wave executor is checked against.
+    """
+    return (execute_stage_task(plan.graph, task, timing=plan.timing) for task in tasks)
+
+
+#: What runs one stage: ``(plan, tasks) -> outcomes``, in task order.
+StageRunner = Callable[[MeLoPPRPlan, Sequence[StageTask]], Iterable[StageTaskOutcome]]
+
+
 def execute_plan(
     plan: MeLoPPRPlan,
-    extract: Optional[ExtractFn] = None,
+    run_stage: StageRunner = execute_stage,
     after_stage: Optional[Callable[[MeLoPPRPlan], None]] = None,
-    kernel: Union[str, DiffusionKernel, None] = None,
     span: Optional[Callable[..., ContextManager]] = None,
 ) -> PPRResult:
-    """Drive a plan to completion with the serial reference executor.
+    """Drive a plan to completion — the one drive loop in the library.
 
-    ``after_stage`` (optional) is invoked with the plan after each completed
-    stage — the serving engine's in-process path reuses this exact loop and
-    hooks its cross-query result cache there (snapshotting
-    :meth:`MeLoPPRPlan.stage_one_state` after the first stage), so there is
-    one serial drive loop in the library, not two hand-synchronised copies.
-    ``kernel`` selects the (bit-exact) diffusion kernel for every task.
-    ``span`` (optional) is a tracing hook — a callable returning a context
-    manager, opened around each stage as ``span("engine.stage", stage=...,
+    ``run_stage`` executes a stage's tasks, and who is driving picks it: the
+    wave executor :func:`execute_stage` by default (the serving engine binds
+    its cache's stage hook and kernel with ``functools.partial``),
+    :func:`execute_stage_per_ball` for ``MeLoPPRSolver.solve``, a stage-task
+    backend's ``run_stage_tasks`` for worker processes.  ``after_stage``
+    (optional) is invoked with the plan after each completed stage — the
+    engine hooks its cross-query result cache there (snapshotting
+    :meth:`MeLoPPRPlan.stage_one_state` after the first stage).  ``span``
+    (optional) is a tracing hook — a callable returning a context manager,
+    opened around each stage as ``span("engine.stage", stage=...,
     num_tasks=...)`` (see :mod:`repro.serving.tracing`); the untraced path
     pays a single ``is None`` check per stage.
     """
     try:
         while not plan.done:
             tasks = plan.pending_tasks
-            outcomes = (
-                execute_stage_task(
-                    plan.graph,
-                    task,
-                    extract=extract,
-                    timing=plan.timing,
-                    kernel=kernel,
-                )
-                for task in tasks
-            )
             if span is None:
-                plan.complete_stage(outcomes)
+                plan.complete_stage(run_stage(plan, tasks))
             else:
                 with span(
                     "engine.stage",
                     stage=tasks[0].stage_index,
                     num_tasks=len(tasks),
                 ):
-                    plan.complete_stage(outcomes)
+                    plan.complete_stage(run_stage(plan, tasks))
             if after_stage is not None:
                 after_stage(plan)
     finally:

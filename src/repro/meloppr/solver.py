@@ -40,7 +40,12 @@ from typing import Optional
 
 from repro.graph.csr import CSRGraph
 from repro.meloppr.config import MeLoPPRConfig
-from repro.meloppr.planner import MeLoPPRPlan, StageTaskRecord, execute_plan
+from repro.meloppr.planner import (
+    MeLoPPRPlan,
+    StageTaskRecord,
+    execute_plan,
+    execute_stage_per_ball,
+)
 from repro.ppr.base import PPRQuery, PPRResult, PPRSolver
 
 __all__ = ["MeLoPPRSolver", "StageTaskRecord"]
@@ -77,7 +82,8 @@ class MeLoPPRSolver(PPRSolver):
         """Build the stage-task planner for one query (without executing it).
 
         The serving engine uses this to separate planning from execution;
-        :meth:`solve` is exactly ``execute_plan(self.plan(query))``.
+        :meth:`solve` is exactly ``execute_plan(self.plan(query),
+        run_stage=execute_stage_per_ball)``.
         ``track_memory`` overrides the config's tracemalloc switch (the
         engine disables it under concurrent backends, where the
         process-global trace cannot measure per-query peaks).
@@ -85,5 +91,10 @@ class MeLoPPRSolver(PPRSolver):
         return MeLoPPRPlan(self._graph, self._config, query, track_memory=track_memory)
 
     def solve(self, query: PPRQuery) -> PPRResult:
-        """Answer one PPR query with multi-stage decomposition."""
-        return execute_plan(self.plan(query))
+        """Answer one PPR query with multi-stage decomposition.
+
+        One ball at a time: this is the executor whose measured peak Table II
+        reports, and the oracle the serving engine's wave executor is tested
+        against — so it never runs the stage functions it judges.
+        """
+        return execute_plan(self.plan(query), run_stage=execute_stage_per_ball)

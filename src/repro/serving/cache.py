@@ -26,9 +26,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.graph.bfs import BFSResult, extract_ego_subgraph
+from repro.graph.bfs import BFSResult, extract_ego_subgraph, extract_ego_subgraphs
 from repro.graph.csr import CSRGraph
 from repro.graph.subgraph import Subgraph
 
@@ -134,6 +134,12 @@ class SubgraphCache:
     -----
     A cache instance is bound to one host graph (the engine owns one per
     graph); keying by ``(center, depth)`` alone keeps lookups cheap.
+
+    The stage form, :meth:`get_or_extract_many`, looks a whole stage up before
+    it inserts any of it.  Its hit / miss counts can differ from the per-ball
+    order only when the stage's own inserts would have evicted one of its
+    later lookups (a budget below one stage) or a centre repeats inside the
+    stage; the sub-graphs served, hence the answers, cannot.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES) -> None:
@@ -228,6 +234,41 @@ class SubgraphCache:
         cross-graph sharing would return wrong sub-graphs).  :meth:`clear`
         resets the binding.
         """
+        self._bind(graph)
+        cached = self.get(center, depth)
+        if cached is not None:
+            return cached[0], cached[1], True
+        # Extract outside the lock so concurrent misses proceed in parallel.
+        subgraph, bfs = extract_ego_subgraph(graph, center, depth)
+        self.put(center, depth, subgraph, bfs)
+        return subgraph, bfs, False
+
+    def get_or_extract_many(
+        self, graph: CSRGraph, centers: Sequence[int], depth: int
+    ) -> List[Tuple[Subgraph, BFSResult, bool]]:
+        """The stage form of :meth:`get_or_extract`: one triple per centre.
+
+        Every centre is looked up first, the misses are extracted together
+        (:func:`~repro.graph.bfs.extract_ego_subgraphs`, outside the lock) and
+        inserted one entry per ball — the planner's
+        :data:`~repro.meloppr.planner.StageExtractFn`.
+        """
+        self._bind(graph)
+        found = [self.get(center, depth) for center in centers]
+        missed = [center for center, entry in zip(centers, found) if entry is None]
+        fresh = iter(extract_ego_subgraphs(graph, missed, depth))
+        triples: List[Tuple[Subgraph, BFSResult, bool]] = []
+        for center, entry in zip(centers, found):
+            if entry is not None:
+                triples.append((entry[0], entry[1], True))
+            else:
+                subgraph, bfs = next(fresh)
+                self.put(center, depth, subgraph, bfs)
+                triples.append((subgraph, bfs, False))
+        return triples
+
+    def _bind(self, graph: CSRGraph) -> None:
+        """Bind to ``graph`` on first use; refuse any other graph after."""
         with self._lock:
             if self._graph is None:
                 self._graph = graph
@@ -236,13 +277,6 @@ class SubgraphCache:
                     f"cache is bound to graph {self._graph.name!r}; create one "
                     f"SubgraphCache per graph (got {graph.name!r})"
                 )
-        cached = self.get(center, depth)
-        if cached is not None:
-            return cached[0], cached[1], True
-        # Extract outside the lock so concurrent misses proceed in parallel.
-        subgraph, bfs = extract_ego_subgraph(graph, center, depth)
-        self.put(center, depth, subgraph, bfs)
-        return subgraph, bfs, False
 
     def max_depth(self) -> int:
         """Largest extraction depth among retained entries (0 when empty).

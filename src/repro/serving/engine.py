@@ -8,8 +8,9 @@ serving layer needs that a solver should not know about:
   pending batch (``solve_batch`` does both in one call), amortising backend
   and cache warm-up across queries.
 * **Extraction reuse** — an optional :class:`~repro.serving.cache.SubgraphCache`
-  is wired into the planner's extraction hook, so hot ego sub-graphs are
-  extracted once per batch instead of once per task.
+  is wired into the planner's stage extraction hook, so hot ego sub-graphs are
+  extracted once per batch instead of once per task, and a stage's misses are
+  extracted together.
 * **Pluggable execution** — an :class:`~repro.serving.backends.ExecutionBackend`
   decides how the per-query jobs run (serially, on a thread pool, ...).
 
@@ -23,9 +24,12 @@ backend, with the cache enabled or disabled: queries are independent, task
 order within a query is preserved by the planner, and cached extractions are
 the same immutable objects a fresh extraction would produce.  The one field
 that legitimately differs is measurement, not computation: wall-clock timing
-always varies, and under a concurrent backend ``peak_memory_bytes`` reports
-the modelled working set because the process-global ``tracemalloc`` cannot
-attribute peaks to overlapping queries.  (Fallback solvers that measure
+always varies; an in-process backend runs a stage in waves
+(:func:`~repro.meloppr.planner.execute_stage`), so with ``track_memory`` on
+``peak_memory_bytes`` is the peak of holding a wave of sub-graphs, not the
+solver's one; and under a concurrent backend it reports the modelled working
+set because the process-global ``tracemalloc`` cannot attribute peaks to
+overlapping queries.  (Fallback solvers that measure
 memory themselves stay correct too — their tracked sections serialise on
 :class:`~repro.memory.tracker.MemoryTracker`'s shared lock — but pass
 ``track_memory=False`` at solver construction to actually run in parallel.)
@@ -36,6 +40,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.diffusion.kernels import DiffusionKernel, resolve_kernel_name
@@ -46,7 +51,14 @@ from repro.graph.delta import (
     update_distance_bound,
     update_reach_bound,
 )
-from repro.meloppr.planner import MeLoPPRPlan, default_extract, execute_plan
+from repro.meloppr.planner import (
+    MeLoPPRPlan,
+    StageRunner,
+    default_extract,
+    each_ball,
+    execute_plan,
+    execute_stage,
+)
 from repro.ppr.base import PPRQuery, PPRResult, PPRSolver
 from repro.serving.backends import ExecutionBackend, SerialBackend
 from repro.serving.cache import CacheStats, SubgraphCache
@@ -641,22 +653,6 @@ class QueryEngine:
                     return self._finish_result(
                         _replay(answer), time.perf_counter() - start, "answer"
                     )
-            if self._router is not None:
-                extract = self._router.extract
-            elif self._cache is not None:
-                extract = self._cache.get_or_extract
-            else:
-                extract = None
-            if ctx is not None and not getattr(
-                self._backend, "executes_stage_tasks", False
-            ):
-                # Traced in-process extraction: wrap the hook so every
-                # extraction records a span with cache hit/miss and (when
-                # sharded) shard-routing annotations.  Stage-task backends
-                # extract inside their workers, which record their own spans.
-                extract = self._traced_extract(
-                    extract if extract is not None else default_extract, ctx
-                )
             # tracemalloc is process-global: under a concurrent backend two
             # plans measuring at once would corrupt each other's peaks, so
             # force tracking off there (peak_memory_bytes then reports the
@@ -676,7 +672,7 @@ class QueryEngine:
                 install = lambda done_plan: result_cache.put(
                     key, done_plan.stage_one_state()
                 )
-            result = self._drive_plan(plan, extract, install=install, ctx=ctx)
+            result = self._drive_plan(plan, install=install, ctx=ctx)
             if result_cache is not None:
                 # Shared from here on: freeze the scores, and keep a copy
                 # whose metadata dict the first caller cannot reach.
@@ -703,24 +699,53 @@ class QueryEngine:
 
         return traced
 
+    def _stage_runner(self, ctx: Optional[TraceContext]) -> StageRunner:
+        """How this engine executes one stage of a plan.
+
+        In process, the wave executor over the cache's stage hook.  A per-ball
+        hook — the router's, or the traced wrapper with its one ``extract``
+        span per task — is still called once per task, in task order; only
+        the diffusion is shared then.  A stage-task backend runs each task's
+        extraction + diffusion in a worker process, the per-ball hook being
+        the parent-side fallback for tasks the workers cannot serve (sharded
+        extractions beyond the halo).
+        """
+        if self._router is not None:
+            extract = self._router.extract
+        elif self._cache is not None:
+            extract = self._cache.get_or_extract
+        else:
+            extract = None
+        if getattr(self._backend, "executes_stage_tasks", False):
+            return lambda plan, tasks: self._backend.run_stage_tasks(
+                tasks, fallback=extract, timing=plan.timing, kernel=self._kernel, trace=ctx
+            )
+        if ctx is not None:
+            extract_stage = each_ball(
+                self._traced_extract(extract or default_extract, ctx)
+            )
+        elif self._cache is not None:
+            extract_stage = self._cache.get_or_extract_many
+        elif extract is not None:
+            extract_stage = each_ball(extract)
+        else:
+            return partial(execute_stage, kernel=self._kernel)
+        return partial(execute_stage, extract_stage=extract_stage, kernel=self._kernel)
+
     def _drive_plan(
         self,
         plan: MeLoPPRPlan,
-        extract,
         install: Optional[Callable[[MeLoPPRPlan], None]] = None,
         ctx: Optional[TraceContext] = None,
     ) -> PPRResult:
         """Drive a plan to completion through the backend.
 
         The plan (folding, residual selection) always runs in the parent, in
-        exactly the serial order, so scores stay bit-identical to
-        :func:`~repro.meloppr.planner.execute_plan` — an in-process backend
-        literally runs ``execute_plan`` (one serial drive loop in the
-        library); a stage-task backend runs the extraction + diffusion of
-        each task in a worker process, with ``extract`` as the parent-side
-        hook for tasks the workers cannot serve (sharded extractions beyond
-        the halo fall back to the host graph here).  ``install`` runs once,
-        right after the first stage folds — the result cache's snapshot
+        exactly the serial order, and every backend goes through the one
+        drive loop, :func:`~repro.meloppr.planner.execute_plan`, so scores
+        stay bit-identical to ``MeLoPPRSolver.solve``; what differs is how a
+        stage's tasks are executed (:meth:`_stage_runner`).  ``install`` runs
+        once, right after the first stage folds — the result cache's snapshot
         point.
         """
         after_stage: Optional[Callable[[MeLoPPRPlan], None]] = None
@@ -733,45 +758,12 @@ class QueryEngine:
                     callback, pending = pending, None
                     callback(done_plan)
 
-        if not getattr(self._backend, "executes_stage_tasks", False):
-            return execute_plan(
-                plan,
-                extract=extract,
-                after_stage=after_stage,
-                kernel=self._kernel,
-                span=None if ctx is None else ctx.span,
-            )
-        try:
-            while not plan.done:
-                tasks = plan.pending_tasks
-                stage_span = (
-                    None
-                    if ctx is None
-                    else ctx.begin_span(
-                        "engine.stage",
-                        push=True,
-                        stage=tasks[0].stage_index,
-                        num_tasks=len(tasks),
-                    )
-                )
-                try:
-                    plan.complete_stage(
-                        self._backend.run_stage_tasks(
-                            tasks,
-                            fallback=extract,
-                            timing=plan.timing,
-                            kernel=self._kernel,
-                            trace=ctx,
-                        )
-                    )
-                finally:
-                    if stage_span is not None:
-                        ctx.end_span(stage_span)
-                if after_stage is not None:
-                    after_stage(plan)
-        finally:
-            plan.close()
-        return plan.finish()
+        return execute_plan(
+            plan,
+            run_stage=self._stage_runner(ctx),
+            after_stage=after_stage,
+            span=None if ctx is None else ctx.span,
+        )
 
     def _finish_result(
         self,

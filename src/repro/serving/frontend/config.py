@@ -221,7 +221,7 @@ def add_serving_arguments(
         "--kernel",
         default=None,
         help=(
-            "diffusion kernel: reference, csr, frontier, numba or auto "
+            "diffusion kernel: reference, csr, frontier or auto "
             "(default: the REPRO_DIFFUSION_KERNEL environment variable, "
             "else auto); every kernel returns bit-identical scores"
         ),

@@ -18,11 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.diffusion import kernels as kernels_module
-from repro.diffusion.diffusion import graph_diffusion, seed_vector
+from repro.diffusion.diffusion import graph_diffusion, seed_vector, stage_diffusion
 from repro.diffusion.kernels import (
     FrontierKernel,
     GraphStructure,
-    NumbaKernel,
     available_kernels,
     make_kernel,
     register_kernel,
@@ -110,6 +109,92 @@ class TestKernelDifferential:
             assert result.propagations == expected.propagations
 
 
+def assert_stage_matches_per_graph(graphs, seeds, length, kernel, alpha=0.85):
+    """``stage_diffusion`` equals ``graph_diffusion`` per graph, bit for bit."""
+    results = stage_diffusion(graphs, seeds, length, alpha, kernel)
+    assert len(results) == len(graphs)
+    for graph, seed, result in zip(graphs, seeds, results):
+        expected = graph_diffusion(
+            graph, seed_vector(graph.num_nodes, seed), length, alpha, kernel=kernel
+        )
+        assert np.array_equal(result.accumulated, expected.accumulated)
+        assert np.array_equal(result.residual, expected.residual)
+        assert result.propagations == expected.propagations
+        assert type(result.propagations) is int
+        assert (result.length, result.alpha) == (expected.length, expected.alpha)
+    return results
+
+
+class _RecordingFrontier(FrontierKernel):
+    """A frontier kernel that notes, per step, whether it went dense."""
+
+    def __init__(self):
+        super().__init__()
+        self.went_dense = []
+
+    def apply_counted(self, structure, scores):
+        self.went_dense.append(
+            np.count_nonzero(scores) > self.dense_fraction * structure.num_nodes
+        )
+        return super().apply_counted(structure, scores)
+
+
+class TestStageDiffusion:
+    @pytest.mark.parametrize("kernel", available_kernels() + ("auto",))
+    def test_a_wave_of_mixed_graphs_matches_per_graph(self, kernel):
+        graphs = [make_graph() for make_graph in GRAPH_CASES]
+        rng = np.random.default_rng(5)
+        seeds = [int(rng.integers(graph.num_nodes)) for graph in graphs]
+        seeds[2] = 5  # the isolated node: its score evaporates in its own block
+        for length in range(0, 5):
+            assert_stage_matches_per_graph(graphs, seeds, length, kernel)
+        assert_stage_matches_per_graph(graphs[3:4], seeds[3:4], 3, kernel)
+        assert_stage_matches_per_graph([graphs[3]] * 3, [0, 7, 0], 3, kernel, alpha=0.5)
+
+    def test_stacked_frontier_goes_dense_where_a_member_alone_stays_sparse(self):
+        path = CSRGraph.from_edges(100, [(i, i + 1) for i in range(99)], name="path100")
+        clique = CSRGraph.from_edges(
+            5, [(u, v) for u in range(5) for v in range(u)], name="k5"
+        )
+        alone = _RecordingFrontier()
+        graph_diffusion(path, seed_vector(100, 50), 3, 0.85, kernel=alone)
+        assert alone.went_dense == [False, False, False]
+        stacked = _RecordingFrontier()
+        assert_stage_matches_per_graph([path] + [clique] * 20, [50] + [0] * 20, 3, stacked)
+        assert stacked.went_dense[:3] == [False, True, True]
+        for kernel in available_kernels():
+            assert_stage_matches_per_graph([path] + [clique] * 20, [50] + [0] * 20, 3, kernel)
+
+    def test_stacked_frontier_stays_sparse_where_a_member_alone_goes_dense(self):
+        path = CSRGraph.from_edges(1000, [(i, i + 1) for i in range(999)], name="path1000")
+        clique = CSRGraph.from_edges(
+            5, [(u, v) for u in range(5) for v in range(u)], name="k5"
+        )
+        alone = _RecordingFrontier()
+        graph_diffusion(clique, seed_vector(5, 0), 3, 0.85, kernel=alone)
+        assert alone.went_dense == [False, True, True]
+        stacked = _RecordingFrontier()
+        assert_stage_matches_per_graph([clique, path], [0, 500], 3, stacked)
+        assert stacked.went_dense[:3] == [False, False, False]
+        for kernel in available_kernels():
+            assert_stage_matches_per_graph([clique, path], [0, 500], 3, kernel)
+
+    def test_results_are_split_per_graph(self, small_ba_graph, star_graph):
+        first, second = stage_diffusion([small_ba_graph, star_graph], [3, 0], 2)
+        assert first.num_nodes == small_ba_graph.num_nodes
+        assert second.num_nodes == star_graph.num_nodes
+        assert second.propagations == 6 + 6  # the hub's row, then the six leaves'
+
+    def test_no_graphs_and_bad_seeds(self, star_graph):
+        assert stage_diffusion([], [], 3) == []
+        with pytest.raises(ValueError):
+            stage_diffusion([star_graph], [0, 1], 3)
+        with pytest.raises(ValueError):
+            stage_diffusion([star_graph, star_graph], [0, 7], 3)
+        with pytest.raises(ValueError):
+            stage_diffusion([star_graph], [0], -1)
+
+
 class TestGraphStructure:
     def test_structure_is_shared_across_operators(self, small_ba_graph):
         first = structure_for(small_ba_graph)
@@ -173,16 +258,17 @@ class TestOperatorMemoization:
 class TestRegistry:
     def test_available_kernels_lists_builtins(self):
         names = available_kernels()
-        for expected in ("reference", "csr", "frontier", "numba"):
+        for expected in ("reference", "csr", "frontier"):
             assert expected in names
 
     def test_resolve_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown diffusion kernel"):
             resolve_kernel_name("does-not-exist")
 
-    def test_auto_resolves_to_concrete_kernel(self):
-        assert resolve_kernel_name("auto") in available_kernels()
-        assert resolve_kernel_name(None) in available_kernels()
+    def test_auto_resolves_to_concrete_kernel(self, monkeypatch):
+        monkeypatch.delenv(kernels_module.KERNEL_ENV_VAR, raising=False)
+        assert resolve_kernel_name("auto") == "frontier"
+        assert resolve_kernel_name(None) == "frontier"
 
     def test_env_var_sets_default(self, monkeypatch):
         monkeypatch.setenv(kernels_module.KERNEL_ENV_VAR, "csr")
@@ -211,36 +297,3 @@ class TestRegistry:
             with kernels_module._registry_lock:
                 kernels_module._registry.pop("test-kernel", None)
                 kernels_module._instances.pop("test-kernel", None)
-
-
-class TestNumbaFallback:
-    @pytest.fixture
-    def broken_numba(self, monkeypatch):
-        """Force the numba import to fail and reset the probe memo."""
-
-        def boom():
-            raise ImportError("numba is not installed")
-
-        monkeypatch.setattr(kernels_module, "_import_numba", boom)
-        monkeypatch.setattr(kernels_module, "_numba_probe", None)
-        yield
-        monkeypatch.setattr(kernels_module, "_numba_probe", None)
-
-    def test_import_failure_falls_back(self, broken_numba, small_ba_graph):
-        kernel = NumbaKernel()
-        assert not kernel.jit_enabled
-        initial = seed_vector(small_ba_graph.num_nodes, 3)
-        expected = graph_diffusion(small_ba_graph, initial, 3, 0.85, kernel="reference")
-        result = graph_diffusion(small_ba_graph, initial, 3, 0.85, kernel=kernel)
-        assert np.array_equal(result.accumulated, expected.accumulated)
-        assert np.array_equal(result.residual, expected.residual)
-        assert result.propagations == expected.propagations
-
-    def test_auto_skips_numba_when_unavailable(self, broken_numba, monkeypatch):
-        monkeypatch.setenv(kernels_module.NUMBA_ENV_VAR, "1")
-        assert resolve_kernel_name("auto") == "frontier"
-
-    def test_numba_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(kernels_module.NUMBA_ENV_VAR, raising=False)
-        assert not kernels_module.numba_enabled()
-        assert resolve_kernel_name("auto") == "frontier"

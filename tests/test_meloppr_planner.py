@@ -2,20 +2,32 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 import pytest
 
+from repro.graph.csr import CSRGraph
+from repro.graph.generators import barabasi_albert_graph
 from repro.meloppr.config import MeLoPPRConfig
 from repro.meloppr.planner import (
     MeLoPPRPlan,
     StageTask,
     _resplit,
+    each_ball,
     execute_plan,
+    execute_stage,
+    execute_stage_per_ball,
     execute_stage_task,
 )
+from repro.meloppr.selection import RatioSelector
 from repro.meloppr.solver import MeLoPPRSolver
 from repro.ppr.base import PPRQuery
 from repro.ppr.local_ppr import LocalPPRSolver
 from repro.ppr.metrics import result_precision
+from repro.serving.backends import make_backend
+from repro.serving.cache import SubgraphCache
+from repro.serving.engine import QueryEngine
 
 
 @pytest.fixture()
@@ -70,6 +82,131 @@ class TestPlannerProtocol:
         execute_plan(plan)
         with pytest.raises(RuntimeError):
             plan.complete_stage([])
+
+
+# ----------------------------------------------------------------------
+# The two executors: the engine's waves against the solver's one ball at a time.
+NUM_NODES = 120
+BASE_EDGES = frozenset(
+    (int(u), int(v)) for u, v in barabasi_albert_graph(NUM_NODES, 2, rng=21).edge_array()
+)
+UPDATE = (("insert", 0, 119), ("delete", *min(BASE_EDGES)), ("insert", 57, 101))
+SEEDS = (0, 118)
+CONFIGS = tuple(
+    MeLoPPRConfig(
+        stage_lengths=split,
+        selector=RatioSelector(ratio),
+        score_table_factor=factor,
+        track_memory=False,
+    )
+    for ratio, split, factor in itertools.product(
+        (0.02, 0.2, 1.0), ((3, 3), (1, 2, 3)), (10, None)
+    )
+)
+
+
+def _from_scratch(updated: bool) -> CSRGraph:
+    edges = set(BASE_EDGES)
+    if updated:
+        for kind, u, v in UPDATE:
+            (edges.add if kind == "insert" else edges.discard)((min(u, v), max(u, v)))
+    return CSRGraph.from_edges(NUM_NODES, sorted(edges), name="scratch")
+
+
+def _comparable(result):
+    """Everything the two executors must agree on, order included."""
+    metadata = {
+        key: value
+        for key, value in result.metadata.items()
+        if key not in ("serving", "cache_hits", "cache_misses")
+    }
+    return (
+        result.scores.nodes().tolist(),
+        result.scores.values().tolist(),
+        result.peak_memory_bytes,
+        metadata,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(config_index: int, updated: bool):
+    """``MeLoPPRSolver.solve`` on the from-scratch graph, per seed."""
+    solver = MeLoPPRSolver(_from_scratch(updated), CONFIGS[config_index])
+    return [_comparable(solver.solve(PPRQuery(seed=seed, k=10))) for seed in SEEDS]
+
+
+class TestWaveExecutorAgainstTheSolver:
+    @pytest.mark.parametrize("backend", ["serial", "thread:2"])
+    @pytest.mark.parametrize("cache_bytes", [None, 1 << 26, 20_000])
+    def test_engine_equals_solver_before_and_after_an_update(self, backend, cache_bytes):
+        queries = [PPRQuery(seed=seed, k=10) for seed in SEEDS]
+        widest = 0
+        for index, config in enumerate(CONFIGS):
+            cache = None if cache_bytes is None else SubgraphCache(cache_bytes)
+            engine = QueryEngine(
+                MeLoPPRSolver(_from_scratch(False), config),
+                backend=make_backend(backend),
+                cache=cache,
+            )
+            with engine:
+                for updated in (False, True):
+                    if updated:
+                        engine.apply_update(UPDATE)
+                    results = engine.solve_batch(queries)
+                    assert [_comparable(r) for r in results] == _oracle(index, updated)
+                    widest = max(widest, *(r.metadata["num_tasks"] for r in results))
+                if cache is not None:
+                    cache.validate()
+        # Some stage was wider than one wave, and (for the small budget)
+        # than the whole cache.
+        assert widest > 64
+
+    def test_the_solver_never_runs_the_stage_functions(self, small_ba_graph, config, monkeypatch):
+        query = PPRQuery(seed=7, k=20)
+        expected = MeLoPPRSolver(small_ba_graph, config).solve(query).top_k()
+
+        def boom(*args, **kwargs):
+            raise AssertionError("stage function called")
+
+        for target in (
+            "repro.graph.bfs.extract_ego_subgraphs",
+            "repro.meloppr.planner.extract_ego_subgraphs",
+            "repro.serving.cache.extract_ego_subgraphs",
+            "repro.diffusion.diffusion.stage_diffusion",
+            "repro.meloppr.planner.stage_diffusion",
+        ):
+            monkeypatch.setattr(target, boom)
+        assert MeLoPPRSolver(small_ba_graph, config).solve(query).top_k() == expected
+        for cache in (None, SubgraphCache()):
+            with QueryEngine(MeLoPPRSolver(small_ba_graph, config), cache=cache) as engine:
+                with pytest.raises(AssertionError, match="stage function called"):
+                    engine.solve_batch([query])
+
+    def test_a_per_ball_hook_is_called_once_per_task_in_task_order(self, small_ba_graph):
+        config = MeLoPPRConfig(selector=RatioSelector(0.5), track_memory=False)
+        query = PPRQuery(seed=7, k=20)
+        expected = MeLoPPRSolver(small_ba_graph, config).solve(query)
+        calls = []
+
+        def hook(graph, center, depth):
+            calls.append((center, depth))
+            subgraph, bfs = SubgraphCache().get_or_extract(graph, center, depth)[:2]
+            return subgraph, bfs, False
+
+        plan = MeLoPPRPlan(small_ba_graph, config, query)
+        result = execute_plan(
+            plan, run_stage=functools.partial(execute_stage, extract_stage=each_ball(hook))
+        )
+        assert calls == [(r.center_node, 3) for r in expected.metadata["tasks"]]
+        assert _comparable(result) == _comparable(expected)
+
+    def test_both_stage_runners_yield_lazily_in_task_order(self, small_ba_graph, config):
+        plan = MeLoPPRSolver(small_ba_graph, config).plan(PPRQuery(seed=7, k=20))
+        for runner in (execute_stage, execute_stage_per_ball):
+            outcomes = runner(plan, plan.pending_tasks)
+            assert iter(outcomes) is outcomes  # nothing ran yet
+            assert [o.task for o in outcomes] == list(plan.pending_tasks)
+        plan.close()
 
 
 class TestMemoryTrackerLifecycle:

@@ -140,6 +140,55 @@ class TestCachedExtractionCorrectness:
         np.testing.assert_array_equal(cached.residual, fresh.residual)
 
 
+class TestStageForm:
+    """``get_or_extract_many``: look all up, extract the misses together."""
+
+    def test_hits_and_misses_are_counted_per_centre(self, small_ba_graph):
+        cache = SubgraphCache()
+        warm, _, _ = cache.get_or_extract(small_ba_graph, 5, 2)
+        triples = cache.get_or_extract_many(small_ba_graph, [3, 5, 9], 2)
+        assert [hit for _, _, hit in triples] == [False, True, False]
+        assert triples[1][0] is warm
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.num_entries) == (1, 3, 3)
+        again = cache.get_or_extract_many(small_ba_graph, [9, 3], 2)
+        assert [hit for _, _, hit in again] == [True, True]
+        assert again[0][0] is triples[2][0] and again[1][0] is triples[0][0]
+        assert cache.get_or_extract_many(small_ba_graph, [], 2) == []
+        cache.validate()
+
+    def test_sub_graphs_equal_the_per_ball_form(self, small_citation_graph):
+        centers = [11, 7, 200, 11]
+        stage = SubgraphCache().get_or_extract_many(small_citation_graph, centers, 3)
+        for center, (subgraph, bfs, _) in zip(centers, stage):
+            expected, expected_bfs, _ = SubgraphCache().get_or_extract(
+                small_citation_graph, center, 3
+            )
+            np.testing.assert_array_equal(subgraph.global_ids, expected.global_ids)
+            np.testing.assert_array_equal(subgraph.graph.indptr, expected.graph.indptr)
+            np.testing.assert_array_equal(subgraph.graph.indices, expected.graph.indices)
+            assert bfs.edges_scanned == expected_bfs.edges_scanned
+            assert _entry_nbytes(subgraph, bfs) == _entry_nbytes(expected, expected_bfs)
+
+    def test_budget_below_one_stage_still_serves_the_stage(self, small_ba_graph):
+        centers = [0, 1, 2, 3, 4, 5]
+        budget = 2 * max(_entry_size(small_ba_graph, center, 2) for center in centers)
+        cache = SubgraphCache(max_bytes=budget)
+        triples = cache.get_or_extract_many(small_ba_graph, centers, 2)
+        assert [subgraph.to_global(0) for subgraph, _, _ in triples] == centers
+        stats = cache.stats
+        assert stats.misses == 6 and stats.evictions >= 4
+        assert stats.current_bytes <= budget
+        cache.validate()
+
+    def test_binding_is_checked(self, small_ba_graph, small_citation_graph):
+        cache = SubgraphCache()
+        cache.get_or_extract_many(small_ba_graph, [0], 2)
+        with pytest.raises(ValueError):
+            cache.get_or_extract_many(small_citation_graph, [0], 2)
+        assert cache.stats.lookups == 1
+
+
 class TestSurgicalInvalidation:
     def test_max_depth_tracks_retained_entries(self, small_ba_graph):
         cache = SubgraphCache()
