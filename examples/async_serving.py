@@ -1,9 +1,9 @@
 """Async serving example: a TCP/JSON query service and a pipelining client.
 
-Stands up the full online request path in one process — engine (async
+Stands up the full online request path in one process — engine (serial
 backend + sub-graph cache) → micro-batching scheduler → admission control →
-TCP server speaking newline-delimited JSON — then drives it with an
-:class:`~repro.serving.frontend.AsyncClient`:
+TCP server speaking newline-delimited JSON — then drives it with a
+:class:`~repro.serving.frontend.TcpQueryClient`:
 
 1. a pipelined burst of hot-seed queries (duplicates included, so the
    batcher's dedup and the engine's cache both engage),
@@ -30,11 +30,11 @@ from repro.ppr import PPRQuery
 from repro.serving import QueryEngine, SubgraphCache, make_backend
 from repro.serving.frontend import (
     AdmissionController,
-    AsyncClient,
     AsyncQueryServer,
     BatchPolicy,
     DeadlineExceededError,
     MicroBatcher,
+    TcpQueryClient,
 )
 
 
@@ -63,7 +63,7 @@ async def main() -> None:
 
     engine = QueryEngine(
         MeLoPPRSolver(graph, config),
-        backend=make_backend("async:4"),
+        backend=make_backend("serial"),
         cache=SubgraphCache(),
     )
     policy = BatchPolicy(max_batch_size=8, dedup=True)
@@ -74,7 +74,7 @@ async def main() -> None:
             host, port = server.address
             print(f"Serving on {host}:{port} (policy {policy.label})\n")
 
-            client = await AsyncClient.connect(host, port)
+            client = await TcpQueryClient.connect(host, port)
             try:
                 # Pipelined burst: all requests in flight at once.
                 answers = await asyncio.gather(

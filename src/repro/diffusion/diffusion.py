@@ -119,9 +119,9 @@ def graph_diffusion(
     alpha:
         Decay factor in ``[0, 1]``.
     kernel:
-        Propagation kernel selection (see :mod:`repro.diffusion.kernels`);
-        ``None`` keeps the operator's kernel (or the environment default).
-        Every kernel yields bit-identical scores.
+        Propagation kernel (see :mod:`repro.diffusion.kernels`); ``None``
+        keeps the operator's kernel (``frontier`` for a graph).  Every kernel
+        yields bit-identical scores.
 
     Returns
     -------

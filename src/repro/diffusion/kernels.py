@@ -1,11 +1,13 @@
-"""Pluggable diffusion kernels: the propagation step at native speed.
+"""Diffusion kernels: the propagation step, the spec and the production form.
 
 The inner loop of every experiment in this repository is one propagation of
 the random-walk operator ``W = A D^-1`` over a CSR graph (Eq. 1 / Fig. 3(b)
 of the paper).  This module factors that step out of
-:class:`~repro.diffusion.transition.TransitionOperator` into interchangeable
-**kernels** behind a small registry, so the serving stack can pick the
-fastest implementation available without ever changing a score:
+:class:`~repro.diffusion.transition.TransitionOperator` into three
+bit-identical **kernels**, named in :data:`KERNELS`.  Everything above the
+diffusion layer runs ``frontier``; the other two exist so the diffusion
+layer's differential tests and the layered benchmark can compare it with
+the spec:
 
 ``reference``
     The historical scatter: gather neighbour contributions and accumulate
@@ -25,9 +27,7 @@ fastest implementation available without ever changing a score:
     scatter with ``np.bincount``; past a density threshold it switches to
     the dense ``csr`` product.  Bit-identical when neighbour lists are
     sorted ascending (every graph built by this library; verified once per
-    structure, with a dense fallback otherwise).
-``auto``
-    The fastest bit-exact kernel: ``frontier``.
+    structure, with a dense fallback otherwise).  The default.
 
 Bit-exactness is the load-bearing contract: caches, shards, process pools
 and the differential test suites all assert scores equal to the serial
@@ -45,10 +45,9 @@ a cached sub-graph never rebuild operator structure.
 from __future__ import annotations
 
 import abc
-import os
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -58,22 +57,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "DENSE_FRONTIER_FRACTION",
-    "KERNEL_ENV_VAR",
+    "KERNELS",
     "DiffusionKernel",
     "GraphStructure",
     "ReferenceKernel",
     "CSRKernel",
     "FrontierKernel",
-    "available_kernels",
-    "default_kernel_name",
     "make_kernel",
-    "register_kernel",
-    "resolve_kernel_name",
     "structure_for",
 ]
-
-#: Environment variable selecting the library-wide default kernel.
-KERNEL_ENV_VAR = "REPRO_DIFFUSION_KERNEL"
 
 #: Frontier density (non-zero fraction) above which the frontier kernel
 #: switches to the dense CSR product.  Past this point the slice-gather
@@ -253,12 +245,12 @@ class DiffusionKernel(abc.ABC):
     :class:`ReferenceKernel` on float scores (same accumulation order within
     each row, up to exact-zero terms) and exactly equal on integer
     propagation — the differential suite in
-    ``tests/test_diffusion_kernels.py`` enforces this for every registered
-    kernel.  Kernels are stateless (all per-graph state lives on the
+    ``tests/test_diffusion_kernels.py`` enforces this for every kernel in
+    :data:`KERNELS`.  Kernels are stateless (all per-graph state lives on the
     structure), so one instance serves every graph and thread.
     """
 
-    #: Registry name; also what ``resolve_kernel_name`` reports.
+    #: The kernel's key in :data:`KERNELS`.
     name: str = "kernel"
 
     @abc.abstractmethod
@@ -406,90 +398,27 @@ class FrontierKernel(DiffusionKernel):
         return f"FrontierKernel(dense_fraction={self.dense_fraction})"
 
 
-# ----------------------------------------------------------------------
-# Registry.
-# ----------------------------------------------------------------------
-_registry: Dict[str, Callable[[], DiffusionKernel]] = {}
-_instances: Dict[str, DiffusionKernel] = {}
-_registry_lock = threading.Lock()
-
-
-def register_kernel(
-    name: str, factory: Callable[[], DiffusionKernel], replace: bool = False
-) -> None:
-    """Register a kernel factory under ``name`` (case-insensitive).
-
-    ``"auto"`` is reserved (it resolves to a registered kernel).  Pass
-    ``replace=True`` to override an existing registration — useful for
-    experiments plugging in instrumented kernels.
-    """
-    key = name.strip().lower()
-    if not key or key == "auto":
-        raise ValueError(f"kernel name {name!r} is reserved")
-    with _registry_lock:
-        if key in _registry and not replace:
-            raise ValueError(f"kernel {key!r} is already registered")
-        _registry[key] = factory
-        _instances.pop(key, None)
-
-
-def available_kernels() -> Tuple[str, ...]:
-    """Sorted names of every registered kernel (``auto`` excluded)."""
-    with _registry_lock:
-        return tuple(sorted(_registry))
-
-
-def default_kernel_name() -> str:
-    """The library-wide default kernel spec (:data:`KERNEL_ENV_VAR` or ``auto``)."""
-    env = os.environ.get(KERNEL_ENV_VAR, "").strip().lower()
-    return env or "auto"
-
-
-def resolve_kernel_name(
-    spec: Union[str, DiffusionKernel, None] = None
-) -> str:
-    """Resolve a kernel spec to a concrete registered name.
-
-    ``None`` means the environment default; ``"auto"`` (from either source)
-    resolves to ``"frontier"``.  The returned name is what the
-    process-pool backend ships to its workers, so resolution happens once,
-    parent-side.
-    """
-    if isinstance(spec, DiffusionKernel):
-        return spec.name
-    name = (spec if spec is not None else default_kernel_name()).strip().lower()
-    if name == "auto":
-        name = "frontier"
-    with _registry_lock:
-        if name not in _registry:
-            known = ", ".join(sorted(_registry))
-            raise ValueError(
-                f"unknown diffusion kernel {name!r}; choose from "
-                f"{known} or 'auto'"
-            )
-    return name
+#: The shared instance of every kernel, by name.  Kernels are stateless, so
+#: one instance each serves every graph and thread.
+KERNELS: Dict[str, DiffusionKernel] = {
+    kernel.name: kernel for kernel in (ReferenceKernel(), CSRKernel(), FrontierKernel())
+}
+_DEFAULT_KERNEL = KERNELS["frontier"]
 
 
 def make_kernel(
     spec: Union[str, DiffusionKernel, None] = None
 ) -> DiffusionKernel:
-    """Build (or fetch the shared instance of) a kernel from a spec.
-
-    Accepts a registered name, ``"auto"``, ``None`` (environment default) or
-    a :class:`DiffusionKernel` instance (passed through unchanged).  Named
-    kernels are stateless, so one shared instance per name is returned.
-    """
+    """The kernel a spec names: ``None`` is ``frontier``, a name is looked up
+    in :data:`KERNELS`, and a :class:`DiffusionKernel` instance passes
+    through unchanged."""
+    if spec is None:
+        return _DEFAULT_KERNEL
     if isinstance(spec, DiffusionKernel):
         return spec
-    name = resolve_kernel_name(spec)
-    with _registry_lock:
-        kernel = _instances.get(name)
-        if kernel is None:
-            kernel = _registry[name]()
-            _instances[name] = kernel
-    return kernel
-
-
-register_kernel("reference", ReferenceKernel)
-register_kernel("csr", CSRKernel)
-register_kernel("frontier", FrontierKernel)
+    try:
+        return KERNELS[spec]
+    except KeyError:
+        raise ValueError(
+            f"unknown diffusion kernel {spec!r}; choose from {', '.join(KERNELS)}"
+        ) from None

@@ -3,7 +3,7 @@
 Graph diffusion (Eq. 1 of the paper) repeatedly applies the column-stochastic
 random-walk matrix ``W = A D^-1`` to a score vector.  This module provides
 that operator over :class:`~repro.graph.csr.CSRGraph`; the actual propagation
-arithmetic is delegated to a pluggable
+arithmetic is delegated to a
 :class:`~repro.diffusion.kernels.DiffusionKernel` (bit-identical across
 implementations — see :mod:`repro.diffusion.kernels`), while the per-graph
 precomputation (degrees, row ids, CSR matrices) is built once per topology
@@ -22,7 +22,6 @@ from repro.diffusion.kernels import (
     GraphStructure,
     _slice_positions,
     make_kernel,
-    resolve_kernel_name,
     structure_for,
 )
 from repro.graph.csr import CSRGraph
@@ -38,11 +37,11 @@ class TransitionOperator:
     graph:
         The graph whose random-walk matrix to apply.
     kernel:
-        Propagation kernel: a registered name (``"reference"``, ``"csr"``,
-        ``"frontier"``), ``"auto"``, a
+        Propagation kernel: a name in
+        :data:`~repro.diffusion.kernels.KERNELS` (``"reference"``,
+        ``"csr"``, ``"frontier"``), a
         :class:`~repro.diffusion.kernels.DiffusionKernel` instance, or
-        ``None`` for the environment default.  All kernels produce
-        bit-identical scores; the choice is purely a speed knob.
+        ``None`` for ``frontier``.  All kernels produce bit-identical scores.
 
     Notes
     -----
@@ -84,17 +83,15 @@ class TransitionOperator:
         pickles with the graph; a worker process rebuilds it on first use
         from its own (shared-memory) arrays.
         """
-        name = resolve_kernel_name(kernel)
+        kernel = make_kernel(kernel)
         memo = graph._operator_memo
         if memo is None:
             memo = {}
             graph._operator_memo = memo
-        operator = memo.get(name)
+        operator = memo.get(kernel.name)
         if operator is None:
-            operator = cls(
-                graph, kernel if isinstance(kernel, DiffusionKernel) else name
-            )
-            memo[name] = operator
+            operator = cls(graph, kernel)
+            memo[kernel.name] = operator
         return operator
 
     def with_kernel(

@@ -18,7 +18,6 @@ from repro.experiments.ablation_stage_split import format_stage_split, run_stage
 from repro.experiments.fig5_scalability import format_fig5, run_fig5
 from repro.experiments.fig6_sparsity import format_fig6, run_fig6
 from repro.experiments.fig7_tradeoff import format_fig7, run_fig7
-from repro.experiments.kernel_study import format_kernels, run_kernel_study
 from repro.experiments.churn_study import format_churn, run_churn_study
 from repro.experiments.latency_study import format_latency, run_latency_study
 from repro.experiments.process_study import format_process, run_process_study
@@ -136,9 +135,6 @@ def run_all(profile: ExperimentProfile = QUICK_PROFILE) -> Dict[str, str]:
             num_seeds=2 * profile.num_seeds_small,
             skews=(0.0, 1.1) if profile.name == "quick" else (0.0, 0.6, 1.1, 1.5),
         )
-    )
-    reports["E14_kernels"] = format_kernels(
-        run_kernel_study(repeats=3 if profile.name == "quick" else 10)
     )
     reports["E15_soak"] = format_soak(
         run_soak_study(

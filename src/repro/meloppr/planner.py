@@ -53,7 +53,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -64,7 +63,6 @@ from repro.diffusion.diffusion import (
     seed_vector,
     stage_diffusion,
 )
-from repro.diffusion.kernels import DiffusionKernel
 from repro.graph.bfs import (
     BALLS_PER_PASS,
     BFSResult,
@@ -670,9 +668,11 @@ def execute_stage_task(
     task: StageTask,
     extract: Optional[ExtractFn] = None,
     timing: Optional[TimingBreakdown] = None,
-    kernel: Union[str, DiffusionKernel, None] = None,
 ) -> StageTaskOutcome:
     """Run one stage task: extract (or fetch) the sub-graph and diffuse.
+
+    The diffusion reuses the operator memoised on the extracted sub-graph, so
+    a cached extraction never rebuilds operator structure per task.
 
     Parameters
     ----------
@@ -686,11 +686,6 @@ def execute_stage_task(
     timing:
         Breakdown receiving the ``bfs`` and ``diffusion`` wall-clock buckets
         (typically the owning plan's :attr:`MeLoPPRPlan.timing`).
-    kernel:
-        Diffusion kernel selection (see :mod:`repro.diffusion.kernels`);
-        scores are bit-identical for every kernel.  The diffusion reuses the
-        operator memoised on the extracted sub-graph, so a cached extraction
-        never rebuilds operator structure per task.
     """
     if extract is None:
         extract = default_extract
@@ -700,9 +695,7 @@ def execute_stage_task(
         subgraph, bfs, cache_hit = extract(graph, task.center, task.length)
     with timing.measure("diffusion"):
         initial = seed_vector(subgraph.num_nodes, subgraph.to_local(task.center))
-        diffusion = graph_diffusion(
-            subgraph.graph, initial, task.length, task.alpha, kernel=kernel
-        )
+        diffusion = graph_diffusion(subgraph.graph, initial, task.length, task.alpha)
     return StageTaskOutcome(
         task=task,
         subgraph=subgraph,
@@ -716,7 +709,6 @@ def execute_stage(
     plan: MeLoPPRPlan,
     tasks: Sequence[StageTask],
     extract_stage: StageExtractFn = _extract_stage_fresh,
-    kernel: Union[str, DiffusionKernel, None] = None,
 ) -> Iterator[StageTaskOutcome]:
     """Run one stage of ``plan`` in waves; its outcomes, lazily, in task order.
 
@@ -740,7 +732,6 @@ def execute_stage(
                 [triple[0].to_local(center) for triple, center in zip(extracted, centers)],
                 length,
                 alpha,
-                kernel,
             )
         for task, (subgraph, bfs, cache_hit), diffusion in zip(wave, extracted, diffusions):
             yield StageTaskOutcome(task, subgraph, bfs, diffusion, cache_hit)
@@ -773,7 +764,7 @@ def execute_plan(
 
     ``run_stage`` executes a stage's tasks, and who is driving picks it: the
     wave executor :func:`execute_stage` by default (the serving engine binds
-    its cache's stage hook and kernel with ``functools.partial``),
+    its cache's stage hook with ``functools.partial``),
     :func:`execute_stage_per_ball` for ``MeLoPPRSolver.solve``, a stage-task
     backend's ``run_stage_tasks`` for worker processes.  ``after_stage``
     (optional) is invoked with the plan after each completed stage — the

@@ -8,7 +8,7 @@ skips straight to the stage-two tasks, bit-identically), routes extractions
 to the shard owning them (:class:`ShardRouter` over a
 :class:`~repro.graph.partition.GraphPartition`, one cache per shard) and runs
 the per-query work on a pluggable :class:`ExecutionBackend` (serial,
-thread-pool, asyncio or a shared-memory process pool; build one from a spec
+thread-pool or a shared-memory process pool; build one from a spec
 string with :func:`make_backend`).  The algorithmic stage loop it drives lives in
 :mod:`repro.meloppr.planner`; the online request path — micro-batching,
 admission control, the TCP/JSON service — lives in

@@ -3,7 +3,7 @@
 A backend answers one question: *how do the independent per-query jobs of a
 batch run?*  The engine builds a closure per query (plan → execute → result)
 and hands the whole batch to :meth:`ExecutionBackend.map`; the backend owns
-ordering and concurrency.  Two backends ship today:
+ordering and concurrency.  Three backends ship today:
 
 * :class:`SerialBackend` — the reference: runs jobs one by one on the calling
   thread.  Zero overhead, bit-identical to the historical sequential loop.
@@ -24,12 +24,9 @@ ordering and concurrency.  Two backends ship today:
   its shards' sub-graphs (per-shard shared segments) and extractions beyond
   the halo are proxied back to the parent.
 
-A further backend, :class:`~repro.serving.frontend.AsyncBackend`, runs jobs
-on an asyncio event loop (see :mod:`repro.serving.frontend`); benchmarks, the
-server CLI and user code construct any of them from a compact spec string via
-:func:`make_backend` (``"serial"``, ``"thread:8"``, ``"async:4"``,
-``"process:4"``).  Later PRs can add a modelled-FPGA backend behind the same
-interface (see ROADMAP open items).
+Benchmarks, the server CLIs and user code construct any of them from a
+compact spec string via :func:`make_backend` (``"serial"``, ``"thread:8"``,
+``"process:4"``).
 """
 
 from __future__ import annotations
@@ -275,13 +272,12 @@ class _WorkerState:
                 self._shards[attached.shard_id] = (attached, cache)
 
     # ------------------------------------------------------------------
-    def run_task(self, task, shard_id: Optional[int], kernel: Optional[str] = None):
+    def run_task(self, task, shard_id: Optional[int]):
         """Execute one stage task; returns ``(outcome, timing_seconds)``.
 
-        ``kernel`` is the parent-resolved diffusion-kernel name (shipped
-        with each task group); the memoised per-sub-graph operators it
-        selects live on the cached extraction objects, so a worker's
-        shm-attached cache carries warm operator structure across tasks.
+        The memoised per-sub-graph operators live on the cached extraction
+        objects, so a worker's shm-attached cache carries warm operator
+        structure across tasks.
         """
         from repro.meloppr.planner import execute_stage_task
         from repro.utils.timing import TimingBreakdown
@@ -294,7 +290,7 @@ class _WorkerState:
                 else None
             )
             outcome = execute_stage_task(
-                self._host_graph, task, extract=extract, timing=timing, kernel=kernel
+                self._host_graph, task, extract=extract, timing=timing
             )
         else:
             outcome = execute_stage_task(
@@ -304,7 +300,6 @@ class _WorkerState:
                 task,
                 extract=self._shard_extract(shard_id),
                 timing=timing,
-                kernel=kernel,
             )
         return outcome, dict(timing.seconds)
 
@@ -383,7 +378,7 @@ def _process_worker_main(
     task — that overhead is what would otherwise eat the multi-core win on
     small sub-graphs:
 
-    * request ``("tasks", request_id, kernel_name,
+    * request ``("tasks", request_id,
       [(shard_id_or_None, StageTask), ...], traced)``
       → response ``("ok", request_id, [StageTaskOutcome, ...], timing_seconds,
       span_dicts_or_None)`` or ``("err", request_id, exception)`` (the whole
@@ -416,14 +411,14 @@ def _process_worker_main(
             break
         kind = item[0]
         if kind == "tasks":
-            _, request_id, kernel_name, entries, traced = item
+            _, request_id, entries, traced = item
             try:
                 outcomes = []
                 timing: Dict[str, float] = {}
                 spans: Optional[List[dict]] = [] if traced else None
                 for shard_id, task in entries:
                     started = monotonic_wall() if traced else 0.0
-                    outcome, task_timing = state.run_task(task, shard_id, kernel_name)
+                    outcome, task_timing = state.run_task(task, shard_id)
                     if spans is not None:
                         spans.extend(
                             worker_task_spans(
@@ -505,17 +500,11 @@ class ProcessPoolBackend(ExecutionBackend):
         num_workers: Optional[int] = None,
         mp_context: Optional[str] = None,
         cache_bytes: Optional[int] = DEFAULT_CACHE_BYTES,
-        kernel: Optional[str] = None,
     ) -> None:
         if num_workers is not None and num_workers <= 0:
             raise ValueError(f"num_workers must be > 0, got {num_workers}")
         if cache_bytes is not None and cache_bytes <= 0:
             raise ValueError(f"cache_bytes must be > 0 or None, got {cache_bytes}")
-        # Default diffusion kernel for run_stage_tasks; resolved eagerly so
-        # bad specs fail at construction, not inside a worker.
-        from repro.diffusion.kernels import resolve_kernel_name
-
-        self._kernel = resolve_kernel_name(kernel)
         self._num_workers = num_workers if num_workers is not None else (os.cpu_count() or 1)
         if mp_context is not None and mp_context not in multiprocessing.get_all_start_methods():
             raise ValueError(
@@ -558,11 +547,6 @@ class ProcessPoolBackend(ExecutionBackend):
     def mp_context(self) -> Optional[str]:
         """Configured start-method name (``None`` = platform default)."""
         return self._mp_context_name
-
-    @property
-    def kernel(self) -> str:
-        """Resolved default diffusion-kernel name for stage tasks."""
-        return self._kernel
 
     @property
     def is_running(self) -> bool:
@@ -882,7 +866,6 @@ class ProcessPoolBackend(ExecutionBackend):
     def _dispatch_group(
         self,
         queue_index: int,
-        kernel: str,
         entries: List[Tuple[Optional[int], object]],
         traced: bool = False,
     ) -> Future:
@@ -893,9 +876,7 @@ class ProcessPoolBackend(ExecutionBackend):
             request_id = next(self._task_ids)
             future: Future = Future()
             self._pending[request_id] = future
-        self._request_queues[queue_index].put(
-            ("tasks", request_id, kernel, entries, traced)
-        )
+        self._request_queues[queue_index].put(("tasks", request_id, entries, traced))
         return future
 
     def run_stage_tasks(
@@ -903,7 +884,6 @@ class ProcessPoolBackend(ExecutionBackend):
         tasks: Sequence,
         fallback: Optional[Callable] = None,
         timing=None,
-        kernel: Optional[str] = None,
         trace=None,
     ) -> List:
         """Execute one stage's tasks, in order, on the worker pool.
@@ -927,12 +907,6 @@ class ProcessPoolBackend(ExecutionBackend):
         if not tasks:
             return []
         self._ensure_running()
-        if kernel is None:
-            kernel_name = self._kernel
-        else:
-            from repro.diffusion.kernels import resolve_kernel_name
-
-            kernel_name = resolve_kernel_name(kernel)
         partition = self._bound_partition
         slots: List[object] = [None] * len(tasks)
         groups: Dict[int, Tuple[List[int], List[Tuple[Optional[int], object]]]] = {}
@@ -951,10 +925,7 @@ class ProcessPoolBackend(ExecutionBackend):
             entries.append((shard_id, task))
         traced = trace is not None
         remote = [
-            (
-                positions,
-                self._dispatch_group(queue_index, kernel_name, entries, traced),
-            )
+            (positions, self._dispatch_group(queue_index, entries, traced))
             for queue_index, (positions, entries) in groups.items()
         ]
         if local:
@@ -962,11 +933,7 @@ class ProcessPoolBackend(ExecutionBackend):
 
             for position, task in local:
                 slots[position] = execute_stage_task(
-                    partition.host,
-                    task,
-                    extract=fallback,
-                    timing=timing,
-                    kernel=kernel_name,
+                    partition.host, task, extract=fallback, timing=timing
                 )
         for positions, future in remote:
             outcomes, group_timing, spans = future.result()
@@ -1092,8 +1059,6 @@ def make_backend(spec: Union[str, ExecutionBackend, None]) -> ExecutionBackend:
     ======================  ====================================================
     ``"serial"``            :class:`SerialBackend`
     ``"thread"``/``:N``     :class:`ThreadPoolBackend` (``N`` workers)
-    ``"async"``/``:N``      :class:`~repro.serving.frontend.AsyncBackend`
-                            (``N``-thread event-loop offload pool)
     ``"process"``/``:N``    :class:`ProcessPoolBackend` (``N`` worker
                             processes over shared-memory graph buffers)
     ======================  ====================================================
@@ -1122,15 +1087,9 @@ def make_backend(spec: Union[str, ExecutionBackend, None]) -> ExecutionBackend:
         return SerialBackend()
     if name in ("thread", "threads", "thread-pool"):
         return ThreadPoolBackend(max_workers=workers)
-    if name == "async":
-        # Imported lazily: the frontend package imports the engine, which
-        # imports this module.
-        from repro.serving.frontend.async_backend import AsyncBackend
-
-        return AsyncBackend(max_concurrency=workers)
     if name in ("process", "processes", "process-pool"):
         return ProcessPoolBackend(num_workers=workers)
     raise ValueError(
-        f"unknown backend spec {spec!r}; expected 'serial', 'thread[:N]', "
-        "'async[:N]' or 'process[:N]'"
+        f"unknown backend spec {spec!r}; expected 'serial', 'thread[:N]' "
+        "or 'process[:N]'"
     )

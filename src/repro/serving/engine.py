@@ -41,9 +41,8 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.diffusion.kernels import DiffusionKernel, resolve_kernel_name
 from repro.graph.delta import (
     DeltaGraph,
     EdgeOp,
@@ -232,14 +231,6 @@ class QueryEngine:
         ``ShardRouter(result_cache_bytes=...)``.  Compatible with every
         backend, including stage-task backends (the cache lives parent-side,
         so workers only ever see the stage-two tasks of a cached query).
-    kernel:
-        Diffusion-kernel selection for every stage task this engine runs
-        (see :mod:`repro.diffusion.kernels`): a registered name, ``"auto"``
-        or ``None`` for the environment default.  Resolved to a concrete
-        name once, at construction — in-process backends pass it to the
-        plan executor, stage-task backends ship it to their workers.  All
-        kernels are bit-identical, so this is purely a speed knob and
-        deliberately **not** part of any cache key.
     tracer:
         Optional :class:`~repro.serving.tracing.Tracer`.  Sampled queries
         (driven through ``solve_batch(queries, contexts=...)``) record a
@@ -268,7 +259,6 @@ class QueryEngine:
         cache: Optional[SubgraphCache] = None,
         router: Optional[ShardRouter] = None,
         result_cache: Optional[ScoreTableCache] = None,
-        kernel: Union[str, DiffusionKernel, None] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         if cache is not None and router is not None:
@@ -284,9 +274,6 @@ class QueryEngine:
             )
         self._solver = solver
         self._backend = backend if backend is not None else SerialBackend()
-        # Resolve eagerly: an unknown kernel name should fail at engine
-        # construction, not on the first query of a serving batch.
-        self._kernel = resolve_kernel_name(kernel)
         self._cache = cache
         self._router = router
         self._result_cache = result_cache
@@ -347,11 +334,6 @@ class QueryEngine:
     def backend(self) -> ExecutionBackend:
         """The execution backend."""
         return self._backend
-
-    @property
-    def kernel(self) -> str:
-        """Resolved diffusion-kernel name used for every stage task."""
-        return self._kernel
 
     @property
     def cache(self) -> Optional[SubgraphCache]:
@@ -718,7 +700,7 @@ class QueryEngine:
             extract = None
         if getattr(self._backend, "executes_stage_tasks", False):
             return lambda plan, tasks: self._backend.run_stage_tasks(
-                tasks, fallback=extract, timing=plan.timing, kernel=self._kernel, trace=ctx
+                tasks, fallback=extract, timing=plan.timing, trace=ctx
             )
         if ctx is not None:
             extract_stage = each_ball(
@@ -729,8 +711,8 @@ class QueryEngine:
         elif extract is not None:
             extract_stage = each_ball(extract)
         else:
-            return partial(execute_stage, kernel=self._kernel)
-        return partial(execute_stage, extract_stage=extract_stage, kernel=self._kernel)
+            return execute_stage
+        return partial(execute_stage, extract_stage=extract_stage)
 
     def _drive_plan(
         self,

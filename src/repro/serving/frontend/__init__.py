@@ -5,9 +5,6 @@ with pluggable backends, sub-graph caches and shard routing.  This package is
 the request-facing layer that turns a stream of individual online queries
 into the well-formed batches that engine is optimised for:
 
-* :class:`AsyncBackend` — an :class:`~repro.serving.backends.ExecutionBackend`
-  running jobs on an asyncio event loop (bounded thread-pool offload,
-  submission-order results, bit-identical scores).
 * :class:`MicroBatcher` — coalesces ``await submit(query)`` calls into engine
   batches under a :class:`BatchPolicy`, deduplicates identical in-flight
   queries, and enforces per-query deadlines.
@@ -17,7 +14,6 @@ into the well-formed batches that engine is optimised for:
   (``query``/``query_batch``/``ping``/``stats``/``drain``/``traces``,
   typed errors, retry-with-backoff) with :class:`TcpQueryClient` and
   :class:`HttpQueryClient` implementations behind :func:`connect_client`.
-  ``AsyncClient`` remains as an alias of the TCP client for one release.
 * :class:`AsyncQueryServer` — a minimal TCP service speaking
   newline-delimited JSON, with protocol-level shed/deadline answers.
 * :class:`HttpQueryServer` / :class:`HttpClient` / :class:`HttpClientPool` —
@@ -52,10 +48,8 @@ from repro.serving.frontend.admission import (
     QueryRejectedError,
     QueryShedError,
 )
-from repro.serving.frontend.async_backend import AsyncBackend
 from repro.serving.frontend.batcher import BatcherStats, BatchPolicy, MicroBatcher
 from repro.serving.frontend.client import (
-    AsyncClient,
     ClientConnectionError,
     HttpQueryClient,
     QueryClient,
@@ -112,8 +106,6 @@ from repro.serving.frontend.server import AsyncQueryServer, write_ready_file
 __all__ = [
     "AdmissionController",
     "AdmissionStats",
-    "AsyncBackend",
-    "AsyncClient",
     "AsyncQueryServer",
     "BaseHttpServer",
     "BatchPolicy",

@@ -1,19 +1,15 @@
 """The unified query-client API over both front-door transports.
 
-Two transports' worth of ad-hoc clients grew here since PR 3: the TCP
-JSON-lines :class:`AsyncClient` and the HTTP :class:`HttpClient` /
-``HttpClientPool`` pair, each with its own method names, error behaviour and
-reconnect logic.  Everything that drives a server — tests, benchmarks, the
-studies, and now the replica router — should consume **one interface**
-instead of a transport, so this module defines it:
+Everything that drives a server — tests, benchmarks, the studies and the
+replica router — consumes **one interface** instead of a transport, so this
+module defines it:
 
 * :class:`QueryClient` — the ABC: ``query`` / ``query_batch`` / ``solve`` /
   ``ping`` / ``stats`` / ``drain`` / ``traces`` / ``close``, with shared
   timeout and retry semantics (transport failures raise
   :class:`ClientConnectionError`; ``retries=`` adds bounded
   reconnect-with-backoff around each query).
-* :class:`TcpQueryClient` — the pipelining JSON-lines implementation
-  (formerly ``AsyncClient``; the old name remains as a thin alias).
+* :class:`TcpQueryClient` — the pipelining JSON-lines implementation.
 * :class:`HttpQueryClient` — the HTTP/1.1 implementation on a fixed-size
   keep-alive connection pool (wrapping the low-level
   :class:`~repro.serving.frontend.http.HttpClientPool`).
@@ -53,7 +49,6 @@ __all__ = [
     "QueryClient",
     "TcpQueryClient",
     "HttpQueryClient",
-    "AsyncClient",
     "connect_client",
     "raise_for_response",
 ]
@@ -426,11 +421,6 @@ class TcpQueryClient(QueryClient):
             await self._writer.wait_closed()
         except (ConnectionError, OSError):
             pass
-
-
-#: Pre-unification name of the TCP client, kept as an alias for one release;
-#: new code should say :class:`TcpQueryClient` (or use :func:`connect_client`).
-AsyncClient = TcpQueryClient
 
 
 class HttpQueryClient(QueryClient):

@@ -6,8 +6,8 @@ third copy — worse, one that re-assembled ``argv`` strings to spawn its
 replicas.  This module is the single source of truth instead:
 
 * :class:`ServingConfig` — a frozen dataclass carrying everything a serving
-  process needs (dataset, backend, batching, admission, caches, kernel,
-  sharding, tracing, logging, ready-file).  It converts losslessly to and
+  process needs (dataset, backend, batching, admission, caches, sharding,
+  tracing, logging, ready-file).  It converts losslessly to and
   from the CLI surface: :meth:`ServingConfig.from_args` reads a parsed
   namespace, :meth:`ServingConfig.to_argv` emits the equivalent flag list —
   which is exactly how :class:`~repro.serving.replica.ReplicaSet` spawns
@@ -55,7 +55,7 @@ class ServingConfig:
     dataset: str = "G1"
     host: str = "127.0.0.1"
     port: int = 7071
-    backend: str = "async:4"
+    backend: str = "serial"
     max_batch: int = 8
     max_wait_ms: float = 2.0
     dedup: bool = True
@@ -63,7 +63,6 @@ class ServingConfig:
     no_cache: bool = False
     result_cache_bytes: Optional[int] = None
     result_cache_ttl: Optional[float] = None
-    kernel: Optional[str] = None
     # Sharding: 0 = unsharded.  A sharded config serves the full dataset
     # through a ShardRouter over `num_shards` shards — shard-local for
     # depths within the halo, host-graph fallback beyond it — which is what
@@ -140,8 +139,6 @@ class ServingConfig:
             argv += ["--result-cache-bytes", str(self.result_cache_bytes)]
         if self.result_cache_ttl is not None:
             argv += ["--result-cache-ttl", repr(self.result_cache_ttl)]
-        if self.kernel is not None:
-            argv += ["--kernel", self.kernel]
         if self.num_shards:
             argv += [
                 "--num-shards", str(self.num_shards),
@@ -163,13 +160,15 @@ def add_serving_arguments(
     parser: argparse.ArgumentParser, default_port: int = 7071
 ) -> argparse.ArgumentParser:
     """Install the shared serving flags on ``parser`` (both server CLIs)."""
-    parser.add_argument("--dataset", default="G1", help="dataset key to serve")
+    parser.add_argument(
+        "--dataset", default=ServingConfig.dataset, help="dataset key to serve"
+    )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=default_port)
     parser.add_argument(
         "--backend",
-        default="async:4",
-        help="engine backend spec: serial, thread[:N], async[:N] or process[:N]",
+        default=ServingConfig.backend,
+        help="engine backend spec: serial, thread[:N] or process[:N]",
     )
     parser.add_argument(
         "--max-batch",
@@ -216,15 +215,6 @@ def add_serving_arguments(
         type=float,
         default=None,
         help="optional TTL (seconds) on cached stage-one tables (<= 0: none)",
-    )
-    parser.add_argument(
-        "--kernel",
-        default=None,
-        help=(
-            "diffusion kernel: reference, csr, frontier or auto "
-            "(default: the REPRO_DIFFUSION_KERNEL environment variable, "
-            "else auto); every kernel returns bit-identical scores"
-        ),
     )
     parser.add_argument(
         "--num-shards",
@@ -363,13 +353,12 @@ def build_frontend(config: ServingConfig) -> Tuple[object, object, object]:
         cache = None
         if config.no_cache and isinstance(backend, ProcessPoolBackend):
             # Rebuild with *every* constructor argument preserved: dropping
-            # mp_context or kernel here would silently serve with a different
-            # start method / diffusion kernel than the operator asked for.
+            # mp_context here would silently serve with a different start
+            # method than the operator asked for.
             backend = ProcessPoolBackend(
                 num_workers=backend.num_workers,
                 mp_context=backend.mp_context,
                 cache_bytes=None,
-                kernel=backend.kernel,
             )
     else:
         cache = None if config.no_cache else SubgraphCache()
@@ -437,7 +426,6 @@ def build_frontend(config: ServingConfig) -> Tuple[object, object, object]:
         cache=cache,
         router=router,
         result_cache=result_cache,
-        kernel=config.kernel,
         tracer=tracer,
     )
     policy = BatchPolicy(

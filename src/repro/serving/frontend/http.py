@@ -514,7 +514,7 @@ class HttpQueryServer(BaseHttpServer):
         with its arrival offset.
     info:
         Static labels for the ``repro_server_info`` metric (backend,
-        kernel, dataset...).  Defaults to the live backend name and batch
+        dataset, policy...).  Defaults to the live backend name and batch
         policy; a ``proto`` label always rides along.
     """
 

@@ -181,7 +181,7 @@ def render_prometheus(
         The server's drain flag (``repro_server_draining`` gauge) so
         dashboards and load balancers can see a drain in progress.
     info:
-        Static labels (backend, kernel, policy, dataset...) emitted once on
+        Static labels (backend, policy, dataset...) emitted once on
         the ``repro_server_info`` gauge, the conventional info-metric
         pattern.
     """

@@ -55,6 +55,7 @@ from repro.serving.frontend.client import (
     HttpQueryClient,
     ServerError,
 )
+from repro.serving.frontend.config import ServingConfig
 from repro.serving.frontend.http import DEFAULT_MAX_BODY_BYTES, BaseHttpServer
 from repro.serving.frontend.metrics import _Writer, parse_prometheus_text
 from repro.serving.frontend.protocol import (
@@ -73,6 +74,7 @@ __all__ = [
     "INCOMPATIBLE",
     "ReplicaHandle",
     "ReplicaRouter",
+    "build_router_parser",
     "main",
 ]
 
@@ -743,11 +745,10 @@ class ReplicaRouter(BaseHttpServer):
         return 202, body, _JSON_TYPE
 
 
-def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - CLI
-    """Serve a replica router, attaching to or spawning a fleet."""
-    parser = argparse.ArgumentParser(
-        description=__doc__.splitlines()[0],
-    )
+def build_router_parser() -> argparse.ArgumentParser:
+    """The router CLI's parser; a spawned fleet's defaults are
+    :class:`ServingConfig`'s."""
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=7090)
     parser.add_argument(
@@ -764,17 +765,22 @@ def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - CLI
         metavar="N",
         help="spawn N local replica subprocesses instead of attaching",
     )
-    parser.add_argument("--dataset", default="G1")
-    parser.add_argument("--backend", default="async:4")
-    parser.add_argument("--num-shards", type=int, default=0)
+    parser.add_argument("--dataset", default=ServingConfig.dataset)
+    parser.add_argument("--backend", default=ServingConfig.backend)
+    parser.add_argument("--num-shards", type=int, default=ServingConfig.num_shards)
     parser.add_argument("--retries", type=int, default=3)
     parser.add_argument("--retry-backoff-ms", type=float, default=25.0)
     parser.add_argument("--health-interval-s", type=float, default=0.5)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - CLI
+    """Serve a replica router, attaching to or spawning a fleet."""
+    parser = build_router_parser()
     args = parser.parse_args(argv)
     if bool(args.replica) == bool(args.spawn):
         parser.error("exactly one of --replica or --spawn is required")
 
-    from repro.serving.frontend.config import ServingConfig
     from repro.serving.replica import ReplicaSet
 
     async def serve(endpoints: List[Tuple[str, int]]) -> None:

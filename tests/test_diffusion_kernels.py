@@ -1,6 +1,6 @@
-"""Differential tests of the pluggable diffusion kernels.
+"""Differential tests of the diffusion kernels.
 
-Every registered kernel must be **bit-identical** to the ``reference``
+Every kernel in ``KERNELS`` must be **bit-identical** to the ``reference``
 ``np.add.at`` implementation — same accumulated scores, same residual, same
 propagation-work counter — across graph shapes, diffusion lengths and both
 sparse (one-hot) and dense initial vectors.  ``np.array_equal`` is the
@@ -9,7 +9,6 @@ assertion everywhere; there is no tolerance.
 
 from __future__ import annotations
 
-import os
 import pickle
 
 import numpy as np
@@ -17,15 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.diffusion import kernels as kernels_module
 from repro.diffusion.diffusion import graph_diffusion, seed_vector, stage_diffusion
 from repro.diffusion.kernels import (
+    KERNELS,
     FrontierKernel,
     GraphStructure,
-    available_kernels,
     make_kernel,
-    register_kernel,
-    resolve_kernel_name,
     structure_for,
 )
 from repro.diffusion.transition import TransitionOperator
@@ -38,7 +34,9 @@ from repro.graph.generators import (
 )
 from repro.meloppr.fixed_point import FixedPointFormat, fixed_point_diffusion
 
-NON_REFERENCE = tuple(name for name in available_kernels() if name != "reference")
+NON_REFERENCE = tuple(name for name in KERNELS if name != "reference")
+# ``None`` is what every layer above diffusion passes: the served path.
+SERVED = NON_REFERENCE + (None,)
 
 GRAPH_CASES = [
     lambda: CSRGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)], name="triangle"),
@@ -61,7 +59,7 @@ def _initial_vectors(num_nodes: int, rng: np.random.Generator):
 
 class TestKernelDifferential:
     @pytest.mark.parametrize("make_graph", GRAPH_CASES)
-    @pytest.mark.parametrize("kernel", NON_REFERENCE + ("auto",))
+    @pytest.mark.parametrize("kernel", SERVED)
     def test_bit_identical_to_reference(self, make_graph, kernel):
         graph = make_graph()
         rng = np.random.default_rng(hash(graph.name) % (2**32))
@@ -73,7 +71,7 @@ class TestKernelDifferential:
                 assert np.array_equal(result.residual, expected.residual)
                 assert result.propagations == expected.propagations
 
-    @pytest.mark.parametrize("kernel", NON_REFERENCE)
+    @pytest.mark.parametrize("kernel", SERVED)
     def test_long_diffusion_stays_exact(self, kernel, small_ba_graph):
         """Length 12 drives the frontier dense — both regimes stay exact."""
         initial = seed_vector(small_ba_graph.num_nodes, 0)
@@ -83,13 +81,26 @@ class TestKernelDifferential:
         assert np.array_equal(result.residual, expected.residual)
         assert result.propagations == expected.propagations
 
-    @pytest.mark.parametrize("kernel", NON_REFERENCE)
+    @pytest.mark.parametrize("kernel", SERVED)
     def test_fixed_point_datapath_identical(self, kernel, small_citation_graph):
         fmt = FixedPointFormat.for_subgraph(0.85, small_citation_graph.num_nodes, 4.0)
         expected = fixed_point_diffusion(small_citation_graph, 5, 4, fmt, kernel="reference")
         result = fixed_point_diffusion(small_citation_graph, 5, 4, fmt, kernel=kernel)
         assert np.array_equal(result.accumulated_int, expected.accumulated_int)
         assert np.array_equal(result.residual_int, expected.residual_int)
+
+    @pytest.mark.parametrize("make_graph", GRAPH_CASES)
+    @pytest.mark.parametrize("kernel", SERVED)
+    def test_fixed_point_datapath_identical_on_every_shape(self, make_graph, kernel):
+        """The integer datapath across the shapes, isolated nodes included."""
+        graph = make_graph()
+        fmt = FixedPointFormat.for_subgraph(0.85, graph.num_nodes, 4.0)
+        for seed in (0, graph.num_nodes - 1):
+            for length in range(0, 5):
+                expected = fixed_point_diffusion(graph, seed, length, fmt, kernel="reference")
+                result = fixed_point_diffusion(graph, seed, length, fmt, kernel=kernel)
+                assert np.array_equal(result.accumulated_int, expected.accumulated_int)
+                assert np.array_equal(result.residual_int, expected.residual_int)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -140,7 +151,7 @@ class _RecordingFrontier(FrontierKernel):
 
 
 class TestStageDiffusion:
-    @pytest.mark.parametrize("kernel", available_kernels() + ("auto",))
+    @pytest.mark.parametrize("kernel", tuple(KERNELS) + (None,))
     def test_a_wave_of_mixed_graphs_matches_per_graph(self, kernel):
         graphs = [make_graph() for make_graph in GRAPH_CASES]
         rng = np.random.default_rng(5)
@@ -162,7 +173,7 @@ class TestStageDiffusion:
         stacked = _RecordingFrontier()
         assert_stage_matches_per_graph([path] + [clique] * 20, [50] + [0] * 20, 3, stacked)
         assert stacked.went_dense[:3] == [False, True, True]
-        for kernel in available_kernels():
+        for kernel in KERNELS:
             assert_stage_matches_per_graph([path] + [clique] * 20, [50] + [0] * 20, 3, kernel)
 
     def test_stacked_frontier_stays_sparse_where_a_member_alone_goes_dense(self):
@@ -176,7 +187,7 @@ class TestStageDiffusion:
         stacked = _RecordingFrontier()
         assert_stage_matches_per_graph([clique, path], [0, 500], 3, stacked)
         assert stacked.went_dense[:3] == [False, False, False]
-        for kernel in available_kernels():
+        for kernel in KERNELS:
             assert_stage_matches_per_graph([clique, path], [0, 500], 3, kernel)
 
     def test_results_are_split_per_graph(self, small_ba_graph, star_graph):
@@ -256,44 +267,23 @@ class TestOperatorMemoization:
 
 
 class TestRegistry:
-    def test_available_kernels_lists_builtins(self):
-        names = available_kernels()
-        for expected in ("reference", "csr", "frontier"):
-            assert expected in names
-
-    def test_resolve_rejects_unknown(self):
+    def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown diffusion kernel"):
-            resolve_kernel_name("does-not-exist")
+            make_kernel("auto")
 
-    def test_auto_resolves_to_concrete_kernel(self, monkeypatch):
-        monkeypatch.delenv(kernels_module.KERNEL_ENV_VAR, raising=False)
-        assert resolve_kernel_name("auto") == "frontier"
-        assert resolve_kernel_name(None) == "frontier"
+    def test_default_is_frontier(self):
+        assert make_kernel(None) is make_kernel("frontier")
 
-    def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv(kernels_module.KERNEL_ENV_VAR, "csr")
-        assert resolve_kernel_name(None) == "csr"
+    @pytest.mark.parametrize("name", ["reference", "csr", "frontier"])
+    def test_name_resolves_to_its_one_instance(self, name):
+        kernel = make_kernel(name)
+        assert kernel is KERNELS[name] is make_kernel(name)
+        assert kernel.name == name
 
-    def test_make_kernel_returns_singletons(self):
-        assert make_kernel("frontier") is make_kernel("frontier")
+    def test_environment_does_not_select_the_kernel(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DIFFUSION_KERNEL", "csr")
+        assert make_kernel(None) is KERNELS["frontier"]
 
     def test_kernel_instance_passes_through(self):
         kernel = FrontierKernel(dense_fraction=0.5)
         assert make_kernel(kernel) is kernel
-        assert resolve_kernel_name(kernel) == "frontier"
-
-    def test_register_rejects_duplicates_and_reserved_names(self):
-        with pytest.raises(ValueError):
-            register_kernel("reference", lambda: None)
-        with pytest.raises(ValueError):
-            register_kernel("auto", lambda: None)
-
-    def test_register_replace_and_cleanup(self):
-        register_kernel("test-kernel", FrontierKernel, replace=True)
-        try:
-            assert "test-kernel" in available_kernels()
-            assert isinstance(make_kernel("test-kernel"), FrontierKernel)
-        finally:
-            with kernels_module._registry_lock:
-                kernels_module._registry.pop("test-kernel", None)
-                kernels_module._instances.pop("test-kernel", None)

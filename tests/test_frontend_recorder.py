@@ -13,7 +13,7 @@ from repro.ppr.base import PPRQuery, PPRResult
 from repro.serving import QueryEngine
 from repro.serving.frontend import (
     AdmissionController,
-    AsyncClient,
+    TcpQueryClient,
     AsyncQueryServer,
     HttpClient,
     HttpQueryServer,
@@ -204,7 +204,7 @@ class TestServerIntegration:
                 server = AsyncQueryServer(batcher, recorder=recorder)
                 host, port = await server.start()
                 try:
-                    client = await AsyncClient.connect(host, port)
+                    client = await TcpQueryClient.connect(host, port)
                     await client.solve(seed=3, k=10)
                     # Rejected requests must not pollute the trace.
                     await client.request({"seed": "junk"})

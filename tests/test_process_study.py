@@ -189,7 +189,7 @@ class TestCheckRegression:
 
     def test_committed_baselines_match_gated_benchmarks(self, checker):
         # Every gated benchmark has a committed baseline with plausible content.
-        for name in ("serving", "sharded", "async", "process", "result_cache", "kernels"):
+        for name in ("serving", "sharded", "async", "process", "result_cache"):
             path = BENCH_DIR / "baselines" / f"{name}.json"
             document = json.loads(path.read_text())
             assert document["metrics"], f"{name} baseline has no metrics"

@@ -22,7 +22,6 @@ from repro.meloppr.solver import MeLoPPRSolver
 from repro.ppr.base import PPRQuery
 from repro.serving import QueryEngine
 from repro.serving.frontend import (
-    AsyncClient,
     AsyncQueryServer,
     BatchPolicy,
     ClientConnectionError,
@@ -463,12 +462,8 @@ async def _plain_no_proto_handler(reader, writer):
 
 
 # ----------------------------------------------------------------------
-# Back-compat and API shape
+# API shape
 # ----------------------------------------------------------------------
-
-
-def test_async_client_alias_preserved():
-    assert AsyncClient is TcpQueryClient
 
 
 def test_connect_client_rejects_unknown_transport():

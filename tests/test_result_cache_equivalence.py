@@ -3,8 +3,7 @@
 The cross-query result cache promises that replaying a cached stage-one
 table is a pure performance choice: every score an engine produces with the
 cache enabled must equal — bitwise, no tolerance — what the uncached serial
-path produces, for every backend (``serial``/``thread:N``/``async:N``/
-``process:N``), with and without a :class:`~repro.serving.sharding.
+path produces, for every backend (``serial``/``thread:N``/``process:N``), with and without a :class:`~repro.serving.sharding.
 ShardRouter`, on hot repeated-seed streams and on interleaved cold/hot
 mixes.  This module checks that promise with an exhaustive grid, an async
 frontend composition test (in-flight dedup × temporal reuse), and
@@ -32,7 +31,7 @@ from repro.serving import (
 )
 from repro.serving.frontend.batcher import BatchPolicy, MicroBatcher
 
-BACKENDS = ("serial", "thread:2", "async:2", "process:2")
+BACKENDS = ("serial", "thread:2", "process:2")
 
 
 def exact_scores(results):

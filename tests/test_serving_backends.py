@@ -8,25 +8,24 @@ under concurrency, and lazy re-creation after close.
 
 from __future__ import annotations
 
-import asyncio
+import threading
 import time
 
 import pytest
 
 from repro.serving import (
     ExecutionBackend,
+    ProcessPoolBackend,
     SerialBackend,
     ThreadPoolBackend,
     make_backend,
 )
-from repro.serving.frontend import AsyncBackend
 
 BACKEND_FACTORIES = [
     SerialBackend,
     lambda: ThreadPoolBackend(2),
-    lambda: AsyncBackend(2),
 ]
-BACKEND_IDS = ["serial", "thread-pool", "async"]
+BACKEND_IDS = ["serial", "thread-pool"]
 
 
 @pytest.fixture(params=BACKEND_FACTORIES, ids=BACKEND_IDS)
@@ -52,8 +51,6 @@ class TestLifecycle:
         # Held resources are gone (lazy state reset where there is any).
         if isinstance(backend, ThreadPoolBackend):
             assert backend._executor is None
-        if isinstance(backend, AsyncBackend):
-            assert backend._loop is None and backend._thread is None
 
     def test_map_after_close_recreates_resources(self, backend):
         backend.map(lambda x: x, [1])
@@ -82,52 +79,18 @@ class TestLifecycle:
 
         assert backend.map(job, [0, 1, 2, 3]) == [0, 10, 20, 30]
 
+    def test_name_and_concurrent_flag(self, backend):
+        expected = {SerialBackend: ("serial", False), ThreadPoolBackend: ("thread-pool", True)}
+        assert (backend.name, backend.concurrent) == expected[type(backend)]
+
 
 class TestThreadPoolBackend:
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError, match="max_workers"):
             ThreadPoolBackend(0)
 
-
-class TestAsyncBackend:
-    def test_rejects_nonpositive_concurrency(self):
-        with pytest.raises(ValueError, match="max_concurrency"):
-            AsyncBackend(0)
-
-    def test_map_from_own_loop_raises(self):
-        backend = AsyncBackend(2)
-        try:
-            backend.map(lambda x: x, [1])  # spin the loop up
-            loop = backend._loop
-
-            async def call_map_on_loop():
-                return backend.map(lambda x: x, [1])
-
-            future = asyncio.run_coroutine_threadsafe(call_map_on_loop(), loop)
-            with pytest.raises(RuntimeError, match="deadlock"):
-                future.result(timeout=5)
-        finally:
-            backend.close()
-
-    def test_run_coroutine_awaitable_from_any_loop(self):
-        backend = AsyncBackend(2)
-        try:
-            backend.map(lambda x: x, [0])  # create loop + pool
-
-            async def drive():
-                return await backend.run(lambda x: x * 3, [1, 2, 3])
-
-            future = asyncio.run_coroutine_threadsafe(drive(), backend._loop)
-            assert future.result(timeout=5) == [3, 6, 9]
-        finally:
-            backend.close()
-
-    def test_run_before_any_map_respects_the_concurrency_bound(self):
-        # run() must never fall back to the loop's default (unbounded)
-        # executor just because map() has not created the pool yet.
-        import threading
-
-        backend = AsyncBackend(1)
+    def test_one_worker_never_overlaps_jobs(self):
+        backend = ThreadPoolBackend(1)
         peak = {"value": 0, "current": 0}
         lock = threading.Lock()
 
@@ -141,18 +104,15 @@ class TestAsyncBackend:
             return item
 
         try:
-            results = asyncio.run(backend.run(job, list(range(4))))
-            assert results == [0, 1, 2, 3]
-            assert peak["value"] == 1, "jobs overlapped past max_concurrency=1"
+            assert backend.map(job, list(range(4))) == [0, 1, 2, 3]
+            assert peak["value"] == 1, "jobs overlapped past max_workers=1"
         finally:
             backend.close()
 
     def test_close_drains_inflight_map_from_other_thread(self):
-        # close() must behave like ThreadPoolExecutor.shutdown(wait=True):
-        # a batch already in flight finishes and its mapping thread returns.
-        import threading
-
-        backend = AsyncBackend(2)
+        # close() waits like ThreadPoolExecutor.shutdown(wait=True): a batch
+        # already in flight finishes and its mapping thread returns.
+        backend = ThreadPoolBackend(2)
         results = {}
 
         def mapper():
@@ -171,12 +131,9 @@ class TestAsyncBackend:
         finally:
             backend.close()
 
-    def test_concurrent_flag_and_name(self):
-        backend = AsyncBackend()
-        assert backend.concurrent is True
-        assert backend.name == "async"
-        assert "AsyncBackend" in repr(backend)
-        backend.close()
+    def test_repr_names_the_pool_size(self):
+        assert repr(ThreadPoolBackend(3)) == "ThreadPoolBackend(max_workers=3)"
+        assert repr(ThreadPoolBackend()) == "ThreadPoolBackend(max_workers=default)"
 
 
 class TestMakeBackend:
@@ -199,11 +156,19 @@ class TestMakeBackend:
         assert backend.max_workers == 8
         backend.close()
 
-    def test_async_with_workers(self):
-        backend = make_backend("async:4")
-        assert isinstance(backend, AsyncBackend)
-        assert backend.max_concurrency == 4
+    @pytest.mark.parametrize("spec", ["process:2", "processes:2", "process-pool:2"])
+    def test_process_aliases(self, spec):
+        backend = make_backend(spec)
+        assert isinstance(backend, ProcessPoolBackend)
+        assert backend.num_workers == 2
+        assert not backend.is_running  # workers start at bind, not here
         backend.close()
+
+    @pytest.mark.parametrize("spec", ["async", "async:2"])
+    def test_async_is_not_a_backend(self, spec):
+        with pytest.raises(ValueError, match="unknown backend spec") as info:
+            make_backend(spec)
+        assert "'serial', 'thread[:N]' or 'process[:N]'" in str(info.value)
 
     def test_spec_is_case_insensitive_and_trimmed(self):
         backend = make_backend("  Thread:2 ")
@@ -232,7 +197,7 @@ class TestMakeBackend:
             make_backend("thread:0")
 
     def test_registry_backends_satisfy_interface(self):
-        for spec in ("serial", "thread:2", "async:2"):
+        for spec in ("serial", "thread:2"):
             backend = make_backend(spec)
             assert isinstance(backend, ExecutionBackend)
             assert backend.map(lambda x: x + 1, [1, 2]) == [2, 3]

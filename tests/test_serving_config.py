@@ -7,16 +7,28 @@ a config to its subprocesses.
 """
 
 import dataclasses
+import inspect
 
 import pytest
 
+from repro.meloppr.planner import execute_stage, execute_stage_task
+from repro.serving import frontend
+from repro.serving.backends import ProcessPoolBackend
 from repro.serving.engine import QueryEngine
 from repro.serving.frontend.config import (
     ServingConfig,
     build_frontend,
     build_serving_parser,
 )
+from repro.serving.frontend.router import build_router_parser
 from repro.serving.frontend.server import build_parser
+
+#: The TCP, HTTP and router CLIs' parsers.
+CLI_PARSERS = {
+    "tcp": build_parser,
+    "http": lambda: build_serving_parser("http", default_port=7080),
+    "router": build_router_parser,
+}
 from repro.serving.sharding import ShardRouter
 
 
@@ -39,7 +51,6 @@ class TestRoundTrip:
             no_cache=True,
             result_cache_bytes=1234,
             result_cache_ttl=2.5,
-            kernel="csr",
             num_shards=8,
             partition="hash",
             halo_depth=2,
@@ -64,6 +75,42 @@ class TestRoundTrip:
         tcp_cfg = ServingConfig.from_args(tcp)
         http_cfg = ServingConfig.from_args(http)
         assert tcp_cfg.replace(port=0) == http_cfg.replace(port=0)
+
+    def test_default_backend_is_serial_and_argv_names_no_kernel(self):
+        config = ServingConfig()
+        assert config.backend == "serial"
+        assert "kernel" not in {field.name for field in dataclasses.fields(config)}
+        assert "--kernel" not in config.to_argv()
+
+    @pytest.mark.parametrize("cli", sorted(CLI_PARSERS))
+    def test_kernel_flag_is_a_usage_error(self, cli, capsys):
+        with pytest.raises(SystemExit) as exited:
+            CLI_PARSERS[cli]().parse_args(["--kernel", "csr"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --kernel csr" in capsys.readouterr().err
+
+    def test_router_spawn_defaults_are_the_config_defaults(self):
+        args = build_router_parser().parse_args(["--spawn", "1"])
+        defaults = ServingConfig()
+        assert (args.dataset, args.backend, args.num_shards) == (
+            defaults.dataset,
+            defaults.backend,
+            defaults.num_shards,
+        )
+
+    @pytest.mark.parametrize(
+        "entry",
+        [QueryEngine, ProcessPoolBackend, execute_stage, execute_stage_task],
+        ids=lambda entry: entry.__name__,
+    )
+    def test_no_serving_layer_takes_a_kernel(self, entry):
+        # Above the diffusion layer every query runs the one production kernel.
+        assert "kernel" not in inspect.signature(entry).parameters
+
+    @pytest.mark.parametrize("name", ["AsyncBackend", "AsyncClient"])
+    def test_frontend_exports_no_async_backend_or_alias(self, name):
+        assert not hasattr(frontend, name)
+        assert name not in frontend.__all__
 
     def test_replace_returns_new_frozen_config(self):
         config = ServingConfig()

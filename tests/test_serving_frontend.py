@@ -1,7 +1,7 @@
 """Tests for the async serving frontend.
 
 The load-bearing property is the differential one: scores served through
-``AsyncBackend × MicroBatcher`` — dedup on and off, with and without a
+``ThreadPoolBackend × MicroBatcher`` — dedup on and off, with and without a
 ``ShardRouter`` — must be **bit-identical** to ``QueryEngine.solve_batch``
 on a ``SerialBackend``.  Around it: dedup fan-out accounting, per-query
 deadlines, admission-control shedding under overload (the queue must never
@@ -27,10 +27,10 @@ from repro.serving import (
     SerialBackend,
     ShardRouter,
     SubgraphCache,
+    ThreadPoolBackend,
 )
 from repro.serving.frontend import (
     AdmissionController,
-    AsyncBackend,
     BatchPolicy,
     DeadlineExceededError,
     MicroBatcher,
@@ -91,12 +91,12 @@ def submit_all(batcher: MicroBatcher, queries, timeout_ms=None):
     )
 
 
-class TestAsyncBackendEquivalence:
+class TestThreadBackendEquivalence:
     def test_scores_bit_identical_to_serial(
         self, small_ba_graph, config, queries, reference_scores
     ):
         with QueryEngine(
-            MeLoPPRSolver(small_ba_graph, config), backend=AsyncBackend(4)
+            MeLoPPRSolver(small_ba_graph, config), backend=ThreadPoolBackend(4)
         ) as engine:
             results = engine.solve_batch(queries)
         assert [dict(r.scores.items()) for r in results] == reference_scores
@@ -104,7 +104,7 @@ class TestAsyncBackendEquivalence:
     def test_with_cache_and_repeat_batches(self, small_ba_graph, config, queries, reference_scores):
         with QueryEngine(
             MeLoPPRSolver(small_ba_graph, config),
-            backend=AsyncBackend(4),
+            backend=ThreadPoolBackend(4),
             cache=SubgraphCache(),
         ) as engine:
             cold = engine.solve_batch(queries)
@@ -124,7 +124,7 @@ class TestMicroBatcherDifferential:
 
     @pytest.mark.parametrize("dedup", [True, False], ids=["dedup", "nodedup"])
     @pytest.mark.parametrize("sharded", [False, True], ids=["plain", "router"])
-    @pytest.mark.parametrize("concurrent", [False, True], ids=["serial", "async4"])
+    @pytest.mark.parametrize("concurrent", [False, True], ids=["serial", "thread4"])
     @pytest.mark.parametrize("staggered", [False, True], ids=["burst", "staggered"])
     def test_bit_identical_scores(
         self,
@@ -137,7 +137,7 @@ class TestMicroBatcherDifferential:
         concurrent,
         staggered,
     ):
-        backend = AsyncBackend(4) if concurrent else SerialBackend()
+        backend = ThreadPoolBackend(4) if concurrent else SerialBackend()
         if sharded:
             partition = partition_graph(
                 small_ba_graph, 2, strategy="hash", halo_depth=3

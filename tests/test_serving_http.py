@@ -761,7 +761,7 @@ class TestSharedBatcherAcrossTransports:
         )
 
         async def run():
-            from repro.serving.frontend import AsyncClient
+            from repro.serving.frontend import TcpQueryClient
 
             async with MicroBatcher(engine) as batcher:
                 tcp_server = AsyncQueryServer(batcher)
@@ -769,7 +769,7 @@ class TestSharedBatcherAcrossTransports:
                 tcp_host, tcp_port = await tcp_server.start()
                 http_host, http_port = await http_server.start()
                 try:
-                    tcp_client = await AsyncClient.connect(tcp_host, tcp_port)
+                    tcp_client = await TcpQueryClient.connect(tcp_host, tcp_port)
                     async with HttpClient(http_host, http_port) as http_client:
                         tcp_answer = await tcp_client.solve(seed=3, k=10)
                         status, http_answer = await http_client.query(

@@ -21,7 +21,7 @@ from repro.ppr.base import PPRQuery, PPRResult, PPRSolver
 from repro.serving import QueryEngine, SubgraphCache
 from repro.serving.frontend import (
     AdmissionController,
-    AsyncClient,
+    TcpQueryClient,
     AsyncQueryServer,
     BatchPolicy,
     MicroBatcher,
@@ -58,7 +58,7 @@ def serve(engine, policy=None, admission=None):
             await self.batcher.start()
             self.server = AsyncQueryServer(self.batcher)
             host, port = await self.server.start()
-            self.client = await AsyncClient.connect(host, port)
+            self.client = await TcpQueryClient.connect(host, port)
             return self.client, self.server
 
         async def __aexit__(self, exc_type, exc, traceback):
@@ -329,7 +329,7 @@ class TestServerLifecycle:
             while server._server is None:  # wait for the auto-start
                 await asyncio.sleep(0.01)
             host, port = server.address
-            client = await AsyncClient.connect(host, port)
+            client = await TcpQueryClient.connect(host, port)
             assert await client.ping()
             await client.close()
             forever.cancel()
@@ -541,47 +541,34 @@ class TestReportedLatency:
 class TestProcessBackendCLIRebuild:
     def test_no_cache_rebuild_preserves_process_backend_config(self):
         """Regression: ``--no-cache`` rebuilds the backend; the rebuild must
-        keep the worker count, spawn context and kernel of the original."""
+        keep the worker count and spawn context of the original."""
         from repro.serving.frontend.server import build_frontend, build_parser
 
-        args = build_parser().parse_args(
-            [
-                "--no-cache",
-                "--backend",
-                "process:2",
-                "--kernel",
-                "csr",
-            ]
-        )
+        args = build_parser().parse_args(["--no-cache", "--backend", "process:2"])
         engine, _, _ = build_frontend(args)
         try:
             assert engine.cache is None
             assert engine.result_cache is None
-            # The engine-resolved kernel (what every stage task runs with).
-            assert engine.kernel == "csr"
             # The rebuilt backend keeps the original's full configuration.
             assert engine.backend.name == "process-pool"
             assert engine.backend.num_workers == 2
-            from repro.diffusion.kernels import resolve_kernel_name
+            assert engine.backend.cache_bytes is None
             from repro.serving.backends import make_backend
 
             pristine = make_backend("process:2")
             try:
-                assert engine.backend.kernel == pristine.kernel
                 assert engine.backend.mp_context == pristine.mp_context
             finally:
                 pristine.close()
-            assert engine.backend.kernel == resolve_kernel_name(None)
         finally:
             engine.close()
 
-    def test_cached_process_backend_keeps_kernel(self):
+    def test_cached_process_backend_keeps_worker_count(self):
         from repro.serving.frontend.server import build_frontend, build_parser
 
-        args = build_parser().parse_args(["--backend", "process:2", "--kernel", "csr"])
+        args = build_parser().parse_args(["--backend", "process:2"])
         engine, _, _ = build_frontend(args)
         try:
-            assert engine.kernel == "csr"
             assert engine.backend.name == "process-pool"
             assert engine.backend.num_workers == 2
         finally:
@@ -600,7 +587,7 @@ class TestTcpLiveOps:
             await batcher.start()
             server = AsyncQueryServer(batcher)
             host, port = await server.start()
-            client = await AsyncClient.connect(host, port)
+            client = await TcpQueryClient.connect(host, port)
             try:
                 inflight = asyncio.ensure_future(client.solve(seed=1, k=5))
                 await asyncio.sleep(0.02)
@@ -611,7 +598,7 @@ class TestTcpLiveOps:
                 await server.drain()  # wait for the background drain
                 assert server.draining
                 with pytest.raises(OSError):
-                    await AsyncClient.connect(host, port)
+                    await TcpQueryClient.connect(host, port)
             finally:
                 await client.close()
                 await server.drain()
@@ -635,7 +622,7 @@ class TestTcpLiveOps:
             server = AsyncQueryServer(batcher)
             host, port = await server.start()
             install_drain_signal_handler(server)
-            client = await AsyncClient.connect(host, port)
+            client = await TcpQueryClient.connect(host, port)
             try:
                 inflight = asyncio.ensure_future(client.solve(seed=1, k=5))
                 await asyncio.sleep(0.02)
@@ -647,7 +634,7 @@ class TestTcpLiveOps:
                 await server.drain()
                 assert server.draining
                 with pytest.raises(OSError):
-                    await AsyncClient.connect(host, port)
+                    await TcpQueryClient.connect(host, port)
             finally:
                 asyncio.get_running_loop().remove_signal_handler(signal.SIGTERM)
                 await client.close()

@@ -36,7 +36,7 @@ from repro.serving import (
 from repro.serving.tracing import make_span_id, make_trace_id
 from repro.serving.frontend import (
     AdmissionController,
-    AsyncClient,
+    TcpQueryClient,
     AsyncQueryServer,
     BatchPolicy,
     HttpClient,
@@ -184,7 +184,7 @@ class TestProcessPoolAcceptance:
             await batcher.start()
             server = AsyncQueryServer(batcher)
             host, port = await server.start()
-            client = await AsyncClient.connect(host, port)
+            client = await TcpQueryClient.connect(host, port)
             try:
                 answer = await client.request(
                     {"op": "query", "seed": 11, "k": 20}
@@ -270,7 +270,7 @@ class TestCrossTransportPropagation:
             http_server = HttpQueryServer(batcher)
             tcp_host, tcp_port = await tcp_server.start()
             http_host, http_port = await http_server.start()
-            tcp_client = await AsyncClient.connect(tcp_host, tcp_port)
+            tcp_client = await TcpQueryClient.connect(tcp_host, tcp_port)
             http_client = await HttpClient(http_host, http_port).connect()
             try:
                 tcp_answer = await tcp_client.request(
@@ -393,7 +393,7 @@ class TestDebugEndpoints:
             await batcher.start()
             server = AsyncQueryServer(batcher)
             host, port = await server.start()
-            client = await AsyncClient.connect(host, port)
+            client = await TcpQueryClient.connect(host, port)
             try:
                 return await client.request({"op": "traces"})
             finally:
@@ -422,7 +422,7 @@ class TestRequestLog:
             await batcher.start()
             server = AsyncQueryServer(batcher)
             host, port = await server.start()
-            client = await AsyncClient.connect(host, port)
+            client = await TcpQueryClient.connect(host, port)
             try:
                 return await asyncio.gather(
                     client.request({"op": "query", "seed": 3, "k": 10}),
@@ -464,7 +464,7 @@ class TestRequestLog:
             await batcher.start()
             server = AsyncQueryServer(batcher)
             host, port = await server.start()
-            client = await AsyncClient.connect(host, port)
+            client = await TcpQueryClient.connect(host, port)
             try:
                 return await client.request({"op": "query", "seed": 3, "k": 10})
             finally:
