@@ -3,22 +3,45 @@
 :class:`GraphBuilder` collects edges (from generators, files or user code),
 cleans them up (self-loop removal, de-duplication, optional symmetrisation)
 and emits an immutable :class:`~repro.graph.csr.CSRGraph`.
+
+Scalar edges are buffered and canonicalised once, by one sort in ``build``:
+the generators add most stand-ins edge by edge, and a NumPy array per edge
+(plus ``np.unique``'s hash path) used to dominate building one.
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import chain
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, _sorted_unique
 from repro.utils.validation import check_non_negative_int
 
 __all__ = ["GraphBuilder"]
 
+_BOOLS = frozenset({bool, np.bool_})
+
+
+def _endpoint(node: object) -> int:
+    """``node`` as a non-negative ``int``; only integer node ids are accepted."""
+    if type(node) is not int:
+        if isinstance(node, bool) or not isinstance(node, (int, np.integer)):
+            raise ValueError(f"edge endpoints must be integer node ids, got {node!r}")
+        node = int(node)
+    if node < 0:
+        raise ValueError("edge endpoints must be non-negative node ids")
+    return node
+
 
 class GraphBuilder:
     """Accumulate edges and build a :class:`CSRGraph`.
+
+    :meth:`add_edge` appends to two typed ``int64`` buffers (8 bytes per
+    endpoint, no array per edge); :meth:`build` flushes them into
+    :meth:`add_edges`'s chunks and deduplicates everything with one sort.
 
     Parameters
     ----------
@@ -39,6 +62,8 @@ class GraphBuilder:
         self._directed = bool(directed)
         self._sources: List[np.ndarray] = []
         self._targets: List[np.ndarray] = []
+        self._edge_sources = array("q")  # add_edge's pairs, until build()
+        self._edge_targets = array("q")
 
     # ------------------------------------------------------------------
     @property
@@ -49,27 +74,40 @@ class GraphBuilder:
     @property
     def num_pending_edges(self) -> int:
         """Number of edge tuples added so far (before cleaning)."""
-        return int(sum(chunk.size for chunk in self._sources))
+        return len(self._edge_sources) + int(sum(chunk.size for chunk in self._sources))
 
     # ------------------------------------------------------------------
     def add_edge(self, u: int, v: int) -> "GraphBuilder":
         """Add a single edge ``(u, v)``.  Returns ``self`` for chaining."""
-        return self.add_edges([(u, v)])
+        u, v = _endpoint(u), _endpoint(v)
+        self._edge_sources.append(u)
+        self._edge_targets.append(v)
+        return self
 
     def add_edges(self, edges: Iterable[Tuple[int, int]]) -> "GraphBuilder":
         """Add many edges at once.
 
-        ``edges`` may be any iterable of pairs or an ``(n, 2)`` array.
+        ``edges`` may be any iterable of integer pairs or an ``(n, 2)``
+        integer array.
         """
-        array = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
-        if array.size == 0:
+        listed = not isinstance(edges, np.ndarray)
+        if listed:
+            edges = list(edges)
+        pairs = np.asarray(edges)
+        if pairs.size == 0:
             return self
-        if array.ndim != 2 or array.shape[1] != 2:
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError("edges must be an iterable of (u, v) pairs")
-        if np.any(array < 0):
+        # NumPy promotes bools listed among ints to int, so a list is also
+        # checked by item type.
+        if pairs.dtype.kind not in "iu" or (
+            listed and not _BOOLS.isdisjoint(map(type, chain.from_iterable(edges)))
+        ):
+            raise ValueError("edge endpoints must be integer node ids, not floats, strings or bools")
+        if np.any(pairs < 0):
             raise ValueError("edge endpoints must be non-negative node ids")
-        self._sources.append(array[:, 0].astype(np.int64))
-        self._targets.append(array[:, 1].astype(np.int64))
+        self._sources.append(pairs[:, 0].astype(np.int64))
+        self._targets.append(pairs[:, 1].astype(np.int64))
         return self
 
     def add_star(self, center: int, leaves: Iterable[int]) -> "GraphBuilder":
@@ -98,6 +136,10 @@ class GraphBuilder:
     # ------------------------------------------------------------------
     def build(self, name: str = "graph") -> CSRGraph:
         """Clean up the accumulated edges and return an immutable graph."""
+        if self._edge_sources:
+            self._sources.append(np.array(self._edge_sources, dtype=np.int64))
+            self._targets.append(np.array(self._edge_targets, dtype=np.int64))
+            self._edge_sources, self._edge_targets = array("q"), array("q")
         if self._sources:
             sources = np.concatenate(self._sources)
             targets = np.concatenate(self._targets)
@@ -127,17 +169,13 @@ class GraphBuilder:
                 np.concatenate([targets, sources]),
             )
 
-        # De-duplicate using a linearised key.
+        # De-duplicate by sorting linearised keys: the survivors come out
+        # source-major with ascending targets, which is already CSR order.
         if sources.size:
-            keys = sources * np.int64(num_nodes) + targets
-            unique_keys = np.unique(keys)
-            sources = unique_keys // num_nodes
-            targets = unique_keys % num_nodes
+            keys = _sorted_unique(sources * np.int64(num_nodes) + targets)
+            sources, targets = np.divmod(keys, num_nodes)
 
-        # Build CSR: counting sort over sources.
         counts = np.bincount(sources, minlength=num_nodes).astype(np.int64)
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        order = np.argsort(sources, kind="stable")
-        indices = targets[order].astype(np.int32)
-        return CSRGraph(indptr, indices, name=name)
+        return CSRGraph(indptr, targets.astype(np.int32), name=name)

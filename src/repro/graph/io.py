@@ -45,9 +45,9 @@ def read_edge_list(
         Lines starting with this prefix are skipped.
     relabel:
         When true (default), arbitrary integer node ids are relabelled to the
-        contiguous range ``0..n-1`` in order of first appearance — SNAP files
-        use sparse ids.  When false, ids are used as-is and must already be
-        contiguous.
+        contiguous range ``0..n-1`` by ascending original id (the smallest id
+        becomes 0) — SNAP files use sparse ids.  When false, ids are used
+        as-is and must already be contiguous.
     name:
         Graph name; defaults to the file stem.
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.graph.builder import GraphBuilder
+from repro.graph.csr import CSRGraph
 
 
 class TestAddEdges:
@@ -36,6 +37,70 @@ class TestAddEdges:
         builder.add_edge(0, 5)
         with pytest.raises(ValueError, match="exceed"):
             builder.build()
+
+    def test_negative_scalar_endpoint_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            GraphBuilder(num_nodes=3).add_edge(0, -1)
+
+    def test_numpy_integer_endpoints_accepted(self):
+        graph = GraphBuilder(num_nodes=3).add_edge(np.int32(0), np.uint8(2)).build()
+        assert graph.has_edge(0, 2)
+
+
+class TestEndpointTypes:
+    """Only integer node ids are edges; nothing is truncated or coerced."""
+
+    @pytest.mark.parametrize(
+        "u, v", [(0.9, 2.7), (0, 2.0), ("1", "2"), (True, 2), (0, np.True_), (np.float64(1), 2)]
+    )
+    def test_add_edge_rejects_non_integer(self, u, v):
+        builder = GraphBuilder(num_nodes=3)
+        with pytest.raises(ValueError, match="integer"):
+            builder.add_edge(u, v)
+        assert builder.num_pending_edges == 0
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0.9, 2.7)],
+            [(0, 1), (1, 2.5)],
+            [("1", "2")],
+            [(True, 2)],
+            [(0, 1), (np.True_, 2)],
+            np.array([[0.0, 1.0]]),
+            np.array([[True, False]]),
+        ],
+        ids=["floats", "one_float", "strings", "bool", "numpy_bool", "float_array", "bool_array"],
+    )
+    def test_add_edges_rejects_non_integer(self, edges):
+        builder = GraphBuilder(num_nodes=3)
+        with pytest.raises(ValueError, match="integer"):
+            builder.add_edges(edges)
+        assert builder.num_pending_edges == 0
+
+    def test_from_edges_rejects_float_endpoints(self):
+        with pytest.raises(ValueError, match="integer"):
+            CSRGraph.from_edges(3, [(0.9, 2.7)])
+
+
+class TestPendingEdgesAndRebuild:
+    def test_pending_counts_scalar_and_bulk_edges(self):
+        builder = GraphBuilder(num_nodes=4).add_edge(0, 1).add_edges([(1, 2), (2, 3)])
+        builder.add_edge(3, 3)
+        assert builder.num_pending_edges == 4
+
+    def test_build_twice_gives_equal_graphs(self):
+        builder = GraphBuilder(num_nodes=4).add_edge(0, 1).add_edges([(1, 2), (2, 3)])
+        first = builder.build()
+        assert builder.build() == first
+        assert builder.num_pending_edges == 3
+
+    def test_edge_added_after_build_is_in_next_build(self):
+        builder = GraphBuilder(num_nodes=4).add_edge(0, 1)
+        assert not builder.build().has_edge(2, 3)
+        builder.add_edge(2, 3)
+        rebuilt = builder.build()
+        assert rebuilt.has_edge(0, 1) and rebuilt.has_edge(2, 3)
 
 
 class TestConvenienceShapes:

@@ -78,6 +78,31 @@ class TestLoading:
             assert compute_stats(load_dataset(key)).isolated_nodes == 0
 
 
+class TestPinnedStandIns:
+    """Every default-scale stand-in, pinned to the exact graph it has always been.
+
+    A change to the builder or a generator that alters any edge shows up
+    here under the graph's own key, not later as a benchmark's stale frozen
+    counts.
+    """
+
+    @pytest.mark.parametrize(
+        "key, num_nodes, num_edges, fingerprint",
+        [
+            ("G1", 3_327, 4_653, "4eb362f3968c7b2f40a547e6180807eb"),
+            ("G2", 2_708, 5_190, "4f740fd240a5c6f0de701e8a3121aea6"),
+            ("G3", 19_717, 44_050, "94596c94ba0a28ff80e5cd37e873b025"),
+            ("G4", 20_092, 60_267, "e76968d32a7a54e9b32ba4cf8b02463b"),
+            ("G5", 19_025, 57_066, "010b9c868c79f1b2af53ae5bf5c113e5"),
+            ("G6", 22_698, 68_085, "5c068ce6ad86b7af1c3819f74073f2a4"),
+        ],
+    )
+    def test_stand_in_is_unchanged(self, key, num_nodes, num_edges, fingerprint):
+        graph = load_dataset(key)
+        assert (graph.num_nodes, graph.num_edges) == (num_nodes, num_edges)
+        assert graph.fingerprint() == fingerprint
+
+
 class TestSuite:
     def test_small_only_suite(self):
         suite = load_paper_suite(small_only=True)

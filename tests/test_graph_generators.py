@@ -19,19 +19,48 @@ from repro.graph.stats import compute_stats
 
 
 class TestDeterminism:
-    """Every generator must be reproducible for a fixed seed."""
+    """Every generator must be reproducible for a fixed seed.
+
+    The expected fingerprints pin each generator's seed-7 graph exactly, so
+    a change to the builder or to a generator's random stream names the
+    generator it altered.
+    """
 
     @pytest.mark.parametrize(
-        "factory",
+        "factory, fingerprint",
         [
-            lambda seed: erdos_renyi_graph(100, 0.05, rng=seed),
-            lambda seed: barabasi_albert_graph(100, 2, rng=seed),
-            lambda seed: watts_strogatz_graph(100, 4, 0.1, rng=seed),
-            lambda seed: citation_graph(100, 3.0, rng=seed),
-            lambda seed: community_graph(100, 5.0, rng=seed),
-            lambda seed: powerlaw_cluster_graph(100, 2, 0.5, rng=seed),
-            lambda seed: configuration_model_graph([3] * 50, rng=seed),
-            lambda seed: stochastic_block_model([30, 30], 0.2, 0.01, rng=seed),
+            (
+                lambda seed: erdos_renyi_graph(100, 0.05, rng=seed),
+                "b50ba1b9972230ecdcbde1d139ed4472",
+            ),
+            (
+                lambda seed: barabasi_albert_graph(100, 2, rng=seed),
+                "1bf96d2654d9399dd43b6d98e35fd053",
+            ),
+            (
+                lambda seed: watts_strogatz_graph(100, 4, 0.1, rng=seed),
+                "901dc15d2f66dd81df70270c60389c86",
+            ),
+            (
+                lambda seed: citation_graph(100, 3.0, rng=seed),
+                "b729c0176585cda90f2f423a94d62aa8",
+            ),
+            (
+                lambda seed: community_graph(100, 5.0, rng=seed),
+                "d9fc1573dd678b98840ef3f368598392",
+            ),
+            (
+                lambda seed: powerlaw_cluster_graph(100, 2, 0.5, rng=seed),
+                "3e5b9432b45be9961c00c7da213abb14",
+            ),
+            (
+                lambda seed: configuration_model_graph([3] * 50, rng=seed),
+                "1d92a32573c7a5a820374794ecf124d2",
+            ),
+            (
+                lambda seed: stochastic_block_model([30, 30], 0.2, 0.01, rng=seed),
+                "feed011f195016e2df95789fa029c14d",
+            ),
         ],
         ids=[
             "erdos_renyi",
@@ -44,8 +73,10 @@ class TestDeterminism:
             "sbm",
         ],
     )
-    def test_same_seed_same_graph(self, factory):
-        assert factory(7) == factory(7)
+    def test_same_seed_same_graph(self, factory, fingerprint):
+        graph = factory(7)
+        assert graph == factory(7)
+        assert graph.fingerprint() == fingerprint
 
     def test_different_seed_different_graph(self):
         assert barabasi_albert_graph(100, 2, rng=1) != barabasi_albert_graph(100, 2, rng=2)

@@ -29,6 +29,12 @@ class TestReadEdgeList:
         graph = read_edge_list(path)
         assert graph.num_nodes == 3
 
+    def test_relabelling_follows_ascending_id_not_first_appearance(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("30 10\n10 20\n")
+        # 10 -> 0, 20 -> 1, 30 -> 2; first appearance would map 30 -> 0.
+        assert set(read_edge_list(path).iter_edges()) == {(0, 1), (0, 2)}
+
     def test_no_relabel_uses_max_id(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("0 5\n")

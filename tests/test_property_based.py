@@ -2,8 +2,8 @@
 
 The invariants exercised here are the ones the whole reproduction leans on:
 
-* graph construction is canonical (builder output independent of edge order,
-  no self-loops/duplicates, symmetric adjacency);
+* graph construction is canonical (builder output independent of edge order
+  and of scalar vs bulk adds, no self-loops/duplicates, symmetric adjacency);
 * graph diffusion conserves probability mass and is linear in its input;
 * the stage-decomposition identity (Eq. 6) holds for arbitrary random graphs,
   stage splits and alpha values;
@@ -12,6 +12,8 @@ The invariants exercised here are the ones the whole reproduction leans on:
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -83,6 +85,19 @@ class TestGraphConstructionProperties:
         permutation = data.draw(st.permutations(edges))
         rebuilt = GraphBuilder(num_nodes=graph.num_nodes).add_edges(permutation).build()
         assert rebuilt == graph
+        # The same pairs fed as any interleaving of add_edge and add_edges.
+        scalar = data.draw(
+            st.lists(st.booleans(), min_size=len(edges), max_size=len(edges))
+        )
+        builder = GraphBuilder(num_nodes=graph.num_nodes)
+        for is_scalar, run in itertools.groupby(zip(scalar, permutation), key=lambda item: item[0]):
+            pairs = [edge for _, edge in run]
+            if is_scalar:
+                for u, v in pairs:
+                    builder.add_edge(u, v)
+            else:
+                builder.add_edges(pairs)
+        assert builder.build() == graph
 
     @GRAPH_SETTINGS
     @given(graph=random_graphs())
