@@ -1,8 +1,8 @@
 """Benchmark — process-pool serving throughput (multi-core scaling).
 
-Measures queries/second for the E9 repeated-seed workload answered by
+Measures queries/second for a repeated-seed workload answered by
 ``serial``, ``thread:N`` and ``process:N`` engines (E12 study) and emits the
-measurements as JSON in the same shape as the other serving benchmarks — a
+measurements as JSON in the same shape as ``bench_sharded_serving.py`` — a
 top-level config plus a ``runs`` list — including each configuration's
 speedup over serial and, for the process runs, over the equally sized thread
 pool.

@@ -44,12 +44,6 @@ from repro.experiments.score_table_study import (
     format_score_table,
     run_score_table_study,
 )
-from repro.experiments.serving_study import (
-    ServingRun,
-    ServingStudy,
-    format_serving,
-    run_serving_study,
-)
 from repro.experiments.table1_resources import (
     ResourceRow,
     ResourceStudy,
@@ -71,10 +65,6 @@ from repro.experiments.workloads import (
 )
 
 __all__ = [
-    "ServingRun",
-    "ServingStudy",
-    "format_serving",
-    "run_serving_study",
     "StageSplitRow",
     "StageSplitStudy",
     "format_stage_split",

@@ -11,27 +11,22 @@ averaging.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.ablation_stage_split import format_stage_split, run_stage_split_ablation
 from repro.experiments.fig5_scalability import format_fig5, run_fig5
 from repro.experiments.fig6_sparsity import format_fig6, run_fig6
 from repro.experiments.fig7_tradeoff import format_fig7, run_fig7
-from repro.experiments.churn_study import format_churn, run_churn_study
-from repro.experiments.latency_study import format_latency, run_latency_study
 from repro.experiments.process_study import format_process, run_process_study
 from repro.experiments.quantization_study import format_quantization, run_quantization_study
-from repro.experiments.replica_study import format_replica, run_replica_study
-from repro.experiments.result_cache_study import format_result_cache, run_result_cache_study
 from repro.experiments.score_table_study import format_score_table, run_score_table_study
-from repro.experiments.serving_study import format_serving, run_serving_study
 from repro.experiments.sharding_study import format_sharding, run_sharding_study
 from repro.experiments.soak_study import format_soak, run_soak_study
 from repro.experiments.table1_resources import format_table1, run_table1
 from repro.experiments.table2_memory import format_table2, run_table2
 
-__all__ = ["ExperimentProfile", "QUICK_PROFILE", "PAPER_PROFILE", "run_all", "main"]
+__all__ = ["ExperimentProfile", "QUICK_PROFILE", "PAPER_PROFILE", "EXPERIMENTS", "run_all", "main"]
 
 
 @dataclass(frozen=True)
@@ -72,101 +67,65 @@ PAPER_PROFILE = ExperimentProfile(
 )
 
 
+#: Every experiment in report order: ``(experiment id, profile -> rendered table)``.
+EXPERIMENTS: Tuple[Tuple[str, Callable[[ExperimentProfile], str]], ...] = (
+    ("E1_fig5", lambda p: format_fig5(run_fig5(num_seeds=p.num_seeds_small))),
+    ("E2_table1", lambda p: format_table1(run_table1())),
+    (
+        "E3_table2",
+        lambda p: format_table2(run_table2(p.memory_datasets, num_seeds=p.num_seeds_large)),
+    ),
+    ("E4_fig6", lambda p: format_fig6(run_fig6(num_seeds=p.num_seeds_small))),
+    (
+        "E5_fig7",
+        lambda p: format_fig7(run_fig7(p.tradeoff_datasets, num_seeds=p.num_seeds_large)),
+    ),
+    (
+        "E6_quantization",
+        lambda p: format_quantization(run_quantization_study(num_seeds=p.num_seeds_small)),
+    ),
+    (
+        "E7_score_table",
+        lambda p: format_score_table(run_score_table_study(num_seeds=p.num_seeds_small)),
+    ),
+    (
+        "E8_stage_split",
+        lambda p: format_stage_split(run_stage_split_ablation(num_seeds=p.num_seeds_small)),
+    ),
+    (
+        "E10_sharding",
+        lambda p: format_sharding(run_sharding_study(num_seeds=p.num_seeds_small, repeat_factor=3)),
+    ),
+    (
+        "E12_process",
+        lambda p: format_process(
+            run_process_study(
+                num_seeds=p.num_seeds_small,
+                repeat_factor=3,
+                worker_counts=(2,) if p.name == "quick" else (2, 4),
+            )
+        ),
+    ),
+    (
+        "E15_soak",
+        lambda p: format_soak(
+            run_soak_study(
+                num_seeds=p.num_seeds_small,
+                num_arrivals=12 * p.num_seeds_small,
+                multipliers=(0.5, 1.0, 10.0) if p.name == "quick" else (0.5, 1.0, 2.0, 10.0),
+            )
+        ),
+    ),
+)
+
+
 def run_all(profile: ExperimentProfile = QUICK_PROFILE) -> Dict[str, str]:
     """Run every experiment and return ``{experiment id: rendered table}``."""
-    reports: Dict[str, str] = {}
-
-    reports["E1_fig5"] = format_fig5(
-        run_fig5(num_seeds=profile.num_seeds_small)
-    )
-    reports["E2_table1"] = format_table1(run_table1())
-    reports["E3_table2"] = format_table2(
-        run_table2(
-            datasets=profile.memory_datasets,
-            num_seeds=profile.num_seeds_large,
-        )
-    )
-    reports["E4_fig6"] = format_fig6(
-        run_fig6(num_seeds=profile.num_seeds_small)
-    )
-    reports["E5_fig7"] = format_fig7(
-        run_fig7(
-            datasets=profile.tradeoff_datasets,
-            num_seeds=profile.num_seeds_large,
-        )
-    )
-    reports["E6_quantization"] = format_quantization(
-        run_quantization_study(num_seeds=profile.num_seeds_small)
-    )
-    reports["E7_score_table"] = format_score_table(
-        run_score_table_study(num_seeds=profile.num_seeds_small)
-    )
-    reports["E8_stage_split"] = format_stage_split(
-        run_stage_split_ablation(num_seeds=profile.num_seeds_small)
-    )
-    reports["E9_serving"] = format_serving(
-        run_serving_study(
-            num_seeds=profile.num_seeds_small,
-            repeat_factor=4,
-        )
-    )
-    reports["E10_sharding"] = format_sharding(
-        run_sharding_study(
-            num_seeds=profile.num_seeds_small,
-            repeat_factor=3,
-        )
-    )
-    reports["E11_latency"] = format_latency(
-        run_latency_study(
-            num_seeds=profile.num_seeds_small,
-            num_arrivals=8 * profile.num_seeds_small,
-        )
-    )
-    reports["E12_process"] = format_process(
-        run_process_study(
-            num_seeds=profile.num_seeds_small,
-            repeat_factor=3,
-            worker_counts=(2,) if profile.name == "quick" else (2, 4),
-        )
-    )
-    reports["E13_result_cache"] = format_result_cache(
-        run_result_cache_study(
-            num_queries=16 * profile.num_seeds_small,
-            num_seeds=2 * profile.num_seeds_small,
-            skews=(0.0, 1.1) if profile.name == "quick" else (0.0, 0.6, 1.1, 1.5),
-        )
-    )
-    reports["E15_soak"] = format_soak(
-        run_soak_study(
-            num_seeds=profile.num_seeds_small,
-            num_arrivals=12 * profile.num_seeds_small,
-            multipliers=(0.5, 1.0, 10.0)
-            if profile.name == "quick"
-            else (0.5, 1.0, 2.0, 10.0),
-        )
-    )
-    reports["E16_replicas"] = format_replica(
-        run_replica_study(
-            num_seeds=profile.num_seeds_small,
-            repeat_factor=3,
-            replica_counts=(1, 2) if profile.name == "quick" else (1, 2, 3),
-        )
-    )
-    reports["E17_churn"] = format_churn(
-        run_churn_study(
-            num_queries=8 * profile.num_seeds_small,
-            num_seeds=profile.num_seeds_small,
-            update_rates=(0, 6) if profile.name == "quick" else (0, 2, 6, 12),
-            cache_budgets=(256 * 1024,)
-            if profile.name == "quick"
-            else (256 * 1024, 4 * 1024 * 1024),
-        )
-    )
-    return reports
+    return {experiment_id: run(profile) for experiment_id, run in EXPERIMENTS}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Command-line entry point: print every experiment's table."""
+    """Command-line entry point: run the selected experiments, print their tables."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--profile",
@@ -177,17 +136,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--only",
         default=None,
-        help="run only the experiment whose id contains this substring",
+        help="run only the experiments whose id contains this substring",
     )
     args = parser.parse_args(argv)
     profile = QUICK_PROFILE if args.profile == "quick" else PAPER_PROFILE
 
-    reports = run_all(profile)
-    for experiment_id, report in reports.items():
+    for experiment_id, run in EXPERIMENTS:
         if args.only and args.only not in experiment_id:
             continue
         print(f"\n{'=' * 78}\n{experiment_id}\n{'=' * 78}")
-        print(report)
+        print(run(profile))
     return 0
 
 

@@ -1,8 +1,9 @@
 """Experiment E12 — multi-core serving scaling (serial vs threads vs processes).
 
 This study is not a paper artefact: it characterises the process-pool
-backend added on top of the reproduction.  The same repeated-seed workload
-that E9 measures is answered by ``serial``, ``thread:N`` and ``process:N``
+backend added on top of the reproduction.  The repeated-seed workload of
+:func:`~repro.experiments.workloads.make_repeated_seed_workload` is answered
+by ``serial``, ``thread:N`` and ``process:N``
 engines for every worker count in the sweep, and the study reports each
 configuration's throughput, its speedup over serial, and — for every worker
 count — the process pool's speedup over the *equally sized* thread pool,
@@ -112,8 +113,8 @@ def run_process_study(
     dataset:
         Dataset key of the host graph.
     num_seeds, repeat_factor, k:
-        Workload shape (same generator as E9, same rng default — the
-        acceptance workload of the process backend).
+        Workload shape (same generator as E10 — the acceptance workload of
+        the process backend).
     worker_counts:
         Pool sizes to sweep; each gets a ``thread:N`` and a ``process:N`` run.
     selection_ratio:

@@ -1,6 +1,6 @@
 """Experiment E10 — sharded serving (partitioners × shard counts).
 
-Like E9 this is a serving-layer study, not a paper artefact: it characterises
+This is a serving-layer study, not a paper artefact: it characterises
 the sharding subsystem added on top of the reproduction.  A repeated-seed
 workload is answered once through the unsharded serial engine (the reference)
 and then through a shard-routed engine for every ``strategy × shard count``
@@ -136,7 +136,8 @@ def run_sharding_study(
         Halo radius of every partition; the default covers the paper's stage
         lengths, so the expected cross-shard fallback rate is zero.
     k, selection_ratio:
-        Query and solver knobs (memory tracking off, as in E9).
+        Query and solver knobs (memory tracking off, so wall-clock time is
+        serving time).
     cache:
         Whether the router keeps per-shard caches.
     """
@@ -151,7 +152,7 @@ def run_sharding_study(
     # Unsharded serial reference: the scores every configuration must match.
     # Cache-matched to the sharded runs (one shared cache vs per-shard
     # caches), so speedup_vs_unsharded isolates the sharding layer instead of
-    # re-measuring the cache win E9 already reports.
+    # re-measuring the cache win.
     reference_cache = SubgraphCache(DEFAULT_CACHE_BYTES) if cache else None
     with QueryEngine(MeLoPPRSolver(graph, config), cache=reference_cache) as engine:
         reference = engine.solve_batch(queries)

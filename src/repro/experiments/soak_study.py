@@ -1,9 +1,8 @@
 """Experiment E15 — soak/overload through the HTTP front door.
 
-E11 established the batcher's behaviour under load; this study asks the
-production question one layer up: **when traffic exceeds capacity, does the
-deployed server shed or collapse?**  A server that collapses spends its
-cycles on queueing, timeouts and half-finished work, so its *goodput*
+This study asks the production question about the deployed server: **when
+traffic exceeds capacity, does it shed or collapse?**  A server that collapses
+spends its cycles on queueing, timeouts and half-finished work, so its *goodput*
 (completed answers per second) falls as offered load rises.  A server that
 sheds keeps answering at capacity and turns the excess into cheap, explicit
 ``429`` rejections.

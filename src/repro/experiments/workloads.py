@@ -27,7 +27,6 @@ __all__ = [
     "OpenLoopWorkload",
     "make_workload",
     "make_repeated_seed_workload",
-    "make_zipf_workload",
     "make_poisson_arrivals",
     "make_open_loop_workload",
 ]
@@ -137,8 +136,8 @@ def make_repeated_seed_workload(
 ) -> Tuple[CSRGraph, List[PPRQuery]]:
     """Hot-seed serving workload: each sampled seed queried ``repeat_factor``
     times, shuffled the way real repeated traffic arrives (not seed-sorted
-    blocks).  Shared by the serving studies E9 and E10 so both measure the
-    exact same traffic mix.
+    blocks).  Shared by the sharding (E10) and process-backend (E12) studies
+    and by ``bench_tracing`` so all three measure the exact same traffic mix.
     """
     workload = make_workload(
         dataset,
@@ -152,55 +151,6 @@ def make_repeated_seed_workload(
     generator = ensure_rng(rng)
     order = generator.permutation(len(queries))
     return workload.graph, [queries[index] for index in order]
-
-
-def make_zipf_workload(
-    dataset: str,
-    num_queries: int,
-    skew: float = 1.1,
-    num_seeds: int = 32,
-    k: int = PAPER_K,
-    length: int = PAPER_LENGTH,
-    alpha: float = PAPER_ALPHA,
-    rng: RngLike = None,
-    graph: Optional[CSRGraph] = None,
-) -> Tuple[CSRGraph, List[PPRQuery]]:
-    """Zipfian hot-seed workload: seeds drawn with rank-``skew`` popularity.
-
-    Production query streams are heavy-tailed — a few hot seeds dominate
-    while a long tail arrives once.  Each of the ``num_queries`` arrivals
-    draws its seed from a pool of ``num_seeds`` sampled seeds with
-    probability proportional to ``1 / rank**skew`` (``skew = 0`` degrades to
-    the uniform repeated-traffic mix, ``skew ≈ 1.1`` is the classic web/
-    social workload shape).  This is the acceptance workload of the
-    cross-query result cache: the higher the skew, the more stage-one work
-    repeats verbatim.
-
-    Returns ``(graph, queries)`` like :func:`make_repeated_seed_workload`,
-    with arrivals already in stream order (no extra shuffle needed — draws
-    are i.i.d.).
-    """
-    if num_queries <= 0:
-        raise ValueError(f"num_queries must be > 0, got {num_queries}")
-    if skew < 0:
-        raise ValueError(f"skew must be >= 0, got {skew}")
-    workload = make_workload(
-        dataset,
-        num_seeds=num_seeds,
-        k=k,
-        length=length,
-        alpha=alpha,
-        rng=rng,
-        graph=graph,
-    )
-    ranks = np.arange(1, len(workload.queries) + 1, dtype=np.float64)
-    probabilities = ranks**-float(skew)
-    probabilities /= probabilities.sum()
-    generator = ensure_rng(rng)
-    picks = generator.choice(
-        len(workload.queries), size=num_queries, p=probabilities
-    )
-    return workload.graph, [workload.queries[int(pick)] for pick in picks]
 
 
 @dataclass(frozen=True)

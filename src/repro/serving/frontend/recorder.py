@@ -14,8 +14,8 @@ Tuesday.  This module closes that loop:
 * :func:`replay_trace` — fires the recorded queries at their recorded
   offsets (optionally time-scaled) into a :class:`~repro.serving.frontend.
   batcher.MicroBatcher`, returning per-query outcomes exactly like the
-  open-loop studies do, so a recorded trace drops into the E11/E15 analysis
-  unchanged.
+  open-loop soak study (E15) does, so a recorded trace drops into its
+  analysis unchanged.
 
 Offsets are relative to the first recorded query (the idle time before
 traffic started is not part of the workload), recorded on a monotonic

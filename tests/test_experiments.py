@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.experiments import harness
 from repro.experiments.ablation_stage_split import format_stage_split, run_stage_split_ablation
 from repro.experiments.fig5_scalability import format_fig5, run_fig5
 from repro.experiments.fig6_sparsity import format_fig6, run_fig6
@@ -23,7 +24,19 @@ from repro.experiments.reporting import (
 from repro.experiments.score_table_study import format_score_table, run_score_table_study
 from repro.experiments.table1_resources import format_table1, run_table1
 from repro.experiments.table2_memory import format_table2, run_table2
-from repro.experiments.workloads import PAPER_K, PAPER_LENGTH, make_workload, sample_seeds
+from repro.experiments.workloads import (
+    PAPER_K,
+    PAPER_LENGTH,
+    PAPER_ALPHA,
+    make_open_loop_workload,
+    make_poisson_arrivals,
+    make_repeated_seed_workload,
+    make_workload,
+    sample_seeds,
+)
+from repro.meloppr.config import MeLoPPRConfig
+from repro.meloppr.solver import MeLoPPRSolver
+from repro.serving import QueryEngine, SubgraphCache
 
 
 class TestReporting:
@@ -72,6 +85,93 @@ class TestWorkloads:
     def test_custom_graph_workload(self, small_ba_graph):
         workload = make_workload("custom", num_seeds=2, graph=small_ba_graph)
         assert workload.graph is small_ba_graph
+
+
+class TestRepeatedSeedWorkload:
+    def test_every_seed_is_queried_repeat_factor_times(self):
+        graph, queries = make_repeated_seed_workload("G1", num_seeds=4, repeat_factor=3, k=50, rng=2)
+        assert graph.num_nodes == 3_327
+        assert len(queries) == 12
+        counts = {}
+        for query in queries:
+            counts[query.seed] = counts.get(query.seed, 0) + 1
+        assert len(counts) == 4
+        assert set(counts.values()) == {3}
+
+    def test_queries_carry_the_paper_shape_and_the_requested_k(self):
+        _, queries = make_repeated_seed_workload("G1", num_seeds=3, repeat_factor=2, k=75, rng=4)
+        for query in queries:
+            assert query.k == 75
+            assert query.length == PAPER_LENGTH
+            assert query.alpha == PAPER_ALPHA
+
+    def test_repeats_are_interleaved_not_seed_sorted_blocks(self):
+        _, queries = make_repeated_seed_workload("G1", num_seeds=6, repeat_factor=4, k=50, rng=3)
+        seeds = [query.seed for query in queries]
+        blocks = [seed for index, seed in enumerate(seeds) if index == 0 or seed != seeds[index - 1]]
+        # Seed-sorted blocks would give exactly one run per seed.
+        assert len(blocks) > 6
+
+    def test_seed_pool_is_the_closed_loop_workload_sample(self):
+        _, queries = make_repeated_seed_workload("G1", num_seeds=5, repeat_factor=2, k=50, rng=6)
+        assert {query.seed for query in queries} == set(make_workload("G1", num_seeds=5, rng=6).seeds)
+
+    def test_deterministic_for_fixed_rng(self):
+        _, first = make_repeated_seed_workload("G1", num_seeds=3, repeat_factor=2, k=50, rng=8)
+        _, second = make_repeated_seed_workload("G1", num_seeds=3, repeat_factor=2, k=50, rng=8)
+        assert first == second
+
+    def test_repeated_stream_is_served_from_the_cache_bit_identically(self):
+        graph, queries = make_repeated_seed_workload("G1", num_seeds=2, repeat_factor=3, k=40, rng=5)
+        config = MeLoPPRConfig(stage_lengths=(3, 3), track_memory=False)
+        with QueryEngine(MeLoPPRSolver(graph, config)) as engine:
+            cold = engine.solve_batch(queries)
+        with QueryEngine(MeLoPPRSolver(graph, config), cache=SubgraphCache()) as engine:
+            cached = engine.solve_batch(queries)
+            stats = engine.stats().cache
+        assert [dict(r.scores.items()) for r in cached] == [dict(r.scores.items()) for r in cold]
+        assert stats.hits > 0
+        assert stats.hit_rate > 0.3
+
+
+class TestPoissonWorkload:
+    def test_arrival_times_are_increasing(self):
+        arrivals = make_poisson_arrivals(50, rate_qps=100.0, rng=7)
+        assert arrivals.shape == (50,)
+        assert np.all(np.diff(arrivals) > 0)
+        # Mean gap of a Poisson process is 1/rate (loose bound, fixed rng).
+        assert 0.2 / 100.0 < np.mean(np.diff(arrivals)) < 5.0 / 100.0
+
+    def test_arrivals_validate_inputs(self):
+        with pytest.raises(ValueError, match="num_arrivals"):
+            make_poisson_arrivals(0)
+        with pytest.raises(ValueError, match="rate_qps"):
+            make_poisson_arrivals(5, rate_qps=0.0)
+
+    def test_open_loop_workload_shape(self):
+        workload = make_open_loop_workload("G1", num_seeds=3, num_arrivals=20, k=50, rng=5)
+        assert workload.num_queries == 20
+        assert len(workload.arrival_seconds) == 20
+        # Hot-seed pool: only num_seeds distinct seeds, so repeats occur.
+        assert len({query.seed for query in workload.queries}) <= 3
+        assert all(query.k == 50 for query in workload.queries)
+
+    def test_arrivals_rescale_with_rate(self):
+        workload = make_open_loop_workload("G1", num_seeds=2, num_arrivals=5, rng=5)
+        slow = workload.arrivals_at(10.0)
+        fast = workload.arrivals_at(100.0)
+        assert all(
+            fast_at == pytest.approx(slow_at / 10.0)
+            for slow_at, fast_at in zip(slow, fast)
+        )
+        with pytest.raises(ValueError, match="rate_qps"):
+            workload.arrivals_at(0.0)
+
+    def test_deterministic_for_fixed_rng(self):
+        first = make_open_loop_workload("G1", num_seeds=3, num_arrivals=10, rng=11)
+        second = make_open_loop_workload("G1", num_seeds=3, num_arrivals=10, rng=11)
+        assert first.queries == second.queries
+        assert first.arrival_seconds == second.arrival_seconds
 
 
 class TestFig5:
@@ -270,3 +370,103 @@ class TestStageSplitAblation:
 
     def test_format(self, study):
         assert "Ablation" in format_stage_split(study)
+
+
+class TestHarness:
+    IDS = [
+        "E1_fig5",
+        "E2_table1",
+        "E3_table2",
+        "E4_fig6",
+        "E5_fig7",
+        "E6_quantization",
+        "E7_score_table",
+        "E8_stage_split",
+        "E10_sharding",
+        "E12_process",
+        "E15_soak",
+    ]
+
+    def test_runs_the_paper_artefacts_and_the_kept_serving_studies(self):
+        assert [experiment_id for experiment_id, _ in harness.EXPERIMENTS] == self.IDS
+
+    def test_only_computes_the_matching_experiments(self, monkeypatch, capsys):
+        def refuse(profile):
+            raise AssertionError("--only ran an experiment it did not select")
+
+        monkeypatch.setattr(
+            harness,
+            "EXPERIMENTS",
+            tuple(
+                (experiment_id, run if "E2" in experiment_id else refuse)
+                for experiment_id, run in harness.EXPERIMENTS
+            ),
+        )
+        assert harness.main(["--only", "E2"]) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines() if line in self.IDS]
+        assert printed == ["E2_table1"]
+
+    @staticmethod
+    def record_runs(monkeypatch):
+        """Replace every entry with a stub that logs ``(id, profile)``."""
+        calls = []
+
+        def stub(experiment_id):
+            def run(profile):
+                calls.append((experiment_id, profile))
+                return f"table of {experiment_id}"
+
+            return run
+
+        monkeypatch.setattr(
+            harness,
+            "EXPERIMENTS",
+            tuple((experiment_id, stub(experiment_id)) for experiment_id, _ in harness.EXPERIMENTS),
+        )
+        return calls
+
+    def test_run_all_runs_every_entry_once_in_order(self, monkeypatch):
+        calls = self.record_runs(monkeypatch)
+        reports = harness.run_all(harness.PAPER_PROFILE)
+        assert list(reports) == self.IDS
+        assert reports["E3_table2"] == "table of E3_table2"
+        assert calls == [(experiment_id, harness.PAPER_PROFILE) for experiment_id in self.IDS]
+
+    def test_only_selects_every_id_containing_the_substring(self, monkeypatch, capsys):
+        calls = self.record_runs(monkeypatch)
+        assert harness.main(["--only", "E1"]) == 0
+        selected = ["E1_fig5", "E10_sharding", "E12_process", "E15_soak"]
+        assert [experiment_id for experiment_id, _ in calls] == selected
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line in self.IDS] == selected
+        assert "table of E10_sharding" in out
+
+    def test_only_matching_nothing_runs_nothing(self, monkeypatch, capsys):
+        calls = self.record_runs(monkeypatch)
+        assert harness.main(["--only", "E99"]) == 0
+        assert calls == []
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "flag, profile",
+        [("quick", harness.QUICK_PROFILE), ("paper", harness.PAPER_PROFILE)],
+    )
+    def test_profile_flag_reaches_every_entry(self, monkeypatch, flag, profile):
+        calls = self.record_runs(monkeypatch)
+        assert harness.main(["--profile", flag]) == 0
+        assert [experiment_id for experiment_id, _ in calls] == self.IDS
+        assert {used for _, used in calls} == {profile}
+
+    def test_unknown_profile_is_rejected(self, monkeypatch):
+        calls = self.record_runs(monkeypatch)
+        with pytest.raises(SystemExit):
+            harness.main(["--profile", "huge"])
+        assert calls == []
+
+    def test_paper_profile_averages_over_more_seeds(self):
+        quick, paper = harness.QUICK_PROFILE, harness.PAPER_PROFILE
+        assert (quick.name, paper.name) == ("quick", "paper")
+        assert paper.num_seeds_small > quick.num_seeds_small
+        assert paper.num_seeds_large > quick.num_seeds_large
+        assert paper.memory_datasets == tuple(f"G{i}" for i in range(1, 7))
+        assert paper.tradeoff_datasets == paper.memory_datasets

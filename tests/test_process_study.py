@@ -1,8 +1,8 @@
 """Smoke and schema tests for the E12 process study and its bench/gate tools.
 
-The process benchmark promises the same JSON contract as the other serving
-benchmarks (a ``runs`` list with ``label``/``throughput_qps``), which is what
-lets ``benchmarks/check_regression.py`` gate all of them uniformly — so the
+The process benchmark promises the same JSON contract as the sharded serving
+benchmark (a ``runs`` list with ``label``/``throughput_qps``), which is what
+lets ``benchmarks/check_regression.py`` gate both uniformly — so the
 study schema and the regression checker are tested side by side here.
 """
 
@@ -188,13 +188,91 @@ class TestCheckRegression:
         assert "FAIL" in out and "regressed" in out
 
     def test_committed_baselines_match_gated_benchmarks(self, checker):
-        # Every gated benchmark has a committed baseline with plausible content.
-        for name in ("serving", "sharded", "async", "process", "result_cache"):
-            path = BENCH_DIR / "baselines" / f"{name}.json"
+        # Exactly the gated benchmarks have a committed baseline, each with
+        # plausible content: a stale or a missing baseline fails here.
+        paths = sorted((BENCH_DIR / "baselines").glob("*.json"))
+        assert {path.stem for path in paths} == {"process", "sharded"}
+        for path in paths:
             document = json.loads(path.read_text())
-            assert document["metrics"], f"{name} baseline has no metrics"
+            assert document["metrics"], f"{path.stem} baseline has no metrics"
             for value in document["metrics"].values():
                 assert value > 0.0
+
+    def test_best_metrics_requires_a_report(self, checker):
+        with pytest.raises(ValueError, match="at least one"):
+            checker.best_metrics([])
+
+    def test_format_checks_reports_each_outcome(self, checker):
+        checks = checker.check_metrics(
+            {"serial": 100.0, "process:2": 300.0, "thread:2": 200.0},
+            {"serial": 95.0, "process:2": 60.0},
+            tolerance=0.30,
+        )
+        lines = checker.format_checks(checks, 0.30).splitlines()
+        assert lines[0].split() == ["configuration", "baseline", "candidate", "ratio", "status"]
+        rows = {line.split()[0]: line for line in lines[1:]}
+        assert set(rows) == {"serial", "process:2", "thread:2"}
+        assert rows["serial"].endswith("ok") and "0.95x" in rows["serial"]
+        assert "FAIL (>30% regression)" in rows["process:2"] and "0.20x" in rows["process:2"]
+        assert "missing" in rows["thread:2"] and "FAIL" in rows["thread:2"]
+
+    def test_cli_takes_the_best_of_repeated_reports(self, checker, report, tmp_path, capsys):
+        baseline_path = tmp_path / "baseline.json"
+        baseline_path.write_text(json.dumps({"metrics": {"serial": 100.0, "process:2": 300.0}}))
+        noisy = {
+            "runs": [
+                {"label": "serial", "throughput_qps": 10.0},
+                {"label": "process:2", "throughput_qps": 30.0},
+            ]
+        }
+        noisy_path = tmp_path / "noisy.json"
+        noisy_path.write_text(json.dumps(noisy))
+        steady_path = tmp_path / "steady.json"
+        steady_path.write_text(json.dumps(report))
+        # One noisy run alone fails; paired with a steady repeat it passes.
+        assert checker.main(["--baseline", str(baseline_path), str(noisy_path)]) == 1
+        assert (
+            checker.main(["--baseline", str(baseline_path), str(noisy_path), str(steady_path)])
+            == 0
+        )
+        assert "all 2 configurations" in capsys.readouterr().out
+
+    def test_cli_tolerance_flag_sets_the_bound(self, checker, report, tmp_path, capsys):
+        baseline_path = tmp_path / "baseline.json"
+        baseline_path.write_text(json.dumps({"metrics": {"serial": 200.0, "process:2": 600.0}}))
+        run_path = tmp_path / "run.json"
+        run_path.write_text(json.dumps(report))  # half the baseline throughput
+        assert checker.main(["--baseline", str(baseline_path), str(run_path)]) == 1
+        assert (
+            checker.main(["--baseline", str(baseline_path), "--tolerance", "0.6", str(run_path)])
+            == 0
+        )
+        assert "within 60% of baseline" in capsys.readouterr().out
+
+    def test_cli_update_records_the_best_of_repeated_reports(self, checker, report, tmp_path):
+        slow = {
+            "runs": [
+                {"label": "serial", "throughput_qps": 120.0},
+                {"label": "process:2", "throughput_qps": 150.0},
+            ]
+        }
+        paths = []
+        for name, document in (("a.json", report), ("b.json", slow)):
+            paths.append(tmp_path / name)
+            paths[-1].write_text(json.dumps(document))
+        baseline_path = tmp_path / "baseline.json"
+        assert checker.main(["--baseline", str(baseline_path), "--update", *map(str, paths)]) == 0
+        baseline = json.loads(baseline_path.read_text())
+        assert baseline["metrics"] == {"serial": 120.0, "process:2": 300.0}
+        assert "--update" in baseline["note"]
+
+    def test_cli_rejects_a_baseline_without_metrics(self, checker, report, tmp_path):
+        baseline_path = tmp_path / "baseline.json"
+        baseline_path.write_text(json.dumps({"note": "no metrics"}))
+        run_path = tmp_path / "run.json"
+        run_path.write_text(json.dumps(report))
+        with pytest.raises(SystemExit, match="no 'metrics' mapping"):
+            checker.main(["--baseline", str(baseline_path), str(run_path)])
 
     def test_tolerance_validation(self, checker):
         with pytest.raises(ValueError, match="tolerance"):

@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro.diffusion.sparse_vector import SparseScoreVector
+from repro.experiments.workloads import make_open_loop_workload
 from repro.graph.partition import partition_graph
 from repro.meloppr.config import MeLoPPRConfig
 from repro.meloppr.solver import MeLoPPRSolver
@@ -190,6 +191,54 @@ class TestMicroBatcherDifferential:
         with engine:
             outcomes = asyncio.run(run())
         assert [dict(r.scores.items()) for r in outcomes] == reference_scores
+
+
+class TestOpenLoopArrivals:
+    """Poisson-timed arrivals, as production traffic comes in, still answer
+    bit-identically: batches form from whatever happens to be queued."""
+
+    @pytest.mark.parametrize(
+        "policy",
+        [BatchPolicy(max_batch_size=1, max_wait_ms=0.0), BatchPolicy(max_batch_size=8, max_wait_ms=2.0)],
+        ids=["single", "batch8"],
+    )
+    def test_poisson_arrivals_match_the_serial_engine(self, small_ba_graph, config, policy):
+        workload = make_open_loop_workload(
+            "ba200", num_seeds=4, num_arrivals=24, k=40, rng=33, graph=small_ba_graph
+        )
+        with QueryEngine(MeLoPPRSolver(small_ba_graph, config)) as engine:
+            reference = [dict(r.scores.items()) for r in engine.solve_batch(list(workload.queries))]
+        engine = QueryEngine(
+            MeLoPPRSolver(small_ba_graph, config),
+            backend=ThreadPoolBackend(2),
+            cache=SubgraphCache(),
+        )
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            async with MicroBatcher(engine, policy) as batcher:
+                start = loop.time()
+
+                async def fire(query, at):
+                    await asyncio.sleep(max(0.0, start + at - loop.time()))
+                    return await batcher.submit(query)
+
+                outcomes = await asyncio.gather(
+                    *(
+                        fire(query, at)
+                        for query, at in zip(workload.queries, workload.arrivals_at(1000.0))
+                    ),
+                    return_exceptions=True,
+                )
+                return outcomes, batcher.stats()
+
+        with engine:
+            outcomes, stats = asyncio.run(run())
+        for outcome in outcomes:
+            assert isinstance(outcome, PPRResult), outcome
+        assert [dict(r.scores.items()) for r in outcomes] == reference
+        assert stats.admission.completed == workload.num_queries
+        assert stats.admission.shed == 0
 
 
 class TestDedup:

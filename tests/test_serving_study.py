@@ -1,7 +1,7 @@
-"""Smoke and schema tests for the serving studies (E9, E10) and their benches.
+"""Smoke and schema tests for the sharding study (E10) and its bench.
 
-The benchmark scripts promise a stable JSON shape (consumed by CI and any
-dashboarding downstream), so these tests run the studies with tiny parameters
+The benchmark script promises a stable JSON shape (consumed by CI and any
+dashboarding downstream), so these tests run the study with tiny parameters
 and validate the emitted documents: keys, types, and rates inside [0, 1].
 """
 
@@ -14,7 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.serving_study import format_serving, run_serving_study
 from repro.experiments.sharding_study import format_sharding, run_sharding_study
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -32,58 +31,6 @@ def load_bench_module(name):
 def assert_rate(value):
     assert isinstance(value, float)
     assert 0.0 <= value <= 1.0
-
-
-class TestServingStudySchema:
-    @pytest.fixture(scope="class")
-    def study(self):
-        return run_serving_study(num_seeds=2, repeat_factor=2, num_workers=2)
-
-    def test_runs_cover_the_four_configurations(self, study):
-        labels = [run.label for run in study.runs]
-        assert labels == [
-            "serial-cold",
-            "serial-cached",
-            "threads2-cold",
-            "threads2-cached",
-        ]
-        assert study.baseline.label == "serial-cold"
-
-    def test_as_dict_schema(self, study):
-        payload = study.as_dict()
-        assert set(payload) == {
-            "dataset",
-            "num_seeds",
-            "repeat_factor",
-            "num_workers",
-            "k",
-            "runs",
-        }
-        assert isinstance(payload["dataset"], str)
-        assert isinstance(payload["num_seeds"], int)
-        assert len(payload["runs"]) == 4
-        for run in payload["runs"]:
-            assert isinstance(run["label"], str)
-            assert isinstance(run["backend"], str)
-            assert isinstance(run["cache_enabled"], bool)
-            assert isinstance(run["num_queries"], int) and run["num_queries"] > 0
-            assert isinstance(run["wall_seconds"], float) and run["wall_seconds"] >= 0
-            assert isinstance(run["throughput_qps"], float) and run["throughput_qps"] >= 0
-            assert isinstance(run["mean_latency_seconds"], float)
-            assert isinstance(run["speedup_vs_baseline"], float)
-            if run["cache_enabled"]:
-                assert_rate(run["cache_hit_rate"])
-            else:
-                assert run["cache_hit_rate"] is None
-
-    def test_json_round_trip(self, study):
-        document = json.dumps(study.as_dict())
-        assert json.loads(document)["runs"]
-
-    def test_format_mentions_experiment(self, study):
-        text = format_serving(study)
-        assert "E9" in text
-        assert "serial-cold" in text
 
 
 class TestShardingStudySchema:
@@ -111,31 +58,6 @@ class TestShardingStudySchema:
 
     def test_format_mentions_experiment(self, study):
         assert "E10" in format_sharding(study)
-
-
-class TestServingBenchScript:
-    @pytest.fixture(scope="class")
-    def bench(self):
-        return load_bench_module("bench_serving_throughput")
-
-    def test_study_json_schema(self, bench):
-        study = bench.run_benchmark(num_seeds=2, repeat_factor=2)
-        payload = json.loads(bench.study_json(study))
-        assert len(payload["runs"]) == 4
-        cached = [run for run in payload["runs"] if run["cache_enabled"]]
-        assert cached
-        for run in cached:
-            assert_rate(run["cache_hit_rate"])
-
-    def test_main_writes_json_file(self, bench, tmp_path):
-        out = tmp_path / "serving.json"
-        code = bench.main(
-            ["--num-seeds", "2", "--repeat-factor", "2", "--json", str(out)]
-        )
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["num_seeds"] == 2
-        assert len(payload["runs"]) == 4
 
 
 class TestShardedBenchScript:
