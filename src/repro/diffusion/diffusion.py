@@ -120,7 +120,7 @@ def graph_diffusion(
         Decay factor in ``[0, 1]``.
     kernel:
         Propagation kernel (see :mod:`repro.diffusion.kernels`); ``None``
-        keeps the operator's kernel (``frontier`` for a graph).  Every kernel
+        keeps the operator's kernel (``reference`` for a graph).  Every kernel
         yields bit-identical scores.
 
     Returns

@@ -5,29 +5,32 @@ the random-walk operator ``W = A D^-1`` over a CSR graph (Eq. 1 / Fig. 3(b)
 of the paper).  This module factors that step out of
 :class:`~repro.diffusion.transition.TransitionOperator` into three
 bit-identical **kernels**, named in :data:`KERNELS`.  Everything above the
-diffusion layer runs ``frontier``; the other two exist so the diffusion
-layer's differential tests and the layered benchmark can compare it with
-the spec:
+diffusion layer runs ``reference``; the other two stay nameable only so the
+diffusion layer's differential tests and the layered benchmark's
+``diffusion.kernels.*`` rows can compare them with it:
 
 ``reference``
-    The historical scatter: gather neighbour contributions and accumulate
-    them with ``np.add.at`` over a (now precomputed) row-id array.  Slow but
-    transparently equal to the textbook definition — the spec every other
-    kernel is tested against.
+    The textbook scatter: gather neighbour contributions and accumulate
+    them with ``np.add.at`` over a (precomputed) row-id array.  The spec
+    every other kernel is tested against, and the default: on the small
+    stacked ego balls a served query diffuses, it measures fastest of the
+    three, and it needs nothing beyond NumPy.
 ``csr``
     One scipy CSR matrix–vector product per step over a precomputed matrix
     whose data is ``1/deg(v)`` at entry ``(u, v)``.  scipy's C loop
     accumulates each row sequentially in storage order — the same order as
-    the reference scatter — so results are **bit-identical**, just ~2-3x
-    faster.
+    the reference scatter — so results are **bit-identical**.  On the served
+    path it loses: the engine stacks a fresh structure for every wave, so
+    the scipy matrix is rebuilt per wave and never amortised.
 ``frontier``
-    Direction-optimising: while the set of non-zero scores is sparse (the
-    first iterations of a one-hot PPR seed — the regime the paper's FPGA
-    diffuser exploits), gather only over the frontier's adjacency slices and
-    scatter with ``np.bincount``; past a density threshold it switches to
-    the dense ``csr`` product.  Bit-identical when neighbour lists are
-    sorted ascending (every graph built by this library; verified once per
-    structure, with a dense fallback otherwise).  The default.
+    Direction-optimising: while the set of non-zero scores is sparse, gather
+    only over the frontier's adjacency slices and scatter with
+    ``np.bincount``; past a density threshold it switches to the dense
+    ``csr`` product.  Bit-identical when neighbour lists are sorted
+    ascending (every graph built by this library; verified once per
+    structure, with a dense fallback otherwise).  Its density test and
+    slice bookkeeping only pay off on balls the size of a whole graph,
+    which no served configuration diffuses.
 
 Bit-exactness is the load-bearing contract: caches, shards, process pools
 and the differential test suites all assert scores equal to the serial
@@ -39,7 +42,9 @@ order-independent, so those paths only need exact integer arithmetic.
 Per-graph precomputation (row ids, the CSR matrices, the sorted-rows check)
 lives in :class:`GraphStructure`, built once per topology and shared through
 a fingerprint-keyed LRU (:func:`structure_for`), so repeated diffusions over
-a cached sub-graph never rebuild operator structure.
+a cached sub-graph never rebuild operator structure.  scipy is imported only
+where a CSR matrix is built, so a process that runs the default kernel never
+loads it.
 """
 
 from __future__ import annotations
@@ -50,9 +55,10 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 import numpy as np
-from scipy import sparse
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from scipy import sparse
+
     from repro.graph.csr import CSRGraph
 
 __all__ = [
@@ -140,6 +146,8 @@ class GraphStructure:
     def matrix(self) -> sparse.csr_matrix:
         """``W = A D^-1`` as scipy CSR (data ``1/deg(v)`` at entry ``(u, v)``)."""
         if self._matrix is None:
+            from scipy import sparse
+
             indices, indptr = self._index_arrays()
             self._matrix = sparse.csr_matrix(
                 (self.inverse_degrees[self.indices], indices, indptr),
@@ -151,6 +159,8 @@ class GraphStructure:
     def int_matrix(self) -> sparse.csr_matrix:
         """The unweighted adjacency as int64 CSR (exact integer matvec)."""
         if self._int_matrix is None:
+            from scipy import sparse
+
             indices, indptr = self._index_arrays()
             self._int_matrix = sparse.csr_matrix(
                 (np.ones(self.indices.size, dtype=np.int64), indices, indptr),
@@ -403,13 +413,13 @@ class FrontierKernel(DiffusionKernel):
 KERNELS: Dict[str, DiffusionKernel] = {
     kernel.name: kernel for kernel in (ReferenceKernel(), CSRKernel(), FrontierKernel())
 }
-_DEFAULT_KERNEL = KERNELS["frontier"]
+_DEFAULT_KERNEL = KERNELS["reference"]
 
 
 def make_kernel(
     spec: Union[str, DiffusionKernel, None] = None
 ) -> DiffusionKernel:
-    """The kernel a spec names: ``None`` is ``frontier``, a name is looked up
+    """The kernel a spec names: ``None`` is ``reference``, a name is looked up
     in :data:`KERNELS`, and a :class:`DiffusionKernel` instance passes
     through unchanged."""
     if spec is None:

@@ -12,10 +12,9 @@ and shared via :func:`~repro.diffusion.kernels.structure_for`.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
-from scipy import sparse
 
 from repro.diffusion.kernels import (
     DiffusionKernel,
@@ -25,6 +24,9 @@ from repro.diffusion.kernels import (
     structure_for,
 )
 from repro.graph.csr import CSRGraph
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from scipy import sparse
 
 __all__ = ["TransitionOperator"]
 
@@ -41,7 +43,7 @@ class TransitionOperator:
         :data:`~repro.diffusion.kernels.KERNELS` (``"reference"``,
         ``"csr"``, ``"frontier"``), a
         :class:`~repro.diffusion.kernels.DiffusionKernel` instance, or
-        ``None`` for ``frontier``.  All kernels produce bit-identical scores.
+        ``None`` for ``reference``.  All kernels produce bit-identical scores.
 
     Notes
     -----
@@ -203,6 +205,8 @@ class TransitionOperator:
 
     def matrix(self) -> sparse.csr_matrix:
         """Return ``W`` as an explicit scipy CSR matrix (used by tests)."""
+        from scipy import sparse
+
         adjacency = self._graph.to_scipy()
         return adjacency @ sparse.diags(self._inverse_degrees)
 

@@ -238,16 +238,19 @@ def _extract_pass(
     # Rows strictly inside a ball are the ones its BFS read.
     scanned = np.add.reduceat(np.where(levels < depth, counts, 0), starts)
 
+    # Every ball is well-formed by construction — its indptr is a slice of a
+    # cumsum, its columns lie in the ball, its ids are unique by the visited
+    # mask — so it is wrapped without the public constructors' checks.
     pairs: List[Tuple[Subgraph, BFSResult]] = []
     bounds = zip(centers, starts.tolist(), (starts + sizes).tolist(), scanned.tolist())
     for center, begin, end, edges_scanned in bounds:
         first, last = indptr_stacked[begin], indptr_stacked[end]
-        ball = CSRGraph(
+        ball = CSRGraph._trusted(
             indptr_stacked[begin : end + 1] - first,
             columns[first:last].copy(),
-            name=f"{graph.name}:G{depth}({center})",
+            f"{graph.name}:G{depth}({center})",
         )
         ids, ball_levels = nodes[begin:end], levels[begin:end]
         bfs = BFSResult(center, depth, ids.copy(), ball_levels.copy(), edges_scanned)
-        pairs.append((Subgraph(ball, ids.copy()), bfs))
+        pairs.append((Subgraph._trusted(ball, ids.copy()), bfs))
     return pairs

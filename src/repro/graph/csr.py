@@ -14,12 +14,14 @@ self-loops and removes duplicates.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.utils.validation import check_node_id
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from scipy import sparse
 
 __all__ = ["CSRGraph", "gather_rows"]
 
@@ -117,6 +119,25 @@ class CSRGraph:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
+    def _trusted(cls, indptr: np.ndarray, indices: np.ndarray, name: str) -> "CSRGraph":
+        """Wrap arrays the caller built well-formed, skipping the checks.
+
+        ``indptr`` must be ``int64`` and ``indices`` ``int32``, both owned by
+        the new graph; they are frozen here as by the constructor.  Only for
+        code that derives the arrays itself (ego-ball extraction), never for
+        input from outside the library.
+        """
+        graph = cls.__new__(cls)
+        graph._indptr = indptr
+        graph._indices = indices
+        graph._name = name
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        graph._fingerprint = None
+        graph._operator_memo = None
+        return graph
+
+    @classmethod
     def from_edges(
         cls,
         num_nodes: int,
@@ -143,6 +164,8 @@ class CSRGraph:
         The matrix is symmetrised (``max(A, A.T)`` pattern union), its diagonal
         is dropped and values are ignored: only the sparsity pattern matters.
         """
+        from scipy import sparse
+
         matrix = sparse.csr_matrix(matrix)
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"adjacency matrix must be square, got {matrix.shape}")
@@ -233,6 +256,8 @@ class CSRGraph:
     # ------------------------------------------------------------------
     def to_scipy(self) -> sparse.csr_matrix:
         """Return the (unweighted) adjacency matrix as scipy CSR."""
+        from scipy import sparse
+
         data = np.ones(self._indices.size, dtype=np.float64)
         return sparse.csr_matrix(
             (data, self._indices.astype(np.int64), self._indptr),

@@ -271,8 +271,8 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown diffusion kernel"):
             make_kernel("auto")
 
-    def test_default_is_frontier(self):
-        assert make_kernel(None) is make_kernel("frontier")
+    def test_default_is_reference(self):
+        assert make_kernel(None) is make_kernel("reference")
 
     @pytest.mark.parametrize("name", ["reference", "csr", "frontier"])
     def test_name_resolves_to_its_one_instance(self, name):
@@ -282,7 +282,7 @@ class TestRegistry:
 
     def test_environment_does_not_select_the_kernel(self, monkeypatch):
         monkeypatch.setenv("REPRO_DIFFUSION_KERNEL", "csr")
-        assert make_kernel(None) is KERNELS["frontier"]
+        assert make_kernel(None) is KERNELS["reference"]
 
     def test_kernel_instance_passes_through(self):
         kernel = FrontierKernel(dense_fraction=0.5)

@@ -151,6 +151,8 @@ def assert_stage_matches_per_ball(graph: CSRGraph, centers: Sequence[int], depth
         assert bfs.edges_scanned == ref_bfs.edges_scanned
         assert type(bfs.edges_scanned) is int and type(bfs.source) is int
         assert not subgraph.global_ids.flags.writeable
+        assert not subgraph.graph.indptr.flags.writeable
+        assert not subgraph.graph.indices.flags.writeable
         assert bfs.nodes.flags.writeable == ref_bfs.nodes.flags.writeable
     return pairs
 

@@ -155,6 +155,37 @@ class TestNetworkXSolver:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
+    def test_serving_processes_do_not_import_scipy(self):
+        """scipy is imported only where a scipy matrix is built: serving
+        modules, a cached engine's batches and updates and a solver's query
+        all run without it."""
+        code = "\n".join(
+            [
+                "import sys",
+                "import repro.serving.frontend.http, repro.serving.replica, "
+                "repro.serving.backends",
+                "from repro import MeLoPPRSolver, PPRQuery, QueryEngine, SubgraphCache",
+                "from repro.graph import load_dataset",
+                "from repro.serving.result_cache import ScoreTableCache",
+                "solver = MeLoPPRSolver(load_dataset('G1'))",
+                "engine = QueryEngine(solver, cache=SubgraphCache(), "
+                "result_cache=ScoreTableCache())",
+                "queries = [PPRQuery(seed=seed, k=20) for seed in (0, 7, 0, 42)]",
+                "engine.solve_batch(queries)",
+                "solver.solve(PPRQuery(seed=3, k=20))",
+                "neighbor = int(solver.graph.neighbors(0)[0])",
+                "engine.apply_update([('delete', 0, neighbor)])",
+                "engine.solve_batch(queries)",
+                "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']",
+                "sys.exit(f'scipy modules loaded: {loaded[:5]}' if loaded else 0)",
+            ]
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        completed = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert completed.returncode == 0, completed.stderr
+
 
 class TestSolverInterface:
     def test_solver_is_abstract(self, triangle_graph):
