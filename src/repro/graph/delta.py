@@ -299,7 +299,8 @@ class DeltaGraph:
 
         Costs ``O(degree + delta)``; nodes with no overlay entries return the
         base CSR row directly (a zero-copy ``int32`` view — touched rows come
-        back ``int64``).
+        back ``int64``).  The logs are canonical (a delete is always in the
+        base row, an insert never is), so the merge is by position.
         """
         node = check_node_id(node, self.num_nodes)
         row = self._base.neighbors(node)
@@ -310,10 +311,10 @@ class DeltaGraph:
         merged = row.astype(np.int64)
         if deleted:
             drop = np.fromiter(deleted, dtype=np.int64, count=len(deleted))
-            merged = np.setdiff1d(merged, drop, assume_unique=True)
+            merged = np.delete(merged, np.searchsorted(merged, drop))
         if inserted:
-            add = np.fromiter(inserted, dtype=np.int64, count=len(inserted))
-            merged = np.union1d(merged, add)
+            add = np.sort(np.fromiter(inserted, dtype=np.int64, count=len(inserted)))
+            merged = np.insert(merged, np.searchsorted(merged, add), add)
         return merged
 
     # ------------------------------------------------------------------

@@ -19,14 +19,23 @@ extraction itself runs outside it so concurrent misses do not serialise each
 other.  Two threads missing on the same key may both extract; the second
 insert simply replaces the first with an identical entry, which is harmless
 because extraction is deterministic.
+
+What it shares with the stage-one result cache
+(:class:`~repro.serving.result_cache.ScoreTableCache`) lives in one base:
+byte-charged entries in LRU order under one lock, a binding to the graph they
+serve, and one path by which entries come and go, which keeps the bytes and a
+**centre index** in step.  The index is what lets an edge update find its
+victims without scanning the cache.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.graph.bfs import BFSResult, extract_ego_subgraph, extract_ego_subgraphs
 from repro.graph.csr import CSRGraph
@@ -120,7 +129,234 @@ def _entry_nbytes(subgraph: Subgraph, bfs: BFSResult) -> int:
     )
 
 
-class SubgraphCache:
+#: node -> {cache key: depth}: the entries an update reaching ``node`` within
+#: ``depth`` hops invalidates.
+CentreIndex = Dict[int, Dict[Hashable, int]]
+
+
+def _link(index: CentreIndex, node: int, key: Hashable, depth: int, sign: int) -> None:
+    """Add (``sign=1``) or remove (``-1``) ``key``'s row under ``node``."""
+    if sign > 0:
+        index.setdefault(node, {})[key] = depth
+        return
+    row = index[node]
+    del row[key]
+    if not row:
+        del index[node]
+
+
+def _reached(index: CentreIndex, reach: np.ndarray, radius: int) -> List[Hashable]:
+    """Every key with a row where ``reach[node] <= depth``, visiting only
+    the nodes the update's reach bound puts within ``radius``."""
+    keys: Dict[Hashable, None] = {}
+    for node in index.keys() & np.flatnonzero(reach <= radius).tolist():
+        distance = int(reach[node])
+        for key, depth in index[node].items():
+            if distance <= depth:
+                keys[key] = None
+    return list(keys)
+
+
+class _LRUCache:
+    """Byte-budgeted LRU entries under one lock, bound to one graph.
+
+    Every insertion and removal — LRU eviction, TTL expiry, invalidation,
+    clear, resize, an update's drops and strips, a store over an existing
+    key — goes through :meth:`_store_locked`, which keeps the charged bytes,
+    the entries-per-depth counts (the update radius, read not searched) and
+    the subclass's centre index in step; :meth:`validate` rebuilds the
+    latter two from the entries and raises on drift.
+    """
+
+    #: Position of an entry's charged bytes in its tuple.
+    _NBYTES: int
+
+    def __init__(self, max_bytes: int) -> None:
+        if max_bytes <= 0:
+            raise ValueError(f"max_bytes must be > 0, got {max_bytes}")
+        self._max_bytes = int(max_bytes)
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[Hashable, tuple]" = OrderedDict()
+        self._current_bytes = 0
+        self._depths: Counter = Counter()
+        self._hits = self._misses = self._evictions = 0
+        self._rejected = self._expired = 0
+        # Keys carry no graph identity, so serving a second graph from the
+        # same cache would silently return the first graph's entries.
+        self._graph: Optional[CSRGraph] = None
+
+    @property
+    def max_bytes(self) -> int:
+        """The configured byte budget."""
+        return self._max_bytes
+
+    @property
+    def graph(self) -> Optional[CSRGraph]:
+        """The graph the cache is bound to (``None`` while unbound)."""
+        return self._graph
+
+    @property
+    def stats(self) -> CacheStats:
+        """A consistent snapshot of the counters."""
+        with self._lock:
+            return CacheStats(
+                hits=self._hits,
+                misses=self._misses,
+                evictions=self._evictions,
+                rejected=self._rejected,
+                expired=self._expired,
+                current_bytes=self._current_bytes,
+                num_entries=len(self._entries),
+            )
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    # ------------------------------------------------------------------
+    def _index_locked(self, key: Hashable, entry: tuple, sign: int) -> None:
+        """Count ``entry`` in (``sign=1``) or out (``-1``) of the depth
+        counts and the centre index."""
+        raise NotImplementedError
+
+    def _measure(self, entry: tuple) -> int:
+        """The bytes ``entry`` should be charged, recomputed."""
+        raise NotImplementedError
+
+    def _index_state(self) -> tuple:
+        """Everything :meth:`_index_locked` maintains, for :meth:`validate`."""
+        return (+self._depths,)
+
+    def _store_locked(self, key: Hashable, entry: Optional[tuple]) -> None:
+        """Put ``entry`` under ``key`` (in place when present) or, for
+        ``None``, remove the key: the one path entries come and go by."""
+        old = self._entries.pop(key, None) if entry is None else self._entries.get(key)
+        if old is not None:
+            self._current_bytes -= old[self._NBYTES]
+            self._index_locked(key, old, -1)
+        if entry is not None:
+            self._entries[key] = entry
+            self._current_bytes += entry[self._NBYTES]
+            self._index_locked(key, entry, 1)
+
+    def _sweep_expired_locked(self) -> None:
+        """Drop every TTL-expired entry (none without a TTL)."""
+
+    def _evict_locked(self, room: int) -> int:
+        """Evict LRU entries until ``room`` more bytes fit; returns how many."""
+        evicted = 0
+        while self._entries and self._current_bytes + room > self._max_bytes:
+            self._store_locked(next(iter(self._entries)), None)
+            evicted += 1
+        self._evictions += evicted
+        return evicted
+
+    def _put_locked(self, key: Hashable, entry: tuple) -> bool:
+        """Insert ``entry`` as the most recent, evicting LRU entries until it
+        fits; one larger than the whole budget is rejected instead."""
+        nbytes = entry[self._NBYTES]
+        if nbytes > self._max_bytes:
+            self._rejected += 1
+            return False
+        if key in self._entries:
+            self._store_locked(key, None)
+        # Reclaim entries whose TTL already passed before evicting live
+        # ones — eviction metrics must never blame budget pressure for
+        # ordinary expiry.
+        self._sweep_expired_locked()
+        self._evict_locked(nbytes)
+        self._store_locked(key, entry)
+        return True
+
+    def _clear_locked(self) -> None:
+        for key in list(self._entries):
+            self._store_locked(key, None)
+
+    def _radius_locked(self) -> int:
+        return max(+self._depths, default=0)
+
+    # ------------------------------------------------------------------
+    def rebind(self, graph: CSRGraph) -> None:
+        """Re-point the cache at an updated host graph, keeping its entries.
+
+        The live-update path: once the update's invalidation has dropped
+        every entry the topology change could affect, the survivors are
+        exactly what ``graph`` would produce, so the binding can move
+        without a cold restart.  (Use :meth:`clear` for an unrelated graph.)
+        """
+        with self._lock:
+            self._graph = graph
+
+    def resize(self, max_bytes: int) -> int:
+        """Change the byte budget in place, evicting LRU entries past it.
+
+        The hot-reload path of a live server: shrinking evicts (counted in
+        ``stats.evictions``) until the retained bytes fit, growing just
+        raises the ceiling — either way no lookup is ever interrupted and
+        surviving entries stay warm.  Returns the number of evictions the
+        resize forced.  TTL-expired entries are swept first, so a shrink
+        never evicts a live entry to keep a dead one's bytes.
+        """
+        if max_bytes <= 0:
+            raise ValueError(f"max_bytes must be > 0, got {max_bytes}")
+        with self._lock:
+            self._max_bytes = int(max_bytes)
+            self._sweep_expired_locked()
+            return self._evict_locked(0)
+
+    def validate(self) -> None:
+        """Check the internal invariants, raising ``AssertionError`` on drift.
+
+        Invariants: ``current_bytes`` equals the sum of the retained entries'
+        sizes, never exceeds the budget, every retained entry's recorded
+        size matches a recomputation, and the depth counts and centre index
+        equal a rebuild from the entries.  Used by the concurrency stress
+        tests; cheap enough to call after any sequence of operations.
+        """
+        with self._lock:
+            recomputed = 0
+            for entry in self._entries.values():
+                nbytes, actual = entry[self._NBYTES], self._measure(entry)
+                if actual != nbytes:
+                    raise AssertionError(
+                        f"entry records {nbytes} bytes but holds {actual}"
+                    )
+                recomputed += nbytes
+            if recomputed != self._current_bytes:
+                raise AssertionError(
+                    f"current_bytes={self._current_bytes} but entries sum to "
+                    f"{recomputed}"
+                )
+            if self._current_bytes > self._max_bytes:
+                raise AssertionError(
+                    f"current_bytes={self._current_bytes} exceeds the budget "
+                    f"{self._max_bytes}"
+                )
+            shadow = type(self)(self._max_bytes)
+            for key, entry in self._entries.items():
+                shadow._store_locked(key, entry)
+            if shadow._index_state() != self._index_state():
+                raise AssertionError("the depth counts or centre index drifted")
+
+    def reset_stats(self) -> None:
+        """Zero the hit/miss/eviction/rejection/expiry counters (entries are
+        kept).
+
+        ``current_bytes`` and ``num_entries`` describe live state, not
+        history, so they are unaffected; used for per-interval reporting on
+        long-running servers.
+        """
+        with self._lock:
+            self._hits = self._misses = self._evictions = 0
+            self._rejected = self._expired = 0
+
+    def clear(self) -> None:
+        """Drop every entry (counters and the graph binding are kept)."""
+        with self._lock:
+            self._clear_locked()
+
+
+class SubgraphCache(_LRUCache):
     """LRU cache of ``(center, depth) -> (Subgraph, BFSResult)`` extractions.
 
     Parameters
@@ -133,7 +369,8 @@ class SubgraphCache:
     Notes
     -----
     A cache instance is bound to one host graph (the engine owns one per
-    graph); keying by ``(center, depth)`` alone keeps lookups cheap.
+    graph); keying by ``(center, depth)`` alone keeps lookups cheap.  Its
+    centre index is ``centre -> {(centre, depth): depth}``.
 
     The stage form, :meth:`get_or_extract_many`, looks a whole stage up before
     it inserts any of it.  Its hit / miss counts can differ from the per-ball
@@ -142,46 +379,21 @@ class SubgraphCache:
     stage; the sub-graphs served, hence the answers, cannot.
     """
 
+    _NBYTES = 2
+
     def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES) -> None:
-        if max_bytes <= 0:
-            raise ValueError(f"max_bytes must be > 0, got {max_bytes}")
-        self._max_bytes = int(max_bytes)
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple[int, int], Tuple[Subgraph, BFSResult, int]]" = (
-            OrderedDict()
-        )
-        self._current_bytes = 0
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._rejected = 0
-        # Bound on first use: entries are keyed by (center, depth) alone, so
-        # serving a second graph from the same cache would silently return
-        # the first graph's sub-graphs.
-        self._graph: Optional[CSRGraph] = None
+        super().__init__(max_bytes)
+        self._centres: CentreIndex = {}
 
-    # ------------------------------------------------------------------
-    @property
-    def max_bytes(self) -> int:
-        """The configured byte budget."""
-        return self._max_bytes
+    def _index_locked(self, key: Tuple[int, int], entry: tuple, sign: int) -> None:
+        self._depths[key[1]] += sign
+        _link(self._centres, key[0], key, key[1], sign)
 
-    @property
-    def stats(self) -> CacheStats:
-        """A consistent snapshot of the counters."""
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                rejected=self._rejected,
-                current_bytes=self._current_bytes,
-                num_entries=len(self._entries),
-            )
+    def _measure(self, entry: tuple) -> int:
+        return _entry_nbytes(entry[0], entry[1])
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+    def _index_state(self) -> tuple:
+        return super()._index_state() + (self._centres,)
 
     def __contains__(self, key: Tuple[int, int]) -> bool:
         with self._lock:
@@ -202,22 +414,9 @@ class SubgraphCache:
 
     def put(self, center: int, depth: int, subgraph: Subgraph, bfs: BFSResult) -> bool:
         """Insert an extraction; returns whether it was retained."""
-        key = (int(center), int(depth))
-        nbytes = _entry_nbytes(subgraph, bfs)
+        entry = (subgraph, bfs, _entry_nbytes(subgraph, bfs))
         with self._lock:
-            if nbytes > self._max_bytes:
-                self._rejected += 1
-                return False
-            previous = self._entries.pop(key, None)
-            if previous is not None:
-                self._current_bytes -= previous[2]
-            while self._entries and self._current_bytes + nbytes > self._max_bytes:
-                _, (_, _, dropped) = self._entries.popitem(last=False)
-                self._current_bytes -= dropped
-                self._evictions += 1
-            self._entries[key] = (subgraph, bfs, nbytes)
-            self._current_bytes += nbytes
-            return True
+            return self._put_locked((int(center), int(depth)), entry)
 
     def get_or_extract(
         self, graph: CSRGraph, center: int, depth: int
@@ -283,10 +482,10 @@ class SubgraphCache:
 
         The engine's live-update path uses this to size its BFS reach
         bound: distances only need resolving up to the deepest ego ball any
-        cached entry could cover.
+        cached entry could cover.  Read from the per-depth counts.
         """
         with self._lock:
-            return max((key[1] for key in self._entries), default=0)
+            return self._radius_locked()
 
     def invalidate_covering(self, distances) -> int:
         """Drop every entry whose ego ball an edge update changes.
@@ -297,100 +496,22 @@ class SubgraphCache:
         depth`` — a touched endpoint strictly inside the ball, or an op with
         both endpoints in it.  Every survivor's extraction is provably
         byte-identical on the updated topology, and (cancelling ops aside)
-        every dropped one's is not.  Returns the number of entries dropped;
-        like explicit invalidation elsewhere, these are not counted as
-        evictions (the budget did not force them).
+        every dropped one's is not.  Only the centres within :meth:`max_depth`
+        of the update are visited, through the centre index.  Returns the
+        number of entries dropped; like explicit invalidation elsewhere,
+        these are not counted as evictions (the budget did not force them).
         """
+        reach = np.asarray(distances)
         with self._lock:
-            dead = [
-                key
-                for key in self._entries
-                if int(distances[key[0]]) <= key[1]
-            ]
+            dead = _reached(self._centres, reach, self._radius_locked())
             for key in dead:
-                _, _, dropped = self._entries.pop(key)
-                self._current_bytes -= dropped
+                self._store_locked(key, None)
             return len(dead)
-
-    def rebind(self, graph: CSRGraph) -> None:
-        """Re-point the cache at a new host graph, keeping surviving entries.
-
-        The live-update path: after :meth:`invalidate_covering` has dropped
-        every entry the topology change could affect, the survivors are
-        bit-identical to fresh extractions on ``graph``, so the binding can
-        move without a cold restart.  (Use :meth:`clear` for an unrelated
-        graph.)
-        """
-        with self._lock:
-            self._graph = graph
-
-    def validate(self) -> None:
-        """Check the internal invariants, raising ``AssertionError`` on drift.
-
-        Invariants: ``current_bytes`` equals the sum of the retained entries'
-        sizes, never exceeds the budget, and every retained entry's recorded
-        size matches a recomputation.  Used by the concurrency stress tests;
-        cheap enough to call after any sequence of operations.
-        """
-        with self._lock:
-            recomputed = 0
-            for (subgraph, bfs, nbytes) in self._entries.values():
-                actual = _entry_nbytes(subgraph, bfs)
-                if actual != nbytes:
-                    raise AssertionError(
-                        f"entry records {nbytes} bytes but holds {actual}"
-                    )
-                recomputed += nbytes
-            if recomputed != self._current_bytes:
-                raise AssertionError(
-                    f"current_bytes={self._current_bytes} but entries sum to "
-                    f"{recomputed}"
-                )
-            if self._current_bytes > self._max_bytes:
-                raise AssertionError(
-                    f"current_bytes={self._current_bytes} exceeds the budget "
-                    f"{self._max_bytes}"
-                )
-
-    def resize(self, max_bytes: int) -> int:
-        """Change the byte budget in place, evicting LRU entries past it.
-
-        The hot-reload path of a live server: shrinking evicts (counted in
-        ``stats.evictions``) until the retained bytes fit, growing just
-        raises the ceiling — either way no lookup is ever interrupted and
-        surviving entries stay warm.  Returns the number of evictions the
-        resize forced.
-        """
-        if max_bytes <= 0:
-            raise ValueError(f"max_bytes must be > 0, got {max_bytes}")
-        with self._lock:
-            self._max_bytes = int(max_bytes)
-            evicted = 0
-            while self._entries and self._current_bytes > self._max_bytes:
-                _, (_, _, dropped) = self._entries.popitem(last=False)
-                self._current_bytes -= dropped
-                self._evictions += 1
-                evicted += 1
-            return evicted
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss/eviction/rejection counters (entries are kept).
-
-        ``current_bytes`` and ``num_entries`` describe live state, not
-        history, so they are unaffected; used for per-interval reporting on
-        long-running servers.
-        """
-        with self._lock:
-            self._hits = 0
-            self._misses = 0
-            self._evictions = 0
-            self._rejected = 0
 
     def clear(self) -> None:
         """Drop every entry and the graph binding (counters are kept)."""
         with self._lock:
-            self._entries.clear()
-            self._current_bytes = 0
+            self._clear_locked()
             self._graph = None
 
     def __repr__(self) -> str:

@@ -296,14 +296,8 @@ class QueryEngine:
         self._update_lock = threading.Condition(threading.Lock())
         self._active_batches = 0
         self._updating = False
-        # The result-cache key includes the host graph's structural
-        # fingerprint; force the (memoised) hash now so a multi-GB graph
-        # charges it to engine construction, not to the first query's
-        # latency.
         if result_cache is not None:
-            solver.graph.fingerprint()
-        elif router is not None and router.result_caching_enabled:
-            router.partition.host.fingerprint()
+            result_cache.bind(solver.graph)
         # A stage-task backend (the process pool) must know what graph its
         # workers serve before the first batch: bind it to the partition when
         # sharded (workers pin to shards) or to the host graph otherwise.
@@ -435,10 +429,13 @@ class QueryEngine:
             self._latency.record(latency)
 
     def _result_cache_for(self, seed: int) -> Optional[ScoreTableCache]:
-        """The result cache for ``seed``: its shard's when sharded, else ours."""
+        """The result cache for ``seed``: its shard's when sharded, else ours
+        — unless another engine has since bound ours to its own graph."""
         if self._router is not None:
             return self._router.result_cache_for(seed)
-        return self._result_cache
+        cache = self._result_cache
+        bound = cache is not None and cache.graph is self._solver.graph
+        return cache if bound else None
 
     def try_cached(self, query: PPRQuery) -> Optional[PPRResult]:
         """Answer ``query`` from the result cache, or return ``None`` at once.
@@ -451,14 +448,12 @@ class QueryEngine:
         touches no counter, and the caller goes through :meth:`solve_batch`.
 
         It takes no part in the update barrier and needs none.  Until
-        :meth:`apply_update` migrates the result cache (under the writer
+        :meth:`apply_update` invalidates the result cache (under the writer
         barrier, before the new graph is published) this returns the answer
         of the still-published graph, which is what a batch finishing at that
-        moment returns too.  From the migration until the publication the key
-        built here still carries the old fingerprint and finds nothing — every
-        old entry was dropped or re-keyed.  After it, a re-keyed entry serves
-        an answer only if the update provably could not change it (it is the
-        answer on both graphs); anything else waits for a batch to compute on
+        moment returns too.  From then on it can see only survivors, and a
+        surviving answer is one the update provably could not change — the
+        answer on both graphs; anything else waits for a batch to compute on
         the new graph, and batches attach inside the barrier.
         """
         start = time.perf_counter()
@@ -467,7 +462,7 @@ class QueryEngine:
         result_cache = self._result_cache_for(query.seed)
         if result_cache is None:
             return None
-        key = stage_one_key(query, self._solver.config, self._solver.graph)
+        key = stage_one_key(query, self._solver.config)
         answer = result_cache.peek_answer(key, query)
         if answer is None:
             return None
@@ -494,8 +489,9 @@ class QueryEngine:
         (:func:`repro.graph.delta.update_reach_bound`) says exactly which
         cached ego sub-graphs, stage-one score tables and finished answers
         the update changes — and its node bound which shards — and only
-        those are dropped or rebuilt.  Everything else survives, answers
-        included, with result-cache keys rewritten to the new fingerprint.
+        those are dropped or rebuilt, found through each cache's centre
+        index.  Everything else survives, answers included, and the caches
+        are rebound to the new graph.
 
         Runs under the engine's writer barrier: in-flight batches finish on
         the old graph, new batches wait for the swap (writer-preferred, so a
@@ -522,14 +518,12 @@ class QueryEngine:
     ) -> Dict[str, object]:
         """The swap itself; caller holds the writer barrier."""
         old_graph = self._solver.graph
-        old_fingerprint = old_graph.fingerprint()
         delta = DeltaGraph(old_graph)
         # Existence validation happens here, against the live topology, and
         # is all-or-nothing per DeltaGraph.apply — a bad op raises before
         # any cache or binding is touched.
         delta.apply(canonical)
         new_graph = delta.compact()
-        new_fingerprint = new_graph.fingerprint()
         touched = delta.touched_nodes()
         # The bounds only need resolving out to the deepest cached artefact
         # (and the halo test, when sharded); beyond that every entry
@@ -545,10 +539,7 @@ class QueryEngine:
         invalidated = {
             "shards_rebuilt": 0,
             "subgraph_entries_dropped": 0,
-            "result_entries_dropped": 0,
-            "result_entries_rekeyed": 0,
-            "result_answers_kept": 0,
-            "result_answers_stripped": 0,
+            **dict.fromkeys(UPDATE_COUNT_KEYS, 0),
         }
         if self._cache is not None:
             invalidated["subgraph_entries_dropped"] += (
@@ -556,16 +547,13 @@ class QueryEngine:
             )
             self._cache.rebind(new_graph)
         if self._result_cache is not None:
-            counts = self._result_cache.apply_update(
-                old_fingerprint, new_fingerprint, reach
-            )
+            counts = self._result_cache.apply_update(reach)
             invalidated.update(zip(UPDATE_COUNT_KEYS, counts))
+            self._result_cache.rebind(new_graph)
         if self._router is not None:
             # A shard is a many-centred ball: it is patched on the node bound.
             distances = update_distance_bound(old_graph, new_graph, touched, radius)
-            router_outcome = self._router.apply_update(
-                new_graph, old_fingerprint, new_fingerprint, distances, reach
-            )
+            router_outcome = self._router.apply_update(new_graph, distances, reach)
             for key, value in router_outcome.items():
                 invalidated[key] += value
         self._solver.rebind_graph(new_graph)
@@ -580,8 +568,8 @@ class QueryEngine:
             "ops": len(canonical),
             "touched_nodes": int(touched.size),
             "radius": int(radius),
-            "old_fingerprint": old_fingerprint,
-            "new_fingerprint": new_fingerprint,
+            "old_fingerprint": old_graph.fingerprint(),
+            "new_fingerprint": new_graph.fingerprint(),
             "num_nodes": int(new_graph.num_nodes),
             "num_edges": int(new_graph.num_edges),
             "invalidated": invalidated,
@@ -622,7 +610,7 @@ class QueryEngine:
                     if ctx is None
                     else ctx.begin_span("engine.result_cache")
                 )
-                key = stage_one_key(query, self._solver.config, self._solver.graph)
+                key = stage_one_key(query, self._solver.config)
                 state, answer = result_cache.lookup(key, query)
                 result_cache_outcome = (
                     "answer"

@@ -32,10 +32,10 @@ there — no queue slot (it is admitted and completed in one step, so never
 pending and never shed), no batch, no executor hop; ``fast_path_hits`` counts
 them.  The call is one key build and one locked dict lookup, so the loop stays
 responsive, and it needs no place in the engine's update barrier: before an
-update publishes the new graph it drops, strips or re-keys every cached
-answer, keeping one only when the update provably cannot change it, and
-batches attach answers only inside the barrier — so the fast path can only
-ever return what a batch finishing at that moment would
+update publishes the new graph it drops or strips every cached answer the
+update could change, so a lookup then sees only survivors, each the answer on
+both graphs, and batches attach answers only inside the barrier — so the fast
+path can only ever return what a batch finishing at that moment would
 (:meth:`~repro.serving.engine.QueryEngine.try_cached` spells it out).
 
 Scores are bit-identical to ``engine.solve_batch`` on a serial backend:

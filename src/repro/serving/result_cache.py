@@ -6,12 +6,13 @@ shard under a :class:`~repro.serving.sharding.ShardRouter`) already make the
 *extractions* of a repeated query cheap, but every arrival still re-runs the
 identical stage-one diffusion, fold, Eq. 6 correction and next-stage
 selection.  All of that is a pure function of ``(seed, realised stage split,
-alpha, score-table capacity, selector, graph)`` — so it can be computed once
-and replayed.
+alpha, score-table capacity, selector)`` on one graph — so it can be computed
+once and replayed.
 
 :class:`ScoreTableCache` stores the folded stage-one state
 (:class:`~repro.meloppr.planner.StageOneState`: score-table snapshot plus
-the selected stage-two work list) keyed by :func:`stage_one_cache_key`.  On
+the selected stage-two work list) keyed by :func:`stage_one_cache_key` and
+bound to the graph it serves (:meth:`ScoreTableCache.bind`).  On
 a hit the engine resumes the plan with
 :meth:`~repro.meloppr.planner.MeLoPPRPlan.from_stage_one_table` and only the
 stage-two tasks run; scores are bit-identical to the uncached path because
@@ -27,17 +28,18 @@ and by its non-blocking :meth:`~repro.serving.engine.QueryEngine.try_cached`.
 The answer is charged to the entry's bytes at a modelled, never-changing size
 and lives and dies with the entry (LRU, TTL, invalidate, clear, resize).  A
 topology update can separate them: :meth:`ScoreTableCache.apply_update` keeps
-a far-enough entry's *state* under the new fingerprint, and its answer too
-exactly when every sub-graph the answer was computed from — stage one's and
-each later task's, all in ``metadata["tasks"]`` — is provably byte-identical
-on the new topology; otherwise the answer is stripped and the next repeat
-resumes from the state.  A served answer is thus always the answer of the
-fingerprint it is keyed under, computed there or carried across.
+a far-enough entry's *state*, and its answer too exactly when every sub-graph
+the answer was computed from — stage one's and each later task's, all in
+``metadata["tasks"]`` — is provably byte-identical on the new topology;
+otherwise the answer is stripped and the next repeat resumes from the state.
+A centre index (seed -> keys, task centre -> keys) finds those victims
+without scanning the cache.  A served answer is thus always the answer of the
+graph the cache is bound to, computed there or carried across.
 
 The cache is byte-budgeted with LRU eviction (like the sub-graph caches),
 optionally TTL-bounded (long-running servers can bound staleness of *any*
-derived artefact even though the key's graph fingerprint already rules out
-serving a different topology), explicitly invalidatable, and thread-safe —
+derived artefact even though binding to a different topology already clears
+the cache), explicitly invalidatable, and thread-safe —
 all bookkeeping runs under one lock, and the cached states are deeply
 immutable so hits can be shared across backend threads freely.  Counters are
 the shared :class:`~repro.serving.cache.CacheStats` shape, so hits roll up
@@ -54,16 +56,16 @@ state, every later arrival resumes from it.
 from __future__ import annotations
 
 import hashlib
-import threading
 import time
-from collections import OrderedDict
-from typing import Callable, Hashable, Optional, Tuple
+from typing import Callable, Dict, Hashable, Optional, Tuple
+
+import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.meloppr.config import MeLoPPRConfig
 from repro.meloppr.planner import MeLoPPRPlan, StageOneState, realised_stage_lengths
 from repro.ppr.base import PPRQuery, PPRResult
-from repro.serving.cache import CacheStats
+from repro.serving.cache import CentreIndex, _link, _LRUCache, _reached
 
 __all__ = [
     "DEFAULT_RESULT_CACHE_BYTES",
@@ -73,8 +75,8 @@ __all__ = [
     "stage_one_key",
 ]
 
-#: One retained entry: ``(state, charged bytes, stored-at, attached answer)``.
-_Entry = Tuple[StageOneState, int, float, Optional[PPRResult]]
+#: One retained entry: ``(state, charged bytes, stored-at, answer, its task lengths)``.
+_Entry = Tuple[StageOneState, int, float, Optional[PPRResult], Optional[Dict[int, int]]]
 
 #: What :meth:`ScoreTableCache.apply_update`'s counts are called, in order, in
 #: the ``invalidated`` block of an update's outcome report.
@@ -136,9 +138,7 @@ def _selector_identity(selector) -> Tuple[Hashable, ...]:
     )
 
 
-def stage_one_key(
-    query: PPRQuery, config: MeLoPPRConfig, graph: CSRGraph
-) -> Tuple[Hashable, ...]:
+def stage_one_key(query: PPRQuery, config: MeLoPPRConfig) -> Tuple[Hashable, ...]:
     """The cache key of ``query``'s stage-one state, without building a plan.
 
     Covers every input the stage-one computation depends on:
@@ -150,9 +150,11 @@ def stage_one_key(
     * the score-table capacity (``c * k`` — two queries for different ``k``
       fold into differently bounded tables, so they must not share);
     * the selector and residual tolerance (they choose the stage-two work
-      list stored in the state);
-    * the host graph's structural fingerprint, so a rebuilt or repartitioned
-      graph with different topology can never be served a stale table.
+      list stored in the state).
+
+    The graph is not in the key: a cache is bound to the graph it serves
+    (:meth:`ScoreTableCache.bind`), and binding it to a different topology
+    clears it, so a rebuilt graph can never be served a stale table.
     """
     return (
         int(query.seed),
@@ -161,13 +163,12 @@ def stage_one_key(
         config.score_table_capacity(query.k),
         _selector_identity(config.selector),
         float(config.residual_tolerance),
-        graph.fingerprint(),
     )
 
 
 def stage_one_cache_key(plan: MeLoPPRPlan) -> Tuple[Hashable, ...]:
-    """:func:`stage_one_key` of the query, config and graph ``plan`` was built on."""
-    return stage_one_key(plan.query, plan.config, plan.graph)
+    """:func:`stage_one_key` of the query and config ``plan`` was built on."""
+    return stage_one_key(plan.query, plan.config)
 
 
 def _entry_nbytes(state: StageOneState) -> int:
@@ -198,7 +199,7 @@ def _answer_nbytes(answer: Optional[PPRResult]) -> int:
     return 16 * retained + 32 * min(int(answer.query.k), retained)
 
 
-class ScoreTableCache:
+class ScoreTableCache(_LRUCache):
     """Byte-budgeted LRU cache of folded stage-one states.
 
     Parameters
@@ -210,9 +211,9 @@ class ScoreTableCache:
     ttl_seconds:
         Optional time-to-live.  An entry older than this is dropped on
         lookup (counted in ``stats.expired`` *and* as a miss).  ``None``
-        (the default) keeps entries until evicted or invalidated — the graph
-        fingerprint in the key already guarantees correctness, so a TTL is a
-        freshness policy, not a safety requirement.
+        (the default) keeps entries until evicted or invalidated — binding
+        to a graph already guarantees correctness, so a TTL is a freshness
+        policy, not a safety requirement.
     clock:
         Monotonic time source (injectable for tests).
 
@@ -223,7 +224,15 @@ class ScoreTableCache:
     which the engine orchestrates.  Two threads missing on the same key may
     both compute; the second :meth:`put` replaces the first with an
     identical state, which is harmless because stage one is deterministic.
+
+    The centre index has two halves: seed -> {key: stage-one length} (what
+    drops an entry) and task centre -> {key: longest stage length the
+    attached answer ran that centre at} (what strips an answer).  An entry
+    counts toward the update radius at its stage-one length when bare and
+    at its longest stage when answered.
     """
+
+    _NBYTES = 1
 
     def __init__(
         self,
@@ -231,52 +240,39 @@ class ScoreTableCache:
         ttl_seconds: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if max_bytes <= 0:
-            raise ValueError(f"max_bytes must be > 0, got {max_bytes}")
+        super().__init__(max_bytes)
         if ttl_seconds is not None and ttl_seconds <= 0:
             raise ValueError(
                 f"ttl_seconds must be > 0 or None, got {ttl_seconds}"
             )
-        self._max_bytes = int(max_bytes)
         self._ttl_seconds = ttl_seconds
         self._clock = clock
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple[Hashable, ...], _Entry]" = OrderedDict()
-        self._current_bytes = 0
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._rejected = 0
-        self._expired = 0
+        self._seeds: CentreIndex = {}
+        self._centres: CentreIndex = {}
+        self._answers = 0
 
     # ------------------------------------------------------------------
-    @property
-    def max_bytes(self) -> int:
-        """The configured byte budget."""
-        return self._max_bytes
-
     @property
     def ttl_seconds(self) -> Optional[float]:
         """The configured time-to-live (``None`` = entries never expire)."""
         return self._ttl_seconds
 
-    @property
-    def stats(self) -> CacheStats:
-        """A consistent snapshot of the counters."""
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                rejected=self._rejected,
-                expired=self._expired,
-                current_bytes=self._current_bytes,
-                num_entries=len(self._entries),
-            )
+    def bind(self, graph: CSRGraph) -> None:
+        """Serve ``graph`` from now on.
 
-    def __len__(self) -> int:
+        Keys carry no graph identity, so binding to a different topology —
+        a reload — clears the cache; a graph with the same fingerprint (a
+        rebuild of it) keeps every entry.  An edge update moves the binding
+        with :meth:`rebind` instead, after :meth:`apply_update`.
+        """
         with self._lock:
-            return len(self._entries)
+            if (
+                self._graph is not None
+                and graph is not self._graph
+                and graph.fingerprint() != self._graph.fingerprint()
+            ):
+                self._clear_locked()
+            self._graph = graph
 
     def __contains__(self, key: Tuple[Hashable, ...]) -> bool:
         """Whether ``key`` holds an entry a :meth:`get` would actually serve.
@@ -287,15 +283,22 @@ class ScoreTableCache:
         Not counted as a hit or miss: membership probes are not lookups.
         """
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return False
-            if self._is_expired(entry[2]):
-                del self._entries[key]
-                self._current_bytes -= entry[1]
-                self._expired += 1
-                return False
-            return True
+            return self._live_entry_locked(key) is not None
+
+    def _index_locked(self, key: tuple, entry: _Entry, sign: int) -> None:
+        seed, split, answer, lengths = key[0], key[1], entry[3], entry[4]
+        self._depths[split[0] if answer is None else max(split)] += sign
+        _link(self._seeds, seed, key, split[0], sign)
+        if answer is not None:
+            self._answers += sign
+            for centre, length in lengths.items():
+                _link(self._centres, centre, key, length, sign)
+
+    def _measure(self, entry: _Entry) -> int:
+        return _entry_nbytes(entry[0]) + _answer_nbytes(entry[3])
+
+    def _index_state(self) -> tuple:
+        return super()._index_state() + (self._seeds, self._centres, self._answers)
 
     def _is_expired(self, stored_at: float) -> bool:
         """Whether an entry stored at ``stored_at`` has outlived the TTL."""
@@ -309,31 +312,24 @@ class ScoreTableCache:
         its TTL has passed; caller holds the lock."""
         entry = self._entries.get(key)
         if entry is not None and self._is_expired(entry[2]):
-            del self._entries[key]
-            self._current_bytes -= entry[1]
+            self._store_locked(key, None)
             self._expired += 1
             return None
         return entry
 
-    def _sweep_expired_locked(self) -> int:
+    def _sweep_expired_locked(self) -> None:
         """Drop every TTL-expired entry (caller holds the lock).
 
-        Shared by :meth:`put` and :meth:`resize` so budget pressure always
+        Run by :meth:`put` and :meth:`resize` so budget pressure always
         reclaims dead bytes before evicting live entries, and so the two
         outcomes are counted apart (``stats.expired`` vs ``stats.evictions``).
         """
         if self._ttl_seconds is None:
-            return 0
-        dead = [
-            entry_key
-            for entry_key, (_, _, stored_at, _) in self._entries.items()
-            if self._is_expired(stored_at)
-        ]
-        for entry_key in dead:
-            _, dropped, _, _ = self._entries.pop(entry_key)
-            self._current_bytes -= dropped
-            self._expired += 1
-        return len(dead)
+            return
+        for key, entry in list(self._entries.items()):
+            if self._is_expired(entry[2]):
+                self._store_locked(key, None)
+                self._expired += 1
 
     # ------------------------------------------------------------------
     def lookup(
@@ -377,23 +373,7 @@ class ScoreTableCache:
         """Insert a stage-one state; returns whether it was retained."""
         nbytes = _entry_nbytes(state)
         with self._lock:
-            if nbytes > self._max_bytes:
-                self._rejected += 1
-                return False
-            previous = self._entries.pop(key, None)
-            if previous is not None:
-                self._current_bytes -= previous[1]
-            # Reclaim entries whose TTL already passed before evicting live
-            # ones — eviction metrics must never blame budget pressure for
-            # ordinary expiry.
-            self._sweep_expired_locked()
-            while self._entries and self._current_bytes + nbytes > self._max_bytes:
-                _, (_, dropped, _, _) = self._entries.popitem(last=False)
-                self._current_bytes -= dropped
-                self._evictions += 1
-            self._entries[key] = (state, nbytes, self._clock(), None)
-            self._current_bytes += nbytes
-            return True
+            return self._put_locked(key, (state, nbytes, self._clock(), None, None))
 
     def attach_answer(self, key: Tuple[Hashable, ...], answer: PPRResult) -> bool:
         """Attach the finished answer of the query ``key`` is keyed by.
@@ -409,109 +389,68 @@ class ScoreTableCache:
             entry = self._live_entry_locked(key)
             if entry is None:
                 return False
-            state, charged, stored_at, _ = entry
+            state, _, stored_at = entry[:3]
             nbytes = _entry_nbytes(state) + _answer_nbytes(answer)
             if nbytes > self._max_bytes:
                 return False
-            self._entries[key] = (state, nbytes, stored_at, answer)
+            # Each task centre -> the longest stage length it ran at: the
+            # answer survives an update exactly when every one does.  Read
+            # once, here, because a caller holding the answer can reach it.
+            lengths: Dict[int, int] = {}
+            for record in answer.metadata["tasks"]:
+                centre, length = int(record.center_node), key[1][record.stage_index]
+                lengths[centre] = max(length, lengths.get(centre, 0))
+            self._store_locked(key, (state, nbytes, stored_at, answer, lengths))
             self._entries.move_to_end(key)
-            self._current_bytes += nbytes - charged
-            while self._current_bytes > self._max_bytes:  # as in put()
-                _, (_, dropped, _, _) = self._entries.popitem(last=False)
-                self._current_bytes -= dropped
-                self._evictions += 1
+            self._evict_locked(0)  # as in put()
             return True
-
-    def resize(self, max_bytes: int) -> int:
-        """Change the byte budget in place, evicting LRU entries past it.
-
-        The hot-reload path of a live server: shrinking evicts (counted in
-        ``stats.evictions``) until the retained bytes fit, growing just
-        raises the ceiling — surviving entries stay warm.  Returns the
-        number of evictions the resize forced.  TTL-expired entries are
-        swept first, so a shrink never evicts a live entry to keep a dead
-        one's bytes.
-        """
-        if max_bytes <= 0:
-            raise ValueError(f"max_bytes must be > 0, got {max_bytes}")
-        with self._lock:
-            self._max_bytes = int(max_bytes)
-            self._sweep_expired_locked()
-            evicted = 0
-            while self._entries and self._current_bytes > self._max_bytes:
-                _, (_, dropped, _, _) = self._entries.popitem(last=False)
-                self._current_bytes -= dropped
-                self._evictions += 1
-                evicted += 1
-            return evicted
 
     def max_stage_length(self) -> int:
         """Largest stage length an update must resolve reach to (0 when empty).
 
-        Keys are :func:`stage_one_cache_key` tuples, whose second element is
-        the realised stage split.  A bare state is folded from the stage-one
-        ego ball alone; an entry that carries an answer also ran the later
-        stages, and :meth:`apply_update` tests every one of them — so the
-        engine's live-update path sizes its reach bound from this.
+        A bare state is folded from the stage-one ego ball alone; an entry
+        that carries an answer also ran the later stages, and
+        :meth:`apply_update` tests every one of them — so the engine's
+        live-update path sizes its reach bound from this.  Read from the
+        per-depth counts, not a scan.
         """
         with self._lock:
-            # Distinct (split, bare?) pairs first: there are only a few.
-            shapes = {
-                (key[1], entry[3] is None) for key, entry in self._entries.items()
-            }
-        return max(
-            (split[0] if bare else max(split) for split, bare in shapes), default=0
-        )
+            return self._radius_locked()
 
-    def apply_update(
-        self, old_fingerprint: str, new_fingerprint: str, distances
-    ) -> Tuple[int, int, int, int]:
-        """Surgically migrate the cache across a topology update.
+    def apply_update(self, distances) -> Tuple[int, int, int, int]:
+        """Surgically carry the cache across a topology update.
 
         ``distances`` is the update's reach bound
         (:func:`repro.graph.delta.update_reach_bound`): the depth-``l`` ego
         ball of ``node`` is byte-identical on both topologies exactly when
-        ``distances[node] > l``.  Every entry keyed to ``old_fingerprint``
-        whose stage-one ball fails that test is dropped — its folded state
-        could differ on the new topology.  Every other entry is **re-keyed**
-        in place to ``new_fingerprint`` (preserving LRU order and stored-at
-        times), and keeps its attached answer when every task the answer ran
+        ``distances[node] > l``.  Every entry whose stage-one ball fails that
+        test is dropped — its folded state could differ on the new topology.
+        Every other entry keeps its key and LRU place, and keeps its
+        attached answer when every task the answer ran
         (``answer.metadata["tasks"]``: stage one and each selected next-stage
         centre, at its stage's length) passes the same test: the answer is a
         pure function of those extractions, so it *is* the new graph's,
         metadata included.  Otherwise the answer is stripped and the state
-        alone survives.  Returns ``(dropped, rekeyed, answers kept, answers
+        alone survives.  Only the seeds and task centres within
+        :meth:`max_stage_length` of the update are visited, through the
+        centre index; the caller then moves the binding (:meth:`rebind`).
+
+        Returns ``(dropped, carried across, answers kept, answers
         stripped)``; drops are explicit invalidations, not evictions.
         """
-        dropped = rekeyed = kept = stripped = 0
+        reach = np.asarray(distances)
         with self._lock:
-            migrated: "OrderedDict[Tuple[Hashable, ...], _Entry]" = OrderedDict()
-            for key, value in self._entries.items():
-                if key[-1] == old_fingerprint:
-                    stage_lengths = key[1]
-                    if distances[key[0]] <= stage_lengths[0]:
-                        self._current_bytes -= value[1]
-                        dropped += 1
-                        continue
-                    key = key[:-1] + (new_fingerprint,)
-                    rekeyed += 1
-                    answer = value[3]
-                    if answer is not None:
-                        for record in answer.metadata["tasks"]:
-                            if (
-                                distances[record.center_node]
-                                <= stage_lengths[record.stage_index]
-                            ):
-                                stripped += 1
-                                bare = _entry_nbytes(value[0])
-                                self._current_bytes -= value[1] - bare
-                                value = (value[0], bare, value[2], None)
-                                break
-                        else:
-                            kept += 1
-                migrated[key] = value
-            self._entries = migrated
-        return dropped, rekeyed, kept, stripped
+            radius = self._radius_locked()
+            dropped = _reached(self._seeds, reach, radius)
+            for key in dropped:
+                self._store_locked(key, None)
+            # The dropped keys left the index with their rows.
+            stripped = _reached(self._centres, reach, radius)
+            for key in stripped:
+                state, _, stored_at = self._entries[key][:3]
+                bare = (state, _entry_nbytes(state), stored_at, None, None)
+                self._store_locked(key, bare)
+            return len(dropped), len(self._entries), self._answers, len(stripped)
 
     def invalidate(self, key: Tuple[Hashable, ...]) -> bool:
         """Explicitly drop one entry; returns whether it was present.
@@ -520,57 +459,10 @@ class ScoreTableCache:
         state just shrinks, like :meth:`clear`.
         """
         with self._lock:
-            entry = self._entries.pop(key, None)
-            if entry is None:
+            if key not in self._entries:
                 return False
-            self._current_bytes -= entry[1]
+            self._store_locked(key, None)
             return True
-
-    # ------------------------------------------------------------------
-    def validate(self) -> None:
-        """Check the byte-accounting invariants, raising on drift.
-
-        Invariants: ``current_bytes`` equals the sum of retained entries'
-        recorded sizes, each recorded size matches a recomputation, and the
-        budget is respected.  Cheap; used by the concurrency stress tests.
-        """
-        with self._lock:
-            recomputed = 0
-            for state, nbytes, _, answer in self._entries.values():
-                actual = _entry_nbytes(state) + _answer_nbytes(answer)
-                if actual != nbytes:
-                    raise AssertionError(
-                        f"entry records {nbytes} bytes but holds {actual}"
-                    )
-                recomputed += nbytes
-            if recomputed != self._current_bytes:
-                raise AssertionError(
-                    f"current_bytes={self._current_bytes} but entries sum to "
-                    f"{recomputed}"
-                )
-            if self._current_bytes > self._max_bytes:
-                raise AssertionError(
-                    f"current_bytes={self._current_bytes} exceeds the budget "
-                    f"{self._max_bytes}"
-                )
-
-    def reset_stats(self) -> None:
-        """Zero the counters (entries are kept) — same contract as
-        :meth:`SubgraphCache.reset_stats`: ``current_bytes``/``num_entries``
-        describe live state, not history, and are unaffected."""
-        with self._lock:
-            self._hits = 0
-            self._misses = 0
-            self._evictions = 0
-            self._rejected = 0
-            self._expired = 0
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept) — same contract as
-        :meth:`SubgraphCache.clear`."""
-        with self._lock:
-            self._entries.clear()
-            self._current_bytes = 0
 
     def __repr__(self) -> str:
         stats = self.stats

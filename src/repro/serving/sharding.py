@@ -261,6 +261,9 @@ class ShardRouter:
             else None
             for _ in partition.shards
         )
+        for result_cache in self._result_caches:
+            if result_cache is not None:
+                result_cache.bind(partition.host)
         # Routing counters are guarded per shard so the hot path never
         # serialises unrelated shards on one router-global lock.
         self._counter_locks = tuple(
@@ -437,7 +440,7 @@ class ShardRouter:
 
         Explicit invalidation for operational use (e.g. after a config
         change that `stage_one_cache_key` does not cover); a *rebuilt* graph
-        needs no call — its fingerprint changes the keys.
+        gets a new router, whose caches are bound to it and start empty.
         """
         for result_cache in self._result_caches:
             if result_cache is not None:
@@ -452,22 +455,17 @@ class ShardRouter:
         answer ran — anything beyond this radius can be capped without
         changing an invalidation or shard-rebuild decision.
         """
-        radius = self._partition.halo_depth
-        for cache in self._caches:
-            if cache is not None:
-                radius = max(radius, cache.max_depth())
-        if self._fallback_cache is not None:
-            radius = max(radius, self._fallback_cache.max_depth())
-        for result_cache in self._result_caches:
-            if result_cache is not None:
-                radius = max(radius, result_cache.max_stage_length())
-        return radius
+        caches = [c for c in self._caches + (self._fallback_cache,) if c is not None]
+        result_caches = [c for c in self._result_caches if c is not None]
+        return max(
+            [self._partition.halo_depth]
+            + [cache.max_depth() for cache in caches]
+            + [cache.max_stage_length() for cache in result_caches]
+        )
 
     def apply_update(
         self,
         new_graph: CSRGraph,
-        old_fingerprint: str,
-        new_fingerprint: str,
         distances: np.ndarray,
         reach: np.ndarray,
     ) -> Dict[str, int]:
@@ -483,7 +481,7 @@ class ShardRouter:
         the second: an ego ball with ``reach[centre] > depth``, a stage-one
         table whose seed passes at its stage-one length and an answer whose
         every task passes are bit-for-bit what the new graph would produce,
-        so they stay (result-cache keys are rewritten to the new fingerprint).
+        so they stay, and every cache is rebound to ``new_graph``.
 
         Not internally synchronised against in-flight extractions: the
         caller (:meth:`repro.serving.engine.QueryEngine.apply_update`) holds
@@ -503,9 +501,8 @@ class ShardRouter:
             self._fallback_cache.rebind(new_graph)
         for result_cache in self._result_caches:
             if result_cache is not None:
-                counts = result_cache.apply_update(
-                    old_fingerprint, new_fingerprint, reach
-                )
+                counts = result_cache.apply_update(reach)
+                result_cache.rebind(new_graph)
                 for key, count in zip(UPDATE_COUNT_KEYS, counts):
                     outcome[key] += count
         self._partition = patched

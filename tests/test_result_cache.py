@@ -5,7 +5,7 @@ semantics (byte-budgeted LRU, TTL expiry, explicit invalidation, byte
 accounting), the planner's snapshot/resume pair, the score-table
 snapshot round trip, and — the invalidation regressions — the guarantee
 that a rebuilt or different graph can never be served a stale table
-(structural fingerprints in the key).
+(binding a cache to a different topology clears it).
 """
 
 from __future__ import annotations
@@ -262,10 +262,20 @@ class TestStageOneCacheKey:
             rebuilt, seed=3, k=20
         )
 
-    def test_different_topology_changes_the_key(self, graph):
+    def test_binding_to_a_different_topology_clears(self, graph):
         other = barabasi_albert_graph(120, 2, rng=10, name="key-graph")
         assert graph.fingerprint() != other.fingerprint()
-        assert self.key_for(graph, seed=3, k=20) != self.key_for(other, seed=3, k=20)
+        cache = ScoreTableCache()
+        cache.bind(graph)
+        key, state = make_state(graph)
+        assert cache.put(key, state)
+        # The same topology, rebuilt: the entry stays.
+        cache.bind(barabasi_albert_graph(120, 2, rng=9, name="rebuilt"))
+        assert cache.get(key) is state
+        cache.bind(other)
+        assert len(cache) == 0 and cache.graph is other
+        assert cache.get(key) is None
+        cache.validate()
 
 
 class TestScoreTableSnapshot:
@@ -393,6 +403,23 @@ class TestInvalidationRegressions:
         assert shared.stats.misses >= 2
         assert dict(result.scores.items()) == reference
 
+    def test_engine_bypasses_a_cache_bound_to_another_graph(self):
+        # Keys carry no graph identity: once a second engine binds the shared
+        # cache to its topology, the first must stop using it, never serve
+        # the second graph's answer.
+        first = barabasi_albert_graph(150, 2, rng=4, name="host")
+        second = barabasi_albert_graph(150, 2, rng=5, name="host")
+        shared = ScoreTableCache()
+        query = PPRQuery(seed=9, k=20, length=6)
+        with QueryEngine(MeLoPPRSolver(first), result_cache=shared) as stale:
+            with QueryEngine(MeLoPPRSolver(second), result_cache=shared) as fresh:
+                fresh.solve_batch([query, query])
+            assert stale.try_cached(query) is None
+            (result,) = stale.solve_batch([query])
+        assert result.metadata["serving"]["result_cache"] is None
+        reference = MeLoPPRSolver(first).solve(query)
+        assert dict(result.scores.items()) == dict(reference.scores.items())
+
     def test_repartitioned_router_never_serves_stale(self, small_ba_graph):
         query = PPRQuery(seed=11, k=20, length=6)
         reference = dict(MeLoPPRSolver(small_ba_graph).solve(query).scores.items())
@@ -519,7 +546,7 @@ class TestTTLBudgetPinning:
 
 
 class TestApplyUpdateMigration:
-    """Surgical cross-topology migration: drop in-reach, rekey the rest."""
+    """Surgical cross-topology migration: drop in-reach, carry the rest."""
 
     def setup_entries(self, graph, seeds=(1, 2, 3)):
         cache = ScoreTableCache()
@@ -534,23 +561,21 @@ class TestApplyUpdateMigration:
         import numpy as np
 
         cache, keys = self.setup_entries(small_ba_graph)
-        old_fp = small_ba_graph.fingerprint()
         stage_one = int(keys[1][0][1][0])
         # Seed 2 is within its stage-one reach of the update; 1 and 3 are not.
         distances = np.full(
             small_ba_graph.num_nodes, stage_one + 1, dtype=np.int64
         )
         distances[2] = stage_one
-        # (dropped, re-keyed, answers kept, answers stripped): none attached.
-        assert cache.apply_update(old_fp, "newfp", distances) == (1, 2, 0, 0)
+        # (dropped, carried, answers kept, answers stripped): none attached.
+        assert cache.apply_update(distances) == (1, 2, 0, 0)
         assert len(cache) == 2
         # Dropped entries are invalidations, not evictions.
         assert cache.stats.evictions == 0
-        # Survivors answer under the new fingerprint, never the old one.
+        # Survivors answer under their unchanged keys.
         for seed in (1, 3):
-            old_key, state = keys[seed]
-            assert old_key not in cache
-            assert cache.get(old_key[:-1] + ("newfp",)) is state
+            key, state = keys[seed]
+            assert cache.get(key) is state
         assert keys[2][0] not in cache
         cache.validate()
 
@@ -559,33 +584,28 @@ class TestApplyUpdateMigration:
 
         cache, keys = self.setup_entries(small_ba_graph)
         budget = cache.stats.current_bytes
-        old_fp = small_ba_graph.fingerprint()
         distances = np.full(small_ba_graph.num_nodes, 99, dtype=np.int64)
-        assert cache.apply_update(old_fp, "newfp", distances) == (0, 3, 0, 0)
+        assert cache.apply_update(distances) == (0, 3, 0, 0)
         assert cache.stats.current_bytes == budget
         # Shrinking to two entries must evict the *least recent* survivor
-        # (seed 1): rekeying preserved insertion/recency order.
+        # (seed 1): the update preserved insertion/recency order.
         cache.resize(budget - 1)
-        assert keys[1][0][:-1] + ("newfp",) not in cache
-        assert keys[2][0][:-1] + ("newfp",) in cache
-        assert keys[3][0][:-1] + ("newfp",) in cache
+        assert keys[1][0] not in cache
+        assert keys[2][0] in cache
+        assert keys[3][0] in cache
         cache.validate()
 
-    def test_foreign_fingerprints_untouched(self, small_ba_graph):
-        import numpy as np
-
+    def test_binding_to_a_foreign_graph_clears(self, small_ba_graph):
         other = barabasi_albert_graph(
             small_ba_graph.num_nodes, 2, rng=99, name="other"
         )
-        cache = ScoreTableCache()
-        host_key, host_state = make_state(small_ba_graph, seed=4)
-        other_key, other_state = make_state(other, seed=4)
-        cache.put(host_key, host_state)
-        cache.put(other_key, other_state)
-        distances = np.zeros(small_ba_graph.num_nodes, dtype=np.int64)
-        counts = cache.apply_update(small_ba_graph.fingerprint(), "newfp", distances)
-        # The host entry is in reach (distance 0) and drops; the other
-        # graph's entry carries a different fingerprint and is left alone.
-        assert counts == (1, 0, 0, 0)
-        assert cache.get(other_key) is other_state
+        cache, keys = self.setup_entries(small_ba_graph)
+        cache.bind(small_ba_graph)
+        # A rebind after an update keeps everything; binding to a foreign
+        # topology (a reload) drops everything, counters kept.
+        cache.rebind(other)
+        assert len(cache) == 3
+        cache.bind(small_ba_graph)
+        assert len(cache) == 0 and cache.stats.current_bytes == 0
+        assert all(cache.get(key) is None for key, _ in keys.values())
         cache.validate()

@@ -177,8 +177,6 @@ class TestRouterLiveUpdate:
         )
         counts = router.apply_update(
             new_graph,
-            small_ba_graph.fingerprint(),
-            new_graph.fingerprint(),
             distances,
             update_reach_bound(new_graph, [("delete", u, v)], radius),
         )
