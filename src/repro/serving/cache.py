@@ -165,7 +165,9 @@ class _LRUCache:
     key — goes through :meth:`_store_locked`, which keeps the charged bytes,
     the entries-per-depth counts (the update radius, read not searched) and
     the subclass's centre index in step; :meth:`validate` rebuilds the
-    latter two from the entries and raises on drift.
+    latter two from the entries and raises on drift.  Which graph the
+    entries belong to is decided here too: :meth:`claim`, :meth:`bind` and
+    :meth:`carry`.
     """
 
     #: Position of an entry's charged bytes in its tuple.
@@ -181,9 +183,7 @@ class _LRUCache:
         self._depths: Counter = Counter()
         self._hits = self._misses = self._evictions = 0
         self._rejected = self._expired = 0
-        # Keys carry no graph identity, so serving a second graph from the
-        # same cache would silently return the first graph's entries.
-        self._graph: Optional[CSRGraph] = None
+        self._graph: Optional[CSRGraph] = None  # see claim()
 
     @property
     def max_bytes(self) -> int:
@@ -276,16 +276,53 @@ class _LRUCache:
         return max(+self._depths, default=0)
 
     # ------------------------------------------------------------------
-    def rebind(self, graph: CSRGraph) -> None:
-        """Re-point the cache at an updated host graph, keeping its entries.
+    def _claim_locked(self, graph: CSRGraph) -> bool:
+        if self._graph is None:
+            self._graph = graph
+        return self._graph is graph
 
-        The live-update path: once the update's invalidation has dropped
-        every entry the topology change could affect, the survivors are
-        exactly what ``graph`` would produce, so the binding can move
-        without a cold restart.  (Use :meth:`clear` for an unrelated graph.)
+    def claim(self, graph: CSRGraph) -> bool:
+        """Whether the entries are ``graph``'s, binding an unbound cache to it:
+        what every reader and updater checks, as keys name no graph."""
+        if self._graph is None:
+            with self._lock:
+                self._claim_locked(graph)
+        return self._graph is graph
+
+    def bind(self, graph: CSRGraph) -> None:
+        """Serve ``graph`` from now on — the reload path.
+
+        Binding to a different topology clears the cache; a graph with the
+        same fingerprint (a rebuild of it) keeps every entry.
         """
         with self._lock:
+            old = self._graph
+            if old is not None and old.fingerprint() != graph.fingerprint():
+                self._clear_locked()
             self._graph = graph
+
+    def rebind(self, graph: CSRGraph) -> None:
+        """Re-point the cache at ``graph``, keeping its entries: correct once
+        every entry ``graph`` changes is gone, as :meth:`carry` ensures."""
+        with self._lock:
+            self._graph = graph
+
+    def _update_locked(self, reach: np.ndarray) -> object:
+        """Drop or strip what an update with reach bound ``reach`` changes."""
+        raise NotImplementedError
+
+    def carry(self, old_graph: CSRGraph, new_graph: CSRGraph, distances):
+        """Carry the cache across the edge update ``old_graph -> new_graph``:
+        if the entries are ``old_graph``'s (:meth:`claim`), drop what the reach
+        bound ``distances`` changes and rebind, atomically, returning the
+        subclass's counts; a cache bound to another graph is left alone
+        (``None``)."""
+        with self._lock:
+            if not self._claim_locked(old_graph):
+                return None
+            counts = self._update_locked(np.asarray(distances))
+            self._graph = new_graph
+            return counts
 
     def resize(self, max_bytes: int) -> int:
         """Change the byte budget in place, evicting LRU entries past it.
@@ -468,22 +505,15 @@ class SubgraphCache(_LRUCache):
 
     def _bind(self, graph: CSRGraph) -> None:
         """Bind to ``graph`` on first use; refuse any other graph after."""
-        with self._lock:
-            if self._graph is None:
-                self._graph = graph
-            elif graph is not self._graph:
-                raise ValueError(
-                    f"cache is bound to graph {self._graph.name!r}; create one "
-                    f"SubgraphCache per graph (got {graph.name!r})"
-                )
+        if not self.claim(graph):
+            raise ValueError(
+                f"cache is bound to graph {self._graph.name!r}; create one "
+                f"SubgraphCache per graph (got {graph.name!r})"
+            )
 
     def max_depth(self) -> int:
-        """Largest extraction depth among retained entries (0 when empty).
-
-        The engine's live-update path uses this to size its BFS reach
-        bound: distances only need resolving up to the deepest ego ball any
-        cached entry could cover.  Read from the per-depth counts.
-        """
+        """Largest extraction depth among retained entries (0 when empty): how
+        far an update's reach bound must resolve.  Read from the counts."""
         with self._lock:
             return self._radius_locked()
 
@@ -501,12 +531,14 @@ class SubgraphCache(_LRUCache):
         number of entries dropped; like explicit invalidation elsewhere,
         these are not counted as evictions (the budget did not force them).
         """
-        reach = np.asarray(distances)
         with self._lock:
-            dead = _reached(self._centres, reach, self._radius_locked())
-            for key in dead:
-                self._store_locked(key, None)
-            return len(dead)
+            return self._update_locked(np.asarray(distances))
+
+    def _update_locked(self, reach: np.ndarray) -> int:
+        dead = _reached(self._centres, reach, self._radius_locked())
+        for key in dead:
+            self._store_locked(key, None)
+        return len(dead)
 
     def clear(self) -> None:
         """Drop every entry and the graph binding (counters are kept)."""

@@ -429,13 +429,12 @@ class QueryEngine:
             self._latency.record(latency)
 
     def _result_cache_for(self, seed: int) -> Optional[ScoreTableCache]:
-        """The result cache for ``seed``: its shard's when sharded, else ours
-        — unless another engine has since bound ours to its own graph."""
+        """The result cache for ``seed``: its shard's, else ours if we own it."""
         if self._router is not None:
             return self._router.result_cache_for(seed)
         cache = self._result_cache
-        bound = cache is not None and cache.graph is self._solver.graph
-        return cache if bound else None
+        mine = cache is not None and cache.claim(self._solver.graph)
+        return cache if mine else None
 
     def try_cached(self, query: PPRQuery) -> Optional[PPRResult]:
         """Answer ``query`` from the result cache, or return ``None`` at once.
@@ -527,11 +526,12 @@ class QueryEngine:
         touched = delta.touched_nodes()
         # The bounds only need resolving out to the deepest cached artefact
         # (and the halo test, when sharded); beyond that every entry
-        # trivially survives.
+        # trivially survives.  A cache another engine has bound to its graph
+        # is neither counted nor touched.
         radius = 0
-        if self._cache is not None:
+        if self._cache is not None and self._cache.claim(old_graph):
             radius = max(radius, self._cache.max_depth())
-        if self._result_cache is not None:
+        if self._result_cache is not None and self._result_cache.claim(old_graph):
             radius = max(radius, self._result_cache.max_stage_length())
         if self._router is not None:
             radius = max(radius, self._router.update_radius())
@@ -542,14 +542,11 @@ class QueryEngine:
             **dict.fromkeys(UPDATE_COUNT_KEYS, 0),
         }
         if self._cache is not None:
-            invalidated["subgraph_entries_dropped"] += (
-                self._cache.invalidate_covering(reach)
-            )
-            self._cache.rebind(new_graph)
+            dropped = self._cache.carry(old_graph, new_graph, reach)
+            invalidated["subgraph_entries_dropped"] += dropped or 0
         if self._result_cache is not None:
-            counts = self._result_cache.apply_update(reach)
-            invalidated.update(zip(UPDATE_COUNT_KEYS, counts))
-            self._result_cache.rebind(new_graph)
+            counts = self._result_cache.carry(old_graph, new_graph, reach)
+            invalidated.update(zip(UPDATE_COUNT_KEYS, counts or ()))
         if self._router is not None:
             # A shard is a many-centred ball: it is patched on the node bound.
             distances = update_distance_bound(old_graph, new_graph, touched, radius)

@@ -61,7 +61,6 @@ from typing import Callable, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
 from repro.meloppr.config import MeLoPPRConfig
 from repro.meloppr.planner import MeLoPPRPlan, StageOneState, realised_stage_lengths
 from repro.ppr.base import PPRQuery, PPRResult
@@ -257,23 +256,6 @@ class ScoreTableCache(_LRUCache):
         """The configured time-to-live (``None`` = entries never expire)."""
         return self._ttl_seconds
 
-    def bind(self, graph: CSRGraph) -> None:
-        """Serve ``graph`` from now on.
-
-        Keys carry no graph identity, so binding to a different topology —
-        a reload — clears the cache; a graph with the same fingerprint (a
-        rebuild of it) keeps every entry.  An edge update moves the binding
-        with :meth:`rebind` instead, after :meth:`apply_update`.
-        """
-        with self._lock:
-            if (
-                self._graph is not None
-                and graph is not self._graph
-                and graph.fingerprint() != self._graph.fingerprint()
-            ):
-                self._clear_locked()
-            self._graph = graph
-
     def __contains__(self, key: Tuple[Hashable, ...]) -> bool:
         """Whether ``key`` holds an entry a :meth:`get` would actually serve.
 
@@ -406,14 +388,9 @@ class ScoreTableCache(_LRUCache):
             return True
 
     def max_stage_length(self) -> int:
-        """Largest stage length an update must resolve reach to (0 when empty).
-
-        A bare state is folded from the stage-one ego ball alone; an entry
-        that carries an answer also ran the later stages, and
-        :meth:`apply_update` tests every one of them — so the engine's
-        live-update path sizes its reach bound from this.  Read from the
-        per-depth counts, not a scan.
-        """
+        """Largest stage length an update must resolve reach to (0 when empty):
+        stage one's for a bare state, the longest stage for an answered entry
+        (:meth:`apply_update` tests each).  Read from the per-depth counts."""
         with self._lock:
             return self._radius_locked()
 
@@ -429,28 +406,29 @@ class ScoreTableCache(_LRUCache):
         attached answer when every task the answer ran
         (``answer.metadata["tasks"]``: stage one and each selected next-stage
         centre, at its stage's length) passes the same test: the answer is a
-        pure function of those extractions, so it *is* the new graph's,
-        metadata included.  Otherwise the answer is stripped and the state
-        alone survives.  Only the seeds and task centres within
-        :meth:`max_stage_length` of the update are visited, through the
-        centre index; the caller then moves the binding (:meth:`rebind`).
+        pure function of those extractions, so it *is* the new graph's.
+        Otherwise the answer is stripped and the state alone survives.  The
+        centre index visits only the seeds and task centres within
+        :meth:`max_stage_length`; :meth:`carry` also moves the binding.
 
         Returns ``(dropped, carried across, answers kept, answers
         stripped)``; drops are explicit invalidations, not evictions.
         """
-        reach = np.asarray(distances)
         with self._lock:
-            radius = self._radius_locked()
-            dropped = _reached(self._seeds, reach, radius)
-            for key in dropped:
-                self._store_locked(key, None)
-            # The dropped keys left the index with their rows.
-            stripped = _reached(self._centres, reach, radius)
-            for key in stripped:
-                state, _, stored_at = self._entries[key][:3]
-                bare = (state, _entry_nbytes(state), stored_at, None, None)
-                self._store_locked(key, bare)
-            return len(dropped), len(self._entries), self._answers, len(stripped)
+            return self._update_locked(np.asarray(distances))
+
+    def _update_locked(self, reach: np.ndarray) -> Tuple[int, int, int, int]:
+        radius = self._radius_locked()
+        dropped = _reached(self._seeds, reach, radius)
+        for key in dropped:
+            self._store_locked(key, None)
+        # The dropped keys left the index with their rows.
+        stripped = _reached(self._centres, reach, radius)
+        for key in stripped:
+            state, _, stored_at = self._entries[key][:3]
+            bare = (state, _entry_nbytes(state), stored_at, None, None)
+            self._store_locked(key, bare)
+        return len(dropped), len(self._entries), self._answers, len(stripped)
 
     def invalidate(self, key: Tuple[Hashable, ...]) -> bool:
         """Explicitly drop one entry; returns whether it was present.

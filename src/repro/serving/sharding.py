@@ -261,9 +261,6 @@ class ShardRouter:
             else None
             for _ in partition.shards
         )
-        for result_cache in self._result_caches:
-            if result_cache is not None:
-                result_cache.bind(partition.host)
         # Routing counters are guarded per shard so the hot path never
         # serialises unrelated shards on one router-global lock.
         self._counter_locks = tuple(
@@ -440,7 +437,7 @@ class ShardRouter:
 
         Explicit invalidation for operational use (e.g. after a config
         change that `stage_one_cache_key` does not cover); a *rebuilt* graph
-        gets a new router, whose caches are bound to it and start empty.
+        gets a new router, whose caches start empty.
         """
         for result_cache in self._result_caches:
             if result_cache is not None:
@@ -481,7 +478,7 @@ class ShardRouter:
         the second: an ego ball with ``reach[centre] > depth``, a stage-one
         table whose seed passes at its stage-one length and an answer whose
         every task passes are bit-for-bit what the new graph would produce,
-        so they stay, and every cache is rebound to ``new_graph``.
+        so they stay, and the fallback cache is rebound to ``new_graph``.
 
         Not internally synchronised against in-flight extractions: the
         caller (:meth:`repro.serving.engine.QueryEngine.apply_update`) holds
@@ -502,7 +499,6 @@ class ShardRouter:
         for result_cache in self._result_caches:
             if result_cache is not None:
                 counts = result_cache.apply_update(reach)
-                result_cache.rebind(new_graph)
                 for key, count in zip(UPDATE_COUNT_KEYS, counts):
                     outcome[key] += count
         self._partition = patched

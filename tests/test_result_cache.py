@@ -420,6 +420,33 @@ class TestInvalidationRegressions:
         reference = MeLoPPRSolver(first).solve(query)
         assert dict(result.scores.items()) == dict(reference.scores.items())
 
+    def test_update_leaves_a_cache_bound_to_another_graph_alone(self):
+        # The second engine bound the shared cache last.  An update on the
+        # first must neither count nor touch its entries nor move the binding:
+        # the first engine keeps bypassing it, the second keeps hitting it.
+        first = barabasi_albert_graph(150, 2, rng=4, name="host")
+        second = barabasi_albert_graph(150, 2, rng=5, name="host")
+        shared = ScoreTableCache()
+        query = PPRQuery(seed=9, k=20, length=6)
+        with QueryEngine(MeLoPPRSolver(first), result_cache=shared) as stale:
+            with QueryEngine(MeLoPPRSolver(second), result_cache=shared) as fresh:
+                fresh.solve_batch([query, query])
+                entries = len(shared)
+                edge = ("delete", 9, int(first.neighbors(9)[0]))
+                outcome = stale.apply_update([edge])
+                assert outcome["radius"] == 0
+                assert set(outcome["invalidated"].values()) == {0}
+                assert len(shared) == entries
+                assert shared.graph is fresh.solver.graph
+                assert stale.try_cached(query) is None
+                (result,) = stale.solve_batch([query])
+                (again,) = fresh.solve_batch([query])
+            updated = stale.solver.graph
+        assert result.metadata["serving"]["result_cache"] is None
+        assert again.metadata["serving"]["result_cache"] == "answer"
+        reference = MeLoPPRSolver(updated).solve(query)
+        assert dict(result.scores.items()) == dict(reference.scores.items())
+
     def test_repartitioned_router_never_serves_stale(self, small_ba_graph):
         query = PPRQuery(seed=11, k=20, length=6)
         reference = dict(MeLoPPRSolver(small_ba_graph).solve(query).scores.items())

@@ -211,6 +211,29 @@ class TestSurgicalInvalidation:
         assert stats.evictions == 0
         cache.validate()
 
+    def test_carry_leaves_a_cache_bound_to_another_graph_alone(self, small_ba_graph):
+        from repro.graph.delta import DeltaGraph, update_reach_bound
+        from repro.graph.generators import barabasi_albert_graph
+
+        def update(graph):
+            ops = [("delete", 3, int(graph.neighbors(3)[0]))]
+            delta = DeltaGraph(graph)
+            delta.apply(ops)
+            updated = delta.compact()
+            return updated, update_reach_bound(updated, ops, 2)
+
+        other = barabasi_albert_graph(small_ba_graph.num_nodes, 2, rng=99)
+        cache = SubgraphCache()
+        cache.get_or_extract(other, 3, 2)
+        updated, reach = update(small_ba_graph)
+        assert cache.carry(small_ba_graph, updated, reach) is None
+        assert (3, 2) in cache and cache.graph is other
+        # An update of its own graph drops the ball and moves the binding.
+        updated, reach = update(other)
+        assert cache.carry(other, updated, reach) == 1
+        assert (3, 2) not in cache and cache.graph is updated
+        cache.validate()
+
     def test_rebind_keeps_survivors_warm(self, small_ba_graph):
         from repro.graph.csr import CSRGraph
 
