@@ -29,7 +29,6 @@ from repro.graph.generators import (
     watts_strogatz_graph,
 )
 from repro.graph.delta import (
-    DEFAULT_REGION_SIZE,
     DeltaGraph,
     min_hop_distances,
     normalize_edge_ops,
@@ -74,7 +73,6 @@ __all__ = [
     "powerlaw_cluster_graph",
     "stochastic_block_model",
     "watts_strogatz_graph",
-    "DEFAULT_REGION_SIZE",
     "DeltaGraph",
     "min_hop_distances",
     "normalize_edge_ops",

@@ -10,26 +10,18 @@ bit-identical (same arrays, same fingerprint) to a from-scratch rebuild of
 the same edge set, which is what makes every differential churn test in the
 suite possible.
 
-Two further pieces support **surgical cache invalidation** in the serving
-layer (see :meth:`repro.serving.engine.QueryEngine.apply_update`):
-
-* **Incremental region fingerprints** — node ids are grouped into fixed-size
-  blocks and each block carries a lazily computed digest of its (merged)
-  adjacency rows.  An update touching node ``v`` invalidates only the digest
-  of ``v``'s block; the global :meth:`DeltaGraph.fingerprint` is derived from
-  the region digests, so change detection after an update pays for the
-  touched regions only.
-* **Reach bounds** — :func:`update_reach_bound` owns the exact survival rule
-  of anything derived from one ego ball: the depth-``d`` extraction centred
-  on ``c`` is byte-identical on both topologies exactly when ``reach[c] >
-  d``.  :func:`update_distance_bound` is the plain node bound (nearest
-  touched endpoint, minimised over the old *and* new topology) that a
-  many-centred ball — a shard's halo — is tested with.
+**Reach bounds** support surgical cache invalidation in the serving layer
+(see :meth:`repro.serving.engine.QueryEngine.apply_update`):
+:func:`update_reach_bound` owns the exact survival rule of anything derived
+from one ego ball: the depth-``d`` extraction centred on ``c`` is
+byte-identical on both topologies exactly when ``reach[c] > d``.
+:func:`update_distance_bound` is the plain node bound (nearest touched
+endpoint, minimised over the old *and* new topology) that a many-centred
+ball — a shard's halo — is tested with.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -39,7 +31,6 @@ from repro.graph.csr import CSRGraph, gather_rows
 from repro.utils.validation import check_node_id
 
 __all__ = [
-    "DEFAULT_REGION_SIZE",
     "EdgeOp",
     "DeltaGraph",
     "normalize_edge_ops",
@@ -47,9 +38,6 @@ __all__ = [
     "update_distance_bound",
     "update_reach_bound",
 ]
-
-#: Default node-id block size of the incremental region fingerprints.
-DEFAULT_REGION_SIZE = 1024
 
 #: One canonical edge operation: ``(kind, u, v)`` with ``kind`` in
 #: ``{"insert", "delete"}`` and ``u < v``.
@@ -126,8 +114,6 @@ class DeltaGraph:
     base:
         The frozen base topology.  Never mutated — the overlay records
         insertions and deletions beside it.
-    region_size:
-        Node-id block size of the incremental region fingerprints.
     name:
         Name carried onto :meth:`compact`'s output (defaults to the base
         graph's name, so shard and extraction labels stay stable across
@@ -146,13 +132,9 @@ class DeltaGraph:
     def __init__(
         self,
         base: CSRGraph,
-        region_size: int = DEFAULT_REGION_SIZE,
         name: Optional[str] = None,
     ) -> None:
-        if region_size <= 0:
-            raise ValueError(f"region_size must be > 0, got {region_size}")
         self._base = base
-        self._region_size = int(region_size)
         self._name = base.name if name is None else str(name)
         # node -> neighbour set; _inserts holds only non-base edges and
         # _deletes only base edges (both sides of every edge are recorded).
@@ -160,9 +142,6 @@ class DeltaGraph:
         self._deletes: Dict[int, Set[int]] = {}
         self._touched: Set[int] = set()
         self._num_edges = base.num_edges
-        num_regions = -(-base.num_nodes // self._region_size)
-        self._region_digests: List[Optional[str]] = [None] * num_regions
-        self._fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -188,16 +167,6 @@ class DeltaGraph:
         return self._num_edges
 
     @property
-    def region_size(self) -> int:
-        """Node-id block size of the region fingerprints."""
-        return self._region_size
-
-    @property
-    def num_regions(self) -> int:
-        """Number of node-id blocks."""
-        return len(self._region_digests)
-
-    @property
     def delta_edges(self) -> int:
         """Number of overlay edges (pending inserts + pending deletes)."""
         inserted = sum(len(row) for row in self._inserts.values()) // 2
@@ -216,11 +185,6 @@ class DeltaGraph:
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-    def _touch(self, node: int) -> None:
-        self._touched.add(node)
-        self._region_digests[node // self._region_size] = None
-        self._fingerprint = None
-
     def _log_add(self, log: Dict[int, Set[int]], u: int, v: int) -> None:
         log.setdefault(u, set()).add(v)
         log.setdefault(v, set()).add(u)
@@ -246,8 +210,7 @@ class DeltaGraph:
         else:
             self._log_add(self._inserts, u, v)
         self._num_edges += 1
-        self._touch(u)
-        self._touch(v)
+        self._touched.update((u, v))
 
     def delete_edge(self, u: int, v: int) -> None:
         """Delete the undirected edge ``(u, v)``; it must currently exist."""
@@ -261,8 +224,7 @@ class DeltaGraph:
         else:
             self._log_add(self._deletes, u, v)
         self._num_edges -= 1
-        self._touch(u)
-        self._touch(v)
+        self._touched.update((u, v))
 
     def apply(self, ops: Sequence[EdgeOp]) -> None:
         """Apply a batch of canonical edge ops (see :func:`normalize_edge_ops`)."""
@@ -316,54 +278,6 @@ class DeltaGraph:
             add = np.sort(np.fromiter(inserted, dtype=np.int64, count=len(inserted)))
             merged = np.insert(merged, np.searchsorted(merged, add), add)
         return merged
-
-    # ------------------------------------------------------------------
-    # Fingerprints
-    # ------------------------------------------------------------------
-    def region_fingerprint(self, block: int) -> str:
-        """Digest of one node-id block's adjacency rows (hex, 32 chars).
-
-        The digest covers the *merged* view (each row canonicalised to
-        sorted ``int64`` with a length prefix), so it depends only on the
-        current topology — never on how the overlay got there.  Digests are
-        memoised per block and invalidated only when an update touches a
-        node inside the block, which is what makes change detection after a
-        small update cheap on a large graph.
-        """
-        if not 0 <= block < self.num_regions:
-            raise ValueError(
-                f"block must be in [0, {self.num_regions}), got {block}"
-            )
-        digest = self._region_digests[block]
-        if digest is None:
-            hasher = hashlib.blake2b(digest_size=16)
-            start = block * self._region_size
-            end = min(self.num_nodes, start + self._region_size)
-            for node in range(start, end):
-                row = np.ascontiguousarray(self.neighbors(node), dtype=np.int64)
-                hasher.update(np.int64(row.size).tobytes())
-                hasher.update(row.tobytes())
-            digest = hasher.hexdigest()
-            self._region_digests[block] = digest
-        return digest
-
-    def fingerprint(self) -> str:
-        """Global digest derived from the region digests (hex, 32 chars).
-
-        Topology-determined like :meth:`CSRGraph.fingerprint` but computed
-        under a different (incremental) scheme, so the two are **not**
-        comparable across classes — the serving layer keys its caches on the
-        compacted CSR's fingerprint and uses this one for cheap overlay-side
-        change detection.
-        """
-        if self._fingerprint is None:
-            hasher = hashlib.blake2b(digest_size=16)
-            hasher.update(np.int64(self.num_nodes).tobytes())
-            hasher.update(np.int64(self._region_size).tobytes())
-            for block in range(self.num_regions):
-                hasher.update(bytes.fromhex(self.region_fingerprint(block)))
-            self._fingerprint = hasher.hexdigest()
-        return self._fingerprint
 
     # ------------------------------------------------------------------
     # Compaction

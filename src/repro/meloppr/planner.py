@@ -13,16 +13,17 @@ modelled FPGA) can all share one algorithmic code path:
   resulting scores into the global table, applies the Eq. 6 residual
   correction and selects the next stage's tasks.  It performs no graph
   traversal itself.
-* :func:`execute_stage_task` is the smallest **executor** unit: it runs the
-  BFS extraction and the diffusion for a single task.  The extraction step is
-  pluggable (``extract=``); the process workers run their tasks through it.
+* :func:`execute_stage_task` is the smallest **executor** unit: it runs a
+  fresh BFS extraction and the diffusion for a single task.  It is the spec:
+  :func:`execute_stage_per_ball` — the paper's CPU executor, one ball at a
+  time — is built on it alone, and ``MeLoPPRSolver.solve`` runs that.
 * :func:`execute_stage` is the **wave executor**: a stage's ego balls come
   out of one stage extraction and diffuse as one block-diagonal product, up
   to :data:`~repro.graph.bfs.BALLS_PER_PASS` at a time — the paper's P
-  processing elements, in software.  The serving engine drives its plans with
-  it, its :class:`~repro.serving.cache.SubgraphCache` wired in as the stage
-  extraction hook.  :func:`execute_stage_per_ball` is the paper's CPU
-  executor, one ball at a time, and what ``MeLoPPRSolver.solve`` runs.
+  processing elements, in software.  Every serving path runs it: the engine
+  in process, with its cache's or router's stage extraction hook, and the
+  process-pool workers, through :func:`execute_waves`, the same loop given a
+  graph and a timing breakdown instead of a plan.
 * :func:`execute_plan` is the one drive loop: it hands each stage's tasks to
   whichever of those the caller is driving with.
 
@@ -84,13 +85,12 @@ __all__ = [
     "StageTaskRecord",
     "StageOneState",
     "MeLoPPRPlan",
-    "ExtractFn",
     "StageExtractFn",
     "StageRunner",
-    "default_extract",
-    "each_ball",
+    "extract_stage_fresh",
     "realised_stage_lengths",
     "execute_stage_task",
+    "execute_waves",
     "execute_stage",
     "execute_stage_per_ball",
     "execute_plan",
@@ -213,26 +213,11 @@ class StageOneState:
     done: bool
 
 
-#: Extraction hook signature: ``(graph, center, depth) -> (subgraph, bfs, hit)``.
-ExtractFn = Callable[[CSRGraph, int, int], Tuple[Subgraph, BFSResult, bool]]
-
-
-#: Its stage form: ``(graph, centers, depth) -> [(subgraph, bfs, hit), ...]``, in centre order.
+#: Stage extraction hook: ``(graph, centers, depth) -> [(subgraph, bfs, hit), ...]``, in centre order.
 StageExtractFn = Callable[[CSRGraph, Sequence[int], int], List[Tuple[Subgraph, BFSResult, bool]]]
 
 
-def default_extract(graph: CSRGraph, center: int, depth: int) -> Tuple[Subgraph, BFSResult, bool]:
-    """The cache-less extraction hook: always extract fresh."""
-    subgraph, bfs = extract_ego_subgraph(graph, center, depth)
-    return subgraph, bfs, False
-
-
-def each_ball(extract: ExtractFn) -> StageExtractFn:
-    """The stage form of a per-ball hook: one call per centre, in centre order."""
-    return lambda graph, centers, depth: [extract(graph, c, depth) for c in centers]
-
-
-def _extract_stage_fresh(graph: CSRGraph, centers: Sequence[int], depth: int):
+def extract_stage_fresh(graph: CSRGraph, centers: Sequence[int], depth: int):
     """The cache-less stage hook: one fresh stage extraction."""
     return [(sub, bfs, False) for sub, bfs in extract_ego_subgraphs(graph, centers, depth)]
 
@@ -666,13 +651,11 @@ class MeLoPPRPlan:
 def execute_stage_task(
     graph: CSRGraph,
     task: StageTask,
-    extract: Optional[ExtractFn] = None,
     timing: Optional[TimingBreakdown] = None,
 ) -> StageTaskOutcome:
-    """Run one stage task: extract (or fetch) the sub-graph and diffuse.
+    """Run one stage task: extract its sub-graph fresh and diffuse.
 
-    The diffusion reuses the operator memoised on the extracted sub-graph, so
-    a cached extraction never rebuilds operator structure per task.
+    The spec every other executor is held to, bit for bit.
 
     Parameters
     ----------
@@ -680,53 +663,44 @@ def execute_stage_task(
         Host graph.
     task:
         The task description.
-    extract:
-        Extraction hook; defaults to a fresh BFS extraction.  The serving
-        engine passes its cache's hook here.
     timing:
         Breakdown receiving the ``bfs`` and ``diffusion`` wall-clock buckets
         (typically the owning plan's :attr:`MeLoPPRPlan.timing`).
     """
-    if extract is None:
-        extract = default_extract
     if timing is None:
         timing = TimingBreakdown()
     with timing.measure("bfs"):
-        subgraph, bfs, cache_hit = extract(graph, task.center, task.length)
+        subgraph, bfs = extract_ego_subgraph(graph, task.center, task.length)
     with timing.measure("diffusion"):
         initial = seed_vector(subgraph.num_nodes, subgraph.to_local(task.center))
         diffusion = graph_diffusion(subgraph.graph, initial, task.length, task.alpha)
-    return StageTaskOutcome(
-        task=task,
-        subgraph=subgraph,
-        bfs=bfs,
-        diffusion=diffusion,
-        cache_hit=cache_hit,
-    )
+    return StageTaskOutcome(task=task, subgraph=subgraph, bfs=bfs, diffusion=diffusion)
 
 
-def execute_stage(
-    plan: MeLoPPRPlan,
+def execute_waves(
+    graph: CSRGraph,
     tasks: Sequence[StageTask],
-    extract_stage: StageExtractFn = _extract_stage_fresh,
+    extract_stage: StageExtractFn,
+    timing: TimingBreakdown,
 ) -> Iterator[StageTaskOutcome]:
-    """Run one stage of ``plan`` in waves; its outcomes, lazily, in task order.
+    """Run one stage's ``tasks`` in waves; their outcomes, lazily, in task order.
 
     A wave is up to :data:`~repro.graph.bfs.BALLS_PER_PASS` consecutive
-    tasks: one stage extraction (``extract_stage`` — a cache's stage form, or
-    :func:`each_ball` around a per-ball hook) and one block-diagonal
-    diffusion (:func:`~repro.diffusion.diffusion.stage_diffusion`).  Every
-    outcome equals :func:`execute_stage_task`'s for its task, bit for bit.  A
-    wave's balls are resident together; the next wave starts only once the
-    consumer has folded this one.
+    tasks: one stage extraction (``extract_stage(graph, centers, length)`` —
+    a cache's or router's stage form, or :func:`extract_stage_fresh`) and one
+    block-diagonal diffusion (:func:`~repro.diffusion.diffusion.stage_diffusion`),
+    timed into ``timing``'s ``bfs`` and ``diffusion`` buckets.  Every outcome
+    equals :func:`execute_stage_task`'s for its task, bit for bit.  A wave's
+    balls are resident together; the next wave starts only once the consumer
+    has taken this one.
     """
     for begin in range(0, len(tasks), BALLS_PER_PASS):
         wave = tasks[begin : begin + BALLS_PER_PASS]
         centers = [task.center for task in wave]
         length, alpha = wave[0].length, wave[0].alpha  # one per stage
-        with plan.timing.measure("bfs"):
-            extracted = extract_stage(plan.graph, centers, length)
-        with plan.timing.measure("diffusion"):
+        with timing.measure("bfs"):
+            extracted = extract_stage(graph, centers, length)
+        with timing.measure("diffusion"):
             diffusions = stage_diffusion(
                 [subgraph.graph for subgraph, _, _ in extracted],
                 [triple[0].to_local(center) for triple, center in zip(extracted, centers)],
@@ -735,6 +709,16 @@ def execute_stage(
             )
         for task, (subgraph, bfs, cache_hit), diffusion in zip(wave, extracted, diffusions):
             yield StageTaskOutcome(task, subgraph, bfs, diffusion, cache_hit)
+
+
+def execute_stage(
+    plan: MeLoPPRPlan,
+    tasks: Sequence[StageTask],
+    extract_stage: StageExtractFn = extract_stage_fresh,
+) -> Iterator[StageTaskOutcome]:
+    """Run one stage of ``plan`` in waves (:func:`execute_waves` on the plan's
+    graph and timing); a wave's balls are folded before the next is extracted."""
+    return execute_waves(plan.graph, tasks, extract_stage, plan.timing)
 
 
 def execute_stage_per_ball(

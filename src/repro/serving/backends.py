@@ -16,13 +16,13 @@ ordering and concurrency.  Three backends ship today:
   pool is GIL-bound for the Python share of the extraction work (frontier
   bookkeeping, sub-graph relabelling, id maps); the process pool is the first
   backend whose throughput scales past one core.  Workers attach the CSR
-  buffers exported by :mod:`repro.serving.shm` once at spawn and then serve
-  pickled :class:`~repro.meloppr.planner.StageTask` requests; planning and
-  score folding stay in the parent, so scores are bit-identical to
+  buffers exported by :mod:`repro.serving.shm` once at spawn and then run
+  pickled :class:`~repro.meloppr.planner.StageTask` groups as waves; planning
+  and score folding stay in the parent, so scores are bit-identical to
   :class:`SerialBackend`.  Bound to a
   :class:`~repro.graph.partition.GraphPartition`, each worker is pinned to
-  its shards' sub-graphs (per-shard shared segments) and extractions beyond
-  the halo are proxied back to the parent.
+  its shards' sub-graphs (per-shard shared segments) and a stage deeper than
+  the halo runs in the parent.
 
 Benchmarks, the server CLIs and user code construct any of them from a
 compact spec string via :func:`make_backend` (``"serial"``, ``"thread:8"``,
@@ -38,6 +38,7 @@ import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from functools import partial
 from multiprocessing.connection import wait as _connection_wait
 from typing import (
     Callable,
@@ -51,7 +52,7 @@ from typing import (
 )
 
 from repro.serving.cache import DEFAULT_CACHE_BYTES, CacheStats, SubgraphCache
-from repro.serving.tracing import monotonic_wall, worker_task_spans
+from repro.serving.tracing import monotonic_wall, worker_wave_spans
 
 __all__ = [
     "ExecutionBackend",
@@ -248,106 +249,87 @@ class _WorkerState:
     def __init__(self, bindings, cache_bytes: Optional[int]) -> None:
         # Imported here (not at module top) so importing the backends module
         # stays light; workers pay the import once at spawn.
+        from repro.meloppr.planner import extract_stage_fresh
+        from repro.serving.sharding import globalize_shard_extraction
         from repro.serving.shm import (
             SharedGraphDescriptor,
             SharedGraphHandle,
             SharedShardHandle,
         )
 
-        self._cache_bytes = cache_bytes
-        self._host_graph = None
-        self._host_cache: Optional[SubgraphCache] = None
-        self._shards: Dict[int, Tuple[object, Optional[SubgraphCache]]] = {}
+        self._caches: List[SubgraphCache] = []
+        # shard id (None: the host graph) -> (wave graph, stage extractor).
+        self._waves: Dict[Optional[int], Tuple[object, Callable]] = {}
+        # Keeps the buffers mapped.  Set after _waves: attributes are released
+        # in order, and a mapping closed under a live view raises BufferError.
+        self._attachments: List[object] = []
         if isinstance(bindings, SharedGraphDescriptor):
-            self._attached = SharedGraphHandle.attach(bindings)
-            self._host_graph = self._attached.graph
-            if cache_bytes is not None:
-                self._host_cache = SubgraphCache(cache_bytes)
+            attached = SharedGraphHandle.attach(bindings)
+            self._attachments.append(attached)
+            cache = self._new_cache(cache_bytes)
+            extract_stage = extract_stage_fresh if cache is None else cache.get_or_extract_many
+            self._waves[None] = (attached.graph, extract_stage)
         else:
-            self._attachments = []
             for descriptor in bindings:
                 attached = SharedShardHandle.attach(descriptor)
                 self._attachments.append(attached)
-                cache = SubgraphCache(cache_bytes) if cache_bytes is not None else None
-                self._shards[attached.shard_id] = (attached, cache)
+                # A shard wave's "graph" is the shard sub-graph itself.
+                extract_stage = partial(
+                    globalize_shard_extraction,
+                    attached.host_name,
+                    cache=self._new_cache(cache_bytes),
+                )
+                self._waves[attached.shard_id] = (attached.subgraph, extract_stage)
+
+    def _new_cache(self, cache_bytes: Optional[int]) -> Optional[SubgraphCache]:
+        if cache_bytes is None:
+            return None
+        self._caches.append(SubgraphCache(cache_bytes))
+        return self._caches[-1]
 
     # ------------------------------------------------------------------
-    def run_task(self, task, shard_id: Optional[int]):
-        """Execute one stage task; returns ``(outcome, timing_seconds)``.
+    def run_stage(self, entries) -> Tuple[List, Dict[str, float]]:
+        """Run one message's same-stage ``(shard_id_or_None, task)`` entries.
 
-        The memoised per-sub-graph operators live on the cached extraction
-        objects, so a worker's shm-attached cache carries warm operator
-        structure across tasks.
+        The tasks run as waves (:func:`~repro.meloppr.planner.execute_waves`),
+        one group per shard held — or the host graph — with that graph's
+        cached stage form as the extractor.  Returns the outcomes in entry
+        order and the summed ``bfs`` / ``diffusion`` seconds.
         """
-        from repro.meloppr.planner import execute_stage_task
+        from repro.meloppr.planner import execute_waves
         from repro.utils.timing import TimingBreakdown
 
+        groups: Dict[Optional[int], List[int]] = {}
+        for position, (shard_id, _) in enumerate(entries):
+            groups.setdefault(shard_id, []).append(position)
         timing = TimingBreakdown()
-        if shard_id is None:
-            extract = (
-                self._host_cache.get_or_extract
-                if self._host_cache is not None
-                else None
-            )
-            outcome = execute_stage_task(
-                self._host_graph, task, extract=extract, timing=timing
-            )
-        else:
-            outcome = execute_stage_task(
-                # The shard-local extract hook ignores the graph argument
-                # (workers never hold the host graph); None documents that.
-                None,
-                task,
-                extract=self._shard_extract(shard_id),
-                timing=timing,
-            )
-        return outcome, dict(timing.seconds)
-
-    def _shard_extract(self, shard_id: int):
-        """The shard-local extraction hook (mirrors ``ShardRouter._extract_local``)."""
-        from repro.serving.sharding import globalize_shard_extraction
-
-        try:
-            attached, cache = self._shards[shard_id]
-        except KeyError:
-            raise WorkerCrashError(
-                f"worker does not hold shard {shard_id} "
-                f"(holds {sorted(self._shards)})"
-            ) from None
-
-        def extract(_graph, center: int, depth: int):
-            if cache is not None:
-                cached = cache.get(center, depth)
-                if cached is not None:
-                    return cached[0], cached[1], True
-            subgraph, bfs = globalize_shard_extraction(
-                attached.host_name, attached.subgraph, center, depth
-            )
-            if cache is not None:
-                cache.put(center, depth, subgraph, bfs)
-            return subgraph, bfs, False
-
-        return extract
+        outcomes: List = [None] * len(entries)
+        for shard_id, positions in groups.items():
+            if shard_id not in self._waves:
+                raise WorkerCrashError(
+                    f"worker does not hold shard {shard_id} "
+                    f"(holds {sorted(key for key in self._waves if key is not None)})"
+                )
+            graph, extract_stage = self._waves[shard_id]
+            tasks = [entries[position][1] for position in positions]
+            waves = execute_waves(graph, tasks, extract_stage, timing)
+            for position, outcome in zip(positions, waves):
+                outcomes[position] = outcome
+        return outcomes, dict(timing.seconds)
 
     def cache_stats(self) -> Optional[CacheStats]:
         """Summed cache counters of this worker (``None`` with caching off)."""
-        caches = [cache for _, cache in self._shards.values() if cache is not None]
-        if self._host_cache is not None:
-            caches.append(self._host_cache)
-        if not caches:
+        if not self._caches:
             return None
         totals = CacheStats()
-        for cache in caches:
+        for cache in self._caches:
             totals = totals + cache.stats
         return totals
 
     def reset_cache_stats(self) -> None:
         """Zero every worker cache's counters (entries stay warm)."""
-        for _, cache in self._shards.values():
-            if cache is not None:
-                cache.reset_stats()
-        if self._host_cache is not None:
-            self._host_cache.reset_stats()
+        for cache in self._caches:
+            cache.reset_stats()
 
 
 def _picklable_exception(exc: BaseException) -> BaseException:
@@ -376,16 +358,17 @@ def _process_worker_main(
     in a single message, so the per-message IPC cost (two pickles, two
     context switches) is paid once per worker per stage instead of once per
     task — that overhead is what would otherwise eat the multi-core win on
-    small sub-graphs:
+    small sub-graphs — and the worker runs them as waves, one group per
+    shard it holds (:meth:`_WorkerState.run_stage`):
 
     * request ``("tasks", request_id,
       [(shard_id_or_None, StageTask), ...], traced)``
       → response ``("ok", request_id, [StageTaskOutcome, ...], timing_seconds,
       span_dicts_or_None)`` or ``("err", request_id, exception)`` (the whole
       group fails).  ``traced`` piggybacks the query's sampling decision on
-      the existing message; a traced group records wall-anchored worker-side
-      spans (task + extract/diffusion children, see
-      :func:`repro.serving.tracing.worker_task_spans`) which the parent
+      the existing message; a traced group records one wall-anchored
+      ``worker.wave`` span with extract/diffusion children (see
+      :func:`repro.serving.tracing.worker_wave_spans`) which the parent
       re-parents into the query's trace — untraced groups ship ``None`` and
       skip every clock read.
     * request ``("stats", request_id)`` →
@@ -413,27 +396,20 @@ def _process_worker_main(
         if kind == "tasks":
             _, request_id, entries, traced = item
             try:
-                outcomes = []
-                timing: Dict[str, float] = {}
-                spans: Optional[List[dict]] = [] if traced else None
-                for shard_id, task in entries:
-                    started = monotonic_wall() if traced else 0.0
-                    outcome, task_timing = state.run_task(task, shard_id)
-                    if spans is not None:
-                        spans.extend(
-                            worker_task_spans(
-                                task.stage_index,
-                                task.center,
-                                shard_id,
-                                started,
-                                monotonic_wall(),
-                                task_timing,
-                                cache_hit=outcome.cache_hit,
-                            )
-                        )
-                    outcomes.append(_compact_outcome(outcome))
-                    for bucket, seconds in task_timing.items():
-                        timing[bucket] = timing.get(bucket, 0.0) + seconds
+                started = monotonic_wall() if traced else 0.0
+                outcomes, timing = state.run_stage(entries)
+                spans = None
+                if traced:
+                    spans = worker_wave_spans(
+                        entries[0][1].stage_index,
+                        sorted({shard for shard, _ in entries if shard is not None}),
+                        started,
+                        monotonic_wall(),
+                        timing,
+                        balls=len(outcomes),
+                        cache_hits=sum(outcome.cache_hit for outcome in outcomes),
+                    )
+                outcomes = [_compact_outcome(outcome) for outcome in outcomes]
                 responses.put(("ok", request_id, outcomes, timing, spans))
             except BaseException as exc:
                 responses.put(("err", request_id, _picklable_exception(exc)))
@@ -469,7 +445,8 @@ class ProcessPoolBackend(ExecutionBackend):
     Division of labour per query: the parent runs the planner (folding,
     residual selection — cheap, Python) on :meth:`map`'s thread pool, while
     every :class:`~repro.meloppr.planner.StageTask` (BFS extraction +
-    diffusion — the GIL-heavy share) is pickled to a worker and its
+    diffusion — the GIL-heavy share) is pickled to a worker, which runs its
+    share of the stage as waves, and its
     :class:`~repro.meloppr.planner.StageTaskOutcome` pickled back, in
     submission order.  Scores are bit-identical to :class:`SerialBackend`
     because the fold order and every task's arithmetic are unchanged; only
@@ -890,33 +867,37 @@ class ProcessPoolBackend(ExecutionBackend):
 
         Tasks are grouped per worker — one IPC message per worker per stage,
         not per task — which keeps the pickle/context-switch overhead
-        amortised across a whole fan-out stage.  With a partition binding,
-        tasks whose depth exceeds the halo cannot be answered shard-locally
-        and are executed in the calling thread via ``fallback`` (the engine
-        passes its router's extraction hook, which serves them from the host
-        graph through the fallback cache) — the remote groups keep running
-        in the workers meanwhile.  ``timing`` (a
-        :class:`~repro.utils.timing.TimingBreakdown`) receives the workers'
-        ``bfs``/``diffusion`` buckets so plan timing stays populated under
-        remote execution.  ``trace`` (an optional
+        amortised across a whole fan-out stage; each worker runs its share
+        as waves.  With a partition binding, a stage deeper than the halo
+        cannot be answered shard-locally: it runs as one wave in the calling
+        thread through ``fallback``, the engine's stage hook (its router's,
+        which serves it from the host graph through the fallback cache; a
+        fresh extraction when ``None``).
+        ``timing`` (a :class:`~repro.utils.timing.TimingBreakdown`) receives
+        the ``bfs``/``diffusion`` buckets so plan timing stays populated
+        under remote execution.  ``trace`` (an optional
         :class:`~repro.serving.tracing.TraceContext`) asks the workers to
-        record per-task spans, shipped back on the response message and
+        record one span per message, shipped back on the response and
         re-parented here under the caller's open stage span.
         """
+        from repro.meloppr.planner import execute_waves, extract_stage_fresh
+        from repro.utils.timing import TimingBreakdown
+
         tasks = list(tasks)
         if not tasks:
             return []
-        self._ensure_running()
+        if timing is None:
+            timing = TimingBreakdown()
         partition = self._bound_partition
+        if partition is not None and not partition.covers_depth(tasks[0].length):
+            extract_stage = fallback if fallback is not None else extract_stage_fresh
+            return list(execute_waves(partition.host, tasks, extract_stage, timing))
+        self._ensure_running()
         slots: List[object] = [None] * len(tasks)
         groups: Dict[int, Tuple[List[int], List[Tuple[Optional[int], object]]]] = {}
-        local: List[Tuple[int, object]] = []
         for position, task in enumerate(tasks):
             shard_id: Optional[int] = None
             if partition is not None:
-                if not partition.covers_depth(task.length):
-                    local.append((position, task))
-                    continue
                 shard_id = int(partition.assignments[task.center])
             positions, entries = groups.setdefault(
                 self._route(task, shard_id), ([], [])
@@ -928,18 +909,10 @@ class ProcessPoolBackend(ExecutionBackend):
             (positions, self._dispatch_group(queue_index, entries, traced))
             for queue_index, (positions, entries) in groups.items()
         ]
-        if local:
-            from repro.meloppr.planner import execute_stage_task
-
-            for position, task in local:
-                slots[position] = execute_stage_task(
-                    partition.host, task, extract=fallback, timing=timing
-                )
         for positions, future in remote:
             outcomes, group_timing, spans = future.result()
-            if timing is not None:
-                for bucket, seconds in group_timing.items():
-                    timing.add(bucket, seconds)
+            for bucket, seconds in group_timing.items():
+                timing.add(bucket, seconds)
             if trace is not None and spans:
                 trace.adopt(spans)
             for position, outcome in zip(positions, outcomes):

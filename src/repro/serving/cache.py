@@ -33,11 +33,11 @@ from __future__ import annotations
 import threading
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.bfs import BFSResult, extract_ego_subgraph, extract_ego_subgraphs
+from repro.graph.bfs import BFSResult, extract_ego_subgraphs
 from repro.graph.csr import CSRGraph
 from repro.graph.subgraph import Subgraph
 
@@ -409,11 +409,11 @@ class SubgraphCache(_LRUCache):
     graph); keying by ``(center, depth)`` alone keeps lookups cheap.  Its
     centre index is ``centre -> {(centre, depth): depth}``.
 
-    The stage form, :meth:`get_or_extract_many`, looks a whole stage up before
-    it inserts any of it.  Its hit / miss counts can differ from the per-ball
-    order only when the stage's own inserts would have evicted one of its
-    later lookups (a budget below one stage) or a centre repeats inside the
-    stage; the sub-graphs served, hence the answers, cannot.
+    :meth:`get_or_extract_many` looks a whole stage up before it inserts any
+    of it.  Its hit / miss counts can differ from a ball-by-ball order only
+    when the stage's own inserts would have evicted one of its later lookups
+    (a budget below one stage) or a centre repeats inside the stage; the
+    sub-graphs served, hence the answers, cannot.
     """
 
     _NBYTES = 2
@@ -455,15 +455,12 @@ class SubgraphCache(_LRUCache):
         with self._lock:
             return self._put_locked((int(center), int(depth)), entry)
 
-    def get_or_extract(
-        self, graph: CSRGraph, center: int, depth: int
-    ) -> Tuple[Subgraph, BFSResult, bool]:
-        """Serve ``extract_ego_subgraph(graph, center, depth)`` through the cache.
-
-        Returns ``(subgraph, bfs, hit)``; this is exactly the
-        :data:`repro.meloppr.planner.ExtractFn` signature the planner's
-        executors accept, so ``cache.get_or_extract`` can be passed as the
-        ``extract=`` hook directly.
+    def get_or_extract_many(
+        self, graph: CSRGraph, centers: Sequence[int], depth: int
+    ) -> List[Tuple[Subgraph, BFSResult, bool]]:
+        """Serve ``extract_ego_subgraphs(graph, centers, depth)`` through the
+        cache: one ``(subgraph, bfs, hit)`` per centre, in centre order — the
+        planner's :data:`~repro.meloppr.planner.StageExtractFn`.
 
         The cache binds to the first ``graph`` it serves; passing a different
         graph later raises ``ValueError`` (keys carry no graph identity, so
@@ -471,28 +468,26 @@ class SubgraphCache(_LRUCache):
         resets the binding.
         """
         self._bind(graph)
-        cached = self.get(center, depth)
-        if cached is not None:
-            return cached[0], cached[1], True
-        # Extract outside the lock so concurrent misses proceed in parallel.
-        subgraph, bfs = extract_ego_subgraph(graph, center, depth)
-        self.put(center, depth, subgraph, bfs)
-        return subgraph, bfs, False
+        return self.get_or_extract_with(
+            centers, depth, lambda missed: extract_ego_subgraphs(graph, missed, depth)
+        )
 
-    def get_or_extract_many(
-        self, graph: CSRGraph, centers: Sequence[int], depth: int
+    def get_or_extract_with(
+        self,
+        centers: Sequence[int],
+        depth: int,
+        extract: Callable[[List[int]], List[Tuple[Subgraph, BFSResult]]],
     ) -> List[Tuple[Subgraph, BFSResult, bool]]:
-        """The stage form of :meth:`get_or_extract`: one triple per centre.
+        """The unbound form of :meth:`get_or_extract_many`, for extractions
+        that do not run on the host graph (a shard's).
 
-        Every centre is looked up first, the misses are extracted together
-        (:func:`~repro.graph.bfs.extract_ego_subgraphs`, outside the lock) and
-        inserted one entry per ball — the planner's
-        :data:`~repro.meloppr.planner.StageExtractFn`.
+        Every centre is looked up first; the misses are extracted together by
+        ``extract(missed)`` (outside the lock) and inserted one entry per
+        ball.
         """
-        self._bind(graph)
         found = [self.get(center, depth) for center in centers]
         missed = [center for center, entry in zip(centers, found) if entry is None]
-        fresh = iter(extract_ego_subgraphs(graph, missed, depth))
+        fresh = iter(extract(missed))
         triples: List[Tuple[Subgraph, BFSResult, bool]] = []
         for center, entry in zip(centers, found):
             if entry is not None:

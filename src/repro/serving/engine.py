@@ -52,11 +52,11 @@ from repro.graph.delta import (
 )
 from repro.meloppr.planner import (
     MeLoPPRPlan,
+    StageExtractFn,
     StageRunner,
-    default_extract,
-    each_ball,
     execute_plan,
     execute_stage,
+    extract_stage_fresh,
 )
 from repro.ppr.base import PPRQuery, PPRResult, PPRSolver
 from repro.serving.backends import ExecutionBackend, SerialBackend
@@ -650,54 +650,44 @@ class QueryEngine:
         latency = time.perf_counter() - start
         return self._finish_result(result, latency, result_cache_outcome)
 
-    def _traced_extract(self, inner, ctx: TraceContext):
-        """Wrap an extraction hook so each call records an ``extract`` span."""
-        router = self._router
-
-        def traced(graph, center, depth):
-            with ctx.span("extract", center=int(center), depth=int(depth)) as span:
-                if router is not None:
-                    shard_id, fallback = router.route_info(center, depth)
-                    span.attributes["shard_id"] = shard_id
-                    span.attributes["halo_fallback"] = fallback
-                subgraph, bfs, cache_hit = inner(graph, center, depth)
-                span.attributes["cache_hit"] = bool(cache_hit)
-            return subgraph, bfs, cache_hit
-
-        return traced
-
     def _stage_runner(self, ctx: Optional[TraceContext]) -> StageRunner:
         """How this engine executes one stage of a plan.
 
-        In process, the wave executor over the cache's stage hook.  A per-ball
-        hook — the router's, or the traced wrapper with its one ``extract``
-        span per task — is still called once per task, in task order; only
-        the diffusion is shared then.  A stage-task backend runs each task's
-        extraction + diffusion in a worker process, the per-ball hook being
-        the parent-side fallback for tasks the workers cannot serve (sharded
-        extractions beyond the halo).
+        Every path runs the wave executor over one stage hook — the router's,
+        the cache's, or a fresh extraction.  In process, a traced query makes
+        the same call inside one ``extract`` span per wave.  A stage-task
+        backend runs the waves in its worker processes, the stage hook being
+        the parent-side fallback for a stage the workers cannot serve
+        (sharded, and deeper than the halo).
         """
         if self._router is not None:
-            extract = self._router.extract
-        elif self._cache is not None:
-            extract = self._cache.get_or_extract
-        else:
-            extract = None
-        if getattr(self._backend, "executes_stage_tasks", False):
-            return lambda plan, tasks: self._backend.run_stage_tasks(
-                tasks, fallback=extract, timing=plan.timing, trace=ctx
-            )
-        if ctx is not None:
-            extract_stage = each_ball(
-                self._traced_extract(extract or default_extract, ctx)
-            )
+            extract_stage: StageExtractFn = self._router.extract_many
         elif self._cache is not None:
             extract_stage = self._cache.get_or_extract_many
-        elif extract is not None:
-            extract_stage = each_ball(extract)
         else:
-            return execute_stage
+            extract_stage = extract_stage_fresh
+        if getattr(self._backend, "executes_stage_tasks", False):
+            return lambda plan, tasks: self._backend.run_stage_tasks(
+                tasks, fallback=extract_stage, timing=plan.timing, trace=ctx
+            )
+        if ctx is not None:
+            extract_stage = partial(self._extract_in_span, extract_stage, ctx)
         return partial(execute_stage, extract_stage=extract_stage)
+
+    def _extract_in_span(
+        self, extract_stage: StageExtractFn, ctx: TraceContext, graph, centers, depth
+    ):
+        """``extract_stage`` inside one ``extract`` span for the wave."""
+        with ctx.span("extract", depth=int(depth), balls=len(centers)) as span:
+            if self._router is not None:
+                partition = self._router.partition
+                span.attributes["shard_ids"] = sorted(
+                    set(partition.assignments[list(centers)].tolist())
+                )
+                span.attributes["halo_fallback"] = not partition.covers_depth(depth)
+            extracted = extract_stage(graph, centers, depth)
+            span.attributes["cache_hits"] = sum(hit for _, _, hit in extracted)
+        return extracted
 
     def _drive_plan(
         self,

@@ -3,17 +3,19 @@
 :class:`ShardRouter` is the serving-side counterpart of
 :class:`~repro.graph.partition.GraphPartition`: it owns one
 :class:`~repro.serving.cache.SubgraphCache` per shard and implements the
-planner's extraction hook (``(graph, center, depth) -> (subgraph, bfs, hit)``),
-so a :class:`~repro.serving.engine.QueryEngine` constructed with ``router=``
-answers every stage task from the shard that owns the task's centre node.
+planner's stage extraction hook (``(graph, centers, depth) -> [(subgraph, bfs,
+hit), ...]``), so a :class:`~repro.serving.engine.QueryEngine` constructed
+with ``router=`` answers every stage task from the shard that owns the task's
+centre node.
 
 Routing is a pure function of the task: the owning shard is
 ``partition.assignments[center]``, and the extraction runs on that shard's
 halo-extended sub-graph whenever ``depth <= halo_depth`` — in which case the
 result is **bit-identical** to a full-graph extraction (the halo guarantees
 the whole ego ball, and sorted global ids guarantee the same BFS visit order
-and relabelled CSR).  Deeper extractions fall back to the host graph (served
-through a dedicated fallback cache) and are counted in
+and relabelled CSR).  A stage's depth is one for all its tasks, so a deeper
+stage falls back to the host graph whole (served through a dedicated
+fallback cache), and its balls are counted in
 :attr:`RouterStats.fallback_extractions` so the cost of an undersized halo is
 visible in every report.
 """
@@ -22,14 +24,15 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.bfs import BFSResult, extract_ego_subgraph
+from repro.graph.bfs import BFSResult, extract_ego_subgraphs
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import GraphPartition, patch_partition
 from repro.graph.subgraph import Subgraph
+from repro.meloppr.planner import extract_stage_fresh
 from repro.serving.cache import DEFAULT_CACHE_BYTES, CacheStats, SubgraphCache
 from repro.serving.result_cache import UPDATE_COUNT_KEYS, ScoreTableCache
 from repro.utils.validation import check_node_id
@@ -234,8 +237,8 @@ class ShardRouter:
     -----
     The router is thread-safe: the partition is immutable, the caches are
     internally locked, and the routing counters are guarded by a router lock,
-    so one router can serve a concurrent backend.  ``router.extract`` has
-    exactly the planner's :data:`~repro.meloppr.planner.ExtractFn` signature;
+    so one router can serve a concurrent backend.  :meth:`extract_many` is
+    the planner's :data:`~repro.meloppr.planner.StageExtractFn`;
     ``QueryEngine(..., router=router)`` wires it in, and consults
     :meth:`result_cache_for` per query for stage-one reuse.
     """
@@ -304,65 +307,52 @@ class ShardRouter:
         return self._result_caches[int(self._partition.assignments[seed])]
 
     # ------------------------------------------------------------------
-    def route_info(self, center: int, depth: int) -> Tuple[int, bool]:
-        """Routing decision for one extraction: ``(shard_id, halo_fallback)``.
+    def extract_many(
+        self, graph: CSRGraph, centers: Sequence[int], depth: int
+    ) -> List[Tuple[Subgraph, BFSResult, bool]]:
+        """The engine's stage extraction hook, routed to the owning shards.
 
-        A pure lookup with no counter side effects — the tracing layer calls
-        this to annotate extraction spans with the owning shard and whether
-        the depth exceeds the halo (forcing the host-graph fallback path),
-        without double-counting the router's serving stats.
-        """
-        center = check_node_id(center, self._partition.host.num_nodes, "center")
-        return (
-            int(self._partition.assignments[center]),
-            not self._partition.covers_depth(depth),
-        )
-
-    def extract(
-        self, graph: CSRGraph, center: int, depth: int
-    ) -> Tuple[Subgraph, BFSResult, bool]:
-        """The engine's extraction hook, routed to the owning shard.
+        Centres are grouped by owning shard, and each group is served by
+        :func:`globalize_shard_extraction` through that shard's cache.  A
+        depth beyond the halo sends the whole stage to the host graph,
+        through the fallback cache.  One ``(subgraph, bfs, hit)`` per centre,
+        in centre order; the local / fallback counters count balls.
 
         ``graph`` must be the partitioned host graph — the router refuses to
         serve any other graph, because the shard sub-graphs would silently
         describe the wrong topology.
         """
-        if graph is not self._partition.host:
+        partition = self._partition
+        if graph is not partition.host:
             raise ValueError(
-                f"router is bound to graph {self._partition.host.name!r}; "
+                f"router is bound to graph {partition.host.name!r}; "
                 f"got {graph.name!r}"
             )
-        center = check_node_id(center, graph.num_nodes, "center")
-        shard_id = int(self._partition.assignments[center])
-        if self._partition.covers_depth(depth):
+        centers = [check_node_id(center, graph.num_nodes, "center") for center in centers]
+        groups: Dict[int, List[int]] = {}
+        for position, shard_id in enumerate(partition.assignments[centers].tolist()):
+            groups.setdefault(shard_id, []).append(position)
+        local = partition.covers_depth(depth)
+        counts = self._local_counts if local else self._fallback_counts
+        for shard_id, positions in groups.items():
             with self._counter_locks[shard_id]:
-                self._local_counts[shard_id] += 1
-            return self._extract_local(shard_id, center, depth)
-        with self._counter_locks[shard_id]:
-            self._fallback_counts[shard_id] += 1
-        if self._fallback_cache is not None:
-            return self._fallback_cache.get_or_extract(graph, center, depth)
-        subgraph, bfs = extract_ego_subgraph(graph, center, depth)
-        return subgraph, bfs, False
-
-    __call__ = extract
-
-    def _extract_local(
-        self, shard_id: int, center: int, depth: int
-    ) -> Tuple[Subgraph, BFSResult, bool]:
-        """Extract on the shard sub-graph and translate back to global ids."""
-        cache = self._caches[shard_id]
-        if cache is not None:
-            cached = cache.get(center, depth)
-            if cached is not None:
-                return cached[0], cached[1], True
-        shard = self._partition.shards[shard_id]
-        subgraph, bfs = globalize_shard_extraction(
-            self._partition.host.name, shard.subgraph, center, depth
-        )
-        if cache is not None:
-            cache.put(center, depth, subgraph, bfs)
-        return subgraph, bfs, False
+                counts[shard_id] += len(positions)
+        if not local:
+            if self._fallback_cache is not None:
+                return self._fallback_cache.get_or_extract_many(graph, centers, depth)
+            return extract_stage_fresh(graph, centers, depth)
+        triples: List[Tuple[Subgraph, BFSResult, bool]] = [None] * len(centers)
+        for shard_id, positions in groups.items():
+            served = globalize_shard_extraction(
+                graph.name,
+                partition.shards[shard_id].subgraph,
+                [centers[position] for position in positions],
+                depth,
+                self._caches[shard_id],
+            )
+            for position, triple in zip(positions, served):
+                triples[position] = triple
+        return triples
 
     # ------------------------------------------------------------------
     def stats(self) -> RouterStats:
@@ -525,15 +515,22 @@ class ShardRouter:
 
 
 def globalize_shard_extraction(
-    host_name: str, shard_subgraph: Subgraph, center: int, depth: int
-) -> Tuple[Subgraph, BFSResult]:
-    """Run the extraction on a shard sub-graph, translated to global ids.
+    host_name: str,
+    shard_subgraph: Subgraph,
+    centers: Sequence[int],
+    depth: int,
+    cache: Optional[SubgraphCache] = None,
+) -> List[Tuple[Subgraph, BFSResult, bool]]:
+    """A stage's extractions on one shard sub-graph, translated to global ids.
 
-    The returned objects are indistinguishable from
-    ``extract_ego_subgraph(host, center, depth)``: same relabelled CSR arrays,
-    same global-id mapping, same BFS visit order and ``edges_scanned`` —
-    guaranteed by the halo covering the full ego ball and by the shard's
-    global ids being sorted ascending (see :mod:`repro.graph.partition`).
+    One ``(subgraph, bfs, hit)`` per centre, in centre order.  The centres are
+    looked up in ``cache`` first (when given); the misses come out of one
+    :func:`~repro.graph.bfs.extract_ego_subgraphs` pass on the shard CSR and
+    are globalised per ball.  Each ball is indistinguishable from the host
+    graph's own extraction of it: same relabelled CSR arrays, same global-id
+    mapping, same BFS visit order and ``edges_scanned`` — guaranteed by the
+    halo covering the full ego ball and by the shard's global ids being
+    sorted ascending (see :mod:`repro.graph.partition`).
 
     Takes the shard's :class:`~repro.graph.subgraph.Subgraph` (not the whole
     :class:`~repro.graph.partition.GraphShard`) so process-pool workers, which
@@ -541,22 +538,29 @@ def globalize_shard_extraction(
     as the in-process :class:`ShardRouter`.
     """
     shard_ids = shard_subgraph.global_ids
-    local_center = shard_subgraph.to_local(center)
-    local_subgraph, local_bfs = extract_ego_subgraph(
-        shard_subgraph.graph, local_center, depth
-    )
-    ego_graph = local_subgraph.graph
-    renamed = CSRGraph(
-        ego_graph.indptr,
-        ego_graph.indices,
-        name=f"{host_name}:G{depth}({int(center)})",
-    )
-    subgraph = Subgraph(renamed, shard_ids[local_subgraph.global_ids])
-    bfs = BFSResult(
-        source=int(center),
-        depth=depth,
-        nodes=shard_ids[local_bfs.nodes],
-        levels=local_bfs.levels,
-        edges_scanned=local_bfs.edges_scanned,
-    )
-    return subgraph, bfs
+
+    def extract(missed: List[int]) -> List[Tuple[Subgraph, BFSResult]]:
+        local_centers = [shard_subgraph.to_local(center) for center in missed]
+        pairs = []
+        for center, (local_subgraph, local_bfs) in zip(
+            missed, extract_ego_subgraphs(shard_subgraph.graph, local_centers, depth)
+        ):
+            ego_graph = local_subgraph.graph
+            renamed = CSRGraph(
+                ego_graph.indptr,
+                ego_graph.indices,
+                name=f"{host_name}:G{depth}({int(center)})",
+            )
+            bfs = BFSResult(
+                source=int(center),
+                depth=depth,
+                nodes=shard_ids[local_bfs.nodes],
+                levels=local_bfs.levels,
+                edges_scanned=local_bfs.edges_scanned,
+            )
+            pairs.append((Subgraph(renamed, shard_ids[local_subgraph.global_ids]), bfs))
+        return pairs
+
+    if cache is not None:
+        return cache.get_or_extract_with(centers, depth, extract)
+    return [(subgraph, bfs, False) for subgraph, bfs in extract(list(centers))]

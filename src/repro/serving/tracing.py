@@ -59,7 +59,7 @@ __all__ = [
     "monotonic_wall",
     "parse_traceparent",
     "validate_trace_events",
-    "worker_task_spans",
+    "worker_wave_spans",
 ]
 
 # Captured once per process: the wall-clock reading at one perf_counter
@@ -604,77 +604,66 @@ class Tracer:
 # -- worker-side span synthesis -------------------------------------------
 
 
-def worker_task_spans(
+def worker_wave_spans(
     stage_index: int,
-    center: int,
-    shard_id: Optional[int],
+    shard_ids: Sequence[int],
     started: float,
     ended: float,
     timing_seconds: Mapping[str, float],
-    cache_hit: Optional[bool] = None,
+    balls: int,
+    cache_hits: int,
 ) -> List[Dict[str, Any]]:
-    """Span dicts for one stage task executed inside a pool worker.
+    """Span dicts for one message's waves executed inside a pool worker.
 
     The worker has no :class:`TraceContext`; it synthesises plain dicts
     (cheap to pickle onto the existing response message) which the parent
     grafts into the query's trace with :meth:`TraceContext.adopt`.  The
-    task's measured ``bfs``/``diffusion`` timing buckets become child spans
-    anchored at the task's start/end: extraction happens first, diffusion
-    last, so ``[started, started+bfs]`` and ``[ended-diffusion, ended]``
-    place them faithfully on the timeline.
+    message's measured ``bfs``/``diffusion`` timing buckets become
+    ``worker.extract`` / ``worker.diffusion`` children anchored at the
+    ``worker.wave`` span's start and end: ``[started, started+bfs]`` and
+    ``[ended-diffusion, ended]``.
     """
     pid = os.getpid()
     tid = threading.get_ident()
-    task_id = make_span_id()
-    attrs: Dict[str, Any] = {
-        "stage": int(stage_index),
-        "center": int(center),
-        "worker_pid": pid,
-    }
-    if shard_id is not None:
-        attrs["shard_id"] = int(shard_id)
-    if cache_hit is not None:
-        attrs["cache_hit"] = bool(cache_hit)
+    wave_id = make_span_id()
     spans: List[Dict[str, Any]] = [
         {
-            "span_id": task_id,
+            "span_id": wave_id,
             "parent_id": None,
-            "name": "worker.task",
+            "name": "worker.wave",
             "start": started,
             "end": ended,
             "pid": pid,
             "tid": tid,
-            "attributes": attrs,
+            "attributes": {
+                "stage": int(stage_index),
+                "balls": int(balls),
+                "cache_hits": int(cache_hits),
+                "worker_pid": pid,
+                "shard_ids": [int(shard_id) for shard_id in shard_ids],
+            },
         }
     ]
     bfs = float(timing_seconds.get("bfs", 0.0))
     diffusion = float(timing_seconds.get("diffusion", 0.0))
-    if bfs > 0.0:
-        spans.append(
-            {
-                "span_id": make_span_id(),
-                "parent_id": task_id,
-                "name": "worker.extract",
-                "start": started,
-                "end": min(ended, started + bfs),
-                "pid": pid,
-                "tid": tid,
-                "attributes": {} if cache_hit is None else {"cache_hit": bool(cache_hit)},
-            }
-        )
-    if diffusion > 0.0:
-        spans.append(
-            {
-                "span_id": make_span_id(),
-                "parent_id": task_id,
-                "name": "worker.diffusion",
-                "start": max(started, ended - diffusion),
-                "end": ended,
-                "pid": pid,
-                "tid": tid,
-                "attributes": {},
-            }
-        )
+    children = (
+        ("worker.extract", bfs, started, min(ended, started + bfs)),
+        ("worker.diffusion", diffusion, max(started, ended - diffusion), ended),
+    )
+    for name, seconds, start, end in children:
+        if seconds > 0.0:
+            spans.append(
+                {
+                    "span_id": make_span_id(),
+                    "parent_id": wave_id,
+                    "name": name,
+                    "start": start,
+                    "end": end,
+                    "pid": pid,
+                    "tid": tid,
+                    "attributes": {},
+                }
+            )
     return spans
 
 

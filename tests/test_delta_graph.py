@@ -4,8 +4,6 @@ Covers the streaming-update substrate end to end:
 
 * overlay semantics (insert/delete/cancel, merged neighbour reads, exact
   edge counts) and validation of wire-form edge-op batches;
-* incremental region fingerprints (memoised per block, invalidated only for
-  touched blocks, path-independent);
 * ``compact()`` bit-identity against from-scratch rebuilds — including a
   hypothesis-driven random update-stream suite;
 * the conservative hop-distance bound that justifies surgical cache
@@ -175,44 +173,6 @@ class TestDeltaGraphOverlay:
 
 
 # ----------------------------------------------------------------------
-# Region fingerprints
-# ----------------------------------------------------------------------
-class TestRegionFingerprints:
-    def test_touch_invalidates_only_the_touched_block(self, base):
-        delta = DeltaGraph(base, region_size=16)
-        before = [
-            delta.region_fingerprint(block) for block in range(delta.num_regions)
-        ]
-        assert delta.num_regions == -(-base.num_nodes // 16)
-        # An edge inside block 0 must leave every other block's digest alone.
-        row0 = base.neighbors(0)
-        candidates = [v for v in range(1, 16) if v not in set(row0.tolist())]
-        delta.insert_edge(0, candidates[0])
-        after = [
-            delta.region_fingerprint(block) for block in range(delta.num_regions)
-        ]
-        assert after[0] != before[0]
-        assert after[1:] == before[1:]
-
-    def test_fingerprint_is_path_independent(self, base):
-        u, v = min(edge_set(base))
-        first = DeltaGraph(base)
-        first.delete_edge(u, v)
-        second = DeltaGraph(base)
-        second.delete_edge(u, v)
-        assert first.fingerprint() == second.fingerprint()
-        # ...and changes when the topology actually changes.
-        assert first.fingerprint() != DeltaGraph(base).fingerprint()
-
-    def test_region_bounds_checked(self, base):
-        delta = DeltaGraph(base)
-        with pytest.raises(ValueError):
-            delta.region_fingerprint(delta.num_regions)
-        with pytest.raises(ValueError):
-            DeltaGraph(base, region_size=0)
-
-
-# ----------------------------------------------------------------------
 # Compaction
 # ----------------------------------------------------------------------
 class TestCompact:
@@ -303,9 +263,6 @@ class TestRandomUpdateStreams:
         compacted = delta.compact()
         assert np.array_equal(compacted.indptr, rebuilt.indptr)
         assert np.array_equal(compacted.indices, rebuilt.indices)
-        # Region-digest scheme is path-independent: a fresh overlay on the
-        # rebuilt graph fingerprints the same as the incrementally updated one.
-        assert delta.fingerprint() == DeltaGraph(rebuilt).fingerprint()
 
     @settings(
         max_examples=10,

@@ -4,17 +4,18 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 
 import pytest
 
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import barabasi_albert_graph
+from repro.graph.partition import partition_graph
 from repro.meloppr.config import MeLoPPRConfig
 from repro.meloppr.planner import (
     MeLoPPRPlan,
     StageTask,
     _resplit,
-    each_ball,
     execute_plan,
     execute_stage,
     execute_stage_per_ball,
@@ -25,9 +26,12 @@ from repro.meloppr.solver import MeLoPPRSolver
 from repro.ppr.base import PPRQuery
 from repro.ppr.local_ppr import LocalPPRSolver
 from repro.ppr.metrics import result_precision
-from repro.serving.backends import make_backend
-from repro.serving.cache import SubgraphCache
+from repro.serving.backends import _WorkerState, make_backend
+from repro.serving.cache import DEFAULT_CACHE_BYTES, SubgraphCache
 from repro.serving.engine import QueryEngine
+from repro.serving.sharding import ShardRouter
+from repro.serving.shm import SharedGraphHandle, SharedShardHandle
+from repro.serving.tracing import Tracer
 
 
 @pytest.fixture()
@@ -182,23 +186,86 @@ class TestWaveExecutorAgainstTheSolver:
                 with pytest.raises(AssertionError, match="stage function called"):
                     engine.solve_batch([query])
 
-    def test_a_per_ball_hook_is_called_once_per_task_in_task_order(self, small_ba_graph):
-        config = MeLoPPRConfig(selector=RatioSelector(0.5), track_memory=False)
-        query = PPRQuery(seed=7, k=20)
-        expected = MeLoPPRSolver(small_ba_graph, config).solve(query)
-        calls = []
+    def test_production_never_runs_the_per_ball_functions(self, small_ba_graph, monkeypatch):
+        """Every serving path extracts and diffuses a stage in waves: with the
+        per-ball extraction and diffusion raising, each in-process engine
+        cell and a worker in either binding still returns the solver's
+        answers."""
+        base = MeLoPPRConfig(selector=RatioSelector(0.2), track_memory=False)
+        # "deeper": stage one (4 hops) is past the halo, stage two is not.
+        configs = {
+            "none": base,
+            "halo": base,
+            "deeper": MeLoPPRConfig(stage_lengths=(4, 2), selector=RatioSelector(0.2), track_memory=False),
+        }
+        queries = [PPRQuery(seed=seed, k=10) for seed in (0, 7, 42)]
+        expected = {
+            routing: [_comparable(MeLoPPRSolver(small_ba_graph, config).solve(q)) for q in queries]
+            for routing, config in configs.items()
+        }
+        partition = partition_graph(small_ba_graph, 2, strategy="hash", halo_depth=3)
 
-        def hook(graph, center, depth):
-            calls.append((center, depth))
-            subgraph, bfs = SubgraphCache().get_or_extract(graph, center, depth)[:2]
-            return subgraph, bfs, False
+        def boom(*args, **kwargs):
+            raise AssertionError("per-ball function called")
 
-        plan = MeLoPPRPlan(small_ba_graph, config, query)
-        result = execute_plan(
-            plan, run_stage=functools.partial(execute_stage, extract_stage=each_ball(hook))
-        )
-        assert calls == [(r.center_node, 3) for r in expected.metadata["tasks"]]
-        assert _comparable(result) == _comparable(expected)
+        monkeypatch.setattr("repro.graph.bfs.extract_ego_subgraph", boom)
+        monkeypatch.setattr("repro.meloppr.planner.extract_ego_subgraph", boom)
+        monkeypatch.setattr("repro.meloppr.planner.graph_diffusion", boom)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro.serving") and hasattr(module, "extract_ego_subgraph"):
+                monkeypatch.setattr(module, "extract_ego_subgraph", boom)
+
+        tracer = Tracer(sample_rate=1.0)
+        cells = itertools.product((False, True), configs, (False, True), ("serial", "thread:2"))
+        for cached, routing, traced, backend in cells:
+            kwargs = {}
+            if routing != "none":
+                cache_bytes = DEFAULT_CACHE_BYTES if cached else None
+                kwargs["router"] = ShardRouter(partition, cache_bytes=cache_bytes)
+            elif cached:
+                kwargs["cache"] = SubgraphCache()
+            engine = QueryEngine(
+                MeLoPPRSolver(small_ba_graph, configs[routing]),
+                backend=make_backend(backend),
+                **kwargs,
+            )
+            contexts = [tracer.start_trace() for _ in queries] if traced else None
+            with engine:
+                results = engine.solve_batch(queries, contexts)
+            assert [_comparable(r) for r in results] == expected[routing]
+            for ctx in contexts or ():
+                assert "extract" in {span.name for span in ctx.spans}
+            if routing == "deeper":
+                router_stats = engine.router.stats()
+                assert router_stats.fallback_extractions and router_stats.local_extractions
+
+        shard_handles = [
+            SharedShardHandle.export(shard, partition.host.name, partition.halo_depth)
+            for shard in partition.shards
+        ]
+        try:
+            with SharedGraphHandle.export(small_ba_graph) as host_handle:
+                bindings = (
+                    (host_handle.descriptor, lambda task: None),
+                    (
+                        tuple(handle.descriptor for handle in shard_handles),
+                        lambda task: int(partition.assignments[task.center]),
+                    ),
+                )
+                for descriptors, shard_of in bindings:
+                    state = _WorkerState(descriptors, cache_bytes=1 << 20)
+
+                    def run_stage(plan, tasks):
+                        return state.run_stage([(shard_of(task), task) for task in tasks])[0]
+
+                    results = [
+                        execute_plan(MeLoPPRPlan(small_ba_graph, base, q), run_stage=run_stage)
+                        for q in queries
+                    ]
+                    assert [_comparable(r) for r in results] == expected["halo"]
+        finally:
+            for handle in shard_handles:
+                handle.unlink()
 
     def test_both_stage_runners_yield_lazily_in_task_order(self, small_ba_graph, config):
         plan = MeLoPPRSolver(small_ba_graph, config).plan(PPRQuery(seed=7, k=20))

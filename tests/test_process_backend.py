@@ -268,9 +268,9 @@ class TestWorkerStateInProcess:
         with SharedGraphHandle.export(graph) as handle:
             state = _WorkerState(handle.descriptor, cache_bytes=1 << 20)
             task = StageTask(0, 5, 3, 1.0, 0.85)
-            outcome, timing = state.run_task(task, None)
+            (outcome,), timing = state.run_stage([(None, task)])
             assert outcome.cache_hit is False
-            again, _ = state.run_task(task, None)
+            (again,), _ = state.run_stage([(None, task)])
             assert again.cache_hit is True
             assert np.array_equal(
                 outcome.diffusion.accumulated, again.diffusion.accumulated
@@ -282,7 +282,7 @@ class TestWorkerStateInProcess:
     def test_host_mode_cache_off(self, graph):
         with SharedGraphHandle.export(graph) as handle:
             state = _WorkerState(handle.descriptor, cache_bytes=None)
-            outcome, _ = state.run_task(StageTask(0, 5, 2, 1.0, 0.85), None)
+            (outcome,), _ = state.run_stage([(None, StageTask(0, 5, 2, 1.0, 0.85))])
             assert outcome.cache_hit is False
             assert state.cache_stats() is None
 
@@ -290,12 +290,12 @@ class TestWorkerStateInProcess:
         with SharedGraphHandle.export(graph) as handle:
             state = _WorkerState(handle.descriptor, cache_bytes=1 << 20)
             task = StageTask(0, 5, 3, 1.0, 0.85)
-            state.run_task(task, None)
+            state.run_stage([(None, task)])
             state.reset_cache_stats()
             counters = state.cache_stats()
             assert counters.hits == counters.misses == 0
             # The entry stayed warm: the next lookup is a hit.
-            outcome, _ = state.run_task(task, None)
+            (outcome,), _ = state.run_stage([(None, task)])
             assert outcome.cache_hit is True
 
     def test_backend_reset_cache_stats_degrades_when_not_running(self):
@@ -318,8 +318,8 @@ class TestWorkerStateInProcess:
             for center in (0, 17, 55):
                 shard_id = int(partition.assignments[center])
                 task = StageTask(0, center, 3, 1.0, 0.85)
-                outcome, _ = state.run_task(task, shard_id)
-                expected_sub, expected_bfs, _ = router.extract(graph, center, 3)
+                (outcome,), _ = state.run_stage([(shard_id, task)])
+                expected_sub, expected_bfs, _ = router.extract_many(graph, [center], 3)[0]
                 assert np.array_equal(
                     outcome.subgraph.global_ids, expected_sub.global_ids
                 )
@@ -328,10 +328,49 @@ class TestWorkerStateInProcess:
                 )
                 assert outcome.bfs.edges_scanned == expected_bfs.edges_scanned
                 # Cache hit on repeat.
-                repeat, _ = state.run_task(task, shard_id)
+                (repeat,), _ = state.run_stage([(shard_id, task)])
                 assert repeat.cache_hit is True
             with pytest.raises(WorkerCrashError, match="does not hold shard"):
-                state.run_task(StageTask(0, 0, 1, 1.0, 0.85), 99)
+                state.run_stage([(99, StageTask(0, 0, 1, 1.0, 0.85))])
+        finally:
+            for handle in handles:
+                handle.unlink()
+
+    def test_shard_mode_runs_a_mixed_message_in_entry_order(self, graph):
+        partition = partition_graph(graph, 3, strategy="hash", halo_depth=3)
+        handles = [
+            SharedShardHandle.export(shard, partition.host.name, partition.halo_depth)
+            for shard in partition.shards
+        ]
+        try:
+            descriptors = tuple(handle.descriptor for handle in handles)
+            # Interleave the shards so each wave's tasks are not contiguous.
+            centers = [
+                int(np.flatnonzero(partition.assignments == shard_id)[rank])
+                for rank in (0, 4, 9)
+                for shard_id in range(partition.num_shards)
+            ]
+            entries = [
+                (int(partition.assignments[center]), StageTask(0, center, 3, 1.0, 0.85))
+                for center in centers
+            ]
+            assert len({shard_id for shard_id, _ in entries}) == 3
+            state = _WorkerState(descriptors, cache_bytes=1 << 20)
+            outcomes, timing = state.run_stage(entries)
+            assert [outcome.task.center for outcome in outcomes] == centers
+            assert "bfs" in timing and "diffusion" in timing
+            single = _WorkerState(descriptors, cache_bytes=None)
+            for entry, outcome in zip(entries, outcomes):
+                (expected,), _ = single.run_stage([entry])
+                assert outcome.cache_hit is False
+                assert np.array_equal(
+                    outcome.subgraph.global_ids, expected.subgraph.global_ids
+                )
+                assert np.array_equal(
+                    outcome.diffusion.accumulated, expected.diffusion.accumulated
+                )
+            counters = state.cache_stats()
+            assert counters.misses == len(centers) and counters.hits == 0
         finally:
             for handle in handles:
                 handle.unlink()

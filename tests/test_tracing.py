@@ -27,7 +27,7 @@ from repro.serving.tracing import (
     monotonic_wall,
     parse_traceparent,
     validate_trace_events,
-    worker_task_spans,
+    worker_wave_spans,
 )
 
 
@@ -231,14 +231,14 @@ class TestAdoption:
         tracer = Tracer(sample_rate=1.0)
         ctx = tracer.start_trace()
         now = monotonic_wall()
-        raw = worker_task_spans(
+        raw = worker_wave_spans(
             stage_index=1,
-            center=7,
-            shard_id=2,
+            shard_ids=[2],
             started=now,
             ended=now + 0.010,
             timing_seconds={"bfs": 0.004, "diffusion": 0.005},
-            cache_hit=False,
+            balls=1,
+            cache_hits=0,
         )
         stage = ctx.begin_span("engine.stage", push=True)
         assert ctx.adopt(raw) == 3
@@ -246,11 +246,11 @@ class TestAdoption:
         ctx.finish()
 
         by_name = {s.name: s for s in ctx.spans}
-        task = by_name["worker.task"]
+        task = by_name["worker.wave"]
         assert task.parent_id == stage.span_id  # root re-parented here
         assert task.trace_id == ctx.trace_id
-        assert task.attributes["shard_id"] == 2
-        assert task.attributes["cache_hit"] is False
+        assert task.attributes["shard_ids"] == [2]
+        assert task.attributes["cache_hits"] == 0
         # Children keep their intra-worker parent link.
         assert by_name["worker.extract"].parent_id == task.span_id
         assert by_name["worker.diffusion"].parent_id == task.span_id
@@ -261,10 +261,10 @@ class TestAdoption:
 
     def test_worker_spans_omit_zero_duration_children(self):
         now = monotonic_wall()
-        raw = worker_task_spans(0, 3, None, now, now + 0.001, {}, cache_hit=True)
-        assert [s["name"] for s in raw] == ["worker.task"]
-        assert "shard_id" not in raw[0]["attributes"]
-        assert raw[0]["attributes"]["cache_hit"] is True
+        raw = worker_wave_spans(0, [], now, now + 0.001, {}, balls=1, cache_hits=1)
+        assert [s["name"] for s in raw] == ["worker.wave"]
+        assert raw[0]["attributes"]["shard_ids"] == []
+        assert raw[0]["attributes"]["cache_hits"] == 1
 
 
 class TestRingAndExport:

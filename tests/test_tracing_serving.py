@@ -114,8 +114,8 @@ class TestEngineTracing:
         assert "extract" not in span_names(second)
         # The first trace's first extraction is the seed's own BFS.
         extract = next(s for s in first["spans"] if s["name"] == "extract")
-        assert extract["attributes"]["center"] == 3
-        assert "cache_hit" in extract["attributes"]
+        assert extract["attributes"]["balls"] == 1
+        assert "cache_hits" in extract["attributes"]
 
     def test_sharded_extract_spans_carry_routing_attributes(
         self, small_ba_graph, config
@@ -137,7 +137,8 @@ class TestEngineTracing:
         extracts = [s for s in tree["spans"] if s["name"] == "extract"]
         assert extracts
         for span in extracts:
-            assert span["attributes"]["shard_id"] in (0, 1)
+            shard_ids = span["attributes"]["shard_ids"]
+            assert shard_ids == sorted(shard_ids) and set(shard_ids) <= {0, 1}
             assert isinstance(span["attributes"]["halo_fallback"], bool)
 
     def test_unsampled_batch_entries_trace_nothing(self, small_ba_graph, config):
@@ -211,7 +212,7 @@ class TestProcessPoolAcceptance:
             "batcher.batch",
             "engine.query",
             "engine.stage",
-            "worker.task",
+            "worker.wave",
         ):
             assert required in names, f"missing {required} in {names}"
 
@@ -219,12 +220,12 @@ class TestProcessPoolAcceptance:
         stage_ids = {
             s["span_id"] for s in tree["spans"] if s["name"] == "engine.stage"
         }
-        workers = [s for s in tree["spans"] if s["name"] == "worker.task"]
+        workers = [s for s in tree["spans"] if s["name"] == "worker.wave"]
         assert workers
         for task in workers:
             # Re-parented under the stage span that issued the IPC round.
             assert task["parent_id"] in stage_ids
-            assert task["attributes"]["shard_id"] in (0, 1)
+            assert set(task["attributes"]["shard_ids"]) <= {0, 1}
             assert task["attributes"]["worker_pid"] == task["pid"]
         # Worker spans really come from other processes.
         parent_pid = tree["spans"][0]["pid"]
@@ -232,7 +233,7 @@ class TestProcessPoolAcceptance:
         # Child worker spans link to their task inside the same tree.
         for span in tree["spans"]:
             if span["name"] in ("worker.extract", "worker.diffusion"):
-                assert spans[span["parent_id"]]["name"] == "worker.task"
+                assert spans[span["parent_id"]]["name"] == "worker.wave"
 
         doc = tracer.perfetto()
         count = validate_trace_events(doc)
