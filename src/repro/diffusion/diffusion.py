@@ -25,7 +25,7 @@ the FPGA processing-element model (which additionally counts cycles).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -180,69 +180,50 @@ def graph_diffusion(
 
 
 def stage_diffusion(
-    graphs: Sequence[CSRGraph],
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    bounds: Sequence[int],
     seeds: Sequence[int],
     length: int,
     alpha: float = DEFAULT_ALPHA,
     kernel: Union[str, DiffusionKernel, None] = None,
-) -> List[DiffusionResult]:
-    """``graph_diffusion`` from a one-hot seed on every graph of a stage, at once.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``graph_diffusion`` from a one-hot seed in every block of a block-diagonal graph.
 
-    ``graphs[i]`` is diffused from ``seed_vector(graphs[i].num_nodes,
-    seeds[i])``.  The graphs are stacked into one block-diagonal structure and
-    each of the ``length`` steps is one application of the kernel to the
-    stacked state.  A row sum of the stacked operator stays inside its block
-    and keeps its in-row order, so every kernel returns, block by block, the
-    bits :func:`graph_diffusion` returns for that graph alone —
-    ``propagations`` included, which is counted per block.  The per-graph
-    results are views of the stacked vectors.
+    ``(indptr, indices)`` is one CSR graph whose rows ``bounds[i]:bounds[i+1]``
+    form block ``i`` and whose entries never leave their block — a stage's
+    stacked ego balls, as :func:`~repro.graph.bfs.extract_wave` returns them.
+    Block ``i`` is diffused from a one-hot vector at row ``seeds[i]`` (inside
+    the block), all blocks at once: each of the ``length`` steps is one
+    application of the kernel to the stacked state.  A row sum stays inside
+    its block and keeps its in-row order, so every kernel returns, block by
+    block, the bits :func:`graph_diffusion` returns for that block alone.
+
+    Returns the stacked accumulated and residual vectors and each block's
+    ``propagations`` (adjacency entries read, counted per block).
     """
     length = check_non_negative_int(length, "length")
     alpha = check_probability(alpha, "alpha")
     step_kernel = make_kernel(kernel)
-    if len(seeds) != len(graphs):
-        raise ValueError(f"{len(graphs)} graphs but {len(seeds)} seeds")
-    if not graphs:
-        return []
-    sizes = [graph.num_nodes for graph in graphs]
-    seeds = [check_node_id(seed, size, "seed") for seed, size in zip(seeds, sizes)]
-    entries = [graph.indices.size for graph in graphs]
-    bounds = np.cumsum([0] + sizes)
-    starts = bounds[:-1]
-    indptr = np.zeros(bounds[-1] + 1, dtype=np.int64)
-    np.add(
-        np.concatenate([graph.indptr[1:] for graph in graphs]),
-        np.repeat(np.cumsum([0] + entries[:-1]), sizes),
-        out=indptr[1:],
-    )
-    indices = np.concatenate([graph.indices for graph in graphs]) + np.repeat(starts, entries)
+    bounds = np.asarray(bounds, dtype=np.int64)
+    seeds = np.asarray(seeds, dtype=np.int64)
+    starts, ends = bounds[:-1], bounds[1:]
+    if seeds.shape != starts.shape or ((seeds < starts) | (seeds >= ends)).any():
+        raise ValueError(f"need one seed inside each of {bounds.size - 1} blocks, got {seeds}")
     structure = GraphStructure(indptr, indices)
 
     residual = np.zeros(structure.num_nodes, dtype=np.float64)
-    residual[starts + seeds] = 1.0
+    residual[seeds] = 1.0
     accumulated = np.zeros_like(residual)
     # Adjacency entries read from each node over all steps; summed per block
-    # below, which is each graph's own ``propagations``.
+    # below, which is each block's own ``propagations``.
     touched = np.zeros(structure.num_nodes, dtype=np.int64)
     for step in range(length):
         accumulated += (1.0 - alpha) * (alpha**step) * residual
         np.add(touched, structure.degrees, out=touched, where=residual != 0.0)
         residual = step_kernel.apply(structure, residual)
     accumulated += (alpha**length) * residual
-    propagations = np.add.reduceat(touched, starts)
-
-    return [
-        DiffusionResult(
-            accumulated=accumulated[begin:end],
-            residual=residual[begin:end],
-            length=length,
-            alpha=alpha,
-            propagations=work,
-        )
-        for begin, end, work in zip(
-            bounds[:-1].tolist(), bounds[1:].tolist(), propagations.tolist()
-        )
-    ]
+    return accumulated, residual, np.add.reduceat(touched, starts)
 
 
 def diffusion_work(graph: CSRGraph, length: int) -> int:

@@ -2,11 +2,13 @@
 
 from repro.graph.bfs import (
     BFSResult,
+    EgoWave,
     bfs_frontier_sizes,
     bfs_levels,
     expand_frontier,
     extract_ego_subgraph,
     extract_ego_subgraphs,
+    extract_wave,
 )
 from repro.graph.builder import GraphBuilder
 from repro.graph.csr import CSRGraph
@@ -52,11 +54,13 @@ from repro.graph.subgraph import Subgraph
 
 __all__ = [
     "BFSResult",
+    "EgoWave",
     "bfs_frontier_sizes",
     "bfs_levels",
     "expand_frontier",
     "extract_ego_subgraph",
     "extract_ego_subgraphs",
+    "extract_wave",
     "GraphBuilder",
     "CSRGraph",
     "PAPER_DATASETS",

@@ -9,8 +9,8 @@ the sub-graph and the work performed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,10 +25,12 @@ __all__ = [
     "expand_frontier",
     "extract_ego_subgraph",
     "extract_ego_subgraphs",
+    "extract_wave",
+    "EgoWave",
     "BALLS_PER_PASS",
 ]
 
-#: Most ego balls one pass of :func:`extract_ego_subgraphs` expands together;
+#: Most ego balls one pass of :func:`extract_wave` expands together;
 #: bounds its scratch, and is the width of the planner's waves.
 BALLS_PER_PASS = 64
 
@@ -165,28 +167,137 @@ def extract_ego_subgraphs(
 ) -> List[Tuple[Subgraph, BFSResult]]:
     """``extract_ego_subgraph(graph, center, depth)`` for every centre of a stage.
 
+    The balls of :func:`extract_wave`, copied out pass by pass: every pair
+    equals the per-centre function's array for array (values, dtypes,
+    ``name``, ``edges_scanned``) and owns its memory, and a call holds one
+    pass's scratch beyond them.  A repeated centre gets a pair per
+    occurrence.
+    """
+    centers, depth = list(centers), check_non_negative_int(depth, "depth")
+    return [
+        pair
+        for begin in range(0, len(centers), BALLS_PER_PASS)
+        for pair in extract_wave(graph, centers[begin : begin + BALLS_PER_PASS], depth).balls()
+    ]
+
+
+def extract_wave(graph: CSRGraph, centers: Sequence[int], depth: int) -> "EgoWave":
+    """The depth-``depth`` ego balls of ``centers``, stacked as one :class:`EgoWave`.
+
     Up to :data:`BALLS_PER_PASS` balls come out of one labelled multi-source
     expansion and one block-diagonal relabel, so an extraction's NumPy calls
-    are paid per pass, not per ball.  Every pair equals the per-centre
-    function's array for array (values, dtypes, ``name``, ``edges_scanned``)
-    and owns its memory — none is a view of the pass's stacked arrays.  A
-    repeated centre gets a pair per occurrence.  Scratch is two flat arrays
-    with a slot per (ball of the pass, node), allocated per call: bounded by
-    the pass, not by the stage.
+    are paid per pass, not per ball, and no per-ball object is built.  Scratch
+    is two flat arrays with a slot per (ball of the pass, node), allocated per
+    pass; more centres than one pass holds are extracted pass by pass and
+    stacked.
     """
     num_nodes = graph.num_nodes
     centers = [check_node_id(center, num_nodes, "source") for center in centers]
     depth = check_non_negative_int(depth, "depth")
-    pairs: List[Tuple[Subgraph, BFSResult]] = []
-    for begin in range(0, len(centers), BALLS_PER_PASS):
-        pairs += _extract_pass(graph, centers[begin : begin + BALLS_PER_PASS], depth)
-    return pairs
+    if not centers:  # a stage the cache served whole
+        none, start = np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        return EgoWave(graph.name, depth, start, none, none, none, start, none, none.astype(bool))
+    passes = [
+        _extract_pass(graph, centers[begin : begin + BALLS_PER_PASS], depth)
+        for begin in range(0, len(centers), BALLS_PER_PASS)
+    ]
+    if len(passes) == 1:
+        return passes[0]
+    return EgoWave.stack(graph.name, depth, [ball for wave in passes for ball in wave.triples()])
 
 
-def _extract_pass(
-    graph: CSRGraph, centers: List[int], depth: int
-) -> List[Tuple[Subgraph, BFSResult]]:
-    """One pass of :func:`extract_ego_subgraphs` (validated arguments)."""
+@dataclass(frozen=True, eq=False)
+class EgoWave:
+    """Ego balls of one depth, stacked: a block-diagonal CSR over global ids.
+
+    Ball ``i`` owns the stacked rows ``bounds[i]:bounds[i+1]``, its centre
+    first.  ``indptr`` / ``indices`` are one CSR over all stacked rows whose
+    columns never leave their ball; ``nodes`` and ``levels`` are the balls'
+    global ids and hop distances in BFS visit order; ``edges_scanned`` and
+    ``hits`` (served from a cache) are per ball; ``name`` is the host
+    graph's.  The wave executor diffuses a wave as it is; :meth:`balls`
+    copies it out per ball, for whoever keeps a ball.
+    """
+
+    name: str
+    depth: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    nodes: np.ndarray
+    levels: np.ndarray
+    bounds: np.ndarray
+    edges_scanned: np.ndarray
+    hits: np.ndarray
+    # The per-ball pairs, once copied out or when stacked from them.
+    _balls: Optional[List[Tuple[Subgraph, BFSResult]]] = field(default=None, init=False, repr=False)
+
+    def balls(self) -> List[Tuple[Subgraph, BFSResult]]:
+        """One ``(Subgraph, BFSResult)`` per ball, owning its memory (built once)."""
+        if self._balls is None:
+            # Every ball is well-formed by construction — its indptr is a slice
+            # of a cumsum, its columns lie in the ball, its ids are unique by
+            # the visited mask — so it is wrapped without the public
+            # constructors' checks.
+            pairs = []
+            bounds = self.bounds.tolist()
+            centers = self.nodes[self.bounds[:-1]].tolist()
+            for center, begin, end, edges_scanned in zip(
+                centers, bounds, bounds[1:], self.edges_scanned.tolist()
+            ):
+                first, last = self.indptr[begin], self.indptr[end]
+                ball = CSRGraph._trusted(
+                    self.indptr[begin : end + 1] - first,
+                    (self.indices[first:last] - begin).astype(np.int32),
+                    f"{self.name}:G{self.depth}({center})",
+                )
+                ids, levels = self.nodes[begin:end], self.levels[begin:end]
+                bfs = BFSResult(center, self.depth, ids.copy(), levels.copy(), edges_scanned)
+                pairs.append((Subgraph._trusted(ball, ids.copy()), bfs))
+            object.__setattr__(self, "_balls", pairs)
+        return self._balls
+
+    def triples(self) -> List[Tuple[Subgraph, BFSResult, bool]]:
+        """:meth:`balls` with each ball's cache-hit flag: ``(subgraph, bfs, hit)``."""
+        return [(sub, bfs, hit) for (sub, bfs), hit in zip(self.balls(), self.hits.tolist())]
+
+    @classmethod
+    def stack(
+        cls, name: str, depth: int, balls: Sequence[Tuple[Subgraph, BFSResult, bool]]
+    ) -> "EgoWave":
+        """Kept ``(subgraph, bfs, hit)`` balls as one wave, in order (at least one).
+
+        The one place balls are restacked: a stage's cache hits with its
+        fresh misses, a sharded stage's shard groups, the passes of a wide
+        extraction.  Only offsets change, so every ball keeps its bits, and
+        :meth:`balls` returns the given objects.
+        """
+        graphs = [subgraph.graph for subgraph, _, _ in balls]
+        sizes = [graph.num_nodes for graph in graphs]
+        entries = [graph.indices.size for graph in graphs]
+        bounds = np.cumsum([0] + sizes)
+        indptr = np.zeros(bounds[-1] + 1, dtype=np.int64)
+        np.add(
+            np.concatenate([graph.indptr[1:] for graph in graphs]),
+            np.repeat(np.cumsum([0] + entries[:-1]), sizes),
+            out=indptr[1:],
+        )
+        wave = cls(
+            name,
+            depth,
+            indptr,
+            np.concatenate([graph.indices for graph in graphs]) + np.repeat(bounds[:-1], entries),
+            np.concatenate([subgraph.global_ids for subgraph, _, _ in balls]),
+            np.concatenate([bfs.levels for _, bfs, _ in balls]),
+            bounds,
+            np.array([bfs.edges_scanned for _, bfs, _ in balls]),
+            np.array([hit for _, _, hit in balls]),
+        )
+        object.__setattr__(wave, "_balls", [(subgraph, bfs) for subgraph, bfs, _ in balls])
+        return wave
+
+
+def _extract_pass(graph: CSRGraph, centers: List[int], depth: int) -> EgoWave:
+    """One pass of :func:`extract_wave` (validated, non-empty arguments)."""
     indptr, indices = graph.indptr, graph.indices
     # A (ball, node) pair is the key ``ball << bits | node``: sorted keys are
     # ball-major with ascending node ids inside a ball, which is each ball's
@@ -215,9 +326,9 @@ def _extract_pass(
     levels = np.repeat(np.arange(len(key_chunks)), [chunk.size for chunk in key_chunks])
     order = np.argsort(keys >> bits, kind="stable")
     keys, levels = keys[order], levels[order]
-    balls, nodes = keys >> bits, keys & node_mask
-    sizes = np.bincount(balls)
-    starts = np.cumsum(sizes) - sizes
+    nodes = keys & node_mask
+    bounds = np.zeros(len(centers) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys >> bits), out=bounds[1:])
     total = keys.size
     stacked_of = np.empty(visited.size, dtype=np.int64)  # read only where visited
     stacked_of[keys] = np.arange(total)
@@ -232,25 +343,11 @@ def _extract_pass(
     rows = np.repeat(np.arange(total), counts)[kept]
     edges = rows * total + stacked_of[targets[kept]]
     edges.sort()
-    columns = (edges - rows * total - starts[balls[rows]]).astype(np.int32)
     indptr_stacked = np.zeros(total + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=total), out=indptr_stacked[1:])
     # Rows strictly inside a ball are the ones its BFS read.
-    scanned = np.add.reduceat(np.where(levels < depth, counts, 0), starts)
-
-    # Every ball is well-formed by construction — its indptr is a slice of a
-    # cumsum, its columns lie in the ball, its ids are unique by the visited
-    # mask — so it is wrapped without the public constructors' checks.
-    pairs: List[Tuple[Subgraph, BFSResult]] = []
-    bounds = zip(centers, starts.tolist(), (starts + sizes).tolist(), scanned.tolist())
-    for center, begin, end, edges_scanned in bounds:
-        first, last = indptr_stacked[begin], indptr_stacked[end]
-        ball = CSRGraph._trusted(
-            indptr_stacked[begin : end + 1] - first,
-            columns[first:last].copy(),
-            f"{graph.name}:G{depth}({center})",
-        )
-        ids, ball_levels = nodes[begin:end], levels[begin:end]
-        bfs = BFSResult(center, depth, ids.copy(), ball_levels.copy(), edges_scanned)
-        pairs.append((Subgraph._trusted(ball, ids.copy()), bfs))
-    return pairs
+    scanned = np.add.reduceat(np.where(levels < depth, counts, 0), bounds[:-1])
+    return EgoWave(
+        graph.name, depth, indptr_stacked, edges - rows * total, nodes, levels,
+        bounds, scanned, np.zeros(len(centers), dtype=bool),
+    )

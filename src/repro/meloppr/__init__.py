@@ -24,6 +24,7 @@ from repro.meloppr.planner import (
     MeLoPPRPlan,
     StageTask,
     StageTaskOutcome,
+    StageWaveOutcome,
     execute_plan,
     execute_stage,
     execute_stage_per_ball,
@@ -56,6 +57,7 @@ __all__ = [
     "MeLoPPRPlan",
     "StageTask",
     "StageTaskOutcome",
+    "StageWaveOutcome",
     "execute_plan",
     "execute_stage",
     "execute_stage_per_ball",

@@ -17,13 +17,16 @@ modelled FPGA) can all share one algorithmic code path:
   fresh BFS extraction and the diffusion for a single task.  It is the spec:
   :func:`execute_stage_per_ball` — the paper's CPU executor, one ball at a
   time — is built on it alone, and ``MeLoPPRSolver.solve`` runs that.
-* :func:`execute_stage` is the **wave executor**: a stage's ego balls come
-  out of one stage extraction and diffuse as one block-diagonal product, up
-  to :data:`~repro.graph.bfs.BALLS_PER_PASS` at a time — the paper's P
-  processing elements, in software.  Every serving path runs it: the engine
-  in process, with its cache's or router's stage extraction hook, and the
-  process-pool workers, through :func:`execute_waves`, the same loop given a
-  graph and a timing breakdown instead of a plan.
+* :func:`execute_stage` is the **wave executor**: up to
+  :data:`~repro.graph.bfs.BALLS_PER_PASS` of a stage's ego balls at a time —
+  the paper's P processing elements, in software — stay one set of arrays
+  from extraction to fold.  The stage hook returns them stacked as one
+  block-diagonal CSR (:class:`~repro.graph.bfs.EgoWave`), the diffusion runs
+  on it as given, and the plan folds the stacked vectors
+  (:class:`StageWaveOutcome`).  Every serving path runs it: the engine in
+  process, with its cache's or router's stage hook, and the process-pool
+  workers, through :func:`execute_waves`, the same loop given a graph and a
+  timing breakdown instead of a plan (they reply per ball).
 * :func:`execute_plan` is the one drive loop: it hands each stage's tasks to
   whichever of those the caller is driving with.
 
@@ -31,8 +34,9 @@ Which executor holds what.  The solver holds **one** ball at a time: its
 measured peak (``track_memory=True``) is the paper's Table II claim.  The
 engine holds a **wave** of balls, as the P-PE accelerator keeps P sub-graphs
 resident at once.  ``modelled_bytes`` is the per-task BRAM model under either
-— the largest single sub-graph plus the score table — and an engine-driven
-plan with ``track_memory=True`` reports what it really held.
+— the largest single sub-graph (``8·(n+1) + 4·nnz + 16·n`` bytes: its CSR
+and two score vectors) plus the score table — and an engine-driven plan with
+``track_memory=True`` reports what it really held.
 
 The numerical behaviour (floating-point operation order, selection, score
 table updates) is identical to the former inline loop under every executor,
@@ -47,13 +51,13 @@ from dataclasses import dataclass
 from typing import (
     Callable,
     ContextManager,
-    Dict,
     Iterable,
     Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -67,8 +71,9 @@ from repro.diffusion.diffusion import (
 from repro.graph.bfs import (
     BALLS_PER_PASS,
     BFSResult,
+    EgoWave,
     extract_ego_subgraph,
-    extract_ego_subgraphs,
+    extract_wave,
 )
 from repro.graph.csr import CSRGraph
 from repro.graph.subgraph import Subgraph
@@ -82,12 +87,12 @@ from repro.utils.timing import TimingBreakdown
 __all__ = [
     "StageTask",
     "StageTaskOutcome",
+    "StageWaveOutcome",
     "StageTaskRecord",
     "StageOneState",
     "MeLoPPRPlan",
     "StageExtractFn",
     "StageRunner",
-    "extract_stage_fresh",
     "realised_stage_lengths",
     "execute_stage_task",
     "execute_waves",
@@ -158,7 +163,7 @@ class StageTask:
 
 @dataclass(frozen=True)
 class StageTaskOutcome:
-    """What an executor produced for one :class:`StageTask`.
+    """What a per-ball executor produced for one :class:`StageTask`.
 
     Attributes
     ----------
@@ -213,13 +218,84 @@ class StageOneState:
     done: bool
 
 
-#: Stage extraction hook: ``(graph, centers, depth) -> [(subgraph, bfs, hit), ...]``, in centre order.
-StageExtractFn = Callable[[CSRGraph, Sequence[int], int], List[Tuple[Subgraph, BFSResult, bool]]]
+@dataclass(frozen=True, eq=False)
+class StageWaveOutcome:
+    """What the wave executor produced for consecutive tasks of one stage, stacked.
+
+    Ball ``i`` (``tasks[i]``) owns entries ``bounds[i]:bounds[i+1]`` of
+    ``global_ids``, ``accumulated`` and ``residual``; the other fields hold
+    one count per ball, which is what the plan builds each
+    :class:`StageTaskRecord` and the modelled bytes from.  ``extraction`` is
+    the wave's stacked extraction (``None`` for one per-ball outcome).
+    """
+
+    tasks: Tuple[StageTask, ...]
+    global_ids: np.ndarray
+    bounds: List[int]
+    accumulated: np.ndarray
+    residual: np.ndarray
+    edges: List[int]
+    edges_scanned: List[int]
+    propagations: List[int]
+    nbytes: List[int]
+    cache_hits: List[bool]
+    extraction: Optional[EgoWave] = None
+
+    @classmethod
+    def of_wave(
+        cls,
+        tasks: Sequence[StageTask],
+        extraction: EgoWave,
+        accumulated: np.ndarray,
+        residual: np.ndarray,
+        propagations: np.ndarray,
+    ) -> "StageWaveOutcome":
+        """A diffused wave; a ball's bytes are its CSR (``int64`` indptr,
+        ``int32`` indices) plus its two ``float64`` score vectors."""
+        bounds = extraction.bounds
+        sizes = bounds[1:] - bounds[:-1]
+        entries = extraction.indptr[bounds]
+        entries = entries[1:] - entries[:-1]
+        return cls(
+            tuple(tasks), extraction.nodes, bounds.tolist(), accumulated, residual,
+            (entries // 2).tolist(), extraction.edges_scanned.tolist(), propagations.tolist(),
+            (8 * (sizes + 1) + 4 * entries + 16 * sizes).tolist(), extraction.hits.tolist(),
+            extraction,
+        )
+
+    @classmethod
+    def of_ball(cls, outcome: StageTaskOutcome) -> "StageWaveOutcome":
+        """One per-ball outcome as a one-ball wave (views, nothing copied)."""
+        subgraph, diffusion = outcome.subgraph, outcome.diffusion
+        return cls(
+            (outcome.task,), subgraph.global_ids, [0, subgraph.num_nodes],
+            diffusion.accumulated, diffusion.residual, [subgraph.num_edges],
+            [outcome.bfs.edges_scanned], [diffusion.propagations],
+            [subgraph.graph.nbytes() + diffusion.accumulated.nbytes + diffusion.residual.nbytes],
+            [outcome.cache_hit],
+        )
+
+    def outcomes(self) -> List[StageTaskOutcome]:
+        """The wave as per-ball outcomes: the balls are copied out of the
+        extraction, the score vectors are views."""
+        bounds = self.bounds
+        return [
+            StageTaskOutcome(
+                task, subgraph, bfs,
+                DiffusionResult(
+                    self.accumulated[begin:end], self.residual[begin:end],
+                    task.length, task.alpha, work,
+                ),
+                hit,
+            )
+            for task, (subgraph, bfs, hit), begin, end, work in zip(
+                self.tasks, self.extraction.triples(), bounds, bounds[1:], self.propagations
+            )
+        ]
 
 
-def extract_stage_fresh(graph: CSRGraph, centers: Sequence[int], depth: int):
-    """The cache-less stage hook: one fresh stage extraction."""
-    return [(sub, bfs, False) for sub, bfs in extract_ego_subgraphs(graph, centers, depth)]
+#: Stage extraction hook: ``(graph, centers, depth) -> EgoWave``, balls in centre order.
+StageExtractFn = Callable[[CSRGraph, Sequence[int], int], EgoWave]
 
 
 def _resplit(total_length: int, template: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -268,8 +344,9 @@ class MeLoPPRPlan:
     The plan walks the stage decomposition: it publishes the pending
     :class:`StageTask` list for the current stage (:attr:`pending_tasks`),
     the executor runs those tasks however it likes (serially, through a
-    sub-graph cache, on modelled hardware) and hands the
-    :class:`StageTaskOutcome` list back via :meth:`complete_stage`, at which
+    sub-graph cache, on modelled hardware) and hands the outcomes back —
+    stacked waves (:class:`StageWaveOutcome`) or per-ball outcomes
+    (:class:`StageTaskOutcome`) — via :meth:`complete_stage`, at which
     point the plan folds scores, applies the residual correction and selects
     the next stage's work.  When :attr:`done`, :meth:`finish` assembles the
     :class:`~repro.ppr.base.PPRResult`.
@@ -356,9 +433,12 @@ class MeLoPPRPlan:
         split, alpha and score-table capacity must all match, because a
         table folded under different parameters is a different computation.
         Callers caching states key them accordingly (see
-        :func:`repro.serving.result_cache.stage_one_cache_key`, which also
-        keys on the graph's fingerprint — this constructor cannot tell two
-        topologies apart and trusts the caller on that axis).
+        :func:`repro.serving.result_cache.stage_one_cache_key`).  Neither the
+        key nor this constructor can tell two topologies apart: a cache of
+        states is bound to the graph it serves
+        (:meth:`~repro.serving.cache._LRUCache.claim` /
+        :meth:`~repro.serving.cache._LRUCache.bind`), and this constructor
+        trusts the caller on that axis.
         """
         plan = cls(graph, config, query, track_memory=track_memory)
         realised = tuple(plan._stage_plan.stage_lengths)
@@ -441,16 +521,22 @@ class MeLoPPRPlan:
         )
 
     # ------------------------------------------------------------------
-    def complete_stage(self, outcomes: Iterable[StageTaskOutcome]) -> None:
+    def complete_stage(
+        self, outcomes: Iterable[Union[StageWaveOutcome, StageTaskOutcome]]
+    ) -> None:
         """Fold a finished stage's outcomes and plan the next stage.
 
-        ``outcomes`` must correspond one-to-one, in order, to the
-        :attr:`pending_tasks` published for the current stage.  It may be a
+        ``outcomes`` — stacked waves, per-ball outcomes (each folded as a
+        one-ball wave) or a mix — must cover the :attr:`pending_tasks`
+        published for the current stage one-to-one, in order.  It may be a
         lazy iterable: each outcome is folded as soon as it is produced and
         then dropped, so the working set is whatever the executor behind the
         iterable holds — a single sub-graph under
         :func:`execute_stage_per_ball` (the paper's memory claim, measured by
-        the solver), one wave of them under :func:`execute_stage`.
+        the solver), one wave of them under :func:`execute_stage`.  A ball is
+        folded by one ``add_many`` on views of its wave's vectors; the next
+        stage's candidates are summed by one accumulate per stage, in arrival
+        order, and reach the selector in ascending node order.
         """
         if self._done:
             raise RuntimeError("plan is already complete")
@@ -469,51 +555,45 @@ class MeLoPPRPlan:
         config = self._config
         stage_length = self._stage_plan.stage_lengths[self._stage_index]
         is_last_stage = self._stage_index + 1 == self._stage_plan.num_stages
-        # Residual mass handed to the next stage, keyed by global node.
-        next_candidates: Dict[int, float] = {}
+        # Residual mass handed to the next stage, per wave: global ids, mass.
+        carried_ids: List[np.ndarray] = []
+        carried_mass: List[np.ndarray] = []
 
         folded = 0
         for outcome in outcomes:
-            folded += 1
-            task, subgraph, diffusion = outcome.task, outcome.subgraph, outcome.diffusion
+            if not isinstance(outcome, StageWaveOutcome):
+                outcome = StageWaveOutcome.of_ball(outcome)
+            tasks, ids, bounds = outcome.tasks, outcome.global_ids, outcome.bounds
+            folded += len(tasks)
+            sizes = [end - begin for begin, end in zip(bounds, bounds[1:])]
             with self.timing.measure("aggregation"):
-                self._table.add_many(
-                    subgraph.global_ids, task.weight * diffusion.accumulated
+                # Each entry is scaled by its ball's weight (one ball: a scalar).
+                weights = (
+                    tasks[0].weight
+                    if len(tasks) == 1
+                    else np.repeat([task.weight for task in tasks], sizes)
                 )
+                scaled = weights * outcome.accumulated
+                for begin, end in zip(bounds, bounds[1:]):
+                    self._table.add_many(ids[begin:end], scaled[begin:end])
             if not is_last_stage:
                 with self.timing.measure("selection"):
-                    (locals_with_mass,) = np.nonzero(
-                        diffusion.residual > config.residual_tolerance
-                    )
-                    carried_nodes = subgraph.global_ids[locals_with_mass]
-                    carried_values = task.weight * diffusion.residual[locals_with_mass]
-                    for node, value in zip(carried_nodes, carried_values):
-                        node = int(node)
-                        next_candidates[node] = (
-                            next_candidates.get(node, 0.0) + float(value)
-                        )
+                    (carried,) = (outcome.residual > config.residual_tolerance).nonzero()
+                    carried_ids.append(ids[carried])
+                    carried_mass.append((weights * outcome.residual)[carried])
 
-            self._records.append(
-                StageTaskRecord(
-                    stage_index=task.stage_index,
-                    center_node=task.center,
-                    weight=task.weight,
-                    subgraph_nodes=subgraph.num_nodes,
-                    subgraph_edges=subgraph.num_edges,
-                    bfs_edges_scanned=outcome.bfs.edges_scanned,
-                    propagations=diffusion.propagations,
+            for task, nodes, edges, scanned, work in zip(
+                tasks, sizes, outcome.edges, outcome.edges_scanned, outcome.propagations
+            ):
+                self._records.append(
+                    StageTaskRecord(
+                        task.stage_index, task.center, task.weight, nodes, edges, scanned, work
+                    )
                 )
-            )
-            if outcome.cache_hit:
-                self._cache_hits += 1
-            else:
-                self._cache_misses += 1
-            self._peak_subgraph_bytes = max(
-                self._peak_subgraph_bytes,
-                subgraph.graph.nbytes()
-                + diffusion.accumulated.nbytes
-                + diffusion.residual.nbytes,
-            )
+            hits = sum(outcome.cache_hits)
+            self._cache_hits += hits
+            self._cache_misses += len(tasks) - hits
+            self._peak_subgraph_bytes = max(self._peak_subgraph_bytes, *outcome.nbytes)
 
         if folded != expected:
             raise ValueError(
@@ -528,15 +608,11 @@ class MeLoPPRPlan:
 
         # Select the next-stage nodes from the merged candidate set.
         with self.timing.measure("selection"):
-            candidate_nodes = np.fromiter(
-                next_candidates.keys(), dtype=np.int64, count=len(next_candidates)
-            )
-            candidate_values = np.fromiter(
-                next_candidates.values(),
-                dtype=np.float64,
-                count=len(next_candidates),
-            )
-            selected = config.selector.select(candidate_nodes, candidate_values)
+            candidates, arrival = np.unique(np.concatenate(carried_ids), return_inverse=True)
+            masses = np.zeros(candidates.size, dtype=np.float64)
+            np.add.at(masses, arrival, np.concatenate(carried_mass))
+            selected = config.selector.select(candidates, masses)
+            selected_mass = masses[np.searchsorted(candidates, selected)]
 
         # Build next work list; apply the Eq. 6 correction only for the
         # nodes whose residual is re-diffused (unselected nodes keep
@@ -544,11 +620,10 @@ class MeLoPPRPlan:
         stage_alpha = self._query.alpha**stage_length
         next_work: List[Tuple[int, float]] = []
         with self.timing.measure("aggregation"):
-            for node in selected:
-                residual_mass = next_candidates[int(node)]
+            for node, residual_mass in zip(selected.tolist(), selected_mass.tolist()):
                 correction = stage_alpha * residual_mass
-                self._table.add(int(node), -correction)
-                next_work.append((int(node), correction))
+                self._table.add(node, -correction)
+                next_work.append((node, correction))
         self._work = next_work
         self._stage_index += 1
         if not self._work:
@@ -682,42 +757,41 @@ def execute_waves(
     tasks: Sequence[StageTask],
     extract_stage: StageExtractFn,
     timing: TimingBreakdown,
-) -> Iterator[StageTaskOutcome]:
-    """Run one stage's ``tasks`` in waves; their outcomes, lazily, in task order.
+) -> Iterator[StageWaveOutcome]:
+    """Run one stage's ``tasks`` in waves; one stacked outcome per wave, lazily.
 
     A wave is up to :data:`~repro.graph.bfs.BALLS_PER_PASS` consecutive
-    tasks: one stage extraction (``extract_stage(graph, centers, length)`` —
-    a cache's or router's stage form, or :func:`extract_stage_fresh`) and one
-    block-diagonal diffusion (:func:`~repro.diffusion.diffusion.stage_diffusion`),
-    timed into ``timing``'s ``bfs`` and ``diffusion`` buckets.  Every outcome
-    equals :func:`execute_stage_task`'s for its task, bit for bit.  A wave's
+    tasks.  ``extract_stage(graph, centers, length)`` — a cache's or router's
+    stage hook, or :func:`~repro.graph.bfs.extract_wave` — returns the wave's
+    balls stacked, and :func:`~repro.diffusion.diffusion.stage_diffusion`
+    diffuses that block-diagonal CSR as it is, timed into ``timing``'s
+    ``bfs`` and ``diffusion`` buckets.  No per-ball object is built on the
+    way, and every ball's slice of the outcome equals
+    :func:`execute_stage_task`'s outcome for its task, bit for bit.  A wave's
     balls are resident together; the next wave starts only once the consumer
     has taken this one.
     """
     for begin in range(0, len(tasks), BALLS_PER_PASS):
         wave = tasks[begin : begin + BALLS_PER_PASS]
-        centers = [task.center for task in wave]
         length, alpha = wave[0].length, wave[0].alpha  # one per stage
         with timing.measure("bfs"):
-            extracted = extract_stage(graph, centers, length)
+            extraction = extract_stage(graph, [task.center for task in wave], length)
         with timing.measure("diffusion"):
-            diffusions = stage_diffusion(
-                [subgraph.graph for subgraph, _, _ in extracted],
-                [triple[0].to_local(center) for triple, center in zip(extracted, centers)],
-                length,
-                alpha,
+            bounds = extraction.bounds
+            # Each ball's centre is its first stacked row.
+            scores = stage_diffusion(
+                extraction.indptr, extraction.indices, bounds, bounds[:-1], length, alpha
             )
-        for task, (subgraph, bfs, cache_hit), diffusion in zip(wave, extracted, diffusions):
-            yield StageTaskOutcome(task, subgraph, bfs, diffusion, cache_hit)
+        yield StageWaveOutcome.of_wave(wave, extraction, *scores)
 
 
 def execute_stage(
     plan: MeLoPPRPlan,
     tasks: Sequence[StageTask],
-    extract_stage: StageExtractFn = extract_stage_fresh,
-) -> Iterator[StageTaskOutcome]:
+    extract_stage: StageExtractFn = extract_wave,
+) -> Iterator[StageWaveOutcome]:
     """Run one stage of ``plan`` in waves (:func:`execute_waves` on the plan's
-    graph and timing); a wave's balls are folded before the next is extracted."""
+    graph and timing); a wave is folded before the next is extracted."""
     return execute_waves(plan.graph, tasks, extract_stage, plan.timing)
 
 
@@ -735,7 +809,9 @@ def execute_stage_per_ball(
 
 
 #: What runs one stage: ``(plan, tasks) -> outcomes``, in task order.
-StageRunner = Callable[[MeLoPPRPlan, Sequence[StageTask]], Iterable[StageTaskOutcome]]
+StageRunner = Callable[
+    [MeLoPPRPlan, Sequence[StageTask]], Iterable[Union[StageWaveOutcome, StageTaskOutcome]]
+]
 
 
 def execute_plan(

@@ -41,6 +41,10 @@ class NextStageSelector(abc.ABC):
     ``select`` receives the candidate nodes (global ids) and their residual
     scores and returns the chosen subset ordered by descending residual, which
     is the order the scheduler dispatches them to processing elements.
+
+    The plan passes each candidate once, in ascending node order.  The answer
+    — which nodes, in which order — must not depend on the input order: the
+    shipped selectors order by residual, then by node id.
     """
 
     #: Short name used in experiment tables.

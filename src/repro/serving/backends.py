@@ -249,7 +249,7 @@ class _WorkerState:
     def __init__(self, bindings, cache_bytes: Optional[int]) -> None:
         # Imported here (not at module top) so importing the backends module
         # stays light; workers pay the import once at spawn.
-        from repro.meloppr.planner import extract_stage_fresh
+        from repro.graph.bfs import extract_wave
         from repro.serving.sharding import globalize_shard_extraction
         from repro.serving.shm import (
             SharedGraphDescriptor,
@@ -267,7 +267,7 @@ class _WorkerState:
             attached = SharedGraphHandle.attach(bindings)
             self._attachments.append(attached)
             cache = self._new_cache(cache_bytes)
-            extract_stage = extract_stage_fresh if cache is None else cache.get_or_extract_many
+            extract_stage = extract_wave if cache is None else cache.extract_wave
             self._waves[None] = (attached.graph, extract_stage)
         else:
             for descriptor in bindings:
@@ -293,8 +293,10 @@ class _WorkerState:
 
         The tasks run as waves (:func:`~repro.meloppr.planner.execute_waves`),
         one group per shard held — or the host graph — with that graph's
-        cached stage form as the extractor.  Returns the outcomes in entry
-        order and the summed ``bfs`` / ``diffusion`` seconds.
+        cached stage form as the extractor.  Returns per-ball outcomes in
+        entry order (each wave split by
+        :meth:`~repro.meloppr.planner.StageWaveOutcome.outcomes`) and the
+        summed ``bfs`` / ``diffusion`` seconds.
         """
         from repro.meloppr.planner import execute_waves
         from repro.utils.timing import TimingBreakdown
@@ -313,7 +315,8 @@ class _WorkerState:
             graph, extract_stage = self._waves[shard_id]
             tasks = [entries[position][1] for position in positions]
             waves = execute_waves(graph, tasks, extract_stage, timing)
-            for position, outcome in zip(positions, waves):
+            balls = (outcome for wave in waves for outcome in wave.outcomes())
+            for position, outcome in zip(positions, balls):
                 outcomes[position] = outcome
         return outcomes, dict(timing.seconds)
 
@@ -880,7 +883,8 @@ class ProcessPoolBackend(ExecutionBackend):
         record one span per message, shipped back on the response and
         re-parented here under the caller's open stage span.
         """
-        from repro.meloppr.planner import execute_waves, extract_stage_fresh
+        from repro.graph.bfs import extract_wave
+        from repro.meloppr.planner import execute_waves
         from repro.utils.timing import TimingBreakdown
 
         tasks = list(tasks)
@@ -890,7 +894,7 @@ class ProcessPoolBackend(ExecutionBackend):
             timing = TimingBreakdown()
         partition = self._bound_partition
         if partition is not None and not partition.covers_depth(tasks[0].length):
-            extract_stage = fallback if fallback is not None else extract_stage_fresh
+            extract_stage = fallback if fallback is not None else extract_wave
             return list(execute_waves(partition.host, tasks, extract_stage, timing))
         self._ensure_running()
         slots: List[object] = [None] * len(tasks)

@@ -37,7 +37,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.bfs import BFSResult, extract_ego_subgraphs
+from repro.graph.bfs import BFSResult, EgoWave, extract_wave
 from repro.graph.csr import CSRGraph
 from repro.graph.subgraph import Subgraph
 
@@ -409,7 +409,7 @@ class SubgraphCache(_LRUCache):
     graph); keying by ``(center, depth)`` alone keeps lookups cheap.  Its
     centre index is ``centre -> {(centre, depth): depth}``.
 
-    :meth:`get_or_extract_many` looks a whole stage up before it inserts any
+    :meth:`extract_wave` looks a whole stage up before it inserts any
     of it.  Its hit / miss counts can differ from a ball-by-ball order only
     when the stage's own inserts would have evicted one of its later lookups
     (a budget below one stage) or a centre repeats inside the stage; the
@@ -455,12 +455,9 @@ class SubgraphCache(_LRUCache):
         with self._lock:
             return self._put_locked((int(center), int(depth)), entry)
 
-    def get_or_extract_many(
-        self, graph: CSRGraph, centers: Sequence[int], depth: int
-    ) -> List[Tuple[Subgraph, BFSResult, bool]]:
-        """Serve ``extract_ego_subgraphs(graph, centers, depth)`` through the
-        cache: one ``(subgraph, bfs, hit)`` per centre, in centre order — the
-        planner's :data:`~repro.meloppr.planner.StageExtractFn`.
+    def extract_wave(self, graph: CSRGraph, centers: Sequence[int], depth: int) -> EgoWave:
+        """Serve ``extract_wave(graph, centers, depth)`` through the cache —
+        the planner's :data:`~repro.meloppr.planner.StageExtractFn`.
 
         The cache binds to the first ``graph`` it serves; passing a different
         graph later raises ``ValueError`` (keys carry no graph identity, so
@@ -468,35 +465,37 @@ class SubgraphCache(_LRUCache):
         resets the binding.
         """
         self._bind(graph)
-        return self.get_or_extract_with(
-            centers, depth, lambda missed: extract_ego_subgraphs(graph, missed, depth)
+        return self.extract_wave_with(
+            centers, depth, lambda missed: extract_wave(graph, missed, depth)
         )
 
-    def get_or_extract_with(
+    def extract_wave_with(
         self,
         centers: Sequence[int],
         depth: int,
-        extract: Callable[[List[int]], List[Tuple[Subgraph, BFSResult]]],
-    ) -> List[Tuple[Subgraph, BFSResult, bool]]:
-        """The unbound form of :meth:`get_or_extract_many`, for extractions
-        that do not run on the host graph (a shard's).
+        extract: Callable[[List[int]], EgoWave],
+    ) -> EgoWave:
+        """The unbound form of :meth:`extract_wave`, for extractions that do
+        not run on the host graph (a shard's).
 
         Every centre is looked up first; the misses are extracted together by
         ``extract(missed)`` (outside the lock) and inserted one entry per
-        ball.
+        ball.  A stage with no hits is that extraction as it came; hits are
+        restacked with the misses (:meth:`~repro.graph.bfs.EgoWave.stack`).
         """
         found = [self.get(center, depth) for center in centers]
         missed = [center for center, entry in zip(centers, found) if entry is None]
-        fresh = iter(extract(missed))
-        triples: List[Tuple[Subgraph, BFSResult, bool]] = []
-        for center, entry in zip(centers, found):
-            if entry is not None:
-                triples.append((entry[0], entry[1], True))
-            else:
-                subgraph, bfs = next(fresh)
-                self.put(center, depth, subgraph, bfs)
-                triples.append((subgraph, bfs, False))
-        return triples
+        fresh = extract(missed)
+        pairs = fresh.balls()
+        for center, (subgraph, bfs) in zip(missed, pairs):
+            self.put(center, depth, subgraph, bfs)
+        if len(missed) == len(centers):
+            return fresh
+        fresh_pairs = iter(pairs)
+        return EgoWave.stack(fresh.name, depth, [
+            (*next(fresh_pairs), False) if entry is None else (entry[0], entry[1], True)
+            for entry in found
+        ])
 
     def _bind(self, graph: CSRGraph) -> None:
         """Bind to ``graph`` on first use; refuse any other graph after."""

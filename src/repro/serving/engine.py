@@ -43,6 +43,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.graph.bfs import extract_wave
 from repro.graph.delta import (
     DeltaGraph,
     EdgeOp,
@@ -56,7 +57,6 @@ from repro.meloppr.planner import (
     StageRunner,
     execute_plan,
     execute_stage,
-    extract_stage_fresh,
 )
 from repro.ppr.base import PPRQuery, PPRResult, PPRSolver
 from repro.serving.backends import ExecutionBackend, SerialBackend
@@ -661,11 +661,11 @@ class QueryEngine:
         (sharded, and deeper than the halo).
         """
         if self._router is not None:
-            extract_stage: StageExtractFn = self._router.extract_many
+            extract_stage: StageExtractFn = self._router.extract_wave
         elif self._cache is not None:
-            extract_stage = self._cache.get_or_extract_many
+            extract_stage = self._cache.extract_wave
         else:
-            extract_stage = extract_stage_fresh
+            extract_stage = extract_wave
         if getattr(self._backend, "executes_stage_tasks", False):
             return lambda plan, tasks: self._backend.run_stage_tasks(
                 tasks, fallback=extract_stage, timing=plan.timing, trace=ctx
@@ -686,7 +686,7 @@ class QueryEngine:
                 )
                 span.attributes["halo_fallback"] = not partition.covers_depth(depth)
             extracted = extract_stage(graph, centers, depth)
-            span.attributes["cache_hits"] = sum(hit for _, _, hit in extracted)
+            span.attributes["cache_hits"] = int(extracted.hits.sum())
         return extracted
 
     def _drive_plan(

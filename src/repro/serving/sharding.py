@@ -3,10 +3,9 @@
 :class:`ShardRouter` is the serving-side counterpart of
 :class:`~repro.graph.partition.GraphPartition`: it owns one
 :class:`~repro.serving.cache.SubgraphCache` per shard and implements the
-planner's stage extraction hook (``(graph, centers, depth) -> [(subgraph, bfs,
-hit), ...]``), so a :class:`~repro.serving.engine.QueryEngine` constructed
-with ``router=`` answers every stage task from the shard that owns the task's
-centre node.
+planner's stage extraction hook (``(graph, centers, depth) -> EgoWave``), so
+a :class:`~repro.serving.engine.QueryEngine` constructed with ``router=``
+answers every stage task from the shard that owns the task's centre node.
 
 Routing is a pure function of the task: the owning shard is
 ``partition.assignments[center]``, and the extraction runs on that shard's
@@ -23,16 +22,15 @@ visible in every report.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.bfs import BFSResult, extract_ego_subgraphs
+from repro.graph.bfs import BFSResult, EgoWave, extract_wave
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import GraphPartition, patch_partition
 from repro.graph.subgraph import Subgraph
-from repro.meloppr.planner import extract_stage_fresh
 from repro.serving.cache import DEFAULT_CACHE_BYTES, CacheStats, SubgraphCache
 from repro.serving.result_cache import UPDATE_COUNT_KEYS, ScoreTableCache
 from repro.utils.validation import check_node_id
@@ -237,7 +235,7 @@ class ShardRouter:
     -----
     The router is thread-safe: the partition is immutable, the caches are
     internally locked, and the routing counters are guarded by a router lock,
-    so one router can serve a concurrent backend.  :meth:`extract_many` is
+    so one router can serve a concurrent backend.  :meth:`extract_wave` is
     the planner's :data:`~repro.meloppr.planner.StageExtractFn`;
     ``QueryEngine(..., router=router)`` wires it in, and consults
     :meth:`result_cache_for` per query for stage-one reuse.
@@ -307,16 +305,15 @@ class ShardRouter:
         return self._result_caches[int(self._partition.assignments[seed])]
 
     # ------------------------------------------------------------------
-    def extract_many(
-        self, graph: CSRGraph, centers: Sequence[int], depth: int
-    ) -> List[Tuple[Subgraph, BFSResult, bool]]:
+    def extract_wave(self, graph: CSRGraph, centers: Sequence[int], depth: int) -> EgoWave:
         """The engine's stage extraction hook, routed to the owning shards.
 
         Centres are grouped by owning shard, and each group is served by
-        :func:`globalize_shard_extraction` through that shard's cache.  A
+        :func:`globalize_shard_extraction` through that shard's cache; the
+        groups of a stage spanning shards are restacked in centre order.  A
         depth beyond the halo sends the whole stage to the host graph,
-        through the fallback cache.  One ``(subgraph, bfs, hit)`` per centre,
-        in centre order; the local / fallback counters count balls.
+        through the fallback cache.  The local / fallback counters count
+        balls.
 
         ``graph`` must be the partitioned host graph — the router refuses to
         serve any other graph, because the shard sub-graphs would silently
@@ -337,22 +334,27 @@ class ShardRouter:
         for shard_id, positions in groups.items():
             with self._counter_locks[shard_id]:
                 counts[shard_id] += len(positions)
-        if not local:
+        if not local or not groups:
             if self._fallback_cache is not None:
-                return self._fallback_cache.get_or_extract_many(graph, centers, depth)
-            return extract_stage_fresh(graph, centers, depth)
-        triples: List[Tuple[Subgraph, BFSResult, bool]] = [None] * len(centers)
-        for shard_id, positions in groups.items():
-            served = globalize_shard_extraction(
+                return self._fallback_cache.extract_wave(graph, centers, depth)
+            return extract_wave(graph, centers, depth)
+        waves = {
+            shard_id: globalize_shard_extraction(
                 graph.name,
                 partition.shards[shard_id].subgraph,
                 [centers[position] for position in positions],
                 depth,
                 self._caches[shard_id],
             )
-            for position, triple in zip(positions, served):
-                triples[position] = triple
-        return triples
+            for shard_id, positions in groups.items()
+        }
+        if len(waves) == 1:
+            return next(iter(waves.values()))
+        balls: List[Tuple[Subgraph, BFSResult, bool]] = [None] * len(centers)
+        for shard_id, positions in groups.items():
+            for position, ball in zip(positions, waves[shard_id].triples()):
+                balls[position] = ball
+        return EgoWave.stack(graph.name, depth, balls)
 
     # ------------------------------------------------------------------
     def stats(self) -> RouterStats:
@@ -520,13 +522,13 @@ def globalize_shard_extraction(
     centers: Sequence[int],
     depth: int,
     cache: Optional[SubgraphCache] = None,
-) -> List[Tuple[Subgraph, BFSResult, bool]]:
-    """A stage's extractions on one shard sub-graph, translated to global ids.
+) -> EgoWave:
+    """A stage's extractions on one shard sub-graph, as a wave over global ids.
 
-    One ``(subgraph, bfs, hit)`` per centre, in centre order.  The centres are
-    looked up in ``cache`` first (when given); the misses come out of one
-    :func:`~repro.graph.bfs.extract_ego_subgraphs` pass on the shard CSR and
-    are globalised per ball.  Each ball is indistinguishable from the host
+    The centres are looked up in ``cache`` first (when given); the misses
+    come out of one :func:`~repro.graph.bfs.extract_wave` on the shard CSR,
+    and the wave is globalised whole: its ids mapped through the shard's,
+    its name the host's.  Each ball is indistinguishable from the host
     graph's own extraction of it: same relabelled CSR arrays, same global-id
     mapping, same BFS visit order and ``edges_scanned`` — guaranteed by the
     halo covering the full ego ball and by the shard's global ids being
@@ -539,28 +541,11 @@ def globalize_shard_extraction(
     """
     shard_ids = shard_subgraph.global_ids
 
-    def extract(missed: List[int]) -> List[Tuple[Subgraph, BFSResult]]:
+    def extract(missed: List[int]) -> EgoWave:
         local_centers = [shard_subgraph.to_local(center) for center in missed]
-        pairs = []
-        for center, (local_subgraph, local_bfs) in zip(
-            missed, extract_ego_subgraphs(shard_subgraph.graph, local_centers, depth)
-        ):
-            ego_graph = local_subgraph.graph
-            renamed = CSRGraph(
-                ego_graph.indptr,
-                ego_graph.indices,
-                name=f"{host_name}:G{depth}({int(center)})",
-            )
-            bfs = BFSResult(
-                source=int(center),
-                depth=depth,
-                nodes=shard_ids[local_bfs.nodes],
-                levels=local_bfs.levels,
-                edges_scanned=local_bfs.edges_scanned,
-            )
-            pairs.append((Subgraph(renamed, shard_ids[local_subgraph.global_ids]), bfs))
-        return pairs
+        wave = extract_wave(shard_subgraph.graph, local_centers, depth)
+        return replace(wave, name=host_name, nodes=shard_ids[wave.nodes])
 
     if cache is not None:
-        return cache.get_or_extract_with(centers, depth, extract)
-    return [(subgraph, bfs, False) for subgraph, bfs in extract(list(centers))]
+        return cache.extract_wave_with(centers, depth, extract)
+    return extract(list(centers))

@@ -120,19 +120,46 @@ class TestKernelDifferential:
             assert result.propagations == expected.propagations
 
 
+def block_diagonal(graphs):
+    """The graphs as one block-diagonal CSR: ``(indptr, indices, bounds)``."""
+    bounds = np.cumsum([0] + [graph.num_nodes for graph in graphs])
+    entries = np.cumsum([0] + [graph.indices.size for graph in graphs])
+    indptr = np.concatenate(
+        [[0]] + [graph.indptr[1:] + base for graph, base in zip(graphs, entries)]
+    )
+    indices = np.concatenate(
+        [np.zeros(0, dtype=np.int64)]
+        + [graph.indices + base for graph, base in zip(graphs, bounds)]
+    )
+    return indptr, indices, bounds
+
+
+def stage_diffuse(graphs, seeds, length, alpha=0.85, kernel=None):
+    """``stage_diffusion`` over ``graphs`` stacked, split back per graph:
+    ``(accumulated, residual, propagations)`` per graph."""
+    indptr, indices, bounds = block_diagonal(graphs)
+    rows = bounds[:-1] + np.asarray(seeds, dtype=np.int64)
+    accumulated, residual, propagations = stage_diffusion(
+        indptr, indices, bounds, rows, length, alpha, kernel
+    )
+    assert propagations.shape == (len(graphs),) and propagations.dtype == np.int64
+    return [
+        (accumulated[begin:end], residual[begin:end], int(work))
+        for begin, end, work in zip(bounds[:-1], bounds[1:], propagations)
+    ]
+
+
 def assert_stage_matches_per_graph(graphs, seeds, length, kernel, alpha=0.85):
     """``stage_diffusion`` equals ``graph_diffusion`` per graph, bit for bit."""
-    results = stage_diffusion(graphs, seeds, length, alpha, kernel)
+    results = stage_diffuse(graphs, seeds, length, alpha, kernel)
     assert len(results) == len(graphs)
-    for graph, seed, result in zip(graphs, seeds, results):
+    for graph, seed, (accumulated, residual, propagations) in zip(graphs, seeds, results):
         expected = graph_diffusion(
             graph, seed_vector(graph.num_nodes, seed), length, alpha, kernel=kernel
         )
-        assert np.array_equal(result.accumulated, expected.accumulated)
-        assert np.array_equal(result.residual, expected.residual)
-        assert result.propagations == expected.propagations
-        assert type(result.propagations) is int
-        assert (result.length, result.alpha) == (expected.length, expected.alpha)
+        assert np.array_equal(accumulated, expected.accumulated)
+        assert np.array_equal(residual, expected.residual)
+        assert propagations == expected.propagations
     return results
 
 
@@ -191,19 +218,22 @@ class TestStageDiffusion:
             assert_stage_matches_per_graph([clique, path], [0, 500], 3, kernel)
 
     def test_results_are_split_per_graph(self, small_ba_graph, star_graph):
-        first, second = stage_diffusion([small_ba_graph, star_graph], [3, 0], 2)
-        assert first.num_nodes == small_ba_graph.num_nodes
-        assert second.num_nodes == star_graph.num_nodes
-        assert second.propagations == 6 + 6  # the hub's row, then the six leaves'
+        first, second = stage_diffuse([small_ba_graph, star_graph], [3, 0], 2)
+        assert first[0].size == small_ba_graph.num_nodes
+        assert second[0].size == star_graph.num_nodes
+        assert second[2] == 6 + 6  # the hub's row, then the six leaves'
 
     def test_no_graphs_and_bad_seeds(self, star_graph):
-        assert stage_diffusion([], [], 3) == []
+        no_entries = np.zeros(0, dtype=np.int64)
+        accumulated, residual, propagations = stage_diffusion([0], no_entries, [0], [], 3)
+        assert accumulated.size == residual.size == propagations.size == 0
+        indptr, indices, bounds = block_diagonal([star_graph, star_graph])
         with pytest.raises(ValueError):
-            stage_diffusion([star_graph], [0, 1], 3)
+            stage_diffusion(indptr, indices, bounds, [0], 3)  # one seed, two blocks
         with pytest.raises(ValueError):
-            stage_diffusion([star_graph, star_graph], [0, 7], 3)
+            stage_diffusion(indptr, indices, bounds, [0, 3], 3)  # seed outside block 1
         with pytest.raises(ValueError):
-            stage_diffusion([star_graph], [0], -1)
+            stage_diffusion(indptr, indices, bounds, [0, 7], -1)
 
 
 class TestGraphStructure:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import barabasi_albert_graph
+from repro.graph.subgraph import Subgraph
 from repro.graph.partition import partition_graph
 from repro.meloppr.config import MeLoPPRConfig
 from repro.meloppr.planner import (
@@ -174,8 +175,10 @@ class TestWaveExecutorAgainstTheSolver:
 
         for target in (
             "repro.graph.bfs.extract_ego_subgraphs",
-            "repro.meloppr.planner.extract_ego_subgraphs",
-            "repro.serving.cache.extract_ego_subgraphs",
+            "repro.graph.bfs.extract_wave",
+            "repro.meloppr.planner.extract_wave",
+            "repro.serving.cache.extract_wave",
+            "repro.serving.engine.extract_wave",
             "repro.diffusion.diffusion.stage_diffusion",
             "repro.meloppr.planner.stage_diffusion",
         ):
@@ -267,12 +270,56 @@ class TestWaveExecutorAgainstTheSolver:
             for handle in shard_handles:
                 handle.unlink()
 
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_wave_boundaries_do_not_show(self, width, monkeypatch):
+        """At any wave width the engine returns the solver's bits — with a
+        node carried by balls in different waves, and waves that mix cache
+        hits with misses — uncached, cached and through a 2-shard router."""
+        config = MeLoPPRConfig(
+            stage_lengths=(1, 2, 3), selector=RatioSelector(1.0), track_memory=False
+        )
+        graph = _from_scratch(False)
+        queries = [PPRQuery(seed=seed, k=10) for seed in SEEDS]
+        expected = [_comparable(MeLoPPRSolver(graph, config).solve(q)) for q in queries]
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and hasattr(module, "BALLS_PER_PASS"):
+                monkeypatch.setattr(module, "BALLS_PER_PASS", width)
+        partition = partition_graph(graph, 2, strategy="hash", halo_depth=2)
+        cache = SubgraphCache()
+        for kwargs in ({}, {"cache": cache}, {"router": ShardRouter(partition)}):
+            with QueryEngine(MeLoPPRSolver(graph, config), **kwargs) as engine:
+                for _ in range(2):  # the second batch is served from the caches
+                    results = engine.solve_batch(queries)
+                    assert [_comparable(r) for r in results] == expected
+        assert cache.stats.hits and cache.stats.misses
+        cache.validate()
+
+    def test_the_cacheless_engine_builds_no_per_ball_objects(self, small_ba_graph, monkeypatch):
+        """Uncached, a wave stays stacked from extraction to fold."""
+        config = MeLoPPRConfig(selector=RatioSelector(0.2), track_memory=False)
+        queries = [PPRQuery(seed=seed, k=10) for seed in (0, 7, 42)]
+        expected = [_comparable(MeLoPPRSolver(small_ba_graph, config).solve(q)) for q in queries]
+
+        def boom(*args, **kwargs):
+            raise AssertionError("per-ball object built")
+
+        monkeypatch.setattr(Subgraph, "_trusted", boom)
+        monkeypatch.setattr("repro.graph.bfs.BFSResult", boom)
+        for backend in ("serial", "thread:2"):
+            solver = MeLoPPRSolver(small_ba_graph, config)
+            with QueryEngine(solver, backend=make_backend(backend)) as engine:
+                assert [_comparable(r) for r in engine.solve_batch(queries)] == expected
+
     def test_both_stage_runners_yield_lazily_in_task_order(self, small_ba_graph, config):
         plan = MeLoPPRSolver(small_ba_graph, config).plan(PPRQuery(seed=7, k=20))
-        for runner in (execute_stage, execute_stage_per_ball):
+        runners = (
+            (execute_stage, lambda wave: wave.tasks),
+            (execute_stage_per_ball, lambda outcome: (outcome.task,)),
+        )
+        for runner, tasks_of in runners:
             outcomes = runner(plan, plan.pending_tasks)
             assert iter(outcomes) is outcomes  # nothing ran yet
-            assert [o.task for o in outcomes] == list(plan.pending_tasks)
+            assert [task for o in outcomes for task in tasks_of(o)] == list(plan.pending_tasks)
         plan.close()
 
 

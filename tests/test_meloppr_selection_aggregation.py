@@ -78,6 +78,32 @@ class TestThresholdSelector:
             ThresholdSelector(-0.1)
 
 
+class TestSelectorContract:
+    """The plan hands ``select`` each candidate once, in ascending node order;
+    the answer must not depend on that order."""
+
+    @pytest.mark.parametrize(
+        "selector",
+        [
+            RatioSelector(0.3),
+            RatioSelector(0.0, minimum=40),  # the minimum exceeds the candidates
+            CountSelector(7),
+            ThresholdSelector(0.2),
+            AllSelector(),
+        ],
+        ids=repr,
+    )
+    def test_shuffled_candidates_give_the_same_array(self, selector):
+        rng = np.random.default_rng(11)
+        nodes = np.arange(0, 60, 2, dtype=np.int64)
+        residuals = rng.choice([0.1, 0.25, 0.5], size=nodes.size)  # many ties
+        expected = selector.select(nodes, residuals)
+        assert expected.size
+        for _ in range(5):
+            order = rng.permutation(nodes.size)
+            np.testing.assert_array_equal(selector.select(nodes[order], residuals[order]), expected)
+
+
 class TestAllSelector:
     def test_selects_everything_ordered(self):
         assert list(AllSelector().select(NODES, RESIDUALS)) == [20, 40, 50, 30, 10]

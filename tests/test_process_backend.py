@@ -319,7 +319,7 @@ class TestWorkerStateInProcess:
                 shard_id = int(partition.assignments[center])
                 task = StageTask(0, center, 3, 1.0, 0.85)
                 (outcome,), _ = state.run_stage([(shard_id, task)])
-                expected_sub, expected_bfs, _ = router.extract_many(graph, [center], 3)[0]
+                expected_sub, expected_bfs, _ = router.extract_wave(graph, [center], 3).triples()[0]
                 assert np.array_equal(
                     outcome.subgraph.global_ids, expected_sub.global_ids
                 )

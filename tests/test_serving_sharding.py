@@ -29,7 +29,7 @@ class TestRouting:
     def test_local_extraction_counted_per_owning_shard(self, small_ba_graph, partition, router):
         center = 7
         shard_id = partition.shard_of(center)
-        router.extract_many(small_ba_graph, [center], 2)[0]
+        router.extract_wave(small_ba_graph, [center], 2).triples()[0]
         stats = router.stats()
         assert stats.shards[shard_id].local_extractions == 1
         assert stats.local_extractions == 1
@@ -39,7 +39,7 @@ class TestRouting:
     def test_deep_extraction_falls_back(self, small_ba_graph, partition, router):
         center = 7
         shard_id = partition.shard_of(center)
-        router.extract_many(small_ba_graph, [center], partition.halo_depth + 1)[0]
+        router.extract_wave(small_ba_graph, [center], partition.halo_depth + 1).triples()[0]
         stats = router.stats()
         assert stats.shards[shard_id].fallback_extractions == 1
         assert stats.local_extractions == 0
@@ -48,8 +48,8 @@ class TestRouting:
     def test_repeat_extraction_hits_shard_cache(self, small_ba_graph, partition, router):
         center = 11
         shard_id = partition.shard_of(center)
-        _, _, first_hit = router.extract_many(small_ba_graph, [center], 2)[0]
-        _, _, second_hit = router.extract_many(small_ba_graph, [center], 2)[0]
+        _, _, first_hit = router.extract_wave(small_ba_graph, [center], 2).triples()[0]
+        _, _, second_hit = router.extract_wave(small_ba_graph, [center], 2).triples()[0]
         assert not first_hit and second_hit
         cache = router.cache_for(shard_id)
         assert cache is not None
@@ -61,8 +61,8 @@ class TestRouting:
 
     def test_fallback_extraction_uses_fallback_cache(self, small_ba_graph, router):
         depth = router.partition.halo_depth + 1
-        _, _, first_hit = router.extract_many(small_ba_graph, [7], depth)[0]
-        _, _, second_hit = router.extract_many(small_ba_graph, [7], depth)[0]
+        _, _, first_hit = router.extract_wave(small_ba_graph, [7], depth).triples()[0]
+        _, _, second_hit = router.extract_wave(small_ba_graph, [7], depth).triples()[0]
         assert not first_hit and second_hit
         stats = router.stats()
         assert stats.fallback_cache is not None
@@ -71,8 +71,8 @@ class TestRouting:
     def test_cache_disabled(self, small_ba_graph, partition):
         router = ShardRouter(partition, cache_bytes=None)
         assert not router.caching_enabled
-        _, _, first_hit = router.extract_many(small_ba_graph, [7], 2)[0]
-        _, _, second_hit = router.extract_many(small_ba_graph, [7], 2)[0]
+        _, _, first_hit = router.extract_wave(small_ba_graph, [7], 2).triples()[0]
+        _, _, second_hit = router.extract_wave(small_ba_graph, [7], 2).triples()[0]
         assert not first_hit and not second_hit
         stats = router.stats()
         assert stats.hit_rate == 0.0
@@ -80,16 +80,16 @@ class TestRouting:
 
     def test_foreign_graph_rejected(self, router, small_citation_graph):
         with pytest.raises(ValueError):
-            router.extract_many(small_citation_graph, [0], 2)[0]
+            router.extract_wave(small_citation_graph, [0], 2).triples()[0]
 
     def test_invalid_center_rejected(self, small_ba_graph, router):
         with pytest.raises(ValueError):
-            router.extract_many(small_ba_graph, [-1], 2)[0]
+            router.extract_wave(small_ba_graph, [-1], 2).triples()[0]
         with pytest.raises(ValueError):
-            router.extract_many(small_ba_graph, [small_ba_graph.num_nodes], 2)[0]
+            router.extract_wave(small_ba_graph, [small_ba_graph.num_nodes], 2).triples()[0]
 
     def test_callable_alias(self, small_ba_graph, router):
-        subgraph, bfs, hit = router.extract_many(small_ba_graph, [3], 1)[0]
+        subgraph, bfs, hit = router.extract_wave(small_ba_graph, [3], 1).triples()[0]
         assert subgraph.contains_global(3)
         assert bfs.source == 3
         assert not hit
@@ -98,7 +98,7 @@ class TestRouting:
         centers = list(range(0, small_ba_graph.num_nodes, 7))
         owners = Counter(partition.shard_of(center) for center in centers)
         assert len(owners) == partition.num_shards
-        triples = router.extract_many(small_ba_graph, centers, 2)
+        triples = router.extract_wave(small_ba_graph, centers, 2).triples()
         assert len(triples) == len(centers)
         for center, (subgraph, bfs, hit) in zip(centers, triples):
             expected, expected_bfs = extract_ego_subgraph(small_ba_graph, center, 2)
@@ -114,7 +114,7 @@ class TestRouting:
             assert shard.local_extractions == owners[shard.shard_id]
             assert shard.cache.misses == owners[shard.shard_id]
         assert stats.fallback_extractions == 0
-        again = router.extract_many(small_ba_graph, list(reversed(centers)), 2)
+        again = router.extract_wave(small_ba_graph, list(reversed(centers)), 2).triples()
         assert all(hit for _, _, hit in again)
         assert [bfs.source for _, bfs, _ in again] == list(reversed(centers))
 
@@ -122,7 +122,7 @@ class TestRouting:
         depth = partition.halo_depth + 1
         centers = [3, 40, 17, 8]
         owners = Counter(partition.shard_of(center) for center in centers)
-        triples = router.extract_many(small_ba_graph, centers, depth)
+        triples = router.extract_wave(small_ba_graph, centers, depth).triples()
         for center, (subgraph, bfs, hit) in zip(centers, triples):
             expected, expected_bfs = extract_ego_subgraph(small_ba_graph, center, depth)
             assert not hit
@@ -140,10 +140,10 @@ class TestRouting:
         shard = partition.shards[0]
         owned = [int(node) for node in shard.subgraph.global_ids if partition.shard_of(int(node)) == 0][:4]
         cache = SubgraphCache()
-        warm = globalize_shard_extraction(small_ba_graph.name, shard.subgraph, owned[1:2], 2, cache)
+        warm = globalize_shard_extraction(small_ba_graph.name, shard.subgraph, owned[1:2], 2, cache).triples()
         assert cache.stats.misses == 1
-        cached = globalize_shard_extraction(small_ba_graph.name, shard.subgraph, owned, 2, cache)
-        fresh = globalize_shard_extraction(small_ba_graph.name, shard.subgraph, owned, 2)
+        cached = globalize_shard_extraction(small_ba_graph.name, shard.subgraph, owned, 2, cache).triples()
+        fresh = globalize_shard_extraction(small_ba_graph.name, shard.subgraph, owned, 2).triples()
         assert [hit for _, _, hit in cached] == [False, True, False, False]
         assert [hit for _, _, hit in fresh] == [False] * 4
         assert cached[1][0] is warm[0][0]
@@ -157,8 +157,8 @@ class TestRouting:
 
 class TestRouterStats:
     def test_as_dict_shape(self, small_ba_graph, router):
-        router.extract_many(small_ba_graph, [5], 2)[0]
-        router.extract_many(small_ba_graph, [5], router.partition.halo_depth + 2)[0]
+        router.extract_wave(small_ba_graph, [5], 2).triples()[0]
+        router.extract_wave(small_ba_graph, [5], router.partition.halo_depth + 2).triples()[0]
         payload = router.stats().as_dict()
         assert payload["num_shards"] == 3
         assert payload["local_extractions"] == 1
@@ -173,7 +173,7 @@ class TestRouterStats:
 
     def test_validate_passes_after_traffic(self, small_ba_graph, router):
         for center in range(0, small_ba_graph.num_nodes, 9):
-            router.extract_many(small_ba_graph, [center], 2)[0]
+            router.extract_wave(small_ba_graph, [center], 2).triples()[0]
         router.validate()
 
 
@@ -217,7 +217,7 @@ class TestRouterLiveUpdate:
         router = ShardRouter(partition, result_cache_bytes=1 << 20)
         assert router.update_radius() == partition.halo_depth
         # A deeper cached extraction raises the radius above the halo depth.
-        router.extract_many(small_ba_graph, [7], partition.halo_depth + 2)[0]
+        router.extract_wave(small_ba_graph, [7], partition.halo_depth + 2).triples()[0]
         assert router.update_radius() == partition.halo_depth + 2
 
     def test_apply_update_patches_and_invalidates(self, small_ba_graph, partition):
@@ -231,7 +231,7 @@ class TestRouterLiveUpdate:
 
         router = ShardRouter(partition, result_cache_bytes=1 << 20)
         for center in (3, 7, 11):
-            router.extract_many(small_ba_graph, [center], 2)[0]
+            router.extract_wave(small_ba_graph, [center], 2).triples()[0]
         delta = DeltaGraph(small_ba_graph)
         u, v = next(iter(small_ba_graph.iter_edges()))
         delta.delete_edge(u, v)
@@ -255,4 +255,4 @@ class TestRouterLiveUpdate:
                     shard.subgraph.to_local(u), shard.subgraph.to_local(v)
                 )
         # Extractions against the new host serve without a foreign-graph error.
-        router.extract_many(new_graph, [3], 2)[0]
+        router.extract_wave(new_graph, [3], 2).triples()[0]

@@ -74,14 +74,14 @@ class TestSubgraphCacheStress:
         def worker(index):
             for step in range(OPS_PER_THREAD):
                 center = centers[(index * 31 + step * 7) % len(centers)]
-                subgraph, _, _ = cache.get_or_extract_many(small_ba_graph, [center], 2)[0]
+                subgraph, _, _ = cache.extract_wave(small_ba_graph, [center], 2).triples()[0]
                 assert subgraph.contains_global(center)
 
         run_threads(worker)
 
         cache.validate()
         stats = cache.stats
-        # Every get_or_extract_many centre performs exactly one counted lookup.
+        # Every extract_wave centre performs exactly one counted lookup.
         assert stats.hits + stats.misses == stats.lookups
         assert stats.lookups == NUM_THREADS * OPS_PER_THREAD
         # The tiny budget must have forced real evictions (the stress point).
@@ -129,7 +129,7 @@ class TestShardRouterStress:
             for step in range(OPS_PER_THREAD):
                 center = centers[(index * 17 + step) % len(centers)]
                 depth = depths[(index + step) % len(depths)]
-                subgraph, bfs, _ = router.extract_many(small_ba_graph, [center], depth)[0]
+                subgraph, bfs, _ = router.extract_wave(small_ba_graph, [center], depth).triples()[0]
                 assert bfs.source == center
                 assert subgraph.contains_global(center)
 
@@ -162,7 +162,7 @@ class TestShardRouterStress:
 
             for step in range(OPS_PER_THREAD // 2):
                 center = centers[(index + step) % len(centers)]
-                subgraph, bfs, _ = router.extract_many(small_ba_graph, [center], 2)[0]
+                subgraph, bfs, _ = router.extract_wave(small_ba_graph, [center], 2).triples()[0]
                 want_sub, want_bfs = expected[center]
                 assert np.array_equal(subgraph.global_ids, want_sub.global_ids)
                 assert np.array_equal(subgraph.graph.indptr, want_sub.graph.indptr)
@@ -176,7 +176,7 @@ class TestShardRouterStress:
 class TestCacheValidate:
     def test_validate_detects_corruption(self, small_ba_graph):
         cache = SubgraphCache(max_bytes=64 << 20)
-        cache.get_or_extract_many(small_ba_graph, [0], 2)[0]
+        cache.extract_wave(small_ba_graph, [0], 2).triples()[0]
         cache._current_bytes += 1  # simulate bookkeeping drift
         with pytest.raises(AssertionError):
             cache.validate()

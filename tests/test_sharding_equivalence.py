@@ -101,7 +101,7 @@ class TestShardLocalExtraction:
                 expected_sub, expected_bfs = extract_ego_subgraph(
                     small_ba_graph, center, depth
                 )
-                got_sub, got_bfs, hit = router.extract_many(small_ba_graph, [center], depth)[0]
+                got_sub, got_bfs, hit = router.extract_wave(small_ba_graph, [center], depth).triples()[0]
                 assert not hit
                 assert np.array_equal(got_sub.graph.indptr, expected_sub.graph.indptr)
                 assert np.array_equal(got_sub.graph.indices, expected_sub.graph.indices)
