@@ -731,7 +731,10 @@ class ProcessPoolBackend(ExecutionBackend):
                 for worker in workers:
                     worker.join(timeout=self._JOIN_TIMEOUT_SECONDS)
                 for worker in workers:
-                    if worker.is_alive():  # pragma: no cover - wedged worker
+                    # The sentinel, not is_alive(): an exit status reaped
+                    # elsewhere leaves is_alive() True on a pid that is gone.
+                    exited = _connection_wait([worker.sentinel], timeout=0)
+                    if not exited:  # pragma: no cover - wedged worker
                         worker.terminate()
                         worker.join(timeout=self._JOIN_TIMEOUT_SECONDS)
                 if collector is not None:
@@ -769,7 +772,7 @@ class ProcessPoolBackend(ExecutionBackend):
         sentinels = [worker.sentinel for worker in workers]
         while True:
             try:
-                _connection_wait([reader] + sentinels, timeout=0.2)
+                ready = _connection_wait([reader] + sentinels, timeout=0.2)
                 # Drain every available response before looking at deaths so
                 # results that raced a crash still resolve.
                 while reader.poll():
@@ -778,8 +781,12 @@ class ProcessPoolBackend(ExecutionBackend):
                 return
             if stop_event.is_set():
                 return
+            # A ready sentinel means the worker has exited, even when its exit
+            # status cannot be collected (with SIGCHLD ignored the kernel
+            # reaps it and ``exitcode`` stays None).  Exit 0 is a clean stop.
             dead = [
-                worker for worker in workers if worker.exitcode not in (None, 0)
+                worker for worker in workers
+                if worker.sentinel in ready and worker.exitcode != 0
             ]
             if dead:
                 names = ", ".join(

@@ -198,6 +198,23 @@ class TestWorkerCrash:
         finally:
             engine.close()
 
+    def test_killed_workers_raise_with_sigchld_ignored(self, graph, queries):
+        # With SIGCHLD ignored the kernel reaps a dead worker itself, so its
+        # exit status is gone and ``exitcode`` stays None; the collector must
+        # still see the death through the worker's sentinel.
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        backend = ProcessPoolBackend(num_workers=2)
+        engine = QueryEngine(MeLoPPRSolver(graph), backend=backend)
+        try:
+            engine.solve_batch(queries[:2])  # warm pool
+            for worker in backend._workers:
+                os.kill(worker.pid, signal.SIGKILL)
+            with pytest.raises(WorkerCrashError, match="worker died"):
+                run_with_timeout(lambda: engine.solve_batch(queries), timeout=20.0)
+        finally:
+            run_with_timeout(engine.close, timeout=20.0)
+            signal.signal(signal.SIGCHLD, previous)
+
     def test_engine_recovers_after_close(self, graph, queries):
         with QueryEngine(MeLoPPRSolver(graph)) as engine:
             reference = [r.top_k() for r in engine.solve_batch(queries)]
