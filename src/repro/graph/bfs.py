@@ -187,23 +187,18 @@ def extract_wave(graph: CSRGraph, centers: Sequence[int], depth: int) -> "EgoWav
     Up to :data:`BALLS_PER_PASS` balls come out of one labelled multi-source
     expansion and one block-diagonal relabel, so an extraction's NumPy calls
     are paid per pass, not per ball, and no per-ball object is built.  Scratch
-    is two flat arrays with a slot per (ball of the pass, node), allocated per
-    pass; more centres than one pass holds are extracted pass by pass and
-    stacked.
+    is two flat arrays with a slot per (ball of the pass, node); a call is one
+    pass, so more centres than :data:`BALLS_PER_PASS` raise ``ValueError``.
     """
     num_nodes = graph.num_nodes
     centers = [check_node_id(center, num_nodes, "source") for center in centers]
     depth = check_non_negative_int(depth, "depth")
+    if len(centers) > BALLS_PER_PASS:
+        raise ValueError(f"one pass extracts at most {BALLS_PER_PASS} balls, got {len(centers)}")
     if not centers:  # a stage the cache served whole
         none, start = np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
         return EgoWave(graph.name, depth, start, none, none, none, start, none, none.astype(bool))
-    passes = [
-        _extract_pass(graph, centers[begin : begin + BALLS_PER_PASS], depth)
-        for begin in range(0, len(centers), BALLS_PER_PASS)
-    ]
-    if len(passes) == 1:
-        return passes[0]
-    return EgoWave.stack(graph.name, depth, [ball for wave in passes for ball in wave.triples()])
+    return _extract_pass(graph, centers, depth)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,6 +251,11 @@ class EgoWave:
             object.__setattr__(self, "_balls", pairs)
         return self._balls
 
+    def entries(self) -> np.ndarray:
+        """Adjacency entries (twice the edges) of each ball."""
+        ends = self.indptr[self.bounds]
+        return ends[1:] - ends[:-1]
+
     def triples(self) -> List[Tuple[Subgraph, BFSResult, bool]]:
         """:meth:`balls` with each ball's cache-hit flag: ``(subgraph, bfs, hit)``."""
         return [(sub, bfs, hit) for (sub, bfs), hit in zip(self.balls(), self.hits.tolist())]
@@ -267,9 +267,9 @@ class EgoWave:
         """Kept ``(subgraph, bfs, hit)`` balls as one wave, in order (at least one).
 
         The one place balls are restacked: a stage's cache hits with its
-        fresh misses, a sharded stage's shard groups, the passes of a wide
-        extraction.  Only offsets change, so every ball keeps its bits, and
-        :meth:`balls` returns the given objects.
+        fresh misses, and a sharded stage's shard groups.  Only offsets
+        change, so every ball keeps its bits, and :meth:`balls` returns the
+        given objects.
         """
         graphs = [subgraph.graph for subgraph, _, _ in balls]
         sizes = [graph.num_nodes for graph in graphs]

@@ -222,63 +222,39 @@ class StageOneState:
 class StageWaveOutcome:
     """What the wave executor produced for consecutive tasks of one stage, stacked.
 
-    Ball ``i`` (``tasks[i]``) owns entries ``bounds[i]:bounds[i+1]`` of
-    ``global_ids``, ``accumulated`` and ``residual``; the other fields hold
-    one count per ball, which is what the plan builds each
-    :class:`StageTaskRecord` and the modelled bytes from.  ``extraction`` is
-    the wave's stacked extraction (``None`` for one per-ball outcome).
+    Ball ``i`` (``tasks[i]``) owns the stacked rows
+    ``extraction.bounds[i]:extraction.bounds[i+1]`` of ``accumulated`` and
+    ``residual``, and ``propagations[i]``.  The plan reads every other
+    per-ball count of a :class:`StageTaskRecord` from ``extraction``.
     """
 
     tasks: Tuple[StageTask, ...]
-    global_ids: np.ndarray
-    bounds: List[int]
+    extraction: EgoWave
     accumulated: np.ndarray
     residual: np.ndarray
-    edges: List[int]
-    edges_scanned: List[int]
-    propagations: List[int]
-    nbytes: List[int]
-    cache_hits: List[bool]
-    extraction: Optional[EgoWave] = None
-
-    @classmethod
-    def of_wave(
-        cls,
-        tasks: Sequence[StageTask],
-        extraction: EgoWave,
-        accumulated: np.ndarray,
-        residual: np.ndarray,
-        propagations: np.ndarray,
-    ) -> "StageWaveOutcome":
-        """A diffused wave; a ball's bytes are its CSR (``int64`` indptr,
-        ``int32`` indices) plus its two ``float64`` score vectors."""
-        bounds = extraction.bounds
-        sizes = bounds[1:] - bounds[:-1]
-        entries = extraction.indptr[bounds]
-        entries = entries[1:] - entries[:-1]
-        return cls(
-            tuple(tasks), extraction.nodes, bounds.tolist(), accumulated, residual,
-            (entries // 2).tolist(), extraction.edges_scanned.tolist(), propagations.tolist(),
-            (8 * (sizes + 1) + 4 * entries + 16 * sizes).tolist(), extraction.hits.tolist(),
-            extraction,
-        )
+    propagations: np.ndarray
 
     @classmethod
     def of_ball(cls, outcome: StageTaskOutcome) -> "StageWaveOutcome":
-        """One per-ball outcome as a one-ball wave (views, nothing copied)."""
-        subgraph, diffusion = outcome.subgraph, outcome.diffusion
+        """One per-ball outcome as a one-ball wave (views, nothing copied): a
+        single ball's CSR is already block-diagonal."""
+        subgraph, bfs, diffusion = outcome.subgraph, outcome.bfs, outcome.diffusion
+        graph = subgraph.graph
+        wave = EgoWave(
+            graph.name, bfs.depth, graph.indptr, graph.indices, subgraph.global_ids,
+            bfs.levels, np.array([0, graph.num_nodes]), np.array([bfs.edges_scanned]),
+            np.array([outcome.cache_hit]),
+        )
+        object.__setattr__(wave, "_balls", [(subgraph, bfs)])
         return cls(
-            (outcome.task,), subgraph.global_ids, [0, subgraph.num_nodes],
-            diffusion.accumulated, diffusion.residual, [subgraph.num_edges],
-            [outcome.bfs.edges_scanned], [diffusion.propagations],
-            [subgraph.graph.nbytes() + diffusion.accumulated.nbytes + diffusion.residual.nbytes],
-            [outcome.cache_hit],
+            (outcome.task,), wave, diffusion.accumulated, diffusion.residual,
+            np.array([diffusion.propagations]),
         )
 
     def outcomes(self) -> List[StageTaskOutcome]:
         """The wave as per-ball outcomes: the balls are copied out of the
         extraction, the score vectors are views."""
-        bounds = self.bounds
+        bounds = self.extraction.bounds.tolist()
         return [
             StageTaskOutcome(
                 task, subgraph, bfs,
@@ -289,7 +265,8 @@ class StageWaveOutcome:
                 hit,
             )
             for task, (subgraph, bfs, hit), begin, end, work in zip(
-                self.tasks, self.extraction.triples(), bounds, bounds[1:], self.propagations
+                self.tasks, self.extraction.triples(), bounds, bounds[1:],
+                self.propagations.tolist(),
             )
         ]
 
@@ -563,9 +540,10 @@ class MeLoPPRPlan:
         for outcome in outcomes:
             if not isinstance(outcome, StageWaveOutcome):
                 outcome = StageWaveOutcome.of_ball(outcome)
-            tasks, ids, bounds = outcome.tasks, outcome.global_ids, outcome.bounds
+            tasks, wave = outcome.tasks, outcome.extraction
+            ids, bounds = wave.nodes, wave.bounds
             folded += len(tasks)
-            sizes = [end - begin for begin, end in zip(bounds, bounds[1:])]
+            sizes = bounds[1:] - bounds[:-1]
             with self.timing.measure("aggregation"):
                 # Each entry is scaled by its ball's weight (one ball: a scalar).
                 weights = (
@@ -574,7 +552,8 @@ class MeLoPPRPlan:
                     else np.repeat([task.weight for task in tasks], sizes)
                 )
                 scaled = weights * outcome.accumulated
-                for begin, end in zip(bounds, bounds[1:]):
+                offsets = bounds.tolist()
+                for begin, end in zip(offsets, offsets[1:]):
                     self._table.add_many(ids[begin:end], scaled[begin:end])
             if not is_last_stage:
                 with self.timing.measure("selection"):
@@ -582,18 +561,23 @@ class MeLoPPRPlan:
                     carried_ids.append(ids[carried])
                     carried_mass.append((weights * outcome.residual)[carried])
 
-            for task, nodes, edges, scanned, work in zip(
-                tasks, sizes, outcome.edges, outcome.edges_scanned, outcome.propagations
+            entries = wave.entries()
+            for task, nodes, nnz, scanned, work in zip(
+                tasks, sizes.tolist(), entries.tolist(), wave.edges_scanned.tolist(),
+                outcome.propagations.tolist(),
             ):
                 self._records.append(
                     StageTaskRecord(
-                        task.stage_index, task.center, task.weight, nodes, edges, scanned, work
+                        task.stage_index, task.center, task.weight, nodes, nnz // 2, scanned, work
                     )
                 )
-            hits = sum(outcome.cache_hits)
+            hits = int(np.count_nonzero(wave.hits))
             self._cache_hits += hits
             self._cache_misses += len(tasks) - hits
-            self._peak_subgraph_bytes = max(self._peak_subgraph_bytes, *outcome.nbytes)
+            # A ball's bytes: its CSR (int64 indptr, int32 indices) and its
+            # two float64 score vectors.
+            nbytes = int((8 * (sizes + 1) + 4 * entries + 16 * sizes).max())
+            self._peak_subgraph_bytes = max(self._peak_subgraph_bytes, nbytes)
 
         if folded != expected:
             raise ValueError(
@@ -782,7 +766,7 @@ def execute_waves(
             scores = stage_diffusion(
                 extraction.indptr, extraction.indices, bounds, bounds[:-1], length, alpha
             )
-        yield StageWaveOutcome.of_wave(wave, extraction, *scores)
+        yield StageWaveOutcome(tuple(wave), extraction, *scores)
 
 
 def execute_stage(

@@ -51,6 +51,8 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from repro.serving.cache import DEFAULT_CACHE_BYTES, CacheStats, SubgraphCache
 from repro.serving.tracing import monotonic_wall, worker_wave_spans
 
@@ -173,68 +175,42 @@ class WorkerCrashError(RuntimeError):
 # ----------------------------------------------------------------------
 # Worker-side execution (runs in the spawned/forked worker processes).
 # ----------------------------------------------------------------------
-class _WireGraph:
-    """Size-only stand-in for the ego CSR graph in a wire outcome."""
+class _WireWave:
+    """The slice of a one-ball :class:`~repro.graph.bfs.EgoWave` the planner folds.
 
-    __slots__ = ("_nbytes",)
-
-    def __init__(self, nbytes: int) -> None:
-        self._nbytes = int(nbytes)
-
-    def nbytes(self) -> int:
-        return self._nbytes
-
-
-class _WireSubgraph:
-    """The slice of a :class:`~repro.graph.subgraph.Subgraph` the planner folds.
-
-    The parent's fold loop reads ``global_ids``, the node/edge counts and the
-    retained byte size — never the CSR arrays or the global→local map, which
-    dominate the pickle cost of a full sub-graph.  Workers therefore ship
-    this compact stand-in instead: ~third of the bytes, ~third of the
-    parent-side unpickle time, and the parent's unpickle+fold throughput is
-    exactly what bounds how many workers the pool can feed.
+    The parent's fold loop reads the ball's global ids, its row range, its
+    adjacency-entry count, the BFS work and the hit flag — never the CSR
+    arrays or the levels, which dominate the pickle cost of a full ball.
+    Workers therefore ship this compact stand-in: ~third of the bytes,
+    ~third of the parent-side unpickle time, and the parent's unpickle+fold
+    throughput is exactly what bounds how many workers the pool can feed.
     """
 
-    __slots__ = ("global_ids", "num_nodes", "num_edges", "graph")
+    __slots__ = ("nodes", "bounds", "edges_scanned", "hits", "_entries")
 
-    def __init__(self, global_ids, num_nodes: int, num_edges: int, graph_nbytes: int) -> None:
-        self.global_ids = global_ids
-        self.num_nodes = int(num_nodes)
-        self.num_edges = int(num_edges)
-        self.graph = _WireGraph(graph_nbytes)
+    def __init__(self, subgraph, bfs, hit: bool) -> None:
+        self.nodes = subgraph.global_ids
+        self.bounds = np.array([0, subgraph.num_nodes])
+        self.edges_scanned = np.array([bfs.edges_scanned])
+        self.hits = np.array([hit])
+        self._entries = np.array([subgraph.graph.indices.size])
 
-
-class _WireBFS:
-    """The slice of a BFS record the planner folds (cost model input)."""
-
-    __slots__ = ("source", "depth", "edges_scanned")
-
-    def __init__(self, source: int, depth: int, edges_scanned: int) -> None:
-        self.source = int(source)
-        self.depth = int(depth)
-        self.edges_scanned = int(edges_scanned)
+    def entries(self) -> np.ndarray:
+        return self._entries
 
 
 def _compact_outcome(outcome):
-    """Shrink a worker's StageTaskOutcome to the fields the planner folds."""
-    from repro.meloppr.planner import StageTaskOutcome
+    """Shrink a worker's StageTaskOutcome to the one-ball wave the planner folds."""
+    from repro.meloppr.planner import StageWaveOutcome
 
-    subgraph = outcome.subgraph
-    bfs = outcome.bfs
-    return StageTaskOutcome(
-        task=outcome.task,
-        subgraph=_WireSubgraph(
-            subgraph.global_ids,
-            subgraph.num_nodes,
-            subgraph.num_edges,
-            subgraph.graph.nbytes(),
-        ),
-        bfs=_WireBFS(bfs.source, bfs.depth, bfs.edges_scanned),
-        diffusion=outcome.diffusion,
-        cache_hit=outcome.cache_hit,
+    diffusion = outcome.diffusion
+    return StageWaveOutcome(
+        (outcome.task,),
+        _WireWave(outcome.subgraph, outcome.bfs, outcome.cache_hit),
+        diffusion.accumulated,
+        diffusion.residual,
+        np.array([diffusion.propagations]),
     )
-
 
 
 class _WorkerState:

@@ -25,6 +25,7 @@ from repro.graph.bfs import (
     expand_frontier,
     extract_ego_subgraph,
     extract_ego_subgraphs,
+    extract_wave,
 )
 from repro.graph.csr import CSRGraph, gather_rows
 from repro.graph.datasets import load_dataset
@@ -217,6 +218,12 @@ class TestStageExtractionMatchesPerBall:
         assert len(centers) > 2 * BALLS_PER_PASS
         assert_stage_matches_per_ball(graph, centers, 2)
         assert_stage_matches_per_ball(graph, centers[: BALLS_PER_PASS + 1], 3)
+
+    def test_one_wave_is_one_pass(self, small_ba_graph):
+        centers = list(range(BALLS_PER_PASS + 1))
+        assert len(extract_wave(small_ba_graph, centers[:-1], 2).hits) == BALLS_PER_PASS
+        with pytest.raises(ValueError, match="at most"):
+            extract_wave(small_ba_graph, centers, 2)
 
     def test_every_array_owns_its_memory(self, small_ba_graph):
         pairs = extract_ego_subgraphs(small_ba_graph, [3, 4, 150], 2)
