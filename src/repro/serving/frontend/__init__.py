@@ -14,25 +14,28 @@ into the well-formed batches that engine is optimised for:
   (``query``/``query_batch``/``ping``/``stats``/``drain``/``traces``,
   typed errors, retry-with-backoff) with :class:`TcpQueryClient` and
   :class:`HttpQueryClient` implementations behind :func:`connect_client`.
-* :class:`AsyncQueryServer` — a minimal TCP service speaking
-  newline-delimited JSON, with protocol-level shed/deadline answers.
-* :class:`HttpQueryServer` / :class:`HttpClient` / :class:`HttpClientPool` —
-  the production front door: the same batcher served over HTTP/1.1 + JSON,
-  with a Prometheus ``/metrics`` endpoint
-  (:func:`render_prometheus` / :func:`parse_prometheus_text`).
+* Two front doors, two codecs on one shell
+  (:class:`~repro.serving.frontend.shell.FrontDoor`: listener, connections,
+  graceful drain) answering from one op table
+  (:data:`~repro.serving.frontend.ops.OPS`):
+  :class:`AsyncQueryServer` frames newline-delimited JSON over TCP;
+  :class:`HttpQueryServer` frames HTTP/1.1 + JSON and adds a Prometheus
+  ``/metrics`` endpoint (:func:`render_prometheus` /
+  :func:`parse_prometheus_text`), with :class:`HttpClient` /
+  :class:`HttpClientPool` as its plain clients.
 * :class:`ReplicaRouter` — the multi-replica front door: consistent-hash
   seed routing over a fleet (see :mod:`repro.serving.replica`), bounded
   retry-with-failover, rolling drain, and aggregated
   ``/stats``/``/metrics``/``/debug/traces``.
 * :class:`ServingConfig` / :func:`build_frontend` — the one CLI/config
-  surface both server transports (and the replica supervisor) build from.
+  surface both server transports (and the replica supervisor) build from;
+  one CLI main (``shell.serve_main``) runs either door.
 * ``PROTOCOL_VERSION`` — every response (TCP line or HTTP envelope)
   carries a ``proto`` field so mixed-version fleets fail loudly
   (:class:`ProtocolMismatchError`).
 * :func:`apply_reload` — hot config reload (admission bound, batch policy,
-  cache budgets) shared by both transports; both servers also implement
-  graceful drain (``drain()``: stop accepting, finish every in-flight
-  query).
+  cache budgets), one of the shared ops; graceful drain (``drain()``: stop
+  accepting, finish every in-flight query) is the shell's.
 * :class:`WorkloadRecorder` / :func:`replay_trace` — capture accepted
   queries with arrival offsets as JSONL traces and replay them as
   repeatable benchmarks.
@@ -101,7 +104,8 @@ from repro.serving.frontend.protocol import (
     check_protocol_version,
 )
 from repro.serving.frontend.router import ReplicaRouter
-from repro.serving.frontend.server import AsyncQueryServer, write_ready_file
+from repro.serving.frontend.server import AsyncQueryServer
+from repro.serving.frontend.shell import write_ready_file
 
 __all__ = [
     "AdmissionController",

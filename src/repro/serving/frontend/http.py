@@ -1,10 +1,11 @@
-"""An HTTP/1.1 + JSON front door over the same micro-batcher as TCP.
+"""The HTTP/1.1 + JSON front door: the same operations as the TCP door.
 
-The JSON-lines TCP protocol (:mod:`repro.serving.frontend.server`) is the
-low-overhead path for purpose-built clients; this module is the *operable*
-one — anything that speaks HTTP (curl, load balancers, Prometheus) can talk
-to it, and both transports can serve the **same**
-:class:`~repro.serving.frontend.batcher.MicroBatcher` simultaneously, so
+Both doors are codecs on one shell (:class:`~repro.serving.frontend.shell.FrontDoor`:
+listener, connections, drain) and answer from one op table
+(:data:`~repro.serving.frontend.ops.OPS`); they differ only in framing and
+envelope, and cost about the same per round trip.  HTTP is the one anything
+can talk to (curl, load balancers, Prometheus).  Both can serve the
+**same** :class:`~repro.serving.frontend.batcher.MicroBatcher` at once, so
 queries arriving over HTTP coalesce into the same batches as TCP traffic.
 
 Endpoints::
@@ -19,6 +20,8 @@ Endpoints::
                            {"ok": false, "error": <code>, "message": ...}
     GET  /healthz       200 while serving, 503 while draining (load
                         balancers stop routing before the listener closes)
+                        (every GET route also answers HEAD: the same head,
+                        no body)
     GET  /stats         the full nested stats snapshot as JSON
     GET  /metrics       Prometheus text exposition (0.0.4) of the same
                         counters (repro.serving.frontend.metrics)
@@ -64,21 +67,20 @@ from __future__ import annotations
 import asyncio
 import json
 import re
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.serving.frontend.batcher import MicroBatcher
 from repro.serving.frontend.metrics import render_prometheus
-from repro.serving.frontend.ops import answer_query, apply_graph_update, apply_reload
+from repro.serving.frontend.ops import (
+    OPS,
+    TracingDisabledError,
+    answer_query,
+    parse_query_request,
+    refusal,
+    tracer_of,
+)
 from repro.serving.frontend.protocol import PROTOCOL_VERSION
-from repro.serving.frontend.server import parse_query_request
+from repro.serving.frontend.shell import FrontDoor, serve_main
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.serving.frontend.recorder import WorkloadRecorder
@@ -114,11 +116,14 @@ _REASONS = {
 #: without relearning the failure taxonomy.
 _ERROR_STATUS = {
     "bad_request": 400,
+    "not_found": 404,
     "shed": 429,
     "deadline": 504,
     "internal": 500,
 }
 
+
+_JSON_TYPE = "application/json"
 
 #: Largest message head (start line + headers) either side will buffer:
 #: asyncio's default stream limit, now for the whole head rather than per line.
@@ -190,18 +195,20 @@ class _MessageReader:
         return buffer[:length]
 
 
-class BaseHttpServer:
-    """The transport shell shared by every HTTP front door.
+class BaseHttpServer(FrontDoor):
+    """The HTTP/1.1 codec on the shell, shared by every HTTP front door.
 
-    Owns everything about *being an HTTP/1.1 server* — the listener
-    lifecycle, per-connection request loop, request-line/header parsing,
-    ``Content-Length`` framing with the body-size cap, keep-alive handling,
-    response serialisation (every response carries an ``X-Repro-Proto``
-    header) and the graceful-drain contract — and nothing about what the
-    endpoints *mean*.  Subclasses implement :meth:`_route`:
-    :class:`HttpQueryServer` answers from a micro-batcher, the replica
-    router (:mod:`repro.serving.frontend.router`) forwards to a fleet.
+    Owns the HTTP framing — head parsing, ``Content-Length`` bodies under a
+    size cap, keep-alive, the ``404`` / ``405`` check against
+    :attr:`_ROUTES`, ``HEAD`` (the ``GET`` head without its body), and
+    responses stamped ``X-Repro-Proto`` — and nothing about what a route
+    *means*: subclasses declare :attr:`_ROUTES` and implement :meth:`_route`
+    (:class:`HttpQueryServer` answers from a micro-batcher, the replica
+    router forwards to a fleet).
     """
+
+    #: Every route and the one method it answers (``HEAD`` rides on ``GET``).
+    _ROUTES: Dict[str, str] = {}
 
     def __init__(
         self,
@@ -213,13 +220,8 @@ class BaseHttpServer:
             raise ValueError(
                 f"max_body_bytes must be > 0, got {max_body_bytes}"
             )
-        self._host = host
-        self._port = port
+        super().__init__(host, port)
         self._max_body_bytes = max_body_bytes
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._draining = False
-        #: Each open connection's handler task -> its (reader, writer).
-        self._conn_tasks: Dict["asyncio.Task[None]", tuple] = {}
 
     async def _route(
         self,
@@ -229,125 +231,36 @@ class BaseHttpServer:
         received: float,
         headers: Optional[Dict[str, str]] = None,
     ) -> Tuple[int, object, str]:
-        """Dispatch one request; returns ``(status, payload, content_type)``.
+        """Answer one request to a route in :attr:`_ROUTES` with an allowed
+        method; returns ``(status, payload, content_type)``.
 
         ``payload`` is a dict/list (JSON-encoded on the way out), a
         pre-rendered string, or already-encoded bytes.
         """
         raise NotImplementedError
 
-    @property
-    def draining(self) -> bool:
-        """Whether :meth:`drain` has begun (no new work is accepted)."""
-        return self._draining
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` (after :meth:`start`)."""
-        if self._server is None:
-            raise RuntimeError("server is not started")
-        sock = self._server.sockets[0]
-        host, port = sock.getsockname()[:2]
-        return host, port
-
-    # ------------------------------------------------------------------
-    async def start(self) -> Tuple[str, int]:
-        """Bind and start accepting connections; returns the bound address."""
-        if self._server is not None:
-            raise RuntimeError("server is already started")
-        self._draining = False
-        self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port
-        )
-        return self.address
-
-    async def stop(self) -> None:
-        """Stop accepting connections and close the listener (idempotent)."""
-        if self._server is None:
-            return
-        self._server.close()
-        await self._server.wait_closed()
-        self._server = None
-
-    async def drain(self) -> None:
-        """Gracefully wind the server down: stop accepting, finish in-flight.
-
-        Same contract as the TCP server's drain — **no admitted request is
-        ever dropped**: the listener closes, every connection answers (and
-        flushes) each request it has already received, idle keep-alive
-        connections close, and :meth:`drain` returns once every connection
-        task has finished.  Whatever answers the requests (a batcher, a
-        replica fleet) is *not* stopped here — the caller owns it and may be
-        draining several transports.
-        """
-        self._draining = True
-        for reader, writer in self._conn_tasks.values():
-            self._end_input(reader, writer)
-        await self.stop()
-        if self._conn_tasks:
-            await asyncio.gather(*list(self._conn_tasks), return_exceptions=True)
-
-    @staticmethod
-    def _end_input(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """End one connection's input where it stands: the socket delivers
-        nothing more, and the reader reports EOF once the bytes it already
-        holds are consumed — which ends an idle connection at once and a
-        busy one after the answers it owes."""
-        writer.transport.pause_reading()
-        reader.feed_eof()
-
-    async def serve_forever(self) -> None:
-        """Block serving until cancelled."""
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        await self._server.serve_forever()
-
-    async def __aenter__(self) -> "BaseHttpServer":
-        await self.start()
-        return self
-
-    async def __aexit__(self, exc_type, exc, traceback) -> None:
-        await self.stop()
-
-    # ------------------------------------------------------------------
-    async def _handle_connection(
+    async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        conn_task = asyncio.current_task()
-        assert conn_task is not None
-        self._conn_tasks[conn_task] = (reader, writer)
-        if self._draining:  # accepted while the listener was closing
-            self._end_input(reader, writer)
         messages = _MessageReader(reader)
-        try:
-            # Requests on one connection are handled sequentially (HTTP/1.1
-            # without pipelining — what every real client sends), and the
-            # loop awaits the read itself: no task per request.  drain() ends
-            # it through the reader's EOF, which arrives only after every
-            # request already received has had its response.
-            while True:
-                try:
-                    head = await messages.head()
-                except _BadHead as exc:
-                    await self._respond_error(writer, 400, str(exc), close=True)
-                    break
-                except (ConnectionError, OSError):
-                    break
-                # None: the client closed, or drain() ended an idle connection.
-                if head is None or not await self._handle_request(
-                    messages, writer, *head
-                ):
-                    break
-        finally:
-            writer.close()
+        # Requests on one connection are handled sequentially (HTTP/1.1
+        # without pipelining — what every real client sends), and the loop
+        # awaits the read itself: no task per request.  drain() ends it
+        # through the reader's EOF, which arrives only after every request
+        # already received has had its response.
+        while True:
             try:
-                await writer.wait_closed()
+                head = await messages.head()
+            except _BadHead as exc:
+                await self._respond_error(writer, 400, str(exc), close=True)
+                return
             except (ConnectionError, OSError):
-                pass
-            del self._conn_tasks[conn_task]
+                return
+            # None: the client closed, or drain() ended an idle connection.
+            if head is None or not await self._handle_request(
+                messages, writer, *head
+            ):
+                return
 
     async def _handle_request(
         self,
@@ -414,15 +327,36 @@ class BaseHttpServer:
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             return False  # client disconnected mid-body
 
-        status, payload, content_type = await self._route(
-            method.upper(), target, body, received, headers
-        )
+        method = method.upper()
+        path = target.split("?", 1)[0]
+        allowed = self._ROUTES.get(path)
+        if allowed is None:
+            status, payload, content_type = (
+                404,
+                {"ok": False, "error": "not_found", "message": f"no route {path!r}"},
+                _JSON_TYPE,
+            )
+        elif method != allowed and not (method == "HEAD" and allowed == "GET"):
+            status, payload, content_type = (
+                405,
+                {
+                    "ok": False,
+                    "error": "method_not_allowed",
+                    "message": f"{path} expects {allowed}, got {method}",
+                },
+                _JSON_TYPE,
+            )
+        else:
+            status, payload, content_type = await self._route(
+                method, target, body, received, headers
+            )
         sent = await self._respond(
             writer,
             status,
             payload,
             content_type=content_type,
             close=not keep_alive,
+            head_only=method == "HEAD",
         )
         return keep_alive and sent
 
@@ -446,11 +380,14 @@ class BaseHttpServer:
         writer: asyncio.StreamWriter,
         status: int,
         payload: object,
-        content_type: str = "application/json",
+        content_type: str = _JSON_TYPE,
         close: bool = False,
+        head_only: bool = False,
     ) -> bool:
         """Serialise and send one response; returns False if the client
-        went away (nothing to deliver the answer to)."""
+        went away (nothing to deliver the answer to).  ``head_only`` (the
+        answer to a ``HEAD``) sends the head, ``Content-Length`` included,
+        and no body (RFC 9110 §9.3.2)."""
         if isinstance(payload, dict) and "ok" in payload:
             # Every ok-envelope answer carries the protocol version so
             # clients can detect mixed-version fleets (document payloads
@@ -471,7 +408,7 @@ class BaseHttpServer:
             "\r\n"
         ).encode("ascii")
         try:
-            writer.write(head + body)
+            writer.write(head if head_only else head + body)
             await writer.drain()
         except (ConnectionError, OSError):
             return False
@@ -537,13 +474,7 @@ class HttpQueryServer(BaseHttpServer):
         """The micro-batcher answering this server's queries."""
         return self._batcher
 
-    @property
-    def recorder(self) -> Optional["WorkloadRecorder"]:
-        """The workload recorder capturing query requests (``None`` = off)."""
-        return self._recorder
-
     # ------------------------------------------------------------------
-    #: Every route and the one method it answers (``HEAD`` rides on ``GET``).
     _ROUTES = {
         "/query": "POST",
         "/healthz": "GET",
@@ -570,35 +501,29 @@ class HttpQueryServer(BaseHttpServer):
         ``/metrics``, which returns the exposition text directly, and an
         answered ``/query``, which returns the encoded body.
         """
-        headers = headers or {}
         path = target.split("?", 1)[0]
-        json_type = "application/json"
-        routes = self._ROUTES
-        if path not in routes:
-            return (
-                404,
-                {"ok": False, "error": "not_found", "message": f"no route {path!r}"},
-                json_type,
+        if path == "/query":
+            request_id = None
+            try:
+                request = self._parse_json_body(body)
+                request_id = request.get("id")
+                query, timeout_ms = parse_query_request(
+                    request, self._batcher.engine.solver.graph.num_nodes
+                )
+            except (ValueError, TypeError, KeyError) as exc:
+                return 400, refusal(request_id, str(exc)), _JSON_TYPE
+            response = await answer_query(
+                self._batcher, self._recorder, "http",
+                (headers or {}).get("traceparent"),
+                request_id, query, timeout_ms, received,
             )
-        if method != routes[path] and not (
-            method == "HEAD" and routes[path] == "GET"
-        ):
-            return (
-                405,
-                {
-                    "ok": False,
-                    "error": "method_not_allowed",
-                    "message": f"{path} expects {routes[path]}, got {method}",
-                },
-                json_type,
-            )
-
+            if isinstance(response, bytes):
+                return 200, response, _JSON_TYPE
+            return _ERROR_STATUS.get(response["error"], 500), response, _JSON_TYPE
         if path == "/healthz":
             if self.draining:
-                return 503, {"ok": False, "status": "draining"}, json_type
-            return 200, {"ok": True, "status": "serving"}, json_type
-        if path == "/stats":
-            return 200, self._batcher.stats().as_dict(), json_type
+                return 503, {"ok": False, "status": "draining"}, _JSON_TYPE
+            return 200, {"ok": True, "status": "serving"}, _JSON_TYPE
         if path == "/metrics":
             text = render_prometheus(
                 self._batcher.stats(),
@@ -606,74 +531,22 @@ class HttpQueryServer(BaseHttpServer):
                 info=self._metrics_info(),
             )
             return 200, text, "text/plain; version=0.0.4; charset=utf-8"
-        if path == "/admin/drain":
-            # Acknowledge first, drain as a background task: drain() waits
-            # for every connection handler — including the one carrying
-            # this request — so awaiting it here would deadlock.
-            asyncio.ensure_future(self.drain())
-            return 202, {"ok": True, "draining": True}, json_type
-        if path == "/admin/reload":
-            try:
-                overrides = self._parse_json_body(body)
-                outcome = apply_reload(self._batcher, overrides)
-            except ValueError as exc:
-                return (
-                    400,
-                    {"ok": False, "error": "bad_request", "message": str(exc)},
-                    json_type,
-                )
-            return 200, {"ok": True, **outcome}, json_type
-        if path == "/admin/update":
-            loop = asyncio.get_running_loop()
-            try:
-                request = self._parse_json_body(body)
-                # The writer barrier blocks until in-flight batches finish —
-                # run it off the event loop, or it would deadlock against
-                # the very batch the loop is completing.
-                outcome = await loop.run_in_executor(
-                    None,
-                    apply_graph_update,
-                    self._batcher,
-                    request.get("ops", []),
-                )
-            except ValueError as exc:
-                return (
-                    400,
-                    {"ok": False, "error": "bad_request", "message": str(exc)},
-                    json_type,
-                )
-            return 200, {"ok": True, **outcome}, json_type
-        if path in ("/debug/traces", "/debug/traces/perfetto"):
-            tracer = self._batcher.engine.tracer
-            if tracer is None:
-                return (
-                    404,
-                    {
-                        "ok": False,
-                        "error": "not_found",
-                        "message": (
-                            "tracing is disabled; start the server with "
-                            "--trace-sample > 0 (or reload trace_sample)"
-                        ),
-                    },
-                    json_type,
-                )
-            if path.endswith("/perfetto"):
-                return 200, tracer.perfetto(), json_type
-            return (
-                200,
-                {
-                    "ok": True,
-                    "stats": tracer.stats().as_dict(),
-                    "traces": tracer.traces(),
-                },
-                json_type,
-            )
-        # path == "/query"
-        response = await self._answer_query(body, received, headers)
-        if isinstance(response, bytes):
-            return 200, response, json_type
-        return _ERROR_STATUS.get(str(response.get("error")), 500), response, json_type
+        # Every other route ends in the name of its op in the shared table
+        # (/stats, /admin/<op>, /debug/traces), except the perfetto export.
+        op = path.rsplit("/", 1)[1]
+        try:
+            if op == "perfetto":
+                return 200, tracer_of(self._batcher).perfetto(), _JSON_TYPE
+            args = self._parse_json_body(body) if op in ("reload", "update") else {}
+            payload = await OPS[op](self, args)
+        except (ValueError, TypeError, KeyError) as exc:
+            not_found = isinstance(exc, TracingDisabledError)
+            error = "not_found" if not_found else "bad_request"
+            reply = {"ok": False, "error": error, "message": str(exc)}
+            return _ERROR_STATUS[error], reply, _JSON_TYPE
+        if op == "stats":
+            return 200, payload["stats"], _JSON_TYPE  # the bare document
+        return 202 if op == "drain" else 200, {"ok": True, **payload}, _JSON_TYPE
 
     def _metrics_info(self) -> Dict[str, str]:
         info = (
@@ -688,35 +561,6 @@ class HttpQueryServer(BaseHttpServer):
         # fleet shows the skew (the replica router aggregates these).
         info.setdefault("proto", str(PROTOCOL_VERSION))
         return info
-
-    async def _answer_query(
-        self, body: bytes, received: float, headers: Dict[str, str]
-    ) -> Union[dict, bytes]:
-        """The ``POST /query`` handler: same semantics as the TCP query op."""
-        request_id = None
-        try:
-            request = self._parse_json_body(body)
-            request_id = request.get("id")
-            query, timeout_ms = parse_query_request(
-                request, self._batcher.engine.solver.graph.num_nodes
-            )
-        except (ValueError, TypeError, KeyError) as exc:
-            return {
-                "id": request_id,
-                "ok": False,
-                "error": "bad_request",
-                "message": str(exc),
-            }
-        return await answer_query(
-            self._batcher,
-            self._recorder,
-            "http",
-            headers.get("traceparent"),
-            request_id,
-            query,
-            timeout_ms,
-            received,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -908,79 +752,10 @@ class HttpClientPool:
         return await self.request_json("POST", "/query", request)
 
 
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-
-
-def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - blocks serving
+def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - CLI
     """Command-line entry point: serve a dataset over HTTP until drained."""
-    from repro.serving.frontend.recorder import WorkloadRecorder
-    from repro.serving.frontend.request_log import configure_logging
-    from repro.serving.frontend.server import (
-        build_frontend,
-        install_drain_signal_handler,
-        write_ready_file,
-    )
-    from repro.serving.frontend.config import build_serving_parser
-
     # Keep clear of the TCP default (7071).
-    parser = build_serving_parser(__doc__, default_port=7080)
-    args = parser.parse_args(argv)
-    configure_logging(args.log_level, json_mode=args.log_json)
-    engine, policy, admission = build_frontend(args)
-    recorder = WorkloadRecorder() if args.record else None
-
-    async def serve() -> None:
-        async with MicroBatcher(engine, policy, admission) as batcher:
-            server = HttpQueryServer(
-                batcher,
-                args.host,
-                args.port,
-                recorder=recorder,
-                info={
-                    "backend": engine.backend.name,
-                    "dataset": engine.solver.graph.name,
-                    "policy": policy.label,
-                },
-            )
-            host, port = await server.start()
-            if getattr(args, "ready_file", None):
-                write_ready_file(
-                    args.ready_file,
-                    host,
-                    port,
-                    transport="http",
-                    dataset=args.dataset,
-                    num_shards=args.num_shards,
-                )
-            install_drain_signal_handler(server)
-            print(
-                f"serving {engine.solver.graph.name} on http://{host}:{port} "
-                f"(backend {engine.backend.name}, policy {policy.label}, "
-                f"max_pending {admission.max_pending})"
-            )
-            try:
-                # Ends via CancelledError when a drain (SIGTERM or
-                # POST /admin/drain) closes the listener.
-                await server.serve_forever()
-            except asyncio.CancelledError:
-                pass
-            finally:
-                # Idempotent: completes any in-flight queries on every
-                # exit path before the batcher shuts down.
-                await server.drain()
-
-    try:
-        asyncio.run(serve())
-    except KeyboardInterrupt:
-        print("interrupted; shutting down")
-    finally:
-        engine.close()
-        if recorder is not None and args.record:
-            count = recorder.save(args.record)
-            print(f"recorded {count} queries to {args.record}")
-    return 0
+    return serve_main(HttpQueryServer, "http", 7080, __doc__, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI only

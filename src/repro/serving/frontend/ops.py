@@ -1,11 +1,15 @@
-"""Live operations shared by the TCP and HTTP front doors.
+"""Everything both front doors answer, written once for both.
 
-A production server cannot restart to change a cache budget, and it cannot
-drop in-flight queries to shut down.  This module implements the first half
-of that contract — **hot config reload** — as one transport-agnostic
-function: :func:`apply_reload` validates a dict of overrides (the JSON body
-of ``POST /admin/reload``, or the ``config`` field of the TCP ``reload``
-op), then applies them to the running frontend:
+The TCP door maps a request's ``op``, the HTTP door a path, onto one table,
+:data:`OPS` (``stats``, ``drain``, ``reload``, ``update``, ``traces``); each
+adds only its envelope — ``id`` / ``op`` on a TCP line, the status over
+HTTP.  A query goes through :func:`parse_query_request`, then
+:func:`answer_query`, which returns the encoded response.
+
+A production server cannot restart to change a cache budget, so ``reload``
+is **hot config reload**: :func:`apply_reload` validates a dict of overrides
+(the JSON body of ``POST /admin/reload``, or the ``config`` field of the TCP
+``reload`` op), then applies them to the running frontend:
 
 * ``max_pending`` — the admission bound
   (:meth:`~repro.serving.frontend.admission.AdmissionController.set_max_pending`);
@@ -24,14 +28,9 @@ Validation is all-or-nothing: every override is checked before anything is
 applied, so a reload with one bad field changes nothing.  No query is ever
 dropped by a reload — budgets evict cache entries, never answers.
 
-Graceful drain, the other half, lives on the servers themselves
-(:meth:`~repro.serving.frontend.server.AsyncQueryServer.drain`,
-:meth:`~repro.serving.frontend.http.HttpQueryServer.drain`) because it is
-about connection lifecycles, which only the transport knows.
-
-:func:`answer_query` is the other thing both doors share: everything that
-happens to a query once its request has been parsed, ending in the encoded
-response.
+The ``drain`` op only starts the drain; the drain itself is about
+connection lifecycles, so it lives once, on the shell both doors extend
+(:meth:`~repro.serving.frontend.shell.FrontDoor.drain`).
 """
 
 from __future__ import annotations
@@ -40,23 +39,38 @@ import asyncio
 import json
 import weakref
 from dataclasses import replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import (
+    TYPE_CHECKING,
+    Awaitable,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.ppr.base import PPRQuery, PPRResult
 from repro.serving.frontend.admission import QueryRejectedError
 from repro.serving.frontend.batcher import MicroBatcher
 from repro.serving.frontend.protocol import PROTOCOL_VERSION
 from repro.serving.frontend.request_log import log_request
+from repro.utils.validation import check_node_id
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.serving.frontend.recorder import WorkloadRecorder
 
 __all__ = [
+    "OPS",
     "RELOADABLE_KEYS",
+    "TracingDisabledError",
     "answer_query",
     "apply_graph_update",
     "apply_reload",
     "frontend_config",
+    "parse_query_request",
+    "refusal",
+    "tracer_of",
 ]
 
 #: The override keys :func:`apply_reload` understands.
@@ -72,12 +86,14 @@ RELOADABLE_KEYS = (
 
 
 def _strict_int(value: object, name: str) -> int:
+    """A strict JSON-integer check (booleans and floats are bad requests)."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be a JSON integer, got {value!r}")
     return value
 
 
 def _strict_number(value: object, name: str) -> float:
+    """A strict JSON-number check (booleans are bad requests)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a JSON number, got {value!r}")
     return float(value)
@@ -87,6 +103,34 @@ def _strict_bool(value: object, name: str) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"{name} must be a JSON boolean, got {value!r}")
     return value
+
+
+def parse_query_request(
+    request: dict, num_nodes: int
+) -> Tuple[PPRQuery, Optional[float]]:
+    """Validate a query-request dict; returns ``(query, timeout_ms)``.
+
+    Integer fields are strict — ``42.9`` is a bad request, not seed 42, and
+    JSON booleans are refused.  Bad fields raise ``ValueError`` and must
+    never poison a batch.
+    """
+    if not isinstance(request, dict):
+        raise ValueError("request must be a JSON object")
+    if "seed" not in request:
+        raise ValueError("query request must carry a 'seed'")
+    seed = check_node_id(_strict_int(request["seed"], "seed"), num_nodes, "seed")
+    query = PPRQuery(
+        seed=seed,
+        k=_strict_int(request.get("k", 200), "k"),
+        alpha=_strict_number(request.get("alpha", 0.85), "alpha"),
+        length=_strict_int(request.get("length", 6), "length"),
+    )
+    timeout_ms = request.get("timeout_ms")
+    if timeout_ms is not None:
+        timeout_ms = _strict_number(timeout_ms, "timeout_ms")
+        if timeout_ms <= 0:
+            raise ValueError(f"timeout_ms must be > 0, got {timeout_ms}")
+    return query, timeout_ms
 
 
 def frontend_config(batcher: MicroBatcher) -> Dict[str, object]:
@@ -265,8 +309,8 @@ def apply_graph_update(batcher: MicroBatcher, ops: object) -> Dict[str, object]:
     without touching the engine.
 
     **Blocking**: the writer barrier waits for in-flight batches, so the
-    async servers must call this through ``run_in_executor`` — on the event
-    loop it would deadlock against the batch the loop is waiting on.
+    ``update`` op calls this through ``run_in_executor`` — on the event loop
+    it would deadlock against the batch the loop is waiting on.
     """
     if not isinstance(ops, list):
         raise ValueError(
@@ -274,6 +318,72 @@ def apply_graph_update(batcher: MicroBatcher, ops: object) -> Dict[str, object]:
             f"got {type(ops).__name__}"
         )
     return batcher.engine.apply_update(ops)
+
+
+def refusal(
+    request_id: object, message: str, error: str = "bad_request"
+) -> Dict[str, object]:
+    """A request's refusal, in the protocol's error envelope."""
+    return {"id": request_id, "ok": False, "error": error, "message": message}
+
+
+class TracingDisabledError(ValueError):
+    """A traces request to a server without a tracer: a bad request over
+    TCP, ``404`` over HTTP."""
+
+    def __init__(self) -> None:
+        super().__init__(
+            "tracing is disabled; start the server with --trace-sample > 0"
+        )
+
+
+def tracer_of(batcher: MicroBatcher):
+    """The engine's tracer; raises :class:`TracingDisabledError` if none."""
+    tracer = batcher.engine.tracer
+    if tracer is None:
+        raise TracingDisabledError()
+    return tracer
+
+
+async def _stats(door, args: dict) -> Dict[str, object]:
+    return {"stats": door.batcher.stats().as_dict()}
+
+
+async def _drain(door, args: dict) -> Dict[str, object]:
+    # Acknowledge first, drain as a background task: drain() waits for every
+    # connection handler — including the one carrying this very request — so
+    # awaiting it here would deadlock.
+    asyncio.ensure_future(door.drain())
+    return {"draining": True}
+
+
+async def _reload(door, args: dict) -> Dict[str, object]:
+    return apply_reload(door.batcher, args)
+
+
+async def _update(door, args: dict) -> Dict[str, object]:
+    return await asyncio.get_running_loop().run_in_executor(
+        None, apply_graph_update, door.batcher, args.get("ops", [])
+    )
+
+
+async def _traces(door, args: dict) -> Dict[str, object]:
+    tracer = tracer_of(door.batcher)
+    return {"stats": tracer.stats().as_dict(), "traces": tracer.traces()}
+
+
+#: The live operations both doors answer, by name.  Each takes the door (its
+#: ``batcher`` and ``drain``) and the op's JSON object — the overrides for
+#: ``reload``, an object carrying ``ops`` for ``update`` — and returns the
+#: answer's payload; a bad request raises ``ValueError``.  The door adds
+#: its envelope.
+OPS: Dict[str, Callable[..., Awaitable[Dict[str, object]]]] = {
+    "stats": _stats,
+    "drain": _drain,
+    "reload": _reload,
+    "update": _update,
+    "traces": _traces,
+}
 
 
 #: ``"top"`` texts of answers that can be served again, by their score
@@ -348,7 +458,7 @@ async def answer_query(
         cache_enabled=serving.get("cache_enabled"),
     )
     if status != "ok":
-        return {"id": request_id, "ok": False, "error": status, "message": message}
+        return refusal(request_id, message, status)
     head = {"id": request_id, "ok": True, "seed": query.seed, "k": query.k}
     tail["proto"] = PROTOCOL_VERSION
     return (

@@ -605,7 +605,6 @@ class ReplicaRouter(BaseHttpServer):
 
     # -- HTTP ----------------------------------------------------------
 
-    #: Every route and the one method it answers (``HEAD`` rides on ``GET``).
     _ROUTES = {
         "/query": "POST",
         "/healthz": "GET",
@@ -623,28 +622,10 @@ class ReplicaRouter(BaseHttpServer):
         received: float,
         headers: Optional[Dict[str, str]] = None,
     ) -> Tuple[int, object, str]:
-        headers = headers or {}
         path, _, query_string = target.partition("?")
-        routes = self._ROUTES
-        if path not in routes:
-            return (
-                404,
-                {"ok": False, "error": "not_found", "message": f"no route {path!r}"},
-                _JSON_TYPE,
-            )
-        if method != routes[path] and not (
-            method == "HEAD" and routes[path] == "GET"
-        ):
-            return (
-                405,
-                {
-                    "ok": False,
-                    "error": "method_not_allowed",
-                    "message": f"{path} expects {routes[path]}, got {method}",
-                },
-                _JSON_TYPE,
-            )
-
+        if path == "/query":
+            status, response = await self._forward_query(body, headers or {})
+            return status, response, _JSON_TYPE
         if path == "/healthz":
             states = self.replica_states()
             routable = sum(
@@ -693,11 +674,8 @@ class ReplicaRouter(BaseHttpServer):
                 },
                 _JSON_TYPE,
             )
-        if path == "/admin/drain":
-            return await self._admin_drain(query_string)
-        # path == "/query"
-        status, response = await self._forward_query(body, headers)
-        return status, response, _JSON_TYPE
+        # path == "/admin/drain"
+        return await self._admin_drain(query_string)
 
     def _resolve_replica(self, value: str) -> Optional[str]:
         """Accept both ``replica-1`` and the bare index ``1``."""

@@ -5,8 +5,10 @@ abuse must produce a typed error (``bad_request`` over TCP, the mapped
 status code over HTTP) — never a silently dropped connection — and the
 server must keep answering correct queries afterwards.  A second group
 abuses the HTTP framing itself (bad request lines, bad Content-Length,
-chunked bodies, oversized payloads), and a third proves a mid-batch client
-disconnect cannot poison the answers of the queries batched alongside it.
+chunked bodies, oversized payloads, ``HEAD``), a third proves a mid-batch
+client disconnect cannot poison the answers of the queries batched alongside
+it, and a fourth holds both doors to one op table: the same op answers the
+same payload through either.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.serving.frontend import (
     HttpQueryServer,
     MicroBatcher,
 )
+from repro.serving.tracing import Tracer
 
 
 @pytest.fixture()
@@ -396,6 +399,25 @@ class TestHttpFramingAbuse:
 
         self.run_case(stack, check)
 
+    def test_head_answer_carries_no_body(self, stack):
+        """A ``HEAD`` is answered with the ``GET`` head — its Content-Length
+        included — and no body (RFC 9110 §9.3.2), so on a keep-alive
+        connection the bytes after its blank line are the next response."""
+
+        async def check(addr):
+            get = b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+            alone = await http_raw_exchange(addr, get)
+            raw = await http_raw_exchange(
+                addr, b"HEAD /healthz HTTP/1.1\r\nHost: t\r\n\r\n" + get
+            )
+            head, _, rest = raw.partition(b"\r\n\r\n")
+            assert status_of(head) == 200
+            assert rest == alone
+            length = int(head.lower().split(b"content-length:")[1].split()[0])
+            assert length == len(alone.partition(b"\r\n\r\n")[2])
+
+        self.run_case(stack, check)
+
     def test_bare_lf_line_endings_are_served(self, stack):
         """Pinned: a head that ends its lines with LF alone is answered like
         its CRLF twin (and must never wait for a CRLF that is not coming)."""
@@ -586,3 +608,109 @@ class TestMidBatchDisconnect:
         assert status == 200
         assert body["ok"] is True
         assert body["top"] == [[2, 1.0]]
+
+
+def shared_op_cases(graph):
+    """Each case as the two doors spell it: ``(TCP request, HTTP method,
+    HTTP path, HTTP body, HTTP status)``."""
+    edge = [0, int(graph.neighbors(0)[0])]
+    bad_reload = {"max_pending": 5, "warp_speed": True}
+    return {
+        "stats": ({"op": "stats"}, "GET", "/stats", None, 200),
+        "reload": (
+            {"op": "reload", "config": {"max_pending": 64}},
+            "POST", "/admin/reload", {"max_pending": 64}, 200,
+        ),
+        "reload-bad-key": (
+            {"op": "reload", "config": bad_reload},
+            "POST", "/admin/reload", bad_reload, 400,
+        ),
+        "update": (
+            {"op": "update", "ops": [["delete", *edge]]},
+            "POST", "/admin/update", {"ops": [["delete", *edge]]}, 200,
+        ),
+        "update-bad": (
+            {"op": "update", "ops": [["insert", 2, 2]]},
+            "POST", "/admin/update", {"ops": [["insert", 2, 2]]}, 400,
+        ),
+        "traces": ({"op": "traces"}, "GET", "/debug/traces", None, 200),
+        "traces-off": ({"op": "traces"}, "GET", "/debug/traces", None, 404),
+        "float-seed": (
+            {"seed": 3.5, "k": 10}, "POST", "/query", {"seed": 3.5, "k": 10}, 400,
+        ),
+    }
+
+
+class TestOneOpTable:
+    """Both doors answer each shared op from one table: the same payload,
+    wrapped in each door's envelope (``id`` / ``op`` on TCP, the status over
+    HTTP).  A refusal is ``bad_request`` over TCP and the status's code over
+    HTTP, with the same message."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "stats",
+            "reload",
+            "reload-bad-key",
+            "update",
+            "update-bad",
+            "traces",
+            "traces-off",
+            "float-seed",
+        ],
+    )
+    def test_both_doors_answer_alike(self, small_ba_graph, config, case):
+        tcp_request, method, path, body, status = shared_op_cases(
+            small_ba_graph
+        )[case]
+        tracer = None if case == "traces-off" else Tracer(sample_rate=1.0)
+        engine = QueryEngine(MeLoPPRSolver(small_ba_graph, config), tracer=tracer)
+        fingerprint = small_ba_graph.fingerprint()
+
+        async def settings(tcp_addr):
+            answer = await tcp_exchange(tcp_addr, b'{"op": "reload"}')
+            return answer["config"]
+
+        async def run():
+            async with both_servers(engine) as (tcp_addr, http_addr):
+                # One answered query, so stats and traces have content.
+                await tcp_exchange(tcp_addr, b'{"seed": 3, "k": 10}')
+                before = await settings(tcp_addr)
+                tcp_answer = await tcp_exchange(
+                    tcp_addr, json.dumps({"id": 7, **tcp_request}).encode()
+                )
+                if case == "update":
+                    # Undo it, so the HTTP door applies the same update to
+                    # the same graph.
+                    await asyncio.get_running_loop().run_in_executor(
+                        None, engine.apply_update, [["insert", *body["ops"][0][1:]]]
+                    )
+                async with HttpClient(*http_addr) as client:
+                    http_status, http_answer = await client.request_json(
+                        method, path, body
+                    )
+                return tcp_answer, http_status, http_answer, before, (
+                    await settings(tcp_addr)
+                )
+
+        with engine:
+            tcp_answer, http_status, http_answer, before, after = asyncio.run(run())
+        assert http_status == status
+        assert tcp_answer.pop("id") == 7
+        tcp_answer.pop("proto")
+        http_answer.pop("id", None)
+        http_answer.pop("proto", None)
+        if case == "stats":
+            http_answer = {"ok": True, "stats": http_answer}
+        if status == 200:
+            assert tcp_answer.pop("op") == tcp_request["op"]
+        else:
+            assert tcp_answer.pop("error") == "bad_request"
+            assert http_answer.pop("error") == (
+                "not_found" if status == 404 else "bad_request"
+            )
+        assert tcp_answer == http_answer
+        if status != 200:  # a refused op changes nothing
+            assert after == before
+            assert engine.solver.graph.fingerprint() == fingerprint

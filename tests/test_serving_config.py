@@ -21,7 +21,9 @@ from repro.serving.frontend.config import (
     build_serving_parser,
 )
 from repro.serving.frontend.router import build_router_parser
-from repro.serving.frontend.server import build_parser
+
+#: The TCP CLI's parser (the shared flags at the TCP default port, 7071).
+build_parser = build_serving_parser
 
 #: The TCP, HTTP and router CLIs' parsers.
 CLI_PARSERS = {
@@ -150,16 +152,12 @@ class TestBuildFrontend:
             engine.close()
 
     def test_namespace_and_config_build_identically(self):
-        # server.build_frontend accepts the old argparse Namespace and
-        # the new ServingConfig; both paths must configure alike.
-        from repro.serving.frontend.server import (
-            build_frontend as server_build_frontend,
-        )
-
+        # A parsed argparse Namespace (through from_args, as the CLI main
+        # does) and a ServingConfig must configure alike.
         config = ServingConfig(dataset="G1", backend="serial", max_batch=4)
         args = build_parser().parse_args(config.to_argv())
-        from_ns, _, _ = server_build_frontend(args)
-        from_cfg, _, _ = server_build_frontend(config)
+        from_ns, _, _ = build_frontend(ServingConfig.from_args(args))
+        from_cfg, _, _ = build_frontend(config)
         try:
             assert from_ns.backend.name == from_cfg.backend.name
             assert (

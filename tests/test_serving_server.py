@@ -386,7 +386,11 @@ class TestOverloadOverTheWire:
 
 class TestServerCLIConstruction:
     def test_build_frontend_from_cli_args(self):
-        from repro.serving.frontend.server import build_frontend, build_parser
+        from repro.serving.frontend.config import (
+            ServingConfig,
+            build_frontend,
+            build_serving_parser as build_parser,
+        )
 
         args = build_parser().parse_args(
             [
@@ -403,7 +407,7 @@ class TestServerCLIConstruction:
                 "32",
             ]
         )
-        engine, policy, admission = build_frontend(args)
+        engine, policy, admission = build_frontend(ServingConfig.from_args(args))
         try:
             assert engine.backend.name == "thread-pool"
             assert engine.cache is not None
@@ -415,10 +419,14 @@ class TestServerCLIConstruction:
             engine.close()
 
     def test_build_frontend_no_cache(self):
-        from repro.serving.frontend.server import build_frontend, build_parser
+        from repro.serving.frontend.config import (
+            ServingConfig,
+            build_frontend,
+            build_serving_parser as build_parser,
+        )
 
         args = build_parser().parse_args(["--no-cache", "--backend", "serial"])
-        engine, _, _ = build_frontend(args)
+        engine, _, _ = build_frontend(ServingConfig.from_args(args))
         try:
             assert engine.cache is None
             assert engine.backend.name == "serial"
@@ -432,7 +440,7 @@ class TestServerCLIConstruction:
         args = build_parser().parse_args(
             ["--no-cache", "--backend", "serial", "--result-cache-bytes", "65536"]
         )
-        engine, _, _ = build_frontend(args)
+        engine, _, _ = build_frontend(ServingConfig.from_args(args))
         try:
             assert engine.cache is None
             assert engine.result_cache is not None
@@ -440,7 +448,11 @@ class TestServerCLIConstruction:
             engine.close()
 
     def test_build_frontend_result_cache_flags(self):
-        from repro.serving.frontend.server import build_frontend, build_parser
+        from repro.serving.frontend.config import (
+            ServingConfig,
+            build_frontend,
+            build_serving_parser as build_parser,
+        )
 
         args = build_parser().parse_args(
             [
@@ -452,7 +464,7 @@ class TestServerCLIConstruction:
                 "30",
             ]
         )
-        engine, _, _ = build_frontend(args)
+        engine, _, _ = build_frontend(ServingConfig.from_args(args))
         try:
             assert engine.result_cache.max_bytes == 65536
             assert engine.result_cache.ttl_seconds == 30.0
@@ -462,7 +474,7 @@ class TestServerCLIConstruction:
         args = build_parser().parse_args(
             ["--backend", "serial", "--result-cache-bytes", "0"]
         )
-        engine, _, _ = build_frontend(args)
+        engine, _, _ = build_frontend(ServingConfig.from_args(args))
         try:
             assert engine.result_cache is None
         finally:
@@ -473,7 +485,7 @@ class TestServerCLIConstruction:
         args = build_parser().parse_args(
             ["--backend", "serial", "--result-cache-ttl", "0"]
         )
-        engine, _, _ = build_frontend(args)
+        engine, _, _ = build_frontend(ServingConfig.from_args(args))
         try:
             assert engine.result_cache is not None
             assert engine.result_cache.ttl_seconds is None
@@ -542,10 +554,14 @@ class TestProcessBackendCLIRebuild:
     def test_no_cache_rebuild_preserves_process_backend_config(self):
         """Regression: ``--no-cache`` rebuilds the backend; the rebuild must
         keep the worker count and spawn context of the original."""
-        from repro.serving.frontend.server import build_frontend, build_parser
+        from repro.serving.frontend.config import (
+            ServingConfig,
+            build_frontend,
+            build_serving_parser as build_parser,
+        )
 
         args = build_parser().parse_args(["--no-cache", "--backend", "process:2"])
-        engine, _, _ = build_frontend(args)
+        engine, _, _ = build_frontend(ServingConfig.from_args(args))
         try:
             assert engine.cache is None
             assert engine.result_cache is None
@@ -564,10 +580,14 @@ class TestProcessBackendCLIRebuild:
             engine.close()
 
     def test_cached_process_backend_keeps_worker_count(self):
-        from repro.serving.frontend.server import build_frontend, build_parser
+        from repro.serving.frontend.config import (
+            ServingConfig,
+            build_frontend,
+            build_serving_parser as build_parser,
+        )
 
         args = build_parser().parse_args(["--backend", "process:2"])
-        engine, _, _ = build_frontend(args)
+        engine, _, _ = build_frontend(ServingConfig.from_args(args))
         try:
             assert engine.backend.name == "process-pool"
             assert engine.backend.num_workers == 2
