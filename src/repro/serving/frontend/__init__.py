@@ -10,10 +10,10 @@ into the well-formed batches that engine is optimised for:
   queries, and enforces per-query deadlines.
 * :class:`AdmissionController` — a bounded in-flight queue with explicit
   shedding (:class:`QueryShedError`) and p50/p95/p99 latency telemetry.
-* :class:`QueryClient` — the unified client API: one abstract surface
-  (``query``/``query_batch``/``ping``/``stats``/``drain``/``traces``,
-  typed errors, retry-with-backoff) with :class:`TcpQueryClient` and
-  :class:`HttpQueryClient` implementations behind :func:`connect_client`.
+* Two clients sharing one failure taxonomy (:class:`ClientConnectionError`,
+  :class:`ProtocolMismatchError`, :func:`raise_for_response`) and no retries
+  — the replica router owns those: :class:`HttpClientPool`, the HTTP client,
+  and :class:`TcpQueryClient`, which goes with the TCP door.
 * Two front doors, two codecs on one shell
   (:class:`~repro.serving.frontend.shell.FrontDoor`: listener, connections,
   graceful drain) answering from one op table
@@ -21,8 +21,8 @@ into the well-formed batches that engine is optimised for:
   :class:`AsyncQueryServer` frames newline-delimited JSON over TCP;
   :class:`HttpQueryServer` frames HTTP/1.1 + JSON and adds a Prometheus
   ``/metrics`` endpoint (:func:`render_prometheus` /
-  :func:`parse_prometheus_text`), with :class:`HttpClient` /
-  :class:`HttpClientPool` as its plain clients.
+  :func:`parse_prometheus_text`); :class:`HttpClient` is one bare
+  connection to it.
 * :class:`ReplicaRouter` — the multi-replica front door: consistent-hash
   seed routing over a fleet (see :mod:`repro.serving.replica`), bounded
   retry-with-failover, rolling drain, and aggregated
@@ -52,15 +52,7 @@ from repro.serving.frontend.admission import (
     QueryShedError,
 )
 from repro.serving.frontend.batcher import BatcherStats, BatchPolicy, MicroBatcher
-from repro.serving.frontend.client import (
-    ClientConnectionError,
-    HttpQueryClient,
-    QueryClient,
-    ServerError,
-    TcpQueryClient,
-    connect_client,
-    raise_for_response,
-)
+from repro.serving.frontend.client import TcpQueryClient
 from repro.serving.frontend.config import (
     ServingConfig,
     add_serving_arguments,
@@ -100,8 +92,12 @@ from repro.serving.frontend.recorder import (
 from repro.serving.frontend.protocol import (
     CAPABILITIES,
     PROTOCOL_VERSION,
+    ClientConnectionError,
+    MalformedResponseError,
     ProtocolMismatchError,
+    ServerError,
     check_protocol_version,
+    raise_for_response,
 )
 from repro.serving.frontend.router import ReplicaRouter
 from repro.serving.frontend.server import AsyncQueryServer
@@ -119,13 +115,12 @@ __all__ = [
     "DeadlineExceededError",
     "HttpClient",
     "HttpClientPool",
-    "HttpQueryClient",
     "HttpQueryServer",
+    "MalformedResponseError",
     "MicroBatcher",
     "PROTOCOL_VERSION",
     "PrometheusScrape",
     "ProtocolMismatchError",
-    "QueryClient",
     "QueryRejectedError",
     "QueryShedError",
     "RELOADABLE_KEYS",
@@ -143,7 +138,6 @@ __all__ = [
     "build_serving_parser",
     "check_protocol_version",
     "configure_logging",
-    "connect_client",
     "frontend_config",
     "load_trace",
     "log_request",

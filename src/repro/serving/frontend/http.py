@@ -45,8 +45,15 @@ body (see :mod:`repro.serving.tracing`).
 
 The implementation is deliberately stdlib-asyncio-only (no aiohttp):
 HTTP/1.1 with ``Content-Length`` bodies and keep-alive, one request at a
-time per connection.  Concurrency comes from many connections — use
-:class:`HttpClientPool` — which is also how real HTTP load arrives.
+time per connection.  Concurrency comes from many connections, which is also
+how real HTTP load arrives, so :class:`HttpClientPool` is the HTTP client:
+it opens its connections all or none, replaces a stale one once per request,
+raises :class:`~repro.serving.frontend.protocol.ClientConnectionError` for
+any transport failure, checks the ``proto`` of what it parses, and relays
+``/query`` bytes for the replica router (``relay_query``).  Beyond that one
+reconnect it never retries: retries and failover are the router's.
+:class:`HttpClient` is one bare connection, for tests that observe exactly
+one.
 
 Server and client frame messages with one parser (:func:`parse_head` behind
 ``_MessageReader``): a head costs one read when it arrives in one segment,
@@ -79,7 +86,12 @@ from repro.serving.frontend.ops import (
     refusal,
     tracer_of,
 )
-from repro.serving.frontend.protocol import PROTOCOL_VERSION
+from repro.serving.frontend.protocol import (
+    PROTOCOL_VERSION,
+    ClientConnectionError,
+    MalformedResponseError,
+    check_protocol_version,
+)
 from repro.serving.frontend.shell import FrontDoor, serve_main
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -649,7 +661,7 @@ class HttpClient:
         return status, json.loads(raw)
 
     async def query(self, request: dict) -> Tuple[int, dict]:
-        """``POST /query`` with ``request`` as the JSON body."""
+        """``POST /query`` on the next free connection."""
         return await self.request_json("POST", "/query", request)
 
     async def _read_response(
@@ -677,12 +689,15 @@ class HttpClient:
 
 
 class HttpClientPool:
-    """A fixed-size pool of keep-alive :class:`HttpClient` connections.
+    """The HTTP client: a fixed-size pool of keep-alive :class:`HttpClient`
+    connections.
 
     The server handles one request at a time per connection, so driving it
     hard needs many connections — exactly like production HTTP traffic.
-    The pool checks a connection out per request and replaces broken ones
-    transparently.
+    The pool connects on first use (or :meth:`connect`), checks a connection
+    out per request and replaces a broken one once.  Every transport failure
+    raises :class:`ClientConnectionError`; a body that does not parse raises
+    :class:`MalformedResponseError`.
     """
 
     def __init__(self, host: str, port: int, size: int = 8) -> None:
@@ -691,14 +706,32 @@ class HttpClientPool:
         self._host = host
         self._port = port
         self._size = size
+        self.source = f"http://{host}:{port}"
         self._free: "asyncio.Queue[HttpClient]" = asyncio.Queue()
         self._clients: List[HttpClient] = []
+        self._connecting = asyncio.Lock()
 
     async def connect(self) -> "HttpClientPool":
-        for _ in range(self._size):
-            client = await HttpClient(self._host, self._port).connect()
-            self._clients.append(client)
-            self._free.put_nowait(client)
+        """Open all ``size`` connections or none: a refused one closes those
+        already opened.  A connected pool is left as it is."""
+        async with self._connecting:
+            if self._clients:
+                return self
+            opened: List[HttpClient] = []
+            try:
+                for _ in range(self._size):
+                    opened.append(await HttpClient(self._host, self._port).connect())
+            except OSError as exc:
+                raise ClientConnectionError(
+                    f"cannot connect to {self.source}: {exc}"
+                ) from exc
+            finally:
+                if len(opened) < self._size:  # refused or cancelled part-way
+                    for client in opened:
+                        await client.close()
+            self._clients = opened
+            for client in opened:
+                self._free.put_nowait(client)
         return self
 
     async def close(self) -> None:
@@ -721,9 +754,17 @@ class HttpClientPool:
         body: Optional[object] = None,
         headers: Optional[Mapping[str, str]] = None,
     ) -> Tuple[int, dict]:
-        """:meth:`request`, with the response body parsed as JSON."""
+        """:meth:`request`, with the response body parsed as a JSON object
+        whose ``proto``, when it has one, must be ours."""
         status, _, raw = await self.request(method, path, body, headers)
-        return status, json.loads(raw)
+        try:
+            payload = json.loads(raw)
+        except ValueError as exc:
+            raise MalformedResponseError(self.source, str(exc)) from exc
+        if not isinstance(payload, dict):
+            raise MalformedResponseError(self.source, "not a JSON object")
+        check_protocol_version(payload.get("proto"), self.source)
+        return status, payload
 
     async def request(
         self,
@@ -734,6 +775,8 @@ class HttpClientPool:
     ) -> Tuple[int, Dict[str, str], bytes]:
         """One request on the next free connection (reconnecting a broken
         one once); returns ``(status, headers, body)``."""
+        if not self._clients:
+            await self.connect()
         client = await self._free.get()
         try:
             try:
@@ -744,12 +787,37 @@ class HttpClientPool:
                 await client.close()
                 await client.connect()
                 return await client.request(method, path, body, headers)
+        except (ConnectionError, asyncio.IncompleteReadError, OSError) as exc:
+            raise ClientConnectionError(f"{self.source}{path}: {exc}") from exc
         finally:
             self._free.put_nowait(client)
 
     async def query(self, request: dict) -> Tuple[int, dict]:
         """``POST /query`` on the next free connection."""
         return await self.request_json("POST", "/query", request)
+
+    async def relay_query(
+        self, body: bytes, traceparent: Optional[str] = None
+    ) -> Tuple[int, bytes]:
+        """``POST /query`` with ``body`` sent as it is; returns the server's
+        ``(status, body)`` unparsed.
+
+        The replica router's form: the replica validates the client's bytes
+        and encodes the answer, the router only moves both.  The protocol
+        version comes from the ``X-Repro-Proto`` response header and is
+        *required* — a replica that does not stamp it is itself a skew.
+        """
+        headers = {"traceparent": traceparent} if traceparent else None
+        status, response_headers, raw = await self.request(
+            "POST", "/query", body, headers
+        )
+        proto = response_headers.get("x-repro-proto")
+        check_protocol_version(
+            int(proto) if proto is not None and proto.isdigit() else proto,
+            self.source,
+            required=True,
+        )
+        return status, raw
 
 
 def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - CLI

@@ -19,17 +19,32 @@ Clients (and the replica router's health checks) validate the field with
 *absent* field is tolerated by the clients (a pre-versioning peer) but
 rejected by the replica router, whose replicas it spawned itself and which
 therefore must all carry the field.
+
+Both clients share one failure taxonomy, defined here:
+:class:`ClientConnectionError` for the transport,
+:class:`ProtocolMismatchError` (and its :class:`MalformedResponseError`) for
+a peer that does not speak this protocol, and :func:`raise_for_response`
+mapping a refusal onto the frontend's typed errors.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from repro.serving.frontend.admission import (
+    DeadlineExceededError,
+    QueryShedError,
+)
+
 __all__ = [
     "PROTOCOL_VERSION",
     "CAPABILITIES",
+    "ClientConnectionError",
+    "MalformedResponseError",
     "ProtocolMismatchError",
+    "ServerError",
     "check_protocol_version",
+    "raise_for_response",
 ]
 
 #: Version of the query wire protocol (TCP JSON-lines and HTTP JSON bodies
@@ -55,6 +70,57 @@ class ProtocolMismatchError(RuntimeError):
         self.peer_version = peer_version
         self.expected = expected
         self.source = source
+
+
+class MalformedResponseError(ProtocolMismatchError):
+    """A peer answered a body that does not parse as this protocol's.
+
+    A mismatch like any other — a replica router quarantines the peer —
+    raised instead of a bare decode error from deep inside a client.
+    """
+
+    def __init__(self, source: str, detail: str) -> None:
+        super().__init__(None, source)
+        self.args = (f"{source} answered a body that does not parse: {detail}",)
+
+
+class ServerError(RuntimeError):
+    """The server answered ``ok: false`` with a non-rejection error."""
+
+    def __init__(self, error: str, message: str) -> None:
+        super().__init__(f"{error}: {message}")
+        self.error = error
+        self.message = message
+
+
+class ClientConnectionError(ConnectionError):
+    """The transport failed before a complete response arrived.
+
+    Raised uniformly for connection refusal, a peer closing mid-response,
+    and writes on a closed client — the failure shapes a replica router
+    treats identically (queries are pure reads, so one may be retried
+    elsewhere).  Subclasses :class:`ConnectionError`, so ``except
+    ConnectionError`` call sites catch it.
+    """
+
+
+def raise_for_response(response: dict) -> dict:
+    """Map a protocol response onto the frontend's typed errors.
+
+    Returns the response unchanged when ``ok`` is true; otherwise raises the
+    same exception the in-process frontend would have raised
+    (:class:`QueryShedError`, :class:`DeadlineExceededError` or
+    :class:`ServerError`).
+    """
+    if response.get("ok"):
+        return response
+    error = response.get("error", "unknown")
+    message = response.get("message", "")
+    if error == "shed":
+        raise QueryShedError(message=message or "query shed by server")
+    if error == "deadline":
+        raise DeadlineExceededError(message)
+    raise ServerError(error, message)
 
 
 def check_protocol_version(

@@ -1,8 +1,8 @@
 """Front-door replica router: consistent-hash routing with failover.
 
 ``ReplicaRouter`` is a :class:`BaseHttpServer` that owns no batcher of
-its own — every ``/query`` is forwarded over the unified
-:class:`~repro.serving.frontend.client.HttpQueryClient` to one of N
+its own — every ``/query`` is forwarded over an
+:class:`~repro.serving.frontend.http.HttpClientPool` to one of N
 replica servers.  The router parses the request, and only for its ``seed``;
 the body goes to the replica as the bytes the client sent, and the replica's
 status and body come back as the bytes it sent (``relay_query``) — an answer
@@ -19,7 +19,8 @@ The ring only concentrates each shard's working set on one replica's
 caches; when a replica dies, its keys walk the ring's preference list
 and land on the next replica — warm or not, the answer is the same.
 
-Failure taxonomy, mirrored from the client:
+Failure taxonomy, the client's (:mod:`repro.serving.frontend.protocol`);
+the router owns every retry, the client makes none:
 
 * transport failures (connection refused, mid-response disconnect,
   crash) raise ``ClientConnectionError`` → retried with exponential
@@ -31,6 +32,10 @@ Failure taxonomy, mirrored from the client:
   ``X-Repro-Proto`` header of every relayed response and from ``proto`` in
   ``/healthz``) quarantines the replica as ``incompatible`` — it stops
   receiving traffic and the aggregated ``/metrics`` makes the skew visible.
+  A ``/healthz`` body that does not parse is the same mismatch
+  (``MalformedResponseError``); in ``/stats``, ``/debug/traces`` and
+  ``/metrics`` such a replica reports an error or is left out, like an
+  unreachable one.
 
 Replica states: ``healthy`` and ``suspect`` are routable; ``draining``
 (operator removed it via ``POST /admin/drain?replica=i``), ``dead``
@@ -50,18 +55,25 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs
 
 from repro.graph.partition import hash_shard_of
-from repro.serving.frontend.client import (
-    ClientConnectionError,
-    HttpQueryClient,
-    ServerError,
-)
 from repro.serving.frontend.config import ServingConfig
-from repro.serving.frontend.http import DEFAULT_MAX_BODY_BYTES, BaseHttpServer
-from repro.serving.frontend.metrics import _Writer, parse_prometheus_text
+from repro.serving.frontend.http import (
+    DEFAULT_MAX_BODY_BYTES,
+    BaseHttpServer,
+    HttpClientPool,
+)
+from repro.serving.frontend.metrics import (
+    PrometheusScrape,
+    _Writer,
+    parse_prometheus_text,
+)
 from repro.serving.frontend.protocol import (
     PROTOCOL_VERSION,
+    ClientConnectionError,
+    MalformedResponseError,
     ProtocolMismatchError,
+    ServerError,
     check_protocol_version,
+    raise_for_response,
 )
 from repro.serving.replica import DEFAULT_VNODES, ConsistentHashRing
 from repro.serving.tracing import Tracer, format_traceparent
@@ -96,6 +108,10 @@ class _NoReplicaAvailable(Exception):
     """Every routable replica failed (or none were routable)."""
 
 
+#: What one replica call may fail with and still leave the router serving.
+_REPLICA_ERRORS = (ClientConnectionError, ServerError, ProtocolMismatchError)
+
+
 class ReplicaHandle:
     """One replica as the router sees it: endpoint, client, and state."""
 
@@ -106,7 +122,8 @@ class ReplicaHandle:
         # Until the first health check or forward succeeds the replica is
         # merely *suspected* healthy — routable, but not yet proven.
         self.state = SUSPECT
-        self.client: Optional[HttpQueryClient] = None
+        # Connects on first use and is kept across failed connects.
+        self.client = HttpClientPool(host, port)
         self.consecutive_failures = 0
         self.last_error: Optional[str] = None
         self.proto: Optional[int] = None
@@ -115,20 +132,8 @@ class ReplicaHandle:
     def routable(self) -> bool:
         return self.state in ROUTABLE_STATES
 
-    async def ensure_client(self) -> HttpQueryClient:
-        """The lazily-opened client (raises ``ClientConnectionError``)."""
-        if self.client is None:
-            # retries=0: the *router* owns retry/failover policy; the
-            # client must surface every transport failure immediately.
-            self.client = await HttpQueryClient.connect(
-                self.host, self.port, retries=0
-            )
-        return self.client
-
     async def close(self) -> None:
-        if self.client is not None:
-            await self.client.close()
-            self.client = None
+        await self.client.close()
 
     def describe(self) -> Dict[str, object]:
         return {
@@ -251,14 +256,12 @@ class ReplicaRouter(BaseHttpServer):
         return {name: handle.state for name, handle in self._handles.items()}
 
     async def _check_one(self, handle: ReplicaHandle) -> None:
-        source = f"http://{handle.host}:{handle.port}"
         try:
-            client = await handle.ensure_client()
-            status, payload = await client.healthz()
+            status, payload = await handle.client.request_json("GET", "/healthz")
             # The router *requires* the version field: a replica too old
             # to stamp it must not silently join the fleet.
             handle.proto = check_protocol_version(
-                payload.get("proto"), source, required=True
+                payload.get("proto"), handle.client.source, required=True
             )
         except ProtocolMismatchError as exc:
             handle.state = INCOMPATIBLE
@@ -395,8 +398,9 @@ class ReplicaRouter(BaseHttpServer):
                 else None
             )
             try:
-                client = await handle.ensure_client()
-                status, response = await client.relay_query(body, traceparent)
+                status, response = await handle.client.relay_query(
+                    body, traceparent
+                )
             except ClientConnectionError as exc:
                 self._forward_errors[name] += 1
                 handle.consecutive_failures += 1
@@ -452,31 +456,20 @@ class ReplicaRouter(BaseHttpServer):
             "proto": PROTOCOL_VERSION,
         }
 
-    async def _replica_stats(self) -> Dict[str, object]:
+    async def _fan_out(self, fetch, *args) -> Dict[str, object]:
+        """``await fetch(client, *args)`` on every replica at once: name ->
+        its result, or ``{"error": ...}`` where the replica could not be
+        reached, refused, or answered what does not parse."""
+
         async def one(handle: ReplicaHandle) -> Tuple[str, object]:
             try:
-                client = await handle.ensure_client()
-                return handle.name, await client.stats()
-            except (ClientConnectionError, ServerError) as exc:
+                return handle.name, await fetch(handle.client, *args)
+            except _REPLICA_ERRORS as exc:
                 return handle.name, {"error": str(exc)}
 
-        pairs = await asyncio.gather(
-            *(one(handle) for handle in self._handles.values())
+        return dict(
+            await asyncio.gather(*(one(h) for h in self._handles.values()))
         )
-        return dict(pairs)
-
-    async def _replica_traces(self) -> Dict[str, object]:
-        async def one(handle: ReplicaHandle) -> Tuple[str, object]:
-            try:
-                client = await handle.ensure_client()
-                return handle.name, await client.traces()
-            except (ClientConnectionError, ServerError) as exc:
-                return handle.name, {"error": str(exc)}
-
-        pairs = await asyncio.gather(
-            *(one(handle) for handle in self._handles.values())
-        )
-        return dict(pairs)
 
     async def _aggregate_metrics(self) -> str:
         writer = _Writer()
@@ -567,26 +560,16 @@ class ReplicaRouter(BaseHttpServer):
 
         Families are merged across replicas first so each HELP/TYPE pair
         is emitted exactly once — the strict parser rejects duplicates.
-        Unreachable replicas are simply absent from the re-export (their
-        ``repro_router_replica_up`` gauge already tells the story).
+        Unreachable replicas, and those whose scrape does not parse, are
+        simply absent from the re-export (their ``repro_router_replica_up``
+        gauge already tells the story).
         """
-
-        async def one(handle: ReplicaHandle) -> Tuple[str, Optional[str]]:
-            try:
-                client = await handle.ensure_client()
-                return handle.name, await client.metrics_text()
-            except (ClientConnectionError, ServerError):
-                return handle.name, None
-
-        pairs = await asyncio.gather(
-            *(one(handle) for handle in self._handles.values())
-        )
+        scrapes = await self._fan_out(_scrape)
         types: Dict[str, str] = {}
         samples: List[Tuple[str, str, Dict[str, str], float]] = []
-        for name, text in sorted(pairs):
-            if text is None:
+        for name, scrape in sorted(scrapes.items()):
+            if not isinstance(scrape, PrometheusScrape):
                 continue
-            scrape = parse_prometheus_text(text)
             for family, kind in scrape.types.items():
                 types.setdefault(family, kind)
             for (sample_name, label_items), value in scrape.samples.items():
@@ -652,7 +635,7 @@ class ReplicaRouter(BaseHttpServer):
                 200,
                 {
                     "router": self._router_stats(),
-                    "replicas": await self._replica_stats(),
+                    "replicas": await self._fan_out(_get_json, "/stats"),
                 },
                 _JSON_TYPE,
             )
@@ -670,7 +653,7 @@ class ReplicaRouter(BaseHttpServer):
                 {
                     "ok": True,
                     "router": own,
-                    "replicas": await self._replica_traces(),
+                    "replicas": await self._fan_out(_get_json, "/debug/traces"),
                 },
                 _JSON_TYPE,
             )
@@ -712,15 +695,39 @@ class ReplicaRouter(BaseHttpServer):
         forwarded = True
         message = None
         try:
-            client = await handle.ensure_client()
-            await client.drain()
-        except (ClientConnectionError, ServerError) as exc:
+            _, payload = await handle.client.request_json("POST", "/admin/drain")
+            raise_for_response(payload)
+        except _REPLICA_ERRORS as exc:
             forwarded = False
             message = str(exc)
         body = {"ok": True, "draining": name, "forwarded": forwarded}
         if message is not None:
             body["message"] = message
         return 202, body, _JSON_TYPE
+
+
+async def _get_json(client: HttpClientPool, path: str) -> Dict[str, object]:
+    """A fan-out fetch: ``GET path``'s JSON document without the ok-envelope
+    (``ok``, ``proto``), raising :class:`ServerError` on any other status
+    than 200."""
+    status, payload = await client.request_json("GET", path)
+    if status != 200:
+        raise ServerError(
+            str(payload.get("error", "unknown")),
+            str(payload.get("message", "")),
+        )
+    return {k: v for k, v in payload.items() if k not in ("ok", "proto")}
+
+
+async def _scrape(client: HttpClientPool) -> PrometheusScrape:
+    """A fan-out fetch: the replica's parsed ``/metrics``."""
+    status, _, body = await client.request("GET", "/metrics")
+    if status != 200:
+        raise ServerError("metrics", f"GET /metrics answered {status}")
+    try:
+        return parse_prometheus_text(body.decode("utf-8"))
+    except ValueError as exc:
+        raise MalformedResponseError(client.source, str(exc)) from exc
 
 
 def build_router_parser() -> argparse.ArgumentParser:

@@ -533,6 +533,79 @@ class TestProtocolQuarantine:
         run(main())
 
 
+class TestNonJsonReplica:
+    """A replica answering ``200 text/html`` is quarantined, not fatal: the
+    health loop keeps probing and every aggregate answers around it."""
+
+    HTML = (200, b"<html><body>not a replica</body></html>")
+
+    def test_health_loop_survives_and_quarantines_it(self):
+        async def main():
+            async with StubReplica() as stub, InProcessFleet(1) as fleet:
+                stub.answer = self.HTML
+                router = ReplicaRouter(
+                    [stub.address, *fleet.endpoints],
+                    num_shards=4,
+                    health_interval_s=0.02,
+                )
+                async with router:
+
+                    async def probed(times):
+                        while len(stub.bodies) < times:
+                            await asyncio.sleep(0.02)
+
+                    # The first probe and three intervals after it.
+                    await asyncio.wait_for(probed(4), timeout=10.0)
+                    assert not router._health_task.done()
+                    assert router.replica_states() == {
+                        "replica-0": INCOMPATIBLE,
+                        "replica-1": HEALTHY,
+                    }
+                    await router.stop()
+
+        run(main())
+
+    def test_stats_traces_and_metrics_answer_around_it(self):
+        async def main():
+            traced = CONFIG.replace(trace_sample=1.0)
+            async with StubReplica() as stub, InProcessFleet(1, traced) as fleet:
+                stub.answer = self.HTML
+                router = ReplicaRouter(
+                    [stub.address, *fleet.endpoints],
+                    num_shards=4,
+                    health_interval_s=0,
+                )
+                async with router:
+                    async with HttpClientPool(*router.address) as pool:
+                        seed = seed_owned_by(router, "replica-1")
+                        await pool.request_json(
+                            "POST", "/query", {"seed": seed, "k": 5}
+                        )
+                        status, stats = await pool.request_json("GET", "/stats")
+                        assert status == 200
+                        assert "error" in stats["replicas"]["replica-0"]
+                        assert "admission" in stats["replicas"]["replica-1"]
+                        status, traces = await pool.request_json(
+                            "GET", "/debug/traces"
+                        )
+                        assert status == 200
+                        assert "error" in traces["replicas"]["replica-0"]
+                        assert traces["replicas"]["replica-1"]["traces"]
+                        status, _, body = await pool.request("GET", "/metrics")
+                        assert status == 200
+                        completed = {
+                            dict(key[1])["replica"]: value
+                            for key, value in parse_prometheus_text(
+                                body.decode()
+                            ).samples.items()
+                            if key[0] == "repro_queries_completed_total"
+                        }
+                        assert completed == {"replica-1": 1.0}
+                    await router.stop()
+
+        run(main())
+
+
 class TestRelay:
     """The router parses the request for its seed and nothing else: the
     client's bytes reach the replica, the replica's bytes reach the client."""
