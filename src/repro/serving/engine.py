@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.graph.bfs import extract_wave
 from repro.graph.delta import (
@@ -85,11 +85,19 @@ def _merge_cache_stats(
     return first + second
 
 
+#: How many ``(length, k)`` config halves of the stage-one key an engine
+#: keeps: ``k`` is the caller's to choose, so the memo is bounded.
+_KEY_MEMO_SIZE = 64
+
+
 def _replay(answer: PPRResult) -> PPRResult:
     """A caller's own copy of a finished answer: the same (frozen) ``scores``
     object and metadata values under a fresh ``metadata`` dict and an empty
     ``timing`` — nothing ran, and ``metadata["serving"]`` is per delivery."""
-    return replace(answer, timing=TimingBreakdown(), metadata=dict(answer.metadata))
+    return PPRResult(
+        answer.query, answer.scores, TimingBreakdown(),
+        answer.peak_memory_bytes, dict(answer.metadata),
+    )
 
 
 @dataclass
@@ -278,6 +286,7 @@ class QueryEngine:
         self._router = router
         self._result_cache = result_cache
         self._tracer = tracer
+        self._key_memo: Dict[Tuple[int, int], Tuple[Hashable, ...]] = {}
         self._pending: List[PPRQuery] = []
         self._stats = EngineStats(backend=self._backend.name)
         self._latency = LatencyHistogram()
@@ -436,6 +445,21 @@ class QueryEngine:
         mine = cache is not None and cache.claim(self._solver.graph)
         return cache if mine else None
 
+    def _stage_one_key(self, query: PPRQuery) -> Tuple[Hashable, ...]:
+        """:func:`stage_one_key` of ``query``, its config half built once per
+        ``(length, k)``: the solver's config never changes.  Threads racing
+        on the memo can only build a half twice."""
+        memo = self._key_memo
+        half = memo.get((query.length, query.k))
+        if half is None:
+            if len(memo) >= _KEY_MEMO_SIZE:
+                memo.clear()
+            half = memo[query.length, query.k] = stage_one_key(
+                query, self._solver.config
+            )
+        # stage_one_key is (seed, split, alpha, capacity, selector, tolerance).
+        return (int(query.seed), half[1], float(query.alpha), *half[3:])
+
     def try_cached(self, query: PPRQuery) -> Optional[PPRResult]:
         """Answer ``query`` from the result cache, or return ``None`` at once.
 
@@ -461,7 +485,7 @@ class QueryEngine:
         result_cache = self._result_cache_for(query.seed)
         if result_cache is None:
             return None
-        key = stage_one_key(query, self._solver.config)
+        key = self._stage_one_key(query)
         answer = result_cache.peek_answer(key, query)
         if answer is None:
             return None
@@ -607,7 +631,7 @@ class QueryEngine:
                     if ctx is None
                     else ctx.begin_span("engine.result_cache")
                 )
-                key = stage_one_key(query, self._solver.config)
+                key = self._stage_one_key(query)
                 state, answer = result_cache.lookup(key, query)
                 result_cache_outcome = (
                     "answer"

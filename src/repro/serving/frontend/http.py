@@ -91,6 +91,7 @@ from repro.serving.frontend.protocol import (
     ClientConnectionError,
     MalformedResponseError,
     check_protocol_version,
+    unpack_top,
 )
 from repro.serving.frontend.shell import FrontDoor, serve_main
 
@@ -519,7 +520,7 @@ class HttpQueryServer(BaseHttpServer):
             try:
                 request = self._parse_json_body(body)
                 request_id = request.get("id")
-                query, timeout_ms = parse_query_request(
+                query, timeout_ms, packed = parse_query_request(
                     request, self._batcher.engine.solver.graph.num_nodes
                 )
             except (ValueError, TypeError, KeyError) as exc:
@@ -527,7 +528,7 @@ class HttpQueryServer(BaseHttpServer):
             response = await answer_query(
                 self._batcher, self._recorder, "http",
                 (headers or {}).get("traceparent"),
-                request_id, query, timeout_ms, received,
+                request_id, query, timeout_ms, received, packed,
             )
             if isinstance(response, bytes):
                 return 200, response, _JSON_TYPE
@@ -793,8 +794,19 @@ class HttpClientPool:
             self._free.put_nowait(client)
 
     async def query(self, request: dict) -> Tuple[int, dict]:
-        """``POST /query`` on the next free connection."""
-        return await self.request_json("POST", "/query", request)
+        """``POST /query`` on the next free connection, asking for the
+        ranking packed; the payload's ``"top"`` is the same ``[[node, score],
+        ...]`` lists as the JSON form's (an older server's passes through)."""
+        status, payload = await self.request_json(
+            "POST", "/query", {**request, "packed": True}
+        )
+        if "top_packed" in payload:
+            try:
+                payload["top"] = unpack_top(payload.pop("top_packed"))
+            except (ValueError, TypeError) as exc:
+                detail = f"top_packed: {exc}"
+                raise MalformedResponseError(self.source, detail) from exc
+        return status, payload
 
     async def relay_query(
         self, body: bytes, traceparent: Optional[str] = None
@@ -813,7 +825,7 @@ class HttpClientPool:
         )
         proto = response_headers.get("x-repro-proto")
         check_protocol_version(
-            int(proto) if proto is not None and proto.isdigit() else proto,
+            int(proto) if proto is not None and proto.isdecimal() else proto,
             self.source,
             required=True,
         )

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import weakref
 from dataclasses import replace
 from typing import (
@@ -53,7 +54,7 @@ from typing import (
 from repro.ppr.base import PPRQuery, PPRResult
 from repro.serving.frontend.admission import QueryRejectedError
 from repro.serving.frontend.batcher import MicroBatcher
-from repro.serving.frontend.protocol import PROTOCOL_VERSION
+from repro.serving.frontend.protocol import PROTOCOL_VERSION, pack_top
 from repro.serving.frontend.request_log import log_request
 from repro.utils.validation import check_node_id
 
@@ -107,12 +108,13 @@ def _strict_bool(value: object, name: str) -> bool:
 
 def parse_query_request(
     request: dict, num_nodes: int
-) -> Tuple[PPRQuery, Optional[float]]:
-    """Validate a query-request dict; returns ``(query, timeout_ms)``.
+) -> Tuple[PPRQuery, Optional[float], bool]:
+    """Validate a query-request dict; returns ``(query, timeout_ms, packed)``.
 
     Integer fields are strict — ``42.9`` is a bad request, not seed 42, and
-    JSON booleans are refused.  Bad fields raise ``ValueError`` and must
-    never poison a batch.
+    JSON booleans are refused; ``timeout_ms`` must be finite (``json.loads``
+    reads ``NaN`` and ``Infinity``) and ``packed`` a JSON boolean.  Bad
+    fields raise ``ValueError`` and must never poison a batch.
     """
     if not isinstance(request, dict):
         raise ValueError("request must be a JSON object")
@@ -128,9 +130,10 @@ def parse_query_request(
     timeout_ms = request.get("timeout_ms")
     if timeout_ms is not None:
         timeout_ms = _strict_number(timeout_ms, "timeout_ms")
-        if timeout_ms <= 0:
-            raise ValueError(f"timeout_ms must be > 0, got {timeout_ms}")
-    return query, timeout_ms
+        if not (math.isfinite(timeout_ms) and timeout_ms > 0):
+            raise ValueError(f"timeout_ms must be finite and > 0, got {timeout_ms}")
+    packed = _strict_bool(request.get("packed", False), "packed")
+    return query, timeout_ms, packed
 
 
 def frontend_config(batcher: MicroBatcher) -> Dict[str, object]:
@@ -386,21 +389,27 @@ OPS: Dict[str, Callable[..., Awaitable[Dict[str, object]]]] = {
 }
 
 
-#: ``"top"`` texts of answers that can be served again, by their score
-#: vector.  A frozen vector belongs to one cached answer (one query, one
-#: ``k``), is shared by all its deliveries and cannot change, so the text is
-#: ranked and encoded once for all of them; it is dropped with the vector.
+#: The top-k texts of answers that can be served again, by their score
+#: vector: ``[json, packed]``, each built on first use.  A frozen vector
+#: belongs to one cached answer (one query, one ``k``), is shared by all its
+#: deliveries and cannot change, so each form is ranked and encoded once for
+#: all of them; both are dropped with the vector.
 _TOP_TEXTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _top_json(result: PPRResult) -> str:
-    """``json.dumps`` of the result's top-k as ``[[node, score], ...]``."""
-    text = _TOP_TEXTS.get(result.scores)
-    if text is None:
-        text = json.dumps(result.top_k())
+def _top_json(result: PPRResult, packed: bool = False) -> str:
+    """The JSON text of the result's top-k: ``[[node, score], ...]``, or
+    with ``packed`` the :func:`~repro.serving.frontend.protocol.pack_top`
+    string."""
+    texts = _TOP_TEXTS.get(result.scores)
+    if texts is None:
+        texts = [None, None]
         if result.scores.frozen:
-            _TOP_TEXTS[result.scores] = text
-    return text
+            _TOP_TEXTS[result.scores] = texts
+    if texts[packed] is None:
+        pairs = result.top_k()
+        texts[packed] = f'"{pack_top(pairs)}"' if packed else json.dumps(pairs)
+    return texts[packed]
 
 
 async def answer_query(
@@ -412,6 +421,7 @@ async def answer_query(
     query: PPRQuery,
     timeout_ms: Optional[float],
     received: float,
+    packed: bool,
 ) -> Union[Dict[str, object], bytes]:
     """Answer one parsed query request; the same path for both doors.
 
@@ -422,7 +432,8 @@ async def answer_query(
     **encoded**: the bytes ``json.dumps`` would produce for ``{"id", "ok",
     "seed", "k", "top", "latency_ms"[, "trace_id"], "proto"}``, except that
     the ``"top"`` text is spliced in from :func:`_top_json`, which a cached
-    answer encodes once for all its deliveries.
+    answer encodes once for all its deliveries.  With ``packed`` the field is
+    ``"top_packed"`` and its text the packed form.
     """
     loop = asyncio.get_running_loop()
     tracer = batcher.engine.tracer
@@ -461,7 +472,8 @@ async def answer_query(
         return refusal(request_id, message, status)
     head = {"id": request_id, "ok": True, "seed": query.seed, "k": query.k}
     tail["proto"] = PROTOCOL_VERSION
+    field = "top_packed" if packed else "top"
     return (
-        f'{json.dumps(head)[:-1]}, "top": {_top_json(result)}, '
+        f'{json.dumps(head)[:-1]}, "{field}": {_top_json(result, packed)}, '
         f"{json.dumps(tail)[1:]}"
     ).encode("utf-8")

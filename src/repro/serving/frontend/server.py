@@ -161,7 +161,7 @@ class AsyncQueryServer(FrontDoor):
             request_id = request.get("id")
             op = request.get("op", "query")
             if op == "query":
-                query, timeout_ms = parse_query_request(
+                query, timeout_ms, packed = parse_query_request(
                     request, self._batcher.engine.solver.graph.num_nodes
                 )
             elif op == "ping":
@@ -180,7 +180,7 @@ class AsyncQueryServer(FrontDoor):
         return await answer_query(
             self._batcher, self._recorder, "tcp",
             trace if isinstance(trace, str) else None,
-            request_id, query, timeout_ms, received,
+            request_id, query, timeout_ms, received, packed,
         )
 
 

@@ -14,6 +14,7 @@ out of the update's reach, strip it otherwise).
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import io
 import json
 import sys
@@ -48,8 +49,9 @@ from repro.serving.frontend import (
     configure_logging,
     parse_prometheus_text,
 )
+from repro.serving.engine import _KEY_MEMO_SIZE, _replay
 from repro.serving.frontend.ops import _top_json
-from repro.serving.frontend.protocol import PROTOCOL_VERSION
+from repro.serving.frontend.protocol import PROTOCOL_VERSION, pack_top
 from repro.serving.result_cache import _answer_nbytes, _entry_nbytes, stage_one_key
 
 CONFIG = MeLoPPRConfig(stage_lengths=(3, 3), track_memory=False)
@@ -431,6 +433,34 @@ class TestFastPath:
         span = next(s for s in tree["spans"] if s["name"] == "engine.result_cache")
         assert span["attributes"]["outcome"] == "answer"
 
+    @pytest.mark.parametrize("config", [CONFIG, WIDE], ids=["ratio", "count"])
+    def test_engine_key_is_stage_one_key(self, graph, config):
+        """The engine builds the key's config half once per ``(length, k)``;
+        the key is still :func:`stage_one_key`'s, past the memo's bound."""
+        queries = [
+            PPRQuery(seed=seed, k=k, alpha=alpha, length=length)
+            for seed in (0, 3)
+            for alpha in (0.85, 0.5)
+            for length in (6, 4, 7, 0)
+            for k in (1, 20, 200)
+        ]
+        queries += [PPRQuery(seed=5, k=k) for k in range(1, 2 * _KEY_MEMO_SIZE)]
+        with QueryEngine(MeLoPPRSolver(graph, config)) as engine:
+            for query in queries + queries[:24]:
+                assert engine._stage_one_key(query) == stage_one_key(query, config)
+            assert len(engine._key_memo) <= _KEY_MEMO_SIZE
+
+    def test_replay_copies_every_field_but_timing_and_metadata(self, graph):
+        with make_engine(graph) as engine:
+            (answer,) = engine.solve_batch([PPRQuery(seed=3, k=20)])
+        copy = _replay(answer)
+        for spec in dataclasses.fields(answer):
+            if spec.name not in ("timing", "metadata"):
+                assert getattr(copy, spec.name) is getattr(answer, spec.name)
+        assert copy.metadata == answer.metadata
+        assert copy.metadata is not answer.metadata
+        assert copy.timing.total == 0.0 and copy.timing is not answer.timing
+
     def test_reset_stats_leaves_no_path_half_reset(self, graph):
         query = PPRQuery(seed=3, k=20)
         engine = make_engine(graph)
@@ -550,6 +580,45 @@ class TestWireBytes:
             assert body == self.expected_bytes(
                 body, request_id, query, solver.solve(query), traced
             )
+
+    @pytest.mark.parametrize("transport", ["http", "tcp"])
+    def test_packed_answer_is_json_dumps_with_top_packed(self, graph, transport):
+        query = PPRQuery(seed=3, k=15)
+        engine = make_engine(graph)
+        reference = MeLoPPRSolver(graph, CONFIG).solve(query)
+        request = {"seed": query.seed, "k": query.k, "packed": True}
+
+        async def run():
+            async with MicroBatcher(engine) as batcher:
+                if transport == "http":
+                    server = HttpQueryServer(batcher)
+                    async with server, HttpClient(*server.address) as client:
+                        return [
+                            (await client.request("POST", "/query", request))[2]
+                            for _ in range(3)  # compute, replay, replay
+                        ]
+                async with AsyncQueryServer(batcher) as server:
+                    reader, writer = await asyncio.open_connection(*server.address)
+                    bodies = []
+                    for _ in range(3):
+                        writer.write(json.dumps(request).encode() + b"\n")
+                        bodies.append((await reader.readline())[:-1])
+                    writer.close()
+                    return bodies
+
+        with engine:
+            bodies = asyncio.run(run())
+        for body in bodies:
+            response = {
+                "id": None,
+                "ok": True,
+                "seed": query.seed,
+                "k": query.k,
+                "top_packed": pack_top(reference.top_k()),
+                "latency_ms": json.loads(body)["latency_ms"],
+                "proto": PROTOCOL_VERSION,
+            }
+            assert body == json.dumps(response).encode("utf-8")
 
     def test_request_log_says_why_a_query_was_fast(self, graph):
         engine = make_engine(graph)

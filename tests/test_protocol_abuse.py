@@ -166,6 +166,11 @@ MALFORMED_BODIES = [
     pytest.param({"seed": 3, "k": 10, "timeout_ms": "fast"}, "timeout_ms", id="string-timeout"),
     pytest.param({"seed": 3, "k": 10, "timeout_ms": True}, "timeout_ms", id="bool-timeout"),
     pytest.param({"seed": 3, "k": 10, "timeout_ms": -5}, "timeout_ms", id="negative-timeout"),
+    # json.loads reads NaN and Infinity; neither is a deadline.
+    pytest.param({"seed": 3, "k": 10, "timeout_ms": float("nan")}, "timeout_ms", id="nan-timeout"),
+    pytest.param({"seed": 3, "k": 10, "timeout_ms": float("inf")}, "timeout_ms", id="inf-timeout"),
+    pytest.param({"seed": 3, "k": 10, "packed": 1}, "packed", id="int-packed"),
+    pytest.param({"seed": 3, "k": 10, "packed": "yes"}, "packed", id="string-packed"),
 ]
 
 

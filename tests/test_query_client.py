@@ -29,6 +29,7 @@ from repro.serving.frontend import (
     HttpClient,
     HttpClientPool,
     HttpQueryServer,
+    MalformedResponseError,
     MicroBatcher,
     ProtocolMismatchError,
     QueryShedError,
@@ -372,13 +373,15 @@ class TestBothClients:
 
     def test_missing_proto_tolerated(self, transport):
         """Absence is legal for plain clients (pre-versioning servers);
-        only the router requires the field."""
+        only the router requires the field.  Such a server ignores
+        ``packed``: its JSON ``"top"`` reaches the caller as it came."""
 
         async def run():
             async with fake_for(transport, proto=None) as (host, port):
                 async with await connect(transport, host, port) as client:
                     response = await client.query(seed=7, k=5)
                     assert response["ok"] is True and "proto" not in response
+                    assert response["top"] == [[7, 1.0]]
 
         asyncio.run(run())
 
@@ -401,6 +404,21 @@ class TestPool:
                 async with HttpClientPool(host, port, size=1) as pool:
                     with pytest.raises(ProtocolMismatchError):
                         await pool.relay_query(b'{"seed": 3}')
+
+        asyncio.run(run())
+
+    @pytest.mark.parametrize(
+        "packed",
+        ["!!!!" * 4, "A" * 20 + "=", 7],
+        ids=["not-base64", "15-bytes", "number"],
+    )
+    def test_malformed_top_packed_is_a_malformed_response(self, packed):
+        async def run():
+            answer = {"ok": True, "top_packed": packed}
+            async with FakeHttpServer(answer=answer) as (host, port):
+                async with HttpClientPool(host, port, size=1) as pool:
+                    with pytest.raises(MalformedResponseError, match="top_packed"):
+                        await pool.query({"seed": 3})
 
         asyncio.run(run())
 

@@ -472,7 +472,8 @@ class TestAggregation:
 class StubReplica:
     """A recording stub replica: keeps every request body it receives and
     answers each with the ``(status, body)`` the test scripted, under the
-    ``X-Repro-Proto`` header value given (``None``: no such header)."""
+    ``X-Repro-Proto`` header value given (``None``: no such header; bytes go
+    out as they are)."""
 
     def __init__(self, proto="1") -> None:
         self.proto = proto
@@ -498,10 +499,14 @@ class StubReplica:
                 length = int(head.lower().split(b"content-length:")[1].split()[0])
                 self.bodies.append(await reader.readexactly(length))
                 status, body = self.answer
-                stamp = f"X-Repro-Proto: {self.proto}\r\n" if self.proto else ""
+                proto = self.proto
+                proto = proto.encode() if isinstance(proto, str) else proto
+                stamp = b"X-Repro-Proto: " + proto + b"\r\n" if proto else b""
                 writer.write(
-                    f"HTTP/1.1 {status} Scripted\r\n{stamp}"
-                    f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+                    f"HTTP/1.1 {status} Scripted\r\n".encode()
+                    + stamp
+                    + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                    + body
                 )
                 await writer.drain()
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
@@ -659,7 +664,10 @@ class TestRelay:
 
         run(main())
 
-    @pytest.mark.parametrize("proto", [None, "999"], ids=["absent", "future"])
+    # b"\xb2" reads as "²" in latin-1: a digit to str.isdigit, not to int().
+    @pytest.mark.parametrize(
+        "proto", [None, "999", b"\xb2"], ids=["absent", "future", "superscript"]
+    )
     def test_query_proto_header_mismatch_quarantines_and_fails_over(
         self, proto
     ):
