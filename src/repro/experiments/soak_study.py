@@ -414,7 +414,7 @@ def run_soak_study(
         track_memory=False,
     )
     if policy is None:
-        policy = BatchPolicy(max_batch_size=8, max_wait_ms=2.0)
+        policy = BatchPolicy(max_batch_size=8)
     workload = make_open_loop_workload(
         dataset, num_seeds=num_seeds, num_arrivals=num_arrivals, k=k, rng=rng
     )

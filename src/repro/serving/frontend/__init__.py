@@ -36,9 +36,6 @@ into the well-formed batches that engine is optimised for:
 * :func:`apply_reload` — hot config reload (admission bound, batch policy,
   cache budgets), one of the shared ops; graceful drain (``drain()``: stop
   accepting, finish every in-flight query) is the shell's.
-* :class:`WorkloadRecorder` / :func:`replay_trace` — capture accepted
-  queries with arrival offsets as JSONL traces and replay them as
-  repeatable benchmarks.
 * :func:`configure_logging` / :func:`log_request` — structured per-request
   logging (``--log-level``/``--log-json`` on both server CLIs), one line
   per answered query carrying the trace id when the query was sampled.
@@ -81,14 +78,6 @@ from repro.serving.frontend.request_log import (
     configure_logging,
     log_request,
 )
-from repro.serving.frontend.recorder import (
-    TraceRecord,
-    WorkloadRecorder,
-    load_trace,
-    replay_trace,
-    replay_trace_sync,
-    save_trace,
-)
 from repro.serving.frontend.protocol import (
     CAPABILITIES,
     PROTOCOL_VERSION,
@@ -129,8 +118,6 @@ __all__ = [
     "ServerError",
     "ServingConfig",
     "TcpQueryClient",
-    "TraceRecord",
-    "WorkloadRecorder",
     "add_serving_arguments",
     "apply_graph_update",
     "apply_reload",
@@ -139,13 +126,9 @@ __all__ = [
     "check_protocol_version",
     "configure_logging",
     "frontend_config",
-    "load_trace",
     "log_request",
     "parse_prometheus_text",
     "raise_for_response",
     "render_prometheus",
-    "replay_trace",
-    "replay_trace_sync",
-    "save_trace",
     "write_ready_file",
 ]

@@ -73,40 +73,30 @@ class BatchPolicy:
     max_batch_size:
         Most queued queries taken into one batch (1 disables coalescing:
         every query runs alone); a batch closes early when the queue empties.
-    max_wait_ms:
-        **Deprecated and ignored**: it held an idle engine this long hoping
-        to fill a batch, and the scheduler no longer waits.  Still validated
-        and round-tripped (``label``, ``as_dict``, ``--max-wait-ms``,
-        ``/config``, ``/reload``) for existing callers and run labels.
     dedup:
         Whether identical in-flight queries share one computation.
     """
 
     max_batch_size: int = 8
-    max_wait_ms: float = 2.0
     dedup: bool = True
+    max_wait_ms: float = 0.0
+    """Unread; max_wait_ms goes once benchmarks/layered/hot_http.py stops passing it."""
 
     def __post_init__(self) -> None:
         if self.max_batch_size <= 0:
             raise ValueError(
                 f"max_batch_size must be > 0, got {self.max_batch_size}"
             )
-        if self.max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
 
     @property
     def label(self) -> str:
-        """Compact form for tables and run labels (e.g. ``b8w2.0``)."""
+        """Compact form for tables and run labels (e.g. ``b8``)."""
         dedup = "" if self.dedup else "-nodedup"
-        return f"b{self.max_batch_size}w{self.max_wait_ms:g}{dedup}"
+        return f"b{self.max_batch_size}{dedup}"
 
     def as_dict(self) -> Dict[str, object]:
         """Plain-dict form for JSON reports."""
-        return {
-            "max_batch_size": self.max_batch_size,
-            "max_wait_ms": self.max_wait_ms,
-            "dedup": self.dedup,
-        }
+        return {"max_batch_size": self.max_batch_size, "dedup": self.dedup}
 
 
 @dataclass(frozen=True)

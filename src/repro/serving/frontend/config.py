@@ -7,12 +7,13 @@ replicas.  This module is the single source of truth instead:
 
 * :class:`ServingConfig` — a frozen dataclass carrying everything a serving
   process needs (dataset, backend, batching, admission, caches, sharding,
-  tracing, logging, ready-file).  It converts losslessly to and
-  from the CLI surface: :meth:`ServingConfig.from_args` reads a parsed
+  tracing, logging, ready-file).  Each field *is* a CLI flag: its default,
+  type and help are declared once, on the field, and the CLI surface is
+  derived from the fields: :meth:`ServingConfig.from_args` reads a parsed
   namespace, :meth:`ServingConfig.to_argv` emits the equivalent flag list —
   which is exactly how :class:`~repro.serving.replica.ReplicaSet` spawns
   replica subprocesses from a config object.
-* :func:`add_serving_arguments` — installs the shared flags on a parser;
+* :func:`add_serving_arguments` — installs one flag per field on a parser;
   both server CLIs call it, so the flag surface cannot drift between
   transports again.
 * :func:`build_frontend` — the one builder turning a config into the
@@ -28,7 +29,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.graph.partition import DEFAULT_HALO_DEPTH, PARTITIONERS
 
@@ -40,49 +41,118 @@ __all__ = [
 ]
 
 
+def _flag(default: object, help: str, **options: object) -> Any:
+    """A config field and the CLI flag that sets it, declared together.
+
+    ``options`` go to ``add_argument`` as given (a non-string field
+    defaulting to ``None`` names its ``type``); ``flag`` overrides the name
+    derived from the field's (``--no-dedup`` for ``dedup``).
+    """
+    return dataclasses.field(default=default, metadata={"help": help, **options})
+
+
+def _flag_name(field: dataclasses.Field) -> str:
+    return field.metadata.get("flag", "--" + field.name.replace("_", "-"))
+
+
 @dataclass(frozen=True)
 class ServingConfig:
     """Everything one serving process needs, as data.
 
-    Field defaults mirror the CLI defaults exactly — ``ServingConfig()`` is
-    what ``parse_args([])`` produces (modulo the per-CLI ``port`` default),
-    and :meth:`to_argv` round-trips through :meth:`from_args` losslessly.
-    ``max_wait_ms`` is deprecated: the work-conserving batcher ignores it
-    (see :class:`~repro.serving.frontend.batcher.BatchPolicy`); it is kept,
-    validated and round-tripped so existing configs keep loading.
+    ``ServingConfig()`` is what ``parse_args([])`` produces (modulo the
+    per-CLI ``port`` default), and :meth:`to_argv` round-trips through
+    :meth:`from_args` exactly.  A ``bool`` field is a switch that flips its
+    default; a field defaulting to ``None`` is unset until given.
     """
 
-    dataset: str = "G1"
-    host: str = "127.0.0.1"
-    port: int = 7071
-    backend: str = "serial"
-    max_batch: int = 8
-    max_wait_ms: float = 2.0
-    dedup: bool = True
-    max_pending: int = 256
-    no_cache: bool = False
-    result_cache_bytes: Optional[int] = None
-    result_cache_ttl: Optional[float] = None
+    dataset: str = _flag("G1", "dataset key to serve")
+    host: str = _flag("127.0.0.1", "bind address")
+    port: int = _flag(7071, "listen port (0 picks a free one)")
+    backend: str = _flag(
+        "serial", "engine backend spec: serial, thread[:N] or process[:N]"
+    )
+    max_batch: int = _flag(8, "most queued queries coalesced into one engine batch")
+    dedup: bool = _flag(True, "disable in-flight dedup", flag="--no-dedup")
+    max_pending: int = _flag(256, "admission bound")
+    no_cache: bool = _flag(
+        False,
+        "disable caching: the sub-graph cache and (unless --result-cache-bytes "
+        "explicitly enables it) the cross-query result cache",
+    )
+    result_cache_bytes: Optional[int] = _flag(
+        None,
+        "byte budget of the cross-query stage-one result cache (hot seeds "
+        "skip straight to stage two; 0 disables, the default enables it at "
+        "the library default budget)",
+        type=int,
+    )
+    result_cache_ttl: Optional[float] = _flag(
+        None,
+        "optional TTL (seconds) on cached stage-one tables (<= 0: none)",
+        type=float,
+    )
     # Sharding: 0 = unsharded.  A sharded config serves the full dataset
     # through a ShardRouter over `num_shards` shards — shard-local for
     # depths within the halo, host-graph fallback beyond it — which is what
     # lets a replica own a shard subset yet answer any seed correctly.
-    num_shards: int = 0
-    partition: str = "hash"
-    halo_depth: int = DEFAULT_HALO_DEPTH
-    record: Optional[str] = None
-    trace_sample: float = 0.0
-    trace_ring: int = 512
-    slow_ms: float = 250.0
-    slow_log: Optional[str] = None
-    log_level: str = "warning"
-    log_json: bool = False
-    ready_file: Optional[str] = None
+    num_shards: int = _flag(
+        0,
+        "serve through a ShardRouter over this many shards (0 = unsharded); "
+        "replicas of a fleet share one shard count so the front router's "
+        "seed hashing matches shard ownership",
+    )
+    partition: str = _flag(
+        "hash",
+        "partition strategy when --num-shards > 0",
+        choices=sorted(PARTITIONERS),
+    )
+    halo_depth: int = _flag(
+        DEFAULT_HALO_DEPTH,
+        "halo hop radius of each shard sub-graph (--num-shards > 0)",
+    )
+    trace_sample: float = _flag(
+        0.0,
+        "fraction of queries recording a full span tree (0 disables tracing "
+        "entirely; an inbound sampled-flagged traceparent always traces); "
+        "hot-reloadable via the 'trace_sample' reload key",
+    )
+    trace_ring: int = _flag(
+        512, "finished traces kept in memory for /debug/traces (ring buffer)"
+    )
+    slow_ms: float = _flag(
+        250.0,
+        "slow-query threshold: sampled traces at least this slow are counted "
+        "(and logged when --slow-log is set)",
+    )
+    slow_log: Optional[str] = _flag(
+        None,
+        "append each over-threshold trace as one JSONL span tree to this "
+        "file (requires --trace-sample > 0 to sample anything)",
+        metavar="PATH",
+    )
+    log_level: str = _flag(
+        "warning",
+        "request-log verbosity: info and below emit one line per answered "
+        "query (trace id, status, latency, cache outcome)",
+        choices=("critical", "error", "warning", "info", "debug"),
+    )
+    log_json: bool = _flag(
+        False, "emit request-log lines as JSONL instead of key=value text"
+    )
+    ready_file: Optional[str] = _flag(
+        None,
+        "after binding, write a JSON readiness record (host, port, pid, "
+        "protocol version) to this path — how the replica supervisor learns "
+        "a spawned server is up without parsing stdout",
+        metavar="PATH",
+    )
 
     def __post_init__(self) -> None:
         if self.num_shards < 0:
             raise ValueError(f"num_shards must be >= 0, got {self.num_shards}")
-        if self.num_shards and self.partition not in PARTITIONERS:
+        # Checked even unsharded: to_argv always emits --partition, and the
+        # parser refuses a strategy it does not know.
+        if self.partition not in PARTITIONERS:
             raise ValueError(
                 f"unknown partition strategy {self.partition!r}; expected one "
                 f"of {sorted(PARTITIONERS)}"
@@ -94,17 +164,14 @@ class ServingConfig:
         """Build a config from a parsed namespace (missing attrs = defaults).
 
         Tolerating missing attributes keeps hand-built ``Namespace`` objects
-        (tests, studies) valid, same as the old ``build_frontend`` did.
+        (tests, studies) valid.
         """
-        fields = {}
-        for field in dataclasses.fields(cls):
-            if field.name == "dedup":
-                # The CLI expresses dedup negatively (--no-dedup).
-                fields["dedup"] = not getattr(args, "no_dedup", False)
-            else:
-                value = getattr(args, field.name, field.default)
-                fields[field.name] = value
-        return cls(**fields)
+        return cls(
+            **{
+                field.name: getattr(args, field.name, field.default)
+                for field in dataclasses.fields(cls)
+            }
+        )
 
     def replace(self, **overrides: object) -> "ServingConfig":
         """A copy with ``overrides`` applied (frozen-dataclass idiom)."""
@@ -116,201 +183,41 @@ class ServingConfig:
         This is how the replica supervisor spawns server subprocesses: build
         the replica's config, call ``to_argv()``, exec the server module.
         Round-trip is exact: ``from_args(parser.parse_args(cfg.to_argv()))
-        == cfg``.
+        == cfg``.  A switch appears when it differs from its default, any
+        other field unless it is ``None``.
         """
-        argv: List[str] = [
-            "--dataset", self.dataset,
-            "--host", self.host,
-            "--port", str(self.port),
-            "--backend", self.backend,
-            "--max-batch", str(self.max_batch),
-            "--max-wait-ms", repr(self.max_wait_ms),
-            "--max-pending", str(self.max_pending),
-            "--trace-sample", repr(self.trace_sample),
-            "--trace-ring", str(self.trace_ring),
-            "--slow-ms", repr(self.slow_ms),
-            "--log-level", self.log_level,
-        ]
-        if not self.dedup:
-            argv.append("--no-dedup")
-        if self.no_cache:
-            argv.append("--no-cache")
-        if self.result_cache_bytes is not None:
-            argv += ["--result-cache-bytes", str(self.result_cache_bytes)]
-        if self.result_cache_ttl is not None:
-            argv += ["--result-cache-ttl", repr(self.result_cache_ttl)]
-        if self.num_shards:
-            argv += [
-                "--num-shards", str(self.num_shards),
-                "--partition", self.partition,
-                "--halo-depth", str(self.halo_depth),
-            ]
-        if self.record is not None:
-            argv += ["--record", self.record]
-        if self.slow_log is not None:
-            argv += ["--slow-log", self.slow_log]
-        if self.log_json:
-            argv.append("--log-json")
-        if self.ready_file is not None:
-            argv += ["--ready-file", self.ready_file]
+        argv: List[str] = []
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(field.default, bool):
+                if value != field.default:
+                    argv.append(_flag_name(field))
+            elif value is not None:
+                argv += [_flag_name(field), str(value)]
         return argv
 
 
 def add_serving_arguments(
-    parser: argparse.ArgumentParser, default_port: int = 7071
+    parser: argparse.ArgumentParser, default_port: int = ServingConfig.port
 ) -> argparse.ArgumentParser:
-    """Install the shared serving flags on ``parser`` (both server CLIs)."""
-    parser.add_argument(
-        "--dataset", default=ServingConfig.dataset, help="dataset key to serve"
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=default_port)
-    parser.add_argument(
-        "--backend",
-        default=ServingConfig.backend,
-        help="engine backend spec: serial, thread[:N] or process[:N]",
-    )
-    parser.add_argument(
-        "--max-batch",
-        type=int,
-        default=8,
-        help="most queued queries coalesced into one engine batch",
-    )
-    parser.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help=(
-            "deprecated and ignored: a batch closes when it is full or the "
-            "queue is empty, never on a timer (still validated and reported)"
-        ),
-    )
-    parser.add_argument(
-        "--no-dedup", action="store_true", help="disable in-flight dedup"
-    )
-    parser.add_argument(
-        "--max-pending", type=int, default=256, help="admission bound"
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help=(
-            "disable caching: the sub-graph cache and (unless "
-            "--result-cache-bytes explicitly enables it) the cross-query "
-            "result cache"
-        ),
-    )
-    parser.add_argument(
-        "--result-cache-bytes",
-        type=int,
-        default=None,
-        help=(
-            "byte budget of the cross-query stage-one result cache "
-            "(hot seeds skip straight to stage two; 0 disables, the "
-            "default enables it at the library default budget)"
-        ),
-    )
-    parser.add_argument(
-        "--result-cache-ttl",
-        type=float,
-        default=None,
-        help="optional TTL (seconds) on cached stage-one tables (<= 0: none)",
-    )
-    parser.add_argument(
-        "--num-shards",
-        type=int,
-        default=0,
-        help=(
-            "serve through a ShardRouter over this many shards (0 = "
-            "unsharded); replicas of a fleet share one shard count so the "
-            "front router's seed hashing matches shard ownership"
-        ),
-    )
-    parser.add_argument(
-        "--partition",
-        default="hash",
-        choices=sorted(PARTITIONERS),
-        help="partition strategy when --num-shards > 0",
-    )
-    parser.add_argument(
-        "--halo-depth",
-        type=int,
-        default=DEFAULT_HALO_DEPTH,
-        help="halo hop radius of each shard sub-graph (--num-shards > 0)",
-    )
-    parser.add_argument(
-        "--record",
-        default=None,
-        metavar="PATH",
-        help=(
-            "record every accepted query (with arrival offsets) to this "
-            "JSONL trace on shutdown, for replay as a repeatable benchmark "
-            "(repro.serving.frontend.recorder)"
-        ),
-    )
-    parser.add_argument(
-        "--trace-sample",
-        type=float,
-        default=0.0,
-        help=(
-            "fraction of queries recording a full span tree (0 disables "
-            "tracing entirely; an inbound sampled-flagged traceparent always "
-            "traces); hot-reloadable via the 'trace_sample' reload key"
-        ),
-    )
-    parser.add_argument(
-        "--trace-ring",
-        type=int,
-        default=512,
-        help="finished traces kept in memory for /debug/traces (ring buffer)",
-    )
-    parser.add_argument(
-        "--slow-ms",
-        type=float,
-        default=250.0,
-        help=(
-            "slow-query threshold: sampled traces at least this slow are "
-            "counted (and logged when --slow-log is set)"
-        ),
-    )
-    parser.add_argument(
-        "--slow-log",
-        default=None,
-        metavar="PATH",
-        help=(
-            "append each over-threshold trace as one JSONL span tree to "
-            "this file (requires --trace-sample > 0 to sample anything)"
-        ),
-    )
-    parser.add_argument(
-        "--log-level",
-        default="warning",
-        choices=("critical", "error", "warning", "info", "debug"),
-        help=(
-            "request-log verbosity: info and below emit one line per "
-            "answered query (trace id, status, latency, cache outcome)"
-        ),
-    )
-    parser.add_argument(
-        "--log-json",
-        action="store_true",
-        help="emit request-log lines as JSONL instead of key=value text",
-    )
-    parser.add_argument(
-        "--ready-file",
-        default=None,
-        metavar="PATH",
-        help=(
-            "after binding, write a JSON readiness record (host, port, pid, "
-            "protocol version) to this path — how the replica supervisor "
-            "learns a spawned server is up without parsing stdout"
-        ),
-    )
+    """Install one flag per :class:`ServingConfig` field on ``parser``."""
+    for field in dataclasses.fields(ServingConfig):
+        options = {
+            key: value for key, value in field.metadata.items() if key != "flag"
+        }
+        if isinstance(field.default, bool):
+            options["action"] = "store_false" if field.default else "store_true"
+        elif field.default is not None:
+            options["type"] = type(field.default)
+        default = default_port if field.name == "port" else field.default
+        parser.add_argument(
+            _flag_name(field), dest=field.name, default=default, **options
+        )
     return parser
 
 
 def build_serving_parser(
-    description: Optional[str] = None, default_port: int = 7071
+    description: Optional[str] = None, default_port: int = ServingConfig.port
 ) -> argparse.ArgumentParser:
     """A fresh parser carrying exactly the shared serving flags."""
     return add_serving_arguments(
@@ -428,10 +335,6 @@ def build_frontend(config: ServingConfig) -> Tuple[object, object, object]:
         result_cache=result_cache,
         tracer=tracer,
     )
-    policy = BatchPolicy(
-        max_batch_size=config.max_batch,
-        max_wait_ms=config.max_wait_ms,
-        dedup=config.dedup,
-    )
+    policy = BatchPolicy(max_batch_size=config.max_batch, dedup=config.dedup)
     admission = AdmissionController(max_pending=config.max_pending)
     return engine, policy, admission

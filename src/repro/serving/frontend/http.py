@@ -74,7 +74,7 @@ from __future__ import annotations
 import asyncio
 import json
 import re
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.serving.frontend.batcher import MicroBatcher
 from repro.serving.frontend.metrics import render_prometheus
@@ -94,9 +94,6 @@ from repro.serving.frontend.protocol import (
     unpack_top,
 )
 from repro.serving.frontend.shell import FrontDoor, serve_main
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.serving.frontend.recorder import WorkloadRecorder
 
 __all__ = [
     "BaseHttpServer",
@@ -459,9 +456,6 @@ class HttpQueryServer(BaseHttpServer):
     max_body_bytes:
         Bound on request bodies; larger ones are refused with 413 before
         being read.
-    recorder:
-        Optional workload recorder; every accepted ``/query`` is captured
-        with its arrival offset.
     info:
         Static labels for the ``repro_server_info`` metric (backend,
         dataset, policy...).  Defaults to the live backend name and batch
@@ -474,12 +468,10 @@ class HttpQueryServer(BaseHttpServer):
         host: str = "127.0.0.1",
         port: int = 0,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-        recorder: Optional["WorkloadRecorder"] = None,
         info: Optional[Mapping[str, str]] = None,
     ) -> None:
         super().__init__(host=host, port=port, max_body_bytes=max_body_bytes)
         self._batcher = batcher
-        self._recorder = recorder
         self._info = dict(info) if info is not None else None
 
     @property
@@ -526,7 +518,7 @@ class HttpQueryServer(BaseHttpServer):
             except (ValueError, TypeError, KeyError) as exc:
                 return 400, refusal(request_id, str(exc)), _JSON_TYPE
             response = await answer_query(
-                self._batcher, self._recorder, "http",
+                self._batcher, "http",
                 (headers or {}).get("traceparent"),
                 request_id, query, timeout_ms, received, packed,
             )

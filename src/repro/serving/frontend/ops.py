@@ -13,10 +13,9 @@ is **hot config reload**: :func:`apply_reload` validates a dict of overrides
 
 * ``max_pending`` — the admission bound
   (:meth:`~repro.serving.frontend.admission.AdmissionController.set_max_pending`);
-* ``max_batch_size`` / ``max_wait_ms`` / ``dedup`` — the batching policy
+* ``max_batch_size`` / ``dedup`` — the batching policy
   (:meth:`~repro.serving.frontend.batcher.MicroBatcher.set_policy`; the
-  batch executing finishes under the old policy; ``max_wait_ms`` is
-  deprecated — validated and reported, ignored by the scheduler);
+  batch executing finishes under the old policy);
 * ``cache_bytes`` / ``result_cache_bytes`` — the engine-level cache budgets
   (``resize``: shrinking evicts LRU entries, growing keeps everything warm);
 * ``trace_sample`` — the tracer's sampling probability
@@ -41,7 +40,6 @@ import math
 import weakref
 from dataclasses import replace
 from typing import (
-    TYPE_CHECKING,
     Awaitable,
     Callable,
     Dict,
@@ -57,9 +55,6 @@ from repro.serving.frontend.batcher import MicroBatcher
 from repro.serving.frontend.protocol import PROTOCOL_VERSION, pack_top
 from repro.serving.frontend.request_log import log_request
 from repro.utils.validation import check_node_id
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.serving.frontend.recorder import WorkloadRecorder
 
 __all__ = [
     "OPS",
@@ -78,7 +73,6 @@ __all__ = [
 RELOADABLE_KEYS = (
     "max_pending",
     "max_batch_size",
-    "max_wait_ms",
     "dedup",
     "cache_bytes",
     "result_cache_bytes",
@@ -147,7 +141,6 @@ def frontend_config(batcher: MicroBatcher) -> Dict[str, object]:
     return {
         "max_pending": batcher.admission.max_pending,
         "max_batch_size": batcher.policy.max_batch_size,
-        "max_wait_ms": batcher.policy.max_wait_ms,
         "dedup": batcher.policy.dedup,
         "cache_bytes": None if engine.cache is None else engine.cache.max_bytes,
         "result_cache_bytes": (
@@ -223,12 +216,6 @@ def apply_reload(
             raise ValueError(f"max_batch_size must be > 0, got {size}")
         policy_fields["max_batch_size"] = size
         applied.append("max_batch_size")
-    if "max_wait_ms" in overrides:
-        wait = _strict_number(overrides["max_wait_ms"], "max_wait_ms")
-        if wait < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {wait}")
-        policy_fields["max_wait_ms"] = wait
-        applied.append("max_wait_ms")
     if "dedup" in overrides:
         policy_fields["dedup"] = _strict_bool(overrides["dedup"], "dedup")
         applied.append("dedup")
@@ -414,7 +401,6 @@ def _top_json(result: PPRResult, packed: bool = False) -> str:
 
 async def answer_query(
     batcher: MicroBatcher,
-    recorder: Optional["WorkloadRecorder"],
     transport: str,
     traceparent: Optional[str],
     request_id: object,
@@ -425,9 +411,9 @@ async def answer_query(
 ) -> Union[Dict[str, object], bytes]:
     """Answer one parsed query request; the same path for both doors.
 
-    Starts the trace (``traceparent`` may force one), records the workload,
-    submits to the batcher, finishes the trace and writes the request-log
-    line labelled ``transport``.  A refusal (shed, deadline) or an engine
+    Starts the trace (``traceparent`` may force one), submits to the
+    batcher, finishes the trace and writes the request-log line labelled
+    ``transport``.  A refusal (shed, deadline) or an engine
     failure comes back as the protocol's error dict.  An answer comes back
     **encoded**: the bytes ``json.dumps`` would produce for ``{"id", "ok",
     "seed", "k", "top", "latency_ms"[, "trace_id"], "proto"}``, except that
@@ -442,8 +428,6 @@ async def answer_query(
         ctx = tracer.start_trace(
             "request", traceparent=traceparent, transport=transport, seed=query.seed
         )
-    if recorder is not None:
-        recorder.record_query(query, timeout_ms=timeout_ms)
     status, message, serving = "ok", "", {}
     try:
         result = await batcher.submit(query, timeout_ms=timeout_ms, trace=ctx)

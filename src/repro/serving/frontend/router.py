@@ -51,6 +51,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs
 
@@ -176,6 +177,14 @@ class ReplicaRouter(BaseHttpServer):
             raise ValueError(f"retries must be >= 0, got {retries}")
         if num_shards < 0:
             raise ValueError(f"num_shards must be >= 0, got {num_shards}")
+        # A NaN or infinite backoff would sleep forever on the first retry,
+        # and a NaN interval would silently turn the health loop off.
+        for name, value in (
+            ("retry_backoff_ms", retry_backoff_ms),
+            ("health_interval_s", health_interval_s),
+        ):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         super().__init__(host, port, max_body_bytes)
         self._num_shards = num_shards
         self._retries = retries

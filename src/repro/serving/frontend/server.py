@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import TYPE_CHECKING, List, Optional, Set, Union
+from typing import List, Optional, Set, Union
 
 from repro.serving.frontend.batcher import MicroBatcher
 from repro.serving.frontend.ops import (
@@ -47,9 +47,6 @@ from repro.serving.frontend.shell import (
     serve_main,
     write_ready_file,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.serving.frontend.recorder import WorkloadRecorder
 
 __all__ = [
     "AsyncQueryServer",
@@ -75,8 +72,6 @@ class AsyncQueryServer(FrontDoor):
         without reading exerts TCP backpressure instead of growing the
         server's tasks and buffers (admission bounds engine work, this
         bounds connection memory).
-    recorder:
-        Optional workload recorder capturing every accepted query.
     """
 
     def __init__(
@@ -85,14 +80,12 @@ class AsyncQueryServer(FrontDoor):
         host: str = "127.0.0.1",
         port: int = 0,
         max_pipelined: int = 128,
-        recorder: Optional["WorkloadRecorder"] = None,
     ) -> None:
         if max_pipelined <= 0:
             raise ValueError(f"max_pipelined must be > 0, got {max_pipelined}")
         super().__init__(host, port)
         self._batcher = batcher
         self._max_pipelined = max_pipelined
-        self._recorder = recorder
 
     @property
     def batcher(self) -> MicroBatcher:
@@ -178,7 +171,7 @@ class AsyncQueryServer(FrontDoor):
             return refusal(request_id, str(exc))
         trace = request.get("trace")
         return await answer_query(
-            self._batcher, self._recorder, "tcp",
+            self._batcher, "tcp",
             trace if isinstance(trace, str) else None,
             request_id, query, timeout_ms, received, packed,
         )

@@ -187,24 +187,23 @@ def serve_main(
     argv: Optional[List[str]] = None,
 ) -> int:  # pragma: no cover - runs in a subprocess (tests/test_serving_cli.py)
     """Serve a dataset over ``door`` — built as ``door(batcher, host, port,
-    recorder=...)`` — with the shared serving flags, until drained."""
+    **options)`` — with the shared serving flags, until drained."""
     from repro.serving.frontend.batcher import MicroBatcher
     from repro.serving.frontend.config import (
         ServingConfig,
         build_frontend,
         build_serving_parser,
     )
-    from repro.serving.frontend.recorder import WorkloadRecorder
     from repro.serving.frontend.request_log import configure_logging
 
     args = build_serving_parser(description, default_port).parse_args(argv)
-    configure_logging(args.log_level, json_mode=args.log_json)
-    engine, policy, admission = build_frontend(ServingConfig.from_args(args))
-    recorder = WorkloadRecorder() if args.record else None
+    config = ServingConfig.from_args(args)
+    configure_logging(config.log_level, json_mode=config.log_json)
+    engine, policy, admission = build_frontend(config)
 
     async def serve() -> None:
         async with MicroBatcher(engine, policy, admission) as batcher:
-            options: Dict[str, object] = {"recorder": recorder}
+            options: Dict[str, object] = {}
             if transport == "http":
                 # Static labels for the repro_server_info metric.
                 options["info"] = {
@@ -212,12 +211,12 @@ def serve_main(
                     "dataset": engine.solver.graph.name,
                     "policy": policy.label,
                 }
-            server = door(batcher, args.host, args.port, **options)
+            server = door(batcher, config.host, config.port, **options)
             host, port = await server.start()
-            if args.ready_file:
+            if config.ready_file:
                 write_ready_file(
-                    args.ready_file, host, port, transport=transport,
-                    dataset=args.dataset, num_shards=args.num_shards,
+                    config.ready_file, host, port, transport=transport,
+                    dataset=config.dataset, num_shards=config.num_shards,
                 )
             install_drain_signal_handler(server)
             print(
@@ -242,7 +241,4 @@ def serve_main(
         print("interrupted; shutting down")
     finally:
         engine.close()
-        if recorder is not None:
-            count = recorder.save(args.record)
-            print(f"recorded {count} queries to {args.record}")
     return 0

@@ -56,6 +56,7 @@ state, every later arrival resumes from it.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from typing import Callable, Dict, Hashable, Optional, Tuple
 
@@ -208,11 +209,11 @@ class ScoreTableCache(_LRUCache):
         least-recently-used entries until the new entry fits; an entry larger
         than the whole budget is never cached (``stats.rejected``).
     ttl_seconds:
-        Optional time-to-live.  An entry older than this is dropped on
-        lookup (counted in ``stats.expired`` *and* as a miss).  ``None``
-        (the default) keeps entries until evicted or invalidated — binding
-        to a graph already guarantees correctness, so a TTL is a freshness
-        policy, not a safety requirement.
+        Optional time-to-live, finite and positive.  An entry older than
+        this is dropped on lookup (counted in ``stats.expired`` *and* as a
+        miss).  ``None`` (the default) keeps entries until evicted or
+        invalidated — binding to a graph already guarantees correctness, so
+        a TTL is a freshness policy, not a safety requirement.
     clock:
         Monotonic time source (injectable for tests).
 
@@ -240,9 +241,11 @@ class ScoreTableCache(_LRUCache):
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         super().__init__(max_bytes)
-        if ttl_seconds is not None and ttl_seconds <= 0:
+        if ttl_seconds is not None and not (
+            math.isfinite(ttl_seconds) and ttl_seconds > 0
+        ):
             raise ValueError(
-                f"ttl_seconds must be > 0 or None, got {ttl_seconds}"
+                f"ttl_seconds must be finite and > 0, or None, got {ttl_seconds}"
             )
         self._ttl_seconds = ttl_seconds
         self._clock = clock

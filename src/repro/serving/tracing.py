@@ -39,6 +39,7 @@ throughput either way.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import re
@@ -420,9 +421,11 @@ class Tracer:
             raise ValueError(f"sample_rate must be in [0, 1], got {sample_rate}")
         if ring_size < 1:
             raise ValueError(f"ring_size must be >= 1, got {ring_size}")
-        if slow_threshold_ms is not None and slow_threshold_ms < 0:
+        if slow_threshold_ms is not None and not (
+            math.isfinite(slow_threshold_ms) and slow_threshold_ms >= 0
+        ):
             raise ValueError(
-                f"slow_threshold_ms must be >= 0, got {slow_threshold_ms}"
+                f"slow_threshold_ms must be finite and >= 0, got {slow_threshold_ms}"
             )
         self._lock = threading.Lock()
         self._sample_rate = float(sample_rate)

@@ -37,7 +37,7 @@ def make_batcher(small_ba_graph, config, **engine_kwargs):
     engine = QueryEngine(MeLoPPRSolver(small_ba_graph, config), **engine_kwargs)
     return MicroBatcher(
         engine,
-        BatchPolicy(max_batch_size=4, max_wait_ms=1.0),
+        BatchPolicy(max_batch_size=4),
         AdmissionController(max_pending=16),
     )
 
@@ -55,7 +55,6 @@ class TestApplyReload:
                 {
                     "max_pending": 64,
                     "max_batch_size": 32,
-                    "max_wait_ms": 4.0,
                     "dedup": False,
                     "cache_bytes": 5_000_000,
                     "result_cache_bytes": 2_000_000,
@@ -65,7 +64,6 @@ class TestApplyReload:
             assert sorted(outcome["applied"]) == sorted(RELOADABLE_KEYS)
             assert batcher.admission.max_pending == 64
             assert batcher.policy.max_batch_size == 32
-            assert batcher.policy.max_wait_ms == 4.0
             assert batcher.policy.dedup is False
             assert batcher.engine.cache.max_bytes == 5_000_000
             assert batcher.engine.result_cache.max_bytes == 2_000_000
@@ -83,11 +81,16 @@ class TestApplyReload:
             assert outcome["evicted"] == {}
             assert frontend_config(batcher) == before
 
-    def test_unknown_key_rejected_with_catalogue(self, small_ba_graph, config):
+    @pytest.mark.parametrize("unknown", [{"turbo": True}, {"max_wait_ms": 1.0}])
+    def test_unknown_key_rejected_with_catalogue(
+        self, small_ba_graph, config, unknown
+    ):
         batcher = make_batcher(small_ba_graph, config)
         with batcher.engine:
+            before = frontend_config(batcher)
             with pytest.raises(ValueError, match="unknown reload key"):
-                apply_reload(batcher, {"max_pending": 8, "turbo": True})
+                apply_reload(batcher, {"max_pending": 8, **unknown})
+            assert frontend_config(batcher) == before
 
     def test_non_dict_config_rejected(self, small_ba_graph, config):
         batcher = make_batcher(small_ba_graph, config)
@@ -102,8 +105,6 @@ class TestApplyReload:
             ({"max_pending": True}, "max_pending"),
             ({"max_pending": 2.5}, "max_pending"),
             ({"max_batch_size": -1}, "max_batch_size"),
-            ({"max_wait_ms": -0.5}, "max_wait_ms"),
-            ({"max_wait_ms": "fast"}, "max_wait_ms"),
             ({"dedup": 1}, "dedup"),
             ({"cache_bytes": 0}, "cache_bytes"),
             ({"result_cache_bytes": -1}, "result_cache_bytes"),
@@ -132,7 +133,7 @@ class TestApplyReload:
             before = frontend_config(batcher)
             with pytest.raises(ValueError):
                 apply_reload(
-                    batcher, {"max_pending": 99, "max_wait_ms": -1.0}
+                    batcher, {"max_pending": 99, "max_batch_size": -1}
                 )
             assert frontend_config(batcher) == before
 
@@ -229,10 +230,10 @@ class TestLivePlumbing:
 
         async def run():
             async with MicroBatcher(
-                engine, BatchPolicy(max_batch_size=2, max_wait_ms=0.5)
+                engine, BatchPolicy(max_batch_size=2)
             ) as batcher:
                 await batcher.submit(PPRQuery(seed=3, k=10))
-                batcher.set_policy(BatchPolicy(max_batch_size=64, max_wait_ms=1.0))
+                batcher.set_policy(BatchPolicy(max_batch_size=64))
                 assert batcher.policy.max_batch_size == 64
                 # Traffic after the swap runs under the new policy.
                 await asyncio.gather(

@@ -66,7 +66,7 @@ class TestPackedLayout:
         assert bits(unpacked) == bits(json.loads(json.dumps(pairs)))
 
 
-CONFIG = ServingConfig(dataset="G1", backend="serial", max_wait_ms=0.5)
+CONFIG = ServingConfig(dataset="G1", backend="serial")
 SEEDS = range(0, 400, 20)  # 20 seeds
 K = 50
 

@@ -552,8 +552,8 @@ class TestMidBatchDisconnect:
 
     def test_tcp_disconnect_does_not_poison_batchmates(self, small_ba_graph):
         engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.05))
-        # A wide, patient policy so both queries land in one batch.
-        policy = BatchPolicy(max_batch_size=8, max_wait_ms=50.0)
+        # A wide policy so both queries can land in one batch.
+        policy = BatchPolicy(max_batch_size=8)
 
         async def run():
             async with both_servers(engine, policy) as (tcp_addr, _):
@@ -587,7 +587,7 @@ class TestMidBatchDisconnect:
 
     def test_http_disconnect_does_not_poison_batchmates(self, small_ba_graph):
         engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.05))
-        policy = BatchPolicy(max_batch_size=8, max_wait_ms=50.0)
+        policy = BatchPolicy(max_batch_size=8)
 
         async def run():
             async with both_servers(engine, policy) as (_, http_addr):
@@ -630,6 +630,10 @@ def shared_op_cases(graph):
             {"op": "reload", "config": bad_reload},
             "POST", "/admin/reload", bad_reload, 400,
         ),
+        "reload-max-wait": (
+            {"op": "reload", "config": {"max_wait_ms": 1.0}},
+            "POST", "/admin/reload", {"max_wait_ms": 1.0}, 400,
+        ),
         "update": (
             {"op": "update", "ops": [["delete", *edge]]},
             "POST", "/admin/update", {"ops": [["delete", *edge]]}, 200,
@@ -658,6 +662,7 @@ class TestOneOpTable:
             "stats",
             "reload",
             "reload-bad-key",
+            "reload-max-wait",
             "update",
             "update-bad",
             "traces",

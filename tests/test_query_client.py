@@ -111,7 +111,7 @@ def serve(engine, transport):
 
     class _Stack:
         async def __aenter__(self):
-            self.batcher = MicroBatcher(engine, BatchPolicy(max_wait_ms=0.5))
+            self.batcher = MicroBatcher(engine, BatchPolicy())
             await self.batcher.start()
             server_cls = (
                 AsyncQueryServer if transport == "tcp" else HttpQueryServer

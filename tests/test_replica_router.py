@@ -35,9 +35,7 @@ from repro.serving.frontend.router import (
 from repro.serving.replica import ReplicaSet
 from repro.serving.tracing import Tracer
 
-CONFIG = ServingConfig(
-    dataset="G1", backend="serial", num_shards=4, max_wait_ms=0.5
-)
+CONFIG = ServingConfig(dataset="G1", backend="serial", num_shards=4)
 
 
 class InProcessFleet:
@@ -191,6 +189,16 @@ class TestRouting:
 
 
 class TestFailover:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("name", ["retry_backoff_ms", "health_interval_s"])
+    def test_backoff_and_health_interval_must_be_finite(self, name, value):
+        # A NaN or infinite backoff sleeps forever on the first retry
+        # instead of failing over; a NaN interval turns the health loop off.
+        with pytest.raises(ValueError, match=name):
+            ReplicaRouter([("127.0.0.1", 1)], **{name: value})
+        # Zero stays valid: no backoff, and no health loop.
+        ReplicaRouter([("127.0.0.1", 1)], **{name: 0.0})
+
     def test_crash_fails_over_bit_identically(self, reference_answers):
         async def main():
             async with InProcessFleet(3) as fleet:

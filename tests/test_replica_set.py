@@ -114,9 +114,7 @@ def test_pick_free_port_is_bindable():
 
 @pytest.fixture(scope="module")
 def fleet():
-    config = ServingConfig(
-        dataset="G1", backend="serial", num_shards=4, max_wait_ms=0.5
-    )
+    config = ServingConfig(dataset="G1", backend="serial", num_shards=4)
     with ReplicaSet(config, 2, startup_timeout=120.0) as replica_set:
         yield replica_set
 

@@ -162,8 +162,15 @@ class TestScoreTableCacheContainer:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             ScoreTableCache(max_bytes=0)
-        with pytest.raises(ValueError):
-            ScoreTableCache(ttl_seconds=0.0)
+
+    @pytest.mark.parametrize(
+        "ttl", [0.0, -1.0, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_ttl_must_be_finite_and_positive(self, ttl):
+        # A NaN TTL never expires an entry; an infinite one means "no TTL",
+        # which is spelled ttl_seconds=None.
+        with pytest.raises(ValueError, match="ttl_seconds"):
+            ScoreTableCache(ttl_seconds=ttl)
 
     def test_repr_mentions_budget_and_ttl(self, small_ba_graph):
         cache = ScoreTableCache(max_bytes=1 << 20, ttl_seconds=2.5)

@@ -174,7 +174,7 @@ class TestFrontendComposition:
         )
 
         async def run():
-            policy = BatchPolicy(max_batch_size=4, max_wait_ms=5.0, dedup=True)
+            policy = BatchPolicy(max_batch_size=4, dedup=True)
             async with MicroBatcher(engine, policy) as batcher:
                 # Wave one: concurrent duplicates — dedup computes once.
                 wave_one = await asyncio.gather(

@@ -1,8 +1,11 @@
 """The TCP door's command line, run as an operator runs it.
 
 ``python -m repro.serving.frontend.server`` is started in a subprocess on a
-free port; the test learns the port from the ready file, pings, queries,
-drains over the protocol and expects a clean exit.
+free port, with every tracing and logging flag set; the test learns the port
+from the ready file, pings, queries twice, reads the trace ring, drains over
+the protocol and expects a clean exit, a slow-query log and JSON request-log
+lines.  The router CLI is run the same way, attached to an HTTP CLI
+replica, and routes a query to it.
 """
 
 from __future__ import annotations
@@ -10,29 +13,40 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
 import time
 
 import repro
-from repro.serving.frontend import TcpQueryClient
+from repro.serving.frontend import HttpClient, TcpQueryClient
+from repro.serving.replica import pick_free_port
 
 SRC_ROOT = os.path.dirname(os.path.dirname(repro.__file__))
 
 
-def test_tcp_cli_serves_then_drains_and_exits_cleanly(tmp_path):
-    ready_file = tmp_path / "ready.json"
+def cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [SRC_ROOT, env.get("PYTHONPATH")])
     )
+    return env
+
+
+def test_tcp_cli_serves_then_drains_and_exits_cleanly(tmp_path):
+    ready_file = tmp_path / "ready.json"
+    slow_log = tmp_path / "slow.jsonl"
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro.serving.frontend.server",
             "--dataset", "G1", "--port", "0", "--backend", "serial",
             "--ready-file", str(ready_file),
+            "--trace-sample", "1", "--trace-ring", "1",
+            "--slow-ms", "0", "--slow-log", str(slow_log),
+            "--log-level", "info", "--log-json",
         ],
-        env=env,
+        env=cli_env(),
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
     )
@@ -50,17 +64,88 @@ def test_tcp_cli_serves_then_drains_and_exits_cleanly(tmp_path):
             try:
                 assert await client.ping()
                 answer = await client.solve(seed=3, k=5)
+                await client.solve(seed=4, k=5)
+                traces = await client.traces()
                 ack = await client.request({"op": "drain"})
             finally:
                 await client.close()
-            return answer, ack
+            return answer, traces, ack
 
-        answer, ack = asyncio.run(session())
+        answer, traces, ack = asyncio.run(session())
         assert len(answer) == 5 and answer[0][0] == 3
+        assert len(traces["traces"]) == 1  # --trace-ring 1 keeps the last
         assert ack["ok"] is True and ack["draining"] is True
         assert process.wait(timeout=60) == 0
+        # --slow-ms 0: every sampled query is slow, one span tree per line.
+        slow = [json.loads(line) for line in slow_log.read_text().splitlines()]
+        assert len(slow) == 2 and all(tree["spans"] for tree in slow)
+        logged = [
+            json.loads(line)
+            for line in process.stdout.read().decode().splitlines()
+            if line.startswith("{")
+        ]
+        assert [(line["seed"], line["status"]) for line in logged] == [
+            (3, "ok"), (4, "ok"),
+        ]
+        assert {line["trace_id"] for line in logged} == {
+            tree["trace_id"] for tree in slow
+        }
     finally:
         if process.poll() is None:
             process.kill()
             process.wait()
         process.stdout.close()
+
+
+def test_router_cli_attaches_and_routes(tmp_path):
+    # The replica (the HTTP CLI) and the router start side by side.
+    ready_file = tmp_path / "ready.json"
+    replica_port = pick_free_port("127.0.0.1")
+    replica = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.serving.frontend.http",
+            "--dataset", "G1", "--port", str(replica_port),
+            "--num-shards", "2", "--ready-file", str(ready_file),
+        ],
+        env=cli_env(),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    router = subprocess.Popen(
+        [
+            sys.executable, "-u", "-m", "repro.serving.frontend.router",
+            "--host", "127.0.0.1", "--port", "0",
+            "--replica", f"127.0.0.1:{replica_port}", "--num-shards", "2",
+            "--retries", "1", "--retry-backoff-ms", "0",
+            "--health-interval-s", "0",
+        ],
+        env=cli_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+    )
+    try:
+        seen, match = [], None
+        banner = re.compile(r"^routing 1 replicas on http://127\.0\.0\.1:(\d+)")
+        for line in iter(router.stdout.readline, b""):
+            seen.append(line.decode())
+            match = banner.search(seen[-1])
+            if match:
+                break
+        assert match, "router exited before serving:\n" + "".join(seen)
+        deadline = time.monotonic() + 120
+        while not ready_file.exists():
+            assert replica.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+
+        async def query():
+            async with HttpClient("127.0.0.1", int(match.group(1))) as client:
+                return await client.query({"seed": 3, "k": 5})
+
+        status, answer = asyncio.run(query())
+        assert status == 200 and answer["top"][0][0] == 3
+    finally:
+        router.send_signal(signal.SIGINT)
+        replica.send_signal(signal.SIGTERM)
+        assert router.wait(timeout=60) == 0
+        assert replica.wait(timeout=60) == 0
+        router.stdout.close()

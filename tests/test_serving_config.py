@@ -47,16 +47,14 @@ class TestRoundTrip:
             port=9999,
             backend="thread:3",
             max_batch=16,
-            max_wait_ms=7.5,
             dedup=False,
             max_pending=32,
             no_cache=True,
             result_cache_bytes=1234,
             result_cache_ttl=2.5,
             num_shards=8,
-            partition="hash",
+            partition="range",
             halo_depth=2,
-            record="/tmp/trace.jsonl",
             trace_sample=0.25,
             trace_ring=64,
             slow_ms=10.0,
@@ -64,6 +62,10 @@ class TestRoundTrip:
             log_level="debug",
             log_json=True,
             ready_file="/tmp/ready.json",
+        )
+        assert all(
+            getattr(config, field.name) != field.default
+            for field in dataclasses.fields(config)
         )
         args = build_parser().parse_args(config.to_argv())
         assert ServingConfig.from_args(args) == config
@@ -84,12 +86,15 @@ class TestRoundTrip:
         assert "kernel" not in {field.name for field in dataclasses.fields(config)}
         assert "--kernel" not in config.to_argv()
 
+    @pytest.mark.parametrize(
+        "argv", [["--kernel", "csr"], ["--record", "x"], ["--max-wait-ms", "1"]]
+    )
     @pytest.mark.parametrize("cli", sorted(CLI_PARSERS))
-    def test_kernel_flag_is_a_usage_error(self, cli, capsys):
+    def test_kernel_flag_is_a_usage_error(self, cli, argv, capsys):
         with pytest.raises(SystemExit) as exited:
-            CLI_PARSERS[cli]().parse_args(["--kernel", "csr"])
+            CLI_PARSERS[cli]().parse_args(argv)
         assert exited.value.code == 2
-        assert "unrecognized arguments: --kernel csr" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
 
     def test_router_spawn_defaults_are_the_config_defaults(self):
         args = build_router_parser().parse_args(["--spawn", "1"])

@@ -180,9 +180,9 @@ class TestMicroBatcherDifferential:
     def test_single_query_policy_matches_reference(
         self, small_ba_graph, config, queries, reference_scores
     ):
-        # max_batch_size=1, max_wait 0: no coalescing at all, still identical.
+        # max_batch_size=1: no coalescing at all, still identical.
         engine = QueryEngine(MeLoPPRSolver(small_ba_graph, config))
-        policy = BatchPolicy(max_batch_size=1, max_wait_ms=0.0)
+        policy = BatchPolicy(max_batch_size=1)
 
         async def run():
             async with MicroBatcher(engine, policy) as batcher:
@@ -199,7 +199,7 @@ class TestOpenLoopArrivals:
 
     @pytest.mark.parametrize(
         "policy",
-        [BatchPolicy(max_batch_size=1, max_wait_ms=0.0), BatchPolicy(max_batch_size=8, max_wait_ms=2.0)],
+        [BatchPolicy(max_batch_size=1), BatchPolicy(max_batch_size=8)],
         ids=["single", "batch8"],
     )
     def test_poisson_arrivals_match_the_serial_engine(self, small_ba_graph, config, policy):
@@ -249,7 +249,7 @@ class TestDedup:
 
         async def run():
             async with MicroBatcher(
-                engine, BatchPolicy(max_batch_size=16, max_wait_ms=100.0)
+                engine, BatchPolicy(max_batch_size=16)
             ) as batcher:
                 results = await submit_all(batcher, [query] * 6)
                 return results, batcher.stats()
@@ -270,7 +270,7 @@ class TestDedup:
         async def run():
             async with MicroBatcher(
                 engine,
-                BatchPolicy(max_batch_size=16, max_wait_ms=100.0, dedup=False),
+                BatchPolicy(max_batch_size=16, dedup=False),
             ) as batcher:
                 await submit_all(batcher, [query] * 6)
                 return batcher.stats()
@@ -284,7 +284,7 @@ class TestDedup:
         self, small_ba_graph
     ):
         engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.05))
-        policy = BatchPolicy(max_batch_size=16, max_wait_ms=1000.0)
+        policy = BatchPolicy(max_batch_size=16)
 
         async def run():
             async with MicroBatcher(engine, policy) as batcher:
@@ -311,7 +311,7 @@ class TestDedup:
 
         async def run():
             async with MicroBatcher(
-                engine, BatchPolicy(max_batch_size=4, max_wait_ms=100.0)
+                engine, BatchPolicy(max_batch_size=4)
             ) as batcher:
                 await submit_all(batcher, queries)
                 return batcher.stats()
@@ -338,10 +338,9 @@ class TestWorkConservingScheduler:
 
     def test_lone_query_on_idle_engine_is_dispatched_at_once(self, small_ba_graph):
         engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.0))
-        policy = BatchPolicy(max_batch_size=8, max_wait_ms=1000.0)
 
         async def run():
-            async with MicroBatcher(engine, policy) as batcher:
+            async with MicroBatcher(engine) as batcher:
                 loop = asyncio.get_running_loop()
                 start = loop.time()
                 await batcher.submit(PPRQuery(seed=1, k=10))
@@ -349,11 +348,11 @@ class TestWorkConservingScheduler:
 
         with engine:
             waited = asyncio.run(run())
-        assert waited < 0.2  # the deprecated max_wait_ms holds nothing back
+        assert waited < 0.2  # the default policy holds nothing back
 
     def test_batches_grow_only_while_the_engine_is_busy(self, small_ba_graph):
         engine = RecordingEngine(SleepySolver(small_ba_graph, delay_seconds=0.05))
-        policy = BatchPolicy(max_batch_size=4, max_wait_ms=1000.0)
+        policy = BatchPolicy(max_batch_size=4)
 
         async def run():
             async with MicroBatcher(engine, policy) as batcher:
@@ -381,7 +380,7 @@ class TestDeadlines:
         # One slow query occupies the engine; the next one's deadline passes
         # while it waits for the first batch to finish.
         engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.15))
-        policy = BatchPolicy(max_batch_size=1, max_wait_ms=0.0)
+        policy = BatchPolicy(max_batch_size=1)
 
         async def run():
             async with MicroBatcher(engine, policy) as batcher:
@@ -414,7 +413,7 @@ class TestDeadlines:
 
     def test_expired_queries_are_counted(self, small_ba_graph):
         engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.15))
-        policy = BatchPolicy(max_batch_size=1, max_wait_ms=0.0)
+        policy = BatchPolicy(max_batch_size=1)
 
         async def run():
             async with MicroBatcher(engine, policy) as batcher:
@@ -465,7 +464,7 @@ class TestAdmissionControl:
         capacity = 4
         engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.02))
         admission = AdmissionController(max_pending=capacity)
-        policy = BatchPolicy(max_batch_size=2, max_wait_ms=0.0)
+        policy = BatchPolicy(max_batch_size=2)
         offered = 40
         max_depth_seen = 0
 
@@ -544,7 +543,7 @@ class TestBatcherLifecycle:
 
         async def run():
             batcher = MicroBatcher(
-                engine, BatchPolicy(max_batch_size=4, max_wait_ms=50.0)
+                engine, BatchPolicy(max_batch_size=4)
             )
             await batcher.start()
             tasks = [
@@ -576,7 +575,7 @@ class TestBatcherLifecycle:
 
         async def run():
             async with MicroBatcher(
-                engine, BatchPolicy(max_batch_size=2, max_wait_ms=50.0), admission
+                engine, BatchPolicy(max_batch_size=2), admission
             ) as batcher:
                 keeper = asyncio.ensure_future(
                     batcher.submit(PPRQuery(seed=1, k=10))
@@ -605,7 +604,7 @@ class TestBatcherLifecycle:
 
         async def run():
             async with MicroBatcher(
-                engine, BatchPolicy(max_batch_size=4, max_wait_ms=50.0)
+                engine, BatchPolicy(max_batch_size=4)
             ) as batcher:
                 outcomes = await submit_all(
                     batcher, [PPRQuery(seed=s, k=10) for s in range(3)]
@@ -698,16 +697,14 @@ class TestBatchPolicy:
     def test_validation(self):
         with pytest.raises(ValueError, match="max_batch_size"):
             BatchPolicy(max_batch_size=0)
-        with pytest.raises(ValueError, match="max_wait_ms"):
-            BatchPolicy(max_wait_ms=-1.0)
 
     def test_label(self):
-        assert BatchPolicy(8, 2.0).label == "b8w2"
-        assert BatchPolicy(1, 0.0, dedup=False).label == "b1w0-nodedup"
+        assert BatchPolicy(8).label == "b8"
+        assert BatchPolicy(1, dedup=False).label == "b1-nodedup"
 
     def test_as_dict(self):
-        payload = BatchPolicy(4, 1.5).as_dict()
-        assert payload == {"max_batch_size": 4, "max_wait_ms": 1.5, "dedup": True}
+        payload = BatchPolicy(4).as_dict()
+        assert payload == {"max_batch_size": 4, "dedup": True}
 
 
 class TestLatencyTelemetry:

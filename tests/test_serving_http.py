@@ -171,7 +171,7 @@ class TestHttpStatusMapping:
     def test_shed_is_429(self, small_ba_graph):
         engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.05))
         admission = AdmissionController(max_pending=2)
-        policy = BatchPolicy(max_batch_size=1, max_wait_ms=0.0)
+        policy = BatchPolicy(max_batch_size=1)
 
         async def run():
             async with serve_http(engine, policy, admission) as (_, server):
@@ -192,7 +192,7 @@ class TestHttpStatusMapping:
 
     def test_deadline_is_504(self, small_ba_graph):
         engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.1))
-        policy = BatchPolicy(max_batch_size=1, max_wait_ms=0.0)
+        policy = BatchPolicy(max_batch_size=1)
 
         async def run():
             async with serve_http(engine, policy) as (_, server):
@@ -285,7 +285,7 @@ class TestMetricsEndpoint:
     def test_metrics_reflects_shed_and_draining(self, small_ba_graph):
         engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.05))
         admission = AdmissionController(max_pending=1)
-        policy = BatchPolicy(max_batch_size=1, max_wait_ms=0.0)
+        policy = BatchPolicy(max_batch_size=1)
 
         async def run():
             async with serve_http(engine, policy, admission) as (_, server):
@@ -311,7 +311,7 @@ class TestGracefulDrain:
     def test_drain_completes_every_inflight_query(self, small_ba_graph):
         """The drain contract: zero admitted queries dropped."""
         engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.1))
-        policy = BatchPolicy(max_batch_size=1, max_wait_ms=0.0)
+        policy = BatchPolicy(max_batch_size=1)
 
         async def run():
             batcher = MicroBatcher(engine, policy)
@@ -629,7 +629,7 @@ class TestHttpClientFraming:
 class TestHotReload:
     def test_reload_applies_without_dropping_queries(self, small_ba_graph):
         engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.05))
-        policy = BatchPolicy(max_batch_size=1, max_wait_ms=0.0)
+        policy = BatchPolicy(max_batch_size=1)
 
         async def run():
             async with serve_http(engine, policy) as (client, server):
@@ -644,7 +644,7 @@ class TestHotReload:
                         "POST",
                         "/admin/reload",
                         {"max_pending": 99, "max_batch_size": 16,
-                         "max_wait_ms": 3.5, "dedup": False},
+                         "dedup": False},
                     )
                     inflight_status, inflight_body = await inflight
                     return status, body, inflight_status, inflight_body, server
@@ -655,11 +655,10 @@ class TestHotReload:
             status, body, inflight_status, inflight_body, server = asyncio.run(run())
         assert status == 200 and body["ok"] is True
         assert sorted(body["applied"]) == [
-            "dedup", "max_batch_size", "max_pending", "max_wait_ms",
+            "dedup", "max_batch_size", "max_pending",
         ]
         assert body["config"]["max_pending"] == 99
         assert body["config"]["max_batch_size"] == 16
-        assert body["config"]["max_wait_ms"] == 3.5
         assert body["config"]["dedup"] is False
         # The query in flight across the reload was not dropped.
         assert inflight_status == 200 and inflight_body["ok"] is True

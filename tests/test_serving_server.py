@@ -349,7 +349,7 @@ class TestOverloadOverTheWire:
         from repro.serving.frontend import DeadlineExceededError
 
         engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.1))
-        policy = BatchPolicy(max_batch_size=1, max_wait_ms=0.0)
+        policy = BatchPolicy(max_batch_size=1)
 
         async def run():
             async with serve(engine, policy) as (client, _):
@@ -365,7 +365,7 @@ class TestOverloadOverTheWire:
     def test_shed_is_a_protocol_answer(self, small_ba_graph):
         engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.05))
         admission = AdmissionController(max_pending=2)
-        policy = BatchPolicy(max_batch_size=1, max_wait_ms=0.0)
+        policy = BatchPolicy(max_batch_size=1)
 
         async def run():
             async with serve(engine, policy, admission) as (client, _):
@@ -400,8 +400,6 @@ class TestServerCLIConstruction:
                 "thread:2",
                 "--max-batch",
                 "4",
-                "--max-wait-ms",
-                "1.5",
                 "--no-dedup",
                 "--max-pending",
                 "32",
@@ -412,7 +410,6 @@ class TestServerCLIConstruction:
             assert engine.backend.name == "thread-pool"
             assert engine.cache is not None
             assert policy.max_batch_size == 4
-            assert policy.max_wait_ms == 1.5
             assert policy.dedup is False
             assert admission.max_pending == 32
         finally:
@@ -600,7 +597,7 @@ class TestTcpLiveOps:
         self, small_ba_graph
     ):
         engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.1))
-        policy = BatchPolicy(max_batch_size=1, max_wait_ms=0.0)
+        policy = BatchPolicy(max_batch_size=1)
 
         async def run():
             batcher = MicroBatcher(engine, policy)
@@ -634,7 +631,7 @@ class TestTcpLiveOps:
         from repro.serving.frontend.server import install_drain_signal_handler
 
         engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.1))
-        policy = BatchPolicy(max_batch_size=1, max_wait_ms=0.0)
+        policy = BatchPolicy(max_batch_size=1)
 
         async def run():
             batcher = MicroBatcher(engine, policy)
@@ -672,17 +669,17 @@ class TestTcpLiveOps:
                 response = await client.request(
                     {
                         "op": "reload",
-                        "config": {"max_pending": 128, "max_wait_ms": 5.0},
+                        "config": {"max_pending": 128, "max_batch_size": 5},
                     }
                 )
                 assert response["ok"] is True
                 assert sorted(response["applied"]) == [
+                    "max_batch_size",
                     "max_pending",
-                    "max_wait_ms",
                 ]
                 assert response["config"]["max_pending"] == 128
                 assert server.batcher.admission.max_pending == 128
-                assert server.batcher.policy.max_wait_ms == 5.0
+                assert server.batcher.policy.max_batch_size == 5
                 # The connection is still serving after the reload.
                 answer = await client.solve(seed=3, k=10)
                 assert len(answer) > 0

@@ -131,8 +131,15 @@ class TestSampling:
             Tracer(sample_rate=2.0)
         with pytest.raises(ValueError, match="ring_size"):
             Tracer(ring_size=0)
+
+    @pytest.mark.parametrize(
+        "threshold", [-1.0, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_slow_threshold_must_be_finite_and_non_negative(self, threshold):
+        # A NaN threshold compares false against every duration, so no
+        # trace would ever reach the slow log.
         with pytest.raises(ValueError, match="slow_threshold_ms"):
-            Tracer(slow_threshold_ms=-1.0)
+            Tracer(slow_threshold_ms=threshold)
 
 
 class TestSpanLifecycle:

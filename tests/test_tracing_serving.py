@@ -179,7 +179,7 @@ class TestProcessPoolAcceptance:
         async def run():
             batcher = MicroBatcher(
                 engine,
-                BatchPolicy(max_batch_size=4, max_wait_ms=1.0),
+                BatchPolicy(max_batch_size=4),
                 AdmissionController(max_pending=16),
             )
             await batcher.start()
