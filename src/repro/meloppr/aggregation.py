@@ -18,8 +18,11 @@ in insertion order — and nothing else.  A full table that receives an absent
 node evicts the entry with the smallest ``(score, -node)`` key.  The scalar
 :meth:`GlobalScoreTable.add` does that one update at a time (victim by
 ``argmin``) and is the specification; :meth:`GlobalScoreTable.add_many` folds
-a whole sub-graph in one vectorised pass that ends in the same arrays and
-counters (see :meth:`GlobalScoreTable._fold_overflow` for the rule).
+a whole stage wave — its balls in order, each ball's ids distinct — in one
+call that ends in the same arrays and counters: the wave is sorted and looked
+up in the table once, then each ball is folded as one vectorised chunk (see
+:meth:`GlobalScoreTable._fold_overflow` for the rule and
+:meth:`GlobalScoreTable._reentered` for its one exact settlement).
 """
 
 from __future__ import annotations
@@ -79,14 +82,14 @@ class ScoreTableSnapshot:
         return self.ids.size
 
 
-#: Overflowing updates are folded this many at a time: the pairwise work of
-#: settling re-entries grows with the square of it (flat from 384 to 768).
+#: A ball meeting a full table is folded at most this many updates at a time:
+#: the pairwise work of settling re-entries grows with the square of it (on
+#: ``cold_wide``, flat from 512 to 768; 384 and 1024 ~4 % slower, 256 ~11 %).
 _CHUNK = 512
 
-
-def _outranks(score, node, than_score, than_node):
-    """Whether key ``(score, -node)`` is above ``(than_score, -than_node)``."""
-    return (score > than_score) | ((score == than_score) & (node < than_node))
+#: A batch's ids are compared as the imaginary part of a complex key, exact
+#: below this magnitude (a larger stored id still sorts above every smaller one).
+_EXACT_IDS = 2**53
 
 
 def _as_array(items: Iterable, dtype: type) -> np.ndarray:
@@ -178,12 +181,29 @@ class GlobalScoreTable:
         if not self._evictions_are_final:
             self._evicted[victim] = self._evicted.get(victim, 0.0) + value
 
-    def add_many(self, nodes: Iterable[int], scores: Iterable[float]) -> None:
+    def add_many(
+        self, nodes: Iterable[int], scores: Iterable[float], bounds: Optional[Iterable[int]] = None
+    ) -> None:
         """Accumulate many ``(node, score)`` contributions, in order.
 
         Ends in exactly the state one :meth:`add` per pair would reach.
-        Raises ``ValueError`` (before folding anything) when the two inputs
-        differ in length.
+        ``bounds`` (offsets ``0 = b_0 <= b_1 <= ... = len(nodes)``) cuts the
+        pairs into batches, such as a stage wave's balls: an id may recur in a
+        later batch.  Raises ``ValueError`` (before folding anything) when the
+        two inputs differ in length or ``bounds`` does not cover them.
+
+        The batch rule needs finite non-negative scores, ids distinct within
+        each batch and below ``2**53`` in magnitude, and evictions that are
+        final; anything else goes one by one.  Otherwise the pairs are sorted
+        and the stored ids looked up once for the whole call
+        (``O(table + pairs)`` working memory, not ``O(num_nodes)``).  Batches are
+        then folded in order: increments land in place and absent ids append
+        until the table is full, and a batch meeting a full table is folded
+        by :meth:`_fold_overflow`, chunk by chunk.  Within the call an evicted
+        entry stays in place as a NaN tombstone, so no slot moves: an id a
+        chunk appended is found at its slot by its next occurrence, and an id
+        a chunk evicted is absent to the next one.  The tombstones are dropped
+        at the end.
         """
         ids, values = _as_array(nodes, np.int64), _as_array(scores, np.float64)
         if ids.size != values.size:
@@ -191,149 +211,170 @@ class GlobalScoreTable:
                 f"nodes and scores must have equal length "
                 f"({ids.size} != {values.size})"
             )
+        offsets = [0, ids.size] if bounds is None else [int(bound) for bound in bounds]
+        if not offsets or offsets[0] != 0 or offsets[-1] != ids.size or offsets != sorted(offsets):
+            raise ValueError(f"bounds must rise from 0 to {ids.size}, got {offsets}")
+        ends = np.asarray(offsets[1:])
         order = np.argsort(ids, kind="stable")
         ranked = ids[order]
+        # Each repeated id's occurrence and its next one, in arrival order.
+        (repeat,) = (ranked[1:] == ranked[:-1]).nonzero()
+        first, then = order[repeat], order[repeat + 1]
         if (
             not self._evictions_are_final
-            or np.count_nonzero(values < 0)
-            or np.count_nonzero(ranked[1:] == ranked[:-1])
+            or not 0.0 <= values.min(initial=0.0) <= values.max(initial=0.0) < np.inf
+            or np.count_nonzero(then < ends[np.searchsorted(ends, first, side="right")])
+            or (ids.size and not -_EXACT_IDS < ranked[0] <= ranked[-1] < _EXACT_IDS)
         ):
-            # The batch rule needs distinct ids whose keys only rise and
-            # evictions that are final; anything else goes one by one.
             for node, score in zip(ids.tolist(), values.tolist()):
                 self.add(node, score)
             return
         self._total_updates += ids.size
-        if not self._ids.size and (self._capacity is None or ids.size <= self._capacity):
+        fits = self._capacity is None or ids.size <= self._capacity
+        if not self._ids.size and not first.size and fits:
             self._ids, self._values = ids.copy(), 0.0 + values  # nothing to look up
             return
-        if not ids.size:
-            return
-        # Which stored ids the batch hits, by searching them in the sorted
-        # batch: O(table) scratch, not O(num_nodes).
-        where = np.minimum(np.searchsorted(ranked, self._ids), ids.size - 1)
-        (stored,) = (ranked[where] == self._ids).nonzero()
-        hits = order[where[stored]]
-        fresh = np.ones(ids.size, dtype=bool)
-        fresh[hits] = False
-        # Until the table is full nothing is evicted: increments land in
-        # place and absent ids append.  The rest meets a full table.
-        cut = ids.size
-        if self._capacity is not None:
-            room = self._capacity - self._ids.size
-            if np.count_nonzero(fresh) > room:
-                cut = fresh.nonzero()[0][room]
-        early = hits < cut
-        self._values[stored[early]] += values[hits[early]]
-        self._ids = np.concatenate((self._ids, ids[:cut][fresh[:cut]]))
-        self._values = np.concatenate((self._values, 0.0 + values[:cut][fresh[:cut]]))
-        if cut < ids.size:
-            slot = np.full(ids.size, -1)
-            slot[hits] = stored
-            for start in range(cut, ids.size, _CHUNK):
-                stop = start + _CHUNK
-                keep = self._fold_overflow(ids[start:stop], values[start:stop], slot[start:stop])
-                if stop < ids.size:
-                    # Survivors moved up; a node this chunk evicted is absent to the next.
-                    moved = np.where(keep, np.cumsum(keep) - 1, -1)
-                    slot[stop:] = np.where(slot[stop:] >= 0, moved[slot[stop:]], -1)
+        # Each pair's slot in the table (-1: absent), plus a sink at the end
+        # for ids that do not recur.
+        slot = np.full(ids.size + 1, -1)
+        if self._ids.size and ids.size:
+            where = np.minimum(np.searchsorted(ranked, self._ids), ids.size - 1)
+            (stored,) = (ranked[where] == self._ids).nonzero()
+            slot[order[where[stored]]] = stored
+        later = np.full(ids.size, ids.size)
+        later[first] = then
+        room = ids.size if self._capacity is None else self._capacity - self._ids.size
+        dead = False
+        start = 0
+        for end in offsets[1:]:
+            while start < end:
+                part = slot[start:end]
+                if room:
+                    # Nothing is evicted yet: append the absent ids, then add
+                    # every score in place (a fresh entry from 0.0).
+                    (new,) = (part < 0).nonzero()
+                    stop = end if new.size <= room else start + new[room]
+                    part, new = part[: stop - start], new[:room]
+                    part[new] = self._ids.size + np.arange(new.size)
+                    self._ids = np.concatenate((self._ids, ids[start:stop][new]))
+                    self._values = np.concatenate((self._values, np.zeros(new.size)))
+                    self._values[part] += values[start:stop]
+                    room -= new.size
+                else:
+                    stop = min(end, start + _CHUNK)
+                    chunk = ids[start:stop], values[start:stop], part[: stop - start]
+                    dead = self._fold_overflow(*chunk) or dead
+                if first.size:
+                    slot[later[start:stop]] = slot[start:stop]  # the next occurrence's slot
+                start = stop
+        if dead:
+            live = self._values == self._values
+            self._ids, self._values = self._ids[live], self._values[live]
 
-    def _fold_overflow(self, ids: np.ndarray, values: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    def _fold_overflow(self, ids: np.ndarray, values: np.ndarray, slot: np.ndarray) -> bool:
         """Fold distinct non-negative updates into a *full* table at once.
 
         Keys only rise, so after every event the table is the top
         ``capacity`` of everything that has arrived, each under its current
         key.  Hence (i) an increment finds its node still stored iff fewer
         than ``capacity`` arrived keys exceed the node's old key at that
-        moment; otherwise the node was evicted earlier in this batch and
+        moment; otherwise the node was evicted earlier in this chunk and
         re-enters from 0.0 as a fresh insertion; (ii) given those, the final
         table is the top ``capacity`` of the final keys, every insertion
         cost one eviction, survivors keep their slots' order and insertions
-        append in batch order.  Returns which of the old slots survived.
+        append in batch order.  Only an increment whose old key is at or
+        below the cut of (ii) taken without re-entries can have been evicted
+        (below the ``(events+1)``-th smallest stored score when an old score
+        is negative, since a fresh key then lands above the raised one):
+        :meth:`_reentered` settles those exactly, once.  The evicted entries
+        become NaN tombstones and ``slot`` is set to each insertion's slot;
+        returns whether anything was evicted.
         """
-        held_ids, held = self._ids, self._values
-        inserts = slot < 0
-        evictions = np.count_nonzero(inserts)  # of final keys; a re-entry also evicts its old one
-        keep = np.ones(held.size, dtype=bool)
+        held = self._values
+        old = held[slot]
+        # An id whose slot holds a tombstone was evicted earlier in the call.
+        inserts = (slot < 0) | np.isnan(old)
+        evictions = np.count_nonzero(inserts)
         if not evictions:  # only increments: nothing leaves
             held[slot] += values
-            return keep
-        # Each event lifts at most one key past a stored one, so the
-        # (events+1)-th smallest stored score bounds the final threshold:
-        # only scores at or below it can be evicted or need exact ranking.
-        bound = np.partition(held, ids.size)[ids.size] if ids.size < held.size else np.inf
-        (doubt,) = (~inserts & (held[slot] <= bound)).nonzero()
-        grown = held.copy()
-        grown[slot[~inserts]] += values[~inserts]
-        old = held[slot[doubt]]
-        while True:
-            # Evict the smallest final keys: a partition on score, then the
-            # largest ids of the tie group it cuts.
-            new_ids, new = ids[inserts], 0.0 + values[inserts]
-            (low,), (new_low,) = (keep & (grown <= bound)).nonzero(), (new <= bound).nonzero()
-            scores = np.concatenate((grown[low], new[new_low]))
-            cut = np.partition(scores, evictions - 1)[evictions - 1]
-            if not doubt.size or old.min() > cut:
-                break
-            # An old score at or below the cut may have been evicted before
-            # its increment arrived: settle those exactly, once, and if any
-            # was, select again without its slot.  (A fresh key 0.0 + x is
-            # below the raised key only from old >= 0.)
-            (rows,) = (old <= (cut if old.min() >= 0 else bound)).nonzero()
-            back = doubt[self._reentered(ids, values, slot, doubt, rows, bound)]
-            doubt = doubt[:0]
-            if not back.size:
-                break
-            inserts[back] = True
-            keep[slot[back]] = False
-        out = scores < cut
-        (tied,) = (scores == cut).nonzero()
-        spare = tied.size + np.count_nonzero(out) - evictions
-        if spare:
-            nodes = np.concatenate((held_ids[low], new_ids[new_low]))[tied]
-            tied = tied[np.argsort(nodes)[spare:]]
-        out[tied] = True
-        keep[low[out[: low.size]]] = False
-        new_keep = np.ones(new.size, dtype=bool)
-        new_keep[new_low[out[low.size :]]] = False
-        self._ids = np.concatenate((held_ids[keep], new_ids[new_keep]))
-        self._values = np.concatenate((grown[keep], new[new_keep]))
-        self._total_evictions += int(np.count_nonzero(inserts))
-        return keep
+            return False
+        rise = ~inserts
+        at = slot[rise]
+        # Every final key, the stored ones first; evict the smallest.
+        keys = np.concatenate((held, 0.0 + values[inserts]))
+        keys[at] += values[rise]
+        cut = np.partition(keys, evictions - 1)[evictions - 1]
+        lowest = old[rise].min(initial=np.inf)
+        if lowest <= cut:
+            limit = cut
+            if lowest < 0 and ids.size < self._capacity:
+                limit = np.partition(held, ids.size)[ids.size]
+            elif lowest < 0:
+                limit = np.inf
+            (rows,) = (rise & (old <= limit)).nonzero()
+            back = self._reentered(ids, values, slot, inserts, rows)
+            if back.size:
+                # The old key leaves first; the fresh one appends in batch order.
+                inserts[back] = True
+                evictions += back.size
+                keys[slot[back]] = -np.inf
+                keys = np.concatenate((keys[: held.size], 0.0 + values[inserts]))
+                cut = np.partition(keys, evictions - 1)[evictions - 1]
+        out = keys <= cut
+        spare = np.count_nonzero(out) - evictions
+        new_ids = np.concatenate((self._ids, ids[inserts]))
+        if spare:  # the tie group at the cut keeps its smallest ids
+            (tied,) = (keys == cut).nonzero()
+            out[tied[np.argsort(new_ids[tied])[:spare]]] = False
+        keys[out] = np.nan
+        slot[inserts] = held.size + np.arange(evictions)
+        self._ids, self._values = new_ids, keys
+        self._total_evictions += evictions
+        return True
 
-    def _reentered(self, ids, values, slot, doubt, rows, bound) -> np.ndarray:
-        """Which of the ``doubt`` increments find their node already evicted.
+    def _reentered(
+        self,
+        ids: np.ndarray,
+        values: np.ndarray,
+        slot: np.ndarray,
+        inserts: np.ndarray,
+        rows: np.ndarray,
+    ) -> np.ndarray:
+        """The increments at chunk positions ``rows`` whose node was evicted first.
 
-        Only ``doubt[rows]`` are in question.  Row ``q`` counts the arrived
-        keys above increment ``q``'s old key: stored ones, absent ids inserted
-        before it, and earlier doubtful increments ``w`` — one that rose past
-        it if ``w`` was still stored, its fresh key if ``w`` re-entered.  Each
-        answer depends only on earlier ones, so iterating settles them in
-        batch order.
+        A key is ``(score, -node)``, here one complex number (numpy orders
+        complex numbers by real part, then imaginary).  Increment ``u`` finds
+        its node evicted iff the events before it lifted more keys from below
+        its old key ``K`` to above it than there are stored keys below ``K``.
+        One sort of the low stored keys ranks everything: the stored count is
+        ``K``'s rank, and a key is above ``K`` iff its rank is higher.  Absent
+        ids lift their fresh key, counted in arrival order; an earlier row
+        ``w`` lifts its raised key, or its fresh key if ``w`` re-entered.
+        Only that last term couples rows, through a rows × rows matrix: the
+        answer assuming no re-entry is final for every row whose count does
+        not depend on one, and the rest are settled in batch order in one
+        pass.
         """
         held_ids, held = self._ids, self._values
-        at, count = slot[doubt], doubt.size
-        (low,), (absent,) = (held <= bound).nonzero(), (slot < 0).nonzero()
-        # One column per key: stored at or below the bound, absent ids, then
-        # every doubtful increment's raised key and its fresh key.
-        scores = np.concatenate(
-            (held[low], 0.0 + values[absent], held[at] + values[doubt], 0.0 + values[doubt])
-        )
-        nodes = np.concatenate((held_ids[low], ids[absent], ids[doubt], ids[doubt]))
-        arrival = np.concatenate((np.full(low.size, -1), absent, doubt, doubt))
-        above = _outranks(scores, nodes, held[at[rows]][:, None], held_ids[at[rows]][:, None])
-        above &= arrival < doubt[rows][:, None]
-        fixed = held.size - low.size + np.count_nonzero(above[:, : -2 * count], axis=1)
-        rose = above[:, -2 * count : -count] & ~above[:, np.searchsorted(low, at)]
-        back = above[:, -count:]
-        reentered = np.zeros(count, dtype=bool)
-        for _ in rows:  # the i-th row is final after i + 1 rounds
-            moving = np.count_nonzero(np.where(reentered, back, rose), axis=1)
-            settled = fixed + moving >= held.size
-            if np.array_equal(settled, reentered[rows]):
-                break
-            reentered[rows] = settled
-        return reentered
+        node, gain = ids[rows], values[rows]
+        key = held[slot[rows]] - 1j * node
+        low = held <= key.real.max()
+        stored = np.sort(held[low] - 1j * held_ids[low])  # holds every row's key
+        below = np.searchsorted(stored, key)[:, None]
+        (absent,) = inserts.nonzero()
+        lifted = np.searchsorted(stored, values[absent] - 1j * ids[absent]) > below
+        passed = (lifted & (absent < rows[:, None])).sum(1)
+        under = (below.T < below) & (rows < rows[:, None])  # w below u and before it
+        rose = under & (np.searchsorted(stored, key + gain) > below)
+        back = under & (np.searchsorted(stored, gain - 1j * node) > below)
+        short = below[:, 0] + 1 - passed - rose.sum(1)
+        settled = short <= 0
+        mixed = rose != back
+        if np.count_nonzero(mixed & settled):
+            for u in np.flatnonzero(mixed.any(axis=1)).tolist():
+                moved = np.count_nonzero(rose[u] & settled) - np.count_nonzero(back[u] & settled)
+                settled[u] = short[u] + moved <= 0
+        return rows[settled]
 
     # ------------------------------------------------------------------
     def snapshot(self) -> ScoreTableSnapshot:

@@ -510,8 +510,10 @@ class MeLoPPRPlan:
         then dropped, so the working set is whatever the executor behind the
         iterable holds — a single sub-graph under
         :func:`execute_stage_per_ball` (the paper's memory claim, measured by
-        the solver), one wave of them under :func:`execute_stage`.  A ball is
-        folded by one ``add_many`` on views of its wave's vectors; the next
+        the solver), one wave of them under :func:`execute_stage`.  A wave is
+        folded by one ``add_many`` with its ball bounds, which sorts the wave
+        and looks up the table once and folds the balls in order (a per-ball
+        outcome is a one-ball wave, so there is one fold path); the next
         stage's candidates are summed by one accumulate per stage, in arrival
         order, and reach the selector in ascending node order.
         """
@@ -551,10 +553,7 @@ class MeLoPPRPlan:
                     if len(tasks) == 1
                     else np.repeat([task.weight for task in tasks], sizes)
                 )
-                scaled = weights * outcome.accumulated
-                offsets = bounds.tolist()
-                for begin, end in zip(offsets, offsets[1:]):
-                    self._table.add_many(ids[begin:end], scaled[begin:end])
+                self._table.add_many(ids, weights * outcome.accumulated, bounds)
             if not is_last_stage:
                 with self.timing.measure("selection"):
                     (carried,) = (outcome.residual > config.residual_tolerance).nonzero()

@@ -683,8 +683,27 @@ class ProcessPoolBackend(ExecutionBackend):
 
         The shared-memory unlink runs in a ``finally`` so a wedged or crashed
         worker can delay the join but never leak ``/dev/shm`` — the
-        engine relies on this from its own error paths.
+        engine relies on this from its own error paths.  The feeder threads
+        are joined last, outside the state lock: a job of a batch that is
+        still unwinding may be waiting on that lock, and until the join ends
+        it gets the closing error instead of a respawned pool.
         """
+        closed = WorkerCrashError("backend closed with stage tasks in flight")
+        with self._state_lock:
+            with self._pending_lock:
+                self._broken = closed
+            threads, self._threads = self._threads, None
+        try:
+            self._stop_workers(closed)
+        finally:
+            if threads is not None:
+                threads.shutdown(wait=True)
+            with self._state_lock:
+                # A crashed pool is fully reset by close(); the stored
+                # binding lets the next dispatch respawn a fresh pool.
+                self._broken = None
+
+    def _stop_workers(self, closed: WorkerCrashError) -> None:
         with self._state_lock:
             workers = self._workers
             request_queues = self._request_queues
@@ -715,9 +734,7 @@ class ProcessPoolBackend(ExecutionBackend):
                         worker.join(timeout=self._JOIN_TIMEOUT_SECONDS)
                 if collector is not None:
                     collector.join(timeout=self._JOIN_TIMEOUT_SECONDS)
-                self._fail_pending(
-                    WorkerCrashError("backend closed with stage tasks in flight")
-                )
+                self._fail_pending(closed)
             finally:
                 for queue in request_queues:
                     try:
@@ -732,12 +749,6 @@ class ProcessPoolBackend(ExecutionBackend):
                     self._response_queue = None
                 for handle in handles:
                     handle.unlink()
-                if self._threads is not None:
-                    self._threads.shutdown(wait=True)
-                    self._threads = None
-                # A crashed pool is fully reset by close(); the stored
-                # binding lets the next dispatch respawn a fresh pool.
-                self._broken = None
 
     # ------------------------------------------------------------------
     # Response collection / crash detection

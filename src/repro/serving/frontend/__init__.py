@@ -41,6 +41,8 @@ into the well-formed batches that engine is optimised for:
   per answered query carrying the trace id when the query was sampled.
 """
 
+import importlib
+
 from repro.serving.frontend.admission import (
     AdmissionController,
     AdmissionStats,
@@ -55,12 +57,6 @@ from repro.serving.frontend.config import (
     add_serving_arguments,
     build_frontend,
     build_serving_parser,
-)
-from repro.serving.frontend.http import (
-    BaseHttpServer,
-    HttpClient,
-    HttpClientPool,
-    HttpQueryServer,
 )
 from repro.serving.frontend.metrics import (
     PrometheusScrape,
@@ -88,9 +84,26 @@ from repro.serving.frontend.protocol import (
     check_protocol_version,
     raise_for_response,
 )
-from repro.serving.frontend.router import ReplicaRouter
-from repro.serving.frontend.server import AsyncQueryServer
 from repro.serving.frontend.shell import write_ready_file
+
+# The door modules are also CLIs (``python -m repro.serving.frontend.http``):
+# importing them here would load the running one twice, as a package member
+# and as ``__main__``.  Their exports load on first use instead (PEP 562).
+_DOORS = {
+    "AsyncQueryServer": "server",
+    "BaseHttpServer": "http",
+    "HttpClient": "http",
+    "HttpClientPool": "http",
+    "HttpQueryServer": "http",
+    "ReplicaRouter": "router",
+}
+
+
+def __getattr__(name: str):
+    if name in _DOORS:
+        return getattr(importlib.import_module(f"{__name__}.{_DOORS[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AdmissionController",

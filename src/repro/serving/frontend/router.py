@@ -76,6 +76,7 @@ from repro.serving.frontend.protocol import (
     check_protocol_version,
     raise_for_response,
 )
+from repro.serving.frontend.shell import install_drain_signal_handler
 from repro.serving.replica import DEFAULT_VNODES, ConsistentHashRing
 from repro.serving.tracing import Tracer, format_traceparent
 
@@ -788,6 +789,9 @@ def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - CLI
             health_interval_s=args.health_interval_s,
         )
         host, port = await router.start()
+        # SIGTERM drains like SIGINT interrupts: serve_forever returns, so a
+        # spawned fleet is stopped on the way out of ``with ReplicaSet``.
+        install_drain_signal_handler(router)
         print(
             f"routing {len(endpoints)} replicas on http://{host}:{port} "
             f"(num_shards {args.num_shards}, retries {args.retries})"

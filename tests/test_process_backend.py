@@ -277,6 +277,50 @@ class TestShmLeakRegression:
         engine.close()
         assert set(leaked_segment_names()) - before == set()
 
+    def test_close_with_a_job_waiting_on_the_pool_does_not_deadlock(
+        self, graph, monkeypatch
+    ):
+        # A feeder job that reaches the pool while close() is stopping it (a
+        # crashed batch still unwinding) waits on the state lock; close()
+        # must fail that job and return, not join it under the lock.
+        before = set(leaked_segment_names())
+        backend = ProcessPoolBackend(num_workers=1)
+        backend.bind_graph(graph)
+        task = StageTask(0, 5, 2, 1.0, 0.85)
+        first_done, go = threading.Event(), threading.Event()
+
+        def job(index):
+            if index:
+                go.wait()
+            outcome = backend.run_stage_tasks([task])
+            first_done.set()
+            return outcome
+
+        fail_pending = backend._fail_pending
+
+        def release_the_job_then_fail(error):
+            go.set()  # close() holds the state lock here
+            fail_pending(error)
+
+        box = {}
+
+        def feed():
+            try:
+                backend.map(job, [0, 1])
+            except BaseException as exc:  # noqa: BLE001 - inspected below
+                box["error"] = exc
+
+        feeder = threading.Thread(target=feed, daemon=True)
+        feeder.start()
+        assert first_done.wait(20.0)
+        monkeypatch.setattr(backend, "_fail_pending", release_the_job_then_fail)
+        run_with_timeout(backend.close, timeout=20.0)
+        feeder.join(20.0)
+        assert not feeder.is_alive()
+        assert isinstance(box.get("error"), WorkerCrashError)
+        assert not backend.is_running
+        assert set(leaked_segment_names()) - before == set()
+
 
 class TestWorkerStateInProcess:
     """The worker-side execution logic, driven in-process for coverage."""

@@ -24,7 +24,7 @@ from repro.graph.datasets import load_dataset
 from repro.meloppr import aggregation
 from repro.meloppr.aggregation import GlobalScoreTable, ScoreTableSnapshot
 from repro.meloppr.config import MeLoPPRConfig
-from repro.meloppr.planner import execute_stage_task
+from repro.meloppr.planner import execute_stage, execute_stage_task
 from repro.meloppr.solver import MeLoPPRSolver
 from repro.ppr.base import PPRQuery
 
@@ -211,6 +211,44 @@ def test_batch_fold_matches_scan_table(operations, capacity, final, handover, ch
     assert table.nbytes() == 8 * len(oracle.scores)
 
 
+# A stage wave: batches of distinct ids that overlap one another (an id may
+# recur in a later batch, never twice in one), folded by one ``add_many`` with
+# the batch bounds.
+WAVES = st.tuples(
+    st.just("wave"), st.lists(BATCHES.map(lambda batch: batch[1]), min_size=1, max_size=5)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    operations=st.lists(st.one_of(WAVES, WAVES, SINGLES), min_size=1, max_size=8),
+    capacity=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
+    final=st.booleans(),
+    handover=st.integers(min_value=0, max_value=8),
+    chunk=st.sampled_from([1, 2, 5, 512]),
+)
+def test_wave_fold_matches_one_fold_per_batch(operations, capacity, final, handover, chunk):
+    wave = GlobalScoreTable(capacity=capacity, evictions_are_final=final)
+    per_batch = GlobalScoreTable(capacity=capacity, evictions_are_final=final)
+    oracle = ScanTable(capacity, final)
+    with mock.patch.object(aggregation, "_CHUNK", chunk):
+        for step, (kind, payload) in enumerate(operations):
+            if step == handover:
+                wave = GlobalScoreTable.from_snapshot(wave.snapshot())
+            if kind == "wave":
+                nodes = [node for ids, _ in payload for node in ids]
+                scores = [score for _, batch in payload for score in batch]
+                bounds = np.cumsum([0] + [len(ids) for ids, _ in payload])
+                wave.add_many(np.asarray(nodes, dtype=np.int64), np.asarray(scores), bounds)
+                for ids, batch in payload:
+                    per_batch.add_many(np.asarray(ids, dtype=np.int64), np.asarray(batch))
+                    oracle.add_many(ids, batch)
+            else:
+                for table in (wave, per_batch, oracle):
+                    table.add(*payload)
+            assert bits(wave.snapshot()) == bits(oracle.snapshot()) == bits(per_batch.snapshot())
+
+
 def folded(capacity, *operations, final=True):
     """The same operations into the table and the oracle; both returned."""
     table = GlobalScoreTable(capacity=capacity, evictions_are_final=final)
@@ -322,6 +360,58 @@ class TestBatchRuleRegressions:
         assert table.nbytes() == 8 * 16
 
 
+def waved(capacity, *batches):
+    """``batches`` as one wave into a table and one by one into the oracle."""
+    table, oracle = GlobalScoreTable(capacity=capacity), ScanTable(capacity)
+    nodes = [node for ids, _ in batches for node in ids]
+    scores = [score for _, batch in batches for score in batch]
+    table.add_many(nodes, scores, np.cumsum([0] + [len(ids) for ids, _ in batches]))
+    for ids, batch in batches:
+        oracle.add_many(ids, batch)
+    assert bits(table.snapshot()) == bits(oracle.snapshot())
+    return table, oracle
+
+
+class TestWaveFold:
+    def test_an_id_a_batch_appended_is_raised_in_place_by_a_later_one(self):
+        table, oracle = waved(3, ([1, 2, 3], [0.5, 0.25, 1.0]), ([4, 2], [2.0, 1.0]), ([4], [1.0]))
+        assert oracle.victims == [2, 1] and table.get(4) == 3.0
+
+    def test_an_id_a_batch_evicted_reenters_from_zero_in_a_later_one(self):
+        table, oracle = waved(2, ([1, 2], [0.5, 0.75]), ([3], [1.0]), ([1, 4], [2.0, 0.1]))
+        assert oracle.victims == [1, 2, 4] and table.get(1) == 2.0
+
+    def test_a_batch_meeting_the_fill_point_carries_both_kinds_of_slot(self):
+        waved(
+            4,
+            ([1, 2, 3], [0.5, 0.25, 0.75]),
+            ([4, 5, 2], [0.1, 0.2, 0.3]),
+            ([5, 4, 3, 6], [1.0, 1.0, 0.5, 0.05]),
+        )
+
+    @pytest.mark.parametrize(
+        "batches",
+        [
+            (([3, 4], [0.5, 0.25]), ([5, 5], [1.0, 1.0])),
+            (([3, 4], [0.5, 0.25]), ([5], [np.inf])),
+            (([3, 2**60], [0.5, 0.25]), ([2**60 + 1], [0.25])),
+        ],
+        ids=["repeat-in-one-batch", "infinite-score", "id-beyond-2**53"],
+    )
+    def test_waves_the_rule_does_not_cover_go_one_by_one(self, batches):
+        with mock.patch.object(
+            GlobalScoreTable, "_fold_overflow", side_effect=AssertionError("batch path taken")
+        ):
+            waved(2, *batches)
+
+    @pytest.mark.parametrize("bounds", [[], [0, 2], [1, 3], [0, 3, 2, 3], [0, 4]])
+    def test_bounds_that_do_not_cover_the_pairs_are_refused(self, bounds):
+        table = GlobalScoreTable(capacity=2)
+        with pytest.raises(ValueError, match="bounds"):
+            table.add_many([1, 2, 3], [0.5, 0.5, 0.5], bounds)
+        assert table.total_updates == 0
+
+
 class TestSnapshot:
     def make(self) -> GlobalScoreTable:
         table = GlobalScoreTable(capacity=3)
@@ -406,3 +496,24 @@ class TestPaperOperatingPoint:
                     oracle.add_many(first.tolist(), second.tolist())
             assert len(oracle.victims) == frozen
             assert result.top_k() == oracle.top_k(pool["k"])
+
+
+class TestOneFoldPerWave:
+    """The plan folds a stage wave with one ``add_many``; ball by ball is the spec."""
+
+    def test_a_wave_of_balls_folds_like_the_balls_one_by_one(self):
+        pool = json.loads(TestPaperOperatingPoint.POOL.read_text(encoding="utf-8"))
+        solver = MeLoPPRSolver(load_dataset(pool["dataset"]), MeLoPPRConfig.paper_default())
+        for node, _ in sorted(pool["nodes"], key=lambda item: -item[1])[:3]:
+            query = PPRQuery(seed=node, k=pool["k"])
+            whole, split = (solver.plan(query, track_memory=False) for _ in range(2))
+            try:
+                while not whole.done:
+                    (wave,) = execute_stage(whole, whole.pending_tasks)
+                    whole.complete_stage([wave])
+                    split.complete_stage(wave.outcomes())
+                    assert bits(whole._table.snapshot()) == bits(split._table.snapshot())
+                assert len(wave.tasks) > 1 and whole._table.total_evictions > 0
+            finally:
+                whole.close()
+                split.close()

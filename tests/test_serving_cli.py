@@ -79,11 +79,9 @@ def test_tcp_cli_serves_then_drains_and_exits_cleanly(tmp_path):
         # --slow-ms 0: every sampled query is slow, one span tree per line.
         slow = [json.loads(line) for line in slow_log.read_text().splitlines()]
         assert len(slow) == 2 and all(tree["spans"] for tree in slow)
-        logged = [
-            json.loads(line)
-            for line in process.stdout.read().decode().splitlines()
-            if line.startswith("{")
-        ]
+        output = process.stdout.read().decode()
+        assert "RuntimeWarning" not in output  # the CLI module is loaded once
+        logged = [json.loads(line) for line in output.splitlines() if line.startswith("{")]
         assert [(line["seed"], line["status"]) for line in logged] == [
             (3, "ok"), (4, "ok"),
         ]
@@ -101,6 +99,7 @@ def test_router_cli_attaches_and_routes(tmp_path):
     # The replica (the HTTP CLI) and the router start side by side.
     ready_file = tmp_path / "ready.json"
     replica_port = pick_free_port("127.0.0.1")
+    replica_stderr = tmp_path / "replica.err"
     replica = subprocess.Popen(
         [
             sys.executable, "-m", "repro.serving.frontend.http",
@@ -109,7 +108,7 @@ def test_router_cli_attaches_and_routes(tmp_path):
         ],
         env=cli_env(),
         stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
+        stderr=replica_stderr.open("wb"),
     )
     router = subprocess.Popen(
         [
@@ -132,6 +131,7 @@ def test_router_cli_attaches_and_routes(tmp_path):
             if match:
                 break
         assert match, "router exited before serving:\n" + "".join(seen)
+        assert "RuntimeWarning" not in "".join(seen)
         deadline = time.monotonic() + 120
         while not ready_file.exists():
             assert replica.poll() is None and time.monotonic() < deadline
@@ -149,3 +149,52 @@ def test_router_cli_attaches_and_routes(tmp_path):
         assert router.wait(timeout=60) == 0
         assert replica.wait(timeout=60) == 0
         router.stdout.close()
+    assert "RuntimeWarning" not in replica_stderr.read_text()
+
+
+def test_router_cli_stops_its_spawned_fleet_on_sigterm(tmp_path):
+    # The fleet's ready files go to a temporary directory under TMPDIR.
+    env = dict(cli_env(), TMPDIR=str(tmp_path))
+    router = subprocess.Popen(
+        [
+            sys.executable, "-u", "-m", "repro.serving.frontend.router",
+            "--host", "127.0.0.1", "--port", "0", "--spawn", "1",
+            "--dataset", "G1", "--health-interval-s", "0",
+        ],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+    )
+    replica = None
+    try:
+        seen = []
+        for line in iter(router.stdout.readline, b""):
+            seen.append(line.decode())
+            if seen[-1].startswith("routing 1 replicas on "):
+                break
+        else:
+            raise AssertionError("router exited before serving:\n" + "".join(seen))
+        (fleet,) = tmp_path.glob("repro-replicas-*")
+        replica = json.loads((fleet / "ready-0.json").read_text())["pid"]
+        router.send_signal(signal.SIGTERM)
+        assert router.wait(timeout=60) == 0
+        assert not fleet.exists()
+        deadline = time.monotonic() + 10
+        while _alive(replica):
+            assert time.monotonic() < deadline, f"replica {replica} outlived its router"
+            time.sleep(0.02)
+    finally:
+        if router.poll() is None:
+            router.kill()
+            router.wait()
+        router.stdout.close()
+        if replica is not None and _alive(replica):
+            os.kill(replica, signal.SIGKILL)
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
