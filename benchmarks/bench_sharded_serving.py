@@ -3,9 +3,9 @@
 Measures queries/second for a repeated-seed workload answered through a
 shard-routed :class:`~repro.serving.engine.QueryEngine` (per-shard sub-graph
 caches, halo-extended shard graphs) for every partition strategy × shard
-count, and emits the measurements as JSON in the same shape as
-``bench_process_serving.py`` — a top-level config plus a ``runs`` list —
-including the per-shard cache hit rates and the cross-shard fallback rate.
+count, and emits the measurements as JSON — a top-level config plus a
+``runs`` list — including the per-shard cache hit rates and the cross-shard
+fallback rate.
 
 Run under pytest (``pytest benchmarks/bench_sharded_serving.py``) or
 standalone::

@@ -1,9 +1,8 @@
 """Gate serving-benchmark throughput against committed baselines.
 
-The gated serving benchmarks (``bench_sharded_serving`` and
-``bench_process_serving``) emit the same JSON shape — a ``runs`` list whose
-entries carry a ``label`` and a ``throughput_qps``.  This checker compares one or more candidate
-reports against a committed baseline (``benchmarks/baselines/*.json``) and
+The gated serving benchmark (``bench_sharded_serving``) emits a ``runs``
+list whose entries carry a ``label`` and a ``throughput_qps``.  This checker
+compares one or more candidate reports against a committed baseline (``benchmarks/baselines/*.json``) and
 fails when any configuration's throughput regressed by more than the
 tolerance.
 
@@ -17,11 +16,11 @@ Usage::
 
     # gate (exit 1 on regression)
     python benchmarks/check_regression.py \
-        --baseline benchmarks/baselines/process.json run1.json run2.json
+        --baseline benchmarks/baselines/sharded.json run1.json run2.json
 
     # refresh a baseline from measured reports
     python benchmarks/check_regression.py \
-        --baseline benchmarks/baselines/process.json --update run1.json run2.json
+        --baseline benchmarks/baselines/sharded.json --update run1.json run2.json
 
 Baselines are machine-dependent (queries/second on the runner that produced
 them); refresh them with ``--update`` whenever the CI runner class changes.

@@ -1,10 +1,14 @@
 """The plan's own ``result.timing`` buckets on ``cold_wide``'s seed-1 queries.
 
 Drives ``cold_wide``'s seed-1 query panel (G3 at the paper's defaults, no
-caches, ``QueryEngine`` on the serial backend) for a warm-up pass plus five
-timed passes and prints one JSON object: the per-layer numbers of
+caches, ``QueryEngine`` on the serial backend) for a warm-up pass plus
+twenty timed passes and prints one JSON object: the per-layer numbers of
 ``benchmarks.layered.common.engine_depth_metrics`` (milliseconds per query
-for each bucket the plan times itself, and the engine's wall around them).
+for each bucket the plan times itself, and the engine's wall around them),
+computed per pass.  Each ``*_ms`` row is the median over the passes with its
+quartiles, ``{"q1", "median", "q3"}``; the counts are exact and the same in
+every pass.  One pass is ~0.06 s, so a single reading wanders with the
+machine; the median of twenty does not.
 ``--src`` points at another checkout's ``src`` directory, so two revisions
 can be compared from one command line, alternating::
 
@@ -17,11 +21,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PASSES = 5
+PASSES = 20
 
 
 def main() -> None:
@@ -36,16 +41,26 @@ def main() -> None:
     from repro.serving.engine import QueryEngine
 
     seeds = [node for node, _ in generate.cold_draw(generate.load_cold_pool(), 1)]
-    results, walls = [], []
+    passes = []
     with QueryEngine(MeLoPPRSolver(load_dataset("G3"), solver_config())) as engine:
         for timed_pass in range(PASSES + 1):
+            results, walls = [], []
             for seed in seeds:
                 started = time.perf_counter()
                 (result,) = engine.solve_batch([query_for(seed)])
-                if timed_pass:
-                    walls.append(time.perf_counter() - started)
-                    results.append(result)
-    print(json.dumps(engine_depth_metrics(results, walls), sort_keys=True))
+                walls.append(time.perf_counter() - started)
+                results.append(result)
+            if timed_pass:
+                passes.append(engine_depth_metrics(results, walls))
+    summary = {}
+    for name in passes[0]:
+        values = [metrics[name] for metrics in passes]
+        if name.endswith("_ms"):
+            q1, median, q3 = statistics.quantiles(values, n=4)
+            summary[name] = {"q1": q1, "median": median, "q3": q3}
+        else:
+            summary[name] = statistics.median(values)
+    print(json.dumps(summary, sort_keys=True))
 
 
 if __name__ == "__main__":

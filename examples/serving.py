@@ -1,14 +1,12 @@
 """Serving-engine example: batch queries, cache extractions, compare backends.
 
 Builds a hot-seed workload (a handful of seeds queried repeatedly, as real
-traffic would) and answers it four ways — serial/cold, serial/cached,
-threaded/cold, threaded/cached — printing throughput, mean latency and the
-sub-graph cache hit rate, and verifying all four return identical answers.
+traffic would) and answers it four ways — ``serial`` and ``thread:2``, each
+with a cold and a warm sub-graph cache — printing throughput, mean latency
+and the cache hit rate, and verifying all four return identical answers.
 Then does it again with the host graph partitioned into shards, each ego
 extraction routed to the shard owning its centre (per-shard caches), and
-verifies the sharded answers match too.  Finally the same workload runs on
-the shared-memory process pool — the backend that actually scales with
-cores — and the answers are verified one more time.
+verifies the sharded answers match too.
 
 Run with::
 
@@ -17,20 +15,11 @@ Run with::
 
 from __future__ import annotations
 
-import os
-
 from repro.graph import load_dataset, partition_graph
 from repro.meloppr import MeLoPPRConfig, MeLoPPRSolver
 from repro.meloppr.selection import RatioSelector
 from repro.ppr import PPRQuery
-from repro.serving import (
-    QueryEngine,
-    SerialBackend,
-    ShardRouter,
-    SubgraphCache,
-    ThreadPoolBackend,
-    make_backend,
-)
+from repro.serving import QueryEngine, ShardRouter, SubgraphCache, make_backend
 
 
 def main() -> None:
@@ -48,12 +37,13 @@ def main() -> None:
     )
 
     reference = None
-    for label, backend, cache in (
-        ("serial, cold cache  ", SerialBackend(), None),
-        ("serial, warm cache  ", SerialBackend(), SubgraphCache()),
-        ("4 threads, cold     ", ThreadPoolBackend(4), None),
-        ("4 threads, warm     ", ThreadPoolBackend(4), SubgraphCache()),
+    for label, spec, cache in (
+        ("serial, cold cache  ", "serial", None),
+        ("serial, warm cache  ", "serial", SubgraphCache()),
+        ("thread:2, cold cache", "thread:2", None),
+        ("thread:2, warm cache", "thread:2", SubgraphCache()),
     ):
+        backend = make_backend(spec)
         with QueryEngine(MeLoPPRSolver(graph, config), backend=backend, cache=cache) as engine:
             results = engine.solve_batch(queries)
             stats = engine.stats()
@@ -88,24 +78,6 @@ def main() -> None:
             f"fallbacks {router_stats.fallback_rate:.0%}   "
             f"halo {partition.halo_overhead_bytes() / 1024:.0f} KB"
         )
-
-    # Process-pool serving: workers attach the graph's CSR buffers from
-    # shared memory (zero-copy) and execute the stage tasks; planning and
-    # folding stay here, so the answers are bit-identical again.
-    workers = min(4, os.cpu_count() or 1)
-    print(f"\nProcess-pool serving ({workers} workers, shared-memory graph):")
-    with QueryEngine(
-        MeLoPPRSolver(graph, config), backend=make_backend(f"process:{workers}")
-    ) as engine:
-        results = engine.solve_batch(queries)
-        stats = engine.stats()
-    answers = [result.top_k_nodes() for result in results]
-    assert answers == reference, "process workers must not change answers"
-    print(
-        f"process:{workers}           {stats.throughput_qps:7.1f} qps   "
-        f"mean latency {stats.mean_latency_seconds * 1e3:6.2f} ms   "
-        f"worker-cache hit rate {stats.cache.hit_rate:.0%}"
-    )
 
 
 if __name__ == "__main__":

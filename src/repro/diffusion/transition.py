@@ -56,7 +56,7 @@ class TransitionOperator:
     Construction is cheap for a repeated topology: the operator structure is
     fetched from a fingerprint-keyed cache, and :meth:`for_graph` memoises
     whole operators on the graph object itself — so a cached ego sub-graph
-    (serving caches, process-pool workers) carries its operator along and a
+    (the serving caches) carries its operator along and a
     stage task never rebuilds ``O(E)`` arrays per diffusion.
     """
 
@@ -82,8 +82,7 @@ class TransitionOperator:
         Stored on the graph object (one entry per kernel name), so repeated
         diffusions over the same — typically cached — sub-graph reuse one
         operator instead of rebuilding it per stage task.  The memo never
-        pickles with the graph; a worker process rebuilds it on first use
-        from its own (shared-memory) arrays.
+        pickles with the graph; an unpickled copy rebuilds it on first use.
         """
         kernel = make_kernel(kernel)
         memo = graph._operator_memo

@@ -18,7 +18,6 @@ from repro.experiments.ablation_stage_split import format_stage_split, run_stage
 from repro.experiments.fig5_scalability import format_fig5, run_fig5
 from repro.experiments.fig6_sparsity import format_fig6, run_fig6
 from repro.experiments.fig7_tradeoff import format_fig7, run_fig7
-from repro.experiments.process_study import format_process, run_process_study
 from repro.experiments.quantization_study import format_quantization, run_quantization_study
 from repro.experiments.score_table_study import format_score_table, run_score_table_study
 from repro.experiments.sharding_study import format_sharding, run_sharding_study
@@ -95,16 +94,6 @@ EXPERIMENTS: Tuple[Tuple[str, Callable[[ExperimentProfile], str]], ...] = (
     (
         "E10_sharding",
         lambda p: format_sharding(run_sharding_study(num_seeds=p.num_seeds_small, repeat_factor=3)),
-    ),
-    (
-        "E12_process",
-        lambda p: format_process(
-            run_process_study(
-                num_seeds=p.num_seeds_small,
-                repeat_factor=3,
-                worker_counts=(2,) if p.name == "quick" else (2, 4),
-            )
-        ),
     ),
     (
         "E15_soak",

@@ -311,9 +311,7 @@ class CSRGraph:
         """Pickle only the CSR arrays, the name and the fingerprint memo.
 
         The operator memo holds derived kernel structure (scipy matrices,
-        row-id arrays) that is cheaper to rebuild than to ship — and in the
-        process-pool serving path the receiving side attaches its own
-        shared-memory arrays anyway.
+        row-id arrays) that is cheaper to rebuild than to ship.
         """
         return {
             "indptr": self._indptr,

@@ -23,10 +23,8 @@ modelled FPGA) can all share one algorithmic code path:
   from extraction to fold.  The stage hook returns them stacked as one
   block-diagonal CSR (:class:`~repro.graph.bfs.EgoWave`), the diffusion runs
   on it as given, and the plan folds the stacked vectors
-  (:class:`StageWaveOutcome`).  Every serving path runs it: the engine in
-  process, with its cache's or router's stage hook, and the process-pool
-  workers, through :func:`execute_waves`, the same loop given a graph and a
-  timing breakdown instead of a plan (they reply per ball).
+  (:class:`StageWaveOutcome`).  Every serving path runs it, with the
+  engine's cache's or router's stage hook.
 * :func:`execute_plan` is the one drive loop: it hands each stage's tasks to
   whichever of those the caller is driving with.
 
@@ -95,7 +93,6 @@ __all__ = [
     "StageRunner",
     "realised_stage_lengths",
     "execute_stage_task",
-    "execute_waves",
     "execute_stage",
     "execute_stage_per_ball",
     "execute_plan",
@@ -250,25 +247,6 @@ class StageWaveOutcome:
             (outcome.task,), wave, diffusion.accumulated, diffusion.residual,
             np.array([diffusion.propagations]),
         )
-
-    def outcomes(self) -> List[StageTaskOutcome]:
-        """The wave as per-ball outcomes: the balls are copied out of the
-        extraction, the score vectors are views."""
-        bounds = self.extraction.bounds.tolist()
-        return [
-            StageTaskOutcome(
-                task, subgraph, bfs,
-                DiffusionResult(
-                    self.accumulated[begin:end], self.residual[begin:end],
-                    task.length, task.alpha, work,
-                ),
-                hit,
-            )
-            for task, (subgraph, bfs, hit), begin, end, work in zip(
-                self.tasks, self.extraction.triples(), bounds, bounds[1:],
-                self.propagations.tolist(),
-            )
-        ]
 
 
 #: Stage extraction hook: ``(graph, centers, depth) -> EgoWave``, balls in centre order.
@@ -735,25 +713,24 @@ def execute_stage_task(
     return StageTaskOutcome(task=task, subgraph=subgraph, bfs=bfs, diffusion=diffusion)
 
 
-def execute_waves(
-    graph: CSRGraph,
+def execute_stage(
+    plan: MeLoPPRPlan,
     tasks: Sequence[StageTask],
-    extract_stage: StageExtractFn,
-    timing: TimingBreakdown,
+    extract_stage: StageExtractFn = extract_wave,
 ) -> Iterator[StageWaveOutcome]:
-    """Run one stage's ``tasks`` in waves; one stacked outcome per wave, lazily.
+    """Run one stage of ``plan`` in waves; one stacked outcome per wave, lazily.
 
     A wave is up to :data:`~repro.graph.bfs.BALLS_PER_PASS` consecutive
     tasks.  ``extract_stage(graph, centers, length)`` — a cache's or router's
     stage hook, or :func:`~repro.graph.bfs.extract_wave` — returns the wave's
     balls stacked, and :func:`~repro.diffusion.diffusion.stage_diffusion`
-    diffuses that block-diagonal CSR as it is, timed into ``timing``'s
-    ``bfs`` and ``diffusion`` buckets.  No per-ball object is built on the
-    way, and every ball's slice of the outcome equals
-    :func:`execute_stage_task`'s outcome for its task, bit for bit.  A wave's
-    balls are resident together; the next wave starts only once the consumer
-    has taken this one.
+    diffuses that block-diagonal CSR as it is, timed into the plan's ``bfs``
+    and ``diffusion`` buckets.  No per-ball object is built on the way, and
+    every ball's slice of the outcome equals :func:`execute_stage_task`'s
+    outcome for its task, bit for bit.  A wave's balls are resident
+    together; a wave is folded before the next is extracted.
     """
+    graph, timing = plan.graph, plan.timing
     for begin in range(0, len(tasks), BALLS_PER_PASS):
         wave = tasks[begin : begin + BALLS_PER_PASS]
         length, alpha = wave[0].length, wave[0].alpha  # one per stage
@@ -766,16 +743,6 @@ def execute_waves(
                 extraction.indptr, extraction.indices, bounds, bounds[:-1], length, alpha
             )
         yield StageWaveOutcome(tuple(wave), extraction, *scores)
-
-
-def execute_stage(
-    plan: MeLoPPRPlan,
-    tasks: Sequence[StageTask],
-    extract_stage: StageExtractFn = extract_wave,
-) -> Iterator[StageWaveOutcome]:
-    """Run one stage of ``plan`` in waves (:func:`execute_waves` on the plan's
-    graph and timing); a wave is folded before the next is extracted."""
-    return execute_waves(plan.graph, tasks, extract_stage, plan.timing)
 
 
 def execute_stage_per_ball(
@@ -807,9 +774,8 @@ def execute_plan(
 
     ``run_stage`` executes a stage's tasks, and who is driving picks it: the
     wave executor :func:`execute_stage` by default (the serving engine binds
-    its cache's stage hook with ``functools.partial``),
-    :func:`execute_stage_per_ball` for ``MeLoPPRSolver.solve``, a stage-task
-    backend's ``run_stage_tasks`` for worker processes.  ``after_stage``
+    its cache's stage hook with ``functools.partial``), or
+    :func:`execute_stage_per_ball` for ``MeLoPPRSolver.solve``.  ``after_stage``
     (optional) is invoked with the plan after each completed stage — the
     engine hooks its cross-query result cache there (snapshotting
     :meth:`MeLoPPRPlan.stage_one_state` after the first stage).  ``span``

@@ -7,26 +7,22 @@ across repeated hot-seed queries (:class:`ScoreTableCache` — a cache hit
 skips straight to the stage-two tasks, bit-identically), routes extractions
 to the shard owning them (:class:`ShardRouter` over a
 :class:`~repro.graph.partition.GraphPartition`, one cache per shard) and runs
-the per-query work on a pluggable :class:`ExecutionBackend` (serial,
-thread-pool or a shared-memory process pool; build one from a spec
-string with :func:`make_backend`).  The algorithmic stage loop it drives lives in
-:mod:`repro.meloppr.planner`; the online request path — micro-batching,
-admission control, the TCP/JSON service — lives in
-:mod:`repro.serving.frontend`.
+the per-query work on a pluggable :class:`ExecutionBackend` (serial or
+thread-pool; build one from a spec string with :func:`make_backend`).  The
+algorithmic stage loop it drives lives in :mod:`repro.meloppr.planner`; the
+online request path — micro-batching, admission control, the TCP/JSON
+service — lives in :mod:`repro.serving.frontend`.
 
 Observability cuts across all of it: attach a :class:`Tracer` to the engine
 and sampled queries record a span tree — admission wait, batch membership,
-per-stage compute, cache hit/miss, shard routing, worker-side spans shipped
-back across the process pool — exportable as Chrome trace-event JSON
-(:mod:`repro.serving.tracing`).
+per-stage compute, cache hit/miss, shard routing — exportable as Chrome
+trace-event JSON (:mod:`repro.serving.tracing`).
 """
 
 from repro.serving.backends import (
     ExecutionBackend,
-    ProcessPoolBackend,
     SerialBackend,
     ThreadPoolBackend,
-    WorkerCrashError,
     make_backend,
 )
 from repro.serving.cache import DEFAULT_CACHE_BYTES, CacheStats, SubgraphCache
@@ -37,11 +33,6 @@ from repro.serving.result_cache import (
     stage_one_cache_key,
 )
 from repro.serving.sharding import RouterStats, ShardRouter, ShardServingStats
-from repro.serving.shm import (
-    SharedGraphHandle,
-    SharedShardHandle,
-    leaked_segment_names,
-)
 from repro.serving.telemetry import LatencyHistogram, LatencySnapshot
 from repro.serving.tracing import (
     Span,
@@ -57,8 +48,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ThreadPoolBackend",
-    "ProcessPoolBackend",
-    "WorkerCrashError",
     "make_backend",
     "DEFAULT_CACHE_BYTES",
     "CacheStats",
@@ -71,9 +60,6 @@ __all__ = [
     "RouterStats",
     "ShardRouter",
     "ShardServingStats",
-    "SharedGraphHandle",
-    "SharedShardHandle",
-    "leaked_segment_names",
     "LatencyHistogram",
     "LatencySnapshot",
     "Span",

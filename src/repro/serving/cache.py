@@ -77,7 +77,7 @@ class CacheStats:
 
     def __add__(self, other: "CacheStats") -> "CacheStats":
         """Counter-wise sum — the single aggregation used by every roll-up
-        (router shard caches, process-pool worker caches, engine snapshots),
+        (router shard caches, engine snapshots),
         so a new counter field is added in exactly one place."""
         if not isinstance(other, CacheStats):
             return NotImplemented

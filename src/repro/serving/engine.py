@@ -24,7 +24,7 @@ backend, with the cache enabled or disabled: queries are independent, task
 order within a query is preserved by the planner, and cached extractions are
 the same immutable objects a fresh extraction would produce.  The one field
 that legitimately differs is measurement, not computation: wall-clock timing
-always varies; an in-process backend runs a stage in waves
+always varies; the engine runs a stage in waves
 (:func:`~repro.meloppr.planner.execute_stage`), so with ``track_memory`` on
 ``peak_memory_bytes`` is the peak of holding a wave of sub-graphs, not the
 solver's one; and under a concurrent backend it reports the modelled working
@@ -125,8 +125,8 @@ class EngineStats:
     cache:
         Aggregate cache counters, uniform across serving modes: the engine
         cache's counters (or the router's per-shard + fallback aggregate)
-        summed with the stage-one result-cache counters and any stage-task
-        backend's worker-cache counters — every hit the serving stack scored,
+        summed with the stage-one result-cache counters — every hit the
+        serving stack scored,
         so dashboards can read ``stats.cache.hit_rate`` either way.  ``None``
         only when caching is off entirely.
     result_cache:
@@ -237,14 +237,12 @@ class QueryEngine:
         scores.  Mutually exclusive with ``router`` — a sharded engine keeps
         one result cache per shard, configured via
         ``ShardRouter(result_cache_bytes=...)``.  Compatible with every
-        backend, including stage-task backends (the cache lives parent-side,
-        so workers only ever see the stage-two tasks of a cached query).
+        backend.
     tracer:
         Optional :class:`~repro.serving.tracing.Tracer`.  Sampled queries
         (driven through ``solve_batch(queries, contexts=...)``) record a
         span tree — per-stage spans, cache hit/miss and shard-routing
-        annotations, worker-side spans re-parented across the process-pool
-        IPC boundary.  ``None`` (the default) keeps the hot path free of
+        annotations.  ``None`` (the default) keeps the hot path free of
         any tracing work beyond ``is None`` checks.
 
     Example
@@ -307,25 +305,6 @@ class QueryEngine:
         self._updating = False
         if result_cache is not None:
             result_cache.bind(solver.graph)
-        # A stage-task backend (the process pool) must know what graph its
-        # workers serve before the first batch: bind it to the partition when
-        # sharded (workers pin to shards) or to the host graph otherwise.
-        if getattr(self._backend, "executes_stage_tasks", False):
-            if cache is not None:
-                # The extractions happen inside the workers, so an
-                # engine-level cache would never see a single lookup —
-                # reject the dead combination instead of silently ignoring
-                # a configured budget (mirrors the cache=/router= conflict).
-                raise ValueError(
-                    f"backend {self._backend.name!r} executes stage tasks in "
-                    "worker processes, which cache extractions themselves — "
-                    "configure the worker cache via the backend (e.g. "
-                    "ProcessPoolBackend(cache_bytes=...)) instead of cache="
-                )
-            if router is not None:
-                self._backend.bind_partition(router.partition)
-            else:
-                self._backend.bind_graph(solver.graph)
 
     # ------------------------------------------------------------------
     @property
@@ -386,7 +365,7 @@ class QueryEngine:
 
         ``contexts`` (optional, same length as ``queries``) carries one
         :class:`~repro.serving.tracing.TraceContext` — or ``None`` — per
-        query; sampled queries record engine/stage/cache/worker spans into
+        query; sampled queries record engine/stage/cache spans into
         theirs.  Omitting it (the common case) keeps the dispatch path
         byte-for-byte the pre-tracing one.
         """
@@ -578,13 +557,6 @@ class QueryEngine:
             for key, value in router_outcome.items():
                 invalidated[key] += value
         self._solver.rebind_graph(new_graph)
-        if getattr(self._backend, "executes_stage_tasks", False):
-            # Stage-task workers hold the old shared buffers; swap their
-            # binding so the next dispatch respawns against the new graph.
-            if self._router is not None:
-                self._backend.rebind_partition(self._router.partition)
-            else:
-                self._backend.rebind_graph(new_graph)
         return {
             "ops": len(canonical),
             "touched_nodes": int(touched.size),
@@ -617,12 +589,10 @@ class QueryEngine:
         result_cache_outcome: Optional[str] = None
         plan_factory = getattr(self._solver, "plan", None)
         if plan_factory is not None:
-            # Cross-query reuse, all parent-side (a stage-task backend's
-            # workers only ever see the stage-two tasks left to run): an
-            # attached answer is replayed whole, a stage-one state resumes
-            # the plan past its first stage, a miss installs the folded state
-            # after the first stage — and whatever gets computed is attached
-            # for the next repeat of this query.
+            # Cross-query reuse: an attached answer is replayed whole, a
+            # stage-one state resumes the plan past its first stage, a miss
+            # installs the folded state after the first stage — and whatever
+            # gets computed is attached for the next repeat of this query.
             result_cache = self._result_cache_for(query.seed)
             key = state = None
             if result_cache is not None:
@@ -678,11 +648,8 @@ class QueryEngine:
         """How this engine executes one stage of a plan.
 
         Every path runs the wave executor over one stage hook — the router's,
-        the cache's, or a fresh extraction.  In process, a traced query makes
-        the same call inside one ``extract`` span per wave.  A stage-task
-        backend runs the waves in its worker processes, the stage hook being
-        the parent-side fallback for a stage the workers cannot serve
-        (sharded, and deeper than the halo).
+        the cache's, or a fresh extraction.  A traced query makes the same
+        call inside one ``extract`` span per wave.
         """
         if self._router is not None:
             extract_stage: StageExtractFn = self._router.extract_wave
@@ -690,10 +657,6 @@ class QueryEngine:
             extract_stage = self._cache.extract_wave
         else:
             extract_stage = extract_wave
-        if getattr(self._backend, "executes_stage_tasks", False):
-            return lambda plan, tasks: self._backend.run_stage_tasks(
-                tasks, fallback=extract_stage, timing=plan.timing, trace=ctx
-            )
         if ctx is not None:
             extract_stage = partial(self._extract_in_span, extract_stage, ctx)
         return partial(execute_stage, extract_stage=extract_stage)
@@ -755,12 +718,10 @@ class QueryEngine:
         """Stamp the serving metadata onto one query's result."""
         result.metadata["serving"] = {
             "backend": self._backend.name,
-            "remote_tasks": getattr(self._backend, "executes_stage_tasks", False),
             "latency_seconds": latency,
             "cache_enabled": (
                 self._cache is not None
                 or (self._router is not None and self._router.caching_enabled)
-                or getattr(self._backend, "cache_bytes", None) is not None
             ),
             # "answer" (finished answer replayed), "hit" (stage one replayed
             # from cache), "miss" (computed and installed) or None (result
@@ -777,8 +738,7 @@ class QueryEngine:
         The ``cache`` field is uniform across serving modes: it carries the
         engine-level cache's counters when one is configured, and the
         router's aggregated per-shard + fallback counters when sharded —
-        plus, folded in, any stage-task backend's worker-cache counters and
-        the stage-one result cache's counters (the latter also reported
+        plus, folded in, the stage-one result cache's counters (also reported
         alone under ``result_cache``).
         """
         router_stats = None if self._router is None else self._router.stats()
@@ -788,11 +748,6 @@ class QueryEngine:
             cache_stats = router_stats.aggregate_cache()
         else:
             cache_stats = None
-        # A stage-task backend caches extractions in its workers; fold those
-        # counters in so ``stats.cache.hit_rate`` stays meaningful there too.
-        backend_cache_stats = getattr(self._backend, "cache_stats", None)
-        if backend_cache_stats is not None:
-            cache_stats = _merge_cache_stats(cache_stats, backend_cache_stats())
         if self._result_cache is not None:
             result_cache_stats: Optional[CacheStats] = self._result_cache.stats
         elif router_stats is not None:
@@ -827,8 +782,8 @@ class QueryEngine:
         the cache's whole life); pass ``reset_cache_stats=True`` to zero them
         too so every interval reports interval-local hit rates.  That resets
         **every** counter source ``stats()`` aggregates — the engine cache or
-        the router's per-shard/fallback/result caches, the engine-level
-        result cache, and a stage-task backend's worker caches — so an
+        the router's per-shard/fallback/result caches and the engine-level
+        result cache — so an
         interval snapshot can never mix a freshly zeroed engine counter with
         a stale cache counter.  (The engine accumulator and the latency
         histogram reset under the stats lock; with traffic still in flight
@@ -850,9 +805,6 @@ class QueryEngine:
                 self._router.reset_stats()
             if self._result_cache is not None:
                 self._result_cache.reset_stats()
-            backend_reset = getattr(self._backend, "reset_cache_stats", None)
-            if backend_reset is not None:
-                backend_reset()
 
     def close(self, discard_pending: bool = False) -> None:
         """Shut down the backend (the cache, if any, is left warm).
@@ -861,10 +813,9 @@ class QueryEngine:
         so closing with a non-empty queue raises unless ``discard_pending``
         explicitly waives them — call :meth:`drain` first to get the results.
         The backend is released **even on that error path** (in a
-        ``finally``): backends may hold OS resources (worker processes,
-        shared-memory segments) that must never outlive a failed close.  A
-        subsequent :meth:`drain` still works — every backend restarts lazily
-        on its next dispatch.
+        ``finally``): backends may hold OS resources (worker threads) that
+        must never outlive a failed close.  A subsequent :meth:`drain` still
+        works — every backend restarts lazily on its next dispatch.
         """
         try:
             if self._pending:

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from repro.graph.partition import DEFAULT_HALO_DEPTH, PARTITIONERS
+from repro.serving.backends import make_backend
 
 __all__ = [
     "ServingConfig",
@@ -69,7 +70,7 @@ class ServingConfig:
     host: str = _flag("127.0.0.1", "bind address")
     port: int = _flag(7071, "listen port (0 picks a free one)")
     backend: str = _flag(
-        "serial", "engine backend spec: serial, thread[:N] or process[:N]"
+        "serial", "engine backend spec: serial or thread[:N]"
     )
     max_batch: int = _flag(8, "most queued queries coalesced into one engine batch")
     dedup: bool = _flag(True, "disable in-flight dedup", flag="--no-dedup")
@@ -148,6 +149,10 @@ class ServingConfig:
     )
 
     def __post_init__(self) -> None:
+        # A spawned replica's stderr goes nowhere, so a spec the replica
+        # would refuse at startup is refused here, where the caller sees it
+        # (building a backend starts nothing: the thread pool is lazy).
+        make_backend(self.backend).close()
         if self.num_shards < 0:
             raise ValueError(f"num_shards must be >= 0, got {self.num_shards}")
         # Checked even unsharded: to_argv always emits --partition, and the
@@ -238,7 +243,6 @@ def build_frontend(config: ServingConfig) -> Tuple[object, object, object]:
     from repro.graph.partition import partition_graph
     from repro.meloppr.config import MeLoPPRConfig
     from repro.meloppr.solver import MeLoPPRSolver
-    from repro.serving.backends import ProcessPoolBackend, make_backend
     from repro.serving.cache import DEFAULT_CACHE_BYTES, SubgraphCache
     from repro.serving.engine import QueryEngine
     from repro.serving.frontend.admission import AdmissionController
@@ -252,30 +256,12 @@ def build_frontend(config: ServingConfig) -> Tuple[object, object, object]:
 
     graph = load_dataset(config.dataset)
     backend = make_backend(config.backend)
-    stage_task_backend = getattr(backend, "executes_stage_tasks", False)
-    if stage_task_backend:
-        # Stage-task workers cache extractions themselves; an engine-level
-        # cache would never be consulted (the engine rejects it).  --no-cache
-        # therefore maps to the worker-side cache switch here.
-        cache = None
-        if config.no_cache and isinstance(backend, ProcessPoolBackend):
-            # Rebuild with *every* constructor argument preserved: dropping
-            # mp_context here would silently serve with a different start
-            # method than the operator asked for.
-            backend = ProcessPoolBackend(
-                num_workers=backend.num_workers,
-                mp_context=backend.mp_context,
-                cache_bytes=None,
-            )
-    else:
-        cache = None if config.no_cache else SubgraphCache()
+    cache = None if config.no_cache else SubgraphCache()
 
-    # The stage-one result cache is parent-side for every backend (workers
-    # only ever see the stage-two tasks of a cached query), so the flag maps
-    # uniformly; 0 switches it off, and --no-cache means *all* caching off
-    # (it is how operators measure the uncached path — a silently surviving
-    # result cache would invalidate that baseline by 2x+) unless an explicit
-    # --result-cache-bytes overrides it.
+    # The stage-one result cache: 0 switches it off, and --no-cache means
+    # *all* caching off (it is how operators measure the uncached path — a
+    # silently surviving result cache would invalidate that baseline by 2x+)
+    # unless an explicit --result-cache-bytes overrides it.
     result_cache_bytes = config.result_cache_bytes
     result_cache_ttl = config.result_cache_ttl
     if result_cache_ttl is not None and result_cache_ttl <= 0:

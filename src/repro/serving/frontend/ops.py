@@ -230,8 +230,7 @@ def apply_reload(
         if engine.cache is None:
             raise ValueError(
                 "cache_bytes: this engine has no sub-graph cache to resize "
-                "(started with --no-cache, or a stage-task backend owns the "
-                "caches worker-side)"
+                "(started with --no-cache, or sharded)"
             )
         cache = engine.cache
         actions.append(

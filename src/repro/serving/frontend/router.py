@@ -805,11 +805,14 @@ def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - CLI
             await router.stop()
 
     if args.spawn:
-        config = ServingConfig(
-            dataset=args.dataset,
-            backend=args.backend,
-            num_shards=args.num_shards,
-        )
+        try:
+            config = ServingConfig(
+                dataset=args.dataset,
+                backend=args.backend,
+                num_shards=args.num_shards,
+            )
+        except ValueError as exc:
+            parser.error(str(exc))
         with ReplicaSet(config, args.spawn) as fleet:
             endpoints = [spec.address for spec in fleet.replicas]
             try:

@@ -196,8 +196,12 @@ def serve_main(
     )
     from repro.serving.frontend.request_log import configure_logging
 
-    args = build_serving_parser(description, default_port).parse_args(argv)
-    config = ServingConfig.from_args(args)
+    parser = build_serving_parser(description, default_port)
+    args = parser.parse_args(argv)
+    try:
+        config = ServingConfig.from_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     configure_logging(config.log_level, json_mode=config.log_json)
     engine, policy, admission = build_frontend(config)
 

@@ -533,11 +533,6 @@ def globalize_shard_extraction(
     mapping, same BFS visit order and ``edges_scanned`` — guaranteed by the
     halo covering the full ego ball and by the shard's global ids being
     sorted ascending (see :mod:`repro.graph.partition`).
-
-    Takes the shard's :class:`~repro.graph.subgraph.Subgraph` (not the whole
-    :class:`~repro.graph.partition.GraphShard`) so process-pool workers, which
-    attach only the shard's shared CSR buffers, run the exact same code path
-    as the in-process :class:`ShardRouter`.
     """
     shard_ids = shard_subgraph.global_ids
 

@@ -12,11 +12,10 @@ no third-party packages — threaded through every layer of the request path:
   ``ctx.span(name, **attrs)`` (nesting tracked via an explicit parent
   stack), or :meth:`TraceContext.begin_span` / :meth:`TraceContext.end_span`
   when the start and end live in different coroutine steps (queue waits,
-  batch membership).  Worker-side spans recorded in other processes are
-  re-parented under the current position with :meth:`TraceContext.adopt`.
+  batch membership).
 * :class:`Span` — one timed operation: ids, parent link, wall-aligned
   monotonic start/end, free-form attributes, recording pid/tid so the
-  Perfetto export lays worker processes out on their own tracks.
+  Perfetto export lays threads out on their own tracks.
 
 Context propagates *in* via a W3C-style ``traceparent`` header
 (:func:`parse_traceparent` / :func:`format_traceparent`) and flows *out*
@@ -27,8 +26,8 @@ via :meth:`Tracer.traces` (JSON span trees for ``GET /debug/traces``),
 Clocks: every timestamp is ``wall_anchor + perf_counter()`` where the anchor
 is captured once per process (:func:`monotonic_wall`).  Within a process the
 timeline is strictly monotonic; across processes on the same host it is
-wall-aligned, so parent and worker spans interleave correctly on one
-Perfetto timeline without any clock-sync protocol.
+wall-aligned, so the spans of a router and its replicas line up on one
+timeline without any clock-sync protocol.
 
 When sampling is off (``sample_rate == 0`` or no tracer configured) every
 hook in the hot path is a single ``is None`` check — the overhead guard in
@@ -47,7 +46,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "Span",
@@ -60,7 +59,6 @@ __all__ = [
     "monotonic_wall",
     "parse_traceparent",
     "validate_trace_events",
-    "worker_wave_spans",
 ]
 
 # Captured once per process: the wall-clock reading at one perf_counter
@@ -144,8 +142,6 @@ class Span:
         start: float,
         end: Optional[float] = None,
         attributes: Optional[Dict[str, Any]] = None,
-        pid: Optional[int] = None,
-        tid: Optional[int] = None,
     ) -> None:
         self.trace_id = trace_id
         self.span_id = span_id
@@ -154,8 +150,8 @@ class Span:
         self.start = start
         self.end = end
         self.attributes: Dict[str, Any] = attributes if attributes is not None else {}
-        self.pid = pid if pid is not None else os.getpid()
-        self.tid = tid if tid is not None else threading.get_ident()
+        self.pid = os.getpid()
+        self.tid = threading.get_ident()
 
     @property
     def duration_seconds(self) -> float:
@@ -215,13 +211,10 @@ class TraceContext:
     get ``None`` and every instrumentation site gates on that, keeping the
     untraced hot path to one pointer comparison.
 
-    Thread-safety: span begin/end/adopt are lock-guarded.  The parent
-    *stack* assumes the request's operations are causally ordered (queue →
-    batch → engine → stages), which holds for the serving path even as it
-    hops between the event loop, executor threads, and the collector thread;
-    concurrent *sibling* work (process-pool workers) records spans in its own
-    process and re-parents them via :meth:`adopt` instead of sharing the
-    stack.
+    Thread-safety: span begin/end are lock-guarded.  The parent *stack*
+    assumes the request's operations are causally ordered (queue → batch →
+    engine → stages), which holds for the serving path even as it hops
+    between the event loop and executor threads.
     """
 
     def __init__(
@@ -302,36 +295,6 @@ class TraceContext:
         """Attach attributes to the root span."""
         with self._lock:
             self.root.attributes.update(attributes)
-
-    # -- cross-process adoption -------------------------------------------
-
-    def adopt(self, raw_spans: Iterable[Mapping[str, Any]]) -> int:
-        """Graft worker-recorded span dicts into this trace.
-
-        Workers know nothing about the query's trace: they record spans with
-        local ids and ``parent_id=None`` at their roots (children keep their
-        intra-worker links).  Adoption rewrites the trace id and re-parents
-        every root under the innermost span open *here* — the per-stage span
-        that issued the IPC round-trip.  Returns the number of spans grafted.
-        """
-        count = 0
-        with self._lock:
-            parent = (self._stack[-1] if self._stack else self.root).span_id
-            for raw in raw_spans:
-                span = Span(
-                    self.trace_id,
-                    str(raw["span_id"]),
-                    str(raw["parent_id"]) if raw.get("parent_id") else parent,
-                    str(raw["name"]),
-                    float(raw["start"]),
-                    float(raw["end"]) if raw.get("end") is not None else None,
-                    attributes=dict(raw.get("attributes") or {}),
-                    pid=raw.get("pid"),
-                    tid=raw.get("tid"),
-                )
-                self.spans.append(span)
-                count += 1
-        return count
 
     # -- completion --------------------------------------------------------
 
@@ -529,7 +492,7 @@ class Tracer:
 
         Every span becomes one complete ("X") event; timestamps are rebased
         so the earliest span starts at ts=0 and converted to microseconds.
-        Worker pids get process_name metadata so Perfetto labels the tracks.
+        Each pid gets process_name metadata so Perfetto labels the track.
         """
         trees = self.traces()
         events: List[Dict[str, Any]] = []
@@ -560,16 +523,14 @@ class Tracer:
                     }
                 )
                 pids.setdefault(span["pid"])
-        this_pid = os.getpid()
         for pid in pids:
-            label = "serving" if pid == this_pid else f"worker-{pid}"
             events.append(
                 {
                     "name": "process_name",
                     "ph": "M",
                     "pid": pid,
                     "tid": 0,
-                    "args": {"name": label},
+                    "args": {"name": "serving"},
                 }
             )
         return {"traceEvents": events, "displayTimeUnit": "ms"}
@@ -602,72 +563,6 @@ class Tracer:
         """Drop buffered traces (``reset_stats`` does *not* do this)."""
         with self._lock:
             self._ring.clear()
-
-
-# -- worker-side span synthesis -------------------------------------------
-
-
-def worker_wave_spans(
-    stage_index: int,
-    shard_ids: Sequence[int],
-    started: float,
-    ended: float,
-    timing_seconds: Mapping[str, float],
-    balls: int,
-    cache_hits: int,
-) -> List[Dict[str, Any]]:
-    """Span dicts for one message's waves executed inside a pool worker.
-
-    The worker has no :class:`TraceContext`; it synthesises plain dicts
-    (cheap to pickle onto the existing response message) which the parent
-    grafts into the query's trace with :meth:`TraceContext.adopt`.  The
-    message's measured ``bfs``/``diffusion`` timing buckets become
-    ``worker.extract`` / ``worker.diffusion`` children anchored at the
-    ``worker.wave`` span's start and end: ``[started, started+bfs]`` and
-    ``[ended-diffusion, ended]``.
-    """
-    pid = os.getpid()
-    tid = threading.get_ident()
-    wave_id = make_span_id()
-    spans: List[Dict[str, Any]] = [
-        {
-            "span_id": wave_id,
-            "parent_id": None,
-            "name": "worker.wave",
-            "start": started,
-            "end": ended,
-            "pid": pid,
-            "tid": tid,
-            "attributes": {
-                "stage": int(stage_index),
-                "balls": int(balls),
-                "cache_hits": int(cache_hits),
-                "worker_pid": pid,
-                "shard_ids": [int(shard_id) for shard_id in shard_ids],
-            },
-        }
-    ]
-    bfs = float(timing_seconds.get("bfs", 0.0))
-    diffusion = float(timing_seconds.get("diffusion", 0.0))
-    children = (
-        ("worker.extract", bfs, started, min(ended, started + bfs)),
-        ("worker.diffusion", diffusion, max(started, ended - diffusion), ended),
-    )
-    for name, seconds, start, end in children:
-        if seconds > 0.0:
-            spans.append(
-                {
-                    "span_id": make_span_id(),
-                    "parent_id": wave_id,
-                    "name": name,
-                    "start": start,
-                    "end": end,
-                    "pid": pid,
-                    "tid": tid,
-                    "attributes": {},
-                }
-            )
-    return spans
 
 
 # -- export validation -----------------------------------------------------

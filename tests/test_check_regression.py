@@ -1,9 +1,8 @@
-"""Smoke and schema tests for the E12 process study and its bench/gate tools.
+"""The serving-throughput gate, ``benchmarks/check_regression.py``.
 
-The process benchmark promises the same JSON contract as the sharded serving
-benchmark (a ``runs`` list with ``label``/``throughput_qps``), which is what
-lets ``benchmarks/check_regression.py`` gate both uniformly — so the
-study schema and the regression checker are tested side by side here.
+The gated benchmark (``bench_sharded_serving.py``) writes a ``runs`` list of
+``label`` / ``throughput_qps`` entries; the checker compares the best of
+repeated reports against a committed baseline in ``benchmarks/baselines/``.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-from repro.experiments.process_study import format_process, run_process_study
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -29,75 +26,6 @@ def load_bench_module(name):
     return module
 
 
-class TestProcessStudySchema:
-    @pytest.fixture(scope="class")
-    def study(self):
-        return run_process_study(num_seeds=2, repeat_factor=2, worker_counts=(2,))
-
-    def test_runs_cover_the_sweep(self, study):
-        labels = [run.label for run in study.runs]
-        assert labels == ["serial", "thread:2", "process:2"]
-        assert study.baseline.label == "serial"
-        assert study.by_label()["process:2"].backend == "process-pool"
-
-    def test_speedups_are_relative_to_serial_and_threads(self, study):
-        runs = study.by_label()
-        assert runs["serial"].speedup_vs_serial == 1.0
-        assert runs["serial"].speedup_vs_threads is None
-        assert runs["thread:2"].speedup_vs_threads is None
-        process = runs["process:2"]
-        assert process.speedup_vs_serial > 0.0
-        assert process.speedup_vs_threads is not None
-        assert process.speedup_vs_threads == pytest.approx(
-            process.throughput_qps / runs["thread:2"].throughput_qps
-        )
-
-    def test_as_dict_schema(self, study):
-        payload = study.as_dict()
-        assert set(payload) == {
-            "dataset",
-            "num_seeds",
-            "repeat_factor",
-            "k",
-            "worker_counts",
-            "runs",
-        }
-        for run in payload["runs"]:
-            assert set(run) == {
-                "label",
-                "backend",
-                "workers",
-                "num_queries",
-                "wall_seconds",
-                "throughput_qps",
-                "mean_latency_seconds",
-                "cache_hit_rate",
-                "speedup_vs_serial",
-                "speedup_vs_threads",
-            }
-            assert run["throughput_qps"] > 0.0
-        document = json.dumps(payload)
-        assert '"throughput_qps"' in document
-
-    def test_format_renders_every_run(self, study):
-        table = format_process(study)
-        assert "E12" in table
-        for run in study.runs:
-            assert run.label in table
-
-
-class TestProcessBenchScript:
-    def test_bench_json_contract(self):
-        bench = load_bench_module("bench_process_serving")
-        study = bench.run_benchmark(num_seeds=2, repeat_factor=2, worker_counts=(2,))
-        payload = json.loads(bench.study_json(study))
-        assert [run["label"] for run in payload["runs"]] == [
-            "serial",
-            "thread:2",
-            "process:2",
-        ]
-
-
 class TestCheckRegression:
     @pytest.fixture(scope="class")
     def checker(self):
@@ -108,14 +36,14 @@ class TestCheckRegression:
         return {
             "runs": [
                 {"label": "serial", "throughput_qps": 100.0},
-                {"label": "process:2", "throughput_qps": 300.0},
+                {"label": "hash-s2", "throughput_qps": 300.0},
             ]
         }
 
     def test_extract_metrics(self, checker, report):
         assert checker.extract_metrics(report) == {
             "serial": 100.0,
-            "process:2": 300.0,
+            "hash-s2": 300.0,
         }
         with pytest.raises(ValueError, match="runs"):
             checker.extract_metrics({})
@@ -126,11 +54,11 @@ class TestCheckRegression:
         noisy = {
             "runs": [
                 {"label": "serial", "throughput_qps": 40.0},  # noisy dip
-                {"label": "process:2", "throughput_qps": 310.0},
+                {"label": "hash-s2", "throughput_qps": 310.0},
             ]
         }
         best = checker.best_metrics([noisy, report])
-        assert best == {"serial": 100.0, "process:2": 310.0}
+        assert best == {"serial": 100.0, "hash-s2": 310.0}
 
     def test_within_tolerance_passes(self, checker):
         checks = checker.check_metrics(
@@ -168,7 +96,7 @@ class TestCheckRegression:
             == 0
         )
         baseline = json.loads(baseline_path.read_text())
-        assert baseline["metrics"] == {"serial": 100.0, "process:2": 300.0}
+        assert baseline["metrics"] == {"serial": 100.0, "hash-s2": 300.0}
 
         # 2. The gate passes on the same numbers.
         assert checker.main(["--baseline", str(baseline_path), str(run_path)]) == 0
@@ -191,7 +119,7 @@ class TestCheckRegression:
         # Exactly the gated benchmarks have a committed baseline, each with
         # plausible content: a stale or a missing baseline fails here.
         paths = sorted((BENCH_DIR / "baselines").glob("*.json"))
-        assert {path.stem for path in paths} == {"process", "sharded"}
+        assert {path.stem for path in paths} == {"sharded"}
         for path in paths:
             document = json.loads(path.read_text())
             assert document["metrics"], f"{path.stem} baseline has no metrics"
@@ -204,25 +132,25 @@ class TestCheckRegression:
 
     def test_format_checks_reports_each_outcome(self, checker):
         checks = checker.check_metrics(
-            {"serial": 100.0, "process:2": 300.0, "thread:2": 200.0},
-            {"serial": 95.0, "process:2": 60.0},
+            {"serial": 100.0, "hash-s2": 300.0, "thread:2": 200.0},
+            {"serial": 95.0, "hash-s2": 60.0},
             tolerance=0.30,
         )
         lines = checker.format_checks(checks, 0.30).splitlines()
         assert lines[0].split() == ["configuration", "baseline", "candidate", "ratio", "status"]
         rows = {line.split()[0]: line for line in lines[1:]}
-        assert set(rows) == {"serial", "process:2", "thread:2"}
+        assert set(rows) == {"serial", "hash-s2", "thread:2"}
         assert rows["serial"].endswith("ok") and "0.95x" in rows["serial"]
-        assert "FAIL (>30% regression)" in rows["process:2"] and "0.20x" in rows["process:2"]
+        assert "FAIL (>30% regression)" in rows["hash-s2"] and "0.20x" in rows["hash-s2"]
         assert "missing" in rows["thread:2"] and "FAIL" in rows["thread:2"]
 
     def test_cli_takes_the_best_of_repeated_reports(self, checker, report, tmp_path, capsys):
         baseline_path = tmp_path / "baseline.json"
-        baseline_path.write_text(json.dumps({"metrics": {"serial": 100.0, "process:2": 300.0}}))
+        baseline_path.write_text(json.dumps({"metrics": {"serial": 100.0, "hash-s2": 300.0}}))
         noisy = {
             "runs": [
                 {"label": "serial", "throughput_qps": 10.0},
-                {"label": "process:2", "throughput_qps": 30.0},
+                {"label": "hash-s2", "throughput_qps": 30.0},
             ]
         }
         noisy_path = tmp_path / "noisy.json"
@@ -239,7 +167,7 @@ class TestCheckRegression:
 
     def test_cli_tolerance_flag_sets_the_bound(self, checker, report, tmp_path, capsys):
         baseline_path = tmp_path / "baseline.json"
-        baseline_path.write_text(json.dumps({"metrics": {"serial": 200.0, "process:2": 600.0}}))
+        baseline_path.write_text(json.dumps({"metrics": {"serial": 200.0, "hash-s2": 600.0}}))
         run_path = tmp_path / "run.json"
         run_path.write_text(json.dumps(report))  # half the baseline throughput
         assert checker.main(["--baseline", str(baseline_path), str(run_path)]) == 1
@@ -253,7 +181,7 @@ class TestCheckRegression:
         slow = {
             "runs": [
                 {"label": "serial", "throughput_qps": 120.0},
-                {"label": "process:2", "throughput_qps": 150.0},
+                {"label": "hash-s2", "throughput_qps": 150.0},
             ]
         }
         paths = []
@@ -263,7 +191,7 @@ class TestCheckRegression:
         baseline_path = tmp_path / "baseline.json"
         assert checker.main(["--baseline", str(baseline_path), "--update", *map(str, paths)]) == 0
         baseline = json.loads(baseline_path.read_text())
-        assert baseline["metrics"] == {"serial": 120.0, "process:2": 300.0}
+        assert baseline["metrics"] == {"serial": 120.0, "hash-s2": 300.0}
         assert "--update" in baseline["note"]
 
     def test_cli_rejects_a_baseline_without_metrics(self, checker, report, tmp_path):

@@ -8,9 +8,9 @@ Covers the streaming-update substrate end to end:
   hypothesis-driven random update-stream suite;
 * the conservative hop-distance bound that justifies surgical cache
   invalidation;
-* ``QueryEngine.apply_update`` differentials across serial, thread-pool,
-  sharded and process-pool serving (answers must match a fresh solver on
-  the rebuilt graph at every step), the writer barrier under concurrent
+* ``QueryEngine.apply_update`` differentials across serial, thread-pool
+  and sharded serving (answers must match a fresh solver on the rebuilt
+  graph at every step), the writer barrier under concurrent
   batches, and the fingerprint-keyed ``structure_for`` sharing that makes
   buffer-reusing compacted graphs safe.
 """
@@ -38,7 +38,7 @@ from repro.meloppr.config import MeLoPPRConfig
 from repro.meloppr.selection import RatioSelector
 from repro.meloppr.solver import MeLoPPRSolver
 from repro.ppr.base import PPRQuery
-from repro.serving.backends import ProcessPoolBackend, ThreadPoolBackend
+from repro.serving.backends import ThreadPoolBackend
 from repro.serving.cache import SubgraphCache
 from repro.serving.engine import QueryEngine
 from repro.serving.result_cache import ScoreTableCache
@@ -388,13 +388,13 @@ def assert_matches_rebuild(engine, queries, current_edges, num_nodes):
 class TestEngineApplyUpdate:
     QUERIES = [PPRQuery(seed=s, k=15, length=4) for s in (1, 2, 3, 1, 2)]
 
-    def run_churn(self, make_engine, steps=3):
+    def run_churn(self, make_engine):
         graph = barabasi_albert_graph(120, 2, rng=3)
         current = edge_set(graph)
         rng = np.random.default_rng(11)
         with make_engine(graph) as engine:
             engine.solve_batch(self.QUERIES)
-            for _ in range(steps):
+            for _ in range(3):
                 ops = churn_ops(current, graph.num_nodes, rng)
                 outcome = engine.apply_update(ops)
                 assert outcome["ops"] == len(ops)
@@ -423,6 +423,30 @@ class TestEngineApplyUpdate:
             )
         )
 
+    def test_thread_pool_result_cache_only(self):
+        self.run_churn(
+            lambda g: QueryEngine(
+                MeLoPPRSolver(g, CONFIG),
+                backend=ThreadPoolBackend(max_workers=2),
+                result_cache=ScoreTableCache(1 << 20),
+            )
+        )
+
+    def test_thread_pool_sharded(self):
+        def make(graph):
+            partition = partition_graph(graph, num_shards=3, halo_depth=2)
+            router = ShardRouter(
+                partition, cache_bytes=1 << 20, result_cache_bytes=1 << 20
+            )
+            return QueryEngine(
+                MeLoPPRSolver(graph, CONFIG),
+                backend=ThreadPoolBackend(max_workers=2),
+                router=router,
+            )
+
+        engine = self.run_churn(make)
+        assert engine.router.partition.host is engine.solver.graph
+
     def test_sharded(self):
         def make(graph):
             partition = partition_graph(graph, num_shards=3, halo_depth=2)
@@ -434,16 +458,6 @@ class TestEngineApplyUpdate:
         engine = self.run_churn(make)
         # The router swapped to the updated topology alongside the solver.
         assert engine.router.partition.host is engine.solver.graph
-
-    def test_process_pool(self):
-        self.run_churn(
-            lambda g: QueryEngine(
-                MeLoPPRSolver(g, CONFIG),
-                backend=ProcessPoolBackend(num_workers=2),
-                result_cache=ScoreTableCache(1 << 20),
-            ),
-            steps=2,
-        )
 
     def test_invalid_batch_changes_nothing(self):
         graph = barabasi_albert_graph(50, 2, rng=0)

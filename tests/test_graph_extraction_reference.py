@@ -367,7 +367,7 @@ class TestLazyLocalMap:
         assert twin.to_local(int(bfs.nodes[-1])) == subgraph.num_nodes - 1
 
     def test_direct_constructor_over_read_only_ids(self, small_ba_graph):
-        # serving.shm attaches shard ids as a read-only view of shared memory.
+        # Ids may come from a read-only array (a frozen or mapped buffer).
         subgraph, bfs = extract_ego_subgraph(small_ba_graph, 5, 1)
         ids = bfs.nodes + 1000
         ids.setflags(write=False)

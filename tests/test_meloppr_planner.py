@@ -27,11 +27,10 @@ from repro.meloppr.solver import MeLoPPRSolver
 from repro.ppr.base import PPRQuery
 from repro.ppr.local_ppr import LocalPPRSolver
 from repro.ppr.metrics import result_precision
-from repro.serving.backends import _WorkerState, make_backend
+from repro.serving.backends import make_backend
 from repro.serving.cache import DEFAULT_CACHE_BYTES, SubgraphCache
 from repro.serving.engine import QueryEngine
 from repro.serving.sharding import ShardRouter
-from repro.serving.shm import SharedGraphHandle, SharedShardHandle
 from repro.serving.tracing import Tracer
 
 
@@ -191,9 +190,8 @@ class TestWaveExecutorAgainstTheSolver:
 
     def test_production_never_runs_the_per_ball_functions(self, small_ba_graph, monkeypatch):
         """Every serving path extracts and diffuses a stage in waves: with the
-        per-ball extraction and diffusion raising, each in-process engine
-        cell and a worker in either binding still returns the solver's
-        answers."""
+        per-ball extraction and diffusion raising, each engine cell still
+        returns the solver's answers."""
         base = MeLoPPRConfig(selector=RatioSelector(0.2), track_memory=False)
         # "deeper": stage one (4 hops) is past the halo, stage two is not.
         configs = {
@@ -241,34 +239,6 @@ class TestWaveExecutorAgainstTheSolver:
             if routing == "deeper":
                 router_stats = engine.router.stats()
                 assert router_stats.fallback_extractions and router_stats.local_extractions
-
-        shard_handles = [
-            SharedShardHandle.export(shard, partition.host.name, partition.halo_depth)
-            for shard in partition.shards
-        ]
-        try:
-            with SharedGraphHandle.export(small_ba_graph) as host_handle:
-                bindings = (
-                    (host_handle.descriptor, lambda task: None),
-                    (
-                        tuple(handle.descriptor for handle in shard_handles),
-                        lambda task: int(partition.assignments[task.center]),
-                    ),
-                )
-                for descriptors, shard_of in bindings:
-                    state = _WorkerState(descriptors, cache_bytes=1 << 20)
-
-                    def run_stage(plan, tasks):
-                        return state.run_stage([(shard_of(task), task) for task in tasks])[0]
-
-                    results = [
-                        execute_plan(MeLoPPRPlan(small_ba_graph, base, q), run_stage=run_stage)
-                        for q in queries
-                    ]
-                    assert [_comparable(r) for r in results] == expected["halo"]
-        finally:
-            for handle in shard_handles:
-                handle.unlink()
 
     @pytest.mark.parametrize("width", [1, 2, 5])
     def test_wave_boundaries_do_not_show(self, width, monkeypatch):

@@ -3,8 +3,8 @@
 The cross-query result cache promises that replaying a cached stage-one
 table is a pure performance choice: every score an engine produces with the
 cache enabled must equal — bitwise, no tolerance — what the uncached serial
-path produces, for every backend (``serial``/``thread:N``/``process:N``), with and without a :class:`~repro.serving.sharding.
-ShardRouter`, on hot repeated-seed streams and on interleaved cold/hot
+path produces, for every backend (``serial``/``thread:N``), with and
+without a :class:`~repro.serving.sharding.ShardRouter`, on hot repeated-seed streams and on interleaved cold/hot
 mixes.  This module checks that promise with an exhaustive grid, an async
 frontend composition test (in-flight dedup × temporal reuse), and
 hypothesis-driven property tests over random graphs and query mixes.
@@ -31,7 +31,7 @@ from repro.serving import (
 )
 from repro.serving.frontend.batcher import BatchPolicy, MicroBatcher
 
-BACKENDS = ("serial", "thread:2", "process:2")
+BACKENDS = ("serial", "thread:2")
 
 
 def exact_scores(results):
@@ -58,7 +58,6 @@ def hot_stream(graph):
 def solve_cached(graph, queries, backend_spec, sharded):
     """Answer ``queries`` with result caching on, returning (results, stats)."""
     backend = make_backend(backend_spec)
-    remote = getattr(backend, "executes_stage_tasks", False)
     if sharded:
         partition = partition_graph(graph, 3, strategy="hash", halo_depth=3)
         router = ShardRouter(partition, result_cache_bytes=16 << 20)
@@ -67,7 +66,7 @@ def solve_cached(graph, queries, backend_spec, sharded):
         engine = QueryEngine(
             MeLoPPRSolver(graph),
             backend=backend,
-            cache=None if remote else SubgraphCache(),
+            cache=SubgraphCache(),
             result_cache=ScoreTableCache(),
         )
     with engine:

@@ -15,7 +15,6 @@ import pytest
 
 from repro.serving import (
     ExecutionBackend,
-    ProcessPoolBackend,
     SerialBackend,
     ThreadPoolBackend,
     make_backend,
@@ -24,8 +23,9 @@ from repro.serving import (
 BACKEND_FACTORIES = [
     SerialBackend,
     lambda: ThreadPoolBackend(2),
+    lambda: ThreadPoolBackend(1),
 ]
-BACKEND_IDS = ["serial", "thread-pool"]
+BACKEND_IDS = ["serial", "thread-pool", "thread-pool-1"]
 
 
 @pytest.fixture(params=BACKEND_FACTORIES, ids=BACKEND_IDS)
@@ -156,19 +156,33 @@ class TestMakeBackend:
         assert backend.max_workers == 8
         backend.close()
 
-    @pytest.mark.parametrize("spec", ["process:2", "processes:2", "process-pool:2"])
-    def test_process_aliases(self, spec):
+    @pytest.mark.parametrize(
+        "spec, workers",
+        [("thread:1", 1), ("thread:3", 3), ("threads:5", 5), ("thread-pool:7", 7), ("THREAD:64", 64)],
+        ids=["thread:1", "thread:3", "threads:5", "thread-pool:7", "THREAD:64"],
+    )
+    def test_worker_count_reaches_the_pool(self, spec, workers):
         backend = make_backend(spec)
-        assert isinstance(backend, ProcessPoolBackend)
-        assert backend.num_workers == 2
-        assert not backend.is_running  # workers start at bind, not here
-        backend.close()
+        try:
+            assert isinstance(backend, ThreadPoolBackend)
+            assert backend.max_workers == workers
+            assert backend._executor is None  # nothing starts until first use
+            assert backend.map(lambda x: x * 3, [1, 2]) == [3, 6]
+            assert backend._executor._max_workers == workers
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("spec", ["process", "process:2", "processes:2", "process-pool:2"])
+    def test_process_is_not_a_backend(self, spec):
+        with pytest.raises(ValueError, match="unknown backend spec") as info:
+            make_backend(spec)
+        assert "'serial' or 'thread[:N]'" in str(info.value)
 
     @pytest.mark.parametrize("spec", ["async", "async:2"])
     def test_async_is_not_a_backend(self, spec):
         with pytest.raises(ValueError, match="unknown backend spec") as info:
             make_backend(spec)
-        assert "'serial', 'thread[:N]' or 'process[:N]'" in str(info.value)
+        assert "'serial' or 'thread[:N]'" in str(info.value)
 
     def test_spec_is_case_insensitive_and_trimmed(self):
         backend = make_backend("  Thread:2 ")

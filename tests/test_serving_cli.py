@@ -192,6 +192,25 @@ def test_router_cli_stops_its_spawned_fleet_on_sigterm(tmp_path):
             os.kill(replica, signal.SIGKILL)
 
 
+def test_router_cli_refuses_a_bad_backend_before_spawning(tmp_path):
+    # A spawned replica's stderr is discarded, so the spec is checked first.
+    env = dict(cli_env(), TMPDIR=str(tmp_path))
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "repro.serving.frontend.router",
+            "--port", "0", "--spawn", "1", "--backend", "bogus",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2  # a usage error, not a dead fleet
+    assert "unknown backend spec 'bogus'; expected 'serial' or 'thread[:N]'" in done.stderr
+    assert "before becoming ready" not in done.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def _alive(pid: int) -> bool:
     try:
         os.kill(pid, 0)

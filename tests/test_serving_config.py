@@ -13,14 +13,17 @@ import pytest
 
 from repro.meloppr.planner import execute_stage, execute_stage_task
 from repro.serving import frontend
-from repro.serving.backends import ProcessPoolBackend
 from repro.serving.engine import QueryEngine
 from repro.serving.frontend.config import (
     ServingConfig,
     build_frontend,
     build_serving_parser,
 )
+from repro.serving.backends import make_backend
+from repro.serving.frontend.http import main as http_main
 from repro.serving.frontend.router import build_router_parser
+from repro.serving.frontend.router import main as router_main
+from repro.serving.frontend.server import main as server_main
 
 #: The TCP CLI's parser (the shared flags at the TCP default port, 7071).
 build_parser = build_serving_parser
@@ -107,7 +110,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize(
         "entry",
-        [QueryEngine, ProcessPoolBackend, execute_stage, execute_stage_task],
+        [QueryEngine, execute_stage, execute_stage_task],
         ids=lambda entry: entry.__name__,
     )
     def test_no_serving_layer_takes_a_kernel(self, entry):
@@ -131,6 +134,87 @@ class TestRoundTrip:
             ServingConfig(num_shards=-1)
         with pytest.raises(ValueError):
             ServingConfig(num_shards=2, partition="nope")
+
+    @pytest.mark.parametrize("spec", ["process:2", "bogus", "process", "async:2", "gpu:4"])
+    def test_a_backend_make_backend_refuses_is_refused(self, spec):
+        # Checked here, not in the spawned replica, whose stderr nobody reads.
+        with pytest.raises(ValueError, match="expected 'serial' or 'thread\\[:N\\]'"):
+            ServingConfig(backend=spec)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("thread:0", "max_workers must be > 0"),
+            ("thread:-2", "max_workers must be > 0"),
+            ("thread:many", "non-integer worker count"),
+            ("thread:", "non-integer worker count"),
+            ("serial:2", "serial backend takes no worker count"),
+        ],
+        ids=["thread:0", "thread:-2", "thread:many", "thread:", "serial:2"],
+    )
+    def test_a_malformed_worker_count_is_refused(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            ServingConfig(backend=spec)
+
+    @pytest.mark.parametrize(
+        "spec, name, workers",
+        [
+            ("serial", "serial", None),
+            ("thread", "thread-pool", None),
+            ("thread:1", "thread-pool", 1),
+            ("thread:2", "thread-pool", 2),
+            ("thread:16", "thread-pool", 16),
+            ("threads:3", "thread-pool", 3),
+            ("thread-pool:4", "thread-pool", 4),
+            ("Thread:2", "thread-pool", 2),
+        ],
+        ids=[
+            "serial",
+            "thread",
+            "thread:1",
+            "thread:2",
+            "thread:16",
+            "threads:3",
+            "thread-pool:4",
+            "Thread:2",
+        ],
+    )
+    def test_an_accepted_backend_round_trips_and_builds(self, spec, name, workers):
+        config = ServingConfig(backend=spec)
+        args = build_parser().parse_args(config.to_argv())
+        assert ServingConfig.from_args(args) == config
+        backend = make_backend(config.backend)
+        try:
+            assert backend.name == name
+            assert getattr(backend, "max_workers", None) == workers
+        finally:
+            backend.close()
+
+
+class TestCliBackendRefusal:
+    """Every serving CLI refuses a bad ``--backend`` as a usage error."""
+
+    MAINS = {
+        "tcp": lambda argv: server_main(argv),
+        "http": lambda argv: http_main(argv),
+        "router": lambda argv: router_main(["--spawn", "1"] + argv),
+    }
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("bogus", "unknown backend spec 'bogus'"),
+            ("process:2", "unknown backend spec 'process:2'"),
+            ("thread:0", "max_workers must be > 0, got 0"),
+        ],
+        ids=["bogus", "process:2", "thread:0"],
+    )
+    @pytest.mark.parametrize("cli", sorted(MAINS))
+    def test_bad_backend_exits_before_serving(self, cli, spec, message, capsys):
+        with pytest.raises(SystemExit) as exited:
+            self.MAINS[cli](["--port", "0", "--backend", spec])
+        assert exited.value.code == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 class TestBuildFrontend:

@@ -173,8 +173,7 @@ class TestCloseWithPending:
 
     def test_failed_close_still_releases_backend(self, solver, queries):
         # Regression (ISSUE 4): the pending-queries error must not leave the
-        # backend's OS resources (threads, worker processes, shared memory)
-        # alive — close() releases the backend in a finally.
+        # backend's OS resources (threads) alive — close() releases the backend in a finally.
         class RecordingBackend(SerialBackend):
             closed = 0
 
@@ -257,8 +256,8 @@ class TestResetStatsCoversEveryCounterSource:
     """Regression: per-interval resets must reach *all* aggregated counters.
 
     ``stats()`` folds several counter sources into one snapshot — the
-    engine accumulator, the router's per-shard/fallback/result caches, the
-    engine-level caches, and a stage-task backend's worker caches.
+    engine accumulator, the router's per-shard/fallback/result caches and
+    the engine-level caches.
     ``reset_stats(reset_cache_stats=True)`` historically reset only the
     engine-side sources, so the first interval report after a reset still
     carried stale cache counters (observed as impossible per-interval hit
@@ -284,30 +283,6 @@ class TestResetStatsCoversEveryCounterSource:
             assert shard.local_extractions == 0
             assert all_cache_counters_zero(shard.cache)
             assert all_cache_counters_zero(shard.result_cache)
-
-    def test_process_backend_reset_zeroes_worker_cache_counters(
-        self, small_ba_graph, queries
-    ):
-        from repro.serving import ProcessPoolBackend, ScoreTableCache
-
-        backend = ProcessPoolBackend(num_workers=2, cache_bytes=16 << 20)
-        with QueryEngine(
-            MeLoPPRSolver(small_ba_graph),
-            backend=backend,
-            result_cache=ScoreTableCache(),
-        ) as engine:
-            engine.solve_batch(queries)
-            before = engine.stats()
-            assert before.cache.lookups > 0  # worker caches saw traffic
-            engine.reset_stats(reset_cache_stats=True)
-            stats = engine.stats()
-        assert stats.queries_served == 0
-        # The regression: worker-side counters used to survive the reset and
-        # leak into the next interval's aggregate.
-        assert all_cache_counters_zero(stats.cache)
-        assert all_cache_counters_zero(stats.result_cache)
-        # Warm entries survive — only history was zeroed.
-        assert stats.cache.num_entries > 0
 
     def test_reset_zeroes_tracing_counters_but_keeps_the_ring(
         self, small_ba_graph, queries

@@ -547,51 +547,6 @@ class TestReportedLatency:
         assert reported_ms >= 50.0
 
 
-class TestProcessBackendCLIRebuild:
-    def test_no_cache_rebuild_preserves_process_backend_config(self):
-        """Regression: ``--no-cache`` rebuilds the backend; the rebuild must
-        keep the worker count and spawn context of the original."""
-        from repro.serving.frontend.config import (
-            ServingConfig,
-            build_frontend,
-            build_serving_parser as build_parser,
-        )
-
-        args = build_parser().parse_args(["--no-cache", "--backend", "process:2"])
-        engine, _, _ = build_frontend(ServingConfig.from_args(args))
-        try:
-            assert engine.cache is None
-            assert engine.result_cache is None
-            # The rebuilt backend keeps the original's full configuration.
-            assert engine.backend.name == "process-pool"
-            assert engine.backend.num_workers == 2
-            assert engine.backend.cache_bytes is None
-            from repro.serving.backends import make_backend
-
-            pristine = make_backend("process:2")
-            try:
-                assert engine.backend.mp_context == pristine.mp_context
-            finally:
-                pristine.close()
-        finally:
-            engine.close()
-
-    def test_cached_process_backend_keeps_worker_count(self):
-        from repro.serving.frontend.config import (
-            ServingConfig,
-            build_frontend,
-            build_serving_parser as build_parser,
-        )
-
-        args = build_parser().parse_args(["--backend", "process:2"])
-        engine, _, _ = build_frontend(ServingConfig.from_args(args))
-        try:
-            assert engine.backend.name == "process-pool"
-            assert engine.backend.num_workers == 2
-        finally:
-            engine.close()
-
-
 class TestTcpLiveOps:
     def test_drain_op_completes_inflight_and_refuses_new_connections(
         self, small_ba_graph

@@ -60,6 +60,44 @@ class TestShardingStudySchema:
         assert "E10" in format_sharding(study)
 
 
+class TestShardingStudySweep:
+    @pytest.fixture(scope="class")
+    def study(self):
+        return run_sharding_study(
+            num_seeds=2,
+            repeat_factor=2,
+            shard_counts=(2, 3),
+            strategies=("hash", "range"),
+        )
+
+    def test_runs_cover_the_sweep(self, study):
+        # Strategy-major order, one run per strategy × shard count.
+        assert [run.label for run in study.runs] == [
+            "hash-s2",
+            "hash-s3",
+            "range-s2",
+            "range-s3",
+        ]
+        for run in study.runs:
+            assert run.label == f"{run.strategy}-s{run.num_shards}"
+            assert run.num_queries == 4
+            assert run.cache_enabled is True
+            assert len(run.per_shard_hit_rates) == run.num_shards
+        assert study.best in study.runs
+
+    def test_speedups_are_relative_to_unsharded(self, study):
+        assert study.unsharded_qps > 0.0
+        for run in study.runs:
+            assert run.speedup_vs_unsharded == pytest.approx(
+                run.throughput_qps / study.unsharded_qps
+            )
+
+    def test_format_renders_every_run(self, study):
+        table = format_sharding(study)
+        for run in study.runs:
+            assert run.label in table
+
+
 class TestShardedBenchScript:
     @pytest.fixture(scope="class")
     def bench(self):
@@ -86,3 +124,14 @@ class TestShardedBenchScript:
             assert_rate(run["cache_hit_rate"])
             assert_rate(run["cross_shard_fallback_rate"])
             assert len(run["per_shard_hit_rates"]) == run["num_shards"]
+
+    def test_json_feeds_the_regression_gate(self, bench, tmp_path):
+        # The gate reads the bench's ``runs`` list by label and throughput.
+        out = tmp_path / "sharded.json"
+        argv = ["--num-seeds", "2", "--repeat-factor", "2", "--shard-counts", "2"]
+        assert bench.main(argv + ["--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        metrics = load_bench_module("check_regression").extract_metrics(payload)
+        assert set(metrics) == {run["label"] for run in payload["runs"]}
+        assert set(metrics) == {"hash-s2", "range-s2", "degree-s2"}
+        assert all(qps > 0.0 for qps in metrics.values())

@@ -1,0 +1,293 @@
+"""Differential correctness and lifecycle of thread-pool serving.
+
+The thread-pool backend promises that spreading a batch's queries over a
+persistent pool is a pure performance choice: every score must equal —
+bitwise, no tolerance — what the serial in-process path produces, with and
+without sharding, with the extraction cache on or off, for any pool size.
+The grid covers those axes on a fixed graph; hypothesis drives random query
+mixes through one long-lived engine (the pool persists across examples,
+exactly like a long-lived server).  The lifecycle tests pin what an engine
+does with its pool around close, pending queries and failing batches.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.graph.generators import barabasi_albert_graph
+from repro.graph.partition import PARTITIONERS, partition_graph
+from repro.meloppr.solver import MeLoPPRSolver
+from repro.ppr.base import PPRQuery
+from repro.serving import (
+    QueryEngine,
+    ScoreTableCache,
+    ShardRouter,
+    SubgraphCache,
+    ThreadPoolBackend,
+)
+
+
+def exact_scores(results):
+    """Per-query score dicts for bitwise comparison (no tolerance)."""
+    return [dict(result.scores.items()) for result in results]
+
+
+@pytest.fixture(scope="module")
+def graph():
+    return barabasi_albert_graph(180, 2, rng=7, name="ba180-thread")
+
+
+@pytest.fixture(scope="module")
+def queries(graph):
+    seeds = [0, 7, 63, 7, 120, 0]
+    # Mixed lengths exercise one-stage, degenerate and multi-stage plans.
+    return [
+        PPRQuery(seed=seed, k=30, alpha=0.85, length=length)
+        for seed, length in zip(seeds, (6, 6, 3, 1, 0, 6))
+    ]
+
+
+@pytest.fixture(scope="module")
+def reference(graph, queries):
+    solver = MeLoPPRSolver(graph)
+    return exact_scores([solver.solve(query) for query in queries])
+
+
+class TestUnshardedGrid:
+    @pytest.mark.parametrize("num_workers", [1, 2, 3])
+    @pytest.mark.parametrize("cached", [False, True], ids=["cold", "cached"])
+    def test_bit_identical_scores(self, graph, queries, reference, num_workers, cached):
+        cache = SubgraphCache(32 << 20) if cached else None
+        backend = ThreadPoolBackend(num_workers)
+        with QueryEngine(MeLoPPRSolver(graph), backend=backend, cache=cache) as engine:
+            results = engine.solve_batch(queries)
+            stats = engine.stats()
+        assert exact_scores(results) == reference
+        assert stats.backend == "thread-pool"
+        assert stats.queries_served == len(queries)
+        assert (stats.cache is not None) is cached
+        for result in results:
+            serving = result.metadata["serving"]
+            assert serving["backend"] == "thread-pool"
+            assert serving["cache_enabled"] is cached
+            assert serving["sharded"] is False
+
+    def test_repeated_batches_reuse_the_pool(self, graph, queries, reference):
+        backend = ThreadPoolBackend(2)
+        with QueryEngine(MeLoPPRSolver(graph), backend=backend) as engine:
+            first = engine.solve_batch(queries)
+            executor = backend._executor
+            assert executor is not None
+            second = engine.solve_batch(queries)
+            assert backend._executor is executor  # persistent pool, no restart
+        assert backend._executor is None  # the engine closed its backend
+        assert exact_scores(first) == reference
+        assert exact_scores(second) == reference
+
+
+class TestShardedGrid:
+    @pytest.mark.parametrize("cached", [False, True], ids=["cold", "cached"])
+    @pytest.mark.parametrize("num_shards", [2, 5])
+    @pytest.mark.parametrize("strategy", sorted(PARTITIONERS))
+    def test_bit_identical_scores(
+        self, graph, queries, reference, strategy, num_shards, cached
+    ):
+        partition = partition_graph(graph, num_shards, strategy=strategy, halo_depth=3)
+        router = ShardRouter(partition, cache_bytes=(32 << 20) if cached else None)
+        backend = ThreadPoolBackend(2)
+        with QueryEngine(MeLoPPRSolver(graph), backend=backend, router=router) as engine:
+            results = engine.solve_batch(queries)
+            stats = engine.stats()
+        assert exact_scores(results) == reference
+        assert stats.router is not None
+        assert stats.router.fallback_rate == 0.0
+        for result in results:
+            assert result.metadata["serving"]["sharded"] is True
+            assert result.metadata["serving"]["cache_enabled"] is cached
+
+    @pytest.mark.parametrize("strategy", sorted(PARTITIONERS))
+    def test_fallback_beyond_halo_bit_identical(
+        self, graph, queries, reference, strategy
+    ):
+        # halo 1 < stage length 3: every extraction of the length-6 queries
+        # is proxied to the host graph from several pool threads at once —
+        # answers still must not move.
+        deep = [i for i, query in enumerate(queries) if query.length == 6]
+        partition = partition_graph(graph, 3, strategy=strategy, halo_depth=1)
+        router = ShardRouter(partition)
+        backend = ThreadPoolBackend(2)
+        with QueryEngine(MeLoPPRSolver(graph), backend=backend, router=router) as engine:
+            results = engine.solve_batch([queries[i] for i in deep])
+            stats = engine.stats()
+        assert exact_scores(results) == [reference[i] for i in deep]
+        assert stats.router.fallback_extractions > 0
+        assert stats.router.fallback_rate == 1.0
+
+    def test_mixed_local_and_fallback_depths(self, graph):
+        # halo 2 serves length<=2 tasks shard-locally; length-3 stages fall
+        # back — one batch exercises both executors side by side.
+        partition = partition_graph(graph, 2, strategy="range", halo_depth=2)
+        router = ShardRouter(partition)
+        backend = ThreadPoolBackend(2)
+        queries = [
+            PPRQuery(seed=seed, k=25, length=length)
+            for seed, length in ((3, 4), (90, 6), (3, 2))
+        ]
+        solver = MeLoPPRSolver(graph)
+        expected = exact_scores([solver.solve(query) for query in queries])
+        with QueryEngine(MeLoPPRSolver(graph), backend=backend, router=router) as engine:
+            results = engine.solve_batch(queries)
+            stats = engine.stats()
+        assert exact_scores(results) == expected
+        assert stats.router.fallback_extractions > 0
+        assert 0.0 < stats.router.fallback_rate < 1.0
+
+
+class TestPropertyBased:
+    """Random query mixes through one long-lived engine per class."""
+
+    @pytest.fixture(scope="class")
+    def served(self, graph):
+        engine = QueryEngine(
+            MeLoPPRSolver(graph), backend=ThreadPoolBackend(2), cache=SubgraphCache()
+        )
+        yield engine
+        engine.close()
+
+    @pytest.fixture(scope="class")
+    def replayed(self, graph):
+        engine = QueryEngine(
+            MeLoPPRSolver(graph),
+            backend=ThreadPoolBackend(2),
+            cache=SubgraphCache(),
+            result_cache=ScoreTableCache(),
+        )
+        yield engine
+        engine.close()
+
+    @pytest.fixture(scope="class")
+    def serial_solver(self, graph):
+        return MeLoPPRSolver(graph)
+
+    @staticmethod
+    def draw_queries(data, graph):
+        seeds = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=graph.num_nodes - 1),
+                min_size=1,
+                max_size=5,
+            )
+        )
+        length = data.draw(st.sampled_from([0, 1, 2, 4, 6]))
+        alpha = data.draw(st.sampled_from([0.5, 0.85, 0.99]))
+        k = data.draw(st.integers(min_value=1, max_value=40))
+        return [PPRQuery(seed=seed, k=k, alpha=alpha, length=length) for seed in seeds]
+
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_random_query_mixes_bit_identical(self, served, serial_solver, graph, data):
+        queries = self.draw_queries(data, graph)
+        expected = exact_scores([serial_solver.solve(query) for query in queries])
+        assert exact_scores(served.solve_batch(queries)) == expected
+
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_random_mixes_with_result_replay_bit_identical(
+        self, replayed, serial_solver, graph, data
+    ):
+        # The stage-one result cache persists across examples, so later
+        # examples replay tables earlier ones installed from other threads.
+        queries = self.draw_queries(data, graph)
+        expected = exact_scores([serial_solver.solve(query) for query in queries])
+        assert exact_scores(replayed.solve_batch(queries)) == expected
+
+
+class TestEngineLifecycle:
+    def test_restart_after_close(self, graph, queries, reference):
+        backend = ThreadPoolBackend(2)
+        engine = QueryEngine(MeLoPPRSolver(graph), backend=backend)
+        first = engine.solve_batch(queries)
+        backend.close()
+        assert backend._executor is None
+        # The pool is lazy: the next batch starts a fresh one.
+        second = engine.solve_batch(queries)
+        assert backend._executor is not None
+        engine.close()
+        assert backend._executor is None
+        assert exact_scores(first) == reference
+        assert exact_scores(second) == reference
+
+    def test_close_with_pending_still_releases_the_pool(self, graph, queries):
+        backend = ThreadPoolBackend(1)
+        engine = QueryEngine(MeLoPPRSolver(graph), backend=backend)
+        engine.solve_batch(queries[:1])  # start the pool
+        engine.submit(queries[0])
+        with pytest.raises(RuntimeError, match="pending"):
+            engine.close()
+        # The pending-queries error must not keep pool threads alive...
+        assert backend._executor is None
+        # ...and the queue is intact: draining restarts the pool and answers.
+        results = engine.drain()
+        assert [result.query for result in results] == [queries[0]]
+        engine.close()
+        assert backend._executor is None
+
+    def test_stage_errors_propagate_by_type(self, graph, queries):
+        # A seed outside the graph fails inside a pool thread; the original
+        # exception type reaches the caller, as on the serial path.
+        bad = PPRQuery(seed=graph.num_nodes + 7, k=5)
+        with QueryEngine(MeLoPPRSolver(graph), backend=ThreadPoolBackend(2)) as engine:
+            with pytest.raises(ValueError, match="out of range"):
+                engine.solve_batch([queries[0], bad])
+
+    def test_failing_batch_in_context_manager_releases_the_pool(self, graph, queries):
+        backend = ThreadPoolBackend(2)
+        bad = PPRQuery(seed=graph.num_nodes, k=5)
+        with pytest.raises(ValueError):
+            with QueryEngine(MeLoPPRSolver(graph), backend=backend) as engine:
+                engine.solve_batch(queries[:2])
+                engine.solve_batch([bad])
+        assert backend._executor is None
+
+    def test_engine_recovers_after_a_failing_batch(self, graph, queries, reference):
+        bad = PPRQuery(seed=graph.num_nodes + 1, k=5)
+        with QueryEngine(
+            MeLoPPRSolver(graph), backend=ThreadPoolBackend(2), cache=SubgraphCache()
+        ) as engine:
+            with pytest.raises(ValueError):
+                engine.solve_batch([bad] + list(queries))
+            results = engine.solve_batch(queries)
+            assert exact_scores(results) == reference
+            # Only the batch that succeeded was counted as served.
+            assert engine.stats().queries_served == len(queries)
+
+    def test_cache_stats_with_a_pool(self, graph, queries):
+        with QueryEngine(
+            MeLoPPRSolver(graph), backend=ThreadPoolBackend(2), cache=SubgraphCache()
+        ) as engine:
+            engine.solve_batch(queries)
+            engine.solve_batch(queries)
+            stats = engine.stats().cache
+            assert stats is not None
+            # The second pass re-extracts nothing it extracted in the first.
+            assert stats.hits > 0
+            assert stats.misses > 0
+            engine.reset_stats(reset_cache_stats=True)
+            cleared = engine.stats().cache
+            assert (cleared.hits, cleared.misses) == (0, 0)
+
+    def test_cache_disabled_reports_none(self, graph, queries):
+        with QueryEngine(MeLoPPRSolver(graph), backend=ThreadPoolBackend(1)) as engine:
+            results = engine.solve_batch(queries[:2])
+            assert engine.stats().cache is None
+            assert results[0].metadata["serving"]["cache_enabled"] is False

@@ -1,8 +1,8 @@
 """Unit tests for the zero-dependency tracer (repro.serving.tracing).
 
 Covers the pieces in isolation — traceparent parsing, the sampling
-decision, span nesting and lifecycle, ring-buffer bounds, cross-process
-adoption, the Perfetto export, the slow-query log, counters and resets —
+decision, span nesting and lifecycle, ring-buffer bounds, the Perfetto
+export, the slow-query log, counters and resets —
 plus the telemetry contract pins that ride along in this PR
 (empty-histogram percentiles, stable ``LatencySnapshot.as_dict`` order).
 The end-to-end serving-path integration lives in
@@ -27,7 +27,6 @@ from repro.serving.tracing import (
     monotonic_wall,
     parse_traceparent,
     validate_trace_events,
-    worker_wave_spans,
 )
 
 
@@ -231,47 +230,6 @@ class TestSpanLifecycle:
     def test_monotonic_wall_is_monotonic(self):
         readings = [monotonic_wall() for _ in range(100)]
         assert readings == sorted(readings)
-
-
-class TestAdoption:
-    def test_adopt_reparents_roots_and_keeps_child_links(self):
-        tracer = Tracer(sample_rate=1.0)
-        ctx = tracer.start_trace()
-        now = monotonic_wall()
-        raw = worker_wave_spans(
-            stage_index=1,
-            shard_ids=[2],
-            started=now,
-            ended=now + 0.010,
-            timing_seconds={"bfs": 0.004, "diffusion": 0.005},
-            balls=1,
-            cache_hits=0,
-        )
-        stage = ctx.begin_span("engine.stage", push=True)
-        assert ctx.adopt(raw) == 3
-        ctx.end_span(stage)
-        ctx.finish()
-
-        by_name = {s.name: s for s in ctx.spans}
-        task = by_name["worker.wave"]
-        assert task.parent_id == stage.span_id  # root re-parented here
-        assert task.trace_id == ctx.trace_id
-        assert task.attributes["shard_ids"] == [2]
-        assert task.attributes["cache_hits"] == 0
-        # Children keep their intra-worker parent link.
-        assert by_name["worker.extract"].parent_id == task.span_id
-        assert by_name["worker.diffusion"].parent_id == task.span_id
-        # Every parent_id in the finished tree resolves within the tree.
-        ids = {s.span_id for s in ctx.spans}
-        for span in ctx.spans:
-            assert span.parent_id is None or span.parent_id in ids
-
-    def test_worker_spans_omit_zero_duration_children(self):
-        now = monotonic_wall()
-        raw = worker_wave_spans(0, [], now, now + 0.001, {}, balls=1, cache_hits=1)
-        assert [s["name"] for s in raw] == ["worker.wave"]
-        assert raw[0]["attributes"]["shard_ids"] == []
-        assert raw[0]["attributes"]["cache_hits"] == 1
 
 
 class TestRingAndExport:

@@ -2,8 +2,7 @@
 
 The unit behavior of the tracer lives in ``tests/test_tracing.py``; these
 tests prove the *threading* — that a sampled query through the real stack
-(admission queue → micro-batch → engine → stages → process-pool workers →
-shard router) yields one connected span tree, that trace context propagates
+(admission queue → micro-batch → engine → stages → shard router) yields one connected span tree, that trace context propagates
 in over both transports (TCP ``trace`` field, HTTP ``traceparent`` header),
 that the debug endpoints export valid Chrome trace-event JSON, and that the
 disabled path costs nothing measurable.
@@ -25,12 +24,12 @@ from repro.meloppr.config import MeLoPPRConfig
 from repro.meloppr.solver import MeLoPPRSolver
 from repro.ppr.base import PPRQuery
 from repro.serving import (
-    ProcessPoolBackend,
     QueryEngine,
     ShardRouter,
     SubgraphCache,
     Tracer,
     format_traceparent,
+    make_backend,
     validate_trace_events,
 )
 from repro.serving.tracing import make_span_id, make_trace_id
@@ -157,21 +156,19 @@ class TestEngineTracing:
         assert engine_spans[0]["attributes"]["seed"] == 3
 
 
-class TestProcessPoolAcceptance:
-    def test_connected_span_tree_across_workers_and_shards(
-        self, small_ba_graph, config
-    ):
-        """The PR's acceptance path: TCP request → admission → batcher →
-        engine → process:2 workers over a 2-shard router, one connected
-        span tree with worker-side spans re-parented across the IPC
-        boundary, exported as valid Chrome trace-event JSON."""
+class TestShardedAcceptance:
+    @pytest.mark.parametrize("backend", ["serial", "thread:2"])
+    def test_connected_span_tree_across_shards(self, small_ba_graph, config, backend):
+        """TCP request → admission → batcher → engine → a 2-shard router on
+        each backend: one connected span tree whose extraction spans name
+        their shards, exported as valid Chrome trace-event JSON."""
         tracer = Tracer(sample_rate=1.0)
         partition = partition_graph(
             small_ba_graph, 2, strategy="hash", halo_depth=3
         )
         engine = QueryEngine(
             MeLoPPRSolver(small_ba_graph, config),
-            backend=ProcessPoolBackend(num_workers=2),
+            backend=make_backend(backend),
             router=ShardRouter(partition),
             tracer=tracer,
         )
@@ -212,28 +209,19 @@ class TestProcessPoolAcceptance:
             "batcher.batch",
             "engine.query",
             "engine.stage",
-            "worker.wave",
+            "extract",
         ):
             assert required in names, f"missing {required} in {names}"
 
-        spans = {s["span_id"]: s for s in tree["spans"]}
         stage_ids = {
             s["span_id"] for s in tree["spans"] if s["name"] == "engine.stage"
         }
-        workers = [s for s in tree["spans"] if s["name"] == "worker.wave"]
-        assert workers
-        for task in workers:
-            # Re-parented under the stage span that issued the IPC round.
-            assert task["parent_id"] in stage_ids
-            assert set(task["attributes"]["shard_ids"]) <= {0, 1}
-            assert task["attributes"]["worker_pid"] == task["pid"]
-        # Worker spans really come from other processes.
-        parent_pid = tree["spans"][0]["pid"]
-        assert any(task["pid"] != parent_pid for task in workers)
-        # Child worker spans link to their task inside the same tree.
-        for span in tree["spans"]:
-            if span["name"] in ("worker.extract", "worker.diffusion"):
-                assert spans[span["parent_id"]]["name"] == "worker.wave"
+        extracts = [s for s in tree["spans"] if s["name"] == "extract"]
+        for span in extracts:
+            assert span["parent_id"] in stage_ids
+            assert set(span["attributes"]["shard_ids"]) <= {0, 1}
+        # One process served the whole tree.
+        assert {span["pid"] for span in tree["spans"]} == {tree["spans"][0]["pid"]}
 
         doc = tracer.perfetto()
         count = validate_trace_events(doc)
@@ -243,8 +231,7 @@ class TestProcessPoolAcceptance:
             for e in doc["traceEvents"]
             if e["ph"] == "M" and e["name"] == "process_name"
         }
-        assert "serving" in labels
-        assert any(label.startswith("worker-") for label in labels)
+        assert labels == {"serving"}
 
         stats = engine.stats()
         assert stats.tracing is not None

@@ -218,10 +218,6 @@ def make_engine(graph: CSRGraph, mode: str) -> QueryEngine:
     if mode == "sharded":
         partition = partition_graph(graph, 3, strategy="hash", halo_depth=2)
         return QueryEngine(solver, router=ShardRouter(partition, result_cache_bytes=8 << 20))
-    if mode.startswith("process"):
-        return QueryEngine(
-            solver, backend=make_backend(mode), result_cache=ScoreTableCache()
-        )
     return QueryEngine(
         solver,
         backend=make_backend(mode),
@@ -288,7 +284,7 @@ def churn_differential(mode: str, steps: int):
 
 @pytest.mark.parametrize(
     "mode, steps",
-    [("serial", 15), ("thread:2", 6), ("sharded", 6), ("process:2", 3)],
+    [("serial", 15), ("thread:2", 6), ("sharded", 6)],
 )
 def test_every_served_result_after_every_update_equals_a_rebuild(mode, steps):
     comparisons, kept, wrong = churn_differential(mode, steps)
