@@ -26,9 +26,8 @@ halves of a pair alike.
 The ``traced`` run doubles as the CI artifact source: ``--perfetto out.json``
 writes the ring as a validated Chrome trace-event document.
 
-Output follows the serving-bench convention — a top-level config plus a
-``runs`` list whose entries carry ``label`` and ``throughput_qps`` — so
-``benchmarks/check_regression.py`` gates it like the rest.
+Output is a top-level config plus a ``runs`` list whose entries carry
+``label`` and ``throughput_qps``.
 
 Run under pytest (``pytest benchmarks/bench_tracing.py``) or standalone::
 

@@ -4,9 +4,6 @@ Builds a hot-seed workload (a handful of seeds queried repeatedly, as real
 traffic would) and answers it four ways — ``serial`` and ``thread:2``, each
 with a cold and a warm sub-graph cache — printing throughput, mean latency
 and the cache hit rate, and verifying all four return identical answers.
-Then does it again with the host graph partitioned into shards, each ego
-extraction routed to the shard owning its centre (per-shard caches), and
-verifies the sharded answers match too.
 
 Run with::
 
@@ -15,11 +12,11 @@ Run with::
 
 from __future__ import annotations
 
-from repro.graph import load_dataset, partition_graph
+from repro.graph import load_dataset
 from repro.meloppr import MeLoPPRConfig, MeLoPPRSolver
 from repro.meloppr.selection import RatioSelector
 from repro.ppr import PPRQuery
-from repro.serving import QueryEngine, ShardRouter, SubgraphCache, make_backend
+from repro.serving import QueryEngine, SubgraphCache, make_backend
 
 
 def main() -> None:
@@ -59,25 +56,6 @@ def main() -> None:
 
     print(f"\nAll {len(queries)} queries returned identical top-k answers.")
 
-    # Sharded serving: partition the host graph, route each extraction to the
-    # shard owning its centre.  halo_depth=3 covers the (3, 3) stage split,
-    # so every extraction is shard-local and answers stay bit-identical.
-    print("\nSharded serving (per-shard caches, halo depth 3):")
-    for strategy in ("hash", "range", "degree"):
-        partition = partition_graph(graph, 4, strategy=strategy, halo_depth=3)
-        router = ShardRouter(partition)
-        with QueryEngine(MeLoPPRSolver(graph, config), router=router) as engine:
-            results = engine.solve_batch(queries)
-            stats = engine.stats()
-        answers = [result.top_k_nodes() for result in results]
-        assert answers == reference, "sharding must not change answers"
-        router_stats = stats.router
-        print(
-            f"{strategy:>6}, 4 shards    {stats.throughput_qps:7.1f} qps   "
-            f"hit rate {router_stats.hit_rate:.0%}   "
-            f"fallbacks {router_stats.fallback_rate:.0%}   "
-            f"halo {partition.halo_overhead_bytes() / 1024:.0f} KB"
-        )
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ diffusion layer's differential tests and the layered benchmark's
     slice bookkeeping only pay off on balls the size of a whole graph,
     which no served configuration diffuses.
 
-Bit-exactness is the load-bearing contract: caches, shards, backends and
+Bit-exactness is the load-bearing contract: caches, backends and
 the differential test suites all assert scores equal to the serial
 reference, so a kernel may only change *how* the sum is computed, never the
 floating-point accumulation order within a row.  Integer propagation

@@ -20,7 +20,6 @@ from repro.experiments.fig6_sparsity import format_fig6, run_fig6
 from repro.experiments.fig7_tradeoff import format_fig7, run_fig7
 from repro.experiments.quantization_study import format_quantization, run_quantization_study
 from repro.experiments.score_table_study import format_score_table, run_score_table_study
-from repro.experiments.sharding_study import format_sharding, run_sharding_study
 from repro.experiments.soak_study import format_soak, run_soak_study
 from repro.experiments.table1_resources import format_table1, run_table1
 from repro.experiments.table2_memory import format_table2, run_table2
@@ -90,10 +89,6 @@ EXPERIMENTS: Tuple[Tuple[str, Callable[[ExperimentProfile], str]], ...] = (
     (
         "E8_stage_split",
         lambda p: format_stage_split(run_stage_split_ablation(num_seeds=p.num_seeds_small)),
-    ),
-    (
-        "E10_sharding",
-        lambda p: format_sharding(run_sharding_study(num_seeds=p.num_seeds_small, repeat_factor=3)),
     ),
     (
         "E15_soak",

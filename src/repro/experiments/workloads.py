@@ -136,8 +136,8 @@ def make_repeated_seed_workload(
 ) -> Tuple[CSRGraph, List[PPRQuery]]:
     """Hot-seed serving workload: each sampled seed queried ``repeat_factor``
     times, shuffled the way real repeated traffic arrives (not seed-sorted
-    blocks).  Shared by the sharding study (E10) and ``bench_tracing`` so
-    both measure the exact same traffic mix.
+    blocks).  ``bench_tracing`` times its traced and untraced passes on
+    it.
     """
     workload = make_workload(
         dataset,

@@ -38,17 +38,6 @@ from repro.graph.delta import (
     update_reach_bound,
 )
 from repro.graph.io import read_edge_list, read_snap_graph, write_edge_list
-from repro.graph.partition import (
-    DEFAULT_HALO_DEPTH,
-    PARTITIONERS,
-    GraphPartition,
-    GraphShard,
-    degree_balanced_partition,
-    hash_partition,
-    partition_graph,
-    patch_partition,
-    range_partition,
-)
 from repro.graph.stats import GraphStats, compute_stats, degree_histogram
 from repro.graph.subgraph import Subgraph
 
@@ -85,15 +74,6 @@ __all__ = [
     "read_edge_list",
     "read_snap_graph",
     "write_edge_list",
-    "DEFAULT_HALO_DEPTH",
-    "PARTITIONERS",
-    "GraphPartition",
-    "GraphShard",
-    "degree_balanced_partition",
-    "hash_partition",
-    "partition_graph",
-    "patch_partition",
-    "range_partition",
     "GraphStats",
     "compute_stats",
     "degree_histogram",

@@ -80,7 +80,7 @@ def expand_frontier(
 
     The returned nodes are marked in ``visited`` (in place) and come out
     ascending — the visit-order contract every extraction in the library
-    relies on (it is what makes shard-local and host-graph extractions
+    relies on (it is what makes cached, batched and per-ball extractions
     bit-identical).  Also returns the number of adjacency entries scanned,
     the dominant term of the BFS cost model.  ``frontier`` must be non-empty.
     """
@@ -267,7 +267,7 @@ class EgoWave:
         """Kept ``(subgraph, bfs, hit)`` balls as one wave, in order (at least one).
 
         The one place balls are restacked: a stage's cache hits with its
-        fresh misses, and a sharded stage's shard groups.  Only offsets
+        fresh misses.  Only offsets
         change, so every ball keeps its bits, and :meth:`balls` returns the
         given objects.
         """

@@ -289,8 +289,8 @@ class CSRGraph:
         Two graphs have the same fingerprint exactly when their ``indptr``
         and ``indices`` arrays are equal — the name is deliberately excluded,
         so a rebuilt graph with identical structure fingerprints the same
-        while any topology change (added edge, relabelling, repartition
-        rebuild) produces a different digest.  Serving-layer caches key on
+        while any topology change (added edge, relabelling) produces a
+        different digest.  Serving-layer caches key on
         this to guarantee a derived artefact (an extraction, a folded score
         table) is never served against a different topology.
 

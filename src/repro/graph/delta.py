@@ -2,7 +2,7 @@
 
 Production graphs mutate — recommender and fraud graphs see a steady stream
 of edge insertions and deletions — but :class:`~repro.graph.csr.CSRGraph` is
-immutable by design (every kernel, cache and shard relies on that).
+immutable by design (every kernel and cache relies on that).
 :class:`DeltaGraph` bridges the two worlds: it overlays insert/delete logs on
 a base CSR, serves merged neighbour reads in ``O(degree + delta)``, and
 produces a fresh, fully canonical :class:`CSRGraph` on :meth:`compact` —
@@ -16,8 +16,8 @@ suite possible.
 from one ego ball: the depth-``d`` extraction centred on ``c`` is
 byte-identical on both topologies exactly when ``reach[c] > d``.
 :func:`update_distance_bound` is the plain node bound (nearest touched
-endpoint, minimised over the old *and* new topology) that a many-centred
-ball — a shard's halo — is tested with.
+endpoint, minimised over the old *and* new topology), a hop wider than the
+reach bound for one ball.
 """
 
 from __future__ import annotations
@@ -116,8 +116,7 @@ class DeltaGraph:
         insertions and deletions beside it.
     name:
         Name carried onto :meth:`compact`'s output (defaults to the base
-        graph's name, so shard and extraction labels stay stable across
-        updates).
+        graph's name, so extraction labels stay stable across updates).
 
     Notes
     -----
@@ -369,10 +368,9 @@ def update_distance_bound(
 
     The element-wise minimum of :func:`min_hop_distances` over the **old and
     new** topology.  ``bound[c] > d`` proves no touched endpoint lies within
-    ``d`` hops of ``c`` on either — the test a many-centred ball needs
-    (:func:`repro.graph.partition.patch_partition`: a shard's halo).  For one
-    ego ball it is a hop too wide; see :func:`update_reach_bound`, the bound
-    the caches use.
+    ``d`` hops of ``c`` on either — the test a many-centred ball needs.  For
+    one ego ball it is a hop too wide; see :func:`update_reach_bound`, the
+    bound the caches use.
     """
     return np.minimum(
         min_hop_distances(old_graph, touched, radius),

@@ -1,13 +1,11 @@
-"""Query serving: batching, caching, sharding, pluggable execution.
+"""Query serving: batching, caching, pluggable execution.
 
 This package is the engine layer between the PPR solvers and callers with
 traffic: it batches queries (:class:`QueryEngine`), reuses BFS extractions
 across them (:class:`SubgraphCache`), reuses folded stage-one score tables
 across repeated hot-seed queries (:class:`ScoreTableCache` — a cache hit
-skips straight to the stage-two tasks, bit-identically), routes extractions
-to the shard owning them (:class:`ShardRouter` over a
-:class:`~repro.graph.partition.GraphPartition`, one cache per shard) and runs
-the per-query work on a pluggable :class:`ExecutionBackend` (serial or
+skips straight to the stage-two tasks, bit-identically) and runs the
+per-query work on a pluggable :class:`ExecutionBackend` (serial or
 thread-pool; build one from a spec string with :func:`make_backend`).  The
 algorithmic stage loop it drives lives in :mod:`repro.meloppr.planner`; the
 online request path — micro-batching, admission control, the TCP/JSON
@@ -15,7 +13,7 @@ service — lives in :mod:`repro.serving.frontend`.
 
 Observability cuts across all of it: attach a :class:`Tracer` to the engine
 and sampled queries record a span tree — admission wait, batch membership,
-per-stage compute, cache hit/miss, shard routing — exportable as Chrome
+per-stage compute, cache hit/miss — exportable as Chrome
 trace-event JSON (:mod:`repro.serving.tracing`).
 """
 
@@ -32,7 +30,6 @@ from repro.serving.result_cache import (
     ScoreTableCache,
     stage_one_cache_key,
 )
-from repro.serving.sharding import RouterStats, ShardRouter, ShardServingStats
 from repro.serving.telemetry import LatencyHistogram, LatencySnapshot
 from repro.serving.tracing import (
     Span,
@@ -57,9 +54,6 @@ __all__ = [
     "stage_one_cache_key",
     "EngineStats",
     "QueryEngine",
-    "RouterStats",
-    "ShardRouter",
-    "ShardServingStats",
     "LatencyHistogram",
     "LatencySnapshot",
     "Span",

@@ -33,7 +33,7 @@ from __future__ import annotations
 import threading
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,8 +77,8 @@ class CacheStats:
 
     def __add__(self, other: "CacheStats") -> "CacheStats":
         """Counter-wise sum — the single aggregation used by every roll-up
-        (router shard caches, engine snapshots),
-        so a new counter field is added in exactly one place."""
+        (engine snapshots), so a new counter field is added in exactly one
+        place."""
         if not isinstance(other, CacheStats):
             return NotImplemented
         return CacheStats(
@@ -463,29 +463,16 @@ class SubgraphCache(_LRUCache):
         graph later raises ``ValueError`` (keys carry no graph identity, so
         cross-graph sharing would return wrong sub-graphs).  :meth:`clear`
         resets the binding.
+
+        Every centre is looked up first; the misses are extracted together
+        (outside the lock) and inserted one entry per ball.  A stage with no
+        hits is that extraction as it came; hits are restacked with the misses
+        (:meth:`~repro.graph.bfs.EgoWave.stack`).
         """
         self._bind(graph)
-        return self.extract_wave_with(
-            centers, depth, lambda missed: extract_wave(graph, missed, depth)
-        )
-
-    def extract_wave_with(
-        self,
-        centers: Sequence[int],
-        depth: int,
-        extract: Callable[[List[int]], EgoWave],
-    ) -> EgoWave:
-        """The unbound form of :meth:`extract_wave`, for extractions that do
-        not run on the host graph (a shard's).
-
-        Every centre is looked up first; the misses are extracted together by
-        ``extract(missed)`` (outside the lock) and inserted one entry per
-        ball.  A stage with no hits is that extraction as it came; hits are
-        restacked with the misses (:meth:`~repro.graph.bfs.EgoWave.stack`).
-        """
         found = [self.get(center, depth) for center in centers]
         missed = [center for center, entry in zip(centers, found) if entry is None]
-        fresh = extract(missed)
+        fresh = extract_wave(graph, missed, depth)
         pairs = fresh.balls()
         for center, (subgraph, bfs) in zip(missed, pairs):
             self.put(center, depth, subgraph, bfs)

@@ -44,13 +44,7 @@ from functools import partial
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.graph.bfs import extract_wave
-from repro.graph.delta import (
-    DeltaGraph,
-    EdgeOp,
-    normalize_edge_ops,
-    update_distance_bound,
-    update_reach_bound,
-)
+from repro.graph.delta import DeltaGraph, EdgeOp, normalize_edge_ops, update_reach_bound
 from repro.meloppr.planner import (
     MeLoPPRPlan,
     StageExtractFn,
@@ -66,7 +60,6 @@ from repro.serving.result_cache import (
     ScoreTableCache,
     stage_one_key,
 )
-from repro.serving.sharding import RouterStats, ShardRouter
 from repro.serving.telemetry import LatencyHistogram, LatencySnapshot
 from repro.serving.tracing import TraceContext, Tracer, TracingStats
 from repro.utils.timing import TimingBreakdown
@@ -123,19 +116,14 @@ class EngineStats:
         on the engine's internal accumulator, never in :meth:`QueryEngine.stats`
         snapshots.
     cache:
-        Aggregate cache counters, uniform across serving modes: the engine
-        cache's counters (or the router's per-shard + fallback aggregate)
-        summed with the stage-one result-cache counters — every hit the
-        serving stack scored,
+        Aggregate cache counters: the engine cache's counters summed with the
+        stage-one result-cache counters — every hit the serving stack scored,
         so dashboards can read ``stats.cache.hit_rate`` either way.  ``None``
         only when caching is off entirely.
     result_cache:
-        The stage-one result cache's share of those counters alone (engine
-        level or the router's per-shard aggregate; ``None`` when cross-query
-        result caching is off).  ``cache`` already includes these, so
-        reconcile as ``cache == extraction caches + result_cache``.
-    router:
-        Snapshot of the shard-routing counters (``None`` when unsharded).
+        The stage-one result cache's share of those counters alone (``None``
+        when cross-query result caching is off).  ``cache`` already includes
+        these, so reconcile as ``cache == extraction cache + result_cache``.
     tracing:
         Snapshot of the tracer's counters — offered/sampled/finished traces,
         recorded spans, slow traces (``None`` when no tracer is attached).
@@ -151,7 +139,6 @@ class EngineStats:
     latency: Optional[LatencySnapshot] = None
     cache: Optional[CacheStats] = None
     result_cache: Optional[CacheStats] = None
-    router: Optional[RouterStats] = None
     tracing: Optional[TracingStats] = None
 
     @property
@@ -184,7 +171,6 @@ class EngineStats:
         self.latency = None
         self.cache = None
         self.result_cache = None
-        self.router = None
         self.tracing = None
 
     def as_dict(self) -> Dict[str, object]:
@@ -206,7 +192,6 @@ class EngineStats:
             "result_cache": (
                 None if self.result_cache is None else self.result_cache.as_dict()
             ),
-            "router": None if self.router is None else self.router.as_dict(),
             "tracing": None if self.tracing is None else self.tracing.as_dict(),
         }
 
@@ -226,24 +211,17 @@ class QueryEngine:
     cache:
         Optional shared ego-sub-graph cache.  Pass a configured
         :class:`SubgraphCache` to reuse extractions across queries/batches.
-    router:
-        Optional :class:`~repro.serving.sharding.ShardRouter` serving
-        extractions from a partitioned host graph (one cache per shard).
-        Mutually exclusive with ``cache`` — the router owns its caches.
     result_cache:
         Optional :class:`~repro.serving.result_cache.ScoreTableCache`
         reusing folded stage-one score tables across queries: a repeated hot
         seed skips straight to its stage-two tasks with bit-identical
-        scores.  Mutually exclusive with ``router`` — a sharded engine keeps
-        one result cache per shard, configured via
-        ``ShardRouter(result_cache_bytes=...)``.  Compatible with every
-        backend.
+        scores.  Compatible with every backend.
     tracer:
         Optional :class:`~repro.serving.tracing.Tracer`.  Sampled queries
         (driven through ``solve_batch(queries, contexts=...)``) record a
-        span tree — per-stage spans, cache hit/miss and shard-routing
-        annotations.  ``None`` (the default) keeps the hot path free of
-        any tracing work beyond ``is None`` checks.
+        span tree — per-stage spans and cache hit/miss annotations.
+        ``None`` (the default) keeps the hot path free of any tracing work
+        beyond ``is None`` checks.
 
     Example
     -------
@@ -263,25 +241,12 @@ class QueryEngine:
         solver: PPRSolver,
         backend: Optional[ExecutionBackend] = None,
         cache: Optional[SubgraphCache] = None,
-        router: Optional[ShardRouter] = None,
         result_cache: Optional[ScoreTableCache] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if cache is not None and router is not None:
-            raise ValueError(
-                "pass either cache= or router=, not both: the router owns "
-                "one cache per shard"
-            )
-        if result_cache is not None and router is not None:
-            raise ValueError(
-                "pass either result_cache= or router=, not both: a sharded "
-                "engine keeps one result cache per shard "
-                "(ShardRouter(result_cache_bytes=...))"
-            )
         self._solver = solver
         self._backend = backend if backend is not None else SerialBackend()
         self._cache = cache
-        self._router = router
         self._result_cache = result_cache
         self._tracer = tracer
         self._key_memo: Dict[Tuple[int, int], Tuple[Hashable, ...]] = {}
@@ -323,14 +288,8 @@ class QueryEngine:
         return self._cache
 
     @property
-    def router(self) -> Optional[ShardRouter]:
-        """The shard router (``None`` when serving the unsharded graph)."""
-        return self._router
-
-    @property
     def result_cache(self) -> Optional[ScoreTableCache]:
-        """The engine-level stage-one result cache (``None`` when disabled;
-        a sharded engine's per-shard result caches live on the router)."""
+        """The stage-one result cache (``None`` when disabled)."""
         return self._result_cache
 
     @property
@@ -416,10 +375,8 @@ class QueryEngine:
             stats.max_latency_seconds = max(stats.max_latency_seconds, latency)
             self._latency.record(latency)
 
-    def _result_cache_for(self, seed: int) -> Optional[ScoreTableCache]:
-        """The result cache for ``seed``: its shard's, else ours if we own it."""
-        if self._router is not None:
-            return self._router.result_cache_for(seed)
+    def _own_result_cache(self) -> Optional[ScoreTableCache]:
+        """The result cache, if it is bound to this engine's graph."""
         cache = self._result_cache
         mine = cache is not None and cache.claim(self._solver.graph)
         return cache if mine else None
@@ -461,7 +418,7 @@ class QueryEngine:
         start = time.perf_counter()
         if not hasattr(self._solver, "plan"):
             return None
-        result_cache = self._result_cache_for(query.seed)
+        result_cache = self._own_result_cache()
         if result_cache is None:
             return None
         key = self._stage_one_key(query)
@@ -490,9 +447,8 @@ class QueryEngine:
         invalidates *surgically*: the update's reach bound
         (:func:`repro.graph.delta.update_reach_bound`) says exactly which
         cached ego sub-graphs, stage-one score tables and finished answers
-        the update changes — and its node bound which shards — and only
-        those are dropped or rebuilt, found through each cache's centre
-        index.  Everything else survives, answers included, and the caches
+        the update changes, and only those are dropped or re-keyed, found
+        through each cache's centre index.  Everything else survives, answers included, and the caches
         are rebound to the new graph.
 
         Runs under the engine's writer barrier: in-flight batches finish on
@@ -527,20 +483,16 @@ class QueryEngine:
         delta.apply(canonical)
         new_graph = delta.compact()
         touched = delta.touched_nodes()
-        # The bounds only need resolving out to the deepest cached artefact
-        # (and the halo test, when sharded); beyond that every entry
-        # trivially survives.  A cache another engine has bound to its graph
-        # is neither counted nor touched.
+        # The bounds only need resolving out to the deepest cached artefact;
+        # beyond that every entry trivially survives.  A cache another engine
+        # has bound to its graph is neither counted nor touched.
         radius = 0
         if self._cache is not None and self._cache.claim(old_graph):
             radius = max(radius, self._cache.max_depth())
         if self._result_cache is not None and self._result_cache.claim(old_graph):
             radius = max(radius, self._result_cache.max_stage_length())
-        if self._router is not None:
-            radius = max(radius, self._router.update_radius())
         reach = update_reach_bound(new_graph, canonical, radius)
         invalidated = {
-            "shards_rebuilt": 0,
             "subgraph_entries_dropped": 0,
             **dict.fromkeys(UPDATE_COUNT_KEYS, 0),
         }
@@ -550,12 +502,6 @@ class QueryEngine:
         if self._result_cache is not None:
             counts = self._result_cache.carry(old_graph, new_graph, reach)
             invalidated.update(zip(UPDATE_COUNT_KEYS, counts or ()))
-        if self._router is not None:
-            # A shard is a many-centred ball: it is patched on the node bound.
-            distances = update_distance_bound(old_graph, new_graph, touched, radius)
-            router_outcome = self._router.apply_update(new_graph, distances, reach)
-            for key, value in router_outcome.items():
-                invalidated[key] += value
         self._solver.rebind_graph(new_graph)
         return {
             "ops": len(canonical),
@@ -593,7 +539,7 @@ class QueryEngine:
             # stage-one state resumes the plan past its first stage, a miss
             # installs the folded state after the first stage — and whatever
             # gets computed is attached for the next repeat of this query.
-            result_cache = self._result_cache_for(query.seed)
+            result_cache = self._own_result_cache()
             key = state = None
             if result_cache is not None:
                 rc_span = (
@@ -647,14 +593,12 @@ class QueryEngine:
     def _stage_runner(self, ctx: Optional[TraceContext]) -> StageRunner:
         """How this engine executes one stage of a plan.
 
-        Every path runs the wave executor over one stage hook — the router's,
-        the cache's, or a fresh extraction.  A traced query makes the same
-        call inside one ``extract`` span per wave.
+        Every path runs the wave executor over one stage hook — the cache's
+        or a fresh extraction.  A traced query makes the same call inside one
+        ``extract`` span per wave.
         """
-        if self._router is not None:
-            extract_stage: StageExtractFn = self._router.extract_wave
-        elif self._cache is not None:
-            extract_stage = self._cache.extract_wave
+        if self._cache is not None:
+            extract_stage: StageExtractFn = self._cache.extract_wave
         else:
             extract_stage = extract_wave
         if ctx is not None:
@@ -666,12 +610,6 @@ class QueryEngine:
     ):
         """``extract_stage`` inside one ``extract`` span for the wave."""
         with ctx.span("extract", depth=int(depth), balls=len(centers)) as span:
-            if self._router is not None:
-                partition = self._router.partition
-                span.attributes["shard_ids"] = sorted(
-                    set(partition.assignments[list(centers)].tolist())
-                )
-                span.attributes["halo_fallback"] = not partition.covers_depth(depth)
             extracted = extract_stage(graph, centers, depth)
             span.attributes["cache_hits"] = int(extracted.hits.sum())
         return extracted
@@ -719,15 +657,11 @@ class QueryEngine:
         result.metadata["serving"] = {
             "backend": self._backend.name,
             "latency_seconds": latency,
-            "cache_enabled": (
-                self._cache is not None
-                or (self._router is not None and self._router.caching_enabled)
-            ),
+            "cache_enabled": self._cache is not None,
             # "answer" (finished answer replayed), "hit" (stage one replayed
             # from cache), "miss" (computed and installed) or None (result
             # caching off / non-planner solver).
             "result_cache": result_cache_outcome,
-            "sharded": self._router is not None,
         }
         return result
 
@@ -735,26 +669,16 @@ class QueryEngine:
     def stats(self) -> EngineStats:
         """Aggregate stats snapshot (includes current cache counters).
 
-        The ``cache`` field is uniform across serving modes: it carries the
-        engine-level cache's counters when one is configured, and the
-        router's aggregated per-shard + fallback counters when sharded —
-        plus, folded in, the stage-one result cache's counters (also reported
-        alone under ``result_cache``).
+        The ``cache`` field carries the engine cache's counters with the
+        stage-one result cache's counters folded in (also reported alone under
+        ``result_cache``).
         """
-        router_stats = None if self._router is None else self._router.stats()
-        if self._cache is not None:
-            cache_stats: Optional[CacheStats] = self._cache.stats
-        elif router_stats is not None:
-            cache_stats = router_stats.aggregate_cache()
-        else:
-            cache_stats = None
-        if self._result_cache is not None:
-            result_cache_stats: Optional[CacheStats] = self._result_cache.stats
-        elif router_stats is not None:
-            result_cache_stats = router_stats.aggregate_result_cache()
-        else:
-            result_cache_stats = None
-        cache_stats = _merge_cache_stats(cache_stats, result_cache_stats)
+        result_cache_stats = (
+            None if self._result_cache is None else self._result_cache.stats
+        )
+        cache_stats = _merge_cache_stats(
+            None if self._cache is None else self._cache.stats, result_cache_stats
+        )
         with self._stats_lock:
             stats = self._stats
             return EngineStats(
@@ -768,7 +692,6 @@ class QueryEngine:
                 latency=self._latency.snapshot(),
                 cache=cache_stats,
                 result_cache=result_cache_stats,
-                router=router_stats,
                 tracing=(
                     None if self._tracer is None else self._tracer.stats()
                 ),
@@ -778,12 +701,11 @@ class QueryEngine:
         """Zero the serving counters (for per-interval server metrics).
 
         Cache contents are never touched — only counters reset.  By default
-        the cache/router counters keep accumulating (their hit rates describe
-        the cache's whole life); pass ``reset_cache_stats=True`` to zero them
+        the cache counters keep accumulating (their hit rates describe the
+        cache's whole life); pass ``reset_cache_stats=True`` to zero them
         too so every interval reports interval-local hit rates.  That resets
-        **every** counter source ``stats()`` aggregates — the engine cache or
-        the router's per-shard/fallback/result caches and the engine-level
-        result cache — so an
+        **every** counter source ``stats()`` aggregates — the sub-graph cache
+        and the result cache — so an
         interval snapshot can never mix a freshly zeroed engine counter with
         a stale cache counter.  (The engine accumulator and the latency
         histogram reset under the stats lock; with traffic still in flight
@@ -801,8 +723,6 @@ class QueryEngine:
         if reset_cache_stats:
             if self._cache is not None:
                 self._cache.reset_stats()
-            if self._router is not None:
-                self._router.reset_stats()
             if self._result_cache is not None:
                 self._result_cache.reset_stats()
 
@@ -857,6 +777,5 @@ class QueryEngine:
         )
         return (
             f"QueryEngine(solver={self._solver!r}, backend={self._backend!r}, "
-            f"cache={cache}, result_cache={result_cache}, "
-            f"router={self._router!r})"
+            f"cache={cache}, result_cache={result_cache})"
         )

@@ -1,7 +1,7 @@
 """The async serving frontend: the request path on top of the compute path.
 
 PR 1/2 built the compute path — a batched :class:`~repro.serving.engine.QueryEngine`
-with pluggable backends, sub-graph caches and shard routing.  This package is
+with pluggable backends and sub-graph caches.  This package is
 the request-facing layer that turns a stream of individual online queries
 into the well-formed batches that engine is optimised for:
 

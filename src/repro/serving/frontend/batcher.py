@@ -1,7 +1,7 @@
 """Micro-batching scheduler: individual async submissions → engine batches.
 
 The engine layer (:class:`~repro.serving.engine.QueryEngine`) is optimised
-for batches — backend fan-out, warm sub-graph caches, shard routing — but an
+for batches — backend fan-out, warm sub-graph caches — but an
 online front door receives queries one at a time.  :class:`MicroBatcher`
 bridges the two: callers ``await submit(query)`` individually, and a
 **work-conserving** scheduler coroutine coalesces them: whenever the engine

@@ -6,9 +6,9 @@ third copy — worse, one that re-assembled ``argv`` strings to spawn its
 replicas.  This module is the single source of truth instead:
 
 * :class:`ServingConfig` — a frozen dataclass carrying everything a serving
-  process needs (dataset, backend, batching, admission, caches, sharding,
-  tracing, logging, ready-file).  Each field *is* a CLI flag: its default,
-  type and help are declared once, on the field, and the CLI surface is
+  process needs (dataset, backend, batching, admission, caches, tracing,
+  logging, ready-file).  Each field *is* a CLI flag: its default, type and
+  help are declared once, on the field, and the CLI surface is
   derived from the fields: :meth:`ServingConfig.from_args` reads a parsed
   namespace, :meth:`ServingConfig.to_argv` emits the equivalent flag list —
   which is exactly how :class:`~repro.serving.replica.ReplicaSet` spawns
@@ -17,11 +17,7 @@ replicas.  This module is the single source of truth instead:
   both server CLIs call it, so the flag surface cannot drift between
   transports again.
 * :func:`build_frontend` — the one builder turning a config into the
-  ``(engine, policy, admission)`` triple both servers serve.  Sharded
-  configs (``num_shards > 0``) build a
-  :class:`~repro.serving.sharding.ShardRouter` over the deterministic
-  partition, which is what gives a replica its shard set while keeping it
-  host-graph-capable for failover traffic.
+  ``(engine, policy, admission)`` triple both servers serve.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
-from repro.graph.partition import DEFAULT_HALO_DEPTH, PARTITIONERS
 from repro.serving.backends import make_backend
 
 __all__ = [
@@ -92,25 +87,6 @@ class ServingConfig:
         "optional TTL (seconds) on cached stage-one tables (<= 0: none)",
         type=float,
     )
-    # Sharding: 0 = unsharded.  A sharded config serves the full dataset
-    # through a ShardRouter over `num_shards` shards — shard-local for
-    # depths within the halo, host-graph fallback beyond it — which is what
-    # lets a replica own a shard subset yet answer any seed correctly.
-    num_shards: int = _flag(
-        0,
-        "serve through a ShardRouter over this many shards (0 = unsharded); "
-        "replicas of a fleet share one shard count so the front router's "
-        "seed hashing matches shard ownership",
-    )
-    partition: str = _flag(
-        "hash",
-        "partition strategy when --num-shards > 0",
-        choices=sorted(PARTITIONERS),
-    )
-    halo_depth: int = _flag(
-        DEFAULT_HALO_DEPTH,
-        "halo hop radius of each shard sub-graph (--num-shards > 0)",
-    )
     trace_sample: float = _flag(
         0.0,
         "fraction of queries recording a full span tree (0 disables tracing "
@@ -149,19 +125,17 @@ class ServingConfig:
     )
 
     def __post_init__(self) -> None:
-        # A spawned replica's stderr goes nowhere, so a spec the replica
-        # would refuse at startup is refused here, where the caller sees it
-        # (building a backend starts nothing: the thread pool is lazy).
+        # A spawned replica's stderr goes nowhere, so a dataset or backend
+        # the replica would refuse at startup is refused here, where the
+        # caller sees it (building a backend starts nothing: the thread pool
+        # is lazy; the registry lookup builds no graph).
+        from repro.graph.datasets import get_spec
+
+        try:
+            get_spec(self.dataset)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
         make_backend(self.backend).close()
-        if self.num_shards < 0:
-            raise ValueError(f"num_shards must be >= 0, got {self.num_shards}")
-        # Checked even unsharded: to_argv always emits --partition, and the
-        # parser refuses a strategy it does not know.
-        if self.partition not in PARTITIONERS:
-            raise ValueError(
-                f"unknown partition strategy {self.partition!r}; expected one "
-                f"of {sorted(PARTITIONERS)}"
-            )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -240,10 +214,9 @@ def build_frontend(config: ServingConfig) -> Tuple[object, object, object]:
     # Imported here, not at module top: the frontend package must stay
     # importable without pulling the dataset/solver layers in.
     from repro.graph.datasets import load_dataset
-    from repro.graph.partition import partition_graph
     from repro.meloppr.config import MeLoPPRConfig
     from repro.meloppr.solver import MeLoPPRSolver
-    from repro.serving.cache import DEFAULT_CACHE_BYTES, SubgraphCache
+    from repro.serving.cache import SubgraphCache
     from repro.serving.engine import QueryEngine
     from repro.serving.frontend.admission import AdmissionController
     from repro.serving.frontend.batcher import BatchPolicy
@@ -251,7 +224,6 @@ def build_frontend(config: ServingConfig) -> Tuple[object, object, object]:
         DEFAULT_RESULT_CACHE_BYTES,
         ScoreTableCache,
     )
-    from repro.serving.sharding import ShardRouter
     from repro.serving.tracing import Tracer
 
     graph = load_dataset(config.dataset)
@@ -277,25 +249,8 @@ def build_frontend(config: ServingConfig) -> Tuple[object, object, object]:
     else:
         effective_result_bytes = DEFAULT_RESULT_CACHE_BYTES
 
-    router = None
     result_cache = None
-    if config.num_shards:
-        # Sharded serving: the router owns one sub-graph cache and one
-        # stage-one result cache per shard; the engine-level equivalents
-        # must stay None (the engine enforces the exclusivity).
-        router = ShardRouter(
-            partition_graph(
-                graph,
-                config.num_shards,
-                strategy=config.partition,
-                halo_depth=config.halo_depth,
-            ),
-            cache_bytes=None if config.no_cache else DEFAULT_CACHE_BYTES,
-            result_cache_bytes=effective_result_bytes,
-            result_cache_ttl_seconds=result_cache_ttl,
-        )
-        cache = None
-    elif effective_result_bytes is not None:
+    if effective_result_bytes is not None:
         result_cache = ScoreTableCache(
             effective_result_bytes, ttl_seconds=result_cache_ttl
         )
@@ -317,7 +272,6 @@ def build_frontend(config: ServingConfig) -> Tuple[object, object, object]:
         MeLoPPRSolver(graph, MeLoPPRConfig(track_memory=False)),
         backend=backend,
         cache=cache,
-        router=router,
         result_cache=result_cache,
         tracer=tracer,
     )

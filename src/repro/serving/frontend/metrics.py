@@ -6,9 +6,8 @@ counters and end-to-end latency percentiles
 (:class:`~repro.serving.frontend.admission.AdmissionStats`), batcher
 coalescing/dedup counters
 (:class:`~repro.serving.frontend.batcher.BatcherStats`), engine compute
-latency (:class:`~repro.serving.engine.EngineStats`), and cache/shard
-counters (:class:`~repro.serving.cache.CacheStats`,
-:class:`~repro.serving.sharding.RouterStats`) — this module just renders
+latency (:class:`~repro.serving.engine.EngineStats`), and cache counters
+(:class:`~repro.serving.cache.CacheStats`) — this module just renders
 one consistent snapshot of that tree in the Prometheus text exposition
 format (version 0.0.4), so ``GET /metrics`` works with any standard
 scraper.
@@ -301,28 +300,6 @@ def render_prometheus(
             f"{p}_trace_sample_rate",
             tracing.sample_rate,
             "Configured probability of tracing a query (hot-reloadable).",
-        )
-
-    # ------------------------------------------------------------------
-    # Sharding: router counters, when serving a partitioned graph.
-    # ------------------------------------------------------------------
-    router = engine.router
-    if router is not None:
-        writer.gauge(f"{p}_shards", router.num_shards, "Shards the router serves.")
-        writer.counter(
-            f"{p}_shard_local_extractions_total",
-            router.local_extractions,
-            "Extractions served within a shard's halo.",
-        )
-        writer.counter(
-            f"{p}_shard_fallback_extractions_total",
-            router.fallback_extractions,
-            "Extractions past the halo, served by the host graph.",
-        )
-        writer.gauge(
-            f"{p}_shard_fallback_ratio",
-            router.fallback_rate,
-            "Fraction of extractions that fell back to the host graph.",
         )
 
     return writer.render()

@@ -230,7 +230,7 @@ def apply_reload(
         if engine.cache is None:
             raise ValueError(
                 "cache_bytes: this engine has no sub-graph cache to resize "
-                "(started with --no-cache, or sharded)"
+                "(started with --no-cache)"
             )
         cache = engine.cache
         actions.append(

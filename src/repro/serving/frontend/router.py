@@ -7,16 +7,13 @@ replica servers.  The router parses the request, and only for its ``seed``;
 the body goes to the replica as the bytes the client sent, and the replica's
 status and body come back as the bytes it sent (``relay_query``) — an answer
 is encoded once, in the replica, and from there on only moved.  The seed is
-hashed to its shard with :func:`~repro.graph.partition.hash_shard_of` (the
-scalar twin of the ``hash`` partitioner, so routing agrees with shard
-ownership inside each replica) and the shard is mapped to a replica by a
-deterministic :class:`~repro.serving.replica.ConsistentHashRing`.
+mapped to a replica by a deterministic
+:class:`~repro.serving.replica.ConsistentHashRing`.
 
 Correctness under failover is free by construction: every replica
-loads the full graph behind a ``ShardRouter`` (host-graph fallback
-beyond the halo), so any replica answers any seed bit-identically.
-The ring only concentrates each shard's working set on one replica's
-caches; when a replica dies, its keys walk the ring's preference list
+loads the full graph, so any replica answers any seed bit-identically.
+The ring only concentrates each seed's working set on one replica's
+caches; when a replica dies, its seeds walk the ring's preference list
 and land on the next replica — warm or not, the answer is the same.
 
 Failure taxonomy, the client's (:mod:`repro.serving.frontend.protocol`);
@@ -55,7 +52,6 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs
 
-from repro.graph.partition import hash_shard_of
 from repro.serving.frontend.config import ServingConfig
 from repro.serving.frontend.http import (
     DEFAULT_MAX_BODY_BYTES,
@@ -154,14 +150,13 @@ class ReplicaRouter(BaseHttpServer):
     ``replicas`` is a sequence of ``(host, port)`` endpoints, named
     ``replica-0..N-1`` in order — the same names ``ReplicaSet`` puts on
     its ring, so a router built from a set's specs agrees with the
-    set's shard assignment exactly (the ring hash is deterministic).
+    set's seed assignment exactly (the ring hash is deterministic).
     """
 
     def __init__(
         self,
         replicas: Sequence[Tuple[str, int]],
         *,
-        num_shards: int = 0,
         host: str = "127.0.0.1",
         port: int = 0,
         retries: int = 3,
@@ -174,20 +169,8 @@ class ReplicaRouter(BaseHttpServer):
     ) -> None:
         if not replicas:
             raise ValueError("need at least one replica endpoint")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if num_shards < 0:
-            raise ValueError(f"num_shards must be >= 0, got {num_shards}")
-        # A NaN or infinite backoff would sleep forever on the first retry,
-        # and a NaN interval would silently turn the health loop off.
-        for name, value in (
-            ("retry_backoff_ms", retry_backoff_ms),
-            ("health_interval_s", health_interval_s),
-        ):
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        self.check_options(retries, retry_backoff_ms, health_interval_s)
         super().__init__(host, port, max_body_bytes)
-        self._num_shards = num_shards
         self._retries = retries
         self._retry_backoff_ms = retry_backoff_ms
         self._health_interval_s = health_interval_s
@@ -211,14 +194,26 @@ class ReplicaRouter(BaseHttpServer):
         self._failovers = {name: 0 for name in self._handles}
         self._health_checks: Dict[Tuple[str, str], int] = {}
 
+    @staticmethod
+    def check_options(
+        retries: int, retry_backoff_ms: float, health_interval_s: float
+    ) -> None:
+        """Raise ``ValueError`` for a retry or health option the router
+        refuses — what the CLI checks before it spawns a fleet."""
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
+        # A NaN or infinite backoff would sleep forever on the first retry,
+        # and a NaN interval would silently turn the health loop off.
+        for name, value in (
+            ("retry_backoff_ms", retry_backoff_ms),
+            ("health_interval_s", health_interval_s),
+        ):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
     @classmethod
     def for_replica_set(cls, replica_set, **kwargs) -> "ReplicaRouter":
-        """A router over a :class:`~repro.serving.replica.ReplicaSet`.
-
-        Inherits the set's shard count so seed hashing matches what the
-        replicas' own ``ShardRouter`` uses.
-        """
-        kwargs.setdefault("num_shards", replica_set.replicas[0].config.num_shards)
+        """A router over a :class:`~repro.serving.replica.ReplicaSet`."""
         return cls(
             [spec.address for spec in replica_set.replicas], **kwargs
         )
@@ -315,16 +310,9 @@ class ReplicaRouter(BaseHttpServer):
 
     # -- routing -------------------------------------------------------
 
-    def shard_of(self, seed: int) -> object:
-        """The ring key for ``seed``: its shard id (or the seed itself
-        when the fleet runs unsharded)."""
-        if self._num_shards:
-            return hash_shard_of(seed, self._num_shards)
-        return int(seed)
-
     def owner_of(self, seed: int) -> str:
         """The replica that owns ``seed`` under the current ring."""
-        return self.ring.owner(self.shard_of(seed))
+        return self.ring.owner(int(seed))
 
     def replica_states(self) -> Dict[str, str]:
         return {name: handle.state for name, handle in self._handles.items()}
@@ -378,10 +366,9 @@ class ReplicaRouter(BaseHttpServer):
         traceparent: Optional[str],
         ctx,
     ) -> Tuple[int, bytes, str]:
-        key = self.shard_of(seed)
-        owner = self.ring.owner(key)
+        owner = self.ring.owner(seed)
         preference = [
-            name for name in self.ring.preference(key)
+            name for name in self.ring.preference(seed)
             if self._handles[name].routable
         ]
         if not preference:
@@ -462,7 +449,6 @@ class ReplicaRouter(BaseHttpServer):
                 name: handle.describe()
                 for name, handle in self._handles.items()
             },
-            "num_shards": self._num_shards,
             "proto": PROTOCOL_VERSION,
         }
 
@@ -493,7 +479,6 @@ class ReplicaRouter(BaseHttpServer):
             {
                 "proto": str(PROTOCOL_VERSION),
                 "replicas": str(len(names)),
-                "num_shards": str(self._num_shards),
             },
         )
         writer.family(
@@ -762,7 +747,6 @@ def build_router_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--dataset", default=ServingConfig.dataset)
     parser.add_argument("--backend", default=ServingConfig.backend)
-    parser.add_argument("--num-shards", type=int, default=ServingConfig.num_shards)
     parser.add_argument("--retries", type=int, default=3)
     parser.add_argument("--retry-backoff-ms", type=float, default=25.0)
     parser.add_argument("--health-interval-s", type=float, default=0.5)
@@ -778,10 +762,22 @@ def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - CLI
 
     from repro.serving.replica import ReplicaSet
 
+    # Every refusal is a usage error, raised before a replica starts.
+    try:
+        ReplicaRouter.check_options(
+            args.retries, args.retry_backoff_ms, args.health_interval_s
+        )
+        if args.spawn:
+            fleet = ReplicaSet(
+                ServingConfig(dataset=args.dataset, backend=args.backend),
+                args.spawn,
+            )
+    except ValueError as exc:
+        parser.error(str(exc))
+
     async def serve(endpoints: List[Tuple[str, int]]) -> None:
         router = ReplicaRouter(
             endpoints,
-            num_shards=args.num_shards,
             host=args.host,
             port=args.port,
             retries=args.retries,
@@ -794,7 +790,7 @@ def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - CLI
         install_drain_signal_handler(router)
         print(
             f"routing {len(endpoints)} replicas on http://{host}:{port} "
-            f"(num_shards {args.num_shards}, retries {args.retries})"
+            f"(retries {args.retries})"
         )
         try:
             await router.serve_forever()
@@ -805,15 +801,7 @@ def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - CLI
             await router.stop()
 
     if args.spawn:
-        try:
-            config = ServingConfig(
-                dataset=args.dataset,
-                backend=args.backend,
-                num_shards=args.num_shards,
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
-        with ReplicaSet(config, args.spawn) as fleet:
+        with fleet:
             endpoints = [spec.address for spec in fleet.replicas]
             try:
                 asyncio.run(serve(endpoints))

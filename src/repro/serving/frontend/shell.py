@@ -220,7 +220,7 @@ def serve_main(
             if config.ready_file:
                 write_ready_file(
                     config.ready_file, host, port, transport=transport,
-                    dataset=config.dataset, num_shards=config.num_shards,
+                    dataset=config.dataset,
                 )
             install_drain_signal_handler(server)
             print(

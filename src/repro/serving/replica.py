@@ -3,13 +3,13 @@
 Two pieces live here:
 
 ``ConsistentHashRing``
-    A deterministic consistent-hash ring mapping keys (shard ids) onto
+    A deterministic consistent-hash ring mapping keys (query seeds) onto
     replica members.  Hashing uses ``hashlib.blake2b`` rather than the
     builtin ``hash()`` so the assignment is identical across processes
     and Python runs (``PYTHONHASHSEED`` does not leak in).  Each member
     owns many virtual nodes, so removing one replica moves only the
     keys that replica owned — everything else stays put (minimal
-    movement), which is exactly what keeps warm shard caches warm
+    movement), which is exactly what keeps warm replica caches warm
     during failover.
 
 ``ReplicaSet``
@@ -18,8 +18,8 @@ Two pieces live here:
     per-replica port and ready file.  Readiness is a file handshake:
     the server writes an atomic JSON record once its listener is bound,
     and the supervisor polls for it — no stdout parsing, no races.
-    Every replica loads the *full* graph behind a ``ShardRouter``, so
-    any replica can answer any seed bit-identically; the ring is a
+    Every replica loads the *full* graph, so any replica can answer any
+    seed bit-identically; the ring is a
     cache-locality optimisation, not a correctness constraint.
 """
 
@@ -65,7 +65,7 @@ class ConsistentHashRing:
     """Deterministic consistent hashing of keys onto named members.
 
     Members are arbitrary strings (replica names); keys are ints or
-    strings (shard ids, seeds).  ``owner(key)`` walks clockwise from
+    strings (seeds, replica names).  ``owner(key)`` walks clockwise from
     the key's position to the first virtual node; ``preference(key)``
     continues the walk to produce an ordered list of *distinct*
     members — the failover order for that key.
@@ -371,9 +371,3 @@ class ReplicaSet:
 
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
-
-    # -- topology ------------------------------------------------------
-
-    def owned_shards(self, num_shards: int) -> Dict[str, List[int]]:
-        """Shard ids grouped by owning replica under the current ring."""
-        return self.ring.assignment(list(range(num_shards)))

@@ -1,10 +1,9 @@
 """Cross-query stage-one result cache (hot-seed score-table reuse).
 
 Real query streams are Zipfian: the same hot seeds arrive over and over.
-The sub-graph caches (:class:`~repro.serving.cache.SubgraphCache`, one per
-shard under a :class:`~repro.serving.sharding.ShardRouter`) already make the
-*extractions* of a repeated query cheap, but every arrival still re-runs the
-identical stage-one diffusion, fold, Eq. 6 correction and next-stage
+The sub-graph cache (:class:`~repro.serving.cache.SubgraphCache`) already
+makes the *extractions* of a repeated query cheap, but every arrival still
+re-runs the identical stage-one diffusion, fold, Eq. 6 correction and next-stage
 selection.  All of that is a pure function of ``(seed, realised stage split,
 alpha, score-table capacity, selector)`` on one graph — so it can be computed
 once and replayed.

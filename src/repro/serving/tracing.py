@@ -118,7 +118,7 @@ class Span:
 
     ``start``/``end`` are :func:`monotonic_wall` seconds; ``end`` is ``None``
     while the span is open.  ``attributes`` is a free-form dict of
-    JSON-serialisable annotations (cache hit/miss, shard id, batch size...).
+    JSON-serialisable annotations (cache hit/miss, batch size...).
     """
 
     __slots__ = (

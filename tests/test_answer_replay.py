@@ -26,7 +26,6 @@ import pytest
 from repro.diffusion.sparse_vector import FrozenScoreVectorError
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import barabasi_albert_graph
-from repro.graph.partition import partition_graph
 from repro.meloppr.config import MeLoPPRConfig
 from repro.meloppr.selection import CountSelector
 from repro.meloppr.solver import MeLoPPRSolver
@@ -34,7 +33,6 @@ from repro.ppr.base import PPRQuery
 from repro.serving import (
     QueryEngine,
     ScoreTableCache,
-    ShardRouter,
     Tracer,
     make_backend,
     stage_one_cache_key,
@@ -84,10 +82,6 @@ PATH_QUERIES = [PPRQuery(seed=10, k=12), PPRQuery(seed=15, k=9), PPRQuery(seed=5
 def make_engine(graph, mode="serial", config=CONFIG, **cache_kwargs):
     """An engine with result caching on and no extraction cache, so every
     metadata counter is comparable with an uncached solver's."""
-    if mode == "sharded":
-        partition = partition_graph(graph, 3, strategy="hash", halo_depth=3)
-        router = ShardRouter(partition, cache_bytes=None, result_cache_bytes=8 << 20)
-        return QueryEngine(MeLoPPRSolver(graph, config), router=router)
     return QueryEngine(
         MeLoPPRSolver(graph, config),
         backend=make_backend(mode),
@@ -129,7 +123,7 @@ class TestDifferential:
         PPRQuery(seed=3, k=20, length=1),
     ]
 
-    @pytest.mark.parametrize("mode", ["serial", "thread:2", "sharded"])
+    @pytest.mark.parametrize("mode", ["serial", "thread:2"])
     def test_repeats_are_bit_identical_to_a_fresh_solver(self, graph, mode):
         solver = MeLoPPRSolver(graph, CONFIG)
         stream = self.QUERIES + self.QUERIES[::-1] + self.QUERIES[::2]
@@ -152,10 +146,8 @@ class TestDifferential:
         assert again[0].metadata is not results[0].metadata
         assert again[0].timing.seconds == {}
 
-    @pytest.mark.parametrize("mode", ["serial", "sharded"])
-    def test_replay_after_update_equals_from_scratch_on_the_rebuilt_graph(
-        self, path, mode
-    ):
+    @pytest.mark.parametrize("mode", ["serial", "thread:2"])
+    def test_replay_after_update_equals_from_scratch_on_the_rebuilt_graph(self, path, mode):
         ops = [("insert", 14, 30), ("delete", 40, 41)]
         before, after = MeLoPPRSolver(path, WIDE), MeLoPPRSolver(rebuilt(path, ops), WIDE)
         # The case keeping an answer on the stage-one test alone would get

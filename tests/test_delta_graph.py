@@ -8,8 +8,8 @@ Covers the streaming-update substrate end to end:
   hypothesis-driven random update-stream suite;
 * the conservative hop-distance bound that justifies surgical cache
   invalidation;
-* ``QueryEngine.apply_update`` differentials across serial, thread-pool
-  and sharded serving (answers must match a fresh solver on the rebuilt
+* ``QueryEngine.apply_update`` differentials across serial and thread-pool
+  serving (answers must match a fresh solver on the rebuilt
   graph at every step), the writer barrier under concurrent
   batches, and the fingerprint-keyed ``structure_for`` sharing that makes
   buffer-reusing compacted graphs safe.
@@ -33,7 +33,6 @@ from repro.graph.delta import (
     update_distance_bound,
 )
 from repro.graph.generators import barabasi_albert_graph
-from repro.graph.partition import partition_graph, patch_partition
 from repro.meloppr.config import MeLoPPRConfig
 from repro.meloppr.selection import RatioSelector
 from repro.meloppr.solver import MeLoPPRSolver
@@ -42,7 +41,6 @@ from repro.serving.backends import ThreadPoolBackend
 from repro.serving.cache import SubgraphCache
 from repro.serving.engine import QueryEngine
 from repro.serving.result_cache import ScoreTableCache
-from repro.serving.sharding import ShardRouter
 
 
 def edge_set(graph) -> set:
@@ -432,33 +430,6 @@ class TestEngineApplyUpdate:
             )
         )
 
-    def test_thread_pool_sharded(self):
-        def make(graph):
-            partition = partition_graph(graph, num_shards=3, halo_depth=2)
-            router = ShardRouter(
-                partition, cache_bytes=1 << 20, result_cache_bytes=1 << 20
-            )
-            return QueryEngine(
-                MeLoPPRSolver(graph, CONFIG),
-                backend=ThreadPoolBackend(max_workers=2),
-                router=router,
-            )
-
-        engine = self.run_churn(make)
-        assert engine.router.partition.host is engine.solver.graph
-
-    def test_sharded(self):
-        def make(graph):
-            partition = partition_graph(graph, num_shards=3, halo_depth=2)
-            router = ShardRouter(
-                partition, cache_bytes=1 << 20, result_cache_bytes=1 << 20
-            )
-            return QueryEngine(MeLoPPRSolver(graph, CONFIG), router=router)
-
-        engine = self.run_churn(make)
-        # The router swapped to the updated topology alongside the solver.
-        assert engine.router.partition.host is engine.solver.graph
-
     def test_invalid_batch_changes_nothing(self):
         graph = barabasi_albert_graph(50, 2, rng=0)
         engine = QueryEngine(
@@ -544,44 +515,6 @@ class TestEngineApplyUpdate:
         assert not errors
         assert_matches_rebuild(engine, queries, current, graph.num_nodes)
         engine.close()
-
-
-# ----------------------------------------------------------------------
-# patch_partition
-# ----------------------------------------------------------------------
-class TestPatchPartition:
-    def test_unaffected_shards_are_reused(self):
-        # Two chains sharded by range: updating inside the second chain must
-        # leave the first chain's shard object untouched.
-        edges = [(i, i + 1) for i in range(0, 19)] + [
-            (i, i + 1) for i in range(20, 39)
-        ]
-        graph = CSRGraph.from_edges(40, edges, name="chains")
-        partition = partition_graph(
-            graph, num_shards=2, strategy="range", halo_depth=2
-        )
-        delta = DeltaGraph(graph)
-        delta.delete_edge(30, 31)
-        new_graph = delta.compact()
-        distances = update_distance_bound(
-            graph, new_graph, delta.touched_nodes(), radius=2
-        )
-        patched, rebuilt = patch_partition(partition, new_graph, distances)
-        assert rebuilt == (1,)
-        assert patched.host is new_graph
-        assert patched.shards[0] is partition.shards[0]
-        assert patched.shards[1] is not partition.shards[1]
-        assert not patched.shards[1].subgraph.graph.has_edge(
-            patched.shards[1].subgraph.to_local(30),
-            patched.shards[1].subgraph.to_local(31),
-        )
-
-    def test_node_count_change_rejected(self):
-        graph = path_graph(6)
-        partition = partition_graph(graph, num_shards=2, halo_depth=1)
-        other = path_graph(5)
-        with pytest.raises(ValueError, match="node set"):
-            patch_partition(partition, other, np.zeros(6, dtype=np.int64))
 
 
 # ----------------------------------------------------------------------

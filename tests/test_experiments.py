@@ -382,7 +382,6 @@ class TestHarness:
         "E6_quantization",
         "E7_score_table",
         "E8_stage_split",
-        "E10_sharding",
         "E15_soak",
     ]
 
@@ -434,11 +433,11 @@ class TestHarness:
     def test_only_selects_every_id_containing_the_substring(self, monkeypatch, capsys):
         calls = self.record_runs(monkeypatch)
         assert harness.main(["--only", "E1"]) == 0
-        selected = ["E1_fig5", "E10_sharding", "E15_soak"]
+        selected = ["E1_fig5", "E15_soak"]
         assert [experiment_id for experiment_id, _ in calls] == selected
         out = capsys.readouterr().out
         assert [line for line in out.splitlines() if line in self.IDS] == selected
-        assert "table of E10_sharding" in out
+        assert "table of E15_soak" in out
 
     def test_only_matching_nothing_runs_nothing(self, monkeypatch, capsys):
         calls = self.record_runs(monkeypatch)

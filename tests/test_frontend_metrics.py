@@ -1,7 +1,7 @@
 """Unit tests for the Prometheus exposition renderer and its parser.
 
 The renderer is proven against the parser (round-trip on real stats
-snapshots, including cache tiers and router counters), the value/label
+snapshots, including cache tiers and tracing counters), the value/label
 formatting helpers are pinned directly, and the parser's rejection paths —
 the failure modes a real scraper would reject — are exercised one by one.
 """
@@ -13,7 +13,6 @@ import math
 
 import pytest
 
-from repro.graph.partition import partition_graph
 from repro.meloppr.config import MeLoPPRConfig
 from repro.meloppr.solver import MeLoPPRSolver
 from repro.ppr.base import PPRQuery
@@ -30,7 +29,6 @@ from repro.serving.frontend.metrics import (
     _format_value,
 )
 from repro.serving.result_cache import ScoreTableCache
-from repro.serving.sharding import ShardRouter
 
 
 @pytest.fixture()
@@ -174,7 +172,6 @@ class TestRenderer:
             stats = batcher_stats(engine)
         scrape = parse_prometheus_text(render_prometheus(stats))
         assert "repro_cache_hits_total" not in scrape
-        assert "repro_shards" not in scrape
 
     def test_result_cache_only_is_both_combined_and_result(
         self, small_ba_graph, config
@@ -194,23 +191,6 @@ class TestRenderer:
         assert scrape.value("repro_cache_hits_total", cache="subgraph") == 0
         assert scrape.value("repro_cache_misses_total", cache="subgraph") == 0
         assert scrape.value("repro_cache_hits_total", cache="result") >= 2
-
-    def test_router_families(self, small_ba_graph, config):
-        partition = partition_graph(
-            small_ba_graph, 3, strategy="hash", halo_depth=3
-        )
-        router = ShardRouter(partition)
-        engine = QueryEngine(MeLoPPRSolver(small_ba_graph, config), router=router)
-        with engine:
-            stats = batcher_stats(engine, seeds=(3, 7, 11))
-        scrape = parse_prometheus_text(render_prometheus(stats))
-        assert scrape.value("repro_shards") == 3
-        local = scrape.value("repro_shard_local_extractions_total")
-        fallback = scrape.value("repro_shard_fallback_extractions_total")
-        # Several extractions per multi-stage query; at least one per query.
-        assert local + fallback >= 3
-        ratio = scrape.value("repro_shard_fallback_ratio")
-        assert 0.0 <= ratio <= 1.0
 
     def test_tracing_families(self, small_ba_graph, config):
         from repro.serving import Tracer

@@ -11,7 +11,6 @@ import pytest
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.subgraph import Subgraph
-from repro.graph.partition import partition_graph
 from repro.meloppr.config import MeLoPPRConfig
 from repro.meloppr.planner import (
     MeLoPPRPlan,
@@ -28,9 +27,8 @@ from repro.ppr.base import PPRQuery
 from repro.ppr.local_ppr import LocalPPRSolver
 from repro.ppr.metrics import result_precision
 from repro.serving.backends import make_backend
-from repro.serving.cache import DEFAULT_CACHE_BYTES, SubgraphCache
+from repro.serving.cache import SubgraphCache
 from repro.serving.engine import QueryEngine
-from repro.serving.sharding import ShardRouter
 from repro.serving.tracing import Tracer
 
 
@@ -192,19 +190,15 @@ class TestWaveExecutorAgainstTheSolver:
         """Every serving path extracts and diffuses a stage in waves: with the
         per-ball extraction and diffusion raising, each engine cell still
         returns the solver's answers."""
-        base = MeLoPPRConfig(selector=RatioSelector(0.2), track_memory=False)
-        # "deeper": stage one (4 hops) is past the halo, stage two is not.
         configs = {
-            "none": base,
-            "halo": base,
+            "paper": MeLoPPRConfig(selector=RatioSelector(0.2), track_memory=False),
             "deeper": MeLoPPRConfig(stage_lengths=(4, 2), selector=RatioSelector(0.2), track_memory=False),
         }
         queries = [PPRQuery(seed=seed, k=10) for seed in (0, 7, 42)]
         expected = {
-            routing: [_comparable(MeLoPPRSolver(small_ba_graph, config).solve(q)) for q in queries]
-            for routing, config in configs.items()
+            split: [_comparable(MeLoPPRSolver(small_ba_graph, config).solve(q)) for q in queries]
+            for split, config in configs.items()
         }
-        partition = partition_graph(small_ba_graph, 2, strategy="hash", halo_depth=3)
 
         def boom(*args, **kwargs):
             raise AssertionError("per-ball function called")
@@ -218,33 +212,24 @@ class TestWaveExecutorAgainstTheSolver:
 
         tracer = Tracer(sample_rate=1.0)
         cells = itertools.product((False, True), configs, (False, True), ("serial", "thread:2"))
-        for cached, routing, traced, backend in cells:
-            kwargs = {}
-            if routing != "none":
-                cache_bytes = DEFAULT_CACHE_BYTES if cached else None
-                kwargs["router"] = ShardRouter(partition, cache_bytes=cache_bytes)
-            elif cached:
-                kwargs["cache"] = SubgraphCache()
+        for cached, split, traced, backend in cells:
             engine = QueryEngine(
-                MeLoPPRSolver(small_ba_graph, configs[routing]),
+                MeLoPPRSolver(small_ba_graph, configs[split]),
                 backend=make_backend(backend),
-                **kwargs,
+                cache=SubgraphCache() if cached else None,
             )
             contexts = [tracer.start_trace() for _ in queries] if traced else None
             with engine:
                 results = engine.solve_batch(queries, contexts)
-            assert [_comparable(r) for r in results] == expected[routing]
+            assert [_comparable(r) for r in results] == expected[split]
             for ctx in contexts or ():
                 assert "extract" in {span.name for span in ctx.spans}
-            if routing == "deeper":
-                router_stats = engine.router.stats()
-                assert router_stats.fallback_extractions and router_stats.local_extractions
 
     @pytest.mark.parametrize("width", [1, 2, 5])
     def test_wave_boundaries_do_not_show(self, width, monkeypatch):
         """At any wave width the engine returns the solver's bits — with a
         node carried by balls in different waves, and waves that mix cache
-        hits with misses — uncached, cached and through a 2-shard router."""
+        hits with misses — uncached and cached."""
         config = MeLoPPRConfig(
             stage_lengths=(1, 2, 3), selector=RatioSelector(1.0), track_memory=False
         )
@@ -254,9 +239,8 @@ class TestWaveExecutorAgainstTheSolver:
         for name, module in list(sys.modules.items()):
             if name.startswith("repro") and hasattr(module, "BALLS_PER_PASS"):
                 monkeypatch.setattr(module, "BALLS_PER_PASS", width)
-        partition = partition_graph(graph, 2, strategy="hash", halo_depth=2)
         cache = SubgraphCache()
-        for kwargs in ({}, {"cache": cache}, {"router": ShardRouter(partition)}):
+        for kwargs in ({}, {"cache": cache}):
             with QueryEngine(MeLoPPRSolver(graph, config), **kwargs) as engine:
                 for _ in range(2):  # the second batch is served from the caches
                     results = engine.solve_batch(queries)

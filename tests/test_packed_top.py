@@ -83,7 +83,7 @@ class TestEveryRoute:
                 http = await enter(HttpQueryServer(batcher, "127.0.0.1", 0))
                 tcp = await enter(AsyncQueryServer(batcher, "127.0.0.1", 0))
                 router = await enter(
-                    ReplicaRouter([http.address], num_shards=4, health_interval_s=0)
+                    ReplicaRouter([http.address], health_interval_s=0)
                 )
                 stack.push_async_callback(router.stop)
                 pool = await enter(HttpClientPool(*http.address, size=2))

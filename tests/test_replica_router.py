@@ -35,7 +35,7 @@ from repro.serving.frontend.router import (
 from repro.serving.replica import ReplicaSet
 from repro.serving.tracing import Tracer
 
-CONFIG = ServingConfig(dataset="G1", backend="serial", num_shards=4)
+CONFIG = ServingConfig(dataset="G1", backend="serial")
 
 
 class InProcessFleet:
@@ -101,7 +101,7 @@ class TestRouting:
         async def main():
             async with InProcessFleet(3) as fleet:
                 router = ReplicaRouter(
-                    fleet.endpoints, num_shards=4, health_interval_s=0
+                    fleet.endpoints, health_interval_s=0
                 )
                 async with router:
                     async with HttpClientPool(*router.address) as pool:
@@ -124,23 +124,17 @@ class TestRouting:
 
         run(main())
 
-    def test_same_shard_seeds_share_a_replica(self):
+    def test_seeds_are_ring_keys_spread_over_the_fleet(self):
         async def main():
-            async with InProcessFleet(2) as fleet:
-                router = ReplicaRouter(
-                    fleet.endpoints, num_shards=4, health_interval_s=0
-                )
+            async with InProcessFleet(3) as fleet:
+                router = ReplicaRouter(fleet.endpoints, health_interval_s=0)
                 # Pure function of the ring: no serving needed.
-                from repro.graph.partition import hash_shard_of
-
-                by_shard = {}
-                for seed in range(200):
-                    shard = hash_shard_of(seed, 4)
-                    by_shard.setdefault(shard, set()).add(
-                        router.owner_of(seed)
-                    )
-                for shard, owners in by_shard.items():
-                    assert len(owners) == 1, (shard, owners)
+                owners = {seed: router.owner_of(seed) for seed in range(300)}
+                assert owners == {seed: router.ring.owner(seed) for seed in owners}
+                load = {name: 0 for name in router.ring.members}
+                for owner in owners.values():
+                    load[owner] += 1
+                assert min(load.values()) >= 300 // 3 // 2, load
 
         run(main())
 
@@ -148,7 +142,7 @@ class TestRouting:
         async def main():
             async with InProcessFleet(1) as fleet:
                 router = ReplicaRouter(
-                    fleet.endpoints, num_shards=4, health_interval_s=0
+                    fleet.endpoints, health_interval_s=0
                 )
                 async with router:
                     async with HttpClientPool(*router.address) as pool:
@@ -168,7 +162,6 @@ class TestRouting:
             async with InProcessFleet(2) as fleet:
                 router = ReplicaRouter(
                     fleet.endpoints,
-                    num_shards=4,
                     health_interval_s=0,
                     retries=5,
                 )
@@ -199,12 +192,22 @@ class TestFailover:
         # Zero stays valid: no backoff, and no health loop.
         ReplicaRouter([("127.0.0.1", 1)], **{name: 0.0})
 
+    @pytest.mark.parametrize("retries", [-1, -5])
+    def test_negative_retries_are_refused_by_the_check_the_cli_runs(self, retries):
+        # The router CLI calls check_options before it spawns a replica; the
+        # constructor runs the same check, so neither can drift from the other.
+        message = f"retries must be >= 0, got {retries}"
+        with pytest.raises(ValueError, match=message):
+            ReplicaRouter.check_options(retries, 0.0, 0.0)
+        with pytest.raises(ValueError, match=message):
+            ReplicaRouter([("127.0.0.1", 1)], retries=retries)
+        ReplicaRouter.check_options(0, 0.0, 0.0)
+
     def test_crash_fails_over_bit_identically(self, reference_answers):
         async def main():
             async with InProcessFleet(3) as fleet:
                 router = ReplicaRouter(
                     fleet.endpoints,
-                    num_shards=4,
                     health_interval_s=0,
                     retries=3,
                     retry_backoff_ms=1.0,
@@ -242,7 +245,6 @@ class TestFailover:
             async with InProcessFleet(2) as fleet:
                 router = ReplicaRouter(
                     fleet.endpoints,
-                    num_shards=4,
                     health_interval_s=0,
                     retries=3,
                     retry_backoff_ms=1.0,
@@ -286,7 +288,6 @@ class TestFailover:
             async with InProcessFleet(2) as fleet:
                 router = ReplicaRouter(
                     fleet.endpoints,
-                    num_shards=4,
                     health_interval_s=0,
                     retries=2,
                     retry_backoff_ms=1.0,
@@ -310,7 +311,6 @@ class TestFailover:
             async with InProcessFleet(2) as fleet:
                 router = ReplicaRouter(
                     fleet.endpoints,
-                    num_shards=4,
                     health_interval_s=0,  # drive probes by hand
                     dead_after=2,
                 )
@@ -340,7 +340,7 @@ class TestDrain:
         async def main():
             async with InProcessFleet(3) as fleet:
                 router = ReplicaRouter(
-                    fleet.endpoints, num_shards=4, health_interval_s=0
+                    fleet.endpoints, health_interval_s=0
                 )
                 async with router:
                     async with HttpClientPool(*router.address) as pool:
@@ -374,7 +374,7 @@ class TestDrain:
         async def main():
             async with InProcessFleet(1) as fleet:
                 router = ReplicaRouter(
-                    fleet.endpoints, num_shards=4, health_interval_s=0
+                    fleet.endpoints, health_interval_s=0
                 )
                 async with router:
                     async with HttpClientPool(*router.address) as pool:
@@ -391,7 +391,7 @@ class TestDrain:
         async def main():
             async with InProcessFleet(2) as fleet:
                 router = ReplicaRouter(
-                    fleet.endpoints, num_shards=4, health_interval_s=0
+                    fleet.endpoints, health_interval_s=0
                 )
                 async with router:
                     async with HttpClientPool(*router.address) as pool:
@@ -410,7 +410,7 @@ class TestAggregation:
         async def main():
             async with InProcessFleet(2) as fleet:
                 router = ReplicaRouter(
-                    fleet.endpoints, num_shards=4, health_interval_s=0
+                    fleet.endpoints, health_interval_s=0
                 )
                 async with router:
                     async with HttpClientPool(*router.address) as pool:
@@ -445,7 +445,7 @@ class TestAggregation:
         async def main():
             async with InProcessFleet(2) as fleet:
                 router = ReplicaRouter(
-                    fleet.endpoints, num_shards=4, health_interval_s=0
+                    fleet.endpoints, health_interval_s=0
                 )
                 async with router:
                     async with HttpClientPool(*router.address) as pool:
@@ -536,7 +536,7 @@ class TestProtocolQuarantine:
                     200, b'{"ok": true, "status": "serving", "proto": 999}'
                 )
                 router = ReplicaRouter(
-                    [fake.address], num_shards=4, health_interval_s=0
+                    [fake.address], health_interval_s=0
                 )
                 async with router:
                     states = await router.check_health()
@@ -558,7 +558,6 @@ class TestNonJsonReplica:
                 stub.answer = self.HTML
                 router = ReplicaRouter(
                     [stub.address, *fleet.endpoints],
-                    num_shards=4,
                     health_interval_s=0.02,
                 )
                 async with router:
@@ -585,7 +584,6 @@ class TestNonJsonReplica:
                 stub.answer = self.HTML
                 router = ReplicaRouter(
                     [stub.address, *fleet.endpoints],
-                    num_shards=4,
                     health_interval_s=0,
                 )
                 async with router:
@@ -635,7 +633,7 @@ class TestRelay:
         async def main():
             async with StubReplica() as stub:
                 router = ReplicaRouter(
-                    [stub.address], num_shards=4, health_interval_s=0
+                    [stub.address], health_interval_s=0
                 )
                 async with router:
                     async with HttpClientPool(*router.address) as pool:
@@ -659,7 +657,7 @@ class TestRelay:
         async def main():
             async with InProcessFleet(1) as fleet:
                 router = ReplicaRouter(
-                    fleet.endpoints, num_shards=4, health_interval_s=0
+                    fleet.endpoints, health_interval_s=0
                 )
                 async with router:
                     async with HttpClientPool(*router.address) as pool:
@@ -684,7 +682,6 @@ class TestRelay:
                 good.answer = self.ANSWERS[0]
                 router = ReplicaRouter(
                     [skewed.address, good.address],
-                    num_shards=4,
                     health_interval_s=0,
                     retry_backoff_ms=1.0,
                 )
@@ -716,7 +713,6 @@ class TestRelay:
             async with InProcessFleet(1, CONFIG.replace(trace_sample=1.0)) as fleet:
                 router = ReplicaRouter(
                     fleet.endpoints,
-                    num_shards=4,
                     health_interval_s=0,
                     tracer=tracer,
                 )

@@ -114,7 +114,7 @@ def test_pick_free_port_is_bindable():
 
 @pytest.fixture(scope="module")
 def fleet():
-    config = ServingConfig(dataset="G1", backend="serial", num_shards=4)
+    config = ServingConfig(dataset="G1", backend="serial")
     with ReplicaSet(config, 2, startup_timeout=120.0) as replica_set:
         yield replica_set
 
@@ -130,12 +130,11 @@ class TestReplicaSet:
             assert info["dataset"] == "G1"
             assert spec.alive
 
-    def test_owned_shards_partition_the_space(self, fleet):
-        owned = fleet.owned_shards(4)
-        flattened = sorted(
-            shard for shards in owned.values() for shard in shards
-        )
-        assert flattened == [0, 1, 2, 3]
+    def test_ring_assigns_every_seed_once(self, fleet):
+        owned = fleet.ring.assignment(list(range(64)))
+        assert sorted(owned) == ["replica-0", "replica-1"]
+        assert all(owned.values())
+        assert sorted(seed for seeds in owned.values() for seed in seeds) == list(range(64))
 
     def test_poll_reports_running(self, fleet):
         codes = fleet.poll()
@@ -153,10 +152,14 @@ class TestReplicaSet:
 
 
 def test_wait_ready_raises_when_replica_exits_early(tmp_path):
-    config = ServingConfig(dataset="does-not-exist", backend="serial")
-    replica_set = ReplicaSet(config, 1, startup_timeout=60.0)
+    # A config the replica would refuse never gets this far (ServingConfig
+    # checks it), so the replica is killed before it can write its record.
+    replica_set = ReplicaSet(ServingConfig(backend="serial"), 1, startup_timeout=60.0)
     try:
         replica_set.start()
+        process = replica_set.replicas[0].process
+        process.kill()
+        process.wait(timeout=60.0)
         with pytest.raises(RuntimeError, match="before becoming ready"):
             replica_set.wait_ready(timeout=60.0)
     finally:

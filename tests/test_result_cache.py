@@ -19,8 +19,7 @@ from repro.meloppr.planner import MeLoPPRPlan, execute_plan, execute_stage_task
 from repro.meloppr.selection import CountSelector, RatioSelector
 from repro.meloppr.solver import MeLoPPRSolver
 from repro.ppr.base import PPRQuery
-from repro.serving import QueryEngine, ScoreTableCache, ShardRouter, stage_one_cache_key
-from repro.graph.partition import partition_graph
+from repro.serving import QueryEngine, ScoreTableCache, stage_one_cache_key
 from repro.serving.result_cache import _entry_nbytes
 
 
@@ -453,43 +452,6 @@ class TestInvalidationRegressions:
         assert again.metadata["serving"]["result_cache"] == "answer"
         reference = MeLoPPRSolver(updated).solve(query)
         assert dict(result.scores.items()) == dict(reference.scores.items())
-
-    def test_repartitioned_router_never_serves_stale(self, small_ba_graph):
-        query = PPRQuery(seed=11, k=20, length=6)
-        reference = dict(MeLoPPRSolver(small_ba_graph).solve(query).scores.items())
-        partition = partition_graph(small_ba_graph, 3, strategy="hash", halo_depth=3)
-        router = ShardRouter(partition, result_cache_bytes=1 << 20)
-        with QueryEngine(MeLoPPRSolver(small_ba_graph), router=router) as engine:
-            engine.solve_batch([query, query])
-            stats = engine.stats()
-        assert stats.result_cache.hits == 1
-        # Repartitioning rebuilds the router; the graph (and its fingerprint)
-        # are unchanged, so the *new* router's cold caches simply miss, and
-        # clearing the old router's result caches is the explicit path.
-        router.clear_result_caches()
-        assert all(
-            router.result_cache_for(seed).stats.num_entries == 0
-            for seed in range(small_ba_graph.num_nodes)
-        )
-        repartition = partition_graph(
-            small_ba_graph, 4, strategy="degree", halo_depth=3
-        )
-        rerouter = ShardRouter(repartition, result_cache_bytes=1 << 20)
-        with QueryEngine(MeLoPPRSolver(small_ba_graph), router=rerouter) as engine:
-            (result,) = engine.solve_batch([query])
-            stats = engine.stats()
-        assert stats.result_cache.hits == 0
-        assert dict(result.scores.items()) == reference
-
-    def test_engine_rejects_result_cache_with_router(self, small_ba_graph):
-        partition = partition_graph(small_ba_graph, 2, strategy="hash", halo_depth=3)
-        router = ShardRouter(partition)
-        with pytest.raises(ValueError, match="result_cache"):
-            QueryEngine(
-                MeLoPPRSolver(small_ba_graph),
-                router=router,
-                result_cache=ScoreTableCache(),
-            )
 
 
 class FakeClock:

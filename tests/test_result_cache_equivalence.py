@@ -3,9 +3,8 @@
 The cross-query result cache promises that replaying a cached stage-one
 table is a pure performance choice: every score an engine produces with the
 cache enabled must equal — bitwise, no tolerance — what the uncached serial
-path produces, for every backend (``serial``/``thread:N``), with and
-without a :class:`~repro.serving.sharding.ShardRouter`, on hot repeated-seed streams and on interleaved cold/hot
-mixes.  This module checks that promise with an exhaustive grid, an async
+path produces, for every backend (``serial``/``thread:N``), on hot
+repeated-seed streams and on interleaved cold/hot mixes.  This module checks that promise with an exhaustive grid, an async
 frontend composition test (in-flight dedup × temporal reuse), and
 hypothesis-driven property tests over random graphs and query mixes.
 """
@@ -19,13 +18,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.graph.generators import barabasi_albert_graph, erdos_renyi_graph
-from repro.graph.partition import partition_graph
 from repro.meloppr.solver import MeLoPPRSolver
 from repro.ppr.base import PPRQuery
 from repro.serving import (
     QueryEngine,
     ScoreTableCache,
-    ShardRouter,
     SubgraphCache,
     make_backend,
 )
@@ -55,28 +52,22 @@ def hot_stream(graph):
     ]
 
 
-def solve_cached(graph, queries, backend_spec, sharded):
+def solve_cached(graph, queries, backend_spec):
     """Answer ``queries`` with result caching on, returning (results, stats)."""
-    backend = make_backend(backend_spec)
-    if sharded:
-        partition = partition_graph(graph, 3, strategy="hash", halo_depth=3)
-        router = ShardRouter(partition, result_cache_bytes=16 << 20)
-        engine = QueryEngine(MeLoPPRSolver(graph), backend=backend, router=router)
-    else:
-        engine = QueryEngine(
-            MeLoPPRSolver(graph),
-            backend=backend,
-            cache=SubgraphCache(),
-            result_cache=ScoreTableCache(),
-        )
+    engine = QueryEngine(
+        MeLoPPRSolver(graph),
+        backend=make_backend(backend_spec),
+        cache=SubgraphCache(),
+        result_cache=ScoreTableCache(),
+    )
     with engine:
         results = engine.solve_batch(queries)
         stats = engine.stats()
     return results, stats
 
 
-class TestBackendRouterGrid:
-    """Every backend × sharded/unsharded, bitwise identical to uncached serial."""
+class TestBackendGrid:
+    """Every backend, bitwise identical to uncached serial."""
 
     @pytest.fixture(scope="class")
     def graph(self):
@@ -91,10 +82,9 @@ class TestBackendRouterGrid:
         solver = MeLoPPRSolver(graph)
         return exact_scores([solver.solve(query) for query in queries])
 
-    @pytest.mark.parametrize("sharded", [False, True], ids=["unsharded", "sharded"])
     @pytest.mark.parametrize("backend_spec", BACKENDS)
-    def test_bit_identical_scores(self, graph, queries, reference, backend_spec, sharded):
-        results, stats = solve_cached(graph, queries, backend_spec, sharded)
+    def test_bit_identical_scores(self, graph, queries, reference, backend_spec):
+        results, stats = solve_cached(graph, queries, backend_spec)
         assert exact_scores(results) == reference
         # The stream was hot, so temporal repeats must have been served from
         # the cache — on concurrent backends duplicates may race and both
@@ -232,12 +222,12 @@ class TestPropertyBased:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(data=graph_and_stream(), sharded=st.booleans())
-    def test_random_streams_bit_identical(self, data, sharded):
+    @given(data=graph_and_stream())
+    def test_random_streams_bit_identical(self, data):
         graph, queries = data
         solver = MeLoPPRSolver(graph)
         reference = exact_scores([solver.solve(query) for query in queries])
-        results, stats = solve_cached(graph, queries, "serial", sharded)
+        results, stats = solve_cached(graph, queries, "serial")
         assert exact_scores(results) == reference
         # The replayed half of the stream must have hit.
         assert stats.result_cache.hits >= len(queries) // 2

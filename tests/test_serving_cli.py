@@ -19,6 +19,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 import repro
 from repro.serving.frontend import HttpClient, TcpQueryClient
 from repro.serving.replica import pick_free_port
@@ -104,7 +106,7 @@ def test_router_cli_attaches_and_routes(tmp_path):
         [
             sys.executable, "-m", "repro.serving.frontend.http",
             "--dataset", "G1", "--port", str(replica_port),
-            "--num-shards", "2", "--ready-file", str(ready_file),
+            "--ready-file", str(ready_file),
         ],
         env=cli_env(),
         stdout=subprocess.DEVNULL,
@@ -114,7 +116,7 @@ def test_router_cli_attaches_and_routes(tmp_path):
         [
             sys.executable, "-u", "-m", "repro.serving.frontend.router",
             "--host", "127.0.0.1", "--port", "0",
-            "--replica", f"127.0.0.1:{replica_port}", "--num-shards", "2",
+            "--replica", f"127.0.0.1:{replica_port}",
             "--retries", "1", "--retry-backoff-ms", "0",
             "--health-interval-s", "0",
         ],
@@ -192,21 +194,34 @@ def test_router_cli_stops_its_spawned_fleet_on_sigterm(tmp_path):
             os.kill(replica, signal.SIGKILL)
 
 
-def test_router_cli_refuses_a_bad_backend_before_spawning(tmp_path):
-    # A spawned replica's stderr is discarded, so the spec is checked first.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--backend", "bogus"], "unknown backend spec 'bogus'; expected 'serial' or 'thread[:N]'"),
+        (["--dataset", "nope"], "unknown dataset 'nope'; expected one of"),
+        (["--retries", "-1"], "retries must be >= 0, got -1"),
+        (["--health-interval-s", "nan"], "health_interval_s must be finite and >= 0, got nan"),
+        (["--retry-backoff-ms", "nan"], "retry_backoff_ms must be finite and >= 0, got nan"),
+        (["--spawn", "-1"], "num_replicas must be > 0, got -1"),
+    ],
+    ids=["backend", "dataset", "retries", "health-interval-s", "retry-backoff-ms", "spawn"],
+)
+def test_router_cli_refuses_a_bad_backend_before_spawning(tmp_path, argv, message):
+    # A spawned replica's stderr is discarded, so every flag is checked first.
     env = dict(cli_env(), TMPDIR=str(tmp_path))
     done = subprocess.run(
         [
             sys.executable, "-m", "repro.serving.frontend.router",
-            "--port", "0", "--spawn", "1", "--backend", "bogus",
+            "--port", "0", "--spawn", "1", *argv,
         ],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
-    assert done.returncode == 2  # a usage error, not a dead fleet
-    assert "unknown backend spec 'bogus'; expected 'serial' or 'thread[:N]'" in done.stderr
+    assert done.returncode == 2, done.stderr  # a usage error, not a dead fleet
+    assert f"error: {message}" in done.stderr
+    assert "Traceback" not in done.stderr
     assert "before becoming ready" not in done.stderr
     assert not list(tmp_path.iterdir())
 

@@ -11,6 +11,7 @@ import inspect
 
 import pytest
 
+from repro.graph.datasets import _BY_NAME, PAPER_DATASETS, get_spec
 from repro.meloppr.planner import execute_stage, execute_stage_task
 from repro.serving import frontend
 from repro.serving.engine import QueryEngine
@@ -34,7 +35,6 @@ CLI_PARSERS = {
     "http": lambda: build_serving_parser("http", default_port=7080),
     "router": build_router_parser,
 }
-from repro.serving.sharding import ShardRouter
 
 
 class TestRoundTrip:
@@ -55,9 +55,6 @@ class TestRoundTrip:
             no_cache=True,
             result_cache_bytes=1234,
             result_cache_ttl=2.5,
-            num_shards=8,
-            partition="range",
-            halo_depth=2,
             trace_sample=0.25,
             trace_ring=64,
             slow_ms=10.0,
@@ -102,11 +99,7 @@ class TestRoundTrip:
     def test_router_spawn_defaults_are_the_config_defaults(self):
         args = build_router_parser().parse_args(["--spawn", "1"])
         defaults = ServingConfig()
-        assert (args.dataset, args.backend, args.num_shards) == (
-            defaults.dataset,
-            defaults.backend,
-            defaults.num_shards,
-        )
+        assert (args.dataset, args.backend) == (defaults.dataset, defaults.backend)
 
     @pytest.mark.parametrize(
         "entry",
@@ -124,22 +117,39 @@ class TestRoundTrip:
 
     def test_replace_returns_new_frozen_config(self):
         config = ServingConfig()
-        other = config.replace(num_shards=4)
-        assert other.num_shards == 4 and config.num_shards == 0
+        other = config.replace(max_batch=4)
+        assert other.max_batch == 4 and config.max_batch == 8
         with pytest.raises(dataclasses.FrozenInstanceError):
-            config.num_shards = 1
+            config.max_batch = 1
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ServingConfig(num_shards=-1)
-        with pytest.raises(ValueError):
-            ServingConfig(num_shards=2, partition="nope")
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            pytest.param("backend", spec, "expected 'serial' or 'thread\\[:N\\]'", id=spec)
+            for spec in ("process:2", "bogus", "process", "async:2", "gpu:4")
+        ]
+        + [
+            pytest.param(
+                "dataset", name, f"unknown dataset '{name}'; expected one of",
+                id=f"dataset={name}",
+            )
+            for name in ("nope", "g1", "G7", "")
+        ],
+    )
+    def test_a_backend_make_backend_refuses_is_refused(self, field, value, message):
+        # Checked here, not in the spawned replica, whose stderr nobody reads:
+        # a backend make_backend refuses, or a dataset load_dataset refuses.
+        with pytest.raises(ValueError, match=message):
+            ServingConfig(**{field: value})
 
-    @pytest.mark.parametrize("spec", ["process:2", "bogus", "process", "async:2", "gpu:4"])
-    def test_a_backend_make_backend_refuses_is_refused(self, spec):
-        # Checked here, not in the spawned replica, whose stderr nobody reads.
-        with pytest.raises(ValueError, match="expected 'serial' or 'thread\\[:N\\]'"):
-            ServingConfig(backend=spec)
+    @pytest.mark.parametrize("dataset", sorted(PAPER_DATASETS) + sorted(_BY_NAME))
+    def test_every_registered_dataset_is_accepted(self, dataset):
+        # The registry check refuses only what load_dataset would: every
+        # paper key and every dataset name passes and round-trips.
+        config = ServingConfig(dataset=dataset)
+        args = build_parser().parse_args(config.to_argv())
+        assert ServingConfig.from_args(args) == config
+        assert get_spec(config.dataset) in PAPER_DATASETS.values()
 
     @pytest.mark.parametrize(
         "spec, message",
@@ -216,27 +226,23 @@ class TestCliBackendRefusal:
         assert exited.value.code == 2
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cli", sorted(MAINS))
+    def test_bad_dataset_exits_before_serving(self, cli, capsys):
+        # No graph is built and no replica spawned for a key the registry lacks.
+        with pytest.raises(SystemExit) as exited:
+            self.MAINS[cli](["--port", "0", "--dataset", "nope"])
+        assert exited.value.code == 2
+        assert "error: unknown dataset 'nope'; expected one of" in capsys.readouterr().err
+
 
 class TestBuildFrontend:
-    def test_unsharded_build(self):
+    def test_build(self):
         config = ServingConfig(dataset="G1", backend="serial")
         engine, policy, admission = build_frontend(config)
         try:
             assert isinstance(engine, QueryEngine)
-            assert engine.router is None
             assert policy.max_batch_size == config.max_batch
             assert admission.max_pending == config.max_pending
-        finally:
-            engine.close()
-
-    def test_sharded_build_gets_a_router(self):
-        config = ServingConfig(
-            dataset="G1", backend="serial", num_shards=4, halo_depth=2
-        )
-        engine, _, _ = build_frontend(config)
-        try:
-            assert isinstance(engine.router, ShardRouter)
-            assert engine.router.partition.num_shards == 4
         finally:
             engine.close()
 

@@ -256,33 +256,30 @@ class TestResetStatsCoversEveryCounterSource:
     """Regression: per-interval resets must reach *all* aggregated counters.
 
     ``stats()`` folds several counter sources into one snapshot — the
-    engine accumulator, the router's per-shard/fallback/result caches and
-    the engine-level caches.
+    engine accumulator, the sub-graph cache and the result cache.
     ``reset_stats(reset_cache_stats=True)`` historically reset only the
     engine-side sources, so the first interval report after a reset still
     carried stale cache counters (observed as impossible per-interval hit
     rates in server metrics).
     """
 
-    def test_sharded_reset_zeroes_per_shard_and_result_counters(
+    def test_reset_zeroes_the_subgraph_and_result_cache_counters(
         self, small_ba_graph, queries
     ):
-        from repro.graph.partition import partition_graph
-        from repro.serving import ShardRouter
+        from repro.serving import ScoreTableCache
 
-        partition = partition_graph(small_ba_graph, 3, strategy="hash", halo_depth=3)
-        router = ShardRouter(partition, result_cache_bytes=16 << 20)
-        with QueryEngine(MeLoPPRSolver(small_ba_graph), router=router) as engine:
+        cache, result_cache = SubgraphCache(), ScoreTableCache()
+        with QueryEngine(
+            MeLoPPRSolver(small_ba_graph), cache=cache, result_cache=result_cache
+        ) as engine:
             engine.solve_batch(queries)
+            assert cache.stats.lookups and result_cache.stats.lookups
             engine.reset_stats(reset_cache_stats=True)
             stats = engine.stats()
         assert stats.queries_served == 0
         assert all_cache_counters_zero(stats.cache)
         assert all_cache_counters_zero(stats.result_cache)
-        for shard in stats.router.shards:
-            assert shard.local_extractions == 0
-            assert all_cache_counters_zero(shard.cache)
-            assert all_cache_counters_zero(shard.result_cache)
+        assert all_cache_counters_zero(cache.stats)
 
     def test_reset_zeroes_tracing_counters_but_keeps_the_ring(
         self, small_ba_graph, queries

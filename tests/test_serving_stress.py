@@ -1,7 +1,7 @@
 """Concurrency stress tests: the serving caches and engine under contention.
 
-Many threads hammer a cache (:class:`SubgraphCache`, :class:`ShardRouter`,
-or the cross-query :class:`ScoreTableCache`) with a byte budget small enough
+Many threads hammer a cache (:class:`SubgraphCache` or the cross-query
+:class:`ScoreTableCache`) with a byte budget small enough
 that entries are constantly evicted, which is where LRU bookkeeping bugs
 (double-counted bytes, lost evictions, counter drift) live.  After the storm
 the cache's invariants must hold exactly: ``current_bytes`` equals the sum
@@ -21,10 +21,9 @@ import numpy as np
 import pytest
 
 from repro.graph.bfs import extract_ego_subgraph
-from repro.graph.partition import partition_graph
 from repro.meloppr.solver import MeLoPPRSolver
 from repro.ppr.base import PPRQuery
-from repro.serving import QueryEngine, ScoreTableCache, ShardRouter, SubgraphCache
+from repro.serving import QueryEngine, ScoreTableCache, SubgraphCache
 from repro.serving.result_cache import _entry_nbytes as result_entry_nbytes
 
 NUM_THREADS = 8
@@ -115,42 +114,8 @@ class TestSubgraphCacheStress:
         assert stats.hits + stats.misses == sum(lookups)
         assert stats.current_bytes <= cache.max_bytes
 
-
-class TestShardRouterStress:
-    def test_routed_extractions_under_contention(self, small_ba_graph):
-        partition = partition_graph(small_ba_graph, 4, strategy="hash", halo_depth=2)
-        centers = list(range(0, small_ba_graph.num_nodes, 5))
-        budget = tiny_budget(small_ba_graph, centers)
-        router = ShardRouter(partition, cache_bytes=budget)
-        # Mix of shard-local depths and beyond-halo depths (fallback path).
-        depths = [1, 2, 2, 3]
-
-        def worker(index):
-            for step in range(OPS_PER_THREAD):
-                center = centers[(index * 17 + step) % len(centers)]
-                depth = depths[(index + step) % len(depths)]
-                subgraph, bfs, _ = router.extract_wave(small_ba_graph, [center], depth).triples()[0]
-                assert bfs.source == center
-                assert subgraph.contains_global(center)
-
-        run_threads(worker)
-
-        router.validate()
-        stats = router.stats()
-        total_ops = NUM_THREADS * OPS_PER_THREAD
-        assert stats.local_extractions + stats.fallback_extractions == total_ops
-        assert stats.fallback_extractions > 0  # depth-3 calls crossed the halo
-        # Per-shard: the shard cache saw exactly the extractions routed to it.
-        for shard_stats in stats.shards:
-            cache_stats = shard_stats.cache
-            assert cache_stats.hits + cache_stats.misses == shard_stats.local_extractions
-            assert cache_stats.current_bytes <= budget
-        fallback = stats.fallback_cache
-        assert fallback.hits + fallback.misses == stats.fallback_extractions
-
-    def test_router_concurrent_results_stay_correct(self, small_ba_graph):
-        partition = partition_graph(small_ba_graph, 3, strategy="degree", halo_depth=2)
-        router = ShardRouter(partition, cache_bytes=64 << 20)
+    def test_concurrent_results_stay_correct(self, small_ba_graph):
+        cache = SubgraphCache(max_bytes=64 << 20)
         centers = list(range(0, small_ba_graph.num_nodes, 23))
         expected = {
             center: extract_ego_subgraph(small_ba_graph, center, 2)
@@ -158,11 +123,9 @@ class TestShardRouterStress:
         }
 
         def worker(index):
-            import numpy as np
-
             for step in range(OPS_PER_THREAD // 2):
                 center = centers[(index + step) % len(centers)]
-                subgraph, bfs, _ = router.extract_wave(small_ba_graph, [center], 2).triples()[0]
+                subgraph, bfs, _ = cache.extract_wave(small_ba_graph, [center], 2).triples()[0]
                 want_sub, want_bfs = expected[center]
                 assert np.array_equal(subgraph.global_ids, want_sub.global_ids)
                 assert np.array_equal(subgraph.graph.indptr, want_sub.graph.indptr)
@@ -170,7 +133,44 @@ class TestShardRouterStress:
                 assert bfs.edges_scanned == want_bfs.edges_scanned
 
         run_threads(worker)
-        router.validate()
+        cache.validate()
+
+    def test_mixed_depth_waves_under_contention(self, small_ba_graph):
+        # Whole stages at once — several centres, a repeat, depths 1 to 3 —
+        # through a budget too small for one stage: the waves each thread
+        # gets back stay correct while other threads evict their balls.
+        centers = list(range(0, small_ba_graph.num_nodes, 9))
+        depths = (1, 2, 2, 3)
+        expected = {
+            (center, depth): extract_ego_subgraph(small_ba_graph, center, depth)
+            for center in centers
+            for depth in depths
+        }
+        cache = SubgraphCache(max_bytes=tiny_budget(small_ba_graph, centers))
+        lookups = [0] * NUM_THREADS
+
+        def worker(index):
+            for step in range(OPS_PER_THREAD // 4):
+                start = (index * 5 + step * 3) % len(centers)
+                wave = centers[start : start + 4] + centers[start : start + 1]
+                depth = depths[(index + step) % len(depths)]
+                triples = cache.extract_wave(small_ba_graph, wave, depth).triples()
+                lookups[index] += len(wave)
+                assert len(triples) == len(wave)
+                for center, (subgraph, bfs, _) in zip(wave, triples):
+                    want_sub, want_bfs = expected[(center, depth)]
+                    assert bfs.source == center
+                    assert np.array_equal(subgraph.global_ids, want_sub.global_ids)
+                    assert np.array_equal(subgraph.graph.indices, want_sub.graph.indices)
+                    assert np.array_equal(bfs.levels, want_bfs.levels)
+
+        run_threads(worker)
+
+        cache.validate()
+        stats = cache.stats
+        assert stats.lookups == sum(lookups)
+        assert stats.evictions + stats.rejected > 0
+        assert stats.current_bytes <= cache.max_bytes
 
 
 class TestCacheValidate:

@@ -93,7 +93,7 @@ class TestSoakMath:
         assert study.by_label()["1x"].goodput_qps == 90.0
 
     def test_as_dict_carries_the_gate_metric(self):
-        """check_regression.py reads runs[].label + runs[].throughput_qps."""
+        """The report's runs carry label + throughput_qps, like every serving bench."""
         study = make_study(
             [make_run("1x", 1.0, 90.0), make_run("10x", 10.0, 85.0)]
         )

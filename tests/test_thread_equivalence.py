@@ -2,8 +2,8 @@
 
 The thread-pool backend promises that spreading a batch's queries over a
 persistent pool is a pure performance choice: every score must equal —
-bitwise, no tolerance — what the serial in-process path produces, with and
-without sharding, with the extraction cache on or off, for any pool size.
+bitwise, no tolerance — what the serial in-process path produces, with the
+extraction cache off, roomy or evicting mid-batch, for any pool size.
 The grid covers those axes on a fixed graph; hypothesis drives random query
 mixes through one long-lived engine (the pool persists across examples,
 exactly like a long-lived server).  The lifecycle tests pin what an engine
@@ -17,13 +17,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.graph.generators import barabasi_albert_graph
-from repro.graph.partition import PARTITIONERS, partition_graph
 from repro.meloppr.solver import MeLoPPRSolver
 from repro.ppr.base import PPRQuery
 from repro.serving import (
     QueryEngine,
     ScoreTableCache,
-    ShardRouter,
     SubgraphCache,
     ThreadPoolBackend,
 )
@@ -55,11 +53,16 @@ def reference(graph, queries):
     return exact_scores([solver.solve(query) for query in queries])
 
 
-class TestUnshardedGrid:
+#: Extraction cache budgets: none, roomy, and one the batch keeps evicting from.
+CACHE_BYTES = {"cold": None, "cached": 32 << 20, "tight": 4096}
+
+
+class TestPoolGrid:
     @pytest.mark.parametrize("num_workers", [1, 2, 3])
-    @pytest.mark.parametrize("cached", [False, True], ids=["cold", "cached"])
-    def test_bit_identical_scores(self, graph, queries, reference, num_workers, cached):
-        cache = SubgraphCache(32 << 20) if cached else None
+    @pytest.mark.parametrize("budget", list(CACHE_BYTES))
+    def test_bit_identical_scores(self, graph, queries, reference, num_workers, budget):
+        cached = CACHE_BYTES[budget] is not None
+        cache = SubgraphCache(CACHE_BYTES[budget]) if cached else None
         backend = ThreadPoolBackend(num_workers)
         with QueryEngine(MeLoPPRSolver(graph), backend=backend, cache=cache) as engine:
             results = engine.solve_batch(queries)
@@ -68,11 +71,12 @@ class TestUnshardedGrid:
         assert stats.backend == "thread-pool"
         assert stats.queries_served == len(queries)
         assert (stats.cache is not None) is cached
+        if budget == "tight":
+            assert stats.cache.evictions + stats.cache.rejected > 0
         for result in results:
             serving = result.metadata["serving"]
             assert serving["backend"] == "thread-pool"
             assert serving["cache_enabled"] is cached
-            assert serving["sharded"] is False
 
     def test_repeated_batches_reuse_the_pool(self, graph, queries, reference):
         backend = ThreadPoolBackend(2)
@@ -85,64 +89,6 @@ class TestUnshardedGrid:
         assert backend._executor is None  # the engine closed its backend
         assert exact_scores(first) == reference
         assert exact_scores(second) == reference
-
-
-class TestShardedGrid:
-    @pytest.mark.parametrize("cached", [False, True], ids=["cold", "cached"])
-    @pytest.mark.parametrize("num_shards", [2, 5])
-    @pytest.mark.parametrize("strategy", sorted(PARTITIONERS))
-    def test_bit_identical_scores(
-        self, graph, queries, reference, strategy, num_shards, cached
-    ):
-        partition = partition_graph(graph, num_shards, strategy=strategy, halo_depth=3)
-        router = ShardRouter(partition, cache_bytes=(32 << 20) if cached else None)
-        backend = ThreadPoolBackend(2)
-        with QueryEngine(MeLoPPRSolver(graph), backend=backend, router=router) as engine:
-            results = engine.solve_batch(queries)
-            stats = engine.stats()
-        assert exact_scores(results) == reference
-        assert stats.router is not None
-        assert stats.router.fallback_rate == 0.0
-        for result in results:
-            assert result.metadata["serving"]["sharded"] is True
-            assert result.metadata["serving"]["cache_enabled"] is cached
-
-    @pytest.mark.parametrize("strategy", sorted(PARTITIONERS))
-    def test_fallback_beyond_halo_bit_identical(
-        self, graph, queries, reference, strategy
-    ):
-        # halo 1 < stage length 3: every extraction of the length-6 queries
-        # is proxied to the host graph from several pool threads at once —
-        # answers still must not move.
-        deep = [i for i, query in enumerate(queries) if query.length == 6]
-        partition = partition_graph(graph, 3, strategy=strategy, halo_depth=1)
-        router = ShardRouter(partition)
-        backend = ThreadPoolBackend(2)
-        with QueryEngine(MeLoPPRSolver(graph), backend=backend, router=router) as engine:
-            results = engine.solve_batch([queries[i] for i in deep])
-            stats = engine.stats()
-        assert exact_scores(results) == [reference[i] for i in deep]
-        assert stats.router.fallback_extractions > 0
-        assert stats.router.fallback_rate == 1.0
-
-    def test_mixed_local_and_fallback_depths(self, graph):
-        # halo 2 serves length<=2 tasks shard-locally; length-3 stages fall
-        # back — one batch exercises both executors side by side.
-        partition = partition_graph(graph, 2, strategy="range", halo_depth=2)
-        router = ShardRouter(partition)
-        backend = ThreadPoolBackend(2)
-        queries = [
-            PPRQuery(seed=seed, k=25, length=length)
-            for seed, length in ((3, 4), (90, 6), (3, 2))
-        ]
-        solver = MeLoPPRSolver(graph)
-        expected = exact_scores([solver.solve(query) for query in queries])
-        with QueryEngine(MeLoPPRSolver(graph), backend=backend, router=router) as engine:
-            results = engine.solve_batch(queries)
-            stats = engine.stats()
-        assert exact_scores(results) == expected
-        assert stats.router.fallback_extractions > 0
-        assert 0.0 < stats.router.fallback_rate < 1.0
 
 
 class TestPropertyBased:

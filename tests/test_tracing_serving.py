@@ -2,7 +2,8 @@
 
 The unit behavior of the tracer lives in ``tests/test_tracing.py``; these
 tests prove the *threading* — that a sampled query through the real stack
-(admission queue → micro-batch → engine → stages → shard router) yields one connected span tree, that trace context propagates
+(admission queue → micro-batch → engine → stages → extraction) yields one
+connected span tree, that trace context propagates
 in over both transports (TCP ``trace`` field, HTTP ``traceparent`` header),
 that the debug endpoints export valid Chrome trace-event JSON, and that the
 disabled path costs nothing measurable.
@@ -19,13 +20,11 @@ import time
 
 import pytest
 
-from repro.graph.partition import partition_graph
 from repro.meloppr.config import MeLoPPRConfig
 from repro.meloppr.solver import MeLoPPRSolver
 from repro.ppr.base import PPRQuery
 from repro.serving import (
     QueryEngine,
-    ShardRouter,
     SubgraphCache,
     Tracer,
     format_traceparent,
@@ -116,30 +115,6 @@ class TestEngineTracing:
         assert extract["attributes"]["balls"] == 1
         assert "cache_hits" in extract["attributes"]
 
-    def test_sharded_extract_spans_carry_routing_attributes(
-        self, small_ba_graph, config
-    ):
-        tracer = Tracer(sample_rate=1.0)
-        partition = partition_graph(
-            small_ba_graph, 2, strategy="hash", halo_depth=3
-        )
-        engine = QueryEngine(
-            MeLoPPRSolver(small_ba_graph, config),
-            router=ShardRouter(partition),
-            tracer=tracer,
-        )
-        with engine:
-            ctx = tracer.start_trace("request")
-            engine.solve_batch([PPRQuery(seed=7, k=20)], [ctx])
-            ctx.finish()
-        tree = tracer.traces()[0]
-        extracts = [s for s in tree["spans"] if s["name"] == "extract"]
-        assert extracts
-        for span in extracts:
-            shard_ids = span["attributes"]["shard_ids"]
-            assert shard_ids == sorted(shard_ids) and set(shard_ids) <= {0, 1}
-            assert isinstance(span["attributes"]["halo_fallback"], bool)
-
     def test_unsampled_batch_entries_trace_nothing(self, small_ba_graph, config):
         tracer = Tracer(sample_rate=1.0)
         engine = QueryEngine(MeLoPPRSolver(small_ba_graph, config), tracer=tracer)
@@ -156,20 +131,18 @@ class TestEngineTracing:
         assert engine_spans[0]["attributes"]["seed"] == 3
 
 
-class TestShardedAcceptance:
+class TestAcceptance:
     @pytest.mark.parametrize("backend", ["serial", "thread:2"])
-    def test_connected_span_tree_across_shards(self, small_ba_graph, config, backend):
-        """TCP request → admission → batcher → engine → a 2-shard router on
-        each backend: one connected span tree whose extraction spans name
-        their shards, exported as valid Chrome trace-event JSON."""
+    def test_connected_span_tree(self, small_ba_graph, config, backend):
+        """TCP request → admission → batcher → engine → the cached stage
+        extraction on each backend: one connected span tree whose extraction
+        spans count their cache hits, exported as valid Chrome trace-event
+        JSON."""
         tracer = Tracer(sample_rate=1.0)
-        partition = partition_graph(
-            small_ba_graph, 2, strategy="hash", halo_depth=3
-        )
         engine = QueryEngine(
             MeLoPPRSolver(small_ba_graph, config),
             backend=make_backend(backend),
-            router=ShardRouter(partition),
+            cache=SubgraphCache(),
             tracer=tracer,
         )
 
@@ -219,7 +192,7 @@ class TestShardedAcceptance:
         extracts = [s for s in tree["spans"] if s["name"] == "extract"]
         for span in extracts:
             assert span["parent_id"] in stage_ids
-            assert set(span["attributes"]["shard_ids"]) <= {0, 1}
+            assert 0 <= span["attributes"]["cache_hits"] <= span["attributes"]["balls"]
         # One process served the whole tree.
         assert {span["pid"] for span in tree["spans"]} == {tree["spans"][0]["pid"]}
 

@@ -11,8 +11,8 @@ the claim three ways:
 * tightness on named cases — the boundary is free, a pair on it is not;
 * the serving engine under a churn script: after *every* update, every cached
   seed's served result — kept answer, resumed state or recompute — equals a
-  fresh uncached solver on a from-scratch rebuild, metadata included, in all
-  four serving modes; with the pair clause removed the same check must fail.
+  fresh uncached solver on a from-scratch rebuild, metadata included, on
+  both backends; with the pair clause removed the same check must fail.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.graph.delta import (
     update_reach_bound,
 )
 from repro.graph.generators import watts_strogatz_graph
-from repro.graph.partition import partition_graph
 from repro.meloppr.config import MeLoPPRConfig
 from repro.meloppr.selection import CountSelector
 from repro.meloppr.solver import MeLoPPRSolver
@@ -39,7 +38,6 @@ from repro.ppr.base import PPRQuery
 from repro.serving import (
     QueryEngine,
     ScoreTableCache,
-    ShardRouter,
     SubgraphCache,
     make_backend,
 )
@@ -213,15 +211,11 @@ NUM_NODES = 160
 SERVING_KEYS = ("serving", "cache_hits", "cache_misses")
 
 
-def make_engine(graph: CSRGraph, mode: str) -> QueryEngine:
-    solver = MeLoPPRSolver(graph, CONFIG)
-    if mode == "sharded":
-        partition = partition_graph(graph, 3, strategy="hash", halo_depth=2)
-        return QueryEngine(solver, router=ShardRouter(partition, result_cache_bytes=8 << 20))
+def make_engine(graph: CSRGraph, mode: str, cache_bytes=None) -> QueryEngine:
     return QueryEngine(
-        solver,
+        MeLoPPRSolver(graph, CONFIG),
         backend=make_backend(mode),
-        cache=SubgraphCache(),
+        cache=SubgraphCache() if cache_bytes is None else SubgraphCache(cache_bytes),
         result_cache=ScoreTableCache(),
     )
 
@@ -251,13 +245,13 @@ def churn_script(graph: CSRGraph, steps: int, rng: np.random.Generator):
         yield ops, sorted(edges)
 
 
-def churn_differential(mode: str, steps: int):
+def churn_differential(mode: str, steps: int, cache_bytes=None):
     """Serve every cached seed after every update; count what disagrees with
     a fresh solver on the rebuilt graph: (comparisons, kept answers, wrong)."""
     graph = watts_strogatz_graph(NUM_NODES, 4, 0.0, rng=0, name="lattice")
     queries = [PPRQuery(seed=seed, k=6, length=4) for seed in range(0, NUM_NODES, 3)]
     comparisons = kept = wrong = 0
-    with make_engine(graph, mode) as engine:
+    with make_engine(graph, mode, cache_bytes) as engine:
         engine.solve_batch(queries)
         for ops, edges in churn_script(graph, steps, np.random.default_rng(7)):
             outcome = engine.apply_update(ops)
@@ -283,11 +277,13 @@ def churn_differential(mode: str, steps: int):
 
 
 @pytest.mark.parametrize(
-    "mode, steps",
-    [("serial", 15), ("thread:2", 6), ("sharded", 6)],
+    "mode, steps, cache_bytes",
+    [("serial", 15, None), ("thread:2", 6, None), ("serial", 6, 2048)],
+    # ``tight``: an extraction cache that evicts while updates carry it.
+    ids=["serial-15", "thread:2-6", "serial-tight-6"],
 )
-def test_every_served_result_after_every_update_equals_a_rebuild(mode, steps):
-    comparisons, kept, wrong = churn_differential(mode, steps)
+def test_every_served_result_after_every_update_equals_a_rebuild(mode, steps, cache_bytes):
+    comparisons, kept, wrong = churn_differential(mode, steps, cache_bytes)
     assert comparisons == steps * 54
     assert wrong == 0
     # Most answers are out of reach of an update and are served as kept.
