@@ -5,10 +5,13 @@ caches, ``QueryEngine`` on the serial backend) for a warm-up pass plus
 twenty timed passes and prints one JSON object: the per-layer numbers of
 ``benchmarks.layered.common.engine_depth_metrics`` (milliseconds per query
 for each bucket the plan times itself, and the engine's wall around them),
-computed per pass.  Each ``*_ms`` row is the median over the passes with its
-quartiles, ``{"q1", "median", "q3"}``; the counts are exact and the same in
-every pass.  One pass is ~0.06 s, so a single reading wanders with the
-machine; the median of twenty does not.
+computed per pass.  Each pass's times are divided by the slowdown of the
+core it ran on, read by ``benchmarks.layered.common.Calibrator``'s bursts
+just before and after it (as ``run.py`` calibrates its timings), so a
+shared host's slow spells do not move a whole run.  Each ``*_ms`` row is
+the median over the passes with its quartiles, ``{"q1", "median", "q3"}``;
+the counts are exact and the same in every pass; ``bench.calibration_ms``
+is the median unit time of the bursts.
 ``--src`` points at another checkout's ``src`` directory, so two revisions
 can be compared from one command line, alternating::
 
@@ -35,14 +38,22 @@ def main() -> None:
     sys.path[:0] = [os.path.abspath(parser.parse_args().src), ROOT]
 
     from benchmarks.layered import generate
-    from benchmarks.layered.common import engine_depth_metrics, query_for, solver_config
+    from benchmarks.layered.common import (
+        Calibrator,
+        engine_depth_metrics,
+        ms,
+        query_for,
+        solver_config,
+    )
     from repro.graph.datasets import load_dataset
     from repro.meloppr.solver import MeLoPPRSolver
     from repro.serving.engine import QueryEngine
 
     seeds = [node for node, _ in generate.cold_draw(generate.load_cold_pool(), 1)]
     passes = []
+    calibrator = Calibrator()
     with QueryEngine(MeLoPPRSolver(load_dataset("G3"), solver_config())) as engine:
+        calibrator.start()
         for timed_pass in range(PASSES + 1):
             results, walls = [], []
             for seed in seeds:
@@ -50,9 +61,16 @@ def main() -> None:
                 (result,) = engine.solve_batch([query_for(seed)])
                 walls.append(time.perf_counter() - started)
                 results.append(result)
+            slowdown = calibrator.slowdown()
             if timed_pass:
-                passes.append(engine_depth_metrics(results, walls))
-    summary = {}
+                metrics = engine_depth_metrics(results, walls)
+                passes.append({
+                    name: value / slowdown if name.endswith("_ms") else value
+                    for name, value in metrics.items()
+                })
+    summary = {"bench.calibration_ms": ms(statistics.median(
+        seconds for _, seconds in calibrator.units
+    ))}
     for name in passes[0]:
         values = [metrics[name] for metrics in passes]
         if name.endswith("_ms"):

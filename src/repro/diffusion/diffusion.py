@@ -29,7 +29,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.diffusion.kernels import DiffusionKernel, GraphStructure, make_kernel
+from repro.diffusion.kernels import DiffusionKernel
 from repro.diffusion.transition import TransitionOperator
 from repro.graph.csr import CSRGraph
 from repro.utils.validation import (
@@ -180,48 +180,56 @@ def graph_diffusion(
 
 
 def stage_diffusion(
-    indptr: np.ndarray,
-    indices: np.ndarray,
+    targets: np.ndarray,
+    sources: np.ndarray,
+    degrees: np.ndarray,
     bounds: Sequence[int],
     seeds: Sequence[int],
     length: int,
     alpha: float = DEFAULT_ALPHA,
-    kernel: Union[str, DiffusionKernel, None] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``graph_diffusion`` from a one-hot seed in every block of a block-diagonal graph.
 
-    ``(indptr, indices)`` is one CSR graph whose rows ``bounds[i]:bounds[i+1]``
-    form block ``i`` and whose entries never leave their block — a stage's
-    stacked ego balls, as :func:`~repro.graph.bfs.extract_wave` returns them.
-    Block ``i`` is diffused from a one-hot vector at row ``seeds[i]`` (inside
-    the block), all blocks at once: each of the ``length`` steps is one
-    application of the kernel to the stacked state.  A row sum stays inside
-    its block and keeps its in-row order, so every kernel returns, block by
-    block, the bits :func:`graph_diffusion` returns for that block alone.
+    The graph is in push form: a step adds ``score[s] / degrees[s]`` to
+    ``t`` for every pair ``(t, s)`` of ``(targets, sources)``.  Nodes
+    ``bounds[i]:bounds[i+1]`` form block ``i``, no pair leaves its block,
+    and ``degrees`` is each node's degree — a stage's stacked ego balls, as
+    an :class:`~repro.graph.bfs.EgoWave` holds them.  Block ``i`` is
+    diffused from a one-hot vector at node ``seeds[i]``, all blocks at once,
+    each step one sequential scatter (``np.bincount``) over the pairs.  When
+    every target meets its sources in ascending id (a CSR's row ids and
+    columns, or a fresh wave's BFS reads), each sum is the reference
+    kernel's in-row sum, so every block gets, bit for bit, what
+    :func:`graph_diffusion` returns for it alone under any kernel.  A pair
+    whose source scores ``0.0`` in every step (as a depth-``length`` ball's
+    last level does) adds only ``+0.0`` and may be left out.
 
     Returns the stacked accumulated and residual vectors and each block's
     ``propagations`` (adjacency entries read, counted per block).
     """
     length = check_non_negative_int(length, "length")
     alpha = check_probability(alpha, "alpha")
-    step_kernel = make_kernel(kernel)
     bounds = np.asarray(bounds, dtype=np.int64)
     seeds = np.asarray(seeds, dtype=np.int64)
     starts, ends = bounds[:-1], bounds[1:]
     if seeds.shape != starts.shape or ((seeds < starts) | (seeds >= ends)).any():
         raise ValueError(f"need one seed inside each of {bounds.size - 1} blocks, got {seeds}")
-    structure = GraphStructure(indptr, indices)
+    degrees = np.asarray(degrees, dtype=np.int64)
+    total = degrees.size
+    with np.errstate(divide="ignore"):
+        inverse_degrees = np.where(degrees > 0, 1.0 / degrees, 0.0)
 
-    residual = np.zeros(structure.num_nodes, dtype=np.float64)
+    residual = np.zeros(total, dtype=np.float64)
     residual[seeds] = 1.0
     accumulated = np.zeros_like(residual)
     # Adjacency entries read from each node over all steps; summed per block
     # below, which is each block's own ``propagations``.
-    touched = np.zeros(structure.num_nodes, dtype=np.int64)
+    touched = np.zeros(total, dtype=np.int64)
     for step in range(length):
         accumulated += (1.0 - alpha) * (alpha**step) * residual
-        np.add(touched, structure.degrees, out=touched, where=residual != 0.0)
-        residual = step_kernel.apply(structure, residual)
+        np.add(touched, degrees, out=touched, where=residual != 0.0)
+        contribution = (residual * inverse_degrees)[sources]
+        residual = np.bincount(targets, weights=contribution, minlength=total)
     accumulated += (alpha**length) * residual
     return accumulated, residual, np.add.reduceat(touched, starts)
 

@@ -4,24 +4,27 @@ The inner loop of every experiment in this repository is one propagation of
 the random-walk operator ``W = A D^-1`` over a CSR graph (Eq. 1 / Fig. 3(b)
 of the paper).  This module factors that step out of
 :class:`~repro.diffusion.transition.TransitionOperator` into three
-bit-identical **kernels**, named in :data:`KERNELS`.  Everything above the
-diffusion layer runs ``reference``; the other two stay nameable only so the
-diffusion layer's differential tests and the layered benchmark's
-``diffusion.kernels.*`` rows can compare them with it:
+bit-identical **kernels**, named in :data:`KERNELS`.  Every
+:func:`~repro.diffusion.diffusion.graph_diffusion` above the diffusion layer
+(the per-ball solver, the fixed-point model) runs ``reference``; the served
+wave path runs :func:`~repro.diffusion.diffusion.stage_diffusion`'s own
+scatter, held to every kernel bit for bit.  The other two stay nameable
+only so the diffusion layer's differential tests and the layered
+benchmark's ``diffusion.kernels.*`` rows can compare them with it:
 
 ``reference``
     The textbook scatter: gather neighbour contributions and accumulate
     them with ``np.add.at`` over a (precomputed) row-id array.  The spec
     every other kernel is tested against, and the default: on the small
-    stacked ego balls a served query diffuses, it measures fastest of the
-    three, and it needs nothing beyond NumPy.
+    ego balls a query diffuses it measures fastest of the three, and it
+    needs nothing beyond NumPy.
 ``csr``
     One scipy CSR matrix–vector product per step over a precomputed matrix
     whose data is ``1/deg(v)`` at entry ``(u, v)``.  scipy's C loop
     accumulates each row sequentially in storage order — the same order as
-    the reference scatter — so results are **bit-identical**.  On the served
-    path it loses: the engine stacks a fresh structure for every wave, so
-    the scipy matrix is rebuilt per wave and never amortised.
+    the reference scatter — so results are **bit-identical**.  On a fresh
+    ego ball it loses: the scipy matrix is built per ball and never
+    amortised.
 ``frontier``
     Direction-optimising: while the set of non-zero scores is sparse, gather
     only over the frontier's adjacency slices and scatter with

@@ -185,10 +185,10 @@ def extract_wave(graph: CSRGraph, centers: Sequence[int], depth: int) -> "EgoWav
     """The depth-``depth`` ego balls of ``centers``, stacked as one :class:`EgoWave`.
 
     Up to :data:`BALLS_PER_PASS` balls come out of one labelled multi-source
-    expansion and one block-diagonal relabel, so an extraction's NumPy calls
-    are paid per pass, not per ball, and no per-ball object is built.  Scratch
-    is two flat arrays with a slot per (ball of the pass, node); a call is one
-    pass, so more centres than :data:`BALLS_PER_PASS` raise ``ValueError``.
+    expansion, whose reads are the diffusion operand, and one membership scan
+    of the last level, so NumPy calls are paid per pass, not per ball, and no
+    per-ball object is built.  Scratch is two flat arrays with a slot per
+    (ball of the pass, node); more centres than one pass raise ``ValueError``.
     """
     num_nodes = graph.num_nodes
     centers = [check_node_id(center, num_nodes, "source") for center in centers]
@@ -197,38 +197,48 @@ def extract_wave(graph: CSRGraph, centers: Sequence[int], depth: int) -> "EgoWav
         raise ValueError(f"one pass extracts at most {BALLS_PER_PASS} balls, got {len(centers)}")
     if not centers:  # a stage the cache served whole
         none, start = np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
-        return EgoWave(graph.name, depth, start, none, none, none, start, none, none.astype(bool))
+        wave = EgoWave(graph.name, depth, none, none, none, none, none, start, none, none.astype(bool))
+        object.__setattr__(wave, "_balls", [])
+        return wave
     return _extract_pass(graph, centers, depth)
 
 
 @dataclass(frozen=True, eq=False)
 class EgoWave:
-    """Ego balls of one depth, stacked: a block-diagonal CSR over global ids.
+    """Ego balls of one depth, stacked, as the operand of their diffusion.
 
-    Ball ``i`` owns the stacked rows ``bounds[i]:bounds[i+1]``, its centre
-    first.  ``indptr`` / ``indices`` are one CSR over all stacked rows whose
-    columns never leave their ball; ``nodes`` and ``levels`` are the balls'
-    global ids and hop distances in BFS visit order; ``edges_scanned`` and
-    ``hits`` (served from a cache) are per ball; ``name`` is the host
-    graph's.  The wave executor diffuses a wave as it is; :meth:`balls`
-    copies it out per ball, for whoever keeps a ball.
+    Ball ``i`` owns the stacked ids ``bounds[i]:bounds[i+1]``, its centre
+    first; ``nodes`` and ``levels`` are global ids and hop distances in BFS
+    visit order.  ``(targets, sources)`` are adjacency entries in push form
+    (see :func:`~repro.diffusion.diffusion.stage_diffusion`) that never leave
+    their ball, each target meeting its sources in ascending stacked id: at
+    least every entry out of a node inside its ball, all a diffusion no
+    longer than ``depth`` moves mass along (a fresh extraction holds exactly
+    those: its BFS's reads).  ``degrees`` is each node's degree in its ball;
+    ``edges_scanned`` and ``hits`` (served from a cache) are per ball.  The
+    wave executor diffuses a wave as it is; :meth:`balls` copies it out per
+    ball, for whoever keeps a ball.
     """
 
     name: str
     depth: int
-    indptr: np.ndarray
-    indices: np.ndarray
+    targets: np.ndarray
+    sources: np.ndarray
+    degrees: np.ndarray
     nodes: np.ndarray
     levels: np.ndarray
     bounds: np.ndarray
     edges_scanned: np.ndarray
     hits: np.ndarray
+    # A fresh extraction's last-level rows' in-ball columns, row by row.
+    _rim: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     # The per-ball pairs, once copied out or when stacked from them.
     _balls: Optional[List[Tuple[Subgraph, BFSResult]]] = field(default=None, init=False, repr=False)
 
     def balls(self) -> List[Tuple[Subgraph, BFSResult]]:
         """One ``(Subgraph, BFSResult)`` per ball, owning its memory (built once)."""
         if self._balls is None:
+            indptr, indices = _relabel(self)
             # Every ball is well-formed by construction — its indptr is a slice
             # of a cumsum, its columns lie in the ball, its ids are unique by
             # the visited mask — so it is wrapped without the public
@@ -239,10 +249,10 @@ class EgoWave:
             for center, begin, end, edges_scanned in zip(
                 centers, bounds, bounds[1:], self.edges_scanned.tolist()
             ):
-                first, last = self.indptr[begin], self.indptr[end]
+                first, last = indptr[begin], indptr[end]
                 ball = CSRGraph._trusted(
-                    self.indptr[begin : end + 1] - first,
-                    (self.indices[first:last] - begin).astype(np.int32),
+                    indptr[begin : end + 1] - first,
+                    (indices[first:last] - begin).astype(np.int32),
                     f"{self.name}:G{self.depth}({center})",
                 )
                 ids, levels = self.nodes[begin:end], self.levels[begin:end]
@@ -253,8 +263,7 @@ class EgoWave:
 
     def entries(self) -> np.ndarray:
         """Adjacency entries (twice the edges) of each ball."""
-        ends = self.indptr[self.bounds]
-        return ends[1:] - ends[:-1]
+        return np.add.reduceat(self.degrees, self.bounds[:-1])
 
     def triples(self) -> List[Tuple[Subgraph, BFSResult, bool]]:
         """:meth:`balls` with each ball's cache-hit flag: ``(subgraph, bfs, hit)``."""
@@ -267,25 +276,20 @@ class EgoWave:
         """Kept ``(subgraph, bfs, hit)`` balls as one wave, in order (at least one).
 
         The one place balls are restacked: a stage's cache hits with its
-        fresh misses.  Only offsets
-        change, so every ball keeps its bits, and :meth:`balls` returns the
+        fresh misses.  A ball's operand is its CSR's row ids and columns,
+        offset, so every ball keeps its bits, and :meth:`balls` returns the
         given objects.
         """
         graphs = [subgraph.graph for subgraph, _, _ in balls]
-        sizes = [graph.num_nodes for graph in graphs]
         entries = [graph.indices.size for graph in graphs]
-        bounds = np.cumsum([0] + sizes)
-        indptr = np.zeros(bounds[-1] + 1, dtype=np.int64)
-        np.add(
-            np.concatenate([graph.indptr[1:] for graph in graphs]),
-            np.repeat(np.cumsum([0] + entries[:-1]), sizes),
-            out=indptr[1:],
-        )
+        bounds = np.cumsum([0] + [graph.num_nodes for graph in graphs])
+        degrees = np.concatenate([graph.degrees() for graph in graphs])
         wave = cls(
             name,
             depth,
-            indptr,
+            np.repeat(np.arange(bounds[-1]), degrees),
             np.concatenate([graph.indices for graph in graphs]) + np.repeat(bounds[:-1], entries),
+            degrees,
             np.concatenate([subgraph.global_ids for subgraph, _, _ in balls]),
             np.concatenate([bfs.levels for _, bfs, _ in balls]),
             bounds,
@@ -294,6 +298,20 @@ class EgoWave:
         )
         object.__setattr__(wave, "_balls", [(subgraph, bfs) for subgraph, bfs, _ in balls])
         return wave
+
+
+def _relabel(wave: EgoWave) -> Tuple[np.ndarray, np.ndarray]:
+    """A fresh extraction's balls as one block-diagonal CSR ``(indptr, indices)``:
+    the operand's entries as (source row, target column) and the last level's
+    kept ones, no row gathered again, ordered by one sort of their keys."""
+    total = wave.nodes.size
+    last = np.flatnonzero(wave.levels == wave.depth)
+    rows = np.concatenate([wave.sources, np.repeat(last, wave.degrees[last])])
+    edges = rows * total + np.concatenate([wave.targets, wave._rim])
+    edges.sort()
+    indptr = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(wave.degrees, out=indptr[1:])
+    return indptr, edges - np.repeat(np.arange(total), wave.degrees) * total
 
 
 def _extract_pass(graph: CSRGraph, centers: List[int], depth: int) -> EgoWave:
@@ -309,9 +327,15 @@ def _extract_pass(graph: CSRGraph, centers: List[int], depth: int) -> EgoWave:
     visited = np.zeros(frontier.size << bits, dtype=bool)
     visited[offsets + frontier] = True
     key_chunks: List[np.ndarray] = [offsets + frontier]
+    # What the BFS read, level by level: each read row's length and the key of
+    # every entry in it (all in the row's ball).
+    none = np.zeros(0, dtype=np.int64)
+    read_counts, read_keys = [none], [none]
     for _ in range(depth):
         neighbors, counts = gather_rows(indptr, indices, frontier)
         candidates = np.repeat(offsets, counts) + neighbors
+        read_counts.append(counts)
+        read_keys.append(candidates)
         fresh = _sorted_unique(candidates[np.flatnonzero(~visited[candidates])])
         if fresh.size == 0:
             break
@@ -323,31 +347,40 @@ def _extract_pass(graph: CSRGraph, centers: List[int], depth: int) -> EgoWave:
     # Stack the balls: ball-major, and inside a ball level by level (the
     # chunks are in level order and the sort is stable).
     keys = np.concatenate(key_chunks)
-    levels = np.repeat(np.arange(len(key_chunks)), [chunk.size for chunk in key_chunks])
+    total = keys.size
     order = np.argsort(keys >> bits, kind="stable")
-    keys, levels = keys[order], levels[order]
-    nodes = keys & node_mask
+    stacked = np.empty(total, dtype=np.int64)  # stacked id of each key, in level order
+    stacked[order] = np.arange(total)
+    stacked_of = np.empty(visited.size, dtype=np.int64)  # read only where visited
+    stacked_of[keys] = stacked
+    levels = np.repeat(np.arange(len(key_chunks)), [chunk.size for chunk in key_chunks])[order]
+    keys = keys[order]
     bounds = np.zeros(len(centers) + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys >> bits), out=bounds[1:])
-    total = keys.size
-    stacked_of = np.empty(visited.size, dtype=np.int64)  # read only where visited
-    stacked_of[keys] = np.arange(total)
 
-    # Block-diagonal relabel: Subgraph.induced over all balls at once.  An
-    # adjacency entry is kept when its target is in the row's ball; one sort
-    # of (stacked row, stacked column) keys orders the contents of every row
-    # (``rows`` is ascending already, so it still lines up afterwards).
-    gathered, counts = gather_rows(indptr, indices, nodes)
-    targets = np.repeat(keys - nodes, counts) + gathered
-    kept = np.flatnonzero(visited[targets])
-    rows = np.repeat(np.arange(total), counts)[kept]
-    edges = rows * total + stacked_of[targets[kept]]
-    edges.sort()
-    indptr_stacked = np.zeros(total + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=total), out=indptr_stacked[1:])
-    # Rows strictly inside a ball are the ones its BFS read.
-    scanned = np.add.reduceat(np.where(levels < depth, counts, 0), bounds[:-1])
-    return EgoWave(
-        graph.name, depth, indptr_stacked, edges - rows * total, nodes, levels,
+    # The operand is the BFS's reads in push form.  Rows are read level by
+    # level in ascending key order, which is ascending stacked id inside a
+    # ball, so every target meets its sources in that order.
+    counts = np.concatenate(read_counts)
+    read = stacked[: counts.size]  # the rows read: every level but the last
+    sources = np.repeat(read, counts)
+    targets = stacked_of[np.concatenate(read_keys)]
+    # The last level's rows (none when every ball ran out first): one
+    # membership scan keeps the entries into the ball.
+    rim = none
+    if counts.size < total:
+        last = key_chunks[-1]
+        gathered, row_counts = gather_rows(indptr, indices, last & node_mask)
+        columns = np.repeat(last - (last & node_mask), row_counts) + gathered
+        rim = stacked_of[columns[np.flatnonzero(visited[columns])]]
+    # Every entry has its reverse (the graph is undirected), so a node's
+    # degree in its ball is the number of kept entries into it.
+    read_into = np.bincount(targets, minlength=total)
+    degrees = read_into + np.bincount(rim, minlength=total)
+    scanned = np.add.reduceat(read_into, bounds[:-1])  # the entries each ball's BFS read
+    wave = EgoWave(
+        graph.name, depth, targets, sources, degrees, keys & node_mask, levels,
         bounds, scanned, np.zeros(len(centers), dtype=bool),
     )
+    object.__setattr__(wave, "_rim", rim)
+    return wave

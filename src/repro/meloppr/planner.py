@@ -20,11 +20,11 @@ modelled FPGA) can all share one algorithmic code path:
 * :func:`execute_stage` is the **wave executor**: up to
   :data:`~repro.graph.bfs.BALLS_PER_PASS` of a stage's ego balls at a time —
   the paper's P processing elements, in software — stay one set of arrays
-  from extraction to fold.  The stage hook returns them stacked as one
-  block-diagonal CSR (:class:`~repro.graph.bfs.EgoWave`), the diffusion runs
-  on it as given, and the plan folds the stacked vectors
-  (:class:`StageWaveOutcome`).  Every serving path runs it, with the
-  engine's cache's or router's stage hook.
+  from extraction to fold.  The stage hook returns them stacked with their
+  diffusion operand (:class:`~repro.graph.bfs.EgoWave`: a fresh BFS's own
+  adjacency reads), the diffusion runs on it as given, and the plan folds
+  the stacked vectors (:class:`StageWaveOutcome`).  Every serving path runs
+  it, with or without the engine's cache's stage hook.
 * :func:`execute_plan` is the one drive loop: it hands each stage's tasks to
   whichever of those the caller is driving with.
 
@@ -233,13 +233,15 @@ class StageWaveOutcome:
 
     @classmethod
     def of_ball(cls, outcome: StageTaskOutcome) -> "StageWaveOutcome":
-        """One per-ball outcome as a one-ball wave (views, nothing copied): a
-        single ball's CSR is already block-diagonal."""
+        """One per-ball outcome as a one-ball wave whose operand is its CSR's
+        row ids and columns (the ball's own arrays are wrapped, not copied)."""
         subgraph, bfs, diffusion = outcome.subgraph, outcome.bfs, outcome.diffusion
         graph = subgraph.graph
+        degrees = graph.degrees()
         wave = EgoWave(
-            graph.name, bfs.depth, graph.indptr, graph.indices, subgraph.global_ids,
-            bfs.levels, np.array([0, graph.num_nodes]), np.array([bfs.edges_scanned]),
+            graph.name, bfs.depth, np.repeat(np.arange(graph.num_nodes), degrees),
+            graph.indices, degrees, subgraph.global_ids, bfs.levels,
+            np.array([0, graph.num_nodes]), np.array([bfs.edges_scanned]),
             np.array([outcome.cache_hit]),
         )
         object.__setattr__(wave, "_balls", [(subgraph, bfs)])
@@ -721,11 +723,11 @@ def execute_stage(
     """Run one stage of ``plan`` in waves; one stacked outcome per wave, lazily.
 
     A wave is up to :data:`~repro.graph.bfs.BALLS_PER_PASS` consecutive
-    tasks.  ``extract_stage(graph, centers, length)`` — a cache's or router's
-    stage hook, or :func:`~repro.graph.bfs.extract_wave` — returns the wave's
-    balls stacked, and :func:`~repro.diffusion.diffusion.stage_diffusion`
-    diffuses that block-diagonal CSR as it is, timed into the plan's ``bfs``
-    and ``diffusion`` buckets.  No per-ball object is built on the way, and
+    tasks.  ``extract_stage(graph, centers, length)`` — a cache's stage hook
+    or :func:`~repro.graph.bfs.extract_wave` — returns the wave's balls
+    stacked, and :func:`~repro.diffusion.diffusion.stage_diffusion` diffuses
+    the wave's operand as it is, timed into the plan's ``bfs`` and
+    ``diffusion`` buckets.  No per-ball object is built on the way, and
     every ball's slice of the outcome equals :func:`execute_stage_task`'s
     outcome for its task, bit for bit.  A wave's balls are resident
     together; a wave is folded before the next is extracted.
@@ -738,9 +740,10 @@ def execute_stage(
             extraction = extract_stage(graph, [task.center for task in wave], length)
         with timing.measure("diffusion"):
             bounds = extraction.bounds
-            # Each ball's centre is its first stacked row.
+            # Each ball's centre is its first stacked node.
             scores = stage_diffusion(
-                extraction.indptr, extraction.indices, bounds, bounds[:-1], length, alpha
+                extraction.targets, extraction.sources, extraction.degrees,
+                bounds, bounds[:-1], length, alpha,
             )
         yield StageWaveOutcome(tuple(wave), extraction, *scores)
 

@@ -125,10 +125,10 @@ class ServingConfig:
     )
 
     def __post_init__(self) -> None:
-        # A spawned replica's stderr goes nowhere, so a dataset or backend
-        # the replica would refuse at startup is refused here, where the
-        # caller sees it (building a backend starts nothing: the thread pool
-        # is lazy; the registry lookup builds no graph).
+        # A spawned replica's stderr goes nowhere, so whatever build_frontend
+        # would refuse at startup is refused here, where the caller sees it
+        # (building a backend starts nothing: the thread pool is lazy; the
+        # registry lookup builds no graph).
         from repro.graph.datasets import get_spec
 
         try:
@@ -136,6 +136,14 @@ class ServingConfig:
         except KeyError as exc:
             raise ValueError(exc.args[0]) from None
         make_backend(self.backend).close()
+        for name in ("max_batch", "max_pending"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        sample = self.trace_sample or 0.0  # as build_frontend reads it
+        if not 0.0 <= sample <= 1.0:
+            raise ValueError(f"trace_sample must be within [0, 1], got {sample}")
+        if sample > 0.0 and self.trace_ring < 1:
+            raise ValueError(f"trace_ring must be >= 1 when tracing, got {self.trace_ring}")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -256,10 +264,11 @@ def build_frontend(config: ServingConfig) -> Tuple[object, object, object]:
         )
 
     # A tracer exists iff sampling can ever fire: a zero rate builds none,
-    # so the hot path stays a bare `tracer is None` check per request.
+    # so the hot path stays a bare `tracer is None` check per request; any
+    # other rate meets the Tracer's own range check.
     trace_sample = config.trace_sample or 0.0
     tracer = None
-    if trace_sample > 0.0:
+    if trace_sample != 0.0:
         tracer = Tracer(
             sample_rate=trace_sample,
             ring_size=config.trace_ring,

@@ -120,27 +120,25 @@ class TestKernelDifferential:
             assert result.propagations == expected.propagations
 
 
-def block_diagonal(graphs):
-    """The graphs as one block-diagonal CSR: ``(indptr, indices, bounds)``."""
+def push_operand(graphs):
+    """The graphs stacked as one push-form operand, each graph's CSR row ids
+    and columns offset: ``(targets, sources, degrees, bounds)``."""
     bounds = np.cumsum([0] + [graph.num_nodes for graph in graphs])
-    entries = np.cumsum([0] + [graph.indices.size for graph in graphs])
-    indptr = np.concatenate(
-        [[0]] + [graph.indptr[1:] + base for graph, base in zip(graphs, entries)]
+    none = np.zeros(0, dtype=np.int64)
+    degrees = np.concatenate([none] + [graph.degrees() for graph in graphs])
+    sources = np.concatenate(
+        [none] + [graph.indices + base for graph, base in zip(graphs, bounds)]
     )
-    indices = np.concatenate(
-        [np.zeros(0, dtype=np.int64)]
-        + [graph.indices + base for graph, base in zip(graphs, bounds)]
-    )
-    return indptr, indices, bounds
+    return np.repeat(np.arange(bounds[-1]), degrees), sources, degrees, bounds
 
 
-def stage_diffuse(graphs, seeds, length, alpha=0.85, kernel=None):
+def stage_diffuse(graphs, seeds, length, alpha=0.85):
     """``stage_diffusion`` over ``graphs`` stacked, split back per graph:
     ``(accumulated, residual, propagations)`` per graph."""
-    indptr, indices, bounds = block_diagonal(graphs)
+    targets, sources, degrees, bounds = push_operand(graphs)
     rows = bounds[:-1] + np.asarray(seeds, dtype=np.int64)
     accumulated, residual, propagations = stage_diffusion(
-        indptr, indices, bounds, rows, length, alpha, kernel
+        targets, sources, degrees, bounds, rows, length, alpha
     )
     assert propagations.shape == (len(graphs),) and propagations.dtype == np.int64
     return [
@@ -149,17 +147,19 @@ def stage_diffuse(graphs, seeds, length, alpha=0.85, kernel=None):
     ]
 
 
-def assert_stage_matches_per_graph(graphs, seeds, length, kernel, alpha=0.85):
-    """``stage_diffusion`` equals ``graph_diffusion`` per graph, bit for bit."""
-    results = stage_diffuse(graphs, seeds, length, alpha, kernel)
+def assert_stage_matches_per_graph(graphs, seeds, length, kernels=KERNELS, alpha=0.85):
+    """``stage_diffusion`` equals ``graph_diffusion`` per graph under each of
+    ``kernels``, bit for bit."""
+    results = stage_diffuse(graphs, seeds, length, alpha)
     assert len(results) == len(graphs)
     for graph, seed, (accumulated, residual, propagations) in zip(graphs, seeds, results):
-        expected = graph_diffusion(
-            graph, seed_vector(graph.num_nodes, seed), length, alpha, kernel=kernel
-        )
-        assert np.array_equal(accumulated, expected.accumulated)
-        assert np.array_equal(residual, expected.residual)
-        assert propagations == expected.propagations
+        for kernel in kernels:
+            expected = graph_diffusion(
+                graph, seed_vector(graph.num_nodes, seed), length, alpha, kernel=kernel
+            )
+            assert np.array_equal(accumulated, expected.accumulated)
+            assert np.array_equal(residual, expected.residual)
+            assert propagations == expected.propagations
     return results
 
 
@@ -177,7 +177,18 @@ class _RecordingFrontier(FrontierKernel):
         return super().apply_counted(structure, scores)
 
 
+def _path(size):
+    return CSRGraph.from_edges(size, [(i, i + 1) for i in range(size - 1)], name=f"path{size}")
+
+
+def _clique():
+    return CSRGraph.from_edges(5, [(u, v) for u in range(5) for v in range(u)], name="k5")
+
+
 class TestStageDiffusion:
+    """``stage_diffusion`` has no kernel of its own to pick: its one scatter
+    is held to ``graph_diffusion`` under every kernel in ``KERNELS``."""
+
     @pytest.mark.parametrize("kernel", tuple(KERNELS) + (None,))
     def test_a_wave_of_mixed_graphs_matches_per_graph(self, kernel):
         graphs = [make_graph() for make_graph in GRAPH_CASES]
@@ -185,37 +196,23 @@ class TestStageDiffusion:
         seeds = [int(rng.integers(graph.num_nodes)) for graph in graphs]
         seeds[2] = 5  # the isolated node: its score evaporates in its own block
         for length in range(0, 5):
-            assert_stage_matches_per_graph(graphs, seeds, length, kernel)
-        assert_stage_matches_per_graph(graphs[3:4], seeds[3:4], 3, kernel)
-        assert_stage_matches_per_graph([graphs[3]] * 3, [0, 7, 0], 3, kernel, alpha=0.5)
+            assert_stage_matches_per_graph(graphs, seeds, length, (kernel,))
+        assert_stage_matches_per_graph(graphs[3:4], seeds[3:4], 3, (kernel,))
+        assert_stage_matches_per_graph([graphs[3]] * 3, [0, 7, 0], 3, (kernel,), alpha=0.5)
 
-    def test_stacked_frontier_goes_dense_where_a_member_alone_stays_sparse(self):
-        path = CSRGraph.from_edges(100, [(i, i + 1) for i in range(99)], name="path100")
-        clique = CSRGraph.from_edges(
-            5, [(u, v) for u in range(5) for v in range(u)], name="k5"
-        )
+    def test_matches_the_frontier_kernel_where_it_stays_sparse(self):
+        path, clique = _path(100), _clique()
         alone = _RecordingFrontier()
         graph_diffusion(path, seed_vector(100, 50), 3, 0.85, kernel=alone)
         assert alone.went_dense == [False, False, False]
-        stacked = _RecordingFrontier()
-        assert_stage_matches_per_graph([path] + [clique] * 20, [50] + [0] * 20, 3, stacked)
-        assert stacked.went_dense[:3] == [False, True, True]
-        for kernel in KERNELS:
-            assert_stage_matches_per_graph([path] + [clique] * 20, [50] + [0] * 20, 3, kernel)
+        assert_stage_matches_per_graph([path] + [clique] * 20, [50] + [0] * 20, 3)
 
-    def test_stacked_frontier_stays_sparse_where_a_member_alone_goes_dense(self):
-        path = CSRGraph.from_edges(1000, [(i, i + 1) for i in range(999)], name="path1000")
-        clique = CSRGraph.from_edges(
-            5, [(u, v) for u in range(5) for v in range(u)], name="k5"
-        )
+    def test_matches_the_frontier_kernel_where_it_goes_dense(self):
+        path, clique = _path(1000), _clique()
         alone = _RecordingFrontier()
         graph_diffusion(clique, seed_vector(5, 0), 3, 0.85, kernel=alone)
         assert alone.went_dense == [False, True, True]
-        stacked = _RecordingFrontier()
-        assert_stage_matches_per_graph([clique, path], [0, 500], 3, stacked)
-        assert stacked.went_dense[:3] == [False, False, False]
-        for kernel in KERNELS:
-            assert_stage_matches_per_graph([clique, path], [0, 500], 3, kernel)
+        assert_stage_matches_per_graph([clique, path], [0, 500], 3)
 
     def test_results_are_split_per_graph(self, small_ba_graph, star_graph):
         first, second = stage_diffuse([small_ba_graph, star_graph], [3, 0], 2)
@@ -224,16 +221,32 @@ class TestStageDiffusion:
         assert second[2] == 6 + 6  # the hub's row, then the six leaves'
 
     def test_no_graphs_and_bad_seeds(self, star_graph):
-        no_entries = np.zeros(0, dtype=np.int64)
-        accumulated, residual, propagations = stage_diffusion([0], no_entries, [0], [], 3)
+        none = np.zeros(0, dtype=np.int64)
+        accumulated, residual, propagations = stage_diffusion(none, none, none, [0], [], 3)
         assert accumulated.size == residual.size == propagations.size == 0
-        indptr, indices, bounds = block_diagonal([star_graph, star_graph])
+        operand = push_operand([star_graph, star_graph])
+        targets, sources, degrees, bounds = operand
         with pytest.raises(ValueError):
-            stage_diffusion(indptr, indices, bounds, [0], 3)  # one seed, two blocks
+            stage_diffusion(targets, sources, degrees, bounds, [0], 3)  # one seed, two blocks
         with pytest.raises(ValueError):
-            stage_diffusion(indptr, indices, bounds, [0, 3], 3)  # seed outside block 1
+            stage_diffusion(targets, sources, degrees, bounds, [0, 3], 3)  # seed outside block 1
         with pytest.raises(ValueError):
-            stage_diffusion(indptr, indices, bounds, [0, 7], -1)
+            stage_diffusion(targets, sources, degrees, bounds, [0, 7], -1)
+
+    def test_entries_a_short_diffusion_never_reads_may_be_left_out(self, small_ba_graph):
+        # A ball's last level never carries mass into a diffusion no longer
+        # than the ball is deep, so the entries out of it add only +0.0.
+        from repro.graph.bfs import extract_ego_subgraph
+
+        subgraph, bfs = extract_ego_subgraph(small_ba_graph, 7, 2)
+        targets, sources, degrees, bounds = push_operand([subgraph.graph])
+        inner = bfs.levels[sources] < 2
+        for length in (0, 1, 2):
+            full = stage_diffusion(targets, sources, degrees, bounds, [0], length)
+            cut = stage_diffusion(targets[inner], sources[inner], degrees, bounds, [0], length)
+            for ours, theirs in zip(cut, full):
+                assert np.array_equal(ours, theirs)
+        assert inner.sum() == bfs.edges_scanned < targets.size
 
 
 class TestGraphStructure:

@@ -5,7 +5,8 @@ adjacency rows with one vectorised index.  The references below walk the rows
 one at a time in plain Python; visit order, local ids, the relabelled CSR
 arrays and the scanned-edge count must all be equal.  The stage extraction,
 ``extract_ego_subgraphs``, is in turn held to ``extract_ego_subgraph`` per
-centre, array for array.
+centre, array for array, and a fresh wave's diffusion operand to
+``graph_diffusion`` on each of its balls, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.diffusion.diffusion import graph_diffusion, seed_vector, stage_diffusion
+from repro.diffusion.kernels import KERNELS
 from repro.graph.bfs import (
     BALLS_PER_PASS,
     bfs_levels,
@@ -268,6 +271,70 @@ class TestStageExtractionMatchesPerBall:
         assert returned_large > 7 * returned_small
         # Python objects around the returned arrays (~1 kB a ball) are the slack.
         assert large <= small + 500 * 2048
+
+
+def assert_operand_diffuses_the_balls(graph: CSRGraph, centers: Sequence[int], depth: int):
+    """A fresh wave's operand, diffused ``depth`` steps, gives every ball what
+    ``graph_diffusion`` gives its ``balls()`` sub-graph under every kernel,
+    bit for bit, and ``entries()`` counts each sub-graph's entries."""
+    wave = extract_wave(graph, centers, depth)
+    bounds = wave.bounds
+    accumulated, residual, propagations = stage_diffusion(
+        wave.targets, wave.sources, wave.degrees, bounds, bounds[:-1], depth
+    )
+    balls = wave.balls()
+    assert wave.entries().tolist() == [2 * subgraph.num_edges for subgraph, _ in balls]
+    for (subgraph, _), begin, end, work in zip(balls, bounds[:-1], bounds[1:], propagations):
+        for kernel in KERNELS:
+            expected = graph_diffusion(
+                subgraph.graph, seed_vector(subgraph.num_nodes, 0), depth, kernel=kernel
+            )
+            assert np.array_equal(accumulated[begin:end], expected.accumulated)
+            assert np.array_equal(residual[begin:end], expected.residual)
+            assert work == expected.propagations
+    return wave
+
+
+class TestWaveOperand:
+    """The wave diffuses what its BFS read: no relabelled CSR on the way."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        drawn=graphs_with_a_node(),
+        depth=st.integers(min_value=0, max_value=4),
+        data=st.data(),
+    )
+    def test_random_graphs_and_centre_lists(self, drawn, depth, data):
+        graph, first = drawn
+        others = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=graph.num_nodes - 1),
+                max_size=BALLS_PER_PASS - 1,
+            )
+        )
+        assert_operand_diffuses_the_balls(graph, [first, *others], depth)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+    def test_an_isolated_centre_and_a_ball_exhausted_early(self, depth):
+        graph = CSRGraph.from_edges(6, [(0, 1), (1, 2), (3, 4)], name="islands")
+        wave = assert_operand_diffuses_the_balls(graph, [5, 3, 0, 5], depth)
+        assert wave.entries().tolist() == [0, 2 * min(depth, 1), 2 * min(depth, 2), 0]
+
+    def test_a_repeated_centre(self, small_ba_graph):
+        wave = assert_operand_diffuses_the_balls(small_ba_graph, [9, 4, 9], 3)
+        first, _, second = wave.balls()
+        assert first[0].graph.indices.tolist() == second[0].graph.indices.tolist()
+
+    def test_a_full_pass_of_centres(self, small_ba_graph):
+        centers = list(range(0, 2 * BALLS_PER_PASS, 2))
+        assert len(centers) == BALLS_PER_PASS
+        for depth in (0, 2, 3):
+            assert_operand_diffuses_the_balls(small_ba_graph, centers, depth)
+
+    def test_only_the_rows_inside_a_ball_are_in_the_operand(self, small_ba_graph):
+        wave = extract_wave(small_ba_graph, [3, 17], 2)
+        assert (wave.levels[wave.sources] < 2).all()
+        assert wave.targets.size == wave.edges_scanned.sum() < wave.entries().sum()
 
 
 class TestExpandFrontier:

@@ -264,6 +264,24 @@ class TestWaveExecutorAgainstTheSolver:
             with QueryEngine(solver, backend=make_backend(backend)) as engine:
                 assert [_comparable(r) for r in engine.solve_batch(queries)] == expected
 
+    def test_the_cacheless_engine_never_relabels(self, small_ba_graph, monkeypatch):
+        """Uncached, a wave diffuses what its BFS read: the block-diagonal CSR
+        is never built, and every answer and count (per-task
+        ``subgraph_edges``, ``max_subgraph_edges``, ``modelled_bytes``) is
+        still the solver's."""
+        config = MeLoPPRConfig(selector=RatioSelector(0.2), track_memory=False)
+        queries = [PPRQuery(seed=seed, k=10) for seed in (0, 7, 42, 150)]
+        expected = [_comparable(MeLoPPRSolver(small_ba_graph, config).solve(q)) for q in queries]
+
+        def boom(*args, **kwargs):
+            raise AssertionError("block-diagonal relabel on the cold path")
+
+        monkeypatch.setattr("repro.graph.bfs._relabel", boom)
+        for backend in ("serial", "thread:2"):
+            solver = MeLoPPRSolver(small_ba_graph, config)
+            with QueryEngine(solver, backend=make_backend(backend)) as engine:
+                assert [_comparable(r) for r in engine.solve_batch(queries)] == expected
+
     def test_both_stage_runners_yield_lazily_in_task_order(self, small_ba_graph, config):
         plan = MeLoPPRSolver(small_ba_graph, config).plan(PPRQuery(seed=7, k=20))
         runners = (

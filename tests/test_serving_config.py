@@ -10,6 +10,8 @@ import dataclasses
 import inspect
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.datasets import _BY_NAME, PAPER_DATASETS, get_spec
 from repro.meloppr.planner import execute_stage, execute_stage_task
@@ -201,8 +203,85 @@ class TestRoundTrip:
             backend.close()
 
 
+#: The values ``build_frontend`` refuses that a config once accepted.
+BUILDER_REFUSALS = [
+    pytest.param({"max_batch": 0}, "max_batch must be > 0, got 0", id="max_batch=0"),
+    pytest.param({"max_pending": 0}, "max_pending must be > 0, got 0", id="max_pending=0"),
+    pytest.param(
+        {"trace_ring": 0, "trace_sample": 0.5},
+        "trace_ring must be >= 1 when tracing, got 0",
+        id="trace_ring=0,trace_sample=0.5",
+    ),
+    pytest.param(
+        {"trace_sample": 1.5}, "trace_sample must be within \\[0, 1\\], got 1.5",
+        id="trace_sample=1.5",
+    ),
+]
+
+
+def _unchecked(**fields) -> ServingConfig:
+    """A config with ``fields`` set and ``__post_init__``'s checks skipped."""
+    config = object.__new__(ServingConfig)
+    for field in dataclasses.fields(ServingConfig):
+        object.__setattr__(config, field.name, fields.get(field.name, field.default))
+    return config
+
+
+class TestRefusedWhereBuilt:
+    """A config is refused where it is built, not in the replica it spawns."""
+
+    @pytest.mark.parametrize("fields, message", BUILDER_REFUSALS)
+    def test_a_value_the_builder_refuses_is_refused(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ServingConfig(**fields)
+        with pytest.raises(ValueError):
+            build_frontend(_unchecked(**fields))
+
+    def test_tracing_off_needs_no_ring(self):
+        engine, _, _ = build_frontend(ServingConfig(trace_ring=0, trace_sample=0.0))
+        try:
+            assert engine.tracer is None
+        finally:
+            engine.close()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        max_batch=st.integers(min_value=-1, max_value=2),
+        max_pending=st.integers(min_value=-1, max_value=2),
+        trace_ring=st.integers(min_value=-1, max_value=2),
+        trace_sample=st.one_of(
+            st.sampled_from([0.0, 1.0, -0.0, 1.5, -0.5]),
+            st.floats(min_value=-0.5, max_value=1.5, allow_nan=False),
+            st.just(float("nan")),
+        ),
+    )
+    def test_accepted_if_and_only_if_built(
+        self, max_batch, max_pending, trace_ring, trace_sample
+    ):
+        fields = dict(
+            max_batch=max_batch,
+            max_pending=max_pending,
+            trace_ring=trace_ring,
+            trace_sample=trace_sample,
+        )
+        try:
+            ServingConfig(**fields)
+            accepted = True
+        except ValueError:
+            accepted = False
+        try:
+            engine, _, _ = build_frontend(_unchecked(**fields))
+        except ValueError:
+            built = False
+        else:
+            engine.close()
+            built = True
+        assert accepted == built
+
+
 class TestCliBackendRefusal:
-    """Every serving CLI refuses a bad ``--backend`` as a usage error."""
+    """Every serving CLI refuses a bad ``--backend`` (or any value its builder
+    would refuse) as a usage error."""
 
     MAINS = {
         "tcp": lambda argv: server_main(argv),
@@ -223,6 +302,23 @@ class TestCliBackendRefusal:
     def test_bad_backend_exits_before_serving(self, cli, spec, message, capsys):
         with pytest.raises(SystemExit) as exited:
             self.MAINS[cli](["--port", "0", "--backend", spec])
+        assert exited.value.code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--max-batch", "0"], "max_batch must be > 0, got 0"),
+            (["--max-pending", "0"], "max_pending must be > 0, got 0"),
+            (["--trace-ring", "0", "--trace-sample", "0.5"], "trace_ring must be >= 1"),
+            (["--trace-sample", "1.5"], "trace_sample must be within [0, 1], got 1.5"),
+        ],
+        ids=["max_batch", "max_pending", "trace_ring", "trace_sample"],
+    )
+    @pytest.mark.parametrize("cli", ["http", "tcp"])
+    def test_a_value_the_builder_refuses_exits_before_serving(self, cli, argv, message, capsys):
+        with pytest.raises(SystemExit) as exited:
+            self.MAINS[cli](["--port", "0"] + argv)
         assert exited.value.code == 2
         assert f"error: {message}" in capsys.readouterr().err
 
