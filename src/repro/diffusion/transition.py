@@ -19,7 +19,6 @@ import numpy as np
 from repro.diffusion.kernels import (
     DiffusionKernel,
     GraphStructure,
-    _slice_positions,
     make_kernel,
     structure_for,
 )
@@ -32,7 +31,7 @@ __all__ = ["TransitionOperator"]
 
 
 class TransitionOperator:
-    """Applies ``W = A D^-1`` (and its sparse variant) to score vectors.
+    """Applies ``W = A D^-1`` to score vectors.
 
     Parameters
     ----------
@@ -157,50 +156,6 @@ class TransitionOperator:
         return self._kernel.propagate_int(
             self._structure, self._check_scores(values, np.int64)
         )
-
-    def apply_sparse(self, nodes: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Apply ``W`` to a sparse vector given as ``(nodes, values)``.
-
-        Only the non-zero entries are propagated — this is the kernel the
-        FPGA diffuser runs, where the frontier of non-zero scores is small in
-        the first iterations.  The gather is a batched ``indptr`` slicing
-        over the active entries (no per-node Python loop), preserving the
-        historical semantics exactly: entries are expanded in input order
-        and summed per target in that same order.
-
-        Returns
-        -------
-        (nodes, values):
-            The non-zero pattern of the result, with unique, sorted nodes.
-        """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if nodes.shape != values.shape:
-            raise ValueError("nodes and values must have the same shape")
-        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-        if nodes.size == 0:
-            return empty
-        if nodes.min() < 0 or nodes.max() >= self.num_nodes:
-            raise ValueError(
-                f"nodes contain ids outside [0, {self.num_nodes})"
-            )
-        structure = self._structure
-        keep = (values != 0.0) & (structure.degrees[nodes] > 0)
-        active = nodes[keep]
-        if active.size == 0:
-            return empty
-        active_values = values[keep]
-        counts = structure.degrees[active]
-        total = int(counts.sum())
-        positions = _slice_positions(structure.indptr[active], counts, total)
-        all_nodes = structure.indices[positions].astype(np.int64)
-        all_values = np.repeat(
-            active_values * structure.inverse_degrees[active], counts
-        )
-        unique, inverse = np.unique(all_nodes, return_inverse=True)
-        summed = np.zeros(unique.size, dtype=np.float64)
-        np.add.at(summed, inverse, all_values)
-        return unique, summed
 
     def matrix(self) -> sparse.csr_matrix:
         """Return ``W`` as an explicit scipy CSR matrix (used by tests)."""

@@ -7,7 +7,6 @@ from repro.graph.bfs import (
     bfs_levels,
     expand_frontier,
     extract_ego_subgraph,
-    extract_ego_subgraphs,
     extract_wave,
 )
 from repro.graph.builder import GraphBuilder
@@ -48,7 +47,6 @@ __all__ = [
     "bfs_levels",
     "expand_frontier",
     "extract_ego_subgraph",
-    "extract_ego_subgraphs",
     "extract_wave",
     "GraphBuilder",
     "CSRGraph",

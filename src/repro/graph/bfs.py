@@ -9,7 +9,7 @@ the sub-graph and the work performed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,7 +24,6 @@ __all__ = [
     "bfs_frontier_sizes",
     "expand_frontier",
     "extract_ego_subgraph",
-    "extract_ego_subgraphs",
     "extract_wave",
     "EgoWave",
     "BALLS_PER_PASS",
@@ -162,25 +161,6 @@ def extract_ego_subgraph(
     return subgraph, result
 
 
-def extract_ego_subgraphs(
-    graph: CSRGraph, centers: Sequence[int], depth: int
-) -> List[Tuple[Subgraph, BFSResult]]:
-    """``extract_ego_subgraph(graph, center, depth)`` for every centre of a stage.
-
-    The balls of :func:`extract_wave`, copied out pass by pass: every pair
-    equals the per-centre function's array for array (values, dtypes,
-    ``name``, ``edges_scanned``) and owns its memory, and a call holds one
-    pass's scratch beyond them.  A repeated centre gets a pair per
-    occurrence.
-    """
-    centers, depth = list(centers), check_non_negative_int(depth, "depth")
-    return [
-        pair
-        for begin in range(0, len(centers), BALLS_PER_PASS)
-        for pair in extract_wave(graph, centers[begin : begin + BALLS_PER_PASS], depth).balls()
-    ]
-
-
 def extract_wave(graph: CSRGraph, centers: Sequence[int], depth: int) -> "EgoWave":
     """The depth-``depth`` ego balls of ``centers``, stacked as one :class:`EgoWave`.
 
@@ -197,9 +177,7 @@ def extract_wave(graph: CSRGraph, centers: Sequence[int], depth: int) -> "EgoWav
         raise ValueError(f"one pass extracts at most {BALLS_PER_PASS} balls, got {len(centers)}")
     if not centers:  # a stage the cache served whole
         none, start = np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
-        wave = EgoWave(graph.name, depth, none, none, none, none, none, start, none, none.astype(bool))
-        object.__setattr__(wave, "_balls", [])
-        return wave
+        return EgoWave(graph.name, depth, none, none, none, none, start, none, none.astype(bool))
     return _extract_pass(graph, centers, depth)
 
 
@@ -209,109 +187,106 @@ class EgoWave:
 
     Ball ``i`` owns the stacked ids ``bounds[i]:bounds[i+1]``, its centre
     first; ``nodes`` and ``levels`` are global ids and hop distances in BFS
-    visit order.  ``(targets, sources)`` are adjacency entries in push form
-    (see :func:`~repro.diffusion.diffusion.stage_diffusion`) that never leave
-    their ball, each target meeting its sources in ascending stacked id: at
-    least every entry out of a node inside its ball, all a diffusion no
-    longer than ``depth`` moves mass along (a fresh extraction holds exactly
-    those: its BFS's reads).  ``degrees`` is each node's degree in its ball;
-    ``edges_scanned`` and ``hits`` (served from a cache) are per ball.  The
-    wave executor diffuses a wave as it is; :meth:`balls` copies it out per
-    ball, for whoever keeps a ball.
+    visit order, and ``degrees`` each node's degree in its ball;
+    ``edges_scanned`` and ``hits`` (served from a cache) are per ball.
+    ``targets`` are adjacency entries in push form (see
+    :func:`~repro.diffusion.diffusion.stage_diffusion`): every entry out of a
+    node inside its ball (``levels < depth``), all a diffusion no longer than
+    ``depth`` moves mass along, each target meeting its sources in ascending
+    stacked id.  A fresh extraction keeps them in its BFS's read order, level
+    by level across its balls, with their ``read_sources``; every other wave
+    is ball-major — a ball of :meth:`split`, a :meth:`stack` of them — and
+    its sources follow from ``levels`` and ``degrees`` (:attr:`sources`).
     """
 
     name: str
     depth: int
     targets: np.ndarray
-    sources: np.ndarray
     degrees: np.ndarray
     nodes: np.ndarray
     levels: np.ndarray
     bounds: np.ndarray
     edges_scanned: np.ndarray
     hits: np.ndarray
-    # A fresh extraction's last-level rows' in-ball columns, row by row.
-    _rim: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    # The per-ball pairs, once copied out or when stacked from them.
-    _balls: Optional[List[Tuple[Subgraph, BFSResult]]] = field(default=None, init=False, repr=False)
+    read_sources: Optional[np.ndarray] = None
 
-    def balls(self) -> List[Tuple[Subgraph, BFSResult]]:
-        """One ``(Subgraph, BFSResult)`` per ball, owning its memory (built once)."""
-        if self._balls is None:
-            indptr, indices = _relabel(self)
-            # Every ball is well-formed by construction — its indptr is a slice
-            # of a cumsum, its columns lie in the ball, its ids are unique by
-            # the visited mask — so it is wrapped without the public
-            # constructors' checks.
-            pairs = []
-            bounds = self.bounds.tolist()
-            centers = self.nodes[self.bounds[:-1]].tolist()
-            for center, begin, end, edges_scanned in zip(
-                centers, bounds, bounds[1:], self.edges_scanned.tolist()
-            ):
-                first, last = indptr[begin], indptr[end]
-                ball = CSRGraph._trusted(
-                    indptr[begin : end + 1] - first,
-                    (indices[first:last] - begin).astype(np.int32),
-                    f"{self.name}:G{self.depth}({center})",
-                )
-                ids, levels = self.nodes[begin:end], self.levels[begin:end]
-                bfs = BFSResult(center, self.depth, ids.copy(), levels.copy(), edges_scanned)
-                pairs.append((Subgraph._trusted(ball, ids.copy()), bfs))
-            object.__setattr__(self, "_balls", pairs)
-        return self._balls
+    @property
+    def sources(self) -> np.ndarray:
+        """Each entry's source: its ``read_sources``, or in a ball-major wave
+        the rows of every inner node, whole and in stacked order."""
+        if self.read_sources is not None:
+            return self.read_sources
+        inner = np.flatnonzero(self.levels < self.depth)
+        return np.repeat(inner, self.degrees[inner])
 
     def entries(self) -> np.ndarray:
         """Adjacency entries (twice the edges) of each ball."""
         return np.add.reduceat(self.degrees, self.bounds[:-1])
 
-    def triples(self) -> List[Tuple[Subgraph, BFSResult, bool]]:
-        """:meth:`balls` with each ball's cache-hit flag: ``(subgraph, bfs, hit)``."""
-        return [(sub, bfs, hit) for (sub, bfs), hit in zip(self.balls(), self.hits.tolist())]
+    def split(self) -> List["EgoWave"]:
+        """One ball-major wave per ball, in ball-local ids: what a cache keeps.
+
+        One stable partition of the entries by ball keeps each target's
+        sources in ascending order, so a ball diffuses to the same bits alone.
+        Every array is the ball's own and frozen, as a cache shares it across
+        threads; targets are ``int32`` and sources are not kept.
+        """
+        sizes = np.diff(self.bounds)
+        owner = np.repeat(np.arange(sizes.size), sizes)[self.sources]  # each entry's ball
+        order = np.argsort(owner, kind="stable")
+        targets = (self.targets - self.bounds[owner])[order].astype(np.int32)
+        ends = np.cumsum(np.bincount(owner, minlength=sizes.size)).tolist()
+        bounds = self.bounds.tolist()
+        return [
+            EgoWave(
+                self.name,
+                self.depth,
+                *(
+                    _owned(array)
+                    for array in (
+                        targets[first:last],
+                        self.degrees[begin:end],
+                        self.nodes[begin:end],
+                        self.levels[begin:end],
+                        np.array([0, end - begin]),
+                        self.edges_scanned[ball : ball + 1],
+                        self.hits[ball : ball + 1],
+                    )
+                ),
+            )
+            for ball, (begin, end, first, last) in enumerate(
+                zip(bounds, bounds[1:], [0] + ends, ends)
+            )
+        ]
 
     @classmethod
     def stack(
-        cls, name: str, depth: int, balls: Sequence[Tuple[Subgraph, BFSResult, bool]]
+        cls, name: str, depth: int, balls: Sequence["EgoWave"], hits: Sequence[bool]
     ) -> "EgoWave":
-        """Kept ``(subgraph, bfs, hit)`` balls as one wave, in order (at least one).
-
-        The one place balls are restacked: a stage's cache hits with its
-        fresh misses.  A ball's operand is its CSR's row ids and columns,
-        offset, so every ball keeps its bits, and :meth:`balls` returns the
-        given objects.
-        """
-        graphs = [subgraph.graph for subgraph, _, _ in balls]
-        entries = [graph.indices.size for graph in graphs]
-        bounds = np.cumsum([0] + [graph.num_nodes for graph in graphs])
-        degrees = np.concatenate([graph.degrees() for graph in graphs])
-        wave = cls(
+        """One-ball ball-major waves as one wave, in order (at least one),
+        ball ``i`` flagged ``hits[i]``: the one place balls are restacked, a
+        stage's cache hits with its fresh misses.  Entries are concatenated
+        with each ball's id offset, so every ball keeps its bits."""
+        bounds = np.cumsum([0] + [ball.nodes.size for ball in balls])
+        entries = [ball.targets.size for ball in balls]
+        return cls(
             name,
             depth,
-            np.repeat(np.arange(bounds[-1]), degrees),
-            np.concatenate([graph.indices for graph in graphs]) + np.repeat(bounds[:-1], entries),
-            degrees,
-            np.concatenate([subgraph.global_ids for subgraph, _, _ in balls]),
-            np.concatenate([bfs.levels for _, bfs, _ in balls]),
+            np.concatenate([ball.targets for ball in balls]) + np.repeat(bounds[:-1], entries),
+            np.concatenate([ball.degrees for ball in balls]),
+            np.concatenate([ball.nodes for ball in balls]),
+            np.concatenate([ball.levels for ball in balls]),
             bounds,
-            np.array([bfs.edges_scanned for _, bfs, _ in balls]),
-            np.array([hit for _, _, hit in balls]),
+            np.concatenate([ball.edges_scanned for ball in balls]),
+            np.array(hits, dtype=bool),
         )
-        object.__setattr__(wave, "_balls", [(subgraph, bfs) for subgraph, bfs, _ in balls])
-        return wave
 
 
-def _relabel(wave: EgoWave) -> Tuple[np.ndarray, np.ndarray]:
-    """A fresh extraction's balls as one block-diagonal CSR ``(indptr, indices)``:
-    the operand's entries as (source row, target column) and the last level's
-    kept ones, no row gathered again, ordered by one sort of their keys."""
-    total = wave.nodes.size
-    last = np.flatnonzero(wave.levels == wave.depth)
-    rows = np.concatenate([wave.sources, np.repeat(last, wave.degrees[last])])
-    edges = rows * total + np.concatenate([wave.targets, wave._rim])
-    edges.sort()
-    indptr = np.zeros(total + 1, dtype=np.int64)
-    np.cumsum(wave.degrees, out=indptr[1:])
-    return indptr, edges - np.repeat(np.arange(total), wave.degrees) * total
+def _owned(array: np.ndarray) -> np.ndarray:
+    """A frozen copy of ``array`` that owns its memory."""
+    array = array.copy()
+    array.setflags(write=False)
+    return array
 
 
 def _extract_pass(graph: CSRGraph, centers: List[int], depth: int) -> EgoWave:
@@ -378,9 +353,7 @@ def _extract_pass(graph: CSRGraph, centers: List[int], depth: int) -> EgoWave:
     read_into = np.bincount(targets, minlength=total)
     degrees = read_into + np.bincount(rim, minlength=total)
     scanned = np.add.reduceat(read_into, bounds[:-1])  # the entries each ball's BFS read
-    wave = EgoWave(
-        graph.name, depth, targets, sources, degrees, keys & node_mask, levels,
-        bounds, scanned, np.zeros(len(centers), dtype=bool),
+    return EgoWave(
+        graph.name, depth, targets, degrees, keys & node_mask, levels,
+        bounds, scanned, np.zeros(len(centers), dtype=bool), sources,
     )
-    object.__setattr__(wave, "_rim", rim)
-    return wave

@@ -110,33 +110,14 @@ class CSRGraph:
         self._indices.setflags(write=False)
         self._fingerprint: Optional[str] = None
         # Per-kernel TransitionOperator memo (lazily created by
-        # TransitionOperator.for_graph).  Rides along with cached sub-graph
-        # objects so repeated diffusions never rebuild operator structure;
+        # TransitionOperator.for_graph).  Rides along with the graph so
+        # repeated diffusions never rebuild operator structure;
         # deliberately excluded from pickling (see __getstate__).
         self._operator_memo: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
-    @classmethod
-    def _trusted(cls, indptr: np.ndarray, indices: np.ndarray, name: str) -> "CSRGraph":
-        """Wrap arrays the caller built well-formed, skipping the checks.
-
-        ``indptr`` must be ``int64`` and ``indices`` ``int32``, both owned by
-        the new graph; they are frozen here as by the constructor.  Only for
-        code that derives the arrays itself (ego-ball extraction), never for
-        input from outside the library.
-        """
-        graph = cls.__new__(cls)
-        graph._indptr = indptr
-        graph._indices = indices
-        graph._name = name
-        indptr.setflags(write=False)
-        indices.setflags(write=False)
-        graph._fingerprint = None
-        graph._operator_memo = None
-        return graph
-
     @classmethod
     def from_edges(
         cls,

@@ -48,17 +48,6 @@ class Subgraph:
         # {global id: local id}, built by the first lookup that needs it.
         self._local_of: Optional[Dict[int, int]] = None
 
-    @classmethod
-    def _trusted(cls, graph: CSRGraph, global_ids: np.ndarray) -> "Subgraph":
-        """Wrap an ``int64`` id array the caller knows is unique and sized
-        to ``graph``, skipping the checks; the array is frozen here."""
-        subgraph = cls.__new__(cls)
-        subgraph.graph = graph
-        subgraph.global_ids = global_ids
-        global_ids.setflags(write=False)
-        subgraph._local_of = None
-        return subgraph
-
     # ------------------------------------------------------------------
     @classmethod
     def induced(

@@ -22,9 +22,10 @@ modelled FPGA) can all share one algorithmic code path:
   the paper's P processing elements, in software — stay one set of arrays
   from extraction to fold.  The stage hook returns them stacked with their
   diffusion operand (:class:`~repro.graph.bfs.EgoWave`: a fresh BFS's own
-  adjacency reads), the diffusion runs on it as given, and the plan folds
-  the stacked vectors (:class:`StageWaveOutcome`).  Every serving path runs
-  it, with or without the engine's cache's stage hook.
+  adjacency reads, or a cache's kept balls restacked), the diffusion runs on
+  it as given, and the plan folds the stacked vectors
+  (:class:`StageWaveOutcome`).  Every serving path runs it, with or without
+  the engine's cache's stage hook.
 * :func:`execute_plan` is the one drive loop: it hands each stage's tasks to
   whichever of those the caller is driving with.
 
@@ -233,18 +234,17 @@ class StageWaveOutcome:
 
     @classmethod
     def of_ball(cls, outcome: StageTaskOutcome) -> "StageWaveOutcome":
-        """One per-ball outcome as a one-ball wave whose operand is its CSR's
-        row ids and columns (the ball's own arrays are wrapped, not copied)."""
+        """One per-ball outcome as a one-ball ball-major wave: the rows of its
+        CSR's inner nodes (the first, in visit order) are its entries, and
+        the ball's own arrays are wrapped, not copied."""
         subgraph, bfs, diffusion = outcome.subgraph, outcome.bfs, outcome.diffusion
         graph = subgraph.graph
-        degrees = graph.degrees()
+        inner = np.count_nonzero(bfs.levels < bfs.depth)
         wave = EgoWave(
-            graph.name, bfs.depth, np.repeat(np.arange(graph.num_nodes), degrees),
-            graph.indices, degrees, subgraph.global_ids, bfs.levels,
-            np.array([0, graph.num_nodes]), np.array([bfs.edges_scanned]),
-            np.array([outcome.cache_hit]),
+            graph.name, bfs.depth, graph.indices[: graph.indptr[inner]], graph.degrees(),
+            subgraph.global_ids, bfs.levels, np.array([0, graph.num_nodes]),
+            np.array([bfs.edges_scanned]), np.array([outcome.cache_hit]),
         )
-        object.__setattr__(wave, "_balls", [(subgraph, bfs)])
         return cls(
             (outcome.task,), wave, diffusion.accumulated, diffusion.residual,
             np.array([diffusion.propagations]),

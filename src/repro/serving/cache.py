@@ -1,18 +1,20 @@
-"""Byte-budgeted LRU cache of extracted ego sub-graphs.
+"""Byte-budgeted LRU cache of extracted ego balls.
 
 Every MeLoPPR stage task starts with a depth-``l`` BFS extraction, and across
-a batch of queries the same ego sub-graphs recur constantly: hot seeds are
+a batch of queries the same ego balls recur constantly: hot seeds are
 queried repeatedly, and popular high-degree nodes are selected as next-stage
-centres by many different queries.  The extraction is deterministic — the
-sub-graph only depends on ``(center, depth)`` and the host graph — and the
-extracted :class:`~repro.graph.subgraph.Subgraph` is immutable once built, so
-a cache can hand the same object to every task that needs it.
+centres by many different queries.  The extraction is deterministic — a ball
+only depends on ``(center, depth)`` and the host graph — so a cache can hand
+the same ball to every task that needs it.
 
-:class:`SubgraphCache` keys entries by ``(center, depth)``, bounds the total
-retained bytes (graph CSR arrays + id mappings + BFS bookkeeping) and evicts
-in least-recently-used order.  Hit / miss / eviction counts are exposed via
-:attr:`SubgraphCache.stats` and surfaced by the serving engine in
-``PPRResult.metadata`` and its throughput reports.
+:class:`SubgraphCache` keys entries by ``(center, depth)`` and keeps each
+ball in the form the wave executor diffuses: a one-ball
+:class:`~repro.graph.bfs.EgoWave` in ball-local ids (its push-form entries,
+degrees, global ids, levels and BFS count), whose frozen arrays are shared
+by every thread that is served it.  It bounds the total retained bytes of
+those arrays and evicts in least-recently-used order.  Hit / miss /
+eviction counts are exposed via :attr:`SubgraphCache.stats` and surfaced by
+the serving engine in ``PPRResult.metadata`` and its throughput reports.
 
 The cache is thread-safe: bookkeeping is guarded by a lock, while the BFS
 extraction itself runs outside it so concurrent misses do not serialise each
@@ -25,7 +27,10 @@ What it shares with the stage-one result cache
 byte-charged entries in LRU order under one lock, a binding to the graph they
 serve, and one path by which entries come and go, which keeps the bytes and a
 **centre index** in step.  The index is what lets an edge update find its
-victims without scanning the cache.
+victims without scanning the cache.  A value computed on one graph is
+inserted only while the cache is still bound to that graph, checked under
+the lock: an update or reload between the lookup and the insert would
+otherwise leave it stale under the new binding.
 """
 
 from __future__ import annotations
@@ -37,9 +42,8 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.bfs import BFSResult, EgoWave, extract_wave
+from repro.graph.bfs import EgoWave, extract_wave
 from repro.graph.csr import CSRGraph
-from repro.graph.subgraph import Subgraph
 
 __all__ = ["CacheStats", "SubgraphCache", "DEFAULT_CACHE_BYTES"]
 
@@ -116,17 +120,9 @@ class CacheStats:
         }
 
 
-def _entry_nbytes(subgraph: Subgraph, bfs: BFSResult) -> int:
-    """Retained bytes of one cache entry (CSR arrays, id maps, BFS arrays)."""
-    return int(
-        subgraph.graph.nbytes()
-        + subgraph.global_ids.nbytes
-        + bfs.nodes.nbytes
-        + bfs.levels.nbytes
-        # The global->local dict: ~two machine words per node is a fair model
-        # without paying a sys.getsizeof traversal per insert.
-        + 16 * subgraph.num_nodes
-    )
+def _entry_nbytes(ball: EgoWave) -> int:
+    """Retained bytes of one cache entry: every array of its ball."""
+    return sum(value.nbytes for value in vars(ball).values() if isinstance(value, np.ndarray))
 
 
 #: node -> {cache key: depth}: the entries an update reaching ``node`` within
@@ -166,8 +162,8 @@ class _LRUCache:
     the entries-per-depth counts (the update radius, read not searched) and
     the subclass's centre index in step; :meth:`validate` rebuilds the
     latter two from the entries and raises on drift.  Which graph the
-    entries belong to is decided here too: :meth:`claim`, :meth:`bind` and
-    :meth:`carry`.
+    entries belong to is decided here too: :meth:`claim`, :meth:`bind`,
+    :meth:`carry` and the check every insert makes (:meth:`_insert`).
     """
 
     #: Position of an entry's charged bytes in its tuple.
@@ -250,6 +246,12 @@ class _LRUCache:
             evicted += 1
         self._evictions += evicted
         return evicted
+
+    def _insert(self, key: Hashable, entry: tuple, graph: CSRGraph) -> bool:
+        """:meth:`_put_locked` under the lock while the entries are still
+        ``graph``'s, the graph the entry was computed on (:meth:`claim`)."""
+        with self._lock:
+            return self._claim_locked(graph) and self._put_locked(key, entry)
 
     def _put_locked(self, key: Hashable, entry: tuple) -> bool:
         """Insert ``entry`` as the most recent, evicting LRU entries until it
@@ -394,7 +396,7 @@ class _LRUCache:
 
 
 class SubgraphCache(_LRUCache):
-    """LRU cache of ``(center, depth) -> (Subgraph, BFSResult)`` extractions.
+    """LRU cache of ``(center, depth) ->`` one-ball :class:`~repro.graph.bfs.EgoWave`.
 
     Parameters
     ----------
@@ -413,10 +415,10 @@ class SubgraphCache(_LRUCache):
     of it.  Its hit / miss counts can differ from a ball-by-ball order only
     when the stage's own inserts would have evicted one of its later lookups
     (a budget below one stage) or a centre repeats inside the stage; the
-    sub-graphs served, hence the answers, cannot.
+    balls served, hence the answers, cannot.
     """
 
-    _NBYTES = 2
+    _NBYTES = 1
 
     def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES) -> None:
         super().__init__(max_bytes)
@@ -427,7 +429,7 @@ class SubgraphCache(_LRUCache):
         _link(self._centres, key[0], key, key[1], sign)
 
     def _measure(self, entry: tuple) -> int:
-        return _entry_nbytes(entry[0], entry[1])
+        return _entry_nbytes(entry[0])
 
     def _index_state(self) -> tuple:
         return super()._index_state() + (self._centres,)
@@ -437,23 +439,25 @@ class SubgraphCache(_LRUCache):
             return key in self._entries
 
     # ------------------------------------------------------------------
-    def get(self, center: int, depth: int) -> Optional[Tuple[Subgraph, BFSResult]]:
-        """Look up an extraction, updating recency and hit/miss counters."""
-        key = (int(center), int(depth))
+    def get(self, center: int, depth: int) -> Optional[EgoWave]:
+        """Look a ball up, updating recency and hit/miss counters."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return entry[0], entry[1]
+            return self._get_locked((int(center), int(depth)))
 
-    def put(self, center: int, depth: int, subgraph: Subgraph, bfs: BFSResult) -> bool:
-        """Insert an extraction; returns whether it was retained."""
-        entry = (subgraph, bfs, _entry_nbytes(subgraph, bfs))
-        with self._lock:
-            return self._put_locked((int(center), int(depth)), entry)
+    def _get_locked(self, key: Tuple[int, int]) -> Optional[EgoWave]:
+        entry = self._entries.get(key)
+        if entry is None:
+            self._misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self._hits += 1
+        return entry[0]
+
+    def put(self, center: int, depth: int, ball: EgoWave, graph: CSRGraph) -> bool:
+        """Insert a ball (one of :meth:`EgoWave.split`'s) extracted from
+        ``graph``; returns whether it was retained.  It is inserted only while
+        the cache is bound to ``graph`` (an unbound cache binds to it)."""
+        return self._insert((int(center), int(depth)), (ball, _entry_nbytes(ball)), graph)
 
     def extract_wave(self, graph: CSRGraph, centers: Sequence[int], depth: int) -> EgoWave:
         """Serve ``extract_wave(graph, centers, depth)`` through the cache —
@@ -461,36 +465,32 @@ class SubgraphCache(_LRUCache):
 
         The cache binds to the first ``graph`` it serves; passing a different
         graph later raises ``ValueError`` (keys carry no graph identity, so
-        cross-graph sharing would return wrong sub-graphs).  :meth:`clear`
+        cross-graph sharing would return wrong balls).  :meth:`clear`
         resets the binding.
 
-        Every centre is looked up first; the misses are extracted together
-        (outside the lock) and inserted one entry per ball.  A stage with no
-        hits is that extraction as it came; hits are restacked with the misses
-        (:meth:`~repro.graph.bfs.EgoWave.stack`).
+        Every centre is looked up first, under one lock with the binding;
+        the misses are extracted together (outside the lock), split into
+        one-ball waves and inserted while the cache is still ``graph``'s.  A
+        stage with no hits is that extraction as it came; hits are restacked
+        with the misses (:meth:`~repro.graph.bfs.EgoWave.stack`).
         """
-        self._bind(graph)
-        found = [self.get(center, depth) for center in centers]
-        missed = [center for center, entry in zip(centers, found) if entry is None]
+        with self._lock:
+            if not self._claim_locked(graph):
+                raise ValueError(
+                    f"cache is bound to graph {self._graph.name!r}; create one "
+                    f"SubgraphCache per graph (got {graph.name!r})"
+                )
+            found = [self._get_locked((int(center), int(depth))) for center in centers]
+        missed = [center for center, ball in zip(centers, found) if ball is None]
         fresh = extract_wave(graph, missed, depth)
-        pairs = fresh.balls()
-        for center, (subgraph, bfs) in zip(missed, pairs):
-            self.put(center, depth, subgraph, bfs)
+        balls = fresh.split()
+        for center, ball in zip(missed, balls):
+            self.put(center, depth, ball, graph)
         if len(missed) == len(centers):
             return fresh
-        fresh_pairs = iter(pairs)
-        return EgoWave.stack(fresh.name, depth, [
-            (*next(fresh_pairs), False) if entry is None else (entry[0], entry[1], True)
-            for entry in found
-        ])
-
-    def _bind(self, graph: CSRGraph) -> None:
-        """Bind to ``graph`` on first use; refuse any other graph after."""
-        if not self.claim(graph):
-            raise ValueError(
-                f"cache is bound to graph {self._graph.name!r}; create one "
-                f"SubgraphCache per graph (got {graph.name!r})"
-            )
+        fresh_balls = iter(balls)
+        kept = [next(fresh_balls) if ball is None else ball for ball in found]
+        return EgoWave.stack(fresh.name, depth, kept, [ball is not None for ball in found])
 
     def max_depth(self) -> int:
         """Largest extraction depth among retained entries (0 when empty): how

@@ -577,14 +577,14 @@ class QueryEngine:
                 )
             elif result_cache is not None:
                 install = lambda done_plan: result_cache.put(
-                    key, done_plan.stage_one_state()
+                    key, done_plan.stage_one_state(), done_plan.graph
                 )
             result = self._drive_plan(plan, install=install, ctx=ctx)
             if result_cache is not None:
                 # Shared from here on: freeze the scores, and keep a copy
                 # whose metadata dict the first caller cannot reach.
                 result.scores.freeze()
-                result_cache.attach_answer(key, _replay(result))
+                result_cache.attach_answer(key, _replay(result), plan.graph)
         else:
             result = self._solver.solve(query)
         latency = time.perf_counter() - start

@@ -61,6 +61,7 @@ from typing import Callable, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
+from repro.graph.csr import CSRGraph
 from repro.meloppr.config import MeLoPPRConfig
 from repro.meloppr.planner import MeLoPPRPlan, StageOneState, realised_stage_lengths
 from repro.ppr.base import PPRQuery, PPRResult
@@ -353,25 +354,29 @@ class ScoreTableCache(_LRUCache):
         """Look up a stage-one state, updating recency and counters."""
         return self.lookup(key, None)[0]
 
-    def put(self, key: Tuple[Hashable, ...], state: StageOneState) -> bool:
-        """Insert a stage-one state; returns whether it was retained."""
-        nbytes = _entry_nbytes(state)
-        with self._lock:
-            return self._put_locked(key, (state, nbytes, self._clock(), None, None))
+    def put(self, key: Tuple[Hashable, ...], state: StageOneState, graph: CSRGraph) -> bool:
+        """Insert a stage-one state folded on ``graph``; returns whether it
+        was retained.  It is inserted only while the cache is bound to
+        ``graph`` (an unbound cache binds to it)."""
+        entry = (state, _entry_nbytes(state), self._clock(), None, None)
+        return self._insert(key, entry, graph)
 
-    def attach_answer(self, key: Tuple[Hashable, ...], answer: PPRResult) -> bool:
-        """Attach the finished answer of the query ``key`` is keyed by.
+    def attach_answer(
+        self, key: Tuple[Hashable, ...], answer: PPRResult, graph: CSRGraph
+    ) -> bool:
+        """Attach the finished answer, computed on ``graph``, of the query
+        ``key`` is keyed by.
 
         :meth:`lookup` then returns it next to the state.  It is charged to
         the entry (:func:`_answer_nbytes`) and shares its LRU position, TTL,
         :meth:`invalidate`, :meth:`clear` and :meth:`resize`; going over
         budget evicts LRU entries as in :meth:`put`.  Returns ``False`` — the
-        state stays, the answer is not kept — when the entry is gone or would
-        alone exceed the budget.
+        state stays, the answer is not kept — when the entry is gone, would
+        alone exceed the budget or the cache is no longer bound to ``graph``.
         """
         with self._lock:
             entry = self._live_entry_locked(key)
-            if entry is None:
+            if entry is None or not self._claim_locked(graph):
                 return False
             state, _, stored_at = entry[:3]
             nbytes = _entry_nbytes(state) + _answer_nbytes(answer)

@@ -270,9 +270,9 @@ class TestCacheAccounting:
         bare = ScoreTableCache(max_bytes=total - 1)
         states = [cache.get(key) for key in keys]
         for key, state in zip(keys, states):
-            assert bare.put(key, state)
+            assert bare.put(key, state, graph)
         for key, result in zip(keys, results):
-            assert bare.attach_answer(key, result)
+            assert bare.attach_answer(key, result, graph)
             bare.validate()
         # Three states fit, three answered entries do not: the first went.
         assert bare.stats.evictions == 1
@@ -282,12 +282,12 @@ class TestCacheAccounting:
         cache, keys, results = self.solved(graph, seeds=(1,))
         state = cache.get(keys[0])
         tight = ScoreTableCache(max_bytes=_entry_nbytes(state) + 8)
-        assert tight.put(keys[0], state)
-        assert not tight.attach_answer(keys[0], results[0])
+        assert tight.put(keys[0], state, graph)
+        assert not tight.attach_answer(keys[0], results[0], graph)
         assert tight.lookup(keys[0], results[0].query) == (state, None)
         assert tight.stats.evictions == 0
         tight.validate()
-        assert not tight.attach_answer(("gone",), results[0])
+        assert not tight.attach_answer(("gone",), results[0], graph)
 
     def test_ttl_invalidate_clear_and_resize_take_the_answer_with_the_entry(
         self, graph
@@ -323,7 +323,7 @@ class TestCacheAccounting:
         cache, keys, results = self.solved(graph)
         bare = ScoreTableCache()
         for key in keys:
-            bare.put(key, cache.get(key))
+            bare.put(key, cache.get(key), graph)
 
         def centres(result):
             return {record.center_node for record in result.metadata["tasks"]}

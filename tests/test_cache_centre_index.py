@@ -22,7 +22,7 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.graph.bfs import extract_ego_subgraph
+from repro.graph.bfs import extract_wave
 from repro.graph.generators import barabasi_albert_graph
 from repro.meloppr.config import MeLoPPRConfig
 from repro.meloppr.planner import execute_stage_task
@@ -60,9 +60,9 @@ def result_pool():
 
 @lru_cache(maxsize=None)
 def subgraph_pool():
-    """``((centre, depth), subgraph, bfs)`` over a spread of centres."""
+    """``((centre, depth), ball)`` over a spread of centres."""
     return [
-        ((centre, depth), *extract_ego_subgraph(GRAPH, centre, depth))
+        ((centre, depth), extract_wave(GRAPH, [centre], depth).split()[0])
         for centre in range(0, 40, 3)
         for depth in range(4)
     ]
@@ -276,10 +276,10 @@ def test_score_table_cache_matches_the_full_scan(budget, ttl, ops):
                 present = list(oracle.entries)
                 key, state, answer = by_key[present[op[1] % len(present)]]
             if kind == "put":
-                cache.put(key, state)
+                cache.put(key, state, GRAPH)
                 oracle.put(key, _entry_nbytes(state))
             elif kind == "attach":
-                cache.attach_answer(key, answer)
+                cache.attach_answer(key, answer, GRAPH)
                 oracle.attach(key, answer, _entry_nbytes(state) + _answer_nbytes(answer))
             elif kind == "get":
                 cache.get(key)
@@ -307,7 +307,7 @@ SUBGRAPH_OPS = op_lists(
 @given(budget=st.integers(1, 12), ops=SUBGRAPH_OPS)
 def test_subgraph_cache_matches_the_full_scan(budget, ops):
     pool = subgraph_pool()
-    unit = max(subgraph_nbytes(subgraph, bfs) for _, subgraph, bfs in pool)
+    unit = max(subgraph_nbytes(ball) for _, ball in pool)
     cache = SubgraphCache(budget * unit // 3)
     oracle = ScanOracle(budget * unit // 3)
     for op in ops:
@@ -322,12 +322,12 @@ def test_subgraph_cache_matches_the_full_scan(budget, ops):
             cache.clear()
             oracle.entries.clear()
         else:
-            (centre, depth), subgraph, bfs = pool[op[1]]
+            (centre, depth), ball = pool[op[1]]
             if kind == "put":
-                cache.put(centre, depth, subgraph, bfs)
-                oracle.put((centre, depth), subgraph_nbytes(subgraph, bfs))
+                cache.put(centre, depth, ball, GRAPH)
+                oracle.put((centre, depth), subgraph_nbytes(ball))
             else:
                 cache.get(centre, depth)
                 oracle.get((centre, depth))
-        assert_same(cache, oracle, lambda entry: entry[2])
+        assert_same(cache, oracle, lambda entry: entry[1])
         assert cache.max_depth() == oracle.max_depth()

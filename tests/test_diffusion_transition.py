@@ -56,34 +56,6 @@ class TestApply:
         np.testing.assert_allclose(operator.apply_power(s0, 2), [1.0, 0, 0, 0], atol=1e-12)
 
 
-class TestApplySparse:
-    def test_matches_dense_apply(self, small_ba_graph, rng):
-        operator = TransitionOperator(small_ba_graph)
-        dense = np.zeros(small_ba_graph.num_nodes)
-        chosen = rng.choice(small_ba_graph.num_nodes, 10, replace=False)
-        dense[chosen] = rng.random(10)
-        nodes, values = operator.apply_sparse(chosen, dense[chosen])
-        rebuilt = np.zeros_like(dense)
-        rebuilt[nodes] = values
-        np.testing.assert_allclose(rebuilt, operator.apply(dense), atol=1e-12)
-
-    def test_empty_input(self, triangle_graph):
-        operator = TransitionOperator(triangle_graph)
-        nodes, values = operator.apply_sparse(np.array([]), np.array([]))
-        assert nodes.size == 0
-        assert values.size == 0
-
-    def test_zero_values_skipped(self, triangle_graph):
-        operator = TransitionOperator(triangle_graph)
-        nodes, values = operator.apply_sparse(np.array([0]), np.array([0.0]))
-        assert nodes.size == 0
-
-    def test_mismatched_shapes_rejected(self, triangle_graph):
-        operator = TransitionOperator(triangle_graph)
-        with pytest.raises(ValueError):
-            operator.apply_sparse(np.array([0, 1]), np.array([1.0]))
-
-
 class TestApplyPower:
     def test_power_zero_is_identity(self, triangle_graph, rng):
         operator = TransitionOperator(triangle_graph)

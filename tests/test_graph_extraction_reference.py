@@ -4,9 +4,10 @@
 adjacency rows with one vectorised index.  The references below walk the rows
 one at a time in plain Python; visit order, local ids, the relabelled CSR
 arrays and the scanned-edge count must all be equal.  The stage extraction,
-``extract_ego_subgraphs``, is in turn held to ``extract_ego_subgraph`` per
-centre, array for array, and a fresh wave's diffusion operand to
-``graph_diffusion`` on each of its balls, bit for bit.
+``extract_wave`` split into one-ball waves, is in turn held to
+``extract_ego_subgraph`` per centre (nodes, levels, degrees, scanned edges),
+and every wave's diffusion operand — a fresh one's and each ball's — to
+``graph_diffusion`` on the centre's sub-graph, bit for bit.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from repro.diffusion.diffusion import graph_diffusion, seed_vector, stage_diffus
 from repro.diffusion.kernels import KERNELS
 from repro.graph.bfs import (
     BALLS_PER_PASS,
+    EgoWave,
     bfs_levels,
     expand_frontier,
     extract_ego_subgraph,
-    extract_ego_subgraphs,
     extract_wave,
 )
 from repro.graph.csr import CSRGraph, gather_rows
@@ -130,35 +131,58 @@ class TestExtractionMatchesReference:
         assert_matches_reference(path_graph, 0, 4)
 
 
-def extraction_arrays(pair) -> List[np.ndarray]:
-    subgraph, bfs = pair
+def one_ball_waves(graph: CSRGraph, centers: Sequence[int], depth: int):
+    """``extract_wave`` pass by pass, each pass split into one-ball waves."""
+    centers = list(centers)
     return [
-        subgraph.global_ids,
-        subgraph.graph.indptr,
-        subgraph.graph.indices,
-        bfs.nodes,
-        bfs.levels,
+        ball
+        for begin in range(0, len(centers), BALLS_PER_PASS)
+        for ball in extract_wave(graph, centers[begin : begin + BALLS_PER_PASS], depth).split()
     ]
 
 
+def ball_arrays(ball) -> List[np.ndarray]:
+    return [ball.targets, ball.degrees, ball.nodes, ball.levels, ball.bounds, ball.edges_scanned]
+
+
+def assert_diffuses_like_the_spec(wave, centers: Sequence[int], depth: int, graph: CSRGraph):
+    """``stage_diffusion`` of ``wave`` gives every ball what ``graph_diffusion``
+    gives its centre's sub-graph under every kernel, bit for bit, and
+    ``entries()`` counts each sub-graph's entries."""
+    bounds = wave.bounds
+    accumulated, residual, propagations = stage_diffusion(
+        wave.targets, wave.sources, wave.degrees, bounds, bounds[:-1], depth
+    )
+    subgraphs = [extract_ego_subgraph(graph, center, depth)[0] for center in centers]
+    assert wave.entries().tolist() == [2 * subgraph.num_edges for subgraph in subgraphs]
+    for subgraph, begin, end, work in zip(subgraphs, bounds[:-1], bounds[1:], propagations):
+        for kernel in KERNELS:
+            expected = graph_diffusion(
+                subgraph.graph, seed_vector(subgraph.num_nodes, 0), depth, kernel=kernel
+            )
+            assert np.array_equal(accumulated[begin:end], expected.accumulated)
+            assert np.array_equal(residual[begin:end], expected.residual)
+            assert work == expected.propagations
+
+
 def assert_stage_matches_per_ball(graph: CSRGraph, centers: Sequence[int], depth: int):
-    """Every pair of the stage extraction equals the per-centre extraction."""
-    pairs = extract_ego_subgraphs(graph, centers, depth)
-    assert len(pairs) == len(centers)
-    for center, pair in zip(centers, pairs):
-        expected = extract_ego_subgraph(graph, center, depth)
-        for ours, theirs in zip(extraction_arrays(pair), extraction_arrays(expected)):
-            assert ours.dtype == theirs.dtype and ours.tolist() == theirs.tolist()
-        (subgraph, bfs), (ref_subgraph, ref_bfs) = pair, expected
-        assert subgraph.graph.name == ref_subgraph.graph.name
-        assert (bfs.source, bfs.depth) == (ref_bfs.source, ref_bfs.depth)
-        assert bfs.edges_scanned == ref_bfs.edges_scanned
-        assert type(bfs.edges_scanned) is int and type(bfs.source) is int
-        assert not subgraph.global_ids.flags.writeable
-        assert not subgraph.graph.indptr.flags.writeable
-        assert not subgraph.graph.indices.flags.writeable
-        assert bfs.nodes.flags.writeable == ref_bfs.nodes.flags.writeable
-    return pairs
+    """Every one-ball wave of the stage extraction is the per-centre
+    extraction's ball, owns its frozen arrays, and diffuses like it."""
+    balls = one_ball_waves(graph, centers, depth)
+    assert len(balls) == len(centers)
+    for center, ball in zip(centers, balls):
+        subgraph, bfs = extract_ego_subgraph(graph, center, depth)
+        assert ball.nodes.tolist() == bfs.nodes.tolist() and ball.nodes.dtype == np.int64
+        assert ball.levels.tolist() == bfs.levels.tolist()
+        assert ball.degrees.tolist() == subgraph.graph.degrees().tolist()
+        assert ball.bounds.tolist() == [0, subgraph.num_nodes]
+        assert ball.edges_scanned.tolist() == [bfs.edges_scanned]
+        assert ball.hits.tolist() == [False] and ball.name == graph.name
+        assert ball.targets.dtype == np.int32 and ball.read_sources is None
+        for array in ball_arrays(ball):
+            assert array.base is None and not array.flags.writeable
+        assert_diffuses_like_the_spec(ball, [center], depth, graph)
+    return balls
 
 
 class TestStageExtractionMatchesPerBall:
@@ -176,26 +200,26 @@ class TestStageExtractionMatchesPerBall:
         assert_stage_matches_per_ball(graph, [first, *others], depth)
 
     def test_no_centres(self, star_graph):
-        assert extract_ego_subgraphs(star_graph, [], 2) == []
+        assert extract_wave(star_graph, [], 2).split() == []
 
     @pytest.mark.parametrize("depth", [0, 1, 3])
     def test_one_centre(self, small_ba_graph, depth):
         assert_stage_matches_per_ball(small_ba_graph, [17], depth)
 
-    def test_a_centre_listed_twice_gets_two_pairs(self, small_ba_graph):
+    def test_a_centre_listed_twice_gets_two_balls(self, small_ba_graph):
         first, other, second = assert_stage_matches_per_ball(small_ba_graph, [5, 9, 5], 2)
-        assert first[0] is not second[0]
-        assert not np.shares_memory(first[0].global_ids, second[0].global_ids)
+        assert first is not second
+        assert not np.shares_memory(first.nodes, second.nodes)
 
     def test_isolated_centre_among_others(self):
         graph = CSRGraph.from_edges(5, [(0, 1), (1, 2)], name="isolated")
-        pairs = assert_stage_matches_per_ball(graph, [0, 4, 3, 2], 3)
-        assert pairs[1][0].global_ids.tolist() == [4]
-        assert pairs[1][1].edges_scanned == 0 and pairs[1][0].num_edges == 0
+        balls = assert_stage_matches_per_ball(graph, [0, 4, 3, 2], 3)
+        assert balls[1].nodes.tolist() == [4]
+        assert balls[1].edges_scanned.tolist() == [0] and balls[1].targets.size == 0
 
     def test_depth_zero(self, star_graph):
-        pairs = assert_stage_matches_per_ball(star_graph, [0, 3, 6], 0)
-        assert [pair[1].edges_scanned for pair in pairs] == [0, 0, 0]
+        balls = assert_stage_matches_per_ball(star_graph, [0, 3, 6], 0)
+        assert [ball.edges_scanned.tolist() for ball in balls] == [[0], [0], [0]]
 
     def test_centres_in_different_components(self):
         graph = CSRGraph.from_edges(
@@ -229,8 +253,7 @@ class TestStageExtractionMatchesPerBall:
             extract_wave(small_ba_graph, centers, 2)
 
     def test_every_array_owns_its_memory(self, small_ba_graph):
-        pairs = extract_ego_subgraphs(small_ba_graph, [3, 4, 150], 2)
-        arrays = [extraction_arrays(pair) for pair in pairs]
+        arrays = [ball_arrays(ball) for ball in one_ball_waves(small_ba_graph, [3, 4, 150], 2)]
         for ball in arrays:
             for array in ball:
                 assert array.base is None
@@ -246,11 +269,11 @@ class TestStageExtractionMatchesPerBall:
             with pytest.raises((TypeError, ValueError)) as expected:
                 bfs_levels(star_graph, offender, depth)
             with pytest.raises(type(expected.value)) as raised:
-                extract_ego_subgraphs(star_graph, centers, depth)
+                extract_wave(star_graph, centers, depth)
             assert str(raised.value) == str(expected.value)
 
     def test_scratch_does_not_scale_with_the_stage(self):
-        # What a call holds beyond the pairs it returns is one pass's scratch:
+        # What a call holds beyond the balls it returns is one pass's scratch:
         # a 500-centre stage (the same 64 centres, cycled) holds no more of it
         # than a 64-centre one.
         graph = load_dataset("G3")
@@ -259,11 +282,11 @@ class TestStageExtractionMatchesPerBall:
         def scratch_bytes(centers: List[int]) -> Tuple[int, int]:
             tracemalloc.start()
             try:
-                pairs = extract_ego_subgraphs(graph, centers, 2)
+                balls = one_ball_waves(graph, centers, 2)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            returned = sum(a.nbytes for pair in pairs for a in extraction_arrays(pair))
+            returned = sum(a.nbytes for ball in balls for a in ball_arrays(ball))
             return peak - returned, returned
 
         small, returned_small = scratch_bytes(one_pass)
@@ -274,24 +297,12 @@ class TestStageExtractionMatchesPerBall:
 
 
 def assert_operand_diffuses_the_balls(graph: CSRGraph, centers: Sequence[int], depth: int):
-    """A fresh wave's operand, diffused ``depth`` steps, gives every ball what
-    ``graph_diffusion`` gives its ``balls()`` sub-graph under every kernel,
-    bit for bit, and ``entries()`` counts each sub-graph's entries."""
+    """A fresh wave's operand diffuses like the per-centre spec, and so does
+    the same wave restacked from its one-ball waves."""
     wave = extract_wave(graph, centers, depth)
-    bounds = wave.bounds
-    accumulated, residual, propagations = stage_diffusion(
-        wave.targets, wave.sources, wave.degrees, bounds, bounds[:-1], depth
-    )
-    balls = wave.balls()
-    assert wave.entries().tolist() == [2 * subgraph.num_edges for subgraph, _ in balls]
-    for (subgraph, _), begin, end, work in zip(balls, bounds[:-1], bounds[1:], propagations):
-        for kernel in KERNELS:
-            expected = graph_diffusion(
-                subgraph.graph, seed_vector(subgraph.num_nodes, 0), depth, kernel=kernel
-            )
-            assert np.array_equal(accumulated[begin:end], expected.accumulated)
-            assert np.array_equal(residual[begin:end], expected.residual)
-            assert work == expected.propagations
+    assert_diffuses_like_the_spec(wave, centers, depth, graph)
+    restacked = EgoWave.stack(graph.name, depth, wave.split(), wave.hits)
+    assert_diffuses_like_the_spec(restacked, centers, depth, graph)
     return wave
 
 
@@ -322,8 +333,8 @@ class TestWaveOperand:
 
     def test_a_repeated_centre(self, small_ba_graph):
         wave = assert_operand_diffuses_the_balls(small_ba_graph, [9, 4, 9], 3)
-        first, _, second = wave.balls()
-        assert first[0].graph.indices.tolist() == second[0].graph.indices.tolist()
+        first, _, second = wave.split()
+        assert first.targets.tolist() == second.targets.tolist()
 
     def test_a_full_pass_of_centres(self, small_ba_graph):
         centers = list(range(0, 2 * BALLS_PER_PASS, 2))

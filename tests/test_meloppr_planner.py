@@ -171,7 +171,6 @@ class TestWaveExecutorAgainstTheSolver:
             raise AssertionError("stage function called")
 
         for target in (
-            "repro.graph.bfs.extract_ego_subgraphs",
             "repro.graph.bfs.extract_wave",
             "repro.meloppr.planner.extract_wave",
             "repro.serving.cache.extract_wave",
@@ -248,39 +247,29 @@ class TestWaveExecutorAgainstTheSolver:
         assert cache.stats.hits and cache.stats.misses
         cache.validate()
 
-    def test_the_cacheless_engine_builds_no_per_ball_objects(self, small_ba_graph, monkeypatch):
-        """Uncached, a wave stays stacked from extraction to fold."""
-        config = MeLoPPRConfig(selector=RatioSelector(0.2), track_memory=False)
-        queries = [PPRQuery(seed=seed, k=10) for seed in (0, 7, 42)]
-        expected = [_comparable(MeLoPPRSolver(small_ba_graph, config).solve(q)) for q in queries]
-
-        def boom(*args, **kwargs):
-            raise AssertionError("per-ball object built")
-
-        monkeypatch.setattr(Subgraph, "_trusted", boom)
-        monkeypatch.setattr("repro.graph.bfs.BFSResult", boom)
-        for backend in ("serial", "thread:2"):
-            solver = MeLoPPRSolver(small_ba_graph, config)
-            with QueryEngine(solver, backend=make_backend(backend)) as engine:
-                assert [_comparable(r) for r in engine.solve_batch(queries)] == expected
-
-    def test_the_cacheless_engine_never_relabels(self, small_ba_graph, monkeypatch):
-        """Uncached, a wave diffuses what its BFS read: the block-diagonal CSR
-        is never built, and every answer and count (per-task
-        ``subgraph_edges``, ``max_subgraph_edges``, ``modelled_bytes``) is
-        still the solver's."""
+    def test_no_serving_path_builds_a_csr_ball(self, small_ba_graph, monkeypatch):
+        """A wave stays push-form entries from extraction to fold, cached or
+        not: no induced CSR sub-graph and no per-ball BFS record is built, a
+        cache keeps and restacks the wave's own operand, and every answer
+        and count (per-task ``subgraph_edges``, ``max_subgraph_edges``,
+        ``modelled_bytes``) is still the solver's."""
         config = MeLoPPRConfig(selector=RatioSelector(0.2), track_memory=False)
         queries = [PPRQuery(seed=seed, k=10) for seed in (0, 7, 42, 150)]
         expected = [_comparable(MeLoPPRSolver(small_ba_graph, config).solve(q)) for q in queries]
 
         def boom(*args, **kwargs):
-            raise AssertionError("block-diagonal relabel on the cold path")
+            raise AssertionError("CSR ball built on a serving path")
 
-        monkeypatch.setattr("repro.graph.bfs._relabel", boom)
-        for backend in ("serial", "thread:2"):
+        monkeypatch.setattr(Subgraph, "induced", boom)
+        monkeypatch.setattr("repro.graph.bfs.BFSResult", boom)
+        for backend, cache in itertools.product(("serial", "thread:2"), (None, SubgraphCache())):
             solver = MeLoPPRSolver(small_ba_graph, config)
-            with QueryEngine(solver, backend=make_backend(backend)) as engine:
-                assert [_comparable(r) for r in engine.solve_batch(queries)] == expected
+            with QueryEngine(solver, backend=make_backend(backend), cache=cache) as engine:
+                for _ in range(2):  # cold, then (cached) served from hits
+                    assert [_comparable(r) for r in engine.solve_batch(queries)] == expected
+            if cache is not None:
+                assert cache.stats.hits and cache.stats.misses
+                cache.validate()
 
     def test_both_stage_runners_yield_lazily_in_task_order(self, small_ba_graph, config):
         plan = MeLoPPRSolver(small_ba_graph, config).plan(PPRQuery(seed=7, k=20))

@@ -42,7 +42,7 @@ class TestScoreTableCacheContainer:
         cache = ScoreTableCache()
         key, state = make_state(small_ba_graph)
         assert cache.get(key) is None
-        assert cache.put(key, state)
+        assert cache.put(key, state, small_ba_graph)
         assert cache.get(key) is state
         assert key in cache
         assert len(cache) == 1
@@ -57,7 +57,7 @@ class TestScoreTableCacheContainer:
         budget = max(sizes[0] + sizes[1], sizes[1] + sizes[2], sizes[0] + sizes[2])
         cache = ScoreTableCache(max_bytes=budget)
         for key, state in states:
-            cache.put(key, state)
+            cache.put(key, state, small_ba_graph)
         cache.validate()
         stats = cache.stats
         assert stats.evictions >= 1
@@ -68,15 +68,15 @@ class TestScoreTableCacheContainer:
     def test_oversized_entry_rejected(self, small_ba_graph):
         key, state = make_state(small_ba_graph)
         cache = ScoreTableCache(max_bytes=_entry_nbytes(state) - 1)
-        assert not cache.put(key, state)
+        assert not cache.put(key, state, small_ba_graph)
         assert cache.stats.rejected == 1
         assert len(cache) == 0
 
     def test_reinsert_replaces_without_double_count(self, small_ba_graph):
         cache = ScoreTableCache()
         key, state = make_state(small_ba_graph)
-        cache.put(key, state)
-        cache.put(key, state)
+        cache.put(key, state, small_ba_graph)
+        cache.put(key, state, small_ba_graph)
         cache.validate()
         assert len(cache) == 1
         assert cache.stats.current_bytes == _entry_nbytes(state)
@@ -85,7 +85,7 @@ class TestScoreTableCacheContainer:
         now = [0.0]
         cache = ScoreTableCache(ttl_seconds=10.0, clock=lambda: now[0])
         key, state = make_state(small_ba_graph)
-        cache.put(key, state)
+        cache.put(key, state, small_ba_graph)
         now[0] = 5.0
         assert cache.get(key) is state
         now[0] = 15.1  # 10s past the insert
@@ -101,10 +101,10 @@ class TestScoreTableCacheContainer:
         states = [make_state(small_ba_graph, seed=seed) for seed in (1, 2, 3)]
         budget = 3 * max(_entry_nbytes(state) for _, state in states)
         cache = ScoreTableCache(max_bytes=budget, ttl_seconds=10.0, clock=lambda: now[0])
-        cache.put(*states[0])
+        cache.put(*states[0], small_ba_graph)
         now[0] = 11.0  # first entry is dead but unswept
         assert len(cache) == 1  # the dead bytes still sit in the budget
-        cache.put(*states[1])  # ...until put() sweeps them
+        cache.put(*states[1], small_ba_graph)  # ...until put() sweeps them
         cache.validate()
         stats = cache.stats
         # The dead entry was reclaimed as 'expired', not blamed on the budget.
@@ -116,7 +116,7 @@ class TestScoreTableCacheContainer:
     def test_explicit_invalidation(self, small_ba_graph):
         cache = ScoreTableCache()
         key, state = make_state(small_ba_graph)
-        cache.put(key, state)
+        cache.put(key, state, small_ba_graph)
         assert cache.invalidate(key)
         assert not cache.invalidate(key)
         assert cache.get(key) is None
@@ -127,7 +127,7 @@ class TestScoreTableCacheContainer:
     def test_reset_stats_keeps_entries_like_subgraph_cache(self, small_ba_graph):
         cache = ScoreTableCache()
         key, state = make_state(small_ba_graph)
-        cache.put(key, state)
+        cache.put(key, state, small_ba_graph)
         cache.get(key)
         cache.get(("missing",))
         cache.reset_stats()
@@ -142,7 +142,7 @@ class TestScoreTableCacheContainer:
     def test_clear_drops_entries_keeps_counters(self, small_ba_graph):
         cache = ScoreTableCache()
         key, state = make_state(small_ba_graph)
-        cache.put(key, state)
+        cache.put(key, state, small_ba_graph)
         cache.get(key)
         cache.clear()
         stats = cache.stats
@@ -153,7 +153,7 @@ class TestScoreTableCacheContainer:
     def test_validate_detects_corruption(self, small_ba_graph):
         cache = ScoreTableCache()
         key, state = make_state(small_ba_graph)
-        cache.put(key, state)
+        cache.put(key, state, small_ba_graph)
         cache._current_bytes += 1  # simulate bookkeeping drift
         with pytest.raises(AssertionError):
             cache.validate()
@@ -274,7 +274,7 @@ class TestStageOneCacheKey:
         cache = ScoreTableCache()
         cache.bind(graph)
         key, state = make_state(graph)
-        assert cache.put(key, state)
+        assert cache.put(key, state, graph)
         # The same topology, rebuilt: the entry stays.
         cache.bind(barabasi_albert_graph(120, 2, rng=9, name="rebuilt"))
         assert cache.get(key) is state
@@ -454,6 +454,52 @@ class TestInvalidationRegressions:
         assert dict(result.scores.items()) == dict(reference.scores.items())
 
 
+    def test_an_insert_names_its_graph(self, small_ba_graph):
+        # A state or answer computed on a graph the cache is no longer bound
+        # to is refused; one computed on its own graph is kept.
+        other = barabasi_albert_graph(small_ba_graph.num_nodes, 2, rng=99, name="other")
+        key, state = make_state(small_ba_graph)
+        answer = MeLoPPRSolver(small_ba_graph).solve(PPRQuery(seed=3, k=20, length=6))
+        cache = ScoreTableCache()
+        cache.bind(small_ba_graph)
+        assert not cache.put(key, state, other)
+        assert len(cache) == 0 and cache.stats.rejected == 0
+        assert cache.put(key, state, small_ba_graph)
+        assert not cache.attach_answer(key, answer, other)
+        assert cache.lookup(key, answer.query) == (state, None)
+        assert cache.attach_answer(key, answer, small_ba_graph)
+        assert cache.lookup(key, answer.query) == (state, answer)
+        cache.validate()
+
+    def test_an_update_between_lookup_and_put_keeps_no_stale_state(self, monkeypatch):
+        # Two engines on one graph share the cache.  B's update waits only
+        # for B's batches, so it can land while A's query is between its
+        # lookup and its put: what A folded on the old graph must not be kept
+        # under the new binding, where B would replay it as its answer.
+        graph = barabasi_albert_graph(150, 2, rng=4, name="host")
+        shared = ScoreTableCache()
+        query = PPRQuery(seed=9, k=20, length=6)
+        edge = ("delete", 9, int(graph.neighbors(9)[0]))
+        snapshot = MeLoPPRPlan.stage_one_state
+        with QueryEngine(MeLoPPRSolver(graph), result_cache=shared) as first, QueryEngine(
+            MeLoPPRSolver(graph), result_cache=shared
+        ) as second:
+
+            def update_first(plan):
+                monkeypatch.setattr(MeLoPPRPlan, "stage_one_state", snapshot)
+                second.apply_update([edge])
+                return snapshot(plan)
+
+            monkeypatch.setattr(MeLoPPRPlan, "stage_one_state", update_first)
+            first.solve_batch([query])
+            assert len(shared) == 0 and shared.graph is second.solver.graph
+            (served,) = second.solve_batch([query])
+            updated = second.solver.graph
+        assert served.metadata["serving"]["result_cache"] == "miss"
+        reference = MeLoPPRSolver(updated).solve(query)
+        assert dict(served.scores.items()) == dict(reference.scores.items())
+
+
 class FakeClock:
     """Injected monotonic clock for deterministic TTL tests."""
 
@@ -480,7 +526,7 @@ class TestTTLBudgetPinning:
         clock = FakeClock()
         cache = ScoreTableCache(ttl_seconds=10.0, clock=clock)
         key, state = make_state(small_ba_graph)
-        cache.put(key, state)
+        cache.put(key, state, small_ba_graph)
         assert key in cache
         assert cache.stats.current_bytes == _entry_nbytes(state)
         clock.advance(10.0)
@@ -499,9 +545,9 @@ class TestTTLBudgetPinning:
         budget = sum(_entry_nbytes(state) for _, state in states)
         cache = ScoreTableCache(max_bytes=budget, ttl_seconds=5.0, clock=clock)
         for key, state in states[:2]:
-            cache.put(key, state)
+            cache.put(key, state, small_ba_graph)
         clock.advance(5.0)  # both stored entries are now dead
-        assert cache.put(*states[2])
+        assert cache.put(*states[2], small_ba_graph)
         stats = cache.stats
         # The dead bytes were reclaimed as expiry, never as eviction.
         assert stats.expired == 2
@@ -516,9 +562,9 @@ class TestTTLBudgetPinning:
         old_key, old_state = make_state(small_ba_graph, seed=1)
         live_key, live_state = make_state(small_ba_graph, seed=2)
         cache = ScoreTableCache(ttl_seconds=5.0, clock=clock)
-        cache.put(old_key, old_state)
+        cache.put(old_key, old_state, small_ba_graph)
         clock.advance(5.0)
-        cache.put(live_key, live_state)
+        cache.put(live_key, live_state, small_ba_graph)
         # Shrink to exactly the live entry: the dead entry's bytes must not
         # force the live one out.
         assert cache.resize(_entry_nbytes(live_state)) == 0
@@ -532,7 +578,7 @@ class TestTTLBudgetPinning:
         clock = FakeClock()
         cache = ScoreTableCache(ttl_seconds=2.0, clock=clock)
         key, state = make_state(small_ba_graph)
-        cache.put(key, state)
+        cache.put(key, state, small_ba_graph)
         clock.advance(2.0)
         assert cache.get(key) is None
         stats = cache.stats
@@ -549,7 +595,7 @@ class TestApplyUpdateMigration:
         keys = {}
         for seed in seeds:
             key, state = make_state(graph, seed=seed)
-            assert cache.put(key, state)
+            assert cache.put(key, state, graph)
             keys[seed] = (key, state)
         return cache, keys
 

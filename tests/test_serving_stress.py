@@ -20,7 +20,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.graph.bfs import extract_ego_subgraph
+from repro.graph.bfs import extract_ego_subgraph, extract_wave
 from repro.meloppr.solver import MeLoPPRSolver
 from repro.ppr.base import PPRQuery
 from repro.serving import QueryEngine, ScoreTableCache, SubgraphCache
@@ -58,11 +58,18 @@ def tiny_budget(graph, centers, depth=2, entries=2):
     """A byte budget that fits only ~``entries`` of the given extractions."""
     from repro.serving.cache import _entry_nbytes
 
-    sizes = [
-        _entry_nbytes(*extract_ego_subgraph(graph, center, depth))
-        for center in centers
-    ]
+    sizes = [_entry_nbytes(extract_wave(graph, [center], depth).split()[0]) for center in centers]
     return max(max(sizes), entries * (sum(sizes) // len(sizes)))
+
+
+def assert_ball(ball, center, expected) -> None:
+    """A one-ball wave is ``extract_ego_subgraph``'s ball for ``center``."""
+    subgraph, bfs = expected
+    assert ball.nodes[0] == center
+    assert np.array_equal(ball.nodes, bfs.nodes)
+    assert np.array_equal(ball.levels, bfs.levels)
+    assert np.array_equal(ball.degrees, subgraph.graph.degrees())
+    assert ball.edges_scanned.tolist() == [bfs.edges_scanned]
 
 
 class TestSubgraphCacheStress:
@@ -73,8 +80,8 @@ class TestSubgraphCacheStress:
         def worker(index):
             for step in range(OPS_PER_THREAD):
                 center = centers[(index * 31 + step * 7) % len(centers)]
-                subgraph, _, _ = cache.extract_wave(small_ba_graph, [center], 2).triples()[0]
-                assert subgraph.contains_global(center)
+                wave = cache.extract_wave(small_ba_graph, [center], 2)
+                assert wave.nodes[0] == center
 
         run_threads(worker)
 
@@ -91,8 +98,7 @@ class TestSubgraphCacheStress:
     def test_mixed_get_put_thrashing(self, small_ba_graph):
         centers = list(range(0, small_ba_graph.num_nodes, 11))
         extractions = {
-            center: extract_ego_subgraph(small_ba_graph, center, 2)
-            for center in centers
+            center: extract_wave(small_ba_graph, [center], 2).split()[0] for center in centers
         }
         cache = SubgraphCache(max_bytes=tiny_budget(small_ba_graph, centers))
         lookups = [0] * NUM_THREADS
@@ -101,8 +107,7 @@ class TestSubgraphCacheStress:
             for step in range(OPS_PER_THREAD):
                 center = centers[(index + step * 13) % len(centers)]
                 if step % 3 == 0:
-                    subgraph, bfs = extractions[center]
-                    cache.put(center, 2, subgraph, bfs)
+                    cache.put(center, 2, extractions[center], small_ba_graph)
                 else:
                     cache.get(center, 2)
                     lookups[index] += 1
@@ -125,12 +130,8 @@ class TestSubgraphCacheStress:
         def worker(index):
             for step in range(OPS_PER_THREAD // 2):
                 center = centers[(index + step) % len(centers)]
-                subgraph, bfs, _ = cache.extract_wave(small_ba_graph, [center], 2).triples()[0]
-                want_sub, want_bfs = expected[center]
-                assert np.array_equal(subgraph.global_ids, want_sub.global_ids)
-                assert np.array_equal(subgraph.graph.indptr, want_sub.graph.indptr)
-                assert np.array_equal(subgraph.graph.indices, want_sub.graph.indices)
-                assert bfs.edges_scanned == want_bfs.edges_scanned
+                wave = cache.extract_wave(small_ba_graph, [center], 2)
+                assert_ball(wave, center, expected[center])
 
         run_threads(worker)
         cache.validate()
@@ -154,15 +155,11 @@ class TestSubgraphCacheStress:
                 start = (index * 5 + step * 3) % len(centers)
                 wave = centers[start : start + 4] + centers[start : start + 1]
                 depth = depths[(index + step) % len(depths)]
-                triples = cache.extract_wave(small_ba_graph, wave, depth).triples()
+                balls = cache.extract_wave(small_ba_graph, wave, depth).split()
                 lookups[index] += len(wave)
-                assert len(triples) == len(wave)
-                for center, (subgraph, bfs, _) in zip(wave, triples):
-                    want_sub, want_bfs = expected[(center, depth)]
-                    assert bfs.source == center
-                    assert np.array_equal(subgraph.global_ids, want_sub.global_ids)
-                    assert np.array_equal(subgraph.graph.indices, want_sub.graph.indices)
-                    assert np.array_equal(bfs.levels, want_bfs.levels)
+                assert len(balls) == len(wave)
+                for center, ball in zip(wave, balls):
+                    assert_ball(ball, center, expected[(center, depth)])
 
         run_threads(worker)
 
@@ -176,7 +173,7 @@ class TestSubgraphCacheStress:
 class TestCacheValidate:
     def test_validate_detects_corruption(self, small_ba_graph):
         cache = SubgraphCache(max_bytes=64 << 20)
-        cache.extract_wave(small_ba_graph, [0], 2).triples()[0]
+        cache.extract_wave(small_ba_graph, [0], 2)
         cache._current_bytes += 1  # simulate bookkeeping drift
         with pytest.raises(AssertionError):
             cache.validate()
@@ -280,7 +277,7 @@ class TestScoreTableCacheStress:
                 center = centers[(index * 31 + step * 7) % len(centers)]
                 key, state = entries[center]
                 if step % 3 == 0:
-                    cache.put(key, state)
+                    cache.put(key, state, small_ba_graph)
                 elif step % 7 == 0:
                     cache.invalidate(key)
                 else:

@@ -193,7 +193,7 @@ def test_update_radius_covers_every_stage_of_an_answer(split):
         assert kept.scores is first.scores
         # A bare state is folded from the stage-one ball alone.
         key = stage_one_key(query, config)
-        cache.put(key, cache.get(key))
+        cache.put(key, cache.get(key), engine.solver.graph)
         assert cache.max_stage_length() == split[0]
     assert ScoreTableCache().max_stage_length() == 0
 
