@@ -27,10 +27,15 @@ What it shares with the stage-one result cache
 byte-charged entries in LRU order under one lock, a binding to the graph they
 serve, and one path by which entries come and go, which keeps the bytes and a
 **centre index** in step.  The index is what lets an edge update find its
-victims without scanning the cache.  A value computed on one graph is
-inserted only while the cache is still bound to that graph, checked under
-the lock: an update or reload between the lookup and the insert would
-otherwise leave it stale under the new binding.
+victims without scanning the cache.
+
+Keys name no graph, so the cache checks its graph on every call that reads,
+writes or carries entries for one: each such call names the graph it serves,
+and under the same lock as the work itself the cache binds to it when
+unbound, or does nothing for it when bound to another graph.  An edge update
+reaches the entries by one door, :meth:`~_LRUCache.carry`, which drops what
+the update changes and moves the binding in one locked step; a reload is
+:meth:`~_LRUCache.bind`.
 """
 
 from __future__ import annotations
@@ -156,14 +161,15 @@ def _reached(index: CentreIndex, reach: np.ndarray, radius: int) -> List[Hashabl
 class _LRUCache:
     """Byte-budgeted LRU entries under one lock, bound to one graph.
 
-    Every insertion and removal — LRU eviction, TTL expiry, invalidation,
-    clear, resize, an update's drops and strips, a store over an existing
+    Every insertion and removal — LRU eviction, TTL expiry, clear, resize,
+    an update's drops and strips, a store over an existing
     key — goes through :meth:`_store_locked`, which keeps the charged bytes,
     the entries-per-depth counts (the update radius, read not searched) and
     the subclass's centre index in step; :meth:`validate` rebuilds the
     latter two from the entries and raises on drift.  Which graph the
-    entries belong to is decided here too: :meth:`claim`, :meth:`bind`,
-    :meth:`carry` and the check every insert makes (:meth:`_insert`).
+    entries belong to is decided here too, under the lock of every call that
+    names one (:meth:`_claim_locked`): :meth:`bind`, :meth:`radius`,
+    :meth:`carry`, :meth:`_insert` and the subclasses' reads.
     """
 
     #: Position of an entry's charged bytes in its tuple.
@@ -179,7 +185,7 @@ class _LRUCache:
         self._depths: Counter = Counter()
         self._hits = self._misses = self._evictions = 0
         self._rejected = self._expired = 0
-        self._graph: Optional[CSRGraph] = None  # see claim()
+        self._graph: Optional[CSRGraph] = None  # see _claim_locked()
 
     @property
     def max_bytes(self) -> int:
@@ -249,7 +255,7 @@ class _LRUCache:
 
     def _insert(self, key: Hashable, entry: tuple, graph: CSRGraph) -> bool:
         """:meth:`_put_locked` under the lock while the entries are still
-        ``graph``'s, the graph the entry was computed on (:meth:`claim`)."""
+        ``graph``'s, the graph the entry was computed on."""
         with self._lock:
             return self._claim_locked(graph) and self._put_locked(key, entry)
 
@@ -279,16 +285,10 @@ class _LRUCache:
 
     # ------------------------------------------------------------------
     def _claim_locked(self, graph: CSRGraph) -> bool:
+        """Whether the entries are ``graph``'s, binding an unbound cache to
+        it; caller holds the lock."""
         if self._graph is None:
             self._graph = graph
-        return self._graph is graph
-
-    def claim(self, graph: CSRGraph) -> bool:
-        """Whether the entries are ``graph``'s, binding an unbound cache to it:
-        what every reader and updater checks, as keys name no graph."""
-        if self._graph is None:
-            with self._lock:
-                self._claim_locked(graph)
         return self._graph is graph
 
     def bind(self, graph: CSRGraph) -> None:
@@ -303,22 +303,27 @@ class _LRUCache:
                 self._clear_locked()
             self._graph = graph
 
-    def rebind(self, graph: CSRGraph) -> None:
-        """Re-point the cache at ``graph``, keeping its entries: correct once
-        every entry ``graph`` changes is gone, as :meth:`carry` ensures."""
+    def radius(self, graph: CSRGraph) -> int:
+        """How far an update of ``graph`` must resolve its reach bound: the
+        largest depth a retained entry tests (:meth:`_update_locked`), read
+        from the per-depth counts; 0 when empty or bound to another graph."""
         with self._lock:
-            self._graph = graph
+            return self._radius_locked() if self._claim_locked(graph) else 0
 
     def _update_locked(self, reach: np.ndarray) -> object:
         """Drop or strip what an update with reach bound ``reach`` changes."""
         raise NotImplementedError
 
     def carry(self, old_graph: CSRGraph, new_graph: CSRGraph, distances):
-        """Carry the cache across the edge update ``old_graph -> new_graph``:
-        if the entries are ``old_graph``'s (:meth:`claim`), drop what the reach
-        bound ``distances`` changes and rebind, atomically, returning the
+        """Carry the cache across the edge update ``old_graph -> new_graph``
+        — the one door an update has to the entries.
+
+        If the entries are ``old_graph``'s, drop what the reach bound
+        ``distances`` (:func:`repro.graph.delta.update_reach_bound`) changes
+        and move the binding to ``new_graph``, atomically, returning the
         subclass's counts; a cache bound to another graph is left alone
-        (``None``)."""
+        (``None``).  Drops are explicit invalidations, not evictions.
+        """
         with self._lock:
             if not self._claim_locked(old_graph):
                 return None
@@ -440,7 +445,8 @@ class SubgraphCache(_LRUCache):
 
     # ------------------------------------------------------------------
     def get(self, center: int, depth: int) -> Optional[EgoWave]:
-        """Look a ball up, updating recency and hit/miss counters."""
+        """Look a ball of the bound graph up, updating recency and hit/miss
+        counters."""
         with self._lock:
             return self._get_locked((int(center), int(depth)))
 
@@ -492,30 +498,12 @@ class SubgraphCache(_LRUCache):
         kept = [next(fresh_balls) if ball is None else ball for ball in found]
         return EgoWave.stack(fresh.name, depth, kept, [ball is not None for ball in found])
 
-    def max_depth(self) -> int:
-        """Largest extraction depth among retained entries (0 when empty): how
-        far an update's reach bound must resolve.  Read from the counts."""
-        with self._lock:
-            return self._radius_locked()
-
-    def invalidate_covering(self, distances) -> int:
-        """Drop every entry whose ego ball an edge update changes.
-
-        ``distances`` is the update's reach bound
-        (:func:`repro.graph.delta.update_reach_bound`): an entry keyed
-        ``(center, depth)`` is dropped exactly when ``distances[center] <=
-        depth`` — a touched endpoint strictly inside the ball, or an op with
-        both endpoints in it.  Every survivor's extraction is provably
-        byte-identical on the updated topology, and (cancelling ops aside)
-        every dropped one's is not.  Only the centres within :meth:`max_depth`
-        of the update are visited, through the centre index.  Returns the
-        number of entries dropped; like explicit invalidation elsewhere,
-        these are not counted as evictions (the budget did not force them).
-        """
-        with self._lock:
-            return self._update_locked(np.asarray(distances))
-
     def _update_locked(self, reach: np.ndarray) -> int:
+        """Drop every ball the update changes: ``(center, depth)`` exactly
+        when ``reach[center] <= depth`` — a touched endpoint strictly inside
+        the ball, or an op with both endpoints in it.  Every survivor's
+        extraction is byte-identical on the updated topology.  Returns the
+        number dropped."""
         dead = _reached(self._centres, reach, self._radius_locked())
         for key in dead:
             self._store_locked(key, None)

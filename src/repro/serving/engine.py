@@ -4,9 +4,8 @@
 It wraps any :class:`~repro.ppr.base.PPRSolver` and adds the three things a
 serving layer needs that a solver should not know about:
 
-* **Batching** — ``submit`` enqueues queries and ``drain`` answers the whole
-  pending batch (``solve_batch`` does both in one call), amortising backend
-  and cache warm-up across queries.
+* **Batching** — ``solve_batch`` answers a batch of queries in one call,
+  amortising backend and cache warm-up across queries.
 * **Extraction reuse** — an optional :class:`~repro.serving.cache.SubgraphCache`
   is wired into the planner's stage extraction hook, so hot ego sub-graphs are
   extracted once per batch instead of once per task, and a stage's misses are
@@ -250,7 +249,6 @@ class QueryEngine:
         self._result_cache = result_cache
         self._tracer = tracer
         self._key_memo: Dict[Tuple[int, int], Tuple[Hashable, ...]] = {}
-        self._pending: List[PPRQuery] = []
         self._stats = EngineStats(backend=self._backend.name)
         self._latency = LatencyHistogram()
         # Serving counters are mutated by whichever thread calls solve_batch
@@ -297,24 +295,7 @@ class QueryEngine:
         """The attached tracer (``None`` when tracing is off)."""
         return self._tracer
 
-    @property
-    def num_pending(self) -> int:
-        """Queries submitted but not yet drained."""
-        return len(self._pending)
-
     # ------------------------------------------------------------------
-    def submit(self, query: PPRQuery) -> int:
-        """Enqueue one query; returns its index in the next :meth:`drain`."""
-        self._pending.append(query)
-        return len(self._pending) - 1
-
-    def drain(self) -> List[PPRResult]:
-        """Answer every pending query (in submission order) and clear the queue."""
-        pending, self._pending = self._pending, []
-        if not pending:
-            return []
-        return self.solve_batch(pending)
-
     def solve_batch(
         self,
         queries: Sequence[PPRQuery],
@@ -375,12 +356,6 @@ class QueryEngine:
             stats.max_latency_seconds = max(stats.max_latency_seconds, latency)
             self._latency.record(latency)
 
-    def _own_result_cache(self) -> Optional[ScoreTableCache]:
-        """The result cache, if it is bound to this engine's graph."""
-        cache = self._result_cache
-        mine = cache is not None and cache.claim(self._solver.graph)
-        return cache if mine else None
-
     def _stage_one_key(self, query: PPRQuery) -> Tuple[Hashable, ...]:
         """:func:`stage_one_key` of ``query``, its config half built once per
         ``(length, k)``: the solver's config never changes.  Threads racing
@@ -406,23 +381,24 @@ class QueryEngine:
         histogram) but not as a batch; anything else returns ``None`` and
         touches no counter, and the caller goes through :meth:`solve_batch`.
 
-        It takes no part in the update barrier and needs none.  Until
-        :meth:`apply_update` invalidates the result cache (under the writer
+        It takes no part in the update barrier and needs none: the lookup
+        names the published graph, and the cache serves it only while bound
+        to that graph, checked under the lock of the lookup itself.  Until
+        :meth:`apply_update` carries the result cache (under the writer
         barrier, before the new graph is published) this returns the answer
         of the still-published graph, which is what a batch finishing at that
-        moment returns too.  From then on it can see only survivors, and a
-        surviving answer is one the update provably could not change — the
-        answer on both graphs; anything else waits for a batch to compute on
-        the new graph, and batches attach inside the barrier.
+        moment returns too; between the carry and the publication it returns
+        ``None``.  From then on it can see only survivors, and a surviving
+        answer is one the update provably could not change — the answer on
+        both graphs; anything else waits for a batch to compute on the new
+        graph, and batches attach inside the barrier.
         """
         start = time.perf_counter()
-        if not hasattr(self._solver, "plan"):
-            return None
-        result_cache = self._own_result_cache()
-        if result_cache is None:
+        result_cache = self._result_cache
+        if result_cache is None or not hasattr(self._solver, "plan"):
             return None
         key = self._stage_one_key(query)
-        answer = result_cache.peek_answer(key, query)
+        answer = result_cache.peek_answer(key, query, self._solver.graph)
         if answer is None:
             return None
         result = self._finish_result(
@@ -486,11 +462,8 @@ class QueryEngine:
         # The bounds only need resolving out to the deepest cached artefact;
         # beyond that every entry trivially survives.  A cache another engine
         # has bound to its graph is neither counted nor touched.
-        radius = 0
-        if self._cache is not None and self._cache.claim(old_graph):
-            radius = max(radius, self._cache.max_depth())
-        if self._result_cache is not None and self._result_cache.claim(old_graph):
-            radius = max(radius, self._result_cache.max_stage_length())
+        caches = [cache for cache in (self._cache, self._result_cache) if cache is not None]
+        radius = max((cache.radius(old_graph) for cache in caches), default=0)
         reach = update_reach_bound(new_graph, canonical, radius)
         invalidated = {
             "subgraph_entries_dropped": 0,
@@ -539,7 +512,8 @@ class QueryEngine:
             # stage-one state resumes the plan past its first stage, a miss
             # installs the folded state after the first stage — and whatever
             # gets computed is attached for the next repeat of this query.
-            result_cache = self._own_result_cache()
+            # A result cache bound to another graph is bypassed (found None).
+            result_cache = self._result_cache
             key = state = None
             if result_cache is not None:
                 rc_span = (
@@ -548,12 +522,16 @@ class QueryEngine:
                     else ctx.begin_span("engine.result_cache")
                 )
                 key = self._stage_one_key(query)
-                state, answer = result_cache.lookup(key, query)
-                result_cache_outcome = (
-                    "answer"
-                    if answer is not None
-                    else "miss" if state is None else "hit"
-                )
+                found = result_cache.lookup(key, query, self._solver.graph)
+                if found is None:
+                    result_cache = answer = None
+                else:
+                    state, answer = found
+                    result_cache_outcome = (
+                        "answer"
+                        if answer is not None
+                        else "miss" if state is None else "hit"
+                    )
                 if rc_span is not None:
                     ctx.end_span(rc_span, outcome=result_cache_outcome)
                 if answer is not None:
@@ -726,48 +704,15 @@ class QueryEngine:
             if self._result_cache is not None:
                 self._result_cache.reset_stats()
 
-    def close(self, discard_pending: bool = False) -> None:
-        """Shut down the backend (the cache, if any, is left warm).
-
-        Submitted-but-undrained queries are answers the caller still expects,
-        so closing with a non-empty queue raises unless ``discard_pending``
-        explicitly waives them — call :meth:`drain` first to get the results.
-        The backend is released **even on that error path** (in a
-        ``finally``): backends may hold OS resources (worker threads) that
-        must never outlive a failed close.  A subsequent :meth:`drain` still
-        works — every backend restarts lazily on its next dispatch.
-        """
-        try:
-            if self._pending:
-                if not discard_pending:
-                    raise RuntimeError(
-                        f"{len(self._pending)} submitted queries are still pending; "
-                        "drain() before close(), or close(discard_pending=True) "
-                        "to drop them"
-                    )
-                self._pending.clear()
-        finally:
-            self._backend.close()
+    def close(self) -> None:
+        """Shut down the backend (the caches, if any, are left warm).  A
+        later batch still works: every backend restarts lazily."""
+        self._backend.close()
 
     def __enter__(self) -> "QueryEngine":
         return self
 
     def __exit__(self, exc_type, exc, traceback) -> None:
-        # When the body is already raising, don't mask its exception with the
-        # pending-queries error — the queue is forfeit either way.
-        if exc_type is not None:
-            self.close(discard_pending=True)
-            return
-        pending = len(self._pending)
-        if pending:
-            # The engine reference dies with the with-block, so the backend
-            # must be shut down (worker threads joined) before surfacing the
-            # dropped-queries error.
-            self.close(discard_pending=True)
-            raise RuntimeError(
-                f"{pending} submitted queries were still pending at context "
-                "exit; drain() before leaving the with-block"
-            )
         self.close()
 
     def __repr__(self) -> str:

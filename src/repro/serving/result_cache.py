@@ -25,20 +25,22 @@ the same frozen ``scores`` object and metadata values, an empty ``timing`` and
 a fresh ``metadata["serving"]`` — instead of resuming stage two, by the engine
 and by its non-blocking :meth:`~repro.serving.engine.QueryEngine.try_cached`.
 The answer is charged to the entry's bytes at a modelled, never-changing size
-and lives and dies with the entry (LRU, TTL, invalidate, clear, resize).  A
-topology update can separate them: :meth:`ScoreTableCache.apply_update` keeps
+and lives and dies with the entry (LRU, TTL, clear, resize).  A topology
+update can separate them: :meth:`~repro.serving.cache._LRUCache.carry` keeps
 a far-enough entry's *state*, and its answer too exactly when every sub-graph
 the answer was computed from — stage one's and each later task's, all in
 ``metadata["tasks"]`` — is provably byte-identical on the new topology;
 otherwise the answer is stripped and the next repeat resumes from the state.
 A centre index (seed -> keys, task centre -> keys) finds those victims
 without scanning the cache.  A served answer is thus always the answer of the
-graph the cache is bound to, computed there or carried across.
+graph the cache is bound to, computed there or carried across, and every read
+names the graph it serves: the cache answers it only while bound to that graph,
+checked under the lock of the read itself.
 
 The cache is byte-budgeted with LRU eviction (like the sub-graph caches),
 optionally TTL-bounded (long-running servers can bound staleness of *any*
 derived artefact even though binding to a different topology already clears
-the cache), explicitly invalidatable, and thread-safe —
+the cache), and thread-safe —
 all bookkeeping runs under one lock, and the cached states are deeply
 immutable so hits can be shared across backend threads freely.  Counters are
 the shared :class:`~repro.serving.cache.CacheStats` shape, so hits roll up
@@ -78,8 +80,8 @@ __all__ = [
 #: One retained entry: ``(state, charged bytes, stored-at, answer, its task lengths)``.
 _Entry = Tuple[StageOneState, int, float, Optional[PPRResult], Optional[Dict[int, int]]]
 
-#: What :meth:`ScoreTableCache.apply_update`'s counts are called, in order, in
-#: the ``invalidated`` block of an update's outcome report.
+#: What :meth:`ScoreTableCache.carry`'s counts are called, in order, in the
+#: ``invalidated`` block of an update's outcome report.
 UPDATE_COUNT_KEYS = (
     "result_entries_dropped",
     "result_entries_rekeyed",
@@ -318,32 +320,38 @@ class ScoreTableCache(_LRUCache):
 
     # ------------------------------------------------------------------
     def lookup(
+        self, key: Tuple[Hashable, ...], query: PPRQuery, graph: CSRGraph
+    ) -> Optional[Tuple[Optional[StageOneState], Optional[PPRResult]]]:
+        """One locked, counted lookup of ``key`` for ``query`` on ``graph``:
+        ``(state, attached answer)``, each ``None`` when absent.  The answer
+        comes back only if it is ``query``'s own — with an unbounded score
+        table one key covers every ``k``.  ``None`` instead, with no counter
+        and no recency touched, when the cache is bound to another graph."""
+        with self._lock:
+            return self._lookup_locked(key, query) if self._claim_locked(graph) else None
+
+    def _lookup_locked(
         self, key: Tuple[Hashable, ...], query: Optional[PPRQuery]
     ) -> Tuple[Optional[StageOneState], Optional[PPRResult]]:
-        """One locked lookup of ``key``, counted and moved like :meth:`get`:
-        ``(state, attached answer)``.  The answer comes back only if it is
-        ``query``'s own — with an unbounded score table one key covers every
-        ``k`` — so never for ``None``."""
-        with self._lock:
-            entry = self._live_entry_locked(key)
-            if entry is None:
-                self._misses += 1
-                return None, None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            answer = entry[3]
-            if answer is not None and answer.query != query:
-                answer = None
-            return entry[0], answer
+        """:meth:`lookup` on the bound graph; caller holds the lock."""
+        entry = self._live_entry_locked(key)
+        if entry is None:
+            self._misses += 1
+            return None, None
+        self._entries.move_to_end(key)
+        self._hits += 1
+        answer = entry[3]
+        return entry[0], answer if answer is not None and answer.query == query else None
 
     def peek_answer(
-        self, key: Tuple[Hashable, ...], query: PPRQuery
+        self, key: Tuple[Hashable, ...], query: PPRQuery, graph: CSRGraph
     ) -> Optional[PPRResult]:
-        """``query``'s attached answer, counted as a hit and moved to MRU —
-        or ``None`` with no counter and no recency touched, because the
-        caller then goes on to the counted :meth:`lookup`."""
+        """``query``'s attached answer on ``graph``, counted as a hit and
+        moved to MRU — or ``None`` with no counter and no recency touched,
+        because the caller then goes on to the counted :meth:`lookup`; also
+        ``None`` when the cache is bound to another graph."""
         with self._lock:
-            entry = self._live_entry_locked(key)
+            entry = self._live_entry_locked(key) if self._claim_locked(graph) else None
             if entry is None or entry[3] is None or entry[3].query != query:
                 return None
             self._entries.move_to_end(key)
@@ -351,8 +359,10 @@ class ScoreTableCache(_LRUCache):
             return entry[3]
 
     def get(self, key: Tuple[Hashable, ...]) -> Optional[StageOneState]:
-        """Look up a stage-one state, updating recency and counters."""
-        return self.lookup(key, None)[0]
+        """Look up a stage-one state of the bound graph, updating recency
+        and counters."""
+        with self._lock:
+            return self._lookup_locked(key, None)[0]
 
     def put(self, key: Tuple[Hashable, ...], state: StageOneState, graph: CSRGraph) -> bool:
         """Insert a stage-one state folded on ``graph``; returns whether it
@@ -369,7 +379,7 @@ class ScoreTableCache(_LRUCache):
 
         :meth:`lookup` then returns it next to the state.  It is charged to
         the entry (:func:`_answer_nbytes`) and shares its LRU position, TTL,
-        :meth:`invalidate`, :meth:`clear` and :meth:`resize`; going over
+        :meth:`clear` and :meth:`resize`; going over
         budget evicts LRU entries as in :meth:`put`.  Returns ``False`` — the
         state stays, the answer is not kept — when the entry is gone, would
         alone exceed the budget or the cache is no longer bound to ``graph``.
@@ -394,37 +404,22 @@ class ScoreTableCache(_LRUCache):
             self._evict_locked(0)  # as in put()
             return True
 
-    def max_stage_length(self) -> int:
-        """Largest stage length an update must resolve reach to (0 when empty):
-        stage one's for a bare state, the longest stage for an answered entry
-        (:meth:`apply_update` tests each).  Read from the per-depth counts."""
-        with self._lock:
-            return self._radius_locked()
+    def _update_locked(self, reach: np.ndarray) -> Tuple[int, int, int, int]:
+        """Surgically carry the entries across a topology update.
 
-    def apply_update(self, distances) -> Tuple[int, int, int, int]:
-        """Surgically carry the cache across a topology update.
-
-        ``distances`` is the update's reach bound
-        (:func:`repro.graph.delta.update_reach_bound`): the depth-``l`` ego
-        ball of ``node`` is byte-identical on both topologies exactly when
-        ``distances[node] > l``.  Every entry whose stage-one ball fails that
-        test is dropped — its folded state could differ on the new topology.
-        Every other entry keeps its key and LRU place, and keeps its
-        attached answer when every task the answer ran
+        The depth-``l`` ego ball of ``node`` is byte-identical on both
+        topologies exactly when ``reach[node] > l``.  Every entry whose
+        stage-one ball fails that test is dropped — its folded state could
+        differ on the new topology.  Every other entry keeps its key and LRU
+        place, and keeps its attached answer when every task the answer ran
         (``answer.metadata["tasks"]``: stage one and each selected next-stage
         centre, at its stage's length) passes the same test: the answer is a
         pure function of those extractions, so it *is* the new graph's.
         Otherwise the answer is stripped and the state alone survives.  The
-        centre index visits only the seeds and task centres within
-        :meth:`max_stage_length`; :meth:`carry` also moves the binding.
-
-        Returns ``(dropped, carried across, answers kept, answers
-        stripped)``; drops are explicit invalidations, not evictions.
+        centre index visits only the seeds and task centres within the
+        radius.  Returns ``(dropped, carried across, answers kept, answers
+        stripped)``.
         """
-        with self._lock:
-            return self._update_locked(np.asarray(distances))
-
-    def _update_locked(self, reach: np.ndarray) -> Tuple[int, int, int, int]:
         radius = self._radius_locked()
         dropped = _reached(self._seeds, reach, radius)
         for key in dropped:
@@ -436,18 +431,6 @@ class ScoreTableCache(_LRUCache):
             bare = (state, _entry_nbytes(state), stored_at, None, None)
             self._store_locked(key, bare)
         return len(dropped), len(self._entries), self._answers, len(stripped)
-
-    def invalidate(self, key: Tuple[Hashable, ...]) -> bool:
-        """Explicitly drop one entry; returns whether it was present.
-
-        Not counted as an eviction (the budget did not force it) — live
-        state just shrinks, like :meth:`clear`.
-        """
-        with self._lock:
-            if key not in self._entries:
-                return False
-            self._store_locked(key, None)
-            return True
 
     def __repr__(self) -> str:
         stats = self.stats

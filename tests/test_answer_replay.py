@@ -242,7 +242,7 @@ class TestCacheAccounting:
         cache.validate()
         state = cache.get(keys[0])
         assert type(state).__name__ == "StageOneState"
-        assert cache.lookup(keys[0], results[0].query)[1].scores is results[0].scores
+        assert cache.lookup(keys[0], results[0].query, graph)[1].scores is results[0].scores
         expected = sum(
             _entry_nbytes(cache.get(key)) + _answer_nbytes(result)
             for key, result in zip(keys, results)
@@ -257,10 +257,10 @@ class TestCacheAccounting:
         cache, keys, results = self.solved(graph)
         before = cache.stats
         other = PPRQuery(seed=1, k=20, alpha=0.5)
-        assert cache.peek_answer(keys[0], other) is None
-        assert cache.peek_answer(("no", "such", "key"), other) is None
+        assert cache.peek_answer(keys[0], other, graph) is None
+        assert cache.peek_answer(("no", "such", "key"), other, graph) is None
         assert cache.stats == before
-        assert cache.peek_answer(keys[0], results[0].query).scores is results[0].scores
+        assert cache.peek_answer(keys[0], results[0].query, graph).scores is results[0].scores
         assert cache.stats.hits == before.hits + 1
         assert cache.stats.misses == before.misses
 
@@ -284,14 +284,12 @@ class TestCacheAccounting:
         tight = ScoreTableCache(max_bytes=_entry_nbytes(state) + 8)
         assert tight.put(keys[0], state, graph)
         assert not tight.attach_answer(keys[0], results[0], graph)
-        assert tight.lookup(keys[0], results[0].query) == (state, None)
+        assert tight.lookup(keys[0], results[0].query, graph) == (state, None)
         assert tight.stats.evictions == 0
         tight.validate()
         assert not tight.attach_answer(("gone",), results[0], graph)
 
-    def test_ttl_invalidate_clear_and_resize_take_the_answer_with_the_entry(
-        self, graph
-    ):
+    def test_ttl_clear_and_resize_take_the_answer_with_the_entry(self, graph):
         now = [0.0]
         cache, keys, results = self.solved(
             graph, ttl_seconds=10.0, clock=lambda: now[0]
@@ -302,24 +300,22 @@ class TestCacheAccounting:
             for key, result in zip(keys, results)
         ]
         assert cache.stats.current_bytes == sum(charged)
-        assert cache.invalidate(keys[0])
-        assert cache.stats.current_bytes == sum(charged[1:])
-        assert cache.peek_answer(keys[0], queries[0]) is None
-        # Shrink to exactly the most recent entry: the other goes, whole.
-        assert cache.resize(charged[2]) == 1
+        # Shrink to exactly the most recent entry: the others go, whole.
+        assert cache.resize(charged[2]) == 2
         cache.validate()
-        assert keys[1] not in cache
-        assert cache.peek_answer(keys[2], queries[2]) is not None
+        assert keys[0] not in cache and keys[1] not in cache
+        assert cache.peek_answer(keys[0], queries[0], graph) is None
+        assert cache.peek_answer(keys[2], queries[2], graph) is not None
         now[0] = 11.0
-        assert cache.peek_answer(keys[2], queries[2]) is None
+        assert cache.peek_answer(keys[2], queries[2], graph) is None
         assert cache.stats.current_bytes == 0 and cache.stats.expired == 1
 
         cache, keys, results = self.solved(graph)
         cache.clear()
         assert cache.stats.current_bytes == 0
-        assert cache.lookup(keys[0], results[0].query) == (None, None)
+        assert cache.lookup(keys[0], results[0].query, graph) == (None, None)
 
-    def test_apply_update_keeps_answers_out_of_reach(self, graph):
+    def test_carry_keeps_answers_out_of_reach(self, graph):
         cache, keys, results = self.solved(graph)
         bare = ScoreTableCache()
         for key in keys:
@@ -335,15 +331,15 @@ class TestCacheAccounting:
         # hop past it (kept whole).
         distances[max(centres(results[1]) - centres(results[2]) - {2})] = 3
         distances[max(centres(results[2]) - centres(results[1]) - {3})] = 4
-        assert cache.apply_update(distances) == (1, 2, 1, 1)
-        assert bare.apply_update(distances) == (1, 2, 0, 0)
+        assert cache.carry(graph, graph, distances) == (1, 2, 1, 1)
+        assert bare.carry(graph, graph, distances) == (1, 2, 0, 0)
         cache.validate()
         assert cache.stats.current_bytes == (
             bare.stats.current_bytes + _answer_nbytes(results[2])
         )
-        assert cache.peek_answer(keys[0], results[0].query) is None
-        assert cache.peek_answer(keys[1], results[1].query) is None
-        assert cache.peek_answer(keys[2], results[2].query).scores is results[2].scores
+        assert cache.peek_answer(keys[0], results[0].query, graph) is None
+        assert cache.peek_answer(keys[1], results[1].query, graph) is None
+        assert cache.peek_answer(keys[2], results[2].query, graph).scores is results[2].scores
         assert cache.get(keys[1]) is bare.get(keys[1])
 
 

@@ -1,13 +1,11 @@
 """The centre index of both cache tiers, against the full scan it replaced.
 
-``SubgraphCache.invalidate_covering`` and ``ScoreTableCache.apply_update``
-find an update's victims through a centre index and read the update radius
-(``max_depth`` / ``max_stage_length``) from per-depth counts.  This module
+Both caches' ``carry`` finds an update's victims through a centre index, and
+``radius`` reads the update radius from per-depth counts.  This module
 keeps the rule they replaced — visit every entry — as a test-local oracle,
 and drives a cache and the oracle through one random interleaving of puts,
 lookups, answer attaches, LRU eviction under a small budget, TTL expiry on an
-injected clock, invalidation, resizes, clears and updates with random reach
-arrays.  After every step both must hold the same keys in the same LRU order
+injected clock, resizes, clears and updates with random reach arrays.  After every step both must hold the same keys in the same LRU order
 with the same bytes, report the same update counts, counters and radius, and
 ``validate()`` — which rebuilds the index from the entries — must pass.  A
 removal path that skipped the index fails here.
@@ -138,16 +136,16 @@ class ScanOracle:
         self.sweep()
         self.evict(0)
 
-    def max_depth(self) -> int:
+    def subgraph_radius(self) -> int:
         return max((key[1] for key in self.entries), default=0)
 
-    def invalidate_covering(self, reach) -> int:
+    def drop_covering(self, reach) -> int:
         dead = [key for key in self.entries if reach[key[0]] <= key[1]]
         for key in dead:
             del self.entries[key]
         return len(dead)
 
-    def max_stage_length(self) -> int:
+    def result_radius(self) -> int:
         return max(
             (
                 key[1][0] if entry[2] is None else max(key[1])
@@ -156,7 +154,7 @@ class ScanOracle:
             default=0,
         )
 
-    def apply_update(self, reach):
+    def carry(self, reach):
         dropped = carried = kept = stripped = 0
         for key, entry in list(self.entries.items()):
             split = key[1]
@@ -229,7 +227,7 @@ def op_lists(kinds, entries):
 
 
 RESULT_OPS = op_lists(
-    ["put"] * 4 + ["attach"] * 4 + ["get", "probe", "invalidate", "tick"]
+    ["put"] * 4 + ["attach"] * 4 + ["get", "probe", "tick"]
     + ["update"] * 2 + ["resize", "clear"],
     st.integers(0, len(SPLITS) * 4 - 1),
 )
@@ -258,8 +256,8 @@ def test_score_table_cache_matches_the_full_scan(budget, ttl, ops):
     for op in ops:
         kind = op[0]
         if kind == "update":
-            assert cache.max_stage_length() == oracle.max_stage_length()
-            assert cache.apply_update(op[1]) == oracle.apply_update(op[1])
+            assert cache.radius(GRAPH) == oracle.result_radius()
+            assert cache.carry(GRAPH, GRAPH, op[1]) == oracle.carry(op[1])
         elif kind == "tick":
             clock.now += op[1]
         elif kind == "resize":
@@ -284,15 +282,13 @@ def test_score_table_cache_matches_the_full_scan(budget, ttl, ops):
             elif kind == "get":
                 cache.get(key)
                 oracle.get(key)
-            elif kind == "probe":
-                assert (key in cache) == (oracle.live(key) is not None)
             else:
-                assert cache.invalidate(key) == (oracle.entries.pop(key, None) is not None)
+                assert (key in cache) == (oracle.live(key) is not None)
         assert_same(cache, oracle, lambda entry: entry[1])
         assert [entry[3] for entry in cache._entries.values()] == [
             entry[2] for entry in oracle.entries.values()
         ]
-        assert cache.max_stage_length() == oracle.max_stage_length()
+        assert cache.radius(GRAPH) == oracle.result_radius()
 
 
 SUBGRAPH_OPS = op_lists(
@@ -313,8 +309,8 @@ def test_subgraph_cache_matches_the_full_scan(budget, ops):
     for op in ops:
         kind = op[0]
         if kind == "update":
-            assert cache.max_depth() == oracle.max_depth()
-            assert cache.invalidate_covering(op[1]) == oracle.invalidate_covering(op[1])
+            assert cache.radius(GRAPH) == oracle.subgraph_radius()
+            assert cache.carry(GRAPH, GRAPH, op[1]) == oracle.drop_covering(op[1])
         elif kind == "resize":
             cache.resize(op[1] * unit // 3)
             oracle.resize(op[1] * unit // 3)
@@ -330,4 +326,4 @@ def test_subgraph_cache_matches_the_full_scan(budget, ops):
                 cache.get(centre, depth)
                 oracle.get((centre, depth))
         assert_same(cache, oracle, lambda entry: entry[1])
-        assert cache.max_depth() == oracle.max_depth()
+        assert cache.radius(GRAPH) == oracle.subgraph_radius()

@@ -1,8 +1,7 @@
 """Unit tests for the cross-query stage-one result cache.
 
 Covers the :class:`~repro.serving.result_cache.ScoreTableCache` container
-semantics (byte-budgeted LRU, TTL expiry, explicit invalidation, byte
-accounting), the planner's snapshot/resume pair, the score-table
+semantics (byte-budgeted LRU, TTL expiry, byte accounting), the planner's snapshot/resume pair, the score-table
 snapshot round trip, and — the invalidation regressions — the guarantee
 that a rebuilt or different graph can never be served a stale table
 (binding a cache to a different topology clears it).
@@ -20,7 +19,9 @@ from repro.meloppr.selection import CountSelector, RatioSelector
 from repro.meloppr.solver import MeLoPPRSolver
 from repro.ppr.base import PPRQuery
 from repro.serving import QueryEngine, ScoreTableCache, stage_one_cache_key
-from repro.serving.result_cache import _entry_nbytes
+from repro.serving.backends import make_backend
+from repro.serving.tracing import Tracer
+from repro.serving.result_cache import _entry_nbytes, stage_one_key
 
 
 def make_state(graph, seed=3, k=20, length=6, config=None):
@@ -112,17 +113,6 @@ class TestScoreTableCacheContainer:
         assert stats.evictions == 0
         assert stats.num_entries == 1
         assert cache.get(states[1][0]) is states[1][1]
-
-    def test_explicit_invalidation(self, small_ba_graph):
-        cache = ScoreTableCache()
-        key, state = make_state(small_ba_graph)
-        cache.put(key, state, small_ba_graph)
-        assert cache.invalidate(key)
-        assert not cache.invalidate(key)
-        assert cache.get(key) is None
-        # Invalidation is not an eviction — live state just shrank.
-        assert cache.stats.evictions == 0
-        cache.validate()
 
     def test_reset_stats_keeps_entries_like_subgraph_cache(self, small_ba_graph):
         cache = ScoreTableCache()
@@ -466,10 +456,60 @@ class TestInvalidationRegressions:
         assert len(cache) == 0 and cache.stats.rejected == 0
         assert cache.put(key, state, small_ba_graph)
         assert not cache.attach_answer(key, answer, other)
-        assert cache.lookup(key, answer.query) == (state, None)
+        assert cache.lookup(key, answer.query, small_ba_graph) == (state, None)
         assert cache.attach_answer(key, answer, small_ba_graph)
-        assert cache.lookup(key, answer.query) == (state, answer)
+        assert cache.lookup(key, answer.query, small_ba_graph) == (state, answer)
         cache.validate()
+
+    def test_a_read_names_its_graph(self, small_ba_graph):
+        # For another graph a read finds nothing and touches nothing: no
+        # counter, no recency, no TTL sweep.
+        other = barabasi_albert_graph(small_ba_graph.num_nodes, 2, rng=99, name="other")
+        clock = FakeClock()
+        cache = ScoreTableCache(ttl_seconds=10.0, clock=clock)
+        (first, state), (second, bare) = (make_state(small_ba_graph, seed=s) for s in (3, 5))
+        answer = MeLoPPRSolver(small_ba_graph).solve(PPRQuery(seed=3, k=20, length=6))
+        assert cache.put(first, state, small_ba_graph)
+        assert cache.attach_answer(first, answer, small_ba_graph)
+        assert cache.put(second, bare, small_ba_graph)
+        before, order = cache.stats, list(cache._entries)
+        clock.advance(11.0)
+        assert cache.lookup(first, answer.query, other) is None
+        assert cache.peek_answer(first, answer.query, other) is None
+        assert cache.stats == before and list(cache._entries) == order
+        # On its own graph the same reads find the entry expired.
+        assert cache.peek_answer(first, answer.query, small_ba_graph) is None
+        assert cache.lookup(second, answer.query, small_ba_graph) == (None, None)
+        assert cache.stats.expired == 2 and len(cache) == 0
+        cache.validate()
+
+    def test_radius_names_its_graph(self, small_ba_graph):
+        other = barabasi_albert_graph(small_ba_graph.num_nodes, 2, rng=99, name="other")
+        key, state = make_state(small_ba_graph)
+        cache = ScoreTableCache()
+        assert cache.put(key, state, small_ba_graph)
+        assert cache.radius(small_ba_graph) == key[1][0]
+        assert cache.radius(other) == 0
+        assert cache.graph is small_ba_graph
+
+    def test_a_traced_query_bypassing_another_graphs_cache_reports_no_outcome(self):
+        first = barabasi_albert_graph(150, 2, rng=4, name="host")
+        second = barabasi_albert_graph(150, 2, rng=5, name="host")
+        shared = ScoreTableCache()
+        query = PPRQuery(seed=9, k=20, length=6)
+        tracer = Tracer(sample_rate=1.0)
+        with QueryEngine(MeLoPPRSolver(first), result_cache=shared, tracer=tracer) as stale:
+            with QueryEngine(MeLoPPRSolver(second), result_cache=shared) as fresh:
+                fresh.solve_batch([query])
+            entries, stats = len(shared), shared.stats
+            ctx = tracer.start_trace("request")
+            (result,) = stale.solve_batch([query], [ctx])
+            ctx.finish()
+        assert result.metadata["serving"]["result_cache"] is None
+        (span,) = [s for s in tracer.traces()[0]["spans"] if s["name"] == "engine.result_cache"]
+        assert span["attributes"]["outcome"] is None
+        # Nothing was counted, and nothing of the first graph was inserted.
+        assert len(shared) == entries and shared.stats == stats
 
     def test_an_update_between_lookup_and_put_keeps_no_stale_state(self, monkeypatch):
         # Two engines on one graph share the cache.  B's update waits only
@@ -498,6 +538,55 @@ class TestInvalidationRegressions:
         assert served.metadata["serving"]["result_cache"] == "miss"
         reference = MeLoPPRSolver(updated).solve(query)
         assert dict(served.scores.items()) == dict(reference.scores.items())
+
+    def interleave_before(self, monkeypatch, method, second, edge, query):
+        """Wrap ``ScoreTableCache.<method>`` so that its next call first
+        runs ``second``'s update of ``edge`` and one ``second`` query, then
+        reads: the read lands after the other engine moved the binding."""
+        read = getattr(ScoreTableCache, method)
+
+        def update_first(cache, *args):
+            monkeypatch.setattr(ScoreTableCache, method, read)
+            second.apply_update([edge])
+            second.solve_batch([query])
+            return read(cache, *args)
+
+        monkeypatch.setattr(ScoreTableCache, method, update_first)
+
+    @pytest.mark.parametrize("backend", ["serial", "thread:2"])
+    def test_an_update_before_the_lookup_serves_no_stale_answer(self, monkeypatch, backend):
+        # Two engines on one graph share the cache.  B's update (and a B
+        # query, which attaches B's answer on the updated graph) can land
+        # just before A's lookup: A must answer on its own graph, not replay
+        # B's answer.
+        graph = barabasi_albert_graph(150, 2, rng=4, name="host")
+        shared = ScoreTableCache()
+        query = PPRQuery(seed=9, k=20, length=6)
+        edge = ("delete", 9, int(graph.neighbors(9)[0]))
+        with QueryEngine(
+            MeLoPPRSolver(graph), backend=make_backend(backend), result_cache=shared
+        ) as first, QueryEngine(MeLoPPRSolver(graph), result_cache=shared) as second:
+            self.interleave_before(monkeypatch, "lookup", second, edge, query)
+            (result,) = first.solve_batch([query])
+            assert shared.graph is second.solver.graph
+        assert result.metadata["serving"]["result_cache"] is None
+        reference = MeLoPPRSolver(graph).solve(query)
+        assert dict(result.scores.items()) == dict(reference.scores.items())
+
+    def test_an_update_before_try_cached_serves_no_stale_answer(self, monkeypatch):
+        # The same interleaving on the non-blocking door: A's peek must not
+        # hand out the answer B attached on the updated graph.
+        graph = barabasi_albert_graph(150, 2, rng=4, name="host")
+        shared = ScoreTableCache()
+        query = PPRQuery(seed=9, k=20, length=6)
+        edge = ("delete", 9, int(graph.neighbors(9)[0]))
+        with QueryEngine(MeLoPPRSolver(graph), result_cache=shared) as first, QueryEngine(
+            MeLoPPRSolver(graph), result_cache=shared
+        ) as second:
+            self.interleave_before(monkeypatch, "peek_answer", second, edge, query)
+            assert first.try_cached(query) is None
+            key = stage_one_key(query, second.solver.config)
+            assert shared.peek_answer(key, query, second.solver.graph) is not None
 
 
 class FakeClock:
@@ -610,7 +699,7 @@ class TestApplyUpdateMigration:
         )
         distances[2] = stage_one
         # (dropped, carried, answers kept, answers stripped): none attached.
-        assert cache.apply_update(distances) == (1, 2, 0, 0)
+        assert cache.carry(small_ba_graph, small_ba_graph, distances) == (1, 2, 0, 0)
         assert len(cache) == 2
         # Dropped entries are invalidations, not evictions.
         assert cache.stats.evictions == 0
@@ -627,7 +716,7 @@ class TestApplyUpdateMigration:
         cache, keys = self.setup_entries(small_ba_graph)
         budget = cache.stats.current_bytes
         distances = np.full(small_ba_graph.num_nodes, 99, dtype=np.int64)
-        assert cache.apply_update(distances) == (0, 3, 0, 0)
+        assert cache.carry(small_ba_graph, small_ba_graph, distances) == (0, 3, 0, 0)
         assert cache.stats.current_bytes == budget
         # Shrinking to two entries must evict the *least recent* survivor
         # (seed 1): the update preserved insertion/recency order.
@@ -641,12 +730,16 @@ class TestApplyUpdateMigration:
         other = barabasi_albert_graph(
             small_ba_graph.num_nodes, 2, rng=99, name="other"
         )
+        import numpy as np
+
         cache, keys = self.setup_entries(small_ba_graph)
         cache.bind(small_ba_graph)
-        # A rebind after an update keeps everything; binding to a foreign
-        # topology (a reload) drops everything, counters kept.
-        cache.rebind(other)
-        assert len(cache) == 3
+        # Carrying across an update out of every entry's reach keeps
+        # everything; binding to a foreign topology (a reload) drops
+        # everything, counters kept.
+        far = np.full(small_ba_graph.num_nodes, 99, dtype=np.int64)
+        assert cache.carry(small_ba_graph, other, far) == (0, 3, 0, 0)
+        assert len(cache) == 3 and cache.graph is other
         cache.bind(small_ba_graph)
         assert len(cache) == 0 and cache.stats.current_bytes == 0
         assert all(cache.get(key) is None for key, _ in keys.values())

@@ -122,7 +122,7 @@ class TestBackendGrid:
             cold, warm = engine.solve_batch([hot, hot])
             # An update out of reach of every task keeps the answer ...
             far = [99] * graph.num_nodes
-            assert engine.result_cache.apply_update(far) == (0, 1, 1, 0)
+            assert engine.result_cache.carry(graph, graph, far) == (0, 1, 1, 0)
             (kept,) = engine.solve_batch([hot])
             # ... one that reaches a stage-two sub-graph strips it, and the
             # surviving stage-one state resumes the plan instead.
@@ -134,7 +134,7 @@ class TestBackendGrid:
                     if record.stage_index == 1 and record.center_node != hot.seed
                 )
             ] = 3
-            assert engine.result_cache.apply_update(near) == (0, 1, 0, 1)
+            assert engine.result_cache.carry(graph, graph, near) == (0, 1, 0, 1)
             (resumed,) = engine.solve_batch([hot])
         assert cold.metadata["serving"]["result_cache"] == "miss"
         assert warm.metadata["serving"]["result_cache"] == "answer"

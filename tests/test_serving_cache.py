@@ -226,21 +226,24 @@ class TestStageForm:
 
 
 class TestSurgicalInvalidation:
-    def test_max_depth_tracks_retained_entries(self, small_ba_graph):
+    def test_radius_tracks_retained_entries(self, small_ba_graph):
+        other = barabasi_albert_graph(small_ba_graph.num_nodes, 2, rng=99)
         cache = SubgraphCache()
-        assert cache.max_depth() == 0
+        assert cache.radius(small_ba_graph) == 0
         cache.extract_wave(small_ba_graph, [3], 2)
         cache.extract_wave(small_ba_graph, [5], 4)
-        assert cache.max_depth() == 4
+        assert cache.radius(small_ba_graph) == 4
+        # A cache bound to another graph needs no reach for this one.
+        assert cache.radius(other) == 0
 
-    def test_invalidate_covering_drops_exactly_in_reach(self, small_ba_graph):
+    def test_carry_drops_exactly_in_reach(self, small_ba_graph):
         cache = SubgraphCache()
         cache.extract_wave(small_ba_graph, [3], 2)
         cache.extract_wave(small_ba_graph, [5], 4)
         distances = np.full(small_ba_graph.num_nodes, 99, dtype=np.int64)
         distances[3] = 3  # outside its depth-2 ball
         distances[5] = 4  # exactly on the depth-4 boundary: must drop
-        assert cache.invalidate_covering(distances) == 1
+        assert cache.carry(small_ba_graph, small_ba_graph, distances) == 1
         assert (3, 2) in cache and (5, 4) not in cache
         # Drops are invalidations, not evictions, and the bytes are freed.
         stats = cache.stats
@@ -269,7 +272,7 @@ class TestSurgicalInvalidation:
         assert (3, 2) not in cache and cache.graph is updated
         cache.validate()
 
-    def test_rebind_keeps_survivors_warm(self, small_ba_graph):
+    def test_binding_a_rebuild_keeps_survivors_warm(self, small_ba_graph):
         cache = SubgraphCache()
         cache.extract_wave(small_ba_graph, [3], 2)
         kept = cache.get(3, 2)
@@ -278,7 +281,7 @@ class TestSurgicalInvalidation:
             list(small_ba_graph.iter_edges()),
             name=small_ba_graph.name,
         )
-        cache.rebind(rebuilt)
+        cache.bind(rebuilt)
         (hit,) = cache.extract_wave(rebuilt, [3], 2).hits
         assert hit
         assert cache.get(3, 2) is kept
@@ -294,7 +297,8 @@ class TestSurgicalInvalidation:
         (ball,) = extract_wave(small_ba_graph, [3], 2).split()
         cache = SubgraphCache()
         assert cache.put(3, 2, ball, small_ba_graph) and cache.graph is small_ba_graph
-        cache.rebind(other)
+        far = np.full(small_ba_graph.num_nodes, 99, dtype=np.int64)
+        assert cache.carry(small_ba_graph, other, far) == 0
         assert not cache.put(5, 2, ball, small_ba_graph)
         assert (5, 2) not in cache and cache.stats.rejected == 0
         cache.validate()

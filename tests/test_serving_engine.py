@@ -107,89 +107,30 @@ class TestBackendEquivalence:
         ]
 
 
-class TestSubmitDrain:
-    def test_submit_then_drain(self, solver, queries):
-        engine = QueryEngine(solver)
-        tickets = [engine.submit(query) for query in queries]
-        assert tickets == list(range(len(queries)))
-        assert engine.num_pending == len(queries)
-        results = engine.drain()
-        assert engine.num_pending == 0
-        assert [result.query.seed for result in results] == [q.seed for q in queries]
-
-    def test_drain_empty(self, solver):
-        assert QueryEngine(solver).drain() == []
-
+class TestEmptyBatch:
     def test_solve_batch_empty(self, solver):
         assert QueryEngine(solver).solve_batch([]) == []
 
 
-class TestCloseWithPending:
-    """Regression: close() must not silently drop submitted queries."""
-
-    def test_submit_then_close_raises(self, solver, queries):
-        engine = QueryEngine(solver)
-        engine.submit(queries[0])
-        with pytest.raises(RuntimeError, match="pending"):
-            engine.close()
-        # The queue is intact: draining still answers the query.
-        results = engine.drain()
-        assert len(results) == 1
-        engine.close()
-
-    def test_close_after_drain_is_clean(self, solver, queries):
-        engine = QueryEngine(solver)
-        engine.submit(queries[0])
-        engine.drain()
-        engine.close()  # no pending queries left: must not raise
-
-    def test_explicit_discard_allows_close(self, solver, queries):
-        engine = QueryEngine(solver)
-        engine.submit(queries[0])
-        engine.close(discard_pending=True)
-        assert engine.num_pending == 0
-
-    def test_context_manager_surfaces_pending_queries(self, solver, queries):
+class TestClose:
+    def test_context_manager_releases_the_backend(self, solver, queries):
         backend = ThreadPoolBackend(2)
-        with pytest.raises(RuntimeError, match="pending"):
-            with QueryEngine(solver, backend=backend) as engine:
-                engine.solve_batch([queries[0]])  # spin the pool up
-                engine.submit(queries[1])
-                # exiting the block without drain() must not drop the query
-        # ...but the backend must still have been shut down (no thread leak).
+        with QueryEngine(solver, backend=backend) as engine:
+            engine.solve_batch([queries[0]])  # spin the pool up
         assert backend._executor is None
 
-    def test_context_manager_does_not_mask_body_exception(self, solver, queries):
-        # An exception inside the block wins over the pending-queries error.
+    def test_context_manager_releases_the_backend_on_error(self, solver, queries):
+        backend = ThreadPoolBackend(2)
         with pytest.raises(KeyError, match="boom"):
-            with QueryEngine(solver) as engine:
-                engine.submit(queries[0])
+            with QueryEngine(solver, backend=backend) as engine:
+                engine.solve_batch([queries[0]])
                 raise KeyError("boom")
+        assert backend._executor is None
 
-    def test_close_idempotent_when_empty(self, solver):
+    def test_close_idempotent(self, solver):
         engine = QueryEngine(solver)
         engine.close()
         engine.close()
-
-    def test_failed_close_still_releases_backend(self, solver, queries):
-        # Regression (ISSUE 4): the pending-queries error must not leave the
-        # backend's OS resources (threads) alive — close() releases the backend in a finally.
-        class RecordingBackend(SerialBackend):
-            closed = 0
-
-            def close(self):
-                self.closed += 1
-
-        backend = RecordingBackend()
-        engine = QueryEngine(solver, backend=backend)
-        engine.submit(queries[0])
-        with pytest.raises(RuntimeError, match="pending"):
-            engine.close()
-        assert backend.closed == 1
-        # The queue survives: draining still answers the query.
-        assert len(engine.drain()) == 1
-        engine.close()
-        assert backend.closed == 2
 
 
 class TestStats:

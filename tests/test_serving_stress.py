@@ -249,8 +249,9 @@ class TestScoreTableCacheStress:
         assert stats.cache.misses == subgraph_stats.misses + rc.misses
 
     def test_direct_put_get_thrash_keeps_invariants(self, small_ba_graph):
-        # Container-level storm: concurrent put/get/invalidate on shared
-        # states with a budget of ~2 entries.
+        # Container-level storm: concurrent put/get/carry on shared states
+        # with a budget of ~2 entries; each carry's reach drops one seed's
+        # entry and keeps the binding.
         solver = MeLoPPRSolver(small_ba_graph)
         centers = list(range(0, small_ba_graph.num_nodes, 11))
         from repro.meloppr.planner import execute_stage_task
@@ -271,6 +272,10 @@ class TestScoreTableCacheStress:
         )
         cache = ScoreTableCache(max_bytes=budget)
         lookups = [0] * NUM_THREADS
+        reach = {}
+        for center in centers:
+            reach[center] = np.full(small_ba_graph.num_nodes, 99, dtype=np.int64)
+            reach[center][center] = 0
 
         def worker(index):
             for step in range(OPS_PER_THREAD):
@@ -279,7 +284,7 @@ class TestScoreTableCacheStress:
                 if step % 3 == 0:
                     cache.put(key, state, small_ba_graph)
                 elif step % 7 == 0:
-                    cache.invalidate(key)
+                    cache.carry(small_ba_graph, small_ba_graph, reach[center])
                 else:
                     cache.get(key)
                     lookups[index] += 1

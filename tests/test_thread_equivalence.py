@@ -173,21 +173,6 @@ class TestEngineLifecycle:
         assert exact_scores(first) == reference
         assert exact_scores(second) == reference
 
-    def test_close_with_pending_still_releases_the_pool(self, graph, queries):
-        backend = ThreadPoolBackend(1)
-        engine = QueryEngine(MeLoPPRSolver(graph), backend=backend)
-        engine.solve_batch(queries[:1])  # start the pool
-        engine.submit(queries[0])
-        with pytest.raises(RuntimeError, match="pending"):
-            engine.close()
-        # The pending-queries error must not keep pool threads alive...
-        assert backend._executor is None
-        # ...and the queue is intact: draining restarts the pool and answers.
-        results = engine.drain()
-        assert [result.query for result in results] == [queries[0]]
-        engine.close()
-        assert backend._executor is None
-
     def test_stage_errors_propagate_by_type(self, graph, queries):
         # A seed outside the graph fails inside a pool thread; the original
         # exception type reaches the caller, as on the serial path.

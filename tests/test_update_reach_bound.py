@@ -182,7 +182,7 @@ def test_update_radius_covers_every_stage_of_an_answer(split):
     cache = ScoreTableCache()
     with QueryEngine(MeLoPPRSolver(graph, config), result_cache=cache) as engine:
         (first,) = engine.solve_batch([query])
-        assert cache.max_stage_length() == max(split)
+        assert cache.radius(graph) == max(split)
         # Far from every task: resolved out to the longest stage, the answer
         # is provably untouched and outlives the update.
         outcome = engine.apply_update([("insert", 0, 2)])
@@ -194,8 +194,10 @@ def test_update_radius_covers_every_stage_of_an_answer(split):
         # A bare state is folded from the stage-one ball alone.
         key = stage_one_key(query, config)
         cache.put(key, cache.get(key), engine.solver.graph)
-        assert cache.max_stage_length() == split[0]
-    assert ScoreTableCache().max_stage_length() == 0
+        assert cache.radius(engine.solver.graph) == split[0]
+        # A cache bound to another graph is no part of this graph's update.
+        assert cache.radius(graph) == 0
+    assert ScoreTableCache().radius(graph) == 0
 
 
 # ----------------------------------------------------------------------
