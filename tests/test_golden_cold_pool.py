@@ -7,10 +7,10 @@ the lowest-numbered panel node in the band is queried at the paper's point
 :class:`~repro.serving.engine.QueryEngine`.  Both must reproduce
 ``tests/golden/cold_pool_g3.json`` (one line per seed): the SHA-256 of the
 top-k (ids and score bits), the score-table eviction count, the summed BFS
-edges scanned and propagations of ``metadata["tasks"]``, and the task list as
-``(stage, centre)`` pairs.  An equivalence test compares two paths that share
-code; this file catches a change that moves both of them the same way (a fold
-order, a tie rule).
+edges scanned and propagations of ``metadata["tasks"]``, the task list as
+``(stage, centre)`` pairs, and each task's sub-graph node and edge counts.
+An equivalence test compares two paths that share code; this file catches a
+change that moves both of them the same way (a fold order, a tie rule).
 
 The file records the numpy and scipy versions it was written with.  Under
 other versions the ids, the counts and the task list still compare exactly;
@@ -69,6 +69,8 @@ def pin(result: PPRResult) -> Dict[str, object]:
         "bfs_edges_scanned": sum(int(task.bfs_edges_scanned) for task in tasks),
         "propagations": sum(int(task.propagations) for task in tasks),
         "tasks": [[int(task.stage_index), int(task.center_node)] for task in tasks],
+        "subgraph_nodes": [int(task.subgraph_nodes) for task in tasks],
+        "subgraph_edges": [int(task.subgraph_edges) for task in tasks],
         "top_k_ids": ids.tolist(),
         "top_k_scores": scores.tolist(),
     }
