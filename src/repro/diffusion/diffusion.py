@@ -216,12 +216,11 @@ def stage_diffusion(
         raise ValueError(f"need one seed inside each of {bounds.size - 1} blocks, got {seeds}")
     degrees = np.asarray(degrees, dtype=np.int64)
     total = degrees.size
-    with np.errstate(divide="ignore"):
-        inverse_degrees = np.where(degrees > 0, 1.0 / degrees, 0.0)
+    inverse_degrees = np.divide(1.0, degrees, out=np.zeros(total), where=degrees > 0)
 
     residual = np.zeros(total, dtype=np.float64)
     residual[seeds] = 1.0
-    accumulated = np.zeros_like(residual)
+    accumulated = np.zeros(total, dtype=np.float64)
     # Adjacency entries read from each node over all steps; summed per block
     # below, which is each block's own ``propagations``.
     touched = np.zeros(total, dtype=np.int64)

@@ -10,7 +10,7 @@ the sub-graph and the work performed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -86,7 +86,7 @@ def expand_frontier(
     neighbors, counts = gather_rows(indptr, indices, frontier)
     fresh = _sorted_unique(neighbors[~visited[neighbors]]).astype(np.int64)
     visited[fresh] = True
-    return fresh, int(counts.sum())
+    return fresh, int(np.add.reduce(counts))
 
 
 def bfs_levels(graph: CSRGraph, source: int, depth: int) -> BFSResult:
@@ -192,11 +192,11 @@ class EgoWave:
     ``targets`` are adjacency entries in push form (see
     :func:`~repro.diffusion.diffusion.stage_diffusion`): every entry out of a
     node inside its ball (``levels < depth``), all a diffusion no longer than
-    ``depth`` moves mass along, each target meeting its sources in ascending
-    stacked id.  A fresh extraction keeps them in its BFS's read order, level
-    by level across its balls, with their ``read_sources``; every other wave
-    is ball-major — a ball of :meth:`split`, a :meth:`stack` of them — and
-    its sources follow from ``levels`` and ``degrees`` (:attr:`sources`).
+    ``depth`` moves mass along.  Every wave — a fresh extraction, a ball of
+    :meth:`split`, a :meth:`stack` of them — is ball-major: ball by ball, the
+    rows of its inner nodes, whole and in stacked order.  So each target meets
+    its sources in ascending stacked id, and the sources follow from
+    ``levels`` and ``degrees`` (:attr:`sources`).
     """
 
     name: str
@@ -208,51 +208,38 @@ class EgoWave:
     bounds: np.ndarray
     edges_scanned: np.ndarray
     hits: np.ndarray
-    read_sources: Optional[np.ndarray] = None
 
     @property
     def sources(self) -> np.ndarray:
-        """Each entry's source: its ``read_sources``, or in a ball-major wave
-        the rows of every inner node, whole and in stacked order."""
-        if self.read_sources is not None:
-            return self.read_sources
-        inner = np.flatnonzero(self.levels < self.depth)
-        return np.repeat(inner, self.degrees[inner])
+        """Each entry's source: the rows of every inner node, in stacked order."""
+        (inner,) = (self.levels < self.depth).nonzero()
+        return inner.repeat(self.degrees[inner])
 
     def entries(self) -> np.ndarray:
         """Adjacency entries (twice the edges) of each ball."""
         return np.add.reduceat(self.degrees, self.bounds[:-1])
 
     def split(self) -> List["EgoWave"]:
-        """One ball-major wave per ball, in ball-local ids: what a cache keeps.
+        """One wave per ball, in ball-local ids: what a cache keeps.
 
-        One stable partition of the entries by ball keeps each target's
-        sources in ascending order, so a ball diffuses to the same bits alone.
-        Every array is the ball's own and frozen, as a cache shares it across
-        threads; targets are ``int32`` and sources are not kept.
+        The wave is ball-major, so a ball's entries are one slice and it
+        diffuses to the same bits alone.  Every array is the ball's own and
+        frozen, as a cache shares it across threads; targets are ``int32``.
         """
-        sizes = np.diff(self.bounds)
-        owner = np.repeat(np.arange(sizes.size), sizes)[self.sources]  # each entry's ball
-        order = np.argsort(owner, kind="stable")
-        targets = (self.targets - self.bounds[owner])[order].astype(np.int32)
-        ends = np.cumsum(np.bincount(owner, minlength=sizes.size)).tolist()
+        inner = np.where(self.levels < self.depth, self.degrees, 0)
+        ends = inner.cumsum()[self.bounds[1:] - 1].tolist()  # a ball is never empty
         bounds = self.bounds.tolist()
         return [
             EgoWave(
                 self.name,
                 self.depth,
-                *(
-                    _owned(array)
-                    for array in (
-                        targets[first:last],
-                        self.degrees[begin:end],
-                        self.nodes[begin:end],
-                        self.levels[begin:end],
-                        np.array([0, end - begin]),
-                        self.edges_scanned[ball : ball + 1],
-                        self.hits[ball : ball + 1],
-                    )
-                ),
+                _frozen(np.subtract(self.targets[first:last], begin, dtype=np.int32)),
+                _owned(self.degrees[begin:end]),
+                _owned(self.nodes[begin:end]),
+                _owned(self.levels[begin:end]),
+                _frozen(np.array([0, end - begin])),
+                _owned(self.edges_scanned[ball : ball + 1]),
+                _owned(self.hits[ball : ball + 1]),
             )
             for ball, (begin, end, first, last) in enumerate(
                 zip(bounds, bounds[1:], [0] + ends, ends)
@@ -263,16 +250,16 @@ class EgoWave:
     def stack(
         cls, name: str, depth: int, balls: Sequence["EgoWave"], hits: Sequence[bool]
     ) -> "EgoWave":
-        """One-ball ball-major waves as one wave, in order (at least one),
-        ball ``i`` flagged ``hits[i]``: the one place balls are restacked, a
-        stage's cache hits with its fresh misses.  Entries are concatenated
-        with each ball's id offset, so every ball keeps its bits."""
-        bounds = np.cumsum([0] + [ball.nodes.size for ball in balls])
+        """One-ball waves as one wave, in order (at least one), ball ``i``
+        flagged ``hits[i]``: the one place balls are restacked, a stage's
+        cache hits with its fresh misses.  Entries are concatenated with each
+        ball's id offset, so every ball keeps its bits."""
+        bounds = np.array([0] + [ball.nodes.size for ball in balls]).cumsum()
         entries = [ball.targets.size for ball in balls]
         return cls(
             name,
             depth,
-            np.concatenate([ball.targets for ball in balls]) + np.repeat(bounds[:-1], entries),
+            np.concatenate([ball.targets for ball in balls]) + bounds[:-1].repeat(entries),
             np.concatenate([ball.degrees for ball in balls]),
             np.concatenate([ball.nodes for ball in balls]),
             np.concatenate([ball.levels for ball in balls]),
@@ -282,11 +269,15 @@ class EgoWave:
         )
 
 
-def _owned(array: np.ndarray) -> np.ndarray:
-    """A frozen copy of ``array`` that owns its memory."""
-    array = array.copy()
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` (which owns its memory) made read-only."""
     array.setflags(write=False)
     return array
+
+
+def _owned(array: np.ndarray) -> np.ndarray:
+    """A frozen copy of ``array`` that owns its memory."""
+    return _frozen(array.copy())
 
 
 def _extract_pass(graph: CSRGraph, centers: List[int], depth: int) -> EgoWave:
@@ -300,18 +291,18 @@ def _extract_pass(graph: CSRGraph, centers: List[int], depth: int) -> EgoWave:
     frontier = np.asarray(centers, dtype=np.int64)
     offsets = np.arange(frontier.size, dtype=np.int64) << bits
     visited = np.zeros(frontier.size << bits, dtype=bool)
-    visited[offsets + frontier] = True
     key_chunks: List[np.ndarray] = [offsets + frontier]
-    # What the BFS read, level by level: each read row's length and the key of
-    # every entry in it (all in the row's ball).
+    visited[key_chunks[0]] = True
+    # What the BFS read, level by level: how many rows, and the key of every
+    # entry in them (each in its row's ball).
     none = np.zeros(0, dtype=np.int64)
-    read_counts, read_keys = [none], [none]
+    rows_read, read_keys = 0, [none]
     for _ in range(depth):
         neighbors, counts = gather_rows(indptr, indices, frontier)
-        candidates = np.repeat(offsets, counts) + neighbors
-        read_counts.append(counts)
+        candidates = offsets.repeat(counts) + neighbors
+        rows_read += frontier.size
         read_keys.append(candidates)
-        fresh = _sorted_unique(candidates[np.flatnonzero(~visited[candidates])])
+        fresh = _sorted_unique(candidates[(~visited[candidates]).nonzero()[0]])
         if fresh.size == 0:
             break
         visited[fresh] = True
@@ -319,35 +310,32 @@ def _extract_pass(graph: CSRGraph, centers: List[int], depth: int) -> EgoWave:
         frontier = fresh & node_mask
         offsets = fresh - frontier
 
-    # Stack the balls: ball-major, and inside a ball level by level (the
-    # chunks are in level order and the sort is stable).
+    # Stack the balls ball-major, and the operand, the BFS's reads in push
+    # form, with them: one stable partition of each by ball (a one-ball pass
+    # already is ball-major; under 256 balls a ball id fits a byte, which
+    # numpy partitions by radix).  Inside a ball the nodes stay level by
+    # level, and its rows were read level by level in ascending key order,
+    # which is ascending stacked id, so every row is whole and in place.
     keys = np.concatenate(key_chunks)
+    levels = np.arange(len(key_chunks)).repeat([chunk.size for chunk in key_chunks])
+    reads = np.concatenate(read_keys)
+    if len(centers) > 1:
+        order = (keys >> bits).astype(np.uint8).argsort(kind="stable")
+        keys, levels = keys[order], levels[order]
+        reads = reads[(reads >> bits).astype(np.uint8).argsort(kind="stable")]
     total = keys.size
-    order = np.argsort(keys >> bits, kind="stable")
-    stacked = np.empty(total, dtype=np.int64)  # stacked id of each key, in level order
-    stacked[order] = np.arange(total)
     stacked_of = np.empty(visited.size, dtype=np.int64)  # read only where visited
-    stacked_of[keys] = stacked
-    levels = np.repeat(np.arange(len(key_chunks)), [chunk.size for chunk in key_chunks])[order]
-    keys = keys[order]
+    stacked_of[keys] = np.arange(total)
     bounds = np.zeros(len(centers) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys >> bits), out=bounds[1:])
-
-    # The operand is the BFS's reads in push form.  Rows are read level by
-    # level in ascending key order, which is ascending stacked id inside a
-    # ball, so every target meets its sources in that order.
-    counts = np.concatenate(read_counts)
-    read = stacked[: counts.size]  # the rows read: every level but the last
-    sources = np.repeat(read, counts)
-    targets = stacked_of[np.concatenate(read_keys)]
-    # The last level's rows (none when every ball ran out first): one
-    # membership scan keeps the entries into the ball.
+    np.bincount(keys >> bits).cumsum(out=bounds[1:])
+    targets = stacked_of[reads]
+    # The last level's rows, unless every ball ran out first (else that level
+    # is the frontier): one membership scan keeps the entries into the ball.
     rim = none
-    if counts.size < total:
-        last = key_chunks[-1]
-        gathered, row_counts = gather_rows(indptr, indices, last & node_mask)
-        columns = np.repeat(last - (last & node_mask), row_counts) + gathered
-        rim = stacked_of[columns[np.flatnonzero(visited[columns])]]
+    if rows_read < total:
+        gathered, row_counts = gather_rows(indptr, indices, frontier)
+        columns = offsets.repeat(row_counts) + gathered
+        rim = stacked_of[columns[visited[columns].nonzero()[0]]]
     # Every entry has its reverse (the graph is undirected), so a node's
     # degree in its ball is the number of kept entries into it.
     read_into = np.bincount(targets, minlength=total)
@@ -355,5 +343,5 @@ def _extract_pass(graph: CSRGraph, centers: List[int], depth: int) -> EgoWave:
     scanned = np.add.reduceat(read_into, bounds[:-1])  # the entries each ball's BFS read
     return EgoWave(
         graph.name, depth, targets, degrees, keys & node_mask, levels,
-        bounds, scanned, np.zeros(len(centers), dtype=bool), sources,
+        bounds, scanned, np.zeros(len(centers), dtype=bool),
     )

@@ -39,19 +39,20 @@ def gather_rows(
     counts = indptr[rows + 1] - starts
     if rows.size == 1:
         return indices[starts[0] : starts[0] + counts[0]], counts
-    first_outputs = np.cumsum(counts) - counts
-    positions = np.arange(counts.sum()) + np.repeat(starts - first_outputs, counts)
+    first_outputs = counts.cumsum() - counts
+    positions = np.arange(np.add.reduce(counts)) + (starts - first_outputs).repeat(counts)
     return indices[positions], counts
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """``values`` ascending, each once.
+    """``values`` ascending, each once; sorts ``values`` in place.
 
     By hand: np.unique, hash-based in numpy 2.x, measured ~10x slower than
     this on frontier-sized inputs and ~40x on a graph's 88 k edge keys.
     """
-    values = np.sort(values)
-    is_first = np.ones(values.size, dtype=bool)
+    values.sort()
+    is_first = np.empty(values.size, dtype=bool)
+    is_first[:1] = True
     np.not_equal(values[1:], values[:-1], out=is_first[1:])
     return values[is_first]
 
@@ -98,7 +99,7 @@ class CSRGraph:
             raise ValueError(
                 f"indptr[-1] ({indptr[-1]}) must equal len(indices) ({indices.size})"
             )
-        if np.any(np.diff(indptr) < 0):
+        if (indptr[1:] < indptr[:-1]).any():
             raise ValueError("indptr must be non-decreasing")
         num_nodes = indptr.size - 1
         if indices.size and (indices.min() < 0 or indices.max() >= num_nodes):
@@ -204,7 +205,7 @@ class CSRGraph:
 
     def degrees(self) -> np.ndarray:
         """Array of all node degrees (``int64``)."""
-        return np.diff(self._indptr)
+        return self._indptr[1:] - self._indptr[:-1]
 
     def neighbors(self, node: int) -> np.ndarray:
         """Read-only array of the neighbours of ``node``."""
@@ -216,7 +217,7 @@ class CSRGraph:
         u = check_node_id(u, self.num_nodes, "u")
         v = check_node_id(v, self.num_nodes, "v")
         row = self.neighbors(u)
-        position = np.searchsorted(row, v)
+        position = row.searchsorted(v)
         return bool(position < row.size and row[position] == v)
 
     def iter_edges(self) -> Iterator[Tuple[int, int]]:
@@ -228,7 +229,7 @@ class CSRGraph:
 
     def edge_array(self) -> np.ndarray:
         """Return all undirected edges once as an ``(|E|, 2)`` array."""
-        sources = np.repeat(np.arange(self.num_nodes), self.degrees())
+        sources = np.arange(self.num_nodes).repeat(self.degrees())
         mask = sources < self._indices
         return np.column_stack([sources[mask], self._indices[mask]])
 

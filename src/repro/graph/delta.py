@@ -426,7 +426,7 @@ def update_reach_bound(
         )
         sources = np.unique(pairs)
         bits = np.uint64(1) << np.arange(sources.size, dtype=np.uint64)
-        both = np.bitwise_or.reduce(bits[np.searchsorted(sources, pairs)], axis=1)
+        both = np.bitwise_or.reduce(bits[sources.searchsorted(pairs)], axis=1)
         distances = np.full(graph.num_nodes, radius + 1, dtype=np.int64)
         nearest = np.zeros(graph.num_nodes, dtype=np.uint64)
         distances[sources] = 0
@@ -434,16 +434,17 @@ def update_reach_bound(
         rings = [sources]
         for level in range(1, radius + 1):
             neighbors, counts = gather_rows(indptr, indices, rings[-1])
-            carried = np.repeat(nearest[rings[-1]], counts)
+            carried = nearest[rings[-1]].repeat(counts)
             unseen = distances[neighbors] > radius
             targets = neighbors[unseen]
             if targets.size == 0:
                 break
-            order = np.argsort(targets)
+            order = targets.argsort()
             targets = targets[order]
-            is_first = np.ones(targets.size, dtype=bool)
+            is_first = np.empty(targets.size, dtype=bool)
+            is_first[0] = True
             np.not_equal(targets[1:], targets[:-1], out=is_first[1:])
-            (starts,) = np.nonzero(is_first)
+            (starts,) = is_first.nonzero()
             ring = targets[starts]
             # A node's nearest endpoints: the union over its parents' sets.
             nearest[ring] = np.bitwise_or.reduceat(carried[unseen][order], starts)

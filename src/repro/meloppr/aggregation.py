@@ -172,7 +172,7 @@ class GlobalScoreTable:
         if self._capacity is None or self._ids.size <= self._capacity:
             return
         # Drop the entry with the smallest score (ties: largest node id).
-        lowest = np.flatnonzero(self._values == self._values.min())
+        (lowest,) = (self._values == self._values.min()).nonzero()
         at = lowest[np.argmax(self._ids[lowest])]
         victim, value = int(self._ids[at]), float(self._values[at])
         self._ids = np.delete(self._ids, at)
@@ -215,7 +215,7 @@ class GlobalScoreTable:
         if not offsets or offsets[0] != 0 or offsets[-1] != ids.size or offsets != sorted(offsets):
             raise ValueError(f"bounds must rise from 0 to {ids.size}, got {offsets}")
         ends = np.asarray(offsets[1:])
-        order = np.argsort(ids, kind="stable")
+        order = ids.argsort(kind="stable")
         ranked = ids[order]
         # Each repeated id's occurrence and its next one, in arrival order.
         (repeat,) = (ranked[1:] == ranked[:-1]).nonzero()
@@ -223,7 +223,7 @@ class GlobalScoreTable:
         if (
             not self._evictions_are_final
             or not 0.0 <= values.min(initial=0.0) <= values.max(initial=0.0) < np.inf
-            or np.count_nonzero(then < ends[np.searchsorted(ends, first, side="right")])
+            or np.count_nonzero(then < ends[ends.searchsorted(first, side="right")])
             or (ids.size and not -_EXACT_IDS < ranked[0] <= ranked[-1] < _EXACT_IDS)
         ):
             for node, score in zip(ids.tolist(), values.tolist()):
@@ -238,7 +238,7 @@ class GlobalScoreTable:
         # for ids that do not recur.
         slot = np.full(ids.size + 1, -1)
         if self._ids.size and ids.size:
-            where = np.minimum(np.searchsorted(ranked, self._ids), ids.size - 1)
+            where = np.minimum(ranked.searchsorted(self._ids), ids.size - 1)
             (stored,) = (ranked[where] == self._ids).nonzero()
             slot[order[where[stored]]] = stored
         later = np.full(ids.size, ids.size)
@@ -325,7 +325,7 @@ class GlobalScoreTable:
         new_ids = np.concatenate((self._ids, ids[inserts]))
         if spare:  # the tie group at the cut keeps its smallest ids
             (tied,) = (keys == cut).nonzero()
-            out[tied[np.argsort(new_ids[tied])[:spare]]] = False
+            out[tied[new_ids[tied].argsort()[:spare]]] = False
         keys[out] = np.nan
         slot[inserts] = held.size + np.arange(evictions)
         self._ids, self._values = new_ids, keys
@@ -360,18 +360,18 @@ class GlobalScoreTable:
         key = held[slot[rows]] - 1j * node
         low = held <= key.real.max()
         stored = np.sort(held[low] - 1j * held_ids[low])  # holds every row's key
-        below = np.searchsorted(stored, key)[:, None]
+        below = stored.searchsorted(key)[:, None]
         (absent,) = inserts.nonzero()
-        lifted = np.searchsorted(stored, values[absent] - 1j * ids[absent]) > below
+        lifted = stored.searchsorted(values[absent] - 1j * ids[absent]) > below
         passed = (lifted & (absent < rows[:, None])).sum(1)
         under = (below.T < below) & (rows < rows[:, None])  # w below u and before it
-        rose = under & (np.searchsorted(stored, key + gain) > below)
-        back = under & (np.searchsorted(stored, gain - 1j * node) > below)
+        rose = under & (stored.searchsorted(key + gain) > below)
+        back = under & (stored.searchsorted(gain - 1j * node) > below)
         short = below[:, 0] + 1 - passed - rose.sum(1)
         settled = short <= 0
         mixed = rose != back
         if np.count_nonzero(mixed & settled):
-            for u in np.flatnonzero(mixed.any(axis=1)).tolist():
+            for u in mixed.any(axis=1).nonzero()[0].tolist():
                 moved = np.count_nonzero(rose[u] & settled) - np.count_nonzero(back[u] & settled)
                 settled[u] = short[u] + moved <= 0
         return rows[settled]

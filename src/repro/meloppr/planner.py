@@ -531,7 +531,7 @@ class MeLoPPRPlan:
                 weights = (
                     tasks[0].weight
                     if len(tasks) == 1
-                    else np.repeat([task.weight for task in tasks], sizes)
+                    else np.array([task.weight for task in tasks]).repeat(sizes)
                 )
                 self._table.add_many(ids, weights * outcome.accumulated, bounds)
             if not is_last_stage:
@@ -555,7 +555,7 @@ class MeLoPPRPlan:
             self._cache_misses += len(tasks) - hits
             # A ball's bytes: its CSR (int64 indptr, int32 indices) and its
             # two float64 score vectors.
-            nbytes = int((8 * (sizes + 1) + 4 * entries + 16 * sizes).max())
+            nbytes = int(np.maximum.reduce(8 * (sizes + 1) + 4 * entries + 16 * sizes))
             self._peak_subgraph_bytes = max(self._peak_subgraph_bytes, nbytes)
 
         if folded != expected:
@@ -575,7 +575,7 @@ class MeLoPPRPlan:
             masses = np.zeros(candidates.size, dtype=np.float64)
             np.add.at(masses, arrival, np.concatenate(carried_mass))
             selected = config.selector.select(candidates, masses)
-            selected_mass = masses[np.searchsorted(candidates, selected)]
+            selected_mass = masses[candidates.searchsorted(selected)]
 
         # Build next work list; apply the Eq. 6 correction only for the
         # nodes whose residual is re-diffused (unselected nodes keep

@@ -32,7 +32,10 @@ victims without scanning the cache.
 Keys name no graph, so the cache checks its graph on every call that reads,
 writes or carries entries for one: each such call names the graph it serves,
 and under the same lock as the work itself the cache binds to it when
-unbound, or does nothing for it when bound to another graph.  An edge update
+unbound, or does nothing for it when bound to another graph.  So a cache
+bound to another graph is bypassed (:meth:`SubgraphCache.extract_wave`
+extracts that graph's stage uncached), and engines sharing one cache keep
+serving after either updates.  An edge update
 reaches the entries by one door, :meth:`~_LRUCache.carry`, which drops what
 the update changes and moves the binding in one locked step; a reload is
 :meth:`~_LRUCache.bind`.
@@ -150,7 +153,7 @@ def _reached(index: CentreIndex, reach: np.ndarray, radius: int) -> List[Hashabl
     """Every key with a row where ``reach[node] <= depth``, visiting only
     the nodes the update's reach bound puts within ``radius``."""
     keys: Dict[Hashable, None] = {}
-    for node in index.keys() & np.flatnonzero(reach <= radius).tolist():
+    for node in index.keys() & (reach <= radius).nonzero()[0].tolist():
         distance = int(reach[node])
         for key, depth in index[node].items():
             if distance <= depth:
@@ -412,9 +415,11 @@ class SubgraphCache(_LRUCache):
 
     Notes
     -----
-    A cache instance is bound to one host graph (the engine owns one per
-    graph); keying by ``(center, depth)`` alone keeps lookups cheap.  Its
-    centre index is ``centre -> {(centre, depth): depth}``.
+    A cache instance is bound to one host graph and bypassed for any other;
+    keying by ``(center, depth)`` alone keeps lookups cheap.  Each entry is
+    a one-ball wave of :meth:`~repro.graph.bfs.EgoWave.split`, ball-major
+    like every wave, so a stage restacks its hits with its misses by
+    concatenation.  Its centre index is ``centre -> {(centre, depth): depth}``.
 
     :meth:`extract_wave` looks a whole stage up before it inserts any
     of it.  Its hit / miss counts can differ from a ball-by-ball order only
@@ -469,29 +474,31 @@ class SubgraphCache(_LRUCache):
         """Serve ``extract_wave(graph, centers, depth)`` through the cache —
         the planner's :data:`~repro.meloppr.planner.StageExtractFn`.
 
-        The cache binds to the first ``graph`` it serves; passing a different
-        graph later raises ``ValueError`` (keys carry no graph identity, so
-        cross-graph sharing would return wrong balls).  :meth:`clear`
-        resets the binding.
+        The cache binds to the first ``graph`` it serves.  Keys carry no
+        graph identity, so for a graph it is not bound to it is bypassed: the
+        stage is extracted uncached, and no entry or counter is touched.
+        :meth:`clear` resets the binding.
 
         Every centre is looked up first, under one lock with the binding;
         the misses are extracted together (outside the lock), split into
-        one-ball waves and inserted while the cache is still ``graph``'s.  A
-        stage with no hits is that extraction as it came; hits are restacked
-        with the misses (:meth:`~repro.graph.bfs.EgoWave.stack`).
+        one-ball waves and inserted under one more lock, while the cache is
+        still ``graph``'s.  A stage with no hits is that extraction as it
+        came; hits are restacked with the misses
+        (:meth:`~repro.graph.bfs.EgoWave.stack`).
         """
+        found = None
         with self._lock:
-            if not self._claim_locked(graph):
-                raise ValueError(
-                    f"cache is bound to graph {self._graph.name!r}; create one "
-                    f"SubgraphCache per graph (got {graph.name!r})"
-                )
-            found = [self._get_locked((int(center), int(depth))) for center in centers]
+            if self._claim_locked(graph):
+                found = [self._get_locked((int(center), int(depth))) for center in centers]
+        if found is None:
+            return extract_wave(graph, centers, depth)
         missed = [center for center, ball in zip(centers, found) if ball is None]
         fresh = extract_wave(graph, missed, depth)
         balls = fresh.split()
-        for center, ball in zip(missed, balls):
-            self.put(center, depth, ball, graph)
+        with self._lock:
+            if self._claim_locked(graph):
+                for center, ball in zip(missed, balls):
+                    self._put_locked((int(center), int(depth)), (ball, _entry_nbytes(ball)))
         if len(missed) == len(centers):
             return fresh
         fresh_balls = iter(balls)

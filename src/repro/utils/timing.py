@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator
-from contextlib import contextmanager
+from typing import Dict
 
 
 class Stopwatch:
@@ -74,14 +73,9 @@ class TimingBreakdown:
             raise ValueError(f"negative duration for {name!r}: {value}")
         self.seconds[name] = self.seconds.get(name, 0.0) + value
 
-    @contextmanager
-    def measure(self, name: str) -> Iterator[None]:
-        """Context manager that times its body into bucket ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, time.perf_counter() - start)
+    def measure(self, name: str) -> "_Measure":
+        """Context manager that times its body, even one that raises, into ``name``."""
+        return _Measure(self, name)
 
     @property
     def total(self) -> float:
@@ -101,3 +95,21 @@ class TimingBreakdown:
         for name, value in other.seconds.items():
             merged.add(name, value)
         return merged
+
+
+class _Measure:
+    """One :meth:`TimingBreakdown.measure` block: a plain object, not a
+    generator, as the per-stage hot path opens several per wave."""
+
+    __slots__ = ("_timing", "_name", "_start")
+
+    def __init__(self, timing: TimingBreakdown, name: str) -> None:
+        self._timing, self._name = timing, name
+
+    def __enter__(self) -> None:
+        self._start = time.perf_counter()
+
+    def __exit__(self, *exc_info: object) -> None:
+        # perf_counter is monotonic: no negative-duration check needed.
+        elapsed, seconds = time.perf_counter() - self._start, self._timing.seconds
+        seconds[self._name] = seconds.get(self._name, 0.0) + elapsed

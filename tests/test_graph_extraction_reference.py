@@ -7,7 +7,9 @@ arrays and the scanned-edge count must all be equal.  The stage extraction,
 ``extract_wave`` split into one-ball waves, is in turn held to
 ``extract_ego_subgraph`` per centre (nodes, levels, degrees, scanned edges),
 and every wave's diffusion operand — a fresh one's and each ball's — to
-``graph_diffusion`` on the centre's sub-graph, bit for bit.
+``graph_diffusion`` on the centre's sub-graph, bit for bit.  Every wave is
+ball-major, so a fresh wave equals the stack of its own one-ball waves,
+array by array.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.graph.csr import CSRGraph, gather_rows
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.subgraph import Subgraph
+from test_engine_equivalence import FAMILIES
 
 
 def reference_bfs(graph: CSRGraph, source: int, depth: int):
@@ -178,7 +181,7 @@ def assert_stage_matches_per_ball(graph: CSRGraph, centers: Sequence[int], depth
         assert ball.bounds.tolist() == [0, subgraph.num_nodes]
         assert ball.edges_scanned.tolist() == [bfs.edges_scanned]
         assert ball.hits.tolist() == [False] and ball.name == graph.name
-        assert ball.targets.dtype == np.int32 and ball.read_sources is None
+        assert ball.targets.dtype == np.int32
         for array in ball_arrays(ball):
             assert array.base is None and not array.flags.writeable
         assert_diffuses_like_the_spec(ball, [center], depth, graph)
@@ -296,34 +299,46 @@ class TestStageExtractionMatchesPerBall:
         assert large <= small + 500 * 2048
 
 
+#: The graphs of the engine-equivalence grid, built once.
+FAMILY_GRAPHS = [build() for _, build in sorted(FAMILIES.items())]
+
+WAVE_ARRAYS = ("targets", "degrees", "nodes", "levels", "bounds", "edges_scanned", "hits")
+
+
 def assert_operand_diffuses_the_balls(graph: CSRGraph, centers: Sequence[int], depth: int):
-    """A fresh wave's operand diffuses like the per-centre spec, and so does
-    the same wave restacked from its one-ball waves."""
+    """A fresh wave has the one entry order every wave has: it equals the
+    stack of its own one-ball waves array by array, and its operand diffuses
+    like the per-centre spec."""
     wave = extract_wave(graph, centers, depth)
-    assert_diffuses_like_the_spec(wave, centers, depth, graph)
     restacked = EgoWave.stack(graph.name, depth, wave.split(), wave.hits)
-    assert_diffuses_like_the_spec(restacked, centers, depth, graph)
+    for name in WAVE_ARRAYS:
+        assert np.array_equal(getattr(wave, name), getattr(restacked, name)), name
+    assert np.array_equal(wave.sources, restacked.sources)
+    assert_diffuses_like_the_spec(wave, centers, depth, graph)
     return wave
 
 
 class TestWaveOperand:
-    """The wave diffuses what its BFS read: no relabelled CSR on the way."""
+    """The wave diffuses what its BFS read, ball-major: no relabelled CSR on
+    the way, and one entry order for a fresh wave and a restacked one."""
 
     @settings(max_examples=100, deadline=None)
     @given(
-        drawn=graphs_with_a_node(),
+        graph=st.one_of(
+            graphs_with_a_node().map(lambda drawn: drawn[0]), st.sampled_from(FAMILY_GRAPHS)
+        ),
         depth=st.integers(min_value=0, max_value=4),
         data=st.data(),
     )
-    def test_random_graphs_and_centre_lists(self, drawn, depth, data):
-        graph, first = drawn
-        others = data.draw(
+    def test_random_graphs_and_centre_lists(self, graph, depth, data):
+        centers = data.draw(
             st.lists(
                 st.integers(min_value=0, max_value=graph.num_nodes - 1),
-                max_size=BALLS_PER_PASS - 1,
+                min_size=1,
+                max_size=BALLS_PER_PASS,
             )
         )
-        assert_operand_diffuses_the_balls(graph, [first, *others], depth)
+        assert_operand_diffuses_the_balls(graph, centers, depth)
 
     @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
     def test_an_isolated_centre_and_a_ball_exhausted_early(self, depth):

@@ -128,12 +128,13 @@ class TestByteBudgetEviction:
     def test_cache_binds_to_one_graph(self, small_ba_graph, small_citation_graph):
         cache = SubgraphCache(max_bytes=1 << 20)
         cache.extract_wave(small_ba_graph, [0], 2)
-        with pytest.raises(ValueError, match="bound to graph"):
-            cache.extract_wave(small_citation_graph, [0], 2)
+        before = cache.stats
+        (hit,) = cache.extract_wave(small_citation_graph, [0], 2).hits
+        assert not hit and cache.stats == before and cache.graph is small_ba_graph
         # clear() resets the binding.
         cache.clear()
-        (hit,) = cache.extract_wave(small_citation_graph, [0], 2).hits
-        assert not hit
+        cache.extract_wave(small_citation_graph, [0], 2)
+        assert cache.graph is small_citation_graph and cache.stats.misses == 2
 
     def test_an_entry_holds_no_more_than_its_csr_form(self, small_ba_graph):
         # What a ball cost as a relabelled CSR sub-graph with its id map and
@@ -157,7 +158,7 @@ class TestCachedExtractionCorrectness:
         cache.extract_wave(small_citation_graph, [11], 3)
         ball = cache.get(11, 3)
         assert_ball_is_the_spec(small_citation_graph, ball, 11, 3)
-        assert ball.targets.dtype == np.int32 and ball.read_sources is None
+        assert ball.targets.dtype == np.int32
         for array in (ball.targets, ball.degrees, ball.nodes, ball.levels):
             assert array.base is None and not array.flags.writeable
         assert cache.stats.current_bytes == _entry_nbytes(ball)
@@ -218,11 +219,18 @@ class TestStageForm:
         cache.validate()
 
     def test_binding_is_checked(self, small_ba_graph, small_citation_graph):
+        # For another graph the stage is extracted uncached: the fresh
+        # extraction, array for array, with no lookup, insert or recency.
         cache = SubgraphCache()
-        cache.extract_wave(small_ba_graph, [0], 2)
-        with pytest.raises(ValueError):
-            cache.extract_wave(small_citation_graph, [0], 2)
-        assert cache.stats.lookups == 1
+        cache.extract_wave(small_ba_graph, [0, 3], 2)
+        entries = list(cache._entries)
+        centers = [3, 0, 40, 3]
+        served = cache.extract_wave(small_citation_graph, centers, 2)
+        fresh = extract_wave(small_citation_graph, centers, 2)
+        for field in ("targets", "degrees", "nodes", "levels", "bounds", "edges_scanned", "hits"):
+            assert np.array_equal(getattr(served, field), getattr(fresh, field)), field
+        assert cache.stats.lookups == 2 and list(cache._entries) == entries
+        cache.validate()
 
 
 class TestSurgicalInvalidation:
@@ -286,9 +294,9 @@ class TestSurgicalInvalidation:
         assert hit
         assert cache.get(3, 2) is kept
         assert cache.stats.hits == 3
-        # The binding genuinely moved: the old host is now foreign.
-        with pytest.raises(ValueError):
-            cache.extract_wave(small_ba_graph, [7], 2)
+        # The binding genuinely moved: the old host is now bypassed.
+        (hit,) = cache.extract_wave(small_ba_graph, [3], 2).hits
+        assert not hit and cache.stats.hits == 3 and (7, 2) not in cache
 
     def test_an_insert_names_its_graph(self, small_ba_graph):
         # A ball extracted from a graph the cache is no longer bound to is
@@ -302,6 +310,28 @@ class TestSurgicalInvalidation:
         assert not cache.put(5, 2, ball, small_ba_graph)
         assert (5, 2) not in cache and cache.stats.rejected == 0
         cache.validate()
+
+    def test_an_engine_bypasses_the_cache_another_engine_updated(self):
+        # Two engines on one graph share the cache.  B's update moves the
+        # binding to B's updated graph; A, still on the old one, must serve
+        # its own graph's answer uncached and move no entry and no counter.
+        graph = barabasi_albert_graph(150, 2, rng=4, name="host")
+        config = MeLoPPRConfig(track_memory=False)
+        query = PPRQuery(seed=9, k=20, length=6)
+        edge = ("delete", 9, int(graph.neighbors(9)[0]))
+        shared = SubgraphCache()
+        first = QueryEngine(MeLoPPRSolver(graph, config), cache=shared)
+        second = QueryEngine(MeLoPPRSolver(graph, config), cache=shared)
+        with first, second:
+            first.solve_batch([query])
+            second.apply_update([edge])
+            assert shared.graph is second.solver.graph
+            before, entries = shared.stats, list(shared._entries)
+            (served,) = first.solve_batch([query])
+            assert shared.stats == before and list(shared._entries) == entries
+        reference = MeLoPPRSolver(graph, config).solve(query)
+        assert dict(served.scores.items()) == dict(reference.scores.items())
+        shared.validate()
 
     def test_an_update_between_lookup_and_insert_keeps_no_stale_ball(self, monkeypatch):
         # Two engines on one graph share the cache.  B's update waits only
