@@ -43,15 +43,17 @@ the update changes and moves the binding in one locked step; a reload is
 
 from __future__ import annotations
 
+import operator
 import threading
 from collections import Counter, OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.bfs import EgoWave, extract_wave
 from repro.graph.csr import CSRGraph
+from repro.serving.telemetry import StatsRecord, exported, metric
 
 __all__ = ["CacheStats", "SubgraphCache", "DEFAULT_CACHE_BYTES"]
 
@@ -60,13 +62,17 @@ DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
 
 
 @dataclass
-class CacheStats:
+class CacheStats(StatsRecord):
     """Counters of a :class:`SubgraphCache`.
+
+    The cache's running counters are one of these; :attr:`_LRUCache.stats`
+    snapshots it.  On ``/metrics`` every field is a family labelled by tier
+    (``cache="combined"|"subgraph"|"result"``).
 
     Attributes
     ----------
     hits, misses:
-        Lookup outcomes since construction (or the last :meth:`reset`).
+        Lookup outcomes since construction.
     evictions:
         Entries dropped to stay within the byte budget.
     rejected:
@@ -79,53 +85,41 @@ class CacheStats:
         Present size of the cache.
     """
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    rejected: int = 0
-    expired: int = 0
-    current_bytes: int = 0
-    num_entries: int = 0
+    hits: int = metric("repro_cache_hits_total", "counter", "Cache lookups served from the cache.")
+    misses: int = metric("repro_cache_misses_total", "counter", "Cache lookups that had to compute.")
+    evictions: int = metric(
+        "repro_cache_evictions_total", "counter", "Entries evicted under byte-budget pressure."
+    )
+    rejected: int = metric(
+        "repro_cache_rejected_total", "counter", "Entries larger than the whole budget, never cached."
+    )
+    expired: int = metric("repro_cache_expired_total", "counter", "Entries dropped by TTL expiry.")
+    current_bytes: int = metric("repro_cache_bytes", "gauge", "Bytes currently retained.")
+    num_entries: int = metric("repro_cache_entries", "gauge", "Entries currently retained.")
+
+    def _combine(self, other: "CacheStats", op: Callable[[int, int], int]) -> "CacheStats":
+        return CacheStats(
+            *(op(getattr(self, item.name), getattr(other, item.name)) for item in fields(self))
+        )
 
     def __add__(self, other: "CacheStats") -> "CacheStats":
-        """Counter-wise sum — the single aggregation used by every roll-up
-        (engine snapshots), so a new counter field is added in exactly one
-        place."""
-        if not isinstance(other, CacheStats):
-            return NotImplemented
-        return CacheStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            evictions=self.evictions + other.evictions,
-            rejected=self.rejected + other.rejected,
-            expired=self.expired + other.expired,
-            current_bytes=self.current_bytes + other.current_bytes,
-            num_entries=self.num_entries + other.num_entries,
-        )
+        """Counter-wise sum: how the engine rolls its tiers up."""
+        return self._combine(other, operator.add)
+
+    def __sub__(self, other: "CacheStats") -> "CacheStats":
+        """Counter-wise difference, clamped at zero: a tier taken back out."""
+        return self._combine(other, lambda mine, theirs: max(0, mine - theirs))
 
     @property
     def lookups(self) -> int:
         """Total lookups (hits + misses)."""
         return self.hits + self.misses
 
-    @property
+    @exported("repro_cache_hit_ratio", "gauge", "Lifetime hit ratio (hits / lookups; 0 before traffic).")
     def hit_rate(self) -> float:
         """Fraction of lookups served from the cache (0.0 when unused)."""
         lookups = self.lookups
         return self.hits / lookups if lookups else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict form for JSON reports and result metadata."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "rejected": self.rejected,
-            "expired": self.expired,
-            "current_bytes": self.current_bytes,
-            "num_entries": self.num_entries,
-            "hit_rate": self.hit_rate,
-        }
 
 
 def _entry_nbytes(ball: EgoWave) -> int:
@@ -186,8 +180,7 @@ class _LRUCache:
         self._entries: "OrderedDict[Hashable, tuple]" = OrderedDict()
         self._current_bytes = 0
         self._depths: Counter = Counter()
-        self._hits = self._misses = self._evictions = 0
-        self._rejected = self._expired = 0
+        self._stats = CacheStats()  # the running counters; sizes are read live
         self._graph: Optional[CSRGraph] = None  # see _claim_locked()
 
     @property
@@ -204,14 +197,8 @@ class _LRUCache:
     def stats(self) -> CacheStats:
         """A consistent snapshot of the counters."""
         with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                rejected=self._rejected,
-                expired=self._expired,
-                current_bytes=self._current_bytes,
-                num_entries=len(self._entries),
+            return replace(
+                self._stats, current_bytes=self._current_bytes, num_entries=len(self._entries)
             )
 
     def __len__(self) -> int:
@@ -253,7 +240,7 @@ class _LRUCache:
         while self._entries and self._current_bytes + room > self._max_bytes:
             self._store_locked(next(iter(self._entries)), None)
             evicted += 1
-        self._evictions += evicted
+        self._stats.evictions += evicted
         return evicted
 
     def _insert(self, key: Hashable, entry: tuple, graph: CSRGraph) -> bool:
@@ -267,7 +254,7 @@ class _LRUCache:
         fits; one larger than the whole budget is rejected instead."""
         nbytes = entry[self._NBYTES]
         if nbytes > self._max_bytes:
-            self._rejected += 1
+            self._stats.rejected += 1
             return False
         if key in self._entries:
             self._store_locked(key, None)
@@ -385,18 +372,6 @@ class _LRUCache:
             if shadow._index_state() != self._index_state():
                 raise AssertionError("the depth counts or centre index drifted")
 
-    def reset_stats(self) -> None:
-        """Zero the hit/miss/eviction/rejection/expiry counters (entries are
-        kept).
-
-        ``current_bytes`` and ``num_entries`` describe live state, not
-        history, so they are unaffected; used for per-interval reporting on
-        long-running servers.
-        """
-        with self._lock:
-            self._hits = self._misses = self._evictions = 0
-            self._rejected = self._expired = 0
-
     def clear(self) -> None:
         """Drop every entry (counters and the graph binding are kept)."""
         with self._lock:
@@ -458,17 +433,11 @@ class SubgraphCache(_LRUCache):
     def _get_locked(self, key: Tuple[int, int]) -> Optional[EgoWave]:
         entry = self._entries.get(key)
         if entry is None:
-            self._misses += 1
+            self._stats.misses += 1
             return None
         self._entries.move_to_end(key)
-        self._hits += 1
+        self._stats.hits += 1
         return entry[0]
-
-    def put(self, center: int, depth: int, ball: EgoWave, graph: CSRGraph) -> bool:
-        """Insert a ball (one of :meth:`EgoWave.split`'s) extracted from
-        ``graph``; returns whether it was retained.  It is inserted only while
-        the cache is bound to ``graph`` (an unbound cache binds to it)."""
-        return self._insert((int(center), int(depth)), (ball, _entry_nbytes(ball)), graph)
 
     def extract_wave(self, graph: CSRGraph, centers: Sequence[int], depth: int) -> EgoWave:
         """Serve ``extract_wave(graph, centers, depth)`` through the cache —

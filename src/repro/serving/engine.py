@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -59,7 +59,13 @@ from repro.serving.result_cache import (
     ScoreTableCache,
     stage_one_key,
 )
-from repro.serving.telemetry import LatencyHistogram, LatencySnapshot
+from repro.serving.telemetry import (
+    LatencyHistogram,
+    LatencySnapshot,
+    StatsRecord,
+    derived,
+    metric,
+)
 from repro.serving.tracing import TraceContext, Tracer, TracingStats
 from repro.utils.timing import TimingBreakdown
 
@@ -93,8 +99,13 @@ def _replay(answer: PPRResult) -> PPRResult:
 
 
 @dataclass
-class EngineStats:
+class EngineStats(StatsRecord):
     """Aggregate serving statistics of a :class:`QueryEngine`.
+
+    The engine's running counters are one of these (its accumulator);
+    :meth:`QueryEngine.stats` snapshots it with the latency percentiles and
+    the cache and tracer counters filled in.  Every counter is a lifetime
+    total: a reporting interval is the difference of two snapshots.
 
     Attributes
     ----------
@@ -108,8 +119,6 @@ class EngineStats:
     query_seconds:
         Sum of per-query latencies; under a parallel backend this exceeds
         ``wall_seconds``, and their ratio is the effective parallelism.
-    min_latency_seconds, max_latency_seconds:
-        Extremes of the per-query latencies.
     latency:
         Bucketed per-query latency percentiles (p50/p95/p99); ``None`` only
         on the engine's internal accumulator, never in :meth:`QueryEngine.stats`
@@ -129,70 +138,50 @@ class EngineStats:
     """
 
     backend: str
-    queries_served: int = 0
-    batches: int = 0
-    wall_seconds: float = 0.0
+    queries_served: int = metric(
+        "repro_engine_queries_served_total", "counter", "Queries the engine computed."
+    )
+    batches: int = metric("repro_engine_batches_total", "counter", "Batches the engine computed.")
+    wall_seconds: float = metric(
+        "repro_engine_busy_seconds_total",
+        "counter",
+        "Wall-clock seconds spent inside solve_batch.",
+        default=0.0,
+    )
     query_seconds: float = 0.0
-    min_latency_seconds: float = field(default=float("inf"))
-    max_latency_seconds: float = 0.0
-    latency: Optional[LatencySnapshot] = None
+    latency: Optional[LatencySnapshot] = metric(
+        "repro_engine_latency_seconds",
+        "summary",
+        "Per-query compute latency inside the engine.",
+        default=None,
+    )
     cache: Optional[CacheStats] = None
     result_cache: Optional[CacheStats] = None
     tracing: Optional[TracingStats] = None
 
-    @property
+    @derived
     def throughput_qps(self) -> float:
         """Queries served per wall-clock second (0.0 before any batch)."""
         if self.wall_seconds <= 0.0:
             return 0.0
         return self.queries_served / self.wall_seconds
 
-    @property
+    @derived
     def mean_latency_seconds(self) -> float:
         """Mean per-query latency (0.0 before any query)."""
         if self.queries_served == 0:
             return 0.0
         return self.query_seconds / self.queries_served
 
-    def reset(self) -> None:
-        """Zero the accumulated counters (for per-interval reporting).
+    @derived
+    def min_latency_seconds(self) -> float:
+        """Smallest per-query latency (0.0 before any query)."""
+        return 0.0 if self.latency is None else self.latency.min_seconds
 
-        A long-running server calls :meth:`QueryEngine.reset_stats` at each
-        reporting interval instead of recreating the engine; that resets this
-        accumulator and the engine's latency histogram together.
-        """
-        self.queries_served = 0
-        self.batches = 0
-        self.wall_seconds = 0.0
-        self.query_seconds = 0.0
-        self.min_latency_seconds = float("inf")
-        self.max_latency_seconds = 0.0
-        self.latency = None
-        self.cache = None
-        self.result_cache = None
-        self.tracing = None
-
-    def as_dict(self) -> Dict[str, object]:
-        """Plain-dict form for JSON reports."""
-        return {
-            "backend": self.backend,
-            "queries_served": self.queries_served,
-            "batches": self.batches,
-            "wall_seconds": self.wall_seconds,
-            "query_seconds": self.query_seconds,
-            "throughput_qps": self.throughput_qps,
-            "mean_latency_seconds": self.mean_latency_seconds,
-            "min_latency_seconds": (
-                0.0 if self.queries_served == 0 else self.min_latency_seconds
-            ),
-            "max_latency_seconds": self.max_latency_seconds,
-            "latency": None if self.latency is None else self.latency.as_dict(),
-            "cache": None if self.cache is None else self.cache.as_dict(),
-            "result_cache": (
-                None if self.result_cache is None else self.result_cache.as_dict()
-            ),
-            "tracing": None if self.tracing is None else self.tracing.as_dict(),
-        }
+    @derived
+    def max_latency_seconds(self) -> float:
+        """Largest per-query latency (0.0 before any query)."""
+        return 0.0 if self.latency is None else self.latency.max_seconds
 
 
 class QueryEngine:
@@ -252,9 +241,9 @@ class QueryEngine:
         self._stats = EngineStats(backend=self._backend.name)
         self._latency = LatencyHistogram()
         # Serving counters are mutated by whichever thread calls solve_batch
-        # (the stress suite hammers one engine from many); accumulation,
-        # snapshotting and resets all serialise on this lock so per-interval
-        # metrics can never under- or over-count a batch.
+        # (the stress suite hammers one engine from many); accumulation and
+        # snapshotting serialise on this lock so a snapshot can never under-
+        # or over-count a batch.
         self._stats_lock = threading.Lock()
         # Streaming edge updates swap the topology under live traffic.  The
         # swap must be atomic with respect to whole batches — a batch that
@@ -352,8 +341,6 @@ class QueryEngine:
         for result in results:
             latency = float(result.metadata["serving"]["latency_seconds"])
             stats.query_seconds += latency
-            stats.min_latency_seconds = min(stats.min_latency_seconds, latency)
-            stats.max_latency_seconds = max(stats.max_latency_seconds, latency)
             self._latency.record(latency)
 
     def _stage_one_key(self, query: PPRQuery) -> Tuple[Hashable, ...]:
@@ -657,52 +644,15 @@ class QueryEngine:
         cache_stats = _merge_cache_stats(
             None if self._cache is None else self._cache.stats, result_cache_stats
         )
+        tracing = None if self._tracer is None else self._tracer.stats()
         with self._stats_lock:
-            stats = self._stats
-            return EngineStats(
-                backend=stats.backend,
-                queries_served=stats.queries_served,
-                batches=stats.batches,
-                wall_seconds=stats.wall_seconds,
-                query_seconds=stats.query_seconds,
-                min_latency_seconds=stats.min_latency_seconds,
-                max_latency_seconds=stats.max_latency_seconds,
+            return replace(
+                self._stats,
                 latency=self._latency.snapshot(),
                 cache=cache_stats,
                 result_cache=result_cache_stats,
-                tracing=(
-                    None if self._tracer is None else self._tracer.stats()
-                ),
+                tracing=tracing,
             )
-
-    def reset_stats(self, reset_cache_stats: bool = False) -> None:
-        """Zero the serving counters (for per-interval server metrics).
-
-        Cache contents are never touched — only counters reset.  By default
-        the cache counters keep accumulating (their hit rates describe the
-        cache's whole life); pass ``reset_cache_stats=True`` to zero them
-        too so every interval reports interval-local hit rates.  That resets
-        **every** counter source ``stats()`` aggregates — the sub-graph cache
-        and the result cache — so an
-        interval snapshot can never mix a freshly zeroed engine counter with
-        a stale cache counter.  (The engine accumulator and the latency
-        histogram reset under the stats lock; with traffic still in flight
-        the caches quiesce at their own locks, so drain first for exact
-        cross-source invariants, as the stress tests do.)
-        """
-        with self._stats_lock:
-            self._stats.reset()
-            self._latency.reset()
-        # Tracing counters are serving counters, not cache counters: they
-        # reset unconditionally, like the latency histogram (the trace ring
-        # buffer itself is debug state and survives — see Tracer.clear()).
-        if self._tracer is not None:
-            self._tracer.reset_stats()
-        if reset_cache_stats:
-            if self._cache is not None:
-                self._cache.reset_stats()
-            if self._result_cache is not None:
-                self._result_cache.reset_stats()
 
     def close(self) -> None:
         """Shut down the backend (the caches, if any, are left warm).  A

@@ -16,10 +16,17 @@ while completions are recorded from executor threads.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
-from repro.serving.telemetry import LatencyHistogram, LatencySnapshot
+from repro.serving.telemetry import (
+    LatencyHistogram,
+    LatencySnapshot,
+    StatsRecord,
+    derived,
+    exported,
+    metric,
+)
 
 __all__ = [
     "QueryRejectedError",
@@ -64,9 +71,12 @@ class DeadlineExceededError(QueryRejectedError):
     code = "deadline"
 
 
-@dataclass(frozen=True)
-class AdmissionStats:
+@dataclass
+class AdmissionStats(StatsRecord):
     """Counters of an :class:`AdmissionController`.
+
+    The controller's running counters are one of these;
+    :meth:`AdmissionController.stats` snapshots it with the latency filled in.
 
     Attributes
     ----------
@@ -79,45 +89,55 @@ class AdmissionStats:
         delivered), ``expired`` (deadline), ``failed`` (engine error) and
         ``cancelled`` (caller gave up); ``shed`` queries were never admitted.
     latency:
-        End-to-end latency percentiles of *completed* queries.
+        End-to-end latency percentiles of *completed* queries (``None`` only
+        on the controller's accumulator).
     """
 
-    capacity: int
-    pending: int
-    admitted: int
-    shed: int
-    completed: int
-    expired: int
-    failed: int
-    cancelled: int
-    latency: LatencySnapshot
+    capacity: int = metric(
+        "repro_admission_capacity", "gauge", "Configured bound on in-flight queries (max_pending)."
+    )
+    pending: int = metric(
+        "repro_inflight_queries", "gauge", "Admitted-but-unanswered queries right now."
+    )
+    admitted: int = metric(
+        "repro_queries_admitted_total", "counter", "Queries admitted into the serving queue."
+    )
+    shed: int = metric(
+        "repro_queries_shed_total",
+        "counter",
+        "Queries refused because the admission queue was full.",
+    )
+    completed: int = metric(
+        "repro_queries_completed_total", "counter", "Queries answered with a result."
+    )
+    expired: int = metric(
+        "repro_queries_deadline_expired_total",
+        "counter",
+        "Admitted queries whose deadline passed before delivery.",
+    )
+    failed: int = metric(
+        "repro_queries_failed_total", "counter", "Admitted queries failed by an engine error."
+    )
+    cancelled: int = metric(
+        "repro_queries_cancelled_total", "counter", "Admitted queries whose caller gave up."
+    )
+    latency: Optional[LatencySnapshot] = metric(
+        "repro_request_latency_seconds",
+        "summary",
+        "End-to-end latency of completed queries (admission to delivery).",
+        default=None,
+    )
 
-    @property
+    @exported("repro_queries_offered_total", "counter", "Queries presented to admission control.")
     def offered(self) -> int:
         """Total queries presented to the controller."""
         return self.admitted + self.shed
 
-    @property
+    @derived
     def shed_rate(self) -> float:
         """Fraction of offered queries shed (0.0 before any traffic)."""
         offered = self.offered
         return self.shed / offered if offered else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        """Plain-dict form for JSON reports."""
-        return {
-            "capacity": self.capacity,
-            "pending": self.pending,
-            "admitted": self.admitted,
-            "shed": self.shed,
-            "completed": self.completed,
-            "expired": self.expired,
-            "failed": self.failed,
-            "cancelled": self.cancelled,
-            "offered": self.offered,
-            "shed_rate": self.shed_rate,
-            "latency": self.latency.as_dict(),
-        }
 
 
 class AdmissionController:
@@ -134,27 +154,20 @@ class AdmissionController:
     def __init__(self, max_pending: int = 256) -> None:
         if max_pending <= 0:
             raise ValueError(f"max_pending must be > 0, got {max_pending}")
-        self._max_pending = int(max_pending)
         self._lock = threading.Lock()
-        self._pending = 0
-        self._admitted = 0
-        self._shed = 0
-        self._completed = 0
-        self._expired = 0
-        self._failed = 0
-        self._cancelled = 0
+        self._stats = AdmissionStats(capacity=int(max_pending))
         self._latency = LatencyHistogram()
 
     @property
     def max_pending(self) -> int:
         """The configured in-flight bound."""
-        return self._max_pending
+        return self._stats.capacity
 
     @property
     def pending(self) -> int:
         """Currently admitted-but-unanswered queries."""
         with self._lock:
-            return self._pending
+            return self._stats.pending
 
     def set_max_pending(self, max_pending: int) -> None:
         """Change the in-flight bound in place (the hot-reload path).
@@ -166,23 +179,24 @@ class AdmissionController:
         if max_pending <= 0:
             raise ValueError(f"max_pending must be > 0, got {max_pending}")
         with self._lock:
-            self._max_pending = int(max_pending)
+            self._stats.capacity = int(max_pending)
 
     # ------------------------------------------------------------------
     def try_admit(self) -> bool:
         """Admit one query if capacity allows; count a shed otherwise."""
         with self._lock:
-            if self._pending >= self._max_pending:
-                self._shed += 1
+            stats = self._stats
+            if stats.pending >= stats.capacity:
+                stats.shed += 1
                 return False
-            self._pending += 1
-            self._admitted += 1
+            stats.pending += 1
+            stats.admitted += 1
             return True
 
     def admit(self) -> None:
         """Admit one query or raise :class:`QueryShedError`."""
         if not self.try_admit():
-            raise QueryShedError(self._max_pending, self._max_pending)
+            raise QueryShedError(self.max_pending, self.max_pending)
 
     def complete(self, latency_seconds: float, queued: bool = True) -> None:
         """Record a delivered result and its end-to-end latency.
@@ -193,60 +207,39 @@ class AdmissionController:
         """
         with self._lock:
             if queued:
-                self._pending -= 1
+                self._stats.pending -= 1
             else:
-                self._admitted += 1
-            self._completed += 1
+                self._stats.admitted += 1
+            self._stats.completed += 1
         self._latency.record(latency_seconds)
 
     def expire(self) -> None:
         """Record a deadline expiry of an admitted query."""
         with self._lock:
-            self._pending -= 1
-            self._expired += 1
+            self._stats.pending -= 1
+            self._stats.expired += 1
 
     def fail(self) -> None:
         """Record an engine failure of an admitted query."""
         with self._lock:
-            self._pending -= 1
-            self._failed += 1
+            self._stats.pending -= 1
+            self._stats.failed += 1
 
     def cancel(self) -> None:
         """Record a caller-side cancellation of an admitted query."""
         with self._lock:
-            self._pending -= 1
-            self._cancelled += 1
+            self._stats.pending -= 1
+            self._stats.cancelled += 1
 
     # ------------------------------------------------------------------
     def stats(self) -> AdmissionStats:
         """A consistent snapshot of the counters and latency percentiles."""
         with self._lock:
-            return AdmissionStats(
-                capacity=self._max_pending,
-                pending=self._pending,
-                admitted=self._admitted,
-                shed=self._shed,
-                completed=self._completed,
-                expired=self._expired,
-                failed=self._failed,
-                cancelled=self._cancelled,
-                latency=self._latency.snapshot(),
-            )
-
-    def reset_stats(self) -> None:
-        """Zero the lifetime counters and the histogram (``pending`` is live state)."""
-        with self._lock:
-            self._admitted = self._pending  # in-flight queries stay accounted
-            self._shed = 0
-            self._completed = 0
-            self._expired = 0
-            self._failed = 0
-            self._cancelled = 0
-            self._latency.reset()
+            return replace(self._stats, latency=self._latency.snapshot())
 
     def __repr__(self) -> str:
         stats = self.stats()
         return (
-            f"AdmissionController(max_pending={self._max_pending}, "
+            f"AdmissionController(max_pending={stats.capacity}, "
             f"pending={stats.pending}, shed={stats.shed})"
         )

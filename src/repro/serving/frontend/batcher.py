@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.ppr.base import PPRQuery, PPRResult
@@ -59,6 +59,7 @@ from repro.serving.frontend.admission import (
     AdmissionStats,
     DeadlineExceededError,
 )
+from repro.serving.telemetry import StatsRecord, exported, metric
 from repro.serving.tracing import Span, TraceContext
 
 __all__ = ["BatchPolicy", "BatcherStats", "MicroBatcher"]
@@ -99,9 +100,13 @@ class BatchPolicy:
         return {"max_batch_size": self.max_batch_size, "dedup": self.dedup}
 
 
-@dataclass(frozen=True)
-class BatcherStats:
+@dataclass
+class BatcherStats(StatsRecord):
     """Scheduler counters plus the nested admission and engine stats.
+
+    The batcher's running counters are one of these (``policy``,
+    ``admission`` and ``engine`` unset); :meth:`MicroBatcher.stats` snapshots
+    it with all three filled in.
 
     Attributes
     ----------
@@ -125,33 +130,35 @@ class BatcherStats:
         The wrapped engine's counters (compute latency percentiles, cache).
     """
 
-    policy: BatchPolicy
-    batches: int
-    batched_queries: int
-    unique_executed: int
-    dedup_hits: int
-    fast_path_hits: int
-    admission: AdmissionStats
-    engine: EngineStats
+    policy: Optional[BatchPolicy] = None
+    batches: int = metric("repro_batches_total", "counter", "Engine batches the scheduler executed.")
+    batched_queries: int = metric(
+        "repro_batched_queries_total",
+        "counter",
+        "Logical queries delivered through batches (before dedup).",
+    )
+    unique_executed: int = metric(
+        "repro_unique_queries_executed_total",
+        "counter",
+        "Queries actually handed to the engine (after dedup).",
+    )
+    dedup_hits: int = metric(
+        "repro_dedup_hits_total",
+        "counter",
+        "Waiters served by another in-flight waiter's computation.",
+    )
+    fast_path_hits: int = metric(
+        "repro_batcher_fast_path_hits_total",
+        "counter",
+        "Submissions answered on the event loop from a cached finished answer (never queued or batched).",
+    )
+    admission: Optional[AdmissionStats] = None
+    engine: Optional[EngineStats] = None
 
-    @property
+    @exported("repro_mean_batch_size", "gauge", "Mean logical queries per executed batch.")
     def mean_batch_size(self) -> float:
         """Mean logical queries per executed batch (0.0 before any batch)."""
         return self.batched_queries / self.batches if self.batches else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        """Plain-dict form for JSON reports."""
-        return {
-            "policy": self.policy.as_dict(),
-            "batches": self.batches,
-            "batched_queries": self.batched_queries,
-            "unique_executed": self.unique_executed,
-            "dedup_hits": self.dedup_hits,
-            "fast_path_hits": self.fast_path_hits,
-            "mean_batch_size": self.mean_batch_size,
-            "admission": self.admission.as_dict(),
-            "engine": self.engine.as_dict(),
-        }
 
 
 class _Waiter:
@@ -232,11 +239,7 @@ class MicroBatcher:
         self._arrival: Optional[asyncio.Event] = None
         self._scheduler: Optional["asyncio.Task[None]"] = None
         self._closing = False
-        self._batches = 0
-        self._batched_queries = 0
-        self._unique_executed = 0
-        self._dedup_hits = 0
-        self._fast_path_hits = 0
+        self._stats = BatcherStats()  # the running counters
 
     # ------------------------------------------------------------------
     @property
@@ -346,7 +349,7 @@ class MicroBatcher:
             start = loop.time()
             result = self._engine.try_cached(query)
             if result is not None:
-                self._fast_path_hits += 1
+                self._stats.fast_path_hits += 1
                 self._admission.complete(loop.time() - start, queued=False)
                 return result
         self._admission.admit()
@@ -492,11 +495,12 @@ class MicroBatcher:
         end = loop.time()
         for waiter, span in batch_spans:
             waiter.trace.end_span(span)
-        self._batches += 1
-        self._unique_executed += len(unique)
+        stats = self._stats
+        stats.batches += 1
+        stats.unique_executed += len(unique)
         for waiters, result in zip(groups, results):
-            self._batched_queries += len(waiters)
-            self._dedup_hits += len(waiters) - 1
+            stats.batched_queries += len(waiters)
+            stats.dedup_hits += len(waiters) - 1
             for waiter in waiters:
                 error = waiter.expired(end, "the batch completed")
                 self._settle(waiter, result if error is None else error, end)
@@ -504,13 +508,9 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     def stats(self) -> BatcherStats:
         """Scheduler, admission and engine counters in one snapshot."""
-        return BatcherStats(
+        return replace(
+            self._stats,
             policy=self._policy,
-            batches=self._batches,
-            batched_queries=self._batched_queries,
-            unique_executed=self._unique_executed,
-            dedup_hits=self._dedup_hits,
-            fast_path_hits=self._fast_path_hits,
             admission=self._admission.stats(),
             engine=self._engine.stats(),
         )

@@ -6,16 +6,24 @@ counters and end-to-end latency percentiles
 (:class:`~repro.serving.frontend.admission.AdmissionStats`), batcher
 coalescing/dedup counters
 (:class:`~repro.serving.frontend.batcher.BatcherStats`), engine compute
-latency (:class:`~repro.serving.engine.EngineStats`), and cache counters
-(:class:`~repro.serving.cache.CacheStats`) — this module just renders
-one consistent snapshot of that tree in the Prometheus text exposition
-format (version 0.0.4), so ``GET /metrics`` works with any standard
-scraper.
+latency (:class:`~repro.serving.engine.EngineStats`), cache counters
+(:class:`~repro.serving.cache.CacheStats`) and tracer counters
+(:class:`~repro.serving.tracing.TracingStats`) — and this module renders one
+consistent snapshot of that tree in the Prometheus text exposition format
+(version 0.0.4), so ``GET /metrics`` works with any standard scraper.
+
+No family is listed here: each is declared once, on the stats field (or
+:func:`~repro.serving.telemetry.exported` property) it exports, with its
+name, type and HELP (:func:`~repro.serving.telemetry.metric`), and
+:func:`render_prometheus` walks the records of the tree and emits what they
+declare.  Only the server's own two gauges (identity and drain flag), which
+are no stats field, are written here.
 
 Conventions follow the Prometheus guidelines: lifetime totals are
-``_total`` counters, live state (in-flight queries, cache bytes) is gauges,
-latency distributions are summaries with ``quantile`` labels plus ``_sum``
-and ``_count``.  Cache families carry a ``cache`` label with three values —
+``_total`` counters (never reset: a scraper takes interval rates with
+``rate()``), live state (in-flight queries, cache bytes) is gauges, latency
+distributions are summaries with ``quantile`` labels plus ``_sum`` and
+``_count``.  Cache families carry a ``cache`` label with three values —
 ``combined`` (everything the serving stack scored: extraction caches plus
 the stage-one result cache, exactly ``EngineStats.cache``), ``result`` (the
 stage-one result cache alone) and ``subgraph`` (combined minus result: the
@@ -32,22 +40,20 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.serving.cache import CacheStats
+from repro.serving.engine import EngineStats
 from repro.serving.frontend.batcher import BatcherStats
-from repro.serving.telemetry import LatencySnapshot
+from repro.serving.telemetry import LatencySnapshot, Metric, derived
 
 __all__ = [
     "render_prometheus",
     "parse_prometheus_text",
     "PrometheusScrape",
 ]
-
-#: Prefix of every metric family this module emits.
-METRIC_PREFIX = "repro"
-
 
 def _escape_label_value(value: str) -> str:
     """Escape a label value per the exposition format."""
@@ -95,37 +101,11 @@ class _Writer:
         else:
             self._lines.append(f"{name} {_format_value(value)}")
 
-    def counter(
-        self,
-        name: str,
-        value: float,
-        help_text: str,
-        labels: Optional[Mapping[str, str]] = None,
-    ) -> None:
-        self.family(name, "counter", help_text)
-        self.sample(name, value, labels)
-
-    def gauge(
-        self,
-        name: str,
-        value: float,
-        help_text: str,
-        labels: Optional[Mapping[str, str]] = None,
-    ) -> None:
-        self.family(name, "gauge", help_text)
-        self.sample(name, value, labels)
-
-    def summary(
-        self, name: str, snapshot: LatencySnapshot, help_text: str
-    ) -> None:
-        """A latency summary: p50/p95/p99 quantiles plus ``_sum``/``_count``."""
-        self.family(name, "summary", help_text)
-        for quantile, value in (
-            ("0.5", snapshot.p50_seconds),
-            ("0.95", snapshot.p95_seconds),
-            ("0.99", snapshot.p99_seconds),
-        ):
-            self.sample(name, value, {"quantile": quantile})
+    def summary(self, name: str, snapshot: LatencySnapshot) -> None:
+        """A latency summary's samples: each quantile field under its label,
+        then ``_sum`` and ``_count``."""
+        for field_name, quantile in _QUANTILES:
+            self.sample(name, getattr(snapshot, field_name), {"quantile": quantile})
         self.sample(f"{name}_sum", snapshot.mean_seconds * snapshot.count)
         self.sample(f"{name}_count", snapshot.count)
 
@@ -133,36 +113,57 @@ class _Writer:
         return "\n".join(self._lines) + "\n"
 
 
-def _cache_difference(combined: CacheStats, result: CacheStats) -> CacheStats:
-    """``combined - result`` counter-wise (clamped at zero, defensively)."""
-    return CacheStats(
-        hits=max(0, combined.hits - result.hits),
-        misses=max(0, combined.misses - result.misses),
-        evictions=max(0, combined.evictions - result.evictions),
-        rejected=max(0, combined.rejected - result.rejected),
-        expired=max(0, combined.expired - result.expired),
-        current_bytes=max(0, combined.current_bytes - result.current_bytes),
-        num_entries=max(0, combined.num_entries - result.num_entries),
-    )
+#: ``(field, quantile label)`` of the percentiles a latency summary exports.
+_QUANTILES = tuple(
+    (item.name, item.metadata["quantile"])
+    for item in fields(LatencySnapshot)
+    if "quantile" in item.metadata
+)
 
 
-def _cache_families(writer: _Writer, caches: Dict[str, CacheStats]) -> None:
-    """Emit the labelled cache families for every present cache tier."""
-    p = METRIC_PREFIX
-    families = [
-        (f"{p}_cache_hits_total", "counter", "Cache lookups served from the cache.", lambda s: s.hits),
-        (f"{p}_cache_misses_total", "counter", "Cache lookups that had to compute.", lambda s: s.misses),
-        (f"{p}_cache_evictions_total", "counter", "Entries evicted under byte-budget pressure.", lambda s: s.evictions),
-        (f"{p}_cache_rejected_total", "counter", "Entries larger than the whole budget, never cached.", lambda s: s.rejected),
-        (f"{p}_cache_expired_total", "counter", "Entries dropped by TTL expiry.", lambda s: s.expired),
-        (f"{p}_cache_bytes", "gauge", "Bytes currently retained.", lambda s: s.current_bytes),
-        (f"{p}_cache_entries", "gauge", "Entries currently retained.", lambda s: s.num_entries),
-        (f"{p}_cache_hit_ratio", "gauge", "Lifetime hit ratio (hits / lookups; 0 before traffic).", lambda s: s.hit_rate),
+@lru_cache(maxsize=None)
+def _exported(cls: type) -> Tuple[Tuple[str, Metric], ...]:
+    """``(attribute, metric)`` of every field and :class:`derived` property
+    a stats class exports, read once per class."""
+    declared = [
+        (item.name, item.metadata["metric"]) for item in fields(cls) if "metric" in item.metadata
     ]
-    for name, kind, help_text, getter in families:
-        writer.family(name, kind, help_text)
-        for tier, stats in caches.items():
-            writer.sample(name, getter(stats), {"cache": tier})
+    declared += [
+        (name, value.metric)
+        for name, value in vars(cls).items()
+        if isinstance(value, derived) and value.metric is not None
+    ]
+    return tuple(declared)
+
+
+def _cache_tiers(engine: EngineStats) -> Dict[str, CacheStats]:
+    """The ``cache`` label's tiers: combined, its extraction share, result."""
+    combined, result = engine.cache, engine.result_cache
+    if combined is None:
+        return {}
+    if result is None:
+        return {"combined": combined, "subgraph": combined}
+    return {"combined": combined, "subgraph": combined - result, "result": result}
+
+
+def _write_records(
+    writer: _Writer, records: List[Tuple[object, Optional[Dict[str, str]]]]
+) -> None:
+    """Every family that records of one stats class export, each record's
+    sample under its labels (a ``None`` value exports nothing)."""
+    for name, declared in _exported(type(records[0][0])):
+        headed = False
+        for record, labels in records:
+            value = getattr(record, name)
+            if value is None:
+                continue
+            if not headed:
+                writer.family(declared.family, declared.kind, declared.help)
+                headed = True
+            if declared.kind == "summary":
+                writer.summary(declared.family, value)
+            else:
+                writer.sample(declared.family, value, labels)
 
 
 def render_prometheus(
@@ -184,124 +185,23 @@ def render_prometheus(
         the ``repro_server_info`` gauge, the conventional info-metric
         pattern.
     """
-    p = METRIC_PREFIX
-    admission = stats.admission
-    engine = stats.engine
     writer = _Writer()
-
-    writer.gauge(
-        f"{p}_server_info",
-        1,
-        "Static server configuration as labels; value is always 1.",
-        dict(info) if info else {"policy": stats.policy.label},
+    writer.family(
+        "repro_server_info", "gauge", "Static server configuration as labels; value is always 1."
     )
-    writer.gauge(
-        f"{p}_server_draining",
-        1 if draining else 0,
-        "1 while a graceful drain is in progress, else 0.",
+    writer.sample("repro_server_info", 1, dict(info) if info else {"policy": stats.policy.label})
+    writer.family(
+        "repro_server_draining", "gauge", "1 while a graceful drain is in progress, else 0."
     )
+    writer.sample("repro_server_draining", 1 if draining else 0)
 
-    # ------------------------------------------------------------------
-    # Admission: the query-outcome ledger and the end-to-end latency.
-    # ------------------------------------------------------------------
-    writer.counter(f"{p}_queries_offered_total", admission.offered, "Queries presented to admission control.")
-    writer.counter(f"{p}_queries_admitted_total", admission.admitted, "Queries admitted into the serving queue.")
-    writer.counter(f"{p}_queries_shed_total", admission.shed, "Queries refused because the admission queue was full.")
-    writer.counter(f"{p}_queries_completed_total", admission.completed, "Queries answered with a result.")
-    writer.counter(f"{p}_queries_deadline_expired_total", admission.expired, "Admitted queries whose deadline passed before delivery.")
-    writer.counter(f"{p}_queries_failed_total", admission.failed, "Admitted queries failed by an engine error.")
-    writer.counter(f"{p}_queries_cancelled_total", admission.cancelled, "Admitted queries whose caller gave up.")
-    writer.gauge(f"{p}_inflight_queries", admission.pending, "Admitted-but-unanswered queries right now.")
-    writer.gauge(f"{p}_admission_capacity", admission.capacity, "Configured bound on in-flight queries (max_pending).")
-    writer.summary(
-        f"{p}_request_latency_seconds",
-        admission.latency,
-        "End-to-end latency of completed queries (admission to delivery).",
-    )
-
-    # ------------------------------------------------------------------
-    # Batcher: coalescing and dedup effectiveness.
-    # ------------------------------------------------------------------
-    writer.counter(f"{p}_batches_total", stats.batches, "Engine batches the scheduler executed.")
-    writer.counter(f"{p}_batched_queries_total", stats.batched_queries, "Logical queries delivered through batches (before dedup).")
-    writer.counter(f"{p}_unique_queries_executed_total", stats.unique_executed, "Queries actually handed to the engine (after dedup).")
-    writer.counter(f"{p}_dedup_hits_total", stats.dedup_hits, "Waiters served by another in-flight waiter's computation.")
-    writer.counter(f"{p}_batcher_fast_path_hits_total", stats.fast_path_hits, "Submissions answered on the event loop from a cached finished answer (never queued or batched).")
-    writer.gauge(f"{p}_mean_batch_size", stats.mean_batch_size, "Mean logical queries per executed batch.")
-
-    # ------------------------------------------------------------------
-    # Engine: compute-side counters and latency.
-    # ------------------------------------------------------------------
-    writer.counter(f"{p}_engine_queries_served_total", engine.queries_served, "Queries the engine computed.")
-    writer.counter(f"{p}_engine_batches_total", engine.batches, "Batches the engine computed.")
-    writer.counter(f"{p}_engine_busy_seconds_total", engine.wall_seconds, "Wall-clock seconds spent inside solve_batch.")
-    if engine.latency is not None:
-        writer.summary(
-            f"{p}_engine_latency_seconds",
-            engine.latency,
-            "Per-query compute latency inside the engine.",
-        )
-
-    # ------------------------------------------------------------------
-    # Caches: combined / subgraph / result tiers, labelled.
-    # ------------------------------------------------------------------
-    caches: Dict[str, CacheStats] = {}
-    if engine.cache is not None:
-        caches["combined"] = engine.cache
-        if engine.result_cache is not None:
-            caches["subgraph"] = _cache_difference(
-                engine.cache, engine.result_cache
-            )
-            caches["result"] = engine.result_cache
-        else:
-            caches["subgraph"] = engine.cache
-    elif engine.result_cache is not None:
-        caches["combined"] = engine.result_cache
-        caches["result"] = engine.result_cache
-    if caches:
-        _cache_families(writer, caches)
-
-    # ------------------------------------------------------------------
-    # Tracing: sampling/span counters, when a tracer is attached.
-    # ------------------------------------------------------------------
-    tracing = engine.tracing
-    if tracing is not None:
-        writer.counter(
-            f"{p}_traces_started_total",
-            tracing.started,
-            "Queries that reached the tracer's sampling decision.",
-        )
-        writer.counter(
-            f"{p}_traces_sampled_total",
-            tracing.sampled,
-            "Queries selected for tracing (locally sampled or forced by traceparent).",
-        )
-        writer.counter(
-            f"{p}_traces_finished_total",
-            tracing.finished,
-            "Sampled traces finished and recorded in the ring.",
-        )
-        writer.counter(
-            f"{p}_trace_spans_total",
-            tracing.spans,
-            "Spans recorded across all finished traces.",
-        )
-        writer.counter(
-            f"{p}_slow_traces_total",
-            tracing.slow_traces,
-            "Finished traces over the slow-query threshold.",
-        )
-        writer.counter(
-            f"{p}_traces_dropped_total",
-            tracing.dropped,
-            "Finished traces evicted from the in-memory ring.",
-        )
-        writer.gauge(
-            f"{p}_trace_sample_rate",
-            tracing.sample_rate,
-            "Configured probability of tracing a query (hot-reloadable).",
-        )
-
+    engine = stats.engine
+    for record in (stats, stats.admission, engine, engine.tracing):
+        if record is not None:
+            _write_records(writer, [(record, None)])
+    tiers = _cache_tiers(engine)
+    if tiers:
+        _write_records(writer, [(cache, {"cache": tier}) for tier, cache in tiers.items()])
     return writer.render()
 
 

@@ -109,6 +109,26 @@ class _NoReplicaAvailable(Exception):
 #: What one replica call may fail with and still leave the router serving.
 _REPLICA_ERRORS = (ClientConnectionError, ServerError, ProtocolMismatchError)
 
+#: The router's counters, each once: ``(/stats key, attribute, /metrics
+#: family, HELP)``.  An attribute holds a count, or replica name -> count
+#: (exported with a ``replica`` label).
+_COUNTERS = (
+    ("queries", "_queries", "repro_router_queries_total",
+     "Queries accepted by the router front door."),
+    ("unavailable", "_unavailable", "repro_router_unavailable_total",
+     "Queries that exhausted every replica and were refused."),
+    ("forwards", "_forwards", "repro_router_forwards_total",
+     "Forward attempts per replica (including retries)."),
+    ("retries", "_retries_by_replica", "repro_router_retries_total",
+     "Forward attempts after the first, per target replica."),
+    ("answers", "_answers", "repro_router_answers_total",
+     "Responses successfully relayed, per answering replica."),
+    ("forward_errors", "_forward_errors", "repro_router_forward_errors_total",
+     "Forward attempts that failed at the transport, per replica."),
+    ("failovers", "_failovers", "repro_router_failovers_total",
+     "Queries answered away from their owning replica, labelled by the owner that missed them."),
+)
+
 
 class ReplicaHandle:
     """One replica as the router sees it: endpoint, client, and state."""
@@ -182,9 +202,10 @@ class ReplicaRouter(BaseHttpServer):
             self._handles[name] = ReplicaHandle(name, replica_host, replica_port)
         self.ring = ConsistentHashRing(list(self._handles), vnodes=vnodes)
         self._health_task: Optional["asyncio.Task[None]"] = None
-        # Every counter below is part of the /metrics contract: the sum
-        # of answers + failed forwards must equal forwards, and forwards
-        # minus queries equals retries — no attempt goes unaccounted.
+        # Every counter below is part of the /metrics contract (listed in
+        # _COUNTERS): the sum of answers + failed forwards must equal
+        # forwards, and forwards minus queries equals retries — no attempt
+        # goes unaccounted.
         self._queries = 0
         self._unavailable = 0
         self._forwards = {name: 0 for name in self._handles}
@@ -437,20 +458,15 @@ class ReplicaRouter(BaseHttpServer):
     # -- aggregation ---------------------------------------------------
 
     def _router_stats(self) -> Dict[str, object]:
-        return {
-            "queries": self._queries,
-            "unavailable": self._unavailable,
-            "forwards": dict(self._forwards),
-            "retries": dict(self._retries_by_replica),
-            "answers": dict(self._answers),
-            "forward_errors": dict(self._forward_errors),
-            "failovers": dict(self._failovers),
-            "replicas": {
-                name: handle.describe()
-                for name, handle in self._handles.items()
-            },
-            "proto": PROTOCOL_VERSION,
+        stats: Dict[str, object] = {}
+        for key, attribute, _, _ in _COUNTERS:
+            value = getattr(self, attribute)
+            stats[key] = dict(value) if isinstance(value, dict) else value
+        stats["replicas"] = {
+            name: handle.describe() for name, handle in self._handles.items()
         }
+        stats["proto"] = PROTOCOL_VERSION
+        return stats
 
     async def _fan_out(self, fetch, *args) -> Dict[str, object]:
         """``await fetch(client, *args)`` on every replica at once: name ->
@@ -493,48 +509,14 @@ class ReplicaRouter(BaseHttpServer):
                 1.0 if handle.routable else 0.0,
                 {"replica": name, "state": handle.state},
             )
-        writer.counter(
-            "repro_router_queries_total",
-            float(self._queries),
-            "Queries accepted by the router front door.",
-        )
-        writer.counter(
-            "repro_router_unavailable_total",
-            float(self._unavailable),
-            "Queries that exhausted every replica and were refused.",
-        )
-        per_replica = [
-            (
-                "repro_router_forwards_total",
-                self._forwards,
-                "Forward attempts per replica (including retries).",
-            ),
-            (
-                "repro_router_retries_total",
-                self._retries_by_replica,
-                "Forward attempts after the first, per target replica.",
-            ),
-            (
-                "repro_router_answers_total",
-                self._answers,
-                "Responses successfully relayed, per answering replica.",
-            ),
-            (
-                "repro_router_forward_errors_total",
-                self._forward_errors,
-                "Forward attempts that failed at the transport, per replica.",
-            ),
-            (
-                "repro_router_failovers_total",
-                self._failovers,
-                "Queries answered away from their owning replica, "
-                "labelled by the owner that missed them.",
-            ),
-        ]
-        for family, counts, help_text in per_replica:
+        for _, attribute, family, help_text in _COUNTERS:
             writer.family(family, "counter", help_text)
-            for name in names:
-                writer.sample(family, float(counts[name]), {"replica": name})
+            value = getattr(self, attribute)
+            if isinstance(value, dict):
+                for name in names:
+                    writer.sample(family, float(value[name]), {"replica": name})
+            else:
+                writer.sample(family, float(value))
         if self._health_checks:
             writer.family(
                 "repro_router_health_checks_total",

@@ -300,7 +300,7 @@ class ScoreTableCache(_LRUCache):
         entry = self._entries.get(key)
         if entry is not None and self._is_expired(entry[2]):
             self._store_locked(key, None)
-            self._expired += 1
+            self._stats.expired += 1
             return None
         return entry
 
@@ -316,7 +316,7 @@ class ScoreTableCache(_LRUCache):
         for key, entry in list(self._entries.items()):
             if self._is_expired(entry[2]):
                 self._store_locked(key, None)
-                self._expired += 1
+                self._stats.expired += 1
 
     # ------------------------------------------------------------------
     def lookup(
@@ -336,10 +336,10 @@ class ScoreTableCache(_LRUCache):
         """:meth:`lookup` on the bound graph; caller holds the lock."""
         entry = self._live_entry_locked(key)
         if entry is None:
-            self._misses += 1
+            self._stats.misses += 1
             return None, None
         self._entries.move_to_end(key)
-        self._hits += 1
+        self._stats.hits += 1
         answer = entry[3]
         return entry[0], answer if answer is not None and answer.query == query else None
 
@@ -355,7 +355,7 @@ class ScoreTableCache(_LRUCache):
             if entry is None or entry[3] is None or entry[3].query != query:
                 return None
             self._entries.move_to_end(key)
-            self._hits += 1
+            self._stats.hits += 1
             return entry[3]
 
     def get(self, key: Tuple[Hashable, ...]) -> Optional[StageOneState]:

@@ -12,16 +12,35 @@ The histogram is thread-safe (one lock around the counters), cheap to record
 into (one log10 per sample) and snapshots into the immutable
 :class:`LatencySnapshot` that :class:`~repro.serving.engine.EngineStats` and
 the async frontend's stats export in their ``as_dict`` reports.
+
+Every serving counter is declared once, as a field of a stats dataclass
+(:class:`StatsRecord`): :func:`metric` puts the Prometheus family it is
+exported as — name, type, HELP — on the field, and :func:`derived` /
+:func:`exported` mark the properties computed from the fields that reports
+(and, for :func:`exported`, ``/metrics``) carry too.  ``/stats`` is
+:meth:`StatsRecord.as_dict` and ``/metrics`` is
+:func:`~repro.serving.frontend.metrics.render_prometheus`, both walks of the
+fields, so a new counter reaches both by being declared.  The counters are
+lifetime totals: a scraper takes interval rates (Prometheus ``rate()``).
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
+from typing import Any, Callable, Dict, Optional, Tuple
 
-__all__ = ["LatencySnapshot", "LatencyHistogram"]
+__all__ = [
+    "LatencySnapshot",
+    "LatencyHistogram",
+    "Metric",
+    "StatsRecord",
+    "derived",
+    "exported",
+    "metric",
+]
 
 #: Smallest resolvable latency (lower edge of bucket 0).
 _MIN_LATENCY_SECONDS = 1e-6
@@ -45,8 +64,70 @@ def _bucket_upper_edge(index: int) -> float:
 
 
 @dataclass(frozen=True)
-class LatencySnapshot:
+class Metric:
+    """The Prometheus family a stats value is exported as."""
+
+    family: str
+    kind: str  # "counter", "gauge" or "summary"
+    help: str
+
+
+def metric(family: str, kind: str, help: str, default: Any = 0) -> Any:
+    """A stats field and the ``/metrics`` family it is exported as, declared
+    together."""
+    return field(default=default, metadata={"metric": Metric(family, kind, help)})
+
+
+class derived(property):
+    """A stats property :meth:`StatsRecord.as_dict` reports after the fields;
+    with a :class:`Metric` (see :func:`exported`) ``/metrics`` exports it."""
+
+    def __init__(self, fget: Callable[[Any], Any], metric: Optional[Metric] = None) -> None:
+        super().__init__(fget)
+        self.metric = metric
+
+
+def exported(family: str, kind: str, help: str) -> Callable[[Callable[[Any], Any]], derived]:
+    """Decorate a :class:`derived` property that ``/metrics`` exports."""
+    return lambda fget: derived(fget, Metric(family, kind, help))
+
+
+@lru_cache(maxsize=None)
+def _reported(cls: type) -> Tuple[str, ...]:
+    """What :meth:`StatsRecord.as_dict` reports of ``cls``, read once per
+    class: its field names in order, then its :class:`derived` properties."""
+    names = [item.name for item in fields(cls)]
+    return tuple(names + [name for name, value in vars(cls).items() if isinstance(value, derived)])
+
+
+class StatsRecord:
+    """Base of the stats dataclasses: their one plain-dict form."""
+
+    def as_dict(self) -> Dict[str, Any]:
+        """The fields in declaration order (a nested record or policy as its
+        own ``as_dict``), then the class's :class:`derived` properties."""
+        report = {}
+        for name in _reported(type(self)):
+            value = getattr(self, name)
+            report[name] = value.as_dict() if hasattr(value, "as_dict") else value
+        return report
+
+
+def _quantile(label: str) -> Any:
+    """A percentile field of :class:`LatencySnapshot` and the ``quantile``
+    label it is exported under in its summary family."""
+    return field(metadata={"quantile": label})
+
+
+@dataclass(frozen=True)
+class LatencySnapshot(StatsRecord):
     """An immutable percentile summary of recorded latencies (seconds).
+
+    Exported as a Prometheus summary by the field holding it: the percentile
+    fields under their ``quantile`` labels, then ``_sum`` and ``_count``.
+    Its ``as_dict`` key order is part of the contract — ``count``, the exact
+    moments (mean/min/max), then the percentiles ascending — so serialized
+    reports and JSONL logs diff cleanly across runs.
 
     Attributes
     ----------
@@ -63,35 +144,17 @@ class LatencySnapshot:
     mean_seconds: float
     min_seconds: float
     max_seconds: float
-    p50_seconds: float
-    p95_seconds: float
-    p99_seconds: float
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict form for JSON reports.
-
-        Key order is part of the contract — ``count``, the exact moments
-        (mean/min/max), then the percentiles ascending — so serialized
-        reports and JSONL logs diff cleanly across runs.
-        """
-        return {
-            "count": self.count,
-            "mean_seconds": self.mean_seconds,
-            "min_seconds": self.min_seconds,
-            "max_seconds": self.max_seconds,
-            "p50_seconds": self.p50_seconds,
-            "p95_seconds": self.p95_seconds,
-            "p99_seconds": self.p99_seconds,
-        }
+    p50_seconds: float = _quantile("0.5")
+    p95_seconds: float = _quantile("0.95")
+    p99_seconds: float = _quantile("0.99")
 
 
 class LatencyHistogram:
     """Thread-safe log-bucketed histogram of latencies in seconds.
 
     ``record`` is O(1); ``percentile`` walks the fixed bucket array.  The
-    histogram never allocates after construction, so a server can keep one
-    per metric for its whole lifetime and :meth:`reset` it per reporting
-    interval.
+    histogram never allocates after construction, so a server keeps one per
+    metric for its whole lifetime.
     """
 
     def __init__(self) -> None:
@@ -123,7 +186,7 @@ class LatencyHistogram:
 
         An empty histogram returns exactly ``0.0`` for every quantile —
         never ``NaN``, ``inf`` or an exception — so reporting paths can
-        render a fresh (or just-reset) histogram without special-casing.
+        render a fresh histogram without special-casing.
         Out-of-range quantiles raise ``ValueError`` regardless of count.
         """
         if not 0.0 <= quantile <= 1.0:
@@ -157,15 +220,6 @@ class LatencyHistogram:
                 p95_seconds=self._percentile_locked(0.95),
                 p99_seconds=self._percentile_locked(0.99),
             )
-
-    def reset(self) -> None:
-        """Drop every sample (for per-interval reporting)."""
-        with self._lock:
-            self._buckets = [0] * _NUM_BUCKETS
-            self._count = 0
-            self._sum = 0.0
-            self._min = math.inf
-            self._max = 0.0
 
     def __repr__(self) -> str:
         snap = self.snapshot()

@@ -45,8 +45,10 @@ import re
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.serving.telemetry import StatsRecord, metric
 
 __all__ = [
     "Span",
@@ -336,28 +338,40 @@ class TraceContext:
         }
 
 
-@dataclass(frozen=True)
-class TracingStats:
-    """Monotonic tracer counters, folded into ``EngineStats``/Prometheus."""
+@dataclass
+class TracingStats(StatsRecord):
+    """Monotonic tracer counters, folded into ``EngineStats``/Prometheus.
 
-    started: int = 0
-    sampled: int = 0
-    finished: int = 0
-    spans: int = 0
-    slow_traces: int = 0
-    dropped: int = 0
-    sample_rate: float = 0.0
+    The tracer's running counters are one of these; :meth:`Tracer.stats`
+    snapshots it.
+    """
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "started": self.started,
-            "sampled": self.sampled,
-            "finished": self.finished,
-            "spans": self.spans,
-            "slow_traces": self.slow_traces,
-            "dropped": self.dropped,
-            "sample_rate": self.sample_rate,
-        }
+    started: int = metric(
+        "repro_traces_started_total", "counter", "Queries that reached the tracer's sampling decision."
+    )
+    sampled: int = metric(
+        "repro_traces_sampled_total",
+        "counter",
+        "Queries selected for tracing (locally sampled or forced by traceparent).",
+    )
+    finished: int = metric(
+        "repro_traces_finished_total", "counter", "Sampled traces finished and recorded in the ring."
+    )
+    spans: int = metric(
+        "repro_trace_spans_total", "counter", "Spans recorded across all finished traces."
+    )
+    slow_traces: int = metric(
+        "repro_slow_traces_total", "counter", "Finished traces over the slow-query threshold."
+    )
+    dropped: int = metric(
+        "repro_traces_dropped_total", "counter", "Finished traces evicted from the in-memory ring."
+    )
+    sample_rate: float = metric(
+        "repro_trace_sample_rate",
+        "gauge",
+        "Configured probability of tracing a query (hot-reloadable).",
+        default=0.0,
+    )
 
 
 class Tracer:
@@ -391,39 +405,25 @@ class Tracer:
                 f"slow_threshold_ms must be finite and >= 0, got {slow_threshold_ms}"
             )
         self._lock = threading.Lock()
-        self._sample_rate = float(sample_rate)
+        self._stats = TracingStats(sample_rate=float(sample_rate))
         self._ring: deque = deque(maxlen=int(ring_size))
         self._slow_threshold_ms = slow_threshold_ms
         self._slow_log_path = slow_log_path
         self._rng = rng if rng is not None else random.Random()
-        self._started = 0
-        self._sampled = 0
-        self._finished = 0
-        self._spans = 0
-        self._slow = 0
-        self._dropped = 0
 
     # -- configuration -----------------------------------------------------
 
     @property
     def sample_rate(self) -> float:
         with self._lock:
-            return self._sample_rate
+            return self._stats.sample_rate
 
     def set_sample_rate(self, rate: float) -> None:
         """Hot-reload hook (``/admin/reload`` key ``trace_sample``)."""
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"sample_rate must be in [0, 1], got {rate}")
         with self._lock:
-            self._sample_rate = float(rate)
-
-    @property
-    def slow_threshold_ms(self) -> Optional[float]:
-        return self._slow_threshold_ms
-
-    @property
-    def slow_log_path(self) -> Optional[str]:
-        return self._slow_log_path
+            self._stats.sample_rate = float(rate)
 
     # -- trace lifecycle ---------------------------------------------------
 
@@ -447,12 +447,13 @@ class Tracer:
             if parsed is not None:
                 trace_id, parent_id, forced = parsed
         with self._lock:
-            self._started += 1
-            rate = self._sample_rate
+            stats = self._stats
+            stats.started += 1
+            rate = stats.sample_rate
             sampled = forced or (rate > 0.0 and self._rng.random() < rate)
             if not sampled:
                 return None
-            self._sampled += 1
+            stats.sampled += 1
         return TraceContext(
             self,
             trace_id if trace_id is not None else make_trace_id(),
@@ -465,15 +466,16 @@ class Tracer:
         """Called by :meth:`TraceContext.finish` — never directly."""
         tree = ctx.as_dict()
         with self._lock:
+            stats = self._stats
             if len(self._ring) == self._ring.maxlen:
-                self._dropped += 1
+                stats.dropped += 1
             self._ring.append(tree)
-            self._finished += 1
-            self._spans += len(tree["spans"])
+            stats.finished += 1
+            stats.spans += len(tree["spans"])
             threshold = self._slow_threshold_ms
             is_slow = threshold is not None and tree["duration_ms"] >= threshold
             if is_slow:
-                self._slow += 1
+                stats.slow_traces += 1
         if is_slow and self._slow_log_path is not None:
             line = json.dumps(tree, separators=(",", ":"), sort_keys=False)
             with self._lock:
@@ -539,30 +541,7 @@ class Tracer:
 
     def stats(self) -> TracingStats:
         with self._lock:
-            return TracingStats(
-                started=self._started,
-                sampled=self._sampled,
-                finished=self._finished,
-                spans=self._spans,
-                slow_traces=self._slow,
-                dropped=self._dropped,
-                sample_rate=self._sample_rate,
-            )
-
-    def reset_stats(self) -> None:
-        """Zero the counters (the ring and configuration are untouched)."""
-        with self._lock:
-            self._started = 0
-            self._sampled = 0
-            self._finished = 0
-            self._spans = 0
-            self._slow = 0
-            self._dropped = 0
-
-    def clear(self) -> None:
-        """Drop buffered traces (``reset_stats`` does *not* do this)."""
-        with self._lock:
-            self._ring.clear()
+            return replace(self._stats)
 
 
 # -- export validation -----------------------------------------------------

@@ -449,7 +449,9 @@ class TestFastPath:
         assert copy.metadata is not answer.metadata
         assert copy.timing.total == 0.0 and copy.timing is not answer.timing
 
-    def test_reset_stats_leaves_no_path_half_reset(self, graph):
+    def test_a_replay_counts_once_on_every_path(self, graph):
+        # The interval around one fast-path replay, read as the difference
+        # of two snapshots: every counter source moves by exactly that one.
         query = PPRQuery(seed=3, k=20)
         engine = make_engine(graph)
 
@@ -457,24 +459,25 @@ class TestFastPath:
             async with MicroBatcher(engine) as batcher:
                 await batcher.submit(query)
                 await batcher.submit(query)
-                engine.reset_stats(reset_cache_stats=True)
-                batcher.admission.reset_stats()
-                zeroed = batcher.stats()
+                before = batcher.stats()
                 await batcher.submit(query)
-                return zeroed, batcher.stats()
+                return before, batcher.stats()
 
         with engine:
-            zeroed, after = asyncio.run(run())
-        assert zeroed.engine.queries_served == 0 and zeroed.engine.latency.count == 0
-        assert zeroed.engine.result_cache.hits == 0
-        assert zeroed.admission.admitted == zeroed.admission.completed == 0
-        assert after.fast_path_hits == 2
-        assert after.engine.queries_served == after.engine.latency.count == 1
-        assert after.engine.batches == 0 and after.engine.result_cache.hits == 1
-        assert after.engine.min_latency_seconds == after.engine.max_latency_seconds
-        assert after.engine.wall_seconds == after.engine.query_seconds > 0.0
-        assert after.admission.admitted == after.admission.completed == 1
-        assert after.admission.latency.count == 1 and after.admission.pending == 0
+            before, after = asyncio.run(run())
+        assert (before.fast_path_hits, after.fast_path_hits) == (1, 2)
+        served = after.engine.queries_served - before.engine.queries_served
+        assert served == after.engine.latency.count - before.engine.latency.count == 1
+        assert after.engine.batches == before.engine.batches
+        assert after.engine.result_cache.hits - before.engine.result_cache.hits == 1
+        assert after.engine.cache.hits - before.engine.cache.hits == 1
+        wall = after.engine.wall_seconds - before.engine.wall_seconds
+        query_seconds = after.engine.query_seconds - before.engine.query_seconds
+        assert wall == pytest.approx(query_seconds) and wall > 0.0
+        admitted = after.admission.admitted - before.admission.admitted
+        assert admitted == after.admission.completed - before.admission.completed == 1
+        assert after.admission.latency.count - before.admission.latency.count == 1
+        assert after.admission.pending == 0
 
 
 # ----------------------------------------------------------------------

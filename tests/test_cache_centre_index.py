@@ -320,8 +320,12 @@ def test_subgraph_cache_matches_the_full_scan(budget, ops):
         else:
             (centre, depth), ball = pool[op[1]]
             if kind == "put":
-                cache.put(centre, depth, ball, GRAPH)
-                oracle.put((centre, depth), subgraph_nbytes(ball))
+                # The cache's one insert: a stage's misses, after its lookups.
+                cache.extract_wave(GRAPH, [centre], depth)
+                if (centre, depth) in oracle.entries:
+                    oracle.get((centre, depth))
+                else:
+                    oracle.put((centre, depth), subgraph_nbytes(ball))
             else:
                 cache.get(centre, depth)
                 oracle.get((centre, depth))

@@ -24,7 +24,6 @@ from repro.serving.frontend import (
     render_prometheus,
 )
 from repro.serving.frontend.metrics import (
-    _cache_difference,
     _escape_label_value,
     _format_value,
 )
@@ -76,6 +75,8 @@ class TestFormattingHelpers:
 
 
 class TestCacheDifference:
+    """``combined - result``: the subgraph tier the exposition labels."""
+
     def test_counterwise_subtraction(self):
         combined = CacheStats(
             hits=10, misses=5, evictions=3, rejected=2, expired=1,
@@ -85,7 +86,7 @@ class TestCacheDifference:
             hits=4, misses=2, evictions=1, rejected=0, expired=1,
             current_bytes=300, num_entries=3,
         )
-        diff = _cache_difference(combined, result)
+        diff = combined - result
         assert diff.hits == 6
         assert diff.misses == 3
         assert diff.evictions == 2
@@ -103,7 +104,7 @@ class TestCacheDifference:
             hits=5, misses=2, evictions=1, rejected=1, expired=1,
             current_bytes=100, num_entries=4,
         )
-        diff = _cache_difference(combined, result)
+        diff = combined - result
         assert diff.hits == 0
         assert diff.misses == 0
         assert diff.current_bytes == 0

@@ -114,21 +114,6 @@ class TestScoreTableCacheContainer:
         assert stats.num_entries == 1
         assert cache.get(states[1][0]) is states[1][1]
 
-    def test_reset_stats_keeps_entries_like_subgraph_cache(self, small_ba_graph):
-        cache = ScoreTableCache()
-        key, state = make_state(small_ba_graph)
-        cache.put(key, state, small_ba_graph)
-        cache.get(key)
-        cache.get(("missing",))
-        cache.reset_stats()
-        stats = cache.stats
-        assert stats.hits == stats.misses == stats.evictions == 0
-        assert stats.rejected == stats.expired == 0
-        # Live state survives, exactly like SubgraphCache.reset_stats().
-        assert stats.num_entries == 1
-        assert stats.current_bytes == _entry_nbytes(state)
-        assert cache.get(key) is state
-
     def test_clear_drops_entries_keeps_counters(self, small_ba_graph):
         cache = ScoreTableCache()
         key, state = make_state(small_ba_graph)

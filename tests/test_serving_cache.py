@@ -298,16 +298,24 @@ class TestSurgicalInvalidation:
         (hit,) = cache.extract_wave(small_ba_graph, [3], 2).hits
         assert not hit and cache.stats.hits == 3 and (7, 2) not in cache
 
-    def test_an_insert_names_its_graph(self, small_ba_graph):
-        # A ball extracted from a graph the cache is no longer bound to is
-        # refused; an unbound cache binds to the ball's graph.
+    def test_an_insert_names_its_graph(self, small_ba_graph, monkeypatch):
+        # An unbound cache binds to the first stage's graph and keeps its
+        # balls; balls extracted while the binding moved to another graph
+        # are refused.
         other = barabasi_albert_graph(small_ba_graph.num_nodes, 2, rng=99, name="other")
-        (ball,) = extract_wave(small_ba_graph, [3], 2).split()
         cache = SubgraphCache()
-        assert cache.put(3, 2, ball, small_ba_graph) and cache.graph is small_ba_graph
+        cache.extract_wave(small_ba_graph, [3], 2)
+        assert (3, 2) in cache and cache.graph is small_ba_graph
         far = np.full(small_ba_graph.num_nodes, 99, dtype=np.int64)
-        assert cache.carry(small_ba_graph, other, far) == 0
-        assert not cache.put(5, 2, ball, small_ba_graph)
+
+        def extract_then_update(graph, centers, depth):
+            wave = extract_wave(graph, centers, depth)
+            assert cache.carry(small_ba_graph, other, far) == 0
+            return wave
+
+        monkeypatch.setattr(cache_module, "extract_wave", extract_then_update)
+        cache.extract_wave(small_ba_graph, [5], 2)
+        assert cache.graph is other
         assert (5, 2) not in cache and cache.stats.rejected == 0
         cache.validate()
 

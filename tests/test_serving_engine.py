@@ -179,95 +179,3 @@ class TestStats:
         assert_results_identical(results, expected)
         for result in results:
             assert result.metadata["serving"]["backend"] == "serial"
-
-
-def all_cache_counters_zero(cache_stats):
-    """True when every *historical* counter of a CacheStats is zero."""
-    return (
-        cache_stats.hits
-        == cache_stats.misses
-        == cache_stats.evictions
-        == cache_stats.rejected
-        == cache_stats.expired
-        == 0
-    )
-
-
-class TestResetStatsCoversEveryCounterSource:
-    """Regression: per-interval resets must reach *all* aggregated counters.
-
-    ``stats()`` folds several counter sources into one snapshot — the
-    engine accumulator, the sub-graph cache and the result cache.
-    ``reset_stats(reset_cache_stats=True)`` historically reset only the
-    engine-side sources, so the first interval report after a reset still
-    carried stale cache counters (observed as impossible per-interval hit
-    rates in server metrics).
-    """
-
-    def test_reset_zeroes_the_subgraph_and_result_cache_counters(
-        self, small_ba_graph, queries
-    ):
-        from repro.serving import ScoreTableCache
-
-        cache, result_cache = SubgraphCache(), ScoreTableCache()
-        with QueryEngine(
-            MeLoPPRSolver(small_ba_graph), cache=cache, result_cache=result_cache
-        ) as engine:
-            engine.solve_batch(queries)
-            assert cache.stats.lookups and result_cache.stats.lookups
-            engine.reset_stats(reset_cache_stats=True)
-            stats = engine.stats()
-        assert stats.queries_served == 0
-        assert all_cache_counters_zero(stats.cache)
-        assert all_cache_counters_zero(stats.result_cache)
-        assert all_cache_counters_zero(cache.stats)
-
-    def test_reset_zeroes_tracing_counters_but_keeps_the_ring(
-        self, small_ba_graph, queries
-    ):
-        from repro.serving import Tracer
-
-        tracer = Tracer(sample_rate=1.0)
-        with QueryEngine(MeLoPPRSolver(small_ba_graph), tracer=tracer) as engine:
-            contexts = [
-                tracer.start_trace("request", seed=query.seed)
-                for query in queries
-            ]
-            engine.solve_batch(queries, contexts)
-            for ctx in contexts:
-                ctx.finish(status="ok")
-            before = engine.stats().tracing
-            assert before.started == len(queries)
-            assert before.sampled == len(queries)
-            assert before.finished == len(queries)
-            assert before.spans > 0
-            engine.reset_stats(reset_cache_stats=True)
-            stats = engine.stats()
-        # Tracing counters are serving counters: a per-interval reset must
-        # zero them even without reset_cache_stats, like the accumulator.
-        tracing = stats.tracing
-        assert tracing is not None
-        assert tracing.started == 0
-        assert tracing.sampled == 0
-        assert tracing.finished == 0
-        assert tracing.spans == 0
-        assert tracing.slow_traces == 0
-        assert tracing.dropped == 0
-        # The ring is debugging state, not a counter: traces survive.
-        assert len(tracer.traces()) == len(queries)
-        assert tracing.sample_rate == 1.0
-
-    def test_reset_without_cache_flag_still_resets_tracing(
-        self, small_ba_graph, queries
-    ):
-        from repro.serving import Tracer
-
-        tracer = Tracer(sample_rate=1.0)
-        with QueryEngine(MeLoPPRSolver(small_ba_graph), tracer=tracer) as engine:
-            ctx = tracer.start_trace("request")
-            engine.solve_batch(queries[:1], [ctx])
-            ctx.finish()
-            engine.reset_stats()
-            stats = engine.stats()
-        assert stats.tracing.started == 0
-        assert stats.tracing.finished == 0

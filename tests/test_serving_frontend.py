@@ -495,19 +495,20 @@ class TestAdmissionControl:
         assert stats.completed == completed
         assert stats.latency.count == completed
 
-    def test_stats_reset(self):
+    def test_stats_are_lifetime_totals_and_snapshots_stay_put(self):
+        # An interval is the difference of two snapshots, so a snapshot must
+        # be a copy: later traffic moves the counters, never an old snapshot.
         controller = AdmissionController(max_pending=4)
         controller.admit()
         controller.complete(0.001)
-        assert not all(
-            value == 0
-            for key, value in controller.stats().as_dict().items()
-            if isinstance(value, int) and key != "capacity"
-        )
-        controller.reset_stats()
-        stats = controller.stats()
-        assert stats.completed == 0 and stats.shed == 0
-        assert stats.latency.count == 0
+        before = controller.stats()
+        assert (before.admitted, before.completed, before.latency.count) == (1, 1, 1)
+        controller.admit()
+        controller.complete(0.002)
+        after = controller.stats()
+        assert (before.admitted, before.completed, before.latency.count) == (1, 1, 1)
+        assert after.completed - before.completed == 1
+        assert after.latency.count - before.latency.count == 1
 
 
 class TestBatcherLifecycle:
@@ -731,13 +732,6 @@ class TestLatencyTelemetry:
         assert snapshot.p50_seconds < snapshot.p95_seconds <= snapshot.p99_seconds
         assert snapshot.p99_seconds == pytest.approx(0.05)
 
-    def test_reset(self):
-        histogram = LatencyHistogram()
-        histogram.record(0.5)
-        histogram.reset()
-        assert histogram.count == 0
-        assert histogram.snapshot().max_seconds == 0.0
-
     def test_invalid_quantile(self):
         with pytest.raises(ValueError, match="quantile"):
             LatencyHistogram().percentile(1.5)
@@ -754,21 +748,22 @@ class TestEngineStatsIntegration:
         payload = stats.as_dict()
         assert payload["latency"]["count"] == len(queries)
 
-    def test_reset_stats_clears_counters(self, small_ba_graph, config, queries):
+    def test_snapshots_are_lifetime_totals_that_stay_put(
+        self, small_ba_graph, config, queries
+    ):
         cache = SubgraphCache()
         with QueryEngine(
             MeLoPPRSolver(small_ba_graph, config), cache=cache
         ) as engine:
             engine.solve_batch(queries)
-            engine.reset_stats()
-            stats = engine.stats()
-            assert stats.queries_served == 0
-            assert stats.batches == 0
-            assert stats.latency.count == 0
-            # Cache counters survive by default...
-            assert stats.cache.lookups > 0
-            engine.reset_stats(reset_cache_stats=True)
-            # ...and are zeroed on request, keeping the warm entries.
-            stats = engine.stats()
-            assert stats.cache.lookups == 0
-            assert stats.cache.num_entries > 0
+            before = engine.stats()
+            engine.solve_batch(queries)
+            after = engine.stats()
+        assert (before.queries_served, before.batches) == (len(queries), 1)
+        assert before.latency.count == len(queries)
+        assert (after.queries_served, after.batches) == (2 * len(queries), 2)
+        assert after.latency.count == 2 * len(queries)
+        # The second pass finds every ball the first one kept.
+        assert after.cache.misses == before.cache.misses
+        assert after.cache.hits > before.cache.hits
+        assert after.cache.num_entries == before.cache.num_entries > 0

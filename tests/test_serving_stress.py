@@ -97,9 +97,6 @@ class TestSubgraphCacheStress:
 
     def test_mixed_get_put_thrashing(self, small_ba_graph):
         centers = list(range(0, small_ba_graph.num_nodes, 11))
-        extractions = {
-            center: extract_wave(small_ba_graph, [center], 2).split()[0] for center in centers
-        }
         cache = SubgraphCache(max_bytes=tiny_budget(small_ba_graph, centers))
         lookups = [0] * NUM_THREADS
 
@@ -107,10 +104,10 @@ class TestSubgraphCacheStress:
             for step in range(OPS_PER_THREAD):
                 center = centers[(index + step * 13) % len(centers)]
                 if step % 3 == 0:
-                    cache.put(center, 2, extractions[center], small_ba_graph)
+                    cache.extract_wave(small_ba_graph, [center], 2)  # inserts a miss
                 else:
                     cache.get(center, 2)
-                    lookups[index] += 1
+                lookups[index] += 1
 
         run_threads(worker)
 

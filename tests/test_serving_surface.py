@@ -1,12 +1,20 @@
-"""Every public method of the engine and the caches has a caller.
+"""Every public method of the engine, the caches and the stats producers
+has a caller.
 
 A public method or property of :class:`~repro.serving.engine.QueryEngine`,
 :class:`~repro.serving.cache.SubgraphCache` or
 :class:`~repro.serving.result_cache.ScoreTableCache` (the caches' shared base
-included) must be named as an attribute somewhere in ``src/``,
-``benchmarks/`` or ``examples/`` outside its own definition; tests do not
-count.  A door only tests use is a second way to do what production does one
-way.  ``ALLOWED`` names the few that stay without a caller, each with why.
+included), :class:`~repro.serving.tracing.Tracer`,
+:class:`~repro.serving.telemetry.LatencyHistogram`,
+:class:`~repro.serving.frontend.admission.AdmissionController` or
+:class:`~repro.serving.frontend.batcher.MicroBatcher` must be named as an
+attribute somewhere in ``src/``, ``benchmarks/`` or ``examples/`` outside its
+own definition; tests do not count.  A door only tests use is a second way to
+do what production does one way.  ``ALLOWED`` names the few that stay without
+a caller, each with why.
+
+The check is by name: a method whose name some other class's attribute also
+carries (a second ``put``, ``clear`` or ``stats``) passes on that caller.
 """
 
 from __future__ import annotations
@@ -21,11 +29,14 @@ CLASSES = {
     "engine.py": ["QueryEngine"],
     "cache.py": ["_LRUCache", "SubgraphCache"],
     "result_cache.py": ["ScoreTableCache"],
+    "tracing.py": ["Tracer"],
+    "telemetry.py": ["LatencyHistogram"],
+    "frontend/admission.py": ["AdmissionController"],
+    "frontend/batcher.py": ["MicroBatcher"],
 }
 ALLOWED = {
     "validate": "the invariant check the stress and differential tests run",
     "clear": "an operator's flush of a cache, kept with the other budget knobs",
-    "reset_stats": "per-interval counters for an embedding server; none here reports by interval",
     "ttl_seconds": "a read-back of the constructor's TTL, as max_bytes is of the budget",
 }
 

@@ -207,15 +207,13 @@ class TestEngineLifecycle:
             MeLoPPRSolver(graph), backend=ThreadPoolBackend(2), cache=SubgraphCache()
         ) as engine:
             engine.solve_batch(queries)
+            first = engine.stats().cache
             engine.solve_batch(queries)
-            stats = engine.stats().cache
-            assert stats is not None
+            second = engine.stats().cache
+            assert first is not None and first.misses > 0
             # The second pass re-extracts nothing it extracted in the first.
-            assert stats.hits > 0
-            assert stats.misses > 0
-            engine.reset_stats(reset_cache_stats=True)
-            cleared = engine.stats().cache
-            assert (cleared.hits, cleared.misses) == (0, 0)
+            assert second.misses == first.misses
+            assert second.hits > first.hits
 
     def test_cache_disabled_reports_none(self, graph, queries):
         with QueryEngine(MeLoPPRSolver(graph), backend=ThreadPoolBackend(1)) as engine:

@@ -249,23 +249,6 @@ class TestRingAndExport:
         assert stats.finished == 5
         assert stats.dropped == 2
 
-    def test_clear_drops_the_ring_not_the_counters(self):
-        tracer = Tracer(sample_rate=1.0)
-        self.finished_trace(tracer)
-        tracer.clear()
-        assert tracer.traces() == []
-        assert tracer.stats().finished == 1
-
-    def test_reset_stats_keeps_the_ring(self):
-        tracer = Tracer(sample_rate=1.0)
-        self.finished_trace(tracer)
-        tracer.reset_stats()
-        stats = tracer.stats()
-        assert stats.started == stats.sampled == stats.finished == 0
-        assert stats.spans == stats.slow_traces == stats.dropped == 0
-        assert stats.sample_rate == 1.0  # config survives
-        assert len(tracer.traces()) == 1
-
     def test_perfetto_export_validates_and_rebases(self):
         tracer = Tracer(sample_rate=1.0)
         self.finished_trace(tracer)
@@ -351,12 +334,6 @@ class TestTelemetryContractPins:
             value = histogram.percentile(quantile)
             assert value == 0.0
             assert isinstance(value, float)
-
-    def test_reset_histogram_percentile_is_exactly_zero(self):
-        histogram = LatencyHistogram()
-        histogram.record(0.25)
-        histogram.reset()
-        assert histogram.percentile(0.99) == 0.0
 
     def test_empty_histogram_out_of_range_quantile_still_raises(self):
         histogram = LatencyHistogram()
