@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -25,9 +26,11 @@ from repro.serving.frontend import (
 )
 from repro.serving.frontend.metrics import (
     _escape_label_value,
+    _exported,
     _format_value,
 )
 from repro.serving.result_cache import ScoreTableCache
+from repro.serving.telemetry import derived
 
 
 @pytest.fixture()
@@ -318,3 +321,91 @@ class TestParserRejections:
     def test_errors_carry_line_numbers(self):
         with pytest.raises(ValueError, match="line 3"):
             parse_prometheus_text("# TYPE x gauge\nx 1\n!!bad!!\n")
+
+
+def traced_tree(small_ba_graph, config):
+    """A stats tree with every record present: both cache tiers, a tracer."""
+    from repro.serving import Tracer
+
+    tracer = Tracer(sample_rate=1.0)
+    engine = QueryEngine(
+        MeLoPPRSolver(small_ba_graph, config),
+        cache=SubgraphCache(),
+        result_cache=ScoreTableCache(),
+        tracer=tracer,
+    )
+    with engine:
+        ctx = tracer.start_trace("request")
+        engine.solve_batch([PPRQuery(seed=3, k=10)], [ctx])
+        ctx.finish()
+        return batcher_stats(engine)
+
+
+#: Where each stats record sits in a batcher's stats tree.
+RECORD_PATHS = ("batcher", "admission", "engine", "engine.cache", "engine.tracing")
+
+
+def records(stats):
+    """``path -> record`` of every stats record in a batcher's tree."""
+    engine = stats.engine
+    return dict(
+        zip(
+            RECORD_PATHS,
+            (stats, stats.admission, engine, engine.cache, engine.tracing),
+        )
+    )
+
+
+class TestDeclaredOnce:
+    """Each counter is declared once, on its stats field, and ``/stats`` and
+    ``/metrics`` are walks of those declarations."""
+
+    def test_every_family_name_is_declared_once(self, small_ba_graph, config):
+        stats = traced_tree(small_ba_graph, config)
+        declared = [
+            metric.family
+            for record in records(stats).values()
+            for _, metric in _exported(type(record))
+        ]
+        assert declared
+        assert len(declared) == len(set(declared))
+
+    def test_every_declared_family_reaches_metrics(self, small_ba_graph, config):
+        stats = traced_tree(small_ba_graph, config)
+        scrape = parse_prometheus_text(render_prometheus(stats))
+        for record in records(stats).values():
+            for _, metric in _exported(type(record)):
+                assert scrape.types[metric.family] == metric.kind
+                assert scrape.family_samples(metric.family)
+
+    @pytest.mark.parametrize("path", RECORD_PATHS)
+    def test_as_dict_is_the_fields_then_the_derived_properties(
+        self, small_ba_graph, config, path
+    ):
+        record = records(traced_tree(small_ba_graph, config))[path]
+        names = [item.name for item in fields(record)]
+        derived_names = [
+            name for name, value in vars(type(record)).items()
+            if isinstance(value, derived)
+        ]
+        report = record.as_dict()
+        assert list(report) == names + derived_names
+        for name in derived_names:
+            assert report[name] == getattr(record, name)
+
+    def test_a_fresh_engine_reports_only_finite_values(self, small_ba_graph, config):
+        with QueryEngine(
+            MeLoPPRSolver(small_ba_graph, config), cache=SubgraphCache()
+        ) as engine:
+            report = engine.stats().as_dict()
+        assert report["min_latency_seconds"] == 0.0
+        assert report["max_latency_seconds"] == 0.0
+
+        def leaves(value):
+            if isinstance(value, dict):
+                for child in value.values():
+                    yield from leaves(child)
+            elif isinstance(value, (int, float)) and not isinstance(value, bool):
+                yield value
+
+        assert all(math.isfinite(value) for value in leaves(report))

@@ -114,6 +114,25 @@ class TestScoreTableCacheContainer:
         assert stats.num_entries == 1
         assert cache.get(states[1][0]) is states[1][1]
 
+    def test_stats_snapshot_stays_put_and_keeps_live_state(self, small_ba_graph):
+        cache = ScoreTableCache()
+        key, state = make_state(small_ba_graph)
+        cache.put(key, state, small_ba_graph)
+        cache.get(key)
+        first = cache.stats
+        cache.get(key)
+        cache.get(("missing",))
+        # A snapshot is a copy, like SubgraphCache.stats: later lookups
+        # do not move it, and the interval is the difference of two.
+        assert (first.hits, first.misses) == (1, 0)
+        interval = cache.stats - first
+        assert (interval.hits, interval.misses) == (1, 1)
+        assert interval.evictions == interval.rejected == interval.expired == 0
+        stats = cache.stats
+        assert stats.num_entries == 1
+        assert stats.current_bytes == _entry_nbytes(state)
+        assert cache.get(key) is state
+
     def test_clear_drops_entries_keeps_counters(self, small_ba_graph):
         cache = ScoreTableCache()
         key, state = make_state(small_ba_graph)

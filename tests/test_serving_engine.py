@@ -179,3 +179,97 @@ class TestStats:
         assert_results_identical(results, expected)
         for result in results:
             assert result.metadata["serving"]["backend"] == "serial"
+
+
+def cache_counters(cache_stats):
+    """The lifetime counters of a CacheStats (its live-size gauges left out)."""
+    return (
+        cache_stats.hits,
+        cache_stats.misses,
+        cache_stats.evictions,
+        cache_stats.rejected,
+        cache_stats.expired,
+    )
+
+
+class TestSnapshotCoversEveryCounterSource:
+    """``stats()`` folds several counter sources into one snapshot — the
+    engine accumulator, the sub-graph cache, the result cache and the
+    tracer — and every one of them must reach it."""
+
+    def test_snapshot_folds_the_subgraph_and_result_cache_counters(
+        self, small_ba_graph, queries
+    ):
+        from repro.serving import ScoreTableCache
+
+        cache, result_cache = SubgraphCache(), ScoreTableCache()
+        with QueryEngine(
+            MeLoPPRSolver(small_ba_graph), cache=cache, result_cache=result_cache
+        ) as engine:
+            engine.solve_batch(queries)
+            stats = engine.stats()
+        assert cache.stats.lookups and result_cache.stats.lookups
+        assert stats.queries_served == len(queries)
+        assert stats.result_cache == result_cache.stats
+        assert stats.cache == cache.stats + result_cache.stats
+        # The combined tier minus the result tier is the extraction tier.
+        assert cache_counters(stats.cache - stats.result_cache) == cache_counters(
+            cache.stats
+        )
+
+    def test_snapshot_carries_the_tracing_counters_and_the_ring(
+        self, small_ba_graph, queries
+    ):
+        from repro.serving import Tracer
+
+        tracer = Tracer(sample_rate=1.0)
+        with QueryEngine(MeLoPPRSolver(small_ba_graph), tracer=tracer) as engine:
+            contexts = [
+                tracer.start_trace("request", seed=query.seed)
+                for query in queries
+            ]
+            engine.solve_batch(queries, contexts)
+            for ctx in contexts:
+                ctx.finish(status="ok")
+            stats = engine.stats()
+        tracing = stats.tracing
+        assert tracing is not None
+        assert tracing.started == len(queries)
+        assert tracing.sampled == len(queries)
+        assert tracing.finished == len(queries)
+        assert tracing.spans > 0
+        assert tracing.slow_traces == 0
+        assert tracing.dropped == 0
+        assert tracing.sample_rate == 1.0
+        assert len(tracer.traces()) == len(queries)
+
+    def test_an_interval_is_the_difference_of_two_snapshots(
+        self, small_ba_graph, queries
+    ):
+        from repro.serving import Tracer
+
+        tracer = Tracer(sample_rate=1.0)
+        cache = SubgraphCache()
+        with QueryEngine(
+            MeLoPPRSolver(small_ba_graph), cache=cache, tracer=tracer
+        ) as engine:
+            ctx = tracer.start_trace("request")
+            engine.solve_batch(queries[:1], [ctx])
+            ctx.finish()
+            first = engine.stats()
+            first_copy = (first.queries_served, first.tracing.finished,
+                          cache_counters(first.cache))
+            ctx = tracer.start_trace("request")
+            engine.solve_batch(queries[:1], [ctx])
+            ctx.finish()
+            second = engine.stats()
+        # A snapshot is a copy: later traffic does not move it.
+        assert (first.queries_served, first.tracing.finished,
+                cache_counters(first.cache)) == first_copy
+        # The counters are lifetime totals, so the interval is the difference.
+        assert second.queries_served - first.queries_served == 1
+        assert second.tracing.started - first.tracing.started == 1
+        assert second.tracing.finished - first.tracing.finished == 1
+        interval = second.cache - first.cache
+        assert interval.lookups > 0
+        assert interval.hits == interval.lookups  # the repeat seed is warm

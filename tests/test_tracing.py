@@ -249,6 +249,31 @@ class TestRingAndExport:
         assert stats.finished == 5
         assert stats.dropped == 2
 
+    def test_a_snapshot_stays_put_while_the_ring_turns_over(self):
+        tracer = Tracer(sample_rate=1.0, ring_size=1)
+        self.finished_trace(tracer)
+        first = tracer.stats()
+        self.finished_trace(tracer)
+        self.finished_trace(tracer)
+        assert first.started == first.sampled == first.finished == 1
+        assert first.dropped == 0
+        later = tracer.stats()
+        assert later.finished == 3
+        assert later.dropped == 2
+        assert len(tracer.traces()) == 1
+
+    def test_a_sample_rate_change_reaches_the_next_snapshot_only(self):
+        tracer = Tracer(sample_rate=1.0)
+        self.finished_trace(tracer)
+        before = tracer.stats()
+        tracer.set_sample_rate(0.25)
+        assert before.sample_rate == 1.0
+        after = tracer.stats()
+        assert after.sample_rate == 0.25
+        # The rate is configuration, not a counter: the totals carry over.
+        assert after.finished == before.finished == 1
+        assert len(tracer.traces()) == 1
+
     def test_perfetto_export_validates_and_rebases(self):
         tracer = Tracer(sample_rate=1.0)
         self.finished_trace(tracer)
@@ -334,6 +359,16 @@ class TestTelemetryContractPins:
             value = histogram.percentile(quantile)
             assert value == 0.0
             assert isinstance(value, float)
+
+    def test_histogram_snapshot_is_not_moved_by_later_samples(self):
+        histogram = LatencyHistogram()
+        histogram.record(0.25)
+        snap = histogram.snapshot()
+        histogram.record(2.0)
+        assert snap.count == 1
+        assert snap.max_seconds == snap.p99_seconds == 0.25
+        assert histogram.snapshot().count == 2
+        assert histogram.percentile(0.99) == 2.0
 
     def test_empty_histogram_out_of_range_quantile_still_raises(self):
         histogram = LatencyHistogram()
