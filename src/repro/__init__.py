@@ -17,9 +17,10 @@ Quickstart
 ----------
 >>> from repro.graph import load_dataset
 >>> from repro.meloppr import MeLoPPRSolver, MeLoPPRConfig
+>>> from repro.ppr import PPRQuery
 >>> graph = load_dataset("G1")                      # citeseer stand-in
 >>> solver = MeLoPPRSolver(graph, MeLoPPRConfig.paper_default())
->>> result = solver.solve_seed(seed=0, k=20)
+>>> result = solver.solve(PPRQuery(seed=0, k=20))
 >>> len(result.top_k_nodes(5))
 5
 """

@@ -3,7 +3,6 @@
 from repro.diffusion.diffusion import (
     DEFAULT_ALPHA,
     DiffusionResult,
-    diffusion_work,
     graph_diffusion,
     seed_vector,
     stage_diffusion,
@@ -14,7 +13,6 @@ from repro.diffusion.transition import TransitionOperator
 __all__ = [
     "DEFAULT_ALPHA",
     "DiffusionResult",
-    "diffusion_work",
     "graph_diffusion",
     "seed_vector",
     "stage_diffusion",

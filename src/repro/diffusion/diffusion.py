@@ -43,7 +43,6 @@ __all__ = [
     "graph_diffusion",
     "stage_diffusion",
     "seed_vector",
-    "diffusion_work",
     "DEFAULT_ALPHA",
 ]
 
@@ -75,15 +74,6 @@ class DiffusionResult:
     length: int
     alpha: float
     propagations: int
-
-    @property
-    def num_nodes(self) -> int:
-        """Length of the score vectors."""
-        return int(self.accumulated.size)
-
-    def score_mass(self) -> float:
-        """Total accumulated score mass (stays 1 on a graph with no dangling loss)."""
-        return float(self.accumulated.sum())
 
 
 def seed_vector(num_nodes: int, seed: int, value: float = 1.0) -> np.ndarray:
@@ -231,14 +221,3 @@ def stage_diffusion(
         residual = np.bincount(targets, weights=contribution, minlength=total)
     accumulated += (alpha**length) * residual
     return accumulated, residual, np.add.reduceat(touched, starts)
-
-
-def diffusion_work(graph: CSRGraph, length: int) -> int:
-    """Upper bound on adjacency entries touched by a length-``length`` diffusion.
-
-    Each iteration touches every edge twice in the dense regime, so the bound
-    is ``2 * |E| * length``.  Used by quick capacity checks in the hardware
-    model before a sub-graph is committed to a processing element.
-    """
-    length = check_non_negative_int(length, "length")
-    return 2 * graph.num_edges * length

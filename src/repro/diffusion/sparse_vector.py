@@ -9,7 +9,7 @@ implementation stores in its score tables.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -90,12 +90,6 @@ class SparseScoreVector:
         (nonzero,) = np.nonzero(np.abs(dense) > tolerance)
         return cls.from_arrays(nonzero, dense[nonzero], assume_unique=True)
 
-    def copy(self) -> "SparseScoreVector":
-        """Return an independent copy."""
-        clone = SparseScoreVector()
-        clone._nodes, clone._values = self._nodes.copy(), self._values.copy()
-        return clone
-
     def _positions(self) -> Dict[int, int]:
         if self._index is None:
             self._index = {node: at for at, node in enumerate(self._nodes.tolist())}
@@ -118,7 +112,8 @@ class SparseScoreVector:
         if self._frozen:
             raise FrozenScoreVectorError(
                 "this score vector is frozen (a cached answer shared between "
-                "callers); copy() it before updating"
+                "callers); build a new vector from its nodes() and values() "
+                "before updating"
             )
 
     def add(self, node: int, value: float) -> None:
@@ -132,11 +127,6 @@ class SparseScoreVector:
             self._values = np.append(self._values, 0.0 + value)
         else:
             self._values[at] += value
-
-    def add_vector(self, other: "SparseScoreVector", scale: float = 1.0) -> None:
-        """Accumulate ``scale * other`` into this vector in place."""
-        for node, value in other.items():
-            self.add(node, scale * value)
 
     def scale(self, factor: float) -> None:
         """Multiply every entry by ``factor`` in place."""
@@ -182,31 +172,6 @@ class SparseScoreVector:
         """Return only the node ids of :meth:`top_k`."""
         return [node for node, _ in self.top_k(k)]
 
-    def to_dense(self, num_nodes: int) -> np.ndarray:
-        """Return a dense vector of length ``num_nodes``."""
-        outside = (self._nodes < 0) | (self._nodes >= num_nodes)
-        if outside.any():
-            raise ValueError(
-                f"node {self._nodes[outside][0]} does not fit in a dense vector "
-                f"of length {num_nodes}"
-            )
-        dense = np.zeros(num_nodes, dtype=np.float64)
-        dense[self._nodes] = self._values
-        return dense
-
-    def nbytes(self) -> int:
-        """Approximate memory footprint in bytes (8-byte key + 8-byte value)."""
-        return 16 * self._nodes.size
-
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._nodes.size
-
-    def __contains__(self, node: int) -> bool:
-        return node in self._positions()
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._nodes.tolist())
-
-    def __repr__(self) -> str:
-        return f"SparseScoreVector(num_entries={len(self)}, sum={self.sum():.6f})"

@@ -80,8 +80,7 @@ class TransitionOperator:
 
         Stored on the graph object (one entry per kernel name), so repeated
         diffusions over the same — typically cached — sub-graph reuse one
-        operator instead of rebuilding it per stage task.  The memo never
-        pickles with the graph; an unpickled copy rebuilds it on first use.
+        operator instead of rebuilding it per stage task.
         """
         kernel = make_kernel(kernel)
         memo = graph._operator_memo

@@ -29,7 +29,6 @@ from repro.experiments.harness import (
     PAPER_PROFILE,
     QUICK_PROFILE,
     ExperimentProfile,
-    run_all,
 )
 from repro.experiments.quantization_study import (
     QuantizationRow,
@@ -85,7 +84,6 @@ __all__ = [
     "PAPER_PROFILE",
     "QUICK_PROFILE",
     "ExperimentProfile",
-    "run_all",
     "QuantizationRow",
     "QuantizationStudy",
     "format_quantization",

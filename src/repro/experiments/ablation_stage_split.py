@@ -69,14 +69,6 @@ class StageSplitStudy:
     selection_ratio: float
     rows: Tuple[StageSplitRow, ...]
 
-    def best_precision(self) -> StageSplitRow:
-        """Row with the highest precision."""
-        return max(self.rows, key=lambda row: row.precision)
-
-    def smallest_memory(self) -> StageSplitRow:
-        """Row with the smallest peak sub-graph."""
-        return min(self.rows, key=lambda row: row.mean_peak_subgraph_nodes)
-
 
 def run_stage_split_ablation(
     dataset: str = "G2",

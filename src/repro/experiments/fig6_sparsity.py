@@ -101,11 +101,6 @@ class SparsityStudy:
     curve: Tuple[SparsityCurvePoint, ...]
     distribution: ScoreDistribution
 
-    def precision_at(self, ratio: float) -> float:
-        """Precision of the curve point closest to ``ratio``."""
-        closest = min(self.curve, key=lambda point: abs(point.ratio - ratio))
-        return closest.precision
-
 
 def _residual_scores(workload: Workload, stage_length: int, alpha: float) -> np.ndarray:
     """Collect normalised stage-one residual scores over all workload seeds."""

@@ -21,7 +21,7 @@ system grows with the node budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from repro.experiments.workloads import (
     PAPER_K,
     PAPER_LENGTH,
     PAPER_STAGE_SPLIT,
-    Workload,
     make_workload,
 )
 from repro.hardware.accelerator import FPGAAccelerator

@@ -1,6 +1,6 @@
 """One-stop experiment harness: run every paper artefact and print its table.
 
-``python -m repro.experiments.harness`` (or :func:`run_all`) regenerates all
+``python -m repro.experiments.harness`` regenerates all
 tables and figures of the paper in text form — the per-experiment modules do
 the work; this module only sequences them and collects their reports.  The
 ``quick`` profile keeps seed counts small so the whole sweep finishes in a few
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.experiments.ablation_stage_split import format_stage_split, run_stage_split_ablation
 from repro.experiments.fig5_scalability import format_fig5, run_fig5
@@ -24,12 +24,12 @@ from repro.experiments.soak_study import format_soak, run_soak_study
 from repro.experiments.table1_resources import format_table1, run_table1
 from repro.experiments.table2_memory import format_table2, run_table2
 
-__all__ = ["ExperimentProfile", "QUICK_PROFILE", "PAPER_PROFILE", "EXPERIMENTS", "run_all", "main"]
+__all__ = ["ExperimentProfile", "QUICK_PROFILE", "PAPER_PROFILE", "EXPERIMENTS", "main"]
 
 
 @dataclass(frozen=True)
 class ExperimentProfile:
-    """Seed counts and dataset subsets used by :func:`run_all`.
+    """Seed counts and dataset subsets used by :func:`main`.
 
     Attributes
     ----------
@@ -101,11 +101,6 @@ EXPERIMENTS: Tuple[Tuple[str, Callable[[ExperimentProfile], str]], ...] = (
         ),
     ),
 )
-
-
-def run_all(profile: ExperimentProfile = QUICK_PROFILE) -> Dict[str, str]:
-    """Run every experiment and return ``{experiment id: rendered table}``."""
-    return {experiment_id: run(profile) for experiment_id, run in EXPERIMENTS}
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -137,10 +137,6 @@ class SoakStudy:
         worst = max(self.runs, key=lambda run: run.multiplier)
         return 1.0 - worst.goodput_qps / peak
 
-    def by_label(self) -> Dict[str, SoakRun]:
-        """Runs keyed by configuration label."""
-        return {run.label: run for run in self.runs}
-
     def as_dict(self) -> Dict[str, object]:
         """Plain-dict form for JSON emission."""
         return {

@@ -11,7 +11,7 @@ by side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.experiments.reporting import format_table
 from repro.hardware.resources import PAPER_TABLE_I, ResourceModel, ResourceUsage

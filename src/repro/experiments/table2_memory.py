@@ -18,7 +18,7 @@ reproduction checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,12 +55,6 @@ class MemoryRow:
     cpu_reduction_mean: float
     fpga_reduction_mean: float
 
-    @property
-    def cpu_reduction_range(self) -> Tuple[float, float]:
-        """Min/max per-query CPU reduction cannot be reconstructed from the
-        summaries alone; exposed as mean-based bounds for reporting."""
-        return (self.cpu_reduction_mean, self.cpu_reduction_mean)
-
 
 @dataclass(frozen=True)
 class MemoryStudy:
@@ -69,10 +63,6 @@ class MemoryStudy:
     rows: Tuple[MemoryRow, ...]
     num_seeds: int
     measurement: str
-
-    def by_dataset(self) -> Dict[str, MemoryRow]:
-        """Rows keyed by dataset name."""
-        return {row.dataset: row for row in self.rows}
 
 
 def _memory_for_baseline(workload: Workload, measured: bool) -> Tuple[List[float], List[float]]:

@@ -9,8 +9,8 @@ the same queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -60,11 +60,6 @@ class Workload:
     def num_queries(self) -> int:
         """Number of queries in the workload."""
         return len(self.queries)
-
-    @property
-    def seeds(self) -> Tuple[int, ...]:
-        """The sampled seed nodes."""
-        return tuple(query.seed for query in self.queries)
 
 
 def sample_seeds(
@@ -161,25 +156,14 @@ class OpenLoopWorkload:
     ``i`` at ``arrival_seconds[i]`` regardless of whether earlier queries
     have finished — which is what makes overload (and admission control)
     observable.  Arrival times are stored at **unit rate** (1 query/s on
-    average); :meth:`arrivals_at` rescales them to any offered rate so every
-    rate in a sweep replays the identical query sequence.
+    average); dividing them by an offered rate replays the identical query
+    sequence at that rate, so every rate in a sweep sees the same stream.
     """
 
     dataset: str
     graph: CSRGraph
     queries: Tuple[PPRQuery, ...]
     arrival_seconds: Tuple[float, ...]
-
-    @property
-    def num_queries(self) -> int:
-        """Number of timed arrivals."""
-        return len(self.queries)
-
-    def arrivals_at(self, rate_qps: float) -> List[float]:
-        """The arrival times rescaled to ``rate_qps`` offered queries/second."""
-        if rate_qps <= 0:
-            raise ValueError(f"rate_qps must be > 0, got {rate_qps}")
-        return [time / rate_qps for time in self.arrival_seconds]
 
 
 def make_poisson_arrivals(
@@ -213,8 +197,7 @@ def make_open_loop_workload(
     Each arrival queries a seed drawn (with replacement) from a pool of
     ``num_seeds`` hot seeds, so repeats occur the way production traffic
     repeats — which gives the frontend's dedup and the engine's caches
-    something to work with.  Arrival times are unit-rate Poisson; rescale
-    with :meth:`OpenLoopWorkload.arrivals_at`.
+    something to work with.  Arrival times are unit-rate Poisson.
     """
     workload = make_workload(
         dataset,

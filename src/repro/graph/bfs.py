@@ -21,7 +21,6 @@ from repro.utils.validation import check_node_id, check_non_negative_int
 __all__ = [
     "BFSResult",
     "bfs_levels",
-    "bfs_frontier_sizes",
     "expand_frontier",
     "extract_ego_subgraph",
     "extract_wave",
@@ -58,15 +57,6 @@ class BFSResult:
     nodes: np.ndarray
     levels: np.ndarray
     edges_scanned: int
-
-    @property
-    def num_nodes(self) -> int:
-        """Number of reached nodes."""
-        return int(self.nodes.size)
-
-    def frontier_sizes(self) -> np.ndarray:
-        """Number of nodes at each hop distance ``0..depth``."""
-        return np.bincount(self.levels, minlength=self.depth + 1)
 
 
 def expand_frontier(
@@ -134,11 +124,6 @@ def bfs_levels(graph: CSRGraph, source: int, depth: int) -> BFSResult:
         levels=np.concatenate(level_chunks),
         edges_scanned=edges_scanned,
     )
-
-
-def bfs_frontier_sizes(graph: CSRGraph, source: int, depth: int) -> np.ndarray:
-    """Convenience wrapper returning only the per-level frontier sizes."""
-    return bfs_levels(graph, source, depth).frontier_sizes()
 
 
 def extract_ego_subgraph(

@@ -66,17 +66,6 @@ class GraphBuilder:
         self._edge_targets = array("q")
 
     # ------------------------------------------------------------------
-    @property
-    def directed(self) -> bool:
-        """Whether the builder produces a directed graph."""
-        return self._directed
-
-    @property
-    def num_pending_edges(self) -> int:
-        """Number of edge tuples added so far (before cleaning)."""
-        return len(self._edge_sources) + int(sum(chunk.size for chunk in self._sources))
-
-    # ------------------------------------------------------------------
     def add_edge(self, u: int, v: int) -> "GraphBuilder":
         """Add a single edge ``(u, v)``.  Returns ``self`` for chaining."""
         u, v = _endpoint(u), _endpoint(v)
@@ -124,14 +113,6 @@ class GraphBuilder:
         if nodes.size < 2:
             return self
         return self.add_edges(np.column_stack([nodes[:-1], nodes[1:]]))
-
-    def add_cycle(self, nodes: Iterable[int]) -> "GraphBuilder":
-        """Add a cycle through ``nodes`` in order."""
-        nodes = list(nodes)
-        if len(nodes) < 3:
-            raise ValueError("a cycle needs at least three nodes")
-        self.add_path(nodes)
-        return self.add_edge(nodes[-1], nodes[0])
 
     # ------------------------------------------------------------------
     def build(self, name: str = "graph") -> CSRGraph:

@@ -74,9 +74,8 @@ class CSRGraph:
 
     Notes
     -----
-    Use :class:`repro.graph.builder.GraphBuilder` or the module-level
-    constructors (:meth:`from_edges`, :meth:`from_scipy`) rather than calling
-    this constructor with hand-built arrays.
+    Use :class:`repro.graph.builder.GraphBuilder` or :meth:`from_edges`
+    rather than calling this constructor with hand-built arrays.
     """
 
     __slots__ = ("_indptr", "_indices", "_name", "_fingerprint", "_operator_memo")
@@ -112,8 +111,7 @@ class CSRGraph:
         self._fingerprint: Optional[str] = None
         # Per-kernel TransitionOperator memo (lazily created by
         # TransitionOperator.for_graph).  Rides along with the graph so
-        # repeated diffusions never rebuild operator structure;
-        # deliberately excluded from pickling (see __getstate__).
+        # repeated diffusions never rebuild operator structure.
         self._operator_memo: Optional[dict] = None
 
     # ------------------------------------------------------------------
@@ -139,24 +137,6 @@ class CSRGraph:
         builder.add_edges(edges)
         return builder.build(name=name)
 
-    @classmethod
-    def from_scipy(cls, matrix: sparse.spmatrix, name: str = "graph") -> "CSRGraph":
-        """Build a graph from a scipy sparse adjacency matrix.
-
-        The matrix is symmetrised (``max(A, A.T)`` pattern union), its diagonal
-        is dropped and values are ignored: only the sparsity pattern matters.
-        """
-        from scipy import sparse
-
-        matrix = sparse.csr_matrix(matrix)
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"adjacency matrix must be square, got {matrix.shape}")
-        matrix = matrix.maximum(matrix.T)
-        matrix.setdiag(0)
-        matrix.eliminate_zeros()
-        matrix.sort_indices()
-        return cls(matrix.indptr.astype(np.int64), matrix.indices, name=name)
-
     # ------------------------------------------------------------------
     # Basic properties
     # ------------------------------------------------------------------
@@ -174,16 +154,6 @@ class CSRGraph:
     def num_edges(self) -> int:
         """Number of undirected edges ``|E|`` (each stored twice internally)."""
         return self._indices.size // 2
-
-    @property
-    def num_directed_edges(self) -> int:
-        """Number of stored (directed) adjacency entries."""
-        return int(self._indices.size)
-
-    @property
-    def size(self) -> int:
-        """Graph size ``|V| + |E|`` as defined in the paper's preliminaries."""
-        return self.num_nodes + self.num_edges
 
     @property
     def indptr(self) -> np.ndarray:
@@ -226,12 +196,6 @@ class CSRGraph:
             for v in self.neighbors(u):
                 if u < v:
                     yield u, int(v)
-
-    def edge_array(self) -> np.ndarray:
-        """Return all undirected edges once as an ``(|E|, 2)`` array."""
-        sources = np.arange(self.num_nodes).repeat(self.degrees())
-        mask = sources < self._indices
-        return np.column_stack([sources[mask], self._indices[mask]])
 
     # ------------------------------------------------------------------
     # Conversions
@@ -285,43 +249,6 @@ class CSRGraph:
             digest.update(self._indices.data)
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
-
-    # ------------------------------------------------------------------
-    # Pickling
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Pickle only the CSR arrays, the name and the fingerprint memo.
-
-        The operator memo holds derived kernel structure (scipy matrices,
-        row-id arrays) that is cheaper to rebuild than to ship.
-        """
-        return {
-            "indptr": self._indptr,
-            "indices": self._indices,
-            "name": self._name,
-            "fingerprint": self._fingerprint,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self._indptr = state["indptr"]
-        self._indices = state["indices"]
-        self._name = state["name"]
-        self._fingerprint = state["fingerprint"]
-        self._indptr.setflags(write=False)
-        self._indices.setflags(write=False)
-        self._operator_memo = None
-
-    # ------------------------------------------------------------------
-    # Dunder methods
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return self.num_nodes
-
-    def __repr__(self) -> str:
-        return (
-            f"CSRGraph(name={self._name!r}, num_nodes={self.num_nodes}, "
-            f"num_edges={self.num_edges})"
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CSRGraph):

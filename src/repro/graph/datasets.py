@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import citation_graph, community_graph
@@ -36,7 +36,6 @@ from repro.graph.generators import citation_graph, community_graph
 __all__ = [
     "DatasetSpec",
     "PAPER_DATASETS",
-    "dataset_names",
     "load_dataset",
     "load_paper_suite",
 ]
@@ -94,11 +93,6 @@ PAPER_DATASETS: Dict[str, DatasetSpec] = {
 
 #: Lookup by dataset name as well as by key.
 _BY_NAME = {spec.name: spec for spec in PAPER_DATASETS.values()}
-
-
-def dataset_names() -> Tuple[str, ...]:
-    """Return the dataset keys in paper order (``G1`` .. ``G6``)."""
-    return tuple(PAPER_DATASETS)
 
 
 def _seed_for(name: str) -> int:

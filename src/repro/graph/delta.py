@@ -124,8 +124,8 @@ class DeltaGraph:
     that already exists, deleting one that does not, and self-loops all
     raise ``ValueError`` — so the insert/delete logs stay canonical (an
     insert log entry is never a base edge, a delete log entry always is)
-    and ``num_edges`` is exact.  Not thread-safe; the serving engine applies
-    updates under its write barrier.
+    and :meth:`compact` has exactly the overlaid edges.  Not thread-safe;
+    the serving engine applies updates under its write barrier.
     """
 
     def __init__(
@@ -140,37 +140,11 @@ class DeltaGraph:
         self._inserts: Dict[int, Set[int]] = {}
         self._deletes: Dict[int, Set[int]] = {}
         self._touched: Set[int] = set()
-        self._num_edges = base.num_edges
-
-    # ------------------------------------------------------------------
-    # Basic properties
-    # ------------------------------------------------------------------
-    @property
-    def base(self) -> CSRGraph:
-        """The immutable base graph under the overlay."""
-        return self._base
-
-    @property
-    def name(self) -> str:
-        """Graph name (carried onto compacted graphs)."""
-        return self._name
 
     @property
     def num_nodes(self) -> int:
         """Number of nodes (edge updates never change the node set)."""
         return self._base.num_nodes
-
-    @property
-    def num_edges(self) -> int:
-        """Current number of undirected edges (base + inserts - deletes)."""
-        return self._num_edges
-
-    @property
-    def delta_edges(self) -> int:
-        """Number of overlay edges (pending inserts + pending deletes)."""
-        inserted = sum(len(row) for row in self._inserts.values()) // 2
-        deleted = sum(len(row) for row in self._deletes.values()) // 2
-        return inserted + deleted
 
     def touched_nodes(self) -> np.ndarray:
         """Sorted ids of every node an update has touched since construction.
@@ -208,7 +182,6 @@ class DeltaGraph:
             self._log_discard(self._deletes, u, v)
         else:
             self._log_add(self._inserts, u, v)
-        self._num_edges += 1
         self._touched.update((u, v))
 
     def delete_edge(self, u: int, v: int) -> None:
@@ -222,7 +195,6 @@ class DeltaGraph:
             self._log_discard(self._inserts, u, v)
         else:
             self._log_add(self._deletes, u, v)
-        self._num_edges -= 1
         self._touched.update((u, v))
 
     def apply(self, ops: Sequence[EdgeOp]) -> None:
@@ -245,15 +217,6 @@ class DeltaGraph:
         if v in self._deletes.get(u, ()):
             return False
         return self._base.has_edge(u, v)
-
-    def degree(self, node: int) -> int:
-        """Degree of ``node`` in the overlaid view (O(1))."""
-        node = check_node_id(node, self.num_nodes)
-        return (
-            self._base.degree(node)
-            + len(self._inserts.get(node, ()))
-            - len(self._deletes.get(node, ()))
-        )
 
     def neighbors(self, node: int) -> np.ndarray:
         """Sorted neighbour ids of ``node``, base row merged with the deltas.
@@ -316,12 +279,6 @@ class DeltaGraph:
             span = base.indices[base.indptr[previous] :]
             indices[indptr[previous] :] = span
         return CSRGraph(indptr, indices, name=self._name)
-
-    def __repr__(self) -> str:
-        return (
-            f"DeltaGraph(base={self._base.name!r}, num_nodes={self.num_nodes}, "
-            f"num_edges={self.num_edges}, delta_edges={self.delta_edges})"
-        )
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ block model, configuration model) are also provided for tests and examples.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "barabasi_albert_graph",
     "watts_strogatz_graph",
     "stochastic_block_model",
-    "configuration_model_graph",
     "powerlaw_cluster_graph",
     "citation_graph",
     "community_graph",
@@ -164,35 +163,6 @@ def stochastic_block_model(
             targets = offsets[j] + generator.integers(0, size_j, size=expected)
             keep = sources != targets
             builder.add_edges(np.column_stack([sources[keep], targets[keep]]))
-    return builder.build(name=name)
-
-
-def configuration_model_graph(
-    degree_sequence: Sequence[int],
-    rng: RngLike = None,
-    name: str = "configuration-model",
-) -> CSRGraph:
-    """Configuration-model graph for an arbitrary degree sequence.
-
-    Stubs are paired uniformly at random; self-loops and multi-edges produced
-    by the pairing are dropped, so realised degrees can be slightly lower than
-    requested (standard behaviour for simple-graph projections).
-    """
-    degrees = np.asarray(list(degree_sequence), dtype=np.int64)
-    if degrees.size == 0:
-        raise ValueError("degree_sequence must be non-empty")
-    if np.any(degrees < 0):
-        raise ValueError("degrees must be non-negative")
-    if degrees.sum() % 2 == 1:
-        degrees = degrees.copy()
-        degrees[int(np.argmax(degrees))] += 1
-    generator = ensure_rng(rng)
-    stubs = np.repeat(np.arange(degrees.size), degrees)
-    generator.shuffle(stubs)
-    half = stubs.size // 2
-    edges = np.column_stack([stubs[:half], stubs[half : 2 * half]])
-    builder = GraphBuilder(num_nodes=int(degrees.size))
-    builder.add_edges(edges)
     return builder.build(name=name)
 
 

@@ -102,34 +102,6 @@ class Subgraph:
             return 0
         return self._local_map()[global_id]
 
-    def contains_global(self, global_id: int) -> bool:
-        """Whether the host-graph node ``global_id`` is part of this sub-graph."""
-        return int(global_id) in self._local_map()
-
     def to_global(self, local_id: int) -> int:
         """Map a local node id back to the host-graph id."""
         return int(self.global_ids[local_id])
-
-    def localize_vector(self, global_vector: np.ndarray) -> np.ndarray:
-        """Gather the entries of a global score vector for this sub-graph's nodes."""
-        global_vector = np.asarray(global_vector)
-        if global_vector.ndim != 1:
-            raise ValueError("global_vector must be one-dimensional")
-        return global_vector[self.global_ids]
-
-    def globalize_scores(self, local_scores: np.ndarray, num_global_nodes: int) -> np.ndarray:
-        """Scatter local scores back into a dense global vector of zeros."""
-        local_scores = np.asarray(local_scores, dtype=np.float64)
-        if local_scores.size != self.num_nodes:
-            raise ValueError(
-                "local_scores length must equal the sub-graph node count"
-            )
-        result = np.zeros(num_global_nodes, dtype=np.float64)
-        result[self.global_ids] = local_scores
-        return result
-
-    def __repr__(self) -> str:
-        return (
-            f"Subgraph(name={self.graph.name!r}, num_nodes={self.num_nodes}, "
-            f"num_edges={self.num_edges})"
-        )

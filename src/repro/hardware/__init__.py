@@ -13,13 +13,12 @@ from repro.hardware.memory_model import (
     subgraph_table_bytes,
 )
 from repro.hardware.pe import DiffusionTask, PECycleCosts, PECycleReport, ProcessingElement
-from repro.hardware.platform import CPUSpec, FPGASpec, KC705, LAPTOP_CPU
+from repro.hardware.platform import FPGASpec, KC705
 from repro.hardware.resources import PAPER_TABLE_I, ResourceModel, ResourceUsage
 from repro.hardware.scheduler import (
     ScheduleResult,
     ScheduledTask,
     Scheduler,
-    assign_tasks,
     conflict_probability,
     conflict_stall_cycles,
 )
@@ -43,17 +42,14 @@ __all__ = [
     "PECycleCosts",
     "PECycleReport",
     "ProcessingElement",
-    "CPUSpec",
     "FPGASpec",
     "KC705",
-    "LAPTOP_CPU",
     "PAPER_TABLE_I",
     "ResourceModel",
     "ResourceUsage",
     "ScheduleResult",
     "ScheduledTask",
     "Scheduler",
-    "assign_tasks",
     "conflict_probability",
     "conflict_stall_cycles",
 ]

@@ -14,7 +14,7 @@ tasks of one MeLoPPR query, reports
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.hardware.data_transfer import TransferModel, TransferReport
 from repro.hardware.memory_model import FPGAMemoryModel
@@ -112,22 +112,6 @@ class FPGAAccelerator:
         self._k = k
 
     # ------------------------------------------------------------------
-    @property
-    def parallelism(self) -> int:
-        """Number of PEs."""
-        return self._parallelism
-
-    @property
-    def device(self) -> FPGASpec:
-        """The FPGA board."""
-        return self._device
-
-    @property
-    def memory_model(self) -> FPGAMemoryModel:
-        """The BRAM byte model for this configuration."""
-        return self._memory
-
-    # ------------------------------------------------------------------
     def execute(self, tasks: Sequence[DiffusionTask]) -> FPGAExecutionReport:
         """Model the execution of ``tasks`` and return the latency breakdown."""
         tasks = list(tasks)
@@ -173,9 +157,3 @@ class FPGAAccelerator:
             transfers=transfers,
             resources=self._resources.usage(self._parallelism),
         )
-
-    def fits_on_device(self, tasks: Sequence[DiffusionTask]) -> bool:
-        """Whether the worst-case sub-graph of ``tasks`` fits in device BRAM."""
-        max_nodes = max((task.subgraph_nodes for task in tasks), default=0)
-        max_edges = max((task.subgraph_edges for task in tasks), default=0)
-        return self._memory.fits(max_nodes, max_edges, self._device.total_bram_bytes)

@@ -26,7 +26,7 @@ from typing import List, Optional
 from repro.graph.csr import CSRGraph
 from repro.hardware.accelerator import FPGAAccelerator, FPGAExecutionReport
 from repro.hardware.pe import DiffusionTask, PECycleCosts
-from repro.hardware.platform import CPUSpec, FPGASpec, KC705, LAPTOP_CPU
+from repro.hardware.platform import FPGASpec, KC705
 from repro.meloppr.config import MeLoPPRConfig
 from repro.meloppr.solver import MeLoPPRSolver, StageTaskRecord
 from repro.ppr.base import PPRQuery, PPRResult, PPRSolver
@@ -92,15 +92,6 @@ class MeLoPPRFPGASolver(PPRSolver):
         Number of FPGA PEs ``P`` (the paper uses 16 for the Fig. 7 results).
     device:
         FPGA board description.
-    cpu:
-        Host CPU description.  Only used when ``use_measured_cpu_time`` is
-        false; by default the real measured BFS time is charged to the CPU,
-        like the paper does.
-    use_measured_cpu_time:
-        When true (default) the CPU share of the latency is the wall-clock
-        BFS/preparation time measured while running the algorithm.  When
-        false, an analytical estimate from ``cpu.bfs_seconds`` is used, which
-        makes results machine-independent (useful for unit tests).
     pe_costs:
         Optional override of the PE cycle-cost coefficients.
     """
@@ -113,29 +104,14 @@ class MeLoPPRFPGASolver(PPRSolver):
         config: Optional[MeLoPPRConfig] = None,
         parallelism: int = 16,
         device: FPGASpec = KC705,
-        cpu: CPUSpec = LAPTOP_CPU,
-        use_measured_cpu_time: bool = True,
         pe_costs: Optional[PECycleCosts] = None,
     ) -> None:
         super().__init__(graph)
         self._config = config if config is not None else MeLoPPRConfig.paper_default()
         self._parallelism = parallelism
         self._device = device
-        self._cpu = cpu
-        self._use_measured_cpu_time = bool(use_measured_cpu_time)
         self._pe_costs = pe_costs
         self._software = MeLoPPRSolver(graph, self._config)
-
-    # ------------------------------------------------------------------
-    @property
-    def config(self) -> MeLoPPRConfig:
-        """The MeLoPPR algorithm configuration."""
-        return self._config
-
-    @property
-    def parallelism(self) -> int:
-        """Number of modelled PEs."""
-        return self._parallelism
 
     # ------------------------------------------------------------------
     def solve(self, query: PPRQuery) -> PPRResult:
@@ -154,12 +130,9 @@ class MeLoPPRFPGASolver(PPRSolver):
         )
         fpga_report = accelerator.execute(tasks)
 
-        if self._use_measured_cpu_time:
-            cpu_seconds = software_result.timing.seconds.get("bfs", 0.0)
-        else:
-            cpu_seconds = self._cpu.bfs_seconds(
-                sum(task.bfs_edges_scanned for task in tasks)
-            )
+        # The CPU share is the wall-clock BFS time measured while running the
+        # algorithm, as the paper charges it.
+        cpu_seconds = software_result.timing.seconds.get("bfs", 0.0)
 
         total_seconds = cpu_seconds + fpga_report.fpga_seconds
         bfs_fraction = cpu_seconds / total_seconds if total_seconds > 0 else 0.0

@@ -35,11 +35,6 @@ class TransferReport:
     num_transfers: int
     seconds: float
 
-    @property
-    def total_bytes(self) -> int:
-        """Total bytes moved in both directions."""
-        return self.upload_bytes + self.download_bytes
-
 
 class TransferModel:
     """Latency/bandwidth model of the host↔FPGA streaming interface.
@@ -52,11 +47,6 @@ class TransferModel:
 
     def __init__(self, device: FPGASpec = KC705) -> None:
         self._device = device
-
-    @property
-    def device(self) -> FPGASpec:
-        """The FPGA board description."""
-        return self._device
 
     # ------------------------------------------------------------------
     def transfer_seconds(self, num_bytes: int) -> float:

@@ -113,9 +113,3 @@ class FPGAMemoryModel:
         return self.parallelism * self.per_pe_bytes(
             num_nodes, num_edges
         ) + global_score_table_bytes(self.k, self.score_table_factor)
-
-    def fits(self, num_nodes: int, num_edges: int, capacity_bytes: int) -> bool:
-        """Whether the configuration fits in ``capacity_bytes`` of BRAM."""
-        if capacity_bytes < 0:
-            raise ValueError("capacity_bytes must be >= 0")
-        return self.total_bytes(num_nodes, num_edges) <= capacity_bytes

@@ -130,11 +130,6 @@ class ProcessingElement:
     def __init__(self, costs: PECycleCosts | None = None) -> None:
         self._costs = costs if costs is not None else PECycleCosts()
 
-    @property
-    def costs(self) -> PECycleCosts:
-        """The cycle-cost coefficients."""
-        return self._costs
-
     def execute(self, task: DiffusionTask) -> PECycleReport:
         """Return the cycle breakdown for ``task``.
 

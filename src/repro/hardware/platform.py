@@ -1,23 +1,18 @@
 """Platform descriptions of the paper's evaluation hardware.
 
-Two devices appear in Sec. VI:
-
-* a personal laptop with an Intel i7 at 2.8 GHz and 16 GB of memory (the CPU
-  side of the co-design and the pure-CPU baselines), and
-* a Xilinx Kintex-7 KC705 evaluation board clocked at 100 MHz (the FPGA side).
-
-Neither device is available here, so both are represented by parameter
-records that the cycle/latency models consume.  The CPU's *effective edge
-processing rate* is calibrated against the Python implementation at import
-time-free default values; experiments may recalibrate it from a measured BFS
-so that modelled CPU time and measured CPU time line up on the same machine.
+Two devices appear in Sec. VI: a personal laptop with an Intel i7 at 2.8 GHz
+and 16 GB of memory (the CPU side of the co-design and the pure-CPU
+baselines), and a Xilinx Kintex-7 KC705 evaluation board clocked at 100 MHz
+(the FPGA side).  The CPU side is measured (wall-clock BFS time on the host
+running the reproduction); the board is represented by a parameter record
+that the cycle/latency models consume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["FPGASpec", "CPUSpec", "KC705", "LAPTOP_CPU"]
+__all__ = ["FPGASpec", "KC705"]
 
 
 @dataclass(frozen=True)
@@ -65,49 +60,6 @@ class FPGASpec:
         return cycles * self.cycle_time_s
 
 
-@dataclass(frozen=True)
-class CPUSpec:
-    """Description of the host CPU used by the analytical CPU-time model.
-
-    Attributes
-    ----------
-    name:
-        Processor name.
-    clock_hz:
-        Nominal clock.
-    memory_bytes:
-        Installed DRAM.
-    edges_per_second:
-        Effective BFS edge-traversal throughput of the *software stack being
-        modelled* (graph library + Python overheads), used when converting
-        BFS work into modelled CPU seconds.  The default is calibrated to the
-        NetworkX-based implementation the paper measures; it can be replaced
-        by a measured value via :meth:`calibrated`.
-    """
-
-    name: str
-    clock_hz: float
-    memory_bytes: int
-    edges_per_second: float
-
-    def bfs_seconds(self, edges_scanned: int) -> float:
-        """Modelled CPU time to scan ``edges_scanned`` adjacency entries."""
-        if edges_scanned < 0:
-            raise ValueError("edges_scanned must be >= 0")
-        return edges_scanned / self.edges_per_second
-
-    def calibrated(self, edges_per_second: float) -> "CPUSpec":
-        """Return a copy with a measured edge-traversal throughput."""
-        if edges_per_second <= 0:
-            raise ValueError("edges_per_second must be > 0")
-        return CPUSpec(
-            name=self.name,
-            clock_hz=self.clock_hz,
-            memory_bytes=self.memory_bytes,
-            edges_per_second=edges_per_second,
-        )
-
-
 #: Xilinx Kintex-7 KC705 (XC7K325T): 203,800 LUTs, 445 36-Kb BRAM blocks
 #: (~16 Mb = 2,004,480 bytes usable), 840 DSP48 slices.  PCIe Gen2 x8 board;
 #: the transfer model uses a conservative effective bandwidth.
@@ -120,14 +72,4 @@ KC705 = FPGASpec(
     total_dsps=840,
     pcie_bandwidth_bytes_per_s=1.6e9,
     pcie_latency_s=10e-6,
-)
-
-#: The paper's laptop-class host: Intel i7, 2.8 GHz, 16 GB memory.  The edge
-#: throughput default reflects a Python/NetworkX-style traversal (hundreds of
-#: thousands of edges per second), which is the software the paper measures.
-LAPTOP_CPU = CPUSpec(
-    name="Intel i7 (laptop), 2.8 GHz",
-    clock_hz=2.8e9,
-    memory_bytes=16 * 1024**3,
-    edges_per_second=2.0e6,
 )

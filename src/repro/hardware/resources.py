@@ -99,17 +99,3 @@ class ResourceModel:
             bram_fraction=bram_blocks / self.device.total_bram_blocks,
             dsp_fraction=dsps / self.device.total_dsps if self.device.total_dsps else 0.0,
         )
-
-    def max_parallelism(self) -> int:
-        """Largest ``P`` (power of two up to 64) that still fits on the device."""
-        parallelism = 1
-        best = 1
-        while parallelism <= 64:
-            if self.usage(parallelism).fits():
-                best = parallelism
-            parallelism *= 2
-        return best
-
-    def utilisation_table(self, parallelisms=(1, 2, 4, 8, 16)) -> Dict[int, ResourceUsage]:
-        """Usage for a sweep of parallelism values (the Table I reproduction)."""
-        return {p: self.usage(p) for p in parallelisms}

@@ -4,7 +4,7 @@ Two responsibilities, mirroring the "Scheduler" block of Fig. 4:
 
 1. **Task dispatch** — distribute the stage-two diffusion tasks over the ``P``
    processing elements.  The hardware uses a simple greedy policy (next task
-   goes to the first idle PE), which is what :func:`assign_tasks` implements.
+   goes to the first idle PE), which :class:`Scheduler` implements.
 2. **Conflict arbitration** — every diffuser writes to *all* local score
    tables (a node's score may live in another PE's table), so concurrent
    writes to the same table must be serialised.  The paper reports the
@@ -20,14 +20,13 @@ Two responsibilities, mirroring the "Scheduler" block of Fig. 4:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.hardware.pe import DiffusionTask, PECycleReport, ProcessingElement
+from repro.hardware.pe import DiffusionTask, ProcessingElement
 
 __all__ = [
     "conflict_probability",
     "conflict_stall_cycles",
-    "assign_tasks",
     "ScheduledTask",
     "ScheduleResult",
     "Scheduler",
@@ -60,11 +59,6 @@ class ScheduledTask:
     busy_cycles: float
     stall_cycles: float
 
-    @property
-    def end_cycle(self) -> float:
-        """Cycle at which the task (including stalls) completes."""
-        return self.start_cycle + self.busy_cycles + self.stall_cycles
-
 
 @dataclass(frozen=True)
 class ScheduleResult:
@@ -75,44 +69,6 @@ class ScheduleResult:
     makespan_cycles: float
     diffusion_cycles: float
     scheduling_cycles: float
-
-    @property
-    def num_tasks(self) -> int:
-        """Number of scheduled tasks."""
-        return len(self.scheduled)
-
-    def pe_utilisation(self) -> Dict[int, float]:
-        """Busy fraction of each PE over the makespan."""
-        busy: Dict[int, float] = {}
-        for item in self.scheduled:
-            busy[item.pe_index] = busy.get(item.pe_index, 0.0) + (
-                item.busy_cycles + item.stall_cycles
-            )
-        if self.makespan_cycles == 0:
-            return {pe: 0.0 for pe in busy}
-        return {pe: cycles / self.makespan_cycles for pe, cycles in busy.items()}
-
-
-def assign_tasks(
-    tasks: Sequence[DiffusionTask], parallelism: int
-) -> List[Tuple[int, DiffusionTask]]:
-    """Greedy first-idle-PE assignment; returns ``(pe_index, task)`` pairs.
-
-    Tasks are dispatched in the order given (the solver already orders
-    next-stage nodes by descending residual), each to the PE that becomes
-    idle first — the same policy a simple hardware round-robin arbiter with
-    back-pressure realises.
-    """
-    if parallelism <= 0:
-        raise ValueError(f"parallelism must be > 0, got {parallelism}")
-    pe_available = [0.0] * parallelism
-    pe_model = ProcessingElement()
-    assignment: List[Tuple[int, DiffusionTask]] = []
-    for task in tasks:
-        pe_index = min(range(parallelism), key=lambda i: pe_available[i])
-        assignment.append((pe_index, task))
-        pe_available[pe_index] += pe_model.execute(task).total_cycles
-    return assignment
 
 
 class Scheduler:
@@ -132,11 +88,6 @@ class Scheduler:
             raise ValueError(f"parallelism must be > 0, got {parallelism}")
         self._parallelism = parallelism
         self._pe = pe if pe is not None else ProcessingElement()
-
-    @property
-    def parallelism(self) -> int:
-        """Number of PEs."""
-        return self._parallelism
 
     def run(self, tasks: Sequence[DiffusionTask]) -> ScheduleResult:
         """Schedule ``tasks`` and return the cycle-level outcome.

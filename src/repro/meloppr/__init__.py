@@ -18,7 +18,6 @@ from repro.meloppr.selection import (
     CountSelector,
     NextStageSelector,
     RatioSelector,
-    ThresholdSelector,
 )
 from repro.meloppr.planner import (
     MeLoPPRPlan,
@@ -53,7 +52,6 @@ __all__ = [
     "CountSelector",
     "NextStageSelector",
     "RatioSelector",
-    "ThresholdSelector",
     "MeLoPPRPlan",
     "StageTask",
     "StageTaskOutcome",

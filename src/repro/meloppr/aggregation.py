@@ -128,12 +128,6 @@ class GlobalScoreTable:
         self._total_updates = 0
         self._total_evictions = 0
 
-    # ------------------------------------------------------------------
-    @property
-    def capacity(self) -> Optional[int]:
-        """Maximum number of entries kept (``None`` = unbounded)."""
-        return self._capacity
-
     @property
     def num_entries(self) -> int:
         """Current number of stored entries."""
@@ -420,10 +414,6 @@ class GlobalScoreTable:
         """Top-``k`` (node, score) pairs, descending score, ties by node id."""
         return top_k_pairs(self._ids, self._values, k)
 
-    def top_k_nodes(self, k: int) -> List[int]:
-        """Node ids of :meth:`top_k`."""
-        return [node for node, _ in self.top_k(k)]
-
     def to_sparse_vector(self) -> SparseScoreVector:
         """Export the table as a :class:`SparseScoreVector`."""
         return SparseScoreVector.from_arrays(self._ids, self._values, assume_unique=True)
@@ -441,7 +431,3 @@ class GlobalScoreTable:
 
     def __contains__(self, node: int) -> bool:
         return self._slot(int(node)) >= 0
-
-    def __repr__(self) -> str:
-        bound = "unbounded" if self._capacity is None else f"capacity={self._capacity}"
-        return f"GlobalScoreTable({bound}, num_entries={self._ids.size})"

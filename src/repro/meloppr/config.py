@@ -16,7 +16,7 @@ experiments (Sec. VI) and exposes two tuning knobs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.meloppr.selection import NextStageSelector, RatioSelector
 
@@ -86,11 +86,6 @@ class MeLoPPRConfig:
             return None
         return int(self.score_table_factor) * int(k)
 
-    @property
-    def num_stages(self) -> int:
-        """Number of stages."""
-        return len(self.stage_lengths)
-
     @classmethod
     def paper_default(cls, selection_ratio: float = 0.02) -> "MeLoPPRConfig":
         """The configuration used throughout the paper's experiments.
@@ -102,24 +97,4 @@ class MeLoPPRConfig:
             stage_lengths=(3, 3),
             selector=RatioSelector(selection_ratio),
             score_table_factor=10,
-        )
-
-    def with_selector(self, selector: NextStageSelector) -> "MeLoPPRConfig":
-        """Return a copy of this config with a different selector."""
-        return MeLoPPRConfig(
-            stage_lengths=self.stage_lengths,
-            selector=selector,
-            score_table_factor=self.score_table_factor,
-            track_memory=self.track_memory,
-            residual_tolerance=self.residual_tolerance,
-        )
-
-    def with_stage_lengths(self, stage_lengths: Sequence[int]) -> "MeLoPPRConfig":
-        """Return a copy of this config with a different stage split."""
-        return MeLoPPRConfig(
-            stage_lengths=tuple(int(length) for length in stage_lengths),
-            selector=self.selector,
-            score_table_factor=self.score_table_factor,
-            track_memory=self.track_memory,
-            residual_tolerance=self.residual_tolerance,
         )

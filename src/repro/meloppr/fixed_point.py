@@ -88,11 +88,6 @@ class FixedPointFormat:
         if self.shift_bits <= 0:
             raise ValueError(f"shift_bits must be > 0, got {self.shift_bits}")
 
-    @property
-    def alpha_effective(self) -> float:
-        """The decay factor actually realised by the integer datapath."""
-        return self.alpha_numerator / float(1 << self.shift_bits)
-
     @classmethod
     def for_subgraph(
         cls,
@@ -116,11 +111,6 @@ class FixedPointFormat:
         seed_value = min(seed_value, 2**SCORE_BITS - 1)
         numerator, shift = quantize_alpha(alpha, shift_bits)
         return cls(seed_value=seed_value, alpha_numerator=numerator, shift_bits=shift)
-
-    def scale_alpha(self, values: np.ndarray) -> np.ndarray:
-        """Multiply integer ``values`` by alpha using the shift-based datapath."""
-        values = np.asarray(values, dtype=np.int64)
-        return (values * self.alpha_numerator) >> self.shift_bits
 
     def to_float(self, values: np.ndarray) -> np.ndarray:
         """Convert integer scores back to the [0, 1] probability scale."""
@@ -148,8 +138,8 @@ def fixed_point_diffusion(
     """Integer-datapath graph diffusion, mirroring the FPGA PE.
 
     The propagation divides each node's integer score by its degree with
-    integer division (truncation) and the decay multiplication uses the
-    shift-based :meth:`FixedPointFormat.scale_alpha`; both are the precision
+    integer division (truncation) and the decay multiplication is a multiply
+    by the quantised alpha numerator and a right shift; both are the precision
     loss sources the paper quantifies.
 
     Parameters

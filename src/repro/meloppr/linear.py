@@ -20,7 +20,7 @@ the property-based tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple, Union
+from typing import List, Union
 
 import numpy as np
 

@@ -446,16 +446,6 @@ class MeLoPPRPlan:
         return self._config
 
     @property
-    def resumed(self) -> bool:
-        """Whether this plan was restored from a cached stage-one state."""
-        return self._resumed
-
-    @property
-    def stage_plan(self) -> StagePlan:
-        """The realised stage decomposition."""
-        return self._stage_plan
-
-    @property
     def done(self) -> bool:
         """Whether every stage has completed."""
         return self._done

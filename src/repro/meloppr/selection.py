@@ -7,13 +7,11 @@ one diffusion per node; the paper observes that the residual vector is highly
 sparse, so selecting only the largest-residual nodes retains most of the
 precision at a fraction of the cost.
 
-Four strategies are provided:
+Three strategies are provided:
 
 * :class:`RatioSelector` — the paper's knob: expand the top ``ratio`` fraction
   of candidate nodes (Fig. 6 sweeps this from 0 % to 30 %).
 * :class:`CountSelector` — expand a fixed number of nodes.
-* :class:`ThresholdSelector` — expand every node whose residual exceeds a
-  threshold (an adaptive variant useful for latency SLOs).
 * :class:`AllSelector` — expand everything (exact MeLoPPR; used by tests to
   verify the decomposition identity of Eq. 8).
 """
@@ -22,7 +20,6 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import List, Tuple
 
 import numpy as np
 
@@ -30,7 +27,6 @@ __all__ = [
     "NextStageSelector",
     "RatioSelector",
     "CountSelector",
-    "ThresholdSelector",
     "AllSelector",
 ]
 
@@ -119,26 +115,6 @@ class CountSelector(NextStageSelector):
 
     def __repr__(self) -> str:
         return f"CountSelector(count={self.count})"
-
-
-class ThresholdSelector(NextStageSelector):
-    """Select every candidate whose residual exceeds ``threshold``."""
-
-    name = "threshold"
-
-    def __init__(self, threshold: float) -> None:
-        if threshold < 0:
-            raise ValueError(f"threshold must be >= 0, got {threshold}")
-        self.threshold = float(threshold)
-
-    def select(self, nodes: np.ndarray, residuals: np.ndarray) -> np.ndarray:
-        nodes = np.asarray(nodes, dtype=np.int64)
-        residuals = np.asarray(residuals, dtype=np.float64)
-        mask = residuals > self.threshold
-        return self._order_by_residual(nodes[mask], residuals[mask])
-
-    def __repr__(self) -> str:
-        return f"ThresholdSelector(threshold={self.threshold})"
 
 
 class AllSelector(NextStageSelector):

@@ -29,7 +29,7 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.diffusion.diffusion import DiffusionResult, graph_diffusion
+from repro.diffusion.diffusion import graph_diffusion
 from repro.diffusion.transition import TransitionOperator
 from repro.graph.csr import CSRGraph
 

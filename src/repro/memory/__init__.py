@@ -1,17 +1,10 @@
 """Memory measurement substrate (tracemalloc tracking and reporting)."""
 
-from repro.memory.report import (
-    MemorySummary,
-    bytes_to_megabytes,
-    reduction_factor,
-    summarize_bytes,
-)
+from repro.memory.report import MemorySummary, summarize_bytes
 from repro.memory.tracker import MemoryTracker
 
 __all__ = [
     "MemorySummary",
-    "bytes_to_megabytes",
-    "reduction_factor",
     "summarize_bytes",
     "MemoryTracker",
 ]

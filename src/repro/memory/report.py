@@ -1,18 +1,13 @@
-"""Memory usage summaries and reduction factors (Table II bookkeeping)."""
+"""Memory usage summaries (Table II bookkeeping)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["MemorySummary", "summarize_bytes", "reduction_factor", "bytes_to_megabytes"]
-
-
-def bytes_to_megabytes(value: float) -> float:
-    """Convert bytes to binary megabytes (the unit used in Table II)."""
-    return value / (1024.0 * 1024.0)
+__all__ = ["MemorySummary", "summarize_bytes"]
 
 
 @dataclass(frozen=True)
@@ -23,21 +18,6 @@ class MemorySummary:
     maximum: float
     mean: float
     count: int
-
-    @property
-    def minimum_mb(self) -> float:
-        """Minimum in megabytes."""
-        return bytes_to_megabytes(self.minimum)
-
-    @property
-    def maximum_mb(self) -> float:
-        """Maximum in megabytes."""
-        return bytes_to_megabytes(self.maximum)
-
-    @property
-    def mean_mb(self) -> float:
-        """Mean in megabytes."""
-        return bytes_to_megabytes(self.mean)
 
 
 def summarize_bytes(values: Sequence[float]) -> MemorySummary:
@@ -51,17 +31,3 @@ def summarize_bytes(values: Sequence[float]) -> MemorySummary:
         mean=float(array.mean()),
         count=int(array.size),
     )
-
-
-def reduction_factor(baseline_bytes: float, optimized_bytes: float) -> float:
-    """Memory reduction factor ``baseline / optimized``.
-
-    A value above 1 means the optimised implementation uses less memory.
-    Returns ``inf`` when the optimised implementation reports zero bytes
-    (Table II prints "0.000 MB" for the smallest FPGA sub-graphs).
-    """
-    if baseline_bytes < 0 or optimized_bytes < 0:
-        raise ValueError("byte counts must be non-negative")
-    if optimized_bytes == 0:
-        return float("inf")
-    return baseline_bytes / optimized_bytes

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import threading
 import tracemalloc
-from typing import Optional
 
 __all__ = ["MemoryTracker"]
 
@@ -48,21 +47,10 @@ class MemoryTracker:
         self._peak_bytes = 0
         self._current_at_start = 0
 
-    # ------------------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        """Whether this tracker measures anything."""
-        return self._enabled
-
     @property
     def peak_bytes(self) -> int:
         """Peak bytes allocated inside the ``with`` block (0 when disabled)."""
         return self._peak_bytes
-
-    @property
-    def peak_megabytes(self) -> float:
-        """Peak allocation in binary megabytes."""
-        return self._peak_bytes / (1024.0 * 1024.0)
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "MemoryTracker":

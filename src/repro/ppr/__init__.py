@@ -2,14 +2,7 @@
 
 from repro.ppr.base import PPRQuery, PPRResult, PPRSolver
 from repro.ppr.local_ppr import LocalPPRSolver
-from repro.ppr.metrics import (
-    average_precision_over_seeds,
-    precision_at_k,
-    rank_agreement,
-    recall_at_k,
-    result_precision,
-    score_l1_error,
-)
+from repro.ppr.metrics import precision_at_k, result_precision
 from repro.ppr.monte_carlo import MonteCarloSolver
 from repro.ppr.networkx_baseline import NetworkXPPRSolver
 from repro.ppr.power_iteration import PowerIterationSolver
@@ -19,12 +12,8 @@ __all__ = [
     "PPRResult",
     "PPRSolver",
     "LocalPPRSolver",
-    "average_precision_over_seeds",
     "precision_at_k",
-    "rank_agreement",
-    "recall_at_k",
     "result_precision",
-    "score_l1_error",
     "MonteCarloSolver",
     "NetworkXPPRSolver",
     "PowerIterationSolver",

@@ -12,8 +12,6 @@ import abc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.diffusion.sparse_vector import SparseScoreVector
 from repro.graph.csr import CSRGraph
 from repro.utils.timing import TimingBreakdown
@@ -134,10 +132,6 @@ class PPRSolver(abc.ABC):
     def solve(self, query: PPRQuery) -> PPRResult:
         """Answer one PPR query."""
 
-    def solve_seed(self, seed: int, k: int = 200, alpha: float = 0.85, length: int = 6) -> PPRResult:
-        """Convenience wrapper building the :class:`PPRQuery` inline."""
-        return self.solve(PPRQuery(seed=seed, k=k, alpha=alpha, length=length))
-
     def solve_many(self, queries: List[PPRQuery]) -> List[PPRResult]:
         """Answer a batch of queries through a serial query engine.
 
@@ -150,6 +144,3 @@ class PPRSolver(abc.ABC):
         from repro.serving.engine import QueryEngine  # deferred: avoids cycle
 
         return QueryEngine(self).solve_batch(list(queries))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(graph={self._graph.name!r})"

@@ -14,10 +14,6 @@ BFS plus the diffusion on the large sub-graph.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 from repro.diffusion.diffusion import graph_diffusion, seed_vector
 from repro.diffusion.sparse_vector import SparseScoreVector
 from repro.graph.bfs import extract_ego_subgraph

@@ -5,28 +5,16 @@ The paper's headline quality metric is *precision* (Sec. II, "Measurement"):
     ``Prec(s, k) = |{v : v in T_hat(s, k) and v in T(s, k)}| / k``
 
 where ``T(s, k)`` is the accurate top-k node set and ``T_hat`` the
-approximation.  Because top-k precision ignores ordering, we also provide
-recall-at-k (identical to precision when both sets have size ``k``), a ranked
-overlap measure and Kendall-tau-style rank agreement for ablation studies.
+approximation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence
+from typing import Iterable
 
-import numpy as np
-
-from repro.diffusion.sparse_vector import SparseScoreVector
 from repro.ppr.base import PPRResult
 
-__all__ = [
-    "precision_at_k",
-    "recall_at_k",
-    "result_precision",
-    "average_precision_over_seeds",
-    "rank_agreement",
-    "score_l1_error",
-]
+__all__ = ["precision_at_k", "result_precision"]
 
 
 def precision_at_k(approximate: Iterable[int], exact: Iterable[int], k: int) -> float:
@@ -49,76 +37,8 @@ def precision_at_k(approximate: Iterable[int], exact: Iterable[int], k: int) -> 
     return len(approx_set & exact_set) / float(k)
 
 
-def recall_at_k(approximate: Iterable[int], exact: Iterable[int], k: int) -> float:
-    """Top-k recall: fraction of the exact top-k that the approximation found."""
-    if k <= 0:
-        raise ValueError(f"k must be > 0, got {k}")
-    approx_set = set(list(approximate)[:k])
-    exact_set = set(list(exact)[:k])
-    if not exact_set:
-        return 1.0
-    return len(approx_set & exact_set) / float(len(exact_set))
-
-
 def result_precision(approximate: PPRResult, exact: PPRResult, k: int | None = None) -> float:
     """Precision between two :class:`PPRResult` objects (defaults to query ``k``)."""
     if k is None:
         k = approximate.query.k
     return precision_at_k(approximate.top_k_nodes(k), exact.top_k_nodes(k), k)
-
-
-def average_precision_over_seeds(
-    approximate_results: Sequence[PPRResult],
-    exact_results: Sequence[PPRResult],
-    k: int | None = None,
-) -> float:
-    """Mean precision across paired per-seed results (Fig. 6 / Fig. 7 averages)."""
-    if len(approximate_results) != len(exact_results):
-        raise ValueError("result sequences must have equal length")
-    if not approximate_results:
-        return 0.0
-    values = [
-        result_precision(approx, exact, k)
-        for approx, exact in zip(approximate_results, exact_results)
-    ]
-    return float(np.mean(values))
-
-
-def rank_agreement(approximate: Sequence[int], exact: Sequence[int], k: int) -> float:
-    """Kendall-tau-style agreement over the intersection of two top-k lists.
-
-    Returns a value in ``[-1, 1]``; 1 means the shared nodes appear in the
-    same relative order.  Used by ablations that care about ordering, not just
-    membership.
-    """
-    if k <= 0:
-        raise ValueError(f"k must be > 0, got {k}")
-    approx_rank: Dict[int, int] = {node: i for i, node in enumerate(list(approximate)[:k])}
-    exact_rank: Dict[int, int] = {node: i for i, node in enumerate(list(exact)[:k])}
-    shared = [node for node in exact_rank if node in approx_rank]
-    if len(shared) < 2:
-        return 1.0
-    concordant = 0
-    discordant = 0
-    for i in range(len(shared)):
-        for j in range(i + 1, len(shared)):
-            a = approx_rank[shared[i]] - approx_rank[shared[j]]
-            b = exact_rank[shared[i]] - exact_rank[shared[j]]
-            if a * b > 0:
-                concordant += 1
-            elif a * b < 0:
-                discordant += 1
-    total = concordant + discordant
-    if total == 0:
-        return 1.0
-    return (concordant - discordant) / total
-
-
-def score_l1_error(
-    approximate: SparseScoreVector, exact: SparseScoreVector
-) -> float:
-    """L1 distance between two sparse score vectors (over their union support)."""
-    nodes = set(approximate) | set(exact)
-    return float(
-        sum(abs(approximate.get(node) - exact.get(node)) for node in nodes)
-    )

@@ -13,10 +13,6 @@ performs so the hardware model can charge off-chip access cost to it.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 from repro.diffusion.sparse_vector import SparseScoreVector
 from repro.graph.csr import CSRGraph
 from repro.memory.tracker import MemoryTracker

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from repro.diffusion.sparse_vector import SparseScoreVector
 from repro.graph.bfs import extract_ego_subgraph
 from repro.graph.csr import CSRGraph

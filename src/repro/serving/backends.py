@@ -56,15 +56,6 @@ class ExecutionBackend(abc.ABC):
     def close(self) -> None:
         """Release any held resources (idempotent; default no-op)."""
 
-    def __enter__(self) -> "ExecutionBackend":
-        return self
-
-    def __exit__(self, exc_type, exc, traceback) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
 
 class SerialBackend(ExecutionBackend):
     """Run every job sequentially on the calling thread."""
@@ -117,10 +108,6 @@ class ThreadPoolBackend(ExecutionBackend):
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-
-    def __repr__(self) -> str:
-        workers = "default" if self._max_workers is None else self._max_workers
-        return f"ThreadPoolBackend(max_workers={workers})"
 
 
 def make_backend(spec: Union[str, ExecutionBackend, None]) -> ExecutionBackend:

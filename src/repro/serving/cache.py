@@ -372,11 +372,6 @@ class _LRUCache:
             if shadow._index_state() != self._index_state():
                 raise AssertionError("the depth counts or centre index drifted")
 
-    def clear(self) -> None:
-        """Drop every entry (counters and the graph binding are kept)."""
-        with self._lock:
-            self._clear_locked()
-
 
 class SubgraphCache(_LRUCache):
     """LRU cache of ``(center, depth) ->`` one-ball :class:`~repro.graph.bfs.EgoWave`.
@@ -446,7 +441,7 @@ class SubgraphCache(_LRUCache):
         The cache binds to the first ``graph`` it serves.  Keys carry no
         graph identity, so for a graph it is not bound to it is bypassed: the
         stage is extracted uncached, and no entry or counter is touched.
-        :meth:`clear` resets the binding.
+        :meth:`bind` moves the binding.
 
         Every centre is looked up first, under one lock with the binding;
         the misses are extracted together (outside the lock), split into
@@ -484,17 +479,3 @@ class SubgraphCache(_LRUCache):
         for key in dead:
             self._store_locked(key, None)
         return len(dead)
-
-    def clear(self) -> None:
-        """Drop every entry and the graph binding (counters are kept)."""
-        with self._lock:
-            self._clear_locked()
-            self._graph = None
-
-    def __repr__(self) -> str:
-        stats = self.stats
-        return (
-            f"SubgraphCache(max_bytes={self._max_bytes}, "
-            f"entries={stats.num_entries}, bytes={stats.current_bytes}, "
-            f"hit_rate={stats.hit_rate:.2f})"
-        )

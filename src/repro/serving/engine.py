@@ -664,13 +664,3 @@ class QueryEngine:
 
     def __exit__(self, exc_type, exc, traceback) -> None:
         self.close()
-
-    def __repr__(self) -> str:
-        cache = "none" if self._cache is None else repr(self._cache)
-        result_cache = (
-            "none" if self._result_cache is None else repr(self._result_cache)
-        )
-        return (
-            f"QueryEngine(solver={self._solver!r}, backend={self._backend!r}, "
-            f"cache={cache}, result_cache={result_cache})"
-        )

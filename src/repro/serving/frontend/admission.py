@@ -236,10 +236,3 @@ class AdmissionController:
         """A consistent snapshot of the counters and latency percentiles."""
         with self._lock:
             return replace(self._stats, latency=self._latency.snapshot())
-
-    def __repr__(self) -> str:
-        stats = self.stats()
-        return (
-            f"AdmissionController(max_pending={stats.capacity}, "
-            f"pending={stats.pending}, shed={stats.shed})"
-        )

@@ -274,11 +274,6 @@ class MicroBatcher:
         """Whether submissions are accepted (not stopped, scheduler not dead)."""
         return self._scheduler is not None and not self._closing
 
-    @property
-    def queue_depth(self) -> int:
-        """Waiters queued but not yet batched (bounded by admission)."""
-        return len(self._items)
-
     # ------------------------------------------------------------------
     async def start(self) -> "MicroBatcher":
         """Start the scheduler on the running event loop."""
@@ -513,10 +508,4 @@ class MicroBatcher:
             policy=self._policy,
             admission=self._admission.stats(),
             engine=self._engine.stats(),
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"MicroBatcher(policy={self._policy!r}, "
-            f"running={self.running}, queue_depth={self.queue_depth})"
         )

@@ -228,7 +228,7 @@ SampleKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 
 @dataclass
 class PrometheusScrape:
-    """A parsed exposition: family types plus every sample's value.
+    """A parsed exposition: family types and HELP texts plus every sample's value.
 
     ``samples`` maps ``(name, sorted label items)`` to the value;
     :meth:`value` is the ergonomic accessor tests use.
@@ -236,22 +236,12 @@ class PrometheusScrape:
 
     types: Dict[str, str]
     samples: Dict[SampleKey, float]
+    helps: Dict[str, str]
 
     def value(self, name: str, **labels: str) -> float:
         """The sample's value; raises ``KeyError`` when absent."""
         key = (name, tuple(sorted(labels.items())))
         return self.samples[key]
-
-    def family_samples(self, name: str) -> Dict[SampleKey, float]:
-        """Every sample of one family (including ``_sum``/``_count``)."""
-        return {
-            key: value
-            for key, value in self.samples.items()
-            if key[0] == name or key[0].startswith(f"{name}_")
-        }
-
-    def __contains__(self, name: str) -> bool:
-        return any(key[0] == name for key in self.samples)
 
 
 def _unescape_label_value(value: str) -> str:
@@ -281,6 +271,7 @@ def parse_prometheus_text(text: str) -> PrometheusScrape:
     real scraper would reject.
     """
     types: Dict[str, str] = {}
+    helps: Dict[str, str] = {}
     samples: Dict[SampleKey, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -296,8 +287,12 @@ def parse_prometheus_text(text: str) -> PrometheusScrape:
                 )
             types[parts[2]] = parts[3]
             continue
+        if line.startswith("# HELP "):
+            _, _, name, *help_text = line.split(None, 3)
+            helps[name] = help_text[0] if help_text else ""
+            continue
         if line.startswith("#"):
-            continue  # HELP and comments
+            continue  # comments
         match = _SAMPLE_RE.match(line)
         if match is None:
             raise ValueError(f"line {lineno}: malformed sample line: {raw!r}")
@@ -341,4 +336,4 @@ def parse_prometheus_text(text: str) -> PrometheusScrape:
         if key in samples:
             raise ValueError(f"line {lineno}: duplicate sample {key!r}")
         samples[key] = value
-    return PrometheusScrape(types=types, samples=samples)
+    return PrometheusScrape(types=types, samples=samples, helps=helps)

@@ -110,8 +110,10 @@ class _NoReplicaAvailable(Exception):
 _REPLICA_ERRORS = (ClientConnectionError, ServerError, ProtocolMismatchError)
 
 #: The router's counters, each once: ``(/stats key, attribute, /metrics
-#: family, HELP)``.  An attribute holds a count, or replica name -> count
-#: (exported with a ``replica`` label).
+#: family, HELP)``.  An attribute holds a count, replica name -> count
+#: (exported with a ``replica`` label), or replica name -> outcome -> count
+#: (``replica`` and ``outcome`` labels).  A family with no sample yet is left
+#: out of ``/metrics``.
 _COUNTERS = (
     ("queries", "_queries", "repro_router_queries_total",
      "Queries accepted by the router front door."),
@@ -127,7 +129,16 @@ _COUNTERS = (
      "Forward attempts that failed at the transport, per replica."),
     ("failovers", "_failovers", "repro_router_failovers_total",
      "Queries answered away from their owning replica, labelled by the owner that missed them."),
+    ("health_checks", "_health_checks", "repro_router_health_checks_total",
+     "Health probes by replica and outcome."),
 )
+
+
+def _copy(value: object) -> object:
+    """A counter's value with every nested dict copied."""
+    if isinstance(value, dict):
+        return {key: _copy(item) for key, item in value.items()}
+    return value
 
 
 class ReplicaHandle:
@@ -213,7 +224,7 @@ class ReplicaRouter(BaseHttpServer):
         self._answers = {name: 0 for name in self._handles}
         self._forward_errors = {name: 0 for name in self._handles}
         self._failovers = {name: 0 for name in self._handles}
-        self._health_checks: Dict[Tuple[str, str], int] = {}
+        self._health_checks: Dict[str, Dict[str, int]] = {name: {} for name in self._handles}
 
     @staticmethod
     def check_options(
@@ -258,10 +269,6 @@ class ReplicaRouter(BaseHttpServer):
         await super().stop()
         for handle in self._handles.values():
             await handle.close()
-
-    async def __aenter__(self) -> "ReplicaRouter":
-        await self.start()
-        return self
 
     # -- health --------------------------------------------------------
 
@@ -326,14 +333,10 @@ class ReplicaRouter(BaseHttpServer):
             self._count_health(handle.name, "error")
 
     def _count_health(self, name: str, outcome: str) -> None:
-        key = (name, outcome)
-        self._health_checks[key] = self._health_checks.get(key, 0) + 1
+        outcomes = self._health_checks[name]
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
 
     # -- routing -------------------------------------------------------
-
-    def owner_of(self, seed: int) -> str:
-        """The replica that owns ``seed`` under the current ring."""
-        return self.ring.owner(int(seed))
 
     def replica_states(self) -> Dict[str, str]:
         return {name: handle.state for name, handle in self._handles.items()}
@@ -460,8 +463,7 @@ class ReplicaRouter(BaseHttpServer):
     def _router_stats(self) -> Dict[str, object]:
         stats: Dict[str, object] = {}
         for key, attribute, _, _ in _COUNTERS:
-            value = getattr(self, attribute)
-            stats[key] = dict(value) if isinstance(value, dict) else value
+            stats[key] = _copy(getattr(self, attribute))
         stats["replicas"] = {
             name: handle.describe() for name, handle in self._handles.items()
         }
@@ -510,25 +512,21 @@ class ReplicaRouter(BaseHttpServer):
                 {"replica": name, "state": handle.state},
             )
         for _, attribute, family, help_text in _COUNTERS:
-            writer.family(family, "counter", help_text)
             value = getattr(self, attribute)
-            if isinstance(value, dict):
-                for name in names:
-                    writer.sample(family, float(value[name]), {"replica": name})
+            if not isinstance(value, dict):
+                samples = [(value, {})]
+            elif all(isinstance(value[name], dict) for name in names):
+                samples = [
+                    (count, {"replica": name, "outcome": outcome})
+                    for name in names
+                    for outcome, count in sorted(value[name].items())
+                ]
             else:
-                writer.sample(family, float(value))
-        if self._health_checks:
-            writer.family(
-                "repro_router_health_checks_total",
-                "counter",
-                "Health probes by replica and outcome.",
-            )
-            for (name, outcome), count in sorted(self._health_checks.items()):
-                writer.sample(
-                    "repro_router_health_checks_total",
-                    float(count),
-                    {"replica": name, "outcome": outcome},
-                )
+                samples = [(value[name], {"replica": name}) for name in names]
+            if samples:
+                writer.family(family, "counter", help_text)
+            for count, labels in samples:
+                writer.sample(family, float(count), labels)
         await self._append_replica_metrics(writer)
         return writer.render()
 
@@ -536,25 +534,28 @@ class ReplicaRouter(BaseHttpServer):
         """Re-export every replica's scrape with a ``replica=`` label.
 
         Families are merged across replicas first so each HELP/TYPE pair
-        is emitted exactly once — the strict parser rejects duplicates.
+        (the first replica's, HELP text as the replica wrote it) is emitted
+        exactly once — the strict parser rejects duplicates.
         Unreachable replicas, and those whose scrape does not parse, are
         simply absent from the re-export (their ``repro_router_replica_up``
         gauge already tells the story).
         """
         scrapes = await self._fan_out(_scrape)
         types: Dict[str, str] = {}
+        helps: Dict[str, str] = {}
         samples: List[Tuple[str, str, Dict[str, str], float]] = []
         for name, scrape in sorted(scrapes.items()):
             if not isinstance(scrape, PrometheusScrape):
                 continue
             for family, kind in scrape.types.items():
                 types.setdefault(family, kind)
+                helps.setdefault(family, scrape.helps.get(family, ""))
             for (sample_name, label_items), value in scrape.samples.items():
                 labels = dict(label_items)
                 labels["replica"] = name
                 samples.append((sample_name, name, labels, value))
         for family in sorted(types):
-            writer.family(family, types[family], "Re-exported from replicas.")
+            writer.family(family, types[family], helps[family])
         # Samples belong to a family by name prefix (_sum/_count/quantile
         # ride under the summary family); emission order groups by family
         # name so the exposition stays parseable.

@@ -86,17 +86,6 @@ class ConsistentHashRing:
         for member in members:
             self.add(member)
 
-    @property
-    def members(self) -> List[str]:
-        """Current members in sorted order."""
-        return sorted(self._members)
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, member: str) -> bool:
-        return member in self._members
-
     def add(self, member: str) -> None:
         """Add ``member``, claiming its virtual nodes on the ring."""
         if member in self._members:
@@ -111,19 +100,6 @@ class ConsistentHashRing:
             self._owners.insert(index, member)
             positions.append(pos)
         self._members[member] = positions
-
-    def remove(self, member: str) -> None:
-        """Remove ``member``; only its keys move (minimal movement)."""
-        if member not in self._members:
-            raise KeyError(member)
-        del self._members[member]
-        keep = [
-            (pos, owner)
-            for pos, owner in zip(self._positions, self._owners)
-            if owner != member
-        ]
-        self._positions = [pos for pos, _ in keep]
-        self._owners = [owner for _, owner in keep]
 
     def owner(self, key: object) -> str:
         """The member owning ``key`` (first vnode clockwise)."""
@@ -150,13 +126,6 @@ class ConsistentHashRing:
                 if len(seen) >= limit:
                     break
         return seen
-
-    def assignment(self, keys: Sequence[object]) -> Dict[str, List[object]]:
-        """Group ``keys`` by owning member (members with none included)."""
-        out: Dict[str, List[object]] = {member: [] for member in self._members}
-        for key in keys:
-            out[self.owner(key)].append(key)
-        return out
 
 
 def pick_free_port(host: str = "127.0.0.1") -> int:

@@ -431,12 +431,3 @@ class ScoreTableCache(_LRUCache):
             bare = (state, _entry_nbytes(state), stored_at, None, None)
             self._store_locked(key, bare)
         return len(dropped), len(self._entries), self._answers, len(stripped)
-
-    def __repr__(self) -> str:
-        stats = self.stats
-        ttl = "none" if self._ttl_seconds is None else f"{self._ttl_seconds:g}s"
-        return (
-            f"ScoreTableCache(max_bytes={self._max_bytes}, ttl={ttl}, "
-            f"entries={stats.num_entries}, bytes={stats.current_bytes}, "
-            f"hit_rate={stats.hit_rate:.2f})"
-        )

@@ -152,7 +152,7 @@ class LatencySnapshot(StatsRecord):
 class LatencyHistogram:
     """Thread-safe log-bucketed histogram of latencies in seconds.
 
-    ``record`` is O(1); ``percentile`` walks the fixed bucket array.  The
+    ``record`` is O(1); ``snapshot`` walks the fixed bucket array.  The
     histogram never allocates after construction, so a server keeps one per
     metric for its whole lifetime.
     """
@@ -165,12 +165,6 @@ class LatencyHistogram:
         self._min = math.inf
         self._max = 0.0
 
-    @property
-    def count(self) -> int:
-        """Number of recorded samples."""
-        with self._lock:
-            return self._count
-
     def record(self, seconds: float) -> None:
         """Record one latency sample (negative values are clamped to 0)."""
         seconds = max(0.0, float(seconds))
@@ -181,20 +175,9 @@ class LatencyHistogram:
             self._min = min(self._min, seconds)
             self._max = max(self._max, seconds)
 
-    def percentile(self, quantile: float) -> float:
-        """Latency at ``quantile`` in [0, 1].
-
-        An empty histogram returns exactly ``0.0`` for every quantile —
-        never ``NaN``, ``inf`` or an exception — so reporting paths can
-        render a fresh histogram without special-casing.
-        Out-of-range quantiles raise ``ValueError`` regardless of count.
-        """
-        if not 0.0 <= quantile <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {quantile}")
-        with self._lock:
-            return self._percentile_locked(quantile)
-
     def _percentile_locked(self, quantile: float) -> float:
+        # An empty histogram gives exactly 0.0 for every quantile (never NaN,
+        # inf or an exception), so a fresh histogram renders as it is.
         if self._count == 0:
             return 0.0
         rank = max(1, math.ceil(quantile * self._count))
@@ -220,10 +203,3 @@ class LatencyHistogram:
                 p95_seconds=self._percentile_locked(0.95),
                 p99_seconds=self._percentile_locked(0.99),
             )
-
-    def __repr__(self) -> str:
-        snap = self.snapshot()
-        return (
-            f"LatencyHistogram(count={snap.count}, "
-            f"p50={snap.p50_seconds:.6f}s, p99={snap.p99_seconds:.6f}s)"
-        )

@@ -175,12 +175,6 @@ class Span:
             "attributes": dict(self.attributes),
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Span({self.name!r}, id={self.span_id}, parent={self.parent_id}, "
-            f"dur={self.duration_seconds * 1e3:.3f}ms)"
-        )
-
 
 class _ScopedSpan:
     """``with ctx.span(...) as span:`` — begin on enter, end on exit."""
@@ -292,11 +286,6 @@ class TraceContext:
         """Id of the innermost open span (for outbound propagation)."""
         with self._lock:
             return (self._stack[-1] if self._stack else self.root).span_id
-
-    def annotate(self, **attributes: Any) -> None:
-        """Attach attributes to the root span."""
-        with self._lock:
-            self.root.attributes.update(attributes)
 
     # -- completion --------------------------------------------------------
 

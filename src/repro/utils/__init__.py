@@ -1,22 +1,17 @@
 """Shared utilities: validation helpers, RNG handling, timing."""
 
 from repro.utils.rng import ensure_rng
-from repro.utils.timing import Stopwatch, TimingBreakdown
+from repro.utils.timing import TimingBreakdown
 from repro.utils.validation import (
-    check_fraction,
     check_node_id,
     check_non_negative,
-    check_positive,
     check_probability,
 )
 
 __all__ = [
     "ensure_rng",
-    "Stopwatch",
     "TimingBreakdown",
-    "check_fraction",
     "check_node_id",
     "check_non_negative",
-    "check_positive",
     "check_probability",
 ]

@@ -8,7 +8,7 @@ three forms so call sites never touch global NumPy state.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -39,27 +39,3 @@ def ensure_rng(rng: RngLike = None) -> np.random.Generator:
         f"got {type(rng).__name__}"
     )
 
-
-def spawn_rngs(rng: RngLike, count: int) -> list[np.random.Generator]:
-    """Split one generator into ``count`` independent child generators.
-
-    Used when an experiment fans out over seeds/graphs so that each unit of
-    work is reproducible independently of execution order.
-    """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    parent = ensure_rng(rng)
-    seeds = parent.integers(0, 2**63 - 1, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]
-
-
-def sample_without_replacement(
-    rng: RngLike, population: int, count: int
-) -> np.ndarray:
-    """Sample ``count`` distinct integers from ``range(population)``."""
-    if count > population:
-        raise ValueError(
-            f"cannot sample {count} items from a population of {population}"
-        )
-    generator = ensure_rng(rng)
-    return generator.choice(population, size=count, replace=False)

@@ -13,50 +13,6 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 
-class Stopwatch:
-    """A simple re-startable stopwatch based on ``time.perf_counter``.
-
-    Example
-    -------
-    >>> watch = Stopwatch()
-    >>> watch.start()
-    >>> _ = sum(range(1000))
-    >>> elapsed = watch.stop()
-    >>> elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self._start: float | None = None
-        self._elapsed = 0.0
-
-    def start(self) -> "Stopwatch":
-        """Start (or restart) the stopwatch, keeping accumulated time."""
-        self._start = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        """Stop the stopwatch and return the total accumulated seconds."""
-        if self._start is None:
-            raise RuntimeError("Stopwatch.stop() called before start()")
-        self._elapsed += time.perf_counter() - self._start
-        self._start = None
-        return self._elapsed
-
-    def reset(self) -> None:
-        """Reset accumulated time to zero."""
-        self._start = None
-        self._elapsed = 0.0
-
-    @property
-    def elapsed(self) -> float:
-        """Accumulated seconds, including the running interval if active."""
-        running = 0.0
-        if self._start is not None:
-            running = time.perf_counter() - self._start
-        return self._elapsed + running
-
-
 @dataclass
 class TimingBreakdown:
     """Named timing buckets, e.g. ``bfs``, ``diffusion``, ``aggregation``.
@@ -81,20 +37,6 @@ class TimingBreakdown:
     def total(self) -> float:
         """Sum of all buckets."""
         return sum(self.seconds.values())
-
-    def fraction(self, name: str) -> float:
-        """Fraction of the total spent in bucket ``name`` (0 if empty)."""
-        total = self.total
-        if total == 0:
-            return 0.0
-        return self.seconds.get(name, 0.0) / total
-
-    def merge(self, other: "TimingBreakdown") -> "TimingBreakdown":
-        """Return a new breakdown with bucket-wise sums of ``self`` and ``other``."""
-        merged = TimingBreakdown(dict(self.seconds))
-        for name, value in other.seconds.items():
-            merged.add(name, value)
-        return merged
 
 
 class _Measure:

@@ -11,30 +11,6 @@ import numbers
 from typing import Any
 
 
-def check_positive(value: Any, name: str) -> float:
-    """Return ``value`` if it is a strictly positive real number.
-
-    Parameters
-    ----------
-    value:
-        The value to check.
-    name:
-        The argument name used in the error message.
-
-    Raises
-    ------
-    TypeError
-        If ``value`` is not a real number.
-    ValueError
-        If ``value`` is not strictly positive.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-    if value <= 0:
-        raise ValueError(f"{name} must be > 0, got {value!r}")
-    return float(value)
-
-
 def check_non_negative(value: Any, name: str) -> float:
     """Return ``value`` if it is a non-negative real number."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -49,14 +25,6 @@ def check_probability(value: Any, name: str) -> float:
     value = check_non_negative(value, name)
     if value > 1:
         raise ValueError(f"{name} must be <= 1, got {value!r}")
-    return value
-
-
-def check_fraction(value: Any, name: str) -> float:
-    """Return ``value`` if it lies in the half-open interval ``(0, 1]``."""
-    value = check_probability(value, name)
-    if value == 0:
-        raise ValueError(f"{name} must be > 0, got {value!r}")
     return value
 
 

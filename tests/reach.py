@@ -88,21 +88,25 @@ KEEP = {
     # A path of the paper's method that only a test runs.
     "paper": {},
 }
+#: Installed on each driver's ``PYTHONPATH``: record every entered code object,
+#: and dump them every second and at exit (a replica killed mid-run loses at
+#: most its last second).
 SITECUSTOMIZE = '''
-import atexit, json, os, sys, threading
+import atexit, json, os, sys, threading, time
 seen, out = set(), os.environ["REACH_OUT"]
 def tracer(frame, event, arg):
     code = frame.f_code
     if code not in seen and "/src/repro/" in code.co_filename:
         seen.add(code)
 def dump():
-    rows = [[c.co_filename, c.co_firstlineno] for c in list(seen)]
+    rows = [[c.co_filename, c.co_firstlineno] for c in list(seen)]  # list(): one atomic copy
     path = os.path.join(out, f"{os.getpid()}.json")
     with open(path + ".tmp", "w") as handle:
         json.dump(rows, handle)
     os.replace(path + ".tmp", path)
 def every_second():
-    while not threading.Event().wait(1.0):
+    while True:
+        time.sleep(1.0)
         dump()
 threading.Thread(target=every_second, daemon=True).start()
 atexit.register(dump)
@@ -140,8 +144,8 @@ def entered(driver: str) -> set:
     """``(path, first line)`` of every code object ``driver`` entered."""
     with tempfile.TemporaryDirectory() as site, tempfile.TemporaryDirectory() as out:
         Path(site, "sitecustomize.py").write_text(SITECUSTOMIZE)
-        env = dict(os.environ, REACH_OUT=out,
-                   PYTHONPATH=os.pathsep.join([str(SRC), site, os.environ.get("PYTHONPATH", "")]))
+        path = [str(SRC), site, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, REACH_OUT=out, PYTHONPATH=os.pathsep.join(filter(None, path)))
         for argv in DRIVERS[driver]:
             print(f"reach: {driver}: {' '.join(argv)[:100]}", file=sys.stderr, flush=True)
             subprocess.run([sys.executable] + argv, cwd=ROOT, env=env, check=False,

@@ -310,11 +310,6 @@ class TestCacheAccounting:
         assert cache.peek_answer(keys[2], queries[2], graph) is None
         assert cache.stats.current_bytes == 0 and cache.stats.expired == 1
 
-        cache, keys, results = self.solved(graph)
-        cache.clear()
-        assert cache.stats.current_bytes == 0
-        assert cache.lookup(keys[0], results[0].query, graph) == (None, None)
-
     def test_carry_keeps_answers_out_of_reach(self, graph):
         cache, keys, results = self.solved(graph)
         bare = ScoreTableCache()

@@ -216,7 +216,6 @@ def op_lists(kinds, entries):
     args = {
         "tick": st.integers(0, 3),
         "resize": st.integers(1, 12),
-        "clear": st.none(),
         "update": REACH,
     }
     return st.lists(
@@ -228,7 +227,7 @@ def op_lists(kinds, entries):
 
 RESULT_OPS = op_lists(
     ["put"] * 4 + ["attach"] * 4 + ["get", "probe", "tick"]
-    + ["update"] * 2 + ["resize", "clear"],
+    + ["update"] * 2 + ["resize"],
     st.integers(0, len(SPLITS) * 4 - 1),
 )
 
@@ -263,9 +262,6 @@ def test_score_table_cache_matches_the_full_scan(budget, ttl, ops):
         elif kind == "resize":
             cache.resize(op[1] * unit // 3)
             oracle.resize(op[1] * unit // 3)
-        elif kind == "clear":
-            cache.clear()
-            oracle.entries.clear()
         else:
             key, state, answer = pool[op[1]]
             if kind == "attach" and oracle.entries:
@@ -292,7 +288,7 @@ def test_score_table_cache_matches_the_full_scan(budget, ttl, ops):
 
 
 SUBGRAPH_OPS = op_lists(
-    ["put"] * 4 + ["get"] * 2 + ["update"] * 2 + ["resize", "clear"],
+    ["put"] * 4 + ["get"] * 2 + ["update"] * 2 + ["resize"],
     st.integers(0, 55),
 )
 
@@ -314,9 +310,6 @@ def test_subgraph_cache_matches_the_full_scan(budget, ops):
         elif kind == "resize":
             cache.resize(op[1] * unit // 3)
             oracle.resize(op[1] * unit // 3)
-        elif kind == "clear":
-            cache.clear()
-            oracle.entries.clear()
         else:
             (centre, depth), ball = pool[op[1]]
             if kind == "put":

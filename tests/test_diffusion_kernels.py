@@ -9,7 +9,6 @@ assertion everywhere; there is no tolerance.
 
 from __future__ import annotations
 
-import pickle
 
 import numpy as np
 import pytest
@@ -298,16 +297,6 @@ class TestOperatorMemoization:
         assert sibling.kernel.name == "frontier"
         assert sibling is TransitionOperator.for_graph(small_ba_graph, "frontier")
         assert operator.with_kernel("reference") is operator
-
-    def test_pickle_drops_operator_memo(self, small_ba_graph):
-        TransitionOperator.for_graph(small_ba_graph, "csr")
-        clone = pickle.loads(pickle.dumps(small_ba_graph))
-        assert clone._operator_memo is None
-        assert clone == small_ba_graph
-        # And the clone can build (and memoize) fresh operators.
-        operator = TransitionOperator.for_graph(clone, "frontier")
-        assert operator.kernel.name == "frontier"
-
 
 class TestRegistry:
     def test_unknown_name_raises(self):

@@ -33,15 +33,7 @@ class TestConstruction:
     def test_from_dense_with_tolerance(self):
         dense = np.array([0.0, 1e-9, 0.5])
         vector = SparseScoreVector.from_dense(dense, tolerance=1e-6)
-        assert 1 not in vector
-        assert 2 in vector
-
-    def test_copy_is_independent(self):
-        original = SparseScoreVector({1: 1.0})
-        clone = original.copy()
-        clone.add(1, 1.0)
-        assert original.get(1) == 1.0
-
+        assert vector.nodes().tolist() == [2]
 
 class TestArithmetic:
     def test_add_accumulates(self):
@@ -49,13 +41,6 @@ class TestArithmetic:
         vector.add(4, 0.5)
         vector.add(4, 0.25)
         assert vector.get(4) == pytest.approx(0.75)
-
-    def test_add_vector_with_scale(self):
-        a = SparseScoreVector({0: 1.0})
-        b = SparseScoreVector({0: 1.0, 1: 2.0})
-        a.add_vector(b, scale=0.5)
-        assert a.get(0) == pytest.approx(1.5)
-        assert a.get(1) == pytest.approx(1.0)
 
     def test_scale(self):
         vector = SparseScoreVector({1: 2.0, 2: 4.0})
@@ -65,8 +50,7 @@ class TestArithmetic:
     def test_prune_removes_small_entries(self):
         vector = SparseScoreVector({1: 1e-15, 2: 0.5})
         vector.prune(1e-12)
-        assert 1 not in vector
-        assert 2 in vector
+        assert vector.nodes().tolist() == [2]
 
     def test_sum(self):
         assert SparseScoreVector({1: 0.25, 2: 0.75}).sum() == pytest.approx(1.0)
@@ -96,34 +80,10 @@ class TestTopK:
 
 
 class TestConversions:
-    def test_to_dense(self):
-        vector = SparseScoreVector({0: 0.5, 3: 0.25})
-        dense = vector.to_dense(5)
-        assert dense[0] == 0.5
-        assert dense[3] == 0.25
-        assert dense.sum() == pytest.approx(0.75)
-
-    def test_to_dense_too_small(self):
-        vector = SparseScoreVector({7: 1.0})
-        with pytest.raises(ValueError):
-            vector.to_dense(3)
-
     def test_nodes_and_values_aligned(self):
         vector = SparseScoreVector({2: 0.2, 9: 0.9})
         mapping = dict(zip(vector.nodes().tolist(), vector.values().tolist()))
         assert mapping == {2: 0.2, 9: 0.9}
-
-    def test_nbytes(self):
-        assert SparseScoreVector({1: 0.1, 2: 0.2}).nbytes() == 32
-
-    def test_iteration_and_contains(self):
-        vector = SparseScoreVector({4: 1.0})
-        assert list(iter(vector)) == [4]
-        assert 4 in vector
-        assert 5 not in vector
-
-    def test_repr_mentions_entries(self):
-        assert "num_entries=1" in repr(SparseScoreVector({1: 0.5}))
 
 
 class TestFreeze:
@@ -134,7 +94,6 @@ class TestFreeze:
         for update in (
             lambda: vector.add(1, 0.1),
             lambda: vector.add(9, 0.1),
-            lambda: vector.add_vector(SparseScoreVector({1: 1.0})),
             lambda: vector.scale(2.0),
             lambda: vector.prune(),
         ):
@@ -146,10 +105,10 @@ class TestFreeze:
             vector._values[0] = 9.0
         assert vector.freeze().frozen  # idempotent
 
-    def test_reads_and_copies_still_work(self):
+    def test_reads_and_rebuilds_still_work(self):
         vector = SparseScoreVector({1: 0.5, 2: 0.25}).freeze()
         assert vector.get(2) == 0.25 and vector.top_k(1) == [(1, 0.5)]
-        clone = vector.copy()
+        clone = SparseScoreVector.from_arrays(vector.nodes(), vector.values())
         assert not clone.frozen
         clone.scale(2.0)
         assert clone.get(1) == 1.0 and vector.get(1) == 0.5

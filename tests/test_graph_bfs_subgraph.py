@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graph.bfs import bfs_frontier_sizes, bfs_levels, extract_ego_subgraph
+from repro.graph.bfs import bfs_levels, extract_ego_subgraph
 from repro.graph.builder import GraphBuilder
 from repro.graph.subgraph import Subgraph
 
@@ -28,7 +28,7 @@ class TestBFSLevels:
 
     def test_star_one_hop(self, star_graph):
         result = bfs_levels(star_graph, 0, 1)
-        assert result.num_nodes == 7
+        assert result.nodes.size == 7
 
     def test_levels_are_shortest_distances(self, star_graph):
         result = bfs_levels(star_graph, 1, 2)
@@ -39,10 +39,6 @@ class TestBFSLevels:
     def test_edges_scanned_counts_frontier_degrees(self, star_graph):
         result = bfs_levels(star_graph, 0, 1)
         assert result.edges_scanned == 6
-
-    def test_frontier_sizes(self, path_graph):
-        sizes = bfs_frontier_sizes(path_graph, 0, 2)
-        assert list(sizes) == [1, 1, 1]
 
     def test_disconnected_component_not_reached(self):
         graph = GraphBuilder(num_nodes=4).add_edge(0, 1).add_edge(2, 3).build()
@@ -113,28 +109,6 @@ class TestSubgraph:
         subgraph = Subgraph.induced(star_graph, [0, 1])
         with pytest.raises(KeyError):
             subgraph.to_local(6)
-
-    def test_contains_global(self, star_graph):
-        subgraph = Subgraph.induced(star_graph, [0, 1])
-        assert subgraph.contains_global(1)
-        assert not subgraph.contains_global(2)
-
-    def test_localize_vector(self, star_graph):
-        subgraph = Subgraph.induced(star_graph, [2, 4])
-        dense = np.arange(star_graph.num_nodes, dtype=float)
-        assert list(subgraph.localize_vector(dense)) == [2.0, 4.0]
-
-    def test_globalize_scores(self, star_graph):
-        subgraph = Subgraph.induced(star_graph, [2, 4])
-        dense = subgraph.globalize_scores(np.array([1.0, 2.0]), star_graph.num_nodes)
-        assert dense[2] == 1.0
-        assert dense[4] == 2.0
-        assert dense.sum() == 3.0
-
-    def test_globalize_wrong_length(self, star_graph):
-        subgraph = Subgraph.induced(star_graph, [2, 4])
-        with pytest.raises(ValueError):
-            subgraph.globalize_scores(np.array([1.0]), star_graph.num_nodes)
 
     def test_mismatched_global_ids_length_rejected(self, triangle_graph):
         from repro.graph.csr import CSRGraph

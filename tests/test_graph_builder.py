@@ -17,7 +17,7 @@ class TestAddEdges:
     def test_add_edges_array(self):
         builder = GraphBuilder(num_nodes=4)
         builder.add_edges(np.array([[0, 1], [2, 3]]))
-        assert builder.num_pending_edges == 2
+        assert builder.build().num_edges == 2
 
     def test_add_edges_empty_iterable(self):
         builder = GraphBuilder(num_nodes=2)
@@ -57,7 +57,7 @@ class TestEndpointTypes:
         builder = GraphBuilder(num_nodes=3)
         with pytest.raises(ValueError, match="integer"):
             builder.add_edge(u, v)
-        assert builder.num_pending_edges == 0
+        assert builder.build().num_edges == 0
 
     @pytest.mark.parametrize(
         "edges",
@@ -76,7 +76,7 @@ class TestEndpointTypes:
         builder = GraphBuilder(num_nodes=3)
         with pytest.raises(ValueError, match="integer"):
             builder.add_edges(edges)
-        assert builder.num_pending_edges == 0
+        assert builder.build().num_edges == 0
 
     def test_from_edges_rejects_float_endpoints(self):
         with pytest.raises(ValueError, match="integer"):
@@ -84,16 +84,10 @@ class TestEndpointTypes:
 
 
 class TestPendingEdgesAndRebuild:
-    def test_pending_counts_scalar_and_bulk_edges(self):
-        builder = GraphBuilder(num_nodes=4).add_edge(0, 1).add_edges([(1, 2), (2, 3)])
-        builder.add_edge(3, 3)
-        assert builder.num_pending_edges == 4
-
     def test_build_twice_gives_equal_graphs(self):
         builder = GraphBuilder(num_nodes=4).add_edge(0, 1).add_edges([(1, 2), (2, 3)])
         first = builder.build()
         assert builder.build() == first
-        assert builder.num_pending_edges == 3
 
     def test_edge_added_after_build_is_in_next_build(self):
         builder = GraphBuilder(num_nodes=4).add_edge(0, 1)
@@ -121,16 +115,6 @@ class TestConvenienceShapes:
     def test_add_path_too_short_is_noop(self):
         graph = GraphBuilder(num_nodes=2).add_path([0]).build()
         assert graph.num_edges == 0
-
-    def test_add_cycle(self):
-        graph = GraphBuilder(num_nodes=4).add_cycle([0, 1, 2, 3]).build()
-        assert graph.num_edges == 4
-        assert all(graph.degree(node) == 2 for node in range(4))
-
-    def test_add_cycle_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            GraphBuilder(num_nodes=2).add_cycle([0, 1])
-
 
 class TestBuildCleaning:
     def test_self_loops_removed(self):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from repro.graph.csr import CSRGraph
 
@@ -13,10 +12,7 @@ class TestConstruction:
     def test_from_edges_basic(self, triangle_graph):
         assert triangle_graph.num_nodes == 3
         assert triangle_graph.num_edges == 3
-        assert triangle_graph.num_directed_edges == 6
-
-    def test_size_is_nodes_plus_edges(self, triangle_graph):
-        assert triangle_graph.size == 6
+        assert triangle_graph.indices.size == 6
 
     def test_from_edges_drops_self_loops(self):
         graph = CSRGraph.from_edges(3, [(0, 0), (0, 1)])
@@ -25,16 +21,6 @@ class TestConstruction:
     def test_from_edges_drops_duplicates(self):
         graph = CSRGraph.from_edges(3, [(0, 1), (1, 0), (0, 1)])
         assert graph.num_edges == 1
-
-    def test_from_scipy_symmetrises(self):
-        matrix = sparse.csr_matrix(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
-        graph = CSRGraph.from_scipy(matrix)
-        assert graph.has_edge(0, 1)
-        assert graph.has_edge(1, 0)
-
-    def test_from_scipy_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            CSRGraph.from_scipy(sparse.csr_matrix(np.ones((2, 3))))
 
     def test_invalid_indptr_start(self):
         with pytest.raises(ValueError):
@@ -83,18 +69,7 @@ class TestNeighborhoods:
         edges = list(triangle_graph.iter_edges())
         assert sorted(edges) == [(0, 1), (0, 2), (1, 2)]
 
-    def test_edge_array_matches_iter_edges(self, small_ba_graph):
-        from_iter = sorted(small_ba_graph.iter_edges())
-        from_array = sorted(map(tuple, small_ba_graph.edge_array().tolist()))
-        assert from_iter == from_array
-
-
 class TestConversions:
-    def test_to_scipy_roundtrip(self, triangle_graph):
-        matrix = triangle_graph.to_scipy()
-        rebuilt = CSRGraph.from_scipy(matrix)
-        assert rebuilt == triangle_graph
-
     def test_to_scipy_symmetric(self, small_ba_graph):
         matrix = small_ba_graph.to_scipy()
         assert (matrix != matrix.T).nnz == 0
@@ -109,12 +84,6 @@ class TestConversions:
 
 
 class TestDunder:
-    def test_len_is_num_nodes(self, star_graph):
-        assert len(star_graph) == 7
-
-    def test_repr_mentions_name(self, triangle_graph):
-        assert "triangle" in repr(triangle_graph)
-
     def test_equality(self):
         a = CSRGraph.from_edges(3, [(0, 1)])
         b = CSRGraph.from_edges(3, [(0, 1)])

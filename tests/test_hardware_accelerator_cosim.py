@@ -90,10 +90,6 @@ class TestFPGAAccelerator:
         report = FPGAAccelerator(parallelism=8).execute(make_tasks())
         assert report.resources.parallelism == 8
 
-    def test_fits_on_device(self):
-        accelerator = FPGAAccelerator(parallelism=4)
-        assert accelerator.fits_on_device(make_tasks())
-
     def test_invalid_parallelism(self):
         with pytest.raises(ValueError):
             FPGAAccelerator(parallelism=0)
@@ -149,7 +145,7 @@ class TestMeLoPPRFPGASolver:
 
     def test_timing_buckets(self, small_ba_graph):
         solver = MeLoPPRFPGASolver(small_ba_graph, parallelism=4)
-        result = solver.solve_seed(seed=6, k=20)
+        result = solver.solve(PPRQuery(seed=6, k=20))
         assert {
             "cpu_bfs",
             "fpga_diffusion",
@@ -158,22 +154,15 @@ class TestMeLoPPRFPGASolver:
         } <= set(result.timing.seconds)
 
     def test_cosim_report_attached(self, small_ba_graph):
-        result = MeLoPPRFPGASolver(small_ba_graph, parallelism=2).solve_seed(seed=6, k=20)
+        result = MeLoPPRFPGASolver(small_ba_graph, parallelism=2).solve(PPRQuery(seed=6, k=20))
         report = result.metadata["cosim"]
         assert report.total_seconds == pytest.approx(
             report.cpu_seconds + report.fpga_report.fpga_seconds
         )
         assert 0.0 <= report.bfs_fraction <= 1.0
 
-    def test_modelled_cpu_time_mode(self, small_ba_graph):
-        solver = MeLoPPRFPGASolver(
-            small_ba_graph, parallelism=2, use_measured_cpu_time=False
-        )
-        result = solver.solve_seed(seed=6, k=20)
-        assert result.metadata["cosim"].cpu_seconds > 0
-
     def test_peak_memory_is_bram_bytes(self, small_ba_graph):
-        result = MeLoPPRFPGASolver(small_ba_graph, parallelism=2).solve_seed(seed=6, k=20)
+        result = MeLoPPRFPGASolver(small_ba_graph, parallelism=2).solve(PPRQuery(seed=6, k=20))
         assert result.peak_memory_bytes == result.metadata["fpga_peak_pe_bram_bytes"]
 
     def test_fpga_memory_much_smaller_than_cpu_baseline(self, citeseer_standin):

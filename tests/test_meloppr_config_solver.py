@@ -34,16 +34,6 @@ class TestMeLoPPRConfig:
         with pytest.raises(ValueError):
             MeLoPPRConfig(residual_tolerance=-1.0)
 
-    def test_with_selector_preserves_other_fields(self):
-        config = MeLoPPRConfig.paper_default().with_selector(CountSelector(5))
-        assert isinstance(config.selector, CountSelector)
-        assert config.stage_lengths == (3, 3)
-
-    def test_with_stage_lengths(self):
-        config = MeLoPPRConfig.paper_default().with_stage_lengths((2, 2, 2))
-        assert config.num_stages == 3
-        assert config.total_length == 6
-
 
 class TestSolverExactness:
     """With every next-stage node expanded, MeLoPPR must equal single-stage PPR."""
@@ -88,12 +78,12 @@ class TestSolverExactness:
 class TestSolverApproximation:
     def test_scores_sum_close_to_one(self, small_ba_graph):
         config = MeLoPPRConfig.paper_default(0.05)
-        result = MeLoPPRSolver(small_ba_graph, config).solve_seed(seed=4, k=30)
+        result = MeLoPPRSolver(small_ba_graph, config).solve(PPRQuery(seed=4, k=30))
         assert result.scores.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_seed_ranks_first(self, small_citation_graph):
         config = MeLoPPRConfig.paper_default(0.02)
-        result = MeLoPPRSolver(small_citation_graph, config).solve_seed(seed=20, k=10)
+        result = MeLoPPRSolver(small_citation_graph, config).solve(PPRQuery(seed=20, k=10))
         assert result.top_k_nodes(1) == [20]
 
     def test_precision_increases_with_selection_ratio(self, citeseer_standin):
@@ -123,7 +113,7 @@ class TestSolverApproximation:
 class TestSolverBookkeeping:
     def test_task_records_structure(self, small_ba_graph):
         config = MeLoPPRConfig.paper_default(0.05)
-        result = MeLoPPRSolver(small_ba_graph, config).solve_seed(seed=3, k=20)
+        result = MeLoPPRSolver(small_ba_graph, config).solve(PPRQuery(seed=3, k=20))
         tasks = result.metadata["tasks"]
         assert all(isinstance(task, StageTaskRecord) for task in tasks)
         assert tasks[0].stage_index == 0
@@ -132,13 +122,13 @@ class TestSolverBookkeeping:
 
     def test_stage_one_task_is_first_and_unique(self, small_ba_graph):
         config = MeLoPPRConfig.paper_default(0.1)
-        result = MeLoPPRSolver(small_ba_graph, config).solve_seed(seed=3, k=20)
+        result = MeLoPPRSolver(small_ba_graph, config).solve(PPRQuery(seed=3, k=20))
         stage_zero = [t for t in result.metadata["tasks"] if t.stage_index == 0]
         assert len(stage_zero) == 1
 
     def test_metadata_counts_consistent(self, small_ba_graph):
         config = MeLoPPRConfig.paper_default(0.1)
-        result = MeLoPPRSolver(small_ba_graph, config).solve_seed(seed=3, k=20)
+        result = MeLoPPRSolver(small_ba_graph, config).solve(PPRQuery(seed=3, k=20))
         tasks = result.metadata["tasks"]
         assert result.metadata["num_tasks"] == len(tasks)
         assert result.metadata["num_next_stage_tasks"] == len(tasks) - 1
@@ -176,12 +166,12 @@ class TestSolverBookkeeping:
             score_table_factor=1,
             track_memory=False,
         )
-        result = MeLoPPRSolver(small_ba_graph, config).solve_seed(seed=3, k=20)
+        result = MeLoPPRSolver(small_ba_graph, config).solve(PPRQuery(seed=3, k=20))
         assert result.metadata["score_table_entries"] <= 20
 
     def test_timing_buckets(self, small_ba_graph):
         config = MeLoPPRConfig.paper_default(0.05)
-        result = MeLoPPRSolver(small_ba_graph, config).solve_seed(seed=3, k=20)
+        result = MeLoPPRSolver(small_ba_graph, config).solve(PPRQuery(seed=3, k=20))
         assert {"bfs", "diffusion", "aggregation", "selection"} <= set(
             result.timing.seconds
         )

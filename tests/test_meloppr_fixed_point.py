@@ -48,14 +48,6 @@ class TestFixedPointFormat:
         fmt = FixedPointFormat.for_subgraph(0.85, subgraph_nodes=10**9, degree_scale=100.0)
         assert fmt.seed_value < 2**32
 
-    def test_alpha_effective(self):
-        fmt = FixedPointFormat(seed_value=1000, alpha_numerator=512, shift_bits=10)
-        assert fmt.alpha_effective == pytest.approx(0.5)
-
-    def test_scale_alpha_is_shift_based(self):
-        fmt = FixedPointFormat(seed_value=1000, alpha_numerator=512, shift_bits=10)
-        np.testing.assert_array_equal(fmt.scale_alpha(np.array([1024])), [512])
-
     def test_to_float_normalises_by_seed_value(self):
         fmt = FixedPointFormat(seed_value=2000, alpha_numerator=870, shift_bits=10)
         assert fmt.to_float(np.array([1000]))[0] == pytest.approx(0.5)

@@ -90,7 +90,7 @@ class TestPlannerProtocol:
 # The two executors: the engine's waves against the solver's one ball at a time.
 NUM_NODES = 120
 BASE_EDGES = frozenset(
-    (int(u), int(v)) for u, v in barabasi_albert_graph(NUM_NODES, 2, rng=21).edge_array()
+    barabasi_albert_graph(NUM_NODES, 2, rng=21).iter_edges()
 )
 UPDATE = (("insert", 0, 119), ("delete", *min(BASE_EDGES)), ("insert", 57, 101))
 SEEDS = (0, 118)

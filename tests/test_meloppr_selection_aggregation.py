@@ -10,7 +10,6 @@ from repro.meloppr.selection import (
     AllSelector,
     CountSelector,
     RatioSelector,
-    ThresholdSelector,
 )
 
 
@@ -66,18 +65,6 @@ class TestCountSelector:
             CountSelector(-1)
 
 
-class TestThresholdSelector:
-    def test_threshold_filtering(self):
-        assert list(ThresholdSelector(0.12).select(NODES, RESIDUALS)) == [20, 40, 50]
-
-    def test_high_threshold_selects_nothing(self):
-        assert ThresholdSelector(1.0).select(NODES, RESIDUALS).size == 0
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            ThresholdSelector(-0.1)
-
-
 class TestSelectorContract:
     """The plan hands ``select`` each candidate once, in ascending node order;
     the answer must not depend on that order."""
@@ -88,7 +75,6 @@ class TestSelectorContract:
             RatioSelector(0.3),
             RatioSelector(0.0, minimum=40),  # the minimum exceeds the candidates
             CountSelector(7),
-            ThresholdSelector(0.2),
             AllSelector(),
         ],
         ids=repr,
@@ -151,7 +137,7 @@ class TestGlobalScoreTable:
     def test_top_k_ordering(self):
         table = GlobalScoreTable()
         table.add_many([1, 2, 3], [0.2, 0.9, 0.5])
-        assert table.top_k_nodes(2) == [2, 3]
+        assert [node for node, _ in table.top_k(2)] == [2, 3]
 
     def test_top_k_zero(self):
         assert GlobalScoreTable().top_k(0) == []
@@ -171,11 +157,10 @@ class TestGlobalScoreTable:
         with pytest.raises(ValueError):
             GlobalScoreTable(capacity=0)
 
-    def test_len_and_repr(self):
+    def test_len(self):
         table = GlobalScoreTable(capacity=5)
         table.add(1, 1.0)
         assert len(table) == 1
-        assert "capacity=5" in repr(table)
 
     def test_total_updates_counted(self):
         table = GlobalScoreTable()
@@ -219,4 +204,4 @@ class TestGlobalScoreTable:
         for node, value in values.items():
             unbounded.add(node, value)
             bounded.add(node, value)
-        assert bounded.top_k_nodes(10) == unbounded.top_k_nodes(10)
+        assert bounded.top_k(10) == unbounded.top_k(10)

@@ -3,14 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.memory.report import (
-    MemorySummary,
-    bytes_to_megabytes,
-    reduction_factor,
-    summarize_bytes,
-)
+from repro.memory.report import MemorySummary, summarize_bytes
 from repro.memory.tracker import MemoryTracker
 
 
@@ -28,11 +22,11 @@ class TestMemoryTracker:
             _ = np.zeros(100_000)
         assert tracker.peak_bytes == 0
 
-    def test_peak_megabytes(self):
+    def test_peak_covers_the_allocation(self):
         tracker = MemoryTracker()
         with tracker:
             _ = bytearray(2 * 1024 * 1024)
-        assert tracker.peak_megabytes >= 1.5
+        assert tracker.peak_bytes >= 1.5 * 1024 * 1024
 
     def test_nested_trackers(self):
         outer = MemoryTracker()
@@ -53,9 +47,6 @@ class TestMemoryTracker:
             _ = bytearray(64)
         assert second.peak_bytes < first.peak_bytes
 
-    def test_enabled_property(self):
-        assert MemoryTracker(enabled=False).enabled is False
-
 
 class TestSummarizeBytes:
     def test_basic_summary(self):
@@ -68,27 +59,3 @@ class TestSummarizeBytes:
     def test_empty_summary(self):
         summary = summarize_bytes([])
         assert summary == MemorySummary(0.0, 0.0, 0.0, 0)
-
-    def test_megabyte_properties(self):
-        summary = summarize_bytes([1024 * 1024])
-        assert summary.mean_mb == pytest.approx(1.0)
-        assert summary.minimum_mb == pytest.approx(1.0)
-        assert summary.maximum_mb == pytest.approx(1.0)
-
-
-class TestReductionFactor:
-    def test_basic(self):
-        assert reduction_factor(100.0, 10.0) == pytest.approx(10.0)
-
-    def test_below_one_means_regression(self):
-        assert reduction_factor(5.0, 10.0) == pytest.approx(0.5)
-
-    def test_zero_optimized_is_infinite(self):
-        assert reduction_factor(10.0, 0.0) == float("inf")
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            reduction_factor(-1.0, 1.0)
-
-    def test_bytes_to_megabytes(self):
-        assert bytes_to_megabytes(2 * 1024 * 1024) == pytest.approx(2.0)

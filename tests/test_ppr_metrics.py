@@ -6,14 +6,7 @@ import pytest
 
 from repro.diffusion.sparse_vector import SparseScoreVector
 from repro.ppr.base import PPRQuery, PPRResult
-from repro.ppr.metrics import (
-    average_precision_over_seeds,
-    precision_at_k,
-    rank_agreement,
-    recall_at_k,
-    result_precision,
-    score_l1_error,
-)
+from repro.ppr.metrics import precision_at_k, result_precision
 
 
 def _result(scores: dict, k: int = 3) -> PPRResult:
@@ -45,17 +38,6 @@ class TestPrecisionAtK:
         assert precision_at_k([], [], 5) == 1.0
 
 
-class TestRecallAtK:
-    def test_recall_full(self):
-        assert recall_at_k([1, 2, 3], [2, 3], 3) == 1.0
-
-    def test_recall_partial(self):
-        assert recall_at_k([1], [1, 2], 2) == pytest.approx(0.5)
-
-    def test_recall_empty_reference(self):
-        assert recall_at_k([1, 2], [], 2) == 1.0
-
-
 class TestResultPrecision:
     def test_uses_query_k_by_default(self):
         approx = _result({1: 0.9, 2: 0.8, 3: 0.7})
@@ -66,46 +48,3 @@ class TestResultPrecision:
         approx = _result({1: 0.9, 2: 0.8})
         exact = _result({1: 0.9, 5: 0.8})
         assert result_precision(approx, exact, k=1) == 1.0
-
-    def test_average_over_seeds(self):
-        approx = [_result({1: 1.0}, k=1), _result({2: 1.0}, k=1)]
-        exact = [_result({1: 1.0}, k=1), _result({3: 1.0}, k=1)]
-        assert average_precision_over_seeds(approx, exact) == pytest.approx(0.5)
-
-    def test_average_requires_equal_lengths(self):
-        with pytest.raises(ValueError):
-            average_precision_over_seeds([_result({1: 1.0})], [])
-
-    def test_average_empty_is_zero(self):
-        assert average_precision_over_seeds([], []) == 0.0
-
-
-class TestRankAgreement:
-    def test_identical_order(self):
-        assert rank_agreement([1, 2, 3], [1, 2, 3], 3) == 1.0
-
-    def test_reversed_order(self):
-        assert rank_agreement([3, 2, 1], [1, 2, 3], 3) == -1.0
-
-    def test_disjoint_sets(self):
-        assert rank_agreement([1, 2], [3, 4], 2) == 1.0
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            rank_agreement([1], [1], 0)
-
-
-class TestScoreL1Error:
-    def test_identical_vectors(self):
-        a = SparseScoreVector({1: 0.5, 2: 0.5})
-        assert score_l1_error(a, a.copy()) == 0.0
-
-    def test_disjoint_vectors(self):
-        a = SparseScoreVector({1: 0.5})
-        b = SparseScoreVector({2: 0.5})
-        assert score_l1_error(a, b) == pytest.approx(1.0)
-
-    def test_partial_difference(self):
-        a = SparseScoreVector({1: 0.6})
-        b = SparseScoreVector({1: 0.5})
-        assert score_l1_error(a, b) == pytest.approx(0.1)

@@ -39,7 +39,7 @@ class TestPPRQuery:
 
 class TestLocalPPRSolver:
     def test_top1_is_seed(self, small_ba_graph):
-        result = LocalPPRSolver(small_ba_graph).solve_seed(seed=10, k=5)
+        result = LocalPPRSolver(small_ba_graph).solve(PPRQuery(seed=10, k=5))
         assert result.top_k_nodes(1) == [10]
 
     def test_matches_power_iteration_when_ball_covers_graph(self, small_ba_graph):
@@ -49,24 +49,24 @@ class TestLocalPPRSolver:
         assert result_precision(local, power) == pytest.approx(1.0)
 
     def test_scores_are_probabilities(self, small_citation_graph):
-        result = LocalPPRSolver(small_citation_graph).solve_seed(seed=5, k=10)
+        result = LocalPPRSolver(small_citation_graph).solve(PPRQuery(seed=5, k=10))
         assert result.scores.sum() == pytest.approx(1.0, abs=1e-9)
         assert all(value >= 0 for _, value in result.scores.items())
 
     def test_metadata_records_subgraph_size(self, small_ba_graph):
-        result = LocalPPRSolver(small_ba_graph).solve_seed(seed=3, k=5)
+        result = LocalPPRSolver(small_ba_graph).solve(PPRQuery(seed=3, k=5))
         assert result.metadata["subgraph_nodes"] > 0
         assert result.metadata["subgraph_edges"] >= 0
         assert result.metadata["bfs_edges_scanned"] > 0
 
     def test_memory_tracking_toggle(self, small_ba_graph):
-        tracked = LocalPPRSolver(small_ba_graph, track_memory=True).solve_seed(seed=3)
-        untracked = LocalPPRSolver(small_ba_graph, track_memory=False).solve_seed(seed=3)
+        tracked = LocalPPRSolver(small_ba_graph, track_memory=True).solve(PPRQuery(seed=3))
+        untracked = LocalPPRSolver(small_ba_graph, track_memory=False).solve(PPRQuery(seed=3))
         assert tracked.peak_memory_bytes > 0
         assert untracked.peak_memory_bytes == untracked.metadata["modelled_bytes"]
 
     def test_timing_buckets_present(self, small_ba_graph):
-        result = LocalPPRSolver(small_ba_graph).solve_seed(seed=3)
+        result = LocalPPRSolver(small_ba_graph).solve(PPRQuery(seed=3))
         assert {"bfs", "diffusion", "aggregation"} <= set(result.timing.seconds)
 
     def test_solve_many(self, small_ba_graph):
@@ -79,16 +79,16 @@ class TestLocalPPRSolver:
 
 class TestPowerIterationSolver:
     def test_scores_sum_to_one(self, small_ba_graph):
-        result = PowerIterationSolver(small_ba_graph).solve_seed(seed=0, k=10)
+        result = PowerIterationSolver(small_ba_graph).solve(PPRQuery(seed=0, k=10))
         assert result.scores.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_iteration_count_recorded(self, small_ba_graph):
-        result = PowerIterationSolver(small_ba_graph).solve_seed(seed=0, length=4)
+        result = PowerIterationSolver(small_ba_graph).solve(PPRQuery(seed=0, length=4))
         assert result.metadata["iterations"] == 4
 
     def test_early_exit_with_tolerance(self, triangle_graph):
         solver = PowerIterationSolver(triangle_graph, max_iterations=500, tolerance=1e-14)
-        result = solver.solve_seed(seed=0, k=3)
+        result = solver.solve(PPRQuery(seed=0, k=3))
         assert result.metadata["iterations"] < 500
 
     def test_invalid_max_iterations(self, triangle_graph):
@@ -96,18 +96,18 @@ class TestPowerIterationSolver:
             PowerIterationSolver(triangle_graph, max_iterations=-1)
 
     def test_seed_has_highest_score(self, small_citation_graph):
-        result = PowerIterationSolver(small_citation_graph).solve_seed(seed=42, k=5)
+        result = PowerIterationSolver(small_citation_graph).solve(PPRQuery(seed=42, k=5))
         assert result.top_k_nodes(1) == [42]
 
 
 class TestMonteCarloSolver:
     def test_deterministic_given_seeded_rng(self, small_ba_graph):
-        a = MonteCarloSolver(small_ba_graph, num_walks=500, rng=3).solve_seed(seed=0, k=10)
-        b = MonteCarloSolver(small_ba_graph, num_walks=500, rng=3).solve_seed(seed=0, k=10)
+        a = MonteCarloSolver(small_ba_graph, num_walks=500, rng=3).solve(PPRQuery(seed=0, k=10))
+        b = MonteCarloSolver(small_ba_graph, num_walks=500, rng=3).solve(PPRQuery(seed=0, k=10))
         assert a.top_k_nodes() == b.top_k_nodes()
 
     def test_estimates_sum_to_one(self, small_ba_graph):
-        result = MonteCarloSolver(small_ba_graph, num_walks=200, rng=1).solve_seed(seed=0)
+        result = MonteCarloSolver(small_ba_graph, num_walks=200, rng=1).solve(PPRQuery(seed=0))
         assert result.scores.sum() == pytest.approx(1.0)
 
     def test_approximates_power_iteration(self, small_ba_graph):
@@ -117,7 +117,7 @@ class TestMonteCarloSolver:
         assert result_precision(estimate, exact) >= 0.5
 
     def test_counts_neighborhood_accesses(self, small_ba_graph):
-        result = MonteCarloSolver(small_ba_graph, num_walks=100, rng=1).solve_seed(seed=0)
+        result = MonteCarloSolver(small_ba_graph, num_walks=100, rng=1).solve(PPRQuery(seed=0))
         assert result.metadata["neighborhood_accesses"] > 0
 
     def test_rejects_zero_walks(self, small_ba_graph):
@@ -133,15 +133,15 @@ class TestNetworkXSolver:
         assert result_precision(nx_result, power) >= 0.7
 
     def test_global_mode_runs(self, small_ba_graph):
-        result = NetworkXPPRSolver(small_ba_graph, local=False).solve_seed(seed=4, k=10)
+        result = NetworkXPPRSolver(small_ba_graph, local=False).solve(PPRQuery(seed=4, k=10))
         assert len(result.top_k_nodes(5)) == 5
 
     def test_seed_ranks_first(self, small_citation_graph):
-        result = NetworkXPPRSolver(small_citation_graph).solve_seed(seed=7, k=5)
+        result = NetworkXPPRSolver(small_citation_graph).solve(PPRQuery(seed=7, k=5))
         assert result.top_k_nodes(1) == [7]
 
     def test_metadata_records_mode(self, small_ba_graph):
-        result = NetworkXPPRSolver(small_ba_graph, local=True).solve_seed(seed=1, k=5)
+        result = NetworkXPPRSolver(small_ba_graph, local=True).solve(PPRQuery(seed=1, k=5))
         assert result.metadata["local"] is True
 
     def test_serving_processes_do_not_import_networkx(self):
@@ -192,13 +192,10 @@ class TestSolverInterface:
         with pytest.raises(TypeError):
             PPRSolver(triangle_graph)  # type: ignore[abstract]
 
-    def test_repr_includes_graph_name(self, triangle_graph):
-        assert "triangle" in repr(LocalPPRSolver(triangle_graph))
-
     def test_result_top_k_defaults_to_query_k(self, small_ba_graph):
-        result = LocalPPRSolver(small_ba_graph).solve_seed(seed=0, k=7)
+        result = LocalPPRSolver(small_ba_graph).solve(PPRQuery(seed=0, k=7))
         assert len(result.top_k()) <= 7
 
     def test_elapsed_seconds_positive(self, small_ba_graph):
-        result = LocalPPRSolver(small_ba_graph).solve_seed(seed=0, k=5)
+        result = LocalPPRSolver(small_ba_graph).solve(PPRQuery(seed=0, k=5))
         assert result.elapsed_seconds > 0

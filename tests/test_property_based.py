@@ -213,7 +213,7 @@ class TestScoreContainerProperties:
             table.add(node, value)
             reference[node] = reference.get(node, 0.0) + value
         expected = sorted(reference.items(), key=lambda item: (-item[1], item[0]))[:k]
-        assert table.top_k_nodes(k) == [node for node, _ in expected]
+        assert [node for node, _ in table.top_k(k)] == [node for node, _ in expected]
 
     @given(
         updates=st.lists(

@@ -118,7 +118,7 @@ class TestRouting:
                         assert sum(stats["retries"].values()) == 0
                         assert sum(stats["failovers"].values()) == 0
                         for seed in reference_answers:
-                            owner = router.owner_of(seed)
+                            owner = router.ring.owner(seed)
                             assert stats["answers"][owner] > 0
                     await router.stop()
 
@@ -129,9 +129,8 @@ class TestRouting:
             async with InProcessFleet(3) as fleet:
                 router = ReplicaRouter(fleet.endpoints, health_interval_s=0)
                 # Pure function of the ring: no serving needed.
-                owners = {seed: router.owner_of(seed) for seed in range(300)}
-                assert owners == {seed: router.ring.owner(seed) for seed in owners}
-                load = {name: 0 for name in router.ring.members}
+                owners = {seed: router.ring.owner(seed) for seed in range(300)}
+                load = {f"replica-{index}": 0 for index in range(3)}
                 for owner in owners.values():
                     load[owner] += 1
                 assert min(load.values()) >= 300 // 3 // 2, load
@@ -214,7 +213,7 @@ class TestFailover:
                 )
                 async with router:
                     async with HttpClientPool(*router.address) as pool:
-                        victim = router.owner_of(0)
+                        victim = router.ring.owner(0)
                         victim_index = int(victim.split("-")[1])
                         await fleet.crash(victim_index)
                         for seed, expected in reference_answers.items():
@@ -476,6 +475,63 @@ class TestAggregation:
 
         run(main())
 
+    def test_stats_and_metrics_count_the_same_health_checks(self):
+        async def main():
+            async with InProcessFleet(2) as fleet:
+                router = ReplicaRouter(fleet.endpoints, health_interval_s=0)
+                async with router:
+                    await router.check_health()
+                    await router.check_health()
+                    await fleet.crash(1)
+                    await router.check_health()
+                    async with HttpClientPool(*router.address) as pool:
+                        _, stats = await pool.request_json("GET", "/stats")
+                        _, _, body = await pool.request("GET", "/metrics")
+                    await router.stop()
+            scrape = parse_prometheus_text(body.decode())
+            exported = {
+                (dict(labels)["replica"], dict(labels)["outcome"]): value
+                for (name, labels), value in scrape.samples.items()
+                if name == "repro_router_health_checks_total"
+            }
+            counted = {
+                (replica, outcome): count
+                for replica, outcomes in stats["router"]["health_checks"].items()
+                for outcome, count in outcomes.items()
+            }
+            assert counted == {
+                ("replica-0", "ok"): 3,
+                ("replica-1", "ok"): 2,
+                ("replica-1", "unreachable"): 1,
+            }
+            assert exported == counted
+
+        run(main())
+
+    def test_re_exported_families_keep_the_replicas_help(self):
+        async def main():
+            async with InProcessFleet(1) as fleet:
+                router = ReplicaRouter(fleet.endpoints, health_interval_s=0)
+                async with router:
+                    async with HttpClientPool(*router.address) as pool:
+                        _, _, routed = await pool.request("GET", "/metrics")
+                    await router.stop()
+                async with HttpClientPool(*fleet.endpoints[0]) as pool:
+                    _, _, direct = await pool.request("GET", "/metrics")
+            helps = [
+                {
+                    line.split(" ", 3)[2]: line.split(" ", 3)[3]
+                    for line in body.decode().splitlines()
+                    if line.startswith("# HELP ")
+                }
+                for body in (routed, direct)
+            ]
+            assert helps[1]
+            assert {name: helps[0][name] for name in helps[1]} == helps[1]
+            assert parse_prometheus_text(direct.decode()).helps == helps[1]
+
+        run(main())
+
 
 class StubReplica:
     """A recording stub replica: keeps every request body it receives and
@@ -524,7 +580,7 @@ class StubReplica:
 
 
 def seed_owned_by(router, name):
-    return next(seed for seed in range(1000) if router.owner_of(seed) == name)
+    return next(seed for seed in range(1000) if router.ring.owner(seed) == name)
 
 
 class TestProtocolQuarantine:
@@ -769,7 +825,7 @@ class TestCrashFailoverAcceptance:
                         *router.address, size=8
                     ) as pool:
                         seeds = list(reference_answers) * 4
-                        victim = router.owner_of(seeds[0])
+                        victim = router.ring.owner(seeds[0])
                         victim_index = int(victim.split("-")[1])
                         killed = asyncio.Event()
 

@@ -343,7 +343,7 @@ class TestBatchRuleRegressions:
         assert table.top_k(0) == table.top_k(-3) == []
         assert table.top_k(3) == [(9, 1.0), (1, 0.5), (2, 0.5)]  # 3 and 5 tie and lose on id
         assert table.top_k(6) == table.top_k(60) == oracle.top_k(6)
-        assert table.top_k_nodes(2) == [9, 1]
+        assert [node for node, _ in table.top_k(2)] == [9, 1]
         assert all(type(n) is int and type(s) is float for n, s in table.top_k(6))
 
     @pytest.mark.parametrize("final", [True, False])

@@ -44,14 +44,6 @@ class TestLifecycle:
     def test_close_before_first_use_is_clean(self, backend):
         backend.close()  # nothing was lazily created yet
 
-    def test_context_manager_closes(self, backend):
-        with backend as entered:
-            assert entered is backend
-            assert entered.map(lambda x: x * 2, [1, 2]) == [2, 4]
-        # Held resources are gone (lazy state reset where there is any).
-        if isinstance(backend, ThreadPoolBackend):
-            assert backend._executor is None
-
     def test_map_after_close_recreates_resources(self, backend):
         backend.map(lambda x: x, [1])
         backend.close()
@@ -130,10 +122,6 @@ class TestThreadPoolBackend:
             assert results["value"] == [2, 4, 6]
         finally:
             backend.close()
-
-    def test_repr_names_the_pool_size(self):
-        assert repr(ThreadPoolBackend(3)) == "ThreadPoolBackend(max_workers=3)"
-        assert repr(ThreadPoolBackend()) == "ThreadPoolBackend(max_workers=default)"
 
 
 class TestMakeBackend:

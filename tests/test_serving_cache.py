@@ -117,22 +117,15 @@ class TestByteBudgetEviction:
         (hit,) = cache.extract_wave(small_ba_graph, [0], 2).hits
         assert not hit
 
-    def test_clear_keeps_counters(self, small_ba_graph):
-        cache = SubgraphCache(max_bytes=1 << 20)
-        cache.extract_wave(small_ba_graph, [0], 2)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats.misses == 1
-        assert cache.stats.current_bytes == 0
-
     def test_cache_binds_to_one_graph(self, small_ba_graph, small_citation_graph):
         cache = SubgraphCache(max_bytes=1 << 20)
         cache.extract_wave(small_ba_graph, [0], 2)
         before = cache.stats
         (hit,) = cache.extract_wave(small_citation_graph, [0], 2).hits
         assert not hit and cache.stats == before and cache.graph is small_ba_graph
-        # clear() resets the binding.
-        cache.clear()
+        # bind() moves the binding (and drops the other topology's entries).
+        cache.bind(small_citation_graph)
+        assert cache.stats.num_entries == 0
         cache.extract_wave(small_citation_graph, [0], 2)
         assert cache.graph is small_citation_graph and cache.stats.misses == 2
 

@@ -36,7 +36,6 @@ CLASSES = {
 }
 ALLOWED = {
     "validate": "the invariant check the stress and differential tests run",
-    "clear": "an operator's flush of a cache, kept with the other budget knobs",
     "ttl_seconds": "a read-back of the constructor's TTL, as max_bytes is of the budget",
 }
 

@@ -88,10 +88,6 @@ class TestSoakMath:
         )
         assert study.overload_degradation == pytest.approx(0.5)
 
-    def test_by_label(self):
-        study = make_study([make_run("1x", 1.0, 90.0)])
-        assert study.by_label()["1x"].goodput_qps == 90.0
-
     def test_as_dict_carries_the_gate_metric(self):
         """The report's runs carry label + throughput_qps, like every serving bench."""
         study = make_study(
@@ -162,7 +158,7 @@ class TestSmallRealSoak:
         )
 
     def test_overload_sheds_not_collapses(self, study):
-        overload = study.by_label()["10x"]
+        overload = {run.label: run for run in study.runs}["10x"]
         assert overload.shed > 0, "10x offered load must shed"
         assert overload.completed > 0, "shedding must not starve service"
         # The acceptance claim, with slack for a tiny CI-sized run.
@@ -180,7 +176,7 @@ class TestSmallRealSoak:
             assert 0.0 <= run.p50_ms <= run.p95_ms <= run.p99_ms
 
     def test_overload_offers_proportionally_more(self, study):
-        by_label = study.by_label()
+        by_label = {run.label: run for run in study.runs}
         assert by_label["10x"].offered == 10 * by_label["1x"].offered
         assert by_label["10x"].rate_qps == pytest.approx(
             10 * by_label["1x"].rate_qps

@@ -42,6 +42,7 @@ from repro.serving.frontend import (
     MicroBatcher,
     configure_logging,
 )
+from repro.serving.frontend.request_log import log_request
 from repro.serving.result_cache import ScoreTableCache
 
 
@@ -437,6 +438,17 @@ class TestRequestLog:
             answer = asyncio.run(run())
         assert answer["ok"]
         assert stream.getvalue() == ""
+
+    def test_plain_mode_writes_one_key_value_line_per_request(self):
+        logger = configure_logging("info")  # --log-level info without --log-json
+        stream = io.StringIO()
+        logger.handlers[0].setStream(stream)
+        try:
+            log_request("http", "ok", latency_ms=1.23456, request_id=7, seed=3, k=10)
+        finally:
+            configure_logging()  # restore the default (warning, plain)
+        (line,) = stream.getvalue().splitlines()
+        assert line.endswith(" info transport=http status=ok id=7 seed=3 k=10 latency_ms=1.235")
 
     def test_configure_logging_rejects_unknown_level(self):
         with pytest.raises(ValueError, match="unknown log level"):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.utils.rng import DEFAULT_SEED, ensure_rng, sample_without_replacement, spawn_rngs
+from repro.utils.rng import DEFAULT_SEED, ensure_rng
 
 
 class TestEnsureRng:
@@ -39,40 +39,3 @@ class TestEnsureRng:
     def test_default_seed_constant(self):
         assert isinstance(DEFAULT_SEED, int)
 
-
-class TestSpawnRngs:
-    def test_returns_requested_count(self):
-        children = spawn_rngs(0, 5)
-        assert len(children) == 5
-
-    def test_children_are_independent(self):
-        children = spawn_rngs(0, 2)
-        a = children[0].integers(0, 2**31, 10)
-        b = children[1].integers(0, 2**31, 10)
-        assert not np.array_equal(a, b)
-
-    def test_deterministic_given_seed(self):
-        first = [g.integers(0, 1000) for g in spawn_rngs(3, 4)]
-        second = [g.integers(0, 1000) for g in spawn_rngs(3, 4)]
-        assert first == second
-
-    def test_zero_count(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-
-class TestSampleWithoutReplacement:
-    def test_distinct_values(self):
-        sample = sample_without_replacement(1, 100, 50)
-        assert len(set(sample.tolist())) == 50
-
-    def test_within_population(self):
-        sample = sample_without_replacement(1, 10, 10)
-        assert set(sample.tolist()) == set(range(10))
-
-    def test_too_many_requested(self):
-        with pytest.raises(ValueError):
-            sample_without_replacement(1, 5, 6)

@@ -4,37 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.utils.timing import Stopwatch, TimingBreakdown
-
-
-class TestStopwatch:
-    def test_stop_before_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_measures_non_negative_time(self):
-        watch = Stopwatch()
-        watch.start()
-        assert watch.stop() >= 0.0
-
-    def test_accumulates_over_restarts(self):
-        watch = Stopwatch()
-        watch.start()
-        first = watch.stop()
-        watch.start()
-        second = watch.stop()
-        assert second >= first
-
-    def test_reset_clears_elapsed(self):
-        watch = Stopwatch()
-        watch.start()
-        watch.stop()
-        watch.reset()
-        assert watch.elapsed == 0.0
-
-    def test_elapsed_while_running(self):
-        watch = Stopwatch().start()
-        assert watch.elapsed >= 0.0
+from repro.utils.timing import TimingBreakdown
 
 
 class TestTimingBreakdown:
@@ -54,13 +24,6 @@ class TestTimingBreakdown:
         with pytest.raises(ValueError):
             TimingBreakdown().add("bfs", -1.0)
 
-    def test_fraction(self):
-        breakdown = TimingBreakdown({"bfs": 1.0, "diffusion": 3.0})
-        assert breakdown.fraction("bfs") == pytest.approx(0.25)
-
-    def test_fraction_empty_is_zero(self):
-        assert TimingBreakdown().fraction("bfs") == 0.0
-
     def test_measure_context_manager(self):
         breakdown = TimingBreakdown()
         with breakdown.measure("work"):
@@ -74,10 +37,3 @@ class TestTimingBreakdown:
                 raise RuntimeError("boom")
         assert "work" in breakdown.seconds
 
-    def test_merge_is_bucketwise_sum(self):
-        a = TimingBreakdown({"bfs": 1.0})
-        b = TimingBreakdown({"bfs": 2.0, "diffusion": 1.0})
-        merged = a.merge(b)
-        assert merged.seconds == {"bfs": 3.0, "diffusion": 1.0}
-        # Originals untouched.
-        assert a.seconds == {"bfs": 1.0}

@@ -5,42 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.utils.validation import (
-    check_fraction,
     check_node_id,
     check_non_negative,
     check_non_negative_int,
-    check_positive,
     check_positive_int,
     check_probability,
 )
-
-
-class TestCheckPositive:
-    def test_accepts_positive_float(self):
-        assert check_positive(2.5, "x") == 2.5
-
-    def test_accepts_positive_int(self):
-        assert check_positive(3, "x") == 3.0
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError, match="must be > 0"):
-            check_positive(0, "x")
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            check_positive(-1.0, "x")
-
-    def test_rejects_non_number(self):
-        with pytest.raises(TypeError):
-            check_positive("three", "x")
-
-    def test_rejects_bool(self):
-        with pytest.raises(TypeError):
-            check_positive(True, "x")
-
-    def test_error_message_includes_name(self):
-        with pytest.raises(ValueError, match="alpha"):
-            check_positive(-2, "alpha")
 
 
 class TestCheckNonNegative:
@@ -71,15 +41,6 @@ class TestCheckProbability:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             check_probability(-0.2, "p")
-
-
-class TestCheckFraction:
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            check_fraction(0.0, "f")
-
-    def test_accepts_one(self):
-        assert check_fraction(1.0, "f") == 1.0
 
 
 class TestCheckNodeId:
