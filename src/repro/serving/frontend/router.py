@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import copy
 import json
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -132,13 +133,6 @@ _COUNTERS = (
     ("health_checks", "_health_checks", "repro_router_health_checks_total",
      "Health probes by replica and outcome."),
 )
-
-
-def _copy(value: object) -> object:
-    """A counter's value with every nested dict copied."""
-    if isinstance(value, dict):
-        return {key: _copy(item) for key, item in value.items()}
-    return value
 
 
 class ReplicaHandle:
@@ -463,7 +457,7 @@ class ReplicaRouter(BaseHttpServer):
     def _router_stats(self) -> Dict[str, object]:
         stats: Dict[str, object] = {}
         for key, attribute, _, _ in _COUNTERS:
-            stats[key] = _copy(getattr(self, attribute))
+            stats[key] = copy.deepcopy(getattr(self, attribute))
         stats["replicas"] = {
             name: handle.describe() for name, handle in self._handles.items()
         }
