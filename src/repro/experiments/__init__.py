@@ -25,7 +25,7 @@ from repro.experiments.fig7_tradeoff import (
     format_fig7,
     run_fig7,
 )
-from repro.experiments.harness import (
+from repro.experiments.profiles import (
     PAPER_PROFILE,
     QUICK_PROFILE,
     ExperimentProfile,

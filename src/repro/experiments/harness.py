@@ -11,13 +11,13 @@ averaging.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.experiments.ablation_stage_split import format_stage_split, run_stage_split_ablation
 from repro.experiments.fig5_scalability import format_fig5, run_fig5
 from repro.experiments.fig6_sparsity import format_fig6, run_fig6
 from repro.experiments.fig7_tradeoff import format_fig7, run_fig7
+from repro.experiments.profiles import PAPER_PROFILE, QUICK_PROFILE, ExperimentProfile
 from repro.experiments.quantization_study import format_quantization, run_quantization_study
 from repro.experiments.score_table_study import format_score_table, run_score_table_study
 from repro.experiments.soak_study import format_soak, run_soak_study
@@ -25,44 +25,6 @@ from repro.experiments.table1_resources import format_table1, run_table1
 from repro.experiments.table2_memory import format_table2, run_table2
 
 __all__ = ["ExperimentProfile", "QUICK_PROFILE", "PAPER_PROFILE", "EXPERIMENTS", "main"]
-
-
-@dataclass(frozen=True)
-class ExperimentProfile:
-    """Seed counts and dataset subsets used by :func:`main`.
-
-    Attributes
-    ----------
-    name:
-        Profile name (``"quick"`` or ``"paper"``).
-    num_seeds_small, num_seeds_large:
-        Seed counts for the small (G1–G3) and large (G4–G6) graphs.
-    memory_datasets, tradeoff_datasets:
-        Dataset keys used by the Table II and Fig. 7 sweeps.
-    """
-
-    name: str
-    num_seeds_small: int
-    num_seeds_large: int
-    memory_datasets: Tuple[str, ...]
-    tradeoff_datasets: Tuple[str, ...]
-
-
-QUICK_PROFILE = ExperimentProfile(
-    name="quick",
-    num_seeds_small=5,
-    num_seeds_large=3,
-    memory_datasets=("G1", "G2", "G3", "G4", "G5", "G6"),
-    tradeoff_datasets=("G1", "G2", "G3", "G4", "G5", "G6"),
-)
-
-PAPER_PROFILE = ExperimentProfile(
-    name="paper",
-    num_seeds_small=50,
-    num_seeds_large=20,
-    memory_datasets=("G1", "G2", "G3", "G4", "G5", "G6"),
-    tradeoff_datasets=("G1", "G2", "G3", "G4", "G5", "G6"),
-)
 
 
 #: Every experiment in report order: ``(experiment id, profile -> rendered table)``.

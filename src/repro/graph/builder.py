@@ -4,9 +4,8 @@
 cleans them up (self-loop removal, de-duplication, optional symmetrisation)
 and emits an immutable :class:`~repro.graph.csr.CSRGraph`.
 
-Scalar edges are buffered and canonicalised once, by one sort in ``build``:
-the generators add most stand-ins edge by edge, and a NumPy array per edge
-(plus ``np.unique``'s hash path) used to dominate building one.
+Scalar edges are buffered in typed arrays, not one NumPy array per edge, and
+everything is canonicalised once, by one sort in ``build``.
 """
 
 from __future__ import annotations

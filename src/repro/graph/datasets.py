@@ -21,7 +21,11 @@ degree-tail behaviour, which the scaled stand-ins preserve).  The scale factor
 can be overridden per call for users who want the full sizes.
 
 Every stand-in is deterministic: the generator seed is derived from the
-dataset name.
+dataset name (``crc32`` of it), and the generators read every draw from that
+seed's PCG64 raw stream through :class:`~repro.utils.rng.PCG64Draws`, which
+decodes the values NumPy's scalar ``random`` / ``integers`` / ``poisson``
+would return.  NEP 19 keeps raw streams stable across NumPy versions, so the
+graphs are too; ``tests/test_graph_datasets.py`` pins each one's fingerprint.
 """
 
 from __future__ import annotations

@@ -13,18 +13,25 @@ regimes of the originals:
   :func:`community_graph` (power-law cluster style).
 
 Classic generators (Barabási–Albert, Watts–Strogatz, Erdős–Rényi, stochastic
-block model, configuration model) are also provided for tests and examples.
+block model) are also provided for tests and examples.
+
+The two stand-in generators draw their scalars through
+:class:`~repro.utils.rng.PCG64Draws`, a decoder of the PCG64 raw stream that
+returns what the ``Generator`` calls would, and hand their edges to
+:class:`GraphBuilder` in one ``add_edges``; the classic ones call the
+``Generator`` directly.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from repro.graph.builder import GraphBuilder
 from repro.graph.csr import CSRGraph
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import DOUBLE_UNIT, MASK32, PCG64Draws, RngLike, ensure_rng
 from repro.utils.validation import check_positive_int, check_probability
 
 __all__ = [
@@ -36,6 +43,13 @@ __all__ = [
     "citation_graph",
     "community_graph",
 ]
+
+
+def _edge_list_graph(num_nodes: int, endpoints: list, name: str) -> CSRGraph:
+    """Build a graph from a flat ``[u0, v0, u1, v1, ...]`` list, in one ``add_edges``."""
+    builder = GraphBuilder(num_nodes=num_nodes)
+    builder.add_edges(np.array(endpoints, dtype=np.int64).reshape(-1, 2))
+    return builder.build(name=name)
 
 
 def erdos_renyi_graph(
@@ -184,40 +198,37 @@ def powerlaw_cluster_graph(
     triangle_probability = check_probability(triangle_probability, "triangle_probability")
     if attachment >= num_nodes:
         raise ValueError("attachment must be smaller than num_nodes")
-    generator = ensure_rng(rng)
-    builder = GraphBuilder(num_nodes=num_nodes)
-    repeated: list[int] = []
+    repeated: list[int] = []  # every edge's endpoints, in the order added
     neighbors: list[list[int]] = [[] for _ in range(num_nodes)]
 
     def _connect(u: int, v: int) -> None:
-        builder.add_edge(u, v)
-        repeated.extend([u, v])
+        repeated.extend((u, v))
         neighbors[u].append(v)
         neighbors[v].append(u)
 
     for node in range(1, attachment + 1):
         _connect(0, node)
 
-    for node in range(attachment + 1, num_nodes):
-        added: set[int] = set()
-        target = repeated[int(generator.integers(0, len(repeated)))]
-        _connect(node, target)
-        added.add(target)
-        while len(added) < attachment:
-            if neighbors[target] and generator.random() < triangle_probability:
-                candidate = neighbors[target][
-                    int(generator.integers(0, len(neighbors[target])))
-                ]
-            else:
-                candidate = repeated[int(generator.integers(0, len(repeated)))]
-            if candidate == node or candidate in added:
-                candidate = repeated[int(generator.integers(0, len(repeated)))]
+    with PCG64Draws(rng) as draws:
+        random, integers = draws.random, draws.integers
+        for node in range(attachment + 1, num_nodes):
+            added: set[int] = set()
+            target = repeated[integers(0, len(repeated))]
+            _connect(node, target)
+            added.add(target)
+            while len(added) < attachment:
+                if neighbors[target] and random() < triangle_probability:
+                    candidate = neighbors[target][integers(0, len(neighbors[target]))]
+                else:
+                    candidate = repeated[integers(0, len(repeated))]
                 if candidate == node or candidate in added:
-                    continue
-            _connect(node, candidate)
-            added.add(candidate)
-            target = candidate
-    return builder.build(name=name)
+                    candidate = repeated[integers(0, len(repeated))]
+                    if candidate == node or candidate in added:
+                        continue
+                _connect(node, candidate)
+                added.add(candidate)
+                target = candidate
+    return _edge_list_graph(num_nodes, repeated, name)
 
 
 def citation_graph(
@@ -231,33 +242,81 @@ def citation_graph(
     Citation graphs are sparse (average degree 2–5), mildly skewed and contain
     many low-degree leaves.  We model them as a union of a random tree-like
     backbone (every paper cites at least one earlier paper) and extra
-    preferential citations.
+    preferential citations, Poisson with mean ``(average_degree - 2) / 2``
+    per paper; ``average_degree`` must be below 22, where that mean stays in
+    the range :meth:`PCG64Draws.poisson` serves.
+
+    Every draw comes from :class:`~repro.utils.rng.PCG64Draws`, so the graph
+    equals the one the same ``Generator.random`` / ``integers`` / ``poisson``
+    calls would build.
     """
     num_nodes = check_positive_int(num_nodes, "num_nodes")
-    if average_degree <= 0:
-        raise ValueError("average_degree must be > 0")
-    generator = ensure_rng(rng)
-    builder = GraphBuilder(num_nodes=num_nodes)
-    repeated: list[int] = [0]
-
+    if not 0 < average_degree < 22:
+        raise ValueError(f"average_degree must be in (0, 22), got {average_degree}")
+    repeated: list[int] = [0]  # node 0, then every edge's endpoints in order
     extra_probability = max(0.0, (average_degree - 2.0) / 2.0)
-    for node in range(1, num_nodes):
-        # Backbone citation: mostly recent papers, occasionally a classic
-        # picked preferentially.
-        if generator.random() < 0.5:
-            target = int(generator.integers(max(0, node - 50), node))
-        else:
-            target = repeated[int(generator.integers(0, len(repeated)))]
-        builder.add_edge(node, target)
-        repeated.extend([node, target])
-        # Extra citations with small probability, keeping the graph sparse.
-        extra = generator.poisson(extra_probability)
-        for _ in range(int(extra)):
-            target = repeated[int(generator.integers(0, len(repeated)))]
-            if target != node:
-                builder.add_edge(node, target)
-                repeated.extend([node, target])
-    return builder.build(name=name)
+    poisson_limit = math.exp(-extra_probability)
+    # Per node, in this order: random() chooses the backbone's pool,
+    # integers() picks its target, poisson(extra_probability) counts the
+    # extra citations and one integers() picks each from ``repeated``.
+    # PCG64Draws' methods are decoded inline here, saving a method call per
+    # draw on the stand-ins' hottest loop; tests hold the graphs to the
+    # native calls.
+    with PCG64Draws(rng) as draws:
+        words, pos, has_half, half = draws.cursor()
+        for node in range(1, num_nodes):
+            if pos == len(words):
+                words, pos = draws.refill(), 0
+            # Backbone citation: mostly one of the last 50 papers,
+            # occasionally a classic picked preferentially.
+            if (words[pos] >> 11) * DOUBLE_UNIT < 0.5:
+                low, pool = (node - 50 if node > 50 else 0), None
+            else:
+                low, pool = 0, repeated
+            pos += 1
+            extra = -1  # the backbone's pick comes before the Poisson draw
+            while True:
+                n = node - low if pool is None else len(pool)
+                pick = 0
+                while n > 1:  # integers(0, n): Lemire on buffered 32-bit halves
+                    if has_half:
+                        has_half = False
+                        product = half * n
+                    else:
+                        if pos == len(words):
+                            words, pos = draws.refill(), 0
+                        word = words[pos]
+                        pos += 1
+                        half = word >> 32
+                        has_half = True
+                        product = (word & MASK32) * n
+                    leftover = product & MASK32
+                    if leftover >= n or leftover >= ((1 << 32) - n) % n:
+                        pick = product >> 32
+                        break
+                target = low + pick if pool is None else pool[pick]
+                if target != node:  # always true for the backbone's earlier paper
+                    repeated += (node, target)
+                if extra < 0:
+                    # Extra citations with small probability, keeping the
+                    # graph sparse: poisson() multiplies uniforms down to
+                    # exp(-lam), and poisson(0) draws nothing.
+                    extra, product = 0, 1.0
+                    while extra_probability:
+                        if pos == len(words):
+                            words, pos = draws.refill(), 0
+                        product *= (words[pos] >> 11) * DOUBLE_UNIT
+                        pos += 1
+                        if product <= poisson_limit:
+                            break
+                        extra += 1
+                    low, pool = 0, repeated
+                if not extra:
+                    break
+                extra -= 1
+        draws.seek(pos, has_half, half)
+    del repeated[0]  # node 0's entry, not an edge
+    return _edge_list_graph(num_nodes, repeated, name)
 
 
 def community_graph(

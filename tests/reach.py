@@ -53,7 +53,9 @@ KEEP = {
         "meloppr/stage.py": "*", "meloppr/linear.py": "*", "ppr/monte_carlo.py": "*",
         "ppr/networkx_baseline.py": "*", "ppr/power_iteration.py": "*",
         "meloppr/selection.py": "AllSelector.select NextStageSelector.__repr__",
-        "graph/generators.py": "*", "graph/builder.py": "GraphBuilder.add_star GraphBuilder.add_path",
+        "graph/generators.py": "*",
+        "graph/builder.py": "GraphBuilder.add_star GraphBuilder.add_path GraphBuilder.add_edge _endpoint",
+        "utils/rng.py": "PCG64Draws.poisson",
         "graph/csr.py": "CSRGraph.iter_edges CSRGraph.to_scipy CSRGraph.to_networkx "
                         "CSRGraph.__eq__ CSRGraph.__hash__",
         "graph/subgraph.py": "Subgraph._local_map Subgraph.to_global",

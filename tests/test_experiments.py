@@ -6,9 +6,14 @@ check the qualitative claims of the paper rather than exact numbers.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.experiments import harness
 from repro.experiments.ablation_stage_split import format_stage_split, run_stage_split_ablation
 from repro.experiments.fig5_scalability import format_fig5, run_fig5
@@ -442,3 +447,23 @@ class TestHarness:
         assert paper.num_seeds_large > quick.num_seeds_large
         assert paper.memory_datasets == tuple(f"G{i}" for i in range(1, 7))
         assert paper.tradeoff_datasets == paper.memory_datasets
+
+    def test_cli_runs_without_a_runpy_warning(self):
+        # ``python -m`` warns when the package import already loaded the
+        # module it runs, so the package imports the profiles, not the harness.
+        src_root = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.harness", "--help"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0 and "--profile" in done.stdout
+        assert "RuntimeWarning" not in done.stderr
+
+    def test_package_re_exports_the_profiles(self):
+        import repro.experiments as experiments
+
+        assert experiments.QUICK_PROFILE is harness.QUICK_PROFILE
+        assert experiments.PAPER_PROFILE is harness.PAPER_PROFILE
+        assert experiments.ExperimentProfile is harness.ExperimentProfile

@@ -72,8 +72,8 @@ def exposition_shape(text: str) -> Dict[str, List[str]]:
 
 
 def key_paths(document: object, prefix: str = "") -> List[str]:
-    """Every leaf of a JSON document as a dotted path."""
-    if not isinstance(document, dict):
+    """Every leaf of a JSON document as a dotted path, an empty object included."""
+    if not isinstance(document, dict) or not document:
         return [prefix]
     paths: List[str] = []
     for key, value in document.items():

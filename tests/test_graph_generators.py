@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.graph.builder import GraphBuilder
 from repro.graph.generators import (
     barabasi_albert_graph,
     citation_graph,
@@ -13,6 +17,74 @@ from repro.graph.generators import (
     stochastic_block_model,
     watts_strogatz_graph,
 )
+from repro.utils.rng import MASK32, PCG64Draws
+
+
+def native_citation_graph(num_nodes, average_degree, generator, name="citation"):
+    """``citation_graph`` drawn through scalar ``Generator`` calls, edge by edge.
+
+    ``generator`` is a ``numpy.random.Generator`` or anything with the same
+    ``random`` / ``integers`` / ``poisson`` methods (a ``PCG64Draws``).
+    """
+    builder = GraphBuilder(num_nodes=num_nodes)
+    repeated = [0]
+    extra_probability = max(0.0, (average_degree - 2.0) / 2.0)
+    for node in range(1, num_nodes):
+        if generator.random() < 0.5:
+            target = int(generator.integers(max(0, node - 50), node))
+        else:
+            target = repeated[int(generator.integers(0, len(repeated)))]
+        builder.add_edge(node, target)
+        repeated.extend([node, target])
+        extra = generator.poisson(extra_probability)
+        for _ in range(int(extra)):
+            target = repeated[int(generator.integers(0, len(repeated)))]
+            if target != node:
+                builder.add_edge(node, target)
+                repeated.extend([node, target])
+    return builder.build(name=name)
+
+
+def native_powerlaw_cluster_graph(
+    num_nodes, attachment, triangle_probability, generator, name="powerlaw-cluster"
+):
+    """``powerlaw_cluster_graph`` drawn through scalar ``Generator`` calls."""
+    builder = GraphBuilder(num_nodes=num_nodes)
+    repeated = []
+    neighbors = [[] for _ in range(num_nodes)]
+
+    def _connect(u, v):
+        builder.add_edge(u, v)
+        repeated.extend([u, v])
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+
+    for node in range(1, attachment + 1):
+        _connect(0, node)
+
+    for node in range(attachment + 1, num_nodes):
+        added = set()
+        target = repeated[int(generator.integers(0, len(repeated)))]
+        _connect(node, target)
+        added.add(target)
+        while len(added) < attachment:
+            if neighbors[target] and generator.random() < triangle_probability:
+                candidate = neighbors[target][int(generator.integers(0, len(neighbors[target])))]
+            else:
+                candidate = repeated[int(generator.integers(0, len(repeated)))]
+            if candidate == node or candidate in added:
+                candidate = repeated[int(generator.integers(0, len(repeated)))]
+                if candidate == node or candidate in added:
+                    continue
+            _connect(node, candidate)
+            added.add(candidate)
+            target = candidate
+    return builder.build(name=name)
+
+
+def assert_same_arrays(graph, expected):
+    assert np.array_equal(graph.indptr, expected.indptr)
+    assert np.array_equal(graph.indices, expected.indices)
 
 
 class TestDeterminism:
@@ -146,3 +218,73 @@ class TestDomainGenerators:
     def test_powerlaw_cluster_rejects_bad_triangle_probability(self):
         with pytest.raises(ValueError):
             powerlaw_cluster_graph(100, 2, 1.5, rng=1)
+
+
+class TestAgainstNativeCalls:
+    """The stand-in generators build what the scalar Generator calls build.
+
+    Both generators draw through ``PCG64Draws``; ``citation_graph`` decodes
+    its words inline.  The oracles above are the same algorithms drawing
+    from ``numpy.random.Generator`` one call at a time.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # Around 50 nodes the backbone window stops covering every earlier
+        # paper; an average degree <= 2 draws no extra citation.
+        num_nodes=st.integers(1, 120),
+        average_degree=st.sampled_from([0.5, 2.0, 2.5, 3.0, 4.5, 9.0, 21.9]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_citation_graph(self, num_nodes, average_degree, seed):
+        native, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = native_citation_graph(num_nodes, average_degree, native)
+        assert_same_arrays(citation_graph(num_nodes, average_degree, rng=replay), expected)
+        assert replay.bit_generator.state == native.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        attachment=st.integers(1, 5),
+        extra_nodes=st.integers(1, 100),
+        triangle_probability=st.sampled_from([0.0, 0.6, 1.0]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_powerlaw_cluster_graph(self, attachment, extra_nodes, triangle_probability, seed):
+        num_nodes = attachment + extra_nodes
+        native, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = native_powerlaw_cluster_graph(
+            num_nodes, attachment, triangle_probability, native
+        )
+        graph = powerlaw_cluster_graph(num_nodes, attachment, triangle_probability, rng=replay)
+        assert_same_arrays(graph, expected)
+        assert replay.bit_generator.state == native.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_several_chunks(self, seed):
+        # Thousands of nodes read past several 4 096-word chunks.
+        native = native_citation_graph(3_000, 4.5, np.random.default_rng(seed))
+        assert_same_arrays(citation_graph(3_000, 4.5, rng=seed), native)
+        native = native_powerlaw_cluster_graph(3_000, 3, 0.6, np.random.default_rng(seed))
+        assert_same_arrays(powerlaw_cluster_graph(3_000, 3, 0.6, rng=seed), native)
+
+    def test_inline_lemire_rejections(self, monkeypatch):
+        # A zero low half makes integers() reject for any range that is not a
+        # power of two, which real streams almost never do at these sizes.
+        # Zeroing every fifth word's low half drives citation_graph's inline
+        # rejection loop; the reader's methods, held to NumPy above, are the
+        # reference on the same doctored stream.
+        refill = PCG64Draws.refill
+
+        def doctored(self):
+            words = refill(self)
+            words[::5] = [word & ~MASK32 for word in words[::5]]
+            return words
+
+        monkeypatch.setattr(PCG64Draws, "refill", doctored)
+        with PCG64Draws(3) as draws:
+            expected = native_citation_graph(2_000, 4.5, draws)
+        assert_same_arrays(citation_graph(2_000, 4.5, rng=3), expected)
+
+    def test_citation_rejects_a_mean_the_reader_does_not_serve(self):
+        with pytest.raises(ValueError):
+            citation_graph(100, 22.0, rng=1)

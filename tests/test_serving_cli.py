@@ -36,6 +36,10 @@ def cli_env():
     return env
 
 
+def _default_sigint():
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
 def test_tcp_cli_serves_then_drains_and_exits_cleanly(tmp_path):
     ready_file = tmp_path / "ready.json"
     slow_log = tmp_path / "slow.jsonl"
@@ -123,6 +127,9 @@ def test_router_cli_attaches_and_routes(tmp_path):
         env=cli_env(),
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
+        # The router stops on SIGINT; a shell that ignores SIGINT passes that
+        # on to its children, and Python then installs no handler for it.
+        preexec_fn=_default_sigint,
     )
     try:
         seen, match = [], None
@@ -148,9 +155,15 @@ def test_router_cli_attaches_and_routes(tmp_path):
     finally:
         router.send_signal(signal.SIGINT)
         replica.send_signal(signal.SIGTERM)
-        assert router.wait(timeout=60) == 0
-        assert replica.wait(timeout=60) == 0
-        router.stdout.close()
+        try:
+            exit_codes = [router.wait(timeout=60), replica.wait(timeout=60)]
+        finally:
+            for process in (router, replica):  # nothing outlives the test
+                if process.poll() is None:
+                    process.kill()
+                    process.wait()
+            router.stdout.close()
+    assert exit_codes == [0, 0]
     assert "RuntimeWarning" not in replica_stderr.read_text()
 
 
