@@ -70,7 +70,7 @@ def _memory_for_baseline(workload: Workload, measured: bool) -> Tuple[List[float
     solver = LocalPPRSolver(workload.graph, track_memory=measured)
     measured_bytes: List[float] = []
     modelled_bytes: List[float] = []
-    for result in solver.solve_many(list(workload.queries)):
+    for result in map(solver.solve, workload.queries):
         measured_bytes.append(float(result.peak_memory_bytes))
         modelled_bytes.append(float(result.metadata["modelled_bytes"]))
     return measured_bytes, modelled_bytes
@@ -79,12 +79,17 @@ def _memory_for_baseline(workload: Workload, measured: bool) -> Tuple[List[float
 def _memory_for_meloppr(
     workload: Workload, config: MeLoPPRConfig, measured: bool
 ) -> Tuple[List[float], List[float], List[float]]:
-    """Per-query MeLoPPR CPU memory (measured, modelled) and FPGA BRAM bytes."""
+    """Per-query MeLoPPR CPU memory (measured, modelled) and FPGA BRAM bytes.
+
+    Each query runs through ``MeLoPPRSolver.solve``, one sub-graph at a time:
+    the executor whose peak Table II reports (the serving engine's waves hold
+    several balls at once).
+    """
     solver = MeLoPPRSolver(workload.graph, config)
     measured_bytes: List[float] = []
     modelled_bytes: List[float] = []
     fpga_bytes: List[float] = []
-    for result in solver.solve_many(list(workload.queries)):
+    for result in map(solver.solve, workload.queries):
         measured_bytes.append(float(result.peak_memory_bytes))
         modelled_bytes.append(float(result.metadata["modelled_bytes"]))
         records = result.metadata["tasks"]

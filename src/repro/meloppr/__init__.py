@@ -8,11 +8,6 @@ from repro.meloppr.fixed_point import (
     fixed_point_diffusion,
     quantize_alpha,
 )
-from repro.meloppr.linear import (
-    ResidualComponent,
-    linear_decomposed_diffusion,
-    split_residual,
-)
 from repro.meloppr.selection import (
     AllSelector,
     CountSelector,
@@ -32,10 +27,8 @@ from repro.meloppr.planner import (
 from repro.meloppr.solver import MeLoPPRSolver, StageTaskRecord
 from repro.meloppr.stage import (
     StagePlan,
-    multi_stage_diffusion,
     split_length,
     stage_weights,
-    two_stage_diffusion,
 )
 
 __all__ = [
@@ -45,9 +38,6 @@ __all__ = [
     "FixedPointFormat",
     "fixed_point_diffusion",
     "quantize_alpha",
-    "ResidualComponent",
-    "linear_decomposed_diffusion",
-    "split_residual",
     "AllSelector",
     "CountSelector",
     "NextStageSelector",
@@ -63,8 +53,6 @@ __all__ = [
     "MeLoPPRSolver",
     "StageTaskRecord",
     "StagePlan",
-    "multi_stage_diffusion",
     "split_length",
     "stage_weights",
-    "two_stage_diffusion",
 ]

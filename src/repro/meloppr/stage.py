@@ -15,31 +15,19 @@ accumulated scores, subtract ``alpha^l1`` times its residual, and add
 ``alpha^l1`` times the accumulated scores of a stage-two diffusion seeded with
 that residual.
 
-This module provides the identity both as a *verification* helper operating
-on one graph (used by tests and the ablation study) and as the bookkeeping
-:class:`StagePlan` the multi-stage solver uses to weight each stage's
-contribution.  For more than two stages the recurrence is applied repeatedly:
-stage ``i`` contributes with weight ``alpha ** (l_1 + ... + l_{i-1})``.
+This module holds the bookkeeping the planner applies the identity with:
+the balanced split of ``L`` into stages and the :class:`StagePlan` weighting
+each stage's contribution.  For more than two stages the recurrence is
+applied repeatedly: stage ``i`` contributes with weight
+``alpha ** (l_1 + ... + l_{i-1})``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
-import numpy as np
-
-from repro.diffusion.diffusion import graph_diffusion
-from repro.diffusion.transition import TransitionOperator
-from repro.graph.csr import CSRGraph
-
-__all__ = [
-    "StagePlan",
-    "stage_weights",
-    "two_stage_diffusion",
-    "multi_stage_diffusion",
-    "split_length",
-]
+__all__ = ["StagePlan", "stage_weights", "split_length"]
 
 
 def split_length(total_length: int, num_stages: int) -> Tuple[int, ...]:
@@ -138,58 +126,3 @@ class StagePlan:
         if not 0 <= stage_index < self.num_stages:
             raise IndexError(f"stage_index {stage_index} out of range")
         return self.weights[stage_index] * (self.alpha ** self.stage_lengths[stage_index])
-
-
-def two_stage_diffusion(
-    graph_or_operator: Union[CSRGraph, TransitionOperator],
-    initial: np.ndarray,
-    l1: int,
-    l2: int,
-    alpha: float,
-) -> np.ndarray:
-    """Evaluate the right-hand side of Eq. 6 on a single graph.
-
-    This is the *verification* form of stage decomposition: both stages run
-    on the same graph, so the result must equal ``GD(l1 + l2)(S0)`` exactly
-    (up to floating-point rounding).  The solver uses the sub-graph form
-    instead; tests compare the two.
-    """
-    operator = (
-        graph_or_operator
-        if isinstance(graph_or_operator, TransitionOperator)
-        else TransitionOperator(graph_or_operator)
-    )
-    stage_one = graph_diffusion(operator, initial, l1, alpha)
-    stage_two = graph_diffusion(operator, stage_one.residual, l2, alpha)
-    weight = alpha**l1
-    return stage_one.accumulated + weight * stage_two.accumulated - weight * stage_one.residual
-
-
-def multi_stage_diffusion(
-    graph_or_operator: Union[CSRGraph, TransitionOperator],
-    initial: np.ndarray,
-    stage_lengths: Sequence[int],
-    alpha: float,
-) -> np.ndarray:
-    """Evaluate the stage decomposition for an arbitrary number of stages.
-
-    Repeatedly applies Eq. 6: the residual of each stage seeds the next, each
-    stage's accumulated scores enter with weight ``alpha ** (previous
-    lengths)``, and each hand-off subtracts the correspondingly weighted
-    residual.  On a single graph the result equals ``GD(sum(lengths))(S0)``.
-    """
-    operator = (
-        graph_or_operator
-        if isinstance(graph_or_operator, TransitionOperator)
-        else TransitionOperator(graph_or_operator)
-    )
-    plan = StagePlan.create(stage_lengths, alpha)
-    total = np.zeros_like(np.asarray(initial, dtype=np.float64))
-    current_seed = np.asarray(initial, dtype=np.float64)
-    for index, length in enumerate(plan.stage_lengths):
-        result = graph_diffusion(operator, current_seed, length, alpha)
-        total += plan.weights[index] * result.accumulated
-        if index + 1 < plan.num_stages:
-            total -= plan.residual_correction(index) * result.residual
-            current_seed = result.residual
-    return total

@@ -1,11 +1,8 @@
-"""PPR solvers and quality metrics (baselines + interfaces)."""
+"""PPR solver interfaces, the single-stage local baseline and quality metrics."""
 
 from repro.ppr.base import PPRQuery, PPRResult, PPRSolver
 from repro.ppr.local_ppr import LocalPPRSolver
 from repro.ppr.metrics import precision_at_k, result_precision
-from repro.ppr.monte_carlo import MonteCarloSolver
-from repro.ppr.networkx_baseline import NetworkXPPRSolver
-from repro.ppr.power_iteration import PowerIterationSolver
 
 __all__ = [
     "PPRQuery",
@@ -14,7 +11,4 @@ __all__ = [
     "LocalPPRSolver",
     "precision_at_k",
     "result_precision",
-    "MonteCarloSolver",
-    "NetworkXPPRSolver",
-    "PowerIterationSolver",
 ]

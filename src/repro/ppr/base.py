@@ -1,9 +1,9 @@
 """Common interfaces for PPR solvers.
 
-Every solver in the library — the single-stage local PPR baseline, the
-full-graph power iteration, the Monte Carlo walker, the NetworkX wrapper and
+Every solver in the library — the single-stage local PPR baseline and
 MeLoPPR itself — implements :class:`PPRSolver` and returns a
-:class:`PPRResult`, so experiments can swap solvers freely.
+:class:`PPRResult`, so experiments and the serving engine can swap solvers
+freely.
 """
 
 from __future__ import annotations
@@ -131,16 +131,3 @@ class PPRSolver(abc.ABC):
     @abc.abstractmethod
     def solve(self, query: PPRQuery) -> PPRResult:
         """Answer one PPR query."""
-
-    def solve_many(self, queries: List[PPRQuery]) -> List[PPRResult]:
-        """Answer a batch of queries through a serial query engine.
-
-        Routing the batch through :class:`repro.serving.engine.QueryEngine`
-        (serial backend, no cache) keeps one batching code path in the
-        library while returning exactly what the historical sequential loop
-        returned; per-query serving latency is attached under
-        ``result.metadata["serving"]``.
-        """
-        from repro.serving.engine import QueryEngine  # deferred: avoids cycle
-
-        return QueryEngine(self).solve_batch(list(queries))

@@ -50,8 +50,7 @@ KEEP = {
     # What the tests compare the served path against, and the state they read.
     "oracle": {
         "diffusion/kernels.py": "*", "diffusion/transition.py": "*",
-        "meloppr/stage.py": "*", "meloppr/linear.py": "*", "ppr/monte_carlo.py": "*",
-        "ppr/networkx_baseline.py": "*", "ppr/power_iteration.py": "*",
+        "meloppr/stage.py": "*",
         "meloppr/selection.py": "AllSelector.select NextStageSelector.__repr__",
         "graph/generators.py": "*",
         "graph/builder.py": "GraphBuilder.add_star GraphBuilder.add_path GraphBuilder.add_edge _endpoint",
@@ -92,10 +91,12 @@ KEEP = {
 }
 #: Installed on each driver's ``PYTHONPATH``: record every entered code object,
 #: and dump them every second and at exit (a replica killed mid-run loses at
-#: most its last second).
+#: most its last second).  One dump at a time: the exit dump and the periodic
+#: one share a temporary file, and a dump interleaved with another could
+#: publish an empty one.
 SITECUSTOMIZE = '''
 import atexit, json, os, sys, threading, time
-seen, out = set(), os.environ["REACH_OUT"]
+seen, out, lock = set(), os.environ["REACH_OUT"], threading.Lock()
 def tracer(frame, event, arg):
     code = frame.f_code
     if code not in seen and "/src/repro/" in code.co_filename:
@@ -103,9 +104,10 @@ def tracer(frame, event, arg):
 def dump():
     rows = [[c.co_filename, c.co_firstlineno] for c in list(seen)]  # list(): one atomic copy
     path = os.path.join(out, f"{os.getpid()}.json")
-    with open(path + ".tmp", "w") as handle:
-        json.dump(rows, handle)
-    os.replace(path + ".tmp", path)
+    with lock:
+        with open(path + ".tmp", "w") as handle:
+            json.dump(rows, handle)
+        os.replace(path + ".tmp", path)
 def every_second():
     while True:
         time.sleep(1.0)

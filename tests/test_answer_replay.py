@@ -51,6 +51,7 @@ from repro.serving.engine import _KEY_MEMO_SIZE, _replay
 from repro.serving.frontend.ops import _top_json
 from repro.serving.frontend.protocol import PROTOCOL_VERSION, pack_top
 from repro.serving.result_cache import _answer_nbytes, _entry_nbytes, stage_one_key
+from oracle import assert_same_answer, rebuilt
 
 CONFIG = MeLoPPRConfig(stage_lengths=(3, 3), track_memory=False)
 #: Expands every stage-one frontier node, so an edit four or five hops from a
@@ -87,25 +88,6 @@ def make_engine(graph, mode="serial", config=CONFIG, **cache_kwargs):
         backend=make_backend(mode),
         result_cache=ScoreTableCache(**cache_kwargs),
     )
-
-
-def assert_same_answer(result, reference):
-    """Bit-identical scores, ranking and every non-timing metadata key."""
-    assert result.query == reference.query
-    assert np.array_equal(result.scores.nodes(), reference.scores.nodes())
-    assert np.array_equal(result.scores.values(), reference.scores.values())
-    assert result.top_k() == reference.top_k()
-    assert result.peak_memory_bytes == reference.peak_memory_bytes
-    ours = {key: value for key, value in result.metadata.items() if key != "serving"}
-    assert ours == reference.metadata
-
-
-def rebuilt(graph, ops):
-    """``graph`` with ``ops`` applied, rebuilt from scratch from its edge set."""
-    edges = set(graph.iter_edges())
-    for kind, u, v in ops:
-        (edges.add if kind == "insert" else edges.discard)((min(u, v), max(u, v)))
-    return CSRGraph.from_edges(graph.num_nodes, sorted(edges), name=graph.name)
 
 
 # ----------------------------------------------------------------------

@@ -236,6 +236,18 @@ class TestTable2:
         assert "Table II" in text
         assert "G1" in text
 
+    def test_measures_the_solver_not_the_engine(self, monkeypatch):
+        # Table II's measured column is the one-ball-at-a-time solver's
+        # peak: no query may go through the engine's waves.
+        def boom(*args, **kwargs):
+            raise AssertionError("Table II ran through the serving engine")
+
+        monkeypatch.setattr("repro.serving.engine.QueryEngine.solve_batch", boom)
+        study = run_table2(datasets=("G1",), num_seeds=2, use_tracemalloc=True)
+        assert study.measurement == "tracemalloc"
+        (row,) = study.rows
+        assert row.baseline.minimum > 0 and row.meloppr_cpu.minimum > 0
+
 
 class TestFig6:
     @pytest.fixture(scope="class")

@@ -1,15 +1,16 @@
 """Extraction against a straightforward per-row reference.
 
 ``expand_frontier``, ``Subgraph.induced`` and ``extract_ego_subgraph`` gather
-adjacency rows with one vectorised index.  The references below walk the rows
-one at a time in plain Python; visit order, local ids, the relabelled CSR
-arrays and the scanned-edge count must all be equal.  The stage extraction,
-``extract_wave`` split into one-ball waves, is in turn held to
-``extract_ego_subgraph`` per centre (nodes, levels, degrees, scanned edges),
-and every wave's diffusion operand — a fresh one's and each ball's — to
-``graph_diffusion`` on the centre's sub-graph, bit for bit.  Every wave is
-ball-major, so a fresh wave equals the stack of its own one-ball waves,
-array by array.
+adjacency rows with one vectorised index.  The references in
+``tests/oracle.py`` walk the rows one at a time in plain Python; visit
+order, local ids, the relabelled CSR arrays and the scanned-edge count must
+all be equal.  The stage extraction, ``extract_wave`` split into one-ball
+waves, is in turn held to ``extract_ego_subgraph`` per centre (nodes,
+levels, degrees, scanned edges), and every wave's diffusion operand — a
+fresh one's and each ball's — to ``graph_diffusion`` on the centre's
+sub-graph, bit for bit.  Every wave is ball-major, so a fresh wave equals
+the stack of its own one-ball waves, array by array; a ``SubgraphCache``'s
+waves, cold and warm, equal the host-graph extraction.
 """
 
 from __future__ import annotations
@@ -36,36 +37,8 @@ from repro.graph.csr import CSRGraph, gather_rows
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.subgraph import Subgraph
-from test_engine_equivalence import FAMILIES
-
-
-def reference_bfs(graph: CSRGraph, source: int, depth: int):
-    """Level-by-level BFS; each level's new nodes in ascending id order."""
-    nodes, levels, scanned = [source], [0], 0
-    seen, frontier = {source}, [source]
-    for level in range(1, depth + 1):
-        reached = set()
-        for node in frontier:
-            row = graph.neighbors(node).tolist()
-            scanned += len(row)
-            reached.update(row)
-        frontier = sorted(reached - seen)
-        if not frontier:
-            break
-        seen.update(frontier)
-        nodes += frontier
-        levels += [level] * len(frontier)
-    return nodes, levels, scanned
-
-
-def reference_induced(graph: CSRGraph, nodes: Sequence[int]) -> Tuple[List[int], List[int]]:
-    """``indptr`` / ``indices`` of the sub-graph induced by ``nodes``."""
-    local = {node: index for index, node in enumerate(nodes)}
-    indptr, indices = [0], []
-    for node in nodes:
-        indices += sorted(local[v] for v in graph.neighbors(node).tolist() if v in local)
-        indptr.append(len(indices))
-    return indptr, indices
+from repro.serving.cache import SubgraphCache
+from oracle import FAMILIES, reference_bfs, reference_induced
 
 
 def assert_matches_reference(graph: CSRGraph, source: int, depth: int) -> None:
@@ -298,7 +271,7 @@ class TestStageExtractionMatchesPerBall:
         assert large <= small + 500 * 2048
 
 
-#: The graphs of the engine-equivalence grid, built once.
+#: The graphs of the oracle's family table, built once.
 FAMILY_GRAPHS = [build() for _, build in sorted(FAMILIES.items())]
 
 WAVE_ARRAYS = ("targets", "degrees", "nodes", "levels", "bounds", "edges_scanned", "hits")
@@ -456,3 +429,36 @@ class TestLazyLocalMap:
         assert shifted.to_local(int(ids[-1])) == ids.size - 1
         with pytest.raises(KeyError):
             shifted.to_local(5)
+
+
+class TestCachedExtraction:
+    """The cache's stage extractions, cold and warm, equal the host-graph
+    extraction array for array on every graph family."""
+
+    @pytest.mark.parametrize("graph", FAMILY_GRAPHS, ids=sorted(FAMILIES))
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_extraction_arrays_identical(self, graph, depth):
+        centers = list(range(0, graph.num_nodes, 7)) + [0, 7]  # two repeats
+        cache = SubgraphCache(32 << 20)
+        cold = cache.extract_wave(graph, centers, depth)
+        warm = cache.extract_wave(graph, centers[::-1], depth)
+        assert cold.hits.tolist() == [False] * len(centers)
+        assert warm.hits.tolist() == [True] * len(centers)
+        for center, ball, warm_ball in zip(centers, cold.split(), warm.split()[::-1]):
+            subgraph, bfs = extract_ego_subgraph(graph, center, depth)
+            csr, size = subgraph.graph, subgraph.num_nodes
+            # The operand is the CSR's inner rows, entry for entry.
+            inner = int(np.count_nonzero(bfs.levels < depth))
+            rows = np.repeat(np.arange(inner), csr.degrees()[:inner])
+            entries = rows * size + csr.indices[: csr.indptr[inner]]
+            for got in (ball, warm_ball):
+                assert np.array_equal(got.nodes, bfs.nodes)
+                assert np.array_equal(got.levels, bfs.levels)
+                assert np.array_equal(got.degrees, csr.degrees())
+                assert got.edges_scanned.tolist() == [bfs.edges_scanned]
+                assert got.name == graph.name
+                assert np.array_equal(np.sort(got.sources * size + got.targets), entries)
+        stats = cache.stats
+        assert stats.misses == len(centers)
+        assert stats.hits == len(centers)
+        assert stats.num_entries == len(set(centers))

@@ -18,9 +18,7 @@ from repro.meloppr.solver import MeLoPPRSolver
 from repro.ppr.base import PPRQuery
 from repro.ppr.local_ppr import LocalPPRSolver
 from repro.ppr.metrics import result_precision
-from repro.ppr.monte_carlo import MonteCarloSolver
-from repro.ppr.networkx_baseline import NetworkXPPRSolver
-from repro.ppr.power_iteration import PowerIterationSolver
+from oracle import MonteCarloSolver, NetworkXPPRSolver, PowerIterationSolver
 
 
 SEEDS = (10, 250, 1111)

@@ -1,4 +1,8 @@
-"""Tests for the stage (Eq. 6) and linear (Eq. 7/8) decompositions."""
+"""Tests for the stage (Eq. 6) and linear (Eq. 7/8) decompositions.
+
+The stage bookkeeping the planner uses is under test here; the one-graph
+forms of both identities live in ``tests/oracle.py`` and are checked against
+the direct diffusion."""
 
 from __future__ import annotations
 
@@ -7,16 +11,12 @@ import pytest
 
 from repro.diffusion.diffusion import graph_diffusion, seed_vector
 from repro.diffusion.transition import TransitionOperator
-from repro.meloppr.linear import (
+from repro.meloppr.stage import StagePlan, split_length, stage_weights
+from oracle import (
     ResidualComponent,
     linear_decomposed_diffusion,
-    split_residual,
-)
-from repro.meloppr.stage import (
-    StagePlan,
     multi_stage_diffusion,
-    split_length,
-    stage_weights,
+    split_residual,
     two_stage_diffusion,
 )
 

@@ -22,65 +22,27 @@ from repro.diffusion.diffusion import graph_diffusion, seed_vector, stage_diffus
 from repro.graph.bfs import bfs_levels, extract_ego_subgraph, extract_wave
 from repro.graph.csr import CSRGraph
 from repro.graph.delta import min_hop_distances
-from repro.graph.generators import (
-    barabasi_albert_graph,
-    citation_graph,
-    community_graph,
-    erdos_renyi_graph,
-    stochastic_block_model,
-    watts_strogatz_graph,
-)
 from repro.meloppr.config import MeLoPPRConfig
 from repro.meloppr.fixed_point import FixedPointFormat, fixed_point_diffusion
-from repro.meloppr.linear import linear_decomposed_diffusion
 from repro.meloppr.selection import AllSelector, CountSelector, RatioSelector
 from repro.meloppr.solver import MeLoPPRSolver
-from repro.meloppr.stage import multi_stage_diffusion
 from repro.ppr.base import PPRQuery
 from repro.ppr.local_ppr import LocalPPRSolver
-from repro.ppr.power_iteration import PowerIterationSolver
+from oracle import (
+    FAMILIES,
+    ROLES,
+    PowerIterationSolver,
+    dense_diffusion,
+    dense_transition,
+    linear_decomposed_diffusion,
+    multi_stage_diffusion,
+    role_seed,
+)
 
 ALPHA = 0.85
 LENGTH = 6
 #: Float sums in a different order than the oracle's matrix products.
 TOLERANCE = dict(rtol=1e-10, atol=1e-13)
-
-
-def _star(num_leaves: int) -> CSRGraph:
-    return CSRGraph.from_edges(
-        num_leaves + 1, [(0, leaf) for leaf in range(1, num_leaves + 1)], name="star"
-    )
-
-
-def _path(num_nodes: int) -> CSRGraph:
-    return CSRGraph.from_edges(
-        num_nodes, [(i, i + 1) for i in range(num_nodes - 1)], name="path"
-    )
-
-
-def _disconnected() -> CSRGraph:
-    """A scale-free component, a ring, then four isolated nodes."""
-    first = barabasi_albert_graph(60, 2, rng=51)
-    edges = list(first.iter_edges()) + [(60 + i, 60 + (i + 1) % 20) for i in range(20)]
-    return CSRGraph.from_edges(84, edges, name="disconnected")
-
-
-FAMILIES = {
-    "scale-free": lambda: barabasi_albert_graph(120, 2, rng=41, name="scale-free"),
-    "random": lambda: erdos_renyi_graph(100, 0.04, rng=42, name="random"),
-    "lattice": lambda: watts_strogatz_graph(80, 4, 0.0, rng=0, name="lattice"),
-    "small-world": lambda: watts_strogatz_graph(100, 4, 0.2, rng=43, name="small-world"),
-    "communities": lambda: stochastic_block_model(
-        [35, 35, 30], 0.15, 0.01, rng=44, name="communities"
-    ),
-    "clustered": lambda: community_graph(120, 4.0, rng=45, name="clustered"),
-    "citation": lambda: citation_graph(150, 3.0, rng=46, name="citation"),
-    "star": lambda: _star(40),
-    "path": lambda: _path(40),
-    "disconnected": _disconnected,
-}
-
-ROLES = ("hub", "median", "least")
 
 
 @pytest.fixture(scope="module", params=sorted(FAMILIES))
@@ -95,33 +57,12 @@ def nx_graph(graph) -> nx.Graph:
 
 @pytest.fixture(scope="module")
 def transition(graph) -> np.ndarray:
-    """Dense ``W``: column ``s`` spreads node ``s``'s score evenly over its
-    neighbours; an isolated node's column is zero."""
-    degrees = graph.degrees().astype(np.float64)
-    matrix = np.zeros((graph.num_nodes, graph.num_nodes))
-    for u, v in graph.iter_edges():
-        matrix[v, u] = 1.0 / degrees[u]
-        matrix[u, v] = 1.0 / degrees[v]
-    return matrix
+    return dense_transition(graph)
 
 
 @pytest.fixture(params=ROLES)
 def seed(request, graph) -> int:
-    """The highest-degree, a median-degree or the least-degree node (lowest id
-    on ties) — on some families an isolated node."""
-    order = np.argsort(-graph.degrees(), kind="stable")
-    position = {"hub": 0, "median": order.size // 2, "least": order.size - 1}
-    return int(order[position[request.param]])
-
-
-def dense_diffusion(transition, initial, length, alpha=ALPHA):
-    """Eq. 1 term by term: ``(1-a) sum_{k<l} a^k W^k S0 + a^l W^l S0`` and ``W^l S0``."""
-    accumulated = np.zeros_like(initial)
-    power = initial.copy()
-    for step in range(length):
-        accumulated += (1.0 - alpha) * alpha**step * power
-        power = transition @ power
-    return accumulated + alpha**length * power, power
+    return role_seed(graph, request.param)
 
 
 def as_dense(scores, num_nodes: int) -> np.ndarray:
@@ -132,7 +73,7 @@ def as_dense(scores, num_nodes: int) -> np.ndarray:
 
 @pytest.fixture
 def exact(graph, transition, seed) -> np.ndarray:
-    return dense_diffusion(transition, seed_vector(graph.num_nodes, seed), LENGTH)[0]
+    return dense_diffusion(transition, seed_vector(graph.num_nodes, seed), LENGTH, ALPHA)[0]
 
 
 def query(seed: int) -> PPRQuery:
@@ -143,7 +84,7 @@ def test_graph_diffusion_is_eq1(graph, transition, seed):
     initial = seed_vector(graph.num_nodes, seed)
     for length in (0, 1, 3, LENGTH):
         result = graph_diffusion(graph, initial, length, ALPHA)
-        accumulated, residual = dense_diffusion(transition, initial, length)
+        accumulated, residual = dense_diffusion(transition, initial, length, ALPHA)
         np.testing.assert_allclose(result.accumulated, accumulated, **TOLERANCE)
         np.testing.assert_allclose(result.residual, residual, **TOLERANCE)
 
@@ -171,9 +112,9 @@ def test_stage_decomposition_is_eq6(graph, seed, exact, lengths):
 
 
 def test_linear_decomposition_is_eq7(graph, transition, seed):
-    _, residual = dense_diffusion(transition, seed_vector(graph.num_nodes, seed), 3)
+    _, residual = dense_diffusion(transition, seed_vector(graph.num_nodes, seed), 3, ALPHA)
     (nodes,) = residual.nonzero()
-    expected, _ = dense_diffusion(transition, residual, 3)
+    expected, _ = dense_diffusion(transition, residual, 3, ALPHA)
     np.testing.assert_allclose(
         linear_decomposed_diffusion(graph, nodes, residual[nodes], 3, ALPHA),
         expected,

@@ -1,4 +1,5 @@
-"""Tests for the PPR baselines (local, power iteration, Monte Carlo, NetworkX)."""
+"""Tests for the PPR baselines: ``LocalPPRSolver`` and the textbook solvers
+``tests/oracle.py`` holds (power iteration, Monte Carlo, NetworkX)."""
 
 from __future__ import annotations
 
@@ -6,15 +7,12 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
-from repro.ppr.base import PPRQuery, PPRResult, PPRSolver
+from repro.ppr.base import PPRQuery, PPRSolver
 from repro.ppr.local_ppr import LocalPPRSolver
 from repro.ppr.metrics import result_precision
-from repro.ppr.monte_carlo import MonteCarloSolver
-from repro.ppr.networkx_baseline import NetworkXPPRSolver
-from repro.ppr.power_iteration import PowerIterationSolver
+from oracle import MonteCarloSolver, NetworkXPPRSolver, PowerIterationSolver
 
 
 class TestPPRQuery:
@@ -68,13 +66,6 @@ class TestLocalPPRSolver:
     def test_timing_buckets_present(self, small_ba_graph):
         result = LocalPPRSolver(small_ba_graph).solve(PPRQuery(seed=3))
         assert {"bfs", "diffusion", "aggregation"} <= set(result.timing.seconds)
-
-    def test_solve_many(self, small_ba_graph):
-        solver = LocalPPRSolver(small_ba_graph, track_memory=False)
-        queries = [PPRQuery(seed=s, k=5) for s in (0, 1, 2)]
-        results = solver.solve_many(queries)
-        assert len(results) == 3
-        assert all(isinstance(r, PPRResult) for r in results)
 
 
 class TestPowerIterationSolver:
@@ -145,8 +136,8 @@ class TestNetworkXSolver:
         assert result.metadata["local"] is True
 
     def test_serving_processes_do_not_import_networkx(self):
-        """The baseline loads networkx on its first solve, not on import:
-        a replica, a pool worker or the bench process never calls it."""
+        """networkx is a test-side baseline only: a replica, a pool worker
+        or the bench process never loads it."""
         code = (
             "import sys; import repro.serving.frontend.http, "
             "repro.serving.replica, repro.serving.backends; "

@@ -26,7 +26,8 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.csr import CSRGraph
 from repro.meloppr.aggregation import GlobalScoreTable
 from repro.meloppr.selection import RatioSelector
-from repro.meloppr.stage import split_length, two_stage_diffusion
+from repro.meloppr.stage import split_length
+from oracle import two_stage_diffusion
 
 # Keep the per-example work small: graphs stay under ~40 nodes.
 GRAPH_SETTINGS = settings(

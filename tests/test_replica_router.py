@@ -16,6 +16,9 @@ from contextlib import AsyncExitStack
 
 import pytest
 
+from repro.graph.datasets import load_dataset
+from repro.meloppr.config import MeLoPPRConfig
+from repro.ppr.base import PPRQuery
 from repro.serving.frontend import (
     HttpQueryServer,
     MicroBatcher,
@@ -34,6 +37,7 @@ from repro.serving.frontend.router import (
 )
 from repro.serving.replica import ReplicaSet
 from repro.serving.tracing import Tracer
+from oracle import serial_answers, wire_top
 
 CONFIG = ServingConfig(dataset="G1", backend="serial")
 
@@ -80,18 +84,13 @@ def run(coro):
 
 @pytest.fixture(scope="module")
 def reference_answers():
-    """Serial-engine answers for the query mix every test replays."""
-    engine, _, _ = build_frontend(CONFIG.replace(backend="serial"))
-    try:
-        from repro.ppr.base import PPRQuery
-
-        answers = {}
-        for seed in range(24):
-            result = engine.solve_batch([PPRQuery(seed=seed, k=50)])[0]
-            answers[seed] = [[int(n), float(s)] for n, s in result.top_k()]
-        return answers
-    finally:
-        engine.close()
+    """The oracle's serial answers, as ``"top"`` lists, for the query mix
+    every test replays (a replica's solver: the dataset, the default config,
+    the modelled peak)."""
+    queries = [PPRQuery(seed=seed, k=50) for seed in range(24)]
+    config = MeLoPPRConfig(track_memory=False)
+    results = serial_answers(load_dataset(CONFIG.dataset), config, queries)
+    return {query.seed: wire_top(result) for query, result in zip(queries, results)}
 
 
 class TestRouting:

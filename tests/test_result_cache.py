@@ -366,6 +366,39 @@ class TestPlanResume:
         resumed.close()
 
 
+class TestOutcomeMetadata:
+    def test_metadata_reports_hits_and_misses(self):
+        graph = barabasi_albert_graph(160, 2, rng=13, name="rc-grid")
+        hot = PPRQuery(seed=3, k=25, length=6)
+        with QueryEngine(
+            MeLoPPRSolver(graph), result_cache=ScoreTableCache()
+        ) as engine:
+            cold, warm = engine.solve_batch([hot, hot])
+            # An update out of reach of every task keeps the answer ...
+            far = [99] * graph.num_nodes
+            assert engine.result_cache.carry(graph, graph, far) == (0, 1, 1, 0)
+            (kept,) = engine.solve_batch([hot])
+            # ... one that reaches a stage-two sub-graph strips it, and the
+            # surviving stage-one state resumes the plan instead.
+            near = list(far)
+            near[
+                next(
+                    record.center_node
+                    for record in cold.metadata["tasks"]
+                    if record.stage_index == 1 and record.center_node != hot.seed
+                )
+            ] = 3
+            assert engine.result_cache.carry(graph, graph, near) == (0, 1, 0, 1)
+            (resumed,) = engine.solve_batch([hot])
+        assert cold.metadata["serving"]["result_cache"] == "miss"
+        assert warm.metadata["serving"]["result_cache"] == "answer"
+        assert kept.metadata["serving"]["result_cache"] == "answer"
+        assert resumed.metadata["serving"]["result_cache"] == "hit"
+        assert kept.scores is cold.scores
+        assert warm.scores is cold.scores
+        assert dict(resumed.scores.items()) == dict(cold.scores.items())
+
+
 class TestInvalidationRegressions:
     """A different graph fingerprint must never serve a stale table."""
 

@@ -2,7 +2,7 @@
 
 :class:`GlobalScoreTable` keeps parallel id / score arrays; ``add`` evicts by
 ``argmin`` and ``add_many`` folds a whole batch in one vectorised pass.  The
-oracle here is the table as first written — a dict and a ``min`` scan over
+oracle, ``tests/oracle.py``'s :class:`ScanTable`, is the table as first written — a dict and a ``min`` scan over
 every stored entry with a ``(score, -node)`` key, one update at a time — and
 the two must agree on every victim, every stored bit, the insertion order and
 every counter, for any stream of updates.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 from unittest import mock
 
 import numpy as np
@@ -27,50 +27,7 @@ from repro.meloppr.config import MeLoPPRConfig
 from repro.meloppr.planner import execute_stage, execute_stage_task
 from repro.meloppr.solver import MeLoPPRSolver
 from repro.ppr.base import PPRQuery
-
-
-class ScanTable:
-    """Reference table: evicts by scanning all entries (O(capacity) a victim)."""
-
-    def __init__(self, capacity: Optional[int], evictions_are_final: bool = True) -> None:
-        self.capacity = capacity
-        self.final = evictions_are_final
-        self.scores: Dict[int, float] = {}
-        self.evicted: Dict[int, float] = {}
-        self.updates = 0
-        self.victims: List[int] = []
-
-    def add(self, node: int, score: float) -> None:
-        self.updates += 1
-        if node in self.scores:
-            self.scores[node] += score
-            return
-        previous = 0.0 if self.final else self.evicted.pop(node, 0.0)
-        self.scores[node] = previous + score
-        if self.capacity is not None and len(self.scores) > self.capacity:
-            victim = min(self.scores.items(), key=lambda item: (item[1], -item[0]))[0]
-            value = self.scores.pop(victim)
-            self.victims.append(victim)
-            if not self.final:
-                self.evicted[victim] = self.evicted.get(victim, 0.0) + value
-
-    def add_many(self, nodes, scores) -> None:
-        for node, score in zip(nodes, scores):
-            self.add(int(node), float(score))
-
-    def snapshot(self) -> ScoreTableSnapshot:
-        return ScoreTableSnapshot(
-            capacity=self.capacity,
-            evictions_are_final=self.final,
-            ids=list(self.scores),
-            scores=list(self.scores.values()),
-            evicted=tuple(self.evicted.items()),
-            total_updates=self.updates,
-            total_evictions=len(self.victims),
-        )
-
-    def top_k(self, k: int) -> List[Tuple[int, float]]:
-        return sorted(self.scores.items(), key=lambda item: (-item[1], item[0]))[: max(k, 0)]
+from oracle import ScanTable
 
 
 def bits(snapshot: ScoreTableSnapshot):

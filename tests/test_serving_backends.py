@@ -3,7 +3,9 @@
 Covers the contract pieces the engine relies on but never exercises
 directly: ``close()`` idempotency, context-manager shutdown, exception
 propagation from a failing job through ``map``, submission-order results
-under concurrency, and lazy re-creation after close.
+under concurrency, and lazy re-creation after close; then what an engine
+does with its thread pool around close, failing batches and repeated
+batches.
 """
 
 from __future__ import annotations
@@ -13,12 +15,18 @@ import time
 
 import pytest
 
+from repro.graph.generators import barabasi_albert_graph
+from repro.meloppr.solver import MeLoPPRSolver
+from repro.ppr.base import PPRQuery
 from repro.serving import (
     ExecutionBackend,
+    QueryEngine,
     SerialBackend,
+    SubgraphCache,
     ThreadPoolBackend,
     make_backend,
 )
+from oracle import assert_same_answers, serial_answers
 
 BACKEND_FACTORIES = [
     SerialBackend,
@@ -204,3 +212,101 @@ class TestMakeBackend:
             assert isinstance(backend, ExecutionBackend)
             assert backend.map(lambda x: x + 1, [1, 2]) == [2, 3]
             backend.close()
+
+
+@pytest.fixture(scope="module")
+def graph():
+    return barabasi_albert_graph(180, 2, rng=7, name="ba180-thread")
+
+
+@pytest.fixture(scope="module")
+def queries():
+    seeds = [0, 7, 63, 7, 120, 0]
+    # Mixed lengths exercise one-stage, degenerate and multi-stage plans.
+    return [
+        PPRQuery(seed=seed, k=30, alpha=0.85, length=length)
+        for seed, length in zip(seeds, (6, 6, 3, 1, 0, 6))
+    ]
+
+
+@pytest.fixture(scope="module")
+def reference(graph, queries):
+    # The default config measures its peak with tracemalloc, which a pool
+    # turns off: the tests compare answers with counts=False.
+    return serial_answers(graph, None, queries)
+
+
+class TestEnginePoolLifecycle:
+    def test_repeated_batches_reuse_the_pool(self, graph, queries, reference):
+        backend = ThreadPoolBackend(2)
+        with QueryEngine(MeLoPPRSolver(graph), backend=backend) as engine:
+            first = engine.solve_batch(queries)
+            executor = backend._executor
+            assert executor is not None
+            second = engine.solve_batch(queries)
+            assert backend._executor is executor  # persistent pool, no restart
+        assert backend._executor is None  # the engine closed its backend
+        assert_same_answers(first, reference, counts=False)
+        assert_same_answers(second, reference, counts=False)
+
+    def test_restart_after_close(self, graph, queries, reference):
+        backend = ThreadPoolBackend(2)
+        engine = QueryEngine(MeLoPPRSolver(graph), backend=backend)
+        first = engine.solve_batch(queries)
+        backend.close()
+        assert backend._executor is None
+        # The pool is lazy: the next batch starts a fresh one.
+        second = engine.solve_batch(queries)
+        assert backend._executor is not None
+        engine.close()
+        assert backend._executor is None
+        assert_same_answers(first, reference, counts=False)
+        assert_same_answers(second, reference, counts=False)
+
+    def test_stage_errors_propagate_by_type(self, graph, queries):
+        # A seed outside the graph fails inside a pool thread; the original
+        # exception type reaches the caller, as on the serial path.
+        bad = PPRQuery(seed=graph.num_nodes + 7, k=5)
+        with QueryEngine(MeLoPPRSolver(graph), backend=ThreadPoolBackend(2)) as engine:
+            with pytest.raises(ValueError, match="out of range"):
+                engine.solve_batch([queries[0], bad])
+
+    def test_failing_batch_in_context_manager_releases_the_pool(self, graph, queries):
+        backend = ThreadPoolBackend(2)
+        bad = PPRQuery(seed=graph.num_nodes, k=5)
+        with pytest.raises(ValueError):
+            with QueryEngine(MeLoPPRSolver(graph), backend=backend) as engine:
+                engine.solve_batch(queries[:2])
+                engine.solve_batch([bad])
+        assert backend._executor is None
+
+    def test_engine_recovers_after_a_failing_batch(self, graph, queries, reference):
+        bad = PPRQuery(seed=graph.num_nodes + 1, k=5)
+        with QueryEngine(
+            MeLoPPRSolver(graph), backend=ThreadPoolBackend(2), cache=SubgraphCache()
+        ) as engine:
+            with pytest.raises(ValueError):
+                engine.solve_batch([bad] + list(queries))
+            results = engine.solve_batch(queries)
+            assert_same_answers(results, reference, counts=False)
+            # Only the batch that succeeded was counted as served.
+            assert engine.stats().queries_served == len(queries)
+
+    def test_cache_stats_with_a_pool(self, graph, queries):
+        with QueryEngine(
+            MeLoPPRSolver(graph), backend=ThreadPoolBackend(2), cache=SubgraphCache()
+        ) as engine:
+            engine.solve_batch(queries)
+            first = engine.stats().cache
+            engine.solve_batch(queries)
+            second = engine.stats().cache
+            assert first is not None and first.misses > 0
+            # The second pass re-extracts nothing it extracted in the first.
+            assert second.misses == first.misses
+            assert second.hits > first.hits
+
+    def test_cache_disabled_reports_none(self, graph, queries):
+        with QueryEngine(MeLoPPRSolver(graph), backend=ThreadPoolBackend(1)) as engine:
+            results = engine.solve_batch(queries[:2])
+            assert engine.stats().cache is None
+            assert results[0].metadata["serving"]["cache_enabled"] is False

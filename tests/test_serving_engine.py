@@ -173,13 +173,6 @@ class TestStats:
         assert warm.metadata["cache_hits"] == warm.metadata["num_tasks"]
         assert warm.metadata["cache_misses"] == 0
 
-    def test_solve_many_routes_through_engine(self, solver, queries):
-        results = solver.solve_many(queries)
-        expected = [solver.solve(query) for query in queries]
-        assert_results_identical(results, expected)
-        for result in results:
-            assert result.metadata["serving"]["backend"] == "serial"
-
 
 def cache_counters(cache_stats):
     """The lifetime counters of a CacheStats (its live-size gauges left out)."""

@@ -2,11 +2,10 @@
 
 The load-bearing property is the differential one: scores served through
 ``ThreadPoolBackend × MicroBatcher`` — dedup on and off — must be
-**bit-identical** to ``QueryEngine.solve_batch``
-on a ``SerialBackend``.  Around it: dedup fan-out accounting, per-query
-deadlines, admission-control shedding under overload (the queue must never
-grow past its bound), and the latency telemetry exported through
-``EngineStats``.
+**bit-identical** to the serial answer of ``tests/oracle.py``.  Around it:
+dedup fan-out accounting, per-query deadlines, admission-control shedding
+under overload (the queue must never grow past its bound), and the latency
+telemetry exported through ``EngineStats``.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from repro.serving.frontend import (
     MicroBatcher,
     QueryShedError,
 )
+from oracle import assert_same_answers, serial_answers
 
 
 @pytest.fixture()
@@ -53,11 +53,9 @@ def queries():
 
 @pytest.fixture()
 def reference_scores(small_ba_graph, config, queries):
-    """Exact score dicts from the serial engine — the comparison target."""
-    with QueryEngine(
-        MeLoPPRSolver(small_ba_graph, config), backend=SerialBackend()
-    ) as engine:
-        return [dict(r.scores.items()) for r in engine.solve_batch(queries)]
+    """Exact score dicts of the oracle's serial answers — the comparison
+    target."""
+    return [dict(r.scores.items()) for r in serial_answers(small_ba_graph, config, queries)]
 
 
 class SleepySolver(PPRSolver):
@@ -188,6 +186,41 @@ class TestMicroBatcherDifferential:
         with engine:
             outcomes = asyncio.run(run())
         assert [dict(r.scores.items()) for r in outcomes] == reference_scores
+
+
+class TestFrontendComposition:
+    """MicroBatcher dedup (concurrent repeats) × result cache (temporal)."""
+
+    def test_dedup_and_result_cache_compose(self, small_ba_graph, config):
+        hot = PPRQuery(seed=9, k=20, length=6)
+        cold = PPRQuery(seed=23, k=20, length=6)
+        reference = serial_answers(small_ba_graph, config, [hot, hot, cold, hot, cold])
+        engine = QueryEngine(
+            MeLoPPRSolver(small_ba_graph, config),
+            cache=SubgraphCache(),
+            result_cache=ScoreTableCache(),
+        )
+
+        async def run():
+            policy = BatchPolicy(max_batch_size=4, dedup=True)
+            async with MicroBatcher(engine, policy) as batcher:
+                # Wave one: concurrent duplicates — dedup computes once.
+                wave_one = await asyncio.gather(
+                    batcher.submit(hot), batcher.submit(hot), batcher.submit(cold)
+                )
+                # Wave two: temporal repeats — the result cache serves them.
+                wave_two = await asyncio.gather(
+                    batcher.submit(hot), batcher.submit(cold)
+                )
+                return wave_one + wave_two, batcher.stats()
+
+        with engine:
+            answers, stats = asyncio.run(run())
+        assert_same_answers(answers, reference)
+        # Dedup collapsed the concurrent duplicates...
+        assert stats.dedup_hits >= 1
+        # ...and the result cache served the temporal ones.
+        assert stats.engine.result_cache.hits >= 2
 
 
 class TestOpenLoopArrivals:

@@ -30,6 +30,7 @@ from repro.serving.frontend import (
     parse_prometheus_text,
 )
 from repro.serving.result_cache import ScoreTableCache
+from oracle import serial_answers, wire_top
 
 
 @pytest.fixture()
@@ -74,11 +75,7 @@ def serve_http(engine, policy=None, admission=None, **server_kwargs):
 class TestHttpRoundTrip:
     def test_http_answers_match_engine(self, small_ba_graph, config):
         queries = [PPRQuery(seed=s, k=30) for s in (3, 11, 27, 3, 11)]
-        with QueryEngine(MeLoPPRSolver(small_ba_graph, config)) as reference:
-            expected = [
-                [[int(n), float(s)] for n, s in result.top_k()]
-                for result in reference.solve_batch(queries)
-            ]
+        expected = [wire_top(result) for result in serial_answers(small_ba_graph, config, queries)]
 
         engine = QueryEngine(
             MeLoPPRSolver(small_ba_graph, config), cache=SubgraphCache()

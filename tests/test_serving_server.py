@@ -28,6 +28,7 @@ from repro.serving.frontend import (
     QueryShedError,
     ServerError,
 )
+from oracle import serial_answers, wire_top
 
 
 @pytest.fixture()
@@ -72,11 +73,10 @@ def serve(engine, policy=None, admission=None):
 class TestRoundTrip:
     def test_wire_answers_match_engine(self, small_ba_graph, config):
         queries = [PPRQuery(seed=s, k=30) for s in (3, 11, 27, 3, 11)]
-        with QueryEngine(MeLoPPRSolver(small_ba_graph, config)) as reference:
-            expected = [
-                [(int(n), float(s)) for n, s in result.top_k()]
-                for result in reference.solve_batch(queries)
-            ]
+        expected = [
+            [tuple(pair) for pair in wire_top(result)]
+            for result in serial_answers(small_ba_graph, config, queries)
+        ]
 
         engine = QueryEngine(
             MeLoPPRSolver(small_ba_graph, config), cache=SubgraphCache()
