@@ -73,19 +73,23 @@ def serial_answers(
     return [solver.solve(query) for query in queries]
 
 
-#: Metadata a serving mode adds (``serving``) or that counts its extraction
-#: cache (``cache_hits`` / ``cache_misses``): the only keys that may differ.
-SERVING_KEYS = frozenset({"serving", "cache_hits", "cache_misses"})
+#: Metadata only a serving mode adds.
+SERVING_KEYS = frozenset({"serving"})
+#: Metadata counting an extraction cache's hits and misses: the serial
+#: solver has no such cache, so an engine with one reports other counts.
+EXTRACTION_CACHE_KEYS = frozenset({"cache_hits", "cache_misses"})
 
 
-def answer_bits(result: PPRResult, counts: bool = True) -> tuple:
+def answer_bits(result: PPRResult, counts: bool = True, extraction_cache: bool = False) -> tuple:
     """What a served answer must share with the serial one, order included.
 
     The query, the score vector's ids and values as raw bytes (so ``-0.0``
     and ``0.0`` differ) and the top-k ranking; with ``counts`` also the
-    reported peak and every metadata key outside :data:`SERVING_KEYS`.  A
-    solver measuring its peak with tracemalloc reports a different figure on
-    every run, so compare those with ``counts=False``.
+    reported peak and every metadata key outside :data:`SERVING_KEYS`, and
+    outside :data:`EXTRACTION_CACHE_KEYS` when the answer was served through
+    an ``extraction_cache``.  A solver measuring its peak with tracemalloc
+    reports a different figure on every run, so compare those with
+    ``counts=False``.
     """
     bits = (
         result.query,
@@ -95,22 +99,30 @@ def answer_bits(result: PPRResult, counts: bool = True) -> tuple:
     )
     if not counts:
         return bits
-    metadata = {key: value for key, value in result.metadata.items() if key not in SERVING_KEYS}
+    skipped = SERVING_KEYS | EXTRACTION_CACHE_KEYS if extraction_cache else SERVING_KEYS
+    metadata = {key: value for key, value in result.metadata.items() if key not in skipped}
     return bits + (result.peak_memory_bytes, metadata)
 
 
-def assert_same_answer(result: PPRResult, expected: PPRResult, counts: bool = True) -> None:
+def assert_same_answer(
+    result: PPRResult, expected: PPRResult, counts: bool = True, extraction_cache: bool = False
+) -> None:
     """``result`` equals ``expected`` under :func:`answer_bits`."""
-    assert answer_bits(result, counts) == answer_bits(expected, counts)
+    assert answer_bits(result, counts, extraction_cache) == answer_bits(
+        expected, counts, extraction_cache
+    )
 
 
 def assert_same_answers(
-    results: Sequence[PPRResult], expected: Sequence[PPRResult], counts: bool = True
+    results: Sequence[PPRResult],
+    expected: Sequence[PPRResult],
+    counts: bool = True,
+    extraction_cache: bool = False,
 ) -> None:
     """Each result equals its expected answer under :func:`answer_bits`."""
     assert len(results) == len(expected)
     for result, want in zip(results, expected):
-        assert_same_answer(result, want, counts)
+        assert_same_answer(result, want, counts, extraction_cache)
 
 
 def wire_top(result: PPRResult) -> List[List[float]]:

@@ -82,9 +82,10 @@ SPLITS = {
 }
 EXECUTORS = ("serial", "thread:2")
 TIERS = ("none", "subgraph", "result", "both")
-#: The ``subgraph`` tier's budget: a few balls, so a batch evicts or
-#: declines entries while the stage that installed them still runs.
-TIGHT_BYTES = 4096
+#: The ``subgraph`` tier's budget: a few small balls, so on every family a
+#: batch evicts or declines entries while the stage that installed them
+#: still runs.
+TIGHT_BYTES = 1024
 
 
 @functools.lru_cache(maxsize=None)
@@ -142,10 +143,21 @@ def make_engine(family, split, executor, caches):
     )
 
 
-def validate(caches):
+def same(results, reference, caches):
+    """The oracle's bits; the extraction-cache counts only when none ran."""
+    assert_same_answers(results, reference, extraction_cache=caches[0] is not None)
+
+
+def validate(caches, tier):
+    """Each cache's own invariants, and what its budget promises."""
     for cache in caches:
         if cache is not None:
             cache.validate()
+    subgraph = caches[0]
+    if tier == "subgraph":
+        assert subgraph.stats.current_bytes <= TIGHT_BYTES
+    if tier == "both":  # the roomy budget: nothing leaves for want of room
+        assert (subgraph.stats.evictions, subgraph.stats.rejected) == (0, 0)
 
 
 def outcomes(results):
@@ -157,23 +169,45 @@ def outcomes(results):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 class TestMatrix:
     @pytest.mark.parametrize("tier", TIERS)
-    def test_first_answer(self, family, split, executor, tier):
+    def test_first_answer_and_kept_across_an_update(self, family, split, executor, tier):
         caches = new_caches(tier)
         queries = queries_of(family, split)
+        served = []
         with make_engine(family, split, executor, caches) as engine:
-            first = engine.solve_batch(queries)
-            # What a cache kept from the first batch serves the second.
-            again = engine.solve_batch(queries) if tier != "none" else first
+            for updated in (False, True):
+                if updated:
+                    outcome = engine.apply_update(update_ops(family))
+                # What a cache kept from the first batch serves the second.
+                batches = [engine.solve_batch(queries) for _ in range(1 + (tier != "none"))]
+                for results in batches:
+                    same(results, expected(family, split, updated), caches)
+                served += batches
             stats = engine.stats()
-        assert_same_answers(first, expected(family, split))
-        assert_same_answers(again, expected(family, split))
-        assert stats.queries_served == len(queries) * (1 + (tier != "none"))
-        if tier in ("result", "both") and executor == "serial":
-            # Serially, the repeated seed replays the answer its first
-            # occurrence attached, and the second batch replays them all.
-            assert outcomes(first) == ["miss", "miss", "miss", "answer"]
-            assert set(outcomes(again)) == {"answer"}
-        validate(caches)
+        assert outcome["new_fingerprint"] == graph_of(family, True).fingerprint()
+        assert stats.queries_served == len(queries) * len(served)
+        assert {
+            (result.metadata["serving"]["backend"], result.metadata["serving"]["cache_enabled"])
+            for results in served
+            for result in results
+        } == {(stats.backend, caches[0] is not None)}
+        # The engine's cache field sums both tiers' counters.
+        assert (stats.cache is None) is (tier == "none")
+        if caches[1] is not None:
+            assert stats.cache.hits >= caches[1].stats.hits
+            if executor == "serial":
+                # Serially, the repeated seed replays the answer its first
+                # occurrence attached, and the second batch replays them all.
+                assert outcomes(served[0]) == ["miss", "miss", "miss", "answer"]
+                assert set(outcomes(served[1])) == {"answer"}
+            # Every answer's outcome is one of the result cache's lookups.
+            seen = Counter(label for results in served for label in outcomes(results))
+            result_stats = caches[1].stats
+            assert result_stats.lookups == stats.queries_served
+            assert (result_stats.hits, result_stats.misses) == (
+                stats.queries_served - seen["miss"],
+                seen["miss"],
+            )
+        validate(caches, tier)
 
     @pytest.mark.parametrize("tier", ("result", "both"))
     def test_state_resume(self, family, split, executor, tier):
@@ -181,7 +215,7 @@ class TestMatrix:
         queries = queries_of(family, split)
         config = SPLITS[split][0]
         with make_engine(family, split, executor, caches) as engine:
-            assert_same_answers(engine.solve_batch(queries), expected(family, split))
+            same(engine.solve_batch(queries), expected(family, split), caches)
         # A cache holding the stage-one states and no answer: every query
         # resumes its plan past stage one.
         states = ScoreTableCache()
@@ -190,10 +224,10 @@ class TestMatrix:
             assert states.put(key, caches[1].get(key), graph_of(family))
         with make_engine(family, split, executor, (caches[0], states)) as engine:
             resumed = engine.solve_batch(queries)
-        assert_same_answers(resumed, expected(family, split))
+        same(resumed, expected(family, split), caches)
         assert "hit" in outcomes(resumed)
         assert set(outcomes(resumed)) <= {"hit", "answer"}
-        validate((caches[0], states))
+        validate((caches[0], states), tier)
 
     @pytest.mark.parametrize("tier", ("result", "both"))
     def test_answer_replay(self, family, split, executor, tier):
@@ -205,23 +239,9 @@ class TestMatrix:
             again = engine.solve_batch(queries)
             cached = [engine.try_cached(query) for query in queries]
         for served in (first, again, cached):
-            assert_same_answers(served, expected(family, split))
+            same(served, expected(family, split), caches)
         assert set(outcomes(again)) == {"answer"}
-        validate(caches)
-
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_kept_across_an_update(self, family, split, executor, tier):
-        caches = new_caches(tier)
-        queries = queries_of(family, split)
-        with make_engine(family, split, executor, caches) as engine:
-            assert_same_answers(engine.solve_batch(queries), expected(family, split))
-            outcome = engine.apply_update(update_ops(family))
-            first = engine.solve_batch(queries)
-            again = engine.solve_batch(queries) if tier != "none" else first
-        assert outcome["new_fingerprint"] == graph_of(family, True).fingerprint()
-        assert_same_answers(first, expected(family, split, True))
-        assert_same_answers(again, expected(family, split, True))
-        validate(caches)
+        validate(caches, tier)
 
     @pytest.mark.parametrize("tier", ("subgraph", "result", "both"))
     def test_two_engines_share_caches_across_an_update(self, family, split, executor, tier):
@@ -231,17 +251,36 @@ class TestMatrix:
         ahead = make_engine(family, split, executor, caches)
         behind = make_engine(family, split, executor, caches)
         with ahead, behind:
-            assert_same_answers(ahead.solve_batch(queries), old)
+            same(ahead.solve_batch(queries), old, caches)
             ahead.apply_update(update_ops(family))
             # The engine still on the old graph serves the old graph's
             # answers: nothing its peer carried to the new graph reaches it.
-            assert_same_answers(behind.solve_batch(queries), old)
+            same(behind.solve_batch(queries), old, caches)
             behind.apply_update(update_ops(family))
-            assert_same_answers(behind.solve_batch(queries), new)
+            same(behind.solve_batch(queries), new, caches)
             # ... and the peer's update leaves what the first one carried
             # right.
-            assert_same_answers(ahead.solve_batch(queries), new)
-        validate(caches)
+            same(ahead.solve_batch(queries), new, caches)
+        validate(caches, tier)
+
+
+#: A stage wider than one wave: 80 balls chosen per stage on the clustered
+#: family, into the paper's bounded table or an unbounded one.
+WIDE = {
+    factor: MeLoPPRConfig(
+        stage_lengths=(1, 2, 3),
+        selector=CountSelector(80),
+        score_table_factor=factor,
+        track_memory=False,
+    )
+    for factor in (10, None)
+}
+
+
+@functools.lru_cache(maxsize=None)
+def wide_expected(factor, updated: bool):
+    graph = graph_of("clustered", updated)
+    return serial_answers(graph, WIDE[factor], queries_of("clustered", "1+2+3"))
 
 
 class TestTheMatrixHasPower:
@@ -253,37 +292,49 @@ class TestTheMatrixHasPower:
         before, after = expected(family, "3+3"), expected(family, "3+3", True)
         assert any(answer_bits(old) != answer_bits(new) for old, new in zip(before, after))
 
+    @pytest.mark.parametrize("tier", ("none", "subgraph", "both"))
+    @pytest.mark.parametrize("factor", sorted(WIDE, key=str))
     @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_a_stage_wider_than_a_wave(self, executor):
-        config = MeLoPPRConfig(
-            stage_lengths=(1, 2, 3), selector=CountSelector(80), track_memory=False
-        )
-        graph, queries = graph_of("clustered"), queries_of("clustered", "1+2+3")
-        reference = serial_answers(graph, config, queries)
+    def test_a_stage_wider_than_a_wave(self, executor, factor, tier):
+        """Before and after an update; the tight budget holds fewer bytes
+        than one stage's balls."""
         widest = max(
             Counter(record.stage_index for record in result.metadata["tasks"]).most_common(1)[0][1]
-            for result in reference
+            for result in wide_expected(factor, False)
         )
         assert widest > BALLS_PER_PASS
-        for tier in ("none", "both"):
-            subgraph, result = new_caches(tier)
-            with QueryEngine(
-                MeLoPPRSolver(graph, config),
-                backend=make_backend(executor),
-                cache=subgraph,
-                result_cache=result,
-            ) as engine:
-                assert_same_answers(engine.solve_batch(queries), reference)
+        caches = new_caches(tier)
+        engine = QueryEngine(
+            MeLoPPRSolver(graph_of("clustered"), WIDE[factor]),
+            backend=make_backend(executor),
+            cache=caches[0],
+            result_cache=caches[1],
+        )
+        with engine:
+            for updated in (False, True):
+                if updated:
+                    engine.apply_update(update_ops("clustered"))
+                queries = queries_of("clustered", "1+2+3")
+                same(engine.solve_batch(queries), wide_expected(factor, updated), caches)
+        if tier == "subgraph":
+            assert caches[0].stats.evictions + caches[0].stats.rejected > 0
+        validate(caches, tier)
 
-    def test_the_tight_budget_both_hits_and_evicts(self):
-        hits = overflows = 0
-        for family in sorted(FAMILIES):
-            cache = SubgraphCache(TIGHT_BYTES)
-            with make_engine(family, "3+3", "serial", (cache, None)) as engine:
-                engine.solve_batch(queries_of(family, "3+3"))
-            hits += cache.stats.hits
-            overflows += cache.stats.evictions + cache.stats.rejected
-        assert hits > 0 and overflows > 0
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_the_budgets_hit_and_only_the_tight_one_overflows(self, family):
+        """Over the splits, two batches each: the tight budget both hits and
+        overflows, and a roomy one hits and never overflows."""
+        totals = Counter()
+        for split in sorted(SPLITS):
+            for budget in (TIGHT_BYTES, 32 << 20):
+                cache = SubgraphCache(budget)
+                with make_engine(family, split, "serial", (cache, None)) as engine:
+                    for _ in range(2):
+                        engine.solve_batch(queries_of(family, split))
+                totals[budget, "hits"] += cache.stats.hits
+                totals[budget, "overflows"] += cache.stats.evictions + cache.stats.rejected
+        assert totals[TIGHT_BYTES, "hits"] > 0 and totals[TIGHT_BYTES, "overflows"] > 0
+        assert totals[32 << 20, "hits"] > 0 and totals[32 << 20, "overflows"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -360,7 +411,7 @@ class TestTransports:
             tops, results = asyncio.run(run())
         assert tops == [wire_top(answer) for answer in reference]
         if results is not None:
-            assert_same_answers(results, reference)
+            assert_same_answers(results, reference, extraction_cache=True)
 
 
 # ----------------------------------------------------------------------
@@ -411,8 +462,10 @@ class TestRandomGraphs:
             results = engine.solve_batch(queries)
             again = engine.solve_batch(queries)
         reference = serial_answers(graph, config, queries)
-        assert_same_answers(results, reference)
-        assert_same_answers(again, reference)
+        # The first batch installed every answer the second one replays.
+        assert set(outcomes(again)) == {"answer"}
+        assert_same_answers(results, reference, extraction_cache=True)
+        assert_same_answers(again, reference, extraction_cache=True)
 
     @pytest.fixture(scope="class")
     def served(self):
@@ -448,7 +501,7 @@ class TestRandomGraphs:
             )
         )
         reference = serial_answers(graph, served.solver.config, queries)
-        assert_same_answers(served.solve_batch(queries), reference)
+        assert_same_answers(served.solve_batch(queries), reference, extraction_cache=True)
 
 
 # ----------------------------------------------------------------------
@@ -515,19 +568,21 @@ def test_no_serving_path_runs_the_per_ball_functions(monkeypatch):
             for traced in (False, True):
                 for executor in EXECUTORS:
                     contexts = [tracer.start_trace() for _ in queries] if traced else None
-                    with make_engine(family, split, executor, new_caches(tier)) as engine:
+                    caches = new_caches(tier)
+                    with make_engine(family, split, executor, caches) as engine:
                         results = engine.solve_batch(queries, contexts)
-                    assert_same_answers(results, reference[split])
+                    same(results, reference[split], caches)
                     for ctx in contexts or ():
                         assert "extract" in {span.name for span in ctx.spans}
 
 
 def test_no_serving_path_builds_a_csr_ball(monkeypatch):
     """A wave stays push-form entries from extraction to fold, cached or not:
-    no induced CSR sub-graph and no per-ball BFS record is built, and every
-    answer and count is still the oracle's."""
+    no induced CSR sub-graph and no per-ball BFS record is built, a cache
+    restacks the balls it kept, and every answer and count is still the
+    oracle's."""
     family, split = "clustered", "3+3"
-    queries = queries_of(family, split)
+    queries, reference = queries_of(family, split), expected(family, split)
 
     def boom(*args, **kwargs):
         raise AssertionError("CSR ball built on a serving path")
@@ -535,28 +590,45 @@ def test_no_serving_path_builds_a_csr_ball(monkeypatch):
     monkeypatch.setattr(Subgraph, "induced", boom)
     monkeypatch.setattr("repro.graph.bfs.BFSResult", boom)
     for executor in EXECUTORS:
-        for tier in ("none", "both"):
-            caches = new_caches(tier)
+        for cache in (None, SubgraphCache()):
+            caches = (cache, None)
             with make_engine(family, split, executor, caches) as engine:
-                for _ in range(2):  # cold, then served from the caches
-                    assert_same_answers(engine.solve_batch(queries), expected(family, split))
-            validate(caches)
+                for _ in range(2):  # cold, then served from the cache's hits
+                    same(engine.solve_batch(queries), reference, caches)
+            if cache is not None:
+                assert cache.stats.hits and cache.stats.misses
+                cache.validate()
 
 
-@pytest.mark.parametrize("width", [1, 2, 5])
+#: Every candidate chosen at every stage into the paper's bounded table: each
+#: of these queries has a stage holding more balls than the widest wave
+#: below, and its table evicts.
+BOUNDARY_CONFIG = MeLoPPRConfig(
+    stage_lengths=(1, 2, 3), selector=RatioSelector(1.0), track_memory=False
+)
+WIDTHS = (1, 2, 5)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
 def test_wave_boundaries_do_not_show(width, monkeypatch):
     """At any wave width the engine returns the oracle's bits — with a node
-    carried by balls in different waves, and waves that mix cache hits with
-    misses — uncached and cached."""
-    family, split = "small-world", "1+2+3"
-    queries = queries_of(family, split)
+    carried by balls in different waves, a table evicting across waves, and
+    waves that mix cache hits with misses — uncached and cached."""
+    graph = graph_of("scale-free")
+    queries = [PPRQuery(seed=seed, k=10) for seed in sorted(set(seeds_of("scale-free")))]
+    reference = serial_answers(graph, BOUNDARY_CONFIG, queries)
+    for result in reference:
+        stage_widths = Counter(record.stage_index for record in result.metadata["tasks"])
+        assert max(stage_widths.values()) > max(WIDTHS)
+    assert all(result.metadata["score_table_evictions"] for result in reference)
     for name, module in list(sys.modules.items()):
         if name.startswith("repro") and hasattr(module, "BALLS_PER_PASS"):
             monkeypatch.setattr(module, "BALLS_PER_PASS", width)
     cache = SubgraphCache()
     for caches in ((None, None), (cache, None)):
-        with make_engine(family, split, "serial", caches) as engine:
+        engine = QueryEngine(MeLoPPRSolver(graph, BOUNDARY_CONFIG), cache=caches[0])
+        with engine:
             for _ in range(2):  # the second batch is served from the caches
-                assert_same_answers(engine.solve_batch(queries), expected(family, split))
+                same(engine.solve_batch(queries), reference, caches)
     assert cache.stats.hits and cache.stats.misses
-    cache.validate()
+    validate((cache, None), "both")

@@ -216,7 +216,7 @@ class TestFrontendComposition:
 
         with engine:
             answers, stats = asyncio.run(run())
-        assert_same_answers(answers, reference)
+        assert_same_answers(answers, reference, extraction_cache=True)
         # Dedup collapsed the concurrent duplicates...
         assert stats.dedup_hits >= 1
         # ...and the result cache served the temporal ones.
