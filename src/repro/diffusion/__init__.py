@@ -1,4 +1,4 @@
-"""Diffusion substrate: the transition operator and graph-diffusion kernel."""
+"""Diffusion substrate: graph diffusion ``GD(l)(S0)`` and its kernels."""
 
 from repro.diffusion.diffusion import (
     DEFAULT_ALPHA,
@@ -8,7 +8,6 @@ from repro.diffusion.diffusion import (
     stage_diffusion,
 )
 from repro.diffusion.sparse_vector import SparseScoreVector
-from repro.diffusion.transition import TransitionOperator
 
 __all__ = [
     "DEFAULT_ALPHA",
@@ -17,5 +16,4 @@ __all__ = [
     "seed_vector",
     "stage_diffusion",
     "SparseScoreVector",
-    "TransitionOperator",
 ]

@@ -17,20 +17,22 @@ Fig. 3(b) shows that one diffusion simultaneously produces two outputs:
   MeLoPPR (the stage decomposition of Eq. 6 subtracts ``alpha^l1 * pi_r`` and
   re-diffuses it).
 
-:func:`graph_diffusion` therefore always returns both vectors.  The same
-kernel is reused by the single-stage baseline, the multi-stage CPU solver and
-the FPGA processing-element model (which additionally counts cycles).
+:func:`graph_diffusion` therefore always returns both vectors, one kernel
+step (:mod:`repro.diffusion.kernels`) per propagation over a
+:class:`~repro.graph.csr.CSRGraph`; the single-stage baseline and the
+multi-stage CPU solver run it one ball at a time.  :func:`stage_diffusion`
+is the same recurrence over a whole wave of balls at once, the form every
+served query runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.diffusion.kernels import DiffusionKernel
-from repro.diffusion.transition import TransitionOperator
+from repro.diffusion.kernels import make_kernel, structure_for
 from repro.graph.csr import CSRGraph
 from repro.utils.validation import (
     check_node_id,
@@ -85,21 +87,20 @@ def seed_vector(num_nodes: int, seed: int, value: float = 1.0) -> np.ndarray:
 
 
 def graph_diffusion(
-    graph_or_operator: Union[CSRGraph, TransitionOperator],
+    graph: CSRGraph,
     initial: np.ndarray,
     length: int,
     alpha: float = DEFAULT_ALPHA,
-    kernel: Union[str, DiffusionKernel, None] = None,
+    kernel: Optional[str] = None,
 ) -> DiffusionResult:
     """Compute ``GD(length)(initial)`` on a graph.
 
     Parameters
     ----------
-    graph_or_operator:
-        Either a :class:`CSRGraph` (the memoised
-        :meth:`TransitionOperator.for_graph` operator is used, so repeated
-        diffusions over a cached sub-graph share one operator) or a
-        pre-built operator.
+    graph:
+        The graph to diffuse on.  Its kernel structure (degrees, row ids) is
+        built on its first diffusion and kept on the graph object, so
+        repeated diffusions over one sub-graph share it.
     initial:
         Dense initial vector ``S0`` over the graph's nodes.  For PPR this is a
         one-hot vector at the seed node (:func:`seed_vector`), but the stage
@@ -109,9 +110,8 @@ def graph_diffusion(
     alpha:
         Decay factor in ``[0, 1]``.
     kernel:
-        Propagation kernel (see :mod:`repro.diffusion.kernels`); ``None``
-        keeps the operator's kernel (``reference`` for a graph).  Every kernel
-        yields bit-identical scores.
+        A name in :data:`~repro.diffusion.kernels.KERNELS`; ``None`` is
+        ``reference``.  Every kernel yields bit-identical scores.
 
     Returns
     -------
@@ -131,32 +131,25 @@ def graph_diffusion(
     ``accumulated == residual == initial``, which makes the
     stage-decomposition identity of Eq. 6 hold for degenerate splits.
     """
-    if isinstance(graph_or_operator, TransitionOperator):
-        operator = graph_or_operator
-        if kernel is not None:
-            operator = operator.with_kernel(kernel)
-    else:
-        operator = TransitionOperator.for_graph(graph_or_operator, kernel)
+    step_kernel = make_kernel(kernel)
     length = check_non_negative_int(length, "length")
     alpha = check_probability(alpha, "alpha")
 
     initial = np.asarray(initial, dtype=np.float64)
-    if initial.shape != (operator.num_nodes,):
+    if initial.shape != (graph.num_nodes,):
         raise ValueError(
-            f"initial must have shape ({operator.num_nodes},), got {initial.shape}"
+            f"initial must have shape ({graph.num_nodes},), got {initial.shape}"
         )
 
-    # The loop talks to the kernel directly (shape validated once above):
-    # apply_counted returns the propagation-work count as a by-product, so
-    # no per-step mask + fancy-index pass over the degree array is needed.
-    structure = operator.structure
-    step_kernel = operator.kernel
+    # Each step returns the propagation-work count as a by-product, so no
+    # per-step mask + fancy-index pass over the degree array is needed.
+    structure = structure_for(graph)
     residual = initial.copy()
     accumulated = np.zeros_like(initial)
     propagations = 0
     for step in range(length):
         accumulated += (1.0 - alpha) * (alpha**step) * residual
-        residual, touched = step_kernel.apply_counted(structure, residual)
+        residual, touched = step_kernel(structure, residual)
         propagations += touched
     accumulated += (alpha**length) * residual
 

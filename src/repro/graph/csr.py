@@ -23,6 +23,8 @@ from repro.utils.validation import check_node_id
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from scipy import sparse
 
+    from repro.diffusion.kernels import GraphStructure
+
 __all__ = ["CSRGraph", "gather_rows"]
 
 
@@ -78,7 +80,7 @@ class CSRGraph:
     rather than calling this constructor with hand-built arrays.
     """
 
-    __slots__ = ("_indptr", "_indices", "_name", "_fingerprint", "_operator_memo")
+    __slots__ = ("_indptr", "_indices", "_name", "_fingerprint", "_structure")
 
     def __init__(
         self,
@@ -109,10 +111,10 @@ class CSRGraph:
         self._indptr.setflags(write=False)
         self._indices.setflags(write=False)
         self._fingerprint: Optional[str] = None
-        # Per-kernel TransitionOperator memo (lazily created by
-        # TransitionOperator.for_graph).  Rides along with the graph so
-        # repeated diffusions never rebuild operator structure.
-        self._operator_memo: Optional[dict] = None
+        # The diffusion kernels' GraphStructure of this graph, built on its
+        # first diffusion (repro.diffusion.kernels.structure_for).  Rides
+        # along with the graph so repeated diffusions never rebuild it.
+        self._structure: Optional[GraphStructure] = None
 
     # ------------------------------------------------------------------
     # Constructors

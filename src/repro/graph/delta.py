@@ -251,8 +251,8 @@ class DeltaGraph:
         the current edge set from scratch: rows stay sorted ascending, every
         edge stored twice.  With an empty overlay the new graph *reuses* the
         base's immutable buffers — it is still a distinct object, so
-        per-object derived state (the ``TransitionOperator`` memo) starts
-        empty and fingerprint-keyed state is shared safely.  ``self`` is not
+        per-object derived state (the diffusion kernels' ``GraphStructure``)
+        starts empty.  ``self`` is not
         consumed; keep updating it or start a new overlay on the result.
         """
         base = self._base

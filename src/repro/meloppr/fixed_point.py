@@ -15,18 +15,20 @@ The paper reports that with ``d`` equal to the average degree the top-k
 precision loss is below 4 %, and with ``d`` equal to the maximum degree it is
 below 0.001 %.  :class:`FixedPointFormat` captures the representation;
 :func:`quantize_alpha` and :func:`fixed_point_diffusion` implement the
-integer datapath so the loss can be measured (experiment E6).
+integer datapath so the loss can be measured (experiment E6).  Its
+propagation is one int64 ``np.add.at`` scatter per step over the graph's
+row ids: integer sums do not depend on their order, so the scatter is exact
+and needs none of the float kernels' ordering care.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
-from repro.diffusion.kernels import DiffusionKernel
-from repro.diffusion.transition import TransitionOperator
+from repro.diffusion.kernels import structure_for
 from repro.graph.csr import CSRGraph
 from repro.utils.validation import check_positive_int, check_probability
 
@@ -129,11 +131,10 @@ class FixedPointDiffusionResult:
 
 
 def fixed_point_diffusion(
-    graph_or_operator: Union[CSRGraph, TransitionOperator],
+    graph: CSRGraph,
     seed: int,
     length: int,
     fmt: FixedPointFormat,
-    kernel: Union[str, DiffusionKernel, None] = None,
 ) -> FixedPointDiffusionResult:
     """Integer-datapath graph diffusion, mirroring the FPGA PE.
 
@@ -144,7 +145,7 @@ def fixed_point_diffusion(
 
     Parameters
     ----------
-    graph_or_operator:
+    graph:
         The (sub-)graph to diffuse on.
     seed:
         Local node id receiving the initial ``seed_value``.
@@ -152,31 +153,19 @@ def fixed_point_diffusion(
         Number of propagation steps.
     fmt:
         The integer format (seed magnitude and quantised alpha).
-    kernel:
-        Propagation kernel (see :mod:`repro.diffusion.kernels`).  The
-        integer scatter is exact under any summation order, so every kernel
-        yields identical results here too.
     """
-    if isinstance(graph_or_operator, TransitionOperator):
-        operator = graph_or_operator
-        if kernel is not None:
-            operator = operator.with_kernel(kernel)
-    else:
-        operator = TransitionOperator.for_graph(graph_or_operator, kernel)
-    graph = operator.graph
     num_nodes = graph.num_nodes
     if not 0 <= seed < num_nodes:
         raise ValueError(f"seed {seed} out of range for {num_nodes} nodes")
     if length < 0:
         raise ValueError("length must be >= 0")
 
-    degrees = graph.degrees().astype(np.int64)
-    initial = np.zeros(num_nodes, dtype=np.int64)
-    initial[seed] = fmt.seed_value
-
+    structure = structure_for(graph)
+    degrees = structure.degrees
     one_minus_alpha_numerator = (1 << fmt.shift_bits) - fmt.alpha_numerator
 
-    residual = initial.copy()
+    residual = np.zeros(num_nodes, dtype=np.int64)
+    residual[seed] = fmt.seed_value
     accumulated = np.zeros(num_nodes, dtype=np.int64)
     alpha_power = np.int64(1 << fmt.shift_bits)  # alpha^step in q-bit fixed point
     for _ in range(length):
@@ -185,7 +174,8 @@ def fixed_point_diffusion(
         accumulated += (term * one_minus_alpha_numerator) >> fmt.shift_bits
         # Propagate: each node pushes floor(score / degree) to every neighbour.
         per_neighbor = np.where(degrees > 0, residual // np.maximum(degrees, 1), 0)
-        residual = operator.propagate_int(per_neighbor)
+        residual = np.zeros(num_nodes, dtype=np.int64)
+        np.add.at(residual, structure.row_ids, per_neighbor[structure.indices])
         alpha_power = (alpha_power * fmt.alpha_numerator) >> fmt.shift_bits
     accumulated += (residual * alpha_power) >> fmt.shift_bits
 

@@ -17,7 +17,10 @@ of that reference and of every other oracle a test holds the program to:
 * **The graph families.** :data:`FAMILIES` (hubs, long diameters,
   communities, triangles, isolated nodes) and :func:`role_seed`.
 * **Closed forms and plain walks.** :func:`dense_transition` /
-  :func:`dense_diffusion` (Eq. 1 with a dense matrix), :func:`reference_bfs`
+  :func:`sparse_transition` (``W`` from the edge list or from
+  ``CSRGraph.to_scipy()``) and :func:`dense_diffusion` (Eq. 1 term by term
+  over either), :func:`fixed_point_step` (the integer datapath's propagation
+  as a dense int64 product), :func:`reference_bfs`
   / :func:`reference_induced` (row-at-a-time extraction), :class:`ScanTable`
   (the bounded score table with an O(capacity) victim scan).
 * **The textbook solvers and identities.** :class:`PowerIterationSolver`
@@ -29,18 +32,20 @@ of that reference and of every other oracle a test holds the program to:
   (Eq. 7 on one graph).
 
 No serving code imports this module, and nothing here calls the engine.
+The closed forms, the textbook solvers and the identities apply ``W`` with
+their own matrices, never a ``repro.diffusion`` kernel, so the kernels are
+held to an independent implementation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
 
-from repro.diffusion.diffusion import graph_diffusion
 from repro.diffusion.sparse_vector import SparseScoreVector
-from repro.diffusion.transition import TransitionOperator
 from repro.graph.bfs import extract_ego_subgraph
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
@@ -200,14 +205,32 @@ def dense_transition(graph: CSRGraph) -> np.ndarray:
     return matrix
 
 
-def dense_diffusion(transition: np.ndarray, initial: np.ndarray, length: int, alpha: float):
-    """Eq. 1 term by term: ``(1-a) sum_{k<l} a^k W^k S0 + a^l W^l S0`` and ``W^l S0``."""
-    accumulated = np.zeros_like(initial)
-    power = initial.copy()
+def sparse_transition(graph: CSRGraph) -> sparse.csr_matrix:
+    """``W = A D^-1`` as scipy CSR, from the graph's adjacency matrix."""
+    degrees = graph.degrees().astype(np.float64)
+    inverse = np.divide(1.0, degrees, out=np.zeros_like(degrees), where=degrees > 0)
+    return (graph.to_scipy() @ sparse.diags(inverse)).tocsr()
+
+
+def dense_diffusion(transition, initial: np.ndarray, length: int, alpha: float):
+    """Eq. 1 term by term: ``(1-a) sum_{k<l} a^k W^k S0 + a^l W^l S0`` and
+    ``W^l S0``, for ``W`` a dense or a scipy matrix."""
+    power = np.array(initial, dtype=np.float64)
+    accumulated = np.zeros_like(power)
     for step in range(length):
         accumulated += (1.0 - alpha) * alpha**step * power
         power = transition @ power
     return accumulated + alpha**length * power, power
+
+
+def fixed_point_step(graph: CSRGraph, scores: np.ndarray) -> np.ndarray:
+    """One propagation of the integer datapath: ``A @ (scores // degree)``
+    with a dense int64 adjacency matrix (an isolated node pushes nothing)."""
+    adjacency = np.zeros((graph.num_nodes, graph.num_nodes), dtype=np.int64)
+    for u, v in graph.iter_edges():
+        adjacency[u, v] = adjacency[v, u] = 1
+    degrees = graph.degrees().astype(np.int64)
+    return adjacency @ np.where(degrees > 0, scores // np.maximum(degrees, 1), 0)
 
 
 def reference_bfs(graph: CSRGraph, source: int, depth: int):
@@ -315,7 +338,7 @@ class PowerIterationSolver(PPRSolver):
         self._max_iterations = max_iterations
         self._tolerance = float(tolerance)
         self._track_memory = bool(track_memory)
-        self._operator = TransitionOperator(graph)
+        self._transition = sparse_transition(graph)
 
     def solve(self, query: PPRQuery) -> PPRResult:
         timing = TimingBreakdown()
@@ -328,8 +351,8 @@ class PowerIterationSolver(PPRSolver):
                 scores = initial.copy()
                 performed = 0
                 for _ in range(iterations):
-                    updated = (1.0 - query.alpha) * initial + query.alpha * self._operator.apply(
-                        scores
+                    updated = (1.0 - query.alpha) * initial + query.alpha * (
+                        self._transition @ scores
                     )
                     performed += 1
                     change = float(np.abs(updated - scores).sum())
@@ -470,30 +493,21 @@ class NetworkXPPRSolver(PPRSolver):
 # ----------------------------------------------------------------------
 # The decompositions on one graph (Eq. 6 and Eq. 7)
 # ----------------------------------------------------------------------
-GraphOrOperator = Union[CSRGraph, TransitionOperator]
-
-
-def _operator(graph_or_operator: GraphOrOperator) -> TransitionOperator:
-    if isinstance(graph_or_operator, TransitionOperator):
-        return graph_or_operator
-    return TransitionOperator(graph_or_operator)
-
-
 def two_stage_diffusion(
-    graph_or_operator: GraphOrOperator, initial: np.ndarray, l1: int, l2: int, alpha: float
+    graph: CSRGraph, initial: np.ndarray, l1: int, l2: int, alpha: float
 ) -> np.ndarray:
     """The right-hand side of Eq. 6 with both stages on one graph:
     ``GD(l1)(S0) + a^l1 GD(l2)(W^l1 S0) - a^l1 W^l1 S0``, which equals
     ``GD(l1 + l2)(S0)`` up to rounding."""
-    operator = _operator(graph_or_operator)
-    stage_one = graph_diffusion(operator, initial, l1, alpha)
-    stage_two = graph_diffusion(operator, stage_one.residual, l2, alpha)
+    transition = sparse_transition(graph)
+    accumulated, residual = dense_diffusion(transition, initial, l1, alpha)
     weight = alpha**l1
-    return stage_one.accumulated + weight * stage_two.accumulated - weight * stage_one.residual
+    stage_two, _ = dense_diffusion(transition, residual, l2, alpha)
+    return accumulated + weight * stage_two - weight * residual
 
 
 def multi_stage_diffusion(
-    graph_or_operator: GraphOrOperator,
+    graph: CSRGraph,
     initial: np.ndarray,
     stage_lengths: Sequence[int],
     alpha: float,
@@ -502,16 +516,16 @@ def multi_stage_diffusion(
     seeds the next, its accumulated scores enter with weight ``a^(previous
     lengths)`` and each hand-off subtracts the weighted residual.  Equals
     ``GD(sum(lengths))(S0)``."""
-    operator = _operator(graph_or_operator)
+    transition = sparse_transition(graph)
     plan = StagePlan.create(stage_lengths, alpha)
     total = np.zeros_like(np.asarray(initial, dtype=np.float64))
     current_seed = np.asarray(initial, dtype=np.float64)
     for index, length in enumerate(plan.stage_lengths):
-        result = graph_diffusion(operator, current_seed, length, alpha)
-        total += plan.weights[index] * result.accumulated
+        accumulated, residual = dense_diffusion(transition, current_seed, length, alpha)
+        total += plan.weights[index] * accumulated
         if index + 1 < plan.num_stages:
-            total -= plan.residual_correction(index) * result.residual
-            current_seed = result.residual
+            total -= plan.residual_correction(index) * residual
+            current_seed = residual
     return total
 
 
@@ -545,22 +559,20 @@ def split_residual(
 
 
 def linear_decomposed_diffusion(
-    graph_or_operator: GraphOrOperator,
+    graph: CSRGraph,
     nodes: np.ndarray,
     residuals: np.ndarray,
     length: int,
     alpha: float,
-    num_nodes: Optional[int] = None,
 ) -> np.ndarray:
     """The right-hand side of Eq. 7 on one graph: one diffusion per non-zero
     residual component, summed.  In the solver each component diffuses on
     its own small sub-graph; here all share the graph, so the sum equals the
     diffusion of the whole residual."""
-    operator = _operator(graph_or_operator)
-    total_nodes = operator.num_nodes if num_nodes is None else int(num_nodes)
-    result = np.zeros(total_nodes, dtype=np.float64)
+    transition = sparse_transition(graph)
+    result = np.zeros(graph.num_nodes, dtype=np.float64)
     for component in split_residual(nodes, residuals):
-        seed = np.zeros(total_nodes, dtype=np.float64)
+        seed = np.zeros(graph.num_nodes, dtype=np.float64)
         seed[component.node] = component.value
-        result += graph_diffusion(operator, seed, length, alpha).accumulated
+        result += dense_diffusion(transition, seed, length, alpha)[0]
     return result

@@ -8,10 +8,12 @@ that records, under ``sys.settrace`` and ``threading.settrace``, every
 ``PYTHONPATH`` (``ReplicaSet._spawn`` prepends ``src`` to it), so they are
 traced too.  The map has one row per function of ``src/repro`` (from ``ast``;
 abstract hooks have no body to enter and are left out): its line count and
-the drivers that entered it.  When every driver ran, a function that no
-driver but tier-1 enters must match :data:`KEEP`, whose key is its class; any
-other is in class ``none`` and the exit status is 1.  A driver's tests need
-not pass: a failing test still enters code.
+the drivers that entered it.  When every driver ran, a function that only
+tier-1 enters must match :data:`KEEP`, whose key is its class; any other,
+and any function no driver enters, is in class ``none`` and the exit status
+is 1.  :data:`KEEP` names functions, not whole files or classes, so a new
+function is held to the map until a driver or a named reason covers it.  A
+driver's tests need not pass: a failing test still enters code.
 """
 
 from __future__ import annotations
@@ -45,30 +47,41 @@ DRIVERS = {
     "examples": [[str(p.relative_to(ROOT))] for p in sorted((ROOT / "examples").glob("*.py"))],
 }
 #: Why a function that no driver but tier-1 enters stays: class -> file under
-#: ``src/repro`` -> the names it keeps there (``fnmatch`` patterns).
+#: ``src/repro`` -> the functions it keeps there, by name (no wildcards: a
+#: pattern over a whole file or class would keep functions nobody calls).
 KEEP = {
     # What the tests compare the served path against, and the state they read.
     "oracle": {
-        "diffusion/kernels.py": "*", "diffusion/transition.py": "*",
-        "meloppr/stage.py": "*",
+        "meloppr/stage.py": "split_length StagePlan.total_length StagePlan.residual_correction",
         "meloppr/selection.py": "AllSelector.select NextStageSelector.__repr__",
-        "graph/generators.py": "*",
+        "graph/generators.py": "erdos_renyi_graph barabasi_albert_graph watts_strogatz_graph "
+                               "stochastic_block_model",
         "graph/builder.py": "GraphBuilder.add_star GraphBuilder.add_path GraphBuilder.add_edge _endpoint",
         "utils/rng.py": "PCG64Draws.poisson",
         "graph/csr.py": "CSRGraph.iter_edges CSRGraph.to_scipy CSRGraph.to_networkx "
                         "CSRGraph.__eq__ CSRGraph.__hash__",
         "graph/subgraph.py": "Subgraph._local_map Subgraph.to_global",
-        "diffusion/sparse_vector.py": "SparseScoreVector.*",
-        "meloppr/aggregation.py": "ScoreTableSnapshot.* GlobalScoreTable.get "
-                                  "GlobalScoreTable.__len__ GlobalScoreTable.__contains__",
-        "serving/cache.py": "*.validate *._index_state *._measure _LRUCache.graph "
-                            "_LRUCache.__len__ SubgraphCache.__contains__",
-        "serving/result_cache.py": "*._index_state *._measure ScoreTableCache.__contains__",
+        "diffusion/sparse_vector.py": "SparseScoreVector.from_dense SparseScoreVector._positions "
+                                      "SparseScoreVector.add SparseScoreVector.scale "
+                                      "SparseScoreVector.get SparseScoreVector.items "
+                                      "SparseScoreVector.nodes SparseScoreVector.values "
+                                      "SparseScoreVector.sum",
+        "meloppr/aggregation.py": "ScoreTableSnapshot.__eq__ ScoreTableSnapshot._identity "
+                                  "GlobalScoreTable.get GlobalScoreTable.__len__ "
+                                  "GlobalScoreTable.__contains__",
+        "serving/cache.py": "_LRUCache.validate _LRUCache._index_state _LRUCache.graph "
+                            "_LRUCache.__len__ SubgraphCache._index_state SubgraphCache._measure "
+                            "SubgraphCache.__contains__",
+        "serving/result_cache.py": "ScoreTableCache._index_state ScoreTableCache._measure "
+                                   "ScoreTableCache.__contains__",
     },
     # An operator's door or an input from outside, each held by a named test.
     "operator": {
         "meloppr/planner.py": "_resplit", "graph/delta.py": "DeltaGraph._log_discard",
-        "serving/frontend/ops.py": "*", "serving/frontend/protocol.py": "*.__init__",
+        "serving/frontend/ops.py": "frontend_config apply_reload apply_graph_update "
+                                   "TracingDisabledError.__init__ _reload _update",
+        "serving/frontend/protocol.py": "ProtocolMismatchError.__init__ "
+                                        "MalformedResponseError.__init__ ServerError.__init__",
         "serving/frontend/http.py": "BaseHttpServer._respond_error",
         "serving/frontend/request_log.py": "_PlainFormatter.format",
         "serving/frontend/router.py": "_scrape ReplicaRouter._aggregate_metrics "
@@ -78,7 +91,8 @@ KEEP = {
         "serving/frontend/admission.py": "AdmissionController.set_max_pending "
                                          "AdmissionController.fail AdmissionController.cancel",
         "serving/frontend/batcher.py": "MicroBatcher.set_policy MicroBatcher.admission",
-        "serving/frontend/client.py": "TcpQueryClient.*",
+        "serving/frontend/client.py": "TcpQueryClient.__aenter__ TcpQueryClient.__aexit__ "
+                                      "TcpQueryClient.drain",
         "serving/replica.py": "ReplicaSet.restart ReplicaSet.terminate ReplicaSet.poll",
         "serving/cache.py": "_LRUCache.resize _LRUCache.max_bytes _LRUCache._clear_locked",
         "serving/result_cache.py": "ScoreTableCache.ttl_seconds",
@@ -170,9 +184,10 @@ def main(argv=None) -> int:
         row = {"function": key, "lines": lines,
                "drivers": [d for d in drivers if place in reach[d]]}
         if set(DRIVERS) <= set(drivers) and set(row["drivers"]) <= {"tier1"}:
-            row["class"] = next((kind for kind, files in KEEP.items()
-                                 if any(fnmatch.fnmatchcase(key, f"repro/{path}::{name}")
-                                        for path, names in files.items() for name in names.split())),
+            # KEEP says why tier-1-only code stays; code nothing enters goes.
+            row["class"] = next((kind for kind, files in KEEP.items() if row["drivers"]
+                                 and any(fnmatch.fnmatchcase(key, f"repro/{path}::{name}")
+                                         for path, names in files.items() for name in names.split())),
                                 "none")
         rows.append(row)
     if args.json:

@@ -449,10 +449,11 @@ class TestRandomGraphs:
         case=graphs_and_streams(),
         executor=st.sampled_from(EXECUTORS),
         budget=st.sampled_from([TIGHT_BYTES, 32 << 20]),
+        track_memory=st.booleans(),
     )
-    def test_fresh_engines(self, case, executor, budget):
+    def test_fresh_engines(self, case, executor, budget, track_memory):
         graph, queries = case
-        config = MeLoPPRConfig(track_memory=False)
+        config = MeLoPPRConfig(track_memory=track_memory)
         with QueryEngine(
             MeLoPPRSolver(graph, config),
             backend=make_backend(executor),
@@ -464,8 +465,10 @@ class TestRandomGraphs:
         reference = serial_answers(graph, config, queries)
         # The first batch installed every answer the second one replays.
         assert set(outcomes(again)) == {"answer"}
-        assert_same_answers(results, reference, extraction_cache=True)
-        assert_same_answers(again, reference, extraction_cache=True)
+        # A tracemalloc peak differs run to run: then only the bits compare.
+        counts = not track_memory
+        assert_same_answers(results, reference, counts, extraction_cache=True)
+        assert_same_answers(again, reference, counts, extraction_cache=True)
 
     @pytest.fixture(scope="class")
     def served(self):

@@ -11,8 +11,8 @@ Covers the streaming-update substrate end to end:
 * ``QueryEngine.apply_update`` differentials across serial and thread-pool
   serving (answers must match a fresh solver on the rebuilt
   graph at every step), the writer barrier under concurrent
-  batches, and the fingerprint-keyed ``structure_for`` sharing that makes
-  buffer-reusing compacted graphs safe.
+  batches, and the per-graph diffusion structure a compacted graph does not
+  inherit from its base.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.diffusion import kernels
+from repro.diffusion.diffusion import graph_diffusion, seed_vector
 from repro.diffusion.kernels import structure_for
 from repro.graph.csr import CSRGraph
 from repro.graph.delta import (
@@ -508,14 +510,32 @@ class TestEngineApplyUpdate:
 
 
 # ----------------------------------------------------------------------
-# structure_for / compacted-graph aliasing (satellite: fingerprint-LRU audit)
+# The per-graph diffusion structure (structure_for) across compaction
 # ----------------------------------------------------------------------
-class TestCompactedStructureSharing:
-    def test_identical_topology_shares_structure(self, base):
+class TestCompactedStructure:
+    def test_a_compacted_graph_starts_with_no_structure(self, base):
+        built = structure_for(base)
         compacted = DeltaGraph(base).compact()  # reuses the base buffers
-        assert structure_for(compacted) is structure_for(base)
+        assert np.shares_memory(compacted.indices, base.indices)
+        assert compacted._structure is None
+        assert structure_for(compacted) is not built
+        assert structure_for(base) is built
 
-    def test_changed_topology_gets_fresh_structure(self, base):
+    def test_repeated_diffusions_build_one_structure(self, base, monkeypatch):
+        built = []
+
+        class Counting(kernels.GraphStructure):
+            def __init__(self, indptr, indices):
+                built.append(self)
+                super().__init__(indptr, indices)
+
+        monkeypatch.setattr(kernels, "GraphStructure", Counting)
+        graph = CSRGraph(base.indptr, base.indices)
+        for kernel in (None, *kernels.KERNELS):
+            graph_diffusion(graph, seed_vector(graph.num_nodes, 0), 3, kernel=kernel)
+        assert len(built) == 1 and structure_for(graph) is built[0]
+
+    def test_changed_topology_gets_its_own_structure(self, base):
         u, v = min(edge_set(base))
         delta = DeltaGraph(base)
         delta.delete_edge(u, v)
@@ -527,8 +547,8 @@ class TestCompactedStructureSharing:
         rebuilt = CSRGraph.from_edges(
             base.num_nodes, sorted(edge_set(base) - {(u, v)})
         )
-        fresh = structure_for(rebuilt)
-        assert fresh is structure_for(compacted)
+        assert np.array_equal(structure_for(compacted).row_ids, structure_for(rebuilt).row_ids)
+        assert np.array_equal(structure_for(compacted).indices, structure_for(rebuilt).indices)
         query = PPRQuery(seed=u, k=10, length=4)
         compact_scores = dict(
             MeLoPPRSolver(compacted, CONFIG).solve(query).scores.items()

@@ -1,4 +1,5 @@
-"""Tests for repro.diffusion.diffusion (the GD(l)(S0) kernel)."""
+"""Tests for repro.diffusion.diffusion (the GD(l)(S0) kernel) and the
+random-walk operator ``W = A D^-1`` it applies once per step."""
 
 from __future__ import annotations
 
@@ -10,7 +11,54 @@ from repro.diffusion.diffusion import (
     graph_diffusion,
     seed_vector,
 )
-from repro.diffusion.transition import TransitionOperator
+from repro.graph.builder import GraphBuilder
+from oracle import dense_transition
+
+
+def walk(graph, vector, power=1):
+    """``W^power @ vector``: the residual of a length-``power`` diffusion."""
+    return graph_diffusion(graph, vector, power, 0.85).residual
+
+
+class TestTransitionStep:
+    def test_matches_explicit_matrix(self, small_ba_graph, rng):
+        vector = rng.random(small_ba_graph.num_nodes)
+        expected = dense_transition(small_ba_graph) @ vector
+        np.testing.assert_allclose(walk(small_ba_graph, vector), expected, atol=1e-12)
+
+    def test_preserves_mass_on_connected_graph(self, triangle_graph):
+        assert walk(triangle_graph, np.array([1.0, 0.0, 0.0])).sum() == pytest.approx(1.0)
+
+    def test_columns_are_stochastic(self, small_citation_graph):
+        """Every node with a neighbour passes on all of its score."""
+        degrees = small_citation_graph.degrees()
+        for node in np.flatnonzero(degrees)[:25]:
+            vector = seed_vector(small_citation_graph.num_nodes, int(node))
+            assert walk(small_citation_graph, vector).sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_star_center_spreads_uniformly(self, star_graph):
+        result = walk(star_graph, seed_vector(7, 0))
+        np.testing.assert_allclose(result[1:], np.full(6, 1.0 / 6.0))
+        assert result[0] == 0.0
+
+    def test_isolated_node_loses_mass(self):
+        graph = GraphBuilder(num_nodes=3).add_edge(0, 1).build()
+        assert walk(graph, np.array([0.0, 0.0, 1.0])).sum() == 0.0
+
+    def test_fig1_example_first_propagation(self, fig1_graph):
+        """Fig. 1: W S0 = [0, 1/3, 1/3, 1/3] for the 4-node example."""
+        np.testing.assert_allclose(
+            walk(fig1_graph, seed_vector(4, 0)), [0.0, 1 / 3, 1 / 3, 1 / 3], atol=1e-12
+        )
+
+    def test_fig1_example_second_propagation(self, fig1_graph):
+        """Fig. 1: W^2 S0 = [1, 0, 0, 0] — all leaves point back to the seed."""
+        np.testing.assert_allclose(walk(fig1_graph, seed_vector(4, 0), 2), [1.0, 0, 0, 0], atol=1e-12)
+
+    def test_power_matches_repeated_steps(self, small_ba_graph, rng):
+        vector = rng.random(small_ba_graph.num_nodes)
+        twice = walk(small_ba_graph, walk(small_ba_graph, vector))
+        np.testing.assert_allclose(walk(small_ba_graph, vector, 2), twice, atol=1e-12)
 
 
 class TestSeedVector:
@@ -37,21 +85,19 @@ class TestGraphDiffusion:
     def test_matches_recursive_definition(self, small_ba_graph):
         """S_{l+1} = (1 - a) S0 + a W S_l (Eq. 1), iterated explicitly."""
         alpha, length = 0.85, 4
-        operator = TransitionOperator(small_ba_graph)
+        transition = dense_transition(small_ba_graph)
         initial = seed_vector(small_ba_graph.num_nodes, 7)
         expected = initial.copy()
         for _ in range(length):
-            expected = (1 - alpha) * initial + alpha * operator.apply(expected)
-        result = graph_diffusion(operator, initial, length, alpha)
+            expected = (1 - alpha) * initial + alpha * (transition @ expected)
+        result = graph_diffusion(small_ba_graph, initial, length, alpha)
         np.testing.assert_allclose(result.accumulated, expected, atol=1e-12)
 
     def test_residual_is_walk_power(self, small_ba_graph):
-        operator = TransitionOperator(small_ba_graph)
         initial = seed_vector(small_ba_graph.num_nodes, 3)
-        result = graph_diffusion(operator, initial, 3, 0.85)
-        np.testing.assert_allclose(
-            result.residual, operator.apply_power(initial, 3), atol=1e-12
-        )
+        result = graph_diffusion(small_ba_graph, initial, 3, 0.85)
+        power = np.linalg.matrix_power(dense_transition(small_ba_graph), 3)
+        np.testing.assert_allclose(result.residual, power @ initial, atol=1e-12)
 
     def test_mass_conservation_connected_graph(self, triangle_graph):
         result = graph_diffusion(triangle_graph, seed_vector(3, 0), 5, 0.85)
@@ -72,14 +118,6 @@ class TestGraphDiffusion:
         result = graph_diffusion(fig1_graph, seed_vector(4, 0), 1, alpha)
         expected = [0.9, 0.1 / 3, 0.1 / 3, 0.1 / 3]
         np.testing.assert_allclose(result.accumulated, expected, atol=1e-12)
-
-    def test_operator_and_graph_inputs_agree(self, small_ba_graph):
-        initial = seed_vector(small_ba_graph.num_nodes, 11)
-        via_graph = graph_diffusion(small_ba_graph, initial, 3, 0.85)
-        via_operator = graph_diffusion(
-            TransitionOperator(small_ba_graph), initial, 3, 0.85
-        )
-        np.testing.assert_allclose(via_graph.accumulated, via_operator.accumulated)
 
     def test_scores_non_negative(self, small_citation_graph):
         result = graph_diffusion(
@@ -111,11 +149,10 @@ class TestGraphDiffusion:
         n = small_ba_graph.num_nodes
         a = rng.random(n)
         b = rng.random(n)
-        operator = TransitionOperator(small_ba_graph)
-        combined = graph_diffusion(operator, a + b, 3, 0.85).accumulated
+        combined = graph_diffusion(small_ba_graph, a + b, 3, 0.85).accumulated
         separate = (
-            graph_diffusion(operator, a, 3, 0.85).accumulated
-            + graph_diffusion(operator, b, 3, 0.85).accumulated
+            graph_diffusion(small_ba_graph, a, 3, 0.85).accumulated
+            + graph_diffusion(small_ba_graph, b, 3, 0.85).accumulated
         )
         np.testing.assert_allclose(combined, separate, atol=1e-10)
 

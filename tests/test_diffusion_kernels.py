@@ -3,8 +3,10 @@
 Every kernel in ``KERNELS`` must be **bit-identical** to the ``reference``
 ``np.add.at`` implementation — same accumulated scores, same residual, same
 propagation-work counter — across graph shapes, diffusion lengths and both
-sparse (one-hot) and dense initial vectors.  ``np.array_equal`` is the
-assertion everywhere; there is no tolerance.
+sparse (one-hot) and dense initial vectors.  The integer datapath
+(``fixed_point_diffusion``) is held exactly to a dense int64 product written
+in ``tests/oracle.py``.  ``np.array_equal`` is the assertion everywhere;
+there is no tolerance.
 """
 
 from __future__ import annotations
@@ -17,13 +19,12 @@ from hypothesis import strategies as st
 
 from repro.diffusion.diffusion import graph_diffusion, seed_vector, stage_diffusion
 from repro.diffusion.kernels import (
+    DENSE_FRONTIER_FRACTION,
     KERNELS,
-    FrontierKernel,
     GraphStructure,
     make_kernel,
     structure_for,
 )
-from repro.diffusion.transition import TransitionOperator
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
     barabasi_albert_graph,
@@ -32,6 +33,7 @@ from repro.graph.generators import (
     watts_strogatz_graph,
 )
 from repro.meloppr.fixed_point import FixedPointFormat, fixed_point_diffusion
+from oracle import fixed_point_step
 
 NON_REFERENCE = tuple(name for name in KERNELS if name != "reference")
 # ``None`` is what every layer above diffusion passes: the served path.
@@ -80,27 +82,6 @@ class TestKernelDifferential:
         assert np.array_equal(result.residual, expected.residual)
         assert result.propagations == expected.propagations
 
-    @pytest.mark.parametrize("kernel", SERVED)
-    def test_fixed_point_datapath_identical(self, kernel, small_citation_graph):
-        fmt = FixedPointFormat.for_subgraph(0.85, small_citation_graph.num_nodes, 4.0)
-        expected = fixed_point_diffusion(small_citation_graph, 5, 4, fmt, kernel="reference")
-        result = fixed_point_diffusion(small_citation_graph, 5, 4, fmt, kernel=kernel)
-        assert np.array_equal(result.accumulated_int, expected.accumulated_int)
-        assert np.array_equal(result.residual_int, expected.residual_int)
-
-    @pytest.mark.parametrize("make_graph", GRAPH_CASES)
-    @pytest.mark.parametrize("kernel", SERVED)
-    def test_fixed_point_datapath_identical_on_every_shape(self, make_graph, kernel):
-        """The integer datapath across the shapes, isolated nodes included."""
-        graph = make_graph()
-        fmt = FixedPointFormat.for_subgraph(0.85, graph.num_nodes, 4.0)
-        for seed in (0, graph.num_nodes - 1):
-            for length in range(0, 5):
-                expected = fixed_point_diffusion(graph, seed, length, fmt, kernel="reference")
-                result = fixed_point_diffusion(graph, seed, length, fmt, kernel=kernel)
-                assert np.array_equal(result.accumulated_int, expected.accumulated_int)
-                assert np.array_equal(result.residual_int, expected.residual_int)
-
     @settings(max_examples=30, deadline=None)
     @given(
         num_nodes=st.integers(min_value=2, max_value=40),
@@ -117,6 +98,36 @@ class TestKernelDifferential:
             assert np.array_equal(result.accumulated, expected.accumulated)
             assert np.array_equal(result.residual, expected.residual)
             assert result.propagations == expected.propagations
+
+
+def dense_fixed_point(graph, seed, length, fmt):
+    """The FPGA datapath's recurrence with the oracle's dense int64 step:
+    ``(accumulated, residual)`` as integers."""
+    shift, numerator = fmt.shift_bits, fmt.alpha_numerator
+    residual = np.zeros(graph.num_nodes, dtype=np.int64)
+    residual[seed] = fmt.seed_value
+    accumulated = np.zeros_like(residual)
+    alpha_power = 1 << shift
+    for _ in range(length):
+        term = (residual * alpha_power) >> shift
+        accumulated += (term * ((1 << shift) - numerator)) >> shift
+        residual = fixed_point_step(graph, residual)
+        alpha_power = (alpha_power * numerator) >> shift
+    return accumulated + ((residual * alpha_power) >> shift), residual
+
+
+class TestFixedPointDatapath:
+    @pytest.mark.parametrize("make_graph", GRAPH_CASES)
+    def test_exact_against_the_dense_integer_step(self, make_graph):
+        """Every shape, isolated nodes included, from both ends of the id range."""
+        graph = make_graph()
+        fmt = FixedPointFormat.for_subgraph(0.85, graph.num_nodes, 4.0)
+        for seed in (0, graph.num_nodes - 1):
+            for length in range(0, 5):
+                result = fixed_point_diffusion(graph, seed, length, fmt)
+                accumulated, residual = dense_fixed_point(graph, seed, length, fmt)
+                assert np.array_equal(result.accumulated_int, accumulated)
+                assert np.array_equal(result.residual_int, residual)
 
 
 def push_operand(graphs):
@@ -162,18 +173,19 @@ def assert_stage_matches_per_graph(graphs, seeds, length, kernels=KERNELS, alpha
     return results
 
 
-class _RecordingFrontier(FrontierKernel):
-    """A frontier kernel that notes, per step, whether it went dense."""
+def record_frontier(monkeypatch):
+    """Make the ``frontier`` kernel note, per step, whether it went dense;
+    returns the list it appends to."""
+    went_dense, frontier = [], KERNELS["frontier"]
 
-    def __init__(self):
-        super().__init__()
-        self.went_dense = []
-
-    def apply_counted(self, structure, scores):
-        self.went_dense.append(
-            np.count_nonzero(scores) > self.dense_fraction * structure.num_nodes
+    def recording(structure, scores):
+        went_dense.append(
+            np.count_nonzero(scores) > DENSE_FRONTIER_FRACTION * structure.num_nodes
         )
-        return super().apply_counted(structure, scores)
+        return frontier(structure, scores)
+
+    monkeypatch.setitem(KERNELS, "frontier", recording)
+    return went_dense
 
 
 def _path(size):
@@ -199,18 +211,18 @@ class TestStageDiffusion:
         assert_stage_matches_per_graph(graphs[3:4], seeds[3:4], 3, (kernel,))
         assert_stage_matches_per_graph([graphs[3]] * 3, [0, 7, 0], 3, (kernel,), alpha=0.5)
 
-    def test_matches_the_frontier_kernel_where_it_stays_sparse(self):
+    def test_matches_the_frontier_kernel_where_it_stays_sparse(self, monkeypatch):
         path, clique = _path(100), _clique()
-        alone = _RecordingFrontier()
-        graph_diffusion(path, seed_vector(100, 50), 3, 0.85, kernel=alone)
-        assert alone.went_dense == [False, False, False]
+        went_dense = record_frontier(monkeypatch)
+        graph_diffusion(path, seed_vector(100, 50), 3, 0.85, kernel="frontier")
+        assert went_dense == [False, False, False]
         assert_stage_matches_per_graph([path] + [clique] * 20, [50] + [0] * 20, 3)
 
-    def test_matches_the_frontier_kernel_where_it_goes_dense(self):
+    def test_matches_the_frontier_kernel_where_it_goes_dense(self, monkeypatch):
         path, clique = _path(1000), _clique()
-        alone = _RecordingFrontier()
-        graph_diffusion(clique, seed_vector(5, 0), 3, 0.85, kernel=alone)
-        assert alone.went_dense == [False, True, True]
+        went_dense = record_frontier(monkeypatch)
+        graph_diffusion(clique, seed_vector(5, 0), 3, 0.85, kernel="frontier")
+        assert went_dense == [False, True, True]
         assert_stage_matches_per_graph([clique, path], [0, 500], 3)
 
     def test_results_are_split_per_graph(self, small_ba_graph, star_graph):
@@ -249,10 +261,9 @@ class TestStageDiffusion:
 
 
 class TestGraphStructure:
-    def test_structure_is_shared_across_operators(self, small_ba_graph):
+    def test_structure_is_kept_on_the_graph(self, small_ba_graph):
         first = structure_for(small_ba_graph)
-        second = structure_for(small_ba_graph)
-        assert first is second
+        assert structure_for(small_ba_graph) is first is small_ba_graph._structure
 
     def test_rows_sorted_detected(self, small_ba_graph):
         assert structure_for(small_ba_graph).rows_sorted
@@ -264,9 +275,9 @@ class TestGraphStructure:
         structure = GraphStructure(indptr, indices)
         assert not structure.rows_sorted
         scores = np.array([1.0, 0.0, 0.0])
-        reference = make_kernel("reference").apply(structure, scores)
-        frontier = FrontierKernel().apply(structure, scores)
-        assert np.array_equal(frontier, reference)
+        reference = KERNELS["reference"](structure, scores)
+        frontier = KERNELS["frontier"](structure, scores)
+        assert np.array_equal(frontier[0], reference[0]) and frontier[1] == reference[1]
 
     def test_touched_counts_frontier_degrees(self, star_graph):
         structure = structure_for(star_graph)
@@ -277,27 +288,6 @@ class TestGraphStructure:
         assert structure.touched(scores) == 7
 
 
-class TestOperatorMemoization:
-    def test_for_graph_memoizes_per_kernel(self, small_ba_graph):
-        first = TransitionOperator.for_graph(small_ba_graph, "csr")
-        second = TransitionOperator.for_graph(small_ba_graph, "csr")
-        other = TransitionOperator.for_graph(small_ba_graph, "frontier")
-        assert first is second
-        assert first is not other
-
-    def test_graph_diffusion_reuses_memoized_operator(self, small_ba_graph):
-        initial = seed_vector(small_ba_graph.num_nodes, 1)
-        graph_diffusion(small_ba_graph, initial, 2, 0.85, kernel="csr")
-        assert small_ba_graph._operator_memo is not None
-        assert "csr" in small_ba_graph._operator_memo
-
-    def test_with_kernel_returns_sibling_operator(self, small_ba_graph):
-        operator = TransitionOperator.for_graph(small_ba_graph, "reference")
-        sibling = operator.with_kernel("frontier")
-        assert sibling.kernel.name == "frontier"
-        assert sibling is TransitionOperator.for_graph(small_ba_graph, "frontier")
-        assert operator.with_kernel("reference") is operator
-
 class TestRegistry:
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown diffusion kernel"):
@@ -307,15 +297,13 @@ class TestRegistry:
         assert make_kernel(None) is make_kernel("reference")
 
     @pytest.mark.parametrize("name", ["reference", "csr", "frontier"])
-    def test_name_resolves_to_its_one_instance(self, name):
-        kernel = make_kernel(name)
-        assert kernel is KERNELS[name] is make_kernel(name)
-        assert kernel.name == name
+    def test_name_resolves_to_its_kernel(self, name):
+        assert make_kernel(name) is KERNELS[name]
 
     def test_environment_does_not_select_the_kernel(self, monkeypatch):
         monkeypatch.setenv("REPRO_DIFFUSION_KERNEL", "csr")
         assert make_kernel(None) is KERNELS["reference"]
 
-    def test_kernel_instance_passes_through(self):
-        kernel = FrontierKernel(dense_fraction=0.5)
-        assert make_kernel(kernel) is kernel
+    def test_only_a_name_selects_a_kernel(self, triangle_graph):
+        with pytest.raises(ValueError, match="unknown diffusion kernel"):
+            graph_diffusion(triangle_graph, seed_vector(3, 0), 2, kernel=KERNELS["csr"])

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.diffusion.diffusion import graph_diffusion, seed_vector
-from repro.diffusion.transition import TransitionOperator
 from repro.meloppr.stage import StagePlan, split_length, stage_weights
 from oracle import (
     ResidualComponent,
@@ -145,14 +144,13 @@ class TestLinearDecompositionIdentity:
     """Eq. 7: GD(l2)(S^r) == sum_v GD(l2)(S^r_v)."""
 
     def test_identity_against_direct_diffusion(self, small_ba_graph):
-        operator = TransitionOperator(small_ba_graph)
         initial = seed_vector(small_ba_graph.num_nodes, 2)
-        stage_one = graph_diffusion(operator, initial, 3, 0.85)
+        stage_one = graph_diffusion(small_ba_graph, initial, 3, 0.85)
         residual = stage_one.residual
         (nodes,) = np.nonzero(residual)
-        direct = graph_diffusion(operator, residual, 3, 0.85).accumulated
+        direct = graph_diffusion(small_ba_graph, residual, 3, 0.85).accumulated
         decomposed = linear_decomposed_diffusion(
-            operator, nodes, residual[nodes], 3, 0.85
+            small_ba_graph, nodes, residual[nodes], 3, 0.85
         )
         np.testing.assert_allclose(decomposed, direct, atol=1e-10)
 
@@ -172,14 +170,13 @@ class TestLinearDecompositionIdentity:
     def test_combined_eq8_identity(self, small_ba_graph):
         """Eq. 8: the full stage + linear decomposition equals GD(L)."""
         alpha, l1, l2 = 0.85, 3, 3
-        operator = TransitionOperator(small_ba_graph)
         initial = seed_vector(small_ba_graph.num_nodes, 12)
-        direct = graph_diffusion(operator, initial, l1 + l2, alpha).accumulated
+        direct = graph_diffusion(small_ba_graph, initial, l1 + l2, alpha).accumulated
 
-        stage_one = graph_diffusion(operator, initial, l1, alpha)
+        stage_one = graph_diffusion(small_ba_graph, initial, l1, alpha)
         (nodes,) = np.nonzero(stage_one.residual)
         stage_two_sum = linear_decomposed_diffusion(
-            operator, nodes, stage_one.residual[nodes], l2, alpha
+            small_ba_graph, nodes, stage_one.residual[nodes], l2, alpha
         )
         reconstructed = (
             stage_one.accumulated

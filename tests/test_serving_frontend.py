@@ -89,28 +89,6 @@ def submit_all(batcher: MicroBatcher, queries, timeout_ms=None):
     )
 
 
-class TestThreadBackendEquivalence:
-    def test_scores_bit_identical_to_serial(
-        self, small_ba_graph, config, queries, reference_scores
-    ):
-        with QueryEngine(
-            MeLoPPRSolver(small_ba_graph, config), backend=ThreadPoolBackend(4)
-        ) as engine:
-            results = engine.solve_batch(queries)
-        assert [dict(r.scores.items()) for r in results] == reference_scores
-
-    def test_with_cache_and_repeat_batches(self, small_ba_graph, config, queries, reference_scores):
-        with QueryEngine(
-            MeLoPPRSolver(small_ba_graph, config),
-            backend=ThreadPoolBackend(4),
-            cache=SubgraphCache(),
-        ) as engine:
-            cold = engine.solve_batch(queries)
-            warm = engine.solve_batch(queries)
-        assert [dict(r.scores.items()) for r in cold] == reference_scores
-        assert [dict(r.scores.items()) for r in warm] == reference_scores
-
-
 class TestMicroBatcherDifferential:
     """The acceptance-criteria matrix, bit-identical in every cell.
 

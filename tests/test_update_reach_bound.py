@@ -42,6 +42,7 @@ from repro.serving import (
     make_backend,
 )
 from repro.serving.result_cache import stage_one_key
+from oracle import answer_bits
 
 MAX_DEPTH = 4
 
@@ -209,8 +210,6 @@ CONFIG = MeLoPPRConfig(
     stage_lengths=(2, 2), selector=CountSelector(3), track_memory=False
 )
 NUM_NODES = 160
-#: Not comparable with an uncached solver: how this delivery was served.
-SERVING_KEYS = ("serving", "cache_hits", "cache_misses")
 
 
 def make_engine(graph: CSRGraph, mode: str, cache_bytes=None) -> QueryEngine:
@@ -264,16 +263,9 @@ def churn_differential(mode: str, steps: int, cache_bytes=None):
             for query, served in zip(queries, engine.solve_batch(queries)):
                 expected = reference.solve(query)
                 comparisons += 1
-                wrong += not (
-                    np.array_equal(served.scores.nodes(), expected.scores.nodes())
-                    and np.array_equal(served.scores.values(), expected.scores.values())
-                    and served.peak_memory_bytes == expected.peak_memory_bytes
-                    and all(
-                        served.metadata[key] == value
-                        for key, value in expected.metadata.items()
-                        if key not in SERVING_KEYS
-                    )
-                    and served.metadata.keys() == expected.metadata.keys() | {"serving"}
+                # Every engine here has a SubgraphCache.
+                wrong += answer_bits(served, extraction_cache=True) != answer_bits(
+                    expected, extraction_cache=True
                 )
     return comparisons, kept, wrong
 
