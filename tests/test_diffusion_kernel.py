@@ -11,51 +11,61 @@ from repro.diffusion.diffusion import (
     graph_diffusion,
     seed_vector,
 )
+from repro.diffusion.kernels import KERNELS
 from repro.graph.builder import GraphBuilder
 from oracle import dense_transition
 
 
-def walk(graph, vector, power=1):
-    """``W^power @ vector``: the residual of a length-``power`` diffusion."""
-    return graph_diffusion(graph, vector, power, 0.85).residual
+@pytest.fixture(params=tuple(KERNELS))
+def walk(request):
+    """``walk(graph, vector, power)`` is ``W^power @ vector`` under one kernel:
+    the residual of a length-``power`` diffusion."""
+
+    def residual(graph, vector, power=1):
+        return graph_diffusion(graph, vector, power, 0.85, kernel=request.param).residual
+
+    return residual
 
 
 class TestTransitionStep:
-    def test_matches_explicit_matrix(self, small_ba_graph, rng):
+    """``W = A D^-1`` as every kernel applies it, against the explicit matrix
+    and the Fig. 1 example."""
+
+    def test_matches_explicit_matrix(self, walk, small_ba_graph, rng):
         vector = rng.random(small_ba_graph.num_nodes)
         expected = dense_transition(small_ba_graph) @ vector
         np.testing.assert_allclose(walk(small_ba_graph, vector), expected, atol=1e-12)
 
-    def test_preserves_mass_on_connected_graph(self, triangle_graph):
+    def test_preserves_mass_on_connected_graph(self, walk, triangle_graph):
         assert walk(triangle_graph, np.array([1.0, 0.0, 0.0])).sum() == pytest.approx(1.0)
 
-    def test_columns_are_stochastic(self, small_citation_graph):
+    def test_columns_are_stochastic(self, walk, small_citation_graph):
         """Every node with a neighbour passes on all of its score."""
         degrees = small_citation_graph.degrees()
         for node in np.flatnonzero(degrees)[:25]:
             vector = seed_vector(small_citation_graph.num_nodes, int(node))
             assert walk(small_citation_graph, vector).sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_star_center_spreads_uniformly(self, star_graph):
+    def test_star_center_spreads_uniformly(self, walk, star_graph):
         result = walk(star_graph, seed_vector(7, 0))
         np.testing.assert_allclose(result[1:], np.full(6, 1.0 / 6.0))
         assert result[0] == 0.0
 
-    def test_isolated_node_loses_mass(self):
+    def test_isolated_node_loses_mass(self, walk):
         graph = GraphBuilder(num_nodes=3).add_edge(0, 1).build()
         assert walk(graph, np.array([0.0, 0.0, 1.0])).sum() == 0.0
 
-    def test_fig1_example_first_propagation(self, fig1_graph):
+    def test_fig1_example_first_propagation(self, walk, fig1_graph):
         """Fig. 1: W S0 = [0, 1/3, 1/3, 1/3] for the 4-node example."""
         np.testing.assert_allclose(
             walk(fig1_graph, seed_vector(4, 0)), [0.0, 1 / 3, 1 / 3, 1 / 3], atol=1e-12
         )
 
-    def test_fig1_example_second_propagation(self, fig1_graph):
+    def test_fig1_example_second_propagation(self, walk, fig1_graph):
         """Fig. 1: W^2 S0 = [1, 0, 0, 0] — all leaves point back to the seed."""
         np.testing.assert_allclose(walk(fig1_graph, seed_vector(4, 0), 2), [1.0, 0, 0, 0], atol=1e-12)
 
-    def test_power_matches_repeated_steps(self, small_ba_graph, rng):
+    def test_power_matches_repeated_steps(self, walk, small_ba_graph, rng):
         vector = rng.random(small_ba_graph.num_nodes)
         twice = walk(small_ba_graph, walk(small_ba_graph, vector))
         np.testing.assert_allclose(walk(small_ba_graph, vector, 2), twice, atol=1e-12)
@@ -126,8 +136,10 @@ class TestGraphDiffusion:
         assert (result.accumulated >= -1e-15).all()
         assert (result.residual >= -1e-15).all()
 
-    def test_propagations_counted(self, star_graph):
-        result = graph_diffusion(star_graph, seed_vector(7, 0), 2, 0.85)
+    @pytest.mark.parametrize("kernel", tuple(KERNELS))
+    def test_propagations_counted(self, star_graph, kernel):
+        """Each kernel counts the entries it reads (``frontier`` on its own path)."""
+        result = graph_diffusion(star_graph, seed_vector(7, 0), 2, 0.85, kernel=kernel)
         # Iteration 1 scans the centre's 6 edges, iteration 2 scans the six
         # leaves' single edges.
         assert result.propagations == 12
@@ -161,8 +173,9 @@ class TestGraphDiffusion:
 
 
 class TestDiffusionWork:
-    def test_propagations_bounded_by_every_edge_twice_per_step(self, small_ba_graph):
+    @pytest.mark.parametrize("kernel", tuple(KERNELS))
+    def test_propagations_bounded_by_every_edge_twice_per_step(self, small_ba_graph, kernel):
         result = graph_diffusion(
-            small_ba_graph, seed_vector(small_ba_graph.num_nodes, 0), 3, 0.85
+            small_ba_graph, seed_vector(small_ba_graph.num_nodes, 0), 3, 0.85, kernel=kernel
         )
         assert result.propagations <= 2 * small_ba_graph.num_edges * 3

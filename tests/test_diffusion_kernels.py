@@ -117,12 +117,25 @@ def dense_fixed_point(graph, seed, length, fmt):
 
 
 class TestFixedPointDatapath:
+    @pytest.mark.parametrize("end", ["first", "last"])
     @pytest.mark.parametrize("make_graph", GRAPH_CASES)
-    def test_exact_against_the_dense_integer_step(self, make_graph):
+    def test_exact_against_the_dense_integer_step(self, make_graph, end):
         """Every shape, isolated nodes included, from both ends of the id range."""
         graph = make_graph()
         fmt = FixedPointFormat.for_subgraph(0.85, graph.num_nodes, 4.0)
-        for seed in (0, graph.num_nodes - 1):
+        seed = 0 if end == "first" else graph.num_nodes - 1
+        for length in range(0, 5):
+            result = fixed_point_diffusion(graph, seed, length, fmt)
+            accumulated, residual = dense_fixed_point(graph, seed, length, fmt)
+            assert np.array_equal(result.accumulated_int, accumulated)
+            assert np.array_equal(result.residual_int, residual)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.85])
+    def test_exact_on_a_citation_graph(self, small_citation_graph, alpha):
+        """A dataset-shaped graph, under three quantised decay factors."""
+        graph = small_citation_graph
+        fmt = FixedPointFormat.for_subgraph(alpha, graph.num_nodes, 4.0)
+        for seed in (5, 150):
             for length in range(0, 5):
                 result = fixed_point_diffusion(graph, seed, length, fmt)
                 accumulated, residual = dense_fixed_point(graph, seed, length, fmt)
@@ -264,6 +277,14 @@ class TestGraphStructure:
     def test_structure_is_kept_on_the_graph(self, small_ba_graph):
         first = structure_for(small_ba_graph)
         assert structure_for(small_ba_graph) is first is small_ba_graph._structure
+
+    def test_both_datapaths_diffuse_on_the_one_structure(self):
+        graph = CSRGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)], name="fig1")
+        assert graph._structure is None
+        graph_diffusion(graph, seed_vector(4, 0), 2, kernel="csr")
+        first = graph._structure
+        fixed_point_diffusion(graph, 0, 2, FixedPointFormat.for_subgraph(0.85, 4, 4.0))
+        assert graph._structure is first is not None
 
     def test_rows_sorted_detected(self, small_ba_graph):
         assert structure_for(small_ba_graph).rows_sorted

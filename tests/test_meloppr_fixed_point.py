@@ -87,6 +87,20 @@ class TestFixedPointDiffusion:
         with pytest.raises(ValueError):
             fixed_point_diffusion(triangle_graph, 7, 2, fmt)
 
+    def test_negative_length_rejected(self, triangle_graph):
+        fmt = FixedPointFormat.for_subgraph(0.85, 3, 2.0)
+        with pytest.raises(ValueError):
+            fixed_point_diffusion(triangle_graph, 1, -1, fmt)
+
+    def test_fig1_propagations_truncate(self, fig1_graph):
+        """Fig. 1 in integers: the seed pushes ``v // 3`` to each leaf, and
+        the leaves return ``3 * (v // 3)``, losing ``v % 3`` to truncation."""
+        fmt = FixedPointFormat(seed_value=1000, alpha_numerator=870, shift_bits=10)
+        first = fixed_point_diffusion(fig1_graph, 0, 1, fmt)
+        assert first.residual_int.tolist() == [0, 333, 333, 333]
+        second = fixed_point_diffusion(fig1_graph, 0, 2, fmt)
+        assert second.residual_int.tolist() == [999, 0, 0, 0]
+
     def test_matches_float_topk_with_large_scale(self, citeseer_standin):
         """Sec. V-A: a large enough Max keeps the top-k ranking nearly intact."""
         subgraph, _ = extract_ego_subgraph(citeseer_standin, 10, 6)
