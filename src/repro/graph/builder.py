@@ -1,8 +1,10 @@
 """Incremental graph construction.
 
 :class:`GraphBuilder` collects edges (from generators, files or user code),
-cleans them up (self-loop removal, de-duplication, optional symmetrisation)
-and emits an immutable :class:`~repro.graph.csr.CSRGraph`.
+cleans them up (self-loop removal, symmetrisation, de-duplication) and emits
+an immutable, undirected :class:`~repro.graph.csr.CSRGraph`: the paper's
+graphs are undirected, and ``W = A D^-1`` relies on every edge having its
+reverse.
 
 Scalar edges are buffered in typed arrays, not one NumPy array per edge, and
 everything is canonicalised once, by one sort in ``build``.
@@ -46,19 +48,14 @@ class GraphBuilder:
     ----------
     num_nodes:
         Number of nodes if known up front.  When omitted, the node count is
-        inferred as ``max(edge endpoints) + 1`` at build time.
-    directed:
-        When ``False`` (default) the built graph is undirected: each added
-        edge is stored in both directions.  ``True`` keeps edges as given;
-        this is only used by internal tooling (the paper's graphs are
-        undirected).
+        inferred as ``max(edge endpoints) + 1`` at build time.  Each added
+        edge is stored in both directions.
     """
 
-    def __init__(self, num_nodes: Optional[int] = None, directed: bool = False) -> None:
+    def __init__(self, num_nodes: Optional[int] = None) -> None:
         if num_nodes is not None:
             num_nodes = check_non_negative_int(num_nodes, "num_nodes")
         self._num_nodes = num_nodes
-        self._directed = bool(directed)
         self._sources: List[np.ndarray] = []
         self._targets: List[np.ndarray] = []
         self._edge_sources = array("q")  # add_edge's pairs, until build()
@@ -142,12 +139,11 @@ class GraphBuilder:
         keep = sources != targets
         sources, targets = sources[keep], targets[keep]
 
-        if not self._directed:
-            # Store each undirected edge in both directions before dedup.
-            sources, targets = (
-                np.concatenate([sources, targets]),
-                np.concatenate([targets, sources]),
-            )
+        # Store each undirected edge in both directions before dedup.
+        sources, targets = (
+            np.concatenate([sources, targets]),
+            np.concatenate([targets, sources]),
+        )
 
         # De-duplicate by sorting linearised keys: the survivors come out
         # source-major with ascending targets, which is already CSR order.

@@ -125,17 +125,15 @@ class CSRGraph:
         num_nodes: int,
         edges: Iterable[Tuple[int, int]],
         name: str = "graph",
-        directed: bool = False,
     ) -> "CSRGraph":
         """Build a graph from an iterable of ``(u, v)`` pairs.
 
-        Self-loops and duplicate edges are dropped.  When ``directed`` is
-        false (the default, matching the paper's simple undirected graphs)
-        each edge is stored in both directions.
+        Self-loops and duplicate edges are dropped and each edge is stored in
+        both directions (the paper's simple undirected graphs).
         """
         from repro.graph.builder import GraphBuilder
 
-        builder = GraphBuilder(num_nodes=num_nodes, directed=directed)
+        builder = GraphBuilder(num_nodes=num_nodes)
         builder.add_edges(edges)
         return builder.build(name=name)
 

@@ -11,11 +11,14 @@ than 0.2 % precision while ``c < 4`` loses more than 3 %; the paper settles on
 
 :class:`GlobalScoreTable` implements that bounded table; an unbounded mode
 (``capacity=None``) is provided for the pure-software solver and for
-measuring the precision loss attributable to the bound (the E7 study).
+measuring the precision loss attributable to the bound (the E7 study
+compares ``c * k``-bounded tables with an unbounded one).
 
 Like the BRAM table, the state is two parallel arrays — node ids and scores,
 in insertion order — and nothing else.  A full table that receives an absent
-node evicts the entry with the smallest ``(score, -node)`` key.  The scalar
+node evicts the entry with the smallest ``(score, -node)`` key, and an
+eviction is final: a node that comes back later restarts from its new
+contribution, its earlier score lost, as in the hardware table.  The scalar
 :meth:`GlobalScoreTable.add` does that one update at a time (victim by
 ``argmin``) and is the specification; :meth:`GlobalScoreTable.add_many` folds
 a whole stage wave — its balls in order, each ball's ids distinct — in one
@@ -28,7 +31,7 @@ up in the table once, then each ball is folded as one vectorised chunk (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,19 +46,16 @@ class ScoreTableSnapshot:
 
     Everything :meth:`GlobalScoreTable.from_snapshot` needs to rebuild a
     table that behaves **bit-identically** from that point on: the stored
-    ``ids`` / ``scores`` arrays and the evicted ledger *in insertion order*,
-    the capacity/eviction mode and the counters.  The arrays are private
-    read-only copies, so one snapshot can resume plans on any number of
-    threads; two snapshots are equal when ids, score bits, order, ledger and
-    counters all match.  The serving layer caches these to resume multi-stage
+    ``ids`` / ``scores`` arrays *in insertion order*, the capacity and the
+    counters.  The arrays are private read-only copies, so one snapshot can
+    resume plans on any number of threads; two snapshots are equal when ids,
+    score bits, order and counters all match.  The serving layer caches these to resume multi-stage
     plans past their first stage (cross-query score-table reuse).
     """
 
     capacity: Optional[int]
-    evictions_are_final: bool
     ids: np.ndarray
     scores: np.ndarray
-    evicted: Tuple[Tuple[int, float], ...]
     total_updates: int
     total_evictions: int
 
@@ -72,8 +72,8 @@ class ScoreTableSnapshot:
 
     def _identity(self) -> tuple:
         return (
-            self.capacity, self.evictions_are_final, self.ids.tobytes(),
-            self.scores.tobytes(), self.evicted, self.total_updates, self.total_evictions,
+            self.capacity, self.ids.tobytes(), self.scores.tobytes(),
+            self.total_updates, self.total_evictions,
         )
 
     @property
@@ -105,26 +105,18 @@ class GlobalScoreTable:
     ----------
     capacity:
         Maximum number of entries kept (``c * k`` in the paper).  ``None``
-        keeps every touched node.
-    evictions_are_final:
-        The hardware table cannot resurrect an evicted node: if a node is
-        evicted and later receives more score, the earlier contribution is
-        lost.  This models the BRAM table faithfully and is the source of the
-        small precision loss measured in Sec. V-B.  Setting this to false
-        gives an idealised table that remembers evicted totals (used to
-        isolate the effect in the E7 study).
+        keeps every touched node.  Like the BRAM table, a bounded table
+        cannot resurrect an evicted node: if it later receives more score,
+        the earlier contribution is lost — the source of the small precision
+        loss measured in Sec. V-B.
     """
 
-    def __init__(
-        self, capacity: Optional[int] = None, evictions_are_final: bool = True
-    ) -> None:
+    def __init__(self, capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity <= 0:
             raise ValueError(f"capacity must be > 0 or None, got {capacity}")
         self._capacity = capacity
-        self._evictions_are_final = bool(evictions_are_final)
         self._ids = np.empty(0, dtype=np.int64)  # insertion order
         self._values = np.empty(0, dtype=np.float64)  # aligned with _ids
-        self._evicted: Dict[int, float] = {}
         self._total_updates = 0
         self._total_evictions = 0
 
@@ -158,22 +150,16 @@ class GlobalScoreTable:
         if at >= 0:
             self._values[at] += score
             return
-        previous = 0.0
-        if not self._evictions_are_final:
-            previous = self._evicted.pop(node, 0.0)
         self._ids = np.append(self._ids, node)
-        self._values = np.append(self._values, previous + score)
+        self._values = np.append(self._values, 0.0 + score)  # a fresh entry from 0.0
         if self._capacity is None or self._ids.size <= self._capacity:
             return
         # Drop the entry with the smallest score (ties: largest node id).
         (lowest,) = (self._values == self._values.min()).nonzero()
         at = lowest[np.argmax(self._ids[lowest])]
-        victim, value = int(self._ids[at]), float(self._values[at])
         self._ids = np.delete(self._ids, at)
         self._values = np.delete(self._values, at)
         self._total_evictions += 1
-        if not self._evictions_are_final:
-            self._evicted[victim] = self._evicted.get(victim, 0.0) + value
 
     def add_many(
         self, nodes: Iterable[int], scores: Iterable[float], bounds: Optional[Iterable[int]] = None
@@ -187,9 +173,9 @@ class GlobalScoreTable:
         two inputs differ in length or ``bounds`` does not cover them.
 
         The batch rule needs finite non-negative scores, ids distinct within
-        each batch and below ``2**53`` in magnitude, and evictions that are
-        final; anything else goes one by one.  Otherwise the pairs are sorted
-        and the stored ids looked up once for the whole call
+        each batch and below ``2**53`` in magnitude; anything else goes one by
+        one.  Otherwise the pairs are sorted and the stored ids looked up once
+        for the whole call
         (``O(table + pairs)`` working memory, not ``O(num_nodes)``).  Batches are
         then folded in order: increments land in place and absent ids append
         until the table is full, and a batch meeting a full table is folded
@@ -215,8 +201,7 @@ class GlobalScoreTable:
         (repeat,) = (ranked[1:] == ranked[:-1]).nonzero()
         first, then = order[repeat], order[repeat + 1]
         if (
-            not self._evictions_are_final
-            or not 0.0 <= values.min(initial=0.0) <= values.max(initial=0.0) < np.inf
+            not 0.0 <= values.min(initial=0.0) <= values.max(initial=0.0) < np.inf
             or np.count_nonzero(then < ends[ends.searchsorted(first, side="right")])
             or (ids.size and not -_EXACT_IDS < ranked[0] <= ranked[-1] < _EXACT_IDS)
         ):
@@ -375,10 +360,8 @@ class GlobalScoreTable:
         """Freeze the table's full state into a :class:`ScoreTableSnapshot`."""
         return ScoreTableSnapshot(
             capacity=self._capacity,
-            evictions_are_final=self._evictions_are_final,
             ids=self._ids,
             scores=self._values,
-            evicted=tuple(self._evicted.items()),
             total_updates=self._total_updates,
             total_evictions=self._total_evictions,
         )
@@ -388,18 +371,13 @@ class GlobalScoreTable:
         """Rebuild a table whose future behaviour is bit-identical.
 
         The restored table holds private copies of the same entries in the
-        same insertion order, the same evicted-mass ledger and the same
-        counters, so any sequence of :meth:`add` calls produces exactly the
-        folds, evictions and final ranking the original table would have
-        produced.
+        same insertion order and the same counters, so any sequence of
+        :meth:`add` calls produces exactly the folds, evictions and final
+        ranking the original table would have produced.
         """
-        table = cls(
-            capacity=snapshot.capacity,
-            evictions_are_final=snapshot.evictions_are_final,
-        )
+        table = cls(capacity=snapshot.capacity)
         table._ids = snapshot.ids.copy()
         table._values = snapshot.scores.copy()
-        table._evicted = dict(snapshot.evicted)
         table._total_updates = snapshot.total_updates
         table._total_evictions = snapshot.total_evictions
         return table
@@ -415,8 +393,8 @@ class GlobalScoreTable:
         return top_k_pairs(self._ids, self._values, k)
 
     def to_sparse_vector(self) -> SparseScoreVector:
-        """Export the table as a :class:`SparseScoreVector`."""
-        return SparseScoreVector.from_arrays(self._ids, self._values, assume_unique=True)
+        """Export the table's nonzero entries as a :class:`SparseScoreVector`."""
+        return SparseScoreVector(self._ids, self._values)
 
     def nbytes(self) -> int:
         """Modelled storage: 4-byte node id + 4-byte score per entry.

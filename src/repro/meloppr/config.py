@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.meloppr.selection import NextStageSelector, RatioSelector
+from repro.meloppr.selection import AllSelector, CountSelector, NextStageSelector, RatioSelector
 
 __all__ = ["MeLoPPRConfig"]
 
@@ -35,7 +35,10 @@ class MeLoPPRConfig:
         decomposition "can be easily extended to more terms").
     selector:
         Strategy choosing which next-stage nodes are expanded at each stage
-        boundary.  Defaults to the paper's ratio-based selection.
+        boundary: a :class:`RatioSelector` (the paper's ratio, the default),
+        a :class:`CountSelector` or an :class:`AllSelector`.  Any other
+        selector is refused: each built-in's ``repr`` names its parameters
+        exactly, which is what the serving layer's cache keys rely on.
     score_table_factor:
         The ``c`` of Sec. V-B: the global score table keeps the top ``c * k``
         nodes.  ``None`` keeps an unbounded table (pure-software mode).
@@ -55,6 +58,11 @@ class MeLoPPRConfig:
     residual_tolerance: float = 1e-12
 
     def __post_init__(self) -> None:
+        if type(self.selector) not in (RatioSelector, CountSelector, AllSelector):
+            raise ValueError(
+                "selector must be a RatioSelector, CountSelector or AllSelector, "
+                f"got {self.selector!r}"
+            )
         if not self.stage_lengths:
             raise ValueError("stage_lengths must contain at least one stage")
         if any(length <= 0 for length in self.stage_lengths):

@@ -647,7 +647,6 @@ class MeLoPPRPlan:
             raise RuntimeError("plan still has pending stages")
         table = self._table
         scores = table.to_sparse_vector()
-        scores.prune(0.0)
 
         modelled_bytes = self._peak_subgraph_bytes + table.nbytes()
         peak = self._tracker.peak_bytes if self._track_memory else modelled_bytes

@@ -7,7 +7,9 @@ one diffusion per node; the paper observes that the residual vector is highly
 sparse, so selecting only the largest-residual nodes retains most of the
 precision at a fraction of the cost.
 
-Three strategies are provided:
+Three strategies are provided, and they are the only ones
+:class:`~repro.meloppr.config.MeLoPPRConfig` accepts (each ``repr`` names
+every parameter exactly, so it can key the serving layer's caches):
 
 * :class:`RatioSelector` — the paper's knob: expand the top ``ratio`` fraction
   of candidate nodes (Fig. 6 sweeps this from 0 % to 30 %).
@@ -40,7 +42,7 @@ class NextStageSelector(abc.ABC):
 
     The plan passes each candidate once, in ascending node order.  The answer
     — which nodes, in which order — must not depend on the input order: the
-    shipped selectors order by residual, then by node id.
+    built-ins order by residual, then by node id.
     """
 
     #: Short name used in experiment tables.

@@ -61,10 +61,7 @@ class LocalPPRSolver(PPRSolver):
                     subgraph.graph, initial, query.length, query.alpha
                 )
             with timing.measure("aggregation"):
-                scores = SparseScoreVector.from_arrays(
-                    subgraph.global_ids, diffusion.accumulated
-                )
-                scores.prune(0.0)
+                scores = SparseScoreVector(subgraph.global_ids, diffusion.accumulated)
 
         # The analytical working-set estimate mirrors what the sub-graph and
         # score vectors occupy; used as a fallback when tracing is disabled.

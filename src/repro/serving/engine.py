@@ -89,7 +89,7 @@ _KEY_MEMO_SIZE = 64
 
 
 def _replay(answer: PPRResult) -> PPRResult:
-    """A caller's own copy of a finished answer: the same (frozen) ``scores``
+    """A caller's own copy of a finished answer: the same (immutable) ``scores``
     object and metadata values under a fresh ``metadata`` dict and an empty
     ``timing`` — nothing ran, and ``metadata["serving"]`` is per delivery."""
     return PPRResult(
@@ -546,9 +546,8 @@ class QueryEngine:
                 )
             result = self._drive_plan(plan, install=install, ctx=ctx)
             if result_cache is not None:
-                # Shared from here on: freeze the scores, and keep a copy
-                # whose metadata dict the first caller cannot reach.
-                result.scores.freeze()
+                # Shared from here on (the scores cannot change): keep a
+                # copy whose metadata dict the first caller cannot reach.
                 result_cache.attach_answer(key, _replay(result), plan.graph)
         else:
             result = self._solver.solve(query)

@@ -375,10 +375,10 @@ OPS: Dict[str, Callable[..., Awaitable[Dict[str, object]]]] = {
 }
 
 
-#: The top-k texts of answers that can be served again, by their score
-#: vector: ``[json, packed]``, each built on first use.  A frozen vector
-#: belongs to one cached answer (one query, one ``k``), is shared by all its
-#: deliveries and cannot change, so each form is ranked and encoded once for
+#: The top-k texts of every answer, by its score vector: ``[json, packed]``,
+#: each built on first use.  A vector belongs to one answer (one query, one
+#: ``k``), is shared by all its deliveries — a cached answer's replays
+#: included — and cannot change, so each form is ranked and encoded once for
 #: all of them; both are dropped with the vector.
 _TOP_TEXTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
@@ -389,9 +389,7 @@ def _top_json(result: PPRResult, packed: bool = False) -> str:
     string."""
     texts = _TOP_TEXTS.get(result.scores)
     if texts is None:
-        texts = [None, None]
-        if result.scores.frozen:
-            _TOP_TEXTS[result.scores] = texts
+        texts = _TOP_TEXTS[result.scores] = [None, None]
     if texts[packed] is None:
         pairs = result.top_k()
         texts[packed] = f'"{pack_top(pairs)}"' if packed else json.dumps(pairs)

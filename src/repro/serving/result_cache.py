@@ -21,7 +21,7 @@ reached itself.
 An entry can also carry the **finished answer** of the query it is keyed by
 (:meth:`ScoreTableCache.attach_answer`; the engine attaches it after
 ``plan.finish()``).  The next repeat of that query is then replayed whole —
-the same frozen ``scores`` object and metadata values, an empty ``timing`` and
+the same immutable ``scores`` object and metadata values, an empty ``timing`` and
 a fresh ``metadata["serving"]`` — instead of resuming stage two, by the engine
 and by its non-blocking :meth:`~repro.serving.engine.QueryEngine.try_cached`.
 The answer is charged to the entry's bytes at a modelled, never-changing size
@@ -56,7 +56,6 @@ state, every later arrival resumes from it.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 from typing import Callable, Dict, Hashable, Optional, Tuple
@@ -94,52 +93,6 @@ UPDATE_COUNT_KEYS = (
 DEFAULT_RESULT_CACHE_BYTES = 32 * 1024 * 1024
 
 
-def _value_identity(value) -> Hashable:
-    """A faithful, hashable identity of one selector attribute value.
-
-    ``repr`` is the general answer, but numpy elides large arrays
-    (``[0.1, ..., 0.9]``), which would collide two masks differing only in
-    the elided middle — so array-likes are identified by a digest of their
-    raw bytes plus shape/dtype instead.
-    """
-    tobytes = getattr(value, "tobytes", None)
-    if tobytes is not None:
-        digest = hashlib.blake2b(tobytes(), digest_size=16).hexdigest()
-        return (
-            "array",
-            tuple(getattr(value, "shape", ())),
-            str(getattr(value, "dtype", "")),
-            digest,
-        )
-    return repr(value)
-
-
-def _selector_identity(selector) -> Tuple[Hashable, ...]:
-    """A parameter-bearing identity of a next-stage selector.
-
-    ``repr(selector)`` alone is not enough: the ``NextStageSelector`` base
-    class default is ``f"{type(self).__name__}()"``, so a user-defined
-    subclass with constructor knobs that does not override ``__repr__``
-    would collide two differently-parameterised instances onto one cache
-    key — and a hit would replay the *other* configuration's stage-two
-    selection.  The class qualname plus the instance ``__dict__`` (each
-    value via :func:`_value_identity` so the tuple stays hashable and
-    array-valued knobs stay faithful) distinguishes them;
-    ``__slots__``-only selectors fall back to ``repr`` — they opted out of
-    ``__dict__`` and almost certainly define a faithful one.
-    """
-    try:
-        fields = vars(selector)
-    except TypeError:  # __slots__-only instance
-        return (type(selector).__qualname__, repr(selector))
-    return (
-        type(selector).__qualname__,
-        tuple(
-            sorted((name, _value_identity(value)) for name, value in fields.items())
-        ),
-    )
-
-
 def stage_one_key(query: PPRQuery, config: MeLoPPRConfig) -> Tuple[Hashable, ...]:
     """The cache key of ``query``'s stage-one state, without building a plan.
 
@@ -151,7 +104,8 @@ def stage_one_key(query: PPRQuery, config: MeLoPPRConfig) -> Tuple[Hashable, ...
       fixes both the stage-one depth and the weights folded;
     * the score-table capacity (``c * k`` — two queries for different ``k``
       fold into differently bounded tables, so they must not share);
-    * the selector and residual tolerance (they choose the stage-two work
+    * the selector, by its ``repr`` (a built-in's names every parameter
+      exactly), and the residual tolerance (they choose the stage-two work
       list stored in the state).
 
     The graph is not in the key: a cache is bound to the graph it serves
@@ -163,7 +117,7 @@ def stage_one_key(query: PPRQuery, config: MeLoPPRConfig) -> Tuple[Hashable, ...
         realised_stage_lengths(config, query.length),
         float(query.alpha),
         config.score_table_capacity(query.k),
-        _selector_identity(config.selector),
+        repr(config.selector),
         float(config.residual_tolerance),
     )
 
@@ -180,9 +134,8 @@ def _entry_nbytes(state: StageOneState) -> int:
     charged two machine words each (node id + float), records a flat per
     record cost, without paying a ``sys.getsizeof`` traversal per insert.
     """
-    table_entries = state.table.num_entries + len(state.table.evicted)
     return int(
-        16 * table_entries
+        16 * state.table.num_entries
         + 16 * len(state.next_work)
         + 64 * len(state.records)
         + 128  # fixed per-entry overhead (key tuple, bookkeeping)

@@ -267,11 +267,9 @@ class ScanTable:
     """The bounded score table as first written: a dict, one update at a
     time, evicting by scanning every entry for the least ``(score, -node)``."""
 
-    def __init__(self, capacity: Optional[int], evictions_are_final: bool = True) -> None:
+    def __init__(self, capacity: Optional[int]) -> None:
         self.capacity = capacity
-        self.final = evictions_are_final
         self.scores: Dict[int, float] = {}
-        self.evicted: Dict[int, float] = {}
         self.updates = 0
         self.victims: List[int] = []
 
@@ -280,14 +278,11 @@ class ScanTable:
         if node in self.scores:
             self.scores[node] += score
             return
-        previous = 0.0 if self.final else self.evicted.pop(node, 0.0)
-        self.scores[node] = previous + score
+        self.scores[node] = 0.0 + score
         if self.capacity is not None and len(self.scores) > self.capacity:
             victim = min(self.scores.items(), key=lambda item: (item[1], -item[0]))[0]
-            value = self.scores.pop(victim)
+            del self.scores[victim]
             self.victims.append(victim)
-            if not self.final:
-                self.evicted[victim] = self.evicted.get(victim, 0.0) + value
 
     def add_many(self, nodes, scores) -> None:
         for node, score in zip(nodes, scores):
@@ -296,10 +291,8 @@ class ScanTable:
     def snapshot(self) -> ScoreTableSnapshot:
         return ScoreTableSnapshot(
             capacity=self.capacity,
-            evictions_are_final=self.final,
             ids=list(self.scores),
             scores=list(self.scores.values()),
-            evicted=tuple(self.evicted.items()),
             total_updates=self.updates,
             total_evictions=len(self.victims),
         )
@@ -360,7 +353,7 @@ class PowerIterationSolver(PPRSolver):
                     if self._tolerance > 0 and change < self._tolerance:
                         break
             with timing.measure("aggregation"):
-                sparse_scores = SparseScoreVector.from_dense(scores)
+                sparse_scores = SparseScoreVector(np.arange(scores.size), scores)
         return PPRResult(
             query=query,
             scores=sparse_scores,
@@ -393,7 +386,7 @@ class MonteCarloSolver(PPRSolver):
     def solve(self, query: PPRQuery) -> PPRResult:
         timing = TimingBreakdown()
         tracker = MemoryTracker(enabled=self._track_memory)
-        terminations = SparseScoreVector()
+        terminations: Dict[int, float] = {}
         memory_accesses = 0
         with tracker:
             with timing.measure("random_walks"):
@@ -408,12 +401,13 @@ class MonteCarloSolver(PPRSolver):
                         if neighbors.size == 0:
                             break
                         node = int(neighbors[int(self._rng.integers(0, neighbors.size))])
-                    terminations.add(node, 1.0)
+                    terminations[node] = terminations.get(node, 0.0) + 1.0
             with timing.measure("aggregation"):
-                terminations.scale(1.0 / self._num_walks)
+                shares = np.fromiter(terminations.values(), dtype=np.float64)
+                scores = SparseScoreVector(list(terminations), shares * (1.0 / self._num_walks))
         return PPRResult(
             query=query,
-            scores=terminations,
+            scores=scores,
             timing=timing,
             peak_memory_bytes=tracker.peak_bytes,
             metadata={"num_walks": self._num_walks, "neighborhood_accesses": memory_accesses},
@@ -478,9 +472,11 @@ class NetworkXPPRSolver(PPRSolver):
                         tol=1e-8,
                     )
             with timing.measure("aggregation"):
-                scores = SparseScoreVector()
+                summed: Dict[int, float] = {}
                 for node, value in ranks.items():
-                    scores.add(to_global(int(node)), float(value))
+                    node = to_global(int(node))
+                    summed[node] = summed.get(node, 0.0) + float(value)
+                scores = SparseScoreVector(list(summed), list(summed.values()))
         return PPRResult(
             query=query,
             scores=scores,

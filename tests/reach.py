@@ -61,11 +61,8 @@ KEEP = {
         "graph/csr.py": "CSRGraph.iter_edges CSRGraph.to_scipy CSRGraph.to_networkx "
                         "CSRGraph.__eq__ CSRGraph.__hash__",
         "graph/subgraph.py": "Subgraph._local_map Subgraph.to_global",
-        "diffusion/sparse_vector.py": "SparseScoreVector.from_dense SparseScoreVector._positions "
-                                      "SparseScoreVector.add SparseScoreVector.scale "
-                                      "SparseScoreVector.get SparseScoreVector.items "
-                                      "SparseScoreVector.nodes SparseScoreVector.values "
-                                      "SparseScoreVector.sum",
+        "diffusion/sparse_vector.py": "SparseScoreVector.items SparseScoreVector.nodes "
+                                      "SparseScoreVector.values",
         "meloppr/aggregation.py": "ScoreTableSnapshot.__eq__ ScoreTableSnapshot._identity "
                                   "GlobalScoreTable.get GlobalScoreTable.__len__ "
                                   "GlobalScoreTable.__contains__",

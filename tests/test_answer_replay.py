@@ -15,21 +15,24 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import gc
 import io
 import json
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
-from repro.diffusion.sparse_vector import FrozenScoreVectorError
+from repro.diffusion.sparse_vector import SparseScoreVector
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import barabasi_albert_graph
 from repro.meloppr.config import MeLoPPRConfig
 from repro.meloppr.selection import CountSelector
 from repro.meloppr.solver import MeLoPPRSolver
 from repro.ppr.base import PPRQuery
+from repro.ppr.local_ppr import LocalPPRSolver
 from repro.serving import (
     QueryEngine,
     ScoreTableCache,
@@ -48,7 +51,7 @@ from repro.serving.frontend import (
     parse_prometheus_text,
 )
 from repro.serving.engine import _KEY_MEMO_SIZE, _replay
-from repro.serving.frontend.ops import _top_json
+from repro.serving.frontend.ops import _TOP_TEXTS, _top_json
 from repro.serving.frontend.protocol import PROTOCOL_VERSION, pack_top
 from repro.serving.result_cache import _answer_nbytes, _entry_nbytes, stage_one_key
 from oracle import assert_same_answer, rebuilt
@@ -168,40 +171,93 @@ class TestDifferential:
             for query in (small, large, small, large):
                 (result,) = engine.solve_batch([query])
                 assert result.query == query
-                assert result.top_k() == solver.solve(query).top_k()
+                assert_same_answer(result, solver.solve(query))
                 assert len(result.top_k()) == query.k
 
 
 # ----------------------------------------------------------------------
-# Freeze what is shared
+# Every answer is a value
 # ----------------------------------------------------------------------
-class TestSharedAnswersAreFrozen:
-    def test_attached_answer_cannot_be_corrupted_by_a_caller(self, graph):
-        query = PPRQuery(seed=3, k=20)
-        with make_engine(graph) as engine:
-            (first,) = engine.solve_batch([query])
-            wire = _top_json(first)
-            for mutate in (
-                lambda: first.scores.add(3, 1.0),
-                lambda: first.scores.scale(2.0),
-                lambda: first.scores.prune(1.0),
-            ):
-                with pytest.raises(FrozenScoreVectorError):
-                    mutate()
-            first.metadata["tasks"] = "clobbered"  # the caller's own dict
-            (replay,) = engine.solve_batch([query])
-        assert_same_answer(replay, MeLoPPRSolver(graph, CONFIG).solve(query))
-        # One text per attached answer, however many deliveries encode it.
-        assert wire == json.dumps([[node, score] for node, score in replay.top_k()])
-        assert _top_json(replay) is wire
+def _answers(graph, path_name):
+    """The answer to ``QUERY`` along one path: ``(answer, engine outcome)``."""
+    if path_name == "meloppr_solve":
+        return MeLoPPRSolver(graph, CONFIG).solve(QUERY), None
+    if path_name == "local_ppr_solve":
+        return LocalPPRSolver(graph, track_memory=False).solve(QUERY), None
+    if path_name in ("uncached_serial", "uncached_thread2"):
+        mode = "serial" if path_name == "uncached_serial" else "thread:2"
+        with QueryEngine(MeLoPPRSolver(graph, CONFIG), backend=make_backend(mode)) as engine:
+            (result,) = engine.solve_batch([QUERY])
+            assert engine.try_cached(QUERY) is None  # no result cache: no replay
+        return result, result.metadata["serving"]["result_cache"]
+    if path_name == "resumed":
+        # Unbounded tables key by everything but k, so a second k resumes
+        # from the first query's stage-one state.
+        config = MeLoPPRConfig(score_table_factor=None, track_memory=False)
+        with make_engine(graph, config=config) as engine:
+            engine.solve_batch([dataclasses.replace(QUERY, k=QUERY.k + 5)])
+            (result,) = engine.solve_batch([QUERY])
+        return result, result.metadata["serving"]["result_cache"]
+    with make_engine(graph) as engine:
+        (first,) = engine.solve_batch([QUERY])
+        if path_name == "cached_first":
+            return first, first.metadata["serving"]["result_cache"]
+        if path_name == "try_cached":
+            return engine.try_cached(QUERY), "answer"
+        (replay,) = engine.solve_batch([QUERY])
+    return replay, replay.metadata["serving"]["result_cache"]
 
-    def test_engine_without_result_cache_freezes_nothing(self, graph):
-        with QueryEngine(MeLoPPRSolver(graph, CONFIG)) as engine:
-            (result,) = engine.solve_batch([PPRQuery(seed=3, k=20)])
-            assert engine.try_cached(PPRQuery(seed=3, k=20)) is None
-        assert not result.scores.frozen
-        assert _top_json(result) is not _top_json(result)  # mutable: no memo
-        result.scores.scale(2.0)
+
+QUERY = PPRQuery(seed=3, k=20)
+PATHS = {
+    "meloppr_solve": None,
+    "local_ppr_solve": None,
+    "uncached_serial": None,
+    "uncached_thread2": None,
+    "cached_first": "miss",
+    "cached_replay": "answer",
+    "try_cached": "answer",
+    "resumed": "hit",
+}
+
+
+class TestAnswersAreImmutable:
+    @pytest.mark.parametrize("path_name", list(PATHS))
+    def test_no_path_hands_out_a_mutable_answer(self, graph, path_name):
+        result, outcome = _answers(graph, path_name)
+        assert outcome == PATHS[path_name]
+        scores = result.scores
+        assert type(scores) is SparseScoreVector and len(scores)
+        for array in (scores.nodes(), scores.values()):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        public = {name for name in dir(scores) if not name.startswith("_")}
+        assert public == {"items", "nodes", "values", "top_k", "top_k_nodes"}
+        # The wire text is built once per answer, however often it is sent.
+        for packed in (False, True):
+            assert _top_json(result, packed) is _top_json(result, packed)
+        assert _top_json(result) == json.dumps([list(pair) for pair in result.top_k()])
+
+    def test_a_wire_text_is_dropped_with_its_answer(self, graph):
+        # Never-repeated answers are memoised too: the memo must not keep them.
+        result, _ = _answers(graph, "uncached_serial")
+        _top_json(result, packed=True)
+        vector = weakref.ref(result.scores)
+        assert vector() in _TOP_TEXTS
+        del result
+        gc.collect()
+        assert vector() is None
+
+    def test_replay_shares_the_scores_but_not_the_metadata(self, graph):
+        with make_engine(graph) as engine:
+            (first,) = engine.solve_batch([QUERY])
+            wire = _top_json(first)
+            first.metadata["tasks"] = "clobbered"  # the caller's own dict
+            (replay,) = engine.solve_batch([QUERY])
+        assert replay.scores is first.scores
+        assert_same_answer(replay, MeLoPPRSolver(graph, CONFIG).solve(QUERY))
+        # One text per answer, however many deliveries encode it.
+        assert _top_json(replay) is wire
 
 
 # ----------------------------------------------------------------------

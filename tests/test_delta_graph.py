@@ -43,6 +43,7 @@ from repro.serving.backends import ThreadPoolBackend
 from repro.serving.cache import SubgraphCache
 from repro.serving.engine import QueryEngine
 from repro.serving.result_cache import ScoreTableCache
+from oracle import assert_same_answers, serial_answers
 
 
 def edge_set(graph) -> set:
@@ -369,10 +370,10 @@ def churn_ops(current: set, num_nodes: int, rng: np.random.Generator, count=4):
 def assert_matches_rebuild(engine, queries, current_edges, num_nodes):
     rebuilt = CSRGraph.from_edges(num_nodes, sorted(current_edges))
     assert engine.solver.graph.fingerprint() == rebuilt.fingerprint()
-    reference = MeLoPPRSolver(rebuilt, CONFIG)
-    for query, result in zip(queries, engine.solve_batch(queries)):
-        expected = dict(reference.solve(query).scores.items())
-        assert dict(result.scores.items()) == expected
+    expected = serial_answers(rebuilt, CONFIG, queries)
+    assert_same_answers(
+        engine.solve_batch(queries), expected, extraction_cache=engine.cache is not None
+    )
 
 
 class TestEngineApplyUpdate:

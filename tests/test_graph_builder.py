@@ -133,10 +133,13 @@ class TestBuildCleaning:
         graph = GraphBuilder(num_nodes=3).add_edge(0, 2).build()
         assert graph.has_edge(2, 0)
 
-    def test_directed_builder_keeps_direction(self):
-        graph = GraphBuilder(num_nodes=3, directed=True).add_edge(0, 2).build()
-        assert 2 in graph.neighbors(0)
-        assert 0 not in graph.neighbors(2)
+    def test_every_edge_is_stored_both_ways(self):
+        # One-way pairs in, one symmetric adjacency out: W = A D^-1 needs
+        # every edge's reverse.
+        pairs = [(0, 3), (3, 1), (4, 2), (2, 0), (1, 4)]
+        graph = CSRGraph.from_edges(5, pairs)
+        adjacency = graph.to_scipy().toarray()
+        assert (adjacency == adjacency.T).all() and graph.num_edges == len(pairs)
 
     def test_num_nodes_inferred(self):
         graph = GraphBuilder().add_edge(0, 9).build()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.meloppr.config import MeLoPPRConfig
-from repro.meloppr.selection import AllSelector, CountSelector, RatioSelector
+from repro.meloppr.selection import AllSelector, CountSelector, NextStageSelector, RatioSelector
 from repro.meloppr.solver import MeLoPPRSolver, StageTaskRecord
 from repro.ppr.base import PPRQuery
 from repro.ppr.local_ppr import LocalPPRSolver
@@ -34,6 +34,24 @@ class TestMeLoPPRConfig:
         with pytest.raises(ValueError):
             MeLoPPRConfig(residual_tolerance=-1.0)
 
+    def test_only_the_built_in_selectors_are_accepted(self):
+        for selector in (RatioSelector(0.1), CountSelector(3), AllSelector()):
+            assert MeLoPPRConfig(selector=selector).selector is selector
+
+        class TopFraction(NextStageSelector):  # knobs its repr does not name
+            def __init__(self, fraction):
+                self.fraction = fraction
+
+            def select(self, nodes, residuals):
+                return self._order_by_residual(nodes, residuals)
+
+        class Wider(RatioSelector):
+            pass
+
+        for selector in (TopFraction(0.5), Wider(0.5), "ratio", None):
+            with pytest.raises(ValueError, match="RatioSelector, CountSelector or AllSelector"):
+                MeLoPPRConfig(selector=selector)
+
 
 class TestSolverExactness:
     """With every next-stage node expanded, MeLoPPR must equal single-stage PPR."""
@@ -58,8 +76,9 @@ class TestSolverExactness:
         query = PPRQuery(seed=11, k=30, length=6)
         exact = LocalPPRSolver(small_citation_graph, track_memory=False).solve(query)
         meloppr = MeLoPPRSolver(small_citation_graph, exact_config).solve(query)
+        got = dict(meloppr.scores.items())
         for node, score in exact.scores.items():
-            assert meloppr.scores.get(node) == pytest.approx(score, abs=1e-9)
+            assert got.get(node, 0.0) == pytest.approx(score, abs=1e-9)
 
     def test_exact_with_three_stages(self, small_ba_graph):
         config = MeLoPPRConfig(
@@ -79,7 +98,7 @@ class TestSolverApproximation:
     def test_scores_sum_close_to_one(self, small_ba_graph):
         config = MeLoPPRConfig.paper_default(0.05)
         result = MeLoPPRSolver(small_ba_graph, config).solve(PPRQuery(seed=4, k=30))
-        assert result.scores.sum() == pytest.approx(1.0, abs=1e-6)
+        assert result.scores.values().sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_seed_ranks_first(self, small_citation_graph):
         config = MeLoPPRConfig.paper_default(0.02)

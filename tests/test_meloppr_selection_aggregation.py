@@ -120,19 +120,14 @@ class TestGlobalScoreTable:
         assert table.num_entries == 2
         assert table.total_evictions == 1
 
-    def test_eviction_is_final_by_default(self):
-        table = GlobalScoreTable(capacity=1)
+    def test_eviction_is_final(self):
+        table = GlobalScoreTable(capacity=2)
         table.add(1, 0.5)
-        table.add(2, 1.0)   # evicts 1
-        table.add(1, 0.4)   # re-inserts 1 without its old mass, evicts nothing new for 2
-        assert table.get(1, default=0.0) in (0.0, 0.4)
-
-    def test_idealised_table_remembers_evicted_mass(self):
-        table = GlobalScoreTable(capacity=1, evictions_are_final=False)
-        table.add(1, 0.5)
-        table.add(2, 1.0)   # evicts 1, remembering 0.5
-        table.add(1, 0.6)   # evicts 2; node 1 returns with 1.1
-        assert table.get(1) == pytest.approx(1.1)
+        table.add(2, 1.0)
+        table.add(3, 0.75)  # evicts 1 and its 0.5 for good
+        table.add(1, 0.8)   # 1 returns with 0.8 alone and evicts 3
+        assert table.top_k(3) == [(2, 1.0), (1, 0.8)]
+        assert table.total_evictions == 2
 
     def test_top_k_ordering(self):
         table = GlobalScoreTable()
@@ -146,7 +141,7 @@ class TestGlobalScoreTable:
         table = GlobalScoreTable()
         table.add_many([1, 2], [0.1, 0.2])
         vector = table.to_sparse_vector()
-        assert vector.get(2) == pytest.approx(0.2)
+        assert dict(vector.items()) == {1: 0.1, 2: 0.2}
 
     def test_nbytes_is_eight_per_entry(self):
         table = GlobalScoreTable()

@@ -142,7 +142,7 @@ def test_any_budget_keeps_the_mass(graph, seed, exact, selector):
     """Unexpanded residual mass stays at its node: the total never moves."""
     config = MeLoPPRConfig(selector=selector, score_table_factor=None, track_memory=False)
     result = MeLoPPRSolver(graph, config).solve(query(seed))
-    assert result.scores.sum() == pytest.approx(exact.sum(), rel=1e-12)
+    assert result.scores.values().sum() == pytest.approx(exact.sum(), rel=1e-12)
     assert (result.scores.values() >= 0).all()
 
 

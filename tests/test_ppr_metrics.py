@@ -10,7 +10,7 @@ from repro.ppr.metrics import precision_at_k, result_precision
 
 
 def _result(scores: dict, k: int = 3) -> PPRResult:
-    return PPRResult(query=PPRQuery(seed=0, k=k), scores=SparseScoreVector(scores))
+    return PPRResult(query=PPRQuery(seed=0, k=k), scores=SparseScoreVector(list(scores), list(scores.values())))
 
 
 class TestPrecisionAtK:

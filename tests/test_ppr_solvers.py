@@ -48,7 +48,7 @@ class TestLocalPPRSolver:
 
     def test_scores_are_probabilities(self, small_citation_graph):
         result = LocalPPRSolver(small_citation_graph).solve(PPRQuery(seed=5, k=10))
-        assert result.scores.sum() == pytest.approx(1.0, abs=1e-9)
+        assert result.scores.values().sum() == pytest.approx(1.0, abs=1e-9)
         assert all(value >= 0 for _, value in result.scores.items())
 
     def test_metadata_records_subgraph_size(self, small_ba_graph):
@@ -71,7 +71,7 @@ class TestLocalPPRSolver:
 class TestPowerIterationSolver:
     def test_scores_sum_to_one(self, small_ba_graph):
         result = PowerIterationSolver(small_ba_graph).solve(PPRQuery(seed=0, k=10))
-        assert result.scores.sum() == pytest.approx(1.0, abs=1e-9)
+        assert result.scores.values().sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_iteration_count_recorded(self, small_ba_graph):
         result = PowerIterationSolver(small_ba_graph).solve(PPRQuery(seed=0, length=4))
@@ -99,7 +99,7 @@ class TestMonteCarloSolver:
 
     def test_estimates_sum_to_one(self, small_ba_graph):
         result = MonteCarloSolver(small_ba_graph, num_walks=200, rng=1).solve(PPRQuery(seed=0))
-        assert result.scores.sum() == pytest.approx(1.0)
+        assert result.scores.values().sum() == pytest.approx(1.0)
 
     def test_approximates_power_iteration(self, small_ba_graph):
         query = PPRQuery(seed=0, k=10, length=6)

@@ -192,8 +192,9 @@ class TestScoreContainerProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_sparse_vector_top_k_matches_bruteforce(self, entries, k):
-        vector = SparseScoreVector(entries)
-        expected = sorted(entries.items(), key=lambda item: (-item[1], item[0]))[:k]
+        vector = SparseScoreVector(list(entries), list(entries.values()))
+        nonzero = [item for item in entries.items() if item[1] != 0.0]
+        expected = sorted(nonzero, key=lambda item: (-item[1], item[0]))[:k]
         assert vector.top_k(k) == expected
 
     @given(

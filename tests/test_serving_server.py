@@ -47,7 +47,7 @@ class SleepySolver(PPRSolver):
 
     def solve(self, query: PPRQuery) -> PPRResult:
         time.sleep(self.delay_seconds)
-        return PPRResult(query=query, scores=SparseScoreVector({query.seed: 1.0}))
+        return PPRResult(query=query, scores=SparseScoreVector([query.seed], [1.0]))
 
 
 def serve(engine, policy=None, admission=None):
